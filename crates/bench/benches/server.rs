@@ -1,18 +1,20 @@
 //! E19: the serving front end on the sharded hot path.
 //!
 //! What does exactly-once serving cost? The served path pays, on top
-//! of each batch window's group commit, a durable request descriptor
-//! per op (the dedup evidence), one coalesced answer persist per
-//! window, and the admission/response machinery. The bench runs the
-//! identical put workload two ways on latency-emulated regions:
+//! of each batch window's group commit, one coalesced descriptor
+//! persist per drain (the dedup evidence), one answer persist per
+//! window, one ack persist per op, and the admission/response
+//! machinery; reads are answered at admission and persist nothing.
+//! The bench runs the identical put workload two ways on
+//! latency-emulated regions:
 //!
 //! * `server/served_vs_direct/direct_windows` — the `StripedRuntime`
 //!   batch-window drive (E18's runtime side): op tables pre-staged,
 //!   no wire, no descriptors, no acks.
 //! * `server/served_vs_direct/served_path` — closed-loop clients over
-//!   the channel hub: request frames, per-shard admission, durable
-//!   request descriptors, runtime batch windows, durable answers,
-//!   acks, slot recycling.
+//!   the channel hub: request frames, per-shard admission, request
+//!   descriptors made durable at the drain, runtime batch windows,
+//!   durable answers, acks, slot recycling.
 //!
 //! It ends with a `Comparison` ratio line (the exactly-once premium)
 //! and an instrumented mixed-workload pass that prints the served

@@ -109,6 +109,24 @@ impl<T> AdmissionQueue<T> {
         Admission::Admitted { depth }
     }
 
+    /// Sheds **before the caller builds the item**: if the queue is at
+    /// capacity, counts a shed and returns `true`; otherwise changes
+    /// nothing. For callers whose item is costly to make (a serving
+    /// front end claims a durable slot per request) and must not exist
+    /// if it would only be shed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue lock is poisoned.
+    pub fn shed_if_full(&self) -> bool {
+        let mut st = self.state.lock().expect("admission queue poisoned");
+        let full = st.queue.len() >= self.capacity;
+        if full {
+            st.shed += 1;
+        }
+        full
+    }
+
     /// Dequeues up to `max` items in admission order — one batch
     /// window's worth of work.
     ///
@@ -222,7 +240,15 @@ mod tests {
         assert_eq!(q.depth_high_water(), 2);
         assert_eq!(q.admitted(), 2);
         assert_eq!(q.shed(), 50);
+        // A shed before the item is built counts the same way.
+        assert!(q.shed_if_full());
+        assert_eq!(q.shed(), 51);
         assert_eq!(q.drain_window(8), vec![1, 2]);
+        assert!(
+            !q.shed_if_full(),
+            "room again: nothing shed, nothing counted"
+        );
+        assert_eq!(q.shed(), 51);
         // Draining reopens admission.
         assert!(matches!(q.offer(3), Admission::Admitted { .. }));
     }

@@ -14,16 +14,27 @@
 //!
 //! A slot moves `Free → Pending → Done → Done+Acked → Free`:
 //!
-//! * [`KvRequestTable::submit`] claims a free slot, persists the
-//!   descriptor **before** any effect can execute (so an effect found
-//!   in the store always has a durable descriptor naming it), and
-//!   returns [`ReqSubmit::Full`] — the admission-control signal — when
-//!   no slot is recyclable.
+//! * [`KvRequestTable::submit`] claims a free slot and **stages** the
+//!   descriptor in it — written, not flushed — and returns
+//!   [`ReqSubmit::Full`] — the admission-control signal — when no slot
+//!   is recyclable. [`KvRequestTable::persist_slots`] (or its
+//!   issue/await halves, which let a caller overlap several tables'
+//!   round-trips) makes a set of staged descriptors durable with **one
+//!   coalesced persist**. The invariant the caller owes: *a descriptor
+//!   is durable before anything executes on its behalf*, so an effect
+//!   found in the store always has a durable descriptor naming it.
+//!   Nothing is promised to a client while a descriptor is only
+//!   staged, so a crash in between loses nothing: the slot reverts to
+//!   its old, recyclable occupant and the client's retry is `Fresh`.
 //! * [`KvRequestTable::mark_done`] / [`KvRequestTable::mark_done_batch`]
-//!   persist the answer payload strictly before the one-byte done flag,
-//!   exactly like the static table: a crash in between leaves the slot
-//!   pending and recovery recomputes the answer through the store's
-//!   evidence-scanning duals.
+//!   write the answer payload, then the one-byte done flag, and issue
+//!   **one** persist. A slot is one cache line and a buffered region
+//!   persists a line atomically (the recycling argument below already
+//!   relies on it), so after a crash a slot is either fully answered or
+//!   still pending — and a pending slot's answer is recomputed through
+//!   the store's evidence-scanning duals. An eager region persists
+//!   each write as it lands, so there the write order *is* the
+//!   payload-before-flag order.
 //! * [`KvRequestTable::ack`] records that the client received the
 //!   answer. A slot that is both done and acked is **recyclable**: its
 //!   next occupant overwrites it. This is what keeps a long-running
@@ -60,7 +71,7 @@ use std::sync::{Arc, Mutex};
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::funcs::{KvTaskAnswer, KvTaskOp, KvTaskResult};
 
@@ -90,8 +101,9 @@ const F_REQ_ID: u64 = 40;
 /// Outcome of a [`KvRequestTable::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqSubmit {
-    /// The request id was unknown; a slot now holds its durable
-    /// descriptor and the operation has never executed.
+    /// The request id was unknown; a slot now holds its **staged**
+    /// descriptor (durable once [`KvRequestTable::persist_slots`]
+    /// covers the slot) and the operation has never executed.
     Fresh(u32),
     /// The request id is already in the table — a retry. `answer` is
     /// the durable answer when the first execution completed, `None`
@@ -345,8 +357,9 @@ impl KvRequestTable {
     /// sequence numbers ([`ReqSubmit::Stale`]), claims (possibly
     /// recycling) a slot for a fresh id, and reports
     /// [`ReqSubmit::Full`] when nothing is recyclable. A fresh
-    /// descriptor is durable when this returns — effects can only
-    /// execute after their descriptor.
+    /// descriptor is only **staged** when this returns: the caller
+    /// persists it ([`KvRequestTable::persist_slots`]) before anything
+    /// executes on its behalf.
     ///
     /// # Errors
     ///
@@ -418,12 +431,78 @@ impl KvRequestTable {
                 self.pmem.write_i64(e + F_EXPECTED, expected)?;
             }
         }
+        // persist-lint: allow(publish-no-persist) staged on purpose — the drain that hands this slot's window out persists it first (persist_slots; ServerCore::drain)
         self.pmem.write_u64(e + F_REQ_ID, req_id)?;
-        self.pmem.flush(e, SLOT_STRIDE as usize)?;
         idx.by_id.insert(req_id, slot);
         let live = u64::from(self.capacity) - idx.free.len() as u64;
         idx.live_high_water = idx.live_high_water.max(live);
         Ok(ReqSubmit::Fresh(slot))
+    }
+
+    /// The extent covering `slots`' lines: `(lowest slot offset, span
+    /// in bytes)`, empty for no slots. One flush over it coalesces the
+    /// touched lines into one round-trip (clean lines in between
+    /// persist nothing).
+    fn span_of(&self, slots: impl IntoIterator<Item = u32>) -> Result<(POffset, usize), PError> {
+        let mut span: Option<(u64, u64)> = None;
+        for slot in slots {
+            let e = self.slot(slot)?.get();
+            span = Some(span.map_or((e, e), |(lo, hi)| (lo.min(e), hi.max(e))));
+        }
+        Ok(span.map_or((self.base, 0), |(lo, hi)| {
+            (POffset::new(lo), (hi - lo + SLOT_STRIDE) as usize)
+        }))
+    }
+
+    /// Issues **one coalesced asynchronous persist** over `slots`'
+    /// lines — the descriptors [`KvRequestTable::submit`] staged — and
+    /// returns its ticket. The round-trip is in flight when this
+    /// returns: a caller with several tables issues them all back to
+    /// back, then awaits each ([`KvRequestTable::persist_slots_await`]),
+    /// paying about one round-trip for the lot.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range slot or NVRAM errors (a crash leaves the
+    /// descriptors staged or lost, never torn).
+    pub fn persist_slots_issue(&self, slots: &[u32]) -> Result<FlushTicket, PError> {
+        let (lo, len) = self.span_of(slots.iter().copied())?;
+        Ok(self.pmem.flush_async(lo, len)?)
+    }
+
+    /// Awaits a ticket from [`KvRequestTable::persist_slots_issue`]:
+    /// when this returns `Ok`, every descriptor it covered is durable.
+    ///
+    /// # Errors
+    ///
+    /// NVRAM errors — `Crashed` if the region died with the flight
+    /// still queued.
+    pub fn persist_slots_await(&self, ticket: &FlushTicket) -> Result<(), PError> {
+        Ok(self.pmem.await_ticket(ticket)?)
+    }
+
+    /// Makes the staged descriptors in `slots` durable with one
+    /// coalesced persist (issue + await).
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range slot or NVRAM errors.
+    pub fn persist_slots(&self, slots: &[u32]) -> Result<(), PError> {
+        let ticket = self.persist_slots_issue(slots)?;
+        self.persist_slots_await(&ticket)
+    }
+
+    /// `true` if `req_id` is in the table (pending, or answered and not
+    /// yet recycled) — the volatile half of the dedup lookup, without a
+    /// single NVRAM access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the volatile index lock is poisoned.
+    #[must_use]
+    pub fn contains(&self, req_id: u64) -> bool {
+        let idx = self.idx.lock().expect("request-table index poisoned");
+        idx.by_id.contains_key(&req_id)
     }
 
     /// Looks request `req_id` up without admitting anything.
@@ -542,48 +621,37 @@ impl KvRequestTable {
         Ok(e)
     }
 
-    /// Persists slot `slot`'s answer: payload strictly before the done
-    /// flag, so a crash in between leaves the request pending and
-    /// recovery recomputes the answer through the evidence scan.
+    /// Persists slot `slot`'s answer with **one** persist: payload,
+    /// then the done flag, then one flush of the slot's line. The line
+    /// persists atomically, so a crash leaves the slot either answered
+    /// or still pending (recovery recomputes a pending answer through
+    /// the evidence scan); on an eager region the write order is the
+    /// persist order, payload before flag.
     ///
     /// # Errors
     ///
     /// Out-of-range slot or NVRAM errors.
     pub fn mark_done(&self, slot: u32, executor: u32, result: KvTaskResult) -> Result<(), PError> {
-        let e = self.write_answer(slot, executor, result)?;
-        self.pmem.flush(e, SLOT_STRIDE as usize)?;
-        self.pmem.write_u8(e + F_DONE, ST_DONE)?;
-        self.pmem.flush(e + F_DONE, 1)?;
-        Ok(())
+        self.mark_done_batch(&[(slot, executor, result)])
     }
 
-    /// Persists a whole batch of answers with two coalesced persists
-    /// (all payloads, then all done flags) — the answer half of a
-    /// group-commit window, with [`KvRequestTable::mark_done`]'s
-    /// per-slot ordering invariant preserved.
+    /// Persists a whole batch of answers with **one** coalesced persist
+    /// — the answer half of a group-commit window. Per slot the
+    /// payload is written before the done flag and each slot's line
+    /// persists atomically ([`KvRequestTable::mark_done`]'s argument),
+    /// so a crash inside the flush leaves every slot either answered
+    /// or pending, never a flag over a missing payload.
     ///
     /// # Errors
     ///
     /// Out-of-range slot or NVRAM errors.
     pub fn mark_done_batch(&self, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
-        let Some(&(first, ..)) = entries.first() else {
-            return Ok(());
-        };
-        let mut lo = Self::slot_off(self.base, first).get();
-        let mut hi = lo;
         for &(slot, executor, result) in entries {
             let e = self.write_answer(slot, executor, result)?;
-            lo = lo.min(e.get());
-            hi = hi.max(e.get());
+            self.pmem.write_u8(e + F_DONE, ST_DONE)?;
         }
-        let span = (hi - lo + SLOT_STRIDE) as usize;
-        self.pmem.flush(POffset::new(lo), span)?;
-        for &(slot, ..) in entries {
-            self.pmem
-                .write_u8(Self::slot_off(self.base, slot) + F_DONE, ST_DONE)?;
-        }
-        self.pmem.flush(POffset::new(lo), span)?;
-        Ok(())
+        let (lo, len) = self.span_of(entries.iter().map(|&(slot, ..)| slot))?;
+        Ok(self.pmem.flush(lo, len)?)
     }
 
     /// Records the client's acknowledgement of `req_id`'s answer and
@@ -835,19 +903,29 @@ mod tests {
             table.ack(1).unwrap();
             (pmem, table)
         };
+        // The recycle under test: stage the new descriptor, then the
+        // one persist that makes it durable.
+        let recycle = |table: &KvRequestTable| -> Result<(), PError> {
+            let ReqSubmit::Fresh(slot) = table.submit(2, KvTaskOp::Delete { key: 9 })? else {
+                panic!("the acked slot recycles")
+            };
+            table.persist_slots(&[slot])
+        };
         let (pmem, table) = build();
         let e0 = pmem.events();
-        table.submit(2, KvTaskOp::Delete { key: 9 }).unwrap();
+        recycle(&table).unwrap();
         let total = pmem.events() - e0;
-        assert!(total >= 1);
+        assert!(total >= 2, "descriptor writes + the line persist");
 
-        for k in 0..total {
+        let mut seen_new = false;
+        for k in 0..=total {
             let (pmem, table) = build();
             pmem.arm_failpoint(FailPlan::after_events(k));
-            assert!(table
-                .submit(2, KvTaskOp::Delete { key: 9 })
-                .unwrap_err()
-                .is_crash());
+            match recycle(&table) {
+                Ok(()) => assert_eq!(k, total, "only the unarmed tail completes"),
+                Err(e) => assert!(e.is_crash()),
+            }
+            pmem.crash_now(0, 0.0); // no-op if the fail-point already fired
             let pmem2 = pmem.reopen().unwrap();
             let t2 = KvRequestTable::open(pmem2, table.base()).unwrap();
             match t2.req_id(0).unwrap() {
@@ -865,10 +943,58 @@ mod tests {
                     assert_eq!(t2.op(0).unwrap(), KvTaskOp::Delete { key: 9 });
                     assert!(t2.result(0).unwrap().is_none());
                     assert_eq!(t2.pending_slots().unwrap(), vec![0]);
+                    seen_new = true;
                 }
                 other => panic!("crash at event {k}: torn identity {other}"),
             }
         }
+        assert!(seen_new, "a completed persist installs the new occupant");
+    }
+
+    #[test]
+    fn staged_descriptors_persist_once_per_batch_and_vanish_if_never_persisted() {
+        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory(); // buffered
+        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+        let table = KvRequestTable::format(pmem.clone(), &heap, 8).unwrap();
+        let before = pmem.stats().snapshot();
+        let mut slots = Vec::new();
+        for req in 1..=5u64 {
+            let ReqSubmit::Fresh(slot) = table
+                .submit(req, KvTaskOp::Put { key: req, value: 1 })
+                .unwrap()
+            else {
+                panic!("fresh")
+            };
+            slots.push(slot);
+        }
+        let staged = pmem.stats().snapshot() - before;
+        assert_eq!(
+            (staged.persists, staged.flush_calls),
+            (0, 0),
+            "submit only stages"
+        );
+        table.persist_slots(&slots[..4]).unwrap();
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(
+            (d.persists, d.lines_persisted),
+            (1, 4),
+            "one coalesced persist"
+        );
+        table.persist_slots(&[]).unwrap();
+        assert_eq!((pmem.stats().snapshot() - before).persists, 1);
+
+        // Power failure: the four persisted descriptors are pending,
+        // the fifth — staged only — is gone and its slot is free, so
+        // its client's retry is Fresh again.
+        pmem.crash_now(0, 0.0);
+        let t2 = KvRequestTable::open(pmem.reopen().unwrap(), table.base()).unwrap();
+        assert_eq!(t2.pending_slots().unwrap().len(), 4);
+        assert_eq!(t2.live(), 4);
+        assert!(t2.lookup(5).unwrap().is_none());
+        assert!(matches!(
+            t2.submit(5, KvTaskOp::Put { key: 5, value: 1 }).unwrap(),
+            ReqSubmit::Fresh(_)
+        ));
     }
 
     #[test]
@@ -887,11 +1013,57 @@ mod tests {
         let before = pmem.stats().snapshot();
         table.mark_done_batch(&entries).unwrap();
         let delta = pmem.stats().snapshot() - before;
-        assert_eq!(delta.persists, 2, "one payload persist + one flag persist");
+        assert_eq!(delta.persists, 1, "payloads and flags ride one persist");
+        assert_eq!(delta.lines_persisted, 8);
         for (slot, _, expect) in entries {
             assert_eq!(table.result(slot).unwrap().unwrap().result, expect);
         }
         assert!(table.mark_done_batch(&[]).is_ok());
+    }
+
+    #[test]
+    fn answer_persist_is_all_or_nothing_per_slot_at_every_crash_point() {
+        // One persist carries payload and flag: whichever event the
+        // power fails at, a slot reopens either pending or answered
+        // with its full payload — never a done flag over a stale one.
+        use pstack_nvram::FailPlan;
+        let build = || {
+            let pmem = PMemBuilder::new().len(1 << 16).build_in_memory(); // buffered
+            let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+            let table = KvRequestTable::format(pmem.clone(), &heap, 4).unwrap();
+            let mut entries = Vec::new();
+            for req in 1..=3u64 {
+                let ReqSubmit::Fresh(slot) = table.submit(req, KvTaskOp::Get { key: req }).unwrap()
+                else {
+                    panic!("fresh")
+                };
+                entries.push((slot, 7u32, KvTaskResult::Got(Some(req as i64 * 11))));
+            }
+            let slots: Vec<u32> = entries.iter().map(|e| e.0).collect();
+            table.persist_slots(&slots).unwrap();
+            (pmem, table, entries)
+        };
+        let (pmem, table, entries) = build();
+        let e0 = pmem.events();
+        table.mark_done_batch(&entries).unwrap();
+        let total = pmem.events() - e0;
+        let mut answered = 0usize;
+        for k in 0..total {
+            let (pmem, table, entries) = build();
+            pmem.arm_failpoint(FailPlan::after_events(k));
+            assert!(table.mark_done_batch(&entries).unwrap_err().is_crash());
+            let t2 = KvRequestTable::open(pmem.reopen().unwrap(), table.base()).unwrap();
+            for &(slot, executor, result) in &entries {
+                match t2.result(slot).unwrap() {
+                    None => {}
+                    Some(a) => {
+                        assert_eq!((a.executor, a.result), (executor, result), "event {k}");
+                        answered += 1;
+                    }
+                }
+            }
+        }
+        assert!(answered > 0, "late crash points keep a prefix of the lines");
     }
 
     #[test]

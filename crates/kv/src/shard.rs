@@ -262,6 +262,16 @@ impl ShardedKvStore {
         self.route(key).get(key)
     }
 
+    /// Routed [`PKvStore::get_durable`]: a read whose answer survives
+    /// a power failure, persisting nothing on a quiescent shard.
+    ///
+    /// # Errors
+    ///
+    /// Propagated NVRAM errors.
+    pub fn get_durable(&self, key: u64) -> Result<Option<i64>, PError> {
+        self.route(key).get_durable(key)
+    }
+
     /// Routed [`PKvStore::delete`].
     ///
     /// # Errors

@@ -1372,6 +1372,31 @@ impl PKvStore {
         self.lookup_from(head, key, gen.number)
     }
 
+    /// [`PKvStore::get`] whose answer is **durably linearizable**: the
+    /// value returned survives a power failure right after the call,
+    /// so it may be handed to a client. A reader persists only what a
+    /// writer has not yet (FliT's rule): the bucket-head line is
+    /// persisted **iff** it is dirty or staged in an un-awaited flight
+    /// ([`PMem::persist_if_dirty`]) — a racing mutation between its
+    /// head CAS and its head persist — and on a quiescent shard the
+    /// read persists nothing and costs no round-trip.
+    ///
+    /// Only the destination needs ordering (NVTraverse): every commit
+    /// path makes a record durable *before* the head CAS that can
+    /// reach it, so persisting a head early is always safe, and a head
+    /// installed after ours was read only extends the chain ours heads.
+    ///
+    /// # Errors
+    ///
+    /// Propagated NVRAM errors.
+    pub fn get_durable(&self, key: u64) -> Result<Option<i64>, PError> {
+        let gen = self.active_gen()?;
+        let bucket = self.bucket_off(&gen, key);
+        let head = self.pmem.read_u64(bucket)?;
+        self.pmem.persist_if_dirty(bucket, 8)?;
+        self.lookup_from(head, key, gen.number)
+    }
+
     /// Removes `key` as process `pid` with unique tag `seq`. Returns
     /// `true` if the key was present (and is now removed), `false` if
     /// it was absent or the log is full.
@@ -2665,6 +2690,90 @@ mod tests {
         assert_eq!(out, vec![KvApplied::Applied]);
         let published: usize = kv.snapshot().unwrap().iter().map(Vec::len).sum();
         assert_eq!(published, 2, "no-scan batched recovery must re-execute");
+    }
+
+    #[test]
+    fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
+        // The read rule and its negative control. A reader races a
+        // group commit stopped between phase 3 (head CAS) and phase 4
+        // (head persist); the power fails right after it answers.
+        // `get_durable` persisted the dirty head first, so its answer
+        // survives; a plain `get` handed out a value the crash takes
+        // back.
+        for durable in [true, false] {
+            let (pmem, _heap, kv) = buffered_fixture(16, 64);
+            kv.put(1, 1, 7, 10).unwrap();
+            let put = KvBatchOp::Put {
+                pid: 1,
+                seq: 2,
+                key: 7,
+                value: 20,
+            };
+            let quiesce = kv.pmem.quiesce();
+            let gen = kv.active_gen().unwrap();
+            let staged = kv.stage_batch(&gen, &[put]).unwrap();
+            let (lo, hi) = staged.slots.unwrap();
+            pmem.flush(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize)
+                .unwrap();
+            pmem.flush(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)
+                .unwrap();
+            for (&bucket, &new_head) in &staged.staged_heads {
+                let expected = staged.pre_heads[&bucket];
+                assert!(pmem
+                    .compare_exchange(
+                        POffset::new(bucket),
+                        &expected.to_le_bytes(),
+                        &new_head.to_le_bytes()
+                    )
+                    .unwrap());
+            }
+
+            let before = pmem.stats().snapshot();
+            let answered = if durable {
+                kv.get_durable(7).unwrap()
+            } else {
+                kv.get(7).unwrap()
+            };
+            assert_eq!(answered, Some(20), "both readers see the published head");
+            let d = pmem.stats().snapshot() - before;
+            assert_eq!(d.persists, u64::from(durable), "only the durable read pays");
+            drop(quiesce);
+
+            pmem.crash_now(3, 0.0);
+            let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+            let survived = kv2.get(7).unwrap();
+            if durable {
+                assert_eq!(survived, answered, "a durable read's answer survives");
+            } else {
+                assert_eq!(survived, Some(10), "negative control: the answer is lost");
+            }
+            assert!(pmem.psan_violations().is_empty());
+        }
+
+        // On a quiescent store the durable read is free: no persist, no
+        // line, no event, not even a redundant-persist count.
+        let (pmem, _heap, kv) = buffered_fixture(16, 64);
+        kv.apply_batch(&[KvBatchOp::Put {
+            pid: 1,
+            seq: 1,
+            key: 7,
+            value: 10,
+        }])
+        .unwrap();
+        let (e0, before) = (pmem.events(), pmem.stats().snapshot());
+        assert_eq!(kv.get_durable(7).unwrap(), Some(10));
+        assert_eq!(kv.get_durable(8).unwrap(), None);
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(
+            (
+                d.persists,
+                d.lines_persisted,
+                d.flush_calls,
+                d.redundant_persists
+            ),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(pmem.events(), e0);
     }
 
     #[test]

@@ -764,6 +764,57 @@ impl PMem {
             MemStats::bump(&self.inner.stats.flush_calls);
             self.persist_range_locked(&mut st, off.as_usize(), len)?
         };
+        self.finish_flush(probe, persisted, covering)
+    }
+
+    /// The **durable-read** primitive (FliT's rule: a reader persists
+    /// a line only if a writer has left it un-persisted). Decided under
+    /// the region lock: if no line covering `[off, off + len)` is dirty
+    /// — none written since its last persist, none staged in an
+    /// un-awaited [`PMem::flush_async`] flight — this returns
+    /// `Ok(false)` having done **nothing**: no persistence event, no
+    /// round-trip, no counter (not even `redundant_persists`).
+    /// Otherwise it is exactly [`PMem::flush`] and returns `Ok(true)`.
+    ///
+    /// A reader that returns a value read from these lines calls this
+    /// first, so the value it hands out survives a crash; on a
+    /// quiescent region that costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PMem::flush`].
+    pub fn persist_if_dirty(&self, off: POffset, len: usize) -> Result<bool, MemError> {
+        self.check_alive()?;
+        self.check_bounds(off, len)?;
+        if len == 0 {
+            return Ok(false);
+        }
+        let probe = pstack_telemetry::persist_probe();
+        let (persisted, covering) = {
+            let mut st = self.inner.state.lock();
+            let line = self.inner.line_size;
+            let first = off.as_usize() / line;
+            let last = (off.as_usize() + len - 1) / line;
+            // Staged lines stay in `dirty` until their flight is
+            // applied, so one lookup covers both cases.
+            if !(first..=last).any(|li| st.dirty.contains_key(&li)) {
+                return Ok(false);
+            }
+            MemStats::bump(&self.inner.stats.flush_calls);
+            self.persist_range_locked(&mut st, off.as_usize(), len)?
+        };
+        self.finish_flush(probe, persisted, covering)?;
+        Ok(true)
+    }
+
+    /// The unlocked tail of a synchronous flush: pays the round-trip
+    /// and awaits the flight covering any elided line.
+    fn finish_flush(
+        &self,
+        probe: pstack_telemetry::PersistProbe,
+        persisted: u64,
+        covering: Option<u64>,
+    ) -> Result<(), MemError> {
         self.settle_round_trip(probe, persisted);
         if let Some(serial) = covering {
             // Lines elided because an in-flight async flush already
@@ -2255,6 +2306,46 @@ mod tests {
         p.crash_now(0, 0.0);
         let p = p.reopen().unwrap();
         assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 5);
+    }
+
+    #[test]
+    fn persist_if_dirty_is_free_on_clean_lines_and_a_flush_on_dirty_ones() {
+        let p = small();
+        p.write_u64(POffset::new(0), 1).unwrap();
+        p.flush(POffset::new(0), 8).unwrap();
+        // Clean: no event, no counter of any kind.
+        let (e0, before) = (p.events(), p.stats().snapshot());
+        assert!(!p.persist_if_dirty(POffset::new(0), 8).unwrap());
+        assert!(!p.persist_if_dirty(POffset::new(0), 0).unwrap());
+        assert_eq!(p.events(), e0);
+        assert_eq!(
+            p.stats().snapshot() - before,
+            crate::StatsSnapshot::default()
+        );
+        // Dirty: exactly a flush of the covered lines.
+        p.write_u64(POffset::new(8), 2).unwrap();
+        let (e0, before) = (p.events(), p.stats().snapshot());
+        assert!(p.persist_if_dirty(POffset::new(8), 8).unwrap());
+        let d = p.stats().snapshot() - before;
+        assert_eq!((d.persists, d.lines_persisted, d.flush_calls), (1, 1, 1));
+        assert_eq!(p.events(), e0 + 1);
+        // Staged in an un-awaited flight: the line is elided and the
+        // flight awaited, so the content is durable on return.
+        p.write_u64(POffset::new(64), 3).unwrap();
+        let _t = p.flush_async(POffset::new(64), 8).unwrap();
+        let before = p.stats().snapshot();
+        assert!(p.persist_if_dirty(POffset::new(64), 8).unwrap());
+        let d = p.stats().snapshot() - before;
+        assert_eq!((d.elided_lines, d.redundant_persists), (1, 0));
+        assert_eq!(p.inflight_tickets(), 0);
+        p.crash_now(0, 0.0);
+        assert!(matches!(
+            p.persist_if_dirty(POffset::new(0), 8),
+            Err(MemError::Crashed)
+        ));
+        let p = p.reopen().unwrap();
+        assert_eq!(p.read_u64(POffset::new(8)).unwrap(), 2);
+        assert_eq!(p.read_u64(POffset::new(64)).unwrap(), 3);
     }
 
     #[test]

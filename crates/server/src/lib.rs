@@ -11,7 +11,9 @@
 //!   `(client_id << 32) | seq`, op/ack requests, Done/Overloaded/
 //!   Retry/AckOk responses;
 //! * [`KvRequestTable`]-backed dedup + the store's evidence scan —
-//!   see [`ServerCore`]: effects at-most-once, acks at-least-once;
+//!   see [`ServerCore`]: effects at-most-once, acks at-least-once,
+//!   and only the persists that takes (reads answered at admission
+//!   persist nothing; descriptors persist once per drain);
 //! * [`AdmissionQueue`]-fed group-commit batch windows per shard, with
 //!   explicit `Overloaded` shedding (never a silent drop);
 //! * [`ClientSim`] — closed-loop zipfian clients with timeouts and
@@ -40,5 +42,5 @@ pub use clock::{Clock, SystemClock, VirtualClock};
 pub use proto::{
     client_of, req_id_for, Request, RequestBody, Response, MAX_FRAME_LEN, REQUEST_LEN, RESPONSE_LEN,
 };
-pub use server::{KvServeFunction, ServerCore, Submission, KV_SERVE_FUNC_ID};
+pub use server::{KvServeFunction, ServerCore, Submission, ADMISSION_EXECUTOR, KV_SERVE_FUNC_ID};
 pub use transport::{ChannelConn, ChannelHub};

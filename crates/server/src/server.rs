@@ -1,5 +1,6 @@
-//! The serving core: admission → durable descriptor → batch window →
-//! durable answer → ack, with every step crash-safe.
+//! The serving core: admission → staged descriptor → drain persist →
+//! batch window → durable answer → ack, with every step crash-safe and
+//! **only the persists exactly-once needs**.
 //!
 //! # Exactly-once, in two layers
 //!
@@ -8,10 +9,10 @@
 //! that:
 //!
 //! 1. **The request table** ([`KvRequestTable`], one per shard): a
-//!    request's descriptor is persisted *before* anything executes, so
-//!    a retry of an answered request replays the durable answer and a
-//!    retry of a pending request re-enters execution without a second
-//!    slot.
+//!    mutation's descriptor is durable *before the window that names
+//!    its slot is handed out*, so a retry of an answered request
+//!    replays the durable answer and a retry of a pending request
+//!    re-enters execution without a second slot.
 //! 2. **The store's evidence scan**: version records are tagged
 //!    `(pid = client_id, seq = req_id)` — a tag stable across retries
 //!    and across executing workers. Any execution that *might* be a
@@ -30,15 +31,56 @@
 //! normally), so the recovery path is a safe superset and a window
 //! containing any retried entry simply runs entirely as recovery.
 //!
+//! # Who persists what, and when
+//!
+//! One device round-trip per ordered persist is the whole cost model,
+//! so the served path pays exactly these:
+//!
+//! | request | persist | where | round-trips |
+//! |---|---|---|---|
+//! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard |
+//! | mutation | descriptor | [`ServerCore::drain_tasks`] / [`ServerCore::pump_direct`], one coalesced flight per drained window, all shards overlapped | 1 per **drain** |
+//! | | window frame | the persistent stack (push, args, marker, unit return, pop) | 5 per window |
+//! | | group commit | records, log tail, heads, epoch | 4 per window |
+//! | | answer | [`KvRequestTable::mark_done_batch`], payload + flag in one line-atomic persist | 1 per window |
+//! | | ack | [`ServerCore::ack`] | 1 per ack |
+//!
+//! A lone put therefore costs 12 persists end to end; a full window
+//! divides everything but the ack by its occupancy.
+//!
+//! **Reads are idempotent, so their exactly-once identity buys
+//! nothing.** [`ServerCore::submit`] of a `Get` claims no slot, enters
+//! no window and no stack frame: it answers
+//! [`Submission::Answered`] on the spot from
+//! [`ShardedKvStore::get_durable`]. The answer must be *durably*
+//! linearizable — it must not be taken back by a power failure — so
+//! the read persists the bucket-head line **iff** a racing mutation has
+//! left it dirty or staged in an un-awaited flight (FliT's rule; only
+//! the traversal's destination needs ordering, NVTraverse's). Records
+//! are durable before any head CAS on every commit path, so persisting
+//! a head early is always safe. The later `Ack` of a get finds no slot
+//! and is confirmed without a persist, like any unknown-id ack.
+//!
+//! **Descriptors are staged at `submit` and persisted at the drain.**
+//! Nothing is promised to a client at [`Submission::Queued`], so
+//! nothing is lost by a crash before the drain: the staged slot reverts
+//! to its old, recyclable occupant and the client's retry is `Fresh`.
+//! What must never happen is a window executing over a non-durable
+//! descriptor (its effect could outlive the descriptor, and the retry
+//! would then execute as fresh — a second effect), so the drain awaits
+//! every flight before handing any window out.
+//!
 //! # Admission control
 //!
 //! Volatile [`AdmissionQueue`]s (one per shard) sit between the
 //! transports and the batch windows. A request is answered
 //! [`Submission::Overloaded`] — never silently dropped — when its
 //! shard's queue is at capacity **or** its shard's request table has no
-//! recyclable slot. Queues are volatile on purpose: a power failure
-//! empties them, and the clients' retry loops re-drive every lost
-//! request through the dedup path above.
+//! recyclable slot. A queue-full shed happens **before** any slot is
+//! claimed (after the volatile dedup lookup, so a known id still gets
+//! its answer): it writes nothing and pins nothing. Queues are volatile
+//! on purpose: a power failure empties them, and the clients' retry
+//! loops re-drive every lost request through the dedup path above.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -58,11 +100,17 @@ use crate::proto::{client_of, kind_of, Request, RequestBody, Response};
 /// KV task/compact functions).
 pub const KV_SERVE_FUNC_ID: u64 = 0x0FFB;
 
+/// The `executor` reported for a read answered at admission: no runtime
+/// worker ran it.
+pub const ADMISSION_EXECUTOR: u32 = u32::MAX;
+
 /// Outcome of admitting one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Submission {
-    /// The durable answer already exists (first execution completed —
-    /// this was a retry). Respond `Done` immediately.
+    /// Respond `Done` immediately: either the durable answer already
+    /// exists (first execution completed — this was a retry), or the
+    /// request is a **read answered at admission** (durably
+    /// linearizable, `executor` = [`ADMISSION_EXECUTOR`]).
     Answered(KvTaskAnswer),
     /// The request sits in its shard's queue; the answer arrives after
     /// the next batch window executes.
@@ -75,6 +123,10 @@ pub enum Submission {
     /// would re-execute an effect that already ran exactly once.
     Stale,
 }
+
+/// One drained batch window, in [`KvServeFunction::execute_windows`]'s
+/// shape: `(shard, recovery, slots)`.
+type Window = (u32, bool, Vec<u32>);
 
 /// One queued request, with the execution mode it must use.
 #[derive(Debug, Clone, Copy)]
@@ -173,8 +225,8 @@ impl KvServeFunction {
     }
 
     /// Executes one batch window: answered slots are skipped (their
-    /// answers are simply re-collected), gets resolve against committed
-    /// state, mutations group-commit through the shard's
+    /// answers are simply re-collected), mutations group-commit through
+    /// the shard's
     /// [`PKvStore::apply_batch`] — or its evidence-scanning
     /// [`PKvStore::recover_batch`] dual when `recovery` — and all
     /// answers persist with one coalesced
@@ -263,8 +315,10 @@ impl KvServeFunction {
     }
 
     /// The read-and-stage half of a window: replays already-durable
-    /// answers, resolves gets against committed state, and collects the
-    /// mutations to group-commit.
+    /// answers and collects the mutations to group-commit. A window
+    /// never carries a read — [`ServerCore::submit`] answers those at
+    /// admission, the one read path — so a `Get` descriptor here is a
+    /// caller's error, not a second way to read.
     fn stage_window(
         &self,
         shard: u32,
@@ -277,8 +331,6 @@ impl KvServeFunction {
                 self.tables.len()
             ))
         })?;
-        let pstore = self.store.shard(shard as usize);
-        let mut answers: Vec<(u32, u32, KvTaskResult)> = Vec::new();
         let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
         let mut staged: Vec<(u32, u64, KvBatchOp)> = Vec::new();
         for &slot in slots {
@@ -289,8 +341,10 @@ impl KvServeFunction {
             }
             let pid = u64::from(client_of(req_id));
             match table.op(slot)? {
-                KvTaskOp::Get { key } => {
-                    answers.push((slot, executor, KvTaskResult::Got(pstore.get(key)?)));
+                KvTaskOp::Get { .. } => {
+                    return Err(PError::Task(format!(
+                        "slot {slot} of shard {shard} holds a get: reads are answered at admission"
+                    )));
                 }
                 KvTaskOp::Put { key, value } => staged.push((
                     slot,
@@ -327,7 +381,6 @@ impl KvServeFunction {
         Ok(WindowStage {
             table,
             executor,
-            answers,
             ready,
             staged,
         })
@@ -342,59 +395,50 @@ impl KvServeFunction {
         mut stage: WindowStage<'_>,
         outcomes: Vec<KvApplied>,
     ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        for (&(slot, _, op), outcome) in stage.staged.iter().zip(outcomes) {
+        let executor = stage.executor;
+        let mut answers = Vec::with_capacity(stage.staged.len());
+        for (&(slot, req_id, op), outcome) in stage.staged.iter().zip(outcomes) {
             let result = match op {
                 KvBatchOp::Put { .. } => KvTaskResult::Stored(outcome.took_effect()),
                 KvBatchOp::Delete { .. } => KvTaskResult::Deleted(outcome.took_effect()),
                 KvBatchOp::Cas { .. } => KvTaskResult::Swapped(outcome.took_effect()),
             };
-            stage.answers.push((slot, stage.executor, result));
-        }
-        stage.table.mark_done_batch(&stage.answers)?;
-        for &(slot, executor, result) in &stage.answers {
-            let req_id = stage.table.req_id(slot)?;
+            answers.push((slot, executor, result));
             stage
                 .ready
                 .push((req_id, KvTaskAnswer { executor, result }));
         }
+        stage.table.mark_done_batch(&answers)?;
         Ok(stage.ready)
     }
 }
 
 /// A batch window read and staged but not yet executed
 /// ([`KvServeFunction::stage_window`]): replayed answers in `ready`,
-/// get answers in `answers`, mutations awaiting their group commit in
-/// `staged`.
+/// mutations awaiting their group commit in `staged`.
 struct WindowStage<'a> {
     table: &'a KvRequestTable,
     executor: u32,
-    answers: Vec<(u32, u32, KvTaskResult)>,
     ready: Vec<(u64, KvTaskAnswer)>,
     staged: Vec<(u32, u64, KvBatchOp)>,
 }
 
+/// A window's product is the durable answers in its request table, so
+/// the frame returns unit: nothing reads a return value, and a unit
+/// return spares the frame the separate value persist.
 impl RecoverableFunction for KvServeFunction {
     fn call(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
         let (shard, recovery, slots) = Self::parse_args(args)?;
-        let done = self.execute_window(shard, &slots, recovery, ctx.pid as u32)?;
-        Ok(Self::encode_count(done.len()))
+        self.execute_window(shard, &slots, recovery, ctx.pid as u32)?;
+        Ok(None)
     }
 
     fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
         let (shard, _, slots) = Self::parse_args(args)?;
         // A replayed frame might have executed before the crash: always
         // the evidence-scanning duals.
-        let done = self.execute_window(shard, &slots, true, ctx.pid as u32)?;
-        Ok(Self::encode_count(done.len()))
-    }
-}
-
-impl KvServeFunction {
-    fn encode_count(n: usize) -> Option<RetBytes> {
-        let mut b = [0u8; 8];
-        b[0] = 7; // serve-window marker
-        b[1..5].copy_from_slice(&(n as u32).to_le_bytes());
-        Some(b)
+        self.execute_window(shard, &slots, true, ctx.pid as u32)?;
+        Ok(None)
     }
 }
 
@@ -449,8 +493,16 @@ impl ServerCore {
         self.shards.iter().map(|s| s.queue.admitted()).sum()
     }
 
-    /// Admits one operation request. The descriptor is durable when
-    /// this returns [`Submission::Queued`].
+    /// Admits one operation request.
+    ///
+    /// A `Get` is answered here and now ([`Submission::Answered`]) from
+    /// the shard's head: no slot, no window, no stack frame, and no
+    /// persist unless a racing mutation left the head line un-persisted
+    /// ([`ShardedKvStore::get_durable`]). A mutation's descriptor is
+    /// **staged** in its shard's table when this returns
+    /// [`Submission::Queued`]; the drain that hands its window out
+    /// persists it first. A full queue sheds an unknown id before any
+    /// slot is claimed — a shed writes nothing.
     ///
     /// # Errors
     ///
@@ -461,9 +513,22 @@ impl ServerCore {
     /// Panics if a queue lock is poisoned.
     pub fn submit(&self, req_id: u64, op: KvTaskOp) -> Result<Submission, PError> {
         let _label = op_label("server.submit");
+        if let KvTaskOp::Get { key } = op {
+            return Ok(Submission::Answered(KvTaskAnswer {
+                executor: ADMISSION_EXECUTOR,
+                result: KvTaskResult::Got(self.exec.store.get_durable(key)?),
+            }));
+        }
         let shard = self.exec.store.shard_of(op.key());
         let table = &self.exec.tables[shard];
         let sq = &self.shards[shard];
+        // Held across the whole admission: the full-queue check, the
+        // slot claim and the offer are one step per shard (a drain only
+        // ever frees queue room, so the check cannot go stale).
+        let mut queued = sq.queued.lock().expect("queued set poisoned");
+        if !table.contains(req_id) && sq.queue.shed_if_full() {
+            return Ok(Submission::Overloaded); // shed before claim
+        }
         let (slot, recovery) = match table.submit(req_id, op)? {
             ReqSubmit::Known {
                 answer: Some(a), ..
@@ -476,7 +541,6 @@ impl ServerCore {
             ReqSubmit::Full => return Ok(Submission::Overloaded),
             ReqSubmit::Stale => return Ok(Submission::Stale),
         };
-        let mut queued = sq.queued.lock().expect("queued set poisoned");
         if queued.contains(&req_id) {
             return Ok(Submission::Queued); // already awaiting a window
         }
@@ -489,8 +553,9 @@ impl ServerCore {
                 queued.insert(req_id);
                 Ok(Submission::Queued)
             }
-            // The slot stays pending; the client's retry re-offers it
-            // (as a recovery entry) once the queue has drained.
+            // Only a retry of a pending slot gets here (a fresh id was
+            // shed above, before its claim): the slot stays pending and
+            // the next retry re-offers it once the queue has drained.
             Admission::Shed => Ok(Submission::Overloaded),
         }
     }
@@ -513,15 +578,36 @@ impl ServerCore {
         Ok(false)
     }
 
-    /// Drains each shard's queue into at most one batch-window entry
-    /// list. Returns `(shard, recovery, entries)` triples; the caller
-    /// decides how to execute them (directly, or as runtime tasks).
+    /// Drains each shard's queue into at most one batch window and
+    /// **persists the drained descriptors**: one coalesced asynchronous
+    /// flight per window over its slot lines, issued for all shards
+    /// back to back and all awaited before any window is handed out —
+    /// about one device round-trip per drain, whatever the number of
+    /// requests. Returns the `(shard, recovery, slots)` windows plus
+    /// the request ids they will answer; the caller decides how to
+    /// execute them (directly, or as runtime tasks).
+    ///
+    /// The invariant: *a descriptor is durable before the window that
+    /// names its slot is handed out*. A persist that fails is its
+    /// region's power failure, and its window is **not** handed out: a
+    /// window's stack frame is durable before its first access to the
+    /// shard, so a frame over descriptors that never became durable
+    /// would be replayed by recovery over whatever the slots held
+    /// before. The first such failure is returned alongside;
+    /// [`ServerCore::drain_tasks`], which has no error channel, leaves
+    /// the dropped window's ids in its list instead, so the
+    /// [`ServerCore::answers_for`] that follows the run — or, with no
+    /// window left to run, the next request to that shard — meets the
+    /// dead region and surfaces the power failure. The clients' retries
+    /// then find no descriptor and are `Fresh`.
     ///
     /// # Panics
     ///
     /// Panics if a queue lock is poisoned.
-    fn drain(&self) -> Vec<(u32, bool, Vec<WindowEntry>)> {
+    fn drain(&self) -> (Vec<Window>, Vec<u64>, Option<PError>) {
+        let _label = op_label("server.drain");
         let mut windows = Vec::new();
+        let mut req_ids = Vec::new();
         for (shard, sq) in self.shards.iter().enumerate() {
             let entries = sq.queue.drain_window(self.batch);
             if entries.is_empty() {
@@ -532,28 +618,59 @@ impl ServerCore {
                 queued.remove(&e.req_id);
             }
             let recovery = entries.iter().any(|e| e.recovery);
-            windows.push((shard as u32, recovery, entries));
+            let slots: Vec<u32> = entries.iter().map(|e| e.slot).collect();
+            req_ids.extend(entries.iter().map(|e| e.req_id));
+            windows.push((shard as u32, recovery, slots));
         }
-        windows
+        // Every slot a window names, retried entries' too: a line that
+        // is already durable costs nothing, and the invariant then needs
+        // no argument about who persisted what before.
+        let table_of = |shard: u32| &self.exec.tables[shard as usize];
+        let issued: Vec<_> = windows
+            .into_iter()
+            .map(|window| {
+                let flight = table_of(window.0).persist_slots_issue(&window.2);
+                (window, flight)
+            })
+            .collect();
+        let mut failed = None;
+        let windows = issued
+            .into_iter()
+            .filter_map(|(window, flight)| {
+                let table = table_of(window.0);
+                match flight.and_then(|ticket| table.persist_slots_await(&ticket)) {
+                    Ok(()) => Some(window),
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                        None
+                    }
+                }
+            })
+            .collect();
+        (windows, req_ids, failed)
     }
 
     /// Drains the queues into persistent-stack tasks (one batch window
     /// per non-idle shard) for `StripedRuntime::run_tasks`, plus the
-    /// request ids each window will answer. After the run, collect the
-    /// durable answers for those ids with [`ServerCore::answers_for`]
-    /// (a crashed run simply leaves some pending — their clients retry).
+    /// request ids the drained entries asked about. Every task's
+    /// descriptors are durable when this returns; a window whose
+    /// persist met a power failure yields no task, only its ids. After
+    /// the run — or with no task to run — collect the durable answers
+    /// for those ids with [`ServerCore::answers_for`], which is where a
+    /// dead region surfaces (a crashed run simply leaves some pending —
+    /// their clients retry).
     #[must_use]
     pub fn drain_tasks(&self) -> (Vec<Task>, Vec<u64>) {
-        let mut tasks = Vec::new();
-        let mut req_ids = Vec::new();
-        for (shard, recovery, entries) in self.drain() {
-            let slots: Vec<u32> = entries.iter().map(|e| e.slot).collect();
-            tasks.push(Task::new(
-                KV_SERVE_FUNC_ID,
-                KvServeFunction::window_args(shard, recovery, &slots),
-            ));
-            req_ids.extend(entries.iter().map(|e| e.req_id));
-        }
+        let (windows, req_ids, _) = self.drain();
+        let tasks = windows
+            .iter()
+            .map(|(shard, recovery, slots)| {
+                Task::new(
+                    KV_SERVE_FUNC_ID,
+                    KvServeFunction::window_args(*shard, *recovery, slots),
+                )
+            })
+            .collect();
         (tasks, req_ids)
     }
 
@@ -586,17 +703,10 @@ impl ServerCore {
     ///
     /// Propagated store/table/NVRAM errors.
     pub fn pump_direct(&self, executor: u32) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let windows: Vec<(u32, bool, Vec<u32>)> = self
-            .drain()
-            .into_iter()
-            .map(|(shard, recovery, entries)| {
-                (
-                    shard,
-                    recovery,
-                    entries.iter().map(|e| e.slot).collect::<Vec<u32>>(),
-                )
-            })
-            .collect();
+        let (windows, _, failed) = self.drain();
+        if let Some(power_failure) = failed {
+            return Err(power_failure);
+        }
         // One call for the whole round: on a pipelined store the
         // shards' flush flights overlap across regions.
         self.exec.execute_windows(&windows, executor)
@@ -705,13 +815,25 @@ mod tests {
         assert_eq!(a.result, KvTaskResult::Stored(true));
 
         // The effect happened exactly once: one version record for the
-        // key, and a get through the served path observes it.
+        // key, and a get through the served path observes it — answered
+        // at admission, with no slot, no queue seat and no window.
         let get = req_id_for(1, 2);
-        core.submit(get, KvTaskOp::Get { key: 10 }).unwrap();
-        let done = core.pump_direct(9).unwrap();
-        assert_eq!(done[0].1.result, KvTaskResult::Got(Some(42)));
+        let live = core.exec().tables().iter().map(|t| t.live()).sum::<u64>();
+        assert_eq!(
+            core.submit(get, KvTaskOp::Get { key: 10 }).unwrap(),
+            Submission::Answered(KvTaskAnswer {
+                executor: ADMISSION_EXECUTOR,
+                result: KvTaskResult::Got(Some(42)),
+            })
+        );
+        assert_eq!(
+            core.exec().tables().iter().map(|t| t.live()).sum::<u64>(),
+            live,
+            "a read claims no slot"
+        );
+        assert!(core.drain_tasks().0.is_empty(), "a read enters no window");
         assert!(core.ack(put).unwrap());
-        assert!(core.ack(get).unwrap());
+        assert!(!core.ack(get).unwrap(), "a read left no slot to mark");
         assert!(!core.ack(req_id_for(5, 5)).unwrap(), "unknown ids refuse");
         let mut spec = KvSpec::new();
         spec.put(10, 42);
@@ -800,6 +922,10 @@ mod tests {
         assert_eq!(queued, 4, "queue admits exactly its capacity");
         assert_eq!(shed, 28, "every excess request sheds explicitly");
         assert_eq!(core.shed(), 28);
+        // Shed before claim: a queue-full shed claimed no slot, so only
+        // the four admitted requests hold one.
+        assert_eq!(core.exec().tables()[0].live(), 4);
+        assert!(!core.exec().tables()[0].contains(req_id_for(3, 5)));
         // After a pump the shed requests' retries are admitted.
         core.pump_direct(1).unwrap();
         assert_eq!(
@@ -831,6 +957,23 @@ mod tests {
                 .unwrap(),
             Submission::Queued
         );
+    }
+
+    #[test]
+    fn a_window_refuses_a_get_descriptor() {
+        // Reads have one path — admission. A get descriptor can only
+        // reach a window by a caller going around `ServerCore::submit`.
+        let (_regions, exec) = fixture(1, 4);
+        let ReqSubmit::Fresh(slot) = exec.tables()[0]
+            .submit(req_id_for(8, 1), KvTaskOp::Get { key: 1 })
+            .unwrap()
+        else {
+            panic!("fresh")
+        };
+        assert!(matches!(
+            exec.execute_window(0, &[slot], false, 1),
+            Err(PError::Task(_))
+        ));
     }
 
     #[test]

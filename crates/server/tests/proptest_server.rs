@@ -6,6 +6,13 @@
 //! overload strictly shedding as explicit `Overloaded` responses,
 //! never a queue-full panic or a silent drop.
 //!
+//! Reads are answered at admission, so the driver carries a
+//! [`KvSpec`] advanced in execution order and checks **every answer
+//! at the instant it is produced**: a get against the spec as it
+//! stands when the request is admitted — a point inside its
+//! send→`Done` interval, however many times it is retransmitted — and
+//! a mutation against the spec's own outcome when its window runs.
+//!
 //! The crash model here is the volatile one: the server process dies
 //! (admission queues, in-flight map and front end are lost; the wire
 //! drops every frame) while NVRAM survives. Re-admissions of pending
@@ -27,7 +34,7 @@ use proptest::prelude::*;
 use pstack_kv::{
     shard_of, KvRequestTable, KvTaskOp, KvTaskResult, KvVariant, ReqSubmit, ShardedKvStore,
 };
-use pstack_nvram::{PMem, PMemBuilder};
+use pstack_nvram::{PMem, PMemBuilder, StatsSnapshot};
 use pstack_server::proto::{kind_of, req_id_for, RequestBody, Response};
 use pstack_server::{
     ChannelConn, ChannelHub, ClientConfig, ClientSim, Clock, KvServeFunction, ServerCore,
@@ -46,17 +53,20 @@ const REBOOT_PENALTY_NS: u64 = 2_000_000;
 /// tables) that survives the property's crash placements, while the
 /// `ServerCore` front end is rebuilt per boot.
 struct Fixture {
+    regions: Vec<PMem>,
     store: ShardedKvStore,
     tables: Vec<KvRequestTable>,
 }
 
 impl Fixture {
-    fn new(nshards: usize) -> Self {
+    /// `eager`: cache-less regions (every write durable) or buffered
+    /// ones (staged descriptors, group commits, coalesced persists).
+    fn new(nshards: usize, eager: bool) -> Self {
         let regions: Vec<PMem> = (0..nshards)
             .map(|_| {
                 PMemBuilder::new()
                     .len(REGION)
-                    .eager_flush(true)
+                    .eager_flush(eager)
                     .build_in_memory()
             })
             .collect();
@@ -64,7 +74,20 @@ impl Fixture {
         let tables: Vec<KvRequestTable> = (0..nshards)
             .map(|s| KvRequestTable::format(regions[s].clone(), store.heap(s), 64).unwrap())
             .collect();
-        Fixture { store, tables }
+        Fixture {
+            regions,
+            store,
+            tables,
+        }
+    }
+
+    /// Σ regions' NVRAM counters.
+    fn stats(&self) -> StatsSnapshot {
+        self.regions
+            .iter()
+            .fold(StatsSnapshot::default(), |acc, r| {
+                acc + r.stats().snapshot()
+            })
     }
 
     fn core(&self, queue_capacity: usize, batch: usize) -> ServerCore {
@@ -88,9 +111,16 @@ struct DriveTotals {
 /// end per boot, crashing the server (volatile state + wire) at the
 /// given iteration indices. Windows execute via `pump_direct`, so the
 /// batch grouping is exactly the admission queues' doing.
+///
+/// `spec` is the sequential model of the store as it stands (empty, or
+/// the caller's preload). Every answer is checked against it the
+/// moment the server produces it: a get when it is admitted, a
+/// mutation when its window first executes — so each get's answer is
+/// exact at a point inside its send→`Done` interval.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     fixture: &Fixture,
+    spec: &mut KvSpec,
     clients: &mut [ClientSim],
     conns: &[ChannelConn],
     hub: &ChannelHub,
@@ -106,6 +136,9 @@ fn drive(
 
     let mut core = fixture.core(queue_capacity, batch);
     let mut in_flight: HashMap<u64, KvTaskOp> = HashMap::new();
+    // Mutations whose window has run: a later appearance of the id in
+    // a pump is a replayed answer, not a second execution.
+    let mut executed: HashSet<u64> = HashSet::new();
     let mut totals = DriveTotals::default();
     let mut iters = 0usize;
 
@@ -151,11 +184,21 @@ fn drive(
                     Some(Response::AckOk { req_id: req.req_id })
                 }
                 RequestBody::Op(op) => match core.submit(req.req_id, op).unwrap() {
-                    Submission::Answered(answer) => Some(Response::Done {
-                        req_id: req.req_id,
-                        kind: kind_of(op),
-                        answer,
-                    }),
+                    Submission::Answered(answer) => {
+                        if let KvTaskOp::Get { key } = op {
+                            prop_assert_eq!(
+                                answer.result,
+                                KvTaskResult::Got(spec.get(key)),
+                                "get {:#x} answered at admission",
+                                req.req_id
+                            );
+                        }
+                        Some(Response::Done {
+                            req_id: req.req_id,
+                            kind: kind_of(op),
+                            answer,
+                        })
+                    }
                     Submission::Overloaded => Some(Response::Overloaded { req_id: req.req_id }),
                     Submission::Stale => Some(Response::Stale { req_id: req.req_id }),
                     Submission::Queued => None,
@@ -167,6 +210,20 @@ fn drive(
         }
 
         for (req_id, answer) in core.pump_direct(0).unwrap() {
+            if executed.insert(req_id) {
+                let expected = match in_flight[&req_id] {
+                    KvTaskOp::Put { key, value } => KvTaskResult::Stored(spec.put(key, value)),
+                    KvTaskOp::Delete { key } => KvTaskResult::Deleted(spec.delete(key)),
+                    KvTaskOp::Cas { key, expected, new } => {
+                        KvTaskResult::Swapped(spec.cas(key, expected, new))
+                    }
+                    KvTaskOp::Get { .. } => {
+                        prop_assert!(false, "get {req_id:#x} reached a window");
+                        unreachable!()
+                    }
+                };
+                prop_assert_eq!(answer.result, expected, "mutation {:#x}", req_id);
+            }
             hub.respond(&Response::Done {
                 req_id,
                 kind: in_flight.get(&req_id).map_or(0, |&op| kind_of(op)),
@@ -237,8 +294,9 @@ proptest! {
         backoff_base_ns in 100_000u64..1_000_000,
         seed in 0u64..1_000_000,
         crash_at in proptest::collection::vec(0usize..60, 0..4),
+        eager in 0u8..2,
     ) {
-        let fixture = Fixture::new(2);
+        let fixture = Fixture::new(2, eager == 1);
         let clock = VirtualClock::new();
         let hub = ChannelHub::new();
         let mut clients = vec![ClientSim::new(ClientConfig {
@@ -252,7 +310,8 @@ proptest! {
         })];
         let conns = vec![hub.connect(1)];
 
-        drive(&fixture, &mut clients, &conns, &hub, &clock, 32, batch, &crash_at)?;
+        let mut model = KvSpec::new();
+        drive(&fixture, &mut model, &mut clients, &conns, &hub, &clock, 32, batch, &crash_at)?;
 
         // At-least-once acks: the loop only quiesces with every op done
         // *and* acked, and the quota is exactly n_ops.
@@ -300,9 +359,10 @@ proptest! {
         queue_capacity in 1usize..16,
         seed in 0u64..1_000_000,
         crash_at in proptest::collection::vec(0usize..80, 0..4),
+        eager in 0u8..2,
     ) {
         let nshards = 2;
-        let fixture = Fixture::new(nshards);
+        let fixture = Fixture::new(nshards, eager == 1);
         let clock = VirtualClock::new();
         let hub = ChannelHub::new();
         let mut clients: Vec<ClientSim> = (0..clients_n)
@@ -317,8 +377,10 @@ proptest! {
         let conns: Vec<ChannelConn> =
             (1..=clients_n as u32).map(|id| hub.connect(id)).collect();
 
+        let mut model = KvSpec::new();
         let totals = drive(
-            &fixture, &mut clients, &conns, &hub, &clock, queue_capacity, batch, &crash_at,
+            &fixture, &mut model, &mut clients, &conns, &hub, &clock, queue_capacity, batch,
+            &crash_at,
         )?;
 
         for c in &clients {
@@ -355,6 +417,69 @@ proptest! {
             &fixture.store.generations().unwrap(),
         );
         prop_assert!(verdict.is_linearizable(), "{:?}", verdict.violation());
+        // The driver's model, advanced in execution order, is the store.
+        let served: HashMap<u64, i64> = fixture.store.contents().unwrap().into_iter().collect();
+        prop_assert_eq!(&served, model.contents());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Get-only streams persist nothing: whatever the retry schedule
+    /// and wherever the front end dies, a population that only reads a
+    /// quiescent (buffered) store costs no persist, no line, no flush
+    /// call and no NVRAM write — no descriptor, no frame, no answer, no
+    /// ack mark — and every answer is the preloaded value.
+    #[test]
+    fn get_only_streams_persist_nothing(
+        clients_n in 1usize..5,
+        n_ops in 4usize..16,
+        timeout_ns in 300_000u64..3_000_000,
+        seed in 0u64..1_000_000,
+        crash_at in proptest::collection::vec(0usize..40, 0..4),
+    ) {
+        let nshards = 2;
+        let fixture = Fixture::new(nshards, false);
+        let mut model = KvSpec::new();
+        for key in 0..8u64 {
+            if key % 3 != 0 {
+                let value = (seed % 97) as i64 - key as i64;
+                prop_assert!(fixture.store.put(9, key + 1, key, value).unwrap());
+                model.put(key, value);
+            }
+        }
+        let clock = VirtualClock::new();
+        let hub = ChannelHub::new();
+        let mut clients: Vec<ClientSim> = (0..clients_n)
+            .map(|i| ClientSim::new(ClientConfig {
+                client_id: i as u32 + 1,
+                n_ops,
+                key_space: 8,
+                mix: [0, 1, 0, 0],
+                timeout_ns,
+                seed: seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ..ClientConfig::default()
+            }))
+            .collect();
+        let conns: Vec<ChannelConn> =
+            (1..=clients_n as u32).map(|id| hub.connect(id)).collect();
+
+        let before = fixture.stats();
+        let totals = drive(
+            &fixture, &mut model, &mut clients, &conns, &hub, &clock, 4, 4, &crash_at,
+        )?;
+        let d = fixture.stats() - before;
+        prop_assert_eq!(
+            (d.persists, d.lines_persisted, d.flush_calls, d.writes, d.cas_ops),
+            (0, 0, 0, 0, 0)
+        );
+        prop_assert_eq!((totals.admitted, totals.shed), (0, 0), "reads take no queue seat");
+        for c in &clients {
+            prop_assert_eq!(c.stats().completed, n_ops as u64);
+            prop_assert!(c.observations().iter().all(|op| op.kind == KvOpKind::Get));
+        }
+        prop_assert!(fixture.tables.iter().all(|t| t.live() == 0), "nor a slot");
     }
 }
 
@@ -372,7 +497,7 @@ proptest! {
         flood in 8u32..40,
         batch in 1usize..6,
     ) {
-        let fixture = Fixture::new(1);
+        let fixture = Fixture::new(1, true);
         let core = fixture.core(queue_capacity, batch);
 
         let mut queued = Vec::new();
@@ -389,6 +514,8 @@ proptest! {
         prop_assert_eq!(queued.len(), queue_capacity.min(flood as usize));
         prop_assert_eq!(queued.len() + shed.len(), flood as usize);
         prop_assert_eq!(core.shed(), shed.len() as u64);
+        // Shed before claim: only admitted requests hold a slot.
+        prop_assert_eq!(fixture.tables[0].live(), queued.len() as u64);
 
         // Re-driving everything (shed first) to completion: each op
         // lands exactly once despite the duplicate submissions.

@@ -10,9 +10,13 @@
 //!   byte must go through the `PMem` interposition layer or it is
 //!   invisible to the stats counters, the fail-point engine and PSan.
 //! * `publish-no-persist` — a store whose destination looks like a
-//!   commit point (`root`, `head`, `epoch`, `selector` in the line)
-//!   with no `flush`/`persist`/`fence` in the following ten lines.
-//!   Publishing before persisting is the early-publish bug class.
+//!   commit point (`root`, `head`, `epoch`, `selector`, or a request
+//!   slot's identity word `req_id`, in the line) with no
+//!   `flush`/`persist`/`fence` in the following ten lines.
+//!   Publishing before persisting is the early-publish bug class. (A
+//!   store staged on purpose and persisted elsewhere — the request
+//!   descriptor, persisted by the drain — carries a waiver naming
+//!   where.)
 //! * `publish-before-persist` — a CAS (`compare_exchange` /
 //!   `fetch_update`) whose call names a commit point with no
 //!   `flush`/`persist`/`fence` in the *preceding* ten lines. A
@@ -53,7 +57,7 @@ const STORE_PATTERNS: &[&str] = &[
     ".write(",
     ".fill(",
 ];
-const PUBLISH_NAMES: &[&str] = &["root", "head", "epoch", "selector"];
+const PUBLISH_NAMES: &[&str] = &["root", "head", "epoch", "selector", "req_id"];
 // `flush(` deliberately does not substring-match `flush_async(`: an
 // async issue is not durability evidence, only its await is.
 // `await_ticket(` and `.commit(` (a pending batch's await-then-publish
