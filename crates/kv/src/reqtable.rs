@@ -56,12 +56,12 @@
 //!
 //! # Crash safety of recycling
 //!
-//! Reusing a slot rewrites identity and descriptor fields in a fixed
-//! order — completion state first (done/acked/flag cleared), descriptor
-//! next, the request id **last** — and each slot is one 64-byte
-//! cache-line-aligned extent, so a buffered region persists the whole
-//! transition atomically. On an eager region a crash between the
-//! individual writes can only produce a slot whose *old* request id
+//! Reusing a slot rewrites it in two stores in a fixed order — the
+//! cleared completion state (done/acked/flag) together with the new
+//! descriptor first, the request id **last** — and each slot is one
+//! 64-byte cache-line-aligned extent, so a buffered region persists the
+//! whole transition atomically. On an eager region a crash between (or
+//! tearing) the stores can only produce a slot whose *old* request id
 //! fronts a cleared completion state: a leak (its client acked and
 //! will never ask again) that the next [`KvRequestTable::open`] counts
 //! as live, never a new request paired with a stale answer.
@@ -397,40 +397,23 @@ impl KvRequestTable {
             idx.by_id.remove(&old_id);
             idx.recycled += 1;
         }
-        // Completion state first, identity last (see module docs: an
-        // eager-region crash inside this sequence can only leak the old
-        // occupant, never marry the new id to stale state).
-        self.pmem.write_u8(e + F_DONE, 0)?;
-        self.pmem.write_u8(e + F_ACKED, 0)?;
-        self.pmem.write_u8(e + F_FLAG, 0)?;
-        self.pmem.write_u32(e + F_EXEC, 0)?;
-        self.pmem.write_i64(e + F_GOT, 0)?;
-        match op {
-            KvTaskOp::Put { key, value } => {
-                self.pmem.write_u8(e + F_KIND, KIND_PUT)?;
-                self.pmem.write_u64(e + F_KEY, key)?;
-                self.pmem.write_i64(e + F_VALUE, value)?;
-                self.pmem.write_i64(e + F_EXPECTED, 0)?;
-            }
-            KvTaskOp::Get { key } => {
-                self.pmem.write_u8(e + F_KIND, KIND_GET)?;
-                self.pmem.write_u64(e + F_KEY, key)?;
-                self.pmem.write_i64(e + F_VALUE, 0)?;
-                self.pmem.write_i64(e + F_EXPECTED, 0)?;
-            }
-            KvTaskOp::Delete { key } => {
-                self.pmem.write_u8(e + F_KIND, KIND_DEL)?;
-                self.pmem.write_u64(e + F_KEY, key)?;
-                self.pmem.write_i64(e + F_VALUE, 0)?;
-                self.pmem.write_i64(e + F_EXPECTED, 0)?;
-            }
-            KvTaskOp::Cas { key, expected, new } => {
-                self.pmem.write_u8(e + F_KIND, KIND_CAS)?;
-                self.pmem.write_u64(e + F_KEY, key)?;
-                self.pmem.write_i64(e + F_VALUE, new)?;
-                self.pmem.write_i64(e + F_EXPECTED, expected)?;
-            }
-        }
+        // Completion state and descriptor in one store, identity last
+        // (see module docs: an eager-region crash between the two can
+        // only leak the old occupant, never marry the new id to stale
+        // state). Two stores, not one per field: the staging is two
+        // steps a power failure can land on, not ten.
+        let (kind, key, value, expected) = match op {
+            KvTaskOp::Put { key, value } => (KIND_PUT, key, value, 0),
+            KvTaskOp::Get { key } => (KIND_GET, key, 0, 0),
+            KvTaskOp::Delete { key } => (KIND_DEL, key, 0, 0),
+            KvTaskOp::Cas { key, expected, new } => (KIND_CAS, key, new, expected),
+        };
+        let mut body = [0u8; F_REQ_ID as usize]; // done, flag, acked, executor, got: cleared
+        body[F_KIND as usize] = kind;
+        body[F_KEY as usize..][..8].copy_from_slice(&key.to_le_bytes());
+        body[F_VALUE as usize..][..8].copy_from_slice(&value.to_le_bytes());
+        body[F_EXPECTED as usize..][..8].copy_from_slice(&expected.to_le_bytes());
+        self.pmem.write(e, &body)?;
         // persist-lint: allow(publish-no-persist) staged on purpose — the drain that hands this slot's window out persists it first (persist_slots; ServerCore::drain)
         self.pmem.write_u64(e + F_REQ_ID, req_id)?;
         idx.by_id.insert(req_id, slot);

@@ -68,7 +68,10 @@
 //! What must never happen is a window executing over a non-durable
 //! descriptor (its effect could outlive the descriptor, and the retry
 //! would then execute as fresh — a second effect), so the drain awaits
-//! every flight before handing any window out.
+//! every flight before handing any window out. A flight that fails is
+//! its region's power failure: that window's first access trips the
+//! whole system, in the run that follows the drain, and its replay
+//! skips the slots whose descriptors were lost.
 //!
 //! # Admission control
 //!
@@ -335,6 +338,13 @@ impl KvServeFunction {
         let mut staged: Vec<(u32, u64, KvBatchOp)> = Vec::new();
         for &slot in slots {
             let req_id = table.req_id(slot)?;
+            if req_id == 0 {
+                // A replayed frame whose descriptor never became durable
+                // (the drain's persist met the power failure): nothing
+                // ran on its behalf and nothing may — the client's retry
+                // is fresh.
+                continue;
+            }
             if let Some(answer) = table.result(slot)? {
                 ready.push((req_id, answer)); // already durable: replay only
                 continue;
@@ -588,18 +598,20 @@ impl ServerCore {
     /// execute them (directly, or as runtime tasks).
     ///
     /// The invariant: *a descriptor is durable before the window that
-    /// names its slot is handed out*. A persist that fails is its
-    /// region's power failure, and its window is **not** handed out: a
-    /// window's stack frame is durable before its first access to the
-    /// shard, so a frame over descriptors that never became durable
-    /// would be replayed by recovery over whatever the slots held
-    /// before. The first such failure is returned alongside;
-    /// [`ServerCore::drain_tasks`], which has no error channel, leaves
-    /// the dropped window's ids in its list instead, so the
-    /// [`ServerCore::answers_for`] that follows the run — or, with no
-    /// window left to run, the next request to that shard — meets the
-    /// dead region and surfaces the power failure. The clients' retries
-    /// then find no descriptor and are `Fresh`.
+    /// names its slot executes*. A persist that fails is its region's
+    /// power failure. Its window is handed out all the same: the
+    /// window's first access to the dead region trips the whole system,
+    /// so the failure surfaces no later than the run that follows the
+    /// drain (a dropped window would leave its clients waiting until
+    /// some other request happened upon the dead region). The frame of
+    /// such a window is durable over descriptors that are not, and
+    /// recovery replays it: [`KvServeFunction::execute_window`] skips a
+    /// slot that holds no request, and a recycled slot shows its old
+    /// occupant's answer and is only re-collected — a replay never
+    /// executes on behalf of a descriptor that was lost. The clients'
+    /// retries then find no descriptor and are `Fresh`. The first
+    /// failure is returned alongside for [`ServerCore::pump_direct`],
+    /// which executes nothing after it.
     ///
     /// # Panics
     ///
@@ -636,15 +648,12 @@ impl ServerCore {
         let mut failed = None;
         let windows = issued
             .into_iter()
-            .filter_map(|(window, flight)| {
+            .map(|(window, flight)| {
                 let table = table_of(window.0);
-                match flight.and_then(|ticket| table.persist_slots_await(&ticket)) {
-                    Ok(()) => Some(window),
-                    Err(e) => {
-                        failed.get_or_insert(e);
-                        None
-                    }
+                if let Err(e) = flight.and_then(|ticket| table.persist_slots_await(&ticket)) {
+                    failed.get_or_insert(e);
                 }
+                window
             })
             .collect();
         (windows, req_ids, failed)
@@ -653,12 +662,12 @@ impl ServerCore {
     /// Drains the queues into persistent-stack tasks (one batch window
     /// per non-idle shard) for `StripedRuntime::run_tasks`, plus the
     /// request ids the drained entries asked about. Every task's
-    /// descriptors are durable when this returns; a window whose
-    /// persist met a power failure yields no task, only its ids. After
-    /// the run — or with no task to run — collect the durable answers
-    /// for those ids with [`ServerCore::answers_for`], which is where a
-    /// dead region surfaces (a crashed run simply leaves some pending —
-    /// their clients retry).
+    /// descriptors are durable when this returns, or their region is
+    /// dead and the task trips the system at its first access — a power
+    /// failure met while persisting shows as a crashed run. After the
+    /// run, collect the durable answers for the ids with
+    /// [`ServerCore::answers_for`] (a crashed run simply leaves some
+    /// pending — their clients retry).
     #[must_use]
     pub fn drain_tasks(&self) -> (Vec<Task>, Vec<u64>) {
         let (windows, req_ids, _) = self.drain();

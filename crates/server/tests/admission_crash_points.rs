@@ -16,10 +16,10 @@
 //!   been used, and a reopened table shows each either as it was
 //!   before the round, intact, or as the new request with the new
 //!   request's own answer or none;
-//! * **no window over a lost descriptor** — a replayed frame naming a
-//!   slot whose descriptor never became durable would execute whatever
-//!   the slot held before (for a never-used slot: a phantom put of
-//!   key 0 tagged `(0, 0)`); no such record ever appears.
+//! * **nothing executes over a lost descriptor** — a frame naming a
+//!   slot whose descriptor never became durable is replayed over
+//!   whatever the slot held before (for a never-used slot, unguarded: a
+//!   phantom put of key 0 tagged `(0, 0)`); no such record ever appears.
 
 mod common;
 
@@ -167,12 +167,15 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
 }
 
 #[test]
-fn a_failed_drain_persist_hands_out_no_window_over_a_lost_descriptor() {
+fn a_failed_drain_persist_shows_in_the_run_that_follows() {
     // The kill lands exactly on the drain's flight for shard 0 (the
-    // first event after the descriptors are staged). Shard 1's window
-    // is durable and runs; shard 0's must not be handed out — its
-    // frame would otherwise be durable over a descriptor that is not,
-    // and recovery would replay it over the slot's old occupant.
+    // first event after the descriptors are staged). `drain_tasks` has
+    // no error channel, so both windows are handed out: shard 0's trips
+    // the system at its first access — the run that follows the drain
+    // reports the power failure, nobody waits for another request to
+    // happen upon the dead region. Its frame is durable over a
+    // descriptor that is not, and recovery replays it over the slot's
+    // old occupant without executing anything.
     let s = primed();
     let new = new_round(&s);
     for &(req_id, op) in &new {
@@ -180,14 +183,14 @@ fn a_failed_drain_persist_hands_out_no_window_over_a_lost_descriptor() {
     }
     s.region(0).arm_failpoint(FailPlan::after_events(0));
     let (tasks, ids) = s.core.drain_tasks();
-    assert_eq!(tasks.len(), 1, "only the durable window is handed out");
-    assert_eq!(ids.len(), 2, "both ids are still asked about");
+    assert_eq!(tasks.len(), 2, "every drained window is handed out");
+    assert_eq!(ids.len(), 2);
     assert!(s.region(0).is_crashed());
-    assert!(!s.rt.run_tasks(tasks).crashed, "shard 1's window completes");
     assert!(
-        s.core.answers_for(&ids).unwrap_err().is_crash(),
-        "the dead region surfaces at the answer lookup"
+        s.rt.run_tasks(tasks).crashed,
+        "the window meets the dead region"
     );
+    assert!(s.rt.all_crashed(), "and takes the whole system down");
 
     let s = s.power_cycle();
     assert_eq!(
@@ -196,13 +199,44 @@ fn a_failed_drain_persist_hands_out_no_window_over_a_lost_descriptor() {
         "old occupant"
     );
     assert!(s.records_of(new[0].0).is_empty());
-    assert_eq!(s.records_of(new[1].0).len(), 1);
+    assert!(s.records_of(0).is_empty(), "no phantom put of key 0");
     let answers = s.serve(&new).unwrap();
     assert!(answers
         .iter()
         .all(|a| a.result == KvTaskResult::Stored(true)));
     assert_eq!(s.records_of(new[0].0).len(), 1);
-    assert_eq!(s.records_of(new[1].0).len(), 1, "the retry dedups");
+    assert_eq!(
+        s.records_of(new[1].0).len(),
+        1,
+        "a retry of a done request dedups"
+    );
+}
+
+#[test]
+fn a_lone_window_whose_descriptor_was_lost_still_surfaces_the_failure() {
+    // One put, one window, the kill on its drain flight — and this time
+    // the slot has never been used, so the replayed frame finds request
+    // id 0 there: it must skip it, not execute a put of key 0.
+    let s = primed();
+    let (req_id, op) = new_round(&s)[1];
+    assert_eq!(s.table(1).req_id(0).unwrap(), 0, "never used");
+    s.core.submit(req_id, op).unwrap();
+    s.region(1).arm_failpoint(FailPlan::after_events(0));
+    let (tasks, _) = s.core.drain_tasks();
+    assert_eq!(
+        tasks.len(),
+        1,
+        "a loop that runs only non-empty rounds must see it"
+    );
+    assert!(s.rt.run_tasks(tasks).crashed);
+
+    let s = s.power_cycle();
+    assert_eq!(s.table(1).req_id(0).unwrap(), 0, "the descriptor was lost");
+    assert!(s.records_of(0).is_empty(), "no phantom put of key 0");
+    assert!(s.records_of(req_id).is_empty());
+    let answers = s.serve(&[(req_id, op)]).unwrap();
+    assert_eq!(answers[0].result, KvTaskResult::Stored(true));
+    assert_eq!(s.records_of(req_id).len(), 1);
 }
 
 #[test]

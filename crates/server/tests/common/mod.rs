@@ -113,11 +113,13 @@ impl Stack {
             .unwrap()
     }
 
-    /// One closed-loop serving round for a set of requests: admit all,
-    /// drain, run the windows on the persistent stack, collect the
-    /// answers, ack each. `None` as soon as a power failure shows
-    /// (anywhere: admission, the drain's persist, a window, the answer
-    /// lookup, an ack) — the caller then power-cycles and retries.
+    /// One closed-loop serving round for a set of requests, in the shape
+    /// of the benchmark's and the campaign's loop: admit all, drain, and
+    /// — only if the drain handed windows out — run them on the
+    /// persistent stack and collect the answers; then ack each. `None`
+    /// as soon as a power failure shows (admission, a window — which is
+    /// where one met by the drain's persist surfaces — the answer
+    /// lookup, an ack): the caller then power-cycles and retries.
     pub fn serve(&self, reqs: &[(u64, KvTaskOp)]) -> Option<Vec<KvTaskAnswer>> {
         fn crashed<T>(e: PError) -> Option<T> {
             assert!(e.is_crash(), "only a power failure may fail a round: {e}");
@@ -139,18 +141,18 @@ impl Stack {
                 return None;
             }
             assert_eq!(report.task_errors, 0, "a batch window erred");
-        }
-        match self.core.answers_for(&ids) {
-            Ok(found) => {
-                for (req_id, answer) in found {
-                    let answer = answer.expect("a completed window answers every entry");
-                    // (Entries queued before this round are served too.)
-                    if let Some(i) = reqs.iter().position(|r| r.0 == req_id) {
-                        answers[i] = Some(answer);
+            match self.core.answers_for(&ids) {
+                Ok(found) => {
+                    for (req_id, answer) in found {
+                        let answer = answer.expect("a completed window answers every entry");
+                        // (Entries queued before this round are served too.)
+                        if let Some(i) = reqs.iter().position(|r| r.0 == req_id) {
+                            answers[i] = Some(answer);
+                        }
                     }
                 }
+                Err(e) => return crashed(e),
             }
-            Err(e) => return crashed(e),
         }
         for &(req_id, _) in reqs {
             if let Err(e) = self.core.ack(req_id) {
