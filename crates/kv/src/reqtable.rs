@@ -400,8 +400,9 @@ impl KvRequestTable {
         // Completion state and descriptor in one store, identity last
         // (see module docs: an eager-region crash between the two can
         // only leak the old occupant, never marry the new id to stale
-        // state). Two stores, not one per field: the staging is two
-        // steps a power failure can land on, not ten.
+        // state). Every store is a step a power failure can land on
+        // with the round's requests admitted but nothing executed, so
+        // the staging is as few as identity-last allows.
         let (kind, key, value, expected) = match op {
             KvTaskOp::Put { key, value } => (KIND_PUT, key, value, 0),
             KvTaskOp::Get { key } => (KIND_GET, key, 0, 0),
