@@ -180,15 +180,14 @@ fn bench_group_commit(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(400));
     g.throughput(Throughput::Elements(N));
 
-    let build = |eager: bool, pipelined: bool| {
+    let build = |eager: bool| {
         let mut builder = PMemBuilder::new().len(1 << 20).flush_latency(LATENCY);
         if eager {
             builder = builder.eager_flush(true);
         }
         let pmem = builder.build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 20).unwrap();
-        let mut kv = PKvStore::format(pmem.clone(), &heap, 256, N + 64, KvVariant::Nsrl).unwrap();
-        kv.set_pipeline(pipelined);
+        let kv = PKvStore::format(pmem.clone(), &heap, 256, N + 64, KvVariant::Nsrl).unwrap();
         (pmem, kv)
     };
     let workload = |kv: &PKvStore, batch: usize| {
@@ -209,26 +208,19 @@ fn bench_group_commit(c: &mut Criterion) {
         }
     };
 
-    // (name, eager, batch, pipelined). The pipelined rows route the
-    // same group commits through the async flush engine: the records
-    // and log-tail flights of each batch overlap, saving one device
-    // round-trip per window.
-    let mut configs: Vec<(String, bool, usize, bool)> =
-        vec![("eager_per_op".into(), true, 1, false)];
+    // (name, eager, batch). Every buffered group commit issues its
+    // record and log-tail persists as two overlapping flights.
+    let mut configs: Vec<(String, bool, usize)> = vec![("eager_per_op".into(), true, 1)];
     for batch in [1usize, 8, 16, 64] {
-        configs.push((format!("buffered_batch{batch}"), false, batch, false));
+        configs.push((format!("buffered_batch{batch}"), false, batch));
     }
-    for batch in [16usize, 64] {
-        configs.push((format!("pipelined_batch{batch}"), false, batch, true));
-    }
-    let mut measured: Vec<(String, Measurement)> = Vec::new();
-    for (name, eager, batch, pipelined) in configs {
-        let m = g.bench_measured(name.clone(), |b| {
-            b.iter_with_setup(|| build(eager, pipelined), |(_, kv)| workload(&kv, batch));
+    for (name, eager, batch) in configs {
+        g.bench_function(name.clone(), |b| {
+            b.iter_with_setup(|| build(eager), |(_, kv)| workload(&kv, batch));
         });
         // Instrumented pass: the persist economy of this config, from
         // the region's own counters.
-        let (pmem, kv) = build(eager, pipelined);
+        let (pmem, kv) = build(eager);
         let before = pmem.stats().snapshot();
         workload(&kv, batch);
         let d = pmem.stats().snapshot() - before;
@@ -238,29 +230,8 @@ fn bench_group_commit(c: &mut Criterion) {
             d,
             N as f64,
         );
-        measured.push((name, m));
     }
     g.finish();
-
-    // The headline claim: at batch 16 on one shard, the pipelined
-    // group commit beats the synchronous one, and the gap is wider
-    // than both 95% confidence intervals.
-    let of = |want: &str| -> Measurement {
-        measured
-            .iter()
-            .find(|(name, _)| name == want)
-            .map(|&(_, m)| m)
-            .expect("measured configuration")
-    };
-    let sync16 = of("buffered_batch16");
-    let pipe16 = of("pipelined_batch16");
-    let cmp = Comparison::new("kv_sharded/group_commit", "synchronous batch16", sync16);
-    cmp.versus("pipelined batch16", pipe16);
-    println!(
-        "kv_sharded/group_commit  pipelined batch16 distinguishable from synchronous (95% CIs \
-         disjoint): {}",
-        pipe16.distinguishable_from(&sync16)
-    );
 }
 
 /// E18: the persistent stack on the sharded hot path. Direct-drive

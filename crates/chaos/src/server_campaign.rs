@@ -89,11 +89,6 @@ pub struct ServerCampaignConfig {
     pub queue_capacity: usize,
     /// Batch-window size: requests per group commit.
     pub batch: usize,
-    /// Route batch windows through the asynchronous flush pipeline
-    /// ([`ShardedKvStore::set_pipeline`]): record and log-tail
-    /// persists of concurrent windows ride overlapping `flush_async`
-    /// flights, and kills land while flights are still queued.
-    pub pipeline: bool,
     /// Per-shard request-table slots — the bound on outstanding or
     /// unacked requests per shard.
     pub table_cap: u32,
@@ -148,7 +143,6 @@ impl ServerCampaignConfig {
             variant: KvVariant::Nsrl,
             queue_capacity: 64,
             batch: 4,
-            pipeline: false,
             table_cap: 64,
             max_crashes: 8,
             crash_window: (8, 60),
@@ -175,14 +169,6 @@ impl ServerCampaignConfig {
     #[must_use]
     pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Enables the asynchronous flush pipeline (see
-    /// [`ServerCampaignConfig::pipeline`]).
-    #[must_use]
-    pub fn pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
         self
     }
 }
@@ -574,8 +560,7 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
     let attach = |control: &PMem,
                   stripe: &PMemStripe|
      -> Result<(ShardedKvStore, KvServeFunction, StripedRuntime), PError> {
-        let mut store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        store.set_pipeline(cfg.pipeline);
+        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
         let tables = open_req_tables(stripe)?;
         let registry = make_registry(&store, &tables)?;
         let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry)?;
@@ -584,8 +569,7 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
     };
     let reboot = |rt: &StripedRuntime| -> Result<(PMem, PMemStripe), PError> {
         let next = rt.reopen_all_with(|_, stripe| {
-            let mut store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-            store.set_pipeline(cfg.pipeline);
+            let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
             let tables = open_req_tables(stripe)?;
             make_registry(&store, &tables)
         })?;
@@ -829,66 +813,47 @@ mod tests {
 
     #[test]
     fn server_campaign_two_hundred_live_load_cycles() {
-        // The acceptance gate, on the default and on the pipelined
-        // commit path: ≥ 200 live-load crash/recover cycles across
-        // seeds each — zero lost acks, zero duplicate effects, zero
+        // The acceptance gate: ≥ 200 live-load crash/recover cycles
+        // across seeds — zero lost acks, zero duplicate effects, zero
         // PSan violations, SLO percentiles present in every campaign.
         // Reads are answered at admission and descriptors persist at
-        // the drain, so kills land on staged descriptors and on the
-        // drain's flights too.
-        for pipeline in [false, true] {
-            let mut cycles = 0usize;
-            let mut campaigns = 0usize;
-            let mut recovery_kills = 0usize;
-            for seed in 0u64.. {
-                let cfg = ServerCampaignConfig::new(4, 16, 4000 + seed).pipeline(pipeline);
-                let report = run_server_campaign(&cfg).unwrap();
-                let at = format!("pipeline {pipeline} seed {seed}");
-                assert!(report.is_linearizable(), "{at}: {:?}", report.verdict);
-                assert_eq!(report.client_stats.completed, 64, "{at}: lost acks");
-                assert!(
-                    report.psan_violations.is_empty(),
-                    "{at}: sanitizer findings: {:?}",
-                    report.psan_violations
-                );
-                assert!(!report.slo.is_empty(), "{at}: no SLO summary");
-                cycles += report.total_crashes();
-                recovery_kills += report.recovery_crashes;
-                campaigns += 1;
-                if cycles >= 200 {
-                    break;
-                }
-            }
+        // the drain, so kills land on staged descriptors, on the
+        // drain's flights and on a window's record and log-tail
+        // flights too.
+        let mut cycles = 0usize;
+        let mut campaigns = 0usize;
+        let mut recovery_kills = 0usize;
+        let mut stats = StatsSnapshot::default();
+        for seed in 0u64.. {
+            let cfg = ServerCampaignConfig::new(4, 16, 4000 + seed);
+            let report = run_server_campaign(&cfg).unwrap();
+            let at = format!("seed {seed}");
+            assert!(report.is_linearizable(), "{at}: {:?}", report.verdict);
+            assert_eq!(report.client_stats.completed, 64, "{at}: lost acks");
             assert!(
-                recovery_kills > 0,
-                "pipeline {pipeline}: kills must land inside recovery passes too"
+                report.psan_violations.is_empty(),
+                "{at}: sanitizer findings: {:?}",
+                report.psan_violations
             );
-            println!(
-                "server campaign gate (pipeline {pipeline}): {cycles} cycles across {campaigns} campaigns"
-            );
+            assert!(!report.slo.is_empty(), "{at}: no SLO summary");
+            cycles += report.total_crashes();
+            recovery_kills += report.recovery_crashes;
+            campaigns += 1;
+            stats = stats + report.stats;
+            if cycles >= 200 {
+                break;
+            }
         }
-    }
-
-    #[test]
-    fn pipelined_server_campaign_exactly_once_under_live_load() {
-        // The same exactly-once contract with batch windows riding the
-        // async flush pipeline: windows of all shards are staged and
-        // begun before any commits, so kills land while several shards
-        // hold un-awaited flights.
-        let cfg = ServerCampaignConfig::new(4, 20, 33).pipeline(true);
-        let report = run_server_campaign(&cfg).unwrap();
-        assert!(report.is_linearizable(), "verdict: {:?}", report.verdict);
-        assert!(report.crashes > 0, "kills must land under live load");
-        assert_eq!(report.client_stats.completed, 80);
         assert!(
-            report.stats.async_flushes > 0,
-            "batch windows never rode the pipeline"
+            recovery_kills > 0,
+            "kills must land inside recovery passes too"
         );
+        assert!(stats.async_flushes > 0, "no window ever issued a flight");
         assert!(
-            report.psan_violations.is_empty(),
-            "sanitizer findings: {:?}",
-            report.psan_violations
+            stats.flights_cut > 0,
+            "no kill ever landed with a flight still queued"
         );
+        println!("server campaign gate: {cycles} cycles across {campaigns} campaigns");
     }
 
     #[test]

@@ -65,12 +65,6 @@ pub struct ShardedKvCampaignConfig {
     /// `Some(k)`: buffered regions, mutations group-committed in
     /// batches of up to `k`. `None`: eager regions, per-op durability.
     pub group_commit: Option<usize>,
-    /// Route group commits and compactions through the asynchronous
-    /// flush pipeline ([`ShardedKvStore::set_pipeline`]): record and
-    /// log-tail persists ride overlapping `flush_async` flights, and
-    /// armed kills land while those flights are still in the device
-    /// queue. Ignored on eager regions (`group_commit: None`).
-    pub pipeline: bool,
     /// Concurrent mutator threads per shard (default 1). With more,
     /// live rounds drive each chunk's mutations through the lock-free
     /// detectable-publication path instead of a group commit: every
@@ -138,7 +132,6 @@ impl ShardedKvCampaignConfig {
             seed,
             variant: KvVariant::Nsrl,
             group_commit: Some(8),
-            pipeline: false,
             mutators_per_shard: 1,
             max_crashes: 8,
             crash_window: (8, 80),
@@ -180,14 +173,6 @@ impl ShardedKvCampaignConfig {
     #[must_use]
     pub fn group_commit(mut self, batch: Option<usize>) -> Self {
         self.group_commit = batch;
-        self
-    }
-
-    /// Enables the asynchronous flush pipeline (see
-    /// [`ShardedKvCampaignConfig::pipeline`]).
-    #[must_use]
-    pub fn pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
         self
     }
 
@@ -756,8 +741,7 @@ fn run_sharded_kv_campaign_inner(
 
     loop {
         tally.rounds += 1;
-        let mut store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        store.set_pipeline(cfg.pipeline);
+        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
         let tables = open_tables(&stripe)?;
         if tables
             .iter()
@@ -928,8 +912,7 @@ fn drive_with_runtime(
         ),
         PError,
     > {
-        let mut store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        store.set_pipeline(cfg.pipeline);
+        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
         let tables = open_tables(stripe)?;
         let registry = make_registry(&store, &tables)?;
         let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry)?;
@@ -941,8 +924,7 @@ fn drive_with_runtime(
     // handles (the old task function holds dead pre-crash clones).
     let reboot = |rt: &StripedRuntime| -> Result<(PMem, PMemStripe), PError> {
         let next = rt.reopen_all_with(|_, stripe| {
-            let mut store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-            store.set_pipeline(cfg.pipeline);
+            let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
             let tables = open_tables(stripe)?;
             make_registry(&store, &tables)
         })?;
@@ -1177,11 +1159,15 @@ mod tests {
     #[test]
     fn two_hundred_sharded_crash_recover_cycles_lose_nothing() {
         // The sharded acceptance gate: ≥ 200 crash/recover cycles with
-        // kills landing inside group-commit batch windows, every
-        // campaign recovering all shards in parallel and verifying
-        // against the sequential spec — zero lost or torn updates.
+        // kills landing inside group-commit batch windows (including
+        // between flight issue and await, while tickets are still
+        // queued on the device), every campaign recovering all shards
+        // in parallel — keeping exactly the completed-flight prefix —
+        // and verifying against the sequential spec: zero lost or torn
+        // updates.
         let mut cycles = 0usize;
         let mut campaigns = 0usize;
+        let mut stats = StatsSnapshot::default();
         for seed in 0.. {
             let mut cfg = ShardedKvCampaignConfig::new(60, 4000 + seed);
             cfg.max_crashes = 14;
@@ -1205,6 +1191,7 @@ mod tests {
             );
             cycles += report.total_crashes();
             campaigns += 1;
+            stats = stats + report.stats;
             if cycles >= 200 {
                 break;
             }
@@ -1212,6 +1199,11 @@ mod tests {
         assert!(
             cycles >= 200,
             "only {cycles} crash/recover cycles across {campaigns} campaigns"
+        );
+        assert!(stats.async_flushes > 0, "no campaign ever issued a flight");
+        assert!(
+            stats.flights_cut > 0,
+            "no kill ever landed with a flight still queued"
         );
     }
 
@@ -1263,58 +1255,13 @@ mod tests {
         // campaign's observable history: no device thread exists, so
         // two runs of the same seed retire identical flights and crash
         // at identical event counts.
-        let cfg = ShardedKvCampaignConfig::new(48, 5)
-            .group_commit(Some(16))
-            .pipeline(true);
+        let cfg = ShardedKvCampaignConfig::new(48, 5).group_commit(Some(16));
         let a = run_sharded_kv_campaign(&cfg).unwrap();
         let b = run_sharded_kv_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
         assert_eq!(a.crashes, b.crashes);
         assert_eq!(a.rounds, b.rounds);
-        assert!(a.stats.async_flushes > 0, "pipeline never engaged");
-    }
-
-    #[test]
-    fn two_hundred_pipelined_cycles_lose_nothing() {
-        // The flush-pipeline acceptance gate: ≥ 200 crash/recover
-        // cycles with group commits riding overlapping async flights,
-        // kills landing inside batch windows (including between flight
-        // issue and await, while tickets are still queued on the
-        // device), recovery keeping exactly the completed-flight
-        // prefix — zero lost or torn updates and a clean sanitizer.
-        let mut cycles = 0usize;
-        let mut campaigns = 0usize;
-        let mut async_flushes = 0u64;
-        for seed in 0.. {
-            let mut cfg = ShardedKvCampaignConfig::new(60, 11_000 + seed)
-                .group_commit(Some(16))
-                .pipeline(true);
-            cfg.max_crashes = 14;
-            cfg.crash_prob = 0.8;
-            let report = run_sharded_kv_campaign(&cfg).unwrap();
-            assert!(
-                report.is_linearizable(),
-                "seed {seed}: lost or torn update after {} crashes: {:?}",
-                report.total_crashes(),
-                report.verdict
-            );
-            assert!(
-                report.psan_violations.is_empty(),
-                "seed {seed}: sanitizer findings: {:?}",
-                report.psan_violations
-            );
-            cycles += report.total_crashes();
-            campaigns += 1;
-            async_flushes += report.stats.async_flushes;
-            if cycles >= 200 {
-                break;
-            }
-        }
-        assert!(
-            cycles >= 200,
-            "only {cycles} crash/recover cycles across {campaigns} campaigns"
-        );
-        assert!(async_flushes > 0, "no campaign ever issued a flight");
+        assert!(a.stats.async_flushes > 0, "no group commit issued a flight");
     }
 
     #[test]

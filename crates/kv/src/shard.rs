@@ -220,25 +220,6 @@ impl ShardedKvStore {
         self.shards[0].is_eager()
     }
 
-    /// Enables or disables the asynchronous flush pipeline on every
-    /// shard ([`PKvStore::set_pipeline`]). A pipelined cross-shard
-    /// [`KvBatch::commit`] additionally *begins* every touched shard's
-    /// group commit before committing any of them, so the shards'
-    /// flush flights overlap across regions, not just within one.
-    /// Ignored on an eager store.
-    pub fn set_pipeline(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.set_pipeline(on);
-        }
-    }
-
-    /// `true` when the shards overlap persist round-trips through the
-    /// asynchronous flush pipeline.
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        self.shards[0].is_pipelined()
-    }
-
     fn route(&self, key: u64) -> &PKvStore {
         &self.shards[self.shard_of(key)]
     }
@@ -520,7 +501,11 @@ impl KvBatch<'_> {
     }
 
     /// Commits the batch: one group commit per touched shard, outcomes
-    /// in submission order.
+    /// in submission order. Every touched shard's commit is **begun**
+    /// first ([`PKvStore::apply_batch_begin`] issues its record and
+    /// log-tail flights and returns), then all are committed in shard
+    /// order — the shards' round-trips overlap across regions instead
+    /// of each shard paying its own serially.
     ///
     /// # Errors
     ///
@@ -534,27 +519,13 @@ impl KvBatch<'_> {
             entry.0.push(i);
             entry.1.push(op);
         }
-        let mut outcomes = vec![KvApplied::PrecondFailed; self.ops.len()];
-        if self.store.is_pipelined() {
-            // Pipelined: begin every touched shard's group commit first
-            // — each begin issues its record/tail flights and returns —
-            // then commit them in shard order. All shards' round-trips
-            // overlap instead of each shard paying its own serially.
-            let mut pending = Vec::with_capacity(per_shard.len());
-            for (shard, (indexes, ops)) in &per_shard {
-                pending.push((indexes, self.store.shard(*shard).apply_batch_begin(ops)?));
-            }
-            for (indexes, batch) in pending {
-                let shard_outcomes = batch.commit()?;
-                for (&i, outcome) in indexes.iter().zip(shard_outcomes) {
-                    outcomes[i] = outcome;
-                }
-            }
-            return Ok(outcomes);
+        let mut pending = Vec::with_capacity(per_shard.len());
+        for (shard, (indexes, ops)) in &per_shard {
+            pending.push((indexes, self.store.shard(*shard).apply_batch_begin(ops)?));
         }
-        for (shard, (indexes, ops)) in per_shard {
-            let shard_outcomes = self.store.shard(shard).apply_batch(&ops)?;
-            for (i, outcome) in indexes.into_iter().zip(shard_outcomes) {
+        let mut outcomes = vec![KvApplied::PrecondFailed; self.ops.len()];
+        for (indexes, batch) in pending {
+            for (&i, outcome) in indexes.iter().zip(batch.commit()?) {
                 outcomes[i] = outcome;
             }
         }
@@ -853,9 +824,7 @@ mod tests {
     #[test]
     fn pipelined_cross_shard_batch_overlaps_flights_and_stays_clean() {
         let stripe = PMemBuilder::new().len(1 << 18).psan(true).build_striped(4);
-        let mut kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
-        kv.set_pipeline(true);
-        assert!(kv.is_pipelined());
+        let kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
         let mut batch = kv.batch();
         for key in 0..32u64 {
             batch.put(0, key + 1, key, key as i64);

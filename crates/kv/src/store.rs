@@ -94,10 +94,12 @@
 //!   recovery detects a completed-but-unacked operation purely from
 //!   the `(pid, seq)` evidence already in the log.
 //!   [`PKvStore::apply_batch`] is the group-commit path: it quiesces
-//!   the region, stages the records of a whole batch, makes them (and
-//!   the log tail) durable with one coalesced persist, publishes each
+//!   the region, stages the records of a whole batch, issues their
+//!   persist and the log tail's as two overlapping flush flights
+//!   ([`PKvStore::apply_batch_begin`]), awaits both, publishes each
 //!   touched bucket's head once, persists the heads, and finally bumps
-//!   the persistent **flush epoch** in the header.
+//!   the persistent **flush epoch** in the header
+//!   ([`KvPendingBatch::commit`]).
 //!   On both paths records are durable strictly before any head that
 //!   can reach them, so a crash at *any* flush boundary leaves each
 //!   bucket either entirely pre-batch or entirely post-batch — never a
@@ -295,17 +297,6 @@ struct Gen {
     log_cap: u64,
 }
 
-/// Outcome of the internal append loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Append {
-    /// The record was published.
-    Applied,
-    /// The precondition failed against the current chain state.
-    PrecondFailed,
-    /// The version log's lifetime capacity is exhausted.
-    LogFull,
-}
-
 /// Per-op outcome of [`PKvStore::apply_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvApplied {
@@ -323,16 +314,6 @@ impl KvApplied {
     #[must_use]
     pub fn took_effect(self) -> bool {
         matches!(self, KvApplied::Applied)
-    }
-}
-
-impl From<Append> for KvApplied {
-    fn from(a: Append) -> Self {
-        match a {
-            Append::Applied => KvApplied::Applied,
-            Append::PrecondFailed => KvApplied::PrecondFailed,
-            Append::LogFull => KvApplied::LogFull,
-        }
     }
 }
 
@@ -467,16 +448,12 @@ pub struct PKvStore {
     /// detectable publication, group commits quiesce the region —
     /// through the mutator gate shared by every handle on the region).
     eager: bool,
-    /// Volatile knob ([`PKvStore::set_pipeline`]): `true` routes group
-    /// commits and compaction through the asynchronous flush pipeline
-    /// ([`PMem::flush_async`] tickets) so persist round-trips overlap.
-    /// Off by default — the synchronous path is the measured baseline.
-    pipeline: bool,
 }
 
-/// Phase-1 output of a group commit: records written (volatile), per
+/// What staging a group commit produced: records written (volatile), per
 /// touched bucket the durable pre-batch head and the staged head to
 /// publish, and the `[lo, hi]` slot span (`None` when nothing staged).
+#[derive(Default)]
 struct StagedBatch {
     outcomes: Vec<KvApplied>,
     pre_heads: BTreeMap<u64, u64>,
@@ -494,10 +471,7 @@ pub struct KvPendingBatch<'a> {
     store: &'a PKvStore,
     /// `None` on an eager store (ops were applied per-op in `begin`).
     _quiesce: Option<QuiesceGuard<'a>>,
-    outcomes: Vec<KvApplied>,
-    pre_heads: BTreeMap<u64, u64>,
-    staged_heads: BTreeMap<u64, u64>,
-    slots: Option<(u64, u64)>,
+    staged: StagedBatch,
     tickets: Vec<FlushTicket>,
 }
 
@@ -506,12 +480,12 @@ impl KvPendingBatch<'_> {
     /// has persists in flight and heads to publish.
     #[must_use]
     pub fn is_staged(&self) -> bool {
-        self.slots.is_some()
+        self.staged.slots.is_some()
     }
 
-    /// Awaits the in-flight persists and publishes the batch — phases
-    /// 3–5 of [`PKvStore::apply_batch`]. Outcomes are reported in
-    /// submission order, exactly as `apply_batch` would.
+    /// Awaits the in-flight persists and publishes the batch: heads
+    /// flipped, heads persisted, flush epoch bumped. Outcomes are
+    /// reported in submission order.
     ///
     /// # Errors
     ///
@@ -519,8 +493,10 @@ impl KvPendingBatch<'_> {
     /// after restart).
     pub fn commit(self) -> Result<Vec<KvApplied>, PError> {
         let store = self.store;
-        let Some((lo, hi)) = self.slots else {
-            return Ok(self.outcomes);
+        let staged = self.staged;
+        let Some((lo, hi)) = staged.slots else {
+            // Nothing staged: no records, no tail movement to persist.
+            return Ok(staged.outcomes);
         };
         // Drain every flight before any head can reach its records:
         // both tickets ride overlapping round-trips, so this costs
@@ -528,10 +504,11 @@ impl KvPendingBatch<'_> {
         for ticket in &self.tickets {
             store.pmem.await_ticket(ticket)?;
         }
-        // Phase 3 — publish: flip each touched bucket's head once, to
-        // the newest staged record (all-or-nothing per bucket).
-        for (&bucket, &new_head) in &self.staged_heads {
-            let expected = self.pre_heads[&bucket];
+        // Publish: flip each touched bucket's head once, to the newest
+        // staged record. Intermediate staged heads are never published,
+        // so per bucket the batch is all-or-nothing.
+        for (&bucket, &new_head) in &staged.staged_heads {
+            let expected = staged.pre_heads[&bucket];
             if !store.pmem.compare_exchange(
                 POffset::new(bucket),
                 &expected.to_le_bytes(),
@@ -544,8 +521,8 @@ impl KvPendingBatch<'_> {
                 ));
             }
         }
-        store.seal_batch(lo, hi, &self.staged_heads)?;
-        Ok(self.outcomes)
+        store.seal_batch(lo, hi, &staged.staged_heads)?;
+        Ok(staged.outcomes)
     }
 }
 
@@ -702,7 +679,6 @@ impl PKvStore {
             nbuckets,
             variant,
             eager,
-            pipeline: false,
         }
     }
 
@@ -789,28 +765,6 @@ impl PKvStore {
     #[must_use]
     pub fn is_eager(&self) -> bool {
         self.eager
-    }
-
-    /// Enables or disables the asynchronous flush pipeline for this
-    /// handle (volatile; clones made *after* the call inherit it).
-    /// When on, [`PKvStore::apply_batch`] issues its record and
-    /// log-tail persists as overlapping [`PMem::flush_async`] flights
-    /// and awaits them together before publishing, and
-    /// [`PKvStore::compact`] overlaps the carry-block persist with
-    /// carry building. Durability ordering is unchanged — nothing is
-    /// published before its records' tickets complete — so the
-    /// evidence-scan recovery argument carries over verbatim; only the
-    /// wall-clock shape of a commit differs. Ignored on an eager store:
-    /// per-write durability leaves no round-trips to overlap.
-    pub fn set_pipeline(&mut self, on: bool) {
-        self.pipeline = on && !self.eager;
-    }
-
-    /// `true` when group commits and compaction overlap their persist
-    /// round-trips through the asynchronous flush pipeline.
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline
     }
 
     /// Completed group commits since format — the persistent flush
@@ -943,78 +897,30 @@ impl PKvStore {
         Ok(self.pmem.write(POffset::new(off), &b)?)
     }
 
-    /// The eager append loop shared by every mutation: check the
-    /// precondition against the current chain, write the full record
-    /// into a reserved slot, publish it with the bucket-head CAS. A
-    /// failed CAS means another mutation intervened — re-check and
-    /// retry. The slot is reserved lazily and at most once per
-    /// generation; if the precondition fails after a slot was reserved,
-    /// the slot is abandoned as an invisible orphan (the price of never
-    /// recycling evidence). The active generation is re-read on every
-    /// retry, so a slot reserved in a just-retired generation is
-    /// likewise abandoned rather than published.
-    fn append(
-        &self,
-        pid: u64,
-        seq: u64,
-        key: u64,
-        kind: u8,
-        value: i64,
-        precond: &Precond,
-    ) -> Result<Append, PError> {
-        // Register with the region's mutator gate so a concurrent
-        // `compact` quiesces us out instead of racing the generation
-        // swap — machine-checked, not caller-promised.
-        let _mutator = self.pmem.mutator_enter();
-        // (slot offset, generation base it belongs to)
-        let mut slot: Option<(u64, u64)> = None;
-        loop {
-            let gen = self.active_gen()?;
-            let bucket = self.bucket_off(&gen, key);
-            let head = self.pmem.read_u64(bucket)?;
-            let Some(value) = self.resolve_value(head, key, value, precond, gen.number)? else {
-                return Ok(Append::PrecondFailed);
-            };
-            let off = match slot {
-                Some((off, gbase)) if gbase == gen.base => off,
-                _ => match self.reserve(&gen)? {
-                    Some(off) => {
-                        slot = Some((off, gen.base));
-                        off
-                    }
-                    None => return Ok(Append::LogFull),
-                },
-            };
-            self.write_record(off, kind, key, value, (pid, seq), head)?;
-            if self
-                // persist-lint: allow(publish-before-persist) eager region — write_record persisted at the store
-                .pmem
-                .compare_exchange(bucket, &head.to_le_bytes(), &off.to_le_bytes())?
-            {
-                return Ok(Append::Applied);
-            }
-        }
-    }
-
-    /// Lock-free detectable publication on a **buffered** region — the
-    /// per-op hot path of a batched store. The shape is the eager CAS
-    /// loop with the persists the buffered region doesn't do for us
-    /// spelled out, in the order the recovery argument needs:
+    /// The per-op publish loop shared by every mutation, on both commit
+    /// modes: **lock-free detectable publication**.
     ///
     /// 1. reserve a log slot (fetch-add style tail CAS, lazily, at
     ///    most once per generation — an abandoned slot is an invisible
-    ///    orphan, the usual price of never recycling evidence);
-    /// 2. build the version record in the slot (volatile) and
-    ///    **persist it** — a head must never be able to reach a
-    ///    volatile record;
+    ///    orphan, the usual price of never recycling evidence; the
+    ///    active generation is re-read on every retry, so a slot
+    ///    reserved in a just-retired generation is likewise abandoned
+    ///    rather than published);
+    /// 2. build the version record in the slot and **persist it** — a
+    ///    head must never be able to reach a volatile record;
     /// 3. **persist the log tail** — were the tail to crash back
     ///    behind a published slot, recovery would hand the slot out
     ///    again and overwrite published evidence;
     /// 4. publish with the bucket-head CAS; a failed CAS means a
-    ///    concurrent mutation intervened — re-read, rebuild, re-persist
-    ///    and retry (NVTraverse's insight: only this destination needs
-    ///    ordering, everything before it is private);
+    ///    concurrent mutation intervened — re-read, re-check the
+    ///    precondition, rebuild, re-persist and retry (NVTraverse's
+    ///    insight: only this destination needs ordering, everything
+    ///    before it is private);
     /// 5. persist the head, making the op immediately detectable.
+    ///
+    /// The three persists are the buffered region's
+    /// ([`PKvStore::persist`]); on an eager region they are skipped and
+    /// the loop is §5's plain CAS-retry loop.
     ///
     /// Should the head persist (5) be lost to a crash, the record is an
     /// unreachable orphan and the evidence scan correctly reports the
@@ -1026,7 +932,8 @@ impl PKvStore {
     ///
     /// Any number of mutators may run this concurrently on one shard;
     /// each registers in the region's mutator gate so `compact` (and
-    /// group commits) quiesce them out instead of racing.
+    /// group commits) quiesce them out instead of racing the
+    /// generation swap — machine-checked, not caller-promised.
     fn publish_one(&self, op: KvBatchOp) -> Result<KvApplied, PError> {
         let _mutator = self.pmem.mutator_enter();
         let (pid, seq, key, kind, value, precond) = op.parts();
@@ -1051,32 +958,27 @@ impl PKvStore {
             };
             self.write_record(off, kind, key, value, (pid, seq), head)?;
             if self.variant != KvVariant::EarlyPublish {
-                self.pmem.flush(POffset::new(off), RECORD_LEN)?;
+                self.persist(POffset::new(off), RECORD_LEN)?;
             }
-            self.pmem
-                .flush(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?;
+            self.persist(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?;
             if self
                 .pmem
                 .compare_exchange(bucket, &head.to_le_bytes(), &off.to_le_bytes())?
             {
-                self.pmem.flush(bucket, 8)?;
+                self.persist(bucket, 8)?;
                 return Ok(KvApplied::Applied);
             }
         }
     }
 
-    /// Applies one mutation through the commit mode's native path: the
-    /// eager CAS loop, or lock-free detectable publication on a
-    /// batched store.
-    fn apply_one(&self, op: KvBatchOp) -> Result<KvApplied, PError> {
-        if self.eager {
-            let (pid, seq, key, kind, value, precond) = op.parts();
-            Ok(KvApplied::from(
-                self.append(pid, seq, key, kind, value, &precond)?,
-            ))
-        } else {
-            self.publish_one(op)
+    /// One of [`PKvStore::publish_one`]'s ordered persists: a flush on
+    /// a buffered region, nothing on an eager one (the store itself
+    /// was durable as it completed).
+    fn persist(&self, off: POffset, len: usize) -> Result<(), PError> {
+        if !self.eager {
+            self.pmem.flush(off, len)?;
         }
+        Ok(())
     }
 
     /// Group-commits a batch of mutations, in order, and reports each
@@ -1085,17 +987,20 @@ impl PKvStore {
     /// succeeds).
     ///
     /// On a **batched** store this is the hot path the sharding layer
-    /// amortizes persists with: all records (and the log tail) become
-    /// durable in one coalesced persist, each touched bucket's head is
-    /// published once, the heads are persisted, and the header's flush
-    /// epoch is bumped — 3 + ⌈heads/lines⌉ persist round-trips for the
-    /// whole batch instead of ≥ 3 per mutation. A crash at any flush
-    /// boundary leaves every bucket either entirely pre-batch or
-    /// entirely post-batch (records are durable strictly before any
-    /// head that can reach them), so recovery remains the per-key
-    /// evidence scan. On an **eager** store the batch degenerates to
-    /// the per-op loop — durability is per-write there, so there is
-    /// nothing to coalesce.
+    /// amortizes persists with, and it is exactly
+    /// [`PKvStore::apply_batch_begin`] followed at once by
+    /// [`KvPendingBatch::commit`]: all records become durable in one
+    /// coalesced flight and the log tail in a second that overlaps it,
+    /// each touched bucket's head is published once, the heads are
+    /// persisted, and the header's flush epoch is bumped — 4 persists
+    /// (3 + ⌈heads/lines⌉ in general) and about 3 round-trips of
+    /// waiting for the whole batch instead of ≥ 3 per mutation. A crash
+    /// at any flush boundary leaves every bucket either entirely
+    /// pre-batch or entirely post-batch (records are durable strictly
+    /// before any head that can reach them), so recovery remains the
+    /// per-key evidence scan. On an **eager** store the batch
+    /// degenerates to the per-op loop — durability is per-write there,
+    /// so there is nothing to coalesce.
     ///
     /// # Errors
     ///
@@ -1127,71 +1032,12 @@ impl PKvStore {
     /// ```
     pub fn apply_batch(&self, ops: &[KvBatchOp]) -> Result<Vec<KvApplied>, PError> {
         let _label = op_label("kv.apply_batch");
-        self.apply_batch_inner(ops)
+        self.apply_batch_begin(ops)?.commit()
     }
 
-    /// [`PKvStore::apply_batch`] without the attribution label, so the
-    /// per-op entry points ([`PKvStore::put`] & friends) keep their own
-    /// label when they degenerate to a singleton commit.
-    fn apply_batch_inner(&self, ops: &[KvBatchOp]) -> Result<Vec<KvApplied>, PError> {
-        if self.eager {
-            return ops.iter().map(|&op| self.apply_one(op)).collect();
-        }
-        if self.pipeline {
-            return self.apply_batch_begin(ops)?.commit();
-        }
-        // Region-scoped (not handle-scoped): any handle opened on this
-        // region — clone or independent `open` — quiesces here, and so
-        // does `compact`; in-flight lock-free mutators are waited out,
-        // so the generation loaded below cannot be swapped and no
-        // bucket head can move under the batch.
-        let _serialize = self.pmem.quiesce();
-        let gen = self.active_gen()?;
-        let staged = self.stage_batch(&gen, ops)?;
-        let Some((lo, hi)) = staged.slots else {
-            // Nothing staged: no records, no tail movement to persist.
-            return Ok(staged.outcomes);
-        };
-
-        // Phase 2 — persist the records and the log tail with one
-        // coalesced flush each. The quiesce makes the reserved slots
-        // consecutive, so [lo, hi] covers exactly this batch.
-        // KvVariant::EarlyPublish omits the record flush — PSan's
-        // negative control: the phase-3 head CAS then publishes
-        // still-volatile records, which the sanitizer flags.
-        if self.variant != KvVariant::EarlyPublish {
-            self.pmem
-                .flush(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize)?;
-        }
-        self.pmem
-            .flush(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?;
-
-        // Phase 3 — publish: flip each touched bucket's head once, to
-        // the newest staged record. Intermediate staged heads are never
-        // published, so per bucket the batch is all-or-nothing.
-        for (&bucket, &new_head) in &staged.staged_heads {
-            let expected = staged.pre_heads[&bucket];
-            if !self.pmem.compare_exchange(
-                POffset::new(bucket),
-                &expected.to_le_bytes(),
-                &new_head.to_le_bytes(),
-            )? {
-                return Err(PError::CorruptStack(
-                    "bucket head moved under a group commit — every batched-store mutation \
-                     must register with the region's mutator gate"
-                        .into(),
-                ));
-            }
-        }
-
-        self.seal_batch(lo, hi, &staged.staged_heads)?;
-        Ok(staged.outcomes)
-    }
-
-    /// Phase 1 of a group commit, shared by the synchronous and
-    /// pipelined paths: resolve preconditions against the staged chain
-    /// state, reserve slots, write records (volatile). The caller
-    /// holds the region quiesced.
+    /// The staging step of a group commit: resolve preconditions
+    /// against the staged chain state, reserve slots, write records (volatile). The
+    /// caller holds the region quiesced.
     fn stage_batch(&self, gen: &Gen, ops: &[KvBatchOp]) -> Result<StagedBatch, PError> {
         let mut outcomes = vec![KvApplied::PrecondFailed; ops.len()];
         // Per touched bucket: the durable pre-batch head and the staged
@@ -1233,18 +1079,17 @@ impl PKvStore {
         })
     }
 
-    /// Phases 4–5 of a group commit, shared by the synchronous and
-    /// pipelined paths. The caller has published the heads (phase 3)
-    /// with records and log tail already durable.
+    /// The last two persists of a group commit. The caller has
+    /// published the heads with records and log tail already durable.
     fn seal_batch(
         &self,
         lo: u64,
         hi: u64,
         staged_heads: &BTreeMap<u64, u64>,
     ) -> Result<(), PError> {
-        // Phase 4 — persist the heads: one flush spanning the touched
-        // buckets (clean lines in between persist nothing, touched
-        // lines coalesce).
+        // Persist the heads: one flush spanning the touched buckets
+        // (clean lines in between persist nothing, touched lines
+        // coalesce).
         let first = *staged_heads.keys().next().expect("non-empty staged set");
         let last = *staged_heads
             .keys()
@@ -1253,9 +1098,9 @@ impl PKvStore {
         self.pmem
             .flush(POffset::new(first), (last - first + 8) as usize)?;
 
-        // Phase 5 — bump and persist the flush epoch. The bump
-        // advertises the whole batch as durable, so under PSan both the
-        // record span and the published heads must be durable *now*.
+        // Bump and persist the flush epoch. The bump advertises the
+        // whole batch as durable, so under PSan both the record span
+        // and the published heads must be durable *now*.
         self.pmem
             .psan_check_durable(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
         self.pmem
@@ -1269,18 +1114,22 @@ impl PKvStore {
     }
 
     /// Stages a group commit and **issues** its record and log-tail
-    /// persists as asynchronous flush commands without publishing:
-    /// phase 1 of [`PKvStore::apply_batch`] plus a pipelined phase 2.
-    /// The two flights ride the device queue concurrently, so draining
+    /// persists as asynchronous flush commands without publishing. The
+    /// two flights ride the device queue concurrently, so draining
     /// them costs about one round-trip instead of two — and while they
     /// are in flight the caller is free to build other work (another
     /// shard's batch, the next batch's records) before making this one
     /// visible with [`KvPendingBatch::commit`].
     ///
-    /// The returned handle keeps the region quiesced. Dropping it
-    /// without committing abandons the staged records as unpublished
-    /// orphans — invisible to lookups, scans and recovery alike, the
-    /// same shape a pre-publish crash leaves.
+    /// The returned handle keeps the region quiesced — region-scoped,
+    /// not handle-scoped: any handle opened on this region, clone or
+    /// independent `open`, quiesces here, and so does `compact`;
+    /// in-flight lock-free mutators are waited out, so the generation
+    /// loaded here cannot be swapped and no bucket head can move under
+    /// the batch. Dropping the handle without committing abandons the
+    /// staged records as unpublished orphans — invisible to lookups,
+    /// scans and recovery alike, the same shape a pre-publish crash
+    /// leaves.
     ///
     /// On an eager store the batch is applied per-op immediately and
     /// the returned handle's commit is a no-op.
@@ -1293,15 +1142,15 @@ impl PKvStore {
         if self.eager {
             let outcomes = ops
                 .iter()
-                .map(|&op| self.apply_one(op))
+                .map(|&op| self.publish_one(op))
                 .collect::<Result<Vec<_>, _>>()?;
             return Ok(KvPendingBatch {
                 store: self,
                 _quiesce: None,
-                outcomes,
-                pre_heads: BTreeMap::new(),
-                staged_heads: BTreeMap::new(),
-                slots: None,
+                staged: StagedBatch {
+                    outcomes,
+                    ..StagedBatch::default()
+                },
                 tickets: Vec::new(),
             });
         }
@@ -1310,11 +1159,13 @@ impl PKvStore {
         let staged = self.stage_batch(&gen, ops)?;
         let mut tickets = Vec::new();
         if let Some((lo, hi)) = staged.slots {
-            // Pipelined phase 2: issue the record-span and log-tail
-            // flights back to back; their round-trips overlap in the
-            // device queue. KvVariant::EarlyPublish omits the record
-            // flight (PSan's negative control), exactly as the
-            // synchronous path omits the record flush.
+            // Issue the record-span and log-tail flights back to back;
+            // their round-trips overlap in the device queue. The
+            // quiesce makes the reserved slots consecutive, so [lo, hi]
+            // covers exactly this batch. KvVariant::EarlyPublish omits
+            // the record flight — PSan's negative control: the head CAS
+            // in `commit` then publishes still-volatile records, which
+            // the sanitizer flags.
             if self.variant != KvVariant::EarlyPublish {
                 tickets.push(
                     self.pmem
@@ -1329,10 +1180,7 @@ impl PKvStore {
         Ok(KvPendingBatch {
             store: self,
             _quiesce: Some(quiesce),
-            outcomes: staged.outcomes,
-            pre_heads: staged.pre_heads,
-            staged_heads: staged.staged_heads,
-            slots: staged.slots,
+            staged,
             tickets,
         })
     }
@@ -1349,7 +1197,7 @@ impl PKvStore {
     /// after restart).
     pub fn put(&self, pid: u64, seq: u64, key: u64, value: i64) -> Result<bool, PError> {
         let _label = op_label("kv.put");
-        match self.apply_one(KvBatchOp::Put {
+        match self.publish_one(KvBatchOp::Put {
             pid,
             seq,
             key,
@@ -1408,7 +1256,7 @@ impl PKvStore {
     pub fn delete(&self, pid: u64, seq: u64, key: u64) -> Result<bool, PError> {
         let _label = op_label("kv.delete");
         Ok(self
-            .apply_one(KvBatchOp::Delete { pid, seq, key })?
+            .publish_one(KvBatchOp::Delete { pid, seq, key })?
             .took_effect())
     }
 
@@ -1431,7 +1279,7 @@ impl PKvStore {
     ) -> Result<bool, PError> {
         let _label = op_label("kv.cas");
         Ok(self
-            .apply_one(KvBatchOp::Cas {
+            .publish_one(KvBatchOp::Cas {
                 pid,
                 seq,
                 key,
@@ -1805,17 +1653,6 @@ impl PKvStore {
             number: gen.number + 1,
             log_cap: new_cap,
         };
-        // Pipelined compaction overlaps durability with building: every
-        // `CARRY_CHUNK` fully-written carry slots are issued as an
-        // asynchronous flush flight whose round-trip runs while later
-        // buckets are still being collected and written. The final
-        // whole-block flight below covers the prefix (header + bucket
-        // heads, written throughout this loop) and elides the lines
-        // already staged in these chunk flights.
-        let pipelined = self.pipeline && self.variant != KvVariant::NoPersistBeforeSwap;
-        const CARRY_CHUNK: u64 = 64;
-        let mut carry_tickets: Vec<FlushTicket> = Vec::new();
-        let mut issued_upto = 0u64;
         let mut slot = 0u64;
         for (b, keep) in live.iter().enumerate() {
             let mut head = 0u64;
@@ -1837,13 +1674,6 @@ impl PKvStore {
                 self.pmem
                     .write_u64(self.bucket_off_at(&new_gen, b as u64), head)?;
             }
-            if pipelined && slot - issued_upto >= CARRY_CHUNK {
-                carry_tickets.push(self.pmem.flush_async(
-                    POffset::new(self.record_off(&new_gen, issued_upto)),
-                    ((slot - issued_upto) * RECORD_STRIDE) as usize,
-                )?);
-                issued_upto = slot;
-            }
         }
         self.pmem
             .write_u64(POffset::new(nb + GEN_OFF_LOG_TAIL), live_total)?;
@@ -1855,20 +1685,7 @@ impl PKvStore {
         // control: the root swap below then commits a still-volatile
         // generation, which the sanitizer flags at the selector flip.
         let new_block_len = gen_prefix_len(self.nbuckets) + live_total * RECORD_STRIDE;
-        if pipelined {
-            // The final flight: the prefix (header + bucket heads) and
-            // any carries past the last full chunk. Carry lines already
-            // staged in the chunk flights are elided line by line, so
-            // no byte is persisted twice. Awaiting in issue order then
-            // drains the whole pipeline in about one round-trip.
-            carry_tickets.push(
-                self.pmem
-                    .flush_async(POffset::new(nb), new_block_len as usize)?,
-            );
-            for ticket in &carry_tickets {
-                self.pmem.await_ticket(ticket)?;
-            }
-        } else if self.variant != KvVariant::NoPersistBeforeSwap {
+        if self.variant != KvVariant::NoPersistBeforeSwap {
             self.pmem.flush(POffset::new(nb), new_block_len as usize)?;
         }
 
@@ -2047,99 +1864,9 @@ mod tests {
         (pmem, heap, kv)
     }
 
-    fn pipelined_fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
-        let (pmem, heap, mut kv) = buffered_fixture(nbuckets, log_cap);
-        kv.set_pipeline(true);
-        assert!(kv.is_pipelined());
-        (pmem, heap, kv)
-    }
-
-    #[test]
-    fn pipelined_batch_matches_synchronous_outcomes_and_state() {
-        let ops = [
-            KvBatchOp::Put {
-                pid: 0,
-                seq: 1,
-                key: 7,
-                value: 70,
-            },
-            KvBatchOp::Cas {
-                pid: 0,
-                seq: 2,
-                key: 7,
-                expected: 70,
-                new: 71,
-            },
-            KvBatchOp::Delete {
-                pid: 0,
-                seq: 3,
-                key: 9,
-            },
-            KvBatchOp::Put {
-                pid: 0,
-                seq: 4,
-                key: 8,
-                value: 80,
-            },
-        ];
-        let (_, _, sync_kv) = buffered_fixture(8, 64);
-        let (pmem, _, pipe_kv) = pipelined_fixture(8, 64);
-        let sync_out = sync_kv.apply_batch(&ops).unwrap();
-        let pipe_out = pipe_kv.apply_batch(&ops).unwrap();
-        assert_eq!(sync_out, pipe_out);
-        assert_eq!(sync_kv.contents().unwrap(), pipe_kv.contents().unwrap());
-        assert_eq!(pipe_kv.flush_epoch().unwrap(), 1);
-        assert_eq!(pmem.inflight_tickets(), 0, "commit drains its flights");
-        let snap = pmem.stats().snapshot();
-        assert!(snap.async_flushes >= 2, "records + tail rode flights");
-        // Everything the epoch advertises is durable.
-        pmem.crash_now(0, 0.0);
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2.clone(), pipe_kv.base(), KvVariant::Nsrl).unwrap();
-        assert_eq!(kv2.get(7).unwrap(), Some(71));
-        assert_eq!(kv2.get(8).unwrap(), Some(80));
-        assert_eq!(kv2.flush_epoch().unwrap(), 1);
-        assert!(pmem2.psan_violations().is_empty());
-    }
-
-    #[test]
-    fn pipelined_batch_saves_a_round_trip() {
-        // With device latency L, a synchronous batch pays 4 round-trips
-        // (records, tail, heads, epoch); the pipeline overlaps records
-        // with the tail and pays ~3.
-        let lat = std::time::Duration::from_millis(5);
-        let mk = |pipeline: bool| {
-            let pmem = PMemBuilder::new()
-                .len(1 << 19)
-                .flush_latency(lat)
-                .build_in_memory();
-            let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
-            let mut kv = PKvStore::format(pmem.clone(), &heap, 8, 64, KvVariant::Nsrl).unwrap();
-            kv.set_pipeline(pipeline);
-            let ops: Vec<KvBatchOp> = (0..16)
-                .map(|i| KvBatchOp::Put {
-                    pid: 0,
-                    seq: i + 1,
-                    key: i,
-                    value: i as i64,
-                })
-                .collect();
-            let t0 = std::time::Instant::now();
-            kv.apply_batch(&ops).unwrap();
-            t0.elapsed()
-        };
-        let sync = mk(false);
-        let pipe = mk(true);
-        assert!(sync >= lat * 4, "sync batch pays 4 round-trips: {sync:?}");
-        assert!(
-            pipe < sync - lat / 2,
-            "pipeline must save most of a round-trip: sync {sync:?} vs pipelined {pipe:?}"
-        );
-    }
-
     #[test]
     fn uncommitted_pending_batch_leaves_invisible_orphans() {
-        let (pmem, _, kv) = pipelined_fixture(8, 64);
+        let (pmem, _, kv) = buffered_fixture(8, 64);
         let pending = kv
             .apply_batch_begin(&[KvBatchOp::Put {
                 pid: 0,
@@ -2163,20 +1890,13 @@ mod tests {
 
     #[test]
     fn pipelined_compaction_preserves_live_state() {
-        let (pmem, heap, kv) = pipelined_fixture(8, 256);
-        // 128 live keys → two full 64-slot carry chunks, so the chunk
-        // flights really overlap with carry building.
+        let (pmem, heap, kv) = buffered_fixture(8, 256);
         for i in 0..128u64 {
             assert!(kv.put(0, i + 1, i, i as i64).unwrap());
         }
         let stats = kv.compact(&heap).unwrap();
         assert_eq!(stats.carried, 128);
-        assert_eq!(pmem.inflight_tickets(), 0, "compaction drained its flights");
-        let snap = pmem.stats().snapshot();
-        assert!(
-            snap.elided_lines > 0,
-            "the whole-block flight must elide chunk-staged carry lines"
-        );
+        assert_eq!(pmem.inflight_tickets(), 0, "compaction leaves no flight");
         pmem.crash_now(0, 0.0);
         let pmem2 = pmem.reopen().unwrap();
         let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
@@ -2192,8 +1912,7 @@ mod tests {
         use pstack_nvram::PsanViolationKind;
         let pmem = PMemBuilder::new().len(1 << 19).psan(true).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
-        let mut kv = PKvStore::format(pmem.clone(), &heap, 8, 64, KvVariant::EarlyPublish).unwrap();
-        kv.set_pipeline(true);
+        let kv = PKvStore::format(pmem.clone(), &heap, 8, 64, KvVariant::EarlyPublish).unwrap();
         kv.apply_batch(&[KvBatchOp::Put {
             pid: 0,
             seq: 1,
@@ -2206,7 +1925,7 @@ mod tests {
             violations
                 .iter()
                 .any(|v| matches!(v.kind, PsanViolationKind::EarlyPublish { .. })),
-            "pipelined negative control must still trip PSan: {violations:?}"
+            "an omitted record flight must trip PSan: {violations:?}"
         );
     }
 
@@ -2481,9 +2200,9 @@ mod tests {
 
     #[test]
     fn pipelined_crash_points_keep_exactly_the_completed_flight_prefix() {
-        // The async-pipeline dual of the sweep above: crash at every
-        // persistence event inside a *pipelined* batch window, so kills
-        // land with zero, one, and two flights in the device queue —
+        // The sweep above, counted against the flush queue: crash at
+        // every persistence event inside a batch window, so kills land
+        // with zero, one, and two flights in the device queue —
         // before the first issue, between the record and tail issues,
         // between issue and await, and after the publish CAS. Whatever
         // the cut, recovery must see exactly the completed-flight
@@ -2525,8 +2244,7 @@ mod tests {
         let probe = || {
             let pmem = PMemBuilder::new().len(1 << 16).psan(true).build_in_memory();
             let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-            let mut kv = PKvStore::format(pmem.clone(), &heap, 2, 16, KvVariant::Nsrl).unwrap();
-            kv.set_pipeline(true);
+            let kv = PKvStore::format(pmem.clone(), &heap, 2, 16, KvVariant::Nsrl).unwrap();
             (pmem, kv)
         };
 
@@ -2695,8 +2413,8 @@ mod tests {
     #[test]
     fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
         // The read rule and its negative control. A reader races a
-        // group commit stopped between phase 3 (head CAS) and phase 4
-        // (head persist); the power fails right after it answers.
+        // group commit stopped between its head CAS and its head
+        // persist; the power fails right after it answers.
         // `get_durable` persisted the dirty head first, so its answer
         // survives; a plain `get` handed out a value the crash takes
         // back.

@@ -291,7 +291,14 @@ struct State {
 struct Flight {
     serial: u64,
     deadline: Option<std::time::Instant>,
-    lines: Vec<(usize, Vec<u8>)>,
+    /// Line index of each snapshot, in issue order; `None` once a
+    /// fresher synchronous persist of the line superseded it.
+    lines: Vec<Option<usize>>,
+    /// The snapshots, one line each, back to back in `lines` order. One
+    /// buffer per flight, not one per line: a completed flight then
+    /// returns one block to the allocator instead of a run of
+    /// line-sized chunks (ROADMAP, "`peak_rss_mb` and `calloc`").
+    bytes: Vec<u8>,
 }
 
 /// The region's asynchronous flush queue (see [`PMem::flush_async`]).
@@ -611,7 +618,14 @@ impl PMem {
     }
 
     /// Registers a persistence event; crashes in place when a plan fires.
+    ///
+    /// Callers check [`PMem::check_alive`] before they take the region
+    /// lock, so one can arrive here after another thread's event fired
+    /// the fail-point. The crash flag is only ever set under this lock:
+    /// re-checked here, the event counter freezes with it and the late
+    /// operation leaves the crashed region untouched.
     fn on_event(&self, st: &mut State) -> Result<(), MemError> {
+        self.check_alive()?;
         if let Some(plan) = st.fail.on_event() {
             self.crash_locked(st, plan.survivor_seed, plan.survival_prob);
             return Err(MemError::Crashed);
@@ -884,12 +898,14 @@ impl PMem {
                 if let Some(psan) = &self.inner.psan {
                     psan.note_persist_line(li, st.fail.events);
                 }
-                if !st.flights.queue.is_empty() {
-                    // This fresher persist subsumes any queued snapshot
-                    // of the line: drop it so a completing flight can
-                    // never roll the backend back.
-                    for f in &mut st.flights.queue {
-                        f.lines.retain(|(l, _)| *l != li);
+                // This fresher persist subsumes any queued snapshot of
+                // the line: tombstone it so a completing flight can
+                // never roll the backend back.
+                for f in &mut st.flights.queue {
+                    for l in &mut f.lines {
+                        if *l == Some(li) {
+                            *l = None;
+                        }
                     }
                 }
                 persisted += 1;
@@ -975,7 +991,10 @@ impl PMem {
         let first = off.as_usize() / line;
         let last = (off.as_usize() + len - 1) / line;
         let serial = st.flights.issued + 1;
-        let mut lines = Vec::new();
+        // Sized for the whole range up front: grown by doubling, each
+        // flight would also free a run of small outgrown buffers.
+        let mut lines = Vec::with_capacity(last - first + 1);
+        let mut bytes = Vec::with_capacity((last - first + 1) * line);
         let mut covering: Option<u64> = None;
         for li in first..=last {
             if !self.inner.eager_flush {
@@ -987,7 +1006,8 @@ impl PMem {
                 continue;
             }
             if let Some(content) = st.dirty.get(&li) {
-                lines.push((li, content.clone()));
+                lines.push(Some(li));
+                bytes.extend_from_slice(content);
                 st.flights.staged.insert(li, serial);
                 if let Some(psan) = &self.inner.psan {
                     psan.note_persist_line_ticket(li, serial, st.fail.events);
@@ -1017,6 +1037,7 @@ impl PMem {
             serial,
             deadline,
             lines,
+            bytes,
         });
         MemStats::bump(&self.inner.stats.async_flushes);
         Ok(FlushTicket { region, serial })
@@ -1104,20 +1125,20 @@ impl PMem {
         let batch: Vec<(usize, &[u8])> = flight
             .lines
             .iter()
-            .map(|(li, content)| (li * line, content.as_slice()))
+            .zip(flight.bytes.chunks_exact(line))
+            .filter_map(|(li, content)| li.map(|li| (li * line, content)))
             .collect();
         st.backend.persist_lines(&batch)?;
-        let mut persisted = 0u64;
-        for (li, content) in &flight.lines {
-            let line_start = li * line;
+        let persisted = batch.len() as u64;
+        for &(line_start, content) in &batch {
+            let li = line_start / line;
             st.image[line_start..line_start + line].copy_from_slice(content);
             MemStats::bump(&self.inner.stats.lines_persisted);
-            persisted += 1;
-            if st.flights.staged.get(li) == Some(&flight.serial) {
+            if st.flights.staged.get(&li) == Some(&flight.serial) {
                 // Not re-dirtied since issue: the snapshot is the live
                 // content, so the cache entry retires with the marker.
-                st.flights.staged.remove(li);
-                st.dirty.remove(li);
+                st.flights.staged.remove(&li);
+                st.dirty.remove(&li);
             }
         }
         Self::note_persist(&self.inner.stats, persisted);
@@ -1314,6 +1335,7 @@ impl PMem {
         // just took the lottery above (so recovery sees exactly the
         // completed-ticket prefix, plus any lucky survivors), and
         // pending tickets fail their await with `Crashed`.
+        MemStats::add(&self.inner.stats.flights_cut, st.flights.queue.len() as u64);
         st.flights.queue.clear();
         st.flights.staged.clear();
         pstack_telemetry::crash(self.inner.tlabel.load(Ordering::Relaxed), st.fail.events);
@@ -1665,6 +1687,35 @@ mod tests {
         // equality only if both kept everything or nothing, which the
         // probability argument makes absurd for these seeds.
         assert_ne!(outcome(7), outcome(8));
+    }
+
+    #[test]
+    fn the_event_counter_freezes_with_the_crash_flag() {
+        // Every persistence operation checks `check_alive` *before* it
+        // takes the region lock, so a worker can pass the check, lose
+        // the lock to the thread whose event fires the fail-point, and
+        // arrive at a crashed region. This is that arrival — the locked
+        // half of write, CAS, flush and flush_async alike starts at
+        // `on_event` — on an eager region, where a late write would
+        // reach the image.
+        let p = PMemBuilder::new()
+            .len(4096)
+            .eager_flush(true)
+            .build_in_memory();
+        p.write_u64(POffset::new(64), 7).unwrap();
+        p.arm_failpoint(FailPlan::after_events(0));
+        assert!(matches!(
+            p.write_u64(POffset::new(64), 8),
+            Err(MemError::Crashed)
+        ));
+        let events = p.events();
+        {
+            let mut st = p.inner.state.lock();
+            assert!(matches!(p.on_event(&mut st), Err(MemError::Crashed)));
+            assert_eq!(st.fail.events, events, "a dead region counts nothing");
+        }
+        let p = p.reopen().unwrap();
+        assert_eq!(p.read_u64(POffset::new(64)).unwrap(), 7);
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub struct MemStats {
     pub(crate) elided_lines: AtomicU64,
     pub(crate) async_latency_charged_ns: AtomicU64,
     pub(crate) async_latency_waited_ns: AtomicU64,
+    pub(crate) flights_cut: AtomicU64,
     pub(crate) fences: AtomicU64,
     pub(crate) cas_ops: AtomicU64,
     pub(crate) crashes: AtomicU64,
@@ -46,6 +47,7 @@ impl MemStats {
             elided_lines: self.elided_lines.load(Ordering::Relaxed),
             async_latency_charged_ns: self.async_latency_charged_ns.load(Ordering::Relaxed),
             async_latency_waited_ns: self.async_latency_waited_ns.load(Ordering::Relaxed),
+            flights_cut: self.flights_cut.load(Ordering::Relaxed),
             fences: self.fences.load(Ordering::Relaxed),
             cas_ops: self.cas_ops.load(Ordering::Relaxed),
             crashes: self.crashes.load(Ordering::Relaxed),
@@ -124,6 +126,12 @@ pub struct StatsSnapshot {
     /// Nanoseconds callers actually slept in awaits — the part of the
     /// charged latency the pipeline failed to hide.
     pub async_latency_waited_ns: u64,
+    /// Flights still queued — issued, not yet completed — when a crash
+    /// cut the region: what
+    /// [`PMem::inflight_tickets`](crate::PMem::inflight_tickets) read
+    /// at the cut. Crash campaigns use it to prove kills land between
+    /// a flight's issue and its await.
+    pub flights_cut: u64,
     /// Number of persistence fences.
     pub fences: u64,
     /// Number of compare-exchange operations.
@@ -149,6 +157,7 @@ impl std::ops::Sub for StatsSnapshot {
             elided_lines: self.elided_lines - rhs.elided_lines,
             async_latency_charged_ns: self.async_latency_charged_ns - rhs.async_latency_charged_ns,
             async_latency_waited_ns: self.async_latency_waited_ns - rhs.async_latency_waited_ns,
+            flights_cut: self.flights_cut - rhs.flights_cut,
             fences: self.fences - rhs.fences,
             cas_ops: self.cas_ops - rhs.cas_ops,
             crashes: self.crashes - rhs.crashes,
@@ -175,6 +184,7 @@ impl std::ops::Add for StatsSnapshot {
             elided_lines: self.elided_lines + rhs.elided_lines,
             async_latency_charged_ns: self.async_latency_charged_ns + rhs.async_latency_charged_ns,
             async_latency_waited_ns: self.async_latency_waited_ns + rhs.async_latency_waited_ns,
+            flights_cut: self.flights_cut + rhs.flights_cut,
             fences: self.fences + rhs.fences,
             cas_ops: self.cas_ops + rhs.cas_ops,
             crashes: self.crashes + rhs.crashes,
@@ -189,7 +199,7 @@ impl fmt::Display for StatsSnapshot {
             "reads={} writes={} bytes_written={} flush_calls={} lines_persisted={} \
              persists={} coalesced_lines={} redundant_persists={} async_flushes={} \
              elided_lines={} async_latency_charged_ns={} async_latency_waited_ns={} \
-             fences={} cas_ops={} crashes={}",
+             flights_cut={} fences={} cas_ops={} crashes={}",
             self.reads,
             self.writes,
             self.bytes_written,
@@ -202,6 +212,7 @@ impl fmt::Display for StatsSnapshot {
             self.elided_lines,
             self.async_latency_charged_ns,
             self.async_latency_waited_ns,
+            self.flights_cut,
             self.fences,
             self.cas_ops,
             self.crashes
@@ -243,6 +254,7 @@ mod tests {
             "elided_lines=",
             "async_latency_charged_ns=",
             "async_latency_waited_ns=",
+            "flights_cut=",
             "fences=",
             "cas_ops=",
             "crashes=",

@@ -268,15 +268,13 @@ impl KvServeFunction {
         Self::finish_window(stage, outcomes)
     }
 
-    /// Executes one round of batch windows, at most one per shard. On a
-    /// pipelined store ([`ShardedKvStore::set_pipeline`]) the
+    /// Executes one round of batch windows, at most one per shard. The
     /// non-recovery windows are **begun** first — each shard's
     /// record/log-tail persists are issued as asynchronous flush
     /// flights, back to back across the shard regions — and committed
     /// afterwards, so the whole round drains the flush pipeline in
     /// about one device round-trip instead of each shard awaiting its
-    /// own serially. Recovery windows, and every window on a
-    /// non-pipelined store, run through
+    /// own serially. Recovery windows run through
     /// [`KvServeFunction::execute_window`] unchanged.
     ///
     /// # Errors
@@ -289,12 +287,6 @@ impl KvServeFunction {
         executor: u32,
     ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
         let mut ready = Vec::new();
-        if !self.store.is_pipelined() {
-            for (shard, recovery, slots) in windows {
-                ready.extend(self.execute_window(*shard, slots, *recovery, executor)?);
-            }
-            return Ok(ready);
-        }
         let _label = op_label("server.windows");
         let mut pending = Vec::new();
         for (shard, recovery, slots) in windows {
@@ -716,8 +708,8 @@ impl ServerCore {
         if let Some(power_failure) = failed {
             return Err(power_failure);
         }
-        // One call for the whole round: on a pipelined store the
-        // shards' flush flights overlap across regions.
+        // One call for the whole round: the shards' flush flights
+        // overlap across regions.
         self.exec.execute_windows(&windows, executor)
     }
 

@@ -18,7 +18,7 @@
 //!    capacity — without compaction the shard bricks (puts start
 //!    answering `false`), with the headroom-triggered generational
 //!    compaction every mutation lands;
-//! 5. pipeline a group commit: the batch's record and log-tail
+//! 5. look inside a group commit: the batch's record and log-tail
 //!    persists ride overlapping async flights (awaited before the
 //!    publish CAS), and the state still survives a power cut.
 //!
@@ -208,16 +208,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  sanitizer: 0 persist-order violations across every act");
 
-    // Act 5: the async flush pipeline. A buffered store with the
-    // pipeline on commits a batch whose records and log-tail persists
-    // ride overlapping flights (`flush.issue`/`flush.await` span pairs
-    // in the trace); the awaits land before the publish CAS, so a
-    // power cut still keeps the whole window.
+    // Act 5: the async flush pipeline. A buffered store commits a
+    // batch whose records and log-tail persists ride overlapping
+    // flights (`flush.issue`/`flush.await` span pairs in the trace);
+    // the awaits land before the publish CAS, so a power cut still
+    // keeps the whole window.
     println!("\nflush pipeline: one group commit, two overlapping flights");
     let pmem = PMemBuilder::new().len(1 << 18).psan(true).build_in_memory();
     let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 18)?;
-    let mut kv = PKvStore::format(pmem.clone(), &heap, 16, 128, KvVariant::Nsrl)?;
-    kv.set_pipeline(true);
+    let kv = PKvStore::format(pmem.clone(), &heap, 16, 128, KvVariant::Nsrl)?;
     let ops: Vec<pstack::kv::KvBatchOp> = (0..16)
         .map(|i| pstack::kv::KvBatchOp::Put {
             pid: 9,
