@@ -36,9 +36,10 @@
 
 //! * `kv_sharded/runtime_driven` — the same batched write workload
 //!   driven directly versus as `StripedRuntime` batch-window tasks
-//!   (one persistent frame + one coalesced answer persist per window
-//!   on top of each group commit): the price of putting the stack on
-//!   the sharded hot path.
+//!   over a preloaded request table — the served path's own executor,
+//!   `KvServeFunction` (one persistent frame + one coalesced answer
+//!   persist per window on top of each group commit): the price of
+//!   putting the stack on the sharded hot path.
 
 use std::time::Duration;
 
@@ -46,8 +47,7 @@ use criterion::{criterion_group, criterion_main, Comparison, Criterion, Measurem
 use pstack_core::{FunctionRegistry, RuntimeConfig, StripedRuntime};
 use pstack_heap::PHeap;
 use pstack_kv::{
-    KvBatchOp, KvOpTable, KvTaskOp, KvVariant, PKvStore, ShardedKvStore, ShardedKvTaskFunction,
-    KV_SHARDED_FUNC_ID,
+    KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore, KV_SERVE_FUNC_ID,
 };
 use pstack_nvram::{PMemBuilder, POffset};
 
@@ -272,22 +272,11 @@ fn bench_runtime_driven(c: &mut Criterion) {
                 value: key as i64,
             })
             .collect();
-        let per_shard = ShardedKvTaskFunction::partition_ops_padded(&ops, SHARDS);
-        let tables: Vec<KvOpTable> = per_shard
-            .iter()
-            .enumerate()
-            .map(|(s, shard_ops)| {
-                KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops)
-                    .expect("table formats")
-            })
-            .collect();
-        let func = ShardedKvTaskFunction::new(store, tables);
-        let tasks = func
-            .pending_tasks(KV_SHARDED_FUNC_ID, BATCH)
-            .expect("pending tasks");
+        let exec = KvServeFunction::preload(store, &ops).expect("tables preload");
+        let tasks = exec.pending_tasks(BATCH).expect("pending tasks");
         let mut registry = FunctionRegistry::new();
         registry
-            .register(KV_SHARDED_FUNC_ID, func.into_arc())
+            .register(KV_SERVE_FUNC_ID, exec.into_arc())
             .expect("function registers");
         // The control region is not latency-emulated: the comparison
         // isolates the stack's persist traffic, not a slower device.

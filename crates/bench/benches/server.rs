@@ -9,27 +9,28 @@
 //! latency-emulated regions:
 //!
 //! * `server/served_vs_direct/direct_windows` — the `StripedRuntime`
-//!   batch-window drive (E18's runtime side): op tables pre-staged,
-//!   no wire, no descriptors, no acks.
+//!   batch-window drive (E18's runtime side): the same windows of the
+//!   same executor over a request table **preloaded** with every put
+//!   (one descriptor persist per table, outside the measurement) — no
+//!   wire, no admission, no descriptor persist per drain, no acks.
 //! * `server/served_vs_direct/served_path` — closed-loop clients over
 //!   the channel hub: request frames, per-shard admission, request
 //!   descriptors made durable at the drain, runtime batch windows,
 //!   durable answers, acks, slot recycling.
 //!
-//! It ends with a `Comparison` ratio line (the exactly-once premium)
-//! and an instrumented mixed-workload pass that prints the served
-//! path's SLO percentiles (p50/p99/p999 per op class, wall-clock, the
-//! same shape the crash campaign reports in virtual time).
+//! Both sides run `KvServeFunction` windows, so the `Comparison` ratio
+//! line the bench ends with is admission + acks — the exactly-once
+//! premium — against the same windows preloaded. An instrumented
+//! mixed-workload pass then prints the served path's SLO percentiles
+//! (p50/p99/p999 per op class, wall-clock, the same shape the crash
+//! campaign reports in virtual time).
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Comparison, Criterion, Throughput};
 use pstack_core::{FunctionRegistry, RuntimeConfig, StripedRuntime};
-use pstack_kv::{
-    KvOpTable, KvRequestTable, KvTaskOp, KvVariant, PKvStore, ShardedKvStore,
-    ShardedKvTaskFunction, KV_SHARDED_FUNC_ID,
-};
+use pstack_kv::{KvRequestTable, KvTaskOp, KvVariant, PKvStore, ShardedKvStore};
 use pstack_nvram::PMemBuilder;
 use pstack_server::proto::{RequestBody, Response};
 use pstack_server::{
@@ -55,8 +56,8 @@ fn build_stripe(log_cap: u64) -> pstack_nvram::PMemStripe {
         .build_striped(SHARDS)
 }
 
-/// The direct drive: E18's runtime batch windows over pre-staged op
-/// tables — the same mutation count with none of the serving layers.
+/// The direct drive: E18's runtime batch windows over preloaded
+/// request tables — the same windows with none of the serving layers.
 fn build_direct() -> (StripedRuntime, Vec<pstack_core::Task>) {
     let log_cap = TOTAL / SHARDS as u64 * 3 + 64;
     let stripe = build_stripe(log_cap);
@@ -68,22 +69,11 @@ fn build_direct() -> (StripedRuntime, Vec<pstack_core::Task>) {
             value: key as i64,
         })
         .collect();
-    let per_shard = ShardedKvTaskFunction::partition_ops_padded(&ops, SHARDS);
-    let tables: Vec<KvOpTable> = per_shard
-        .iter()
-        .enumerate()
-        .map(|(s, shard_ops)| {
-            KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops)
-                .expect("table formats")
-        })
-        .collect();
-    let func = ShardedKvTaskFunction::new(store, tables);
-    let tasks = func
-        .pending_tasks(KV_SHARDED_FUNC_ID, BATCH)
-        .expect("pending tasks");
+    let exec = KvServeFunction::preload(store, &ops).expect("tables preload");
+    let tasks = exec.pending_tasks(BATCH).expect("pending tasks");
     let mut registry = FunctionRegistry::new();
     registry
-        .register(KV_SHARDED_FUNC_ID, func.into_arc())
+        .register(KV_SERVE_FUNC_ID, exec.into_arc())
         .expect("function registers");
     let control = PMemBuilder::new().len(1 << 20).build_in_memory();
     let rt = StripedRuntime::format(

@@ -37,8 +37,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pstack_core::PError;
-use pstack_kv::{shard_of, KvOpTable, KvVariant, ShardedKvStore, ShardedKvTaskFunction};
-use pstack_nvram::{FailPlan, PMemBuilder, PMemStripe, POffset, PsanViolation};
+use pstack_kv::{shard_of, KvServeFunction, KvVariant, ShardedKvStore};
+use pstack_nvram::{FailPlan, PMemBuilder, PMemStripe, PsanViolation};
 use pstack_verify::{check_kv_sharded_gen, KvShardedHistory, KvVerdict};
 
 use pstack_telemetry::{TelemetrySummary, TraceSession};
@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use crate::kv_campaign::ShardLogUsage;
 use crate::sharded_kv_campaign::{
-    build_sharded_history, generate_kv_ops, open_tables, run_shard_round, TABLE_ROOT_OFF,
+    all_answered, attach_exec, generate_kv_ops, persist_table_roots, run_shard_round, HarnessGets,
 };
 
 /// Configuration of one compaction crash campaign.
@@ -276,7 +276,8 @@ fn run_compaction_campaign_inner(
         cfg.op_mix,
         &mut rng,
     );
-    let per_shard = ShardedKvTaskFunction::partition_ops_padded(&ops, cfg.shards);
+    let (mutations, gets) = HarnessGets::split(&ops);
+    let mut gets = gets.per_shard(cfg.shards);
     let nbuckets = cfg.key_space.max(4);
     let batch = cfg.group_commit.unwrap_or(1).max(1);
 
@@ -292,13 +293,8 @@ fn run_compaction_campaign_inner(
             cfg.log_cap_per_shard,
             cfg.variant,
         )?;
-        for (s, shard_ops) in per_shard.iter().enumerate() {
-            let table = KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops)?;
-            stripe
-                .region(s)
-                .write_u64(POffset::new(TABLE_ROOT_OFF), table.base().get())?;
-            stripe.region(s).flush(POffset::new(TABLE_ROOT_OFF), 8)?;
-        }
+        let exec = KvServeFunction::preload(store, &mutations)?;
+        persist_table_roots(&stripe, exec.tables())?;
     }
 
     let mut rounds = 0usize;
@@ -330,8 +326,8 @@ fn run_compaction_campaign_inner(
 
     'campaign: loop {
         rounds += 1;
-        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        let tables = open_tables(&stripe)?;
+        let exec = attach_exec(&stripe, cfg.variant)?;
+        let store = exec.store();
         let budget_left =
             |crashes: usize, cc: usize, rc: usize| crashes + cc + rc < cfg.max_crashes;
 
@@ -410,15 +406,10 @@ fn run_compaction_campaign_inner(
         }
 
         // Quiescent?
-        if tables
-            .iter()
-            .map(KvOpTable::pending)
-            .collect::<Result<Vec<_>, _>>()?
-            .iter()
-            .all(Vec::is_empty)
-        {
+        if all_answered(&exec)? && gets.iter().all(|g| g.outstanding() == 0) {
             let generations = store.generations()?;
-            let history = build_sharded_history(&store, &tables)?;
+            let mut history = exec.history()?;
+            history.ops.extend(gets.into_iter().flat_map(|g| g.done));
             let nshards = cfg.shards;
             let verdict =
                 check_kv_sharded_gen(&history, |key| shard_of(key, nshards), &generations);
@@ -474,26 +465,21 @@ fn run_compaction_campaign_inner(
             }
         }
         let mut any_crash = false;
-        for (s, table) in tables.iter().enumerate() {
+        for (s, shard_gets) in gets.iter_mut().enumerate() {
             let mut shard_rng = SmallRng::seed_from_u64(
                 cfg.seed
                     ^ (rounds as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     ^ (s as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
             );
-            match run_shard_round(
-                &store,
+            any_crash |= run_shard_round(
+                &exec,
                 s,
-                table,
                 batch,
                 had_crash,
                 &mut shard_rng,
                 Some(cfg.ops_per_round),
-                1,
-            ) {
-                Ok(true) => any_crash = true,
-                Ok(false) => {}
-                Err(e) => return Err(e),
-            }
+                shard_gets,
+            )?;
         }
         if any_crash {
             crashes += 1;

@@ -5,23 +5,24 @@
 //! verdict from the KV verifier.
 //!
 //! Mirrors [`crate::run_campaign`] with the CAS register replaced by a
-//! [`PKvStore`], the descriptor table by a [`KvOpTable`], and the §5.1
-//! Eulerian-path check by [`pstack_verify::check_kv`]'s chain-witness
-//! linearizability check against the sequential map specification.
+//! [`PKvStore`] living in the runtime's own region (riding the one
+//! window executor as a one-shard stripe), the descriptor table by a
+//! preloaded [`KvRequestTable`], and the §5.1 Eulerian-path check by
+//! [`pstack_verify::check_kv`]'s chain-witness linearizability check
+//! against the sequential map specification.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use pstack_core::{
-    FunctionRegistry, PError, RecoveryMode, Runtime, RuntimeConfig, StackKind, Task,
-};
-use pstack_kv::{
-    KvOpTable, KvTaskFunction, KvTaskOp, KvTaskResult, KvVariant, PKvStore, KV_TASK_FUNC_ID,
-};
+use pstack_core::{FunctionRegistry, PError, RecoveryMode, Runtime, RuntimeConfig, StackKind};
+use pstack_heap::PHeap;
+use pstack_kv::{KvRequestTable, KvServeFunction, KvVariant, PKvStore, ShardedKvStore};
 use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset, PsanViolation};
 use pstack_telemetry::{TelemetrySummary, TraceSession};
-use pstack_verify::{check_kv, KvAnswer, KvHistory, KvOp, KvOpKind, KvVerdict, KvWitnessRecord};
+use pstack_verify::{check_kv, KvHistory, KvVerdict};
+
+use crate::sharded_kv_campaign::{generate_kv_ops, serve_registry, HarnessGets};
 
 /// Configuration of one KV crash campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,78 +257,21 @@ impl KvCampaignReport {
     }
 }
 
+/// The campaign's persistent root (in the runtime's user scratch): the
+/// bases of the KV heap, the store and its request table.
 const ROOT_OFF: u64 = 64;
 
-fn write_root(pmem: &PMem, store_base: POffset, table_base: POffset) -> Result<(), PError> {
-    pmem.write_u64(POffset::new(ROOT_OFF), store_base.get())?;
-    pmem.write_u64(POffset::new(ROOT_OFF + 8), table_base.get())?;
-    pmem.flush(POffset::new(ROOT_OFF), 16)?;
-    Ok(())
-}
-
-fn build_registry(
-    pmem: &PMem,
-    variant: KvVariant,
-) -> Result<(FunctionRegistry, PKvStore, KvOpTable), PError> {
-    let store_base = POffset::new(pmem.read_u64(POffset::new(ROOT_OFF))?);
-    let table_base = POffset::new(pmem.read_u64(POffset::new(ROOT_OFF + 8))?);
-    let store = PKvStore::open(pmem.clone(), store_base, variant)?;
-    let table = KvOpTable::open(pmem.clone(), table_base)?;
-    let mut registry = FunctionRegistry::new();
-    registry.register(
-        KV_TASK_FUNC_ID,
-        KvTaskFunction::new(store.clone(), table.clone()).into_arc(),
-    )?;
-    Ok((registry, store, table))
-}
-
-/// Builds the verifier history from the quiescent table and store.
-pub(crate) fn build_kv_history(store: &PKvStore, table: &KvOpTable) -> Result<KvHistory, PError> {
-    let chains: Vec<Vec<KvWitnessRecord>> = store
-        .snapshot()?
-        .into_iter()
-        .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-        .collect();
-
-    let mut ops = Vec::with_capacity(table.len());
-    for idx in 0..table.len() {
-        let answer = table.result(idx)?.ok_or_else(|| {
-            PError::Task(format!(
-                "descriptor {idx} still pending; campaign incomplete"
-            ))
-        })?;
-        let pid = u64::from(answer.executor);
-        let seq = idx as u64 + 1;
-        let (kind, key, value, expected, ans) = match (table.op(idx)?, answer.result) {
-            (KvTaskOp::Put { key, value }, KvTaskResult::Stored(ok)) => {
-                (KvOpKind::Put, key, value, 0, KvAnswer::Stored(ok))
-            }
-            (KvTaskOp::Get { key }, KvTaskResult::Got(v)) => {
-                (KvOpKind::Get, key, 0, 0, KvAnswer::Got(v))
-            }
-            (KvTaskOp::Delete { key }, KvTaskResult::Deleted(ok)) => {
-                (KvOpKind::Delete, key, 0, 0, KvAnswer::Deleted(ok))
-            }
-            (KvTaskOp::Cas { key, expected, new }, KvTaskResult::Swapped(ok)) => {
-                (KvOpKind::Cas, key, new, expected, KvAnswer::Swapped(ok))
-            }
-            (op, res) => {
-                return Err(PError::Task(format!(
-                    "descriptor {idx}: answer {res:?} does not match op {op:?}"
-                )))
-            }
-        };
-        ops.push(KvOp {
-            pid,
-            seq,
-            kind,
-            key,
-            value,
-            expected,
-            answer: ans,
-        });
-    }
-    Ok(KvHistory { ops, chains })
+/// Re-attaches the executor to the current boot's region from the
+/// persisted root: the store wrapped as a one-shard stripe, beside its
+/// preloaded table.
+fn attach_exec(pmem: &PMem, variant: KvVariant) -> Result<KvServeFunction, PError> {
+    let root =
+        |i: u64| Ok::<_, PError>(POffset::new(pmem.read_u64(POffset::new(ROOT_OFF + 8 * i))?));
+    let heap = PHeap::open(pmem.clone(), root(0)?)?;
+    let store = PKvStore::open(pmem.clone(), root(1)?, variant)?;
+    let table = KvRequestTable::open(pmem.clone(), root(2)?)?;
+    let store = ShardedKvStore::from_parts(vec![store], vec![heap])?;
+    Ok(KvServeFunction::new(store, vec![table]))
 }
 
 /// Runs one full KV crash campaign (the §5.2 loop with the KV store as
@@ -362,29 +306,16 @@ fn run_kv_campaign_inner(cfg: &KvCampaignConfig) -> Result<KvCampaignReport, PEr
     let (lo, hi) = cfg.value_range;
     assert!(lo <= hi, "empty value range");
     assert!(cfg.key_space > 0, "empty key space");
-    let (p_put, p_get, p_del) = cfg.op_mix;
-    let ops: Vec<KvTaskOp> = (0..cfg.n_ops)
-        .map(|_| {
-            let key = rng.random_range(0..cfg.key_space);
-            let roll: f64 = rng.random();
-            if roll < p_put {
-                KvTaskOp::Put {
-                    key,
-                    value: rng.random_range(lo..=hi),
-                }
-            } else if roll < p_put + p_get {
-                KvTaskOp::Get { key }
-            } else if roll < p_put + p_get + p_del {
-                KvTaskOp::Delete { key }
-            } else {
-                KvTaskOp::Cas {
-                    key,
-                    expected: rng.random_range(lo..=hi),
-                    new: rng.random_range(lo..=hi),
-                }
-            }
-        })
-        .collect();
+    let ops = generate_kv_ops(
+        cfg.n_ops,
+        cfg.key_space,
+        cfg.value_range,
+        cfg.op_mix,
+        &mut rng,
+    );
+    // A static workload is a preloaded request table; its reads stay
+    // with the harness.
+    let (mutations, mut gets) = HarnessGets::split(&ops);
     // Each descriptor consumes at most one published slot, every crash
     // can orphan up to one reserved slot per in-flight worker, and
     // precondition-fail retries can orphan one more per execution
@@ -410,30 +341,47 @@ fn run_kv_campaign_inner(cfg: &KvCampaignConfig) -> Result<KvCampaignReport, PEr
             .stack_capacity(8 * 1024),
         &stub,
     )?;
-    let store = PKvStore::format(pmem.clone(), rt.heap(), nbuckets, log_cap, cfg.variant)?;
-    let table = KvOpTable::format(pmem.clone(), rt.heap(), &ops)?;
-    write_root(&pmem, store.base(), table.base())?;
+    // The store and its table get a heap of their own, carved out of
+    // the runtime's: the executor re-opens it every boot, and a second
+    // handle on the runtime's own heap would keep a second, diverging
+    // block map.
+    let kv_heap_len = PKvStore::required_len(nbuckets, log_cap)
+        + KvRequestTable::required_len(mutations.len().max(1) as u32)
+        + 4096;
+    let kv_heap_base = rt.heap().alloc_aligned(kv_heap_len, 64)?;
+    let kv_heap = PHeap::format(pmem.clone(), kv_heap_base, kv_heap_len as u64)?;
+    let store = PKvStore::format(pmem.clone(), &kv_heap, nbuckets, log_cap, cfg.variant)?;
+    let store_base = store.base();
+    let exec = KvServeFunction::preload(
+        ShardedKvStore::from_parts(vec![store], vec![kv_heap])?,
+        &mutations,
+    )?;
+    for (i, base) in [kv_heap_base, store_base, exec.tables()[0].base()]
+        .into_iter()
+        .enumerate()
+    {
+        pmem.write_u64(POffset::new(ROOT_OFF + 8 * i as u64), base.get())?;
+    }
+    pmem.flush(POffset::new(ROOT_OFF), 24)?;
 
     let mut rounds = 0usize;
     let mut crashes = 0usize;
     let mut recovery_crashes = 0usize;
     let mut recovered_frames = 0usize;
 
-    loop {
+    let exec = loop {
         rounds += 1;
-        let (registry, _, table) = build_registry(&pmem, cfg.variant)?;
-        let rt = Runtime::open(pmem.clone(), &registry)?;
+        let exec = attach_exec(&pmem, cfg.variant)?;
+        let rt = Runtime::open(pmem.clone(), &serve_registry(&exec)?)?;
 
-        // Step 3/7: enqueue the remaining descriptors in random order.
-        let mut pending = table.pending()?;
-        if pending.is_empty() {
-            break;
+        // Step 3/7: enqueue the remaining descriptors in random order,
+        // each a window of one; the harness's reads go between rounds.
+        let mut tasks = exec.pending_tasks(1)?;
+        gets.answer_between_rounds(exec.store(), tasks.is_empty())?;
+        if tasks.is_empty() {
+            break exec;
         }
-        pending.shuffle(&mut rng);
-        let tasks: Vec<Task> = pending
-            .iter()
-            .map(|&i| Task::new(KV_TASK_FUNC_ID, (i as u64).to_le_bytes().to_vec()))
-            .collect();
+        tasks.shuffle(&mut rng);
 
         // Step 5: arm the kill at a random flush boundary — while the
         // crash budget lasts.
@@ -455,8 +403,8 @@ fn run_kv_campaign_inner(cfg: &KvCampaignConfig) -> Result<KvCampaignReport, PEr
             pmem.reopen()?
         };
         loop {
-            let (registry, _, _) = build_registry(&pmem, cfg.variant)?;
-            let rt = Runtime::open(pmem.clone(), &registry)?;
+            let exec = attach_exec(&pmem, cfg.variant)?;
+            let rt = Runtime::open(pmem.clone(), &serve_registry(&exec)?)?;
             if crashes + recovery_crashes < cfg.max_crashes * 2
                 && rng.random_bool(cfg.recovery_crash_prob)
             {
@@ -479,12 +427,17 @@ fn run_kv_campaign_inner(cfg: &KvCampaignConfig) -> Result<KvCampaignReport, PEr
                 Err(e) => return Err(e),
             }
         }
-    }
+    };
 
     // Step 9: answers, chain witness, linearizability.
-    let (_, store, table) = build_registry(&pmem, cfg.variant)?;
-    let history = build_kv_history(&store, &table)?;
+    let mut history = exec.history()?;
+    history.ops.extend(gets.done);
+    let history = KvHistory {
+        ops: history.ops,
+        chains: history.shards.swap_remove(0),
+    };
     let verdict = check_kv(&history);
+    let store = exec.store().shard(0);
     Ok(KvCampaignReport {
         rounds,
         crashes,

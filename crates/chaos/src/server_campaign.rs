@@ -39,21 +39,16 @@ use pstack_core::{
     CrashRegion, CrashSite, FunctionRegistry, PError, RecoveryMode, RuntimeConfig, StripedRuntime,
 };
 use pstack_kv::{shard_of, KvRequestTable, KvTaskOp, KvVariant, ShardedKvStore};
-use pstack_nvram::{
-    FailPlan, PMem, PMemBuilder, PMemStripe, POffset, PsanViolation, StatsSnapshot,
-};
+use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, PsanViolation, StatsSnapshot};
 use pstack_server::proto::{kind_of, RequestBody, Response};
 use pstack_server::{
     ChannelConn, ChannelHub, ClientConfig, ClientSim, ClientStats, Clock, KvServeFunction, OpClass,
-    ServerCore, Submission, VirtualClock, KV_SERVE_FUNC_ID,
+    ServerCore, Submission, VirtualClock,
 };
 use pstack_telemetry::{TelemetrySummary, TraceSession};
 use pstack_verify::{check_kv_sharded_gen, KvShardedHistory, KvVerdict, KvWitnessRecord};
 
-/// Where each shard region persists its request-table base: inside the
-/// 64-byte shard root, past the store's own offsets and past the task
-/// table's slot at `TABLE_ROOT_OFF` (40).
-pub(crate) const SERVE_TABLE_ROOT_OFF: u64 = 48;
+use crate::sharded_kv_campaign::{attach_exec, persist_table_roots, serve_registry};
 
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 const RECOVERY_SALT: u64 = 0xD134_2543_DE82_EF95;
@@ -277,18 +272,6 @@ impl ServerCampaignReport {
         }
         out
     }
-}
-
-/// Opens the per-shard request tables from their persisted roots.
-fn open_req_tables(stripe: &PMemStripe) -> Result<Vec<KvRequestTable>, PError> {
-    (0..stripe.len())
-        .map(|s| {
-            let base = stripe
-                .region(s)
-                .read_u64(POffset::new(SERVE_TABLE_ROOT_OFF))?;
-            KvRequestTable::open(stripe.region(s).clone(), POffset::new(base))
-        })
-        .collect()
 }
 
 /// What ended one boot of the serving stack.
@@ -521,16 +504,10 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
         .build_striped(cfg.shards);
     {
         let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
-        for s in 0..cfg.shards {
-            let table =
-                KvRequestTable::format(stripe.region(s).clone(), store.heap(s), cfg.table_cap)?;
-            stripe
-                .region(s)
-                .write_u64(POffset::new(SERVE_TABLE_ROOT_OFF), table.base().get())?;
-            stripe
-                .region(s)
-                .flush(POffset::new(SERVE_TABLE_ROOT_OFF), 8)?;
-        }
+        let tables = (0..cfg.shards)
+            .map(|s| KvRequestTable::format(stripe.region(s).clone(), store.heap(s), cfg.table_cap))
+            .collect::<Result<Vec<_>, _>>()?;
+        persist_table_roots(&stripe, &tables)?;
     }
     let mut control = PMemBuilder::new()
         .len(cfg.control_region_len)
@@ -548,31 +525,16 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
 
     // The boot-time registry builder: the serve function re-attached to
     // the freshly opened store and tables.
-    let make_registry =
-        |store: &ShardedKvStore, tables: &[KvRequestTable]| -> Result<FunctionRegistry, PError> {
-            let mut registry = FunctionRegistry::new();
-            registry.register(
-                KV_SERVE_FUNC_ID,
-                KvServeFunction::new(store.clone(), tables.to_vec()).into_arc(),
-            )?;
-            Ok(registry)
-        };
     let attach = |control: &PMem,
                   stripe: &PMemStripe|
-     -> Result<(ShardedKvStore, KvServeFunction, StripedRuntime), PError> {
-        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        let tables = open_req_tables(stripe)?;
-        let registry = make_registry(&store, &tables)?;
-        let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry)?;
-        let exec = KvServeFunction::new(store.clone(), tables);
-        Ok((store, exec, rt))
+     -> Result<(KvServeFunction, StripedRuntime), PError> {
+        let exec = attach_exec(stripe, cfg.variant)?;
+        let rt = StripedRuntime::open(control.clone(), stripe.clone(), &serve_registry(&exec)?)?;
+        Ok((exec, rt))
     };
     let reboot = |rt: &StripedRuntime| -> Result<(PMem, PMemStripe), PError> {
-        let next = rt.reopen_all_with(|_, stripe| {
-            let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-            let tables = open_req_tables(stripe)?;
-            make_registry(&store, &tables)
-        })?;
+        let next =
+            rt.reopen_all_with(|_, stripe| serve_registry(&attach_exec(stripe, cfg.variant)?))?;
         Ok((next.control().clone(), next.stripe().clone()))
     };
 
@@ -608,7 +570,8 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
 
     loop {
         boots += 1;
-        let (store, exec, rt) = attach(&control, &stripe)?;
+        let (exec, rt) = attach(&control, &stripe)?;
+        let store = exec.store().clone();
         let rt = rt.crash_seed(cfg.seed ^ (boots as u64).wrapping_mul(PHI));
         // The front end is rebuilt every boot: queues are volatile by
         // design, and the clients' retries re-drive anything lost.
@@ -716,7 +679,7 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
                 // Stack-driven recovery, possibly killed mid-pass:
                 // reopen and retry until one pass completes.
                 loop {
-                    let (store, _exec, rt) = attach(&control, &stripe)?;
+                    let (exec, rt) = attach(&control, &stripe)?;
                     let rt = rt.crash_seed(
                         cfg.seed ^ (recovery_crashes as u64 + 1).wrapping_mul(RECOVERY_SALT),
                     );
@@ -736,7 +699,7 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
                             stripe.region(target).arm_failpoint(plan);
                         }
                     }
-                    let prelude_store = store.clone();
+                    let prelude_store = exec.store().clone();
                     let result = rt.recover_with(RecoveryMode::Parallel, |shard, _region| {
                         // Per-shard evidence fan-out before any frame
                         // replays — the witness the recover duals' tag

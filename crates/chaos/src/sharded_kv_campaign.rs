@@ -22,24 +22,22 @@ use pstack_core::{
     CrashRegion, CrashSite, FunctionRegistry, PError, RecoveryMode, RuntimeConfig, StripedRuntime,
 };
 use pstack_kv::{
-    shard_of, KvBatchOp, KvOpTable, KvTaskOp, KvTaskResult, KvVariant, PKvStore, ShardedKvStore,
-    ShardedKvTaskFunction, KV_SHARDED_FUNC_ID,
+    shard_of, KvRequestTable, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore,
+    KV_SERVE_FUNC_ID,
 };
 use pstack_nvram::{
     FailPlan, PMem, PMemBuilder, PMemStripe, POffset, PsanViolation, StatsSnapshot,
 };
-use pstack_verify::{
-    check_kv_sharded_gen, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvVerdict, KvWitnessRecord,
-};
+use pstack_verify::{check_kv_sharded_gen, KvOp, KvShardedHistory, KvVerdict};
 
 use pstack_telemetry::{TelemetrySummary, TraceSession};
 use std::time::{Duration, Instant};
 
 use crate::kv_campaign::ShardLogUsage;
 
-/// Where each shard region persists its descriptor-table base (inside
-/// the 64-byte shard root, past the offsets the store itself uses).
-pub(crate) const TABLE_ROOT_OFF: u64 = 40;
+/// Where each shard region persists its request-table base (inside the
+/// 64-byte shard root, past the offsets the store itself uses).
+const SERVE_TABLE_ROOT_OFF: u64 = 48;
 
 /// Configuration of one sharded KV crash campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -337,182 +335,183 @@ pub(crate) fn generate_kv_ops(
         .collect()
 }
 
+/// The reads of a static workload. Reads are never descriptors — the
+/// one read path is [`ShardedKvStore::get_durable`] — so a campaign
+/// answers its gets itself, between windows, and keeps the answers in
+/// its volatile history exactly as the serving campaign keeps its
+/// clients' histories. A get that meets a dead region stays on the list
+/// and is asked again next boot.
+#[derive(Debug, Default)]
+pub(crate) struct HarnessGets {
+    /// `(tag, key)` of every get still to ask.
+    todo: Vec<(u64, u64)>,
+    /// The gets answered so far, in the verifier's shape.
+    pub(crate) done: Vec<KvOp>,
+}
+
+/// The `pid` half of a harness get's tag: no descriptor uses it (a
+/// preloaded descriptor's pid is its shard + 1).
+const GET_PID: u64 = 0;
+
+impl HarnessGets {
+    /// Splits a generated workload into the mutations to preload and
+    /// the gets the harness keeps (tagged by workload position).
+    pub(crate) fn split(ops: &[KvTaskOp]) -> (Vec<KvTaskOp>, HarnessGets) {
+        let mut gets = HarnessGets::default();
+        let mut mutations = Vec::with_capacity(ops.len());
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                KvTaskOp::Get { key } => gets.todo.push((i as u64 + 1, key)),
+                op => mutations.push(op),
+            }
+        }
+        (mutations, gets)
+    }
+
+    /// The same gets, one list per home shard (for drives whose shards
+    /// are owned by different threads).
+    pub(crate) fn per_shard(self, nshards: usize) -> Vec<HarnessGets> {
+        let mut out: Vec<HarnessGets> = (0..nshards).map(|_| HarnessGets::default()).collect();
+        for (tag, key) in self.todo {
+            out[shard_of(key, nshards)].todo.push((tag, key));
+        }
+        out
+    }
+
+    /// Gets still to ask.
+    pub(crate) fn outstanding(&self) -> usize {
+        self.todo.len()
+    }
+
+    /// The reads of a drive whose rounds run to completion: between
+    /// rounds, half of what is outstanding — so the gets observe the
+    /// store as each crash and recovery left it — and all of it once
+    /// no descriptor is pending (`quiescent`).
+    ///
+    /// # Errors
+    ///
+    /// As [`HarnessGets::answer`].
+    pub(crate) fn answer_between_rounds(
+        &mut self,
+        store: &ShardedKvStore,
+        quiescent: bool,
+    ) -> Result<(), PError> {
+        let outstanding = self.outstanding();
+        let share = if quiescent {
+            outstanding
+        } else {
+            outstanding.div_ceil(2)
+        };
+        self.answer(store, share)
+    }
+
+    /// Asks up to `n` of the outstanding gets.
+    ///
+    /// # Errors
+    ///
+    /// The first NVRAM error (a crash leaves that get outstanding).
+    pub(crate) fn answer(&mut self, store: &ShardedKvStore, n: usize) -> Result<(), PError> {
+        for _ in 0..n.min(self.todo.len()) {
+            let &(tag, key) = self.todo.last().expect("bounded by the list");
+            let got = KvTaskResult::Got(store.get_durable(key)?);
+            self.todo.pop();
+            self.done
+                .push(KvTaskOp::Get { key }.observed(GET_PID, tag, got));
+        }
+        Ok(())
+    }
+}
+
 /// Runs the pending descriptors of one shard for one round (bounded to
 /// `limit` descriptors when given — the compaction campaign bounds
 /// rounds so headroom checks interleave with traffic). Returns `true`
 /// if the shard's region crashed mid-round.
 ///
-/// Gets resolve immediately; mutations collect into chunks that go
-/// through the shard's group commit — `apply_batch` in a normal round,
-/// its recovery dual `recover_batch` (evidence scans first, one group
-/// commit for the re-executions) after any crash — so kills land
-/// inside real multi-op batch windows in *both* kinds of round. Each
-/// chunk's answers persist with one coalesced `mark_done_batch`. An
-/// eager stripe degenerates to per-op durability inside the same
-/// structure.
-#[allow(clippy::too_many_arguments)] // an internal drive helper, not an API
+/// The pending slots are shuffled and chunked into windows that go
+/// through the one executor — a group commit in a normal round, the
+/// evidence-scanning recovery dual after any crash — so kills land
+/// inside real multi-op batch windows in *both* kinds of round. Before
+/// each window the harness asks a proportional share of the shard's
+/// gets, so reads observe the store between windows for as long as
+/// there are windows. An eager stripe degenerates to per-op durability
+/// inside the same structure.
 pub(crate) fn run_shard_round(
-    store: &ShardedKvStore,
+    exec: &KvServeFunction,
     shard: usize,
-    table: &KvOpTable,
     batch_size: usize,
     recovery: bool,
     rng: &mut SmallRng,
     limit: Option<usize>,
-    mutators: usize,
+    gets: &mut HarnessGets,
 ) -> Result<bool, PError> {
-    let crashed = |e: &PError| e.is_crash();
-    let mut pending = table.pending()?;
+    let mut pending = exec.tables()[shard].pending_slots()?;
     pending.shuffle(rng);
-    if let Some(limit) = limit {
-        pending.truncate(limit);
+    let mut remaining = pending.len();
+    pending.truncate(limit.unwrap_or(remaining));
+    let mut round = || -> Result<(), PError> {
+        for slots in pending.chunks(batch_size.max(1)) {
+            let share = (gets.outstanding() * slots.len()).div_ceil(remaining);
+            remaining -= slots.len();
+            gets.answer(exec.store(), share)?;
+            exec.execute_window(shard as u32, slots, recovery, shard as u32)?;
+        }
+        if remaining == 0 {
+            gets.answer(exec.store(), usize::MAX)?; // a shard with reads only
+        }
+        Ok(())
+    };
+    match round() {
+        Ok(()) => Ok(false),
+        Err(e) if e.is_crash() => Ok(true),
+        Err(e) => Err(e),
     }
-    let pid = shard as u64;
-    let pstore = store.shard(shard);
-
-    for chunk in pending.chunks(batch_size.max(1)) {
-        let mut answers: Vec<(usize, u32, KvTaskResult)> = Vec::new();
-        let mut batch: Vec<(usize, KvBatchOp)> = Vec::new();
-        for &idx in chunk {
-            let seq = ShardedKvTaskFunction::seq_of(shard as u32, idx);
-            let mut step = || -> Result<(), PError> {
-                match table.op(idx)? {
-                    KvTaskOp::Get { key } => {
-                        let got = pstore.get(key)?;
-                        answers.push((idx, pid as u32, KvTaskResult::Got(got)));
-                    }
-                    KvTaskOp::Put { key, value } => batch.push((
-                        idx,
-                        KvBatchOp::Put {
-                            pid,
-                            seq,
-                            key,
-                            value,
-                        },
-                    )),
-                    KvTaskOp::Delete { key } => {
-                        batch.push((idx, KvBatchOp::Delete { pid, seq, key }));
-                    }
-                    KvTaskOp::Cas { key, expected, new } => batch.push((
-                        idx,
-                        KvBatchOp::Cas {
-                            pid,
-                            seq,
-                            key,
-                            expected,
-                            new,
-                        },
-                    )),
-                }
-                Ok(())
-            };
-            match step() {
-                Ok(()) => {}
-                Err(e) if crashed(&e) => return Ok(true),
-                Err(e) => return Err(e),
-            }
-        }
-        // The batch window. Recovery passes always run the quiesced
-        // evidence-scanning duals; live passes either group-commit the
-        // chunk or fan it out over `mutators` lock-free threads, whose
-        // reserve → persist → publish steps the armed fail-point
-        // countdowns land between.
-        if !batch.is_empty() {
-            let ops: Vec<KvBatchOp> = batch.iter().map(|&(_, op)| op).collect();
-            let result: Result<Vec<bool>, PError> = if recovery {
-                pstore
-                    .recover_batch(&ops)
-                    .map(|o| o.iter().map(|a| a.took_effect()).collect())
-            } else if mutators > 1 {
-                apply_lock_free(pstore, &ops, mutators)
-            } else {
-                pstore
-                    .apply_batch(&ops)
-                    .map(|o| o.iter().map(|a| a.took_effect()).collect())
-            };
-            let effects = match result {
-                Ok(effects) => effects,
-                Err(e) if crashed(&e) => return Ok(true),
-                Err(e) => return Err(e),
-            };
-            for (&(idx, op), effect) in batch.iter().zip(effects) {
-                let result = match op {
-                    KvBatchOp::Put { .. } => KvTaskResult::Stored(effect),
-                    KvBatchOp::Delete { .. } => KvTaskResult::Deleted(effect),
-                    KvBatchOp::Cas { .. } => KvTaskResult::Swapped(effect),
-                };
-                answers.push((idx, pid as u32, result));
-            }
-        }
-        match table.mark_done_batch(&answers) {
-            Ok(()) => {}
-            Err(e) if crashed(&e) => return Ok(true),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(false)
 }
 
-/// Applies one chunk's mutations with `mutators` concurrent threads,
-/// each through the shard's lock-free detectable-publication path. A
-/// crash in any thread surfaces as the first error; outcomes come back
-/// in op order.
-fn apply_lock_free(
-    store: &PKvStore,
-    ops: &[KvBatchOp],
-    mutators: usize,
-) -> Result<Vec<bool>, PError> {
-    let mut effects = vec![false; ops.len()];
-    let results: Vec<Result<Vec<(usize, bool)>, PError>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..mutators.min(ops.len()))
-            .map(|m| {
-                let st = store.clone();
-                sc.spawn(move || -> Result<Vec<(usize, bool)>, PError> {
-                    (m..ops.len())
-                        .step_by(mutators)
-                        .map(|i| {
-                            let ok = match ops[i] {
-                                KvBatchOp::Put {
-                                    pid,
-                                    seq,
-                                    key,
-                                    value,
-                                } => st.put(pid, seq, key, value)?,
-                                KvBatchOp::Delete { pid, seq, key } => st.delete(pid, seq, key)?,
-                                KvBatchOp::Cas {
-                                    pid,
-                                    seq,
-                                    key,
-                                    expected,
-                                    new,
-                                } => st.cas(pid, seq, key, expected, new)?,
-                            };
-                            Ok((i, ok))
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard mutator panicked"))
-            .collect()
-    });
-    for r in results {
-        for (i, ok) in r? {
-            effects[i] = ok;
-        }
+/// Persists each shard's request-table base in its region's root.
+pub(crate) fn persist_table_roots(
+    stripe: &PMemStripe,
+    tables: &[KvRequestTable],
+) -> Result<(), PError> {
+    for (s, table) in tables.iter().enumerate() {
+        let root = POffset::new(SERVE_TABLE_ROOT_OFF);
+        stripe.region(s).write_u64(root, table.base().get())?;
+        stripe.region(s).flush(root, 8)?;
     }
-    Ok(effects)
+    Ok(())
 }
 
-pub(crate) fn open_tables(stripe: &PMemStripe) -> Result<Vec<KvOpTable>, PError> {
-    (0..stripe.len())
+/// Re-attaches the store and the per-shard request tables (from their
+/// persisted roots) to the current boot's regions.
+pub(crate) fn attach_exec(
+    stripe: &PMemStripe,
+    variant: KvVariant,
+) -> Result<KvServeFunction, PError> {
+    let store = ShardedKvStore::open(stripe.regions(), variant)?;
+    let tables = (0..stripe.len())
         .map(|s| {
-            let base = stripe.region(s).read_u64(POffset::new(TABLE_ROOT_OFF))?;
-            KvOpTable::open(stripe.region(s).clone(), POffset::new(base))
+            let region = stripe.region(s);
+            let base = region.read_u64(POffset::new(SERVE_TABLE_ROOT_OFF))?;
+            KvRequestTable::open(region.clone(), POffset::new(base))
         })
-        .collect()
+        .collect::<Result<Vec<_>, PError>>()?;
+    Ok(KvServeFunction::new(store, tables))
+}
+
+/// The registry of one boot: the executor under its function id.
+pub(crate) fn serve_registry(exec: &KvServeFunction) -> Result<FunctionRegistry, PError> {
+    let mut registry = FunctionRegistry::new();
+    registry.register(KV_SERVE_FUNC_ID, exec.clone().into_arc())?;
+    Ok(registry)
+}
+
+/// `true` once every descriptor is answered.
+pub(crate) fn all_answered(exec: &KvServeFunction) -> Result<bool, PError> {
+    for table in exec.tables() {
+        if !table.pending_slots()?.is_empty() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// Crash/recover bookkeeping shared by both drive modes.
@@ -529,16 +528,18 @@ struct CampaignTally {
     psan_violations: Vec<PsanViolation>,
 }
 
-/// Builds the final report from a quiescent store (every descriptor
-/// answered) and the campaign tally.
+/// Builds the final report from a quiescent system (every descriptor
+/// answered, every get asked) and the campaign tally.
 fn finalize_report(
     cfg: &ShardedKvCampaignConfig,
-    store: &ShardedKvStore,
-    tables: &[KvOpTable],
+    exec: &KvServeFunction,
+    gets: impl IntoIterator<Item = HarnessGets>,
     tally: CampaignTally,
     mutations: usize,
 ) -> Result<ShardedKvCampaignReport, PError> {
-    let history = build_sharded_history(store, tables)?;
+    let store = exec.store();
+    let mut history = exec.history()?;
+    history.ops.extend(gets.into_iter().flat_map(|g| g.done));
     let nshards = cfg.shards;
     // Shards compact independently, so the verdict checks each shard's
     // chains against that shard's real active generation.
@@ -575,66 +576,6 @@ fn finalize_report(
         recovery_durations: tally.recovery_durations,
         telemetry: None,
     })
-}
-
-/// Builds the verifier history from the quiescent per-shard tables and
-/// the sharded store's chain witnesses.
-pub(crate) fn build_sharded_history(
-    store: &ShardedKvStore,
-    tables: &[KvOpTable],
-) -> Result<KvShardedHistory, PError> {
-    let shards: Vec<Vec<Vec<KvWitnessRecord>>> = store
-        .snapshot_sharded()?
-        .into_iter()
-        .map(|chains| {
-            chains
-                .into_iter()
-                .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-                .collect()
-        })
-        .collect();
-
-    let mut ops = Vec::new();
-    for (s, table) in tables.iter().enumerate() {
-        for idx in 0..table.len() {
-            let answer = table.result(idx)?.ok_or_else(|| {
-                PError::Task(format!(
-                    "shard {s} descriptor {idx} still pending; campaign incomplete"
-                ))
-            })?;
-            let pid = u64::from(answer.executor);
-            let seq = ShardedKvTaskFunction::seq_of(s as u32, idx);
-            let (kind, key, value, expected, ans) = match (table.op(idx)?, answer.result) {
-                (KvTaskOp::Put { key, value }, KvTaskResult::Stored(ok)) => {
-                    (KvOpKind::Put, key, value, 0, KvAnswer::Stored(ok))
-                }
-                (KvTaskOp::Get { key }, KvTaskResult::Got(v)) => {
-                    (KvOpKind::Get, key, 0, 0, KvAnswer::Got(v))
-                }
-                (KvTaskOp::Delete { key }, KvTaskResult::Deleted(ok)) => {
-                    (KvOpKind::Delete, key, 0, 0, KvAnswer::Deleted(ok))
-                }
-                (KvTaskOp::Cas { key, expected, new }, KvTaskResult::Swapped(ok)) => {
-                    (KvOpKind::Cas, key, new, expected, KvAnswer::Swapped(ok))
-                }
-                (op, res) => {
-                    return Err(PError::Task(format!(
-                        "shard {s} descriptor {idx}: answer {res:?} does not match op {op:?}"
-                    )))
-                }
-            };
-            ops.push(KvOp {
-                pid,
-                seq,
-                kind,
-                key,
-                value,
-                expected,
-                answer: ans,
-            });
-        }
-    }
-    Ok(KvShardedHistory { ops, shards })
 }
 
 /// Runs one full sharded KV crash campaign: stripe the store over
@@ -686,14 +627,9 @@ fn run_sharded_kv_campaign_inner(
 
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let ops = generate_ops(cfg, &mut rng);
-    let mutations = ops
-        .iter()
-        .filter(|op| !matches!(op, KvTaskOp::Get { .. }))
-        .count();
-
-    // Partition by home shard; idle shards get a no-op get on a key
-    // they own, so every table is non-empty.
-    let per_shard = ShardedKvTaskFunction::partition_ops_padded(&ops, cfg.shards);
+    // A static workload is a preloaded request table; its reads stay
+    // with the harness.
+    let (mutations, gets) = HarnessGets::split(&ops);
 
     // Provision each shard's log: every descriptor at most one
     // published slot, plus crash orphans (at most one staged batch per
@@ -701,7 +637,11 @@ fn run_sharded_kv_campaign_inner(
     // runtime-driven mode, where several workers may run windows of
     // the same shard concurrently), plus retry slack. The runtime mode
     // also spends its crash budget twice (run kills + recovery kills).
-    let max_shard_ops = per_shard.iter().map(Vec::len).max().unwrap_or(1) as u64;
+    let mut shard_ops = vec![0u64; cfg.shards];
+    for op in &ops {
+        shard_ops[shard_of(op.key(), cfg.shards)] += 1;
+    }
+    let max_shard_ops = shard_ops.into_iter().max().unwrap_or(0).max(1);
     let batch = cfg.group_commit.unwrap_or(1).max(1);
     let orphan_sources = if cfg.runtime_driven {
         cfg.workers as u64 * 2
@@ -720,19 +660,16 @@ fn run_sharded_kv_campaign_inner(
     let mut stripe = builder.build_striped(cfg.shards);
     {
         let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
-        for (s, shard_ops) in per_shard.iter().enumerate() {
-            let table = KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops)?;
-            stripe
-                .region(s)
-                .write_u64(POffset::new(TABLE_ROOT_OFF), table.base().get())?;
-            stripe.region(s).flush(POffset::new(TABLE_ROOT_OFF), 8)?;
-        }
+        let exec = KvServeFunction::preload(store, &mutations)?;
+        persist_table_roots(&stripe, exec.tables())?;
     }
+    let mutations = mutations.len();
 
     if cfg.runtime_driven {
-        return drive_with_runtime(cfg, stripe, mutations, rng, batch);
+        return drive_with_runtime(cfg, stripe, gets, mutations, rng, batch);
     }
 
+    let mut gets = gets.per_shard(cfg.shards);
     let mut tally = CampaignTally::default();
     // Set when a crash rebooted the stripe: the next round (which
     // drives every pending descriptor through its recovery dual) is
@@ -741,15 +678,8 @@ fn run_sharded_kv_campaign_inner(
 
     loop {
         tally.rounds += 1;
-        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        let tables = open_tables(&stripe)?;
-        if tables
-            .iter()
-            .map(KvOpTable::pending)
-            .collect::<Result<Vec<_>, _>>()?
-            .iter()
-            .all(Vec::is_empty)
-        {
+        let exec = attach_exec(&stripe, cfg.variant)?.with_mutators(cfg.mutators_per_shard);
+        if all_answered(&exec)? && gets.iter().all(|g| g.outstanding() == 0) {
             // Quiescent: fold in this boot's counters and stop. The
             // sanitizer's findings survive every reopen (the shadow
             // state rides the region), so one sweep here sees them all.
@@ -758,7 +688,7 @@ fn run_sharded_kv_campaign_inner(
             }
             tally.stats = tally.stats + stripe.aggregate_stats();
             tally.psan_violations = stripe.psan_violations();
-            return finalize_report(cfg, &store, &tables, tally, mutations);
+            return finalize_report(cfg, &exec, gets, tally, mutations);
         }
 
         // Arm per-shard fail-points while the crash budget lasts. The
@@ -781,31 +711,31 @@ fn run_sharded_kv_campaign_inner(
         // dual — the per-shard evidence scans, in parallel.
         let recovery = tally.crashes > 0;
         let round_seed = cfg.seed ^ (tally.rounds as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut owned: Vec<Vec<(usize, &mut HarnessGets)>> =
+            (0..cfg.workers).map(|_| Vec::new()).collect();
+        for (s, shard_gets) in gets.iter_mut().enumerate() {
+            owned[s % cfg.workers].push((s, shard_gets));
+        }
         let crashed_flags: Vec<Result<bool, PError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|w| {
-                    let store = store.clone();
-                    let tables = &tables;
+            let handles: Vec<_> = owned
+                .into_iter()
+                .map(|shards| {
+                    let exec = &exec;
                     scope.spawn(move || {
                         let mut any_crash = false;
-                        for s in (w..cfg.shards).step_by(cfg.workers) {
+                        for (s, shard_gets) in shards {
                             let mut shard_rng = SmallRng::seed_from_u64(
                                 round_seed ^ (s as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
                             );
-                            match run_shard_round(
-                                &store,
+                            any_crash |= run_shard_round(
+                                exec,
                                 s,
-                                &tables[s],
                                 batch,
                                 recovery,
                                 &mut shard_rng,
                                 None,
-                                cfg.mutators_per_shard,
-                            ) {
-                                Ok(true) => any_crash = true,
-                                Ok(false) => {}
-                                Err(e) => return Err(e),
-                            }
+                                shard_gets,
+                            )?;
                         }
                         Ok(any_crash)
                     })
@@ -864,6 +794,7 @@ fn run_sharded_kv_campaign_inner(
 fn drive_with_runtime(
     cfg: &ShardedKvCampaignConfig,
     mut stripe: PMemStripe,
+    mut gets: HarnessGets,
     mutations: usize,
     mut rng: SmallRng,
     batch: usize,
@@ -885,66 +816,42 @@ fn drive_with_runtime(
         )?;
     }
 
-    // Builds the registry of the current boot: one task function
-    // re-attached to the freshly opened store and tables. Used both
-    // for direct opens and as the `reopen_all_with` registry builder.
-    let make_registry =
-        |store: &ShardedKvStore, tables: &[KvOpTable]| -> Result<FunctionRegistry, PError> {
-            let mut registry = FunctionRegistry::new();
-            registry.register(
-                KV_SHARDED_FUNC_ID,
-                ShardedKvTaskFunction::new(store.clone(), tables.to_vec())
-                    .with_mutators(cfg.mutators_per_shard)
-                    .into_arc(),
-            )?;
-            Ok(registry)
-        };
-    // Re-attaches store, tables, task function and runtime to the
+    // Re-attaches the executor (store + tables) and the runtime to the
     // current boot's regions.
+    let attach_exec = |stripe: &PMemStripe| -> Result<KvServeFunction, PError> {
+        Ok(attach_exec(stripe, cfg.variant)?.with_mutators(cfg.mutators_per_shard))
+    };
     let attach = |control: &PMem,
                   stripe: &PMemStripe|
-     -> Result<
-        (
-            ShardedKvStore,
-            Vec<KvOpTable>,
-            ShardedKvTaskFunction,
-            StripedRuntime,
-        ),
-        PError,
-    > {
-        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        let tables = open_tables(stripe)?;
-        let registry = make_registry(&store, &tables)?;
-        let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry)?;
-        let func = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-        Ok((store, tables, func, rt))
+     -> Result<(KvServeFunction, StripedRuntime), PError> {
+        let exec = attach_exec(stripe)?;
+        let rt = StripedRuntime::open(control.clone(), stripe.clone(), &serve_registry(&exec)?)?;
+        Ok((exec, rt))
     };
     // The multi-region boot path after a whole-system crash: reopen
     // every region together, rebuilding the registry over the fresh
-    // handles (the old task function holds dead pre-crash clones).
+    // handles (the old executor holds dead pre-crash clones).
     let reboot = |rt: &StripedRuntime| -> Result<(PMem, PMemStripe), PError> {
-        let next = rt.reopen_all_with(|_, stripe| {
-            let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-            let tables = open_tables(stripe)?;
-            make_registry(&store, &tables)
-        })?;
+        let next = rt.reopen_all_with(|_, stripe| serve_registry(&attach_exec(stripe)?))?;
         Ok((next.control().clone(), next.stripe().clone()))
     };
 
     let mut tally = CampaignTally::default();
-    let window = if cfg.group_commit.is_some() { batch } else { 1 };
 
     loop {
         tally.rounds += 1;
-        let (store, tables, func, rt) = attach(&control, &stripe)?;
+        let (exec, rt) = attach(&control, &stripe)?;
         let rt =
             rt.crash_seed(cfg.seed ^ (tally.rounds as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut tasks = func.pending_tasks(KV_SHARDED_FUNC_ID, window)?;
+        // The §5.2 re-enqueue step; the harness's reads go between
+        // rounds.
+        let mut tasks = exec.pending_tasks(batch)?;
+        gets.answer_between_rounds(exec.store(), tasks.is_empty())?;
         if tasks.is_empty() {
             tally.stats = tally.stats + stripe.aggregate_stats();
             tally.psan_violations = stripe.psan_violations();
             tally.psan_violations.extend(control.psan_violations());
-            return finalize_report(cfg, &store, &tables, tally, mutations);
+            return finalize_report(cfg, &exec, [gets], tally, mutations);
         }
         tasks.shuffle(&mut rng);
 
@@ -988,7 +895,7 @@ fn drive_with_runtime(
         // retry until a pass completes (idempotence across regions —
         // frames popped by a completed recover dual never replay).
         loop {
-            let (store, _tables, _func, rt) = attach(&control, &stripe)?;
+            let (exec, rt) = attach(&control, &stripe)?;
             let rt = rt.crash_seed(
                 cfg.seed ^ (tally.recovery_crashes as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
             );
@@ -1007,7 +914,7 @@ fn drive_with_runtime(
                     stripe.region(target).arm_failpoint(plan);
                 }
             }
-            let prelude_store = store.clone();
+            let prelude_store = exec.store().clone();
             let result = rt.recover_with(RecoveryMode::Parallel, |shard, _region| {
                 // Per-shard evidence fan-out before any frame replays:
                 // walk the shard's published chains, the witness the
@@ -1039,7 +946,7 @@ fn drive_with_runtime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_verify::check_kv_sharded;
+    use pstack_verify::{check_kv_sharded, KvAnswer, KvOpKind, KvWitnessRecord};
 
     #[test]
     fn sharded_campaign_is_linearizable_and_crashes_in_batch_windows() {
@@ -1491,25 +1398,14 @@ mod tests {
     // ---- multi-region crash-point enumeration -------------------------
 
     /// Formats a deterministic 2-shard runtime-driven system: buffered
-    /// stripe, one store + descriptor table per shard (table bases at
-    /// `TABLE_ROOT_OFF`), and a 1-worker runtime over a fresh control
-    /// region.
+    /// stripe, one store + preloaded request table per shard (table
+    /// bases in the shard roots), and a 1-worker runtime over a fresh
+    /// control region.
     fn build_enum_system(ops: &[KvTaskOp]) -> (PMem, PMemStripe) {
         let stripe = PMemBuilder::new().len(1 << 19).psan(true).build_striped(2);
         let store = ShardedKvStore::format(stripe.regions(), 8, 128, KvVariant::Nsrl).unwrap();
-        let per_shard = ShardedKvTaskFunction::partition_ops_padded(ops, 2);
-        for (s, shard_ops) in per_shard.iter().enumerate() {
-            let table =
-                KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops).unwrap();
-            stripe
-                .region(s)
-                .write_u64(POffset::new(TABLE_ROOT_OFF), table.base().get())
-                .unwrap();
-            stripe
-                .region(s)
-                .flush(POffset::new(TABLE_ROOT_OFF), 8)
-                .unwrap();
-        }
+        let exec = KvServeFunction::preload(store, ops).unwrap();
+        persist_table_roots(&stripe, exec.tables()).unwrap();
         let control = PMemBuilder::new().len(1 << 20).build_in_memory();
         let stub = FunctionRegistry::new();
         StripedRuntime::format(
@@ -1522,22 +1418,15 @@ mod tests {
         (control, stripe)
     }
 
-    /// Re-attaches store/tables/function to the current boot.
+    /// Re-attaches executor and runtime to the current boot.
     fn attach_enum_system(
         control: &PMem,
         stripe: &PMemStripe,
-    ) -> (ShardedKvStore, Vec<KvOpTable>, StripedRuntime) {
-        let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
-        let tables = open_tables(stripe).unwrap();
-        let mut registry = FunctionRegistry::new();
-        registry
-            .register(
-                KV_SHARDED_FUNC_ID,
-                ShardedKvTaskFunction::new(store.clone(), tables.clone()).into_arc(),
-            )
-            .unwrap();
+    ) -> (KvServeFunction, StripedRuntime) {
+        let exec = attach_exec(stripe, KvVariant::Nsrl).unwrap();
+        let registry = serve_registry(&exec).unwrap();
         let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry).unwrap();
-        (store, tables, rt)
+        (exec, rt)
     }
 
     /// Runs the 1-worker system to quiescence with no fail-points
@@ -1546,15 +1435,14 @@ mod tests {
     /// every key holding its submitted value.
     fn drain_and_check(control: &PMem, stripe: &PMemStripe, ops: &[KvTaskOp], label: &str) {
         for _ in 0..16 {
-            let (store, tables, rt) = attach_enum_system(control, stripe);
+            let (exec, rt) = attach_enum_system(control, stripe);
             rt.recover(RecoveryMode::Parallel).unwrap();
-            let func = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-            let tasks = func.pending_tasks(KV_SHARDED_FUNC_ID, 4).unwrap();
+            let tasks = exec.pending_tasks(4).unwrap();
             if tasks.is_empty() {
-                let history = build_sharded_history(&store, &tables).unwrap();
+                let history = exec.history().unwrap();
                 let verdict = check_kv_sharded(&history, |key| shard_of(key, 2));
                 assert!(verdict.is_linearizable(), "{label}: {verdict:?}");
-                let contents = store.contents().unwrap();
+                let contents = exec.store().contents().unwrap();
                 for op in ops {
                     if let KvTaskOp::Put { key, value } = op {
                         assert_eq!(contents.get(key), Some(value), "{label}: key {key}");
@@ -1577,8 +1465,11 @@ mod tests {
         // window, then crash the recovery pass at *every* event
         // boundary of the same region — and from each (crash-moment ×
         // recovery-step) state, recovery must converge with per-bucket
-        // all-or-nothing effects and no re-run frames.
-        let ops: Vec<KvTaskOp> = (0..8u64)
+        // all-or-nothing effects and no re-run frames. (Ten puts: a
+        // window answers with one persist, not two, so eight would walk
+        // fewer boundaries than this sweep used to — 72 crash moments
+        // and 1896 recovery steps now, 62 and 1519 before.)
+        let ops: Vec<KvTaskOp> = (0..10u64)
             .map(|key| KvTaskOp::Put {
                 key,
                 value: key as i64 + 10,
@@ -1591,9 +1482,8 @@ mod tests {
         let (control, stripe) = build_enum_system(&ops);
         let e0 = stripe.region(target).events();
         {
-            let (store, tables, rt) = attach_enum_system(&control, &stripe);
-            let func = ShardedKvTaskFunction::new(store, tables);
-            let report = rt.run_tasks(func.pending_tasks(KV_SHARDED_FUNC_ID, 4).unwrap());
+            let (exec, rt) = attach_enum_system(&control, &stripe);
+            let report = rt.run_tasks(exec.pending_tasks(4).unwrap());
             assert!(!report.crashed);
         }
         let run_events = stripe.region(target).events() - e0;
@@ -1605,12 +1495,11 @@ mod tests {
             // blamed on the armed region.
             {
                 let (control, stripe) = build_enum_system(&ops);
-                let (store, tables, rt) = attach_enum_system(&control, &stripe);
+                let (exec, rt) = attach_enum_system(&control, &stripe);
                 stripe
                     .region(target)
                     .arm_failpoint(FailPlan::after_events(k));
-                let func = ShardedKvTaskFunction::new(store, tables);
-                let report = rt.run_tasks(func.pending_tasks(KV_SHARDED_FUNC_ID, 4).unwrap());
+                let report = rt.run_tasks(exec.pending_tasks(4).unwrap());
                 assert!(report.crashed, "crash at event {k} must fire");
                 assert!(rt.all_crashed(), "event {k}: whole system down");
                 assert_eq!(
@@ -1630,12 +1519,11 @@ mod tests {
                 // (one worker, unshuffled tasks: fully deterministic).
                 let (control, stripe) = build_enum_system(&ops);
                 {
-                    let (store, tables, rt) = attach_enum_system(&control, &stripe);
+                    let (exec, rt) = attach_enum_system(&control, &stripe);
                     stripe
                         .region(target)
                         .arm_failpoint(FailPlan::after_events(k));
-                    let func = ShardedKvTaskFunction::new(store, tables);
-                    let report = rt.run_tasks(func.pending_tasks(KV_SHARDED_FUNC_ID, 4).unwrap());
+                    let report = rt.run_tasks(exec.pending_tasks(4).unwrap());
                     assert!(report.crashed);
                 }
                 let control = control.reopen().unwrap();
@@ -1647,7 +1535,7 @@ mod tests {
                 let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
                 for chains in store.snapshot_sharded().unwrap() {
                     for rec in chains.iter().flatten() {
-                        assert!(rec.key < 8, "crash {k}: phantom key {}", rec.key);
+                        assert!(rec.key < 10, "crash {k}: phantom key {}", rec.key);
                         assert_eq!(
                             rec.value,
                             rec.key as i64 + 10,
@@ -1656,7 +1544,7 @@ mod tests {
                     }
                 }
 
-                let (_, _, rt) = attach_enum_system(&control, &stripe);
+                let (_, rt) = attach_enum_system(&control, &stripe);
                 stripe
                     .region(target)
                     .arm_failpoint(FailPlan::after_events(j));

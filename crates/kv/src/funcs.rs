@@ -1,36 +1,32 @@
-//! KV workload descriptors and the recoverable function gluing the
-//! [`PKvStore`] to the persistent-stack runtime — the KV analogue of
-//! the §5.2 CAS machinery (`TaskTable` + `CasTaskFunction`) and of the
-//! queue's `QueueOpTable` + `QueueTaskFunction`.
+//! KV workload descriptors and the recoverable functions gluing the
+//! store to the persistent-stack runtime — the KV analogue of the §5.2
+//! CAS machinery (`TaskTable` + `CasTaskFunction`) and of the queue's
+//! `QueueOpTable` + `QueueTaskFunction`.
+//!
+//! There is **one** executor of KV descriptors, [`KvServeFunction`]:
+//! a batch window over the slots of a shard's [`KvRequestTable`]. The
+//! server drains admitted requests into such windows; a static workload
+//! (a campaign, a bench, a property test) is a request table preloaded
+//! with every mutation up front ([`KvServeFunction::preload`]) and
+//! re-enqueued window by window after every restart
+//! ([`KvServeFunction::pending_tasks`]) — the §5.2 loop. Reads are never
+//! descriptors: the one read path is [`ShardedKvStore::get_durable`].
 
 use std::sync::Arc;
 
 use pstack_core::{PContext, PError, RecoverableFunction, RetBytes, Task};
-use pstack_heap::PHeap;
-use pstack_nvram::{op_label, PMem, POffset};
+use pstack_nvram::op_label;
+use pstack_verify::{KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord};
 
-use crate::shard::{shard_of, ShardedKvStore};
-use crate::store::{KvBatchOp, PKvStore};
+use crate::reqtable::{split_id, KvRequestTable, ReqSubmit};
+use crate::shard::ShardedKvStore;
+use crate::store::{KvApplied, KvBatchOp, PKvStore};
 
-/// Function id under which [`KvTaskFunction`] is registered.
-pub const KV_TASK_FUNC_ID: u64 = 0x0FFD;
-
-/// Function id under which [`ShardedKvTaskFunction`] is registered.
-pub const KV_SHARDED_FUNC_ID: u64 = 0x0FFE;
+/// Function id under which [`KvServeFunction`] is registered.
+pub const KV_SERVE_FUNC_ID: u64 = 0x0FFB;
 
 /// Function id under which [`KvCompactFunction`] is registered.
 pub const KV_COMPACT_FUNC_ID: u64 = 0x0FFC;
-
-const TABLE_MAGIC: u64 = 0x5053_4B56_5441_4231; // "PSKVTAB1"
-const HEADER_LEN: u64 = 16;
-const ENTRY_STRIDE: u64 = 48;
-
-const KIND_PUT: u8 = 0;
-const KIND_GET: u8 = 1;
-const KIND_DEL: u8 = 2;
-const KIND_CAS: u8 = 3;
-
-const ST_DONE: u8 = 1;
 
 /// One KV operation descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +58,6 @@ pub enum KvTaskOp {
         new: i64,
     },
 }
-
 impl KvTaskOp {
     /// The key the operation targets (what the shard router hashes).
     #[must_use]
@@ -72,6 +67,33 @@ impl KvTaskOp {
             | KvTaskOp::Get { key }
             | KvTaskOp::Delete { key }
             | KvTaskOp::Cas { key, .. } => key,
+        }
+    }
+
+    /// The operation as the verifier sees it: tagged `(pid, seq)` and
+    /// paired with the answer it was given.
+    #[must_use]
+    pub fn observed(self, pid: u64, seq: u64, result: KvTaskResult) -> KvOp {
+        let (kind, value, expected) = match self {
+            KvTaskOp::Put { value, .. } => (KvOpKind::Put, value, 0),
+            KvTaskOp::Get { .. } => (KvOpKind::Get, 0, 0),
+            KvTaskOp::Delete { .. } => (KvOpKind::Delete, 0, 0),
+            KvTaskOp::Cas { expected, new, .. } => (KvOpKind::Cas, new, expected),
+        };
+        let answer = match result {
+            KvTaskResult::Stored(ok) => KvAnswer::Stored(ok),
+            KvTaskResult::Got(v) => KvAnswer::Got(v),
+            KvTaskResult::Deleted(ok) => KvAnswer::Deleted(ok),
+            KvTaskResult::Swapped(ok) => KvAnswer::Swapped(ok),
+        };
+        KvOp {
+            pid,
+            seq,
+            kind,
+            key: self.key(),
+            value,
+            expected,
+            answer,
         }
     }
 }
@@ -100,466 +122,84 @@ pub enum KvTaskResult {
     Swapped(bool),
 }
 
-/// A persistent table of KV operation descriptors and answers, driving
-/// re-enqueue after restarts exactly like the §5.2 CAS table.
-///
-/// # Example
-///
-/// ```
-/// use pstack_nvram::PMemBuilder;
-/// use pstack_heap::PHeap;
-/// use pstack_kv::{KvOpTable, KvTaskOp};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 14).eager_flush(true).build_in_memory();
-/// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 14)?;
-/// let ops = [KvTaskOp::Put { key: 1, value: 5 }, KvTaskOp::Get { key: 1 }];
-/// let table = KvOpTable::format(pmem, &heap, &ops)?;
-/// assert_eq!(table.pending()?, vec![0, 1]);
-/// assert_eq!(table.op(1)?, KvTaskOp::Get { key: 1 });
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct KvOpTable {
-    pmem: PMem,
-    base: POffset,
-    len: usize,
-}
+/// One drained batch window, in [`KvServeFunction::execute_windows`]'s
+/// shape: `(shard, recovery, slots)`.
+type Window = (u32, bool, Vec<u32>);
 
-impl KvOpTable {
-    /// Bytes of NVRAM needed for `n` descriptors.
-    #[must_use]
-    pub fn required_len(n: usize) -> usize {
-        (HEADER_LEN + n as u64 * ENTRY_STRIDE) as usize
-    }
-
-    /// Allocates and persists a table holding `ops`, all pending.
-    ///
-    /// # Errors
-    ///
-    /// Heap or NVRAM errors, or [`PError::InvalidConfig`] for an empty
-    /// op list.
-    pub fn format(pmem: PMem, heap: &PHeap, ops: &[KvTaskOp]) -> Result<Self, PError> {
-        if ops.is_empty() {
-            return Err(PError::InvalidConfig(
-                "KV op table needs at least one descriptor".into(),
-            ));
-        }
-        let len = Self::required_len(ops.len());
-        let base = heap.alloc_aligned(len, 64)?;
-        pmem.fill(base, 0, len)?;
-        pmem.write_u64(base, TABLE_MAGIC)?;
-        pmem.write_u64(base + 8u64, ops.len() as u64)?;
-        for (i, op) in ops.iter().enumerate() {
-            let e = Self::entry_off(base, i);
-            match *op {
-                KvTaskOp::Put { key, value } => {
-                    pmem.write_u8(e, KIND_PUT)?;
-                    pmem.write_u64(e + 8u64, key)?;
-                    pmem.write_i64(e + 16u64, value)?;
-                }
-                KvTaskOp::Get { key } => {
-                    pmem.write_u8(e, KIND_GET)?;
-                    pmem.write_u64(e + 8u64, key)?;
-                }
-                KvTaskOp::Delete { key } => {
-                    pmem.write_u8(e, KIND_DEL)?;
-                    pmem.write_u64(e + 8u64, key)?;
-                }
-                KvTaskOp::Cas { key, expected, new } => {
-                    pmem.write_u8(e, KIND_CAS)?;
-                    pmem.write_u64(e + 8u64, key)?;
-                    pmem.write_i64(e + 16u64, new)?;
-                    pmem.write_i64(e + 24u64, expected)?;
-                }
-            }
-        }
-        pmem.flush(base, len)?;
-        Ok(KvOpTable {
-            pmem,
-            base,
-            len: ops.len(),
-        })
-    }
-
-    /// Re-attaches to a table created at `base`.
-    ///
-    /// # Errors
-    ///
-    /// [`PError::CorruptStack`] on a bad magic word.
-    pub fn open(pmem: PMem, base: POffset) -> Result<Self, PError> {
-        let magic = pmem.read_u64(base)?;
-        if magic != TABLE_MAGIC {
-            return Err(PError::CorruptStack(format!(
-                "bad KV-op-table magic {magic:#x} at {base}"
-            )));
-        }
-        let len = pmem.read_u64(base + 8u64)? as usize;
-        Ok(KvOpTable { pmem, base, len })
-    }
-
-    fn entry_off(base: POffset, idx: usize) -> POffset {
-        base + (HEADER_LEN + idx as u64 * ENTRY_STRIDE)
-    }
-
-    fn entry(&self, idx: usize) -> Result<POffset, PError> {
-        if idx >= self.len {
-            return Err(PError::InvalidConfig(format!(
-                "descriptor index {idx} out of range ({} descriptors)",
-                self.len
-            )));
-        }
-        Ok(Self::entry_off(self.base, idx))
-    }
-
-    /// The table's base offset (persist it to find the table again).
-    #[must_use]
-    pub fn base(&self) -> POffset {
-        self.base
-    }
-
-    /// Number of descriptors.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the table holds no descriptors (never happens for
-    /// tables built through [`KvOpTable::format`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads descriptor `idx`'s operation.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range index or NVRAM errors.
-    pub fn op(&self, idx: usize) -> Result<KvTaskOp, PError> {
-        let e = self.entry(idx)?;
-        let key = self.pmem.read_u64(e + 8u64)?;
-        match self.pmem.read_u8(e)? {
-            KIND_PUT => Ok(KvTaskOp::Put {
-                key,
-                value: self.pmem.read_i64(e + 16u64)?,
-            }),
-            KIND_GET => Ok(KvTaskOp::Get { key }),
-            KIND_DEL => Ok(KvTaskOp::Delete { key }),
-            KIND_CAS => Ok(KvTaskOp::Cas {
-                key,
-                expected: self.pmem.read_i64(e + 24u64)?,
-                new: self.pmem.read_i64(e + 16u64)?,
-            }),
-            other => Err(PError::CorruptStack(format!(
-                "descriptor {idx} has unknown kind {other}"
-            ))),
-        }
-    }
-
-    /// Reads descriptor `idx`'s answer, if it completed.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range index, an unknown kind byte (corruption), or NVRAM
-    /// errors.
-    pub fn result(&self, idx: usize) -> Result<Option<KvTaskAnswer>, PError> {
-        let e = self.entry(idx)?;
-        if self.pmem.read_u8(e + 1u64)? != ST_DONE {
-            return Ok(None);
-        }
-        let executor = self.pmem.read_u32(e + 4u64)?;
-        let flag = self.pmem.read_u8(e + 2u64)? != 0;
-        let result = match self.pmem.read_u8(e)? {
-            KIND_PUT => KvTaskResult::Stored(flag),
-            KIND_GET => KvTaskResult::Got(if flag {
-                Some(self.pmem.read_i64(e + 32u64)?)
-            } else {
-                None
-            }),
-            KIND_DEL => KvTaskResult::Deleted(flag),
-            KIND_CAS => KvTaskResult::Swapped(flag),
-            other => {
-                return Err(PError::CorruptStack(format!(
-                    "descriptor {idx} has unknown kind {other}"
-                )))
-            }
-        };
-        Ok(Some(KvTaskAnswer { executor, result }))
-    }
-
-    /// Writes descriptor `idx`'s answer payload (volatile on a
-    /// buffered region until flushed).
-    fn write_answer(
-        &self,
-        idx: usize,
-        executor: u32,
-        result: KvTaskResult,
-    ) -> Result<POffset, PError> {
-        let e = self.entry(idx)?;
-        self.pmem.write_u32(e + 4u64, executor)?;
-        match result {
-            KvTaskResult::Stored(ok) | KvTaskResult::Deleted(ok) | KvTaskResult::Swapped(ok) => {
-                self.pmem.write_u8(e + 2u64, u8::from(ok))?;
-            }
-            KvTaskResult::Got(None) => {
-                self.pmem.write_u8(e + 2u64, 0)?;
-            }
-            KvTaskResult::Got(Some(v)) => {
-                self.pmem.write_i64(e + 32u64, v)?;
-                self.pmem.write_u8(e + 2u64, 1)?;
-            }
-        }
-        Ok(e)
-    }
-
-    /// Persists descriptor `idx`'s answer. The answer payload is
-    /// persisted before the one-byte done flag, so a crash in between
-    /// leaves the descriptor pending and recovery recomputes the
-    /// answer — the same discipline as the stack's marker flips.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range index or NVRAM errors.
-    pub fn mark_done(&self, idx: usize, executor: u32, result: KvTaskResult) -> Result<(), PError> {
-        let e = self.write_answer(idx, executor, result)?;
-        self.pmem.flush(e, ENTRY_STRIDE as usize)?;
-        self.pmem.write_u8(e + 1u64, ST_DONE)?;
-        self.pmem.flush(e + 1u64, 1)?;
-        Ok(())
-    }
-
-    /// Persists a whole batch of answers with two coalesced persists
-    /// (all payloads, then all done flags) instead of two per answer —
-    /// the answer half of the group-commit discipline. Per entry the
-    /// ordering invariant of [`KvOpTable::mark_done`] is preserved:
-    /// every payload is durable strictly before its flag, and a flag
-    /// line persists atomically with the (already durable) payload it
-    /// shares the line with — so a crash anywhere in the batch leaves
-    /// a clean mix of done and still-pending descriptors, never a
-    /// flagged descriptor with a torn answer.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range index or NVRAM errors.
-    pub fn mark_done_batch(&self, entries: &[(usize, u32, KvTaskResult)]) -> Result<(), PError> {
-        let Some(&(first, ..)) = entries.first() else {
-            return Ok(());
-        };
-        let mut lo = Self::entry_off(self.base, first).get();
-        let mut hi = lo;
-        for &(idx, executor, result) in entries {
-            let e = self.write_answer(idx, executor, result)?;
-            lo = lo.min(e.get());
-            hi = hi.max(e.get());
-        }
-        let span = (hi - lo + ENTRY_STRIDE) as usize;
-        self.pmem.flush(POffset::new(lo), span)?;
-        for &(idx, ..) in entries {
-            self.pmem
-                .write_u8(Self::entry_off(self.base, idx) + 1u64, ST_DONE)?;
-        }
-        self.pmem.flush(POffset::new(lo), span)?;
-        Ok(())
-    }
-
-    /// Indexes of descriptors that have not completed, in table order.
-    ///
-    /// # Errors
-    ///
-    /// Propagated NVRAM errors.
-    pub fn pending(&self) -> Result<Vec<usize>, PError> {
-        let mut out = Vec::new();
-        for i in 0..self.len {
-            if self.pmem.read_u8(self.entry(i)? + 1u64)? != ST_DONE {
-                out.push(i);
-            }
-        }
-        Ok(out)
-    }
-
-    /// All answers, `None` for still-pending descriptors.
-    ///
-    /// # Errors
-    ///
-    /// Propagated NVRAM errors.
-    pub fn results(&self) -> Result<Vec<Option<KvTaskAnswer>>, PError> {
-        (0..self.len).map(|i| self.result(i)).collect()
-    }
-}
-
-/// Executes descriptor `idx` of a [`KvOpTable`] against a [`PKvStore`].
-///
-/// * `call` runs the operation tagged `(worker pid, idx + 1)` and
-///   persists the answer in the table;
-/// * `recover` first checks the table (the answer may already be
-///   durable), then runs the store's *recovery* procedure — which scans
-///   the published chain evidence before re-executing — and persists
-///   its verdict.
+/// The one executor of KV descriptors: the sharded store plus one
+/// request table per shard. Registered as the recoverable function
+/// executing batch windows ([`KV_SERVE_FUNC_ID`]), shared by the
+/// server's `ServerCore` for direct (runtime-less) pumping, and driven
+/// by every static workload through [`KvServeFunction::preload`] +
+/// [`KvServeFunction::pending_tasks`].
 #[derive(Clone)]
-pub struct KvTaskFunction {
-    store: PKvStore,
-    table: KvOpTable,
-}
-
-impl KvTaskFunction {
-    /// Bundles a store and its descriptor table.
-    #[must_use]
-    pub fn new(store: PKvStore, table: KvOpTable) -> Self {
-        KvTaskFunction { store, table }
-    }
-
-    /// Convenience: wraps into the `Arc<dyn RecoverableFunction>` shape
-    /// the registry wants.
-    #[must_use]
-    pub fn into_arc(self) -> Arc<dyn RecoverableFunction> {
-        Arc::new(self)
-    }
-
-    fn seq_of(idx: usize) -> u64 {
-        idx as u64 + 1
-    }
-
-    fn parse_index(args: &[u8]) -> Result<usize, PError> {
-        let bytes: [u8; 8] = args
-            .get(..8)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| PError::Task("KV task arguments must hold an 8-byte index".into()))?;
-        Ok(u64::from_le_bytes(bytes) as usize)
-    }
-
-    fn encode_answer(result: KvTaskResult) -> Option<RetBytes> {
-        let mut b = [0u8; 8];
-        match result {
-            KvTaskResult::Stored(ok) => {
-                b[0] = 1;
-                b[1] = u8::from(ok);
-            }
-            KvTaskResult::Got(None) => b[0] = 2,
-            KvTaskResult::Got(Some(v)) => {
-                b[0] = 3;
-                // Squeeze the low 7 bytes through the small-return slot;
-                // the authoritative full answer lives in the table.
-                b[1..8].copy_from_slice(&v.to_le_bytes()[..7]);
-            }
-            KvTaskResult::Deleted(ok) => {
-                b[0] = 4;
-                b[1] = u8::from(ok);
-            }
-            KvTaskResult::Swapped(ok) => {
-                b[0] = 5;
-                b[1] = u8::from(ok);
-            }
-        }
-        Some(b)
-    }
-
-    fn run(
-        &self,
-        ctx: &mut PContext<'_>,
-        idx: usize,
-        recovery: bool,
-    ) -> Result<Option<RetBytes>, PError> {
-        let _label = op_label(if recovery {
-            "kv_task.recover"
-        } else {
-            "kv_task.call"
-        });
-        if let Some(answer) = self.table.result(idx)? {
-            return Ok(Self::encode_answer(answer.result));
-        }
-        let pid = ctx.pid as u64;
-        let seq = Self::seq_of(idx);
-        let result = match self.table.op(idx)? {
-            KvTaskOp::Put { key, value } => {
-                let ok = if recovery {
-                    self.store.recover_put(pid, seq, key, value)?
-                } else {
-                    self.store.put(pid, seq, key, value)?
-                };
-                KvTaskResult::Stored(ok)
-            }
-            KvTaskOp::Get { key } => KvTaskResult::Got(self.store.get(key)?),
-            KvTaskOp::Delete { key } => {
-                let ok = if recovery {
-                    self.store.recover_delete(pid, seq, key)?
-                } else {
-                    self.store.delete(pid, seq, key)?
-                };
-                KvTaskResult::Deleted(ok)
-            }
-            KvTaskOp::Cas { key, expected, new } => {
-                let ok = if recovery {
-                    self.store.recover_cas(pid, seq, key, expected, new)?
-                } else {
-                    self.store.cas(pid, seq, key, expected, new)?
-                };
-                KvTaskResult::Swapped(ok)
-            }
-        };
-        self.table.mark_done(idx, ctx.pid as u32, result)?;
-        Ok(Self::encode_answer(result))
-    }
-}
-
-impl RecoverableFunction for KvTaskFunction {
-    fn call(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let idx = Self::parse_index(args)?;
-        self.run(ctx, idx, false)
-    }
-
-    fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let idx = Self::parse_index(args)?;
-        self.run(ctx, idx, true)
-    }
-}
-
-/// Executes descriptors of **per-shard** [`KvOpTable`]s against a
-/// [`ShardedKvStore`] — the sharded analogue of [`KvTaskFunction`].
-///
-/// Each shard carries its own descriptor table (ideally allocated from
-/// the shard's own region via [`ShardedKvStore::heap`]), so executing,
-/// answering and recovering a descriptor touches exactly one shard:
-/// workers driving different shards never contend on a region lock.
-/// Arguments name either a single descriptor, `(shard, index)`
-/// ([`ShardedKvTaskFunction::args_for`]), or a **batch window**,
-/// `(shard, start, count)`
-/// ([`ShardedKvTaskFunction::batch_args_for`]) — a whole group commit
-/// executed under one persistent frame, which is how sharded batches
-/// ride the stack-driven recovery path. The operation tag is
-/// `(worker pid, (shard << 32) | (index + 1))`, globally unique across
-/// shards so the sharded verifier can match records to operations.
-#[derive(Clone)]
-pub struct ShardedKvTaskFunction {
+pub struct KvServeFunction {
     store: ShardedKvStore,
-    tables: Vec<KvOpTable>,
+    tables: Vec<KvRequestTable>,
     mutators: usize,
 }
 
-impl ShardedKvTaskFunction {
-    /// Bundles a sharded store with one descriptor table per shard.
+impl KvServeFunction {
+    /// Bundles a sharded store with one request table per shard.
     ///
     /// # Panics
     ///
     /// Panics if the table count differs from the store's shard count.
     #[must_use]
-    pub fn new(store: ShardedKvStore, tables: Vec<KvOpTable>) -> Self {
-        assert_eq!(
-            store.nshards(),
-            tables.len(),
-            "one descriptor table per shard"
-        );
-        ShardedKvTaskFunction {
+    pub fn new(store: ShardedKvStore, tables: Vec<KvRequestTable>) -> Self {
+        assert_eq!(store.nshards(), tables.len(), "one request table per shard");
+        KvServeFunction {
             store,
             tables,
             mutators: 1,
         }
     }
 
-    /// Sets how many concurrent mutator threads a batch window drives
-    /// per shard (default 1, the quiesced group commit). With more,
-    /// the window's mutations run through the lock-free detectable
+    /// A static workload as a **preloaded request table**: formats one
+    /// table per shard in the shard's own region (sized to the shard's
+    /// share of `ops`; an idle shard gets a one-slot table), submits
+    /// every mutation under request id `((shard + 1) << 32) | (idx + 1)`
+    /// — so its store tag `(pid, seq) = (shard + 1, id)` is globally
+    /// unique and stable across replays and workers — and makes each
+    /// table's descriptors durable with one
+    /// [`KvRequestTable::persist_slots`]. Persist each table's
+    /// [`KvRequestTable::base`] to find it again after a restart. `ops`
+    /// holds mutations only: a window refuses a get descriptor.
+    ///
+    /// # Errors
+    ///
+    /// Heap, table or NVRAM errors.
+    pub fn preload(store: ShardedKvStore, ops: &[KvTaskOp]) -> Result<Self, PError> {
+        let mut per_shard = vec![Vec::new(); store.nshards()];
+        for &op in ops {
+            per_shard[store.shard_of(op.key())].push(op);
+        }
+        let mut tables = Vec::with_capacity(per_shard.len());
+        for (shard, shard_ops) in per_shard.iter().enumerate() {
+            let heap = store.heap(shard);
+            let capacity = u32::try_from(shard_ops.len().max(1)).map_err(|_| {
+                PError::InvalidConfig("preloaded workload overflows a table".into())
+            })?;
+            let table = KvRequestTable::format(heap.pmem().clone(), heap, capacity)?;
+            let mut slots = Vec::with_capacity(shard_ops.len());
+            for (idx, &op) in shard_ops.iter().enumerate() {
+                let req_id = ((shard as u64 + 1) << 32) | (idx as u64 + 1);
+                let ReqSubmit::Fresh(slot) = table.submit(req_id, op)? else {
+                    return Err(PError::Task(format!(
+                        "shard {shard}'s fresh table refused descriptor {idx}"
+                    )));
+                };
+                slots.push(slot);
+            }
+            table.persist_slots(&slots)?;
+            tables.push(table);
+        }
+        Ok(KvServeFunction::new(store, tables))
+    }
+
+    /// Sets how many concurrent mutator threads a non-recovery window
+    /// drives (default 1, the quiesced group commit). With more, the
+    /// window's mutations run through the lock-free detectable
     /// publication path instead: each thread reserves, persists and
     /// publishes its records independently, overlapping their persist
     /// round-trips. Recovery windows are unaffected — replays stay on
@@ -567,290 +207,172 @@ impl ShardedKvTaskFunction {
     ///
     /// Answers still linearize (each op takes effect exactly once at
     /// its head-CAS), but ops on the *same key* in one window may
-    /// interleave in any real-time order rather than table order.
+    /// interleave in any real-time order rather than slot order.
     #[must_use]
     pub fn with_mutators(mut self, mutators: usize) -> Self {
         self.mutators = mutators.max(1);
         self
     }
 
-    /// Convenience: wraps into the `Arc<dyn RecoverableFunction>` shape
-    /// the registry wants.
+    /// Wraps into the `Arc<dyn RecoverableFunction>` shape the registry
+    /// wants.
     #[must_use]
     pub fn into_arc(self) -> Arc<dyn RecoverableFunction> {
         Arc::new(self)
     }
 
-    /// Encodes descriptor `(shard, idx)` as task arguments.
+    /// The sharded store being served.
     #[must_use]
-    pub fn args_for(shard: u32, idx: u32) -> [u8; 8] {
-        let mut b = [0u8; 8];
-        b[..4].copy_from_slice(&shard.to_le_bytes());
-        b[4..].copy_from_slice(&idx.to_le_bytes());
+    pub fn store(&self) -> &ShardedKvStore {
+        &self.store
+    }
+
+    /// The per-shard request tables.
+    #[must_use]
+    pub fn tables(&self) -> &[KvRequestTable] {
+        &self.tables
+    }
+
+    /// Encodes a batch window as task arguments:
+    /// `[shard u32][recovery u8][count u32][slot u32 × count]`.
+    #[must_use]
+    pub fn window_args(shard: u32, recovery: bool, slots: &[u32]) -> Vec<u8> {
+        let mut b = Vec::with_capacity(9 + slots.len() * 4);
+        b.extend_from_slice(&shard.to_le_bytes());
+        b.push(u8::from(recovery));
+        b.extend_from_slice(&(slots.len() as u32).to_le_bytes());
+        for &slot in slots {
+            b.extend_from_slice(&slot.to_le_bytes());
+        }
         b
     }
 
-    /// Encodes a **batch window** — descriptors `start..start + count`
-    /// of shard `shard`'s table — as task arguments. The window runs as
-    /// *one* persistent-stack task: gets resolve directly, mutations go
-    /// through the shard's group commit ([`PKvStore::apply_batch`] in a
-    /// normal run, its evidence-scanning dual
-    /// [`PKvStore::recover_batch`] when the frame is replayed), and all
-    /// answers persist with one coalesced
-    /// [`KvOpTable::mark_done_batch`]. Already-completed descriptors
-    /// inside the window are skipped, so replaying the frame after a
-    /// crash is idempotent.
-    #[must_use]
-    pub fn batch_args_for(shard: u32, start: u32, count: u32) -> [u8; 12] {
-        let mut b = [0u8; 12];
-        b[..4].copy_from_slice(&shard.to_le_bytes());
-        b[4..8].copy_from_slice(&start.to_le_bytes());
-        b[8..].copy_from_slice(&count.to_le_bytes());
-        b
+    fn parse_args(args: &[u8]) -> Result<Window, PError> {
+        if args.len() < 9 {
+            return Err(PError::Task(
+                "serve window arguments need (shard, recovery, count)".into(),
+            ));
+        }
+        let shard = u32::from_le_bytes(args[..4].try_into().expect("slice length"));
+        let recovery = args[4] != 0;
+        let count = u32::from_le_bytes(args[5..9].try_into().expect("slice length")) as usize;
+        if args.len() != 9 + count * 4 {
+            return Err(PError::Task(format!(
+                "serve window names {count} slots but carries {} bytes",
+                args.len()
+            )));
+        }
+        let slots = args[9..]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("slice length")))
+            .collect();
+        Ok((shard, recovery, slots))
     }
 
-    /// Builds one [`Task`] per still-pending window of every shard's
-    /// table, registered under `func_id`: each shard's pending
-    /// descriptors are chunked into groups of at most `batch`
-    /// (consecutive in table order), and each chunk becomes a batch
-    /// window spanning it. With `batch <= 1` every pending descriptor
-    /// gets its own single-op task instead. This is the re-enqueue
-    /// step of the §5.2 loop, sharded: a driver calls it after every
-    /// restart and feeds the tasks to `run_tasks`.
+    /// The re-enqueue step of the §5.2 loop: one [`Task`] per window of
+    /// at most `batch` still-pending slots, shard by shard in slot
+    /// order (a single op is a window of one). Call it once the stack's
+    /// own recovery has completed: an interrupted window's frame is
+    /// replayed by its recover dual, so whatever is still pending
+    /// afterwards never started and its window runs as a first
+    /// execution.
     ///
     /// # Errors
     ///
     /// Propagated NVRAM errors.
-    pub fn pending_tasks(&self, func_id: u64, batch: usize) -> Result<Vec<Task>, PError> {
+    pub fn pending_tasks(&self, batch: usize) -> Result<Vec<Task>, PError> {
         let mut tasks = Vec::new();
         for (shard, table) in self.tables.iter().enumerate() {
-            let shard = shard as u32;
-            let pending = table.pending()?;
-            if batch <= 1 {
-                tasks.extend(
-                    pending
-                        .iter()
-                        .map(|&idx| Task::new(func_id, Self::args_for(shard, idx as u32).to_vec())),
-                );
-                continue;
-            }
-            for chunk in pending.chunks(batch) {
-                let (Some(&first), Some(&last)) = (chunk.first(), chunk.last()) else {
-                    continue;
-                };
-                let count = (last - first + 1) as u32;
+            for slots in table.pending_slots()?.chunks(batch.max(1)) {
                 tasks.push(Task::new(
-                    func_id,
-                    Self::batch_args_for(shard, first as u32, count).to_vec(),
+                    KV_SERVE_FUNC_ID,
+                    Self::window_args(shard as u32, false, slots),
                 ));
             }
         }
         Ok(tasks)
     }
 
-    /// Partitions a global operation list into per-shard descriptor
-    /// lists by key routing, so each shard's table only names keys the
-    /// shard owns. Returns `nshards` lists (some possibly empty).
-    #[must_use]
-    pub fn partition_ops(ops: &[KvTaskOp], nshards: usize) -> Vec<Vec<KvTaskOp>> {
-        let mut out = vec![Vec::new(); nshards];
-        for op in ops {
-            out[shard_of(op.key(), nshards)].push(*op);
-        }
-        out
-    }
-
-    /// [`ShardedKvTaskFunction::partition_ops`], with every idle shard
-    /// padded by a harmless get on a key it owns — [`KvOpTable`]s must
-    /// be non-empty, and keeping the pad key home-routed keeps the
-    /// routing invariant checkable on every table.
-    #[must_use]
-    pub fn partition_ops_padded(ops: &[KvTaskOp], nshards: usize) -> Vec<Vec<KvTaskOp>> {
-        let mut per_shard = Self::partition_ops(ops, nshards);
-        for (s, shard_ops) in per_shard.iter_mut().enumerate() {
-            if shard_ops.is_empty() {
-                let key = (0..)
-                    .find(|&k| shard_of(k, nshards) == s)
-                    .expect("router is total");
-                shard_ops.push(KvTaskOp::Get { key });
-            }
-        }
-        per_shard
-    }
-
-    /// The globally unique operation tag of descriptor `(shard, idx)`.
-    #[must_use]
-    pub fn seq_of(shard: u32, idx: usize) -> u64 {
-        (u64::from(shard) << 32) | (idx as u64 + 1)
-    }
-
-    /// Decodes `(shard, index, count)`: 8-byte args name one
-    /// descriptor (`count == 1`), 12-byte args a batch window.
-    fn parse_args(args: &[u8]) -> Result<(u32, usize, usize), PError> {
-        let bytes: [u8; 8] = args
-            .get(..8)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| {
-                PError::Task("sharded KV task arguments must hold (shard, index) u32s".into())
-            })?;
-        let shard = u32::from_le_bytes(bytes[..4].try_into().expect("slice length"));
-        let idx = u32::from_le_bytes(bytes[4..].try_into().expect("slice length"));
-        let count = match args.len() {
-            8 => 1,
-            12 => u32::from_le_bytes(args[8..].try_into().expect("slice length")) as usize,
-            _ => {
-                return Err(PError::Task(
-                    "sharded KV task arguments must be 8 bytes (one op) or 12 (a window)".into(),
-                ))
-            }
-        };
-        Ok((shard, idx as usize, count.max(1)))
-    }
-
-    fn run(
-        &self,
-        ctx: &mut PContext<'_>,
-        shard: u32,
-        idx: usize,
-        recovery: bool,
-    ) -> Result<Option<RetBytes>, PError> {
-        let _label = op_label(if recovery {
-            "kv_task.recover"
-        } else {
-            "kv_task.call"
-        });
-        let table = self.tables.get(shard as usize).ok_or_else(|| {
-            PError::Task(format!(
-                "shard {shard} out of range ({} shards)",
-                self.tables.len()
-            ))
-        })?;
-        if let Some(answer) = table.result(idx)? {
-            return Ok(KvTaskFunction::encode_answer(answer.result));
-        }
-        let pid = ctx.pid as u64;
-        let seq = Self::seq_of(shard, idx);
-        let result = match table.op(idx)? {
-            KvTaskOp::Put { key, value } => {
-                let ok = if recovery {
-                    self.store.recover_put(pid, seq, key, value)?
-                } else {
-                    self.store.put(pid, seq, key, value)?
-                };
-                KvTaskResult::Stored(ok)
-            }
-            KvTaskOp::Get { key } => KvTaskResult::Got(self.store.get(key)?),
-            KvTaskOp::Delete { key } => {
-                let ok = if recovery {
-                    self.store.recover_delete(pid, seq, key)?
-                } else {
-                    self.store.delete(pid, seq, key)?
-                };
-                KvTaskResult::Deleted(ok)
-            }
-            KvTaskOp::Cas { key, expected, new } => {
-                let ok = if recovery {
-                    self.store.recover_cas(pid, seq, key, expected, new)?
-                } else {
-                    self.store.cas(pid, seq, key, expected, new)?
-                };
-                KvTaskResult::Swapped(ok)
-            }
-        };
-        table.mark_done(idx, ctx.pid as u32, result)?;
-        Ok(KvTaskFunction::encode_answer(result))
-    }
-
-    /// Executes a batch window (descriptors `start..start + count` of
-    /// one shard, clamped to the table) as one group commit: gets
-    /// resolve immediately, mutations stage into the shard's
-    /// [`PKvStore::apply_batch`] (or its [`PKvStore::recover_batch`]
-    /// dual when the frame is replayed after a crash), and every answer
-    /// persists through one coalesced [`KvOpTable::mark_done_batch`].
-    /// Completed descriptors are skipped, so replays are idempotent.
-    /// Returns the number of descriptors this execution completed.
-    fn run_window(
-        &self,
-        ctx: &mut PContext<'_>,
-        shard: u32,
-        start: usize,
-        count: usize,
-        recovery: bool,
-    ) -> Result<Option<RetBytes>, PError> {
-        let _label = op_label("kv_task.window");
-        let table = self.tables.get(shard as usize).ok_or_else(|| {
-            PError::Task(format!(
-                "shard {shard} out of range ({} shards)",
-                self.tables.len()
-            ))
-        })?;
-        let pstore = self.store.shard(shard as usize);
-        let pid = ctx.pid as u64;
-        let end = start.saturating_add(count).min(table.len());
-        let mut answers: Vec<(usize, u32, KvTaskResult)> = Vec::new();
-        let mut staged: Vec<(usize, KvBatchOp)> = Vec::new();
-        for idx in start..end {
-            if table.result(idx)?.is_some() {
-                continue; // answer already durable: never re-run
-            }
-            let seq = Self::seq_of(shard, idx);
-            match table.op(idx)? {
-                KvTaskOp::Get { key } => {
-                    answers.push((idx, ctx.pid as u32, KvTaskResult::Got(pstore.get(key)?)));
+    /// The quiescent execution as the sharded verifier wants it: every
+    /// descriptor in the tables with its durable answer, tagged as the
+    /// window tagged its record (`(client, req_id)`), plus each shard's
+    /// chain witness. Reads are not in the tables — a harness appends
+    /// the gets it answered itself.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::Task`] if a descriptor is still pending; propagated
+    /// NVRAM errors.
+    pub fn history(&self) -> Result<KvShardedHistory, PError> {
+        let mut ops = Vec::new();
+        for (shard, table) in self.tables.iter().enumerate() {
+            for slot in 0..table.capacity() {
+                let req_id = table.req_id(slot)?;
+                if req_id == 0 {
+                    continue;
                 }
-                KvTaskOp::Put { key, value } => staged.push((
-                    idx,
-                    KvBatchOp::Put {
-                        pid,
-                        seq,
-                        key,
-                        value,
-                    },
-                )),
-                KvTaskOp::Delete { key } => staged.push((idx, KvBatchOp::Delete { pid, seq, key })),
-                KvTaskOp::Cas { key, expected, new } => staged.push((
-                    idx,
-                    KvBatchOp::Cas {
-                        pid,
-                        seq,
-                        key,
-                        expected,
-                        new,
-                    },
-                )),
+                let answer = table.result(slot)?.ok_or_else(|| {
+                    PError::Task(format!("shard {shard} slot {slot} is still pending"))
+                })?;
+                let pid = u64::from(split_id(req_id).0);
+                ops.push(table.op(slot)?.observed(pid, req_id, answer.result));
             }
         }
-        if !staged.is_empty() {
-            let ops: Vec<KvBatchOp> = staged.iter().map(|&(_, op)| op).collect();
-            let effects: Vec<bool> = if recovery {
-                pstore
-                    .recover_batch(&ops)?
-                    .iter()
-                    .map(|o| o.took_effect())
+        let shards = self
+            .store
+            .snapshot_sharded()?
+            .into_iter()
+            .map(|chains| {
+                chains
+                    .into_iter()
+                    .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
                     .collect()
+            })
+            .collect();
+        Ok(KvShardedHistory { ops, shards })
+    }
+
+    /// Executes one batch window: answered slots are skipped (their
+    /// answers are simply re-collected), mutations group-commit through
+    /// the shard's
+    /// [`PKvStore::apply_batch`] — or its evidence-scanning
+    /// [`PKvStore::recover_batch`] dual when `recovery` — and all
+    /// answers persist with one coalesced
+    /// [`KvRequestTable::mark_done_batch`] *before* any `(req_id,
+    /// answer)` pair is returned for acking: answers are durable before
+    /// they are visible.
+    ///
+    /// # Errors
+    ///
+    /// Shard out of range ([`PError::Task`]), or propagated store/NVRAM
+    /// errors.
+    pub fn execute_window(
+        &self,
+        shard: u32,
+        slots: &[u32],
+        recovery: bool,
+        executor: u32,
+    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
+        let _label = op_label(if recovery {
+            "server.window.recover"
+        } else {
+            "server.window"
+        });
+        let stage = self.stage_window(shard, slots, executor)?;
+        let outcomes = if stage.staged.is_empty() {
+            Vec::new()
+        } else {
+            let pstore = self.store.shard(shard as usize);
+            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
+            if recovery {
+                pstore.recover_batch(&ops)?
             } else if self.mutators > 1 {
                 Self::apply_concurrent(pstore, &ops, self.mutators)?
             } else {
-                pstore
-                    .apply_batch(&ops)?
-                    .iter()
-                    .map(|o| o.took_effect())
-                    .collect()
-            };
-            for (&(idx, op), effect) in staged.iter().zip(effects) {
-                let result = match op {
-                    KvBatchOp::Put { .. } => KvTaskResult::Stored(effect),
-                    KvBatchOp::Delete { .. } => KvTaskResult::Deleted(effect),
-                    KvBatchOp::Cas { .. } => KvTaskResult::Swapped(effect),
-                };
-                answers.push((idx, ctx.pid as u32, result));
+                pstore.apply_batch(&ops)?
             }
-        }
-        table.mark_done_batch(&answers)?;
-        let mut b = [0u8; 8];
-        b[0] = 6; // window marker, distinct from single-op answers
-        b[1..5].copy_from_slice(&(answers.len() as u32).to_le_bytes());
-        Ok(Some(b))
+        };
+        Self::finish_window(stage, outcomes)
     }
 
     /// Applies a window's mutations with `mutators` concurrent
@@ -861,74 +383,208 @@ impl ShardedKvTaskFunction {
         store: &PKvStore,
         ops: &[KvBatchOp],
         mutators: usize,
-    ) -> Result<Vec<bool>, PError> {
-        let mut effects = vec![false; ops.len()];
-        let mut collected: Vec<(usize, bool)> = Vec::with_capacity(ops.len());
-        std::thread::scope(|sc| {
+    ) -> Result<Vec<KvApplied>, PError> {
+        let shares: Vec<Result<Vec<(usize, KvApplied)>, PError>> = std::thread::scope(|sc| {
             let handles: Vec<_> = (0..mutators.min(ops.len()))
                 .map(|m| {
-                    let st = store.clone();
-                    sc.spawn(move || -> Result<Vec<(usize, bool)>, PError> {
+                    sc.spawn(move || {
+                        let _label = op_label("server.window.mutator");
                         (m..ops.len())
                             .step_by(mutators)
-                            .map(|i| {
-                                let ok = match ops[i] {
-                                    KvBatchOp::Put {
-                                        pid,
-                                        seq,
-                                        key,
-                                        value,
-                                    } => st.put(pid, seq, key, value)?,
-                                    KvBatchOp::Delete { pid, seq, key } => {
-                                        st.delete(pid, seq, key)?
-                                    }
-                                    KvBatchOp::Cas {
-                                        pid,
-                                        seq,
-                                        key,
-                                        expected,
-                                        new,
-                                    } => st.cas(pid, seq, key, expected, new)?,
-                                };
-                                Ok((i, ok))
-                            })
+                            .map(|i| Ok((i, store.publish_one(ops[i])?)))
                             .collect()
                     })
                 })
                 .collect();
-            for h in handles {
-                collected.extend(h.join().expect("window mutator panicked")?);
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("window mutator panicked"))
+                .collect()
+        });
+        let mut outcomes = vec![KvApplied::PrecondFailed; ops.len()];
+        for share in shares {
+            for (i, outcome) in share? {
+                outcomes[i] = outcome;
             }
-            Ok::<(), PError>(())
-        })?;
-        for (i, ok) in collected {
-            effects[i] = ok;
         }
-        Ok(effects)
+        Ok(outcomes)
     }
 
-    fn dispatch(
+    /// Executes one round of batch windows, at most one per shard. The
+    /// non-recovery windows are **begun** first — each shard's
+    /// record/log-tail persists are issued as asynchronous flush
+    /// flights, back to back across the shard regions — and committed
+    /// afterwards, so the whole round drains the flush pipeline in
+    /// about one device round-trip instead of each shard awaiting its
+    /// own serially. Recovery windows run through
+    /// [`KvServeFunction::execute_window`] unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Shard out of range ([`PError::Task`]), or propagated store/NVRAM
+    /// errors.
+    pub fn execute_windows(
         &self,
-        ctx: &mut PContext<'_>,
-        args: &[u8],
-        recovery: bool,
-    ) -> Result<Option<RetBytes>, PError> {
-        let (shard, idx, count) = Self::parse_args(args)?;
-        if count == 1 {
-            self.run(ctx, shard, idx, recovery)
-        } else {
-            self.run_window(ctx, shard, idx, count, recovery)
+        windows: &[Window],
+        executor: u32,
+    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
+        let mut ready = Vec::new();
+        let _label = op_label("server.windows");
+        let mut pending = Vec::new();
+        for (shard, recovery, slots) in windows {
+            if *recovery || self.mutators > 1 {
+                // The evidence-scanning duals stay serial: recovery is
+                // off the hot path by design, and mixing scans into an
+                // open pipeline would buy nothing. A multi-mutator
+                // window has no flights of its own to overlap either.
+                ready.extend(self.execute_window(*shard, slots, *recovery, executor)?);
+                continue;
+            }
+            let stage = self.stage_window(*shard, slots, executor)?;
+            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
+            let batch = self.store.shard(*shard as usize).apply_batch_begin(&ops)?;
+            pending.push((stage, batch));
         }
+        for (stage, batch) in pending {
+            let outcomes = batch.commit()?;
+            ready.extend(Self::finish_window(stage, outcomes)?);
+        }
+        Ok(ready)
+    }
+
+    /// The read-and-stage half of a window: replays already-durable
+    /// answers and collects the mutations to group-commit. A window
+    /// never carries a read — the server answers those at admission
+    /// and a harness answers its own, both through
+    /// [`ShardedKvStore::get_durable`], the one read path — so a `Get`
+    /// descriptor here is a caller's error, not a second way to read.
+    fn stage_window(
+        &self,
+        shard: u32,
+        slots: &[u32],
+        executor: u32,
+    ) -> Result<WindowStage<'_>, PError> {
+        let table = self.tables.get(shard as usize).ok_or_else(|| {
+            PError::Task(format!(
+                "shard {shard} out of range ({} shards)",
+                self.tables.len()
+            ))
+        })?;
+        let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
+        let mut staged: Vec<(u32, u64, KvBatchOp)> = Vec::new();
+        for &slot in slots {
+            let req_id = table.req_id(slot)?;
+            if req_id == 0 {
+                // A replayed frame whose descriptor never became durable
+                // (the drain's persist met the power failure): nothing
+                // ran on its behalf and nothing may — the client's retry
+                // is fresh.
+                continue;
+            }
+            if let Some(answer) = table.result(slot)? {
+                ready.push((req_id, answer)); // already durable: replay only
+                continue;
+            }
+            let pid = u64::from(split_id(req_id).0);
+            match table.op(slot)? {
+                KvTaskOp::Get { .. } => {
+                    return Err(PError::Task(format!(
+                        "slot {slot} of shard {shard} holds a get: reads are answered at admission"
+                    )));
+                }
+                KvTaskOp::Put { key, value } => staged.push((
+                    slot,
+                    req_id,
+                    KvBatchOp::Put {
+                        pid,
+                        seq: req_id,
+                        key,
+                        value,
+                    },
+                )),
+                KvTaskOp::Delete { key } => staged.push((
+                    slot,
+                    req_id,
+                    KvBatchOp::Delete {
+                        pid,
+                        seq: req_id,
+                        key,
+                    },
+                )),
+                KvTaskOp::Cas { key, expected, new } => staged.push((
+                    slot,
+                    req_id,
+                    KvBatchOp::Cas {
+                        pid,
+                        seq: req_id,
+                        key,
+                        expected,
+                        new,
+                    },
+                )),
+            }
+        }
+        Ok(WindowStage {
+            table,
+            executor,
+            ready,
+            staged,
+        })
+    }
+
+    /// The answer half of a window: maps group-commit outcomes to
+    /// results, persists all answers with one coalesced
+    /// [`KvRequestTable::mark_done_batch`], and only then returns the
+    /// `(req_id, answer)` pairs — answers are durable before they are
+    /// visible.
+    fn finish_window(
+        mut stage: WindowStage<'_>,
+        outcomes: Vec<KvApplied>,
+    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
+        let executor = stage.executor;
+        let mut answers = Vec::with_capacity(stage.staged.len());
+        for (&(slot, req_id, op), outcome) in stage.staged.iter().zip(outcomes) {
+            let result = match op {
+                KvBatchOp::Put { .. } => KvTaskResult::Stored(outcome.took_effect()),
+                KvBatchOp::Delete { .. } => KvTaskResult::Deleted(outcome.took_effect()),
+                KvBatchOp::Cas { .. } => KvTaskResult::Swapped(outcome.took_effect()),
+            };
+            answers.push((slot, executor, result));
+            stage
+                .ready
+                .push((req_id, KvTaskAnswer { executor, result }));
+        }
+        stage.table.mark_done_batch(&answers)?;
+        Ok(stage.ready)
     }
 }
 
-impl RecoverableFunction for ShardedKvTaskFunction {
+/// A batch window read and staged but not yet executed
+/// ([`KvServeFunction::stage_window`]): replayed answers in `ready`,
+/// mutations awaiting their group commit in `staged`.
+struct WindowStage<'a> {
+    table: &'a KvRequestTable,
+    executor: u32,
+    ready: Vec<(u64, KvTaskAnswer)>,
+    staged: Vec<(u32, u64, KvBatchOp)>,
+}
+
+/// A window's product is the durable answers in its request table, so
+/// the frame returns unit: nothing reads a return value, and a unit
+/// return spares the frame the separate value persist.
+impl RecoverableFunction for KvServeFunction {
     fn call(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        self.dispatch(ctx, args, false)
+        let (shard, recovery, slots) = Self::parse_args(args)?;
+        self.execute_window(shard, &slots, recovery, ctx.pid as u32)?;
+        Ok(None)
     }
 
     fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        self.dispatch(ctx, args, true)
+        let (shard, _, slots) = Self::parse_args(args)?;
+        // A replayed frame might have executed before the crash: always
+        // the evidence-scanning duals.
+        self.execute_window(shard, &slots, true, ctx.pid as u32)?;
+        Ok(None)
     }
 }
 
@@ -1031,23 +687,147 @@ impl RecoverableFunction for KvCompactFunction {
         self.dispatch(args, true)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::shard_of;
     use crate::store::KvVariant;
     use pstack_core::{FixedStack, FunctionRegistry};
-    use pstack_nvram::PMemBuilder;
+    use pstack_heap::PHeap;
+    use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, POffset};
 
-    fn fixture(ops: &[KvTaskOp]) -> (PMem, PHeap, PKvStore, KvOpTable) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 18)
+    const HEAP_OFF: u64 = 8192;
+    const REGION_LEN: usize = 1 << 18;
+
+    fn eager_region() -> PMem {
+        PMemBuilder::new()
+            .len(REGION_LEN)
             .eager_flush(true)
-            .build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(8192), (1 << 18) - 8192).unwrap();
+            .build_in_memory()
+    }
+
+    /// A bare table holding `ops` (gets included — the table can hold
+    /// any kind; it is the window that refuses to execute a read).
+    fn table_of(ops: &[KvTaskOp]) -> (PMem, KvRequestTable) {
+        let pmem = eager_region();
+        let heap = PHeap::format(pmem.clone(), POffset::new(0), REGION_LEN as u64).unwrap();
+        let table = KvRequestTable::format(pmem.clone(), &heap, ops.len() as u32).unwrap();
+        for (i, &op) in ops.iter().enumerate() {
+            assert_eq!(
+                table.submit(i as u64 + 1, op).unwrap(),
+                ReqSubmit::Fresh(i as u32)
+            );
+        }
+        (pmem, table)
+    }
+
+    /// The PR 2 shape: stack, heap, store and preloaded table all in
+    /// one eager region, the store riding as a one-shard stripe.
+    fn fixture(ops: &[KvTaskOp]) -> (PMem, PHeap, KvServeFunction) {
+        let pmem = eager_region();
+        let heap = PHeap::format(
+            pmem.clone(),
+            POffset::new(HEAP_OFF),
+            REGION_LEN as u64 - HEAP_OFF,
+        )
+        .unwrap();
         let store = PKvStore::format(pmem.clone(), &heap, 8, 64, KvVariant::Nsrl).unwrap();
-        let table = KvOpTable::format(pmem.clone(), &heap, ops).unwrap();
-        (pmem, heap, store, table)
+        let store = ShardedKvStore::from_parts(vec![store], vec![heap.clone()]).unwrap();
+        (pmem, heap, KvServeFunction::preload(store, ops).unwrap())
+    }
+
+    /// A stripe with one preloaded table per shard, plus the (eager)
+    /// control region the persistent stack lives in.
+    fn sharded_fixture(
+        ops: &[KvTaskOp],
+        nshards: usize,
+        eager: bool,
+    ) -> (PMemStripe, PMem, PHeap, KvServeFunction) {
+        let stripe = PMemBuilder::new()
+            .len(REGION_LEN)
+            .eager_flush(eager)
+            .build_striped(nshards);
+        let store = ShardedKvStore::format(stripe.regions(), 8, 128, KvVariant::Nsrl).unwrap();
+        let exec = KvServeFunction::preload(store, ops).unwrap();
+        let main = eager_region();
+        let heap = PHeap::format(
+            main.clone(),
+            POffset::new(HEAP_OFF),
+            REGION_LEN as u64 - HEAP_OFF,
+        )
+        .unwrap();
+        (stripe, main, heap, exec)
+    }
+
+    /// The recovery boot of [`sharded_fixture`]: everything re-attached
+    /// over the reopened regions.
+    fn reopen_sharded(
+        stripe: &PMemStripe,
+        main: &PMem,
+        exec: &KvServeFunction,
+    ) -> (PMem, PHeap, KvServeFunction) {
+        let stripe2 = stripe.reopen_all().unwrap();
+        let main2 = main.reopen().unwrap();
+        let store2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
+        let tables2 = exec
+            .tables()
+            .iter()
+            .enumerate()
+            .map(|(s, t)| KvRequestTable::open(stripe2.region(s).clone(), t.base()).unwrap())
+            .collect();
+        let heap2 = PHeap::open(main2.clone(), POffset::new(HEAP_OFF)).unwrap();
+        (main2, heap2, KvServeFunction::new(store2, tables2))
+    }
+
+    fn registry_of(f: Arc<dyn RecoverableFunction>, id: u64) -> FunctionRegistry {
+        let mut registry = FunctionRegistry::new();
+        registry.register(id, f).unwrap();
+        registry
+    }
+
+    /// Runs `body` with a context over a stack at offset 0 of `main`
+    /// (freshly formatted, or re-attached after a crash).
+    fn on_stack<R>(
+        main: &PMem,
+        heap: &PHeap,
+        registry: &FunctionRegistry,
+        fresh: bool,
+        body: impl FnOnce(&mut PContext<'_>) -> R,
+    ) -> R {
+        let mut stack = if fresh {
+            FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap()
+        } else {
+            FixedStack::open(main.clone(), POffset::new(0), 4096).unwrap()
+        };
+        let mut ctx = PContext::new(
+            main.clone(),
+            heap.clone(),
+            registry,
+            &mut stack,
+            0,
+            POffset::new(64),
+        );
+        body(&mut ctx)
+    }
+
+    /// The whole of shard `shard`'s table as one window.
+    fn whole_table(exec: &KvServeFunction, shard: usize) -> Vec<u8> {
+        let slots: Vec<u32> = (0..exec.tables()[shard].capacity()).collect();
+        KvServeFunction::window_args(shard as u32, false, &slots)
+    }
+
+    fn results_of(table: &KvRequestTable) -> Vec<Option<KvTaskResult>> {
+        (0..table.capacity())
+            .map(|slot| table.result(slot).unwrap().map(|a| a.result))
+            .collect()
+    }
+
+    fn puts(keys: std::ops::Range<u64>, value_of: impl Fn(u64) -> i64) -> Vec<KvTaskOp> {
+        keys.map(|key| KvTaskOp::Put {
+            key,
+            value: value_of(key),
+        })
+        .collect()
     }
 
     #[test]
@@ -1062,17 +842,17 @@ mod tests {
                 new: i64::MAX,
             },
         ];
-        let (pmem, _, _, table) = fixture(&ops);
-        assert_eq!(table.len(), 4);
+        let (pmem, table) = table_of(&ops);
+        assert_eq!(table.capacity(), 4);
         for (i, op) in ops.iter().enumerate() {
-            assert_eq!(table.op(i).unwrap(), *op);
+            assert_eq!(table.op(i as u32).unwrap(), *op);
         }
-        assert_eq!(table.pending().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(table.pending_slots().unwrap(), vec![0, 1, 2, 3]);
 
         table.mark_done(0, 2, KvTaskResult::Stored(true)).unwrap();
         table.mark_done(1, 3, KvTaskResult::Got(Some(-5))).unwrap();
         table.mark_done(2, 1, KvTaskResult::Deleted(true)).unwrap();
-        assert_eq!(table.pending().unwrap(), vec![3]);
+        assert_eq!(table.pending_slots().unwrap(), vec![3]);
         assert_eq!(
             table.result(1).unwrap(),
             Some(KvTaskAnswer {
@@ -1081,8 +861,8 @@ mod tests {
             })
         );
         // Reopen sees the same state.
-        let t2 = KvOpTable::open(pmem, table.base()).unwrap();
-        assert_eq!(t2.pending().unwrap(), vec![3]);
+        let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
+        assert_eq!(t2.pending_slots().unwrap(), vec![3]);
         assert_eq!(
             t2.result(2).unwrap().unwrap().result,
             KvTaskResult::Deleted(true)
@@ -1099,103 +879,16 @@ mod tests {
                 new: 1,
             },
         ];
-        let (_, _, _, table) = fixture(&ops);
+        let (_, table) = table_of(&ops);
         table.mark_done(0, 0, KvTaskResult::Got(None)).unwrap();
         table.mark_done(1, 0, KvTaskResult::Swapped(false)).unwrap();
         assert_eq!(
-            table.result(0).unwrap().unwrap().result,
-            KvTaskResult::Got(None)
+            results_of(&table),
+            vec![
+                Some(KvTaskResult::Got(None)),
+                Some(KvTaskResult::Swapped(false))
+            ]
         );
-        assert_eq!(
-            table.result(1).unwrap().unwrap().result,
-            KvTaskResult::Swapped(false)
-        );
-    }
-
-    #[test]
-    fn mark_done_batch_coalesces_and_round_trips() {
-        use pstack_nvram::PMemBuilder;
-        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory(); // buffered
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-        let ops: Vec<KvTaskOp> = (0..8).map(|key| KvTaskOp::Get { key }).collect();
-        let table = KvOpTable::format(pmem.clone(), &heap, &ops).unwrap();
-        let entries: Vec<(usize, u32, KvTaskResult)> = (0..8)
-            .map(|i| (i, 1u32, KvTaskResult::Got(Some(i as i64))))
-            .collect();
-        let before = pmem.stats().snapshot();
-        table.mark_done_batch(&entries).unwrap();
-        let delta = pmem.stats().snapshot() - before;
-        assert_eq!(delta.persists, 2, "one payload persist + one flag persist");
-        assert!(delta.coalesced_lines > 0);
-        assert!(table.pending().unwrap().is_empty());
-        for i in 0..8 {
-            assert_eq!(
-                table.result(i).unwrap().unwrap().result,
-                KvTaskResult::Got(Some(i as i64))
-            );
-        }
-        assert!(table.mark_done_batch(&[]).is_ok());
-    }
-
-    #[test]
-    fn mark_done_batch_crash_points_leave_clean_mix() {
-        // Crash at every flush boundary of a batched answer persist:
-        // each descriptor must end up either still pending or done
-        // with its full, untorn answer.
-        use pstack_nvram::{FailPlan, PMemBuilder};
-        let build = || {
-            let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
-            let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-            let ops: Vec<KvTaskOp> = (0..4).map(|key| KvTaskOp::Get { key }).collect();
-            let table = KvOpTable::format(pmem.clone(), &heap, &ops).unwrap();
-            (pmem, table)
-        };
-        let entries: Vec<(usize, u32, KvTaskResult)> = (0..4)
-            .map(|i| (i, 2u32, KvTaskResult::Got(Some(-(i as i64) - 1))))
-            .collect();
-        let (pmem, table) = build();
-        let e0 = pmem.events();
-        table.mark_done_batch(&entries).unwrap();
-        let total = pmem.events() - e0;
-        assert!(total >= 2);
-
-        for k in 0..total {
-            let (pmem, table) = build();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            assert!(table.mark_done_batch(&entries).unwrap_err().is_crash());
-            let pmem2 = pmem.reopen().unwrap();
-            let t2 = KvOpTable::open(pmem2, table.base()).unwrap();
-            for i in 0..4 {
-                if let Some(ans) = t2.result(i).unwrap() {
-                    assert_eq!(
-                        ans.result,
-                        KvTaskResult::Got(Some(-(i as i64) - 1)),
-                        "crash at event {k}: descriptor {i} has a torn answer"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn table_rejects_bad_magic_and_empty_ops() {
-        let (pmem, heap, _, _) = fixture(&[KvTaskOp::Get { key: 0 }]);
-        let junk = heap.alloc_zeroed(64).unwrap();
-        assert!(matches!(
-            KvOpTable::open(pmem.clone(), junk),
-            Err(PError::CorruptStack(_))
-        ));
-        assert!(matches!(
-            KvOpTable::format(pmem, &heap, &[]),
-            Err(PError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn out_of_range_index_is_rejected() {
-        let (_, _, _, table) = fixture(&[KvTaskOp::Get { key: 0 }]);
-        assert!(table.op(1).is_err());
-        assert!(table.mark_done(1, 0, KvTaskResult::Got(None)).is_err());
     }
 
     #[test]
@@ -1207,241 +900,119 @@ mod tests {
                 expected: 70,
                 new: 71,
             },
-            KvTaskOp::Get { key: 7 },
             KvTaskOp::Delete { key: 7 },
         ];
-        let (pmem, heap, store, table) = fixture(&ops);
-        let f = KvTaskFunction::new(store.clone(), table.clone());
-        let mut registry = FunctionRegistry::new();
-        registry.register(KV_TASK_FUNC_ID, f.into_arc()).unwrap();
-        let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 4096).unwrap();
-        let mut ctx = PContext::new(
-            pmem.clone(),
-            heap.clone(),
-            &registry,
-            &mut stack,
-            0,
-            POffset::new(64),
-        );
-        for i in 0..4u64 {
-            ctx.call(KV_TASK_FUNC_ID, &i.to_le_bytes()).unwrap();
-        }
-        assert_eq!(
-            table.result(1).unwrap().unwrap().result,
-            KvTaskResult::Swapped(true)
-        );
-        assert_eq!(
-            table.result(2).unwrap().unwrap().result,
-            KvTaskResult::Got(Some(71))
-        );
-        assert_eq!(
-            table.result(3).unwrap().unwrap().result,
-            KvTaskResult::Deleted(true)
-        );
-        // Re-running a completed descriptor replays the answer without
-        // touching the store.
-        let before = store.log_reserved().unwrap();
-        ctx.call(KV_TASK_FUNC_ID, &0u64.to_le_bytes()).unwrap();
-        assert_eq!(store.log_reserved().unwrap(), before);
-    }
-
-    fn sharded_fixture(
-        ops: &[KvTaskOp],
-        nshards: usize,
-    ) -> (
-        pstack_nvram::PMemStripe,
-        PMem,
-        PHeap,
-        ShardedKvStore,
-        Vec<KvOpTable>,
-    ) {
-        use pstack_nvram::PMemBuilder;
-        let stripe = PMemBuilder::new()
-            .len(1 << 18)
-            .eager_flush(true)
-            .build_striped(nshards);
-        let store = ShardedKvStore::format(stripe.regions(), 8, 128, KvVariant::Nsrl).unwrap();
-        let tables: Vec<KvOpTable> = ShardedKvTaskFunction::partition_ops_padded(ops, nshards)
-            .iter()
-            .enumerate()
-            .map(|(s, shard_ops)| {
-                KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops).unwrap()
-            })
-            .collect();
-        let main = PMemBuilder::new()
-            .len(1 << 18)
-            .eager_flush(true)
-            .build_in_memory();
-        let heap = PHeap::format(main.clone(), POffset::new(8192), (1 << 18) - 8192).unwrap();
-        (stripe, main, heap, store, tables)
+        let (pmem, heap, exec) = fixture(&ops);
+        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        let one = |slot: u32| KvServeFunction::window_args(0, false, &[slot]);
+        on_stack(&pmem, &heap, &registry, true, |ctx| {
+            // A single op is a window of one.
+            ctx.call(KV_SERVE_FUNC_ID, &one(0)).unwrap();
+            ctx.call(KV_SERVE_FUNC_ID, &one(1)).unwrap();
+            // The harness's own read, between windows.
+            assert_eq!(exec.store().get_durable(7).unwrap(), Some(71));
+            ctx.call(KV_SERVE_FUNC_ID, &one(2)).unwrap();
+            assert_eq!(
+                results_of(&exec.tables()[0]),
+                vec![
+                    Some(KvTaskResult::Stored(true)),
+                    Some(KvTaskResult::Swapped(true)),
+                    Some(KvTaskResult::Deleted(true)),
+                ]
+            );
+            // Re-running a completed descriptor replays the answer
+            // without touching the store.
+            let before = exec.store().log_reserved_per_shard().unwrap();
+            ctx.call(KV_SERVE_FUNC_ID, &one(0)).unwrap();
+            assert_eq!(exec.store().log_reserved_per_shard().unwrap(), before);
+        });
     }
 
     #[test]
     fn sharded_task_function_runs_and_replays_per_shard() {
-        let nshards = 2usize;
-        let ops: Vec<KvTaskOp> = (0..12u64)
-            .map(|key| KvTaskOp::Put {
-                key,
-                value: key as i64 * 10,
-            })
-            .collect();
-        let (_stripe, main, heap, store, tables) = sharded_fixture(&ops, nshards);
-        let partitioned = ShardedKvTaskFunction::partition_ops(&ops, nshards);
-        let f = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-        let mut registry = FunctionRegistry::new();
-        registry.register(KV_SHARDED_FUNC_ID, f.into_arc()).unwrap();
-        let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-        let mut ctx = PContext::new(
-            main.clone(),
-            heap,
-            &registry,
-            &mut stack,
-            0,
-            POffset::new(64),
-        );
-        for (s, shard_ops) in partitioned.iter().enumerate() {
-            for idx in 0..shard_ops.len() {
-                ctx.call(
-                    KV_SHARDED_FUNC_ID,
-                    &ShardedKvTaskFunction::args_for(s as u32, idx as u32),
-                )
-                .unwrap();
+        let ops = puts(0..12, |key| key as i64 * 10);
+        let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2, true);
+        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        on_stack(&main, &heap, &registry, true, |ctx| {
+            for task in exec.pending_tasks(1).unwrap() {
+                ctx.call(KV_SERVE_FUNC_ID, &task.args).unwrap();
             }
-        }
-        assert_eq!(store.contents().unwrap().len(), 12);
-        // Answers landed in each shard's own table, in that shard's
-        // own region; records landed only in the key's home shard.
-        for (s, table) in tables.iter().enumerate() {
-            assert!(table.pending().unwrap().is_empty(), "shard {s} drained");
-            for idx in 0..table.len() {
-                assert!(matches!(
-                    table.result(idx).unwrap().unwrap().result,
-                    KvTaskResult::Stored(true)
-                ));
+            assert_eq!(exec.store().contents().unwrap().len(), 12);
+            // Answers landed in each shard's own table, in that shard's
+            // own region; records landed only in the key's home shard.
+            for (s, table) in exec.tables().iter().enumerate() {
+                assert!(table.pending_slots().unwrap().is_empty(), "shard {s}");
+                assert!(results_of(table)
+                    .iter()
+                    .all(|r| *r == Some(KvTaskResult::Stored(true))));
             }
-        }
-        // Replaying a completed descriptor re-reads the answer without
-        // consuming a new log slot anywhere.
-        let before = store.log_reserved_per_shard().unwrap();
-        ctx.call(KV_SHARDED_FUNC_ID, &ShardedKvTaskFunction::args_for(0, 0))
+            // Replaying a completed descriptor re-reads the answer
+            // without consuming a new log slot anywhere.
+            let before = exec.store().log_reserved_per_shard().unwrap();
+            ctx.call(
+                KV_SERVE_FUNC_ID,
+                &KvServeFunction::window_args(0, false, &[0]),
+            )
             .unwrap();
-        assert_eq!(store.log_reserved_per_shard().unwrap(), before);
+            assert_eq!(exec.store().log_reserved_per_shard().unwrap(), before);
+        });
     }
 
     #[test]
     fn sharded_tags_are_globally_unique() {
-        assert_ne!(
-            ShardedKvTaskFunction::seq_of(0, 1),
-            ShardedKvTaskFunction::seq_of(1, 1)
-        );
-        assert_ne!(
-            ShardedKvTaskFunction::seq_of(0, 0),
-            ShardedKvTaskFunction::seq_of(0, 1)
-        );
-        let args = ShardedKvTaskFunction::args_for(3, 7);
-        assert_eq!(
-            ShardedKvTaskFunction::parse_args(&args).unwrap(),
-            (3, 7usize, 1)
-        );
-        let args = ShardedKvTaskFunction::batch_args_for(2, 5, 4);
-        assert_eq!(
-            ShardedKvTaskFunction::parse_args(&args).unwrap(),
-            (2, 5usize, 4)
-        );
-        // A zero count degrades to a single op; odd lengths are errors.
-        let args = ShardedKvTaskFunction::batch_args_for(2, 5, 0);
-        assert_eq!(
-            ShardedKvTaskFunction::parse_args(&args).unwrap(),
-            (2, 5usize, 1)
-        );
-        assert!(ShardedKvTaskFunction::parse_args(&[0; 4]).is_err());
-        assert!(ShardedKvTaskFunction::parse_args(&[0; 10]).is_err());
-    }
+        // Preloaded request ids — the store tags — differ across shards
+        // and across descriptors, and name their shard as the client.
+        let (_stripe, _main, _heap, exec) = sharded_fixture(&puts(0..16, |_| 1), 4, false);
+        let mut ids = std::collections::HashSet::new();
+        for (s, table) in exec.tables().iter().enumerate() {
+            for slot in table.pending_slots().unwrap() {
+                let id = table.req_id(slot).unwrap();
+                assert_eq!(split_id(id), (s as u32 + 1, slot + 1));
+                assert!(ids.insert(id), "request id {id:#x} reused");
+            }
+        }
+        assert_eq!(ids.len(), 16);
 
-    /// Buffered-stripe fixture for the batch-window paths.
-    fn sharded_buffered_fixture(
-        ops: &[KvTaskOp],
-        nshards: usize,
-    ) -> (
-        pstack_nvram::PMemStripe,
-        PMem,
-        PHeap,
-        ShardedKvStore,
-        Vec<KvOpTable>,
-    ) {
-        use pstack_nvram::PMemBuilder;
-        let stripe = PMemBuilder::new().len(1 << 18).build_striped(nshards);
-        let store = ShardedKvStore::format(stripe.regions(), 8, 128, KvVariant::Nsrl).unwrap();
-        let tables: Vec<KvOpTable> = ShardedKvTaskFunction::partition_ops_padded(ops, nshards)
-            .iter()
-            .enumerate()
-            .map(|(s, shard_ops)| {
-                KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops).unwrap()
-            })
-            .collect();
-        let main = PMemBuilder::new()
-            .len(1 << 18)
-            .eager_flush(true)
-            .build_in_memory();
-        let heap = PHeap::format(main.clone(), POffset::new(8192), (1 << 18) - 8192).unwrap();
-        (stripe, main, heap, store, tables)
+        let args = KvServeFunction::window_args(2, true, &[5, 6, 7, 8]);
+        assert_eq!(
+            KvServeFunction::parse_args(&args).unwrap(),
+            (2, true, vec![5, 6, 7, 8])
+        );
+        let args = KvServeFunction::window_args(3, false, &[]);
+        assert_eq!(
+            KvServeFunction::parse_args(&args).unwrap(),
+            (3, false, vec![])
+        );
+        // Truncated or over-long argument blocks are errors.
+        assert!(KvServeFunction::parse_args(&[0; 4]).is_err());
+        assert!(KvServeFunction::parse_args(&args[..8]).is_err());
+        let mut long = KvServeFunction::window_args(0, false, &[1]);
+        long.push(0);
+        assert!(KvServeFunction::parse_args(&long).is_err());
     }
 
     #[test]
     fn batch_window_group_commits_and_answers_in_one_pass() {
-        let nshards = 2usize;
-        let mut ops: Vec<KvTaskOp> = (0..16u64)
-            .map(|key| KvTaskOp::Put {
-                key,
-                value: key as i64 + 1,
-            })
-            .collect();
-        ops.push(KvTaskOp::Get { key: 3 });
-        let (_stripe, main, heap, store, tables) = sharded_buffered_fixture(&ops, nshards);
-        let f = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-        let mut registry = FunctionRegistry::new();
-        registry
-            .register(KV_SHARDED_FUNC_ID, f.clone().into_arc())
-            .unwrap();
-        let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-        let mut ctx = PContext::new(
-            main.clone(),
-            heap,
-            &registry,
-            &mut stack,
-            0,
-            POffset::new(64),
-        );
-        // One window per shard covering the whole table.
-        for (s, table) in tables.iter().enumerate() {
-            let ret = ctx
-                .call(
-                    KV_SHARDED_FUNC_ID,
-                    &ShardedKvTaskFunction::batch_args_for(s as u32, 0, table.len() as u32),
-                )
-                .unwrap()
-                .unwrap();
-            assert_eq!(ret[0], 6, "window answers carry the window marker");
-            assert_eq!(
-                u32::from_le_bytes(ret[1..5].try_into().unwrap()) as usize,
-                table.len()
-            );
-            assert!(table.pending().unwrap().is_empty(), "shard {s} drained");
-        }
-        assert_eq!(store.contents().unwrap().len(), 16);
-        // Exactly one group commit per shard whose window staged
-        // mutations — the batch rode the persistent-stack task.
-        for (s, epoch) in store.flush_epochs().unwrap().into_iter().enumerate() {
-            assert!(epoch <= 1, "shard {s} must commit its window at most once");
-        }
-        // A replayed window is a no-op: answers are durable.
-        let before = store.log_reserved_per_shard().unwrap();
-        ctx.call(
-            KV_SHARDED_FUNC_ID,
-            &ShardedKvTaskFunction::batch_args_for(0, 0, tables[0].len() as u32),
-        )
-        .unwrap();
-        assert_eq!(store.log_reserved_per_shard().unwrap(), before);
+        let ops = puts(0..16, |key| key as i64 + 1);
+        let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2, false);
+        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        on_stack(&main, &heap, &registry, true, |ctx| {
+            // One window per shard covering the whole table.
+            for (s, table) in exec.tables().iter().enumerate() {
+                let ret = ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, s)).unwrap();
+                assert_eq!(ret, None, "a window's product is its durable answers");
+                assert!(table.pending_slots().unwrap().is_empty(), "shard {s}");
+            }
+            assert_eq!(exec.store().contents().unwrap().len(), 16);
+            assert_eq!(exec.store().get_durable(3).unwrap(), Some(4));
+            // Exactly one group commit per shard — the batch rode the
+            // persistent-stack task.
+            assert_eq!(exec.store().flush_epochs().unwrap(), vec![1, 1]);
+            // A replayed window is a no-op: answers are durable.
+            let before = exec.store().log_reserved_per_shard().unwrap();
+            ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, 0)).unwrap();
+            assert_eq!(exec.store().log_reserved_per_shard().unwrap(), before);
+        });
     }
 
     #[test]
@@ -1450,51 +1021,70 @@ mod tests {
         // descriptor answered, every put landed exactly once — but
         // driven by four concurrent mutators per shard through the
         // lock-free publication path (no group-commit epoch at all).
-        let nshards = 2usize;
-        let ops: Vec<KvTaskOp> = (0..24u64)
-            .map(|key| KvTaskOp::Put {
-                key,
-                value: key as i64 + 1,
-            })
-            .collect();
-        let (_stripe, main, heap, store, tables) = sharded_buffered_fixture(&ops, nshards);
-        let f = ShardedKvTaskFunction::new(store.clone(), tables.clone()).with_mutators(4);
-        let mut registry = FunctionRegistry::new();
-        registry
-            .register(KV_SHARDED_FUNC_ID, f.clone().into_arc())
-            .unwrap();
-        let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-        let mut ctx = PContext::new(
-            main.clone(),
-            heap,
-            &registry,
-            &mut stack,
-            0,
-            POffset::new(64),
-        );
-        for (s, table) in tables.iter().enumerate() {
-            let ret = ctx
-                .call(
-                    KV_SHARDED_FUNC_ID,
-                    &ShardedKvTaskFunction::batch_args_for(s as u32, 0, table.len() as u32),
-                )
-                .unwrap()
-                .unwrap();
-            assert_eq!(ret[0], 6);
-            assert!(table.pending().unwrap().is_empty(), "shard {s} drained");
+        let ops = puts(0..24, |key| key as i64 + 1);
+        let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2, false);
+        let exec = exec.with_mutators(4);
+        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        on_stack(&main, &heap, &registry, true, |ctx| {
+            for (s, table) in exec.tables().iter().enumerate() {
+                ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, s)).unwrap();
+                assert!(table.pending_slots().unwrap().is_empty(), "shard {s}");
+            }
+            assert_eq!(exec.store().contents().unwrap().len(), 24);
+            assert_eq!(
+                exec.store().flush_epochs().unwrap(),
+                vec![0, 0],
+                "published per-op, not by group commit"
+            );
+            // Replays stay idempotent: answers are durable.
+            let before = exec.store().log_reserved_per_shard().unwrap();
+            ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, 0)).unwrap();
+            assert_eq!(exec.store().log_reserved_per_shard().unwrap(), before);
+        });
+    }
+
+    /// Crashes `window` of shard `shard` at every event of the shard's
+    /// region, reboots the whole system, replays the window through the
+    /// recover dual, and hands each recovered system to `check`.
+    fn sweep_window_crash_points(
+        ops: &[KvTaskOp],
+        eager: bool,
+        shard: usize,
+        check: impl Fn(u64, &KvServeFunction),
+    ) {
+        let run = |k: Option<u64>| {
+            let (stripe, main, heap, exec) = sharded_fixture(ops, 2, eager);
+            let args = whole_table(&exec, shard);
+            let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+            let e0 = stripe.region(shard).events();
+            if let Some(k) = k {
+                stripe
+                    .region(shard)
+                    .arm_failpoint(FailPlan::after_events(k));
+            }
+            let outcome = on_stack(&main, &heap, &registry, true, |ctx| {
+                ctx.call(KV_SERVE_FUNC_ID, &args)
+            });
+            let events = stripe.region(shard).events() - e0;
+            (stripe, main, exec, args, outcome, events)
+        };
+        let (.., outcome, total) = run(None);
+        outcome.unwrap();
+        assert!(total >= 2, "store op + answer persist in the shard region");
+
+        for k in 0..total {
+            let (stripe, main, exec, args, outcome, _) = run(Some(k));
+            assert!(outcome.unwrap_err().is_crash(), "crash at shard event {k}");
+            // Whole-system failure, then the recovery boot.
+            stripe.crash_all(7, 0.0);
+            main.crash_now(7, 0.0);
+            let (main2, heap2, exec2) = reopen_sharded(&stripe, &main, &exec);
+            let registry2 = FunctionRegistry::new();
+            on_stack(&main2, &heap2, &registry2, false, |ctx| {
+                exec2.recover(ctx, &args).unwrap();
+            });
+            check(k, &exec2);
         }
-        assert_eq!(store.contents().unwrap().len(), 24);
-        for (s, epoch) in store.flush_epochs().unwrap().into_iter().enumerate() {
-            assert_eq!(epoch, 0, "shard {s} published per-op, not by group commit");
-        }
-        // Replays stay idempotent: answers are durable.
-        let before = store.log_reserved_per_shard().unwrap();
-        ctx.call(
-            KV_SHARDED_FUNC_ID,
-            &ShardedKvTaskFunction::batch_args_for(0, 0, tables[0].len() as u32),
-        )
-        .unwrap();
-        assert_eq!(store.log_reserved_per_shard().unwrap(), before);
     }
 
     #[test]
@@ -1502,98 +1092,39 @@ mod tests {
         // Enumerate every shard-region crash point inside one batch
         // window; the recover dual (evidence scan + recover_batch) must
         // complete each op exactly once from every intermediate state.
-        use pstack_nvram::FailPlan;
-        let nshards = 2usize;
-        let shard = 0u32;
-        let ops: Vec<KvTaskOp> = (0..12u64)
-            .map(|key| KvTaskOp::Put {
-                key,
-                value: key as i64 + 50,
-            })
-            .collect();
-
-        // Clean run: count the shard region's events for one window.
-        let (stripe, main, heap, store, tables) = sharded_buffered_fixture(&ops, nshards);
-        let window = tables[shard as usize].len() as u32;
-        let f = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-        let mut registry = FunctionRegistry::new();
-        registry.register(KV_SHARDED_FUNC_ID, f.into_arc()).unwrap();
-        let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-        let e0 = stripe.region(shard as usize).events();
-        {
-            let mut ctx = PContext::new(main, heap, &registry, &mut stack, 0, POffset::new(64));
-            ctx.call(
-                KV_SHARDED_FUNC_ID,
-                &ShardedKvTaskFunction::batch_args_for(shard, 0, window),
-            )
-            .unwrap();
-        }
-        let total = stripe.region(shard as usize).events() - e0;
-        assert!(total >= 3, "stage + publish + answers in the shard region");
-
-        for k in 0..total {
-            let (stripe, main, heap, store, tables) = sharded_buffered_fixture(&ops, nshards);
-            let f = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-            let mut registry = FunctionRegistry::new();
-            registry
-                .register(KV_SHARDED_FUNC_ID, f.clone().into_arc())
-                .unwrap();
-            let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-            stripe
-                .region(shard as usize)
-                .arm_failpoint(FailPlan::after_events(k));
-            {
-                let mut ctx = PContext::new(
-                    main.clone(),
-                    heap,
-                    &registry,
-                    &mut stack,
-                    0,
-                    POffset::new(64),
+        let shard = 0usize;
+        sweep_window_crash_points(
+            &puts(0..12, |key| key as i64 + 50),
+            false,
+            shard,
+            |k, exec| {
+                let table = &exec.tables()[shard];
+                assert!(table.pending_slots().unwrap().is_empty(), "crash at {k}");
+                let published: usize = exec.store().snapshot_sharded().unwrap()[shard]
+                    .iter()
+                    .map(Vec::len)
+                    .sum();
+                assert_eq!(
+                    published,
+                    table.capacity() as usize,
+                    "crash at {k}: exactly one record per put"
                 );
-                let err = ctx
-                    .call(
-                        KV_SHARDED_FUNC_ID,
-                        &ShardedKvTaskFunction::batch_args_for(shard, 0, window),
-                    )
-                    .unwrap_err();
-                assert!(err.is_crash(), "crash at shard event {k}");
-            }
-            // Whole-system failure, then the recovery boot.
-            stripe.crash_all(7, 0.0);
-            main.crash_now(7, 0.0);
-            let stripe2 = stripe.reopen_all().unwrap();
-            let main2 = main.reopen().unwrap();
-            let store2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
-            let tables2: Vec<KvOpTable> = tables
-                .iter()
-                .enumerate()
-                .map(|(s, t)| KvOpTable::open(stripe2.region(s).clone(), t.base()).unwrap())
-                .collect();
-            let f2 = ShardedKvTaskFunction::new(store2.clone(), tables2.clone());
-            let heap2 = PHeap::open(main2.clone(), POffset::new(8192)).unwrap();
-            let registry2 = FunctionRegistry::new();
-            let mut stack2 = FixedStack::open(main2.clone(), POffset::new(0), 4096).unwrap();
-            let mut ctx2 =
-                PContext::new(main2, heap2, &registry2, &mut stack2, 0, POffset::new(64));
-            f2.recover(
-                &mut ctx2,
-                &ShardedKvTaskFunction::batch_args_for(shard, 0, window),
-            )
-            .unwrap();
-            // Every op of the window applied exactly once.
-            let table = &tables2[shard as usize];
-            assert!(table.pending().unwrap().is_empty(), "crash at {k}");
-            let published: usize = store2.snapshot_sharded().unwrap()[shard as usize]
-                .iter()
-                .map(Vec::len)
-                .sum();
-            assert_eq!(
-                published,
-                table.len(),
-                "crash at {k}: exactly one record per put"
-            );
+            },
+        );
+    }
+
+    /// A buffered two-shard stripe whose shard 0 holds some live keys —
+    /// the compaction tests' starting point.
+    fn compaction_fixture(
+        keys: u64,
+        value_of: impl Fn(u64) -> i64,
+    ) -> (PMemStripe, PMem, PHeap, ShardedKvStore) {
+        let (stripe, main, heap, exec) = sharded_fixture(&[], 2, false);
+        let store = exec.store().clone();
+        for (i, key) in (0..keys).filter(|&k| shard_of(k, 2) == 0).enumerate() {
+            store.put(0, i as u64 + 1, key, value_of(key)).unwrap();
         }
+        (stripe, main, heap, store)
     }
 
     #[test]
@@ -1601,47 +1132,33 @@ mod tests {
         // Compaction as a persistent-stack task: the call path swaps the
         // generation; a stale request (from_gen already superseded) is a
         // no-op answer, not a second swap.
-        let ops: Vec<KvTaskOp> = (0..8u64)
-            .map(|key| KvTaskOp::Put { key, value: 1 })
-            .collect();
-        let (_stripe, main, heap, store, _tables) = sharded_buffered_fixture(&ops, 2);
-        for (i, key) in (0..8u64).filter(|&k| shard_of(k, 2) == 0).enumerate() {
-            store.put(0, i as u64 + 1, key, key as i64).unwrap();
-        }
-        let f = KvCompactFunction::new(store.clone());
-        let mut registry = FunctionRegistry::new();
-        registry
-            .register(KV_COMPACT_FUNC_ID, f.clone().into_arc())
-            .unwrap();
-        let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-        let mut ctx = PContext::new(
-            main.clone(),
-            heap,
-            &registry,
-            &mut stack,
-            0,
-            POffset::new(64),
+        let (_stripe, main, heap, store) = compaction_fixture(8, |key| key as i64);
+        let registry = registry_of(
+            KvCompactFunction::new(store.clone()).into_arc(),
+            KV_COMPACT_FUNC_ID,
         );
-        let want = store.contents().unwrap();
-        let ret = ctx
-            .call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(0, 0))
-            .unwrap()
-            .unwrap();
-        assert_eq!(ret[0], 9, "compaction answers carry the marker");
-        assert_eq!(ret[1], 1, "this execution ran the rewrite");
-        assert_eq!(store.generations().unwrap(), vec![1, 0]);
-        assert_eq!(store.contents().unwrap(), want);
-        // Stale request: evidence short-circuits, no second swap.
-        let ret = ctx
-            .call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(0, 0))
-            .unwrap()
-            .unwrap();
-        assert_eq!(ret[1], 0, "stale compaction request must not re-run");
-        assert_eq!(store.generations().unwrap(), vec![1, 0]);
-        // Out-of-range shard is a task error, not a panic.
-        assert!(ctx
-            .call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(9, 0))
-            .is_err());
+        on_stack(&main, &heap, &registry, true, |ctx| {
+            let want = store.contents().unwrap();
+            let ret = ctx
+                .call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(0, 0))
+                .unwrap()
+                .unwrap();
+            assert_eq!(ret[0], 9, "compaction answers carry the marker");
+            assert_eq!(ret[1], 1, "this execution ran the rewrite");
+            assert_eq!(store.generations().unwrap(), vec![1, 0]);
+            assert_eq!(store.contents().unwrap(), want);
+            // Stale request: evidence short-circuits, no second swap.
+            let ret = ctx
+                .call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(0, 0))
+                .unwrap()
+                .unwrap();
+            assert_eq!(ret[1], 0, "stale compaction request must not re-run");
+            assert_eq!(store.generations().unwrap(), vec![1, 0]);
+            // Out-of-range shard is a task error, not a panic.
+            assert!(ctx
+                .call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(9, 0))
+                .is_err());
+        });
     }
 
     #[test]
@@ -1651,60 +1168,35 @@ mod tests {
         // retirement); the frame's recovery dual must leave the shard at
         // exactly generation 1 — resumed or redone, never double-swapped
         // — with contents intact.
-        use pstack_nvram::FailPlan;
-        let shard = 0u32;
-        let ops: Vec<KvTaskOp> = (0..8u64)
-            .map(|key| KvTaskOp::Put { key, value: 1 })
-            .collect();
-        let fill = |store: &ShardedKvStore| {
-            for (i, key) in (0..16u64).filter(|&k| shard_of(k, 2) == 0).enumerate() {
-                store.put(0, i as u64 + 1, key, key as i64 + 5).unwrap();
+        let shard = 0usize;
+        let args = KvCompactFunction::args_for(shard as u32, 0);
+        let run = |k: Option<u64>| {
+            let (stripe, main, heap, store) = compaction_fixture(16, |key| key as i64 + 5);
+            let want = store.contents().unwrap();
+            let registry = registry_of(
+                KvCompactFunction::new(store.clone()).into_arc(),
+                KV_COMPACT_FUNC_ID,
+            );
+            let e0 = stripe.region(shard).events();
+            if let Some(k) = k {
+                stripe
+                    .region(shard)
+                    .arm_failpoint(FailPlan::after_events(k));
             }
+            let outcome = on_stack(&main, &heap, &registry, true, |ctx| {
+                ctx.call(KV_COMPACT_FUNC_ID, &args)
+            });
+            let events = stripe.region(shard).events() - e0;
+            (stripe, main, want, outcome, events)
         };
-
         // Clean run: the shard region's event footprint of one task.
-        let (stripe, main, heap, store, _tables) = sharded_buffered_fixture(&ops, 2);
-        fill(&store);
-        let want = store.contents().unwrap();
-        let f = KvCompactFunction::new(store.clone());
-        let mut registry = FunctionRegistry::new();
-        registry.register(KV_COMPACT_FUNC_ID, f.into_arc()).unwrap();
-        let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-        let e0 = stripe.region(shard as usize).events();
-        {
-            let mut ctx = PContext::new(main, heap, &registry, &mut stack, 0, POffset::new(64));
-            ctx.call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(shard, 0))
-                .unwrap();
-        }
-        let total = stripe.region(shard as usize).events() - e0;
+        let (.., outcome, total) = run(None);
+        outcome.unwrap();
         assert!(total >= 3, "rewrite + swap + retirement in the region");
 
         for k in 0..total {
-            let (stripe, main, heap, store, _tables) = sharded_buffered_fixture(&ops, 2);
-            fill(&store);
-            let f = KvCompactFunction::new(store.clone());
-            let mut registry = FunctionRegistry::new();
-            registry
-                .register(KV_COMPACT_FUNC_ID, f.clone().into_arc())
-                .unwrap();
-            let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-            stripe
-                .region(shard as usize)
-                .arm_failpoint(FailPlan::after_events(k));
-            {
-                let mut ctx = PContext::new(
-                    main.clone(),
-                    heap,
-                    &registry,
-                    &mut stack,
-                    0,
-                    POffset::new(64),
-                );
-                let err = ctx
-                    .call(KV_COMPACT_FUNC_ID, &KvCompactFunction::args_for(shard, 0))
-                    .unwrap_err();
-                assert!(err.is_crash(), "crash at shard event {k}");
-            }
+            let (stripe, main, want, outcome, _) = run(Some(k));
+            assert!(outcome.unwrap_err().is_crash(), "crash at shard event {k}");
             // Whole-system failure, then the recovery dual.
             stripe.crash_all(3, 0.0);
             main.crash_now(3, 0.0);
@@ -1712,72 +1204,68 @@ mod tests {
             let main2 = main.reopen().unwrap();
             let store2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
             let f2 = KvCompactFunction::new(store2.clone());
-            let heap2 = PHeap::open(main2.clone(), POffset::new(8192)).unwrap();
+            let heap2 = PHeap::open(main2.clone(), POffset::new(HEAP_OFF)).unwrap();
             let registry2 = FunctionRegistry::new();
-            let mut stack2 = FixedStack::open(main2.clone(), POffset::new(0), 4096).unwrap();
-            let mut ctx2 =
-                PContext::new(main2, heap2, &registry2, &mut stack2, 0, POffset::new(64));
-            let ret = f2
-                .recover(&mut ctx2, &KvCompactFunction::args_for(shard, 0))
-                .unwrap()
-                .unwrap();
-            assert_eq!(ret[0], 9);
-            assert_eq!(
-                store2.shard(shard as usize).generation().unwrap(),
-                1,
-                "crash at {k}: resumed or redone, never double-swapped"
-            );
-            assert_eq!(store2.contents().unwrap(), want, "crash at {k}");
-            let gens = store2.shard(shard as usize).generations().unwrap();
-            assert!(gens[0].retired, "crash at {k}: retirement finished");
-            // A second recovery pass is a no-op.
-            let ret = f2
-                .recover(&mut ctx2, &KvCompactFunction::args_for(shard, 0))
-                .unwrap()
-                .unwrap();
-            assert_eq!(ret[1], 0, "crash at {k}: recovery is idempotent");
+            on_stack(&main2, &heap2, &registry2, false, |ctx| {
+                let ret = f2.recover(ctx, &args).unwrap().unwrap();
+                assert_eq!(ret[0], 9);
+                assert_eq!(
+                    store2.shard(shard).generation().unwrap(),
+                    1,
+                    "crash at {k}: resumed or redone, never double-swapped"
+                );
+                assert_eq!(store2.contents().unwrap(), want, "crash at {k}");
+                let gens = store2.shard(shard).generations().unwrap();
+                assert!(gens[0].retired, "crash at {k}: retirement finished");
+                // A second recovery pass is a no-op.
+                let ret = f2.recover(ctx, &args).unwrap().unwrap();
+                assert_eq!(ret[1], 0, "crash at {k}: recovery is idempotent");
+            });
         }
     }
 
     #[test]
     fn pending_tasks_cover_exactly_the_pending_descriptors() {
-        let nshards = 2usize;
-        let ops: Vec<KvTaskOp> = (0..10u64)
-            .map(|key| KvTaskOp::Put { key, value: 1 })
-            .collect();
-        let (_stripe, _main, _heap, store, tables) = sharded_buffered_fixture(&ops, nshards);
-        // Complete a couple of descriptors by hand to make the pending
-        // sets sparse.
+        let (_stripe, _main, _heap, exec) = sharded_fixture(&puts(0..10, |_| 1), 2, false);
+        let tables = exec.tables();
+        // Complete a descriptor by hand to make the pending sets sparse.
         tables[0]
             .mark_done(0, 0, KvTaskResult::Stored(true))
             .unwrap();
-        let f = ShardedKvTaskFunction::new(store, tables.clone());
+        let pending_of = |s: usize| tables[s].pending_slots().unwrap();
+        let slots_of = |task: &Task| KvServeFunction::parse_args(&task.args).unwrap();
 
-        // batch <= 1: one single-op task per pending descriptor.
-        let singles = f.pending_tasks(KV_SHARDED_FUNC_ID, 1).unwrap();
-        let expected: usize = tables.iter().map(|t| t.pending().unwrap().len()).sum();
-        assert_eq!(singles.len(), expected);
-        assert!(singles.iter().all(|t| t.args.len() == 8));
+        // batch <= 1: one window of one per pending descriptor.
+        for batch in [0, 1] {
+            let singles = exec.pending_tasks(batch).unwrap();
+            assert_eq!(singles.len(), pending_of(0).len() + pending_of(1).len());
+            assert!(singles.iter().all(|t| slots_of(t).2.len() == 1));
+        }
 
-        // Windows: chunks of ≤ 3 pending descriptors, each window's
-        // range covering exactly its chunk.
-        let windows = f.pending_tasks(KV_SHARDED_FUNC_ID, 3).unwrap();
-        assert!(windows.iter().all(|t| t.args.len() == 12));
-        for (s, table) in tables.iter().enumerate() {
-            let pending = table.pending().unwrap();
+        // Windows: chunks of ≤ 3 pending descriptors, first executions,
+        // each shard's windows covering exactly its pending slots.
+        let windows = exec.pending_tasks(3).unwrap();
+        assert!(windows.iter().all(|t| t.func_id == KV_SERVE_FUNC_ID));
+        for s in 0..2 {
             let shard_windows: Vec<_> = windows
                 .iter()
-                .filter(|t| u32::from_le_bytes(t.args[..4].try_into().unwrap()) as usize == s)
+                .map(slots_of)
+                .filter(|w| w.0 as usize == s)
                 .collect();
-            assert_eq!(shard_windows.len(), pending.len().div_ceil(3));
+            assert_eq!(shard_windows.len(), pending_of(s).len().div_ceil(3));
+            assert!(shard_windows.iter().all(|w| !w.1 && w.2.len() <= 3));
+            let covered: Vec<u32> = shard_windows.into_iter().flat_map(|w| w.2).collect();
+            assert_eq!(covered, pending_of(s));
         }
         // A drained table contributes nothing.
-        for table in &tables {
-            for idx in table.pending().unwrap() {
-                table.mark_done(idx, 0, KvTaskResult::Stored(true)).unwrap();
+        for (s, table) in tables.iter().enumerate() {
+            for slot in pending_of(s) {
+                table
+                    .mark_done(slot, 0, KvTaskResult::Stored(true))
+                    .unwrap();
             }
         }
-        assert!(f.pending_tasks(KV_SHARDED_FUNC_ID, 3).unwrap().is_empty());
+        assert!(exec.pending_tasks(3).unwrap().is_empty());
     }
 
     #[test]
@@ -1785,166 +1273,74 @@ mod tests {
         // The §5.2 window, per shard: the shard's head CAS landed but
         // the answer in the shard's table never persisted. Recovery
         // must find the chain evidence inside that shard alone.
-        use pstack_nvram::FailPlan;
-        let ops = [KvTaskOp::Put { key: 3, value: 33 }];
-        let shard = shard_of(3, 2) as u32;
-
-        // Clean run: count the shard region's events for one call.
-        let (stripe, main, heap, store, tables) = sharded_fixture(&ops, 2);
-        let f = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-        let mut registry = FunctionRegistry::new();
-        registry
-            .register(KV_SHARDED_FUNC_ID, f.clone().into_arc())
-            .unwrap();
-        let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-        let e0 = stripe.region(shard as usize).events();
-        {
-            let mut ctx = PContext::new(
-                main.clone(),
-                heap.clone(),
-                &registry,
-                &mut stack,
-                0,
-                POffset::new(64),
-            );
-            ctx.call(
-                KV_SHARDED_FUNC_ID,
-                &ShardedKvTaskFunction::args_for(shard, 0),
-            )
-            .unwrap();
-        }
-        let total = stripe.region(shard as usize).events() - e0;
-        assert!(total >= 2, "store op + answer persist in the shard region");
-
-        for k in 0..total {
-            let (stripe, main, heap, store, tables) = sharded_fixture(&ops, 2);
-            let f = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-            let mut registry = FunctionRegistry::new();
-            registry
-                .register(KV_SHARDED_FUNC_ID, f.clone().into_arc())
-                .unwrap();
-            let mut stack = FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap();
-            stripe
-                .region(shard as usize)
-                .arm_failpoint(FailPlan::after_events(k));
-            {
-                let mut ctx = PContext::new(
-                    main.clone(),
-                    heap,
-                    &registry,
-                    &mut stack,
-                    0,
-                    POffset::new(64),
+        let shard = shard_of(3, 2);
+        sweep_window_crash_points(
+            &[KvTaskOp::Put { key: 3, value: 33 }],
+            true,
+            shard,
+            |k, exec| {
+                assert_eq!(exec.store().get(3).unwrap(), Some(33), "crash at {k}");
+                let published: usize = exec
+                    .store()
+                    .snapshot_sharded()
+                    .unwrap()
+                    .iter()
+                    .flatten()
+                    .map(Vec::len)
+                    .sum();
+                assert_eq!(published, 1, "crash at {k}: exactly one record");
+                assert_eq!(
+                    results_of(&exec.tables()[shard]),
+                    vec![Some(KvTaskResult::Stored(true))]
                 );
-                let err = ctx
-                    .call(
-                        KV_SHARDED_FUNC_ID,
-                        &ShardedKvTaskFunction::args_for(shard, 0),
-                    )
-                    .unwrap_err();
-                assert!(err.is_crash(), "crash at shard event {k}");
-            }
-            // System failure: the other regions die with the shard.
-            stripe.crash_all(5, 0.0);
-            main.crash_now(5, 0.0);
-            let stripe2 = stripe.reopen_all().unwrap();
-            let main2 = main.reopen().unwrap();
-            let store2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
-            let tables2: Vec<KvOpTable> = tables
-                .iter()
-                .enumerate()
-                .map(|(s, t)| KvOpTable::open(stripe2.region(s).clone(), t.base()).unwrap())
-                .collect();
-            let f2 = ShardedKvTaskFunction::new(store2.clone(), tables2.clone());
-            let heap2 = PHeap::open(main2.clone(), POffset::new(8192)).unwrap();
-            let registry2 = FunctionRegistry::new();
-            let mut stack2 = FixedStack::open(main2.clone(), POffset::new(0), 4096).unwrap();
-            let mut ctx2 =
-                PContext::new(main2, heap2, &registry2, &mut stack2, 0, POffset::new(64));
-            f2.recover(&mut ctx2, &ShardedKvTaskFunction::args_for(shard, 0))
-                .unwrap();
-            assert_eq!(store2.get(3).unwrap(), Some(33), "crash at {k}");
-            let published: usize = store2
-                .snapshot_sharded()
-                .unwrap()
-                .iter()
-                .flatten()
-                .map(Vec::len)
-                .sum();
-            assert_eq!(published, 1, "crash at {k}: exactly one record");
-            assert!(matches!(
-                tables2[shard as usize].result(0).unwrap().unwrap().result,
-                KvTaskResult::Stored(true)
-            ));
-        }
+            },
+        );
     }
 
     #[test]
     fn crash_between_store_op_and_mark_done_recovers_exactly_once() {
         // The critical §5.2-style window: the head CAS landed but the
         // answer never persisted. Recovery must find the chain evidence
-        // and not double-apply.
-        use pstack_nvram::FailPlan;
-        let build = || fixture(&[KvTaskOp::Put { key: 3, value: 33 }]);
-
+        // and not double-apply. Stack, store and table share one region
+        // here, so the sweep also crosses the frame's own persists.
+        let args = KvServeFunction::window_args(0, false, &[0]);
+        let run = |k: Option<u64>| {
+            let (pmem, heap, exec) = fixture(&[KvTaskOp::Put { key: 3, value: 33 }]);
+            let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+            // The stack is formatted before the kill is armed: the sweep
+            // covers the call, not the fixture.
+            let (outcome, events) = on_stack(&pmem, &heap, &registry, true, |ctx| {
+                let e0 = pmem.events();
+                if let Some(k) = k {
+                    pmem.arm_failpoint(FailPlan::after_events(k));
+                }
+                let outcome = ctx.call(KV_SERVE_FUNC_ID, &args);
+                (outcome, pmem.events() - e0)
+            });
+            (pmem, exec, outcome, events)
+        };
         // Count events for a clean run to know the crash range.
-        let (pmem, heap, store, table) = build();
-        let f = KvTaskFunction::new(store.clone(), table.clone());
-        let mut registry = FunctionRegistry::new();
-        registry.register(KV_TASK_FUNC_ID, f.into_arc()).unwrap();
-        let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 4096).unwrap();
-        let e0 = pmem.events();
-        {
-            let mut ctx = PContext::new(
-                pmem.clone(),
-                heap.clone(),
-                &registry,
-                &mut stack,
-                0,
-                POffset::new(64),
-            );
-            ctx.call(KV_TASK_FUNC_ID, &0u64.to_le_bytes()).unwrap();
-        }
-        let total = pmem.events() - e0;
+        let (.., outcome, total) = run(None);
+        outcome.unwrap();
 
         for k in 0..total {
-            let (pmem, heap, store, table) = build();
-            let mut registry = FunctionRegistry::new();
-            registry
-                .register(
-                    KV_TASK_FUNC_ID,
-                    KvTaskFunction::new(store.clone(), table.clone()).into_arc(),
-                )
-                .unwrap();
-            let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 4096).unwrap();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            {
-                let mut ctx = PContext::new(
-                    pmem.clone(),
-                    heap,
-                    &registry,
-                    &mut stack,
-                    0,
-                    POffset::new(64),
-                );
-                let err = ctx.call(KV_TASK_FUNC_ID, &0u64.to_le_bytes()).unwrap_err();
-                assert!(err.is_crash(), "crash at event {k}");
-            }
+            let (pmem, exec, outcome, _) = run(Some(k));
+            assert!(outcome.unwrap_err().is_crash(), "crash at event {k}");
             let pmem2 = pmem.reopen().unwrap();
-            let heap2 = PHeap::open(pmem2.clone(), POffset::new(8192)).unwrap();
-            let store2 = PKvStore::open(pmem2.clone(), store.base(), KvVariant::Nsrl).unwrap();
-            let t2 = KvOpTable::open(pmem2.clone(), table.base()).unwrap();
-            let mut registry2 = FunctionRegistry::new();
-            registry2
-                .register(
-                    KV_TASK_FUNC_ID,
-                    KvTaskFunction::new(store2.clone(), t2.clone()).into_arc(),
-                )
-                .unwrap();
-            let mut stack2 = FixedStack::open(pmem2.clone(), POffset::new(0), 4096).unwrap();
-            let mut ctx2 =
-                PContext::new(pmem2, heap2, &registry2, &mut stack2, 0, POffset::new(64));
-            pstack_core::recover_stack(&mut ctx2).unwrap();
+            let heap2 = PHeap::open(pmem2.clone(), POffset::new(HEAP_OFF)).unwrap();
+            let store2 =
+                PKvStore::open(pmem2.clone(), exec.store().shard(0).base(), KvVariant::Nsrl)
+                    .unwrap();
+            let t2 = KvRequestTable::open(pmem2.clone(), exec.tables()[0].base()).unwrap();
+            let sharded2 =
+                ShardedKvStore::from_parts(vec![store2.clone()], vec![heap2.clone()]).unwrap();
+            let registry2 = registry_of(
+                KvServeFunction::new(sharded2, vec![t2.clone()]).into_arc(),
+                KV_SERVE_FUNC_ID,
+            );
+            on_stack(&pmem2, &heap2, &registry2, false, |ctx| {
+                pstack_core::recover_stack(ctx).unwrap();
+            });
             // Whether or not the operation linearized before the crash,
             // the key holds the value at most once in the published log;
             // if the descriptor is marked done, exactly once.

@@ -10,18 +10,24 @@
 //! * [`PKvStore`] — a persistent hash-indexed map from `u64` keys to
 //!   `i64` values, laid out in the `PMem` region via `PHeap`, with
 //!   `put`/`get`/`delete`/`cas` operations and their recovery duals;
-//! * [`KvOpTable`] — the persistent table of operation descriptors and
-//!   answers that lets a §5.2-style experiment re-enqueue unfinished
-//!   operations after every restart;
-//! * [`KvTaskFunction`] — glue registering KV operations as recoverable
-//!   functions, so KV traffic runs through `Runtime::run_tasks` and
-//!   survives crashes via the persistent stack;
-//! * [`ShardedKvStore`] — the scaling layer: the key space striped
-//!   across `N` complete stores, one independent region (one lock, one
-//!   version log, one recovery scan) per shard behind the [`shard_of`]
-//!   router, with [`KvBatch`] group commits and
-//!   [`ShardedKvTaskFunction`] + per-shard [`KvOpTable`]s as the
-//!   runtime glue.
+//!   [`ShardedKvStore`] stripes the key space across `N` of them, one
+//!   independent region (one version log, one recovery scan) per shard
+//!   behind the [`shard_of`] router, with [`KvBatch`] group commits;
+//! * [`KvRequestTable`] — the one durable table of operation
+//!   descriptors and answers, per shard, keyed by request id. A server
+//!   fills it as requests arrive; a §5.2-style experiment preloads it
+//!   with its whole workload ([`KvServeFunction::preload`]) and
+//!   re-enqueues what is still pending after every restart
+//!   ([`KvServeFunction::pending_tasks`]);
+//! * [`KvServeFunction`] — the one recoverable function that executes
+//!   descriptors: a batch window of a shard's slots as one
+//!   persistent-stack task (group commit, or the evidence-scanning
+//!   dual on replay, then one line-atomic answer persist), so KV
+//!   traffic runs through `run_tasks` and survives crashes via the
+//!   persistent stack. Reads are never descriptors —
+//!   [`ShardedKvStore::get_durable`] is the one read path;
+//! * [`KvCompactFunction`] — a shard's compaction as a recoverable
+//!   task, resumed or safely abandoned from the root cell's evidence.
 //!
 //! # Scaling: sharding and group commit
 //!
@@ -68,9 +74,12 @@
 //! removing the matrix `R` — and the verifier catches the resulting
 //! double applications.
 //!
-//! Like every §5 object, the store requires an `eager_flush` region:
-//! the algorithm is specified for cache-less NVRAM, where every write
-//! is durable the moment it completes.
+//! The store runs on either kind of region. On an `eager_flush` region
+//! — §5's cache-less NVRAM, where every write is durable the moment it
+//! completes — each mutation publishes on its own. On a **buffered**
+//! region the store orders its own persists: per-op mutations run
+//! reserve → persist → publish lock-free, group commits batch them as
+//! above, and this is the mode the server and `BENCHMARK.json` build.
 
 mod funcs;
 mod reqtable;
@@ -78,8 +87,8 @@ mod shard;
 mod store;
 
 pub use funcs::{
-    KvCompactFunction, KvOpTable, KvTaskAnswer, KvTaskFunction, KvTaskOp, KvTaskResult,
-    ShardedKvTaskFunction, KV_COMPACT_FUNC_ID, KV_SHARDED_FUNC_ID, KV_TASK_FUNC_ID,
+    KvCompactFunction, KvServeFunction, KvTaskAnswer, KvTaskOp, KvTaskResult, KV_COMPACT_FUNC_ID,
+    KV_SERVE_FUNC_ID,
 };
 pub use reqtable::{KvRequestTable, ReqSubmit};
 pub use shard::{shard_of, KvBatch, ShardedKvStore};

@@ -1,14 +1,15 @@
 //! A **bounded, request-id-keyed** descriptor/answer table — the
-//! durable half of exactly-once serving.
+//! durable half of exactly-once execution, and the only descriptor
+//! table there is.
 //!
-//! [`KvOpTable`](crate::KvOpTable) holds a *static* workload: every
-//! descriptor is formatted up front and indexed by position. A serving
-//! front end cannot do that — requests arrive forever, each tagged with
-//! a client-chosen request id, and retried requests must be answered
-//! from the durable record of their first execution, never re-executed.
-//! [`KvRequestTable`] is the dynamic dual: a fixed-capacity slab of
-//! slots, each holding one request's descriptor and (once executed) its
-//! answer, looked up by request id.
+//! [`KvRequestTable`] is a fixed-capacity slab of slots, each holding
+//! one request's descriptor and (once executed) its answer, looked up
+//! by request id. A serving front end admits requests into it forever
+//! — each tagged with a client-chosen id, retried requests answered
+//! from the durable record of their first execution, never
+//! re-executed; a static workload is the same table preloaded with
+//! every mutation up front
+//! ([`KvServeFunction::preload`](crate::KvServeFunction::preload)).
 //!
 //! # Lifecycle and recycling
 //!
@@ -131,7 +132,7 @@ pub enum ReqSubmit {
 /// Splits a `(client_id << 32) | seq` request id into its halves — the
 /// identity convention of the serving layer, which is what makes a
 /// per-client high-water line possible.
-fn split_id(req_id: u64) -> (u32, u32) {
+pub(crate) fn split_id(req_id: u64) -> (u32, u32) {
     ((req_id >> 32) as u32, req_id as u32)
 }
 
@@ -1075,6 +1076,7 @@ mod tests {
             Err(PError::InvalidConfig(_))
         ));
         assert!(table.op(99).is_err());
+        assert!(table.mark_done(99, 0, KvTaskResult::Got(None)).is_err());
     }
 
     fn heap_pmem(heap: &PHeap) -> PMem {

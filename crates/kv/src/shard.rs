@@ -166,6 +166,28 @@ impl ShardedKvStore {
         Ok(ShardedKvStore { shards, heaps })
     }
 
+    /// Wraps stores that are already attached — `shards[i]` allocated
+    /// from `heaps[i]` — as a stripe. This is how a store living inside
+    /// another layout's region (a runtime's own heap, say) rides the
+    /// sharded API as a one-shard stripe; such regions carry no shard
+    /// root, so the caller re-attaches the parts itself after a
+    /// restart instead of calling [`ShardedKvStore::open`].
+    ///
+    /// # Errors
+    ///
+    /// [`PError::InvalidConfig`] for an empty list, a heap count that
+    /// differs from the store count, or mixed commit modes.
+    pub fn from_parts(shards: Vec<PKvStore>, heaps: Vec<PHeap>) -> Result<Self, PError> {
+        if shards.len() != heaps.len() {
+            return Err(PError::InvalidConfig(
+                "a sharded store needs one heap per shard".into(),
+            ));
+        }
+        let regions: Vec<PMem> = heaps.iter().map(|h| h.pmem().clone()).collect();
+        Self::check_regions(&regions)?;
+        Ok(ShardedKvStore { shards, heaps })
+    }
+
     fn check_regions(regions: &[PMem]) -> Result<(), PError> {
         if regions.is_empty() {
             return Err(PError::InvalidConfig(

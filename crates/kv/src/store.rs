@@ -934,7 +934,7 @@ impl PKvStore {
     /// each registers in the region's mutator gate so `compact` (and
     /// group commits) quiesce them out instead of racing the
     /// generation swap — machine-checked, not caller-promised.
-    fn publish_one(&self, op: KvBatchOp) -> Result<KvApplied, PError> {
+    pub(crate) fn publish_one(&self, op: KvBatchOp) -> Result<KvApplied, PError> {
         let _mutator = self.pmem.mutator_enter();
         let (pid, seq, key, kind, value, precond) = op.parts();
         // (slot offset, generation base it belongs to)

@@ -4,13 +4,19 @@
 //! There is one group-commit routine — `apply_batch_begin` then
 //! `commit` — and this file writes down what it pays: four persists a
 //! batch (records, log tail, heads, epoch), the first two as flights
-//! that overlap; and what compaction pays: seven. Counters, not
-//! wall-clock, so nothing here depends on how loaded the host is.
+//! that overlap; what compaction pays: seven; and what a static
+//! workload's window pays on the persistent stack: ten, the served
+//! window's own budget. Counters, not wall-clock, so nothing here
+//! depends on how loaded the host is.
 
 use std::time::Duration;
 
+use pstack_core::{FunctionRegistry, RuntimeConfig, StripedRuntime};
 use pstack_heap::PHeap;
-use pstack_kv::{KvBatchOp, KvVariant, PKvStore, ShardedKvStore};
+use pstack_kv::{
+    KvBatchOp, KvRequestTable, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore,
+    KV_SERVE_FUNC_ID,
+};
 use pstack_nvram::{PMem, PMemBuilder, POffset};
 
 const LEN: usize = 1 << 19;
@@ -127,4 +133,72 @@ fn an_eager_batch_issues_no_flight() {
         0,
         "eager stores never group-commit"
     );
+}
+
+#[test]
+fn a_preloaded_window_is_ten_persists_and_its_replay_none_on_the_shard() {
+    // A static workload is a preloaded request table run as
+    // persistent-stack tasks: the served window minus the served
+    // path's per-drain descriptor persist and per-op ack
+    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 5 + 4 +
+    // 1 + 1).
+    let stripe = PMemBuilder::new().len(LEN).build_striped(1);
+    let shard = stripe.region(0);
+    let store = ShardedKvStore::format(stripe.regions(), 8, 256, KvVariant::Nsrl).unwrap();
+    let ops: Vec<KvTaskOp> = (0..16).map(|key| KvTaskOp::Put { key, value: 1 }).collect();
+
+    // Preloading n mutations is one persist on top of formatting the
+    // table they go into.
+    let t0 = shard.stats().snapshot();
+    KvRequestTable::format(shard.clone(), store.heap(0), ops.len() as u32).unwrap();
+    let format_only = shard.stats().snapshot() - t0;
+    let t1 = shard.stats().snapshot();
+    let exec = KvServeFunction::preload(store, &ops).unwrap();
+    let preload = shard.stats().snapshot() - t1;
+    assert_eq!(preload.persists, format_only.persists + 1);
+    assert_eq!(
+        preload.lines_persisted,
+        format_only.lines_persisted + 16,
+        "sixteen descriptors, one coalesced persist"
+    );
+
+    let mut registry = FunctionRegistry::new();
+    registry
+        .register(KV_SERVE_FUNC_ID, exec.clone().into_arc())
+        .unwrap();
+    let control = PMemBuilder::new().len(1 << 18).build_in_memory();
+    let rt = StripedRuntime::format(
+        control.clone(),
+        stripe.clone(),
+        RuntimeConfig::new(1).stack_capacity(4 * 1024),
+        &registry,
+    )
+    .unwrap();
+    let run = |tasks| {
+        let before = (control.stats().snapshot(), shard.stats().snapshot());
+        let report = rt.run_tasks(tasks);
+        assert!(!report.crashed && report.task_errors == 0);
+        (
+            (control.stats().snapshot() - before.0).persists,
+            (shard.stats().snapshot() - before.1).persists,
+        )
+    };
+
+    let tasks = exec.pending_tasks(16).unwrap();
+    assert_eq!(tasks.len(), 1, "sixteen puts, one window");
+    let replay = tasks.clone();
+    assert_eq!(
+        run(tasks),
+        (5, 5),
+        "the frame (push, arguments, marker, unit return, pop); \
+         the group commit (records, tail, heads, epoch) + one answer persist"
+    );
+    assert!(exec.pending_tasks(16).unwrap().is_empty());
+    assert_eq!(exec.store().flush_epochs().unwrap(), vec![1]);
+
+    // Replaying the completed window pays its frame and nothing else:
+    // every slot is answered, so nothing is staged, committed or
+    // re-answered.
+    assert_eq!(run(replay), (5, 0));
+    assert_eq!(exec.store().flush_epochs().unwrap(), vec![1]);
 }

@@ -33,8 +33,8 @@ use rand::distr::{Distribution, Zipf};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pstack_kv::{KvTaskAnswer, KvTaskOp, KvTaskResult};
-use pstack_verify::{KvAnswer, KvOp, KvOpKind};
+use pstack_kv::{KvTaskAnswer, KvTaskOp};
+use pstack_verify::KvOp;
 
 use crate::proto::{req_id_for, Request, RequestBody, Response};
 
@@ -362,27 +362,8 @@ impl ClientSim {
 
     fn record_done(&mut self, now: u64, op: KvTaskOp, first_sent: u64, answer: KvTaskAnswer) {
         let req_id = req_id_for(self.cfg.client_id, self.seq);
-        let (kind, value, expected) = match op {
-            KvTaskOp::Put { value, .. } => (KvOpKind::Put, value, 0),
-            KvTaskOp::Get { .. } => (KvOpKind::Get, 0, 0),
-            KvTaskOp::Delete { .. } => (KvOpKind::Delete, 0, 0),
-            KvTaskOp::Cas { expected, new, .. } => (KvOpKind::Cas, new, expected),
-        };
-        let answer = match answer.result {
-            KvTaskResult::Stored(ok) => KvAnswer::Stored(ok),
-            KvTaskResult::Got(v) => KvAnswer::Got(v),
-            KvTaskResult::Deleted(ok) => KvAnswer::Deleted(ok),
-            KvTaskResult::Swapped(ok) => KvAnswer::Swapped(ok),
-        };
-        self.observations.push(KvOp {
-            pid: u64::from(self.cfg.client_id),
-            seq: req_id,
-            kind,
-            key: op.key(),
-            value,
-            expected,
-            answer,
-        });
+        self.observations
+            .push(op.observed(u64::from(self.cfg.client_id), req_id, answer.result));
         self.latencies
             .push((OpClass::of(op), now.saturating_sub(first_sent)));
     }
@@ -516,6 +497,7 @@ impl ClientSim {
 mod tests {
     use super::*;
     use crate::proto::client_of;
+    use pstack_kv::KvTaskResult;
 
     fn mk(n_ops: usize, seed: u64) -> ClientSim {
         ClientSim::new(ClientConfig {

@@ -42,5 +42,8 @@ pub use clock::{Clock, SystemClock, VirtualClock};
 pub use proto::{
     client_of, req_id_for, Request, RequestBody, Response, MAX_FRAME_LEN, REQUEST_LEN, RESPONSE_LEN,
 };
-pub use server::{KvServeFunction, ServerCore, Submission, ADMISSION_EXECUTOR, KV_SERVE_FUNC_ID};
+// The window executor lives beside the table it executes
+// (`pstack-kv`); re-exported because serving is where it is used.
+pub use pstack_kv::{KvServeFunction, KV_SERVE_FUNC_ID};
+pub use server::{ServerCore, Submission, ADMISSION_EXECUTOR};
 pub use transport::{ChannelConn, ChannelHub};

@@ -84,24 +84,23 @@
 //! its answer): it writes nothing and pins nothing. Queues are volatile
 //! on purpose: a power failure empties them, and the clients' retry
 //! loops re-drive every lost request through the dedup path above.
+//!
+//! [`KvRequestTable`]: pstack_kv::KvRequestTable
+//! [`KvRequestTable::mark_done_batch`]: pstack_kv::KvRequestTable::mark_done_batch
+//! [`PKvStore::apply_batch`]: pstack_kv::PKvStore::apply_batch
+//! [`PKvStore::recover_batch`]: pstack_kv::PKvStore::recover_batch
+//! [`ShardedKvStore::get_durable`]: pstack_kv::ShardedKvStore::get_durable
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use pstack_core::{
-    Admission, AdmissionQueue, PContext, PError, RecoverableFunction, RetBytes, Task,
-};
+use pstack_core::{Admission, AdmissionQueue, PError, Task};
 use pstack_kv::{
-    KvApplied, KvBatchOp, KvRequestTable, KvTaskAnswer, KvTaskOp, KvTaskResult, ReqSubmit,
-    ShardedKvStore,
+    KvServeFunction, KvTaskAnswer, KvTaskOp, KvTaskResult, ReqSubmit, KV_SERVE_FUNC_ID,
 };
 use pstack_nvram::op_label;
 
-use crate::proto::{client_of, kind_of, Request, RequestBody, Response};
-
-/// Registry id of [`KvServeFunction`] (0x0FFC..0x0FFE are taken by the
-/// KV task/compact functions).
-pub const KV_SERVE_FUNC_ID: u64 = 0x0FFB;
+use crate::proto::{kind_of, Request, RequestBody, Response};
 
 /// The `executor` reported for a read answered at admission: no runtime
 /// worker ran it.
@@ -150,300 +149,6 @@ struct ShardQueue {
     queued: Mutex<HashSet<u64>>,
 }
 
-/// The durable half of the server: the sharded store plus one request
-/// table per shard. Registered as the recoverable function executing
-/// batch windows ([`KV_SERVE_FUNC_ID`]), and shared by [`ServerCore`]
-/// for direct (runtime-less) pumping.
-#[derive(Clone)]
-pub struct KvServeFunction {
-    store: ShardedKvStore,
-    tables: Vec<KvRequestTable>,
-}
-
-impl KvServeFunction {
-    /// Bundles a sharded store with one request table per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table count differs from the store's shard count.
-    #[must_use]
-    pub fn new(store: ShardedKvStore, tables: Vec<KvRequestTable>) -> Self {
-        assert_eq!(store.nshards(), tables.len(), "one request table per shard");
-        KvServeFunction { store, tables }
-    }
-
-    /// Wraps into the `Arc<dyn RecoverableFunction>` shape the registry
-    /// wants.
-    #[must_use]
-    pub fn into_arc(self) -> Arc<dyn RecoverableFunction> {
-        Arc::new(self)
-    }
-
-    /// The sharded store being served.
-    #[must_use]
-    pub fn store(&self) -> &ShardedKvStore {
-        &self.store
-    }
-
-    /// The per-shard request tables.
-    #[must_use]
-    pub fn tables(&self) -> &[KvRequestTable] {
-        &self.tables
-    }
-
-    /// Encodes a batch window as task arguments:
-    /// `[shard u32][recovery u8][count u32][slot u32 × count]`.
-    #[must_use]
-    pub fn window_args(shard: u32, recovery: bool, slots: &[u32]) -> Vec<u8> {
-        let mut b = Vec::with_capacity(9 + slots.len() * 4);
-        b.extend_from_slice(&shard.to_le_bytes());
-        b.push(u8::from(recovery));
-        b.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-        for &slot in slots {
-            b.extend_from_slice(&slot.to_le_bytes());
-        }
-        b
-    }
-
-    fn parse_args(args: &[u8]) -> Result<(u32, bool, Vec<u32>), PError> {
-        if args.len() < 9 {
-            return Err(PError::Task(
-                "serve window arguments need (shard, recovery, count)".into(),
-            ));
-        }
-        let shard = u32::from_le_bytes(args[..4].try_into().expect("slice length"));
-        let recovery = args[4] != 0;
-        let count = u32::from_le_bytes(args[5..9].try_into().expect("slice length")) as usize;
-        if args.len() != 9 + count * 4 {
-            return Err(PError::Task(format!(
-                "serve window names {count} slots but carries {} bytes",
-                args.len()
-            )));
-        }
-        let slots = args[9..]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("slice length")))
-            .collect();
-        Ok((shard, recovery, slots))
-    }
-
-    /// Executes one batch window: answered slots are skipped (their
-    /// answers are simply re-collected), mutations group-commit through
-    /// the shard's
-    /// [`PKvStore::apply_batch`] — or its evidence-scanning
-    /// [`PKvStore::recover_batch`] dual when `recovery` — and all
-    /// answers persist with one coalesced
-    /// [`KvRequestTable::mark_done_batch`] *before* any `(req_id,
-    /// answer)` pair is returned for acking: answers are durable before
-    /// they are visible.
-    ///
-    /// # Errors
-    ///
-    /// Shard out of range ([`PError::Task`]), or propagated store/NVRAM
-    /// errors.
-    pub fn execute_window(
-        &self,
-        shard: u32,
-        slots: &[u32],
-        recovery: bool,
-        executor: u32,
-    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let _label = op_label(if recovery {
-            "server.window.recover"
-        } else {
-            "server.window"
-        });
-        let stage = self.stage_window(shard, slots, executor)?;
-        let outcomes = if stage.staged.is_empty() {
-            Vec::new()
-        } else {
-            let pstore = self.store.shard(shard as usize);
-            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
-            if recovery {
-                pstore.recover_batch(&ops)?
-            } else {
-                pstore.apply_batch(&ops)?
-            }
-        };
-        Self::finish_window(stage, outcomes)
-    }
-
-    /// Executes one round of batch windows, at most one per shard. The
-    /// non-recovery windows are **begun** first — each shard's
-    /// record/log-tail persists are issued as asynchronous flush
-    /// flights, back to back across the shard regions — and committed
-    /// afterwards, so the whole round drains the flush pipeline in
-    /// about one device round-trip instead of each shard awaiting its
-    /// own serially. Recovery windows run through
-    /// [`KvServeFunction::execute_window`] unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Shard out of range ([`PError::Task`]), or propagated store/NVRAM
-    /// errors.
-    pub fn execute_windows(
-        &self,
-        windows: &[(u32, bool, Vec<u32>)],
-        executor: u32,
-    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let mut ready = Vec::new();
-        let _label = op_label("server.windows");
-        let mut pending = Vec::new();
-        for (shard, recovery, slots) in windows {
-            if *recovery {
-                // The evidence-scanning duals stay serial: recovery is
-                // off the hot path by design, and mixing scans into an
-                // open pipeline would buy nothing.
-                ready.extend(self.execute_window(*shard, slots, true, executor)?);
-                continue;
-            }
-            let stage = self.stage_window(*shard, slots, executor)?;
-            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
-            let batch = self.store.shard(*shard as usize).apply_batch_begin(&ops)?;
-            pending.push((stage, batch));
-        }
-        for (stage, batch) in pending {
-            let outcomes = batch.commit()?;
-            ready.extend(Self::finish_window(stage, outcomes)?);
-        }
-        Ok(ready)
-    }
-
-    /// The read-and-stage half of a window: replays already-durable
-    /// answers and collects the mutations to group-commit. A window
-    /// never carries a read — [`ServerCore::submit`] answers those at
-    /// admission, the one read path — so a `Get` descriptor here is a
-    /// caller's error, not a second way to read.
-    fn stage_window(
-        &self,
-        shard: u32,
-        slots: &[u32],
-        executor: u32,
-    ) -> Result<WindowStage<'_>, PError> {
-        let table = self.tables.get(shard as usize).ok_or_else(|| {
-            PError::Task(format!(
-                "shard {shard} out of range ({} shards)",
-                self.tables.len()
-            ))
-        })?;
-        let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
-        let mut staged: Vec<(u32, u64, KvBatchOp)> = Vec::new();
-        for &slot in slots {
-            let req_id = table.req_id(slot)?;
-            if req_id == 0 {
-                // A replayed frame whose descriptor never became durable
-                // (the drain's persist met the power failure): nothing
-                // ran on its behalf and nothing may — the client's retry
-                // is fresh.
-                continue;
-            }
-            if let Some(answer) = table.result(slot)? {
-                ready.push((req_id, answer)); // already durable: replay only
-                continue;
-            }
-            let pid = u64::from(client_of(req_id));
-            match table.op(slot)? {
-                KvTaskOp::Get { .. } => {
-                    return Err(PError::Task(format!(
-                        "slot {slot} of shard {shard} holds a get: reads are answered at admission"
-                    )));
-                }
-                KvTaskOp::Put { key, value } => staged.push((
-                    slot,
-                    req_id,
-                    KvBatchOp::Put {
-                        pid,
-                        seq: req_id,
-                        key,
-                        value,
-                    },
-                )),
-                KvTaskOp::Delete { key } => staged.push((
-                    slot,
-                    req_id,
-                    KvBatchOp::Delete {
-                        pid,
-                        seq: req_id,
-                        key,
-                    },
-                )),
-                KvTaskOp::Cas { key, expected, new } => staged.push((
-                    slot,
-                    req_id,
-                    KvBatchOp::Cas {
-                        pid,
-                        seq: req_id,
-                        key,
-                        expected,
-                        new,
-                    },
-                )),
-            }
-        }
-        Ok(WindowStage {
-            table,
-            executor,
-            ready,
-            staged,
-        })
-    }
-
-    /// The answer half of a window: maps group-commit outcomes to
-    /// results, persists all answers with one coalesced
-    /// [`KvRequestTable::mark_done_batch`], and only then returns the
-    /// `(req_id, answer)` pairs — answers are durable before they are
-    /// visible.
-    fn finish_window(
-        mut stage: WindowStage<'_>,
-        outcomes: Vec<KvApplied>,
-    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let executor = stage.executor;
-        let mut answers = Vec::with_capacity(stage.staged.len());
-        for (&(slot, req_id, op), outcome) in stage.staged.iter().zip(outcomes) {
-            let result = match op {
-                KvBatchOp::Put { .. } => KvTaskResult::Stored(outcome.took_effect()),
-                KvBatchOp::Delete { .. } => KvTaskResult::Deleted(outcome.took_effect()),
-                KvBatchOp::Cas { .. } => KvTaskResult::Swapped(outcome.took_effect()),
-            };
-            answers.push((slot, executor, result));
-            stage
-                .ready
-                .push((req_id, KvTaskAnswer { executor, result }));
-        }
-        stage.table.mark_done_batch(&answers)?;
-        Ok(stage.ready)
-    }
-}
-
-/// A batch window read and staged but not yet executed
-/// ([`KvServeFunction::stage_window`]): replayed answers in `ready`,
-/// mutations awaiting their group commit in `staged`.
-struct WindowStage<'a> {
-    table: &'a KvRequestTable,
-    executor: u32,
-    ready: Vec<(u64, KvTaskAnswer)>,
-    staged: Vec<(u32, u64, KvBatchOp)>,
-}
-
-/// A window's product is the durable answers in its request table, so
-/// the frame returns unit: nothing reads a return value, and a unit
-/// return spares the frame the separate value persist.
-impl RecoverableFunction for KvServeFunction {
-    fn call(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let (shard, recovery, slots) = Self::parse_args(args)?;
-        self.execute_window(shard, &slots, recovery, ctx.pid as u32)?;
-        Ok(None)
-    }
-
-    fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let (shard, _, slots) = Self::parse_args(args)?;
-        // A replayed frame might have executed before the crash: always
-        // the evidence-scanning duals.
-        self.execute_window(shard, &slots, true, ctx.pid as u32)?;
-        Ok(None)
-    }
-}
-
 /// The serving front end: per-shard admission queues over the durable
 /// [`KvServeFunction`]. Rebuilt from the reopened store/tables after
 /// every reboot (all its own state is volatile by design).
@@ -464,7 +169,7 @@ impl ServerCore {
     #[must_use]
     pub fn new(exec: KvServeFunction, queue_capacity: usize, batch: usize) -> Self {
         assert!(batch > 0, "batch windows need at least one slot");
-        let shards = (0..exec.store.nshards())
+        let shards = (0..exec.store().nshards())
             .map(|_| ShardQueue {
                 queue: AdmissionQueue::new(queue_capacity),
                 queued: Mutex::new(HashSet::new()),
@@ -500,7 +205,7 @@ impl ServerCore {
     /// A `Get` is answered here and now ([`Submission::Answered`]) from
     /// the shard's head: no slot, no window, no stack frame, and no
     /// persist unless a racing mutation left the head line un-persisted
-    /// ([`ShardedKvStore::get_durable`]). A mutation's descriptor is
+    /// ([`pstack_kv::ShardedKvStore::get_durable`]). A mutation's descriptor is
     /// **staged** in its shard's table when this returns
     /// [`Submission::Queued`]; the drain that hands its window out
     /// persists it first. A full queue sheds an unknown id before any
@@ -518,11 +223,11 @@ impl ServerCore {
         if let KvTaskOp::Get { key } = op {
             return Ok(Submission::Answered(KvTaskAnswer {
                 executor: ADMISSION_EXECUTOR,
-                result: KvTaskResult::Got(self.exec.store.get_durable(key)?),
+                result: KvTaskResult::Got(self.exec.store().get_durable(key)?),
             }));
         }
-        let shard = self.exec.store.shard_of(op.key());
-        let table = &self.exec.tables[shard];
+        let shard = self.exec.store().shard_of(op.key());
+        let table = &self.exec.tables()[shard];
         let sq = &self.shards[shard];
         // Held across the whole admission: the full-queue check, the
         // slot claim and the offer are one step per shard (a drain only
@@ -572,7 +277,7 @@ impl ServerCore {
     /// Propagated table/NVRAM errors.
     pub fn ack(&self, req_id: u64) -> Result<bool, PError> {
         let _label = op_label("server.ack");
-        for table in &self.exec.tables {
+        for table in self.exec.tables() {
             if table.ack(req_id)? {
                 return Ok(true);
             }
@@ -629,7 +334,7 @@ impl ServerCore {
         // Every slot a window names, retried entries' too: a line that
         // is already durable costs nothing, and the invariant then needs
         // no argument about who persisted what before.
-        let table_of = |shard: u32| &self.exec.tables[shard as usize];
+        let table_of = |shard: u32| &self.exec.tables()[shard as usize];
         let issued: Vec<_> = windows
             .into_iter()
             .map(|window| {
@@ -685,7 +390,7 @@ impl ServerCore {
         let mut out = Vec::with_capacity(req_ids.len());
         for &req_id in req_ids {
             let mut found = None;
-            for table in &self.exec.tables {
+            for table in self.exec.tables() {
                 if let Some((_, answer)) = table.lookup(req_id)? {
                     found = answer;
                     break;
@@ -761,7 +466,7 @@ impl ServerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_kv::KvVariant;
+    use pstack_kv::{KvRequestTable, KvVariant, ShardedKvStore};
     use pstack_nvram::{PMem, PMemBuilder};
     use pstack_verify::KvSpec;
 
@@ -888,7 +593,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.result, KvTaskResult::Stored(true));
         // Exactly one record for key 4 despite two admissions.
-        let snapshot = core3.exec().store.snapshot_sharded().unwrap();
+        let snapshot = core3.exec().store().snapshot_sharded().unwrap();
         let records: usize = snapshot
             .iter()
             .flat_map(|buckets| buckets.iter())
@@ -1019,7 +724,7 @@ mod tests {
 
         // Execute the window twice through the function's own paths,
         // mimicking call-then-replay.
-        let slot = exec.tables[0].lookup(req).unwrap().unwrap().0;
+        let slot = exec.tables()[0].lookup(req).unwrap().unwrap().0;
         exec.execute_window(0, &[slot], false, 1).unwrap();
         let replay = exec.execute_window(0, &[slot], true, 2).unwrap();
         assert_eq!(replay.len(), 1);

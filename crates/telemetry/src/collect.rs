@@ -14,7 +14,10 @@ use std::fmt::Write as _;
 pub struct ThreadTrace {
     /// Registry slot index.
     pub ring: usize,
-    /// Events in position (= time) order.
+    /// Events in position (= time) order: a gapless run ending at the
+    /// ring's head (`Ring::read_from`'s contract) — the span replay in
+    /// [`TraceSnapshot::summary`] tolerates a missing prefix, but a
+    /// hole would pair an enter with some later span's exit.
     pub events: Vec<Event>,
     /// Events lost to wraparound or torn reads in the window.
     pub dropped: u64,

@@ -4,9 +4,10 @@
 //! so slots need no CAS. A per-slot sequence word (seqlock discipline,
 //! the crossbeam `AtomicCell` recipe) lets a collector snapshot the
 //! ring while the owner keeps writing: readers detect torn or
-//! overwritten slots from the sequence and skip them, and the
-//! monotonic head counter turns wraparound into an explicit
-//! dropped-events count instead of silent truncation.
+//! overwritten slots from the sequence, and the monotonic head counter
+//! turns what they lose into an explicit dropped-events count instead
+//! of silent truncation. A read hands out a contiguous suffix of its
+//! window, never a run with a hole in it ([`Ring::read_from`]).
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -179,36 +180,32 @@ impl Ring {
         self.head.store(pos + 1, Ordering::Release);
     }
 
-    /// Reads events at positions `[from, head)`, oldest first. Events
-    /// already overwritten (the window outran the capacity) and slots
-    /// torn by a concurrent write are counted in `dropped` instead of
-    /// appearing in the result.
+    /// Reads the events at positions `[from, head)` that are still
+    /// intact, oldest first.
+    ///
+    /// **Contract: the result is a contiguous suffix of the window,
+    /// ending at `head`; every earlier position is counted in
+    /// `dropped`.** So `events[0].pos == head - events.len()` and
+    /// `dropped == that - from`, always. Positions the window outran
+    /// (wraparound) are dropped up front; a slot found torn or already
+    /// recycled *mid-window* drops everything collected before it as
+    /// well. That can happen — a reader preempted after slot *p*, the
+    /// writer lapping *p+1..q* and pausing, the reader resuming over
+    /// *q+1..head* that still hold the old lap — and the collector's
+    /// span replay pairs enters with exits across whatever it is
+    /// handed: it tolerates a missing prefix, not a hole.
     pub fn read_from(&self, from: u64) -> RingRead {
         let head = self.head.load(Ordering::Acquire);
         let lo = from.max(head.saturating_sub(self.mask + 1));
         let mut events = Vec::with_capacity((head - lo) as usize);
         let mut dropped = lo - from.min(lo);
         for pos in lo..head {
-            let slot = self.slot(pos);
-            let s1 = slot[0].load(Ordering::Acquire);
-            if s1 != 2 * pos + 2 {
-                // Torn or already recycled by a faster writer.
-                dropped += 1;
-                continue;
-            }
-            let ts = slot[1].load(Ordering::Relaxed);
-            let ka = slot[2].load(Ordering::Relaxed);
-            let b = slot[3].load(Ordering::Relaxed);
-            let c = slot[4].load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            let s2 = slot[0].load(Ordering::Relaxed);
-            if s1 != s2 {
-                dropped += 1;
-                continue;
-            }
-            match EventKind::decode(ka, b, c) {
-                Some(kind) => events.push(Event { pos, ts, kind }),
-                None => dropped += 1,
+            match self.read_slot(pos) {
+                Some(event) => events.push(event),
+                None => {
+                    dropped += 1 + events.len() as u64;
+                    events.clear();
+                }
             }
         }
         RingRead {
@@ -217,14 +214,36 @@ impl Ring {
             head,
         }
     }
+
+    /// The event at `pos`, or `None` if its slot is torn by a write in
+    /// progress, already recycled by a later lap, or undecodable.
+    fn read_slot(&self, pos: u64) -> Option<Event> {
+        let slot = self.slot(pos);
+        let s1 = slot[0].load(Ordering::Acquire);
+        if s1 != 2 * pos + 2 {
+            return None;
+        }
+        let ts = slot[1].load(Ordering::Relaxed);
+        let ka = slot[2].load(Ordering::Relaxed);
+        let b = slot[3].load(Ordering::Relaxed);
+        let c = slot[4].load(Ordering::Relaxed);
+        fence(Ordering::Acquire);
+        if slot[0].load(Ordering::Relaxed) != s1 {
+            return None;
+        }
+        let kind = EventKind::decode(ka, b, c)?;
+        Some(Event { pos, ts, kind })
+    }
 }
 
 /// Result of [`Ring::read_from`].
 pub struct RingRead {
-    /// Decoded events in position order.
+    /// Decoded events in position order: a gapless run ending at
+    /// `head`.
     pub events: Vec<Event>,
-    /// Events in the requested window that could not be decoded
-    /// (overwritten by wraparound or torn mid-write).
+    /// Events in the requested window that are not in `events`:
+    /// overwritten by wraparound, torn mid-write, or ahead of such a
+    /// slot.
     pub dropped: u64,
     /// Ring head at snapshot time (pass as the next `from`).
     pub head: u64,
@@ -289,5 +308,32 @@ mod tests {
         let again = ring.read_from(read.head);
         assert!(again.events.is_empty());
         assert_eq!(again.dropped, 0);
+    }
+
+    #[test]
+    fn a_lap_in_the_middle_of_the_window_drops_everything_before_it() {
+        // The interleaving a preempted reader can meet, forged rather
+        // than raced for: positions 0..8 are written, then the slot of
+        // position 3 alone moves on to the next lap (sequence word of
+        // position 3 + capacity) while the head still says 8 — a
+        // writer that lapped the reader's next slot and paused.
+        let ring = Ring::new(64);
+        for i in 0..8u64 {
+            ring.push(i, EventKind::SpanEnter { label: i as u32 });
+        }
+        let lapped = 3 + ring.capacity() as u64;
+        ring.slot(3)[0].store(2 * lapped + 2, Ordering::Release);
+        let read = ring.read_from(0);
+        assert_eq!(read.head, 8);
+        let positions: Vec<u64> = read.events.iter().map(|e| e.pos).collect();
+        assert_eq!(positions, vec![4, 5, 6, 7], "a contiguous suffix, no hole");
+        assert_eq!(read.dropped, 4, "the lapped slot and all before it");
+        assert_eq!(read.head - read.events.len() as u64, read.dropped);
+
+        // The writer resumes: a later read is gapless again.
+        ring.push(8, EventKind::SpanEnter { label: 8 });
+        let next = ring.read_from(read.head);
+        assert_eq!((next.events.len(), next.dropped), (1, 0));
+        assert_eq!(next.events[0].pos, 8);
     }
 }

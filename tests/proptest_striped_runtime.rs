@@ -1,6 +1,8 @@
 //! Property tests for the multi-region runtime: random
-//! put/delete/cas/get mixes — as single-op tasks and as batch windows —
-//! driven through `StripedRuntime::run_tasks` over a sharded KV store,
+//! put/delete/cas/get mixes — mutations as preloaded request-table
+//! descriptors run as windows of one and as batch windows, gets asked
+//! by the harness between rounds — driven through
+//! `StripedRuntime::run_tasks` over a sharded KV store,
 //! with crash injection into random regions (shard or control), checked
 //! two ways:
 //!
@@ -26,13 +28,11 @@ use proptest::prelude::*;
 
 use pstack::core::{FunctionRegistry, RecoveryMode, RuntimeConfig, StripedRuntime, Task};
 use pstack::kv::{
-    shard_of, KvOpTable, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore, ShardedKvTaskFunction,
-    KV_SHARDED_FUNC_ID,
+    shard_of, KvRequestTable, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore,
+    KV_SERVE_FUNC_ID,
 };
 use pstack::nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, POffset};
-use pstack::verify::{
-    check_kv_sharded, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvSpec, KvWitnessRecord,
-};
+use pstack::verify::{check_kv_sharded, KvShardedHistory, KvSpec};
 
 const KEY_SPACE: u64 = 12;
 
@@ -48,30 +48,30 @@ fn op_strategy() -> impl Strategy<Value = KvTaskOp> {
     ]
 }
 
-/// `partition_ops_padded` under a shorter local name: the per-shard op
-/// lists, idle shards padded — their concatenation in shard order is
-/// exactly the order `pending_tasks` emits single-op tasks in.
-fn partition_padded(ops: &[KvTaskOp], shards: usize) -> Vec<Vec<KvTaskOp>> {
-    ShardedKvTaskFunction::partition_ops_padded(ops, shards)
+/// The workload as the runtime sees it: mutations are preloaded
+/// descriptors, gets stay with the harness (reads are never
+/// descriptors), each tagged by its position in the workload.
+fn split(ops: &[KvTaskOp]) -> (Vec<KvTaskOp>, Vec<(u64, u64)>) {
+    let mut gets = Vec::new();
+    let mut mutations = Vec::new();
+    for (i, &op) in ops.iter().enumerate() {
+        match op {
+            KvTaskOp::Get { key } => gets.push((i as u64 + 1, key)),
+            op => mutations.push(op),
+        }
+    }
+    (mutations, gets)
 }
 
-/// Formats the whole system: buffered stripe, one store + table per
-/// shard, a one-worker runtime over a fresh control region. Returns
-/// the regions plus each shard's table base (to re-attach after a
-/// crash).
-fn build_system(per_shard: &[Vec<KvTaskOp>]) -> (PMem, PMemStripe, Vec<POffset>) {
-    let shards = per_shard.len();
+/// Formats the whole system: buffered stripe, one store + preloaded
+/// request table per shard, a one-worker runtime over a fresh control
+/// region. Returns the regions plus each shard's table base (to
+/// re-attach after a crash).
+fn build_system(mutations: &[KvTaskOp], shards: usize) -> (PMem, PMemStripe, Vec<POffset>) {
     let stripe = PMemBuilder::new().len(1 << 19).build_striped(shards);
     let store = ShardedKvStore::format(stripe.regions(), 8, 1024, KvVariant::Nsrl).unwrap();
-    let bases: Vec<POffset> = per_shard
-        .iter()
-        .enumerate()
-        .map(|(s, shard_ops)| {
-            KvOpTable::format(stripe.region(s).clone(), store.heap(s), shard_ops)
-                .unwrap()
-                .base()
-        })
-        .collect();
+    let exec = KvServeFunction::preload(store, mutations).unwrap();
+    let bases = exec.tables().iter().map(KvRequestTable::base).collect();
     let control = PMemBuilder::new().len(1 << 20).build_in_memory();
     let stub = FunctionRegistry::new();
     StripedRuntime::format(
@@ -88,22 +88,20 @@ fn attach(
     control: &PMem,
     stripe: &PMemStripe,
     bases: &[POffset],
-) -> (ShardedKvStore, Vec<KvOpTable>, StripedRuntime) {
+) -> (KvServeFunction, StripedRuntime) {
     let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
-    let tables: Vec<KvOpTable> = bases
+    let tables = bases
         .iter()
         .enumerate()
-        .map(|(s, &base)| KvOpTable::open(stripe.region(s).clone(), base).unwrap())
+        .map(|(s, &base)| KvRequestTable::open(stripe.region(s).clone(), base).unwrap())
         .collect();
+    let exec = KvServeFunction::new(store, tables);
     let mut registry = FunctionRegistry::new();
     registry
-        .register(
-            KV_SHARDED_FUNC_ID,
-            ShardedKvTaskFunction::new(store.clone(), tables.clone()).into_arc(),
-        )
+        .register(KV_SERVE_FUNC_ID, exec.clone().into_arc())
         .unwrap();
     let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry).unwrap();
-    (store, tables, rt)
+    (exec, rt)
 }
 
 /// Tiny xorshift Fisher–Yates, so task schedules vary per case without
@@ -127,87 +125,75 @@ fn spec_answer(spec: &mut KvSpec, op: KvTaskOp) -> KvTaskResult {
     }
 }
 
-/// Builds the verifier history from quiescent tables + chains.
-fn history_of(store: &ShardedKvStore, tables: &[KvOpTable]) -> KvShardedHistory {
-    let shards = store
-        .snapshot_sharded()
-        .unwrap()
-        .into_iter()
-        .map(|chains| {
-            chains
-                .into_iter()
-                .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-                .collect()
-        })
-        .collect();
-    let mut ops = Vec::new();
-    for (s, table) in tables.iter().enumerate() {
-        for idx in 0..table.len() {
-            let answer = table.result(idx).unwrap().expect("table drained");
-            let seq = ShardedKvTaskFunction::seq_of(s as u32, idx);
-            let pid = u64::from(answer.executor);
-            let (kind, key, value, expected, ans) = match (table.op(idx).unwrap(), answer.result) {
-                (KvTaskOp::Put { key, value }, KvTaskResult::Stored(ok)) => {
-                    (KvOpKind::Put, key, value, 0, KvAnswer::Stored(ok))
-                }
-                (KvTaskOp::Get { key }, KvTaskResult::Got(v)) => {
-                    (KvOpKind::Get, key, 0, 0, KvAnswer::Got(v))
-                }
-                (KvTaskOp::Delete { key }, KvTaskResult::Deleted(ok)) => {
-                    (KvOpKind::Delete, key, 0, 0, KvAnswer::Deleted(ok))
-                }
-                (KvTaskOp::Cas { key, expected, new }, KvTaskResult::Swapped(ok)) => {
-                    (KvOpKind::Cas, key, new, expected, KvAnswer::Swapped(ok))
-                }
-                (op, res) => panic!("answer {res:?} does not match op {op:?}"),
-            };
-            ops.push(KvOp {
-                pid,
-                seq,
-                kind,
-                key,
-                value,
-                expected,
-                answer: ans,
-            });
-        }
-    }
-    KvShardedHistory { ops, shards }
+/// The verifier history: the tables' descriptors and answers, the
+/// chains, and the gets the harness answered itself.
+fn history_of(exec: &KvServeFunction, gets: &[(u64, u64, Option<i64>)]) -> KvShardedHistory {
+    let mut history = exec.history().unwrap();
+    history
+        .ops
+        .extend(gets.iter().map(|&(tag, key, got)| {
+            KvTaskOp::Get { key }.observed(0, tag, KvTaskResult::Got(got))
+        }));
+    history
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Crash-free single-op drive: one worker executes every descriptor
-    /// in shard-table order, so the answers must match a `KvSpec`
-    /// replay in exactly that order, op for op.
+    /// in shard-table order — each a window of one — and the harness
+    /// asks each get where the workload has it, so the answers must
+    /// match a `KvSpec` replay in exactly that order, op for op.
     #[test]
     fn single_worker_answers_match_the_sequential_spec(
         ops in proptest::collection::vec(op_strategy(), 1..48),
         shards in 2usize..=4,
     ) {
-        let per_shard = partition_padded(&ops, shards);
-        let (control, stripe, bases) = build_system(&per_shard);
-        let (store, tables, rt) = attach(&control, &stripe, &bases);
-        let func = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-        let tasks = func.pending_tasks(KV_SHARDED_FUNC_ID, 1).unwrap();
-        let report = rt.run_tasks(tasks);
+        let (mutations, _) = split(&ops);
+        let (control, stripe, bases) = build_system(&mutations, shards);
+        let (exec, rt) = attach(&control, &stripe, &bases);
+        let store = exec.store();
+        // `pending_tasks(1)` emits windows of one, shard by shard in
+        // table order — the order the mutations were preloaded in.
+        let mut tasks = exec.pending_tasks(1).unwrap().into_iter();
+        let mut spec = KvSpec::new();
+        let mut expected: Vec<Vec<KvTaskResult>> = vec![Vec::new(); shards];
+        let mut gets = Vec::new();
+        let mut round = Vec::new();
+        for (s, expected) in expected.iter_mut().enumerate() {
+            let home = |op: &KvTaskOp| shard_of(op.key(), shards) == s;
+            for (i, &op) in ops.iter().enumerate().filter(|(_, op)| home(op)) {
+                let answer = spec_answer(&mut spec, op);
+                let KvTaskOp::Get { key } = op else {
+                    expected.push(answer);
+                    round.push(tasks.next().expect("one task per mutation"));
+                    continue;
+                };
+                // A read: run what precedes it, then ask.
+                let report = rt.run_tasks(std::mem::take(&mut round));
+                prop_assert!(!report.crashed);
+                prop_assert_eq!(report.task_errors, 0);
+                let got = store.get_durable(key).unwrap();
+                prop_assert_eq!(KvTaskResult::Got(got), answer, "get at {}", i);
+                gets.push((i as u64 + 1, key, got));
+            }
+        }
+        let report = rt.run_tasks(round);
         prop_assert!(!report.crashed);
         prop_assert_eq!(report.task_errors, 0);
+        prop_assert!(tasks.next().is_none());
 
-        let mut spec = KvSpec::new();
-        for (s, shard_ops) in per_shard.iter().enumerate() {
-            for (idx, &op) in shard_ops.iter().enumerate() {
-                let expected = spec_answer(&mut spec, op);
-                let got = tables[s].result(idx).unwrap().expect("descriptor done");
-                prop_assert_eq!(got.result, expected, "shard {} descriptor {}", s, idx);
+        for (s, table) in exec.tables().iter().enumerate() {
+            for (slot, &want) in expected[s].iter().enumerate() {
+                let got = table.result(slot as u32).unwrap().expect("descriptor done");
+                prop_assert_eq!(got.result, want, "shard {} descriptor {}", s, slot);
             }
         }
         // Final contents agree with the spec too.
         for (key, value) in store.contents().unwrap() {
             prop_assert_eq!(spec.get(key), Some(value));
         }
-        let verdict = check_kv_sharded(&history_of(&store, &tables), |k| shard_of(k, shards));
+        let verdict = check_kv_sharded(&history_of(&exec, &gets), |k| shard_of(k, shards));
         prop_assert!(verdict.is_linearizable(), "{:?}", verdict);
     }
 
@@ -223,19 +209,27 @@ proptest! {
         schedule_seed in 1u64..u64::MAX,
         kills in proptest::collection::vec((0usize..8, 2u64..50), 0..4),
     ) {
-        let per_shard = partition_padded(&ops, shards);
-        let (mut control, mut stripe, bases) = build_system(&per_shard);
+        let (mutations, mut todo) = split(&ops);
+        let mut gets = Vec::new();
+        let (mut control, mut stripe, bases) = build_system(&mutations, shards);
         let mut kills = kills.into_iter();
         let mut rounds = 0usize;
         loop {
             rounds += 1;
             prop_assert!(rounds <= 24, "system failed to drain");
-            let (store, tables, rt) = attach(&control, &stripe, &bases);
-            let func = ShardedKvTaskFunction::new(store.clone(), tables.clone());
-            let mut tasks = func.pending_tasks(KV_SHARDED_FUNC_ID, batch).unwrap();
+            let (exec, rt) = attach(&control, &stripe, &bases);
+            let store = exec.store();
+            let mut tasks = exec.pending_tasks(batch).unwrap();
+            // The harness's reads go between rounds: half of what is
+            // outstanding before each one (so they observe whatever the
+            // last crash and recovery left), the rest at quiescence.
+            let share = if tasks.is_empty() { todo.len() } else { todo.len().div_ceil(2) };
+            for (tag, key) in todo.drain(..share) {
+                gets.push((tag, key, store.get_durable(key).unwrap()));
+            }
             if tasks.is_empty() {
                 let verdict =
-                    check_kv_sharded(&history_of(&store, &tables), |k| shard_of(k, shards));
+                    check_kv_sharded(&history_of(&exec, &gets), |k| shard_of(k, shards));
                 prop_assert!(verdict.is_linearizable(), "{:?}", verdict);
                 // KvSpec replay of the witness chains reproduces the
                 // store's reported contents exactly.
@@ -277,7 +271,7 @@ proptest! {
                 prop_assert!(report.crash_site.is_some(), "crash must be attributed");
                 control = control.reopen().unwrap();
                 stripe = stripe.reopen_all().unwrap();
-                let (_, _, rt) = attach(&control, &stripe, &bases);
+                let (_, rt) = attach(&control, &stripe, &bases);
                 rt.recover(RecoveryMode::Parallel).unwrap();
             }
         }
