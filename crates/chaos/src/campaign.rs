@@ -1,18 +1,17 @@
 //! The randomized crash campaign of §5.2.
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use pstack_core::{
-    FunctionRegistry, PError, RecoveryMode, Runtime, RuntimeConfig, StackKind, Task,
-};
-use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset, PsanViolation};
+use pstack_core::{FunctionRegistry, PError, StackKind, Task};
+use pstack_heap::PHeap;
+use pstack_nvram::{PMem, PMemBuilder, POffset};
 use pstack_recoverable::{
     CasTaskFunction, CasVariant, RecoverableCas, TaskTable, CAS_TASK_FUNC_ID,
 };
-use pstack_telemetry::{TelemetrySummary, TraceSession};
 use pstack_verify::{check_serializability, replay_witness, CasHistory, CasOp, SerialVerdict};
+
+use crate::cycle::{self, Cx, Policy, Single, StaticWorkload, Tally, ROOT_OFF};
 
 /// Configuration of one §5.2 campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,8 +35,6 @@ pub struct CampaignConfig {
     /// Probability of also injecting a crash into each recovery pass
     /// (the paper's repeated-failure scenario).
     pub recovery_crash_prob: f64,
-    /// NVRAM region length.
-    pub region_len: usize,
     /// Scheduling noise `(probability, pause-events)` applied after
     /// mutating NVRAM accesses: with the given probability the thread
     /// pauses until that many further events happen on other threads —
@@ -54,7 +51,7 @@ pub struct CampaignConfig {
     /// crate feature (on unless built with `--no-default-features`).
     pub psan: bool,
     /// Record the campaign with the flight recorder and attach a
-    /// [`TelemetrySummary`] to the report. Defaults to the `telemetry`
+    /// [`pstack_telemetry::TelemetrySummary`] to the report. Defaults to the `telemetry`
     /// crate feature (on unless built with `--no-default-features`).
     pub telemetry: bool,
 }
@@ -74,7 +71,6 @@ impl CampaignConfig {
             max_crashes: 8,
             crash_window: (40, 400),
             recovery_crash_prob: 0.3,
-            region_len: 1 << 21,
             access_jitter: None,
             backing_file: None,
             psan: cfg!(feature = "psan"),
@@ -110,27 +106,16 @@ impl CampaignConfig {
 /// Outcome of a campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// Normal-mode rounds executed (≥ 1).
-    pub rounds: usize,
-    /// Crashes injected during normal-mode rounds.
-    pub crashes: usize,
-    /// Crashes injected during recovery passes (repeated failures).
-    pub recovery_crashes: usize,
-    /// Total frames completed by recovery passes.
-    pub recovered_frames: usize,
+    /// Rounds, crashes, recovered frames, sanitizer findings (expected
+    /// empty: the campaign's persist discipline is supposed to be
+    /// violation-free) and the flight-recorder summary.
+    pub tally: Tally,
     /// The collected execution.
     pub history: CasHistory,
     /// The §5.1 verdict on the execution.
     pub verdict: SerialVerdict,
-    /// Persist-order sanitizer findings across every boot (empty when
-    /// PSan is off; expected empty when it is on — the campaign's
-    /// persist discipline is supposed to be violation-free).
-    pub psan_violations: Vec<PsanViolation>,
-    /// Flight-recorder summary (per-op latency percentiles, persist
-    /// economy, crash→recovery timeline); `None` when recording was
-    /// off for the run.
-    pub telemetry: Option<TelemetrySummary>,
 }
+cycle::report_derefs_to_tally!(CampaignReport);
 
 impl CampaignReport {
     /// `true` if the execution was found serializable.
@@ -140,42 +125,115 @@ impl CampaignReport {
     }
 }
 
-/// Persistent root record locating the CAS object and the descriptor
-/// table across restarts (written into the user scratch area).
-struct RootRecord {
-    cas_base: POffset,
-    table_base: POffset,
+/// Countdown of a kill inside a stack-replay recovery pass of the CAS
+/// and queue descriptor tables.
+pub(crate) const REPLAY_FUSE: (u64, u64) = (5, 60);
+
+/// The §5.2 workload: a recoverable CAS register and the table of CAS
+/// descriptors run against it. Its root record locates both and keeps
+/// what a later boot — possibly another process — needs to re-attach:
+/// `[cas base, table base, initial value, workers, variant]`.
+pub(crate) struct CasWorkload;
+
+/// The register and its table on one boot's region.
+pub(crate) struct CasObjects {
+    pub cas: RecoverableCas,
+    pub table: TaskTable,
+    init: i64,
 }
 
-const ROOT_OFF: u64 = 64; // user scratch area begins here
+impl CasWorkload {
+    /// Steps 1–2 and the format: draws the initial value and the
+    /// `(old, new)` operands, formats the register and its table.
+    pub(crate) fn format(
+        pmem: &PMem,
+        heap: &PHeap,
+        rng: &mut SmallRng,
+        n_ops: usize,
+        (lo, hi): (i64, i64),
+        workers: usize,
+        variant: CasVariant,
+    ) -> Result<(), PError> {
+        assert!(lo <= hi, "empty value range");
+        let init: i64 = rng.random_range(lo..=hi);
+        let ops: Vec<(i64, i64)> = (0..n_ops)
+            .map(|_| (rng.random_range(lo..=hi), rng.random_range(lo..=hi)))
+            .collect();
+        let cas = RecoverableCas::format(pmem.clone(), heap, workers, init, variant)?;
+        let table = TaskTable::format(pmem.clone(), heap, &ops)?;
+        let root = [
+            cas.base().get(),
+            table.base().get(),
+            init as u64,
+            workers as u64,
+            u64::from(variant.as_u8()),
+        ];
+        cycle::write_root(pmem, ROOT_OFF, &root)
+    }
 
-fn write_root(pmem: &PMem, root: &RootRecord) -> Result<(), PError> {
-    pmem.write_u64(POffset::new(ROOT_OFF), root.cas_base.get())?;
-    pmem.write_u64(POffset::new(ROOT_OFF + 8), root.table_base.get())?;
-    pmem.flush(POffset::new(ROOT_OFF), 16)?;
-    Ok(())
+    /// Step 9: answers, final value, serializability.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::Task`] if a descriptor is still pending.
+    pub(crate) fn verify(att: &CasObjects) -> Result<(CasHistory, SerialVerdict), PError> {
+        let mut ops = Vec::with_capacity(att.table.len());
+        for (i, result) in att.table.results()?.iter().enumerate() {
+            let (old, new) = att.table.op(i)?;
+            let success = result.ok_or_else(|| {
+                PError::Task(format!("descriptor {i} still pending; campaign incomplete"))
+            })?;
+            ops.push(CasOp {
+                pid: 0,
+                old,
+                new,
+                success,
+            });
+        }
+        let history = CasHistory::new(att.init, att.cas.read()?, ops);
+        let verdict = check_serializability(&history);
+        if let SerialVerdict::Serializable { order } = &verdict {
+            // Positive verdicts are independently replayed; a failure here
+            // would be a checker bug, not an execution bug.
+            replay_witness(&history, order).expect("serializability witness must replay");
+        }
+        Ok((history, verdict))
+    }
 }
 
-fn read_root(pmem: &PMem) -> Result<RootRecord, PError> {
-    Ok(RootRecord {
-        cas_base: POffset::new(pmem.read_u64(POffset::new(ROOT_OFF))?),
-        table_base: POffset::new(pmem.read_u64(POffset::new(ROOT_OFF + 8))?),
-    })
+/// One task per pending descriptor index of a descriptor table.
+pub(crate) fn index_tasks(func_id: u64, pending: Vec<usize>) -> Vec<Task> {
+    pending
+        .into_iter()
+        .map(|i| Task::new(func_id, (i as u64).to_le_bytes().to_vec()))
+        .collect()
 }
 
-fn build_registry(
-    pmem: &PMem,
-    cfg: &CampaignConfig,
-) -> Result<(FunctionRegistry, RecoverableCas, TaskTable), PError> {
-    let root = read_root(pmem)?;
-    let cas = RecoverableCas::open(pmem.clone(), root.cas_base, cfg.workers, cfg.cas_variant)?;
-    let table = TaskTable::open(pmem.clone(), root.table_base)?;
-    let mut registry = FunctionRegistry::new();
-    registry.register(
-        CAS_TASK_FUNC_ID,
-        CasTaskFunction::new(cas.clone(), table.clone()).into_arc(),
-    )?;
-    Ok((registry, cas, table))
+impl StaticWorkload<PMem> for CasWorkload {
+    type Attached = CasObjects;
+
+    fn attach(&mut self, pmem: &PMem) -> Result<(FunctionRegistry, CasObjects), PError> {
+        let root = |i| cycle::read_root(pmem, ROOT_OFF, i);
+        let variant = CasVariant::from_u8(root(4)? as u8)?;
+        let cas = RecoverableCas::open(
+            pmem.clone(),
+            POffset::new(root(0)?),
+            root(3)? as usize,
+            variant,
+        )?;
+        let table = TaskTable::open(pmem.clone(), POffset::new(root(1)?))?;
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            CAS_TASK_FUNC_ID,
+            CasTaskFunction::new(cas.clone(), table.clone()).into_arc(),
+        )?;
+        let init = root(2)? as i64;
+        Ok((registry, CasObjects { cas, table, init }))
+    }
+
+    fn pending(&mut self, att: &CasObjects) -> Result<Vec<Task>, PError> {
+        Ok(index_tasks(CAS_TASK_FUNC_ID, att.table.pending()?))
+    }
 }
 
 /// Runs one full §5.2 campaign. Deterministic for a given
@@ -198,148 +256,41 @@ fn build_registry(
 /// # }
 /// ```
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, PError> {
-    let session = cfg.telemetry.then(TraceSession::start);
-    let mut report = run_campaign_inner(cfg)?;
-    report.telemetry = session.map(|s| s.finish().summary());
-    Ok(report)
-}
-
-fn run_campaign_inner(cfg: &CampaignConfig) -> Result<CampaignReport, PError> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let (lo, hi) = cfg.value_range;
-    assert!(lo <= hi, "empty value range");
-    let init: i64 = rng.random_range(lo..=hi);
-    let ops: Vec<(i64, i64)> = (0..cfg.n_ops)
-        .map(|_| (rng.random_range(lo..=hi), rng.random_range(lo..=hi)))
-        .collect();
-
-    // Standard-mode boot: format the system and the application state.
-    let mut builder = PMemBuilder::new()
-        .len(cfg.region_len)
-        .eager_flush(true)
-        .psan(cfg.psan);
-    if let Some((prob, pause_events)) = cfg.access_jitter {
-        builder = builder.access_jitter(prob, pause_events);
-    }
-    let mut pmem = match &cfg.backing_file {
-        None => builder.build_in_memory(),
-        Some(path) => {
-            // Start from a fresh image: remove any previous campaign's
-            // file so the format below is authoritative.
-            let _ = std::fs::remove_file(path);
-            builder.build_file(path).map_err(PError::Mem)?
-        }
-    };
-    let stub = FunctionRegistry::new();
-    let rt = Runtime::format(
-        pmem.clone(),
-        RuntimeConfig::new(cfg.workers)
-            .stack_kind(cfg.stack_kind)
-            .stack_capacity(8 * 1024),
-        &stub,
-    )?;
-    let cas = RecoverableCas::format(pmem.clone(), rt.heap(), cfg.workers, init, cfg.cas_variant)?;
-    let table = TaskTable::format(pmem.clone(), rt.heap(), &ops)?;
-    write_root(
-        &pmem,
-        &RootRecord {
-            cas_base: cas.base(),
-            table_base: table.base(),
-        },
-    )?;
-
-    let mut rounds = 0usize;
-    let mut crashes = 0usize;
-    let mut recovery_crashes = 0usize;
-    let mut recovered_frames = 0usize;
-
-    loop {
-        rounds += 1;
-        let (registry, _cas, table) = build_registry(&pmem, cfg)?;
-        let rt = Runtime::open(pmem.clone(), &registry)?;
-
-        // Step 3/7: enqueue the remaining descriptors in random order.
-        let mut pending = table.pending()?;
-        if pending.is_empty() {
-            break;
-        }
-        pending.shuffle(&mut rng);
-        let tasks: Vec<Task> = pending
-            .iter()
-            .map(|&i| Task::new(CAS_TASK_FUNC_ID, (i as u64).to_le_bytes().to_vec()))
-            .collect();
-
-        // Step 5: arm the kill at a random moment — while the crash
-        // budget lasts.
-        if crashes < cfg.max_crashes {
-            let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-            pmem.arm_failpoint(FailPlan::after_events(countdown));
-        }
-        let report = rt.run_tasks(tasks);
-        if !report.crashed {
-            pmem.disarm_failpoint();
-            continue; // next loop iteration sees an empty pending set
-        }
-        crashes += 1;
-
-        // Step 6: restart in recovery mode; repeated failures may hit
-        // the recovery itself.
-        pmem = pmem.reopen()?;
-        loop {
-            let (registry, _, _) = build_registry(&pmem, cfg)?;
-            let rt = Runtime::open(pmem.clone(), &registry)?;
-            if crashes + recovery_crashes < cfg.max_crashes * 2
-                && rng.random_bool(cfg.recovery_crash_prob)
-            {
-                let countdown = rng.random_range(5..=60);
-                pmem.arm_failpoint(FailPlan::after_events(countdown));
-            }
-            match rt.recover(RecoveryMode::Parallel) {
-                Ok(rep) => {
-                    pmem.disarm_failpoint();
-                    recovered_frames += rep.total_frames();
-                    break;
-                }
-                Err(e) if e.is_crash() => {
-                    recovery_crashes += 1;
-                    pmem = pmem.reopen()?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    // Step 9: answers, final value, serializability.
-    let (_, cas, table) = build_registry(&pmem, cfg)?;
-    let results = table.results()?;
-    let mut history_ops = Vec::with_capacity(cfg.n_ops);
-    for (i, result) in results.iter().enumerate() {
-        let (old, new) = table.op(i)?;
-        let success = result.expect("campaign loop runs until every op completes");
-        history_ops.push(CasOp {
-            pid: 0,
-            old,
-            new,
-            success,
-        });
-    }
-    let history = CasHistory::new(init, cas.read()?, history_ops);
-    let verdict = check_serializability(&history);
-    if let SerialVerdict::Serializable { order } = &verdict {
-        // Positive verdicts are independently replayed; a failure here
-        // would be a checker bug, not an execution bug.
-        replay_witness(&history, order).expect("serializability witness must replay");
-    }
-
-    Ok(CampaignReport {
-        rounds,
-        crashes,
-        recovery_crashes,
-        recovered_frames,
-        history,
-        verdict,
-        psan_violations: pmem.psan_violations(),
-        telemetry: None,
+    cycle::traced(cfg.telemetry, || {
+        let mut cx = Cx::new(
+            cfg.seed,
+            Policy {
+                max_crashes: cfg.max_crashes,
+                crash_window: cfg.crash_window,
+                crash_prob: 1.0,
+                recovery_crash_prob: cfg.recovery_crash_prob,
+                recovery_fuse: REPLAY_FUSE,
+            },
+        );
+        // Standard-mode boot: format the system and the application state.
+        let (mut machine, rt) = Single::format(
+            PMemBuilder::new().psan(cfg.psan),
+            cfg.access_jitter,
+            cfg.backing_file.as_deref(),
+            cfg.workers,
+            cfg.stack_kind,
+        )?;
+        CasWorkload::format(
+            &machine.pmem,
+            rt.heap(),
+            &mut cx.rng,
+            cfg.n_ops,
+            cfg.value_range,
+            cfg.workers,
+            cfg.cas_variant,
+        )?;
+        let objects = cycle::cycle(&mut machine, &mut CasWorkload, &mut cx)?;
+        let (history, verdict) = CasWorkload::verify(&objects)?;
+        Ok(CampaignReport {
+            tally: cx.tally,
+            history,
+            verdict,
+        })
     })
 }
 
@@ -384,8 +335,7 @@ mod tests {
         let a = run_campaign(&cfg).unwrap();
         let b = run_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.tally, b.tally);
     }
 
     #[test]

@@ -33,34 +33,38 @@
 //!
 //! [`check_kv_sharded_gen`]: pstack_verify::check_kv_sharded_gen
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use pstack_core::PError;
-use pstack_kv::{shard_of, KvServeFunction, KvVariant, ShardedKvStore};
-use pstack_nvram::{FailPlan, PMemBuilder, PMemStripe, PsanViolation};
-use pstack_verify::{check_kv_sharded_gen, KvShardedHistory, KvVerdict};
+use pstack_core::{FunctionRegistry, PError};
+use pstack_kv::{KvServeFunction, KvVariant, ShardedKvStore};
+use pstack_nvram::{FailPlan, PMemBuilder, PMemStripe};
+use pstack_verify::{KvShardedHistory, KvVerdict};
 
-use pstack_telemetry::{TelemetrySummary, TraceSession};
-use std::time::{Duration, Instant};
-
+use crate::cycle::{self, Cx, Policy, Shards, Tally, Workload};
 use crate::kv_campaign::ShardLogUsage;
 use crate::sharded_kv_campaign::{
-    all_answered, attach_exec, generate_kv_ops, persist_table_roots, run_shard_round, HarnessGets,
+    attach_stripe, generate_kv_ops, persist_table_roots, quiescent, run_shard_rounds,
+    sharded_verdict, HarnessGets,
 };
+
+/// Shards (independent regions).
+const SHARDS: usize = 2;
+/// NVRAM region length *per shard* (also bounds how many retired
+/// generations the shard's heap can retain).
+const REGION_LEN: usize = 1 << 20;
+/// Inclusive range put/cas values are drawn from.
+const VALUE_RANGE: (i64, i64) = (-100, 100);
+/// Fail-point countdown for workload kills.
+const CRASH_WINDOW: (u64, u64) = (4, 60);
 
 /// Configuration of one compaction crash campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactionCampaignConfig {
     /// Number of KV operations across all shards.
     pub n_ops: usize,
-    /// Number of shards (independent regions).
-    pub shards: usize,
     /// Keys are drawn from `0..key_space` — keep it small so the live
     /// set stays far below the history and compaction reclaims a lot.
     pub key_space: u64,
-    /// Inclusive range put/cas values are drawn from.
-    pub value_range: (i64, i64),
     /// Probability weights of (put, get, delete); the rest are cas.
     pub op_mix: (f64, f64, f64),
     /// Master seed; campaigns are deterministic given the seed.
@@ -81,32 +85,21 @@ pub struct CompactionCampaignConfig {
     /// [`ShardedKvCampaignReport::compaction_candidate`]:
     /// crate::ShardedKvCampaignReport::compaction_candidate
     pub compact_threshold: f64,
-    /// Total kill budget (workload + compaction + recovery kills).
+    /// Kills of normal rounds (workload and compaction windows together)
+    /// stop after this many; compaction-recovery passes are killed while
+    /// the campaign's total stays under twice that.
     pub max_crashes: usize,
     /// Probability of arming a kill inside each compaction window.
     pub compaction_crash_prob: f64,
     /// Probability of arming a kill in each shard region per workload
     /// round.
     pub workload_crash_prob: f64,
-    /// Fail-point countdown for workload kills, drawn from this range.
-    pub crash_window: (u64, u64),
     /// Probability of arming a kill inside each compaction-recovery
     /// pass.
     pub recovery_crash_prob: f64,
-    /// Descriptors driven per shard per round — kept small so headroom
-    /// checks interleave with traffic and shards never silently brick
-    /// between checks.
-    pub ops_per_round: usize,
-    /// NVRAM region length *per shard* (also bounds how many retired
-    /// generations the shard's heap can retain).
-    pub region_len: usize,
     /// Runs the campaign under the persist-order sanitizer; defaults to
     /// the `psan` crate feature.
     pub psan: bool,
-    /// Record the campaign with the flight recorder and attach the
-    /// collected summary to the report. Defaults to the `telemetry`
-    /// crate feature.
-    pub telemetry: bool,
 }
 
 impl CompactionCampaignConfig {
@@ -117,9 +110,7 @@ impl CompactionCampaignConfig {
     pub fn new(n_ops: usize, seed: u64) -> Self {
         CompactionCampaignConfig {
             n_ops,
-            shards: 2,
             key_space: 10,
-            value_range: (-100, 100),
             op_mix: (0.55, 0.2, 0.1),
             seed,
             variant: KvVariant::Nsrl,
@@ -129,12 +120,8 @@ impl CompactionCampaignConfig {
             max_crashes: 10,
             compaction_crash_prob: 0.5,
             workload_crash_prob: 0.25,
-            crash_window: (4, 60),
             recovery_crash_prob: 0.4,
-            ops_per_round: 8,
-            region_len: 1 << 20,
             psan: cfg!(feature = "psan"),
-            telemetry: cfg!(feature = "telemetry"),
         }
     }
 
@@ -156,15 +143,18 @@ impl CompactionCampaignConfig {
 /// Outcome of a compaction campaign.
 #[derive(Debug, Clone)]
 pub struct CompactionCampaignReport {
-    /// Driver rounds executed.
-    pub rounds: usize,
-    /// Kills that landed in workload (non-compaction) windows.
-    pub crashes: usize,
-    /// Kills that landed inside compaction windows — the rewrite, the
-    /// root swap, or the retirement mark.
+    /// Driver rounds, kills in normal rounds (`crashes`: workload
+    /// windows and compaction windows together), kills inside
+    /// compaction-*recovery* passes (`recovery_crashes`), the region
+    /// each kill tripped in, sanitizer findings (empty for the correct
+    /// variant) and the flight-recorder summary. A recovery duration
+    /// times the compaction-recovery dual; after a workload kill the
+    /// evidence scans run inside the rounds that follow and are not
+    /// timed.
+    pub tally: Tally,
+    /// Of `crashes`, the kills that landed inside compaction windows —
+    /// the rewrite, the root swap, or the retirement mark.
     pub compaction_crashes: usize,
-    /// Kills that landed inside compaction-*recovery* passes.
-    pub recovery_crashes: usize,
     /// Every committed compaction as `(shard, generation committed)`,
     /// in commit order — the report names the shard that triggered
     /// each one.
@@ -183,32 +173,14 @@ pub struct CompactionCampaignReport {
     /// Per shard: real (non-carried) records published across all
     /// generations — lifetime mutations the shard absorbed.
     pub published_per_shard: Vec<usize>,
-    /// Persist-order sanitizer findings (empty when PSan is off, and —
-    /// for the correct variant — when it is on).
-    pub psan_violations: Vec<PsanViolation>,
-    /// Attribution of every kill, in reboot order: the region index
-    /// that tripped first and its frozen persistence-event counter.
-    pub crash_sites: Vec<(usize, u64)>,
-    /// Wall-clock duration of each crash→recovery cycle — from the
-    /// whole-system reboot to the pass (compaction-recovery dual or
-    /// workload recovery round) that completed. Kills *inside*
-    /// recovery extend the cycle they interrupted.
-    pub recovery_durations: Vec<Duration>,
-    /// Flight-recorder summary; `None` when recording was off.
-    pub telemetry: Option<TelemetrySummary>,
 }
+cycle::report_derefs_to_tally!(CompactionCampaignReport);
 
 impl CompactionCampaignReport {
     /// `true` if the execution passed the generation-aware check.
     #[must_use]
     pub fn is_linearizable(&self) -> bool {
         self.verdict.is_linearizable()
-    }
-
-    /// Total crash/recover cycles the campaign survived.
-    #[must_use]
-    pub fn total_crashes(&self) -> usize {
-        self.crashes + self.compaction_crashes + self.recovery_crashes
     }
 
     /// The acceptance headline: `true` if some shard published strictly
@@ -227,6 +199,131 @@ impl CompactionCampaignReport {
     #[must_use]
     pub fn compaction_candidate(&self, threshold: f64) -> Option<usize> {
         ShardLogUsage::compaction_candidate(&self.log_usage, threshold)
+    }
+}
+
+/// Descriptors driven per shard per round — kept small so headroom
+/// checks interleave with traffic and shards never silently brick
+/// between checks.
+const OPS_PER_ROUND: usize = 8;
+/// Countdown of a kill inside a compaction window: 0..=30 sweeps the
+/// whole window — rewrite events first, then the swap's slot+selector
+/// persists, then the retirement mark.
+const COMPACTION_WINDOW: (u64, u64) = (0, 30);
+/// Countdown of a kill inside a compaction-recovery pass.
+const COMPACTION_RECOVERY_FUSE: (u64, u64) = (0, 20);
+
+/// The compaction workload: the sharded KV traffic in bounded rounds,
+/// with a maintenance phase ahead of each — the one phase only this
+/// harness has, so it (and the kill inside its window) lives here
+/// rather than in the engine.
+struct Compacting<'a> {
+    cfg: &'a CompactionCampaignConfig,
+    batch: usize,
+    gets: Vec<HarnessGets>,
+    compaction_crashes: usize,
+    compactions: Vec<(usize, u64)>,
+    /// The compaction a kill interrupted, as `(shard, generation it
+    /// started from)`: what the next recovery pass has to settle.
+    interrupted: Option<(usize, u64)>,
+}
+
+impl Compacting<'_> {
+    /// Compacts every shard whose headroom signal fired, a kill armed
+    /// inside roughly `compaction_crash_prob` of the windows while the
+    /// budget lasts.
+    fn maintain(
+        &mut self,
+        stripe: &PMemStripe,
+        store: &ShardedKvStore,
+        cx: &mut Cx,
+    ) -> Result<(), PError> {
+        for s in 0..SHARDS {
+            let usage = ShardLogUsage {
+                shard: s,
+                reserved: store.shard(s).log_reserved()?,
+                capacity: store.shard(s).log_capacity()?,
+            };
+            let threshold = self.cfg.compact_threshold;
+            if threshold <= 0.0 || usage.headroom_fraction() >= threshold {
+                continue;
+            }
+            let from_gen = store.shard(s).generation()?;
+            if cx.run_kills_left() && cx.rng.random_bool(self.cfg.compaction_crash_prob) {
+                let (lo, hi) = COMPACTION_WINDOW;
+                let countdown = cx.rng.random_range(lo..=hi);
+                stripe
+                    .region(s)
+                    .arm_failpoint(FailPlan::after_events(countdown));
+            }
+            match store.compact_shard(s) {
+                Ok(stats) => {
+                    stripe.region(s).disarm_failpoint();
+                    self.compactions.push((s, stats.to_gen));
+                }
+                Err(e) => {
+                    if e.is_crash() {
+                        self.compaction_crashes += 1;
+                        self.interrupted = Some((s, from_gen));
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Workload<Shards> for Compacting<'_> {
+    type Attached = (PMemStripe, KvServeFunction);
+    type Work = ();
+
+    fn attach(
+        &mut self,
+        stripe: &PMemStripe,
+    ) -> Result<(FunctionRegistry, Self::Attached), PError> {
+        let (registry, exec) = attach_stripe(stripe, self.cfg.variant, 1)?;
+        Ok((registry, (stripe.clone(), exec)))
+    }
+
+    /// Maintenance first, then: is anything left to do?
+    fn enqueue(
+        &mut self,
+        (stripe, exec): &Self::Attached,
+        cx: &mut Cx,
+    ) -> Result<Option<()>, PError> {
+        self.maintain(stripe, exec.store(), cx)?;
+        Ok((!quiescent(exec, &self.gets)?).then_some(()))
+    }
+
+    /// A bounded slice of every shard's pending descriptors, so the
+    /// headroom check interleaves with traffic. One driver thread:
+    /// compaction requires per-shard quiescence, which one driver
+    /// provides trivially.
+    fn run(
+        &mut self,
+        (_, (), (_, exec)): (&Shards, &(), &Self::Attached),
+        (): (),
+        cx: &Cx,
+    ) -> Result<bool, PError> {
+        let shape = (self.cfg.seed, self.batch, 1);
+        run_shard_rounds(exec, shape, Some(OPS_PER_ROUND), &mut self.gets, cx)
+    }
+
+    /// The recovery dual of an interrupted compaction: evidence (the
+    /// root cell) decides whether the swap committed. A workload kill
+    /// leaves nothing to settle here — see [`Shards`].
+    fn recover(
+        &mut self,
+        (_, (), (_, exec)): (&Shards, &(), &Self::Attached),
+    ) -> Result<usize, PError> {
+        if let Some((s, from_gen)) = self.interrupted {
+            exec.store().recover_compact_shard(s, from_gen)?;
+            self.compactions
+                .push((s, exec.store().shard(s).generation()?));
+            self.interrupted = None;
+        }
+        Ok(0)
     }
 }
 
@@ -253,39 +350,42 @@ impl CompactionCampaignReport {
 pub fn run_compaction_campaign(
     cfg: &CompactionCampaignConfig,
 ) -> Result<CompactionCampaignReport, PError> {
-    let session = cfg.telemetry.then(TraceSession::start);
-    let mut report = run_compaction_campaign_inner(cfg)?;
-    report.telemetry = session.map(|s| s.finish().summary());
-    Ok(report)
+    cycle::traced(cfg!(feature = "telemetry"), || {
+        run_compaction_campaign_inner(cfg)
+    })
 }
 
 fn run_compaction_campaign_inner(
     cfg: &CompactionCampaignConfig,
 ) -> Result<CompactionCampaignReport, PError> {
-    assert!(cfg.shards > 0, "at least one shard");
     assert!(cfg.key_space > 0, "empty key space");
     assert!(cfg.log_cap_per_shard > 0, "empty log");
-    let (lo, hi) = cfg.value_range;
-    assert!(lo <= hi, "empty value range");
 
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut cx = Cx::new(
+        cfg.seed,
+        Policy {
+            max_crashes: cfg.max_crashes,
+            crash_window: CRASH_WINDOW,
+            crash_prob: cfg.workload_crash_prob,
+            recovery_crash_prob: cfg.recovery_crash_prob,
+            recovery_fuse: COMPACTION_RECOVERY_FUSE,
+        },
+    );
     let ops = generate_kv_ops(
         cfg.n_ops,
         cfg.key_space,
-        cfg.value_range,
+        VALUE_RANGE,
         cfg.op_mix,
-        &mut rng,
+        &mut cx.rng,
     );
     let (mutations, gets) = HarnessGets::split(&ops);
-    let mut gets = gets.per_shard(cfg.shards);
     let nbuckets = cfg.key_space.max(4);
-    let batch = cfg.group_commit.unwrap_or(1).max(1);
 
-    let mut builder = PMemBuilder::new().len(cfg.region_len).psan(cfg.psan);
+    let mut builder = PMemBuilder::new().len(REGION_LEN).psan(cfg.psan);
     if cfg.group_commit.is_none() {
         builder = builder.eager_flush(true);
     }
-    let mut stripe = builder.build_striped(cfg.shards);
+    let stripe = builder.build_striped(SHARDS);
     {
         let store = ShardedKvStore::format(
             stripe.regions(),
@@ -297,207 +397,43 @@ fn run_compaction_campaign_inner(
         persist_table_roots(&stripe, exec.tables())?;
     }
 
-    let mut rounds = 0usize;
-    let mut crashes = 0usize;
-    let mut compaction_crashes = 0usize;
-    let mut recovery_crashes = 0usize;
-    let mut compactions: Vec<(usize, u64)> = Vec::new();
-    let mut crash_sites: Vec<(usize, u64)> = Vec::new();
-    let mut recovery_durations: Vec<Duration> = Vec::new();
-    // Set when a workload kill rebooted the stripe: the next workload
-    // round drives the recovery duals, and its crash-free completion
-    // closes the cycle.
-    let mut recovery_started: Option<Instant> = None;
-    let mut had_crash = false;
+    let mut workload = Compacting {
+        cfg,
+        batch: cfg.group_commit.unwrap_or(1).max(1),
+        gets: gets.per_shard(SHARDS),
+        compaction_crashes: 0,
+        compactions: Vec::new(),
+        interrupted: None,
+    };
+    let (_, exec) = cycle::cycle(&mut Shards { stripe }, &mut workload, &mut cx)?;
 
-    // Reboots the whole stripe after a kill (whole-system failure,
-    // survival probability 0 for determinism) and returns the site of
-    // the kill that forced it — read before the failure propagates
-    // stripe-wide, while the lowest crashed index still names the
-    // region that tripped first.
-    let reboot =
-        |stripe: &mut PMemStripe, salt: u64, seed: u64| -> Result<Option<(usize, u64)>, PError> {
-            let site = stripe.crash_site();
-            stripe.crash_all(seed ^ salt, 0.0);
-            let _phase = pstack_telemetry::phase("recovery.reopen");
-            *stripe = stripe.reopen_all()?;
-            Ok(site)
-        };
-
-    'campaign: loop {
-        rounds += 1;
-        let exec = attach_exec(&stripe, cfg.variant)?;
-        let store = exec.store();
-        let budget_left =
-            |crashes: usize, cc: usize, rc: usize| crashes + cc + rc < cfg.max_crashes;
-
-        // Maintenance first: compact any shard whose headroom signal
-        // fired, with kills inside the window and inside recovery.
-        for s in 0..cfg.shards {
-            let usage = ShardLogUsage {
-                shard: s,
-                reserved: store.shard(s).log_reserved()?,
-                capacity: store.shard(s).log_capacity()?,
-            };
-            if cfg.compact_threshold <= 0.0 || usage.headroom_fraction() >= cfg.compact_threshold {
-                continue;
-            }
-            let from_gen = store.shard(s).generation()?;
-            if budget_left(crashes, compaction_crashes, recovery_crashes)
-                && rng.random_bool(cfg.compaction_crash_prob)
-            {
-                // Countdowns 0..=30 sweep the whole window: rewrite
-                // events first, then the swap's slot+selector persists,
-                // then the retirement mark.
-                let countdown = rng.random_range(0..=30);
-                stripe
-                    .region(s)
-                    .arm_failpoint(FailPlan::after_events(countdown));
-            }
-            match store.compact_shard(s) {
-                Ok(stats) => {
-                    stripe.region(s).disarm_failpoint();
-                    compactions.push((s, stats.to_gen));
-                }
-                Err(e) if e.is_crash() => {
-                    compaction_crashes += 1;
-                    had_crash = true;
-                    let recovery_t0 = Instant::now();
-                    crash_sites.extend(reboot(
-                        &mut stripe,
-                        0x5153 ^ compaction_crashes as u64,
-                        cfg.seed,
-                    )?);
-                    // The recovery dual, itself under fire: re-run until
-                    // a pass completes. Evidence (the root cell) decides
-                    // whether the interrupted swap committed.
-                    loop {
-                        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-                        if budget_left(crashes, compaction_crashes, recovery_crashes)
-                            && rng.random_bool(cfg.recovery_crash_prob)
-                        {
-                            let countdown = rng.random_range(0..=20);
-                            stripe
-                                .region(s)
-                                .arm_failpoint(FailPlan::after_events(countdown));
-                        }
-                        match store.recover_compact_shard(s, from_gen) {
-                            Ok(_committed_before) => {
-                                stripe.region(s).disarm_failpoint();
-                                compactions.push((s, store.shard(s).generation()?));
-                                recovery_durations.push(recovery_t0.elapsed());
-                                break;
-                            }
-                            Err(e) if e.is_crash() => {
-                                recovery_crashes += 1;
-                                crash_sites.extend(reboot(
-                                    &mut stripe,
-                                    0x5245 ^ recovery_crashes as u64,
-                                    cfg.seed,
-                                )?);
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    continue 'campaign; // fresh handles after the reboot
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Quiescent?
-        if all_answered(&exec)? && gets.iter().all(|g| g.outstanding() == 0) {
-            let generations = store.generations()?;
-            let mut history = exec.history()?;
-            history.ops.extend(gets.into_iter().flat_map(|g| g.done));
-            let nshards = cfg.shards;
-            let verdict =
-                check_kv_sharded_gen(&history, |key| shard_of(key, nshards), &generations);
-            let log_usage = store
-                .log_reserved_per_shard()?
-                .into_iter()
-                .zip(store.log_capacities()?)
-                .enumerate()
-                .map(|(shard, (reserved, capacity))| ShardLogUsage {
-                    shard,
-                    reserved,
-                    capacity,
-                })
-                .collect();
-            let published_per_shard = history
-                .shards
-                .iter()
-                .map(|chains| chains.iter().flatten().filter(|r| !r.compacted).count())
-                .collect();
-            if let Some(started) = recovery_started.take() {
-                recovery_durations.push(started.elapsed());
-            }
-            return Ok(CompactionCampaignReport {
-                rounds,
-                crashes,
-                compaction_crashes,
-                recovery_crashes,
-                compactions,
-                history,
-                verdict,
-                generations,
-                log_usage,
-                original_log_cap: cfg.log_cap_per_shard,
-                published_per_shard,
-                psan_violations: stripe.psan_violations(),
-                crash_sites,
-                recovery_durations,
-                telemetry: None,
-            });
-        }
-
-        // Workload: a bounded slice of every shard's pending
-        // descriptors, so the headroom check above interleaves with
-        // traffic. Kills land at flush boundaries as usual.
-        if budget_left(crashes, compaction_crashes, recovery_crashes) {
-            for s in 0..cfg.shards {
-                if rng.random_bool(cfg.workload_crash_prob) {
-                    let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-                    stripe
-                        .region(s)
-                        .arm_failpoint(FailPlan::after_events(countdown));
-                }
-            }
-        }
-        let mut any_crash = false;
-        for (s, shard_gets) in gets.iter_mut().enumerate() {
-            let mut shard_rng = SmallRng::seed_from_u64(
-                cfg.seed
-                    ^ (rounds as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ (s as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
-            );
-            any_crash |= run_shard_round(
-                &exec,
-                s,
-                batch,
-                had_crash,
-                &mut shard_rng,
-                Some(cfg.ops_per_round),
-                shard_gets,
-            )?;
-        }
-        if any_crash {
-            crashes += 1;
-            had_crash = true;
-            recovery_started.get_or_insert_with(Instant::now);
-            crash_sites.extend(reboot(&mut stripe, 0x574B ^ crashes as u64, cfg.seed)?);
-        } else {
-            if let Some(started) = recovery_started.take() {
-                recovery_durations.push(started.elapsed());
-            }
-            stripe.disarm_all();
-        }
-    }
+    let store = exec.store();
+    let mut history = exec.history()?;
+    history
+        .ops
+        .extend(workload.gets.into_iter().flat_map(|g| g.done));
+    let published_per_shard = history
+        .shards
+        .iter()
+        .map(|chains| chains.iter().flatten().filter(|r| !r.compacted).count())
+        .collect();
+    Ok(CompactionCampaignReport {
+        tally: cx.tally,
+        compaction_crashes: workload.compaction_crashes,
+        compactions: workload.compactions,
+        verdict: sharded_verdict(&history, store)?,
+        history,
+        generations: store.generations()?,
+        log_usage: ShardLogUsage::of(store)?,
+        original_log_cap: cfg.log_cap_per_shard,
+        published_per_shard,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pstack_kv::shard_of;
 
     #[test]
     fn compaction_campaign_outlives_capacity_and_verifies() {
@@ -547,10 +483,8 @@ mod tests {
         let b = run_compaction_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
         assert_eq!(a.compactions, b.compactions);
-        assert_eq!(a.crashes, b.crashes);
+        assert_eq!(a.tally, b.tally);
         assert_eq!(a.compaction_crashes, b.compaction_crashes);
-        assert_eq!(a.recovery_crashes, b.recovery_crashes);
-        assert_eq!(a.rounds, b.rounds);
     }
 
     #[test]

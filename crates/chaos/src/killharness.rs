@@ -22,6 +22,7 @@
 //! `kill_campaign` binary and the integration tests can drive it; see
 //! `crates/chaos/src/bin/kill_campaign.rs` for the CLI.
 
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -30,26 +31,29 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use pstack_core::{
-    FunctionRegistry, PError, RecoveryMode, Runtime, RuntimeConfig, StackKind, Task,
-};
-use pstack_nvram::{PMem, PMemBuilder, POffset};
-use pstack_recoverable::{
-    CasTaskFunction, CasVariant, QueueOpTable, QueueTaskFunction, QueueTaskOp, QueueVariant,
-    RecoverableCas, RecoverableQueue, TaskTable, CAS_TASK_FUNC_ID, QUEUE_TASK_FUNC_ID,
-};
-use pstack_verify::{
-    check_fifo, check_serializability, replay_witness, CasHistory, CasOp, FifoVerdict,
-    QueueHistory, SerialVerdict,
-};
+use pstack_core::{FunctionRegistry, PError, RecoveryMode, Runtime, StackKind, Task};
+use pstack_kv::ShardedKvStore;
+use pstack_nvram::{MemError, PMem, PMemBuilder};
+use pstack_recoverable::{CasVariant, QueueVariant};
+use pstack_verify::{CasHistory, FifoVerdict, QueueHistory, SerialVerdict};
 
-use crate::queue_campaign::build_queue_history;
+use crate::campaign::CasWorkload;
+use crate::cycle::{self, Cx, Machine, Policy, Single, Stacked, StaticWorkload, Tally, ROOT_OFF};
+use crate::queue_campaign::QueueWorkload;
 
-/// Magic word opening the harness root record in the user scratch area.
+/// Magic word opening the harness header.
 const ROOT_MAGIC: u64 = 0x4B49_4C4C_524F_4F54; // "KILLROOT"
-/// The root record starts at the user scratch area (after the runtime
-/// superblock).
-const ROOT_OFF: u64 = 64;
+/// The harness header — `[magic, workload kind]` — sits in the user
+/// scratch area past the workload's own root record.
+const HEADER_OFF: u64 = ROOT_OFF + 64;
+/// Per-line persist latency every child runs under, emulating the
+/// paper's slow HDD persists. Without it the emulated device is so fast
+/// that worker processes finish before any wall-clock kill can land
+/// mid-operation.
+const PERSIST_DELAY: Duration = Duration::from_micros(150);
+/// Probability that a recovery process is also killed (repeated
+/// failures), while the kill budget lasts.
+const RECOVERY_KILL_PROB: f64 = 0.3;
 
 /// Which object (and semantic check) a kill campaign exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,23 +70,12 @@ impl Default for KillWorkload {
     }
 }
 
-impl KillWorkload {
-    fn as_bytes(self) -> (u8, u8) {
-        match self {
-            KillWorkload::Cas(v) => (0, v.as_u8()),
-            KillWorkload::Queue(v) => (1, v.as_u8()),
-        }
-    }
-
-    fn from_bytes(kind: u8, variant: u8) -> Result<Self, PError> {
-        match kind {
-            0 => Ok(KillWorkload::Cas(CasVariant::from_u8(variant)?)),
-            1 => Ok(KillWorkload::Queue(QueueVariant::from_u8(variant)?)),
-            other => Err(PError::InvalidConfig(format!(
-                "unknown kill workload kind {other}"
-            ))),
-        }
-    }
+/// The workload kind as the header stores it (the variant lives in the
+/// workload's own root record).
+#[derive(Clone, Copy)]
+enum Kind {
+    Cas = 0,
+    Queue = 1,
 }
 
 /// Configuration of one real-`kill` campaign.
@@ -112,27 +105,14 @@ pub struct KillCampaignConfig {
     pub seed: u64,
     /// Which object (and check) the campaign exercises.
     pub workload: KillWorkload,
-    /// Probability a descriptor is an enqueue (queue workloads only).
-    pub enqueue_bias: f64,
     /// Stack layout for the worker threads.
     pub stack_kind: StackKind,
-    /// NVRAM image length in bytes.
-    pub region_len: usize,
     /// Kills of normal-mode worker processes before the driver lets the
     /// campaign run to completion.
     pub max_kills: usize,
     /// Range (inclusive, milliseconds) the driver sleeps before killing
     /// a worker process.
     pub kill_delay: (u64, u64),
-    /// Probability that a recovery process is also killed (repeated
-    /// failures), while the kill budget lasts.
-    pub recovery_kill_prob: f64,
-    /// Per-line persist latency in microseconds, emulating the paper's
-    /// slow HDD persists. Without it the emulated device is so fast
-    /// that worker processes finish before any wall-clock kill can
-    /// land mid-operation. Persisted in the image's root record so
-    /// every child process runs the same device model.
-    pub persist_delay_us: u32,
 }
 
 impl KillCampaignConfig {
@@ -148,13 +128,9 @@ impl KillCampaignConfig {
             value_range: (-100_000, 100_000),
             seed,
             workload: KillWorkload::Cas(CasVariant::Nsrl),
-            enqueue_bias: 0.6,
             stack_kind: StackKind::Fixed,
-            region_len: 1 << 21,
             max_kills: 6,
             kill_delay: (2, 25),
-            recovery_kill_prob: 0.3,
-            persist_delay_us: 150,
         }
     }
 
@@ -270,207 +246,82 @@ impl KillCampaignReport {
     }
 }
 
-/// The attached persistent objects, per workload.
-enum Objects {
-    Cas {
-        cas: RecoverableCas,
-        table: TaskTable,
-    },
-    Queue {
-        queue: RecoverableQueue,
-        table: QueueOpTable,
-    },
-}
-
-impl Objects {
-    fn pending(&self) -> Result<Vec<usize>, PError> {
-        match self {
-            Objects::Cas { table, .. } => table.pending(),
-            Objects::Queue { table, .. } => table.pending(),
-        }
-    }
-
-    fn func_id(&self) -> u64 {
-        match self {
-            Objects::Cas { .. } => CAS_TASK_FUNC_ID,
-            Objects::Queue { .. } => QUEUE_TASK_FUNC_ID,
-        }
-    }
-}
-
-/// Everything a process (driver or child) needs once attached to an
-/// existing image.
-struct Attached {
-    pmem: PMem,
-    registry: FunctionRegistry,
-    objects: Objects,
-}
-
-fn open_image(path: &Path, persist_delay_us: u32) -> Result<PMem, PError> {
+/// Opens a formatted image and says which workload it holds.
+fn open_image(path: &Path) -> Result<(PMem, Kind), PError> {
     let len = std::fs::metadata(path)
         .map_err(|e| PError::InvalidConfig(format!("cannot stat image {}: {e}", path.display())))?
         .len() as usize;
-    Ok(PMemBuilder::new()
+    let pmem = PMemBuilder::new()
         .len(len)
         .eager_flush(true)
-        .persist_delay(Duration::from_micros(u64::from(persist_delay_us)))
-        .build_file(path)?)
-}
-
-/// Reads the persist delay out of the root record without paying it:
-/// the probe handle uses no delay, and reads never persist lines.
-fn read_persist_delay(path: &Path) -> Result<u32, PError> {
-    let probe = open_image(path, 0)?;
-    let magic = probe.read_u64(POffset::new(ROOT_OFF))?;
+        .persist_delay(PERSIST_DELAY)
+        .build_file(path)?;
+    let magic = cycle::read_root(&pmem, HEADER_OFF, 0)?;
     if magic != ROOT_MAGIC {
         return Err(PError::CorruptStack(format!(
             "image {} has no kill-harness root record (magic {magic:#x})",
             path.display()
         )));
     }
-    Ok(probe.read_u32(POffset::new(ROOT_OFF + 40))?)
-}
-
-fn write_root(
-    pmem: &PMem,
-    object_base: POffset,
-    table_base: POffset,
-    init: i64,
-    workers: usize,
-    workload: KillWorkload,
-    persist_delay_us: u32,
-) -> Result<(), PError> {
-    let (kind, variant) = workload.as_bytes();
-    let base = POffset::new(ROOT_OFF);
-    pmem.write_u64(base, ROOT_MAGIC)?;
-    pmem.write_u64(base + 8u64, object_base.get())?;
-    pmem.write_u64(base + 16u64, table_base.get())?;
-    pmem.write_i64(base + 24u64, init)?;
-    pmem.write_u32(base + 32u64, workers as u32)?;
-    pmem.write_u8(base + 36u64, variant)?;
-    pmem.write_u8(base + 37u64, kind)?;
-    pmem.write_u32(base + 40u64, persist_delay_us)?;
-    pmem.flush(base, 48)?;
-    Ok(())
-}
-
-fn attach(path: &Path) -> Result<(Attached, i64), PError> {
-    let persist_delay_us = read_persist_delay(path)?;
-    let pmem = open_image(path, persist_delay_us)?;
-    let base = POffset::new(ROOT_OFF);
-    let magic = pmem.read_u64(base)?;
-    if magic != ROOT_MAGIC {
-        return Err(PError::CorruptStack(format!(
-            "image {} has no kill-harness root record (magic {magic:#x})",
-            path.display()
-        )));
-    }
-    let object_base = POffset::new(pmem.read_u64(base + 8u64)?);
-    let table_base = POffset::new(pmem.read_u64(base + 16u64)?);
-    let init = pmem.read_i64(base + 24u64)?;
-    let workers = pmem.read_u32(base + 32u64)? as usize;
-    let variant = pmem.read_u8(base + 36u64)?;
-    let kind = pmem.read_u8(base + 37u64)?;
-    let mut registry = FunctionRegistry::new();
-    let objects = match KillWorkload::from_bytes(kind, variant)? {
-        KillWorkload::Cas(variant) => {
-            let cas = RecoverableCas::open(pmem.clone(), object_base, workers, variant)?;
-            let table = TaskTable::open(pmem.clone(), table_base)?;
-            registry.register(
-                CAS_TASK_FUNC_ID,
-                CasTaskFunction::new(cas.clone(), table.clone()).into_arc(),
-            )?;
-            Objects::Cas { cas, table }
-        }
-        KillWorkload::Queue(variant) => {
-            let queue = RecoverableQueue::open(pmem.clone(), object_base, variant)?;
-            let table = QueueOpTable::open(pmem.clone(), table_base)?;
-            registry.register(
-                QUEUE_TASK_FUNC_ID,
-                QueueTaskFunction::new(queue.clone(), table.clone()).into_arc(),
-            )?;
-            Objects::Queue { queue, table }
+    let kind = match cycle::read_root(&pmem, HEADER_OFF, 1)? {
+        0 => Kind::Cas,
+        1 => Kind::Queue,
+        other => {
+            return Err(PError::InvalidConfig(format!(
+                "unknown kill workload kind {other}"
+            )))
         }
     };
-    Ok((
-        Attached {
-            pmem,
-            registry,
-            objects,
-        },
-        init,
-    ))
+    Ok((pmem, kind))
+}
+
+/// Re-attaches the image's workload: its registry and one task per
+/// descriptor still pending.
+fn attach(pmem: &PMem, kind: Kind) -> Result<(FunctionRegistry, Vec<Task>), PError> {
+    fn of<W: StaticWorkload<PMem>>(
+        mut w: W,
+        pmem: &PMem,
+    ) -> Result<(FunctionRegistry, Vec<Task>), PError> {
+        let (registry, att) = w.attach(pmem)?;
+        Ok((registry, w.pending(&att)?))
+    }
+    match kind {
+        Kind::Cas => of(CasWorkload, pmem),
+        Kind::Queue => of(QueueWorkload, pmem),
+    }
 }
 
 /// Formats the image file for a campaign: runtime layout, the workload
-/// object, its descriptor table and the root record. Returns the
-/// initial register value (0 for queue workloads). Run by the driver
-/// before the first worker process.
+/// object, its descriptor table and root record, and the harness
+/// header. Run by the driver before the first worker process.
 ///
 /// # Errors
 ///
 /// File I/O, layout or formatting failures.
-pub fn format_image(cfg: &KillCampaignConfig) -> Result<i64, PError> {
-    let (lo, hi) = cfg.value_range;
-    assert!(lo <= hi, "empty value range");
+pub fn format_image(cfg: &KillCampaignConfig) -> Result<(), PError> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-    let _ = std::fs::remove_file(&cfg.image);
-    // Formatting runs without the persist delay (no process is racing a
-    // kill against it); the delay recorded in the root record applies
-    // to every child that attaches afterwards.
-    let pmem = PMemBuilder::new()
-        .len(cfg.region_len)
-        .eager_flush(true)
-        .build_file(&cfg.image)?;
-    let stub = FunctionRegistry::new();
-    let rt = Runtime::format(
-        pmem.clone(),
-        RuntimeConfig::new(cfg.workers)
-            .stack_kind(cfg.stack_kind)
-            .stack_capacity(8 * 1024),
-        &stub,
+    // Formatting runs without the persist delay: no process is racing a
+    // kill against it.
+    let (machine, rt) = Single::format(
+        PMemBuilder::new(),
+        None,
+        Some(&cfg.image),
+        cfg.workers,
+        cfg.stack_kind,
     )?;
-    let (object_base, table_base, init) = match cfg.workload {
+    let (pmem, heap) = (&machine.pmem, rt.heap());
+    let (n_ops, range) = (cfg.n_ops, cfg.value_range);
+    let kind = match cfg.workload {
         KillWorkload::Cas(variant) => {
-            let init: i64 = rng.random_range(lo..=hi);
-            let ops: Vec<(i64, i64)> = (0..cfg.n_ops)
-                .map(|_| (rng.random_range(lo..=hi), rng.random_range(lo..=hi)))
-                .collect();
-            let cas = RecoverableCas::format(pmem.clone(), rt.heap(), cfg.workers, init, variant)?;
-            let table = TaskTable::format(pmem.clone(), rt.heap(), &ops)?;
-            (cas.base(), table.base(), init)
+            CasWorkload::format(pmem, heap, &mut rng, n_ops, range, cfg.workers, variant)?;
+            Kind::Cas
         }
         KillWorkload::Queue(variant) => {
-            let ops: Vec<QueueTaskOp> = (0..cfg.n_ops)
-                .map(|_| {
-                    if rng.random_bool(cfg.enqueue_bias) {
-                        QueueTaskOp::Enqueue(rng.random_range(lo..=hi))
-                    } else {
-                        QueueTaskOp::Dequeue
-                    }
-                })
-                .collect();
-            let capacity = ops
-                .iter()
-                .filter(|o| matches!(o, QueueTaskOp::Enqueue(_)))
-                .count()
-                .max(1) as u64;
-            let queue = RecoverableQueue::format(pmem.clone(), rt.heap(), capacity, variant)?;
-            let table = QueueOpTable::format(pmem.clone(), rt.heap(), &ops)?;
-            (queue.base(), table.base(), 0i64)
+            QueueWorkload::format(pmem, heap, &mut rng, n_ops, range, variant)?;
+            Kind::Queue
         }
     };
-    write_root(
-        &pmem,
-        object_base,
-        table_base,
-        init,
-        cfg.workers,
-        cfg.workload,
-        cfg.persist_delay_us,
-    )?;
-    Ok(init)
+    cycle::write_root(pmem, HEADER_OFF, &[ROOT_MAGIC, kind as u64])
 }
 
 /// What a worker process found to do.
@@ -497,22 +348,16 @@ pub enum ChildOutcome {
 /// happen in a worker process — no fail-points are armed — and is
 /// therefore reported as an error).
 pub fn child_run(image: &Path) -> Result<ChildOutcome, PError> {
-    let (att, _) = attach(image)?;
-    let rt = Runtime::open(att.pmem.clone(), &att.registry)?;
-    let mut pending = att.objects.pending()?;
-    if pending.is_empty() {
+    let (pmem, kind) = open_image(image)?;
+    let (registry, mut tasks) = attach(&pmem, kind)?;
+    let rt = Runtime::open(pmem, &registry)?;
+    if tasks.is_empty() {
         return Ok(ChildOutcome::AllDone);
     }
     // Shuffle from OS entropy: kill timing already makes runs
     // non-reproducible, and distinct processes must not replay one
     // fixed order.
-    let mut rng = SmallRng::seed_from_u64(rand::rng().random());
-    pending.shuffle(&mut rng);
-    let func_id = att.objects.func_id();
-    let tasks: Vec<Task> = pending
-        .iter()
-        .map(|&i| Task::new(func_id, (i as u64).to_le_bytes().to_vec()))
-        .collect();
+    tasks.shuffle(&mut SmallRng::seed_from_u64(rand::rng().random()));
     let report = rt.run_tasks(tasks);
     if report.crashed {
         return Err(PError::Task(
@@ -531,8 +376,8 @@ pub fn child_run(image: &Path) -> Result<ChildOutcome, PError> {
 ///
 /// Attachment or recovery failures.
 pub fn child_recover(image: &Path) -> Result<usize, PError> {
-    let (att, _) = attach(image)?;
-    let rt = Runtime::open(att.pmem.clone(), &att.registry)?;
+    let (pmem, kind) = open_image(image)?;
+    let rt = Runtime::open(pmem.clone(), &attach(&pmem, kind)?.0)?;
     Ok(rt.recover(RecoveryMode::Parallel)?.total_frames())
 }
 
@@ -545,36 +390,17 @@ pub fn child_recover(image: &Path) -> Result<usize, PError> {
 /// Attachment failures, or [`PError::Task`] if any descriptor is still
 /// pending (the campaign has not finished).
 pub fn collect_report(image: &Path) -> Result<KillOutcome, PError> {
-    let (att, init) = attach(image)?;
-    match &att.objects {
-        Objects::Cas { cas, table } => {
-            let results = table.results()?;
-            let mut ops = Vec::with_capacity(results.len());
-            for (i, result) in results.iter().enumerate() {
-                let (old, new) = table.op(i)?;
-                let success = result.ok_or_else(|| {
-                    PError::Task(format!("descriptor {i} still pending; campaign incomplete"))
-                })?;
-                ops.push(CasOp {
-                    pid: 0,
-                    old,
-                    new,
-                    success,
-                });
-            }
-            let history = CasHistory::new(init, cas.read()?, ops);
-            let verdict = check_serializability(&history);
-            if let SerialVerdict::Serializable { order } = &verdict {
-                replay_witness(&history, order).expect("serializability witness must replay");
-            }
-            Ok(KillOutcome::Cas { history, verdict })
+    let (pmem, kind) = open_image(image)?;
+    Ok(match kind {
+        Kind::Cas => {
+            let (history, verdict) = CasWorkload::verify(&CasWorkload.attach(&pmem)?.1)?;
+            KillOutcome::Cas { history, verdict }
         }
-        Objects::Queue { queue, table } => {
-            let history = build_queue_history(queue, table)?;
-            let verdict = check_fifo(&history);
-            Ok(KillOutcome::Queue { history, verdict })
+        Kind::Queue => {
+            let (history, verdict) = QueueWorkload::verify(&QueueWorkload.attach(&pmem)?.1)?;
+            KillOutcome::Queue { history, verdict }
         }
-    }
+    })
 }
 
 /// Child subcommands the driver spawns; the binary maps these onto
@@ -610,9 +436,118 @@ fn wait_with_deadline(
     }
 }
 
-fn io_err(context: &str, e: std::io::Error) -> PError {
-    PError::Task(format!("{context}: {e}"))
+/// The paper's own machine: the system is an OS process over a
+/// file-backed image, and it dies by SIGKILL. Its volatile state (the
+/// in-process dirty-line cache, threads, volatile stack indexes)
+/// genuinely evaporates; only what the write-through file backend
+/// persisted survives. A kill is a wall-clock delay, not an event
+/// count, so the policy's windows are milliseconds here.
+struct Processes<'a> {
+    exe: &'a Path,
+    image: &'a Path,
+    /// The driver's own handle on the image, for the quiescence check
+    /// between children. It loads the file at open, so every child that
+    /// ran makes it stale.
+    pmem: PMem,
+    /// How long the next child lives, when it is to be killed.
+    deadline: Cell<Option<Duration>>,
+    recovery_attempts: Cell<usize>,
 }
+
+impl Processes<'_> {
+    /// Runs one child to completion or to its deadline. `true` if the
+    /// driver killed it.
+    fn child(&self, mode: &str, what: &str) -> Result<bool, PError> {
+        let io_err =
+            |context: &str, e: std::io::Error| PError::Task(format!("{context} {what}: {e}"));
+        let mut child = spawn_child(self.exe, mode, self.image).map_err(|e| io_err("spawn", e))?;
+        let status = match self.deadline.take() {
+            Some(delay) => wait_with_deadline(&mut child, delay),
+            None => child.wait().map(Some),
+        }
+        .map_err(|e| io_err("wait for", e))?;
+        match status {
+            Some(status) if status.success() => Ok(false),
+            // A child that *exits with an error* is a failure; one that
+            // dies from the driver's own SIGKILL is the experiment.
+            Some(status) => Err(PError::Task(format!("{what} process failed: {status}"))),
+            None => {
+                // §5.2 step 5: the process dies with SIGKILL; its
+                // unflushed dirty lines are lost with it.
+                let _ = child.kill();
+                let _ = child.wait();
+                Ok(true)
+            }
+        }
+    }
+
+    fn refresh(&mut self) -> Result<(), PError> {
+        self.pmem = open_image(self.image)?.0;
+        Ok(())
+    }
+}
+
+impl Machine for Processes<'_> {
+    type Regions = PMem;
+    /// Every child opens its own runtime.
+    type Runtime = ();
+
+    fn regions(&self) -> &PMem {
+        &self.pmem
+    }
+
+    fn open(&self, _: &FunctionRegistry) -> Result<(), PError> {
+        Ok(())
+    }
+
+    fn arm_run(&self, rng: &mut SmallRng, policy: &Policy) {
+        let delay = Duration::from_millis(policy.window(rng));
+        self.deadline.set(Some(delay));
+    }
+
+    fn arm_recovery(&self, rng: &mut SmallRng, policy: &Policy) {
+        if policy.recovery_kill(rng) {
+            let delay = Duration::from_millis(policy.fuse(rng));
+            self.deadline.set(Some(delay));
+        }
+    }
+
+    /// The child exited on its own; the image is what it left.
+    fn disarm(&mut self) -> Result<(), PError> {
+        self.refresh()
+    }
+
+    fn reopen(
+        &mut self,
+        (): &(),
+        _: &mut dyn FnMut(&PMem) -> Result<FunctionRegistry, PError>,
+        _: &mut Tally,
+    ) -> Result<(), PError> {
+        self.refresh()
+    }
+
+    fn sweep(&self, _: &mut Tally) {}
+}
+
+impl Stacked for Processes<'_> {
+    /// The worker process re-derives the pending set from the image and
+    /// enqueues it in an order of its own.
+    fn run_tasks(&self, (): &(), _: Vec<Task>) -> Result<bool, PError> {
+        self.child(CHILD_RUN, "worker")
+    }
+
+    fn replay(&self, (): &(), _: Option<&ShardedKvStore>) -> Result<usize, PError> {
+        self.recovery_attempts.set(self.recovery_attempts.get() + 1);
+        if self.child(CHILD_RECOVER, "recovery")? {
+            return Err(MemError::Crashed.into());
+        }
+        Ok(0)
+    }
+}
+
+/// Range (inclusive, milliseconds) a recovery process lives before the
+/// driver kills it.
+const RECOVERY_KILL_DELAY: (u64, u64) = (1, 6);
 
 /// Runs a full real-`kill` campaign: format the image, repeatedly spawn
 /// `exe child-run <image>` and SIGKILL it at a random moment, run (and
@@ -632,86 +567,38 @@ pub fn run_kill_campaign(
     exe: &Path,
     cfg: &KillCampaignConfig,
 ) -> Result<KillCampaignReport, PError> {
+    let (lo, hi) = cfg.value_range;
+    assert!(lo <= hi, "empty value range");
     format_image(cfg)?;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x6B69_6C6C);
-    let mut rounds = 0usize;
-    let mut kills = 0usize;
-    let mut recovery_kills = 0usize;
-    let mut recovery_attempts = 0usize;
-
-    loop {
-        // Check for completion from the driver's side: the image is
-        // quiescent between children.
-        let (att, _) = attach(&cfg.image)?;
-        if att.objects.pending()?.is_empty() {
-            break;
-        }
-        drop(att);
-
-        rounds += 1;
-        let mut child =
-            spawn_child(exe, CHILD_RUN, &cfg.image).map_err(|e| io_err("spawn worker", e))?;
-        let delay = Duration::from_millis(rng.random_range(cfg.kill_delay.0..=cfg.kill_delay.1));
-        let status = if kills < cfg.max_kills {
-            wait_with_deadline(&mut child, delay).map_err(|e| io_err("wait for worker", e))?
-        } else {
-            Some(child.wait().map_err(|e| io_err("wait for worker", e))?)
-        };
-
-        match status {
-            Some(status) => {
-                // The worker finished this round on its own.
-                if !status.success() {
-                    return Err(PError::Task(format!("worker process failed: {status}")));
-                }
-                continue;
-            }
-            None => {
-                // §5.2 step 5: kill at a random moment. The process
-                // dies with SIGKILL; its unflushed dirty lines are lost
-                // with it.
-                let _ = child.kill();
-                let _ = child.wait();
-                kills += 1;
-            }
-        }
-
-        // §5.2 step 6: restart in recovery mode until one pass
-        // completes; the driver may kill recovery processes too
-        // (repeated failures).
-        loop {
-            recovery_attempts += 1;
-            let mut rec = spawn_child(exe, CHILD_RECOVER, &cfg.image)
-                .map_err(|e| io_err("spawn recovery", e))?;
-            let kill_this_one = recovery_kills + kills < cfg.max_kills * 2
-                && rng.random_bool(cfg.recovery_kill_prob);
-            let status = if kill_this_one {
-                let delay = Duration::from_millis(rng.random_range(1..=6));
-                wait_with_deadline(&mut rec, delay).map_err(|e| io_err("wait for recovery", e))?
-            } else {
-                Some(rec.wait().map_err(|e| io_err("wait for recovery", e))?)
-            };
-            match status {
-                Some(status) if status.success() => break,
-                Some(status) => {
-                    return Err(PError::Task(format!("recovery process failed: {status}")))
-                }
-                None => {
-                    let _ = rec.kill();
-                    let _ = rec.wait();
-                    recovery_kills += 1;
-                }
-            }
-        }
-    }
-
-    let outcome = collect_report(&cfg.image)?;
+    let mut cx = Cx::new(
+        cfg.seed ^ 0x6B69_6C6C,
+        Policy {
+            max_crashes: cfg.max_kills,
+            crash_window: cfg.kill_delay,
+            crash_prob: 1.0,
+            recovery_crash_prob: RECOVERY_KILL_PROB,
+            recovery_fuse: RECOVERY_KILL_DELAY,
+        },
+    );
+    let (pmem, kind) = open_image(&cfg.image)?;
+    let mut machine = Processes {
+        exe,
+        image: &cfg.image,
+        pmem,
+        deadline: Cell::new(None),
+        recovery_attempts: Cell::new(0),
+    };
+    match kind {
+        Kind::Cas => cycle::cycle(&mut machine, &mut CasWorkload, &mut cx).map(drop),
+        Kind::Queue => cycle::cycle(&mut machine, &mut QueueWorkload, &mut cx).map(drop),
+    }?;
     Ok(KillCampaignReport {
-        rounds,
-        kills,
-        recovery_kills,
-        recovery_attempts,
-        outcome,
+        // The last round only found the image quiescent.
+        rounds: cx.tally.rounds - 1,
+        kills: cx.tally.crashes,
+        recovery_kills: cx.tally.recovery_crashes,
+        recovery_attempts: machine.recovery_attempts.get(),
+        outcome: collect_report(&cfg.image)?,
     })
 }
 
@@ -729,17 +616,14 @@ mod tests {
     fn format_then_attach_round_trips_root_record() {
         let image = tmp_image("root");
         let cfg = KillCampaignConfig::new(&image, 10, 3);
-        let init = format_image(&cfg).unwrap();
-        let (att, init2) = attach(&image).unwrap();
-        assert_eq!(init, init2);
-        let Objects::Cas { cas, table } = &att.objects else {
-            panic!("default workload is CAS");
-        };
-        assert_eq!(cas.processes(), 4);
-        assert_eq!(cas.read().unwrap(), init);
-        assert_eq!(table.len(), 10);
-        assert_eq!(att.objects.pending().unwrap().len(), 10);
-        assert!(att.registry.contains(CAS_TASK_FUNC_ID));
+        format_image(&cfg).unwrap();
+        let (pmem, kind) = open_image(&image).unwrap();
+        assert!(matches!(kind, Kind::Cas), "default workload is CAS");
+        let (registry, att) = CasWorkload.attach(&pmem).unwrap();
+        assert_eq!(att.cas.processes(), 4);
+        assert_eq!(att.table.len(), 10);
+        assert_eq!(attach(&pmem, kind).unwrap().1.len(), 10);
+        assert!(registry.contains(pstack_recoverable::CAS_TASK_FUNC_ID));
         let _ = std::fs::remove_file(&image);
     }
 
@@ -747,7 +631,7 @@ mod tests {
     fn attach_rejects_unformatted_image() {
         let image = tmp_image("bad");
         std::fs::write(&image, vec![0u8; 4096]).unwrap();
-        assert!(matches!(attach(&image), Err(PError::CorruptStack(_))));
+        assert!(matches!(open_image(&image), Err(PError::CorruptStack(_))));
         let _ = std::fs::remove_file(&image);
     }
 
@@ -810,10 +694,10 @@ mod tests {
         let image = tmp_image("queue");
         let cfg = KillCampaignConfig::new(&image, 14, 8).queue(QueueVariant::Nsrl);
         format_image(&cfg).unwrap();
-        let (att, _) = attach(&image).unwrap();
-        assert!(matches!(att.objects, Objects::Queue { .. }));
-        assert_eq!(att.objects.pending().unwrap().len(), 14);
-        drop(att);
+        let (pmem, kind) = open_image(&image).unwrap();
+        assert!(matches!(kind, Kind::Queue));
+        assert_eq!(attach(&pmem, kind).unwrap().1.len(), 14);
+        drop(pmem);
         match child_run(&image).unwrap() {
             ChildOutcome::Ran { completed } => assert_eq!(completed, 14),
             ChildOutcome::AllDone => panic!("first run must execute tasks"),

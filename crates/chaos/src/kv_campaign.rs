@@ -11,18 +11,16 @@
 //! [`pstack_verify::check_kv`]'s chain-witness linearizability check
 //! against the sequential map specification.
 
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-
-use pstack_core::{FunctionRegistry, PError, RecoveryMode, Runtime, RuntimeConfig, StackKind};
+use pstack_core::{FunctionRegistry, PError, StackKind, Task};
 use pstack_heap::PHeap;
 use pstack_kv::{KvRequestTable, KvServeFunction, KvVariant, PKvStore, ShardedKvStore};
-use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset, PsanViolation};
-use pstack_telemetry::{TelemetrySummary, TraceSession};
+use pstack_nvram::{PMem, PMemBuilder, POffset};
 use pstack_verify::{check_kv, KvHistory, KvVerdict};
 
-use crate::sharded_kv_campaign::{generate_kv_ops, serve_registry, HarnessGets};
+use crate::cycle::{self, Cx, Policy, Single, StaticWorkload, Tally, ROOT_OFF};
+use crate::sharded_kv_campaign::{
+    generate_kv_ops, serve_registry, HarnessGets, ANSWER_REPLAY_FUSE,
+};
 
 /// Configuration of one KV crash campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,8 +50,6 @@ pub struct KvCampaignConfig {
     pub crash_window: (u64, u64),
     /// Probability of injecting a crash into each recovery pass.
     pub recovery_crash_prob: f64,
-    /// NVRAM region length.
-    pub region_len: usize,
     /// Scheduling noise `(probability, pause-events)`; see
     /// [`crate::CampaignConfig::access_jitter`].
     pub access_jitter: Option<(f64, u64)>,
@@ -84,7 +80,6 @@ impl KvCampaignConfig {
             max_crashes: 8,
             crash_window: (40, 400),
             recovery_crash_prob: 0.3,
-            region_len: 1 << 21,
             access_jitter: None,
             psan: cfg!(feature = "psan"),
             telemetry: cfg!(feature = "telemetry"),
@@ -124,6 +119,21 @@ pub struct ShardLogUsage {
 }
 
 impl ShardLogUsage {
+    /// The usage of every shard of `store`'s active generations.
+    pub(crate) fn of(store: &ShardedKvStore) -> Result<Vec<ShardLogUsage>, PError> {
+        let usage = store
+            .log_reserved_per_shard()?
+            .into_iter()
+            .zip(store.log_capacities()?)
+            .enumerate()
+            .map(|(shard, (reserved, capacity))| ShardLogUsage {
+                shard,
+                reserved,
+                capacity,
+            });
+        Ok(usage.collect())
+    }
+
     /// `true` while the shard can still accept mutations.
     #[must_use]
     pub fn has_headroom(&self) -> bool {
@@ -203,14 +213,9 @@ impl std::fmt::Display for ShardLogUsage {
 /// Outcome of a KV campaign.
 #[derive(Debug, Clone)]
 pub struct KvCampaignReport {
-    /// Normal-mode rounds executed (≥ 1).
-    pub rounds: usize,
-    /// Crashes injected during normal-mode rounds.
-    pub crashes: usize,
-    /// Crashes injected during recovery passes.
-    pub recovery_crashes: usize,
-    /// Total frames completed by recovery passes.
-    pub recovered_frames: usize,
+    /// Rounds, crashes, recovered frames, sanitizer findings (expected
+    /// empty) and the flight-recorder summary.
+    pub tally: Tally,
     /// The collected execution (answers + chain witness).
     pub history: KvHistory,
     /// The KV linearizability verdict.
@@ -219,24 +224,14 @@ pub struct KvCampaignReport {
     /// entry for this single-store campaign; the sharded campaign
     /// reports one per shard).
     pub log_usage: Vec<ShardLogUsage>,
-    /// Persist-order sanitizer findings across every boot (empty when
-    /// PSan is off; expected empty when it is on).
-    pub psan_violations: Vec<PsanViolation>,
-    /// Flight-recorder summary; `None` when recording was off.
-    pub telemetry: Option<TelemetrySummary>,
 }
+cycle::report_derefs_to_tally!(KvCampaignReport);
 
 impl KvCampaignReport {
     /// `true` if the execution passed the KV check.
     #[must_use]
     pub fn is_linearizable(&self) -> bool {
         self.verdict.is_linearizable()
-    }
-
-    /// Total crash/recover cycles the campaign survived.
-    #[must_use]
-    pub fn total_crashes(&self) -> usize {
-        self.crashes + self.recovery_crashes
     }
 
     /// See [`ShardLogUsage::all_have_headroom`].
@@ -257,21 +252,90 @@ impl KvCampaignReport {
     }
 }
 
-/// The campaign's persistent root (in the runtime's user scratch): the
-/// bases of the KV heap, the store and its request table.
-const ROOT_OFF: u64 = 64;
+/// The KV workload on one region: a [`PKvStore`] wrapped as a one-shard
+/// stripe beside its preloaded request table, both in a heap of their
+/// own. Root record: `[heap base, store base, table base]`.
+struct KvWorkload {
+    variant: KvVariant,
+    /// The workload's reads, answered by the harness between rounds.
+    gets: HarnessGets,
+}
 
-/// Re-attaches the executor to the current boot's region from the
-/// persisted root: the store wrapped as a one-shard stripe, beside its
-/// preloaded table.
-fn attach_exec(pmem: &PMem, variant: KvVariant) -> Result<KvServeFunction, PError> {
-    let root =
-        |i: u64| Ok::<_, PError>(POffset::new(pmem.read_u64(POffset::new(ROOT_OFF + 8 * i))?));
-    let heap = PHeap::open(pmem.clone(), root(0)?)?;
-    let store = PKvStore::open(pmem.clone(), root(1)?, variant)?;
-    let table = KvRequestTable::open(pmem.clone(), root(2)?)?;
-    let store = ShardedKvStore::from_parts(vec![store], vec![heap])?;
-    Ok(KvServeFunction::new(store, vec![table]))
+impl KvWorkload {
+    /// Generates the operations and formats store and table inside the
+    /// freshly formatted runtime's region.
+    fn format(
+        cfg: &KvCampaignConfig,
+        pmem: &PMem,
+        rt_heap: &PHeap,
+        cx: &mut Cx,
+    ) -> Result<Self, PError> {
+        let (lo, hi) = cfg.value_range;
+        assert!(lo <= hi, "empty value range");
+        assert!(cfg.key_space > 0, "empty key space");
+        let ops = generate_kv_ops(
+            cfg.n_ops,
+            cfg.key_space,
+            cfg.value_range,
+            cfg.op_mix,
+            &mut cx.rng,
+        );
+        // A static workload is a preloaded request table; its reads stay
+        // with the harness.
+        let (mutations, gets) = HarnessGets::split(&ops);
+        // Each descriptor consumes at most one published slot, every crash
+        // can orphan up to one reserved slot per in-flight worker, and
+        // precondition-fail retries can orphan one more per execution
+        // attempt; provision for all of it so the log never turns the
+        // store read-only mid-campaign (the tests assert log_had_headroom).
+        let log_cap =
+            cfg.n_ops as u64 * 2 + (cfg.max_crashes as u64 * 2 + 1) * (cfg.workers as u64 + 1) + 64;
+        let nbuckets = cfg.key_space.max(4);
+        // The store and its table get a heap of their own, carved out of
+        // the runtime's: the executor re-opens it every boot, and a second
+        // handle on the runtime's own heap would keep a second, diverging
+        // block map.
+        let kv_heap_len = PKvStore::required_len(nbuckets, log_cap)
+            + KvRequestTable::required_len(mutations.len().max(1) as u32)
+            + 4096;
+        let kv_heap_base = rt_heap.alloc_aligned(kv_heap_len, 64)?;
+        let kv_heap = PHeap::format(pmem.clone(), kv_heap_base, kv_heap_len as u64)?;
+        let store = PKvStore::format(pmem.clone(), &kv_heap, nbuckets, log_cap, cfg.variant)?;
+        let store_base = store.base();
+        let exec = KvServeFunction::preload(
+            ShardedKvStore::from_parts(vec![store], vec![kv_heap])?,
+            &mutations,
+        )?;
+        let root = [kv_heap_base, store_base, exec.tables()[0].base()].map(POffset::get);
+        cycle::write_root(pmem, ROOT_OFF, &root)?;
+        Ok(KvWorkload {
+            variant: cfg.variant,
+            gets,
+        })
+    }
+}
+
+impl StaticWorkload<PMem> for KvWorkload {
+    type Attached = KvServeFunction;
+
+    fn attach(&mut self, pmem: &PMem) -> Result<(FunctionRegistry, KvServeFunction), PError> {
+        let root = |i| Ok::<_, PError>(POffset::new(cycle::read_root(pmem, ROOT_OFF, i)?));
+        let heap = PHeap::open(pmem.clone(), root(0)?)?;
+        let store = PKvStore::open(pmem.clone(), root(1)?, self.variant)?;
+        let table = KvRequestTable::open(pmem.clone(), root(2)?)?;
+        let store = ShardedKvStore::from_parts(vec![store], vec![heap])?;
+        let exec = KvServeFunction::new(store, vec![table]);
+        Ok((serve_registry(&exec)?, exec))
+    }
+
+    /// Each pending descriptor a window of one; the harness's reads go
+    /// between rounds.
+    fn pending(&mut self, exec: &KvServeFunction) -> Result<Vec<Task>, PError> {
+        let tasks = exec.pending_tasks(1)?;
+        self.gets
+            .answer_between_rounds(exec.store(), tasks.is_empty())?;
+        Ok(tasks)
+    }
 }
 
 /// Runs one full KV crash campaign (the §5.2 loop with the KV store as
@@ -295,163 +359,41 @@ fn attach_exec(pmem: &PMem, variant: KvVariant) -> Result<KvServeFunction, PErro
 /// # }
 /// ```
 pub fn run_kv_campaign(cfg: &KvCampaignConfig) -> Result<KvCampaignReport, PError> {
-    let session = cfg.telemetry.then(TraceSession::start);
-    let mut report = run_kv_campaign_inner(cfg)?;
-    report.telemetry = session.map(|s| s.finish().summary());
-    Ok(report)
-}
+    cycle::traced(cfg.telemetry, || {
+        let mut cx = Cx::new(
+            cfg.seed,
+            Policy {
+                max_crashes: cfg.max_crashes,
+                crash_window: cfg.crash_window,
+                crash_prob: 1.0,
+                recovery_crash_prob: cfg.recovery_crash_prob,
+                recovery_fuse: ANSWER_REPLAY_FUSE,
+            },
+        );
+        let (mut machine, rt) = Single::format(
+            PMemBuilder::new().psan(cfg.psan),
+            cfg.access_jitter,
+            None,
+            cfg.workers,
+            cfg.stack_kind,
+        )?;
+        let mut workload = KvWorkload::format(cfg, &machine.pmem, rt.heap(), &mut cx)?;
+        let exec = cycle::cycle(&mut machine, &mut workload, &mut cx)?;
 
-fn run_kv_campaign_inner(cfg: &KvCampaignConfig) -> Result<KvCampaignReport, PError> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let (lo, hi) = cfg.value_range;
-    assert!(lo <= hi, "empty value range");
-    assert!(cfg.key_space > 0, "empty key space");
-    let ops = generate_kv_ops(
-        cfg.n_ops,
-        cfg.key_space,
-        cfg.value_range,
-        cfg.op_mix,
-        &mut rng,
-    );
-    // A static workload is a preloaded request table; its reads stay
-    // with the harness.
-    let (mutations, mut gets) = HarnessGets::split(&ops);
-    // Each descriptor consumes at most one published slot, every crash
-    // can orphan up to one reserved slot per in-flight worker, and
-    // precondition-fail retries can orphan one more per execution
-    // attempt; provision for all of it so the log never turns the
-    // store read-only mid-campaign (the tests assert log_had_headroom).
-    let log_cap =
-        cfg.n_ops as u64 * 2 + (cfg.max_crashes as u64 * 2 + 1) * (cfg.workers as u64 + 1) + 64;
-    let nbuckets = cfg.key_space.max(4);
-
-    let mut builder = PMemBuilder::new()
-        .len(cfg.region_len)
-        .eager_flush(true)
-        .psan(cfg.psan);
-    if let Some((prob, pause_events)) = cfg.access_jitter {
-        builder = builder.access_jitter(prob, pause_events);
-    }
-    let mut pmem = builder.build_in_memory();
-    let stub = FunctionRegistry::new();
-    let rt = Runtime::format(
-        pmem.clone(),
-        RuntimeConfig::new(cfg.workers)
-            .stack_kind(cfg.stack_kind)
-            .stack_capacity(8 * 1024),
-        &stub,
-    )?;
-    // The store and its table get a heap of their own, carved out of
-    // the runtime's: the executor re-opens it every boot, and a second
-    // handle on the runtime's own heap would keep a second, diverging
-    // block map.
-    let kv_heap_len = PKvStore::required_len(nbuckets, log_cap)
-        + KvRequestTable::required_len(mutations.len().max(1) as u32)
-        + 4096;
-    let kv_heap_base = rt.heap().alloc_aligned(kv_heap_len, 64)?;
-    let kv_heap = PHeap::format(pmem.clone(), kv_heap_base, kv_heap_len as u64)?;
-    let store = PKvStore::format(pmem.clone(), &kv_heap, nbuckets, log_cap, cfg.variant)?;
-    let store_base = store.base();
-    let exec = KvServeFunction::preload(
-        ShardedKvStore::from_parts(vec![store], vec![kv_heap])?,
-        &mutations,
-    )?;
-    for (i, base) in [kv_heap_base, store_base, exec.tables()[0].base()]
-        .into_iter()
-        .enumerate()
-    {
-        pmem.write_u64(POffset::new(ROOT_OFF + 8 * i as u64), base.get())?;
-    }
-    pmem.flush(POffset::new(ROOT_OFF), 24)?;
-
-    let mut rounds = 0usize;
-    let mut crashes = 0usize;
-    let mut recovery_crashes = 0usize;
-    let mut recovered_frames = 0usize;
-
-    let exec = loop {
-        rounds += 1;
-        let exec = attach_exec(&pmem, cfg.variant)?;
-        let rt = Runtime::open(pmem.clone(), &serve_registry(&exec)?)?;
-
-        // Step 3/7: enqueue the remaining descriptors in random order,
-        // each a window of one; the harness's reads go between rounds.
-        let mut tasks = exec.pending_tasks(1)?;
-        gets.answer_between_rounds(exec.store(), tasks.is_empty())?;
-        if tasks.is_empty() {
-            break exec;
-        }
-        tasks.shuffle(&mut rng);
-
-        // Step 5: arm the kill at a random flush boundary — while the
-        // crash budget lasts.
-        if crashes < cfg.max_crashes {
-            let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-            pmem.arm_failpoint(FailPlan::after_events(countdown));
-        }
-        let report = rt.run_tasks(tasks);
-        if !report.crashed {
-            pmem.disarm_failpoint();
-            continue;
-        }
-        crashes += 1;
-
-        // Step 6: restart in recovery mode; repeated failures may hit
-        // the recovery itself.
-        pmem = {
-            let _phase = pstack_telemetry::phase("recovery.reopen");
-            pmem.reopen()?
+        // Step 9: answers, chain witness, linearizability.
+        let mut history = exec.history()?;
+        history.ops.extend(workload.gets.done);
+        let history = KvHistory {
+            ops: history.ops,
+            chains: history.shards.swap_remove(0),
         };
-        loop {
-            let exec = attach_exec(&pmem, cfg.variant)?;
-            let rt = Runtime::open(pmem.clone(), &serve_registry(&exec)?)?;
-            if crashes + recovery_crashes < cfg.max_crashes * 2
-                && rng.random_bool(cfg.recovery_crash_prob)
-            {
-                let countdown = rng.random_range(5..=60);
-                pmem.arm_failpoint(FailPlan::after_events(countdown));
-            }
-            match rt.recover(RecoveryMode::Parallel) {
-                Ok(rep) => {
-                    pmem.disarm_failpoint();
-                    recovered_frames += rep.total_frames();
-                    break;
-                }
-                Err(e) if e.is_crash() => {
-                    recovery_crashes += 1;
-                    pmem = {
-                        let _phase = pstack_telemetry::phase("recovery.reopen");
-                        pmem.reopen()?
-                    };
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    };
-
-    // Step 9: answers, chain witness, linearizability.
-    let mut history = exec.history()?;
-    history.ops.extend(gets.done);
-    let history = KvHistory {
-        ops: history.ops,
-        chains: history.shards.swap_remove(0),
-    };
-    let verdict = check_kv(&history);
-    let store = exec.store().shard(0);
-    Ok(KvCampaignReport {
-        rounds,
-        crashes,
-        recovery_crashes,
-        recovered_frames,
-        history,
-        verdict,
-        log_usage: vec![ShardLogUsage {
-            shard: 0,
-            reserved: store.log_reserved()?,
-            capacity: store.log_capacity()?,
-        }],
-        psan_violations: pmem.psan_violations(),
-        telemetry: None,
+        let verdict = check_kv(&history);
+        Ok(KvCampaignReport {
+            log_usage: ShardLogUsage::of(exec.store())?,
+            tally: cx.tally,
+            history,
+            verdict,
+        })
     })
 }
 
@@ -487,8 +429,7 @@ mod tests {
         let a = run_kv_campaign(&cfg).unwrap();
         let b = run_kv_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.tally, b.tally);
     }
 
     #[test]
@@ -510,6 +451,7 @@ mod tests {
         // reopening, recovering, and verifying against the sequential
         // spec — zero lost or torn updates tolerated.
         let mut cycles = 0usize;
+        let mut recovery_kills = 0usize;
         let mut campaigns = 0usize;
         for seed in 0.. {
             let cfg = KvCampaignConfig {
@@ -536,6 +478,7 @@ mod tests {
                 report.psan_violations
             );
             cycles += report.total_crashes();
+            recovery_kills += report.recovery_crashes;
             campaigns += 1;
             if cycles >= 200 {
                 break;
@@ -544,6 +487,10 @@ mod tests {
         assert!(
             cycles >= 200,
             "only {cycles} crash/recover cycles across {campaigns} campaigns"
+        );
+        assert!(
+            recovery_kills > 0,
+            "kills must land inside recovery passes too"
         );
     }
 

@@ -10,13 +10,11 @@
 //! [`pstack_verify::check_fifo`]'s slot-witness check.
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use pstack_core::{
-    FunctionRegistry, PError, RecoveryMode, Runtime, RuntimeConfig, StackKind, Task,
-};
-use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset};
+use pstack_core::{FunctionRegistry, PError, StackKind, Task};
+use pstack_heap::PHeap;
+use pstack_nvram::{PMem, PMemBuilder, POffset};
 use pstack_recoverable::{
     QueueOpTable, QueueTaskFunction, QueueTaskOp, QueueTaskResult, QueueVariant, RecoverableQueue,
     QUEUE_TASK_FUNC_ID,
@@ -24,6 +22,9 @@ use pstack_recoverable::{
 use pstack_verify::{
     check_fifo, FifoVerdict, QueueAnswer, QueueHistory, QueueOp, QueueOpKind, SlotWitness,
 };
+
+use crate::campaign::{index_tasks, REPLAY_FUSE};
+use crate::cycle::{self, Cx, Policy, Single, StaticWorkload, Tally, ROOT_OFF};
 
 /// Configuration of one queue crash campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +35,6 @@ pub struct QueueCampaignConfig {
     pub workers: usize,
     /// Inclusive range enqueue values are drawn from.
     pub value_range: (i64, i64),
-    /// Probability a descriptor is an enqueue (the rest are dequeues).
-    pub enqueue_bias: f64,
     /// Master seed; campaigns are deterministic given the seed (for a
     /// single worker).
     pub seed: u64,
@@ -49,8 +48,6 @@ pub struct QueueCampaignConfig {
     pub crash_window: (u64, u64),
     /// Probability of injecting a crash into each recovery pass.
     pub recovery_crash_prob: f64,
-    /// NVRAM region length.
-    pub region_len: usize,
     /// Scheduling noise `(probability, pause-events)`; see
     /// [`crate::CampaignConfig::access_jitter`].
     pub access_jitter: Option<(f64, u64)>,
@@ -65,14 +62,12 @@ impl QueueCampaignConfig {
             n_ops,
             workers: 4,
             value_range: (-100, 100),
-            enqueue_bias: 0.6,
             seed,
             stack_kind: StackKind::Fixed,
             variant: QueueVariant::Nsrl,
             max_crashes: 8,
             crash_window: (40, 400),
             recovery_crash_prob: 0.3,
-            region_len: 1 << 21,
             access_jitter: None,
         }
     }
@@ -95,19 +90,14 @@ impl QueueCampaignConfig {
 /// Outcome of a queue campaign.
 #[derive(Debug, Clone)]
 pub struct QueueCampaignReport {
-    /// Normal-mode rounds executed (≥ 1).
-    pub rounds: usize,
-    /// Crashes injected during normal-mode rounds.
-    pub crashes: usize,
-    /// Crashes injected during recovery passes.
-    pub recovery_crashes: usize,
-    /// Total frames completed by recovery passes.
-    pub recovered_frames: usize,
+    /// Rounds, crashes and recovered frames.
+    pub tally: Tally,
     /// The collected execution (answers + slot witness).
     pub history: QueueHistory,
     /// The FIFO verdict.
     pub verdict: FifoVerdict,
 }
+cycle::report_derefs_to_tally!(QueueCampaignReport);
 
 impl QueueCampaignReport {
     /// `true` if the execution passed the FIFO check.
@@ -117,29 +107,84 @@ impl QueueCampaignReport {
     }
 }
 
-const ROOT_OFF: u64 = 64;
+/// Probability a generated descriptor is an enqueue (the rest are
+/// dequeues).
+const ENQUEUE_BIAS: f64 = 0.6;
 
-fn write_root(pmem: &PMem, queue_base: POffset, table_base: POffset) -> Result<(), PError> {
-    pmem.write_u64(POffset::new(ROOT_OFF), queue_base.get())?;
-    pmem.write_u64(POffset::new(ROOT_OFF + 8), table_base.get())?;
-    pmem.flush(POffset::new(ROOT_OFF), 16)?;
-    Ok(())
+/// The queue workload: a [`RecoverableQueue`] and the table of
+/// enqueue/dequeue descriptors run against it. Root record:
+/// `[queue base, table base, variant]`.
+pub(crate) struct QueueWorkload;
+
+impl QueueWorkload {
+    /// Draws the descriptors and formats the queue (sized for every
+    /// enqueue) and its table.
+    pub(crate) fn format(
+        pmem: &PMem,
+        heap: &PHeap,
+        rng: &mut SmallRng,
+        n_ops: usize,
+        (lo, hi): (i64, i64),
+        variant: QueueVariant,
+    ) -> Result<(), PError> {
+        assert!(lo <= hi, "empty value range");
+        let ops: Vec<QueueTaskOp> = (0..n_ops)
+            .map(|_| {
+                if rng.random_bool(ENQUEUE_BIAS) {
+                    QueueTaskOp::Enqueue(rng.random_range(lo..=hi))
+                } else {
+                    QueueTaskOp::Dequeue
+                }
+            })
+            .collect();
+        let capacity = ops
+            .iter()
+            .filter(|o| matches!(o, QueueTaskOp::Enqueue(_)))
+            .count()
+            .max(1) as u64;
+        let queue = RecoverableQueue::format(pmem.clone(), heap, capacity, variant)?;
+        let table = QueueOpTable::format(pmem.clone(), heap, &ops)?;
+        let root = [
+            queue.base().get(),
+            table.base().get(),
+            u64::from(variant.as_u8()),
+        ];
+        cycle::write_root(pmem, ROOT_OFF, &root)
+    }
+
+    /// Step 9: the FIFO verdict on the quiescent queue and table.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::Task`] if a descriptor is still pending.
+    pub(crate) fn verify(
+        (queue, table): &(RecoverableQueue, QueueOpTable),
+    ) -> Result<(QueueHistory, FifoVerdict), PError> {
+        let history = build_queue_history(queue, table)?;
+        let verdict = check_fifo(&history);
+        Ok((history, verdict))
+    }
 }
 
-fn build_registry(
-    pmem: &PMem,
-    variant: QueueVariant,
-) -> Result<(FunctionRegistry, RecoverableQueue, QueueOpTable), PError> {
-    let queue_base = POffset::new(pmem.read_u64(POffset::new(ROOT_OFF))?);
-    let table_base = POffset::new(pmem.read_u64(POffset::new(ROOT_OFF + 8))?);
-    let queue = RecoverableQueue::open(pmem.clone(), queue_base, variant)?;
-    let table = QueueOpTable::open(pmem.clone(), table_base)?;
-    let mut registry = FunctionRegistry::new();
-    registry.register(
-        QUEUE_TASK_FUNC_ID,
-        QueueTaskFunction::new(queue.clone(), table.clone()).into_arc(),
-    )?;
-    Ok((registry, queue, table))
+impl StaticWorkload<PMem> for QueueWorkload {
+    type Attached = (RecoverableQueue, QueueOpTable);
+
+    fn attach(&mut self, pmem: &PMem) -> Result<(FunctionRegistry, Self::Attached), PError> {
+        let root = |i| cycle::read_root(pmem, ROOT_OFF, i);
+        let variant = QueueVariant::from_u8(root(2)? as u8)?;
+        let queue = RecoverableQueue::open(pmem.clone(), POffset::new(root(0)?), variant)?;
+        let table = QueueOpTable::open(pmem.clone(), POffset::new(root(1)?))?;
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            QUEUE_TASK_FUNC_ID,
+            QueueTaskFunction::new(queue.clone(), table.clone()).into_arc(),
+        )?;
+        Ok((registry, (queue, table)))
+    }
+
+    fn pending(&mut self, (_, table): &Self::Attached) -> Result<Vec<Task>, PError> {
+        Ok(index_tasks(QUEUE_TASK_FUNC_ID, table.pending()?))
+    }
 }
 
 /// Builds the verifier history from the quiescent table and queue.
@@ -152,7 +197,7 @@ fn build_registry(
 /// tests. All other conditions — exactly-once application, no phantom
 /// or lost effects, value fidelity, tombstone-prefix — are fully
 /// checked.
-pub(crate) fn build_queue_history(
+fn build_queue_history(
     queue: &RecoverableQueue,
     table: &QueueOpTable,
 ) -> Result<QueueHistory, PError> {
@@ -246,105 +291,35 @@ pub(crate) fn build_queue_history(
 /// # }
 /// ```
 pub fn run_queue_campaign(cfg: &QueueCampaignConfig) -> Result<QueueCampaignReport, PError> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let (lo, hi) = cfg.value_range;
-    assert!(lo <= hi, "empty value range");
-    let ops: Vec<QueueTaskOp> = (0..cfg.n_ops)
-        .map(|_| {
-            if rng.random_bool(cfg.enqueue_bias) {
-                QueueTaskOp::Enqueue(rng.random_range(lo..=hi))
-            } else {
-                QueueTaskOp::Dequeue
-            }
-        })
-        .collect();
-    let capacity = ops
-        .iter()
-        .filter(|o| matches!(o, QueueTaskOp::Enqueue(_)))
-        .count()
-        .max(1) as u64;
-
-    let mut builder = PMemBuilder::new().len(cfg.region_len).eager_flush(true);
-    if let Some((prob, pause_events)) = cfg.access_jitter {
-        builder = builder.access_jitter(prob, pause_events);
-    }
-    let mut pmem = builder.build_in_memory();
-    let stub = FunctionRegistry::new();
-    let rt = Runtime::format(
-        pmem.clone(),
-        RuntimeConfig::new(cfg.workers)
-            .stack_kind(cfg.stack_kind)
-            .stack_capacity(8 * 1024),
-        &stub,
+    let mut cx = Cx::new(
+        cfg.seed,
+        Policy {
+            max_crashes: cfg.max_crashes,
+            crash_window: cfg.crash_window,
+            crash_prob: 1.0,
+            recovery_crash_prob: cfg.recovery_crash_prob,
+            recovery_fuse: REPLAY_FUSE,
+        },
+    );
+    let (mut machine, rt) = Single::format(
+        PMemBuilder::new(),
+        cfg.access_jitter,
+        None,
+        cfg.workers,
+        cfg.stack_kind,
     )?;
-    let queue = RecoverableQueue::format(pmem.clone(), rt.heap(), capacity, cfg.variant)?;
-    let table = QueueOpTable::format(pmem.clone(), rt.heap(), &ops)?;
-    write_root(&pmem, queue.base(), table.base())?;
-
-    let mut rounds = 0usize;
-    let mut crashes = 0usize;
-    let mut recovery_crashes = 0usize;
-    let mut recovered_frames = 0usize;
-
-    loop {
-        rounds += 1;
-        let (registry, _, table) = build_registry(&pmem, cfg.variant)?;
-        let rt = Runtime::open(pmem.clone(), &registry)?;
-
-        let mut pending = table.pending()?;
-        if pending.is_empty() {
-            break;
-        }
-        pending.shuffle(&mut rng);
-        let tasks: Vec<Task> = pending
-            .iter()
-            .map(|&i| Task::new(QUEUE_TASK_FUNC_ID, (i as u64).to_le_bytes().to_vec()))
-            .collect();
-
-        if crashes < cfg.max_crashes {
-            let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-            pmem.arm_failpoint(FailPlan::after_events(countdown));
-        }
-        let report = rt.run_tasks(tasks);
-        if !report.crashed {
-            pmem.disarm_failpoint();
-            continue;
-        }
-        crashes += 1;
-
-        pmem = pmem.reopen()?;
-        loop {
-            let (registry, _, _) = build_registry(&pmem, cfg.variant)?;
-            let rt = Runtime::open(pmem.clone(), &registry)?;
-            if crashes + recovery_crashes < cfg.max_crashes * 2
-                && rng.random_bool(cfg.recovery_crash_prob)
-            {
-                let countdown = rng.random_range(5..=60);
-                pmem.arm_failpoint(FailPlan::after_events(countdown));
-            }
-            match rt.recover(RecoveryMode::Parallel) {
-                Ok(rep) => {
-                    pmem.disarm_failpoint();
-                    recovered_frames += rep.total_frames();
-                    break;
-                }
-                Err(e) if e.is_crash() => {
-                    recovery_crashes += 1;
-                    pmem = pmem.reopen()?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    let (_, queue, table) = build_registry(&pmem, cfg.variant)?;
-    let history = build_queue_history(&queue, &table)?;
-    let verdict = check_fifo(&history);
+    QueueWorkload::format(
+        &machine.pmem,
+        rt.heap(),
+        &mut cx.rng,
+        cfg.n_ops,
+        cfg.value_range,
+        cfg.variant,
+    )?;
+    let objects = cycle::cycle(&mut machine, &mut QueueWorkload, &mut cx)?;
+    let (history, verdict) = QueueWorkload::verify(&objects)?;
     Ok(QueueCampaignReport {
-        rounds,
-        crashes,
-        recovery_crashes,
-        recovered_frames,
+        tally: cx.tally,
         history,
         verdict,
     })
@@ -372,7 +347,7 @@ mod tests {
         let a = run_queue_campaign(&cfg).unwrap();
         let b = run_queue_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
-        assert_eq!(a.crashes, b.crashes);
+        assert_eq!(a.tally, b.tally);
     }
 
     #[test]

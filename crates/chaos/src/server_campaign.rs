@@ -32,26 +32,51 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use pstack_core::{
-    CrashRegion, CrashSite, FunctionRegistry, PError, RecoveryMode, RuntimeConfig, StripedRuntime,
-};
-use pstack_kv::{shard_of, KvRequestTable, KvTaskOp, KvVariant, ShardedKvStore};
-use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, PsanViolation, StatsSnapshot};
+use pstack_core::{FunctionRegistry, PError, StripedRuntime};
+use pstack_kv::{KvRequestTable, KvTaskOp, KvVariant, ShardedKvStore};
+use pstack_nvram::{PMemBuilder, PMemStripe};
 use pstack_server::proto::{kind_of, RequestBody, Response};
 use pstack_server::{
     ChannelConn, ChannelHub, ClientConfig, ClientSim, ClientStats, Clock, KvServeFunction, OpClass,
     ServerCore, Submission, VirtualClock,
 };
-use pstack_telemetry::{TelemetrySummary, TraceSession};
-use pstack_verify::{check_kv_sharded_gen, KvShardedHistory, KvVerdict, KvWitnessRecord};
+use pstack_verify::{KvShardedHistory, KvVerdict, KvWitnessRecord};
 
-use crate::sharded_kv_campaign::{attach_exec, persist_table_roots, serve_registry};
+use crate::cycle::{self, Cx, Policy, Stacked, Striped, Tally, Workload};
+use crate::sharded_kv_campaign::{
+    attach_stripe, persist_table_roots, sharded_verdict, ANSWER_REPLAY_FUSE,
+};
 
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-const RECOVERY_SALT: u64 = 0xD134_2543_DE82_EF95;
+
+/// Shards (independent regions) behind the server.
+const SHARDS: usize = 4;
+/// Runtime worker threads: one keeps the whole campaign deterministic
+/// per seed (more would stay correct but reorder window execution).
+const WORKERS: usize = 1;
+/// NVRAM region length per shard.
+const REGION_LEN: usize = 1 << 21;
+/// Shadow every region with the persist-order sanitizer.
+const PSAN: bool = cfg!(feature = "psan");
+/// Keys are zipfian ranks over `0..KEY_SPACE`.
+const KEY_SPACE: u64 = 16;
+/// Zipf skew of the client key distributions.
+const ZIPF_S: f64 = 0.99;
+/// Put/cas values are drawn from `-VALUE_RANGE..=VALUE_RANGE`.
+const VALUE_RANGE: i64 = 100;
+/// Relative weights of (put, get, delete, cas) per client.
+const OP_MIX: [u32; 4] = [4, 3, 2, 1];
+/// Batch-window size: requests per group commit.
+const BATCH: usize = 4;
+/// Per-shard request-table slots — the bound on outstanding or unacked
+/// requests per shard.
+const TABLE_CAP: u32 = 64;
+/// Virtual nanoseconds one serve iteration (admission + batch windows +
+/// delivery) takes — the clock clients measure latency on.
+const SERVICE_TICK_NS: u64 = 100_000;
+/// Virtual nanoseconds a reboot + recovery costs the clients — crash
+/// cycles show up in the SLO tail, as they would in production.
+const REBOOT_PENALTY_NS: u64 = 3_000_000;
 
 /// Configuration of one serving crash campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,20 +85,6 @@ pub struct ServerCampaignConfig {
     pub clients: usize,
     /// Operations each client must complete (done **and** acked).
     pub ops_per_client: usize,
-    /// Shards (independent regions) behind the server.
-    pub shards: usize,
-    /// Runtime worker threads. The default 1 keeps the whole campaign
-    /// deterministic per seed; more workers stay correct but reorder
-    /// window execution.
-    pub workers: usize,
-    /// Keys are zipfian ranks over `0..key_space`.
-    pub key_space: u64,
-    /// Zipf skew of the client key distributions.
-    pub zipf_s: f64,
-    /// Put/cas values are drawn from `-value_range..=value_range`.
-    pub value_range: i64,
-    /// Relative weights of (put, get, delete, cas) per client.
-    pub op_mix: [u32; 4],
     /// Master seed; campaigns are deterministic given the seed (at
     /// `workers == 1`).
     pub seed: u64,
@@ -82,11 +93,6 @@ pub struct ServerCampaignConfig {
     /// Per-shard admission-queue capacity; excess load sheds as
     /// explicit `Overloaded` responses.
     pub queue_capacity: usize,
-    /// Batch-window size: requests per group commit.
-    pub batch: usize,
-    /// Per-shard request-table slots — the bound on outstanding or
-    /// unacked requests per shard.
-    pub table_cap: u32,
     /// Crashes stop after this many, so the campaign terminates
     /// (recovery kills get their own budget of the same size).
     pub max_crashes: usize,
@@ -98,25 +104,6 @@ pub struct ServerCampaignConfig {
     pub crash_prob: f64,
     /// Probability of arming a kill inside each recovery pass.
     pub recovery_crash_prob: f64,
-    /// NVRAM region length per shard.
-    pub region_len: usize,
-    /// Control-region length (superblock, stacks, heap).
-    pub control_region_len: usize,
-    /// Per-shard version-log capacity override; `None` provisions from
-    /// the workload.
-    pub log_cap_per_shard: Option<u64>,
-    /// Virtual nanoseconds one serve iteration (admission + batch
-    /// windows + delivery) takes — the clock clients measure latency
-    /// on.
-    pub service_tick_ns: u64,
-    /// Virtual nanoseconds a reboot + recovery costs the clients —
-    /// crash cycles show up in the SLO tail, as they would in
-    /// production.
-    pub reboot_penalty_ns: u64,
-    /// Shadow every region with the persist-order sanitizer.
-    pub psan: bool,
-    /// Record the campaign with the flight recorder.
-    pub telemetry: bool,
 }
 
 impl ServerCampaignConfig {
@@ -128,28 +115,13 @@ impl ServerCampaignConfig {
         ServerCampaignConfig {
             clients,
             ops_per_client,
-            shards: 4,
-            workers: 1,
-            key_space: 16,
-            zipf_s: 0.99,
-            value_range: 100,
-            op_mix: [4, 3, 2, 1],
             seed,
             variant: KvVariant::Nsrl,
             queue_capacity: 64,
-            batch: 4,
-            table_cap: 64,
             max_crashes: 8,
             crash_window: (8, 60),
             crash_prob: 0.5,
             recovery_crash_prob: 0.3,
-            region_len: 1 << 21,
-            control_region_len: 1 << 20,
-            log_cap_per_shard: None,
-            service_tick_ns: 100_000,     // 0.1 ms per serve iteration
-            reboot_penalty_ns: 3_000_000, // 3 ms per crash cycle
-            psan: cfg!(feature = "psan"),
-            telemetry: cfg!(feature = "telemetry"),
         }
     }
 
@@ -199,16 +171,14 @@ pub struct CycleSlo {
 /// Outcome of one serving crash campaign.
 #[derive(Debug, Clone)]
 pub struct ServerCampaignReport {
-    /// Boots of the serving stack (1 + one per crash cycle).
+    /// Boots (as `rounds`: one per crash cycle plus the boot that found
+    /// every client finished), power failures during serving and inside
+    /// stack-driven recovery passes, recovered frames, the region that
+    /// tripped each crash, NVRAM statistics, sanitizer findings
+    /// (expected empty) and the flight-recorder summary.
+    pub tally: Tally,
+    /// Boots of the serving stack (`tally.rounds`).
     pub boots: usize,
-    /// Whole-system power failures during serving.
-    pub crashes: usize,
-    /// Kills that landed inside stack-driven recovery passes.
-    pub recovery_crashes: usize,
-    /// Frames completed by stack-driven recovery across all cycles.
-    pub recovered_frames: usize,
-    /// Attribution of each crash: the region that tripped it.
-    pub crash_sites: Vec<CrashSite>,
     /// The client-observed execution plus the store's chain witnesses.
     pub history: KvShardedHistory,
     /// The sharded exactly-once/linearizability verdict.
@@ -221,15 +191,10 @@ pub struct ServerCampaignReport {
     pub shed: u64,
     /// Per-cycle SLO summaries (p50/p99/p999 per op class).
     pub slo: Vec<CycleSlo>,
-    /// Aggregate NVRAM statistics across all regions and boots.
-    pub stats: StatsSnapshot,
-    /// Persist-order sanitizer findings (expected empty).
-    pub psan_violations: Vec<PsanViolation>,
     /// Virtual time the campaign spanned.
     pub virtual_duration_ns: u64,
-    /// Flight-recorder summary; `None` when recording was off.
-    pub telemetry: Option<TelemetrySummary>,
 }
+cycle::report_derefs_to_tally!(ServerCampaignReport);
 
 impl ServerCampaignReport {
     /// `true` if the client-observed execution passed the sharded
@@ -237,12 +202,6 @@ impl ServerCampaignReport {
     #[must_use]
     pub fn is_linearizable(&self) -> bool {
         self.verdict.is_linearizable()
-    }
-
-    /// Total crash/recover cycles (serving kills + recovery kills).
-    #[must_use]
-    pub fn total_crashes(&self) -> usize {
-        self.crashes + self.recovery_crashes
     }
 
     /// Renders the per-cycle SLO table (the form the campaign test
@@ -272,14 +231,6 @@ impl ServerCampaignReport {
         }
         out
     }
-}
-
-/// What ended one boot of the serving stack.
-enum BootOutcome {
-    /// Every client finished (done and acked) — the campaign is over.
-    Quiescent,
-    /// A power failure; the whole system is down and attributed.
-    Crashed(Option<CrashSite>),
 }
 
 /// Exact order statistic from a sorted latency vector.
@@ -328,121 +279,173 @@ fn transport_err(e: std::io::Error) -> PError {
     PError::Task(format!("serving transport: {e}"))
 }
 
-/// One boot's serving loop: jump the virtual clock to the next client
-/// wake, move frames through the hub, admit, execute batch windows on
-/// the runtime, deliver. Ends when every client finished or a power
-/// failure takes the system down (whichever region observed it first
-/// trips all the others, matching §2.2's whole-system model).
-#[allow(clippy::too_many_arguments)]
-fn serve_boot(
-    cfg: &ServerCampaignConfig,
-    core: &ServerCore,
-    rt: &StripedRuntime,
-    stripe: &PMemStripe,
-    hub: &ChannelHub,
-    conns: &[ChannelConn],
-    clients: &mut [ClientSim],
-    clock: &VirtualClock,
-    cycle_seed: u64,
-) -> Result<BootOutcome, PError> {
-    // A crash surfacing on the direct admission path (a shard
-    // fail-point firing under a descriptor persist) is a power failure
-    // like any other: propagate it system-wide and attribute it.
-    let trip_direct = || -> BootOutcome {
-        let site = stripe.crash_site().map(|(shard, events)| CrashSite {
-            region: CrashRegion::Shard(shard),
-            events,
-        });
-        rt.crash_all(cycle_seed, 0.0);
-        BootOutcome::Crashed(site)
-    };
-    // req_id → op for the `kind` echo in deferred Done responses;
-    // volatile per boot on purpose — after a crash the retransmission
-    // repopulates it.
-    let mut in_flight: HashMap<u64, KvTaskOp> = HashMap::new();
+/// The serving workload: a population of closed-loop clients, their
+/// wire and the virtual clock — everything volatile that outlives a
+/// boot of the server.
+struct Serving<'a> {
+    cfg: &'a ServerCampaignConfig,
+    clock: VirtualClock,
+    hub: ChannelHub,
+    clients: Vec<ClientSim>,
+    conns: Vec<ChannelConn>,
+    admitted: u64,
+    shed: u64,
+    /// The crash cycle being served (crashes seen so far).
+    cycle: usize,
+    slo: Vec<CycleSlo>,
+    /// Per client, the latencies already folded into `slo`.
+    marks: Vec<usize>,
+}
 
-    loop {
+impl Serving<'_> {
+    /// Folds the ops completed since the last power failure into the
+    /// current cycle's SLO entry.
+    fn close_slo_cycle(&mut self) {
+        let entry = capture_cycle_slo(self.cycle, &self.clients, &mut self.marks);
+        self.slo.extend(entry);
+    }
+
+    /// One boot's serving loop: jump the virtual clock to the next
+    /// client wake, move frames through the hub, admit, execute batch
+    /// windows on the runtime, deliver. Ends when every client finished
+    /// (`false`) or a power failure takes the system down: `true` when
+    /// the runtime saw it inside a window, a crash error when it
+    /// surfaced on the direct admission path (a shard fail-point firing
+    /// under a descriptor persist) — the machine propagates and
+    /// attributes either.
+    fn serve(&mut self, core: &ServerCore, rt: &StripedRuntime) -> Result<bool, PError> {
+        // req_id → op for the `kind` echo in deferred Done responses;
+        // volatile per boot on purpose — after a crash the retransmission
+        // repopulates it.
+        let mut in_flight: HashMap<u64, KvTaskOp> = HashMap::new();
+
         // Jump to the earliest instant any client acts.
-        let Some(wake) = clients.iter().filter_map(ClientSim::next_wake).min() else {
-            return Ok(BootOutcome::Quiescent);
-        };
-        clock.advance_to(wake);
-        let now = clock.now_ns();
+        while let Some(wake) = self.clients.iter().filter_map(ClientSim::next_wake).min() {
+            self.clock.advance_to(wake);
+            let now = self.clock.now_ns();
 
-        // Clients transmit (fresh ops, retransmissions, acks).
-        for (c, conn) in clients.iter_mut().zip(conns) {
-            if let Some(req) = c.poll(now) {
-                if let RequestBody::Op(op) = req.body {
-                    in_flight.insert(req.req_id, op);
+            // Clients transmit (fresh ops, retransmissions, acks).
+            for (c, conn) in self.clients.iter_mut().zip(&self.conns) {
+                if let Some(req) = c.poll(now) {
+                    if let RequestBody::Op(op) = req.body {
+                        in_flight.insert(req.req_id, op);
+                    }
+                    conn.send(&req);
                 }
-                conn.send(&req);
             }
-        }
 
-        // Admission: dedup, queue, or shed — every frame gets either an
-        // immediate response or a seat in a batch window.
-        while let Some(req) = hub.poll_request().map_err(transport_err)? {
-            let resp = match req.body {
-                RequestBody::Ack => match core.ack(req.req_id) {
-                    Ok(_) => Some(Response::AckOk { req_id: req.req_id }),
-                    Err(e) if e.is_crash() => return Ok(trip_direct()),
-                    Err(e) => return Err(e),
-                },
-                RequestBody::Op(op) => match core.submit(req.req_id, op) {
-                    Ok(Submission::Answered(answer)) => Some(Response::Done {
-                        req_id: req.req_id,
-                        kind: kind_of(op),
-                        answer,
-                    }),
-                    Ok(Submission::Overloaded) => Some(Response::Overloaded { req_id: req.req_id }),
-                    Ok(Submission::Stale) => Some(Response::Stale { req_id: req.req_id }),
-                    Ok(Submission::Queued) => None,
-                    Err(e) if e.is_crash() => return Ok(trip_direct()),
-                    Err(e) => return Err(e),
-                },
-            };
-            if let Some(resp) = resp {
-                hub.respond(&resp);
-            }
-        }
-
-        // Batch windows through the persistent stack: one task per
-        // non-idle shard. A crash here lands inside a group commit, a
-        // descriptor answer persist, or the stack discipline itself.
-        let (tasks, ids) = core.drain_tasks();
-        if !tasks.is_empty() {
-            let report = rt.run_tasks(tasks);
-            if report.crashed {
-                return Ok(BootOutcome::Crashed(report.crash_site));
-            }
-            let answers = match core.answers_for(&ids) {
-                Ok(answers) => answers,
-                Err(e) if e.is_crash() => return Ok(trip_direct()),
-                Err(e) => return Err(e),
-            };
-            for (req_id, answer) in answers {
-                let resp = match answer {
-                    Some(answer) => Response::Done {
-                        req_id,
-                        kind: in_flight.get(&req_id).map_or(0, |&op| kind_of(op)),
-                        answer,
+            // Admission: dedup, queue, or shed — every frame gets either an
+            // immediate response or a seat in a batch window.
+            while let Some(req) = self.hub.poll_request().map_err(transport_err)? {
+                let req_id = req.req_id;
+                let resp = match req.body {
+                    RequestBody::Ack => {
+                        core.ack(req_id)?;
+                        Some(Response::AckOk { req_id })
+                    }
+                    RequestBody::Op(op) => match core.submit(req_id, op)? {
+                        Submission::Answered(answer) => Some(Response::Done {
+                            req_id,
+                            kind: kind_of(op),
+                            answer,
+                        }),
+                        Submission::Overloaded => Some(Response::Overloaded { req_id }),
+                        Submission::Stale => Some(Response::Stale { req_id }),
+                        Submission::Queued => None,
                     },
-                    // The window did not answer this entry (its task
-                    // erred); the client's timeout re-drives it.
-                    None => Response::Retry { req_id },
                 };
-                hub.respond(&resp);
+                if let Some(resp) = resp {
+                    self.hub.respond(&resp);
+                }
             }
-        }
 
-        // Service time passes, then responses land.
-        clock.advance(cfg.service_tick_ns);
-        let now = clock.now_ns();
-        for (c, conn) in clients.iter_mut().zip(conns) {
-            while let Some(resp) = conn.try_recv().map_err(transport_err)? {
-                c.deliver(now, &resp);
+            // Batch windows through the persistent stack: one task per
+            // non-idle shard. A crash here lands inside a group commit, a
+            // descriptor answer persist, or the stack discipline itself.
+            let (tasks, ids) = core.drain_tasks();
+            if !tasks.is_empty() {
+                if rt.run_tasks(tasks).crashed {
+                    return Ok(true);
+                }
+                for (req_id, answer) in core.answers_for(&ids)? {
+                    let resp = match answer {
+                        Some(answer) => Response::Done {
+                            req_id,
+                            kind: in_flight.get(&req_id).map_or(0, |&op| kind_of(op)),
+                            answer,
+                        },
+                        // The window did not answer this entry (its task
+                        // erred); the client's timeout re-drives it.
+                        None => Response::Retry { req_id },
+                    };
+                    self.hub.respond(&resp);
+                }
+            }
+
+            // Service time passes, then responses land.
+            self.clock.advance(SERVICE_TICK_NS);
+            let now = self.clock.now_ns();
+            for (c, conn) in self.clients.iter_mut().zip(&self.conns) {
+                while let Some(resp) = conn.try_recv().map_err(transport_err)? {
+                    c.deliver(now, &resp);
+                }
             }
         }
+        Ok(false)
+    }
+}
+
+impl Workload<Striped> for Serving<'_> {
+    type Attached = KvServeFunction;
+    type Work = ();
+
+    fn attach(
+        &mut self,
+        stripe: &PMemStripe,
+    ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
+        attach_stripe(stripe, self.cfg.variant, 1)
+    }
+
+    /// There is work while any client has an op or an ack outstanding.
+    /// The first boot after a power failure starts with what only this
+    /// harness has to do: the ops completed before the failure close
+    /// that cycle's SLO entry, and the wire died with the machine — the
+    /// clients see a reset, back off, and retransmit under the contract.
+    fn enqueue(&mut self, _: &KvServeFunction, cx: &mut Cx) -> Result<Option<()>, PError> {
+        if self.cycle < cx.tally.crashes {
+            self.close_slo_cycle();
+            self.cycle = cx.tally.crashes;
+            self.hub.reset();
+            self.clock.advance(REBOOT_PENALTY_NS);
+            let now = self.clock.now_ns();
+            for c in &mut self.clients {
+                c.on_crash(now);
+            }
+        }
+        let work = self.clients.iter().any(|c| c.next_wake().is_some());
+        Ok(work.then_some(()))
+    }
+
+    /// The front end is rebuilt every boot: queues are volatile by
+    /// design, and the clients' retries re-drive anything lost.
+    fn run(
+        &mut self,
+        (_, rt, exec): (&Striped, &StripedRuntime, &KvServeFunction),
+        (): (),
+        _: &Cx,
+    ) -> Result<bool, PError> {
+        let core = ServerCore::new(exec.clone(), self.cfg.queue_capacity, BATCH);
+        let outcome = self.serve(&core, rt);
+        self.admitted += core.admitted();
+        self.shed += core.shed();
+        outcome
+    }
+
+    fn recover(
+        &mut self,
+        (m, rt, exec): (&Striped, &StripedRuntime, &KvServeFunction),
+    ) -> Result<usize, PError> {
+        m.replay(rt, Some(exec.store()))
     }
 }
 
@@ -471,274 +474,125 @@ fn serve_boot(
 /// # }
 /// ```
 pub fn run_server_campaign(cfg: &ServerCampaignConfig) -> Result<ServerCampaignReport, PError> {
-    let session = cfg.telemetry.then(TraceSession::start);
-    let mut report = run_server_campaign_inner(cfg)?;
-    report.telemetry = session.map(|s| s.finish().summary());
-    Ok(report)
+    cycle::traced(cfg!(feature = "telemetry"), || {
+        run_server_campaign_inner(cfg)
+    })
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaignReport, PError> {
     assert!(cfg.clients > 0, "at least one client");
     assert!(cfg.ops_per_client > 0, "clients need work");
-    assert!(cfg.shards > 0, "at least one shard");
-    assert!(cfg.workers > 0, "at least one worker");
-    assert!(cfg.key_space > 0, "empty key space");
-    assert!(cfg.batch > 0 && cfg.queue_capacity > 0, "window shape");
-    assert!(cfg.table_cap > 0, "request tables need slots");
+    assert!(cfg.queue_capacity > 0, "admission queues need room");
 
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut cx = Cx::new(
+        cfg.seed,
+        Policy {
+            max_crashes: cfg.max_crashes,
+            crash_window: cfg.crash_window,
+            crash_prob: cfg.crash_prob,
+            recovery_crash_prob: cfg.recovery_crash_prob,
+            recovery_fuse: ANSWER_REPLAY_FUSE,
+        },
+    );
     let total_ops = (cfg.clients * cfg.ops_per_client) as u64;
     // Every op publishes at most one record; crash orphans add at most
     // one staged batch per window source per cycle (both budgets).
-    let log_cap = cfg.log_cap_per_shard.unwrap_or(
-        total_ops * 2 + (cfg.max_crashes as u64 * 2 + 1) * (cfg.batch as u64 + 1) * 2 + 64,
-    );
-    let nbuckets = cfg.key_space.max(4);
+    let log_cap = total_ops * 2 + (cfg.max_crashes as u64 * 2 + 1) * (BATCH as u64 + 1) * 2 + 64;
+    let nbuckets = KEY_SPACE.max(4);
 
     // Buffered regions: descriptor persists are line-atomic and batch
     // windows group-commit, so kills land inside real multi-op windows.
-    let mut stripe = PMemBuilder::new()
-        .len(cfg.region_len)
-        .psan(cfg.psan)
-        .build_striped(cfg.shards);
+    let stripe = PMemBuilder::new()
+        .len(REGION_LEN)
+        .psan(PSAN)
+        .build_striped(SHARDS);
     {
         let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
-        let tables = (0..cfg.shards)
-            .map(|s| KvRequestTable::format(stripe.region(s).clone(), store.heap(s), cfg.table_cap))
+        let tables = (0..SHARDS)
+            .map(|s| KvRequestTable::format(stripe.region(s).clone(), store.heap(s), TABLE_CAP))
             .collect::<Result<Vec<_>, _>>()?;
         persist_table_roots(&stripe, &tables)?;
     }
-    let mut control = PMemBuilder::new()
-        .len(cfg.control_region_len)
-        .psan(cfg.psan)
-        .build_in_memory();
-    {
-        let stub = FunctionRegistry::new();
-        StripedRuntime::format(
-            control.clone(),
-            stripe.clone(),
-            RuntimeConfig::new(cfg.workers).stack_capacity(8 * 1024),
-            &stub,
-        )?;
-    }
-
-    // The boot-time registry builder: the serve function re-attached to
-    // the freshly opened store and tables.
-    let attach = |control: &PMem,
-                  stripe: &PMemStripe|
-     -> Result<(KvServeFunction, StripedRuntime), PError> {
-        let exec = attach_exec(stripe, cfg.variant)?;
-        let rt = StripedRuntime::open(control.clone(), stripe.clone(), &serve_registry(&exec)?)?;
-        Ok((exec, rt))
-    };
-    let reboot = |rt: &StripedRuntime| -> Result<(PMem, PMemStripe), PError> {
-        let next =
-            rt.reopen_all_with(|_, stripe| serve_registry(&attach_exec(stripe, cfg.variant)?))?;
-        Ok((next.control().clone(), next.stripe().clone()))
-    };
+    let mut machine = Striped::format(stripe, WORKERS, PSAN)?;
 
     // The client population and its wire.
-    let clock = VirtualClock::new();
     let hub = ChannelHub::new();
-    let mut clients: Vec<ClientSim> = (0..cfg.clients)
+    let clients: Vec<ClientSim> = (0..cfg.clients)
         .map(|i| {
             ClientSim::new(ClientConfig {
                 client_id: i as u32 + 1,
                 n_ops: cfg.ops_per_client,
-                key_space: cfg.key_space,
-                zipf_s: cfg.zipf_s,
-                value_range: cfg.value_range,
-                mix: cfg.op_mix,
+                key_space: KEY_SPACE,
+                zipf_s: ZIPF_S,
+                value_range: VALUE_RANGE,
+                mix: OP_MIX,
                 seed: cfg.seed ^ (i as u64 + 1).wrapping_mul(PHI),
                 ..ClientConfig::default()
             })
         })
         .collect();
-    let conns: Vec<ChannelConn> = (1..=cfg.clients as u32).map(|id| hub.connect(id)).collect();
+    let mut serving = Serving {
+        cfg,
+        clock: VirtualClock::new(),
+        conns: (1..=cfg.clients as u32).map(|id| hub.connect(id)).collect(),
+        hub,
+        marks: vec![0; clients.len()],
+        clients,
+        admitted: 0,
+        shed: 0,
+        cycle: 0,
+        slo: Vec::new(),
+    };
+    let exec = cycle::cycle(&mut machine, &mut serving, &mut cx)?;
+    // The tail since the last crash closes the SLO table.
+    serving.close_slo_cycle();
 
-    let mut boots = 0usize;
-    let mut crashes = 0usize;
-    let mut recovery_crashes = 0usize;
-    let mut recovered_frames = 0usize;
-    let mut crash_sites: Vec<CrashSite> = Vec::new();
-    let mut stats = StatsSnapshot::default();
-    let mut admitted = 0u64;
-    let mut shed = 0u64;
-    let mut slo: Vec<CycleSlo> = Vec::new();
-    let mut marks = vec![0usize; clients.len()];
-
-    loop {
-        boots += 1;
-        let (exec, rt) = attach(&control, &stripe)?;
-        let store = exec.store().clone();
-        let rt = rt.crash_seed(cfg.seed ^ (boots as u64).wrapping_mul(PHI));
-        // The front end is rebuilt every boot: queues are volatile by
-        // design, and the clients' retries re-drive anything lost.
-        let core = ServerCore::new(exec, cfg.queue_capacity, cfg.batch);
-
-        // Arm kills while the budget lasts: shard fail-points with
-        // window-sized countdowns, occasionally the control region so
-        // the stack discipline is hit under live load too.
-        if crashes + recovery_crashes < cfg.max_crashes {
-            for s in 0..cfg.shards {
-                if rng.random_bool(cfg.crash_prob) {
-                    let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-                    stripe
-                        .region(s)
-                        .arm_failpoint(FailPlan::after_events(countdown));
-                }
-            }
-            if rng.random_bool(cfg.crash_prob / 2.0) {
-                let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-                control.arm_failpoint(FailPlan::after_events(countdown));
-            }
-        }
-
-        let cycle_seed = cfg.seed ^ (crashes as u64 + 1).wrapping_mul(RECOVERY_SALT);
-        let outcome = serve_boot(
-            cfg,
-            &core,
-            &rt,
-            &stripe,
-            &hub,
-            &conns,
-            &mut clients,
-            &clock,
-            cycle_seed,
-        )?;
-        admitted += core.admitted();
-        shed += core.shed();
-
-        match outcome {
-            BootOutcome::Quiescent => {
-                stripe.disarm_all();
-                control.disarm_failpoint();
-                stats = stats + stripe.aggregate_stats();
-                let mut psan_violations = stripe.psan_violations();
-                psan_violations.extend(control.psan_violations());
-                // The tail since the last crash closes the SLO table.
-                slo.extend(capture_cycle_slo(crashes, &clients, &mut marks));
-
-                let shards: Vec<Vec<Vec<KvWitnessRecord>>> = store
-                    .snapshot_sharded()?
-                    .into_iter()
-                    .map(|chains| {
-                        chains
-                            .into_iter()
-                            .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-                            .collect()
-                    })
-                    .collect();
-                let ops = clients
-                    .iter()
-                    .flat_map(|c| c.observations().iter().cloned())
-                    .collect();
-                let history = KvShardedHistory { ops, shards };
-                let nshards = cfg.shards;
-                let verdict = check_kv_sharded_gen(
-                    &history,
-                    |key| shard_of(key, nshards),
-                    &store.generations()?,
-                );
-                let mut client_stats = ClientStats::default();
-                for c in &clients {
-                    let s = c.stats();
-                    client_stats.completed += s.completed;
-                    client_stats.retransmits += s.retransmits;
-                    client_stats.overloads += s.overloads;
-                    client_stats.retry_signals += s.retry_signals;
-                    client_stats.acks_sent += s.acks_sent;
-                    client_stats.stale_signals += s.stale_signals;
-                }
-                return Ok(ServerCampaignReport {
-                    boots,
-                    crashes,
-                    recovery_crashes,
-                    recovered_frames,
-                    crash_sites,
-                    history,
-                    verdict,
-                    client_stats,
-                    admitted,
-                    shed,
-                    slo,
-                    stats,
-                    psan_violations,
-                    virtual_duration_ns: clock.now_ns(),
-                    telemetry: None,
-                });
-            }
-            BootOutcome::Crashed(site) => {
-                crashes += 1;
-                crash_sites.extend(site);
-                stats = stats + stripe.aggregate_stats();
-                slo.extend(capture_cycle_slo(crashes - 1, &clients, &mut marks));
-                (control, stripe) = reboot(&rt)?;
-
-                // Stack-driven recovery, possibly killed mid-pass:
-                // reopen and retry until one pass completes.
-                loop {
-                    let (exec, rt) = attach(&control, &stripe)?;
-                    let rt = rt.crash_seed(
-                        cfg.seed ^ (recovery_crashes as u64 + 1).wrapping_mul(RECOVERY_SALT),
-                    );
-                    if crashes + recovery_crashes < cfg.max_crashes * 2
-                        && rng.random_bool(cfg.recovery_crash_prob)
-                    {
-                        let target = rng.random_range(0..=cfg.shards as u64) as usize;
-                        // A replayed window is an evidence scan plus
-                        // one answer persist — a dozen events, not a
-                        // group commit's forty: a longer fuse outlives
-                        // the pass and the kill never lands.
-                        let countdown = rng.random_range(1..=12);
-                        let plan = FailPlan::after_events(countdown);
-                        if target == cfg.shards {
-                            control.arm_failpoint(plan);
-                        } else {
-                            stripe.region(target).arm_failpoint(plan);
-                        }
-                    }
-                    let prelude_store = exec.store().clone();
-                    let result = rt.recover_with(RecoveryMode::Parallel, |shard, _region| {
-                        // Per-shard evidence fan-out before any frame
-                        // replays — the witness the recover duals' tag
-                        // scans run against.
-                        prelude_store.shard(shard).snapshot().map(|_| ())
-                    });
-                    match result {
-                        Ok(rep) => {
-                            stripe.disarm_all();
-                            control.disarm_failpoint();
-                            recovered_frames += rep.total_frames();
-                            break;
-                        }
-                        Err(e) if e.is_crash() => {
-                            recovery_crashes += 1;
-                            crash_sites.extend(rt.last_crash_site());
-                            stats = stats + stripe.aggregate_stats();
-                            (control, stripe) = reboot(&rt)?;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-
-                // The wire dies with the machine; the clients see a
-                // reset, back off, and retransmit under the contract.
-                hub.reset();
-                clock.advance(cfg.reboot_penalty_ns);
-                let now = clock.now_ns();
-                for c in &mut clients {
-                    c.on_crash(now);
-                }
-            }
-        }
+    let store = exec.store();
+    let shards: Vec<Vec<Vec<KvWitnessRecord>>> = store
+        .snapshot_sharded()?
+        .into_iter()
+        .map(|chains| {
+            chains
+                .into_iter()
+                .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
+                .collect()
+        })
+        .collect();
+    let clients = &serving.clients;
+    let ops = clients
+        .iter()
+        .flat_map(|c| c.observations().iter().cloned());
+    let history = KvShardedHistory {
+        ops: ops.collect(),
+        shards,
+    };
+    let mut client_stats = ClientStats::default();
+    for c in clients {
+        let s = c.stats();
+        client_stats.completed += s.completed;
+        client_stats.retransmits += s.retransmits;
+        client_stats.overloads += s.overloads;
+        client_stats.retry_signals += s.retry_signals;
+        client_stats.acks_sent += s.acks_sent;
+        client_stats.stale_signals += s.stale_signals;
     }
+    Ok(ServerCampaignReport {
+        boots: cx.tally.rounds,
+        tally: cx.tally,
+        verdict: sharded_verdict(&history, store)?,
+        history,
+        client_stats,
+        admitted: serving.admitted,
+        shed: serving.shed,
+        slo: serving.slo,
+        virtual_duration_ns: serving.clock.now_ns(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pstack_nvram::StatsSnapshot;
 
     #[test]
     fn server_campaign_exactly_once_under_live_load() {
@@ -825,9 +679,7 @@ mod tests {
         let a = run_server_campaign(&cfg).unwrap();
         let b = run_server_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.recovery_crashes, b.recovery_crashes);
-        assert_eq!(a.boots, b.boots);
+        assert_eq!(a.tally, b.tally);
         assert_eq!(a.slo, b.slo);
         assert_eq!(a.client_stats, b.client_stats);
         assert_eq!(a.virtual_duration_ns, b.virtual_duration_ns);

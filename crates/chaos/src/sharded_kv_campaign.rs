@@ -18,26 +18,25 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use pstack_core::{
-    CrashRegion, CrashSite, FunctionRegistry, PError, RecoveryMode, RuntimeConfig, StripedRuntime,
-};
+use pstack_core::{CrashRegion, FunctionRegistry, PError, Task};
 use pstack_kv::{
     shard_of, KvRequestTable, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore,
     KV_SERVE_FUNC_ID,
 };
-use pstack_nvram::{
-    FailPlan, PMem, PMemBuilder, PMemStripe, POffset, PsanViolation, StatsSnapshot,
-};
+use pstack_nvram::{PMemBuilder, PMemStripe, POffset};
 use pstack_verify::{check_kv_sharded_gen, KvOp, KvShardedHistory, KvVerdict};
 
-use pstack_telemetry::{TelemetrySummary, TraceSession};
-use std::time::{Duration, Instant};
-
+use crate::cycle::{self, Cx, Policy, Shards, StaticWorkload, Striped, Tally, Workload};
 use crate::kv_campaign::ShardLogUsage;
 
 /// Where each shard region persists its request-table base (inside the
 /// 64-byte shard root, past the offsets the store itself uses).
 const SERVE_TABLE_ROOT_OFF: u64 = 48;
+
+/// NVRAM region length *per shard*.
+const REGION_LEN: usize = 1 << 19;
+/// Inclusive range put/cas values are drawn from.
+const VALUE_RANGE: (i64, i64) = (-100, 100);
 
 /// Configuration of one sharded KV crash campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,8 +50,6 @@ pub struct ShardedKvCampaignConfig {
     pub workers: usize,
     /// Keys are drawn from `0..key_space`.
     pub key_space: u64,
-    /// Inclusive range put/cas values are drawn from.
-    pub value_range: (i64, i64),
     /// Probability weights of (put, get, delete) — the remainder are
     /// cas operations.
     pub op_mix: (f64, f64, f64),
@@ -83,8 +80,6 @@ pub struct ShardedKvCampaignConfig {
     /// Probability that a given shard region gets a fail-point armed
     /// in a given round (while the crash budget lasts).
     pub crash_prob: f64,
-    /// NVRAM region length *per shard*.
-    pub region_len: usize,
     /// Per-shard version-log capacity override; `None` provisions
     /// automatically from the workload.
     pub log_cap_per_shard: Option<u64>,
@@ -96,21 +91,15 @@ pub struct ShardedKvCampaignConfig {
     /// preludes). `false`: PR 3's direct worker-thread drive, no
     /// persistent stack in the loop.
     pub runtime_driven: bool,
-    /// Control-region length for the runtime-driven mode (superblock,
-    /// per-worker stacks, heap).
-    pub control_region_len: usize,
     /// Probability of arming a kill *inside* each recovery pass
-    /// (runtime-driven mode only; bounded by twice the crash budget).
+    /// (runtime-driven mode only — the direct drive has no pass to kill;
+    /// bounded by twice the crash budget).
     pub recovery_crash_prob: f64,
     /// Shadow every region (shards and, in the runtime-driven mode,
     /// the control region) with the persist-order sanitizer and
     /// collect its findings in the report. Defaults to the `psan`
     /// crate feature.
     pub psan: bool,
-    /// Record the campaign with the flight recorder and attach the
-    /// collected summary to the report. Defaults to the `telemetry`
-    /// crate feature.
-    pub telemetry: bool,
 }
 
 impl ShardedKvCampaignConfig {
@@ -125,7 +114,6 @@ impl ShardedKvCampaignConfig {
             shards: 4,
             workers: 4,
             key_space: 16,
-            value_range: (-100, 100),
             op_mix: (0.5, 0.25, 0.1),
             seed,
             variant: KvVariant::Nsrl,
@@ -134,13 +122,10 @@ impl ShardedKvCampaignConfig {
             max_crashes: 8,
             crash_window: (8, 80),
             crash_prob: 0.6,
-            region_len: 1 << 19,
             log_cap_per_shard: None,
             runtime_driven: false,
-            control_region_len: 1 << 20,
             recovery_crash_prob: 0.35,
             psan: cfg!(feature = "psan"),
-            telemetry: cfg!(feature = "telemetry"),
         }
     }
 
@@ -186,28 +171,15 @@ impl ShardedKvCampaignConfig {
 /// Outcome of a sharded KV campaign.
 #[derive(Debug, Clone)]
 pub struct ShardedKvCampaignReport {
-    /// Rounds executed (≥ 1); each crash adds a recovery round.
-    pub rounds: usize,
-    /// Crash/recover cycles tripped during normal rounds. (The direct
-    /// worker-thread mode also counts its recovery-round kills here;
-    /// the runtime-driven mode reports those separately in
-    /// [`ShardedKvCampaignReport::recovery_crashes`].)
-    pub crashes: usize,
-    /// Kills that landed *inside* stack-driven recovery passes
-    /// (runtime-driven mode; always 0 for the direct drive).
-    pub recovery_crashes: usize,
-    /// Frames completed by stack-driven recovery across all cycles
-    /// (runtime-driven mode; always 0 for the direct drive).
-    pub recovered_frames: usize,
-    /// Attribution of each whole-system crash in the runtime-driven
-    /// mode: the region that tripped it (shard index or the control
-    /// region) plus that region's frozen persistence-event counter —
-    /// what campaign logs key kills by.
-    pub crash_sites: Vec<CrashSite>,
-    /// Individual shard regions whose fail-point actually fired,
-    /// summed over all cycles (the remaining regions of a cycle are
-    /// taken down by the system failure itself). The runtime-driven
-    /// mode counts the tripping shard region of each cycle.
+    /// Rounds, crashes (in normal rounds, and — runtime-driven mode —
+    /// inside stack-driven recovery passes), recovered frames, crash
+    /// attribution, recovery durations, the stripe's NVRAM statistics,
+    /// sanitizer findings attributed to their home shard (expected
+    /// empty unless the campaign runs a seeded persist-order bug
+    /// variant) and the flight-recorder summary.
+    pub tally: Tally,
+    /// Crashes attributed to a shard region — a fail-point that fired
+    /// inside a batch window — rather than to the control region.
     pub shard_kills: usize,
     /// The collected execution: answers plus per-shard chain witness.
     pub history: KvShardedHistory,
@@ -218,40 +190,17 @@ pub struct ShardedKvCampaignReport {
     pub log_usage: Vec<ShardLogUsage>,
     /// Per-shard completed group commits.
     pub flush_epochs: Vec<u64>,
-    /// Aggregate NVRAM statistics across all shard regions and boots
-    /// (persists, coalesced lines, …).
-    pub stats: StatsSnapshot,
     /// Mutation descriptors in the workload (put/delete/cas — the
     /// denominator of the persists-per-mutation metric).
     pub mutations: usize,
-    /// Persist-order sanitizer findings across every region and boot,
-    /// attributed to their home shard (empty when PSan is off;
-    /// expected empty when it is on — unless the campaign runs a
-    /// seeded persist-order bug variant).
-    pub psan_violations: Vec<PsanViolation>,
-    /// Wall-clock duration of each crash→recovery cycle — from the
-    /// whole-system reboot to the recovery pass that succeeded. A kill
-    /// *inside* recovery extends the cycle it interrupted rather than
-    /// starting a new one.
-    pub recovery_durations: Vec<Duration>,
-    /// Flight-recorder summary of the whole campaign (spans, persist
-    /// economy, crash→recovery timeline); `None` when recording was
-    /// off.
-    pub telemetry: Option<TelemetrySummary>,
 }
+cycle::report_derefs_to_tally!(ShardedKvCampaignReport);
 
 impl ShardedKvCampaignReport {
     /// `true` if the execution passed the sharded KV check.
     #[must_use]
     pub fn is_linearizable(&self) -> bool {
         self.verdict.is_linearizable()
-    }
-
-    /// Total crash/recover cycles the campaign survived (kills in
-    /// normal rounds plus kills inside recovery).
-    #[must_use]
-    pub fn total_crashes(&self) -> usize {
-        self.crashes + self.recovery_crashes
     }
 
     /// See [`ShardLogUsage::all_have_headroom`].
@@ -294,11 +243,6 @@ impl ShardedKvCampaignReport {
             self.stats.persists as f64 / self.mutations as f64
         }
     }
-}
-
-/// Generates the workload exactly like the unsharded campaign.
-fn generate_ops(cfg: &ShardedKvCampaignConfig, rng: &mut SmallRng) -> Vec<KvTaskOp> {
-    generate_kv_ops(cfg.n_ops, cfg.key_space, cfg.value_range, cfg.op_mix, rng)
 }
 
 /// The shared workload generator (the compaction campaign reuses it).
@@ -435,7 +379,7 @@ impl HarnessGets {
 /// gets, so reads observe the store between windows for as long as
 /// there are windows. An eager stripe degenerates to per-op durability
 /// inside the same structure.
-pub(crate) fn run_shard_round(
+fn run_shard_round(
     exec: &KvServeFunction,
     shard: usize,
     batch_size: usize,
@@ -504,79 +448,147 @@ pub(crate) fn serve_registry(exec: &KvServeFunction) -> Result<FunctionRegistry,
     Ok(registry)
 }
 
-/// `true` once every descriptor is answered.
-pub(crate) fn all_answered(exec: &KvServeFunction) -> Result<bool, PError> {
+/// `true` once every descriptor is answered and every get asked.
+pub(crate) fn quiescent(exec: &KvServeFunction, gets: &[HarnessGets]) -> Result<bool, PError> {
     for table in exec.tables() {
         if !table.pending_slots()?.is_empty() {
             return Ok(false);
         }
     }
-    Ok(true)
+    Ok(gets.iter().all(|g| g.outstanding() == 0))
 }
 
-/// Crash/recover bookkeeping shared by both drive modes.
-#[derive(Debug, Default)]
-struct CampaignTally {
-    rounds: usize,
-    crashes: usize,
-    recovery_crashes: usize,
-    recovered_frames: usize,
-    shard_kills: usize,
-    crash_sites: Vec<CrashSite>,
-    recovery_durations: Vec<Duration>,
-    stats: StatsSnapshot,
-    psan_violations: Vec<PsanViolation>,
+/// Re-attaches a KV stripe's executor for one boot, beside the
+/// registry that names it.
+pub(crate) fn attach_stripe(
+    stripe: &PMemStripe,
+    variant: KvVariant,
+    mutators: usize,
+) -> Result<(FunctionRegistry, KvServeFunction), PError> {
+    let exec = attach_exec(stripe, variant)?.with_mutators(mutators);
+    Ok((serve_registry(&exec)?, exec))
 }
 
-/// Builds the final report from a quiescent system (every descriptor
-/// answered, every get asked) and the campaign tally.
-fn finalize_report(
-    cfg: &ShardedKvCampaignConfig,
-    exec: &KvServeFunction,
-    gets: impl IntoIterator<Item = HarnessGets>,
-    tally: CampaignTally,
-    mutations: usize,
-) -> Result<ShardedKvCampaignReport, PError> {
-    let store = exec.store();
-    let mut history = exec.history()?;
-    history.ops.extend(gets.into_iter().flat_map(|g| g.done));
-    let nshards = cfg.shards;
-    // Shards compact independently, so the verdict checks each shard's
-    // chains against that shard's real active generation.
-    let verdict = check_kv_sharded_gen(
-        &history,
-        |key| shard_of(key, nshards),
-        &store.generations()?,
-    );
-    let log_usage = store
-        .log_reserved_per_shard()?
-        .into_iter()
-        .zip(store.log_capacities()?)
-        .enumerate()
-        .map(|(shard, (reserved, capacity))| ShardLogUsage {
-            shard,
-            reserved,
-            capacity,
-        })
-        .collect();
-    Ok(ShardedKvCampaignReport {
-        rounds: tally.rounds,
-        crashes: tally.crashes,
-        recovery_crashes: tally.recovery_crashes,
-        recovered_frames: tally.recovered_frames,
-        crash_sites: tally.crash_sites,
-        shard_kills: tally.shard_kills,
+/// Step 9 of every striped KV harness: the sharded linearizability
+/// verdict. Shards compact independently, so each shard's chains are
+/// checked against that shard's real active generation.
+pub(crate) fn sharded_verdict(
+    history: &KvShardedHistory,
+    store: &ShardedKvStore,
+) -> Result<KvVerdict, PError> {
+    let nshards = store.nshards();
+    let generations = store.generations()?;
+    Ok(check_kv_sharded_gen(
         history,
-        verdict,
-        log_usage,
-        flush_epochs: store.flush_epochs()?,
-        stats: tally.stats,
-        mutations,
-        psan_violations: tally.psan_violations,
-        recovery_durations: tally.recovery_durations,
-        telemetry: None,
+        |key| shard_of(key, nshards),
+        &generations,
+    ))
+}
+
+/// One round of the direct drive: every shard's round (up to `limit`
+/// descriptors of it) runs on the shard's owner among `workers` threads,
+/// its schedule seeded by `(seed, round, shard)` only — group commits
+/// until the campaign's first crash, the evidence-scanning recovery
+/// duals in every round after it.
+pub(crate) fn run_shard_rounds(
+    exec: &KvServeFunction,
+    (seed, batch, workers): (u64, usize, usize),
+    limit: Option<usize>,
+    gets: &mut [HarnessGets],
+    cx: &Cx,
+) -> Result<bool, PError> {
+    let (round, recovery) = (cx.tally.rounds as u64, cx.tally.crashes > 0);
+    Shards::each_shard(workers, gets, |s, gets| {
+        let mut rng = SmallRng::seed_from_u64(
+            seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (s as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
+        );
+        run_shard_round(exec, s, batch, recovery, &mut rng, limit, gets)
     })
 }
+
+/// The worker-thread drive: every round, each shard's owner drives all
+/// of the shard's pending descriptors through the one executor.
+struct WorkerDriven<'a> {
+    cfg: &'a ShardedKvCampaignConfig,
+    batch: usize,
+    gets: Vec<HarnessGets>,
+}
+
+impl Workload<Shards> for WorkerDriven<'_> {
+    type Attached = KvServeFunction;
+    type Work = ();
+
+    fn attach(
+        &mut self,
+        stripe: &PMemStripe,
+    ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
+        attach_stripe(stripe, self.cfg.variant, self.cfg.mutators_per_shard)
+    }
+
+    fn enqueue(&mut self, exec: &KvServeFunction, _: &mut Cx) -> Result<Option<()>, PError> {
+        Ok((!quiescent(exec, &self.gets)?).then_some(()))
+    }
+
+    fn run(
+        &mut self,
+        (_, (), exec): (&Shards, &(), &KvServeFunction),
+        (): (),
+        cx: &Cx,
+    ) -> Result<bool, PError> {
+        let shape = (self.cfg.seed, self.batch, self.cfg.workers);
+        run_shard_rounds(exec, shape, None, &mut self.gets, cx)
+    }
+
+    /// No stack, no pass: see [`Shards`].
+    fn recover(&mut self, _: (&Shards, &(), &KvServeFunction)) -> Result<usize, PError> {
+        Ok(0)
+    }
+}
+
+/// The runtime-driven drive: every pending batch window becomes a
+/// persistent-stack task executed by `StripedRuntime::run_tasks`.
+/// Kills land inside batch windows, inside the runtime's own stack
+/// discipline (control-region fail-points) *and* inside the
+/// stack-driven recovery passes.
+struct RuntimeDriven<'a> {
+    cfg: &'a ShardedKvCampaignConfig,
+    batch: usize,
+    gets: HarnessGets,
+}
+
+impl StaticWorkload<PMemStripe> for RuntimeDriven<'_> {
+    type Attached = KvServeFunction;
+
+    fn attach(
+        &mut self,
+        stripe: &PMemStripe,
+    ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
+        attach_stripe(stripe, self.cfg.variant, self.cfg.mutators_per_shard)
+    }
+
+    /// The §5.2 re-enqueue step; the harness's reads go between rounds.
+    fn pending(&mut self, exec: &KvServeFunction) -> Result<Vec<Task>, PError> {
+        let tasks = exec.pending_tasks(self.batch)?;
+        self.gets
+            .answer_between_rounds(exec.store(), tasks.is_empty())?;
+        Ok(tasks)
+    }
+
+    fn evidence(exec: &KvServeFunction) -> Option<&ShardedKvStore> {
+        Some(exec.store())
+    }
+}
+
+/// Countdown of a kill inside a stack-driven recovery pass that replays
+/// whole group-commit windows.
+const WINDOW_REPLAY_FUSE: (u64, u64) = (2, 40);
+/// The same where windows hold a descriptor or a few (the single-store
+/// campaign's windows of one, the serving campaign's lightly filled
+/// ones): a replayed window is then an evidence scan plus one answer
+/// persist — a dozen events, not a group commit's forty — and a longer
+/// fuse outlives the pass, so the kill never lands.
+pub(crate) const ANSWER_REPLAY_FUSE: (u64, u64) = (1, 12);
 
 /// Runs one full sharded KV crash campaign: stripe the store over
 /// `shards` regions, drive the descriptors with `workers` threads (one
@@ -610,10 +622,9 @@ fn finalize_report(
 pub fn run_sharded_kv_campaign(
     cfg: &ShardedKvCampaignConfig,
 ) -> Result<ShardedKvCampaignReport, PError> {
-    let session = cfg.telemetry.then(TraceSession::start);
-    let mut report = run_sharded_kv_campaign_inner(cfg)?;
-    report.telemetry = session.map(|s| s.finish().summary());
-    Ok(report)
+    cycle::traced(cfg!(feature = "telemetry"), || {
+        run_sharded_kv_campaign_inner(cfg)
+    })
 }
 
 fn run_sharded_kv_campaign_inner(
@@ -622,11 +633,28 @@ fn run_sharded_kv_campaign_inner(
     assert!(cfg.shards > 0, "at least one shard");
     assert!(cfg.workers > 0, "at least one worker");
     assert!(cfg.key_space > 0, "empty key space");
-    let (lo, hi) = cfg.value_range;
-    assert!(lo <= hi, "empty value range");
 
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let ops = generate_ops(cfg, &mut rng);
+    let mut cx = Cx::new(
+        cfg.seed,
+        Policy {
+            max_crashes: cfg.max_crashes,
+            crash_window: cfg.crash_window,
+            crash_prob: cfg.crash_prob,
+            recovery_crash_prob: if cfg.runtime_driven {
+                cfg.recovery_crash_prob
+            } else {
+                0.0
+            },
+            recovery_fuse: WINDOW_REPLAY_FUSE,
+        },
+    );
+    let ops = generate_kv_ops(
+        cfg.n_ops,
+        cfg.key_space,
+        VALUE_RANGE,
+        cfg.op_mix,
+        &mut cx.rng,
+    );
     // A static workload is a preloaded request table; its reads stay
     // with the harness.
     let (mutations, gets) = HarnessGets::split(&ops);
@@ -653,299 +681,52 @@ fn run_sharded_kv_campaign_inner(
     );
     let nbuckets = cfg.key_space.max(4);
 
-    let mut builder = PMemBuilder::new().len(cfg.region_len).psan(cfg.psan);
+    let mut builder = PMemBuilder::new().len(REGION_LEN).psan(cfg.psan);
     if cfg.group_commit.is_none() {
         builder = builder.eager_flush(true);
     }
-    let mut stripe = builder.build_striped(cfg.shards);
+    let stripe = builder.build_striped(cfg.shards);
     {
         let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
         let exec = KvServeFunction::preload(store, &mutations)?;
         persist_table_roots(&stripe, exec.tables())?;
     }
-    let mutations = mutations.len();
 
-    if cfg.runtime_driven {
-        return drive_with_runtime(cfg, stripe, gets, mutations, rng, batch);
-    }
-
-    let mut gets = gets.per_shard(cfg.shards);
-    let mut tally = CampaignTally::default();
-    // Set when a crash rebooted the stripe: the next round (which
-    // drives every pending descriptor through its recovery dual) is
-    // the recovery pass, and its completion closes the cycle.
-    let mut recovery_started: Option<Instant> = None;
-
-    loop {
-        tally.rounds += 1;
-        let exec = attach_exec(&stripe, cfg.variant)?.with_mutators(cfg.mutators_per_shard);
-        if all_answered(&exec)? && gets.iter().all(|g| g.outstanding() == 0) {
-            // Quiescent: fold in this boot's counters and stop. The
-            // sanitizer's findings survive every reopen (the shadow
-            // state rides the region), so one sweep here sees them all.
-            if let Some(started) = recovery_started.take() {
-                tally.recovery_durations.push(started.elapsed());
-            }
-            tally.stats = tally.stats + stripe.aggregate_stats();
-            tally.psan_violations = stripe.psan_violations();
-            return finalize_report(cfg, &exec, gets, tally, mutations);
-        }
-
-        // Arm per-shard fail-points while the crash budget lasts. The
-        // draws happen on the main thread, per shard, so worker
-        // scheduling cannot perturb them.
-        if tally.crashes < cfg.max_crashes {
-            for s in 0..cfg.shards {
-                if rng.random_bool(cfg.crash_prob) {
-                    let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-                    stripe
-                        .region(s)
-                        .arm_failpoint(FailPlan::after_events(countdown));
-                }
-            }
-        }
-
-        // One worker per shard set; a shard's whole round runs on its
-        // owner, seeded per (shard, round). Recovery rounds (after any
-        // crash) drive every pending descriptor through its recovery
-        // dual — the per-shard evidence scans, in parallel.
-        let recovery = tally.crashes > 0;
-        let round_seed = cfg.seed ^ (tally.rounds as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut owned: Vec<Vec<(usize, &mut HarnessGets)>> =
-            (0..cfg.workers).map(|_| Vec::new()).collect();
-        for (s, shard_gets) in gets.iter_mut().enumerate() {
-            owned[s % cfg.workers].push((s, shard_gets));
-        }
-        let crashed_flags: Vec<Result<bool, PError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = owned
-                .into_iter()
-                .map(|shards| {
-                    let exec = &exec;
-                    scope.spawn(move || {
-                        let mut any_crash = false;
-                        for (s, shard_gets) in shards {
-                            let mut shard_rng = SmallRng::seed_from_u64(
-                                round_seed ^ (s as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
-                            );
-                            any_crash |= run_shard_round(
-                                exec,
-                                s,
-                                batch,
-                                recovery,
-                                &mut shard_rng,
-                                None,
-                                shard_gets,
-                            )?;
-                        }
-                        Ok(any_crash)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        let mut any_crash = false;
-        for flag in crashed_flags {
-            any_crash |= flag?;
-        }
-        // The round after a reboot drove recovery duals over every
-        // pending descriptor; it just finished, closing the cycle. A
-        // crash *during* that round keeps the cycle open instead.
-        if !any_crash {
-            if let Some(started) = recovery_started.take() {
-                tally.recovery_durations.push(started.elapsed());
-            }
-        }
-
-        if any_crash {
-            tally.crashes += 1;
-            tally.shard_kills += stripe.regions().iter().filter(|r| r.is_crashed()).count();
-            tally
-                .crash_sites
-                .extend(stripe.crash_site().map(|(shard, events)| CrashSite {
-                    region: CrashRegion::Shard(shard),
-                    events,
-                }));
-            // System failure: every region dies with the killed ones
-            // (unflushed lines of buffered regions are lost — survival
-            // probability 0 keeps the campaign deterministic).
-            tally.stats = tally.stats + stripe.aggregate_stats();
-            stripe.crash_all(cfg.seed ^ tally.crashes as u64, 0.0);
-            recovery_started.get_or_insert_with(Instant::now);
-            let _phase = pstack_telemetry::phase("recovery.reopen");
-            stripe = stripe.reopen_all()?;
-        } else {
-            stripe.disarm_all();
-        }
-    }
-}
-
-/// The runtime-driven drive: every pending descriptor (or batch
-/// window) becomes a persistent-stack task executed by
-/// [`StripedRuntime::run_tasks`] over the control region + shard
-/// stripe. Kills land inside batch windows (shard-region fail-points
-/// with window-sized countdowns), inside the runtime's own stack
-/// discipline (control-region fail-points), *and* inside the
-/// stack-driven recovery passes; every crash trips the whole system,
-/// is attributed to the region that fired it, and restart goes through
-/// `reopen_all` + frame replay with per-shard evidence-scan preludes.
-fn drive_with_runtime(
-    cfg: &ShardedKvCampaignConfig,
-    mut stripe: PMemStripe,
-    mut gets: HarnessGets,
-    mutations: usize,
-    mut rng: SmallRng,
-    batch: usize,
-) -> Result<ShardedKvCampaignReport, PError> {
-    // The control region carries the runtime layout: superblock,
-    // per-worker persistent stacks, heap. Formatted once; every later
-    // boot is an open.
-    let mut control = PMemBuilder::new()
-        .len(cfg.control_region_len)
-        .psan(cfg.psan)
-        .build_in_memory();
-    {
-        let stub = FunctionRegistry::new();
-        StripedRuntime::format(
-            control.clone(),
-            stripe.clone(),
-            RuntimeConfig::new(cfg.workers).stack_capacity(8 * 1024),
-            &stub,
-        )?;
-    }
-
-    // Re-attaches the executor (store + tables) and the runtime to the
-    // current boot's regions.
-    let attach_exec = |stripe: &PMemStripe| -> Result<KvServeFunction, PError> {
-        Ok(attach_exec(stripe, cfg.variant)?.with_mutators(cfg.mutators_per_shard))
-    };
-    let attach = |control: &PMem,
-                  stripe: &PMemStripe|
-     -> Result<(KvServeFunction, StripedRuntime), PError> {
-        let exec = attach_exec(stripe)?;
-        let rt = StripedRuntime::open(control.clone(), stripe.clone(), &serve_registry(&exec)?)?;
-        Ok((exec, rt))
-    };
-    // The multi-region boot path after a whole-system crash: reopen
-    // every region together, rebuilding the registry over the fresh
-    // handles (the old executor holds dead pre-crash clones).
-    let reboot = |rt: &StripedRuntime| -> Result<(PMem, PMemStripe), PError> {
-        let next = rt.reopen_all_with(|_, stripe| serve_registry(&attach_exec(stripe)?))?;
-        Ok((next.control().clone(), next.stripe().clone()))
+    let (exec, gets) = if cfg.runtime_driven {
+        let mut machine = Striped::format(stripe, cfg.workers, cfg.psan)?;
+        let mut workload = RuntimeDriven { cfg, batch, gets };
+        let exec = cycle::cycle(&mut machine, &mut workload, &mut cx)?;
+        (exec, vec![workload.gets])
+    } else {
+        let gets = gets.per_shard(cfg.shards);
+        let mut workload = WorkerDriven { cfg, batch, gets };
+        let exec = cycle::cycle(&mut Shards { stripe }, &mut workload, &mut cx)?;
+        (exec, workload.gets)
     };
 
-    let mut tally = CampaignTally::default();
-
-    loop {
-        tally.rounds += 1;
-        let (exec, rt) = attach(&control, &stripe)?;
-        let rt =
-            rt.crash_seed(cfg.seed ^ (tally.rounds as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // The §5.2 re-enqueue step; the harness's reads go between
-        // rounds.
-        let mut tasks = exec.pending_tasks(batch)?;
-        gets.answer_between_rounds(exec.store(), tasks.is_empty())?;
-        if tasks.is_empty() {
-            tally.stats = tally.stats + stripe.aggregate_stats();
-            tally.psan_violations = stripe.psan_violations();
-            tally.psan_violations.extend(control.psan_violations());
-            return finalize_report(cfg, &exec, [gets], tally, mutations);
-        }
-        tasks.shuffle(&mut rng);
-
-        // Arm kills while the budget lasts: per-shard fail-points with
-        // countdowns shorter than a batch window's event footprint, and
-        // occasionally one in the control region so the persistent
-        // stack's own discipline gets hit too.
-        if tally.crashes + tally.recovery_crashes < cfg.max_crashes {
-            for s in 0..cfg.shards {
-                if rng.random_bool(cfg.crash_prob) {
-                    let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-                    stripe
-                        .region(s)
-                        .arm_failpoint(FailPlan::after_events(countdown));
-                }
-            }
-            if rng.random_bool(cfg.crash_prob / 2.0) {
-                let countdown = rng.random_range(cfg.crash_window.0..=cfg.crash_window.1);
-                control.arm_failpoint(FailPlan::after_events(countdown));
-            }
-        }
-
-        let report = rt.run_tasks(tasks);
-        if !report.crashed {
-            stripe.disarm_all();
-            control.disarm_failpoint();
-            continue;
-        }
-        tally.crashes += 1;
-        if let Some(site) = report.crash_site {
-            if matches!(site.region, CrashRegion::Shard(_)) {
-                tally.shard_kills += 1;
-            }
-            tally.crash_sites.push(site);
-        }
-        tally.stats = tally.stats + stripe.aggregate_stats();
-        let recovery_started = Instant::now();
-        (control, stripe) = reboot(&rt)?;
-
-        // Stack-driven recovery, possibly killed mid-pass: reopen and
-        // retry until a pass completes (idempotence across regions —
-        // frames popped by a completed recover dual never replay).
-        loop {
-            let (exec, rt) = attach(&control, &stripe)?;
-            let rt = rt.crash_seed(
-                cfg.seed ^ (tally.recovery_crashes as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
-            );
-            if tally.crashes + tally.recovery_crashes < cfg.max_crashes * 2
-                && rng.random_bool(cfg.recovery_crash_prob)
-            {
-                // A kill inside recovery: a random shard region or the
-                // control region, with a short countdown so it lands
-                // mid-replay.
-                let target = rng.random_range(0..=cfg.shards as u64) as usize;
-                let countdown = rng.random_range(2..=40);
-                let plan = FailPlan::after_events(countdown);
-                if target == cfg.shards {
-                    control.arm_failpoint(plan);
-                } else {
-                    stripe.region(target).arm_failpoint(plan);
-                }
-            }
-            let prelude_store = exec.store().clone();
-            let result = rt.recover_with(RecoveryMode::Parallel, |shard, _region| {
-                // Per-shard evidence fan-out before any frame replays:
-                // walk the shard's published chains, the witness the
-                // recover duals' tag scans run against.
-                prelude_store.shard(shard).snapshot().map(|_| ())
-            });
-            match result {
-                Ok(rep) => {
-                    stripe.disarm_all();
-                    control.disarm_failpoint();
-                    tally.recovered_frames += rep.total_frames();
-                    tally.recovery_durations.push(recovery_started.elapsed());
-                    break;
-                }
-                Err(e) if e.is_crash() => {
-                    tally.recovery_crashes += 1;
-                    if let Some(site) = rt.last_crash_site() {
-                        tally.crash_sites.push(site);
-                    }
-                    tally.stats = tally.stats + stripe.aggregate_stats();
-                    (control, stripe) = reboot(&rt)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
+    // Step 9, from the quiescent system: every descriptor answered,
+    // every get asked.
+    let store = exec.store();
+    let mut history = exec.history()?;
+    history.ops.extend(gets.into_iter().flat_map(|g| g.done));
+    let shard_kills = cx.tally.crash_sites.iter();
+    let shard_kills = shard_kills.filter(|site| matches!(site.region, CrashRegion::Shard(_)));
+    Ok(ShardedKvCampaignReport {
+        shard_kills: shard_kills.count(),
+        tally: cx.tally,
+        verdict: sharded_verdict(&history, store)?,
+        history,
+        log_usage: ShardLogUsage::of(store)?,
+        flush_epochs: store.flush_epochs()?,
+        mutations: mutations.len(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pstack_core::{RecoveryMode, RuntimeConfig, StripedRuntime};
+    use pstack_nvram::{FailPlan, PMem, StatsSnapshot};
     use pstack_verify::{check_kv_sharded, KvAnswer, KvOpKind, KvWitnessRecord};
 
     #[test]
@@ -980,8 +761,7 @@ mod tests {
         let a = run_sharded_kv_campaign(&cfg).unwrap();
         let b = run_sharded_kv_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.tally, b.tally);
         assert_eq!(a.shard_kills, b.shard_kills);
     }
 
@@ -1166,8 +946,7 @@ mod tests {
         let a = run_sharded_kv_campaign(&cfg).unwrap();
         let b = run_sharded_kv_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.tally, b.tally);
         assert!(a.stats.async_flushes > 0, "no group commit issued a flight");
     }
 
@@ -1283,10 +1062,7 @@ mod tests {
         let a = run_sharded_kv_campaign(&cfg).unwrap();
         let b = run_sharded_kv_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.recovery_crashes, b.recovery_crashes);
-        assert_eq!(a.crash_sites, b.crash_sites);
-        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.tally, b.tally);
     }
 
     #[test]
