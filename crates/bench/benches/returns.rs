@@ -1,9 +1,12 @@
 //! E14: return-value paths (§4.2) — small results through the frame's
 //! return slot vs big results through a preallocated NVRAM heap cell.
+//! Each configuration first prints the exact persists and lines of one
+//! call.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pstack_bench::report_exact_counts;
 use pstack_core::{FunctionRegistry, PContext, Runtime, RuntimeConfig};
 use pstack_heap::PHeap;
 use pstack_nvram::{PMemBuilder, POffset};
@@ -47,6 +50,8 @@ fn bench_return_paths(c: &mut Criterion) {
         let mut stack = rt.open_stack(0).unwrap();
         let heap = rt.heap().clone();
         let user_root = rt.user_root().unwrap();
+        // The routine runs once per sample; its counts are printed once.
+        let mut counted = false;
         g.bench_function("small_on_stack", |b| {
             let mut ctx = PContext::new(
                 pmem.clone(),
@@ -56,6 +61,11 @@ fn bench_return_paths(c: &mut Criterion) {
                 0,
                 user_root,
             );
+            if !std::mem::replace(&mut counted, true) {
+                report_exact_counts("returns/path/small_on_stack call", &pmem, || {
+                    ctx.call(SMALL_RET, &[]).unwrap();
+                });
+            }
             b.iter(|| {
                 let r = ctx.call(SMALL_RET, &[]).unwrap();
                 assert_eq!(r, Some(0xABCD_u64.to_le_bytes()));
@@ -74,6 +84,7 @@ fn bench_return_paths(c: &mut Criterion) {
         let heap = rt.heap().clone();
         let user_root = rt.user_root().unwrap();
         let id = BenchmarkId::new("big_in_heap", big_len);
+        let mut counted = false;
         g.bench_with_input(id, &big_len, |b, _| {
             let mut ctx = PContext::new(
                 pmem.clone(),
@@ -84,6 +95,12 @@ fn bench_return_paths(c: &mut Criterion) {
                 user_root,
             );
             let args = cell.get().to_le_bytes().to_vec();
+            if !std::mem::replace(&mut counted, true) {
+                let label = format!("returns/path/big_in_heap/{big_len} call");
+                report_exact_counts(&label, &pmem, || {
+                    ctx.call(BIG_RET, &args).unwrap();
+                });
+            }
             b.iter(|| {
                 ctx.call(BIG_RET, &args).unwrap();
             });
@@ -121,6 +138,7 @@ fn bench_nested_depth(c: &mut Criterion) {
         let heap: PHeap = rt.heap().clone();
         let user_root = rt.user_root().unwrap();
         let mut stack = rt.open_stack(0).unwrap();
+        let mut counted = false;
         g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &depth| {
             let mut ctx = PContext::new(
                 pmem.clone(),
@@ -130,6 +148,12 @@ fn bench_nested_depth(c: &mut Criterion) {
                 0,
                 user_root,
             );
+            if !std::mem::replace(&mut counted, true) {
+                let label = format!("returns/nested_call_depth/{depth} call");
+                report_exact_counts(&label, &pmem, || {
+                    ctx.call(RECURSE, &depth.to_le_bytes()).unwrap();
+                });
+            }
             b.iter(|| {
                 let r = ctx.call(RECURSE, &depth.to_le_bytes()).unwrap().unwrap();
                 assert_eq!(u64::from_le_bytes(r), depth + 1);

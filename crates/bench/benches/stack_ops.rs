@@ -1,11 +1,12 @@
 //! E1/E2/E3: persistent-stack push and pop latency on the fixed layout,
 //! including the long-frame (multi-cache-line) regime and the cost of
-//! buffered vs eager flushing.
+//! buffered vs eager flushing. Each configuration first prints the
+//! exact persists and lines of one push and one pop.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pstack_bench::region;
+use pstack_bench::{region, report_push_pop};
 use pstack_core::{FixedStack, PersistentStack};
 use pstack_nvram::{PMemBuilder, POffset};
 
@@ -18,8 +19,10 @@ fn bench_push_pop_pair(c: &mut Criterion) {
     // Sizes below and above one 64-byte cache line (E3's long frames).
     for arg_len in [0usize, 8, 32, 64, 256, 1024] {
         let pmem = region(1 << 20);
-        let mut stack = FixedStack::format(pmem, POffset::new(0), 512 * 1024).unwrap();
+        let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 512 * 1024).unwrap();
         let args = vec![0xA5u8; arg_len];
+        let label = format!("stack_ops/push_pop_pair/{arg_len}");
+        report_push_pop(&label, &pmem, &mut stack, &args);
         g.bench_with_input(BenchmarkId::from_parameter(arg_len), &arg_len, |b, _| {
             b.iter(|| {
                 stack.push(1, &args).unwrap();
@@ -39,10 +42,12 @@ fn bench_push_at_depth(c: &mut Criterion) {
     // frame being written and one marker byte.
     for depth in [0usize, 16, 128, 512] {
         let pmem = region(1 << 21);
-        let mut stack = FixedStack::format(pmem, POffset::new(0), 1 << 20).unwrap();
+        let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 1 << 20).unwrap();
         for i in 0..depth {
             stack.push(1, &(i as u64).to_le_bytes()).unwrap();
         }
+        let label = format!("stack_ops/push_at_depth/{depth}");
+        report_push_pop(&label, &pmem, &mut stack, &[1u8; 16]);
         g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
             b.iter(|| {
                 stack.push(2, &[1u8; 16]).unwrap();
@@ -63,7 +68,9 @@ fn bench_eager_vs_buffered(c: &mut Criterion) {
             .len(1 << 20)
             .eager_flush(eager)
             .build_in_memory();
-        let mut stack = FixedStack::format(pmem, POffset::new(0), 512 * 1024).unwrap();
+        let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 512 * 1024).unwrap();
+        let label = format!("stack_ops/eager_vs_buffered/{name}");
+        report_push_pop(&label, &pmem, &mut stack, &[7u8; 64]);
         g.bench_function(name, |b| {
             b.iter(|| {
                 stack.push(1, &[7u8; 64]).unwrap();
@@ -86,7 +93,9 @@ fn bench_line_size_sweep(c: &mut Criterion) {
             .len(1 << 20)
             .line_size(line)
             .build_in_memory();
-        let mut stack = FixedStack::format(pmem, POffset::new(0), 512 * 1024).unwrap();
+        let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 512 * 1024).unwrap();
+        let label = format!("stack_ops/line_size_sweep/{line}");
+        report_push_pop(&label, &pmem, &mut stack, &[9u8; 256]);
         g.bench_with_input(BenchmarkId::from_parameter(line), &line, |b, _| {
             b.iter(|| {
                 stack.push(1, &[9u8; 256]).unwrap();

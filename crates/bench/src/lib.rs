@@ -61,6 +61,28 @@ pub fn report_persist_economy(label: &str, line_size: usize, delta: StatsSnapsho
     }
 }
 
+/// Runs `op` once, outside any timed loop, and prints the exact persist
+/// counts it cost `pmem` — the figures' claim on an emulated device is
+/// these counts; the CPU times next to them are indicative.
+pub fn report_exact_counts(label: &str, pmem: &PMem, op: impl FnOnce()) {
+    let before = pmem.stats().snapshot();
+    op();
+    let d = pmem.stats().snapshot() - before;
+    println!(
+        "{label:<55} counts: persists={} lines={} flush_calls={} writes={}",
+        d.persists, d.lines_persisted, d.flush_calls, d.writes
+    );
+}
+
+/// One push and one pop of `args`, their exact counts printed apart as
+/// `{label} push` and `{label} pop`.
+pub fn report_push_pop(label: &str, pmem: &PMem, stack: &mut dyn PersistentStack, args: &[u8]) {
+    report_exact_counts(&format!("{label} push"), pmem, || {
+        stack.push(1, args).unwrap();
+    });
+    report_exact_counts(&format!("{label} pop"), pmem, || stack.pop().unwrap());
+}
+
 /// Builds a region plus a heap occupying its upper half.
 #[must_use]
 pub fn region_with_heap(len: usize) -> (PMem, PHeap) {

@@ -21,10 +21,19 @@
 //! [0xA][func_id: u64][args_len: u32][args][ret_flag: u8][ret_val: 8B][marker: u8]
 //! ```
 //!
-//! The `ret_flag`/`ret_val` pair is the frame's *return slot* (§4.2): a
-//! completed child writes its small (≤ 8 byte) result into its parent's
-//! slot and flushes it **before** the pop marker flip, so the value is
-//! durable by the time the child's completion linearizes.
+//! The `ret_flag`/`ret_val` pair is the frame's *return slot* (§4.2),
+//! and it sits next to the marker on purpose: the slot and the marker
+//! are the ten-byte tail both linearization steps write. A push clears
+//! the old top's flag and flips its marker to frame-end; a returning
+//! pop stores the child's small (≤ 8 byte) result and the flag into its
+//! parent's slot and flips the parent's marker back to stack-end — in
+//! that store order, and in **one** persist whenever the tail lies in
+//! one cache line (a line persists atomically). A tail that straddles
+//! a line boundary is persisted in store order instead, slot before
+//! marker. Either way the value is durable by the time the child's
+//! completion linearizes, and a frame that has a live child never shows
+//! an earlier child's completion. The protocol and its argument are in
+//! [`crate::invoke`].
 //!
 //! Pointer frame layout (10 bytes):
 //!

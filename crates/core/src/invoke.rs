@@ -2,23 +2,67 @@
 //!
 //! [`PContext::call`] is the persistent analogue of an x86 `CALL`:
 //!
-//! 1. clear the caller's return slot (so a later crash can tell whether
-//!    *this* child completed);
-//! 2. push the callee's frame — linearized by the end-marker flip;
-//! 3. run the callee body;
-//! 4. persist the small return value into the **caller's** slot (§4.2);
-//! 5. pop the frame — the `RET`, linearized by the reverse marker flip.
+//! 1. `CALL` — [`PersistentStack::push`]: write the callee's frame past
+//!    the stack end, then clear the caller's return slot and flip the
+//!    caller's end marker, slot and marker in **one** persist;
+//! 2. run the callee body;
+//! 3. `RET` — [`PersistentStack::pop_with`]: store the small return
+//!    value and the completion flag into the **caller's** slot (§4.2)
+//!    and flip the caller's marker back, again in one persist.
+//!
+//! # What the two persists rest on
+//!
+//! §3.4 asks for two invariants: *flush the new frame before the stack
+//! end moves* and *flush every end-marker flip*. A frame's tail is
+//! `[ret_flag][ret_val][marker]`, ten adjacent bytes, and
+//! [`PMem::flush`] persists a cache line atomically — so when slot and
+//! marker share a line, the slot write and the flip are one destination
+//! and one round-trip makes both durable or neither. Before that
+//! round-trip a crash may still keep the line (the survivor lottery),
+//! with whatever prefix of the stores it had taken; the store order is
+//! therefore the order of dependence — frame → slot clear → flip for a
+//! call, value → flag → flip for a return — and every prefix is a state
+//! the protocol already had: *frame written but invisible*, *slot
+//! cleared, child not started*, *completion recorded, frame not yet
+//! popped*. The same order is what keeps an eager region (every store
+//! durable as issued) correct with no second code path. The two states
+//! that must never be durable are *pushed over a stale completion* (the
+//! caller's recover dual would take an earlier child's result for this
+//! child's) and *popped with the completion record lost* (the caller
+//! would re-run a child that completed); each needs the flip durable
+//! without a store issued before it in the same line, which a line
+//! cannot do.
+//!
+//! When the new frame lies wholly in the caller's tail line — a root
+//! task of up to ~40 argument bytes does: 23-byte dummy frame, stack
+//! base 64-aligned — invariant 1 is vacuous: there is no moment at
+//! which the flip is durable and the frame is not, because they are the
+//! same line, and `CALL` is that one persist. Otherwise the frame is
+//! flushed first, exactly §3.4 — in one flush with the slot clear,
+//! which it neighbours and does not depend on — and `CALL` is two. A
+//! `RET` whose caller's slot and marker straddle a line falls back to
+//! slot-then-marker, two persists (three if the boundary runs through
+//! the slot itself: value, flag, marker). Which case applies is decided
+//! from the frame offsets and [`PMem::line_size`] alone, by the one
+//! rule the three layouts share (`persist_in_order` in
+//! [`crate::stack`]): a stage of stores rides the next stage's persist
+//! when one line holds them both, and is flushed ahead of it when not.
+//! There is no setting.
 //!
 //! A crash anywhere in this sequence leaves the stack describing
 //! exactly the invocations that must be re-examined: recovery
 //! ([`recover_stack`]) walks the frames top-to-bottom, invoking each
-//! function's recover dual and popping as it goes (§4.3).
+//! function's recover dual and completing it with the same `RET` step
+//! (§4.3).
 //!
 //! Return values larger than 8 bytes go through the NVRAM heap instead:
 //! the caller allocates a cell, passes its *offset* in the arguments
 //! (offsets, never pointers — §4.1), and the callee persists the big
 //! value there before returning. [`PContext`] exposes the heap for
 //! exactly that pattern.
+//!
+//! [`PMem::flush`]: pstack_nvram::PMem::flush
+//! [`PMem::line_size`]: pstack_nvram::PMem::line_size
 
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, POffset};
@@ -103,8 +147,9 @@ impl<'a> PContext<'a> {
     }
 
     /// Invokes the registered function `func_id` with `args` as a
-    /// nested persistent call: pushes a frame, runs the body, persists
-    /// the return value into the caller's slot, pops the frame.
+    /// nested persistent call: pushes a frame (clearing the caller's
+    /// return slot with the marker flip), runs the body, and pops the
+    /// frame with the return value stored into the caller's slot.
     ///
     /// # Errors
     ///
@@ -116,14 +161,12 @@ impl<'a> PContext<'a> {
     /// * [`PError::UnknownFunction`] before anything is pushed.
     pub fn call(&mut self, func_id: u64, args: &[u8]) -> Result<Option<RetBytes>, PError> {
         let f = self.registry.get(func_id)?;
-        let caller = self.stack.top_index();
-        // Clear the caller's slot so its recover dual can distinguish
-        // "this child completed" from a stale completion record.
-        self.stack.set_ret(caller, ReturnSlot::Empty)?;
+        // The push clears the caller's slot, so its recover dual can
+        // tell "this child completed" from a stale completion record.
         self.stack.push(func_id, args)?;
         match f.call(self, args) {
             Ok(ret) => {
-                self.finish_top_frame(caller, ret)?;
+                self.finish_top_frame(ret)?;
                 Ok(ret)
             }
             Err(e) if e.is_crash() => Err(e),
@@ -136,19 +179,11 @@ impl<'a> PContext<'a> {
         }
     }
 
-    /// Persists `ret` into frame `caller`'s slot and pops the top
-    /// frame — the completion protocol shared by `call` and recovery.
-    pub(crate) fn finish_top_frame(
-        &mut self,
-        caller: usize,
-        ret: Option<RetBytes>,
-    ) -> Result<(), PError> {
-        let slot = match ret {
-            None => ReturnSlot::Unit,
-            Some(v) => ReturnSlot::Value(v),
-        };
-        self.stack.set_ret(caller, slot)?;
-        self.stack.pop()
+    /// `RET`: pops the top frame with `ret` recorded in its caller's
+    /// slot — the completion step shared by `call` and recovery.
+    fn finish_top_frame(&mut self, ret: Option<RetBytes>) -> Result<(), PError> {
+        self.stack
+            .pop_with(Some(ret.map_or(ReturnSlot::Unit, ReturnSlot::Value)))
     }
 
     /// Reads the executing function's own return slot: did the child it
@@ -181,9 +216,9 @@ pub struct StackRecovery {
 }
 
 /// Recovers one worker's stack (§4.3): repeatedly take the top frame,
-/// invoke its function's recover dual with the original arguments,
-/// persist the recovered return value into the parent's slot, and pop —
-/// until only the dummy frame remains.
+/// invoke its function's recover dual with the original arguments, and
+/// pop it with the recovered return value stored into the parent's slot
+/// — until only the dummy frame remains.
 ///
 /// Recover duals may push nested frames of their own; if a repeated
 /// failure hits, the next recovery simply starts from the new top. A
@@ -204,8 +239,7 @@ pub fn recover_stack(ctx: &mut PContext<'_>) -> Result<StackRecovery, PError> {
         let f = ctx.registry.get(rec.func_id)?;
         let ret = f.recover(ctx, &rec.args)?;
         // The recover dual returned balanced; its frame is again on top.
-        let caller = ctx.stack.top_index() - 1;
-        ctx.finish_top_frame(caller, ret)?;
+        ctx.finish_top_frame(ret)?;
         stats.frames_recovered += 1;
     }
     Ok(stats)
@@ -293,6 +327,36 @@ mod tests {
         let mut c = ctx(&pmem, &heap, &reg, &mut stack);
         c.call(1, &[]).unwrap();
         assert_eq!(c.depth(), 0);
+    }
+
+    #[test]
+    fn a_value_returning_nested_call_is_three_persists() {
+        // Once six (clear the caller's slot, frame, flip, value, flag,
+        // pop flip): now the frame, then slot clear + flip, then value +
+        // flag + pop flip. `call` adds nothing to the stack's two steps.
+        let (pmem, heap, mut stack) = fixture();
+        let mut reg = FunctionRegistry::new();
+        reg.register_pair(
+            1,
+            |c, _| {
+                let before = c.pmem.stats().snapshot();
+                let v = c.call(2, &[7u8; 100])?;
+                let d = c.pmem.stats().snapshot() - before;
+                assert_eq!((d.persists, d.flush_calls), (3, 3));
+                Ok(v)
+            },
+            |_c, _| Ok(None),
+        )
+        .unwrap();
+        reg.register_pair(2, |_c, _| Ok(Some(*b"8 bytes!")), |_c, _| Ok(None))
+            .unwrap();
+        let mut c = ctx(&pmem, &heap, &reg, &mut stack);
+        let before = pmem.stats().snapshot();
+        assert_eq!(c.call(1, &[]).unwrap(), Some(*b"8 bytes!"));
+        // The root frame shares the dummy frame's line: CALL and RET
+        // are one persist each around the nested three.
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!((d.persists, d.redundant_persists), (5, 0));
     }
 
     #[test]

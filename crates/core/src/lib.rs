@@ -10,14 +10,18 @@
 //!   [`PersistentStack`]. Push linearizes at a single-byte end-marker
 //!   flip (`0x1 → 0x0` on the previous top frame); pop at the reverse
 //!   flip on the penultimate frame. Both are crash-atomic because a
-//!   single byte never crosses a cache line.
+//!   single byte never crosses a cache line, and the flipped frame's
+//!   return slot — cleared by a push, filled by a returning pop — rides
+//!   the same line-atomic persist.
 //! * [`registry`] — the table of recoverable functions: every function
 //!   `F` registered with the runtime comes with its dual `F.Recover`
 //!   (§2.3), invoked during recovery with the same arguments.
 //! * [`invoke`] — the invocation machinery replacing x86 `CALL`/`RET`
-//!   (§3.2 explains why the hardware stack cannot be reused): pushing a
-//!   frame, clearing the parent's return slot, running the body, writing
-//!   the return value through the persistent slot (§4.2) and popping.
+//!   (§3.2 explains why the hardware stack cannot be reused): `CALL`
+//!   pushes a frame and clears the parent's return slot in one step,
+//!   the body runs, `RET` writes the return value through the
+//!   persistent slot (§4.2) and pops in one step — two or three
+//!   persists a call, §3.4's two invariants and nothing more.
 //! * [`runtime`] — the system of §4.3: a main thread in standard or
 //!   recovery mode, N worker threads with per-thread persistent stacks
 //!   fed from a producer-consumer queue, and parallel recovery that

@@ -2,13 +2,10 @@
 
 use pstack_nvram::{PMem, POffset};
 
-use crate::frame::{
-    encode_ordinary, FrameMeta, MARKER_FRAME_END, MARKER_STACK_END, ORDINARY_OVERHEAD,
-};
+use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    read_ret_slot, walk_contiguous, write_ret_slot, FrameRecord, PersistentStack, ReturnSlot,
-    StackKind,
+    persist_call, persist_ret, walk_contiguous, PersistentStack, ReturnSlot, StackKind,
 };
 use crate::PError;
 
@@ -21,7 +18,9 @@ use crate::PError;
 pub struct FlushPolicy {
     /// Invariant 1: flush the new frame **before** moving the stack end
     /// forward. If violated, a crash can persist the marker flip but
-    /// lose the frame it points at (Fig. 6a).
+    /// lose the frame it points at (Fig. 6a). Vacuous — and no flush is
+    /// issued either way — for a frame lying wholly in the line of the
+    /// marker that flips: the two persist together or not at all.
     pub flush_frame_before_advance: bool,
     /// Invariant 2: flush every end-marker flip immediately. If
     /// violated, a crash can lose the flip, so recovery never sees the
@@ -147,15 +146,6 @@ impl FixedStack {
     fn top(&self) -> &FrameMeta {
         self.frames.last().expect("dummy frame always present")
     }
-
-    fn meta(&self, index: usize) -> Result<&FrameMeta, PError> {
-        self.frames.get(index).ok_or_else(|| {
-            PError::CorruptStack(format!(
-                "frame index {index} out of range (frame count {})",
-                self.frames.len()
-            ))
-        })
-    }
 }
 
 impl PersistentStack for FixedStack {
@@ -164,7 +154,8 @@ impl PersistentStack for FixedStack {
     }
 
     fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
-        let new_start = self.top().end();
+        let caller = *self.top();
+        let new_start = caller.end();
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
         let limit = self.base + self.capacity;
         if new_start.get() + buf.len() as u64 > limit.get() {
@@ -177,17 +168,10 @@ impl PersistentStack for FixedStack {
         // It is invisible until the marker flip, so a crash here (even
         // one that persists the frame partially) leaves the stack
         // logically unchanged.
-        self.pmem.write(new_start, &buf)?;
-        if self.policy.flush_frame_before_advance {
-            self.pmem.flush(new_start, buf.len())?;
-        }
         // Step 2 (Fig. 3c): move the stack end forward — flip the old
-        // top's marker 0x1 → 0x0. One byte, one line: crash-atomic.
-        let old_marker = self.top().marker_off();
-        self.pmem.write_u8(old_marker, MARKER_FRAME_END)?;
-        if self.policy.flush_markers {
-            self.pmem.flush(old_marker, 1)?;
-        }
+        // top's marker 0x1 → 0x0. One byte, one line: crash-atomic, and
+        // the clearing of that frame's return slot rides the same line.
+        persist_call(&self.pmem, &caller, None, (new_start, &buf), self.policy)?;
         self.frames.push(FrameMeta {
             start: new_start,
             func_id,
@@ -196,7 +180,7 @@ impl PersistentStack for FixedStack {
         Ok(())
     }
 
-    fn pop(&mut self) -> Result<(), PError> {
+    fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {
         if self.frames.len() < 2 {
             return Err(PError::StackEmpty);
         }
@@ -204,10 +188,7 @@ impl PersistentStack for FixedStack {
         // frame's marker 0x0 → 0x1. The popped frame becomes invalid
         // data past the stack end.
         let penult = self.frames[self.frames.len() - 2];
-        self.pmem.write_u8(penult.marker_off(), MARKER_STACK_END)?;
-        if self.policy.flush_markers {
-            self.pmem.flush(penult.marker_off(), 1)?;
-        }
+        persist_ret(&self.pmem, &penult, completion, self.policy)?;
         self.frames.pop();
         Ok(())
     }
@@ -216,22 +197,17 @@ impl PersistentStack for FixedStack {
         self.frames.len()
     }
 
-    fn frame_record(&self, index: usize) -> Result<FrameRecord, PError> {
-        let meta = self.meta(index)?;
-        Ok(FrameRecord {
-            func_id: meta.func_id,
-            args: crate::frame::read_args(&self.pmem, meta)?,
+    fn pmem(&self) -> &PMem {
+        &self.pmem
+    }
+
+    fn frame_meta(&self, index: usize) -> Result<FrameMeta, PError> {
+        self.frames.get(index).copied().ok_or_else(|| {
+            PError::CorruptStack(format!(
+                "frame index {index} out of range (frame count {})",
+                self.frames.len()
+            ))
         })
-    }
-
-    fn set_ret(&mut self, index: usize, slot: ReturnSlot) -> Result<(), PError> {
-        let meta = *self.meta(index)?;
-        write_ret_slot(&self.pmem, &meta, slot)
-    }
-
-    fn ret(&self, index: usize) -> Result<ReturnSlot, PError> {
-        let meta = self.meta(index)?;
-        read_ret_slot(&self.pmem, meta)
     }
 
     fn check_consistency(&self) -> Result<(), PError> {
@@ -553,6 +529,15 @@ mod tests {
         assert_eq!(d.lines_persisted, 1);
         assert_eq!(d.writes, 1);
         assert_eq!(d.bytes_written, 1);
+
+        // So does the step that carries the return slot: a push that
+        // clears it, a pop that fills it (slot and marker share line 0).
+        let before = pmem.stats().snapshot();
+        s.push(1, b"x").unwrap();
+        s.pop_with(Some(ReturnSlot::Value(*b"returned"))).unwrap();
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!((d.persists, d.lines_persisted), (2, 2));
+        assert_eq!(s.ret(0).unwrap(), ReturnSlot::Value(*b"returned"));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::frame::{
 };
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    read_ret_slot, write_ret_slot, FrameRecord, PersistentStack, ReturnSlot, StackKind,
+    persist_call, persist_ret, FlushPolicy, PersistentStack, ReturnSlot, StackKind,
 };
 use crate::PError;
 
@@ -190,15 +190,6 @@ impl ListStack {
     fn top(&self) -> &(usize, FrameMeta) {
         self.frames.last().expect("dummy frame always present")
     }
-
-    fn meta(&self, index: usize) -> Result<&FrameMeta, PError> {
-        self.frames.get(index).map(|(_, m)| m).ok_or_else(|| {
-            PError::CorruptStack(format!(
-                "frame index {index} out of range (frame count {})",
-                self.frames.len()
-            ))
-        })
-    }
 }
 
 fn write_block_header(pmem: &PMem, payload: POffset, prev: POffset) -> Result<(), PError> {
@@ -289,11 +280,13 @@ impl PersistentStack for ListStack {
         if tail.get() + need + POINTER_FRAME_LEN <= limit.get() {
             // Fits in the current block: §3.4 protocol verbatim.
             let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-            self.pmem.write(tail, &buf)?;
-            self.pmem.flush(tail, buf.len())?;
-            self.pmem
-                .write_u8(top_meta.marker_off(), MARKER_FRAME_END)?;
-            self.pmem.flush(top_meta.marker_off(), 1)?;
+            persist_call(
+                &self.pmem,
+                &top_meta,
+                None,
+                (tail, &buf),
+                FlushPolicy::default(),
+            )?;
             self.frames.push((
                 top_bidx,
                 FrameMeta {
@@ -312,15 +305,17 @@ impl PersistentStack for ListStack {
         write_block_header(&self.pmem, new_payload, self.blocks[top_bidx].payload)?;
         let frame_start = new_payload + BLOCK_HDR;
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        self.pmem.write(frame_start, &buf)?;
-        self.pmem.flush(frame_start, buf.len())?;
         let ptr = encode_pointer(new_payload, MARKER_FRAME_END);
-        self.pmem.write(tail, &ptr)?;
-        self.pmem.flush(tail, ptr.len())?;
-        // Linearization: flip the old top's marker.
-        self.pmem
-            .write_u8(top_meta.marker_off(), MARKER_FRAME_END)?;
-        self.pmem.flush(top_meta.marker_off(), 1)?;
+        // Linearization: the old top's marker flip, once the frame in
+        // the new block and the pointer frame that leads to it are
+        // durable (the pointer frame usually shares the flip's line).
+        persist_call(
+            &self.pmem,
+            &top_meta,
+            Some((frame_start, &buf)),
+            (tail, &ptr),
+            FlushPolicy::default(),
+        )?;
 
         let new_limit = new_payload + self.heap.payload_len(new_payload)?;
         self.blocks[top_bidx].pointer_frame = Some(tail);
@@ -341,7 +336,7 @@ impl PersistentStack for ListStack {
         Ok(())
     }
 
-    fn pop(&mut self) -> Result<(), PError> {
+    fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {
         if self.frames.len() < 2 {
             return Err(PError::StackEmpty);
         }
@@ -350,8 +345,7 @@ impl PersistentStack for ListStack {
         // Flip the penultimate frame's marker: if the top frame was the
         // only one in its block, this single byte atomically invalidates
         // the pointer frame *and* the whole top block (Fig. 8).
-        self.pmem.write_u8(penult.marker_off(), MARKER_STACK_END)?;
-        self.pmem.flush(penult.marker_off(), 1)?;
+        persist_ret(&self.pmem, &penult, completion, FlushPolicy::default())?;
         self.frames.pop();
         if top_bidx != penult_bidx {
             // Crash here leaks the unreachable block; same window as
@@ -371,22 +365,17 @@ impl PersistentStack for ListStack {
         self.frames.len()
     }
 
-    fn frame_record(&self, index: usize) -> Result<FrameRecord, PError> {
-        let meta = self.meta(index)?;
-        Ok(FrameRecord {
-            func_id: meta.func_id,
-            args: crate::frame::read_args(&self.pmem, meta)?,
+    fn pmem(&self) -> &PMem {
+        &self.pmem
+    }
+
+    fn frame_meta(&self, index: usize) -> Result<FrameMeta, PError> {
+        self.frames.get(index).map(|&(_, m)| m).ok_or_else(|| {
+            PError::CorruptStack(format!(
+                "frame index {index} out of range (frame count {})",
+                self.frames.len()
+            ))
         })
-    }
-
-    fn set_ret(&mut self, index: usize, slot: ReturnSlot) -> Result<(), PError> {
-        let meta = *self.meta(index)?;
-        write_ret_slot(&self.pmem, &meta, slot)
-    }
-
-    fn ret(&self, index: usize) -> Result<ReturnSlot, PError> {
-        let meta = self.meta(index)?;
-        read_ret_slot(&self.pmem, meta)
     }
 
     fn check_consistency(&self) -> Result<(), PError> {

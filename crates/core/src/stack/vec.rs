@@ -12,13 +12,10 @@
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, POffset};
 
-use crate::frame::{
-    encode_ordinary, FrameMeta, MARKER_FRAME_END, MARKER_STACK_END, ORDINARY_OVERHEAD,
-};
+use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    read_ret_slot, walk_contiguous, write_ret_slot, FrameRecord, PersistentStack, ReturnSlot,
-    StackKind,
+    persist_call, persist_ret, walk_contiguous, FlushPolicy, PersistentStack, ReturnSlot, StackKind,
 };
 use crate::PError;
 
@@ -169,15 +166,6 @@ impl VecStack {
         self.frames.last().expect("dummy frame always present")
     }
 
-    fn meta(&self, index: usize) -> Result<&FrameMeta, PError> {
-        self.frames.get(index).ok_or_else(|| {
-            PError::CorruptStack(format!(
-                "frame index {index} out of range (frame count {})",
-                self.frames.len()
-            ))
-        })
-    }
-
     /// Moves the stack to a new block of at least `new_capacity` bytes:
     /// copy, flush, swing the header pointer (atomic), free the old
     /// block, rebase the volatile index.
@@ -218,13 +206,16 @@ impl PersistentStack for VecStack {
             let new_cap = (self.capacity * 2).max(used + need).max(MIN_VEC_CAPACITY);
             self.relocate(new_cap)?;
         }
-        let new_start = self.top().end();
+        let caller = *self.top();
+        let new_start = caller.end();
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        self.pmem.write(new_start, &buf)?;
-        self.pmem.flush(new_start, buf.len())?;
-        let old_marker = self.top().marker_off();
-        self.pmem.write_u8(old_marker, MARKER_FRAME_END)?;
-        self.pmem.flush(old_marker, 1)?;
+        persist_call(
+            &self.pmem,
+            &caller,
+            None,
+            (new_start, &buf),
+            FlushPolicy::default(),
+        )?;
         self.frames.push(FrameMeta {
             start: new_start,
             func_id,
@@ -233,13 +224,12 @@ impl PersistentStack for VecStack {
         Ok(())
     }
 
-    fn pop(&mut self) -> Result<(), PError> {
+    fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {
         if self.frames.len() < 2 {
             return Err(PError::StackEmpty);
         }
         let penult = self.frames[self.frames.len() - 2];
-        self.pmem.write_u8(penult.marker_off(), MARKER_STACK_END)?;
-        self.pmem.flush(penult.marker_off(), 1)?;
+        persist_ret(&self.pmem, &penult, completion, FlushPolicy::default())?;
         self.frames.pop();
         if self.shrink {
             let used = self.used_bytes();
@@ -254,22 +244,17 @@ impl PersistentStack for VecStack {
         self.frames.len()
     }
 
-    fn frame_record(&self, index: usize) -> Result<FrameRecord, PError> {
-        let meta = self.meta(index)?;
-        Ok(FrameRecord {
-            func_id: meta.func_id,
-            args: crate::frame::read_args(&self.pmem, meta)?,
+    fn pmem(&self) -> &PMem {
+        &self.pmem
+    }
+
+    fn frame_meta(&self, index: usize) -> Result<FrameMeta, PError> {
+        self.frames.get(index).copied().ok_or_else(|| {
+            PError::CorruptStack(format!(
+                "frame index {index} out of range (frame count {})",
+                self.frames.len()
+            ))
         })
-    }
-
-    fn set_ret(&mut self, index: usize, slot: ReturnSlot) -> Result<(), PError> {
-        let meta = *self.meta(index)?;
-        write_ret_slot(&self.pmem, &meta, slot)
-    }
-
-    fn ret(&self, index: usize) -> Result<ReturnSlot, PError> {
-        let meta = self.meta(index)?;
-        read_ret_slot(&self.pmem, meta)
     }
 
     fn check_consistency(&self) -> Result<(), PError> {
@@ -450,14 +435,30 @@ mod tests {
 
     #[test]
     fn return_slots_survive_relocation() {
+        // A slot written while a child is live survives relocation (it
+        // is copied with its frame); the push that starts a child
+        // clears its caller's slot, relocating or not.
         let (_, _, mut s) = setup(64);
         s.push(1, b"parent").unwrap();
+        s.push(2, b"child").unwrap();
         s.set_ret(1, ReturnSlot::Value(*b"EIGHTbyt")).unwrap();
+        s.set_ret(2, ReturnSlot::Unit).unwrap();
+        s.push(3, &[0u8; 32]).unwrap();
+        assert_eq!(s.ret(2).unwrap(), ReturnSlot::Empty, "3's caller");
         for i in 0..32u64 {
             s.push(10 + i, &[0u8; 32]).unwrap();
         }
         assert!(s.relocations() > 0);
         assert_eq!(s.ret(1).unwrap(), ReturnSlot::Value(*b"EIGHTbyt"));
+
+        // A returning pop lands in the relocated caller's slot.
+        s.set_shrink(false);
+        while s.depth() > 2 {
+            s.pop().unwrap();
+        }
+        s.pop_with(Some(ReturnSlot::Value(*b"from-two"))).unwrap();
+        assert_eq!(s.ret(1).unwrap(), ReturnSlot::Value(*b"from-two"));
+        s.check_consistency().unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `commit` — and this file writes down what it pays: four persists a
 //! batch (records, log tail, heads, epoch), the first two as flights
 //! that overlap; what compaction pays: seven; and what a static
-//! workload's window pays on the persistent stack: ten, the served
+//! workload's window pays on the persistent stack: eight, the served
 //! window's own budget. Counters, not wall-clock, so nothing here
 //! depends on how loaded the host is.
 
@@ -136,12 +136,13 @@ fn an_eager_batch_issues_no_flight() {
 }
 
 #[test]
-fn a_preloaded_window_is_ten_persists_and_its_replay_none_on_the_shard() {
+fn a_preloaded_window_is_eight_persists_and_its_replay_none_on_the_shard() {
     // A static workload is a preloaded request table run as
     // persistent-stack tasks: the served window minus the served
     // path's per-drain descriptor persist and per-op ack
-    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 5 + 4 +
-    // 1 + 1).
+    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 2 + 4 +
+    // 1 + 1; sixteen slots make a 96-byte frame, which cannot share the
+    // dummy frame's line and is flushed ahead of the flip: 3).
     let stripe = PMemBuilder::new().len(LEN).build_striped(1);
     let shard = stripe.region(0);
     let store = ShardedKvStore::format(stripe.regions(), 8, 256, KvVariant::Nsrl).unwrap();
@@ -189,8 +190,8 @@ fn a_preloaded_window_is_ten_persists_and_its_replay_none_on_the_shard() {
     let replay = tasks.clone();
     assert_eq!(
         run(tasks),
-        (5, 5),
-        "the frame (push, arguments, marker, unit return, pop); \
+        (3, 5),
+        "the frame (frame; slot clear + marker flip; unit return + pop flip); \
          the group commit (records, tail, heads, epoch) + one answer persist"
     );
     assert!(exec.pending_tasks(16).unwrap().is_empty());
@@ -199,6 +200,6 @@ fn a_preloaded_window_is_ten_persists_and_its_replay_none_on_the_shard() {
     // Replaying the completed window pays its frame and nothing else:
     // every slot is answered, so nothing is staged, committed or
     // re-answered.
-    assert_eq!(run(replay), (5, 0));
+    assert_eq!(run(replay), (3, 0));
     assert_eq!(exec.store().flush_epochs().unwrap(), vec![1]);
 }

@@ -40,12 +40,12 @@
 //! |---|---|---|---|
 //! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard |
 //! | mutation | descriptor | [`ServerCore::drain_tasks`] / [`ServerCore::pump_direct`], one coalesced flight per drained window, all shards overlapped | 1 per **drain** |
-//! | | window frame | the persistent stack (push, args, marker, unit return, pop) | 5 per window |
+//! | | window frame | the persistent stack: `CALL` (frame + slot clear + marker flip) and `RET` (unit return + pop flip), one line-atomic persist each | 2 per window (3 past two slots, when the frame outgrows the dummy frame's line) |
 //! | | group commit | records, log tail, heads, epoch | 4 per window |
 //! | | answer | [`KvRequestTable::mark_done_batch`], payload + flag in one line-atomic persist | 1 per window |
 //! | | ack | [`ServerCore::ack`] | 1 per ack |
 //!
-//! A lone put therefore costs 12 persists end to end; a full window
+//! A lone put therefore costs 9 persists end to end; a full window
 //! divides everything but the ack by its occupancy.
 //!
 //! **Reads are idempotent, so their exactly-once identity buys

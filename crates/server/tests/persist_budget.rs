@@ -3,10 +3,11 @@
 //! One device round-trip per ordered persist is the whole cost model,
 //! so every persist a served request pays is written down here and
 //! counted: a read pays none, a mutation pays its descriptor once per
-//! *drain* (not per request), a window pays 5 for its stack frame, 4
-//! for its group commit and 1 for its answers, an ack pays 1, a shed
-//! pays nothing. A change that adds a round-trip to the exactly-once
-//! path fails this file before it reaches the benchmark.
+//! *drain* (not per request), a window pays 2 for its stack frame (3
+//! once the frame outgrows the dummy frame's line), 4 for its group
+//! commit and 1 for its answers, an ack pays 1, a shed pays nothing. A
+//! change that adds a round-trip to the exactly-once path fails this
+//! file before it reaches the benchmark.
 
 mod common;
 
@@ -107,7 +108,7 @@ fn fresh_puts_to_one_shard_drained_together_persist_one_descriptor_line_set() {
 }
 
 #[test]
-fn a_lone_put_costs_twelve_persists_end_to_end() {
+fn a_lone_put_costs_nine_persists_end_to_end() {
     let s = Stack::format(SHAPE);
     let (req, key) = (req_id_for(1, 1), s.key_on(1, 0));
 
@@ -125,8 +126,11 @@ fn a_lone_put_costs_twelve_persists_end_to_end() {
     assert!(!report.crashed && report.task_errors == 0);
     let (control, stripe) = delta(&s, t1);
     assert_eq!(
-        control.persists, 5,
-        "the frame: push, arguments, marker, unit return, pop"
+        (control.persists, control.lines_persisted),
+        (2, 2),
+        "the frame, once five steps (clear the caller's slot, frame, marker flip, \
+         write the caller's slot, pop flip), is two: CALL = frame + slot clear + flip \
+         in the dummy frame's line, RET = unit return + pop flip in the same line"
     );
     assert_eq!(
         stripe.persists, 5,
@@ -141,7 +145,7 @@ fn a_lone_put_costs_twelve_persists_end_to_end() {
     assert_eq!((control.persists, stripe.persists), (0, 1), "ack");
 
     let (control, stripe) = delta(&s, t0);
-    assert_eq!(control.persists + stripe.persists, 12);
+    assert_eq!(control.persists + stripe.persists, 9);
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
     s.assert_psan_clean();
 }

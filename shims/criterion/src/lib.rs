@@ -420,6 +420,7 @@ impl BenchmarkGroup<'_> {
         };
 
         let mut samples: Vec<Duration> = Vec::with_capacity(self.sample_size);
+        let mut total = Duration::ZERO;
         for _ in 0..self.sample_size {
             let mut b = Bencher {
                 iters,
@@ -427,7 +428,12 @@ impl BenchmarkGroup<'_> {
             };
             routine(&mut b);
             samples.push(b.elapsed / iters as u32);
+            total += b.elapsed;
         }
+        // The rate's own mean, kept in `f64` seconds: a sub-nanosecond
+        // routine truncates to a zero `Duration` per iteration, and a
+        // measured benchmark must still carry its rate.
+        let mean_secs = total.as_secs_f64() / (samples.len() as u64 * iters).max(1) as f64;
         let min = samples.iter().min().copied().unwrap_or_default();
         let max = samples.iter().max().copied().unwrap_or_default();
         let mean = samples
@@ -485,12 +491,12 @@ impl BenchmarkGroup<'_> {
         let (p50, p99, p999) = (percentile(0.50), percentile(0.99), percentile(0.999));
 
         let (rate, rate_note) = match self.throughput {
-            Some(Throughput::Elements(n)) if !mean.is_zero() => {
-                let r = n as f64 / mean.as_secs_f64();
+            Some(Throughput::Elements(n)) if mean_secs > 0.0 => {
+                let r = n as f64 / mean_secs;
                 (Some(r), format!("  thrpt: {r:.3e} elem/s"))
             }
-            Some(Throughput::Bytes(n)) if !mean.is_zero() => {
-                let r = n as f64 / mean.as_secs_f64();
+            Some(Throughput::Bytes(n)) if mean_secs > 0.0 => {
+                let r = n as f64 / mean_secs;
                 (Some(r), format!("  thrpt: {r:.3e} B/s"))
             }
             _ => (None, String::new()),
