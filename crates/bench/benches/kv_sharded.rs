@@ -44,11 +44,9 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Comparison, Criterion, Measurement, Throughput};
-use pstack_core::{FunctionRegistry, RuntimeConfig, StripedRuntime};
+use pstack_core::{RuntimeConfig, StripedRuntime};
 use pstack_heap::PHeap;
-use pstack_kv::{
-    KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore, KV_SERVE_FUNC_ID,
-};
+use pstack_kv::{KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore};
 use pstack_nvram::{PMemBuilder, POffset};
 
 /// Emulated per-round-trip persist latency for the scaling sweeps.
@@ -274,10 +272,7 @@ fn bench_runtime_driven(c: &mut Criterion) {
             .collect();
         let exec = KvServeFunction::preload(store, &ops).expect("tables preload");
         let tasks = exec.pending_tasks(BATCH).expect("pending tasks");
-        let mut registry = FunctionRegistry::new();
-        registry
-            .register(KV_SERVE_FUNC_ID, exec.into_arc())
-            .expect("function registers");
+        let registry = exec.registry().expect("function registers");
         // The control region is not latency-emulated: the comparison
         // isolates the stack's persist traffic, not a slower device.
         let control = PMemBuilder::new().len(1 << 20).build_in_memory();

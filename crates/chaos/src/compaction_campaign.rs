@@ -43,8 +43,7 @@ use pstack_verify::{KvShardedHistory, KvVerdict};
 use crate::cycle::{self, Cx, Policy, Shards, Tally, Workload};
 use crate::kv_campaign::ShardLogUsage;
 use crate::sharded_kv_campaign::{
-    attach_stripe, generate_kv_ops, persist_table_roots, quiescent, run_shard_rounds,
-    sharded_verdict, HarnessGets,
+    attach_stripe, generate_kv_ops, quiescent, run_shard_rounds, sharded_verdict, HarnessGets,
 };
 
 /// Shards (independent regions).
@@ -393,8 +392,7 @@ fn run_compaction_campaign_inner(
             cfg.log_cap_per_shard,
             cfg.variant,
         )?;
-        let exec = KvServeFunction::preload(store, &mutations)?;
-        persist_table_roots(&stripe, exec.tables())?;
+        KvServeFunction::preload(store, &mutations)?;
     }
 
     let mut workload = Compacting {

@@ -18,9 +18,7 @@ use pstack_nvram::{PMem, PMemBuilder, POffset};
 use pstack_verify::{check_kv, KvHistory, KvVerdict};
 
 use crate::cycle::{self, Cx, Policy, Single, StaticWorkload, Tally, ROOT_OFF};
-use crate::sharded_kv_campaign::{
-    generate_kv_ops, serve_registry, HarnessGets, ANSWER_REPLAY_FUSE,
-};
+use crate::sharded_kv_campaign::{generate_kv_ops, HarnessGets, ANSWER_REPLAY_FUSE};
 
 /// Configuration of one KV crash campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -325,7 +323,7 @@ impl StaticWorkload<PMem> for KvWorkload {
         let table = KvRequestTable::open(pmem.clone(), root(2)?)?;
         let store = ShardedKvStore::from_parts(vec![store], vec![heap])?;
         let exec = KvServeFunction::new(store, vec![table]);
-        Ok((serve_registry(&exec)?, exec))
+        Ok((exec.registry()?, exec))
     }
 
     /// Each pending descriptor a window of one; the harness's reads go

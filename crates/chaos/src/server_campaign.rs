@@ -30,22 +30,17 @@
 //! duplicated mutation would publish two records under one tag, a lost
 //! effect would leave an acked mutation without its record.
 
-use std::collections::HashMap;
-
 use pstack_core::{FunctionRegistry, PError, StripedRuntime};
-use pstack_kv::{KvRequestTable, KvTaskOp, KvVariant, ShardedKvStore};
+use pstack_kv::{KvVariant, ShardedKvStore};
 use pstack_nvram::{PMemBuilder, PMemStripe};
-use pstack_server::proto::{kind_of, RequestBody, Response};
 use pstack_server::{
-    ChannelConn, ChannelHub, ClientConfig, ClientSim, ClientStats, Clock, KvServeFunction, OpClass,
-    ServerCore, Submission, VirtualClock,
+    serve_round, ChannelConn, ChannelHub, ClientConfig, ClientSim, ClientStats, Clock,
+    KvServeFunction, OpClass, ServerCore, VirtualClock,
 };
 use pstack_verify::{KvShardedHistory, KvVerdict, KvWitnessRecord};
 
 use crate::cycle::{self, Cx, Policy, Stacked, Striped, Tally, Workload};
-use crate::sharded_kv_campaign::{
-    attach_stripe, persist_table_roots, sharded_verdict, ANSWER_REPLAY_FUSE,
-};
+use crate::sharded_kv_campaign::{attach_stripe, sharded_verdict, ANSWER_REPLAY_FUSE};
 
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -306,19 +301,13 @@ impl Serving<'_> {
     }
 
     /// One boot's serving loop: jump the virtual clock to the next
-    /// client wake, move frames through the hub, admit, execute batch
-    /// windows on the runtime, deliver. Ends when every client finished
-    /// (`false`) or a power failure takes the system down: `true` when
-    /// the runtime saw it inside a window, a crash error when it
-    /// surfaced on the direct admission path (a shard fail-point firing
-    /// under a descriptor persist) — the machine propagates and
-    /// attributes either.
-    fn serve(&mut self, core: &ServerCore, rt: &StripedRuntime) -> Result<bool, PError> {
-        // req_id → op for the `kind` echo in deferred Done responses;
-        // volatile per boot on purpose — after a crash the retransmission
-        // repopulates it.
-        let mut in_flight: HashMap<u64, KvTaskOp> = HashMap::new();
-
+    /// client wake, move frames through the hub, serve them a round
+    /// ([`serve_round`]: admit, drain, batch windows on the runtime,
+    /// answers), deliver. Ends when every client finished, or with the
+    /// crash error of the power failure that took the system down —
+    /// inside a window or under a descriptor on the admission path, one
+    /// outcome: every region is down, the machine attributes it.
+    fn serve(&mut self, core: &ServerCore, rt: &StripedRuntime) -> Result<(), PError> {
         // Jump to the earliest instant any client acts.
         while let Some(wake) = self.clients.iter().filter_map(ClientSim::next_wake).min() {
             self.clock.advance_to(wake);
@@ -327,59 +316,19 @@ impl Serving<'_> {
             // Clients transmit (fresh ops, retransmissions, acks).
             for (c, conn) in self.clients.iter_mut().zip(&self.conns) {
                 if let Some(req) = c.poll(now) {
-                    if let RequestBody::Op(op) = req.body {
-                        in_flight.insert(req.req_id, op);
-                    }
                     conn.send(&req);
                 }
             }
-
-            // Admission: dedup, queue, or shed — every frame gets either an
-            // immediate response or a seat in a batch window.
+            let mut requests = Vec::new();
             while let Some(req) = self.hub.poll_request().map_err(transport_err)? {
-                let req_id = req.req_id;
-                let resp = match req.body {
-                    RequestBody::Ack => {
-                        core.ack(req_id)?;
-                        Some(Response::AckOk { req_id })
-                    }
-                    RequestBody::Op(op) => match core.submit(req_id, op)? {
-                        Submission::Answered(answer) => Some(Response::Done {
-                            req_id,
-                            kind: kind_of(op),
-                            answer,
-                        }),
-                        Submission::Overloaded => Some(Response::Overloaded { req_id }),
-                        Submission::Stale => Some(Response::Stale { req_id }),
-                        Submission::Queued => None,
-                    },
-                };
-                if let Some(resp) = resp {
-                    self.hub.respond(&resp);
-                }
+                requests.push(req);
             }
 
-            // Batch windows through the persistent stack: one task per
-            // non-idle shard. A crash here lands inside a group commit, a
-            // descriptor answer persist, or the stack discipline itself.
-            let (tasks, ids) = core.drain_tasks();
-            if !tasks.is_empty() {
-                if rt.run_tasks(tasks).crashed {
-                    return Ok(true);
-                }
-                for (req_id, answer) in core.answers_for(&ids)? {
-                    let resp = match answer {
-                        Some(answer) => Response::Done {
-                            req_id,
-                            kind: in_flight.get(&req_id).map_or(0, |&op| kind_of(op)),
-                            answer,
-                        },
-                        // The window did not answer this entry (its task
-                        // erred); the client's timeout re-drives it.
-                        None => Response::Retry { req_id },
-                    };
-                    self.hub.respond(&resp);
-                }
+            // One window per non-idle shard runs through the persistent
+            // stack. A crash here lands on a staged descriptor, inside a
+            // group commit, an answer persist, or the stack discipline.
+            for resp in serve_round(core, rt, &requests)? {
+                self.hub.respond(&resp);
             }
 
             // Service time passes, then responses land.
@@ -391,7 +340,7 @@ impl Serving<'_> {
                 }
             }
         }
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -438,7 +387,7 @@ impl Workload<Striped> for Serving<'_> {
         let outcome = self.serve(&core, rt);
         self.admitted += core.admitted();
         self.shed += core.shed();
-        outcome
+        outcome.map(|()| false)
     }
 
     fn recover(
@@ -506,13 +455,8 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
         .len(REGION_LEN)
         .psan(PSAN)
         .build_striped(SHARDS);
-    {
-        let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
-        let tables = (0..SHARDS)
-            .map(|s| KvRequestTable::format(stripe.region(s).clone(), store.heap(s), TABLE_CAP))
-            .collect::<Result<Vec<_>, _>>()?;
-        persist_table_roots(&stripe, &tables)?;
-    }
+    let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
+    KvServeFunction::format(store, TABLE_CAP)?;
     let mut machine = Striped::format(stripe, WORKERS, PSAN)?;
 
     // The client population and its wire.

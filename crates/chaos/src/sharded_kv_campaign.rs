@@ -19,19 +19,12 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use pstack_core::{CrashRegion, FunctionRegistry, PError, Task};
-use pstack_kv::{
-    shard_of, KvRequestTable, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore,
-    KV_SERVE_FUNC_ID,
-};
-use pstack_nvram::{PMemBuilder, PMemStripe, POffset};
+use pstack_kv::{shard_of, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore};
+use pstack_nvram::{PMemBuilder, PMemStripe};
 use pstack_verify::{check_kv_sharded_gen, KvOp, KvShardedHistory, KvVerdict};
 
 use crate::cycle::{self, Cx, Policy, Shards, StaticWorkload, Striped, Tally, Workload};
 use crate::kv_campaign::ShardLogUsage;
-
-/// Where each shard region persists its request-table base (inside the
-/// 64-byte shard root, past the offsets the store itself uses).
-const SERVE_TABLE_ROOT_OFF: u64 = 48;
 
 /// NVRAM region length *per shard*.
 const REGION_LEN: usize = 1 << 19;
@@ -411,43 +404,6 @@ fn run_shard_round(
     }
 }
 
-/// Persists each shard's request-table base in its region's root.
-pub(crate) fn persist_table_roots(
-    stripe: &PMemStripe,
-    tables: &[KvRequestTable],
-) -> Result<(), PError> {
-    for (s, table) in tables.iter().enumerate() {
-        let root = POffset::new(SERVE_TABLE_ROOT_OFF);
-        stripe.region(s).write_u64(root, table.base().get())?;
-        stripe.region(s).flush(root, 8)?;
-    }
-    Ok(())
-}
-
-/// Re-attaches the store and the per-shard request tables (from their
-/// persisted roots) to the current boot's regions.
-pub(crate) fn attach_exec(
-    stripe: &PMemStripe,
-    variant: KvVariant,
-) -> Result<KvServeFunction, PError> {
-    let store = ShardedKvStore::open(stripe.regions(), variant)?;
-    let tables = (0..stripe.len())
-        .map(|s| {
-            let region = stripe.region(s);
-            let base = region.read_u64(POffset::new(SERVE_TABLE_ROOT_OFF))?;
-            KvRequestTable::open(region.clone(), POffset::new(base))
-        })
-        .collect::<Result<Vec<_>, PError>>()?;
-    Ok(KvServeFunction::new(store, tables))
-}
-
-/// The registry of one boot: the executor under its function id.
-pub(crate) fn serve_registry(exec: &KvServeFunction) -> Result<FunctionRegistry, PError> {
-    let mut registry = FunctionRegistry::new();
-    registry.register(KV_SERVE_FUNC_ID, exec.clone().into_arc())?;
-    Ok(registry)
-}
-
 /// `true` once every descriptor is answered and every get asked.
 pub(crate) fn quiescent(exec: &KvServeFunction, gets: &[HarnessGets]) -> Result<bool, PError> {
     for table in exec.tables() {
@@ -465,8 +421,8 @@ pub(crate) fn attach_stripe(
     variant: KvVariant,
     mutators: usize,
 ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
-    let exec = attach_exec(stripe, variant)?.with_mutators(mutators);
-    Ok((serve_registry(&exec)?, exec))
+    let exec = KvServeFunction::open(stripe.regions(), variant)?.with_mutators(mutators);
+    Ok((exec.registry()?, exec))
 }
 
 /// Step 9 of every striped KV harness: the sharded linearizability
@@ -688,8 +644,7 @@ fn run_sharded_kv_campaign_inner(
     let stripe = builder.build_striped(cfg.shards);
     {
         let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
-        let exec = KvServeFunction::preload(store, &mutations)?;
-        persist_table_roots(&stripe, exec.tables())?;
+        KvServeFunction::preload(store, &mutations)?;
     }
 
     let (exec, gets) = if cfg.runtime_driven {
@@ -1180,8 +1135,7 @@ mod tests {
     fn build_enum_system(ops: &[KvTaskOp]) -> (PMem, PMemStripe) {
         let stripe = PMemBuilder::new().len(1 << 19).psan(true).build_striped(2);
         let store = ShardedKvStore::format(stripe.regions(), 8, 128, KvVariant::Nsrl).unwrap();
-        let exec = KvServeFunction::preload(store, ops).unwrap();
-        persist_table_roots(&stripe, exec.tables()).unwrap();
+        KvServeFunction::preload(store, ops).unwrap();
         let control = PMemBuilder::new().len(1 << 20).build_in_memory();
         let stub = FunctionRegistry::new();
         StripedRuntime::format(
@@ -1199,8 +1153,7 @@ mod tests {
         control: &PMem,
         stripe: &PMemStripe,
     ) -> (KvServeFunction, StripedRuntime) {
-        let exec = attach_exec(stripe, KvVariant::Nsrl).unwrap();
-        let registry = serve_registry(&exec).unwrap();
+        let (registry, exec) = attach_stripe(stripe, KvVariant::Nsrl, 1).unwrap();
         let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry).unwrap();
         (exec, rt)
     }

@@ -14,13 +14,13 @@
 
 use std::sync::Arc;
 
-use pstack_core::{PContext, PError, RecoverableFunction, RetBytes, Task};
-use pstack_nvram::op_label;
+use pstack_core::{FunctionRegistry, PContext, PError, RecoverableFunction, RetBytes, Task};
+use pstack_nvram::{op_label, PMem};
 use pstack_verify::{KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord};
 
 use crate::reqtable::{split_id, KvRequestTable, ReqSubmit};
 use crate::shard::ShardedKvStore;
-use crate::store::{KvApplied, KvBatchOp, PKvStore};
+use crate::store::{KvApplied, KvBatchOp, KvVariant, PKvStore};
 
 /// Function id under which [`KvServeFunction`] is registered.
 pub const KV_SERVE_FUNC_ID: u64 = 0x0FFB;
@@ -122,16 +122,14 @@ pub enum KvTaskResult {
     Swapped(bool),
 }
 
-/// One drained batch window, in [`KvServeFunction::execute_windows`]'s
-/// shape: `(shard, recovery, slots)`.
-type Window = (u32, bool, Vec<u32>);
-
 /// The one executor of KV descriptors: the sharded store plus one
 /// request table per shard. Registered as the recoverable function
-/// executing batch windows ([`KV_SERVE_FUNC_ID`]), shared by the
-/// server's `ServerCore` for direct (runtime-less) pumping, and driven
-/// by every static workload through [`KvServeFunction::preload`] +
-/// [`KvServeFunction::pending_tasks`].
+/// executing batch windows ([`KV_SERVE_FUNC_ID`]): the server's
+/// `ServerCore` drains admitted requests into its windows, and every
+/// static workload drives it through [`KvServeFunction::preload`] +
+/// [`KvServeFunction::pending_tasks`]. It owns the serving layout:
+/// [`KvServeFunction::format`] / `preload` record each table's base in
+/// its shard's root, [`KvServeFunction::open`] re-attaches from there.
 #[derive(Clone)]
 pub struct KvServeFunction {
     store: ShardedKvStore,
@@ -155,6 +153,65 @@ impl KvServeFunction {
         }
     }
 
+    /// Formats one request table per shard in the shard's own region —
+    /// `capacity(shard)` slots — and persists its base in the shard
+    /// root: the one routine behind [`KvServeFunction::format`] and
+    /// [`KvServeFunction::preload`].
+    fn format_tables(
+        store: &ShardedKvStore,
+        capacity: impl Fn(usize) -> Result<u32, PError>,
+    ) -> Result<Vec<KvRequestTable>, PError> {
+        (0..store.nshards())
+            .map(|shard| {
+                let heap = store.heap(shard);
+                let table = KvRequestTable::format(heap.pmem().clone(), heap, capacity(shard)?)?;
+                store.persist_table_root(shard, table.base())?;
+                Ok(table)
+            })
+            .collect()
+    }
+
+    /// A server's durable half: `store` plus one empty
+    /// `capacity`-slot request table per shard, each findable again by
+    /// [`KvServeFunction::open`].
+    ///
+    /// # Errors
+    ///
+    /// Heap, table or NVRAM errors.
+    pub fn format(store: ShardedKvStore, capacity: u32) -> Result<Self, PError> {
+        let tables = Self::format_tables(&store, |_| Ok(capacity))?;
+        Ok(KvServeFunction::new(store, tables))
+    }
+
+    /// Re-attaches store and request tables to (re)opened `regions`,
+    /// each table from the base its shard root records — the reopen-time
+    /// attach of every boot.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::CorruptStack`] on a bad shard root, a root that names
+    /// no table, or a table header that overruns its region; NVRAM
+    /// errors (a root pointing outside the region among them).
+    pub fn open(regions: &[PMem], variant: KvVariant) -> Result<Self, PError> {
+        let store = ShardedKvStore::open(regions, variant)?;
+        let tables = (0..regions.len())
+            .map(|s| KvRequestTable::open(regions[s].clone(), store.table_root(s)?))
+            .collect::<Result<_, _>>()?;
+        Ok(KvServeFunction::new(store, tables))
+    }
+
+    /// The registry of one boot: this executor under
+    /// [`KV_SERVE_FUNC_ID`].
+    ///
+    /// # Errors
+    ///
+    /// Never for a fresh registry; the signature is `register`'s.
+    pub fn registry(&self) -> Result<FunctionRegistry, PError> {
+        let mut registry = FunctionRegistry::new();
+        registry.register(KV_SERVE_FUNC_ID, self.clone().into_arc())?;
+        Ok(registry)
+    }
+
     /// A static workload as a **preloaded request table**: formats one
     /// table per shard in the shard's own region (sized to the shard's
     /// share of `ops`; an idle shard gets a one-slot table), submits
@@ -162,9 +219,8 @@ impl KvServeFunction {
     /// — so its store tag `(pid, seq) = (shard + 1, id)` is globally
     /// unique and stable across replays and workers — and makes each
     /// table's descriptors durable with one
-    /// [`KvRequestTable::persist_slots`]. Persist each table's
-    /// [`KvRequestTable::base`] to find it again after a restart. `ops`
-    /// holds mutations only: a window refuses a get descriptor.
+    /// [`KvRequestTable::persist_slots`]. `ops` holds mutations only: a
+    /// window refuses a get descriptor.
     ///
     /// # Errors
     ///
@@ -174,13 +230,11 @@ impl KvServeFunction {
         for &op in ops {
             per_shard[store.shard_of(op.key())].push(op);
         }
-        let mut tables = Vec::with_capacity(per_shard.len());
-        for (shard, shard_ops) in per_shard.iter().enumerate() {
-            let heap = store.heap(shard);
-            let capacity = u32::try_from(shard_ops.len().max(1)).map_err(|_| {
-                PError::InvalidConfig("preloaded workload overflows a table".into())
-            })?;
-            let table = KvRequestTable::format(heap.pmem().clone(), heap, capacity)?;
+        let tables = Self::format_tables(&store, |shard| {
+            u32::try_from(per_shard[shard].len().max(1))
+                .map_err(|_| PError::InvalidConfig("preloaded workload overflows a table".into()))
+        })?;
+        for (shard, (table, shard_ops)) in tables.iter().zip(&per_shard).enumerate() {
             let mut slots = Vec::with_capacity(shard_ops.len());
             for (idx, &op) in shard_ops.iter().enumerate() {
                 let req_id = ((shard as u64 + 1) << 32) | (idx as u64 + 1);
@@ -192,7 +246,6 @@ impl KvServeFunction {
                 slots.push(slot);
             }
             table.persist_slots(&slots)?;
-            tables.push(table);
         }
         Ok(KvServeFunction::new(store, tables))
     }
@@ -247,7 +300,7 @@ impl KvServeFunction {
         b
     }
 
-    fn parse_args(args: &[u8]) -> Result<Window, PError> {
+    fn parse_args(args: &[u8]) -> Result<(u32, bool, Vec<u32>), PError> {
         if args.len() < 9 {
             return Err(PError::Task(
                 "serve window arguments need (shard, recovery, count)".into(),
@@ -340,12 +393,16 @@ impl KvServeFunction {
     /// answers persist with one coalesced
     /// [`KvRequestTable::mark_done_batch`] *before* any `(req_id,
     /// answer)` pair is returned for acking: answers are durable before
-    /// they are visible.
+    /// they are visible. A window never carries a read — the server
+    /// answers those at admission and a harness answers its own, both
+    /// through [`ShardedKvStore::get_durable`], the one read path — so a
+    /// `Get` descriptor here is a caller's error, not a second way to
+    /// read.
     ///
     /// # Errors
     ///
-    /// Shard out of range ([`PError::Task`]), or propagated store/NVRAM
-    /// errors.
+    /// Shard out of range or a get descriptor ([`PError::Task`]), or
+    /// propagated store/NVRAM errors.
     pub fn execute_window(
         &self,
         shard: u32,
@@ -358,21 +415,74 @@ impl KvServeFunction {
         } else {
             "server.window"
         });
-        let stage = self.stage_window(shard, slots, executor)?;
-        let outcomes = if stage.staged.is_empty() {
-            Vec::new()
-        } else {
-            let pstore = self.store.shard(shard as usize);
-            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
-            if recovery {
-                pstore.recover_batch(&ops)?
-            } else if self.mutators > 1 {
-                Self::apply_concurrent(pstore, &ops, self.mutators)?
-            } else {
-                pstore.apply_batch(&ops)?
+        let table = self.tables.get(shard as usize).ok_or_else(|| {
+            PError::Task(format!(
+                "shard {shard} out of range ({} shards)",
+                self.tables.len()
+            ))
+        })?;
+        let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
+        let mut staged: Vec<(u32, u64)> = Vec::new();
+        let mut ops: Vec<KvBatchOp> = Vec::new();
+        for &slot in slots {
+            let req_id = table.req_id(slot)?;
+            if req_id == 0 {
+                // A replayed frame whose descriptor never became durable
+                // (the drain's persist met the power failure): nothing
+                // ran on its behalf and nothing may — the client's retry
+                // is fresh.
+                continue;
             }
+            if let Some(answer) = table.result(slot)? {
+                ready.push((req_id, answer)); // already durable: replay only
+                continue;
+            }
+            let (pid, seq) = (u64::from(split_id(req_id).0), req_id);
+            staged.push((slot, req_id));
+            ops.push(match table.op(slot)? {
+                KvTaskOp::Get { .. } => {
+                    return Err(PError::Task(format!(
+                        "slot {slot} of shard {shard} holds a get: reads are answered at admission"
+                    )));
+                }
+                KvTaskOp::Put { key, value } => KvBatchOp::Put {
+                    pid,
+                    seq,
+                    key,
+                    value,
+                },
+                KvTaskOp::Delete { key } => KvBatchOp::Delete { pid, seq, key },
+                KvTaskOp::Cas { key, expected, new } => KvBatchOp::Cas {
+                    pid,
+                    seq,
+                    key,
+                    expected,
+                    new,
+                },
+            });
+        }
+        let pstore = self.store.shard(shard as usize);
+        let outcomes = if ops.is_empty() {
+            Vec::new()
+        } else if recovery {
+            pstore.recover_batch(&ops)?
+        } else if self.mutators > 1 {
+            Self::apply_concurrent(pstore, &ops, self.mutators)?
+        } else {
+            pstore.apply_batch(&ops)?
         };
-        Self::finish_window(stage, outcomes)
+        let mut answers = Vec::with_capacity(ops.len());
+        for ((&(slot, req_id), op), outcome) in staged.iter().zip(&ops).zip(outcomes) {
+            let result = match op {
+                KvBatchOp::Put { .. } => KvTaskResult::Stored(outcome.took_effect()),
+                KvBatchOp::Delete { .. } => KvTaskResult::Deleted(outcome.took_effect()),
+                KvBatchOp::Cas { .. } => KvTaskResult::Swapped(outcome.took_effect()),
+            };
+            answers.push((slot, executor, result));
+            ready.push((req_id, KvTaskAnswer { executor, result }));
+        }
+        table.mark_done_batch(&answers)?;
+        Ok(ready)
     }
 
     /// Applies a window's mutations with `mutators` concurrent
@@ -409,164 +519,6 @@ impl KvServeFunction {
         }
         Ok(outcomes)
     }
-
-    /// Executes one round of batch windows, at most one per shard. The
-    /// non-recovery windows are **begun** first — each shard's
-    /// record/log-tail persists are issued as asynchronous flush
-    /// flights, back to back across the shard regions — and committed
-    /// afterwards, so the whole round drains the flush pipeline in
-    /// about one device round-trip instead of each shard awaiting its
-    /// own serially. Recovery windows run through
-    /// [`KvServeFunction::execute_window`] unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Shard out of range ([`PError::Task`]), or propagated store/NVRAM
-    /// errors.
-    pub fn execute_windows(
-        &self,
-        windows: &[Window],
-        executor: u32,
-    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let mut ready = Vec::new();
-        let _label = op_label("server.windows");
-        let mut pending = Vec::new();
-        for (shard, recovery, slots) in windows {
-            if *recovery || self.mutators > 1 {
-                // The evidence-scanning duals stay serial: recovery is
-                // off the hot path by design, and mixing scans into an
-                // open pipeline would buy nothing. A multi-mutator
-                // window has no flights of its own to overlap either.
-                ready.extend(self.execute_window(*shard, slots, *recovery, executor)?);
-                continue;
-            }
-            let stage = self.stage_window(*shard, slots, executor)?;
-            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
-            let batch = self.store.shard(*shard as usize).apply_batch_begin(&ops)?;
-            pending.push((stage, batch));
-        }
-        for (stage, batch) in pending {
-            let outcomes = batch.commit()?;
-            ready.extend(Self::finish_window(stage, outcomes)?);
-        }
-        Ok(ready)
-    }
-
-    /// The read-and-stage half of a window: replays already-durable
-    /// answers and collects the mutations to group-commit. A window
-    /// never carries a read — the server answers those at admission
-    /// and a harness answers its own, both through
-    /// [`ShardedKvStore::get_durable`], the one read path — so a `Get`
-    /// descriptor here is a caller's error, not a second way to read.
-    fn stage_window(
-        &self,
-        shard: u32,
-        slots: &[u32],
-        executor: u32,
-    ) -> Result<WindowStage<'_>, PError> {
-        let table = self.tables.get(shard as usize).ok_or_else(|| {
-            PError::Task(format!(
-                "shard {shard} out of range ({} shards)",
-                self.tables.len()
-            ))
-        })?;
-        let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
-        let mut staged: Vec<(u32, u64, KvBatchOp)> = Vec::new();
-        for &slot in slots {
-            let req_id = table.req_id(slot)?;
-            if req_id == 0 {
-                // A replayed frame whose descriptor never became durable
-                // (the drain's persist met the power failure): nothing
-                // ran on its behalf and nothing may — the client's retry
-                // is fresh.
-                continue;
-            }
-            if let Some(answer) = table.result(slot)? {
-                ready.push((req_id, answer)); // already durable: replay only
-                continue;
-            }
-            let pid = u64::from(split_id(req_id).0);
-            match table.op(slot)? {
-                KvTaskOp::Get { .. } => {
-                    return Err(PError::Task(format!(
-                        "slot {slot} of shard {shard} holds a get: reads are answered at admission"
-                    )));
-                }
-                KvTaskOp::Put { key, value } => staged.push((
-                    slot,
-                    req_id,
-                    KvBatchOp::Put {
-                        pid,
-                        seq: req_id,
-                        key,
-                        value,
-                    },
-                )),
-                KvTaskOp::Delete { key } => staged.push((
-                    slot,
-                    req_id,
-                    KvBatchOp::Delete {
-                        pid,
-                        seq: req_id,
-                        key,
-                    },
-                )),
-                KvTaskOp::Cas { key, expected, new } => staged.push((
-                    slot,
-                    req_id,
-                    KvBatchOp::Cas {
-                        pid,
-                        seq: req_id,
-                        key,
-                        expected,
-                        new,
-                    },
-                )),
-            }
-        }
-        Ok(WindowStage {
-            table,
-            executor,
-            ready,
-            staged,
-        })
-    }
-
-    /// The answer half of a window: maps group-commit outcomes to
-    /// results, persists all answers with one coalesced
-    /// [`KvRequestTable::mark_done_batch`], and only then returns the
-    /// `(req_id, answer)` pairs — answers are durable before they are
-    /// visible.
-    fn finish_window(
-        mut stage: WindowStage<'_>,
-        outcomes: Vec<KvApplied>,
-    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let executor = stage.executor;
-        let mut answers = Vec::with_capacity(stage.staged.len());
-        for (&(slot, req_id, op), outcome) in stage.staged.iter().zip(outcomes) {
-            let result = match op {
-                KvBatchOp::Put { .. } => KvTaskResult::Stored(outcome.took_effect()),
-                KvBatchOp::Delete { .. } => KvTaskResult::Deleted(outcome.took_effect()),
-                KvBatchOp::Cas { .. } => KvTaskResult::Swapped(outcome.took_effect()),
-            };
-            answers.push((slot, executor, result));
-            stage
-                .ready
-                .push((req_id, KvTaskAnswer { executor, result }));
-        }
-        stage.table.mark_done_batch(&answers)?;
-        Ok(stage.ready)
-    }
-}
-
-/// A batch window read and staged but not yet executed
-/// ([`KvServeFunction::stage_window`]): replayed answers in `ready`,
-/// mutations awaiting their group commit in `staged`.
-struct WindowStage<'a> {
-    table: &'a KvRequestTable,
-    executor: u32,
-    ready: Vec<(u64, KvTaskAnswer)>,
-    staged: Vec<(u32, u64, KvBatchOp)>,
 }
 
 /// A window's product is the durable answers in its request table, so
@@ -761,22 +713,51 @@ mod tests {
 
     /// The recovery boot of [`sharded_fixture`]: everything re-attached
     /// over the reopened regions.
-    fn reopen_sharded(
-        stripe: &PMemStripe,
-        main: &PMem,
-        exec: &KvServeFunction,
-    ) -> (PMem, PHeap, KvServeFunction) {
+    fn reopen_sharded(stripe: &PMemStripe, main: &PMem) -> (PMem, PHeap, KvServeFunction) {
         let stripe2 = stripe.reopen_all().unwrap();
         let main2 = main.reopen().unwrap();
-        let store2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
-        let tables2 = exec
-            .tables()
-            .iter()
-            .enumerate()
-            .map(|(s, t)| KvRequestTable::open(stripe2.region(s).clone(), t.base()).unwrap())
-            .collect();
+        let exec2 = KvServeFunction::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
         let heap2 = PHeap::open(main2.clone(), POffset::new(HEAP_OFF)).unwrap();
-        (main2, heap2, KvServeFunction::new(store2, tables2))
+        (main2, heap2, exec2)
+    }
+
+    #[test]
+    fn open_answers_a_hostile_image_with_a_typed_error() {
+        use crate::shard::ROOT_OFF_TABLE;
+        let word = POffset::new(ROOT_OFF_TABLE);
+        // (what is wrong with shard 1, tables formatted?, how it got so)
+        type Spoil = fn(&PMem, POffset);
+        let images: [(&str, bool, Spoil); 4] = [
+            ("nothing", true, |_, _| {}),
+            ("store formatted, tables never written", false, |_, _| {}),
+            ("root points outside the region", true, |r, word| {
+                r.write_u64(word, REGION_LEN as u64 + 64).unwrap();
+            }),
+            ("capacity overruns the region", true, |r, word| {
+                let base = r.read_u64(word).unwrap();
+                let slots = REGION_LEN as u64 / 64;
+                r.write_u64(POffset::new(base + 8), slots).unwrap();
+            }),
+        ];
+        for (what, tables, spoil) in images {
+            let stripe = PMemBuilder::new().len(REGION_LEN).build_striped(2);
+            let store = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
+            if tables {
+                KvServeFunction::format(store, 4).unwrap();
+            }
+            spoil(stripe.region(1), word);
+            let reads = stripe.region(1).stats().snapshot().reads;
+            match KvServeFunction::open(stripe.regions(), KvVariant::Nsrl) {
+                Ok(exec) => assert_eq!((what, exec.tables()[1].capacity()), ("nothing", 4)),
+                Err(e) => {
+                    assert!(matches!(e, PError::CorruptStack(_) | PError::Mem(_)));
+                    assert!(!e.is_crash() && what != "nothing", "{what}: {e}");
+                    // Refused at the header: no slot of it was scanned.
+                    let scanned = stripe.region(1).stats().snapshot().reads - reads;
+                    assert!(scanned < 64, "{what}: {scanned} reads");
+                }
+            }
+        }
     }
 
     fn registry_of(f: Arc<dyn RecoverableFunction>, id: u64) -> FunctionRegistry {
@@ -903,7 +884,7 @@ mod tests {
             KvTaskOp::Delete { key: 7 },
         ];
         let (pmem, heap, exec) = fixture(&ops);
-        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        let registry = exec.registry().unwrap();
         let one = |slot: u32| KvServeFunction::window_args(0, false, &[slot]);
         on_stack(&pmem, &heap, &registry, true, |ctx| {
             // A single op is a window of one.
@@ -932,7 +913,7 @@ mod tests {
     fn sharded_task_function_runs_and_replays_per_shard() {
         let ops = puts(0..12, |key| key as i64 * 10);
         let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2, true);
-        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        let registry = exec.registry().unwrap();
         on_stack(&main, &heap, &registry, true, |ctx| {
             for task in exec.pending_tasks(1).unwrap() {
                 ctx.call(KV_SERVE_FUNC_ID, &task.args).unwrap();
@@ -995,7 +976,7 @@ mod tests {
     fn batch_window_group_commits_and_answers_in_one_pass() {
         let ops = puts(0..16, |key| key as i64 + 1);
         let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2, false);
-        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        let registry = exec.registry().unwrap();
         on_stack(&main, &heap, &registry, true, |ctx| {
             // One window per shard covering the whole table.
             for (s, table) in exec.tables().iter().enumerate() {
@@ -1024,7 +1005,7 @@ mod tests {
         let ops = puts(0..24, |key| key as i64 + 1);
         let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2, false);
         let exec = exec.with_mutators(4);
-        let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+        let registry = exec.registry().unwrap();
         on_stack(&main, &heap, &registry, true, |ctx| {
             for (s, table) in exec.tables().iter().enumerate() {
                 ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, s)).unwrap();
@@ -1055,7 +1036,7 @@ mod tests {
         let run = |k: Option<u64>| {
             let (stripe, main, heap, exec) = sharded_fixture(ops, 2, eager);
             let args = whole_table(&exec, shard);
-            let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+            let registry = exec.registry().unwrap();
             let e0 = stripe.region(shard).events();
             if let Some(k) = k {
                 stripe
@@ -1066,19 +1047,19 @@ mod tests {
                 ctx.call(KV_SERVE_FUNC_ID, &args)
             });
             let events = stripe.region(shard).events() - e0;
-            (stripe, main, exec, args, outcome, events)
+            (stripe, main, args, outcome, events)
         };
         let (.., outcome, total) = run(None);
         outcome.unwrap();
         assert!(total >= 2, "store op + answer persist in the shard region");
 
         for k in 0..total {
-            let (stripe, main, exec, args, outcome, _) = run(Some(k));
+            let (stripe, main, args, outcome, _) = run(Some(k));
             assert!(outcome.unwrap_err().is_crash(), "crash at shard event {k}");
             // Whole-system failure, then the recovery boot.
             stripe.crash_all(7, 0.0);
             main.crash_now(7, 0.0);
-            let (main2, heap2, exec2) = reopen_sharded(&stripe, &main, &exec);
+            let (main2, heap2, exec2) = reopen_sharded(&stripe, &main);
             let registry2 = FunctionRegistry::new();
             on_stack(&main2, &heap2, &registry2, false, |ctx| {
                 exec2.recover(ctx, &args).unwrap();
@@ -1306,7 +1287,7 @@ mod tests {
         let args = KvServeFunction::window_args(0, false, &[0]);
         let run = |k: Option<u64>| {
             let (pmem, heap, exec) = fixture(&[KvTaskOp::Put { key: 3, value: 33 }]);
-            let registry = registry_of(exec.clone().into_arc(), KV_SERVE_FUNC_ID);
+            let registry = exec.registry().unwrap();
             // The stack is formatted before the kill is armed: the sweep
             // covers the call, not the fixture.
             let (outcome, events) = on_stack(&pmem, &heap, &registry, true, |ctx| {
@@ -1334,10 +1315,8 @@ mod tests {
             let t2 = KvRequestTable::open(pmem2.clone(), exec.tables()[0].base()).unwrap();
             let sharded2 =
                 ShardedKvStore::from_parts(vec![store2.clone()], vec![heap2.clone()]).unwrap();
-            let registry2 = registry_of(
-                KvServeFunction::new(sharded2, vec![t2.clone()]).into_arc(),
-                KV_SERVE_FUNC_ID,
-            );
+            let exec2 = KvServeFunction::new(sharded2, vec![t2.clone()]);
+            let registry2 = exec2.registry().unwrap();
             on_stack(&pmem2, &heap2, &registry2, false, |ctx| {
                 pstack_core::recover_stack(ctx).unwrap();
             });

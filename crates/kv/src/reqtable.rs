@@ -244,7 +244,8 @@ impl KvRequestTable {
     ///
     /// # Errors
     ///
-    /// [`PError::CorruptStack`] on a bad magic word, NVRAM errors.
+    /// [`PError::CorruptStack`] on a bad magic word or a capacity that
+    /// overruns the region (nothing is scanned then), NVRAM errors.
     pub fn open(pmem: PMem, base: POffset) -> Result<Self, PError> {
         let magic = pmem.read_u64(base)?;
         if magic != TABLE_MAGIC {
@@ -253,7 +254,9 @@ impl KvRequestTable {
             )));
         }
         let capacity = u32::try_from(pmem.read_u64(base + 8u64)?)
-            .map_err(|_| PError::CorruptStack("request-table capacity overflow".into()))?;
+            .ok()
+            .filter(|&c| base.get() + Self::required_len(c) as u64 <= pmem.len() as u64)
+            .ok_or_else(|| PError::CorruptStack("request table overruns its region".into()))?;
         let mut idx = ReqIndex::default();
         for slot in (0..capacity).rev() {
             let e = Self::slot_off(base, slot);

@@ -39,13 +39,16 @@ use crate::store::{
 const SHARD_MAGIC: u64 = 0x5053_4B56_5348_4431; // "PSKVSHD1"
 
 /// Bytes reserved at the start of each shard region for the shard root
-/// (magic, shard index, shard count, store base).
+/// (magic, shard index, shard count, store base, request-table base).
 const SHARD_ROOT_LEN: u64 = 64;
 
 const ROOT_OFF_MAGIC: u64 = 0;
 const ROOT_OFF_SHARD: u64 = 8;
 const ROOT_OFF_NSHARDS: u64 = 16;
 const ROOT_OFF_STORE: u64 = 24;
+/// The serving layer's word: the base of the shard's request table, 0
+/// while none was formatted ([`ShardedKvStore::persist_table_root`]).
+pub(crate) const ROOT_OFF_TABLE: u64 = 48;
 
 /// The shard router: which of `nshards` shards owns `key`.
 ///
@@ -87,6 +90,9 @@ pub fn shard_of(key: u64, nshards: usize) -> usize {
 pub struct ShardedKvStore {
     shards: Vec<PKvStore>,
     heaps: Vec<PHeap>,
+    /// `false` for [`ShardedKvStore::from_parts`]: no shard root at
+    /// offset 0 of the regions.
+    rooted: bool,
 }
 
 impl ShardedKvStore {
@@ -129,7 +135,11 @@ impl ShardedKvStore {
             shards.push(store);
             heaps.push(heap);
         }
-        Ok(ShardedKvStore { shards, heaps })
+        Ok(ShardedKvStore {
+            shards,
+            heaps,
+            rooted: true,
+        })
     }
 
     /// Re-attaches to a sharded store previously formatted over these
@@ -163,7 +173,11 @@ impl ShardedKvStore {
             heaps.push(PHeap::open(pmem.clone(), POffset::new(SHARD_ROOT_LEN))?);
             shards.push(PKvStore::open(pmem.clone(), store_base, variant)?);
         }
-        Ok(ShardedKvStore { shards, heaps })
+        Ok(ShardedKvStore {
+            shards,
+            heaps,
+            rooted: true,
+        })
     }
 
     /// Wraps stores that are already attached — `shards[i]` allocated
@@ -185,7 +199,11 @@ impl ShardedKvStore {
         }
         let regions: Vec<PMem> = heaps.iter().map(|h| h.pmem().clone()).collect();
         Self::check_regions(&regions)?;
-        Ok(ShardedKvStore { shards, heaps })
+        Ok(ShardedKvStore {
+            shards,
+            heaps,
+            rooted: false,
+        })
     }
 
     fn check_regions(regions: &[PMem]) -> Result<(), PError> {
@@ -234,6 +252,37 @@ impl ShardedKvStore {
     #[must_use]
     pub fn heap(&self, i: usize) -> &PHeap {
         &self.heaps[i]
+    }
+
+    /// Persists `base` as shard `i`'s request-table base in the shard
+    /// root, so [`ShardedKvStore::table_root`] finds the table again
+    /// after a restart. A store wrapped by
+    /// [`ShardedKvStore::from_parts`] has no shard root (offset 0 of
+    /// its region belongs to another layout): nothing is written, its
+    /// caller keeps its own root record.
+    pub(crate) fn persist_table_root(&self, i: usize, base: POffset) -> Result<(), PError> {
+        if !self.rooted {
+            return Ok(());
+        }
+        let (pmem, root) = (self.heaps[i].pmem(), POffset::new(ROOT_OFF_TABLE));
+        pmem.write_u64(root, base.get())?;
+        if !pmem.is_eager_flush() {
+            pmem.flush(root, 8)?;
+        }
+        Ok(())
+    }
+
+    /// Shard `i`'s request-table base as its shard root records it.
+    pub(crate) fn table_root(&self, i: usize) -> Result<POffset, PError> {
+        match self.heaps[i]
+            .pmem()
+            .read_u64(POffset::new(ROOT_OFF_TABLE))?
+        {
+            0 => Err(PError::CorruptStack(format!(
+                "shard {i}'s root names no request table"
+            ))),
+            base => Ok(POffset::new(base)),
+        }
     }
 
     /// `true` if the shards run the eager (per-op durability) mode.

@@ -11,12 +11,9 @@
 
 use std::time::Duration;
 
-use pstack_core::{FunctionRegistry, RuntimeConfig, StripedRuntime};
+use pstack_core::{RuntimeConfig, StripedRuntime};
 use pstack_heap::PHeap;
-use pstack_kv::{
-    KvBatchOp, KvRequestTable, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore,
-    KV_SERVE_FUNC_ID,
-};
+use pstack_kv::{KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore};
 use pstack_nvram::{PMem, PMemBuilder, POffset};
 
 const LEN: usize = 1 << 19;
@@ -149,9 +146,9 @@ fn a_preloaded_window_is_eight_persists_and_its_replay_none_on_the_shard() {
     let ops: Vec<KvTaskOp> = (0..16).map(|key| KvTaskOp::Put { key, value: 1 }).collect();
 
     // Preloading n mutations is one persist on top of formatting the
-    // table they go into.
+    // table they go into (and recording its base in the shard root).
     let t0 = shard.stats().snapshot();
-    KvRequestTable::format(shard.clone(), store.heap(0), ops.len() as u32).unwrap();
+    KvServeFunction::format(store.clone(), ops.len() as u32).unwrap();
     let format_only = shard.stats().snapshot() - t0;
     let t1 = shard.stats().snapshot();
     let exec = KvServeFunction::preload(store, &ops).unwrap();
@@ -163,16 +160,12 @@ fn a_preloaded_window_is_eight_persists_and_its_replay_none_on_the_shard() {
         "sixteen descriptors, one coalesced persist"
     );
 
-    let mut registry = FunctionRegistry::new();
-    registry
-        .register(KV_SERVE_FUNC_ID, exec.clone().into_arc())
-        .unwrap();
     let control = PMemBuilder::new().len(1 << 18).build_in_memory();
     let rt = StripedRuntime::format(
         control.clone(),
         stripe.clone(),
         RuntimeConfig::new(1).stack_capacity(4 * 1024),
-        &registry,
+        &exec.registry().unwrap(),
     )
     .unwrap();
     let run = |tasks| {

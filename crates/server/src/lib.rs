@@ -16,13 +16,19 @@
 //!   persist nothing; descriptors persist once per drain);
 //! * [`AdmissionQueue`]-fed group-commit batch windows per shard, with
 //!   explicit `Overloaded` shedding (never a silent drop);
+//! * [`serve_round`] — the program's one serving round: admit, drain,
+//!   run the windows **on the persistent stack**, answer. Campaign,
+//!   fixtures and socket listener all run it; a power failure anywhere
+//!   in it is one outcome, the whole system down;
 //! * [`ClientSim`] — closed-loop zipfian clients with timeouts and
 //!   exponential-backoff-with-jitter retries, honouring the contract
 //!   that makes answer-slot recycling safe (never retry after ack);
 //! * [`Clock`] / [`VirtualClock`] — time as a capability, so the whole
 //!   retry/timeout schedule is reproducible by seed;
 //! * [`transport`] — a portable in-process channel hub and a
-//!   `cfg(unix)` unix-socket listener, both speaking the same frames.
+//!   `cfg(unix)` unix-socket listener, both speaking the same frames;
+//!   the listener's one serving thread owns the runtime, and a power
+//!   failure closes its connections and is reported by its handle.
 //!
 //! The proof of robustness lives in `pstack-chaos::run_server_campaign`:
 //! power failures under live load, with clients observing only
@@ -45,5 +51,5 @@ pub use proto::{
 // The window executor lives beside the table it executes
 // (`pstack-kv`); re-exported because serving is where it is used.
 pub use pstack_kv::{KvServeFunction, KV_SERVE_FUNC_ID};
-pub use server::{ServerCore, Submission, ADMISSION_EXECUTOR};
+pub use server::{serve_round, ServerCore, Submission, ADMISSION_EXECUTOR};
 pub use transport::{ChannelConn, ChannelHub};

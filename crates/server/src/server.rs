@@ -39,7 +39,7 @@
 //! | request | persist | where | round-trips |
 //! |---|---|---|---|
 //! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard |
-//! | mutation | descriptor | [`ServerCore::drain_tasks`] / [`ServerCore::pump_direct`], one coalesced flight per drained window, all shards overlapped | 1 per **drain** |
+//! | mutation | descriptor | the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained window, all shards overlapped | 1 per **drain** |
 //! | | window frame | the persistent stack: `CALL` (frame + slot clear + marker flip) and `RET` (unit return + pop flip), one line-atomic persist each | 2 per window (3 past two slots, when the frame outgrows the dummy frame's line) |
 //! | | group commit | records, log tail, heads, epoch | 4 per window |
 //! | | answer | [`KvRequestTable::mark_done_batch`], payload + flag in one line-atomic persist | 1 per window |
@@ -94,11 +94,11 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use pstack_core::{Admission, AdmissionQueue, PError, Task};
+use pstack_core::{Admission, AdmissionQueue, PError, StripedRuntime, Task};
 use pstack_kv::{
     KvServeFunction, KvTaskAnswer, KvTaskOp, KvTaskResult, ReqSubmit, KV_SERVE_FUNC_ID,
 };
-use pstack_nvram::op_label;
+use pstack_nvram::{op_label, MemError};
 
 use crate::proto::{kind_of, Request, RequestBody, Response};
 
@@ -126,14 +126,12 @@ pub enum Submission {
     Stale,
 }
 
-/// One drained batch window, in [`KvServeFunction::execute_windows`]'s
-/// shape: `(shard, recovery, slots)`.
-type Window = (u32, bool, Vec<u32>);
-
 /// One queued request, with the execution mode it must use.
 #[derive(Debug, Clone, Copy)]
 struct WindowEntry {
     req_id: u64,
+    /// The op's wire kind, echoed in the `Done` its window produces.
+    kind: u8,
     slot: u32,
     /// `true` if this entry *might* have executed before (a retry of a
     /// pending slot) — it and its whole window must run through the
@@ -253,6 +251,7 @@ impl ServerCore {
         }
         match sq.queue.offer(WindowEntry {
             req_id,
+            kind: kind_of(op),
             slot,
             recovery,
         }) {
@@ -285,14 +284,18 @@ impl ServerCore {
         Ok(false)
     }
 
+    /// Admitted requests still waiting for a window.
+    pub(crate) fn backlog(&self) -> usize {
+        self.shards.iter().map(|s| s.queue.depth()).sum()
+    }
+
     /// Drains each shard's queue into at most one batch window and
     /// **persists the drained descriptors**: one coalesced asynchronous
     /// flight per window over its slot lines, issued for all shards
     /// back to back and all awaited before any window is handed out —
     /// about one device round-trip per drain, whatever the number of
-    /// requests. Returns the `(shard, recovery, slots)` windows plus
-    /// the request ids they will answer; the caller decides how to
-    /// execute them (directly, or as runtime tasks).
+    /// requests. Returns one persistent-stack task per window plus the
+    /// request id and the kind of every entry they will answer.
     ///
     /// The invariant: *a descriptor is durable before the window that
     /// names its slot executes*. A persist that fails is its region's
@@ -306,17 +309,15 @@ impl ServerCore {
     /// slot that holds no request, and a recycled slot shows its old
     /// occupant's answer and is only re-collected — a replay never
     /// executes on behalf of a descriptor that was lost. The clients'
-    /// retries then find no descriptor and are `Fresh`. The first
-    /// failure is returned alongside for [`ServerCore::pump_direct`],
-    /// which executes nothing after it.
+    /// retries then find no descriptor and are `Fresh`.
     ///
     /// # Panics
     ///
     /// Panics if a queue lock is poisoned.
-    fn drain(&self) -> (Vec<Window>, Vec<u64>, Option<PError>) {
+    fn drain(&self) -> (Vec<Task>, Vec<u64>, Vec<u8>) {
         let _label = op_label("server.drain");
-        let mut windows = Vec::new();
-        let mut req_ids = Vec::new();
+        let mut windows = Vec::new(); // (shard, recovery, slots)
+        let (mut req_ids, mut kinds) = (Vec::new(), Vec::new());
         for (shard, sq) in self.shards.iter().enumerate() {
             let entries = sq.queue.drain_window(self.batch);
             if entries.is_empty() {
@@ -329,54 +330,41 @@ impl ServerCore {
             let recovery = entries.iter().any(|e| e.recovery);
             let slots: Vec<u32> = entries.iter().map(|e| e.slot).collect();
             req_ids.extend(entries.iter().map(|e| e.req_id));
-            windows.push((shard as u32, recovery, slots));
+            kinds.extend(entries.iter().map(|e| e.kind));
+            windows.push((shard, recovery, slots));
         }
         // Every slot a window names, retried entries' too: a line that
         // is already durable costs nothing, and the invariant then needs
         // no argument about who persisted what before.
-        let table_of = |shard: u32| &self.exec.tables()[shard as usize];
-        let issued: Vec<_> = windows
-            .into_iter()
-            .map(|window| {
-                let flight = table_of(window.0).persist_slots_issue(&window.2);
-                (window, flight)
+        let tables = self.exec.tables();
+        let flights: Vec<_> = windows
+            .iter()
+            .map(|(shard, _, slots)| tables[*shard].persist_slots_issue(slots))
+            .collect();
+        for ((shard, ..), flight) in windows.iter().zip(flights) {
+            // A failure shows in the run that follows (see above).
+            let _ = flight.and_then(|ticket| tables[*shard].persist_slots_await(&ticket));
+        }
+        let tasks = windows
+            .iter()
+            .map(|(shard, recovery, slots)| {
+                let args = KvServeFunction::window_args(*shard as u32, *recovery, slots);
+                Task::new(KV_SERVE_FUNC_ID, args)
             })
             .collect();
-        let mut failed = None;
-        let windows = issued
-            .into_iter()
-            .map(|(window, flight)| {
-                let table = table_of(window.0);
-                if let Err(e) = flight.and_then(|ticket| table.persist_slots_await(&ticket)) {
-                    failed.get_or_insert(e);
-                }
-                window
-            })
-            .collect();
-        (windows, req_ids, failed)
+        (tasks, req_ids, kinds)
     }
 
-    /// Drains the queues into persistent-stack tasks (one batch window
-    /// per non-idle shard) for `StripedRuntime::run_tasks`, plus the
-    /// request ids the drained entries asked about. Every task's
-    /// descriptors are durable when this returns, or their region is
-    /// dead and the task trips the system at its first access — a power
-    /// failure met while persisting shows as a crashed run. After the
-    /// run, collect the durable answers for the ids with
+    /// The drain as a step of its own, for a caller that arms events or
+    /// takes measurements between the steps of [`serve_round`]: the
+    /// windows as tasks for `StripedRuntime::run_tasks`, plus the
+    /// request ids the drained entries asked about. After the run,
+    /// collect the durable answers for the ids with
     /// [`ServerCore::answers_for`] (a crashed run simply leaves some
     /// pending — their clients retry).
     #[must_use]
     pub fn drain_tasks(&self) -> (Vec<Task>, Vec<u64>) {
-        let (windows, req_ids, _) = self.drain();
-        let tasks = windows
-            .iter()
-            .map(|(shard, recovery, slots)| {
-                Task::new(
-                    KV_SERVE_FUNC_ID,
-                    KvServeFunction::window_args(*shard, *recovery, slots),
-                )
-            })
-            .collect();
+        let (tasks, req_ids, _) = self.drain();
         (tasks, req_ids)
     }
 
@@ -400,131 +388,163 @@ impl ServerCore {
         }
         Ok(out)
     }
+}
 
-    /// Executes one round of batch windows directly (no runtime): the
-    /// transport servers' pump. Returns the newly durable `(req_id,
-    /// answer)` pairs, ready to send.
-    ///
-    /// # Errors
-    ///
-    /// Propagated store/table/NVRAM errors.
-    pub fn pump_direct(&self, executor: u32) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let (windows, _, failed) = self.drain();
-        if let Some(power_failure) = failed {
-            return Err(power_failure);
+/// One serving round, the program's own and its only one: admit
+/// `requests` (submit or ack, each answered on the spot unless it takes
+/// a seat in a window), drain, run the drained windows **on the
+/// persistent stack** ([`StripedRuntime::run_tasks`] — cross-shard
+/// flight overlap comes from its workers; nothing executes a window
+/// without a frame), and collect their durable answers. The serving
+/// campaign, the test fixtures and the unix-socket listener all call
+/// it. Returns the responses to send — the
+/// admission-time ones in request order, then one `Done` per drained
+/// entry in execution order (entries admitted by an earlier round and
+/// left over by its `batch` bound among them; `Retry` for an entry
+/// whose window erred) — each `Done` echoing its op's kind from the
+/// admission queue, not from a caller's map.
+///
+/// # Errors
+///
+/// A power failure, wherever the round met it — under a staged
+/// descriptor or an ack on the admission path, inside a window, under
+/// the answer lookup — is one outcome: a crash error
+/// ([`PError::is_crash`]) returned with **every region down**, ready
+/// for `reopen_all_with`. Any other error is propagated as it is.
+pub fn serve_round(
+    core: &ServerCore,
+    rt: &StripedRuntime,
+    requests: &[Request],
+) -> Result<Vec<Response>, PError> {
+    round(core, rt, requests).inspect_err(|e| {
+        if e.is_crash() {
+            rt.crash_all(0, 0.0);
         }
-        // One call for the whole round: the shards' flush flights
-        // overlap across regions.
-        self.exec.execute_windows(&windows, executor)
-    }
+    })
+}
 
-    /// Fully serves one request synchronously: admit, pump until its
-    /// answer is durable, respond. The blocking transports use this;
-    /// the campaign drives admission and windows separately.
-    ///
-    /// # Errors
-    ///
-    /// Propagated store/table/NVRAM errors.
-    pub fn handle_sync(&self, req: &Request, executor: u32) -> Result<Response, PError> {
-        let req_id = req.req_id;
-        match req.body {
+/// [`serve_round`], up to what it does about a power failure.
+fn round(
+    core: &ServerCore,
+    rt: &StripedRuntime,
+    requests: &[Request],
+) -> Result<Vec<Response>, PError> {
+    let mut responses = Vec::with_capacity(requests.len());
+    for &Request { req_id, body } in requests {
+        let op = match body {
+            RequestBody::Op(op) => op,
             RequestBody::Ack => {
-                self.ack(req_id)?;
-                Ok(Response::AckOk { req_id })
+                core.ack(req_id)?;
+                responses.push(Response::AckOk { req_id });
+                continue;
             }
-            RequestBody::Op(op) => match self.submit(req_id, op)? {
-                Submission::Overloaded => Ok(Response::Overloaded { req_id }),
-                Submission::Stale => Ok(Response::Stale { req_id }),
-                Submission::Answered(answer) => Ok(Response::Done {
-                    req_id,
-                    kind: kind_of(op),
-                    answer,
-                }),
-                Submission::Queued => {
-                    loop {
-                        let done = self.pump_direct(executor)?;
-                        if let Some(&(_, answer)) = done.iter().find(|&&(id, _)| id == req_id) {
-                            return Ok(Response::Done {
-                                req_id,
-                                kind: kind_of(op),
-                                answer,
-                            });
-                        }
-                        if done.is_empty() {
-                            // Queues drained without answering us — the
-                            // request is pending but unqueued (sheds
-                            // raced us). Ask the client to come back.
-                            return Ok(Response::Retry { req_id });
-                        }
-                    }
-                }
-            },
+        };
+        let kind = kind_of(op);
+        match core.submit(req_id, op)? {
+            Submission::Queued => {}
+            Submission::Overloaded => responses.push(Response::Overloaded { req_id }),
+            Submission::Stale => responses.push(Response::Stale { req_id }),
+            Submission::Answered(answer) => responses.push(Response::Done {
+                req_id,
+                kind,
+                answer,
+            }),
         }
     }
+    let (tasks, ids, kinds) = core.drain();
+    if tasks.is_empty() {
+        return Ok(responses);
+    }
+    if rt.run_tasks(tasks).crashed {
+        return Err(PError::Mem(MemError::Crashed));
+    }
+    let answers = core.answers_for(&ids)?.into_iter().zip(kinds);
+    responses.extend(answers.map(|((req_id, answer), kind)| match answer {
+        Some(answer) => Response::Done {
+            req_id,
+            kind,
+            answer,
+        },
+        None => Response::Retry { req_id },
+    }));
+    Ok(responses)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_kv::{KvRequestTable, KvVariant, ShardedKvStore};
-    use pstack_nvram::{PMem, PMemBuilder};
-    use pstack_verify::KvSpec;
+    use pstack_core::RuntimeConfig;
+    use pstack_kv::{KvVariant, ShardedKvStore};
+    use pstack_nvram::PMemBuilder;
 
     use crate::proto::req_id_for;
 
-    fn fixture(nshards: usize, table_cap: u32) -> (Vec<PMem>, KvServeFunction) {
-        let regions: Vec<PMem> = (0..nshards)
-            .map(|_| {
-                PMemBuilder::new()
-                    .len(1 << 21)
-                    .eager_flush(true)
-                    .build_in_memory()
-            })
-            .collect();
-        let store = ShardedKvStore::format(&regions, 64, 4096, KvVariant::Nsrl).unwrap();
-        let tables: Vec<KvRequestTable> = (0..nshards)
-            .map(|s| KvRequestTable::format(regions[s].clone(), store.heap(s), table_cap).unwrap())
-            .collect();
-        (regions, KvServeFunction::new(store, tables))
+    /// Eager shard regions with a `table_cap`-slot table each, and the
+    /// one-worker runtime whose persistent stack every window runs on.
+    fn fixture(nshards: usize, table_cap: u32) -> (StripedRuntime, KvServeFunction) {
+        let eager = || PMemBuilder::new().len(1 << 21).eager_flush(true);
+        let stripe = eager().build_striped(nshards);
+        let store = ShardedKvStore::format(stripe.regions(), 64, 4096, KvVariant::Nsrl).unwrap();
+        let exec = KvServeFunction::format(store, table_cap).unwrap();
+        let rt = StripedRuntime::format(
+            eager().build_in_memory(),
+            stripe,
+            RuntimeConfig::new(1).stack_capacity(4096),
+            &exec.registry().unwrap(),
+        )
+        .unwrap();
+        (rt, exec)
+    }
+
+    fn op(req_id: u64, op: KvTaskOp) -> Request {
+        let body = RequestBody::Op(op);
+        Request { req_id, body }
+    }
+
+    /// The `(req_id, result)` of every `Done` a round produced.
+    fn served(
+        core: &ServerCore,
+        rt: &StripedRuntime,
+        reqs: &[Request],
+    ) -> Vec<(u64, KvTaskResult)> {
+        let done = |resp| match resp {
+            Response::Done { req_id, answer, .. } => Some((req_id, answer.result)),
+            _ => None,
+        };
+        let responses = serve_round(core, rt, reqs).unwrap();
+        responses.into_iter().filter_map(done).collect()
+    }
+
+    fn records_of(store: &ShardedKvStore, key: u64) -> usize {
+        let chains = store.snapshot_sharded().unwrap().into_iter().flatten();
+        chains.flatten().filter(|r| r.key == key).count()
     }
 
     #[test]
     fn serve_put_get_exactly_once_with_retries() {
-        let (_regions, exec) = fixture(2, 16);
+        let (rt, exec) = fixture(2, 16);
         let core = ServerCore::new(exec, 32, 8);
 
-        let put = req_id_for(1, 1);
-        assert_eq!(
-            core.submit(put, KvTaskOp::Put { key: 10, value: 42 })
-                .unwrap(),
-            Submission::Queued
-        );
         // A duplicate delivery before the window runs occupies no
-        // second queue slot.
+        // second queue slot: one window, one answer.
+        let put = op(req_id_for(1, 1), KvTaskOp::Put { key: 10, value: 42 });
         assert_eq!(
-            core.submit(put, KvTaskOp::Put { key: 10, value: 42 })
-                .unwrap(),
-            Submission::Queued
+            served(&core, &rt, &[put, put]),
+            [(put.req_id, KvTaskResult::Stored(true))]
         );
-        let done = core.pump_direct(9).unwrap();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].0, put);
-        assert_eq!(done[0].1.result, KvTaskResult::Stored(true));
-
         // A retry after completion replays the durable answer.
-        let Submission::Answered(a) = core
-            .submit(put, KvTaskOp::Put { key: 10, value: 42 })
-            .unwrap()
-        else {
-            panic!("retry must dedup")
-        };
-        assert_eq!(a.result, KvTaskResult::Stored(true));
+        assert_eq!(
+            served(&core, &rt, &[put]),
+            [(put.req_id, KvTaskResult::Stored(true))]
+        );
+        assert_eq!(core.admitted(), 1, "the retry took no queue seat");
 
         // The effect happened exactly once: one version record for the
         // key, and a get through the served path observes it — answered
         // at admission, with no slot, no queue seat and no window.
         let get = req_id_for(1, 2);
-        let live = core.exec().tables().iter().map(|t| t.live()).sum::<u64>();
+        let live = || core.exec().tables().iter().map(|t| t.live()).sum::<u64>();
+        let before = live();
         assert_eq!(
             core.submit(get, KvTaskOp::Get { key: 10 }).unwrap(),
             Submission::Answered(KvTaskAnswer {
@@ -532,43 +552,29 @@ mod tests {
                 result: KvTaskResult::Got(Some(42)),
             })
         );
-        assert_eq!(
-            core.exec().tables().iter().map(|t| t.live()).sum::<u64>(),
-            live,
-            "a read claims no slot"
-        );
+        assert_eq!(live(), before, "a read claims no slot");
         assert!(core.drain_tasks().0.is_empty(), "a read enters no window");
-        assert!(core.ack(put).unwrap());
+        assert!(core.ack(put.req_id).unwrap());
         assert!(!core.ack(get).unwrap(), "a read left no slot to mark");
         assert!(!core.ack(req_id_for(5, 5)).unwrap(), "unknown ids refuse");
-        let mut spec = KvSpec::new();
-        spec.put(10, 42);
-        let served: std::collections::HashMap<u64, i64> = core
-            .exec()
-            .store()
-            .contents()
-            .unwrap()
-            .into_iter()
-            .collect();
-        assert_eq!(served, *spec.contents());
+        let contents = core.exec().store().contents().unwrap();
+        assert_eq!(contents.into_iter().collect::<Vec<_>>(), [(10, 42)]);
+        assert_eq!(records_of(core.exec().store(), 10), 1);
     }
 
     #[test]
     fn retry_of_pending_slot_runs_recovery_dual_no_double_effect() {
-        let (_regions, exec) = fixture(1, 16);
+        let (rt, exec) = fixture(1, 16);
         let core = ServerCore::new(exec.clone(), 32, 8);
-        let req = req_id_for(2, 1);
-        core.submit(req, KvTaskOp::Put { key: 3, value: 1 })
-            .unwrap();
-        let done = core.pump_direct(1).unwrap();
-        assert_eq!(done.len(), 1);
+        let req = op(req_id_for(2, 1), KvTaskOp::Put { key: 3, value: 1 });
+        assert_eq!(served(&core, &rt, &[req]).len(), 1);
 
         // Simulate "executed but the client never heard": rebuild the
         // front end (volatile queues lost), client retries. The slot is
         // done, so the answer replays without touching the store.
         let core2 = ServerCore::new(exec.clone(), 32, 8);
         let Submission::Answered(a) = core2
-            .submit(req, KvTaskOp::Put { key: 3, value: 1 })
+            .submit(req.req_id, KvTaskOp::Put { key: 3, value: 1 })
             .unwrap()
         else {
             panic!("durable answer survives front-end loss")
@@ -578,34 +584,62 @@ mod tests {
         // Now the harder case: descriptor durable, execution never ran
         // (crash between admission and window). The retry re-enters as
         // a recovery entry and executes through the evidence scan.
-        let req2 = req_id_for(2, 2);
-        core2
-            .submit(req2, KvTaskOp::Put { key: 4, value: 9 })
-            .unwrap();
+        let put2 = KvTaskOp::Put { key: 4, value: 9 };
+        let req2 = op(req_id_for(2, 2), put2);
+        core2.submit(req2.req_id, put2).unwrap();
         let core3 = ServerCore::new(exec, 32, 8); // queues wiped again
         assert_eq!(
-            core3
-                .submit(req2, KvTaskOp::Put { key: 4, value: 9 })
-                .unwrap(),
-            Submission::Queued
+            served(&core3, &rt, &[req2]),
+            [(req2.req_id, KvTaskResult::Stored(true))]
         );
-        let done = core3.pump_direct(1).unwrap();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].1.result, KvTaskResult::Stored(true));
         // Exactly one record for key 4 despite two admissions.
-        let snapshot = core3.exec().store().snapshot_sharded().unwrap();
-        let records: usize = snapshot
-            .iter()
-            .flat_map(|buckets| buckets.iter())
-            .flat_map(|chain| chain.iter())
-            .filter(|r| r.key == 4)
-            .count();
-        assert_eq!(records, 1, "retry must not publish a second record");
+        assert_eq!(
+            records_of(core3.exec().store(), 4),
+            1,
+            "retry must not publish a second record"
+        );
+    }
+
+    #[test]
+    fn a_drained_retry_echoes_its_kind_after_a_front_end_rebuild() {
+        // The kind rides the admission-queue entry, so it is there for
+        // every `Done` a window produces — also when the entry is a
+        // retry admitted by a front end that never saw the first send,
+        // and when it was admitted by an earlier round than the one
+        // that drains it.
+        let (rt, exec) = fixture(1, 16);
+        let (cas, del) = (req_id_for(9, 1), req_id_for(9, 2));
+        let cas_op = KvTaskOp::Cas {
+            key: 8,
+            expected: 0,
+            new: 5,
+        };
+        let first = ServerCore::new(exec.clone(), 32, 1);
+        assert_eq!(first.submit(cas, cas_op).unwrap(), Submission::Queued);
+
+        let core = ServerCore::new(exec, 32, 1); // windows of one
+        let reqs = [op(cas, cas_op), op(del, KvTaskOp::Delete { key: 8 })];
+        let kinds = |responses: Vec<Response>| -> Vec<(u64, u8)> {
+            let kind = |resp| match resp {
+                Response::Done { req_id, kind, .. } => (req_id, kind),
+                other => panic!("{other:?}"),
+            };
+            responses.into_iter().map(kind).collect()
+        };
+        assert_eq!(
+            kinds(serve_round(&core, &rt, &reqs).unwrap()),
+            [(cas, kind_of(cas_op))]
+        );
+        assert_eq!(
+            kinds(serve_round(&core, &rt, &[]).unwrap()),
+            [(del, kind_of(KvTaskOp::Delete { key: 8 }))],
+            "left over by the batch bound, drained by a round that never saw its request"
+        );
     }
 
     #[test]
     fn overload_sheds_explicitly_and_recovers() {
-        let (_regions, exec) = fixture(1, 64);
+        let (rt, exec) = fixture(1, 64);
         let core = ServerCore::new(exec, 4, 4); // tiny queue
         let mut queued = 0u64;
         let mut shed = 0u64;
@@ -632,8 +666,8 @@ mod tests {
         // the four admitted requests hold one.
         assert_eq!(core.exec().tables()[0].live(), 4);
         assert!(!core.exec().tables()[0].contains(req_id_for(3, 5)));
-        // After a pump the shed requests' retries are admitted.
-        core.pump_direct(1).unwrap();
+        // After a round the shed requests' retries are admitted.
+        assert_eq!(served(&core, &rt, &[]).len(), 4);
         assert_eq!(
             core.submit(req_id_for(3, 5), KvTaskOp::Put { key: 5, value: 0 })
                 .unwrap(),
@@ -643,25 +677,23 @@ mod tests {
 
     #[test]
     fn table_full_maps_to_overloaded() {
-        let (_regions, exec) = fixture(1, 2); // two slots only
+        let (rt, exec) = fixture(1, 2); // two slots only
         let core = ServerCore::new(exec, 32, 8);
-        core.submit(req_id_for(4, 1), KvTaskOp::Put { key: 1, value: 1 })
-            .unwrap();
-        core.submit(req_id_for(4, 2), KvTaskOp::Put { key: 2, value: 2 })
-            .unwrap();
-        assert_eq!(
-            core.submit(req_id_for(4, 3), KvTaskOp::Put { key: 3, value: 3 })
-                .unwrap(),
-            Submission::Overloaded,
-            "no recyclable slot → shed"
-        );
+        let put = |seq: u32| {
+            let (key, value) = (u64::from(seq), i64::from(seq));
+            op(req_id_for(4, seq), KvTaskOp::Put { key, value })
+        };
+        // The third finds no recyclable slot and is shed; the two that
+        // hold one run.
+        let responses = serve_round(&core, &rt, &[put(1), put(2), put(3)]).unwrap();
+        let req_id = req_id_for(4, 3);
+        assert_eq!(responses[0], Response::Overloaded { req_id });
+        assert_eq!(responses.len(), 3);
         // Answer + ack one → a slot recycles → admission reopens.
-        core.pump_direct(1).unwrap();
         assert!(core.ack(req_id_for(4, 1)).unwrap());
         assert_eq!(
-            core.submit(req_id_for(4, 3), KvTaskOp::Put { key: 3, value: 3 })
-                .unwrap(),
-            Submission::Queued
+            served(&core, &rt, &[put(3)]),
+            [(req_id, KvTaskResult::Stored(true))]
         );
     }
 
@@ -669,7 +701,7 @@ mod tests {
     fn a_window_refuses_a_get_descriptor() {
         // Reads have one path — admission. A get descriptor can only
         // reach a window by a caller going around `ServerCore::submit`.
-        let (_regions, exec) = fixture(1, 4);
+        let (_rt, exec) = fixture(1, 4);
         let ReqSubmit::Fresh(slot) = exec.tables()[0]
             .submit(req_id_for(8, 1), KvTaskOp::Get { key: 1 })
             .unwrap()
@@ -683,37 +715,10 @@ mod tests {
     }
 
     #[test]
-    fn handle_sync_serves_the_wire_types() {
-        let (_regions, exec) = fixture(2, 16);
-        let core = ServerCore::new(exec, 32, 8);
-        let op = KvTaskOp::Cas {
-            key: 8,
-            expected: 0,
-            new: 5,
-        };
-        let req = Request {
-            req_id: req_id_for(6, 1),
-            body: RequestBody::Op(op),
-        };
-        let Response::Done { answer, .. } = core.handle_sync(&req, 2).unwrap() else {
-            panic!("cas on missing key still answers Done")
-        };
-        assert_eq!(answer.result, KvTaskResult::Swapped(false));
-        let ack = Request {
-            req_id: req.req_id,
-            body: RequestBody::Ack,
-        };
-        assert_eq!(
-            core.handle_sync(&ack, 2).unwrap(),
-            Response::AckOk { req_id: req.req_id }
-        );
-    }
-
-    #[test]
     fn window_task_replay_is_idempotent() {
         // The recover() path of the registered function re-executes a
         // window that already ran: answers must replay, not re-apply.
-        let (regions, exec) = fixture(1, 16);
+        let (rt, exec) = fixture(1, 16);
         let core = ServerCore::new(exec.clone(), 32, 8);
         let req = req_id_for(7, 1);
         core.submit(req, KvTaskOp::Put { key: 2, value: 3 })
@@ -732,13 +737,7 @@ mod tests {
             replay[0].1.executor, 1,
             "replay returns the original answer"
         );
-        let store = ShardedKvStore::open(&regions, KvVariant::Nsrl).unwrap();
-        let snapshot = store.snapshot_sharded().unwrap();
-        let records: usize = snapshot
-            .iter()
-            .flat_map(|b| b.iter())
-            .flat_map(|c| c.iter())
-            .count();
-        assert_eq!(records, 1);
+        let store = ShardedKvStore::open(rt.stripe().regions(), KvVariant::Nsrl).unwrap();
+        assert_eq!(records_of(&store, 2), 1);
     }
 }

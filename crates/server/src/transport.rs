@@ -148,27 +148,54 @@ impl ChannelConn {
     }
 }
 
-/// The unix-socket listener: real frames over `SOCK_STREAM`, one
-/// handler thread per connection, every request served synchronously
-/// through [`ServerCore::handle_sync`](crate::ServerCore::handle_sync).
+/// The unix-socket listener: real frames over `SOCK_STREAM`, served by
+/// [`serve_round`](crate::serve_round) — the same round, through the
+/// same persistent stack, as every campaign. Connection threads only
+/// move frames; one serving thread owns the runtime.
 #[cfg(unix)]
 pub mod unix {
+    use std::collections::HashMap;
     use std::io;
+    use std::net::Shutdown;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Arc, Mutex};
     use std::thread::JoinHandle;
 
-    use crate::proto::{decode_request, encode_response, read_frame, write_frame, Response};
-    use crate::server::ServerCore;
+    use pstack_core::{PError, StripedRuntime};
+
+    use crate::proto::Request;
+    use crate::proto::{client_of, decode_request, encode_response, read_frame, write_frame};
+    use crate::server::{serve_round, ServerCore};
+
+    /// What the connection threads and the handle tell the serving
+    /// thread.
+    enum Msg {
+        Frame(Request, Arc<UnixStream>),
+        Hangup(Arc<UnixStream>),
+        Stop,
+    }
+
+    /// Every open connection while the server serves; `None` once it
+    /// has ended, and a connection that finds it so closes at once.
+    type Conns = Arc<Mutex<Option<Vec<Arc<UnixStream>>>>>;
+
+    /// Edits the open connections; `false` if the server has ended.
+    fn while_serving(conns: &Conns, edit: impl FnOnce(&mut Vec<Arc<UnixStream>>)) -> bool {
+        let mut live = conns.lock().expect("conns poisoned");
+        live.as_mut().map(edit).is_some()
+    }
 
     /// A listening server; drop or [`UnixServerHandle::stop`] to shut
     /// down.
     pub struct UnixServerHandle {
         path: PathBuf,
         stop: Arc<AtomicBool>,
+        inbox: Sender<Msg>,
         accept_thread: Option<JoinHandle<()>>,
+        serve_thread: Option<JoinHandle<Result<(), PError>>>,
     }
 
     impl UnixServerHandle {
@@ -178,76 +205,147 @@ pub mod unix {
             &self.path
         }
 
-        /// Stops accepting, unblocks the listener, and joins it.
-        pub fn stop(&mut self) {
-            if self.stop.swap(true, Ordering::SeqCst) {
-                return;
-            }
-            // Unblock accept() with a throwaway connection.
-            let _ = UnixStream::connect(&self.path);
+        /// Stops accepting and serving and joins both threads.
+        ///
+        /// # Errors
+        ///
+        /// What ended the serving thread before this call, if anything
+        /// did: a power failure ([`PError::is_crash`] — every region is
+        /// down and every connection was closed) or a serving error.
+        /// Reported once; a second call is `Ok`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the serving thread panicked.
+        pub fn stop(&mut self) -> Result<(), PError> {
+            let _ = self.inbox.send(Msg::Stop);
+            unblock_accept(&self.stop, &self.path);
             if let Some(t) = self.accept_thread.take() {
                 let _ = t.join();
             }
             let _ = std::fs::remove_file(&self.path);
+            let served = self.serve_thread.take().map(JoinHandle::join);
+            served.map_or(Ok(()), |joined| joined.expect("serving thread panicked"))
         }
     }
 
     impl Drop for UnixServerHandle {
         fn drop(&mut self) {
-            self.stop();
+            let _ = self.stop();
         }
     }
 
-    fn handle_conn(core: &ServerCore, mut stream: UnixStream) {
+    /// Ends the accept loop: the flag, then a throwaway connection to
+    /// get `accept()` to look at it.
+    fn unblock_accept(stop: &AtomicBool, path: &Path) {
+        if !stop.swap(true, Ordering::SeqCst) {
+            let _ = UnixStream::connect(path);
+        }
+    }
+
+    /// A connection's thread: frames in, nothing else. Ends with the
+    /// connection (EOF, a torn or corrupt frame) or with the server.
+    fn pump_frames(stream: UnixStream, inbox: &Sender<Msg>, conns: &Conns) {
+        let stream = Arc::new(stream);
+        let mut serving = while_serving(conns, |live| live.push(Arc::clone(&stream)));
+        while serving {
+            let Ok(Ok(req)) = read_frame(&mut &*stream).map(|frame| decode_request(&frame)) else {
+                break;
+            };
+            serving = inbox.send(Msg::Frame(req, Arc::clone(&stream))).is_ok();
+        }
+        let _ = stream.shutdown(Shutdown::Both);
+        while_serving(conns, |live| live.retain(|s| !Arc::ptr_eq(s, &stream)));
+        let _ = inbox.send(Msg::Hangup(stream));
+    }
+
+    /// The serving thread: every frame that has arrived is one round's
+    /// admissions; a response goes to the connection its client spoke
+    /// on last. Rounds go on without new frames while admitted requests
+    /// still wait for a window.
+    fn serve_rounds(
+        core: &ServerCore,
+        rt: &StripedRuntime,
+        inbox: &Receiver<Msg>,
+    ) -> Result<(), PError> {
+        let mut routes: HashMap<u32, Arc<UnixStream>> = HashMap::new();
         loop {
-            let frame = match read_frame(&mut stream) {
-                Ok(f) => f,
-                Err(_) => return, // EOF or torn connection: done
-            };
-            let Ok(req) = decode_request(&frame) else {
-                return; // corrupt peer: drop the connection
-            };
-            // A serving error is a Retry from the client's view — the
-            // request stays deduplicated for the retransmission.
-            let resp = core
-                .handle_sync(&req, 0)
-                .unwrap_or(Response::Retry { req_id: req.req_id });
-            if write_frame(&mut stream, &encode_response(&resp)).is_err() {
-                return;
+            let mut requests = Vec::new();
+            let waited = (core.backlog() == 0).then(|| inbox.recv().unwrap_or(Msg::Stop));
+            for msg in waited.into_iter().chain(inbox.try_iter()) {
+                match msg {
+                    Msg::Frame(req, stream) => {
+                        routes.insert(client_of(req.req_id), stream);
+                        requests.push(req);
+                    }
+                    Msg::Hangup(stream) => routes.retain(|_, s| !Arc::ptr_eq(s, &stream)),
+                    Msg::Stop => return Ok(()),
+                }
+            }
+            for resp in serve_round(core, rt, &requests)? {
+                let client = client_of(resp.req_id());
+                let sent = routes
+                    .get(&client)
+                    .map(|stream| write_frame(&mut &**stream, &encode_response(&resp)));
+                if matches!(sent, Some(Err(_))) {
+                    routes.remove(&client); // hung up: its retry re-routes
+                }
             }
         }
     }
 
-    /// Binds `path` and serves `core` until the handle stops. Each
-    /// connection gets its own handler thread; requests on one
-    /// connection are served in order.
+    /// Binds `path` and serves `core` over `rt` until the handle stops
+    /// or the power fails. Requests on one connection are served in
+    /// order; a power failure closes every connection (clients see EOF,
+    /// reconnect to the next boot and retransmit) and is reported by
+    /// [`UnixServerHandle::stop`].
     ///
     /// # Errors
     ///
     /// Propagated bind errors.
-    pub fn serve(path: impl AsRef<Path>, core: ServerCore) -> io::Result<UnixServerHandle> {
+    pub fn serve(
+        path: impl AsRef<Path>,
+        core: ServerCore,
+        rt: StripedRuntime,
+    ) -> io::Result<UnixServerHandle> {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
+        let (inbox, frames) = channel();
+        let conns: Conns = Arc::new(Mutex::new(Some(Vec::new())));
+
+        let (serve_stop, serve_path, serve_conns) =
+            (Arc::clone(&stop), path.clone(), conns.clone());
+        let serve_thread = std::thread::spawn(move || {
+            let served = serve_rounds(&core, &rt, &frames);
+            // Stopped, or the machine is down: so is every connection.
+            let live = serve_conns.lock().expect("conns poisoned").take();
+            for stream in live.into_iter().flatten() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            unblock_accept(&serve_stop, &serve_path);
+            served
+        });
+        let (accept_stop, accept_inbox) = (Arc::clone(&stop), inbox.clone());
         let accept_thread = std::thread::spawn(move || {
             for conn in listener.incoming() {
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = conn else { break };
-                let conn_core = core.clone();
-                // Detached: a handler lives exactly as long as its
-                // connection (EOF ends it) — joining here would block
-                // shutdown on clients that never hang up.
-                std::thread::spawn(move || handle_conn(&conn_core, stream));
+                let (inbox, conns) = (accept_inbox.clone(), conns.clone());
+                // Detached: it ends with its connection, which ends no
+                // later than the serving thread.
+                std::thread::spawn(move || pump_frames(stream, &inbox, &conns));
             }
         });
         Ok(UnixServerHandle {
             path,
             stop,
+            inbox,
             accept_thread: Some(accept_thread),
+            serve_thread: Some(serve_thread),
         })
     }
 }

@@ -238,21 +238,3 @@ fn a_lone_window_whose_descriptor_was_lost_still_surfaces_the_failure() {
     assert_eq!(answers[0].result, KvTaskResult::Stored(true));
     assert_eq!(s.records_of(req_id).len(), 1);
 }
-
-#[test]
-fn the_direct_pump_reports_a_failed_drain_persist() {
-    // `pump_direct` has an error channel: the power failure met while
-    // persisting the drained descriptors is returned, and nothing
-    // executes after it.
-    let s = primed();
-    let new = new_round(&s);
-    for &(req_id, op) in &new {
-        s.core.submit(req_id, op).unwrap();
-    }
-    s.region(1).arm_failpoint(FailPlan::after_events(0));
-    assert!(s.core.pump_direct(0).unwrap_err().is_crash());
-    let s = s.power_cycle();
-    assert!(new.iter().all(|&(id, _)| s.records_of(id).is_empty()));
-    assert!(s.serve(&new).is_some());
-    assert!(new.iter().all(|&(id, _)| s.records_of(id).len() == 1));
-}

@@ -7,16 +7,13 @@
 
 #![allow(dead_code)] // each test binary uses its own half
 
-use pstack_core::{FunctionRegistry, PError, RecoveryMode, RuntimeConfig, StripedRuntime};
+use pstack_core::{RecoveryMode, RuntimeConfig, StripedRuntime};
 use pstack_kv::{
     shard_of, KvRequestTable, KvTaskAnswer, KvTaskOp, KvVariant, ShardedKvStore, VersionRecord,
 };
-use pstack_nvram::{PMem, PMemBuilder, PMemStripe, POffset, StatsSnapshot};
-use pstack_server::{KvServeFunction, ServerCore, Submission, KV_SERVE_FUNC_ID};
-
-/// Where each shard region keeps its request table's base (the
-/// campaigns' and the benchmark's slot).
-const TABLE_ROOT: u64 = 48;
+use pstack_nvram::{PMem, PMemBuilder, StatsSnapshot};
+use pstack_server::proto::{Request, RequestBody, Response};
+use pstack_server::{serve_round, KvServeFunction, ServerCore};
 
 /// Front-end shape of a [`Stack`]: per-shard table slots, per-shard
 /// queue capacity, batch-window size.
@@ -34,21 +31,6 @@ pub struct Stack {
     pub core: ServerCore,
 }
 
-/// Re-attaches store, tables and serve function to (re)opened regions.
-fn attach(stripe: &PMemStripe) -> Result<(KvServeFunction, FunctionRegistry), PError> {
-    let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl)?;
-    let tables = (0..stripe.len())
-        .map(|s| {
-            let base = stripe.region(s).read_u64(POffset::new(TABLE_ROOT))?;
-            KvRequestTable::open(stripe.region(s).clone(), POffset::new(base))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let exec = KvServeFunction::new(store, tables);
-    let mut registry = FunctionRegistry::new();
-    registry.register(KV_SERVE_FUNC_ID, exec.clone().into_arc())?;
-    Ok((exec, registry))
-}
-
 impl Stack {
     pub fn format(shape: Shape) -> Stack {
         let stripe = PMemBuilder::new()
@@ -56,22 +38,13 @@ impl Stack {
             .psan(true)
             .build_striped(shape.shards);
         let store = ShardedKvStore::format(stripe.regions(), 16, 256, KvVariant::Nsrl).unwrap();
-        for s in 0..shape.shards {
-            let region = stripe.region(s);
-            let table =
-                KvRequestTable::format(region.clone(), store.heap(s), shape.table_cap).unwrap();
-            region
-                .write_u64(POffset::new(TABLE_ROOT), table.base().get())
-                .unwrap();
-            region.flush(POffset::new(TABLE_ROOT), 8).unwrap();
-        }
-        let (exec, registry) = attach(&stripe).unwrap();
+        let exec = KvServeFunction::format(store, shape.table_cap).unwrap();
         let control = PMemBuilder::new().len(1 << 18).psan(true).build_in_memory();
         let rt = StripedRuntime::format(
             control,
             stripe,
             RuntimeConfig::new(1).stack_capacity(4 * 1024),
-            &registry,
+            &exec.registry().unwrap(),
         )
         .unwrap();
         let core = ServerCore::new(exec, shape.queue_cap, shape.batch);
@@ -113,53 +86,43 @@ impl Stack {
             .unwrap()
     }
 
-    /// One closed-loop serving round for a set of requests, in the shape
-    /// of the benchmark's and the campaign's loop: admit all, drain, and
-    /// — only if the drain handed windows out — run them on the
-    /// persistent stack and collect the answers; then ack each. `None`
-    /// as soon as a power failure shows (admission, a window — which is
-    /// where one met by the drain's persist surfaces — the answer
-    /// lookup, an ack): the caller then power-cycles and retries.
+    /// One closed-loop exchange for a set of requests: the program's
+    /// round ([`serve_round`]) over the ops, then one over their acks.
+    /// `None` as soon as a power failure shows — wherever the round met
+    /// it, the whole system is down: the caller power-cycles and
+    /// retries.
     pub fn serve(&self, reqs: &[(u64, KvTaskOp)]) -> Option<Vec<KvTaskAnswer>> {
-        fn crashed<T>(e: PError) -> Option<T> {
-            assert!(e.is_crash(), "only a power failure may fail a round: {e}");
-            None
-        }
-        let mut answers: Vec<Option<KvTaskAnswer>> = Vec::new();
-        for &(req_id, op) in reqs {
-            match self.core.submit(req_id, op) {
-                Ok(Submission::Answered(a)) => answers.push(Some(a)),
-                Ok(Submission::Queued) => answers.push(None),
-                Ok(other) => panic!("request {req_id:#x} admitted as {other:?}"),
-                Err(e) => return crashed(e),
-            }
-        }
-        let (tasks, ids) = self.core.drain_tasks();
-        if !tasks.is_empty() {
-            let report = self.rt.run_tasks(tasks);
-            if report.crashed {
-                return None;
-            }
-            assert_eq!(report.task_errors, 0, "a batch window erred");
-            match self.core.answers_for(&ids) {
-                Ok(found) => {
-                    for (req_id, answer) in found {
-                        let answer = answer.expect("a completed window answers every entry");
-                        // (Entries queued before this round are served too.)
-                        if let Some(i) = reqs.iter().position(|r| r.0 == req_id) {
-                            answers[i] = Some(answer);
-                        }
-                    }
+        let round = |body: &dyn Fn(KvTaskOp) -> RequestBody| {
+            let frames: Vec<Request> = reqs
+                .iter()
+                .map(|&(req_id, op)| Request {
+                    req_id,
+                    body: body(op),
+                })
+                .collect();
+            match serve_round(&self.core, &self.rt, &frames) {
+                Ok(responses) => Some(responses),
+                Err(e) => {
+                    assert!(e.is_crash(), "only a power failure may fail a round: {e}");
+                    assert!(self.rt.all_crashed(), "a power failure takes every region");
+                    None
                 }
-                Err(e) => return crashed(e),
             }
-        }
-        for &(req_id, _) in reqs {
-            if let Err(e) = self.core.ack(req_id) {
-                return crashed(e);
-            }
-        }
-        Some(answers.into_iter().map(Option::unwrap).collect())
+        };
+        let responses = round(&RequestBody::Op)?;
+        // (Entries queued before this round are served too.)
+        let done = |req_id: u64| {
+            let answer = responses.iter().find_map(|r| match *r {
+                Response::Done {
+                    req_id: id, answer, ..
+                } if id == req_id => Some(answer),
+                _ => None,
+            });
+            answer.unwrap_or_else(|| panic!("request {req_id:#x} not answered in {responses:?}"))
+        };
+        let answers = reqs.iter().map(|&(req_id, _)| done(req_id)).collect();
+        round(&|_| RequestBody::Ack)?;
+        Some(answers)
     }
 
     /// The whole-system restart: every region dies (dirty lines lost),
@@ -172,9 +135,9 @@ impl Stack {
         let rt = self
             .rt
             .reopen_all_with(|_, stripe| {
-                let (exec, registry) = attach(stripe)?;
-                attached = Some(exec);
-                Ok(registry)
+                let exec =
+                    attached.insert(KvServeFunction::open(stripe.regions(), KvVariant::Nsrl)?);
+                exec.registry()
             })
             .unwrap();
         rt.recover_with(RecoveryMode::Serial, |_, _| Ok(()))

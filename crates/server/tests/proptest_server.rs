@@ -14,8 +14,8 @@
 //! a mutation against the spec's own outcome when its window runs.
 //!
 //! The crash model here is the volatile one: the server process dies
-//! (admission queues, in-flight map and front end are lost; the wire
-//! drops every frame) while NVRAM survives. Re-admissions of pending
+//! (admission queues and front end are lost; the wire drops every
+//! frame) while NVRAM survives. Re-admissions of pending
 //! requests after the restart flow through the recovery path —
 //! `recover_batch`'s evidence scan is what makes the retries
 //! effect-free. The full power-failure model (regions crashing
@@ -31,14 +31,15 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
+use pstack_core::{RuntimeConfig, StripedRuntime};
 use pstack_kv::{
     shard_of, KvRequestTable, KvTaskOp, KvTaskResult, KvVariant, ReqSubmit, ShardedKvStore,
 };
-use pstack_nvram::{PMem, PMemBuilder, StatsSnapshot};
+use pstack_nvram::{PMemBuilder, StatsSnapshot};
 use pstack_server::proto::{kind_of, req_id_for, RequestBody, Response};
 use pstack_server::{
-    ChannelConn, ChannelHub, ClientConfig, ClientSim, Clock, KvServeFunction, ServerCore,
-    Submission, VirtualClock,
+    serve_round, ChannelConn, ChannelHub, ClientConfig, ClientSim, Clock, KvServeFunction,
+    ServerCore, Submission, VirtualClock,
 };
 use pstack_verify::{
     check_kv_sharded_gen, KvAnswer, KvOpKind, KvShardedHistory, KvSpec, KvWitnessRecord,
@@ -50,52 +51,43 @@ const SERVICE_TICK_NS: u64 = 100_000;
 const REBOOT_PENALTY_NS: u64 = 2_000_000;
 
 /// The serving fixture: durable state (store + per-shard request
-/// tables) that survives the property's crash placements, while the
+/// tables, and the runtime whose persistent stack runs every window)
+/// that survives the property's crash placements, while the
 /// `ServerCore` front end is rebuilt per boot.
 struct Fixture {
-    regions: Vec<PMem>,
-    store: ShardedKvStore,
-    tables: Vec<KvRequestTable>,
+    rt: StripedRuntime,
+    exec: KvServeFunction,
 }
 
 impl Fixture {
     /// `eager`: cache-less regions (every write durable) or buffered
     /// ones (staged descriptors, group commits, coalesced persists).
     fn new(nshards: usize, eager: bool) -> Self {
-        let regions: Vec<PMem> = (0..nshards)
-            .map(|_| {
-                PMemBuilder::new()
-                    .len(REGION)
-                    .eager_flush(eager)
-                    .build_in_memory()
-            })
-            .collect();
-        let store = ShardedKvStore::format(&regions, 16, LOG_CAP, KvVariant::Nsrl).unwrap();
-        let tables: Vec<KvRequestTable> = (0..nshards)
-            .map(|s| KvRequestTable::format(regions[s].clone(), store.heap(s), 64).unwrap())
-            .collect();
-        Fixture {
-            regions,
-            store,
-            tables,
-        }
+        let region = || PMemBuilder::new().len(REGION).eager_flush(eager);
+        let stripe = region().build_striped(nshards);
+        let store = ShardedKvStore::format(stripe.regions(), 16, LOG_CAP, KvVariant::Nsrl).unwrap();
+        let exec = KvServeFunction::format(store, 64).unwrap();
+        let rt = StripedRuntime::format(
+            region().build_in_memory(),
+            stripe,
+            RuntimeConfig::new(1).stack_capacity(4 * 1024),
+            &exec.registry().unwrap(),
+        )
+        .unwrap();
+        Fixture { rt, exec }
     }
 
-    /// Σ regions' NVRAM counters.
+    fn store(&self) -> &ShardedKvStore {
+        self.exec.store()
+    }
+
+    /// Σ regions' NVRAM counters, the control region's included.
     fn stats(&self) -> StatsSnapshot {
-        self.regions
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, r| {
-                acc + r.stats().snapshot()
-            })
+        self.rt.stripe().aggregate_stats() + self.rt.control().stats().snapshot()
     }
 
     fn core(&self, queue_capacity: usize, batch: usize) -> ServerCore {
-        ServerCore::new(
-            KvServeFunction::new(self.store.clone(), self.tables.clone()),
-            queue_capacity,
-            batch,
-        )
+        ServerCore::new(self.exec.clone(), queue_capacity, batch)
     }
 }
 
@@ -109,8 +101,9 @@ struct DriveTotals {
 
 /// Drives the client population to completion against a fresh front
 /// end per boot, crashing the server (volatile state + wire) at the
-/// given iteration indices. Windows execute via `pump_direct`, so the
-/// batch grouping is exactly the admission queues' doing.
+/// given iteration indices. Every iteration is one [`serve_round`], so
+/// the batch grouping is exactly the admission queues' doing and every
+/// window runs through a stack frame.
 ///
 /// `spec` is the sequential model of the store as it stands (empty, or
 /// the caller's preload). Every answer is checked against it the
@@ -135,9 +128,10 @@ fn drive(
     let mut crash_next = 0usize;
 
     let mut core = fixture.core(queue_capacity, batch);
-    let mut in_flight: HashMap<u64, KvTaskOp> = HashMap::new();
-    // Mutations whose window has run: a later appearance of the id in
-    // a pump is a replayed answer, not a second execution.
+    // req_id → op, to advance the spec when a mutation's `Done` shows.
+    let mut sent: HashMap<u64, KvTaskOp> = HashMap::new();
+    // Mutations whose window has run: a later `Done` for the id is a
+    // replayed answer, not a second execution.
     let mut executed: HashSet<u64> = HashSet::new();
     let mut totals = DriveTotals::default();
     let mut iters = 0usize;
@@ -158,7 +152,6 @@ fn drive(
             totals.admitted += core.admitted();
             totals.shed += core.shed();
             core = fixture.core(queue_capacity, batch);
-            in_flight.clear();
             hub.reset();
             clock.advance(REBOOT_PENALTY_NS);
             let now = clock.now_ns();
@@ -171,64 +164,44 @@ fn drive(
         for (c, conn) in clients.iter_mut().zip(conns) {
             if let Some(req) = c.poll(now) {
                 if let RequestBody::Op(op) = req.body {
-                    in_flight.insert(req.req_id, op);
+                    sent.insert(req.req_id, op);
                 }
                 conn.send(&req);
             }
         }
-
+        let mut requests = Vec::new();
         while let Some(req) = hub.poll_request().unwrap() {
-            let resp = match req.body {
-                RequestBody::Ack => {
-                    core.ack(req.req_id).unwrap();
-                    Some(Response::AckOk { req_id: req.req_id })
-                }
-                RequestBody::Op(op) => match core.submit(req.req_id, op).unwrap() {
-                    Submission::Answered(answer) => {
-                        if let KvTaskOp::Get { key } = op {
-                            prop_assert_eq!(
-                                answer.result,
-                                KvTaskResult::Got(spec.get(key)),
-                                "get {:#x} answered at admission",
-                                req.req_id
-                            );
-                        }
-                        Some(Response::Done {
-                            req_id: req.req_id,
-                            kind: kind_of(op),
-                            answer,
-                        })
-                    }
-                    Submission::Overloaded => Some(Response::Overloaded { req_id: req.req_id }),
-                    Submission::Stale => Some(Response::Stale { req_id: req.req_id }),
-                    Submission::Queued => None,
-                },
-            };
-            if let Some(resp) = resp {
-                hub.respond(&resp);
-            }
+            requests.push(req);
         }
 
-        for (req_id, answer) in core.pump_direct(0).unwrap() {
-            if executed.insert(req_id) {
-                let expected = match in_flight[&req_id] {
-                    KvTaskOp::Put { key, value } => KvTaskResult::Stored(spec.put(key, value)),
-                    KvTaskOp::Delete { key } => KvTaskResult::Deleted(spec.delete(key)),
-                    KvTaskOp::Cas { key, expected, new } => {
-                        KvTaskResult::Swapped(spec.cas(key, expected, new))
+        // Admission-time responses come first, then the windows' in
+        // execution order: a get is checked against the spec as it
+        // stood when the round began, a mutation advances it.
+        for resp in serve_round(&core, &fixture.rt, &requests).unwrap() {
+            if let Response::Done {
+                req_id,
+                kind,
+                answer,
+            } = resp
+            {
+                let op = sent[&req_id];
+                prop_assert_eq!(kind, kind_of(op), "kind echo of {:#x}", req_id);
+                let expected = match op {
+                    KvTaskOp::Get { key } => Some(KvTaskResult::Got(spec.get(key))),
+                    _ if !executed.insert(req_id) => None,
+                    KvTaskOp::Put { key, value } => {
+                        Some(KvTaskResult::Stored(spec.put(key, value)))
                     }
-                    KvTaskOp::Get { .. } => {
-                        prop_assert!(false, "get {req_id:#x} reached a window");
-                        unreachable!()
+                    KvTaskOp::Delete { key } => Some(KvTaskResult::Deleted(spec.delete(key))),
+                    KvTaskOp::Cas { key, expected, new } => {
+                        Some(KvTaskResult::Swapped(spec.cas(key, expected, new)))
                     }
                 };
-                prop_assert_eq!(answer.result, expected, "mutation {:#x}", req_id);
+                if let Some(expected) = expected {
+                    prop_assert_eq!(answer.result, expected, "request {:#x}", req_id);
+                }
             }
-            hub.respond(&Response::Done {
-                req_id,
-                kind: in_flight.get(&req_id).map_or(0, |&op| kind_of(op)),
-                answer,
-            });
+            hub.respond(&resp);
         }
 
         clock.advance(SERVICE_TICK_NS);
@@ -339,7 +312,7 @@ proptest! {
         // At-most-once effects: the published tags are exactly the
         // effectful observations — no duplicates, nothing phantom,
         // nothing lost, however the retries and crashes interleaved.
-        let tags = published_tags(&fixture.store)?;
+        let tags = published_tags(fixture.store())?;
         prop_assert_eq!(tags, effectful);
     }
 }
@@ -399,7 +372,7 @@ proptest! {
                 .flat_map(|c| c.observations().iter().cloned())
                 .collect(),
             shards: fixture
-                .store
+                .store()
                 .snapshot_sharded()
                 .unwrap()
                 .into_iter()
@@ -414,11 +387,11 @@ proptest! {
         let verdict = check_kv_sharded_gen(
             &history,
             |key| shard_of(key, nshards),
-            &fixture.store.generations().unwrap(),
+            &fixture.store().generations().unwrap(),
         );
         prop_assert!(verdict.is_linearizable(), "{:?}", verdict.violation());
         // The driver's model, advanced in execution order, is the store.
-        let served: HashMap<u64, i64> = fixture.store.contents().unwrap().into_iter().collect();
+        let served: HashMap<u64, i64> = fixture.store().contents().unwrap().into_iter().collect();
         prop_assert_eq!(&served, model.contents());
     }
 }
@@ -445,7 +418,7 @@ proptest! {
         for key in 0..8u64 {
             if key % 3 != 0 {
                 let value = (seed % 97) as i64 - key as i64;
-                prop_assert!(fixture.store.put(9, key + 1, key, value).unwrap());
+                prop_assert!(fixture.store().put(9, key + 1, key, value).unwrap());
                 model.put(key, value);
             }
         }
@@ -479,7 +452,7 @@ proptest! {
             prop_assert_eq!(c.stats().completed, n_ops as u64);
             prop_assert!(c.observations().iter().all(|op| op.kind == KvOpKind::Get));
         }
-        prop_assert!(fixture.tables.iter().all(|t| t.live() == 0), "nor a slot");
+        prop_assert!(fixture.exec.tables().iter().all(|t| t.live() == 0), "nor a slot");
     }
 }
 
@@ -515,13 +488,12 @@ proptest! {
         prop_assert_eq!(queued.len() + shed.len(), flood as usize);
         prop_assert_eq!(core.shed(), shed.len() as u64);
         // Shed before claim: only admitted requests hold a slot.
-        prop_assert_eq!(fixture.tables[0].live(), queued.len() as u64);
+        prop_assert_eq!(fixture.exec.tables()[0].live(), queued.len() as u64);
 
         // Re-driving everything (shed first) to completion: each op
         // lands exactly once despite the duplicate submissions.
         let mut done = HashSet::new();
-        for round in 0..200usize {
-            let _ = round;
+        for _ in 0..200usize {
             for &req_id in shed.iter().chain(&queued) {
                 if done.contains(&req_id) {
                     continue;
@@ -540,11 +512,11 @@ proptest! {
             if done.len() == flood as usize {
                 break;
             }
-            core.pump_direct(0).unwrap();
+            serve_round(&core, &fixture.rt, &[]).unwrap();
         }
         prop_assert_eq!(done.len(), flood as usize, "shed requests must eventually serve");
 
-        let tags = published_tags(&fixture.store)?;
+        let tags = published_tags(fixture.store())?;
         prop_assert_eq!(tags.len(), flood as usize);
     }
 }

@@ -27,11 +27,8 @@
 use proptest::prelude::*;
 
 use pstack::core::{FunctionRegistry, RecoveryMode, RuntimeConfig, StripedRuntime, Task};
-use pstack::kv::{
-    shard_of, KvRequestTable, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore,
-    KV_SERVE_FUNC_ID,
-};
-use pstack::nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, POffset};
+use pstack::kv::{shard_of, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore};
+use pstack::nvram::{FailPlan, PMem, PMemBuilder, PMemStripe};
 use pstack::verify::{check_kv_sharded, KvShardedHistory, KvSpec};
 
 const KEY_SPACE: u64 = 12;
@@ -65,13 +62,11 @@ fn split(ops: &[KvTaskOp]) -> (Vec<KvTaskOp>, Vec<(u64, u64)>) {
 
 /// Formats the whole system: buffered stripe, one store + preloaded
 /// request table per shard, a one-worker runtime over a fresh control
-/// region. Returns the regions plus each shard's table base (to
-/// re-attach after a crash).
-fn build_system(mutations: &[KvTaskOp], shards: usize) -> (PMem, PMemStripe, Vec<POffset>) {
+/// region.
+fn build_system(mutations: &[KvTaskOp], shards: usize) -> (PMem, PMemStripe) {
     let stripe = PMemBuilder::new().len(1 << 19).build_striped(shards);
     let store = ShardedKvStore::format(stripe.regions(), 8, 1024, KvVariant::Nsrl).unwrap();
-    let exec = KvServeFunction::preload(store, mutations).unwrap();
-    let bases = exec.tables().iter().map(KvRequestTable::base).collect();
+    KvServeFunction::preload(store, mutations).unwrap();
     let control = PMemBuilder::new().len(1 << 20).build_in_memory();
     let stub = FunctionRegistry::new();
     StripedRuntime::format(
@@ -81,25 +76,12 @@ fn build_system(mutations: &[KvTaskOp], shards: usize) -> (PMem, PMemStripe, Vec
         &stub,
     )
     .unwrap();
-    (control, stripe, bases)
+    (control, stripe)
 }
 
-fn attach(
-    control: &PMem,
-    stripe: &PMemStripe,
-    bases: &[POffset],
-) -> (KvServeFunction, StripedRuntime) {
-    let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
-    let tables = bases
-        .iter()
-        .enumerate()
-        .map(|(s, &base)| KvRequestTable::open(stripe.region(s).clone(), base).unwrap())
-        .collect();
-    let exec = KvServeFunction::new(store, tables);
-    let mut registry = FunctionRegistry::new();
-    registry
-        .register(KV_SERVE_FUNC_ID, exec.clone().into_arc())
-        .unwrap();
+fn attach(control: &PMem, stripe: &PMemStripe) -> (KvServeFunction, StripedRuntime) {
+    let exec = KvServeFunction::open(stripe.regions(), KvVariant::Nsrl).unwrap();
+    let registry = exec.registry().unwrap();
     let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry).unwrap();
     (exec, rt)
 }
@@ -150,8 +132,8 @@ proptest! {
         shards in 2usize..=4,
     ) {
         let (mutations, _) = split(&ops);
-        let (control, stripe, bases) = build_system(&mutations, shards);
-        let (exec, rt) = attach(&control, &stripe, &bases);
+        let (control, stripe) = build_system(&mutations, shards);
+        let (exec, rt) = attach(&control, &stripe);
         let store = exec.store();
         // `pending_tasks(1)` emits windows of one, shard by shard in
         // table order — the order the mutations were preloaded in.
@@ -211,13 +193,13 @@ proptest! {
     ) {
         let (mutations, mut todo) = split(&ops);
         let mut gets = Vec::new();
-        let (mut control, mut stripe, bases) = build_system(&mutations, shards);
+        let (mut control, mut stripe) = build_system(&mutations, shards);
         let mut kills = kills.into_iter();
         let mut rounds = 0usize;
         loop {
             rounds += 1;
             prop_assert!(rounds <= 24, "system failed to drain");
-            let (exec, rt) = attach(&control, &stripe, &bases);
+            let (exec, rt) = attach(&control, &stripe);
             let store = exec.store();
             let mut tasks = exec.pending_tasks(batch).unwrap();
             // The harness's reads go between rounds: half of what is
@@ -271,7 +253,7 @@ proptest! {
                 prop_assert!(report.crash_site.is_some(), "crash must be attributed");
                 control = control.reopen().unwrap();
                 stripe = stripe.reopen_all().unwrap();
-                let (_, rt) = attach(&control, &stripe, &bases);
+                let (_, rt) = attach(&control, &stripe);
                 rt.recover(RecoveryMode::Parallel).unwrap();
             }
         }
