@@ -8,7 +8,8 @@
 //! 2. run the callee body;
 //! 3. `RET` — [`PersistentStack::pop_with`]: store the small return
 //!    value and the completion flag into the **caller's** slot (§4.2)
-//!    and flip the caller's marker back, again in one persist.
+//!    and flip the caller's marker back, again in one persist — which a
+//!    task's root frame leaves to its worker's next `CALL` (below).
 //!
 //! # What the two persists rest on
 //!
@@ -34,7 +35,7 @@
 //! cannot do.
 //!
 //! When the new frame lies wholly in the caller's tail line — a root
-//! task of up to ~40 argument bytes does: 23-byte dummy frame, stack
+//! task of up to 18 argument bytes does: 23-byte dummy frame, stack
 //! base 64-aligned — invariant 1 is vacuous: there is no moment at
 //! which the flip is durable and the frame is not, because they are the
 //! same line, and `CALL` is that one persist. Otherwise the frame is
@@ -54,6 +55,77 @@
 //! ([`recover_stack`]) walks the frames top-to-bottom, invoking each
 //! function's recover dual and completing it with the same `RET` step
 //! (§4.3).
+//!
+//! # A task's root frame: `RET` retired into the next `CALL`
+//!
+//! The root frames the runtime's workers push for their tasks do not
+//! pay for their `RET`. When such a call returns,
+//! [`PersistentStack::retire`] writes its completion into the dummy
+//! frame's slot and flips the dummy frame's marker back, and flushes
+//! neither: the same worker's next push makes the pop durable, riding
+//! that push's one persist when the new frame lies in the dummy frame's
+//! line, flushed before any of its bytes are written otherwise. Nested
+//! calls, the abort unwind and [`recover_stack`]'s pops persist as
+//! before, so a frame popped by a completed recover dual is still never
+//! recovered twice. Until the next push a crash may keep the completed
+//! frame live, and recovery then replays its recover dual — the state a
+//! crash between a body and its `RET` could always leave; what retiring
+//! adds is the length of that interval. Three things make it safe.
+//!
+//! **(a) Every root function's recover dual is safe to run after its
+//! call completed** — and after whatever ran in between: the main
+//! thread's acks that recycle request slots, its admission, a harness's
+//! reads, and other workers' tasks. The root functions there are:
+//!
+//! * `KvServeFunction` (`pstack-kv`, the served window): the replay
+//!   reads every slot its frame names. An answered slot is only
+//!   re-collected. A slot holding request id 0 — never used, or caught
+//!   between the two stores of a recycle — is skipped. A slot recycled
+//!   since, whose new descriptor is durable, is executed through
+//!   `recover_batch`, exactly once: its evidence scan finds no earlier
+//!   effect, and nothing else executed the new request — a push by
+//!   this worker would have made the pop durable, and another worker's
+//!   frame naming the slot is (c). A recycled slot whose descriptor is
+//!   not durable reverts to its old, answered occupant.
+//! * `KvCompactFunction`: the evidence is the shard's root cell. A
+//!   completed compaction moved the shard past `from_gen`, so the
+//!   replay only finishes the idempotent retirement mark; a request
+//!   from a generation the shard never reached answers without effect,
+//!   as its call did.
+//! * `CasTaskFunction` and `QueueTaskFunction` (`pstack-recoverable`):
+//!   the dual reads the descriptor table first, where a completed
+//!   call's answer is durable, and returns it.
+//! * `CounterTaskFunction`: the process's counter slot carries the tag
+//!   of its last increment, which is this task's — a later increment by
+//!   the same process needs a later push — so nothing is added twice.
+//! * [`TxnLoop`](crate::TxnLoop): the root frame's dual rolls item 0
+//!   back only for the current epoch and only if it has not committed.
+//!   A completed transaction committed; once the next one `begin`s, the
+//!   completed one's undo record carries an older epoch.
+//! * The test and example registries: each task writes a value that
+//!   depends on its arguments alone into a cell of its own, or counts
+//!   under a per-item mark, so a replay rewrites what is there.
+//!
+//! **(b) `pending_tasks`' premise still holds**: a request still pending
+//! after stack recovery never started. A pop becomes durable — by the
+//! next push's persist or by surviving a crash unflushed — only after
+//! its stores are written, and they are written when the body has
+//! returned: for a window, after its answers are durable. So no popped
+//! frame ever names a slot its window left unanswered. (That is why the
+//! `RET` may not overlap the answers' flight: a frame popped over a
+//! pending slot whose effect is published would send the request
+//! through `apply_batch` a second time.)
+//!
+//! **(c) Two frames may name one pending slot**: an idle worker's
+//! retired frame whose slot was recycled, and the in-flight window over
+//! the slot's new occupant. Recovery replays both — concurrently under
+//! [`RecoveryMode::Parallel`] — and both go through `recover_batch`. On a
+//! batched shard (every serving shard) its evidence scan runs under the
+//! shard's mutator gate, which the group commit it begins holds until
+//! it commits, so the second replay finds the first one's record and
+//! the effect stays single.
+//!
+//! [`RecoveryMode::Parallel`]: crate::RecoveryMode::Parallel
 //!
 //! Return values larger than 8 bytes go through the NVRAM heap instead:
 //! the caller allocates a cell, passes its *offset* in the arguments
@@ -160,11 +232,36 @@ impl<'a> PContext<'a> {
     ///   example) and the error propagates;
     /// * [`PError::UnknownFunction`] before anything is pushed.
     pub fn call(&mut self, func_id: u64, args: &[u8]) -> Result<Option<RetBytes>, PError> {
+        self.invoke(func_id, args, false)
+    }
+
+    /// A task's root call, as the runtime's workers make it:
+    /// [`PContext::call`] with the `RET` retired into the worker's next
+    /// `CALL` ([`PersistentStack::retire`]; the module docs say why a
+    /// root frame may).
+    pub(crate) fn call_task(
+        &mut self,
+        func_id: u64,
+        args: &[u8],
+    ) -> Result<Option<RetBytes>, PError> {
+        self.invoke(func_id, args, true)
+    }
+
+    fn invoke(
+        &mut self,
+        func_id: u64,
+        args: &[u8],
+        retire: bool,
+    ) -> Result<Option<RetBytes>, PError> {
         let f = self.registry.get(func_id)?;
         // The push clears the caller's slot, so its recover dual can
         // tell "this child completed" from a stale completion record.
         self.stack.push(func_id, args)?;
         match f.call(self, args) {
+            Ok(ret) if retire => {
+                self.stack.retire(completion(ret))?;
+                Ok(ret)
+            }
             Ok(ret) => {
                 self.finish_top_frame(ret)?;
                 Ok(ret)
@@ -182,8 +279,7 @@ impl<'a> PContext<'a> {
     /// `RET`: pops the top frame with `ret` recorded in its caller's
     /// slot — the completion step shared by `call` and recovery.
     fn finish_top_frame(&mut self, ret: Option<RetBytes>) -> Result<(), PError> {
-        self.stack
-            .pop_with(Some(ret.map_or(ReturnSlot::Unit, ReturnSlot::Value)))
+        self.stack.pop_with(Some(completion(ret)))
     }
 
     /// Reads the executing function's own return slot: did the child it
@@ -206,6 +302,11 @@ impl<'a> PContext<'a> {
     pub fn stack(&self) -> &dyn PersistentStack {
         &*self.stack
     }
+}
+
+/// What a returning invocation records in its caller's slot.
+fn completion(ret: Option<RetBytes>) -> ReturnSlot {
+    ret.map_or(ReturnSlot::Unit, ReturnSlot::Value)
 }
 
 /// Statistics from recovering one worker stack.

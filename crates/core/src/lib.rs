@@ -21,7 +21,8 @@
 //!   pushes a frame and clears the parent's return slot in one step,
 //!   the body runs, `RET` writes the return value through the
 //!   persistent slot (§4.2) and pops in one step — two or three
-//!   persists a call, §3.4's two invariants and nothing more.
+//!   persists a call, §3.4's two invariants and nothing more; a task's
+//!   root `RET` is left for its worker's next `CALL` to persist.
 //! * [`runtime`] — the system of §4.3: a main thread in standard or
 //!   recovery mode, N worker threads with per-thread persistent stacks
 //!   fed from a producer-consumer queue, and parallel recovery that

@@ -26,7 +26,10 @@ pub const DUMMY_FUNC_ID: u64 = u64::MAX;
 /// Both entry points receive the same serialized arguments. `recover`
 /// must be written so that it completes or rolls back the operation
 /// *regardless of whether the crash hit `call` or a previous `recover`*
-/// — repeated failures re-run `recover` on the same frame.
+/// — repeated failures re-run `recover` on the same frame. A function
+/// run as a task must also allow `recover` after `call` completed, and
+/// after whatever ran since: its root frame's `RET` is made durable by
+/// its worker's next `CALL` (the argument is in [`crate::invoke`]).
 pub trait RecoverableFunction: Send + Sync {
     /// Executes the operation. Nested invocations go through
     /// [`PContext::call`] so that each gets its own persistent frame.

@@ -51,8 +51,13 @@ impl std::fmt::Display for CrashSite {
 /// Outcome of one standard-mode run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunReport {
-    /// Tasks that completed (their invocation frame was pushed, the
-    /// function returned, and the frame was popped).
+    /// Tasks that completed: their invocation frame was pushed and the
+    /// function returned — what it promised is durable. The frame's
+    /// pop may still be pending: a root `RET` is retired into the
+    /// worker's next `CALL` ([`PersistentStack::retire`]), so a crash
+    /// before that push replays the completed task's recover dual.
+    ///
+    /// [`PersistentStack::retire`]: crate::stack::PersistentStack::retire
     pub completed: usize,
     /// Tasks aborted by application errors (frame unwound, effects not
     /// rolled back).
@@ -71,9 +76,11 @@ impl Runtime {
     /// Runs `tasks` to completion (or until a crash) on up to the
     /// configured number of worker threads — one per task at most: the
     /// queue is closed, so a worker beyond the task count would only
-    /// open its stack to find nothing to do. Each worker opens its own
-    /// persistent stack, then repeatedly pops a task from the shared
-    /// queue and executes it as a root persistent call.
+    /// take its stack to find nothing to do. Each worker takes its own
+    /// persistent stack (the handle the runtime keeps across runs), then
+    /// repeatedly pops a task from the shared queue and executes it as a
+    /// root persistent call, whose `RET` the worker's next `CALL`
+    /// makes durable ([`RunReport::completed`]).
     ///
     /// On a crash every worker unwinds at its next NVRAM access — the
     /// whole-system crash model of §2.2 — leaving all in-flight frames
@@ -157,38 +164,32 @@ impl Runtime {
                 let crashed = &crashed;
                 let note_crash = &note_crash;
                 let body = move || {
-                    let mut stack = match self.open_stack(pid) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            if e.is_crash() {
-                                note_crash(crashed);
-                            }
-                            return;
-                        }
-                    };
-                    while let Some(task) = queue.pop() {
-                        let mut ctx = PContext::new(
-                            self.pmem().clone(),
-                            self.heap().clone(),
-                            self.registry(),
-                            stack.as_mut(),
-                            pid,
-                            user_root,
-                        );
-                        match ctx.call(task.func_id, &task.args) {
-                            Ok(_) => {
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) if e.is_crash() => {
-                                note_crash(crashed);
+                    let run = self.with_worker_stack(pid, |stack| {
+                        while let Some(task) = queue.pop() {
+                            let mut ctx = PContext::new(
+                                self.pmem().clone(),
+                                self.heap().clone(),
+                                self.registry(),
+                                stack,
+                                pid,
+                                user_root,
+                            );
+                            match ctx.call_task(task.func_id, &task.args) {
+                                Ok(_) => {
+                                    completed.fetch_add(1, Ordering::Relaxed);
+                                }
                                 // The worker dies here, like a killed
                                 // process: frames stay for recovery.
-                                return;
-                            }
-                            Err(_) => {
-                                task_errors.fetch_add(1, Ordering::Relaxed);
+                                Err(e) if e.is_crash() => return Err(e),
+                                Err(_) => {
+                                    task_errors.fetch_add(1, Ordering::Relaxed);
+                                }
                             }
                         }
+                        Ok(())
+                    });
+                    if run.is_err_and(|e| e.is_crash()) {
+                        note_crash(crashed);
                     }
                 };
                 // Persistent recursion is mirrored by host recursion,

@@ -28,6 +28,9 @@ pub use queue::{Task, TaskQueue};
 pub use recovery::{RecoveryMode, RecoveryReport};
 pub use striped::StripedRuntime;
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, POffset};
 
@@ -130,6 +133,30 @@ pub struct Runtime {
     stacks_base: u64,
     stack_area: u64,
     host_stack: Option<usize>,
+    stacks: Arc<WorkerStacks>,
+}
+
+/// Each worker's stack handle, opened on first use and kept across
+/// runs and recovery passes until a crash drops it: the handle that
+/// retired a root pop ([`PersistentStack::retire`]) is the one whose
+/// next push makes it durable, and a kept handle skips re-walking the
+/// frames on every run. Shared by a runtime's clones.
+struct WorkerStacks(Vec<Mutex<Option<Box<dyn PersistentStack>>>>);
+
+impl WorkerStacks {
+    fn new(workers: usize) -> Arc<Self> {
+        Arc::new(WorkerStacks(
+            (0..workers).map(|_| Mutex::new(None)).collect(),
+        ))
+    }
+}
+
+impl std::fmt::Debug for WorkerStacks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerStacks")
+            .field("workers", &self.0.len())
+            .finish_non_exhaustive()
+    }
 }
 
 fn round64(v: u64) -> u64 {
@@ -196,6 +223,7 @@ impl Runtime {
             stacks_base,
             stack_area,
             host_stack: None,
+            stacks: WorkerStacks::new(cfg.workers),
         };
         for pid in 0..rt.workers {
             rt.format_stack(pid)?;
@@ -244,6 +272,7 @@ impl Runtime {
             stacks_base,
             stack_area,
             host_stack: None,
+            stacks: WorkerStacks::new(workers),
         })
     }
 
@@ -267,20 +296,28 @@ impl Runtime {
         Ok(())
     }
 
-    /// Opens worker `pid`'s persistent stack, rebuilding its volatile
-    /// index from NVRAM.
-    ///
-    /// # Errors
-    ///
-    /// [`PError::InvalidConfig`] for an out-of-range `pid`, or
-    /// corruption/NVRAM errors.
-    pub fn open_stack(&self, pid: usize) -> Result<Box<dyn PersistentStack>, PError> {
+    fn check_pid(&self, pid: usize) -> Result<(), PError> {
         if pid >= self.workers {
             return Err(PError::InvalidConfig(format!(
                 "worker {pid} out of range ({} workers)",
                 self.workers
             )));
         }
+        Ok(())
+    }
+
+    /// Opens worker `pid`'s persistent stack, rebuilding its volatile
+    /// index from NVRAM — a handle of the caller's own, for inspection
+    /// or for a stack no task runs on: between runs, the worker's kept
+    /// handle may have a retired root pop pending, which only it makes
+    /// durable before it pushes.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::InvalidConfig`] for an out-of-range `pid`, or
+    /// corruption/NVRAM errors.
+    pub fn open_stack(&self, pid: usize) -> Result<Box<dyn PersistentStack>, PError> {
+        self.check_pid(pid)?;
         let base = self.stack_base(pid);
         Ok(match self.kind {
             StackKind::Fixed => Box::new(FixedStack::open(self.pmem.clone(), base, self.capacity)?),
@@ -289,6 +326,28 @@ impl Runtime {
                 Box::new(ListStack::open(self.pmem.clone(), self.heap.clone(), base)?)
             }
         })
+    }
+
+    /// Runs `body` on worker `pid`'s kept stack handle, opening it on
+    /// first use. A crash drops the handle — the region is dead, and
+    /// the next boot opens the stack afresh; the handle's lock is held
+    /// throughout, so one stack never has two live handles in a runtime.
+    pub(crate) fn with_worker_stack<R>(
+        &self,
+        pid: usize,
+        body: impl FnOnce(&mut dyn PersistentStack) -> Result<R, PError>,
+    ) -> Result<R, PError> {
+        self.check_pid(pid)?;
+        let mut kept = self.stacks.0[pid].lock();
+        let mut stack = match kept.take() {
+            Some(stack) => stack,
+            None => self.open_stack(pid)?,
+        };
+        let out = body(stack.as_mut());
+        if !out.as_ref().is_err_and(PError::is_crash) {
+            *kept = Some(stack);
+        }
+        out
     }
 
     /// The NVRAM region this runtime lives in.

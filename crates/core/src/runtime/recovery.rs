@@ -139,17 +139,18 @@ impl Runtime {
 
     fn recover_worker_timed(&self, pid: usize) -> Result<(usize, Duration), PError> {
         let start = Instant::now();
-        let mut stack = self.open_stack(pid)?;
         let user_root = self.user_root()?;
-        let mut ctx = PContext::new(
-            self.pmem().clone(),
-            self.heap().clone(),
-            self.registry(),
-            stack.as_mut(),
-            pid,
-            user_root,
-        );
-        let frames = recover_stack(&mut ctx)?.frames_recovered;
+        let frames = self.with_worker_stack(pid, |stack| {
+            let mut ctx = PContext::new(
+                self.pmem().clone(),
+                self.heap().clone(),
+                self.registry(),
+                stack,
+                pid,
+                user_root,
+            );
+            Ok(recover_stack(&mut ctx)?.frames_recovered)
+        })?;
         Ok((frames, start.elapsed()))
     }
 }
@@ -281,6 +282,59 @@ mod tests {
         // legal; what is illegal is a torn in-between.
         let v = pmem2.read_u64(root + 24u64).unwrap();
         assert!(v == 33 || v == 0, "torn value {v}");
+    }
+
+    #[test]
+    fn a_completed_task_is_replayed_after_a_crash_before_the_next_push_and_never_after_it() {
+        // Function 2 does nothing; its recover dual counts its runs in
+        // slot `args[0]` of the user area.
+        let mut reg = FunctionRegistry::new();
+        reg.register_pair(
+            2,
+            |_c, _| Ok(None),
+            |c, args| {
+                let off = c.user_root() + u64::from(args[0]) * 8;
+                let runs = c.pmem.read_u64(off)?;
+                c.pmem.write_u64(off, runs + 1)?;
+                c.pmem.flush(off, 8)?;
+                Ok(None)
+            },
+        )
+        .unwrap();
+        let replays = |rt: &Runtime| -> Vec<u64> {
+            let root = rt.user_root().unwrap();
+            (0..3u64)
+                .map(|t| rt.pmem().read_u64(root + t * 8).unwrap())
+                .collect()
+        };
+        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
+        let rt = Runtime::format(pmem.clone(), RuntimeConfig::new(1), &reg).unwrap();
+
+        // Task 0 completes; its pop is retired, and the power fails
+        // before the worker pushes again: the frame is replayed, once.
+        assert_eq!(rt.run_tasks(vec![Task::new(2, vec![0])]).completed, 1);
+        pmem.crash_now(0, 0.0);
+        let pmem = pmem.reopen().unwrap();
+        let rt = Runtime::open(pmem.clone(), &reg).unwrap();
+        assert_eq!(
+            rt.recover(RecoveryMode::Parallel).unwrap().total_frames(),
+            1
+        );
+        assert_eq!(rt.recover(RecoveryMode::Serial).unwrap().total_frames(), 0);
+        assert_eq!(replays(&rt), [1, 0, 0]);
+
+        // Task 2's push makes task 1's pop durable: the next power
+        // failure replays task 2 alone.
+        assert_eq!(rt.run_tasks(vec![Task::new(2, vec![1])]).completed, 1);
+        assert_eq!(rt.run_tasks(vec![Task::new(2, vec![2])]).completed, 1);
+        pmem.crash_now(0, 0.0);
+        let pmem = pmem.reopen().unwrap();
+        let rt = Runtime::open(pmem, &reg).unwrap();
+        assert_eq!(
+            rt.recover(RecoveryMode::Parallel).unwrap().total_frames(),
+            1
+        );
+        assert_eq!(replays(&rt), [1, 0, 1]);
     }
 
     #[test]

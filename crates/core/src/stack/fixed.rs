@@ -5,7 +5,7 @@ use pstack_nvram::{PMem, POffset};
 use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    persist_call, persist_ret, walk_contiguous, PersistentStack, ReturnSlot, StackKind,
+    persist_call, persist_ret, retire_ret, walk_contiguous, PersistentStack, ReturnSlot, StackKind,
 };
 use crate::PError;
 
@@ -22,9 +22,12 @@ pub struct FlushPolicy {
     /// issued either way — for a frame lying wholly in the line of the
     /// marker that flips: the two persist together or not at all.
     pub flush_frame_before_advance: bool,
-    /// Invariant 2: flush every end-marker flip immediately. If
-    /// violated, a crash can lose the flip, so recovery never sees the
-    /// topmost frame (Fig. 6b).
+    /// Invariant 2: every end-marker flip durable before the next step
+    /// that depends on it — a push's and a nested pop's flip flushed
+    /// immediately, a root frame's retired pop
+    /// ([`PersistentStack::retire`]) by the next push, riding its
+    /// persist or flushed ahead of it. If violated, a crash can lose
+    /// the flip, so recovery never sees the topmost frame (Fig. 6b).
     pub flush_markers: bool,
 }
 
@@ -65,6 +68,9 @@ pub struct FixedStack {
     /// Rebuilt from NVRAM by [`FixedStack::open`].
     frames: Vec<FrameMeta>,
     policy: FlushPolicy,
+    /// A retired root pop is written and not yet durable; the next
+    /// push makes it so.
+    retired: bool,
 }
 
 impl FixedStack {
@@ -95,6 +101,7 @@ impl FixedStack {
             capacity,
             frames,
             policy: FlushPolicy::default(),
+            retired: false,
         })
     }
 
@@ -122,6 +129,7 @@ impl FixedStack {
             capacity,
             frames,
             policy: FlushPolicy::default(),
+            retired: false,
         })
     }
 
@@ -171,7 +179,15 @@ impl PersistentStack for FixedStack {
         // Step 2 (Fig. 3c): move the stack end forward — flip the old
         // top's marker 0x1 → 0x0. One byte, one line: crash-atomic, and
         // the clearing of that frame's return slot rides the same line.
-        persist_call(&self.pmem, &caller, None, (new_start, &buf), self.policy)?;
+        persist_call(
+            &self.pmem,
+            &caller,
+            self.retired,
+            None,
+            (new_start, &buf),
+            self.policy,
+        )?;
+        self.retired = false;
         self.frames.push(FrameMeta {
             start: new_start,
             func_id,
@@ -189,6 +205,15 @@ impl PersistentStack for FixedStack {
         // data past the stack end.
         let penult = self.frames[self.frames.len() - 2];
         persist_ret(&self.pmem, &penult, completion, self.policy)?;
+        self.frames.pop();
+        Ok(())
+    }
+
+    fn retire(&mut self, completion: ReturnSlot) -> Result<(), PError> {
+        if self.frames.len() != 2 {
+            return self.pop_with(Some(completion));
+        }
+        self.retired = retire_ret(&self.pmem, &self.frames[0], completion)?;
         self.frames.pop();
         Ok(())
     }

@@ -25,7 +25,7 @@ use crate::frame::{
 };
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    persist_call, persist_ret, FlushPolicy, PersistentStack, ReturnSlot, StackKind,
+    persist_call, persist_ret, retire_ret, FlushPolicy, PersistentStack, ReturnSlot, StackKind,
 };
 use crate::PError;
 
@@ -86,6 +86,9 @@ pub struct ListStack {
     /// Blocks allocated (grown) and freed (shrunk) by this handle.
     blocks_chained: u64,
     blocks_released: u64,
+    /// A retired root pop is written and not yet durable; the next
+    /// push makes it so.
+    retired: bool,
 }
 
 impl ListStack {
@@ -131,6 +134,7 @@ impl ListStack {
             )],
             blocks_chained: 0,
             blocks_released: 0,
+            retired: false,
         })
     }
 
@@ -166,6 +170,7 @@ impl ListStack {
             frames,
             blocks_chained: 0,
             blocks_released: 0,
+            retired: false,
         })
     }
 
@@ -283,10 +288,12 @@ impl PersistentStack for ListStack {
             persist_call(
                 &self.pmem,
                 &top_meta,
+                self.retired,
                 None,
                 (tail, &buf),
                 FlushPolicy::default(),
             )?;
+            self.retired = false;
             self.frames.push((
                 top_bidx,
                 FrameMeta {
@@ -312,10 +319,12 @@ impl PersistentStack for ListStack {
         persist_call(
             &self.pmem,
             &top_meta,
+            self.retired,
             Some((frame_start, &buf)),
             (tail, &ptr),
             FlushPolicy::default(),
         )?;
+        self.retired = false;
 
         let new_limit = new_payload + self.heap.payload_len(new_payload)?;
         self.blocks[top_bidx].pointer_frame = Some(tail);
@@ -358,6 +367,18 @@ impl PersistentStack for ListStack {
                 .pointer_frame = None;
             self.blocks_released += 1;
         }
+        Ok(())
+    }
+
+    fn retire(&mut self, completion: ReturnSlot) -> Result<(), PError> {
+        let (top_bidx, _) = *self.top();
+        let (dummy_bidx, dummy) = self.frames[0];
+        // A pop that empties a block frees it: that pop is persisted.
+        if self.frames.len() != 2 || top_bidx != dummy_bidx {
+            return self.pop_with(Some(completion));
+        }
+        self.retired = retire_ret(&self.pmem, &dummy, completion)?;
+        self.frames.pop();
         Ok(())
     }
 

@@ -18,6 +18,19 @@
 //! the one rule that says when a store rides the next one's line and
 //! when it is flushed ahead of it).
 //!
+//! Every flip is durable before the next step that depends on it —
+//! the paper's invariant 2 (§3.4). A nested pop's flip is flushed by
+//! the pop itself. A root frame's pop may instead be *retired*
+//! ([`PersistentStack::retire`]): written, not flushed, and made
+//! durable by the same handle's next push, whose own persist flips the
+//! same marker back — the retired pop is one more stage ahead of the
+//! push's stages, riding their line or flushed ahead of them by the
+//! same rule. Nothing reads a root frame's pop in between: its
+//! completion lands in the dummy frame's slot, which no recover dual
+//! consults, and a crash before the push leaves the frame live for
+//! its recover dual, as a crash between its body and `RET` always
+//! could.
+//!
 //! Frames are addressed by *index*: index 0 is the dummy frame that the
 //! paper introduces so that push and pop always have a predecessor
 //! frame to flip; indices `1..=depth` are live invocation frames.
@@ -142,7 +155,10 @@ pub trait PersistentStack: Send {
     /// The persist that flips the marker also clears that frame's
     /// return slot, so a frame with a live child never shows an earlier
     /// child's completion. Costs one persist when the new frame shares
-    /// the old top's tail line, two when it does not.
+    /// the old top's tail line, two when it does not — and, after a
+    /// [`retire`](PersistentStack::retire), one more when it does not:
+    /// the retired pop rides this persist, or is flushed before any of
+    /// the new frame's bytes are written.
     ///
     /// # Errors
     ///
@@ -173,6 +189,32 @@ pub trait PersistentStack: Send {
     fn pop(&mut self) -> Result<(), PError> {
         self.pop_with(None)
     }
+
+    /// `RET` of a root frame, retired into this handle's next
+    /// [`push`](PersistentStack::push): the stores of
+    /// [`pop_with`](PersistentStack::pop_with)`(Some(completion))`, in
+    /// its order, but the marker flip is written and **not flushed**
+    /// (the slot stores still ride the flip's line or are flushed
+    /// ahead of it, so the pop is never durable without its
+    /// completion). Until the next push, a crash leaves the frame live —
+    /// its slot `Empty` or `completion` — or popped, line by line: the
+    /// state a crash between a body and its `RET` could always leave.
+    /// So only a frame whose recover dual is safe to run after its call
+    /// completed may be retired; the runtime retires exactly the root
+    /// frames its workers push (the argument is in [`crate::invoke`]).
+    ///
+    /// A pop that is not the root's, or that frees or moves stack
+    /// memory (a list block, a shrinking array), is [`pop_with`]'s
+    /// instead. On an eager region every store is durable as it lands,
+    /// so nothing is left pending and the retire costs what `pop_with`
+    /// does.
+    ///
+    /// # Errors
+    ///
+    /// As [`pop_with`](PersistentStack::pop_with).
+    ///
+    /// [`pop_with`]: PersistentStack::pop_with
+    fn retire(&mut self, completion: ReturnSlot) -> Result<(), PError>;
 
     /// Number of frames including the dummy frame (always ≥ 1).
     fn frame_count(&self) -> usize;
@@ -252,6 +294,9 @@ type Store<'a> = (POffset, &'a [u8]);
 /// other, all of which the next stage's stores depend on.
 pub(crate) struct Stage<'a> {
     pub stores: &'a [Store<'a>],
+    /// `false` for stores written by an earlier step and left pending
+    /// there — a retired pop — which this step only makes durable.
+    pub write: bool,
     /// Whether the step may persist this stage: always `true` except
     /// under [`FlushPolicy`]'s negative controls.
     pub flush: bool,
@@ -291,8 +336,10 @@ pub(crate) fn persist_in_order<'a>(
     };
     let mut stages = stages.into_iter().peekable();
     while let Some(stage) = stages.next() {
-        for (off, data) in stage.stores {
-            pmem.write(*off, data)?;
+        if stage.write {
+            for (off, data) in stage.stores {
+                pmem.write(*off, data)?;
+            }
         }
         let line_of_stage = only_line(&stage);
         let rides = line_of_stage.is_some()
@@ -324,8 +371,15 @@ fn slot_stores<'a>(meta: &FrameMeta, slot: &'a ReturnSlot) -> [Option<Store<'a>>
 fn slot_stages<'a>(stores: &'a [Option<Store<'a>>; 2]) -> impl Iterator<Item = Stage<'a>> {
     stores.iter().flatten().map(|store| Stage {
         stores: std::slice::from_ref(store),
+        write: true,
         flush: true,
     })
+}
+
+/// The flip that pops the frame after `caller`: `caller`'s marker back
+/// to stack-end.
+fn pop_flip(caller: &FrameMeta) -> [Store<'static>; 1] {
+    [(caller.marker_off(), &[MARKER_STACK_END])]
 }
 
 /// `CALL`'s linearization step, shared by the three layouts. Before
@@ -337,24 +391,40 @@ fn slot_stages<'a>(stores: &'a [Option<Store<'a>>; 2]) -> impl Iterator<Item = S
 /// earlier child's completion as this one's. The slot and `appended`
 /// are ten bytes apart and need no order between them, so they share a
 /// stage: one flush, or none when the flip's line holds them both.
+///
+/// `retired` says a [`retire_ret`] left `caller`'s pop flip pending. It
+/// is the first stage: `appended` overwrites the popped frame's bytes,
+/// so the pop must be durable before any of them can be — it rides
+/// the next stage's persist when they share its line (every per-line
+/// prefix of the stores is then a legal state: frame live, popped, or
+/// the new frame pushed) and is flushed ahead of them otherwise.
 pub(crate) fn persist_call(
     pmem: &PMem,
     caller: &FrameMeta,
+    retired: bool,
     detached: Option<Store<'_>>,
     appended: Store<'_>,
     policy: FlushPolicy,
 ) -> Result<(), PError> {
     let published = |stores| Stage {
         stores,
+        write: true,
         flush: policy.flush_frame_before_advance,
     };
+    let popped = pop_flip(caller);
     let tail = [appended, (caller.ret_flag_off(), &[RET_EMPTY])];
     let flip = [(caller.marker_off(), [MARKER_FRAME_END].as_slice())];
     let stages = [
+        Stage {
+            stores: if retired { &popped } else { &[] },
+            write: false,
+            flush: policy.flush_markers,
+        },
         published(detached.as_slice()),
         published(&tail),
         Stage {
             stores: &flip,
+            write: true,
             flush: policy.flush_markers,
         },
     ];
@@ -376,14 +446,39 @@ pub(crate) fn persist_ret(
     let slot = completion
         .as_ref()
         .map_or([None, None], |slot| slot_stores(caller, slot));
-    let flip = [(caller.marker_off(), [MARKER_STACK_END].as_slice())];
+    let flip = pop_flip(caller);
     persist_in_order(
         pmem,
         slot_stages(&slot).chain([Stage {
             stores: &flip,
+            write: true,
             flush: policy.flush_markers,
         }]),
     )
+}
+
+/// A retired `RET` ([`PersistentStack::retire`]), shared by the three
+/// layouts: [`persist_ret`]'s stages with the flip's own flush left to
+/// the next [`persist_call`] over the same `caller`. The slot stages
+/// keep the rule — they ride the flip's line or are flushed ahead of
+/// it — so only the flip is pending. Returns whether it is: not on an
+/// eager region, where every store is durable as it lands.
+pub(crate) fn retire_ret(
+    pmem: &PMem,
+    caller: &FrameMeta,
+    completion: ReturnSlot,
+) -> Result<bool, PError> {
+    let slot = slot_stores(caller, &completion);
+    let flip = pop_flip(caller);
+    persist_in_order(
+        pmem,
+        slot_stages(&slot).chain([Stage {
+            stores: &flip,
+            write: true,
+            flush: false,
+        }]),
+    )?;
+    Ok(!pmem.is_eager_flush())
 }
 
 /// Shared implementation: read a frame's return slot.

@@ -15,7 +15,8 @@ use pstack_nvram::{PMem, POffset};
 use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    persist_call, persist_ret, walk_contiguous, FlushPolicy, PersistentStack, ReturnSlot, StackKind,
+    persist_call, persist_ret, retire_ret, walk_contiguous, FlushPolicy, PersistentStack,
+    ReturnSlot, StackKind,
 };
 use crate::PError;
 
@@ -62,6 +63,9 @@ pub struct VecStack {
     frames: Vec<FrameMeta>,
     shrink: bool,
     relocations: u64,
+    /// A retired root pop is written and not yet durable; the next
+    /// push makes it so.
+    retired: bool,
 }
 
 impl VecStack {
@@ -104,6 +108,7 @@ impl VecStack {
             }],
             shrink: true,
             relocations: 0,
+            retired: false,
         })
     }
 
@@ -141,6 +146,7 @@ impl VecStack {
             frames,
             shrink: true,
             relocations: 0,
+            retired: false,
         })
     }
 
@@ -164,6 +170,15 @@ impl VecStack {
 
     fn top(&self) -> &FrameMeta {
         self.frames.last().expect("dummy frame always present")
+    }
+
+    /// The capacity a pop leaving `used` bytes live shrinks the block
+    /// to, if it shrinks it at all.
+    fn shrink_to(&self, used: u64) -> Option<u64> {
+        (self.shrink
+            && self.capacity > SHRINK_RATIO * used
+            && self.capacity / 2 >= MIN_VEC_CAPACITY)
+            .then(|| (self.capacity / 2).max(used))
     }
 
     /// Moves the stack to a new block of at least `new_capacity` bytes:
@@ -204,7 +219,11 @@ impl PersistentStack for VecStack {
         let used = self.used_bytes();
         if used + need > self.capacity {
             let new_cap = (self.capacity * 2).max(used + need).max(MIN_VEC_CAPACITY);
+            // The copy is of the popped frames, and the pointer swing
+            // makes it durable: a retired pop is durable with it, and
+            // nothing of it is left in the old block to flush.
             self.relocate(new_cap)?;
+            self.retired = false;
         }
         let caller = *self.top();
         let new_start = caller.end();
@@ -212,10 +231,12 @@ impl PersistentStack for VecStack {
         persist_call(
             &self.pmem,
             &caller,
+            self.retired,
             None,
             (new_start, &buf),
             FlushPolicy::default(),
         )?;
+        self.retired = false;
         self.frames.push(FrameMeta {
             start: new_start,
             func_id,
@@ -231,12 +252,21 @@ impl PersistentStack for VecStack {
         let penult = self.frames[self.frames.len() - 2];
         persist_ret(&self.pmem, &penult, completion, FlushPolicy::default())?;
         self.frames.pop();
-        if self.shrink {
-            let used = self.used_bytes();
-            if self.capacity > SHRINK_RATIO * used && self.capacity / 2 >= MIN_VEC_CAPACITY {
-                self.relocate((self.capacity / 2).max(used))?;
-            }
+        if let Some(capacity) = self.shrink_to(self.used_bytes()) {
+            self.relocate(capacity)?;
         }
+        Ok(())
+    }
+
+    fn retire(&mut self, completion: ReturnSlot) -> Result<(), PError> {
+        let dummy = self.frames[0];
+        // A pop that shrinks the block copies it: that pop is persisted.
+        let used = dummy.end().distance_from(self.block);
+        if self.frames.len() != 2 || self.shrink_to(used).is_some() {
+            return self.pop_with(Some(completion));
+        }
+        self.retired = retire_ret(&self.pmem, &dummy, completion)?;
+        self.frames.pop();
         Ok(())
     }
 

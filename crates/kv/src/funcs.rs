@@ -525,8 +525,10 @@ impl KvServeFunction {
     ///    visible.
     ///
     /// So a window blocks on the same round-trips — descriptors ‖
-    /// `CALL` → records ‖ tail → heads → epoch ‖ answers → `RET` —
-    /// however many shards it names. A window never carries a read —
+    /// `CALL` → records ‖ tail → heads → epoch ‖ answers — however many
+    /// shards it names; its `RET` is retired into the next window's
+    /// `CALL` (a replay of a completed window is safe: see
+    /// `pstack_core::invoke`). A window never carries a read —
     /// the server answers those at admission and a harness answers its
     /// own, both through [`ShardedKvStore::get_durable`], the one read
     /// path — so a `Get` descriptor here is a caller's error, not a
@@ -792,11 +794,17 @@ impl KvCompactFunction {
                 self.store.nshards()
             )));
         }
-        let ran = if recovery {
+        let gen = self.store.shard(shard).generation()?;
+        let ran = if gen < from_gen {
+            // No compaction from a generation the shard never reached
+            // ever started: the call answered without effect, and so
+            // does its replay.
+            false
+        } else if recovery {
             // The evidence scan decides: resume (finish retirement) or
             // safely abandon-and-redo.
             !self.store.recover_compact_shard(shard, from_gen)?
-        } else if self.store.shard(shard).generation()? == from_gen {
+        } else if gen == from_gen {
             self.store.compact_shard(shard)?;
             true
         } else {
@@ -1534,6 +1542,15 @@ mod tests {
                 .unwrap()
                 .unwrap();
             assert_eq!(ret[1], 0, "stale compaction request must not re-run");
+            assert_eq!(store.generations().unwrap(), vec![1, 0]);
+            // A request from a generation the shard never reached
+            // answers without effect — and so does its recover dual,
+            // which replays it should its retired pop be lost.
+            let future = KvCompactFunction::args_for(0, 7);
+            let ret = ctx.call(KV_COMPACT_FUNC_ID, &future).unwrap().unwrap();
+            assert_eq!(ret[1], 0);
+            let compact = KvCompactFunction::new(store.clone());
+            assert_eq!(compact.recover(ctx, &future).unwrap().unwrap(), ret);
             assert_eq!(store.generations().unwrap(), vec![1, 0]);
             // Out-of-range shard is a task error, not a panic.
             assert!(ctx

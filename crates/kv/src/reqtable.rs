@@ -66,13 +66,17 @@
 //!
 //! Reusing a slot rewrites it in two stores in a fixed order — the
 //! cleared completion state (done/acked/flag) together with the new
-//! descriptor first, the request id **last** — and each slot is one
-//! 64-byte cache-line-aligned extent, so a buffered region persists the
-//! whole transition atomically. On an eager region a crash between (or
-//! tearing) the stores can only produce a slot whose *old* request id
-//! fronts a cleared completion state: a leak (its client acked and
-//! will never ask again) that the next [`KvRequestTable::open`] counts
-//! as live, never a new request paired with a stale answer.
+//! descriptor and a cleared request id first, the new request id
+//! **last** — and each slot is one 64-byte cache-line-aligned extent,
+//! so a flush persists the whole transition atomically. A crash between
+//! the stores — on an eager region, or on a buffered one whose slot
+//! line survives the power failure unflushed — can only produce a free
+//! slot (request id 0): the old occupant is gone, which its client
+//! acked and will never ask about again, and nothing is pending. Never
+//! a new request paired with a stale answer, and never the old id over
+//! a cleared completion state — which would read as pending, and be
+//! executed a second time under the old id by whoever re-drives
+//! pending slots.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -408,10 +412,10 @@ impl KvRequestTable {
             idx.by_id.remove(&old_id);
             idx.recycled += 1;
         }
-        // Completion state and descriptor in one store, identity last
-        // (see module docs: an eager-region crash between the two can
-        // only leak the old occupant, never marry the new id to stale
-        // state). Every store is a step a power failure can land on
+        // Completion state, descriptor and a cleared identity in one
+        // store, the identity last (see module docs: a crash between the
+        // two leaves a free slot, never an id over state that is not
+        // its own). Every store is a step a power failure can land on
         // with the round's requests admitted but nothing executed, so
         // the staging is as few as identity-last allows.
         let (kind, key, value, expected) = match op {
@@ -420,7 +424,8 @@ impl KvRequestTable {
             KvTaskOp::Delete { key } => (KIND_DEL, key, 0, 0),
             KvTaskOp::Cas { key, expected, new } => (KIND_CAS, key, new, expected),
         };
-        let mut body = [0u8; F_REQ_ID as usize]; // done, flag, acked, executor, got: cleared
+        // done, flag, acked, executor, got and the request id: cleared
+        let mut body = [0u8; F_REQ_ID as usize + 8];
         body[F_KIND as usize] = kind;
         body[F_KEY as usize..][..8].copy_from_slice(&key.to_le_bytes());
         body[F_VALUE as usize..][..8].copy_from_slice(&value.to_le_bytes());
@@ -927,7 +932,9 @@ mod tests {
     fn recycle_is_atomic_on_buffered_regions() {
         // A slot is one aligned persist line: crash at any flush
         // boundary of a recycle leaves either the old occupant (done,
-        // acked) or the new one (pending), never a mix.
+        // acked) or the new one (pending), never a mix — and where the
+        // unflushed line survives the crash, a free slot between the
+        // two stores, never the old id over a cleared (pending) state.
         use pstack_nvram::FailPlan;
         let build = || {
             let pmem = PMemBuilder::new().len(1 << 16).build_in_memory(); // buffered
@@ -958,18 +965,26 @@ mod tests {
         let total = pmem.events() - e0;
         assert!(total >= 2, "descriptor writes + the line persist");
 
-        let mut seen_new = false;
-        for k in 0..=total {
+        let (mut seen_new, mut seen_free) = (false, false);
+        for (k, survivors) in (0..=total).flat_map(|k| [(k, 0.0), (k, 1.0)]) {
             let (pmem, table) = build();
-            pmem.arm_failpoint(FailPlan::after_events(k));
+            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(k, survivors));
             match recycle(&table) {
                 Ok(()) => assert_eq!(k, total, "only the unarmed tail completes"),
                 Err(e) => assert!(e.is_crash()),
             }
-            pmem.crash_now(0, 0.0); // no-op if the fail-point already fired
+            pmem.crash_now(0, survivors); // no-op if the fail-point already fired
             let pmem2 = pmem.reopen().unwrap();
             let t2 = KvRequestTable::open(pmem2, table.base()).unwrap();
             match t2.req_id(0).unwrap() {
+                0 => {
+                    // The first store survived alone: free, nothing
+                    // pending, the acked old occupant simply gone.
+                    assert_eq!(survivors, 1.0, "crash at event {k}");
+                    assert_eq!(t2.live(), 0);
+                    assert!(t2.pending_slots().unwrap().is_empty());
+                    seen_free = true;
+                }
                 1 => {
                     // Old occupant intact: done, acked, recyclable.
                     assert_eq!(
@@ -990,6 +1005,7 @@ mod tests {
             }
         }
         assert!(seen_new, "a completed persist installs the new occupant");
+        assert!(seen_free, "a survivor between the two stores");
     }
 
     #[test]

@@ -1220,7 +1220,17 @@ impl PKvStore {
                 tickets: Vec::new(),
             });
         }
-        let quiesce = self.pmem.quiesce();
+        self.begin_quiesced(self.pmem.quiesce(), ops)
+    }
+
+    /// [`PKvStore::apply_batch_begin`] on a batched store, with the
+    /// region already quiesced by `quiesce` — which the pending batch
+    /// keeps until it commits.
+    fn begin_quiesced<'a>(
+        &'a self,
+        quiesce: QuiesceGuard<'a>,
+        ops: &[KvBatchOp],
+    ) -> Result<KvPendingBatch<'a>, PError> {
         let gen = self.active_gen()?;
         let staged = self.stage_batch(&gen, ops)?;
         let mut tickets = Vec::new();
@@ -1525,6 +1535,11 @@ impl PKvStore {
     ) -> Result<KvPendingBatch<'_>, PError> {
         let _label = op_label("kv.recover_batch");
         let _phase = pstack_telemetry::phase("recovery.batch-replay");
+        // On a batched store the scans run under the quiesce the group
+        // commit then keeps: two replays of one op — two frames naming
+        // one pending slot, recovered in parallel — are serialized, and
+        // the second finds the first's evidence instead of both missing.
+        let quiesce = (!self.eager).then(|| self.pmem.quiesce());
         let mut outcomes = vec![KvApplied::PrecondFailed; ops.len()];
         let mut rest = Vec::new();
         let mut rest_idx = Vec::new();
@@ -1537,7 +1552,10 @@ impl PKvStore {
                 rest_idx.push(i);
             }
         }
-        let mut pending = self.apply_batch_begin(&rest)?;
+        let mut pending = match quiesce {
+            Some(quiesce) => self.begin_quiesced(quiesce, &rest)?,
+            None => self.apply_batch_begin(&rest)?,
+        };
         for (i, &outcome) in rest_idx.into_iter().zip(pending.outcomes()) {
             outcomes[i] = outcome;
         }
@@ -2606,6 +2624,33 @@ mod tests {
             assert_eq!(published, 2, "recovery round {round}: no duplicates");
         }
         assert_eq!(kv.get(11).unwrap(), Some(110));
+    }
+
+    #[test]
+    fn two_concurrent_replays_of_one_op_take_one_effect() {
+        // Two frames naming one pending slot, recovered in parallel: the
+        // second replay scans under the quiesce the first one's group
+        // commit holds, so it finds the first's evidence — it does not
+        // scan first, miss, and then apply a second time.
+        let (_, _, kv) = buffered_fixture(4, 64);
+        let op = KvBatchOp::Put {
+            pid: 3,
+            seq: 7,
+            key: 12,
+            value: 120,
+        };
+        let first = kv.recover_batch_begin(&[op]).unwrap();
+        std::thread::scope(|s| {
+            let second = s.spawn(|| kv.recover_batch(&[op]).unwrap());
+            // Time for the second replay to reach the gate. Its outcome
+            // does not hang on it: an ungated scan would have run — and
+            // missed — in this pause.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert_eq!(first.commit().unwrap(), vec![KvApplied::Applied]);
+            assert_eq!(second.join().unwrap(), vec![KvApplied::Applied]);
+        });
+        let published: usize = kv.snapshot().unwrap().iter().map(Vec::len).sum();
+        assert_eq!(published, 1, "one effect for two replays");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! four flights, awaited in three levels (records ‖ tail, heads, epoch)
 //! however many shards commit together; what compaction pays: seven;
 //! and what a static workload's window pays on the persistent stack:
-//! eight, the served window's own budget. Counters, not wall-clock:
+//! seven, the served window's own budget. Counters, not wall-clock:
 //! the blocking bounds compare the *planned* waits the regions record
 //! (`async_latency_waited_ns`, deadline minus now at each await) to the
 //! charged latency, and a level's flights are all issued before its
@@ -171,68 +171,81 @@ fn an_eager_batch_issues_no_flight() {
 }
 
 #[test]
-fn a_preloaded_window_is_eight_persists_and_its_replay_none_on_the_shard() {
+fn a_preloaded_window_is_seven_persists_and_its_replay_none_on_the_shard() {
     // A static workload is a preloaded request table run as
     // persistent-stack tasks: the served window minus the served
     // path's per-drain descriptor persist and per-op ack
-    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 2 + 4 +
-    // 1 + 1). Thirty-two slots make a 34-byte argument block — a byte
-    // per slot, two for the shard's header and count — which cannot
-    // share the dummy frame's line and is flushed ahead of the flip: 3.
-    // (Sixteen, 18 bytes, would still share it: 2.)
-    let stripe = PMemBuilder::new().len(LEN).build_striped(1);
-    let shard = stripe.region(0);
-    let store = ShardedKvStore::format(stripe.regions(), 8, 256, KvVariant::Nsrl).unwrap();
+    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 1 + 4 +
+    // 1 + 1). The frame is its CALL — its RET is retired into the next
+    // CALL. Thirty-two slots make a 34-byte argument block — a byte per
+    // slot, two for the shard's header and count — which cannot share
+    // the dummy frame's line and is flushed ahead of the flip: 2.
+    // Sixteen, 18 bytes, still share it: 1.
     let ops: Vec<KvTaskOp> = (0..32).map(|key| KvTaskOp::Put { key, value: 1 }).collect();
+    for (batch, frame, replayed_frame) in [(32, 2, 3), (16, 1, 1)] {
+        let stripe = PMemBuilder::new().len(LEN).build_striped(1);
+        let shard = stripe.region(0);
+        let store = ShardedKvStore::format(stripe.regions(), 8, 256, KvVariant::Nsrl).unwrap();
 
-    // Preloading n mutations is one persist on top of formatting the
-    // table they go into (and recording its base in the shard root).
-    let t0 = shard.stats().snapshot();
-    KvServeFunction::format(store.clone(), ops.len() as u32).unwrap();
-    let format_only = shard.stats().snapshot() - t0;
-    let t1 = shard.stats().snapshot();
-    let exec = KvServeFunction::preload(store, &ops).unwrap();
-    let preload = shard.stats().snapshot() - t1;
-    assert_eq!(preload.persists, format_only.persists + 1);
-    assert_eq!(
-        preload.lines_persisted,
-        format_only.lines_persisted + 32,
-        "thirty-two descriptors, one coalesced persist"
-    );
+        // Preloading n mutations is one persist on top of formatting the
+        // table they go into (and recording its base in the shard root).
+        let t0 = shard.stats().snapshot();
+        KvServeFunction::format(store.clone(), ops.len() as u32).unwrap();
+        let format_only = shard.stats().snapshot() - t0;
+        let t1 = shard.stats().snapshot();
+        let exec = KvServeFunction::preload(store, &ops).unwrap();
+        let preload = shard.stats().snapshot() - t1;
+        assert_eq!(preload.persists, format_only.persists + 1);
+        assert_eq!(
+            preload.lines_persisted,
+            format_only.lines_persisted + 32,
+            "thirty-two descriptors, one coalesced persist"
+        );
 
-    let control = PMemBuilder::new().len(1 << 18).build_in_memory();
-    let rt = StripedRuntime::format(
-        control.clone(),
-        stripe.clone(),
-        RuntimeConfig::new(1).stack_capacity(4 * 1024),
-        &exec.registry().unwrap(),
-    )
-    .unwrap();
-    let run = |tasks| {
-        let before = (control.stats().snapshot(), shard.stats().snapshot());
-        let report = rt.run_tasks(tasks);
-        assert!(!report.crashed && report.task_errors == 0);
-        (
-            (control.stats().snapshot() - before.0).persists,
-            (shard.stats().snapshot() - before.1).persists,
+        let control = PMemBuilder::new().len(1 << 18).build_in_memory();
+        let rt = StripedRuntime::format(
+            control.clone(),
+            stripe.clone(),
+            RuntimeConfig::new(1).stack_capacity(4 * 1024),
+            &exec.registry().unwrap(),
         )
-    };
+        .unwrap();
+        let run = |task| {
+            let before = (control.stats().snapshot(), shard.stats().snapshot());
+            let report = rt.run_tasks(vec![task]);
+            assert!(!report.crashed && report.task_errors == 0);
+            (
+                (control.stats().snapshot() - before.0).persists,
+                (shard.stats().snapshot() - before.1).persists,
+            )
+        };
 
-    let tasks = exec.pending_tasks(32).unwrap();
-    assert_eq!(tasks.len(), 1, "thirty-two puts, one window");
-    let replay = tasks.clone();
-    assert_eq!(
-        run(tasks),
-        (3, 5),
-        "the frame (frame; slot clear + marker flip; unit return + pop flip); \
-         the group commit (records, tail, heads, epoch) + one answer persist"
-    );
-    assert!(exec.pending_tasks(32).unwrap().is_empty());
-    assert_eq!(exec.store().flush_epochs().unwrap(), vec![1]);
+        let tasks = exec.pending_tasks(batch).unwrap();
+        assert_eq!(tasks.len(), 32 / batch, "windows of {batch}");
+        let replay = tasks[0].clone();
+        for task in tasks {
+            assert_eq!(
+                run(task),
+                (frame, 5),
+                "windows of {batch}: the frame (frame; slot clear + marker flip; the unit \
+                 return + pop flip retired); the group commit (records, tail, heads, epoch) \
+                 + one answer persist"
+            );
+        }
+        assert!(exec.pending_tasks(batch).unwrap().is_empty());
+        assert_eq!(
+            exec.store().flush_epochs().unwrap(),
+            vec![32 / batch as u64]
+        );
 
-    // Replaying the completed window pays its frame and nothing else:
-    // every slot is answered, so nothing is staged, committed or
-    // re-answered.
-    assert_eq!(run(replay), (3, 0));
-    assert_eq!(exec.store().flush_epochs().unwrap(), vec![1]);
+        // Replaying a completed window pays its frame and nothing else:
+        // every slot is answered, so nothing is staged, committed or
+        // re-answered. A 34-byte frame does not fit the retired pop's
+        // line, so its CALL flushes that pop first: 3.
+        assert_eq!(run(replay), (replayed_frame, 0), "windows of {batch}");
+        assert_eq!(
+            exec.store().flush_epochs().unwrap(),
+            vec![32 / batch as u64]
+        );
+    }
 }

@@ -41,16 +41,20 @@
 //! |---|---|---|---|---|
 //! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard | 0 |
 //! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window after its `CALL` | 1 per shard per **drain** | 0 |
-//! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) and `RET` (unit return + pop flip), one line-atomic persist each | 2 per **round** (3 past the dummy line: args over 18 bytes) | 2 |
+//! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist, which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
 //! | | group commit | records ‖ log tail, heads, epoch; every shard of the window one level per round-trip | 4 per shard per round | 3 |
 //! | | answer | [`KvRequestTable::mark_done_issue`], payload + flag in one line-atomic persist, beside the shard's epoch | 1 per shard per round | 0 |
 //! | | ack | [`ServerCore::ack`] | 1 per ack | 1 |
 //!
-//! A lone put therefore costs 9 persists end to end and blocks on 5
-//! round-trips before its answer (descriptor ‖ `CALL` → records ‖ tail
-//! → heads → epoch ‖ answer → `RET`); a round that touches several
-//! shards blocks on the same 5 and pays the frame's 2 once, and a full
-//! window divides everything but the ack by its occupancy.
+//! A lone put therefore costs 8 persists end to end and blocks on 4
+//! round-trips before its answer (descriptor ‖ `CALL` (+ the previous
+//! round's `RET`) → records ‖ tail → heads → epoch ‖ answer); a round
+//! that touches several shards blocks on the same 4 and pays the
+//! frame's 1 once, and a full window divides everything but the ack by
+//! its occupancy. The window's own pop stays pending until the next
+//! round's `CALL`: a power failure before it replays the completed
+//! window, which re-collects its answers (`pstack_core::invoke` says why
+//! that is safe).
 //!
 //! **Reads are idempotent, so their exactly-once identity buys
 //! nothing.** [`ServerCore::submit`] of a `Get` claims no slot, enters

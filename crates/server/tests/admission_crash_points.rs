@@ -24,13 +24,24 @@
 //!   phantom put of key 0 tagged `(0, 0)`); no such record ever appears;
 //! * **one frame** — the round is one window, so a power cycle replays
 //!   at most one frame.
+//!
+//! A completed round's window leaves its `RET` retired into the next
+//! round's `CALL`, so a power failure anywhere between the two replays
+//! the completed window — after the round in between has acked its
+//! request, recycled its slot and admitted a new request into it. The
+//! second sweep fails at every event of such a round up to its `CALL`
+//! (and the retire after its window), with every dirty line lost, with
+//! every one kept, and with the stack's lost but the shards' kept: each
+//! request still has exactly one effect and one durable answer.
 
 mod common;
 
 use common::{Shape, Stack};
+use pstack_core::PError;
 use pstack_kv::{KvTaskOp, KvTaskResult};
-use pstack_nvram::FailPlan;
-use pstack_server::proto::req_id_for;
+use pstack_nvram::{FailPlan, MemError};
+use pstack_server::proto::{req_id_for, Request, RequestBody, Response};
+use pstack_server::{serve_round, Submission};
 
 /// One slot per shard: the round under test must recycle shard 0's.
 const SHAPE: Shape = Shape {
@@ -250,4 +261,125 @@ fn a_lone_window_whose_descriptor_was_lost_still_surfaces_the_failure() {
     let answers = s.serve(&[(req_id, op)]).unwrap();
     assert_eq!(answers[0].result, KvTaskResult::Stored(true));
     assert_eq!(s.records_of(req_id).len(), 1);
+}
+
+/// Round 1 of the second sweep, answered and not yet acked: a put into
+/// shard 0's one slot, its window's pop retired.
+fn completed_unacked() -> (Stack, (u64, KvTaskOp)) {
+    let s = Stack::format(SHAPE);
+    let (req_id, key) = (req_id_for(1, 1), s.key_on(0, 5));
+    let put = KvTaskOp::Put { key, value: 15 };
+    let body = RequestBody::Op(put);
+    let responses = serve_round(&s.core, &s.rt, &[Request { req_id, body }]).unwrap();
+    assert!(matches!(responses[..], [Response::Done { .. }]));
+    (s, (req_id, put))
+}
+
+/// Round 2 by its steps: ack round 1 — its slot recycles — admit the
+/// new put into that slot, drain, and run the window.
+fn recycle_and_run(s: &Stack, acked: u64, (req_id, op): (u64, KvTaskOp)) -> Result<(), PError> {
+    assert!(s.core.ack(acked)?, "round 1 was answered");
+    assert_eq!(s.core.submit(req_id, op)?, Submission::Queued);
+    let (tasks, _) = s.core.drain_tasks();
+    if s.rt.run_tasks(tasks).crashed {
+        return Err(PError::Mem(MemError::Crashed));
+    }
+    Ok(())
+}
+
+#[test]
+fn a_power_failure_between_a_completed_window_and_the_next_call_keeps_exactly_once() {
+    let new = |s: &Stack| {
+        let key = s.key_on(0, 6);
+        (req_id_for(2, 1), KvTaskOp::Put { key, value: 26 })
+    };
+    // Round 2's events: shard 0's before its window (ack, staged
+    // descriptor, drain flight), the control region's in its run (CALL,
+    // then the retire after the window).
+    let (twin, old) = completed_unacked();
+    let before = twin.events();
+    assert!(twin.core.ack(old.0).unwrap());
+    twin.core.submit(new(&twin).0, new(&twin).1).unwrap();
+    let (tasks, _) = twin.core.drain_tasks();
+    let admission = twin.events()[1] - before[1];
+    assert_eq!(
+        twin.events()[0],
+        before[0],
+        "admission leaves the stack alone"
+    );
+    assert!(!twin.rt.run_tasks(tasks).crashed);
+    let run = twin.events()[0] - before[0];
+
+    // (survivors in the control region, survivors in the shards)
+    let survivors = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)];
+    let mut replayed_over_the_new_put = 0;
+    for (region, total) in [(0, run), (1, admission)] {
+        for k in 0..total {
+            for (control, shards) in survivors {
+                let at = format!("region {region} event {k}, survivors {control} / {shards}");
+                let (mut s, old) = completed_unacked();
+                let new = new(&s);
+                s.rt = s.rt.clone().crash_seed(k).crash_survival(shards);
+                let plan = FailPlan::after_events(k);
+                match region {
+                    0 => {
+                        s.rt.control()
+                            .arm_failpoint(plan.with_survivors(k, control))
+                    }
+                    _ => s.region(0).arm_failpoint(plan.with_survivors(k, shards)),
+                }
+                let err = recycle_and_run(&s, old.0, new).unwrap_err();
+                assert!(err.is_crash(), "{at}: {err}");
+                s.rt.control().crash_now(k, control);
+                s.rt.stripe().crash_all(k, shards);
+
+                let s = s.power_cycle();
+                assert!(s.replayed <= 1, "{at}: {} frames replayed", s.replayed);
+                let table = s.table(0);
+                if region == 1 && s.replayed == 1 && table.req_id(0).unwrap() == new.0 {
+                    // The completed window, replayed over its recycled
+                    // slot: the new put ran through its recovery dual.
+                    assert!(table.result(0).unwrap().is_some(), "{at}");
+                    replayed_over_the_new_put += 1;
+                }
+                // The §5.2 re-enqueue: whatever is still pending never
+                // started.
+                let pending = s.core.exec().pending_tasks(SHAPE.batch).unwrap();
+                let report = s.rt.run_tasks(pending);
+                assert!(!report.crashed && report.task_errors == 0, "{at}");
+                // Round 1's client retransmits its unconfirmed ack (acks
+                // are idempotent), the new put's client its request.
+                s.core.ack(old.0).unwrap();
+                let answers = s.serve(&[new]).expect("no failure armed after the restart");
+                assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
+                for (req_id, op) in [old, new] {
+                    assert_eq!(
+                        s.records_of(req_id).len(),
+                        1,
+                        "{at}: {req_id:#x} one effect"
+                    );
+                    let KvTaskOp::Put { key, .. } = op else {
+                        unreachable!()
+                    };
+                    assert!(s.store().get(key).unwrap().is_some(), "{at}");
+                }
+                let table = s.table(0);
+                assert_eq!(table.req_id(0).unwrap(), new.0, "{at}");
+                assert_eq!(
+                    table.result(0).unwrap().map(|a| a.result),
+                    Some(KvTaskResult::Stored(true)),
+                    "{at}: one durable answer"
+                );
+                if (control, shards) == (0.0, 0.0) {
+                    // Kept lines are read back as ghosts otherwise.
+                    s.assert_psan_clean();
+                }
+            }
+        }
+    }
+    assert!(
+        replayed_over_the_new_put > 0,
+        "a completed window must be replayed over a recycled slot whose new \
+         descriptor survived"
+    );
 }

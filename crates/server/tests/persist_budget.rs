@@ -3,20 +3,22 @@
 //! One device round-trip per ordered persist is the whole cost model,
 //! so every persist a served request pays is written down here and
 //! counted: a read pays none, a mutation pays its descriptor once per
-//! shard per *drain* (not per request), a round's one window pays 2 for
+//! shard per *drain* (not per request), a round's one window pays 1 for
 //! its stack frame (3 once the frame outgrows the dummy frame's line)
 //! however many shards it names, and per shard 4 for its group commit
-//! and 1 for its answers; an ack pays 1, a shed pays nothing. A
+//! and 1 for its answers; an ack pays 1, a shed pays nothing. The
+//! frame's 1 is its `CALL`: the window's `RET` is retired into the next
+//! round's `CALL`, whose persist carries the pop in the same line. A
 //! change that adds a round-trip to the exactly-once path fails this
 //! file before it reaches the benchmark.
 //!
 //! *When* each persist is awaited is written down too: the drain only
 //! issues the descriptors' flight, the window awaits it after its
 //! `CALL`, and the group commit's and the answers' flights are awaited
-//! where something depends on them — a lone put **blocks** on 5 of its
-//! 8 round-trips before the ack (`CALL`, records ‖ tail, heads,
-//! epoch ‖ answer, `RET`), and so does a round over four shards,
-//! counted as synchronous persists plus the waits the regions plan
+//! where something depends on them — a lone put **blocks** on 4 of its
+//! 7 round-trips before the ack (`CALL`, records ‖ tail, heads,
+//! epoch ‖ answer), and so does a round over four shards, counted as
+//! synchronous persists plus the waits the regions plan
 //! (`async_latency_waited_ns`), which no host load can inflate: a sleep
 //! never undershoots.
 
@@ -137,7 +139,7 @@ fn fresh_puts_to_one_shard_drained_together_persist_one_descriptor_line_set() {
 }
 
 #[test]
-fn a_lone_put_costs_nine_persists_end_to_end() {
+fn a_lone_put_costs_eight_persists_end_to_end() {
     // Every region charged one round-trip per persist, so the blocking
     // bound below is in real units.
     const LATENCY: Duration = Duration::from_millis(1);
@@ -163,10 +165,11 @@ fn a_lone_put_costs_nine_persists_end_to_end() {
     let (control, stripe) = delta(&s, t1);
     assert_eq!(
         (control.persists, control.lines_persisted),
-        (2, 2),
+        (1, 1),
         "the frame, once five steps (clear the caller's slot, frame, marker flip, \
-         write the caller's slot, pop flip), is two: CALL = frame + slot clear + flip \
-         in the dummy frame's line, RET = unit return + pop flip in the same line"
+         write the caller's slot, pop flip), is one: CALL = frame + slot clear + flip \
+         in the dummy frame's line; RET (unit return + pop flip, same line) is \
+         written and retired into the next CALL's persist"
     );
     assert_eq!(
         (stripe.persists, stripe.async_flushes),
@@ -175,14 +178,14 @@ fn a_lone_put_costs_nine_persists_end_to_end() {
          one answer persist — every stripe persist a flight"
     );
 
-    // Blocking: the frame's two synchronous persists, and at most one
+    // Blocking: the frame's one synchronous persist, and at most one
     // latency per awaited level — the descriptor's deadline passed
     // under CALL (waited 0), then records ‖ tail, heads, epoch ‖ answer.
     let (control, stripe) = delta(&s, t0);
-    assert_eq!((control.persists, control.async_flushes), (2, 0));
+    assert_eq!((control.persists, control.async_flushes), (1, 0));
     assert!(
         stripe.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "a lone put blocked on more than 2 + 3 round-trips: {} ns waited on flights",
+        "a lone put blocked on more than 1 + 3 round-trips: {} ns waited on flights",
         stripe.async_latency_waited_ns
     );
 
@@ -194,17 +197,17 @@ fn a_lone_put_costs_nine_persists_end_to_end() {
     assert_eq!((control.persists, stripe.persists), (0, 1), "ack");
 
     let (control, stripe) = delta(&s, t0);
-    assert_eq!(control.persists + stripe.persists, 9);
+    assert_eq!(control.persists + stripe.persists, 8);
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
     s.assert_psan_clean();
 }
 
 #[test]
-fn a_four_shard_round_is_one_frame_and_five_round_trips() {
+fn a_four_shard_round_is_one_frame_and_four_round_trips() {
     // A round that touches every shard is one window: one frame, and
     // the four shards' group commits moved through their levels
-    // together — the lone put's 5 blocking round-trips, not 5 per
-    // shard, and 2 control persists per round, not per shard.
+    // together — the lone put's 4 blocking round-trips, not 4 per
+    // shard, and 1 control persist per round, not per shard.
     const LATENCY: Duration = Duration::from_millis(1);
     let shape = Shape { shards: 4, ..SHAPE };
     let s = Stack::format_with(shape, PMemBuilder::new().flush_latency(LATENCY));
@@ -236,8 +239,8 @@ fn a_four_shard_round_is_one_frame_and_five_round_trips() {
     let (control, stripe) = delta(&s, t0);
     assert_eq!(
         (control.persists, control.async_flushes),
-        (2, 0),
-        "one CALL and one RET for four shards: the frame (4 one-slot parts, \
+        (1, 0),
+        "one CALL for four shards, its RET retired: the frame (4 one-slot parts, \
          12 bytes) shares the dummy frame's line"
     );
     assert_eq!(
@@ -247,17 +250,20 @@ fn a_four_shard_round_is_one_frame_and_five_round_trips() {
     );
     assert!(
         stripe.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "a four-shard round blocked on more than 2 + 3 round-trips: {} ns waited on flights",
+        "a four-shard round blocked on more than 1 + 3 round-trips: {} ns waited on flights",
         stripe.async_latency_waited_ns
     );
     assert_eq!(control.async_latency_waited_ns, 0);
 
-    // Wider rounds: two slots a shard make a 16-byte frame, which still
-    // shares the dummy frame's line; four a shard make 24 bytes, past
-    // it, so the frame is flushed ahead of the flip.
+    // The rounds that follow: each CALL carries the round before's
+    // retired pop in the one line it persists — one slot a shard again,
+    // or two (a 16-byte frame, still in the dummy frame's line). Four a
+    // shard make 24 bytes, past it: the pending pop is flushed before
+    // the frame's bytes are written, then the frame ahead of the flip —
+    // the 3 a wide round paid before the pop was retired.
     let mut seq = 10;
     let mut nth = 1;
-    for (per_shard, frame) in [(2, 2), (4, 3)] {
+    for (per_shard, frame) in [(1, (1, 1)), (2, (1, 1)), (4, (3, 4))] {
         let t = s.stats();
         for _ in 0..per_shard {
             for shard in 0..4 {
@@ -268,7 +274,11 @@ fn a_four_shard_round_is_one_frame_and_five_round_trips() {
         }
         round();
         let (control, stripe) = delta(&s, t);
-        assert_eq!(control.persists, frame, "{per_shard} slots a shard");
+        assert_eq!(
+            (control.persists, control.lines_persisted),
+            frame,
+            "{per_shard} slots a shard"
+        );
         assert_eq!(stripe.persists, 4 + 16 + 4, "{per_shard} slots a shard");
     }
     s.assert_psan_clean();

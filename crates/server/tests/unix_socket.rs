@@ -1,6 +1,6 @@
 //! The unix-socket listener serves the round every campaign proves:
 //! real frames over a real socket, every window **through a stack
-//! frame** — a lone put costs exactly `persist_budget.rs`'s budget, two
+//! frame** — a lone put costs exactly `persist_budget.rs`'s budget, one
 //! of its persists in the control region — and a power failure under it
 //! ends in closed connections and a reported error, after which the
 //! retransmission on a new connection finds the answer the persistent
@@ -78,8 +78,9 @@ fn unix_socket_round_trip_exactly_once() {
     );
     assert_eq!(
         persists(),
-        (2, 6, 0),
-        "the frame (CALL, RET) in the control region; descriptor, group commit (4), answer"
+        (1, 6, 0),
+        "the frame's CALL in the control region (its RET retired into the next CALL); \
+         descriptor, group commit (4), answer"
     );
 
     // A retransmission of the same request id returns the durable
@@ -95,9 +96,9 @@ fn unix_socket_round_trip_exactly_once() {
         result_of(round_trip(&mut stream2, &get)),
         KvTaskResult::Got(Some(7))
     );
-    assert_eq!(persists(), (2, 6, 0));
+    assert_eq!(persists(), (1, 6, 0));
 
-    // Acks flow over the same wire and are idempotent: the ninth
+    // Acks flow over the same wire and are idempotent: the eighth
     // persist, once.
     let ack = Request {
         req_id: put.req_id,
@@ -108,7 +109,7 @@ fn unix_socket_round_trip_exactly_once() {
             round_trip(&mut stream, &ack),
             Response::AckOk { req_id: put.req_id }
         );
-        assert_eq!(persists(), (2, 7, 0));
+        assert_eq!(persists(), (1, 7, 0));
     }
 
     assert_eq!(s.records_of(put.req_id).len(), 1, "no second effect");

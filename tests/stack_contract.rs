@@ -6,7 +6,9 @@
 //! steps, each of which carries the caller's return slot in the persist
 //! that flips its marker — at every persistence event × survivor
 //! setting, in the geometries that decide how many persists a step
-//! takes, and pins those counts as equalities.
+//! takes, and pins those counts as equalities. The last part does the
+//! same for a root frame's retired `RET` and the push that makes it
+//! durable.
 
 use pstack::core::{
     FixedStack, FrameRecord, ListStack, PError, PersistentStack, ReturnSlot, VecStack,
@@ -461,6 +463,164 @@ fn call_and_ret_persist_budgets_are_a_function_of_the_geometry() {
                     g.name
                 );
             }
+        }
+    }
+}
+
+// ---- A retired root pop, then the next push ------------------------
+
+const ROOT: u64 = 0x2007;
+const NEXT: u64 = 0x2E47;
+
+/// The root frame that is retired: wide enough to reach past the
+/// dummy frame's line, so a next frame written over it before the pop
+/// is durable would tear it.
+fn retired_root() -> FrameRecord {
+    FrameRecord {
+        func_id: ROOT,
+        args: vec![0x2A; 100],
+    }
+}
+
+/// The frame pushed after the retire: `(geometry, args, persists of
+/// its CALL, whether it rides the dummy frame's line)`.
+const NEXT_FRAMES: [(&str, usize, u64, bool); 2] = [
+    ("the next frame rides the dummy frame's line", 8, 1, true),
+    ("the next frame spans lines", 100, 2, false),
+];
+
+/// A stack at depth 1 holding [`retired_root`], its dummy frame at the
+/// start of a line (padding the heap ahead of a resizable array's
+/// block), so whether the next frame rides the dummy frame's line is
+/// that frame's size alone.
+fn retiring(v: &Variant) -> (PMem, Box<dyn PersistentStack>) {
+    for pad in (0..=LINE as usize).step_by(16) {
+        let (pmem, heap) = fresh();
+        if pad > 0 {
+            heap.alloc(pad).unwrap();
+        }
+        let mut stack = (v.make)(pmem.clone(), heap);
+        if stack.frame_meta(0).unwrap().start.get() % LINE != 0 {
+            continue;
+        }
+        let root = retired_root();
+        stack.push(root.func_id, &root.args).unwrap();
+        return (pmem, stack);
+    }
+    panic!("{}: no padding starts the dummy frame on a line", v.name);
+}
+
+fn retire_then_push(stack: &mut dyn PersistentStack, next: &FrameRecord) -> Result<(), PError> {
+    stack.retire(ReturnSlot::Unit)?;
+    stack.push(next.func_id, &next.args)
+}
+
+#[test]
+fn a_retired_root_pop_then_the_next_push_is_atomic_at_every_crash_point() {
+    // At every persistence event of the retire and the push after it,
+    // with no, some or all dirty lines surviving, the reopened stack is
+    // the retired frame still live and byte-identical (its completion
+    // recorded or not), popped, or the next frame pushed over a cleared
+    // slot — never the retired frame with the next frame's bytes in it,
+    // which is what writing the next frame before the pop is durable
+    // would leave when a line past the dummy frame's survives alone.
+    for v in variants_sized(512, false) {
+        for (geometry, next_args, _, _) in NEXT_FRAMES {
+            let next = FrameRecord {
+                func_id: NEXT,
+                args: vec![0x4E; next_args],
+            };
+            let (probe_pmem, mut probe) = retiring(&v);
+            let e0 = probe_pmem.events();
+            retire_then_push(probe.as_mut(), &next).unwrap();
+            let events = probe_pmem.events() - e0;
+            assert_eq!(probe.frame_record(1).unwrap(), next, "{}", v.name);
+
+            let (mut retired, mut popped, mut pushed) = (0, 0, 0);
+            for k in 0..events {
+                for (prob, seed) in [(0.0, 0), (0.5, k), (0.5, k + 0x51ED), (1.0, 0)] {
+                    let ctx = format!(
+                        "{} / {geometry}: power failure at event {k} of {events}, \
+                         survivors {prob} (seed {seed})",
+                        v.name
+                    );
+                    let (pmem, mut stack) = retiring(&v);
+                    pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed, prob));
+                    let err = retire_then_push(stack.as_mut(), &next).unwrap_err();
+                    assert!(err.is_crash(), "{ctx}");
+
+                    let pmem = pmem.reopen().unwrap();
+                    let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
+                    let s = (v.reopen)(pmem, heap)
+                        .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+                    s.check_consistency().unwrap();
+                    let slot = s.ret(0).unwrap();
+                    match s.depth() {
+                        0 => popped += 1,
+                        1 if s.frame_record(1).unwrap() == retired_root() => {
+                            assert!(
+                                matches!(slot, ReturnSlot::Empty | ReturnSlot::Unit),
+                                "{ctx}: retired frame live over {slot:?}"
+                            );
+                            retired += 1;
+                        }
+                        1 => {
+                            assert_eq!(s.frame_record(1).unwrap(), next, "{ctx}: torn top frame");
+                            assert_eq!(slot, ReturnSlot::Empty, "{ctx}: pushed over {slot:?}");
+                            pushed += 1;
+                        }
+                        depth => panic!("{ctx}: depth {depth}"),
+                    }
+                }
+            }
+            assert!(
+                retired > 0 && popped > 0 && pushed > 0,
+                "{} / {geometry}: every outcome reached ({retired} live, {popped} popped, \
+                 {pushed} pushed)",
+                v.name
+            );
+        }
+    }
+}
+
+#[test]
+fn a_retire_costs_no_persist_and_the_next_push_carries_it() {
+    // The push after a retire costs its CALL's count when the pop rides
+    // its persist, one more when the pop is flushed ahead of it.
+    for v in variants_sized(512, false) {
+        for (geometry, next_args, call, rides) in NEXT_FRAMES {
+            let (pmem, mut stack) = retiring(&v);
+            let before = pmem.stats().snapshot();
+            stack.retire(ReturnSlot::Unit).unwrap();
+            let d = pmem.stats().snapshot() - before;
+            assert_eq!(
+                (d.persists, d.flush_calls),
+                (0, 0),
+                "{} / {geometry}",
+                v.name
+            );
+            assert_eq!(stack.depth(), 0);
+
+            let before = pmem.stats().snapshot();
+            stack.push(NEXT, &vec![0x4E; next_args]).unwrap();
+            let d = pmem.stats().snapshot() - before;
+            assert_eq!(
+                (d.persists, d.redundant_persists),
+                (call + u64::from(!rides), 0),
+                "{} / {geometry}",
+                v.name
+            );
+            // With nothing retired, the same push pays its CALL alone.
+            stack.pop().unwrap();
+            let before = pmem.stats().snapshot();
+            stack.push(NEXT, &vec![0x4E; next_args]).unwrap();
+            let d = pmem.stats().snapshot() - before;
+            assert_eq!(
+                (d.persists, d.redundant_persists),
+                (call, 0),
+                "{} / {geometry}",
+                v.name
+            );
         }
     }
 }
