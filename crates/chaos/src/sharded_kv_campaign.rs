@@ -394,7 +394,7 @@ fn run_shard_round(
                 recovery,
                 slots: slots.to_vec(),
             };
-            exec.execute_window(&[window], shard as u32)?;
+            exec.execute_window(&[window], shard as u32, None)?;
         }
         if remaining == 0 {
             gets.answer(exec.store(), usize::MAX)?; // a shard with reads only

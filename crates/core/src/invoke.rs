@@ -11,6 +11,11 @@
 //!    and flip the caller's marker back, again in one persist — which a
 //!    task's root frame leaves to its worker's next `CALL` (below).
 //!
+//! A root frame's `CALL` is issued, not awaited
+//! ([`PersistentStack::push_issued`]), and awaited where the body needs
+//! it — before the body starts, unless the function awaits it itself
+//! (below).
+//!
 //! # What the two persists rest on
 //!
 //! §3.4 asks for two invariants: *flush the new frame before the stack
@@ -106,15 +111,20 @@
 //!   depends on its arguments alone into a cell of its own, or counts
 //!   under a per-item mark, so a replay rewrites what is there.
 //!
-//! **(b) `pending_tasks`' premise still holds**: a request still pending
-//! after stack recovery never started. A pop becomes durable — by the
-//! next push's persist or by surviving a crash unflushed — only after
-//! its stores are written, and they are written when the body has
+//! **(b) `pending_tasks`' premise still holds**: a request pending after
+//! stack recovery has published nothing — it may have begun, in a
+//! window whose frame never became durable (next section), but no
+//! head reaches a record of it. A pop becomes durable — by the next
+//! push's persist or by surviving a crash unflushed — only after its
+//! stores are written, and they are written when the body has
 //! returned: for a window, after its answers are durable. So no popped
 //! frame ever names a slot its window left unanswered. (That is why the
 //! `RET` may not overlap the answers' flight: a frame popped over a
 //! pending slot whose effect is published would send the request
-//! through `apply_batch` a second time.)
+//! through `apply_batch` a second time.) And a window publishes only
+//! once its frame is durable, so a request whose frame was lost is
+//! pending and unpublished, and `apply_batch` — no evidence scan — is
+//! its one execution.
 //!
 //! **(c) Two frames may name one pending slot**: an idle worker's
 //! retired frame whose slot was recycled, and the in-flight window over
@@ -127,6 +137,40 @@
 //!
 //! [`RecoveryMode::Parallel`]: crate::RecoveryMode::Parallel
 //!
+//! # A root frame is awaited where its body publishes
+//!
+//! A frame must be durable before its call's effects can be *seen* —
+//! a crash that keeps an effect must find the frame to replay — not
+//! before its body starts computing. So a root frame's `CALL` (a push
+//! over the dummy frame: a task's, or any call a context makes at depth
+//! 0) is issued as a flight, and [`PContext::frame_durable`] awaits it.
+//! The runtime awaits it before the body unless the function declares
+//! [`awaits_own_frame`], and in every case before a nested call (no
+//! frame is built on one in flight), before the abort unwind and before
+//! the `RET` or its retire (no frame is popped before it is durable).
+//! A frame's flight is therefore open only while its own body runs, and
+//! the one state this adds is *body begun, frame lost*: the power
+//! failure replays nothing, so whatever the body did must be invisible.
+//! A retired pop that rode the lost line comes back live with it, which
+//! (a) covers.
+//!
+//! `KvServeFunction` is the function that declares it. Its window reads
+//! its slots and begins every shard's group commit — records ‖ tail in
+//! flight, after the evidence scan on a recovery window — and only then
+//! awaits the frame and the descriptors, right before the heads are
+//! published. Records and tail are reserved, unpublished log slots that
+//! nothing reads until a head points at them, so a crash before the
+//! heads leaves orphan slots — at most one staged batch per shard per
+//! failure — and its requests pending and unpublished: a retry or
+//! `pending_tasks` executes each exactly once, (b). A crash after a
+//! head finds the frame durable, and its replay's evidence scan finds
+//! the effect. (The window's multi-mutator path publishes per op, so it
+//! awaits the frame and the descriptors before its first.) A served
+//! round blocks on three round-trips: `CALL` ‖ descriptors ‖ records ‖
+//! tail → heads → epoch ‖ answers.
+//!
+//! [`awaits_own_frame`]: crate::RecoverableFunction::awaits_own_frame
+//!
 //! Return values larger than 8 bytes go through the NVRAM heap instead:
 //! the caller allocates a cell, passes its *offset* in the arguments
 //! (offsets, never pointers — §4.1), and the callee persists the big
@@ -137,7 +181,7 @@
 //! [`PMem::line_size`]: pstack_nvram::PMem::line_size
 
 use pstack_heap::PHeap;
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::registry::FunctionRegistry;
 use crate::stack::{PersistentStack, ReturnSlot};
@@ -173,6 +217,9 @@ pub struct PContext<'a> {
     registry: &'a FunctionRegistry,
     stack: &'a mut dyn PersistentStack,
     user_root: POffset,
+    /// The last `CALL`'s flight, issued and not yet awaited — outside
+    /// `invoke`, only a root frame's whose function awaits it itself.
+    frame: Option<FlushTicket>,
 }
 
 impl std::fmt::Debug for PContext<'_> {
@@ -181,6 +228,7 @@ impl std::fmt::Debug for PContext<'_> {
             .field("pid", &self.pid)
             .field("depth", &self.stack.depth())
             .field("user_root", &self.user_root)
+            .field("frame_in_flight", &self.frame.is_some())
             .finish()
     }
 }
@@ -202,6 +250,7 @@ impl<'a> PContext<'a> {
             registry,
             stack,
             user_root,
+            frame: None,
         }
     }
 
@@ -254,10 +303,24 @@ impl<'a> PContext<'a> {
         retire: bool,
     ) -> Result<Option<RetBytes>, PError> {
         let f = self.registry.get(func_id)?;
+        // No frame is built on one still in flight.
+        self.frame_durable()?;
         // The push clears the caller's slot, so its recover dual can
         // tell "this child completed" from a stale completion record.
-        self.stack.push(func_id, args)?;
-        match f.call(self, args) {
+        // Only a root frame whose function awaits it itself stays in
+        // flight into the body.
+        let root = self.stack.depth() == 0;
+        self.frame = self.stack.push_issued(func_id, args)?;
+        if !(root && f.awaits_own_frame()) {
+            self.frame_durable()?;
+        }
+        let out = f.call(self, args);
+        if !out.as_ref().is_err_and(PError::is_crash) {
+            // The RET, or the abort unwind, pops the frame: never one
+            // that is not yet durable.
+            self.frame_durable()?;
+        }
+        match out {
             Ok(ret) if retire => {
                 self.stack.retire(completion(ret))?;
                 Ok(ret)
@@ -274,6 +337,24 @@ impl<'a> PContext<'a> {
                 Err(e)
             }
         }
+    }
+
+    /// Awaits the root frame's `CALL` if it is still in flight — a
+    /// function that [awaits its own frame] calls this before anything
+    /// it publishes can be seen. Once it returns, the frame is durable:
+    /// a power failure replays it. Idempotent, and free when nothing is
+    /// in flight.
+    ///
+    /// # Errors
+    ///
+    /// A propagated crash (the frame's flight was cut).
+    ///
+    /// [awaits its own frame]: crate::RecoverableFunction::awaits_own_frame
+    pub fn frame_durable(&mut self) -> Result<(), PError> {
+        if let Some(ticket) = self.frame.take() {
+            self.stack.pmem().await_ticket(&ticket)?;
+        }
+        Ok(())
     }
 
     /// `RET`: pops the top frame with `ret` recorded in its caller's
@@ -349,7 +430,7 @@ pub fn recover_stack(ctx: &mut PContext<'_>) -> Result<StackRecovery, PError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::FunctionRegistry;
+    use crate::registry::{FunctionRegistry, RecoverableFunction};
     use crate::stack::FixedStack;
     use pstack_nvram::PMemBuilder;
 
@@ -458,6 +539,92 @@ mod tests {
         // are one persist each around the nested three.
         let d = pmem.stats().snapshot() - before;
         assert_eq!((d.persists, d.redundant_persists), (5, 0));
+    }
+
+    /// A root function that declares it awaits its own frame and never
+    /// calls [`PContext::frame_durable`]: `body` runs with its `CALL`
+    /// in flight.
+    struct NeverAwaits<F>(F);
+
+    impl<F> RecoverableFunction for NeverAwaits<F>
+    where
+        F: Fn(&mut PContext<'_>) -> Result<Option<RetBytes>, PError> + Send + Sync,
+    {
+        fn call(&self, c: &mut PContext<'_>, _: &[u8]) -> Result<Option<RetBytes>, PError> {
+            (self.0)(c)
+        }
+
+        fn recover(&self, _: &mut PContext<'_>, _: &[u8]) -> Result<Option<RetBytes>, PError> {
+            Ok(None)
+        }
+
+        fn awaits_own_frame(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_root_frame_is_durable_before_its_body_unless_it_awaits_its_own() {
+        let (pmem, heap, mut stack) = fixture();
+        let mut reg = FunctionRegistry::new();
+        let in_flight = |c: &mut PContext<'_>| Ok(Some(c.pmem.inflight_tickets().to_le_bytes()));
+        reg.register_pair(1, move |c, _| in_flight(c), |_c, _| Ok(None))
+            .unwrap();
+        reg.register(2, std::sync::Arc::new(NeverAwaits(in_flight)))
+            .unwrap();
+        let mut c = ctx(&pmem, &heap, &reg, &mut stack);
+        let before = pmem.stats().snapshot();
+        assert_eq!(c.call(1, &[]).unwrap(), Some(0u64.to_le_bytes()));
+        assert_eq!(
+            c.call(2, &[]).unwrap(),
+            Some(1u64.to_le_bytes()),
+            "its CALL"
+        );
+        assert_eq!(pmem.inflight_tickets(), 0, "and awaited before its RET");
+        // Either way the CALL is one flight, the RET one persist.
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!((d.persists, d.async_flushes), (4, 2));
+    }
+
+    #[test]
+    fn a_root_frame_that_never_awaits_itself_is_durable_before_anything_pops_or_builds_on_it() {
+        // The body arms a power failure at the next persistence event —
+        // the retire's, the nested push's or the unwind's first store —
+        // and leaves its own CALL in flight. Every dirty line is lost,
+        // so the frame survives only if the runtime awaited it first.
+        type Body = fn(&mut PContext<'_>) -> Result<Option<RetBytes>, PError>;
+        let cases: [(&str, Body); 3] = [
+            ("retired RET", |_c| Ok(None)),
+            ("nested push", |c| c.call(9, &[])),
+            ("abort unwind", |_c| Err(PError::Task("abort".into()))),
+        ];
+        for (what, body) in cases {
+            let (pmem, heap, mut stack) = fixture();
+            let mut reg = FunctionRegistry::new();
+            reg.register(
+                1,
+                std::sync::Arc::new(NeverAwaits(move |c: &mut PContext<'_>| {
+                    assert_eq!(
+                        c.pmem.inflight_tickets(),
+                        1,
+                        "{what}: the body runs under its CALL"
+                    );
+                    c.pmem
+                        .arm_failpoint(pstack_nvram::FailPlan::after_events(0));
+                    body(c)
+                })),
+            )
+            .unwrap();
+            reg.register_pair(9, |_c, _| Ok(None), |_c, _| Ok(None))
+                .unwrap();
+            let mut c = ctx(&pmem, &heap, &reg, &mut stack);
+            assert!(c.call_task(1, &[]).unwrap_err().is_crash(), "{what}");
+
+            let pmem = pmem.reopen().unwrap();
+            let stack = FixedStack::open(pmem, POffset::new(0), 16 * 1024).unwrap();
+            assert_eq!(stack.depth(), 1, "{what}: the root frame was lost");
+            assert_eq!(stack.frame_record(1).unwrap().func_id, 1, "{what}");
+        }
     }
 
     #[test]

@@ -48,6 +48,16 @@ pub trait RecoverableFunction: Send + Sync {
     ///
     /// Same contract as [`RecoverableFunction::call`].
     fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError>;
+
+    /// `true` if `call`, run as a root frame, awaits its own frame
+    /// ([`PContext::frame_durable`]) before anything it publishes can be
+    /// seen, so the runtime may start it with the frame's `CALL` still
+    /// in flight. Default `false`: the frame is durable before `call`
+    /// starts. Either way the runtime awaits it before a nested call,
+    /// the abort unwind and the `RET` (see [`crate::invoke`]).
+    fn awaits_own_frame(&self) -> bool {
+        false
+    }
 }
 
 /// Adapter building a [`RecoverableFunction`] from two closures.

@@ -1,6 +1,6 @@
 //! Fixed-capacity contiguous persistent stack (§3.3–3.4 of the paper).
 
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
@@ -161,7 +161,7 @@ impl PersistentStack for FixedStack {
         StackKind::Fixed
     }
 
-    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
+    fn push_issued(&mut self, func_id: u64, args: &[u8]) -> Result<Option<FlushTicket>, PError> {
         let caller = *self.top();
         let new_start = caller.end();
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
@@ -179,7 +179,7 @@ impl PersistentStack for FixedStack {
         // Step 2 (Fig. 3c): move the stack end forward — flip the old
         // top's marker 0x1 → 0x0. One byte, one line: crash-atomic, and
         // the clearing of that frame's return slot rides the same line.
-        persist_call(
+        let ticket = persist_call(
             &self.pmem,
             &caller,
             self.retired,
@@ -193,7 +193,7 @@ impl PersistentStack for FixedStack {
             func_id,
             args_len: args.len() as u32,
         });
-        Ok(())
+        Ok(ticket)
     }
 
     fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {

@@ -17,7 +17,7 @@
 //! step 3 has.
 
 use pstack_heap::PHeap;
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::frame::{
     encode_ordinary, encode_pointer, parse_frame, FrameMeta, ParsedFrame, MARKER_FRAME_END,
@@ -275,7 +275,7 @@ impl PersistentStack for ListStack {
         StackKind::List
     }
 
-    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
+    fn push_issued(&mut self, func_id: u64, args: &[u8]) -> Result<Option<FlushTicket>, PError> {
         let need = ORDINARY_OVERHEAD + args.len() as u64;
         let (top_bidx, top_meta) = *self.top();
         debug_assert_eq!(top_bidx, self.blocks.len() - 1, "top frame in last block");
@@ -285,7 +285,7 @@ impl PersistentStack for ListStack {
         if tail.get() + need + POINTER_FRAME_LEN <= limit.get() {
             // Fits in the current block: §3.4 protocol verbatim.
             let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-            persist_call(
+            let ticket = persist_call(
                 &self.pmem,
                 &top_meta,
                 self.retired,
@@ -302,7 +302,7 @@ impl PersistentStack for ListStack {
                     args_len: args.len() as u32,
                 },
             ));
-            return Ok(());
+            return Ok(ticket);
         }
 
         // Chain a new block (Appendix A.3): everything below is
@@ -316,7 +316,7 @@ impl PersistentStack for ListStack {
         // Linearization: the old top's marker flip, once the frame in
         // the new block and the pointer frame that leads to it are
         // durable (the pointer frame usually shares the flip's line).
-        persist_call(
+        let ticket = persist_call(
             &self.pmem,
             &top_meta,
             self.retired,
@@ -342,7 +342,7 @@ impl PersistentStack for ListStack {
             },
         ));
         self.blocks_chained += 1;
-        Ok(())
+        Ok(ticket)
     }
 
     fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {

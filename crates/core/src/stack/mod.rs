@@ -19,8 +19,12 @@
 //! when it is flushed ahead of it).
 //!
 //! Every flip is durable before the next step that depends on it —
-//! the paper's invariant 2 (§3.4). A nested pop's flip is flushed by
-//! the pop itself. A root frame's pop may instead be *retired*
+//! the paper's invariant 2 (§3.4). A push may leave its flip in flight
+//! ([`PersistentStack::push_issued`]): the flip's line is the last
+//! persist of `CALL`, issued as an asynchronous flush whose ticket the
+//! caller awaits before anything builds on the frame ([`push`] is that
+//! issue and its await). A nested pop's flip is flushed by the pop
+//! itself. A root frame's pop may instead be *retired*
 //! ([`PersistentStack::retire`]): written, not flushed, and made
 //! durable by the same handle's next push, whose own persist flips the
 //! same marker back — the retired pop is one more stage ahead of the
@@ -34,6 +38,8 @@
 //! Frames are addressed by *index*: index 0 is the dummy frame that the
 //! paper introduces so that push and pop always have a predecessor
 //! frame to flip; indices `1..=depth` are live invocation frames.
+//!
+//! [`push`]: PersistentStack::push
 
 mod dump;
 mod fixed;
@@ -45,7 +51,7 @@ pub use fixed::{FixedStack, FlushPolicy};
 pub use list::ListStack;
 pub use vec::VecStack;
 
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::frame::{
     FrameMeta, MARKER_FRAME_END, MARKER_STACK_END, RET_COMPLETED_UNIT, RET_COMPLETED_VALUE,
@@ -160,11 +166,41 @@ pub trait PersistentStack: Send {
     /// the retired pop rides this persist, or is flushed before any of
     /// the new frame's bytes are written.
     ///
+    /// [`push_issued`](PersistentStack::push_issued), then its await:
+    /// the frame is durable on return.
+    ///
     /// # Errors
     ///
     /// [`PError::StackOverflow`] (fixed layout), heap exhaustion
     /// (unbounded layouts), or a propagated crash.
-    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError>;
+    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
+        if let Some(ticket) = self.push_issued(func_id, args)? {
+            self.pmem().await_ticket(&ticket)?;
+        }
+        Ok(())
+    }
+
+    /// `CALL` with its last persist — the one that carries the marker
+    /// flip — issued as an asynchronous flush and **not awaited**. Every
+    /// earlier stage is durable on return (a retired pop that does not
+    /// ride the flip's line, a frame past it), and so is the flip once
+    /// the returned ticket is awaited (at once on an eager region, where
+    /// every store is durable as it lands; `None` only under a
+    /// [`FlushPolicy`] that skips the flip's flush).
+    /// Until then a crash leaves the stack before the push or pushed,
+    /// by the survival of the flip's one line — and a retired pop that
+    /// rides that line shares its fate: lost with it, the retired frame
+    /// is live again, as a crash before its `RET` could always leave it.
+    ///
+    /// The handle's index counts the frame at once, but nothing may
+    /// build on it — no push or pop on this handle — before the ticket
+    /// is awaited: [`PContext`](crate::PContext) awaits a root frame
+    /// before a nested call, the abort unwind and the `RET`.
+    ///
+    /// # Errors
+    ///
+    /// As [`push`](PersistentStack::push).
+    fn push_issued(&mut self, func_id: u64, args: &[u8]) -> Result<Option<FlushTicket>, PError>;
 
     /// `RET`: pops the top frame by flipping the penultimate frame's
     /// marker to stack-end, after storing `completion` (what the popped
@@ -253,7 +289,9 @@ pub trait PersistentStack: Send {
     /// Out-of-range index or a propagated crash.
     fn set_ret(&mut self, index: usize, slot: ReturnSlot) -> Result<(), PError> {
         let meta = self.frame_meta(index)?;
-        persist_in_order(self.pmem(), slot_stages(&slot_stores(&meta, &slot)))
+        let stores = slot_stores(&meta, &slot);
+        persist_in_order(self.pmem(), slot_stages(&stores), LastStage::Flushed)?;
+        Ok(())
     }
 
     /// Reads the return slot of frame `index`.
@@ -316,6 +354,17 @@ impl Stage<'_> {
     }
 }
 
+/// How [`persist_in_order`] persists its last stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LastStage {
+    /// Flushed before it returns, like every earlier stage.
+    Flushed,
+    /// Issued as a flight ([`PMem::flush_async`]) whose ticket it
+    /// returns: nothing the step orders comes after the last stage, so
+    /// only its caller knows what waits for it.
+    Issued,
+}
+
 /// Applies `stages` in order such that no store can be durable without
 /// every store of every earlier stage, at the fewest persists the
 /// offsets allow: a stage lying in the one line the next stage also
@@ -324,17 +373,20 @@ impl Stage<'_> {
 /// durable by one flush over its hull before the next is issued. A
 /// crash before a shared persist keeps, per line, a prefix of the
 /// stores, which is why the order inside a stage is also an order every
-/// prefix of which is a legal state.
+/// prefix of which is a legal state. The last stage is flushed or
+/// issued as `last` says; the ticket of an issued one is returned.
 pub(crate) fn persist_in_order<'a>(
     pmem: &PMem,
     stages: impl IntoIterator<Item = Stage<'a>>,
-) -> Result<(), PError> {
+    last: LastStage,
+) -> Result<Option<FlushTicket>, PError> {
     let line = pmem.line_size() as u64;
     let only_line = |stage: &Stage<'_>| {
         let (start, end) = stage.hull();
         (start / line == end.saturating_sub(1) / line).then_some(start / line)
     };
     let mut stages = stages.into_iter().peekable();
+    let mut ticket = None;
     while let Some(stage) = stages.next() {
         if stage.write {
             for (off, data) in stage.stores {
@@ -342,16 +394,19 @@ pub(crate) fn persist_in_order<'a>(
             }
         }
         let line_of_stage = only_line(&stage);
-        let rides = line_of_stage.is_some()
-            && stages
-                .peek()
-                .is_some_and(|next| only_line(next) == line_of_stage);
+        let next = stages.peek();
+        let rides = line_of_stage.is_some() && next.is_some_and(|n| only_line(n) == line_of_stage);
         if stage.flush && !rides {
             let (start, end) = stage.hull();
-            pmem.flush(POffset::new(start), (end - start) as usize)?;
+            let (start, len) = (POffset::new(start), (end - start) as usize);
+            if next.is_none() && last == LastStage::Issued {
+                ticket = Some(pmem.flush_async(start, len)?);
+            } else {
+                pmem.flush(start, len)?;
+            }
         }
     }
-    Ok(())
+    Ok(ticket)
 }
 
 /// The stores that record `slot` in `meta`'s frame, each a stage of its
@@ -398,6 +453,9 @@ fn pop_flip(caller: &FrameMeta) -> [Store<'static>; 1] {
 /// the next stage's persist when they share its line (every per-line
 /// prefix of the stores is then a legal state: frame live, popped, or
 /// the new frame pushed) and is flushed ahead of them otherwise.
+///
+/// The flip's persist is issued, not awaited: its ticket is returned
+/// ([`PersistentStack::push_issued`]).
 pub(crate) fn persist_call(
     pmem: &PMem,
     caller: &FrameMeta,
@@ -405,7 +463,7 @@ pub(crate) fn persist_call(
     detached: Option<Store<'_>>,
     appended: Store<'_>,
     policy: FlushPolicy,
-) -> Result<(), PError> {
+) -> Result<Option<FlushTicket>, PError> {
     let published = |stores| Stage {
         stores,
         write: true,
@@ -431,6 +489,7 @@ pub(crate) fn persist_call(
     persist_in_order(
         pmem,
         stages.into_iter().filter(|stage| !stage.stores.is_empty()),
+        LastStage::Issued,
     )
 }
 
@@ -454,7 +513,9 @@ pub(crate) fn persist_ret(
             write: true,
             flush: policy.flush_markers,
         }]),
-    )
+        LastStage::Flushed,
+    )?;
+    Ok(())
 }
 
 /// A retired `RET` ([`PersistentStack::retire`]), shared by the three
@@ -477,6 +538,7 @@ pub(crate) fn retire_ret(
             write: true,
             flush: false,
         }]),
+        LastStage::Flushed,
     )?;
     Ok(!pmem.is_eager_flush())
 }

@@ -10,7 +10,7 @@
 //! block (the paper has the same window after its step 4).
 
 use pstack_heap::PHeap;
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
@@ -214,7 +214,7 @@ impl PersistentStack for VecStack {
         StackKind::Vec
     }
 
-    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
+    fn push_issued(&mut self, func_id: u64, args: &[u8]) -> Result<Option<FlushTicket>, PError> {
         let need = ORDINARY_OVERHEAD + args.len() as u64;
         let used = self.used_bytes();
         if used + need > self.capacity {
@@ -228,7 +228,7 @@ impl PersistentStack for VecStack {
         let caller = *self.top();
         let new_start = caller.end();
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        persist_call(
+        let ticket = persist_call(
             &self.pmem,
             &caller,
             self.retired,
@@ -242,7 +242,7 @@ impl PersistentStack for VecStack {
             func_id,
             args_len: args.len() as u32,
         });
-        Ok(())
+        Ok(ticket)
     }
 
     fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {

@@ -507,14 +507,20 @@ impl KvServeFunction {
     /// a round-trip because nothing orders them; no shard's persist is
     /// ordered against another's):
     ///
-    /// 1. every shard's descriptors made durable before any is read
-    ///    ([`KvRequestTable::persist_slots_if_dirty`] — the drain issued
-    ///    their flights, this awaits them after the window's `CALL`);
-    /// 2. per shard, answered slots skipped (their answers are simply
-    ///    re-collected) and the rest begun as a group commit
-    ///    ([`PKvStore::apply_batch`]'s first level, or the evidence-
-    ///    scanning [`PKvStore::recover_batch`] dual for a shard marked
-    ///    `recovery`) — records ‖ tail in flight;
+    /// 1. per shard, the slots read, answered slots skipped (their
+    ///    answers are simply re-collected) and the rest begun as a group
+    ///    commit ([`PKvStore::apply_batch`]'s first level, or the
+    ///    evidence-scanning [`PKvStore::recover_batch`] dual for a shard
+    ///    marked `recovery`) — records ‖ tail in flight beside the
+    ///    window's `CALL` and the drain's descriptor flights;
+    /// 2. the window's `frame` awaited ([`PContext::frame_durable`]),
+    ///    then every shard's descriptors
+    ///    ([`KvRequestTable::persist_slots_if_dirty`], riding the
+    ///    drain's flights): nothing is published before a replay can
+    ///    find the frame, or on behalf of a descriptor that is not
+    ///    durable. Until then the records are reserved, unpublished log
+    ///    slots — a crash leaves them orphans and the requests pending
+    ///    (`pstack_core::invoke` argues it);
     /// 3. all shards' commits advanced together until their heads are
     ///    durable and only their epochs are in flight;
     /// 4. per shard, the answers issued as one coalesced flight
@@ -524,15 +530,19 @@ impl KvServeFunction {
     ///    implies its effect, and answers are durable before they are
     ///    visible.
     ///
-    /// So a window blocks on the same round-trips — descriptors ‖
-    /// `CALL` → records ‖ tail → heads → epoch ‖ answers — however many
-    /// shards it names; its `RET` is retired into the next window's
+    /// So a window blocks on the same round-trips — `CALL` ‖
+    /// descriptors ‖ records ‖ tail → heads → epoch ‖ answers — however
+    /// many shards it names; its `RET` is retired into the next window's
     /// `CALL` (a replay of a completed window is safe: see
-    /// `pstack_core::invoke`). A window never carries a read —
-    /// the server answers those at admission and a harness answers its
-    /// own, both through [`ShardedKvStore::get_durable`], the one read
-    /// path — so a `Get` descriptor here is a caller's error, not a
-    /// second way to read.
+    /// `pstack_core::invoke`). With more than one mutator a shard
+    /// publishes per op, so the frame and the descriptors are awaited
+    /// before the first. `frame` is the context whose root frame the
+    /// window runs in; a caller running no frame passes `None`.
+    ///
+    /// A window never carries a read — the server answers those at
+    /// admission and a harness answers its own, both through
+    /// [`ShardedKvStore::get_durable`], the one read path — so a `Get`
+    /// descriptor here is a caller's error, not a second way to read.
     ///
     /// # Errors
     ///
@@ -544,6 +554,7 @@ impl KvServeFunction {
         &self,
         window: &[ShardWindow],
         executor: u32,
+        mut frame: Option<&mut PContext<'_>>,
     ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
         self.check(window)?;
         let _label = op_label(if window.iter().any(|part| part.recovery) {
@@ -551,10 +562,8 @@ impl KvServeFunction {
         } else {
             "server.window"
         });
-        // Nothing executes on behalf of a descriptor that is not
-        // durable: the reader rule, riding the drain's flights.
-        for part in window {
-            self.tables[part.shard as usize].persist_slots_if_dirty(&part.slots)?;
+        if self.mutators > 1 && window.iter().any(|part| !part.recovery) {
+            self.await_published_on(window, frame.as_deref_mut())?;
         }
         let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
         // Per shard: its table, its staged (slot, req_id)s and their ops,
@@ -580,6 +589,7 @@ impl KvServeFunction {
             };
             parts.push((table, staged, ops, outcomes));
         }
+        self.await_published_on(window, frame)?;
         // Every commit sealed — its effects durable, only its epoch
         // flight outstanding — then the answers issued and the commits
         // finished, so each shard's epoch and answers share a round-trip.
@@ -608,6 +618,24 @@ impl KvServeFunction {
             table.mark_done_await(ticket)?;
         }
         Ok(ready)
+    }
+
+    /// Awaits what a window's heads depend on beyond their records: its
+    /// frame, which a replay must find, and its descriptors — nothing
+    /// is published on behalf of one that is not durable. Both awaits
+    /// are idempotent, and free once done.
+    fn await_published_on(
+        &self,
+        window: &[ShardWindow],
+        frame: Option<&mut PContext<'_>>,
+    ) -> Result<(), PError> {
+        if let Some(ctx) = frame {
+            ctx.frame_durable()?;
+        }
+        for part in window {
+            self.tables[part.shard as usize].persist_slots_if_dirty(&part.slots)?;
+        }
+        Ok(())
     }
 
     /// Reads one shard's part of a window: the `(slot, req_id)` and the
@@ -699,10 +727,13 @@ impl KvServeFunction {
 
 /// A window's product is the durable answers in its request table, so
 /// the frame returns unit: nothing reads a return value, and a unit
-/// return spares the frame the separate value persist.
+/// return spares the frame the separate value persist. Its body begins
+/// under its own `CALL`, which it awaits right before the heads.
 impl RecoverableFunction for KvServeFunction {
     fn call(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        self.execute_window(&self.parse_args(args)?, ctx.pid as u32)?;
+        let window = self.parse_args(args)?;
+        let executor = ctx.pid as u32;
+        self.execute_window(&window, executor, Some(ctx))?;
         Ok(None)
     }
 
@@ -713,8 +744,13 @@ impl RecoverableFunction for KvServeFunction {
         for part in &mut window {
             part.recovery = true;
         }
-        self.execute_window(&window, ctx.pid as u32)?;
+        let executor = ctx.pid as u32;
+        self.execute_window(&window, executor, Some(ctx))?;
         Ok(None)
+    }
+
+    fn awaits_own_frame(&self) -> bool {
+        true
     }
 }
 
@@ -828,7 +864,7 @@ mod tests {
     use super::*;
     use crate::shard::shard_of;
     use crate::store::KvVariant;
-    use pstack_core::{FixedStack, FunctionRegistry};
+    use pstack_core::{FixedStack, FunctionRegistry, PersistentStack};
     use pstack_heap::PHeap;
     use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, POffset};
 
@@ -872,8 +908,9 @@ mod tests {
         (pmem, heap, KvServeFunction::preload(store, ops).unwrap())
     }
 
-    /// A stripe with one preloaded table per shard, plus the (eager)
-    /// control region the persistent stack lives in.
+    /// A stripe with one preloaded table per shard, plus the (buffered)
+    /// control region the persistent stack lives in: a window's `CALL`
+    /// is a flight there, as on a served system.
     fn sharded_fixture(
         ops: &[KvTaskOp],
         nshards: usize,
@@ -881,7 +918,7 @@ mod tests {
         let stripe = PMemBuilder::new().len(REGION_LEN).build_striped(nshards);
         let store = ShardedKvStore::format(stripe.regions(), 8, 128, KvVariant::Nsrl).unwrap();
         let exec = KvServeFunction::preload(store, ops).unwrap();
-        let main = eager_region();
+        let main = PMemBuilder::new().len(REGION_LEN).build_in_memory();
         let heap = PHeap::format(
             main.clone(),
             POffset::new(HEAP_OFF),
@@ -899,6 +936,46 @@ mod tests {
         let exec2 = KvServeFunction::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
         let heap2 = PHeap::open(main2.clone(), POffset::new(HEAP_OFF)).unwrap();
         (main2, heap2, exec2)
+    }
+
+    /// Checked on a [`reopen_sharded`] boot before anything replays:
+    /// a durable head reaching a record of the window `args` implies
+    /// the window's frame and its descriptors are durable — the window
+    /// awaits both before it publishes. Returns whether the frame
+    /// survived the cut.
+    fn published_only_over_a_durable_frame(
+        main: &PMem,
+        exec: &KvServeFunction,
+        args: &[u8],
+        at: &str,
+    ) -> bool {
+        let stack = FixedStack::open(main.clone(), POffset::new(0), 4096).unwrap();
+        let frame = stack.depth() == 1;
+        if frame {
+            let record = stack.frame_record(1).unwrap();
+            assert_eq!(
+                (record.func_id, &record.args[..]),
+                (KV_SERVE_FUNC_ID, args),
+                "{at}"
+            );
+        }
+        let chains = exec.store().snapshot_sharded().unwrap();
+        for part in exec.parse_args(args).unwrap() {
+            let (shard, table) = (part.shard as usize, &exec.tables()[part.shard as usize]);
+            for slot in part.slots {
+                // Preloaded: slot `i` of shard `s` is request `i + 1` of
+                // client `s + 1`.
+                let req_id = ((shard as u64 + 1) << 32) | (u64::from(slot) + 1);
+                if chains[shard].iter().flatten().any(|r| r.seq == req_id) {
+                    assert!(
+                        frame,
+                        "{at}: shard {shard} slot {slot} published, frame lost"
+                    );
+                    assert_eq!(table.req_id(slot).unwrap(), req_id, "{at}: descriptor lost");
+                }
+            }
+        }
+        frame
     }
 
     #[test]
@@ -1252,7 +1329,7 @@ mod tests {
         for window in [vec![part(1, 0), part(1, 1)], vec![part(1, 0), part(0, 0)]] {
             let args = KvServeFunction::window_args(&window);
             task_error(exec.parse_args(&args));
-            task_error(exec.execute_window(&window, 0));
+            task_error(exec.execute_window(&window, 0, None));
             let registry = exec.registry().unwrap();
             on_stack(&main, &heap, &registry, true, |ctx| {
                 assert!(ctx.call(KV_SERVE_FUNC_ID, &args).is_err());
@@ -1322,7 +1399,8 @@ mod tests {
     }
 
     /// Crashes `window` of shard `shard` at every event of the shard's
-    /// region, reboots the whole system, replays the window through the
+    /// region, reboots the whole system, checks that nothing was
+    /// published over a lost frame, replays the window through the
     /// recover dual, and hands each recovered system to `check`.
     fn sweep_window_crash_points(
         ops: &[KvTaskOp],
@@ -1349,6 +1427,7 @@ mod tests {
         outcome.unwrap();
         assert!(total >= 2, "store op + answer persist in the shard region");
 
+        let mut begun_over_a_lost_frame = 0;
         for k in 0..total {
             let (stripe, main, args, outcome, _) = run(Some(k));
             assert!(outcome.unwrap_err().is_crash(), "crash at shard event {k}");
@@ -1356,12 +1435,20 @@ mod tests {
             stripe.crash_all(7, 0.0);
             main.crash_now(7, 0.0);
             let (main2, heap2, exec2) = reopen_sharded(&stripe, &main);
+            let at = format!("crash at shard event {k}");
+            if !published_only_over_a_durable_frame(&main2, &exec2, &args, &at) {
+                begun_over_a_lost_frame += 1;
+            }
             let registry2 = FunctionRegistry::new();
             on_stack(&main2, &heap2, &registry2, false, |ctx| {
                 exec2.recover(ctx, &args).unwrap();
             });
             check(k, &exec2);
         }
+        assert!(
+            begun_over_a_lost_frame > 0,
+            "no cut met the window begun under its CALL's flight"
+        );
     }
 
     #[test]
@@ -1442,6 +1529,7 @@ mod tests {
                     stripe.crash_all(seed, prob);
                     main.crash_now(seed, prob);
                     let (main2, heap2, exec2) = reopen_sharded(&stripe, &main);
+                    published_only_over_a_durable_frame(&main2, &exec2, &args, &at);
                     let store = exec2.store();
                     let records = |shard: usize, req_id: u64| {
                         let chains = store.snapshot_sharded().unwrap().swap_remove(shard);

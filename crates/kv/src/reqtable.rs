@@ -25,14 +25,16 @@
 //!   [`ReqSubmit::Full`] — the admission-control signal — when no slot
 //!   is recyclable. [`KvRequestTable::persist_slots`] (or its
 //!   issue/await halves) makes a set of staged descriptors durable with
-//!   **one coalesced persist**. The invariant the caller owes: *a
-//!   descriptor is durable before anything executes on its behalf*, so
+//!   **one coalesced persist**. The invariant the caller owes: *nothing
+//!   is published on behalf of a descriptor that is not durable*, so
 //!   an effect found in the store always has a durable descriptor
 //!   naming it. The server's drain only *issues* that persist; the
-//!   window that executes the slots awaits it after its `CALL`, before
-//!   it reads them, with [`KvRequestTable::persist_slots_if_dirty`] —
-//!   the durable-read rule, which rides the issued flight and costs
-//!   nothing on lines already durable. Nothing is promised to a client
+//!   window that executes the slots awaits it with its frame, right
+//!   before it publishes their effects, with
+//!   [`KvRequestTable::persist_slots_if_dirty`] — the durable-read rule,
+//!   which rides the issued flight and costs nothing on lines already
+//!   durable. Records the window staged before a crash cut that await
+//!   are unreachable orphans. Nothing is promised to a client
 //!   while a descriptor is only staged, so a crash in between loses
 //!   nothing: the slot reverts to its old, recyclable occupant and the
 //!   client's retry is `Fresh`.
@@ -377,7 +379,7 @@ impl KvRequestTable {
     /// [`ReqSubmit::Full`] when nothing is recyclable. A fresh
     /// descriptor is only **staged** when this returns: the caller
     /// persists it ([`KvRequestTable::persist_slots`]) before anything
-    /// executes on its behalf.
+    /// is published on its behalf.
     ///
     /// # Errors
     ///

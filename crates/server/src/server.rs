@@ -40,16 +40,16 @@
 //! | request | persist | where | round-trips | blocking (lone put) |
 //! |---|---|---|---|---|
 //! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard | 0 |
-//! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window after its `CALL` | 1 per shard per **drain** | 0 |
-//! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist, which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
-//! | | group commit | records ‖ log tail, heads, epoch; every shard of the window one level per round-trip | 4 per shard per round | 3 |
+//! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window with its frame, before the heads | 1 per shard per **drain** | 0 |
+//! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
+//! | | group commit | records ‖ log tail (beside the `CALL`), heads, epoch; every shard of the window one level per round-trip | 4 per shard per round | 2 more |
 //! | | answer | [`KvRequestTable::mark_done_issue`], payload + flag in one line-atomic persist, beside the shard's epoch | 1 per shard per round | 0 |
 //! | | ack | [`ServerCore::ack`] | 1 per ack | 1 |
 //!
-//! A lone put therefore costs 8 persists end to end and blocks on 4
-//! round-trips before its answer (descriptor ‖ `CALL` (+ the previous
-//! round's `RET`) → records ‖ tail → heads → epoch ‖ answer); a round
-//! that touches several shards blocks on the same 4 and pays the
+//! A lone put therefore costs 8 persists end to end and blocks on 3
+//! round-trips before its answer (`CALL` (+ the previous round's `RET`)
+//! ‖ descriptor ‖ records ‖ tail → heads → epoch ‖ answer); a round
+//! that touches several shards blocks on the same 3 and pays the
 //! frame's 1 once, and a full window divides everything but the ack by
 //! its occupancy. The window's own pop stays pending until the next
 //! round's `CALL`: a power failure before it replays the completed
@@ -74,12 +74,13 @@
 //! [`Submission::Queued`], so nothing is lost by a crash before the
 //! descriptor is durable: the staged slot reverts to its old,
 //! recyclable occupant and the client's retry is `Fresh`. What must
-//! never happen is a window executing over a non-durable descriptor
+//! never happen is a window publishing over a non-durable descriptor
 //! (its effect could outlive the descriptor, and the retry would then
 //! execute as fresh — a second effect), so a window awaits its own
-//! descriptors after its `CALL` and before it reads them
+//! descriptors, with its frame, before it publishes
 //! ([`KvServeFunction::execute_window`], the durable-read rule) — the
-//! drain's one round-trip hides under the frame's. A frame made
+//! drain's one round-trip hides under the frame's, and both under the
+//! records'. A frame made
 //! durable over a cut descriptor flight is replayed harmlessly: the
 //! replay skips a slot holding request id 0 and only re-collects a
 //! recycled slot's old, answered occupant. A flight that fails at its
@@ -306,17 +307,18 @@ impl ServerCore {
     /// into **one** batch window naming every drained shard's slots, and
     /// **issues the drained descriptors' persists**: one coalesced
     /// asynchronous flight per shard over its slot lines, back to back,
-    /// none awaited here — the window awaits them after its `CALL`
-    /// ([`KvServeFunction::execute_window`] reads them by the durable-
-    /// read rule), so the descriptor round-trip hides under the frame's.
+    /// none awaited here — the window awaits them with its frame, before
+    /// it publishes ([`KvServeFunction::execute_window`], by the
+    /// durable-read rule), so the descriptor round-trip hides under the
+    /// frame's.
     /// Returns the window as one persistent-stack task (none when every
     /// queue was empty) plus the request id and the kind of every entry
     /// it will answer. One frame, one `CALL` and one `RET` per round,
     /// however many shards it touches: the shards' group commits then
     /// move through their dependence levels together inside it.
     ///
-    /// The invariant: *a descriptor is durable before anything executes
-    /// on its behalf*. A flight cut by a power failure — or one that
+    /// The invariant: *nothing is published on behalf of a descriptor
+    /// that is not durable*. A flight cut by a power failure — or one that
     /// fails at its issue — leaves the window's frame durable over
     /// descriptors that are not (the window is handed out all the same:
     /// its first access to the dead region trips the whole system, so
@@ -733,7 +735,7 @@ mod tests {
             panic!("fresh")
         };
         assert!(matches!(
-            exec.execute_window(&[window(0, slot, false)], 1),
+            exec.execute_window(&[window(0, slot, false)], 1, None),
             Err(PError::Task(_))
         ));
     }
@@ -754,8 +756,11 @@ mod tests {
         // Execute the window twice through the function's own paths,
         // mimicking call-then-replay.
         let slot = exec.tables()[0].lookup(req).unwrap().unwrap().0;
-        exec.execute_window(&[window(0, slot, false)], 1).unwrap();
-        let replay = exec.execute_window(&[window(0, slot, true)], 2).unwrap();
+        exec.execute_window(&[window(0, slot, false)], 1, None)
+            .unwrap();
+        let replay = exec
+            .execute_window(&[window(0, slot, true)], 2, None)
+            .unwrap();
         assert_eq!(replay.len(), 1);
         assert_eq!(
             replay[0].1.executor, 1,

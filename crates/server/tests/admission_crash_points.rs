@@ -1,10 +1,11 @@
 //! Crash-point enumeration of the admission path: a power failure at
 //! **every persistence event** of a serving round that touches four
 //! shards — descriptors staged, drain flights issued (four shards back
-//! to back), the round's one window frame, the window awaiting every
-//! shard's descriptors after its `CALL`, the four group commits moved
-//! level by level together, answer persists, acks — in each shard
-//! region and in the control region, every dirty line lost (survival 0).
+//! to back), the round's one window frame issued, the four group
+//! commits begun under it, the window awaiting its frame and every
+//! shard's descriptors before the heads, the commits moved level by
+//! level together, answer persists, acks — in each shard region and in
+//! the control region, every dirty line lost (survival 0).
 //!
 //! After each kill the system restarts, the persistent stacks replay,
 //! and the clients retry under the contract. Checked every time:
@@ -25,11 +26,16 @@
 //! * **one frame** — the round is one window, so a power cycle replays
 //!   at most one frame.
 //!
+//! A second sweep keeps what the first loses: the `CALL` cut in flight
+//! over records and tail a shard kept, with the frame's line lost and
+//! kept — nothing of the round is reachable, and each retry is
+//! answered exactly once.
+//!
 //! A completed round's window leaves its `RET` retired into the next
 //! round's `CALL`, so a power failure anywhere between the two replays
 //! the completed window — after the round in between has acked its
 //! request, recycled its slot and admitted a new request into it. The
-//! second sweep fails at every event of such a round up to its `CALL`
+//! last sweep fails at every event of such a round up to its `CALL`
 //! (and the retire after its window), with every dirty line lost, with
 //! every one kept, and with the stack's lost but the shards' kept: each
 //! request still has exactly one effect and one durable answer.
@@ -103,8 +109,8 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
     assert!(spent.iter().all(|&n| n > 0), "every region takes part");
 
     // Per shard, the crash points in its region that leave the window's
-    // frame durable over a cut descriptor flight: the drain no longer
-    // awaits the flights, the window does, after its CALL.
+    // frame durable over a cut descriptor flight: the drain does not
+    // await the flights, the window does, after its frame.
     let mut frame_over_cut_flight = [0usize; SHAPE.shards];
     for (region, &total) in spent.iter().enumerate() {
         for k in 0..total {
@@ -190,6 +196,77 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
         frame_over_cut_flight.iter().all(|&n| n > 0),
         "each shard region must be cut between its window's CALL and its descriptors' \
          await: {frame_over_cut_flight:?}"
+    );
+}
+
+#[test]
+fn a_call_cut_in_flight_over_durable_records_leaves_them_unreachable() {
+    // A window begins its group commits under its own CALL's flight and
+    // awaits the frame only right before the heads. Cut the power at
+    // every event of shard 0's region in the round with all of shard
+    // 0's dirty lines kept — its records and tail durable as far as
+    // they were written — and the control region's, where the CALL's
+    // line is, lost or kept. Wherever the CALL was still in flight no
+    // record of the round is reachable on the reopened store, with the
+    // frame or without it; the replay (frame kept) or the retry (frame
+    // lost) answers each request exactly once, and the staged records
+    // stay orphans.
+    let s = primed();
+    let before = s.events()[1];
+    s.serve(&new_round(&s)).expect("no failure armed");
+    let total = s.events()[1] - before;
+
+    // [frame lost, frame kept]: cuts of a CALL in flight over shard
+    // 0's durable records and tail.
+    let mut over_durable_records = [0usize; 2];
+    for k in 0..total {
+        for (kept, control) in [0.0, 1.0].into_iter().enumerate() {
+            let at = format!("shard 0 event {k}, control survivors {control}");
+            let mut s = primed();
+            let new = new_round(&s);
+            let reserved = s.store().log_reserved_per_shard().unwrap()[0];
+            // The shard that fails keeps every line; the others and the
+            // control region take `control`.
+            s.rt = s.rt.clone().crash_seed(k).crash_survival(control);
+            let plan = FailPlan::after_events(k).with_survivors(k, 1.0);
+            s.region(0).arm_failpoint(plan);
+            assert!(s.serve(&new).is_none(), "{at}");
+            let call_cut = s.rt.control().stats().snapshot().flights_cut > 0;
+
+            let mut staged_durable = false;
+            let s = s.power_cycle_with(|exec| {
+                let store = exec.store();
+                staged_durable = store.log_reserved_per_shard().unwrap()[0] > reserved;
+                if call_cut {
+                    for &(req_id, _) in &new {
+                        let reached = common::records_in(store, req_id);
+                        assert!(reached.is_empty(), "{at}: {req_id:#x} published");
+                    }
+                }
+            });
+            if call_cut && staged_durable {
+                over_durable_records[kept] += 1;
+            }
+
+            let answers = s.serve(&new).expect("no failure armed after the restart");
+            for (&(req_id, _), answer) in new.iter().zip(&answers) {
+                assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
+                assert_eq!(
+                    s.records_of(req_id).len(),
+                    1,
+                    "{at}: {req_id:#x} one effect"
+                );
+            }
+            if call_cut && staged_durable {
+                let now = s.store().log_reserved_per_shard().unwrap()[0];
+                assert!(now >= reserved + 2, "{at}: the orphan and the effect");
+            }
+        }
+    }
+    assert!(
+        over_durable_records.iter().all(|&n| n > 0),
+        "a CALL cut in flight over durable records, its line lost and kept: \
+         {over_durable_records:?}"
     );
 }
 

@@ -142,6 +142,12 @@ impl Stack {
     /// stacks replay their interrupted frames, a fresh front end takes
     /// over.
     pub fn power_cycle(self) -> Stack {
+        self.power_cycle_with(|_| {})
+    }
+
+    /// [`Stack::power_cycle`], with `inspect` shown the re-attached
+    /// store and tables before the stacks replay anything.
+    pub fn power_cycle_with(self, inspect: impl FnOnce(&KvServeFunction)) -> Stack {
         self.rt.crash_all(0, 0.0);
         let mut attached = None;
         let rt = self
@@ -152,6 +158,7 @@ impl Stack {
                 exec.registry()
             })
             .unwrap();
+        inspect(attached.as_ref().unwrap());
         let report = rt
             .recover_with(RecoveryMode::Serial, |_, _| Ok(()))
             .unwrap();
@@ -167,14 +174,7 @@ impl Stack {
 
     /// Published records tagged `(client, req_id)` of `req_id`.
     pub fn records_of(&self, req_id: u64) -> Vec<VersionRecord> {
-        self.store()
-            .snapshot_sharded()
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter(|r| r.pid == req_id >> 32 && r.seq == req_id)
-            .collect()
+        records_in(self.store(), req_id)
     }
 
     pub fn assert_psan_clean(&self) {
@@ -182,4 +182,17 @@ impl Stack {
         v.extend(self.rt.control().psan_violations());
         assert!(v.is_empty(), "sanitizer findings: {v:?}");
     }
+}
+
+/// Records of `store` a head reaches, tagged `(client, req_id)` of
+/// `req_id`.
+pub fn records_in(store: &ShardedKvStore, req_id: u64) -> Vec<VersionRecord> {
+    store
+        .snapshot_sharded()
+        .unwrap()
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|r| r.pid == req_id >> 32 && r.seq == req_id)
+        .collect()
 }

@@ -13,14 +13,16 @@
 //! file before it reaches the benchmark.
 //!
 //! *When* each persist is awaited is written down too: the drain only
-//! issues the descriptors' flight, the window awaits it after its
-//! `CALL`, and the group commit's and the answers' flights are awaited
-//! where something depends on them — a lone put **blocks** on 4 of its
-//! 7 round-trips before the ack (`CALL`, records ‖ tail, heads,
-//! epoch ‖ answer), and so does a round over four shards, counted as
-//! synchronous persists plus the waits the regions plan
-//! (`async_latency_waited_ns`), which no host load can inflate: a sleep
-//! never undershoots.
+//! issues the descriptors' flight, the window's `CALL` is a flight too,
+//! issued as the window starts, and the window begins its group commit
+//! under both, awaiting the frame and the descriptors right before the
+//! heads; the group commit's and the answers' flights are awaited where
+//! something depends on them. So a lone put **blocks** on 3 of its 7
+//! round-trips before the ack (`CALL` ‖ descriptor ‖ records ‖ tail,
+//! heads, epoch ‖ answer), and so does a round over four shards. Every
+//! persist on the path is a flight, so the blocking is the waits the
+//! regions plan (`async_latency_waited_ns`, control and shards summed),
+//! which no host load can inflate: a sleep never undershoots.
 
 mod common;
 
@@ -42,6 +44,12 @@ const SHAPE: Shape = Shape {
 fn delta(s: &Stack, before: (StatsSnapshot, StatsSnapshot)) -> (StatsSnapshot, StatsSnapshot) {
     let now = s.stats();
     (now.0 - before.0, now.1 - before.1)
+}
+
+/// What a stretch blocked on: the waits its regions planned, control
+/// and shards summed — never inflated by host load.
+fn waited_ns(control: &StatsSnapshot, stripe: &StatsSnapshot) -> u64 {
+    control.async_latency_waited_ns + stripe.async_latency_waited_ns
 }
 
 #[test]
@@ -178,15 +186,20 @@ fn a_lone_put_costs_eight_persists_end_to_end() {
          one answer persist — every stripe persist a flight"
     );
 
-    // Blocking: the frame's one synchronous persist, and at most one
-    // latency per awaited level — the descriptor's deadline passed
-    // under CALL (waited 0), then records ‖ tail, heads, epoch ‖ answer.
+    // Blocking: every persist a flight — the CALL too, issued as the
+    // window starts and awaited beside the descriptor, records and tail
+    // — so at most one latency per awaited level: CALL ‖ descriptor ‖
+    // records ‖ tail, heads, epoch ‖ answer.
     let (control, stripe) = delta(&s, t0);
-    assert_eq!((control.persists, control.async_flushes), (1, 0));
+    assert_eq!(
+        (control.persists, control.async_flushes),
+        (1, 1),
+        "the one control persist is a flight: 0 synchronous"
+    );
     assert!(
-        stripe.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "a lone put blocked on more than 1 + 3 round-trips: {} ns waited on flights",
-        stripe.async_latency_waited_ns
+        waited_ns(&control, &stripe) <= 3 * LATENCY.as_nanos() as u64,
+        "a lone put blocked on more than 3 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe)
     );
 
     let t2 = s.stats();
@@ -203,10 +216,10 @@ fn a_lone_put_costs_eight_persists_end_to_end() {
 }
 
 #[test]
-fn a_four_shard_round_is_one_frame_and_four_round_trips() {
+fn a_four_shard_round_is_one_frame_and_three_round_trips() {
     // A round that touches every shard is one window: one frame, and
     // the four shards' group commits moved through their levels
-    // together — the lone put's 4 blocking round-trips, not 4 per
+    // together — the lone put's 3 blocking round-trips, not 3 per
     // shard, and 1 control persist per round, not per shard.
     const LATENCY: Duration = Duration::from_millis(1);
     let shape = Shape { shards: 4, ..SHAPE };
@@ -239,9 +252,9 @@ fn a_four_shard_round_is_one_frame_and_four_round_trips() {
     let (control, stripe) = delta(&s, t0);
     assert_eq!(
         (control.persists, control.async_flushes),
-        (1, 0),
-        "one CALL for four shards, its RET retired: the frame (4 one-slot parts, \
-         12 bytes) shares the dummy frame's line"
+        (1, 1),
+        "one CALL for four shards, a flight, its RET retired: the frame (4 one-slot \
+         parts, 12 bytes) shares the dummy frame's line"
     );
     assert_eq!(
         (stripe.persists, stripe.async_flushes),
@@ -249,11 +262,10 @@ fn a_four_shard_round_is_one_frame_and_four_round_trips() {
         "4 descriptor flights + 4 × 4 commit flights + 4 answer flights"
     );
     assert!(
-        stripe.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "a four-shard round blocked on more than 1 + 3 round-trips: {} ns waited on flights",
-        stripe.async_latency_waited_ns
+        waited_ns(&control, &stripe) <= 3 * LATENCY.as_nanos() as u64,
+        "a four-shard round blocked on more than 3 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe)
     );
-    assert_eq!(control.async_latency_waited_ns, 0);
 
     // The rounds that follow: each CALL carries the round before's
     // retired pop in the one line it persists — one slot a shard again,

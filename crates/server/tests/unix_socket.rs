@@ -124,14 +124,17 @@ fn a_power_failure_closes_the_connections_and_the_retransmission_finds_the_answe
         let key = s.key_on(0, 0);
         KvTaskOp::Put { key, value }
     };
-    // How many shard-0 events admission spends (stage, drain persist),
-    // on a twin: the failure is to land two events into the window.
-    let admission = {
+    // How many shard-0 events the round spends (stage, drain persist,
+    // then the window), on a twin: the failure is to land on the
+    // window's last — its answer's flight, after the heads, so after
+    // its frame was awaited.
+    let last_event = {
         let twin = Stack::format(SHAPE);
         let before = twin.events()[1];
         twin.core.submit(req_id, put(&twin)).unwrap();
-        let _ = twin.core.drain_tasks();
-        twin.events()[1] - before
+        let (tasks, _) = twin.core.drain_tasks();
+        assert!(!twin.rt.run_tasks(tasks).crashed);
+        twin.events()[1] - before - 1
     };
 
     let s = Stack::format(SHAPE);
@@ -140,7 +143,7 @@ fn a_power_failure_closes_the_connections_and_the_retransmission_finds_the_answe
     let mut idle = UnixStream::connect(handle.path()).unwrap();
     let req = op(req_id, put(&s));
     s.region(0)
-        .arm_failpoint(FailPlan::after_events(admission + 1));
+        .arm_failpoint(FailPlan::after_events(last_event));
     write_frame(&mut stream, &encode_request(&req)).unwrap();
 
     // The machine is down: EOF on every connection — the one waiting
@@ -171,7 +174,7 @@ fn a_power_failure_closes_the_connections_and_the_retransmission_finds_the_answe
     assert_eq!(
         ((now.0 - before.0).persists, (now.1 - before.1).persists),
         (0, 0),
-        "answered from the record the replayed frame left, not executed again"
+        "answered from the record the replayed frame found, not executed again"
     );
     assert_eq!(s.records_of(req_id).len(), 1, "exactly one version record");
     assert_eq!(s.store().get(s.key_on(0, 0)).unwrap(), Some(value));

@@ -6,9 +6,10 @@
 //! steps, each of which carries the caller's return slot in the persist
 //! that flips its marker — at every persistence event × survivor
 //! setting, in the geometries that decide how many persists a step
-//! takes, and pins those counts as equalities. The last part does the
+//! takes, and pins those counts as equalities. The next part does the
 //! same for a root frame's retired `RET` and the push that makes it
-//! durable.
+//! durable; the last cuts an issued `CALL` before its await, in every
+//! geometry and after a retire.
 
 use pstack::core::{
     FixedStack, FrameRecord, ListStack, PError, PersistentStack, ReturnSlot, VecStack,
@@ -619,6 +620,111 @@ fn a_retire_costs_no_persist_and_the_next_push_carries_it() {
                 (d.persists, d.redundant_persists),
                 (call, 0),
                 "{} / {geometry}",
+                v.name
+            );
+        }
+    }
+}
+
+// ---- An issued CALL, cut before its await ----------------------------
+
+/// Survivor settings of a cut with the flip's one line in flight: lost,
+/// kept, and the lottery under a few seeds.
+const CUT_SURVIVORS: [(f64, u64); 5] = [(0.0, 0), (1.0, 0), (0.5, 1), (0.5, 2), (0.5, 3)];
+
+#[test]
+fn an_issued_call_cut_before_its_await_is_before_the_push_or_pushed() {
+    // `push_issued` makes every stage before the flip durable and
+    // leaves the flip's line in flight: the one line a cut between
+    // issue and await decides, so losing it, keeping it or either by
+    // lottery covers every subset. The reopened stack is as before the
+    // push — no frame over a stale completion — or pushed.
+    for v in variants_sized(512, false) {
+        for g in &GEOMETRIES {
+            let (mut before, mut pushed) = (0, 0);
+            for (prob, seed) in CUT_SURVIVORS {
+                let ctx = format!(
+                    "{} / {}: CALL cut in flight, survivors {prob} (seed {seed})",
+                    v.name, g.name
+                );
+                let mut f = Fixture::before(&v, g, Step::Call);
+                let ticket = f.stack.push_issued(f.child.func_id, &f.child.args);
+                assert!(ticket.unwrap().is_some(), "{ctx}");
+                assert_eq!(f.pmem.inflight_tickets(), 1, "{ctx}: the flip's flight");
+                f.pmem.crash_now(seed, prob);
+
+                let pmem = f.pmem.reopen().unwrap();
+                let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
+                f.stack = (v.reopen)(pmem.clone(), heap)
+                    .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+                f.pmem = pmem;
+                if f.stack.depth() == 2 {
+                    f.assert_after(Step::Call, &ctx);
+                    pushed += 1;
+                } else {
+                    f.assert_before(Step::Call, &ctx);
+                    before += 1;
+                }
+            }
+            assert!(
+                before > 0 && pushed > 0,
+                "{} / {}: both outcomes ({before} before, {pushed} pushed)",
+                v.name,
+                g.name
+            );
+        }
+    }
+}
+
+#[test]
+fn an_issued_call_after_a_retire_cut_before_its_await_keeps_a_pop_flushed_ahead() {
+    // After a retire the push's first stage is the pending pop. Flushed
+    // ahead of a frame that does not ride the dummy frame's line, it is
+    // durable however the cut goes: popped, or the next frame pushed.
+    // Riding the flip's line, it shares the flight's fate: lost with
+    // it, the retired frame is live and intact again — the state a
+    // crash between a body and its RET leaves — never torn.
+    for v in variants_sized(512, false) {
+        for (geometry, next_args, _, rides) in NEXT_FRAMES {
+            let next = FrameRecord {
+                func_id: NEXT,
+                args: vec![0x4E; next_args],
+            };
+            let (mut kept_back, mut pushed) = (0, 0);
+            for (prob, seed) in CUT_SURVIVORS {
+                let ctx = format!(
+                    "{} / {geometry}: CALL cut in flight, survivors {prob} (seed {seed})",
+                    v.name
+                );
+                let (pmem, mut stack) = retiring(&v);
+                stack.retire(ReturnSlot::Unit).unwrap();
+                let ticket = stack.push_issued(next.func_id, &next.args).unwrap();
+                assert!(ticket.is_some(), "{ctx}");
+                pmem.crash_now(seed, prob);
+
+                let pmem = pmem.reopen().unwrap();
+                let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
+                let s =
+                    (v.reopen)(pmem, heap).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+                s.check_consistency().unwrap();
+                let slot = s.ret(0).unwrap();
+                match s.depth() {
+                    1 if s.frame_record(1).unwrap() == next => {
+                        assert_eq!(slot, ReturnSlot::Empty, "{ctx}: pushed over {slot:?}");
+                        pushed += 1;
+                    }
+                    0 if !rides => kept_back += 1,
+                    1 if rides => {
+                        assert_eq!(s.frame_record(1).unwrap(), retired_root(), "{ctx}: torn");
+                        assert_eq!(slot, ReturnSlot::Empty, "{ctx}: live over {slot:?}");
+                        kept_back += 1;
+                    }
+                    depth => panic!("{ctx}: depth {depth}, the pop riding: {rides}"),
+                }
+            }
+            assert!(
+                kept_back > 0 && pushed > 0,
+                "{} / {geometry}: both outcomes ({kept_back} before, {pushed} pushed)",
                 v.name
             );
         }
