@@ -60,8 +60,8 @@ fn fresh_store(shards: usize, threads: u64) -> ShardedKvStore {
 /// `threads` writers, each putting `OPS_PER_THREAD` distinct keys of
 /// its own shard (`thread % shards` — the shard-affine partitioning a
 /// fronting router gives a sharded store, and what the crash campaign
-/// workers do). `batch = 1` issues per-op puts, larger batches
-/// group-commit through `KvBatch`.
+/// workers do), group-committed through `KvBatch` in batches of
+/// `batch` — `batch = 1` is what a per-op put is, a group commit of one.
 fn run_writers(kv: &ShardedKvStore, threads: u64, batch: usize) {
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -73,20 +73,14 @@ fn run_writers(kv: &ShardedKvStore, threads: u64, batch: usize) {
                     .skip((t as usize / kv.nshards()) * OPS_PER_THREAD as usize)
                     .take(OPS_PER_THREAD as usize)
                     .collect();
-                if batch <= 1 {
-                    for (i, &key) in keys.iter().enumerate() {
-                        assert!(kv.put(t, i as u64 + 1, key, key as i64).unwrap());
+                let mut seq = 0u64;
+                for chunk in keys.chunks(batch) {
+                    let mut b = kv.batch();
+                    for &key in chunk {
+                        seq += 1;
+                        b.put(t, seq, key, key as i64);
                     }
-                } else {
-                    let mut seq = 0u64;
-                    for chunk in keys.chunks(batch) {
-                        let mut b = kv.batch();
-                        for &key in chunk {
-                            seq += 1;
-                            b.put(t, seq, key, key as i64);
-                        }
-                        assert!(b.commit().unwrap().iter().all(|o| o.took_effect()));
-                    }
+                    assert!(b.commit().unwrap().iter().all(|o| o.took_effect()));
                 }
             });
         }

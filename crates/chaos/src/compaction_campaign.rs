@@ -274,7 +274,7 @@ impl Workload<Shards> for Compacting<'_> {
         &mut self,
         stripe: &PMemStripe,
     ) -> Result<(FunctionRegistry, Self::Attached), PError> {
-        let (registry, exec) = attach_stripe(stripe, self.cfg.variant, 1)?;
+        let (registry, exec) = attach_stripe(stripe, self.cfg.variant)?;
         Ok((registry, (stripe.clone(), exec)))
     }
 

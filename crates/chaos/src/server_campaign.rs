@@ -352,7 +352,7 @@ impl Workload<Striped> for Serving<'_> {
         &mut self,
         stripe: &PMemStripe,
     ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
-        attach_stripe(stripe, self.cfg.variant, 1)
+        attach_stripe(stripe, self.cfg.variant)
     }
 
     /// There is work while any client has an op or an ack outstanding.

@@ -55,17 +55,6 @@ pub struct ShardedKvCampaignConfig {
     /// Mutations are group-committed in windows of up to this many
     /// (0 is read as 1).
     pub group_commit: usize,
-    /// Concurrent mutator threads per shard (default 1). With more,
-    /// live rounds drive each chunk's mutations through the lock-free
-    /// detectable-publication path instead of a group commit: every
-    /// thread reserves, persists and publishes independently, and the
-    /// armed fail-point countdowns land *between* those steps.
-    /// Recovery rounds always stay on the quiesced evidence-scanning
-    /// duals. Per-shard op schedules and kill draws stay seeded, but
-    /// the racing threads make each region's exact event interleaving
-    /// schedule-dependent — crash placement is windowed, not replayed
-    /// bit-for-bit.
-    pub mutators_per_shard: usize,
     /// Crashes stop after this many, so the campaign terminates.
     pub max_crashes: usize,
     /// Per-shard fail-point countdown drawn uniformly from this event
@@ -113,7 +102,6 @@ impl ShardedKvCampaignConfig {
             seed,
             variant: KvVariant::Nsrl,
             group_commit: 8,
-            mutators_per_shard: 1,
             max_crashes: 8,
             crash_window: (8, 80),
             crash_prob: 0.6,
@@ -150,14 +138,6 @@ impl ShardedKvCampaignConfig {
     #[must_use]
     pub fn group_commit(mut self, batch: usize) -> Self {
         self.group_commit = batch;
-        self
-    }
-
-    /// Selects how many concurrent mutator threads drive each shard
-    /// (see [`ShardedKvCampaignConfig::mutators_per_shard`]).
-    #[must_use]
-    pub fn mutators_per_shard(mut self, mutators: usize) -> Self {
-        self.mutators_per_shard = mutators.max(1);
         self
     }
 }
@@ -423,9 +403,8 @@ pub(crate) fn quiescent(exec: &KvServeFunction, gets: &[HarnessGets]) -> Result<
 pub(crate) fn attach_stripe(
     stripe: &PMemStripe,
     variant: KvVariant,
-    mutators: usize,
 ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
-    let exec = KvServeFunction::open(stripe.regions(), variant)?.with_mutators(mutators);
+    let exec = KvServeFunction::open(stripe.regions(), variant)?;
     Ok((exec.registry()?, exec))
 }
 
@@ -483,7 +462,7 @@ impl Workload<Shards> for WorkerDriven<'_> {
         &mut self,
         stripe: &PMemStripe,
     ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
-        attach_stripe(stripe, self.cfg.variant, self.cfg.mutators_per_shard)
+        attach_stripe(stripe, self.cfg.variant)
     }
 
     fn enqueue(&mut self, exec: &KvServeFunction, _: &mut Cx) -> Result<Option<()>, PError> {
@@ -524,7 +503,7 @@ impl StaticWorkload<PMemStripe> for RuntimeDriven<'_> {
         &mut self,
         stripe: &PMemStripe,
     ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
-        attach_stripe(stripe, self.cfg.variant, self.cfg.mutators_per_shard)
+        attach_stripe(stripe, self.cfg.variant)
     }
 
     /// The §5.2 re-enqueue step; the harness's reads go between rounds.
@@ -841,48 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn two_hundred_multi_mutator_cycles_lose_nothing() {
-        // The lock-free acceptance gate: ≥ 200 crash/recover cycles
-        // with three concurrent mutators per shard racing through
-        // reserve → persist → publish, kills landing between those
-        // steps, recovery always on the quiesced evidence-scanning
-        // duals — zero lost or torn updates and a clean sanitizer.
-        let mut cycles = 0usize;
-        let mut campaigns = 0usize;
-        for seed in 0.. {
-            let mut cfg = ShardedKvCampaignConfig::new(60, 7000 + seed).mutators_per_shard(3);
-            cfg.max_crashes = 14;
-            cfg.crash_prob = 0.8;
-            let report = run_sharded_kv_campaign(&cfg).unwrap();
-            assert!(
-                report.is_linearizable(),
-                "seed {seed}: lost or torn update after {} crashes: {:?}",
-                report.total_crashes(),
-                report.verdict
-            );
-            assert!(
-                report.log_had_headroom(),
-                "seed {seed}: {} filled — cycles stopped exercising recovery",
-                report.tightest_shard()
-            );
-            assert!(
-                report.psan_violations.is_empty(),
-                "seed {seed}: sanitizer findings: {:?}",
-                report.psan_violations
-            );
-            cycles += report.total_crashes();
-            campaigns += 1;
-            if cycles >= 200 {
-                break;
-            }
-        }
-        assert!(
-            cycles >= 200,
-            "only {cycles} crash/recover cycles across {campaigns} campaigns"
-        );
-    }
-
-    #[test]
     fn pipelined_campaigns_are_deterministic_per_seed() {
         // The async flush pipeline must not leak scheduling into the
         // campaign's observable history: no device thread exists, so
@@ -1130,7 +1067,7 @@ mod tests {
         control: &PMem,
         stripe: &PMemStripe,
     ) -> (KvServeFunction, StripedRuntime) {
-        let (registry, exec) = attach_stripe(stripe, KvVariant::Nsrl, 1).unwrap();
+        let (registry, exec) = attach_stripe(stripe, KvVariant::Nsrl).unwrap();
         let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry).unwrap();
         (exec, rt)
     }

@@ -131,9 +131,9 @@
 //! the slot's new occupant. Recovery replays both — concurrently under
 //! [`RecoveryMode::Parallel`] — and both go through `recover_batch`. On a
 //! batched shard (every serving shard) its evidence scan runs under the
-//! shard's mutator gate, which the group commit it begins holds until
-//! it commits, so the second replay finds the first one's record and
-//! the effect stays single.
+//! shard's gate, which the group commit it begins holds until it
+//! commits, so the second replay finds the first one's record and the
+//! effect stays single.
 //!
 //! [`RecoveryMode::Parallel`]: crate::RecoveryMode::Parallel
 //!
@@ -164,10 +164,8 @@
 //! failure — and its requests pending and unpublished: a retry or
 //! `pending_tasks` executes each exactly once, (b). A crash after a
 //! head finds the frame durable, and its replay's evidence scan finds
-//! the effect. (The window's multi-mutator path publishes per op, so it
-//! awaits the frame and the descriptors before its first.) A served
-//! round blocks on three round-trips: `CALL` ‖ descriptors ‖ records ‖
-//! tail → heads → epoch ‖ answers.
+//! the effect. A served round blocks on three round-trips: `CALL` ‖
+//! descriptors ‖ records ‖ tail → heads → epoch ‖ answers.
 //!
 //! [`awaits_own_frame`]: crate::RecoverableFunction::awaits_own_frame
 //!

@@ -21,7 +21,7 @@ use pstack_verify::{KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord}
 
 use crate::reqtable::{split_id, KvRequestTable, ReqSubmit};
 use crate::shard::ShardedKvStore;
-use crate::store::{KvApplied, KvBatchOp, KvPendingBatch, KvVariant, PKvStore};
+use crate::store::{KvBatchOp, KvPendingBatch, KvVariant};
 
 /// Function id under which [`KvServeFunction`] is registered.
 pub const KV_SERVE_FUNC_ID: u64 = 0x0FFB;
@@ -133,7 +133,8 @@ pub struct ShardWindow {
     pub shard: u32,
     /// `true` if any of the slots *might* have executed before (a
     /// retried pending request): the shard's part then runs
-    /// [`PKvStore::recover_batch`] instead of [`PKvStore::apply_batch`].
+    /// [`PKvStore::recover_batch`](crate::PKvStore::recover_batch)
+    /// instead of [`PKvStore::apply_batch`](crate::PKvStore::apply_batch).
     pub recovery: bool,
     /// Slots of the shard's request table, in execution order.
     pub slots: Vec<u32>,
@@ -189,7 +190,6 @@ type ToExecute = (Vec<(u32, u64)>, Vec<KvBatchOp>);
 pub struct KvServeFunction {
     store: ShardedKvStore,
     tables: Vec<KvRequestTable>,
-    mutators: usize,
 }
 
 impl KvServeFunction {
@@ -201,11 +201,7 @@ impl KvServeFunction {
     #[must_use]
     pub fn new(store: ShardedKvStore, tables: Vec<KvRequestTable>) -> Self {
         assert_eq!(store.nshards(), tables.len(), "one request table per shard");
-        KvServeFunction {
-            store,
-            tables,
-            mutators: 1,
-        }
+        KvServeFunction { store, tables }
     }
 
     /// Formats one request table per shard in the shard's own region —
@@ -305,23 +301,6 @@ impl KvServeFunction {
         Ok(KvServeFunction::new(store, tables))
     }
 
-    /// Sets how many concurrent mutator threads a non-recovery window
-    /// drives (default 1, the quiesced group commit). With more, the
-    /// window's mutations run through the lock-free detectable
-    /// publication path instead: each thread reserves, persists and
-    /// publishes its records independently, overlapping their persist
-    /// round-trips. Recovery windows are unaffected — replays stay on
-    /// the evidence-scanning [`PKvStore::recover_batch`] dual.
-    ///
-    /// Answers still linearize (each op takes effect exactly once at
-    /// its head-CAS), but ops on the *same key* in one window may
-    /// interleave in any real-time order rather than slot order.
-    #[must_use]
-    pub fn with_mutators(mut self, mutators: usize) -> Self {
-        self.mutators = mutators.max(1);
-        self
-    }
-
     /// Wraps into the `Arc<dyn RecoverableFunction>` shape the registry
     /// wants.
     #[must_use]
@@ -397,9 +376,9 @@ impl KvServeFunction {
     /// A window names shards in range, each at most once and in
     /// ascending order, and slots inside their shard's table. The order
     /// is what lets windows run side by side: a shard's group commit
-    /// holds the shard's mutator gate until it commits, so a window
-    /// naming a shard twice would wait on itself, and two windows taking
-    /// gates in different orders could wait on each other.
+    /// holds the shard's gate until it commits, so a window naming a
+    /// shard twice would wait on itself, and two windows taking gates in
+    /// different orders could wait on each other.
     fn check(&self, window: &[ShardWindow]) -> Result<(), PError> {
         let mut last = None;
         for part in window {
@@ -509,9 +488,10 @@ impl KvServeFunction {
     ///
     /// 1. per shard, the slots read, answered slots skipped (their
     ///    answers are simply re-collected) and the rest begun as a group
-    ///    commit ([`PKvStore::apply_batch`]'s first level, or the
-    ///    evidence-scanning [`PKvStore::recover_batch`] dual for a shard
-    ///    marked `recovery`) — records ‖ tail in flight beside the
+    ///    commit ([`PKvStore::apply_batch`](crate::PKvStore::apply_batch)'s
+    ///    first level, or the evidence-scanning
+    ///    [`PKvStore::recover_batch`](crate::PKvStore::recover_batch) dual
+    ///    for a shard marked `recovery`) — records ‖ tail in flight beside the
     ///    window's `CALL` and the drain's descriptor flights;
     /// 2. the window's `frame` awaited ([`PContext::frame_durable`]),
     ///    then every shard's descriptors
@@ -534,10 +514,8 @@ impl KvServeFunction {
     /// descriptors ‖ records ‖ tail → heads → epoch ‖ answers — however
     /// many shards it names; its `RET` is retired into the next window's
     /// `CALL` (a replay of a completed window is safe: see
-    /// `pstack_core::invoke`). With more than one mutator a shard
-    /// publishes per op, so the frame and the descriptors are awaited
-    /// before the first. `frame` is the context whose root frame the
-    /// window runs in; a caller running no frame passes `None`.
+    /// `pstack_core::invoke`). `frame` is the context whose root frame
+    /// the window runs in; a caller running no frame passes `None`.
     ///
     /// A window never carries a read — the server answers those at
     /// admission and a harness answers its own, both through
@@ -554,7 +532,7 @@ impl KvServeFunction {
         &self,
         window: &[ShardWindow],
         executor: u32,
-        mut frame: Option<&mut PContext<'_>>,
+        frame: Option<&mut PContext<'_>>,
     ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
         self.check(window)?;
         let _label = op_label(if window.iter().any(|part| part.recovery) {
@@ -562,44 +540,46 @@ impl KvServeFunction {
         } else {
             "server.window"
         });
-        if self.mutators > 1 && window.iter().any(|part| !part.recovery) {
-            self.await_published_on(window, frame.as_deref_mut())?;
-        }
         let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
-        // Per shard: its table, its staged (slot, req_id)s and their ops,
-        // and their outcomes unless a group commit in `batches` holds
-        // them. Shards are begun in the window's (ascending) order.
+        // Per shard: its table, its staged (slot, req_id)s and their
+        // ops; a shard with ops to execute has a group commit in
+        // `batches`. Shards are begun in the window's (ascending) order.
         let mut parts = Vec::with_capacity(window.len());
         let mut batches = Vec::new();
         for part in window {
             let table = &self.tables[part.shard as usize];
             let (staged, ops) = Self::read_slots(table, part, &mut ready)?;
             let pstore = self.store.shard(part.shard as usize);
-            let outcomes = if ops.is_empty() {
-                Some(Vec::new())
-            } else if self.mutators > 1 && !part.recovery {
-                Some(Self::apply_concurrent(pstore, &ops, self.mutators)?)
-            } else {
+            if !ops.is_empty() {
                 batches.push(if part.recovery {
                     pstore.recover_batch_begin(&ops)?
                 } else {
                     pstore.apply_batch_begin(&ops)?
                 });
-                None
-            };
-            parts.push((table, staged, ops, outcomes));
+            }
+            parts.push((table, staged, ops));
         }
-        self.await_published_on(window, frame)?;
+        // What the heads depend on beyond their records: the frame, which
+        // a replay must find, and the descriptors — nothing is published
+        // on behalf of one that is not durable. Both awaits are
+        // idempotent, and free once done.
+        if let Some(ctx) = frame {
+            ctx.frame_durable()?;
+        }
+        for part in window {
+            self.tables[part.shard as usize].persist_slots_if_dirty(&part.slots)?;
+        }
         // Every commit sealed — its effects durable, only its epoch
         // flight outstanding — then the answers issued and the commits
         // finished, so each shard's epoch and answers share a round-trip.
         KvPendingBatch::seal_all(&mut batches)?;
         let mut sealed = batches.iter();
         let mut answered = Vec::with_capacity(parts.len());
-        for (table, staged, ops, outcomes) in &parts {
-            let outcomes = match outcomes {
-                Some(outcomes) => outcomes.as_slice(),
-                None => sealed.next().expect("one batch per part").outcomes(),
+        for (table, staged, ops) in &parts {
+            let outcomes = if ops.is_empty() {
+                &[]
+            } else {
+                sealed.next().expect("one batch per part").outcomes()
             };
             let mut answers = Vec::with_capacity(ops.len());
             for ((&(slot, req_id), op), outcome) in staged.iter().zip(ops).zip(outcomes) {
@@ -618,24 +598,6 @@ impl KvServeFunction {
             table.mark_done_await(ticket)?;
         }
         Ok(ready)
-    }
-
-    /// Awaits what a window's heads depend on beyond their records: its
-    /// frame, which a replay must find, and its descriptors — nothing
-    /// is published on behalf of one that is not durable. Both awaits
-    /// are idempotent, and free once done.
-    fn await_published_on(
-        &self,
-        window: &[ShardWindow],
-        frame: Option<&mut PContext<'_>>,
-    ) -> Result<(), PError> {
-        if let Some(ctx) = frame {
-            ctx.frame_durable()?;
-        }
-        for part in window {
-            self.tables[part.shard as usize].persist_slots_if_dirty(&part.slots)?;
-        }
-        Ok(())
     }
 
     /// Reads one shard's part of a window: the `(slot, req_id)` and the
@@ -687,41 +649,6 @@ impl KvServeFunction {
             });
         }
         Ok((staged, ops))
-    }
-
-    /// Applies a window's mutations with `mutators` concurrent
-    /// threads, each publishing its share lock-free. Outcomes come
-    /// back in op order; a crash in any thread surfaces as the first
-    /// error (the whole window then replays through recovery).
-    fn apply_concurrent(
-        store: &PKvStore,
-        ops: &[KvBatchOp],
-        mutators: usize,
-    ) -> Result<Vec<KvApplied>, PError> {
-        let shares: Vec<Result<Vec<(usize, KvApplied)>, PError>> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..mutators.min(ops.len()))
-                .map(|m| {
-                    sc.spawn(move || {
-                        let _label = op_label("server.window.mutator");
-                        (m..ops.len())
-                            .step_by(mutators)
-                            .map(|i| Ok((i, store.publish_one(ops[i])?)))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("window mutator panicked"))
-                .collect()
-        });
-        let mut outcomes = vec![KvApplied::PrecondFailed; ops.len()];
-        for share in shares {
-            for (i, outcome) in share? {
-                outcomes[i] = outcome;
-            }
-        }
-        Ok(outcomes)
     }
 }
 
@@ -863,7 +790,7 @@ impl RecoverableFunction for KvCompactFunction {
 mod tests {
     use super::*;
     use crate::shard::shard_of;
-    use crate::store::KvVariant;
+    use crate::store::{KvVariant, PKvStore};
     use pstack_core::{FixedStack, FunctionRegistry, PersistentStack};
     use pstack_heap::PHeap;
     use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, POffset};
@@ -1315,7 +1242,7 @@ mod tests {
 
     #[test]
     fn window_args_naming_a_shard_twice_are_a_task_error_not_a_deadlock() {
-        // A shard's group commit holds its mutator gate until committed:
+        // A shard's group commit holds its gate until committed:
         // a second begin on the same shard from the same thread would
         // wait forever. The window is refused before anything begins —
         // parsed or handed to the executor directly — and so is one out
@@ -1364,34 +1291,6 @@ mod tests {
             // one persistent-stack task.
             assert_eq!(exec.store().flush_epochs().unwrap(), vec![1, 1]);
             // A replayed window is a no-op: answers are durable.
-            let before = exec.store().log_reserved_per_shard().unwrap();
-            ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, 0)).unwrap();
-            assert_eq!(exec.store().log_reserved_per_shard().unwrap(), before);
-        });
-    }
-
-    #[test]
-    fn multi_mutator_window_publishes_lock_free() {
-        // The same window contract as the group commit — every
-        // descriptor answered, every put landed exactly once — but
-        // driven by four concurrent mutators per shard through the
-        // lock-free publication path (no group-commit epoch at all).
-        let ops = puts(0..24, |key| key as i64 + 1);
-        let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2);
-        let exec = exec.with_mutators(4);
-        let registry = exec.registry().unwrap();
-        on_stack(&main, &heap, &registry, true, |ctx| {
-            for (s, table) in exec.tables().iter().enumerate() {
-                ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, s)).unwrap();
-                assert!(table.pending_slots().unwrap().is_empty(), "shard {s}");
-            }
-            assert_eq!(exec.store().contents().unwrap().len(), 24);
-            assert_eq!(
-                exec.store().flush_epochs().unwrap(),
-                vec![0, 0],
-                "published per-op, not by group commit"
-            );
-            // Replays stay idempotent: answers are durable.
             let before = exec.store().log_reserved_per_shard().unwrap();
             ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, 0)).unwrap();
             assert_eq!(exec.store().log_reserved_per_shard().unwrap(), before);

@@ -78,13 +78,13 @@
 //! double applications.
 //!
 //! The store runs on **buffered** regions — caches in front of NVRAM,
-//! as on real hardware — and orders its own persists: per-op mutations
-//! run reserve → persist → publish lock-free, group commits batch them
-//! as above. [`PKvStore::format`] and [`PKvStore::open`], and through
-//! them every sharded and serving entry point, refuse an `eager_flush`
-//! region (§5's cache-less NVRAM) with a typed `InvalidConfig`; eager
-//! regions remain for the persistent stack and the `pstack-recoverable`
-//! objects.
+//! as on real hardware — and orders its own persists through one
+//! routine, the group commit (records ‖ tail → heads → epoch); a
+//! per-op mutation is a group commit of one. [`PKvStore::format`] and
+//! [`PKvStore::open`], and through them every sharded and serving entry
+//! point, refuse an `eager_flush` region (§5's cache-less NVRAM) with a
+//! typed `InvalidConfig`; eager regions remain for the persistent stack
+//! and the `pstack-recoverable` objects.
 
 mod funcs;
 mod reqtable;

@@ -68,43 +68,36 @@
 //! just finishes the idempotent retirement mark); otherwise it is
 //! safely re-executed from the current state.
 //!
-//! Compaction quiesces the region ([`PMem::quiesce`]): it waits out
-//! every in-flight lock-free mutator and excludes group commits for
-//! its duration, so the generation it rewrites cannot move under it.
-//! The discipline is machine-checked — every mutation path registers
-//! in the region's mutator gate, so a racing `compact` *blocks*
-//! instead of corrupting.
+//! Compaction runs in the region's exclusive section
+//! ([`PMem::quiesce`]), which every mutation holds too, so the
+//! generation it rewrites cannot move under it. The discipline is
+//! machine-checked — a racing mutation *blocks* instead of corrupting.
 //!
 //! [`RootCell`]: pstack_nvram::RootCell
 //!
 //! # Persist order
 //!
 //! The store runs on a buffered region — caches in front of NVRAM, as
-//! on real hardware — and orders its own persists, through two
-//! concurrent-safe paths; `format` and `open` refuse an `eager_flush`
-//! region with [`PError::InvalidConfig`].
-//! Per-op mutations ([`PKvStore::put`] & friends) run **lock-free
-//! detectable publication**: reserve a log slot with a fetch-add
-//! style tail CAS, build the version record, persist it (and the
-//! tail), then publish by CASing it onto the bucket head directly —
-//! any number of mutators can run concurrently on one shard, and
-//! recovery detects a completed-but-unacked operation purely from
-//! the `(pid, seq)` evidence already in the log.
-//! [`PKvStore::apply_batch`] is the group-commit path: it quiesces
-//! the region, stages the records of a whole batch, issues their
-//! persist and the log tail's as two overlapping flush flights
-//! ([`PKvStore::apply_batch_begin`]), then moves through dependence
-//! levels ([`KvPendingBatch::commit`]) — awaits both and publishes
-//! each touched bucket's head once (heads flight issued), awaits the
-//! heads and bumps the persistent **flush epoch** in the header
-//! (epoch flight issued), awaits the epoch. Every persist is a
-//! flight awaited where something depends on it, and batches of
-//! several shards move through the levels together.
-//! On both paths records are durable strictly before any head that
-//! can reach them, so a crash at *any* flush boundary leaves each
-//! bucket either entirely pre-batch or entirely post-batch — never a
-//! torn head — and the evidence-scan recovery argument carries over
-//! unchanged. (Shard-level parallelism additionally comes from
+//! on real hardware — and orders its own persists through one routine,
+//! the group commit; `format` and `open` refuse an `eager_flush`
+//! region with [`PError::InvalidConfig`]. [`PKvStore::apply_batch`]
+//! enters the region's exclusive section, stages the records of a
+//! whole batch, issues their persist and the log tail's as two
+//! overlapping flush flights ([`PKvStore::apply_batch_begin`]), then
+//! moves through dependence levels ([`KvPendingBatch::commit`]) —
+//! awaits both and publishes each touched bucket's head once (heads
+//! flight issued), awaits the heads and bumps the persistent **flush
+//! epoch** in the header (epoch flight issued), awaits the epoch:
+//! records ‖ tail → heads → epoch. Every persist is a flight awaited
+//! where something depends on it, and batches of several shards move
+//! through the levels together. A per-op mutation ([`PKvStore::put`]
+//! & friends) is a group commit of one, and its recovery dual a
+//! [`PKvStore::recover_batch`] of one. Records are durable strictly
+//! before any head that can reach them, so a crash at *any* flush
+//! boundary leaves each bucket either entirely pre-batch or entirely
+//! post-batch — never a torn head — and recovery detects a
+//! completed-but-unacked operation purely from the `(pid, seq)`
+//! evidence already in the log. (Shard-level parallelism comes from
 //! striping stores across regions, see
 //! [`ShardedKvStore`](crate::ShardedKvStore).)
 //!
@@ -158,10 +151,11 @@ pub enum KvVariant {
     /// evidence scan and always re-executes — operations that already
     /// linearized are applied twice, which the KV verifier flags.
     NoScan,
-    /// Injected persist-order bug: a group commit publishes its bucket
-    /// heads *without* first persisting the staged records — the
-    /// early-publish class PSan's shadow tracking flags at the head
-    /// CAS. Recovery itself is correct (the scan still runs).
+    /// Injected persist-order bug: a group commit (every mutation is
+    /// one) publishes its bucket heads *without* first persisting the
+    /// staged records — the early-publish class PSan's shadow tracking
+    /// flags at the head CAS. Recovery itself is correct (the scan
+    /// still runs).
     EarlyPublish,
     /// Injected persist-order bug: compaction commits the root swap
     /// without the coalesced flush of the new generation block — the
@@ -317,9 +311,9 @@ impl KvApplied {
     }
 }
 
-/// Precondition checked atomically with the publish CAS (the head CAS
-/// fails if any other mutation intervened, so a passed check still
-/// holds at the linearization point).
+/// Precondition, resolved in the region's exclusive section that the
+/// head CAS runs in too, so a passed check still holds at the
+/// linearization point.
 enum Precond {
     /// No precondition (plain put).
     None,
@@ -505,7 +499,14 @@ impl KvPendingBatch<'_> {
     ///
     /// A propagated crash (recover each op with its recovery dual
     /// after restart).
-    pub fn commit(mut self) -> Result<Vec<KvApplied>, PError> {
+    pub fn commit(self) -> Result<Vec<KvApplied>, PError> {
+        let _label = op_label("kv.apply_batch");
+        self.commit_unlabelled()
+    }
+
+    /// [`KvPendingBatch::commit`] under the caller's op label: a per-op
+    /// mutation's persists and PSan findings stay its own.
+    fn commit_unlabelled(mut self) -> Result<Vec<KvApplied>, PError> {
         Self::advance_all(std::slice::from_mut(&mut self), Level::Committed)?;
         Ok(self.staged.outcomes)
     }
@@ -519,6 +520,7 @@ impl KvPendingBatch<'_> {
     /// for one batch); nothing ever ordered one shard's persists against
     /// another's. Outcomes per batch, in the given order.
     pub(crate) fn commit_all(mut batches: Vec<Self>) -> Result<Vec<Vec<KvApplied>>, PError> {
+        let _label = op_label("kv.apply_batch");
         Self::advance_all(&mut batches, Level::Committed)?;
         Ok(batches.into_iter().map(|b| b.staged.outcomes).collect())
     }
@@ -530,6 +532,7 @@ impl KvPendingBatch<'_> {
     /// [`KvPendingBatch::commit_all`]. Like `commit_all`, all batches
     /// move one level per round-trip.
     pub(crate) fn seal_all(batches: &mut [Self]) -> Result<(), PError> {
+        let _label = op_label("kv.apply_batch");
         Self::advance_all(batches, Level::Sealed)
     }
 
@@ -543,7 +546,6 @@ impl KvPendingBatch<'_> {
     /// its first await, so each level costs about one round-trip
     /// however many batches (regions) take part.
     fn advance_all(batches: &mut [Self], to: Level) -> Result<(), PError> {
-        let _label = op_label("kv.apply_batch");
         while batches.iter().any(|b| b.level < to) {
             for batch in batches.iter_mut().filter(|b| b.level < to) {
                 batch.advance()?;
@@ -584,8 +586,8 @@ impl KvPendingBatch<'_> {
                         &new_head.to_le_bytes(),
                     )? {
                         return Err(PError::CorruptStack(
-                            "bucket head moved under a group commit — every batched-store \
-                             mutation must register with the region's mutator gate"
+                            "bucket head moved under a group commit — every mutation must \
+                             run in the region's exclusive section"
                                 .into(),
                         ));
                     }
@@ -859,9 +861,8 @@ impl PKvStore {
     /// batches whose epoch bump reached durability; the batch
     /// *publishes* (head flips) are durable strictly before its epoch
     /// bump, so `flush_epoch() == n` implies the first `n` batches are
-    /// fully visible. Per-op lock-free mutations don't bump it — their
-    /// durability is per-record (detectable from the log evidence),
-    /// not epoch-based.
+    /// fully visible. A per-op mutation that takes effect is a batch of
+    /// one and bumps it too.
     ///
     /// # Errors
     ///
@@ -982,77 +983,6 @@ impl PKvStore {
         Ok(self.pmem.write(POffset::new(off), &b)?)
     }
 
-    /// The per-op publish loop shared by every mutation: **lock-free
-    /// detectable publication**.
-    ///
-    /// 1. reserve a log slot (fetch-add style tail CAS, lazily, at
-    ///    most once per generation — an abandoned slot is an invisible
-    ///    orphan, the usual price of never recycling evidence; the
-    ///    active generation is re-read on every retry, so a slot
-    ///    reserved in a just-retired generation is likewise abandoned
-    ///    rather than published);
-    /// 2. build the version record in the slot and **persist it** — a
-    ///    head must never be able to reach a volatile record;
-    /// 3. **persist the log tail** — were the tail to crash back
-    ///    behind a published slot, recovery would hand the slot out
-    ///    again and overwrite published evidence;
-    /// 4. publish with the bucket-head CAS; a failed CAS means a
-    ///    concurrent mutation intervened — re-read, re-check the
-    ///    precondition, rebuild, re-persist and retry (NVTraverse's
-    ///    insight: only this destination needs ordering, everything
-    ///    before it is private);
-    /// 5. persist the head, making the op immediately detectable.
-    ///
-    /// Should the head persist (5) be lost to a crash, the record is an
-    /// unreachable orphan and the evidence scan correctly reports the
-    /// op as never-executed — its recovery dual re-executes it, same as
-    /// a crash before the CAS. PSan machine-checks (2) at every head
-    /// CAS (the bucket arrays are registered publish ranges), and
-    /// [`KvVariant::EarlyPublish`] skips the record persist as the
-    /// negative control proving that check fires on this path too.
-    ///
-    /// Any number of mutators may run this concurrently on one shard;
-    /// each registers in the region's mutator gate so `compact` (and
-    /// group commits) quiesce them out instead of racing the
-    /// generation swap — machine-checked, not caller-promised.
-    pub(crate) fn publish_one(&self, op: KvBatchOp) -> Result<KvApplied, PError> {
-        let _mutator = self.pmem.mutator_enter();
-        let (pid, seq, key, kind, value, precond) = op.parts();
-        // (slot offset, generation base it belongs to)
-        let mut slot: Option<(u64, u64)> = None;
-        loop {
-            let gen = self.active_gen()?;
-            let bucket = self.bucket_off(&gen, key);
-            let head = self.pmem.read_u64(bucket)?;
-            let Some(value) = self.resolve_value(head, key, value, &precond, gen.number)? else {
-                return Ok(KvApplied::PrecondFailed);
-            };
-            let off = match slot {
-                Some((off, gbase)) if gbase == gen.base => off,
-                _ => match self.reserve(&gen)? {
-                    Some(off) => {
-                        slot = Some((off, gen.base));
-                        off
-                    }
-                    None => return Ok(KvApplied::LogFull),
-                },
-            };
-            self.write_record(off, kind, key, value, (pid, seq), head)?;
-            if self.variant != KvVariant::EarlyPublish {
-                self.pmem.flush(POffset::new(off), RECORD_LEN)?;
-            }
-            self.pmem
-                .flush(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?;
-            if self
-                .pmem
-                .compare_exchange(bucket, &head.to_le_bytes(), &off.to_le_bytes())?
-            {
-                self.pmem.flush(bucket, 8)?;
-                return Ok(KvApplied::Applied);
-            }
-        }
-    }
-
     /// Group-commits a batch of mutations, in order, and reports each
     /// op's outcome. Ops see the staged effects of earlier ops in the
     /// same batch (a `cas` after a `put` of its expected value
@@ -1156,15 +1086,15 @@ impl PKvStore {
     /// shard's batch, the next batch's records) before making this one
     /// visible with [`KvPendingBatch::commit`].
     ///
-    /// The returned handle keeps the region quiesced — region-scoped,
-    /// not handle-scoped: any handle opened on this region, clone or
-    /// independent `open`, quiesces here, and so does `compact`;
-    /// in-flight lock-free mutators are waited out, so the generation
-    /// loaded here cannot be swapped and no bucket head can move under
-    /// the batch. Dropping the handle without committing abandons the
-    /// staged records as unpublished orphans — invisible to lookups,
-    /// scans and recovery alike, the same shape a pre-publish crash
-    /// leaves.
+    /// The returned handle holds the region's exclusive section
+    /// ([`PMem::quiesce`]) — region-scoped, not handle-scoped: any
+    /// handle opened on this region, clone or independent `open`,
+    /// enters it for every mutation, and so does `compact`; so the
+    /// generation loaded here cannot be swapped and no bucket head can
+    /// move under the batch. Dropping the handle without committing
+    /// abandons the staged records as unpublished orphans — invisible
+    /// to lookups, scans and recovery alike, the same shape a
+    /// pre-publish crash leaves.
     ///
     /// # Errors
     ///
@@ -1219,11 +1149,28 @@ impl PKvStore {
         })
     }
 
+    /// A per-op mutation: a group commit of `op` alone — or, for a
+    /// recovery dual, a [`PKvStore::recover_batch`] of it, whose
+    /// evidence scan runs in the exclusive section the commit then
+    /// keeps. Under the caller's op label; `true` iff it took effect.
+    fn commit_one(&self, op: KvBatchOp, recovery: bool) -> Result<bool, PError> {
+        let pending = if recovery {
+            self.scan_then_begin(&[op])?
+        } else {
+            self.begin_quiesced(self.pmem.quiesce(), &[op])?
+        };
+        Ok(pending.commit_unlabelled()?[0].took_effect())
+    }
+
     /// Stores `value` under `key` as process `pid` with unique tag
     /// `seq`, inserting or overwriting. Returns `false` if the active
     /// generation's version log is exhausted — the store is then
     /// read-only until [`PKvStore::compact`] swaps in a fresh
     /// generation.
+    ///
+    /// Like every mutation, a group commit — of this one op:
+    /// [`PKvStore::apply_batch`]'s four persists, three round-trips of
+    /// waiting, and a flush-epoch bump.
     ///
     /// # Errors
     ///
@@ -1231,16 +1178,13 @@ impl PKvStore {
     /// after restart).
     pub fn put(&self, pid: u64, seq: u64, key: u64, value: i64) -> Result<bool, PError> {
         let _label = op_label("kv.put");
-        match self.publish_one(KvBatchOp::Put {
+        let op = KvBatchOp::Put {
             pid,
             seq,
             key,
             value,
-        })? {
-            KvApplied::Applied => Ok(true),
-            KvApplied::LogFull => Ok(false),
-            KvApplied::PrecondFailed => unreachable!("put has no precondition"),
-        }
+        };
+        self.commit_one(op, false)
     }
 
     /// Reads the current value of `key`.
@@ -1289,9 +1233,7 @@ impl PKvStore {
     /// after restart).
     pub fn delete(&self, pid: u64, seq: u64, key: u64) -> Result<bool, PError> {
         let _label = op_label("kv.delete");
-        Ok(self
-            .publish_one(KvBatchOp::Delete { pid, seq, key })?
-            .took_effect())
+        self.commit_one(KvBatchOp::Delete { pid, seq, key }, false)
     }
 
     /// Replaces `key`'s value with `new` iff it currently equals
@@ -1312,15 +1254,14 @@ impl PKvStore {
         new: i64,
     ) -> Result<bool, PError> {
         let _label = op_label("kv.cas");
-        Ok(self
-            .publish_one(KvBatchOp::Cas {
-                pid,
-                seq,
-                key,
-                expected,
-                new,
-            })?
-            .took_effect())
+        let op = KvBatchOp::Cas {
+            pid,
+            seq,
+            key,
+            expected,
+            new,
+        };
+        self.commit_one(op, false)
     }
 
     /// Searches `key`'s published chain for the record tagged
@@ -1401,17 +1342,22 @@ impl PKvStore {
 
     /// Completes an interrupted `put(pid, seq, key, value)`: the
     /// operation linearized iff a published record carries its tag;
-    /// only then is re-execution skipped.
+    /// only then is re-execution skipped. A [`PKvStore::recover_batch`]
+    /// of the one op, so the scan runs in the region's exclusive
+    /// section: two concurrent replays of one op take one effect.
     ///
     /// # Errors
     ///
     /// A propagated crash; recovery is then re-run after restart.
     pub fn recover_put(&self, pid: u64, seq: u64, key: u64, value: i64) -> Result<bool, PError> {
         let _label = op_label("kv.recover_put");
-        if self.variant.scans_evidence() && self.find_tag(key, pid, seq)?.is_some() {
-            return Ok(true);
-        }
-        self.put(pid, seq, key, value)
+        let op = KvBatchOp::Put {
+            pid,
+            seq,
+            key,
+            value,
+        };
+        self.commit_one(op, true)
     }
 
     /// Completes an interrupted `delete(pid, seq, key)`.
@@ -1427,10 +1373,7 @@ impl PKvStore {
     /// A propagated crash; recovery is then re-run after restart.
     pub fn recover_delete(&self, pid: u64, seq: u64, key: u64) -> Result<bool, PError> {
         let _label = op_label("kv.recover_delete");
-        if self.variant.scans_evidence() && self.find_tag(key, pid, seq)?.is_some() {
-            return Ok(true);
-        }
-        self.delete(pid, seq, key)
+        self.commit_one(KvBatchOp::Delete { pid, seq, key }, true)
     }
 
     /// Completes an interrupted `cas(pid, seq, key, expected, new)`. A
@@ -1449,10 +1392,14 @@ impl PKvStore {
         new: i64,
     ) -> Result<bool, PError> {
         let _label = op_label("kv.recover_cas");
-        if self.variant.scans_evidence() && self.find_tag(key, pid, seq)?.is_some() {
-            return Ok(true);
-        }
-        self.cas(pid, seq, key, expected, new)
+        let op = KvBatchOp::Cas {
+            pid,
+            seq,
+            key,
+            expected,
+            new,
+        };
+        self.commit_one(op, true)
     }
 
     /// The batched recovery dual of [`PKvStore::apply_batch`]: runs the
@@ -1487,10 +1434,16 @@ impl PKvStore {
     ) -> Result<KvPendingBatch<'_>, PError> {
         let _label = op_label("kv.recover_batch");
         let _phase = pstack_telemetry::phase("recovery.batch-replay");
-        // The scans run under the quiesce the group commit then keeps:
-        // two replays of one op — two frames naming one pending slot,
-        // recovered in parallel — are serialized, and the second finds
-        // the first's evidence instead of both missing.
+        self.scan_then_begin(ops)
+    }
+
+    /// The body of [`PKvStore::recover_batch_begin`], under the
+    /// caller's op label.
+    fn scan_then_begin(&self, ops: &[KvBatchOp]) -> Result<KvPendingBatch<'_>, PError> {
+        // The scans run in the exclusive section the group commit then
+        // keeps: two replays of one op — two frames naming one pending
+        // slot, recovered in parallel — are serialized, and the second
+        // finds the first's evidence instead of both missing.
         let quiesce = self.pmem.quiesce();
         let mut outcomes = vec![KvApplied::PrecondFailed; ops.len()];
         let mut rest = Vec::new();
@@ -1644,10 +1597,10 @@ impl PKvStore {
     /// as recovery evidence and verifier witness; only the *active*
     /// generation is ever written again.
     ///
-    /// Quiesces the region ([`pstack_nvram::PMem::quiesce`]): waits
-    /// out every in-flight lock-free mutator and excludes group
-    /// commits for its duration. The discipline is machine-checked through the region's mutator
-    /// gate — a racing mutation blocks, it does not corrupt.
+    /// Runs in the region's exclusive section
+    /// ([`pstack_nvram::PMem::quiesce`]), which every mutation holds
+    /// too — machine-checked: a racing mutation blocks, it does not
+    /// corrupt.
     ///
     /// # Errors
     ///
@@ -2021,17 +1974,16 @@ mod tests {
         assert!(kv.put(0, 1, 7, 70).unwrap());
         assert!(kv.cas(0, 2, 7, 70, 71).unwrap());
         assert_eq!(kv.get(7).unwrap(), Some(71));
-        // Every per-op mutation runs lock-free detectable publication:
-        // record, tail and head are all durable before it returns.
+        // Every per-op mutation is a group commit of one: record, tail,
+        // head and epoch are all durable before it returns.
         pmem.crash_now(0, 0.0);
         let pmem2 = pmem.reopen().unwrap();
         let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
         assert_eq!(kv2.get(7).unwrap(), Some(71));
         assert_eq!(kv2.log_reserved().unwrap(), 2);
-        // The flush epoch counts *group commits*; lock-free per-op
-        // publication is epoch-free — its durability is detectable
-        // per record from the log evidence.
-        assert_eq!(kv2.flush_epoch().unwrap(), 0, "no epochs without batches");
+        // The flush epoch counts group commits, and each per-op
+        // mutation that took effect was one.
+        assert_eq!(kv2.flush_epoch().unwrap(), 2, "one epoch per mutation");
         assert!(pmem.psan_violations().is_empty());
     }
 
@@ -2098,7 +2050,7 @@ mod tests {
     fn empty_and_no_effect_batches_skip_the_flush_protocol() {
         let (pmem, _, kv) = fixture(4, 64);
         kv.put(0, 1, 5, 50).unwrap();
-        let before = pmem.stats().snapshot();
+        let (before, epoch) = (pmem.stats().snapshot(), kv.flush_epoch().unwrap());
         assert!(kv.apply_batch(&[]).unwrap().is_empty());
         let out = kv
             .apply_batch(&[KvBatchOp::Delete {
@@ -2110,7 +2062,11 @@ mod tests {
         assert_eq!(out, vec![KvApplied::PrecondFailed]);
         let delta = pmem.stats().snapshot() - before;
         assert_eq!(delta.persists, 0, "nothing staged, nothing persisted");
-        assert_eq!(kv.flush_epoch().unwrap(), 0, "no epoch for empty commits");
+        assert_eq!(
+            kv.flush_epoch().unwrap(),
+            epoch,
+            "no epoch for empty commits"
+        );
     }
 
     #[test]
@@ -2611,28 +2567,35 @@ mod tests {
     #[test]
     fn two_concurrent_replays_of_one_op_take_one_effect() {
         // Two frames naming one pending slot, recovered in parallel: the
-        // second replay scans under the quiesce the first one's group
-        // commit holds, so it finds the first's evidence — it does not
-        // scan first, miss, and then apply a second time.
-        let (_, _, kv) = fixture(4, 64);
+        // second replay scans in the exclusive section the first one's
+        // group commit holds, so it finds the first's evidence — it
+        // does not scan first, miss, and then apply a second time. The
+        // second is a window's batch dual, then the per-op dual.
         let op = KvBatchOp::Put {
             pid: 3,
             seq: 7,
             key: 12,
             value: 120,
         };
-        let first = kv.recover_batch_begin(&[op]).unwrap();
-        std::thread::scope(|s| {
-            let second = s.spawn(|| kv.recover_batch(&[op]).unwrap());
-            // Time for the second replay to reach the gate. Its outcome
-            // does not hang on it: an ungated scan would have run — and
-            // missed — in this pause.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            assert_eq!(first.commit().unwrap(), vec![KvApplied::Applied]);
-            assert_eq!(second.join().unwrap(), vec![KvApplied::Applied]);
-        });
-        let published: usize = kv.snapshot().unwrap().iter().map(Vec::len).sum();
-        assert_eq!(published, 1, "one effect for two replays");
+        let seconds: [&(dyn Fn(&PKvStore) -> bool + Sync); 2] = [
+            &|kv| kv.recover_batch(&[op]).unwrap() == [KvApplied::Applied],
+            &|kv| kv.recover_put(3, 7, 12, 120).unwrap(),
+        ];
+        for (input, second) in seconds.into_iter().enumerate() {
+            let (_, _, kv) = fixture(4, 64);
+            let first = kv.recover_batch_begin(&[op]).unwrap();
+            std::thread::scope(|s| {
+                let second = s.spawn(|| second(&kv));
+                // Time for the second replay to reach the gate. Its
+                // outcome does not hang on it: an ungated scan would
+                // have run — and missed — in this pause.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                assert_eq!(first.commit().unwrap(), vec![KvApplied::Applied]);
+                assert!(second.join().unwrap(), "input {input}");
+            });
+            let published: usize = kv.snapshot().unwrap().iter().map(Vec::len).sum();
+            assert_eq!(published, 1, "input {input}: one effect for two replays");
+        }
     }
 
     #[test]
@@ -2847,12 +2810,17 @@ mod tests {
 
     #[test]
     fn crash_point_enumeration_put_recovers_exactly_once() {
+        // A per-op put — a group commit of one — cut at every
+        // persistence event: reserve CAS, record write, the record and
+        // tail flights, head CAS, the heads flight, the epoch. Wherever
+        // the crash lands, the evidence scan answers exactly-once and
+        // PSan stays silent.
         let probe = || fixture(4, 16);
         let (pmem, _, kv) = probe();
         let e0 = pmem.events();
         assert!(kv.put(0, 1, 7, 77).unwrap());
         let total = pmem.events() - e0;
-        assert!(total >= 2, "reserve CAS + record write + head CAS");
+        assert!(total >= 5, "reserve + record + head CAS + flights");
 
         for k in 0..total {
             let (pmem, _, kv) = probe();
@@ -2860,11 +2828,12 @@ mod tests {
             let err = kv.put(0, 1, 7, 77).unwrap_err();
             assert!(err.is_crash());
             let pmem2 = pmem.reopen().unwrap();
-            let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
+            let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
             assert!(kv2.recover_put(0, 1, 7, 77).unwrap(), "crash at event {k}");
             assert_eq!(kv2.get(7).unwrap(), Some(77), "crash at event {k}");
             let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
             assert_eq!(published, 1, "crash at event {k}: exactly one record");
+            assert!(pmem2.psan_violations().is_empty(), "crash at event {k}");
         }
     }
 
@@ -2925,86 +2894,8 @@ mod tests {
 
     #[test]
     fn concurrent_writers_lose_nothing() {
-        let (_, _, kv) = fixture(16, 1024);
-        let writers = 4u64;
-        let per = 64u64;
-        std::thread::scope(|s| {
-            for w in 0..writers {
-                let kv = kv.clone();
-                s.spawn(move || {
-                    for i in 0..per {
-                        let key = w * per + i;
-                        assert!(kv.put(w, i + 1, key, key as i64).unwrap());
-                    }
-                });
-            }
-        });
-        let contents = kv.contents().unwrap();
-        assert_eq!(contents.len(), (writers * per) as usize);
-        for (k, v) in contents {
-            assert_eq!(k as i64, v);
-        }
-    }
-
-    #[test]
-    fn concurrent_cas_on_one_key_applies_each_transition_once() {
-        // Four threads increment one key via cas-retry loops; the final
-        // value counts every success exactly once.
-        let (_, _, kv) = fixture(4, 4096);
-        kv.put(0, 1, 0, 0).unwrap();
-        let per = 50i64;
-        std::thread::scope(|s| {
-            for w in 0..4u64 {
-                let kv = kv.clone();
-                s.spawn(move || {
-                    let mut seq = 1_000 * (w + 1);
-                    for _ in 0..per {
-                        loop {
-                            seq += 1;
-                            let cur = kv.get(0).unwrap().unwrap();
-                            if kv.cas(w, seq, 0, cur, cur + 1).unwrap() {
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(kv.get(0).unwrap(), Some(4 * per));
-    }
-
-    #[test]
-    fn buffered_crash_point_enumeration_put_recovers_exactly_once() {
-        // The lock-free detectable path, cut at every persistence
-        // event: reserve CAS, record write, record flush, tail flush,
-        // head CAS, head flush. Wherever the crash lands, the evidence
-        // scan answers exactly-once.
-        let probe = || fixture(4, 16);
-        let (pmem, _, kv) = probe();
-        let e0 = pmem.events();
-        assert!(kv.put(0, 1, 7, 77).unwrap());
-        let total = pmem.events() - e0;
-        assert!(total >= 5, "reserve + record + 3 flushes + head CAS");
-
-        for k in 0..total {
-            let (pmem, _, kv) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = kv.put(0, 1, 7, 77).unwrap_err();
-            assert!(err.is_crash());
-            let pmem2 = pmem.reopen().unwrap();
-            let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-            assert!(kv2.recover_put(0, 1, 7, 77).unwrap(), "crash at event {k}");
-            assert_eq!(kv2.get(7).unwrap(), Some(77), "crash at event {k}");
-            let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
-            assert_eq!(published, 1, "crash at event {k}: exactly one record");
-            assert!(pmem2.psan_violations().is_empty(), "crash at event {k}");
-        }
-    }
-
-    #[test]
-    fn concurrent_buffered_mutators_lose_nothing() {
-        // The tentpole's point: several mutators inside ONE buffered
-        // shard, no lock, nothing lost, PSan clean.
+        // Four writers on one shard, their group commits of one
+        // serialized by the region's gate: nothing lost, PSan clean.
         let (pmem, _, kv) = fixture(16, 1024);
         let writers = 4u64;
         let per = 64u64;
@@ -3034,7 +2925,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_buffered_cas_applies_each_transition_once() {
+    fn concurrent_cas_on_one_key_applies_each_transition_once() {
+        // Four threads increment one key via cas-retry loops; the final
+        // value counts every success exactly once.
         let (pmem, _, kv) = fixture(4, 4096);
         kv.put(0, 1, 0, 0).unwrap();
         let per = 50i64;
@@ -3061,10 +2954,10 @@ mod tests {
 
     #[test]
     fn compaction_quiesces_lock_free_mutators() {
-        // The machine-checked quiesce: compactions race four lock-free
-        // mutator threads on one buffered shard. Each compact() waits
-        // the in-flight mutators out through the region's gate, so the
-        // generation never moves under a publish and nothing is lost.
+        // The machine-checked exclusive section: compactions race four
+        // writer threads on one shard. A compact() and every put hold
+        // the region's gate in turn, so the generation never moves
+        // under a publish and nothing is lost.
         let pmem = PMemBuilder::new().len(1 << 20).psan(true).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 20).unwrap();
         let kv = PKvStore::format(pmem.clone(), &heap, 8, 512, KvVariant::Nsrl).unwrap();
@@ -3100,9 +2993,10 @@ mod tests {
 
     #[test]
     fn early_publish_variant_flags_on_the_lock_free_path() {
-        // Negative control: skip the record persist before the head
-        // CAS and PSan must flag the publication — proof the
-        // durable-before-publish check covers the per-op path.
+        // Negative control: skip the record flight before the head CAS
+        // and PSan must flag the publication — proof the
+        // durable-before-publish check covers a per-op put (a group
+        // commit of one), attributed to the put.
         let pmem = PMemBuilder::new().len(1 << 19).psan(true).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
         let kv = PKvStore::format(pmem.clone(), &heap, 4, 32, KvVariant::EarlyPublish).unwrap();

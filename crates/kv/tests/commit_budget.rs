@@ -5,7 +5,9 @@
 //! commit's dependence levels — and this file writes down what it
 //! pays: four persists a batch (records, log tail, heads, epoch), all
 //! four flights, awaited in three levels (records ‖ tail, heads, epoch)
-//! however many shards commit together; what compaction pays: seven;
+//! however many shards commit together — a per-op mutation is a batch
+//! of one and pays the same, or nothing when it takes no effect; what
+//! compaction pays: seven;
 //! and what a static workload's window pays on the persistent stack:
 //! seven, the served window's own budget. Counters, not wall-clock:
 //! the blocking bounds compare the *planned* waits the regions record
@@ -65,6 +67,39 @@ fn a_group_commit_is_four_persists_as_four_flights_awaited_in_three_levels() {
         d.async_latency_charged_ns
     );
     assert_eq!(kv.flush_epoch().unwrap(), 1);
+}
+
+#[test]
+fn a_per_op_put_is_a_group_commit_of_one() {
+    // The batch's four persists — the epoch among them — awaited in
+    // its three levels.
+    let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
+    let before = pmem.stats().snapshot();
+    assert!(kv.put(0, 1, 7, 70).unwrap());
+    let d = pmem.stats().snapshot() - before;
+    assert_eq!(
+        (d.persists, d.async_flushes, d.redundant_persists),
+        (4, 4, 0),
+        "records ‖ tail, then heads, then epoch — every one a flight"
+    );
+    assert_eq!(pmem.inflight_tickets(), 0);
+    assert!(
+        d.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
+        "more than three levels of waiting: {} ns of {} charged",
+        d.async_latency_waited_ns,
+        d.async_latency_charged_ns
+    );
+    assert_eq!(kv.flush_epoch().unwrap(), 1, "the put's own epoch");
+}
+
+#[test]
+fn a_per_op_delete_of_an_absent_key_persists_nothing() {
+    let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
+    let before = pmem.stats().snapshot();
+    assert!(!kv.delete(0, 1, 7).unwrap());
+    let d = pmem.stats().snapshot() - before;
+    assert_eq!((d.persists, d.async_flushes), (0, 0), "nothing staged");
+    assert_eq!(kv.flush_epoch().unwrap(), 0, "no effect, no epoch");
 }
 
 #[test]

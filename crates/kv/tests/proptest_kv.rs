@@ -1,9 +1,11 @@
-//! Property tests for the lock-free shard hot path: random crews of
-//! concurrent mutators × compactions racing them through the quiesce
-//! gate × crash placements landing between the reserve → persist →
-//! publish steps, all checked against the sequential spec — every
-//! mutation takes effect exactly once, every surviving chain replays,
-//! and the persist-order sanitizer stays silent.
+//! Property tests for a shard's per-op path: random crews of concurrent
+//! mutators — each mutation a group commit of one — × compactions,
+//! all taking turns in the region's exclusive section × crash
+//! placements landing between the reserve, the record and tail
+//! flights, the head CAS and the epoch, all checked against the
+//! sequential spec — every mutation takes effect exactly once, every
+//! surviving chain replays, and the persist-order sanitizer stays
+//! silent.
 //!
 //! # Reproducing failures
 //!
@@ -79,11 +81,11 @@ fn to_kv_op(p: Planned, ok: bool) -> KvOp {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Concurrent per-shard mutators × compaction quiesce × crash
-    /// placement. Live rounds race `mutators` lock-free publishers
-    /// against a concurrent compaction; armed fail-point countdowns
-    /// cut executions between reserve, persist and publish (and inside
-    /// the compaction's quiesced rewrite). After each crash the store
+    /// Concurrent per-shard mutators × compaction × crash placement.
+    /// Live rounds race `mutators` writer threads against a concurrent
+    /// compaction, serialized by the region's gate; armed fail-point
+    /// countdowns cut executions between a group commit's steps (and
+    /// inside the compaction's rewrite). After each crash the store
     /// reopens, settles interrupted compactions from evidence, and
     /// answers every *attempted* op through its recovery dual before
     /// the next crew races. The finished execution must replay against
@@ -143,9 +145,8 @@ proptest! {
                 answered[i] = Some(ok);
             }
 
-            // The live crew: each mutator publishes its next ops
-            // lock-free while a compaction races them through the
-            // quiesce gate.
+            // The live crew: each mutator commits its next ops while a
+            // compaction races them for the region's gate.
             let fresh: Vec<Vec<usize>> = (0..mutators)
                 .map(|m| {
                     (m..plan.len())

@@ -59,8 +59,7 @@ pub use error::MemError;
 pub use failpoint::FailPlan;
 pub use offset::POffset;
 pub use pmem::{
-    FlushTicket, MutatorGuard, PMem, PMemBuilder, QuiesceGuard, DEFAULT_CACHE_LINE,
-    DEFAULT_REGION_LEN,
+    FlushTicket, PMem, PMemBuilder, QuiesceGuard, DEFAULT_CACHE_LINE, DEFAULT_REGION_LEN,
 };
 pub use psan::{op_label, OpLabelGuard, PsanViolation, PsanViolationKind, ShadowState};
 pub use rootswap::{RootCell, ROOT_CELL_LEN};

@@ -22,7 +22,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex};
 
 use parking_lot::FairMutex;
 use rand::rngs::SmallRng;
@@ -269,7 +269,7 @@ impl PMemBuilder {
                     fail: FailState::default(),
                     flights: FlightState::default(),
                 }),
-                gate: MutatorGate::new(),
+                gate: StdMutex::new(()),
             }),
         }
     }
@@ -354,9 +354,9 @@ struct Inner {
     crash_stamp: AtomicU64,
     stats: MemStats,
     state: FairMutex<State>,
-    /// Region-scoped mutator/quiesce gate (see [`PMem::mutator_enter`]
-    /// and [`PMem::quiesce`]); never taken by `PMem` itself.
-    gate: MutatorGate,
+    /// The region's gate: held by its one exclusive section
+    /// ([`PMem::quiesce`]); never taken by `PMem` itself.
+    gate: StdMutex<()>,
 }
 
 /// Process-wide monotonic clock of crash observations: every region
@@ -364,71 +364,11 @@ struct Inner {
 /// failures stay totally ordered by who observed its crash first.
 static CRASH_CLOCK: AtomicU64 = AtomicU64::new(0);
 
-/// The region's volatile mutator/quiesce gate: lock-free mutators
-/// register while they run the reserve → persist → publish hot path;
-/// exclusive sections (group commits, compaction) close the gate and
-/// wait the registered epoch out. Shared by every handle on the region
-/// (clones and independent opens); purely volatile, reset on reopen.
-struct MutatorGate {
-    state: StdMutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    /// Lock-free mutators currently inside the hot path.
-    active: u64,
-    /// `true` while an exclusive section holds the gate closed.
-    exclusive: bool,
-    /// Bumped on every mutator registration — the per-region epoch
-    /// counter exclusive sections wait out.
-    epoch: u64,
-}
-
-impl MutatorGate {
-    fn new() -> Self {
-        MutatorGate {
-            state: StdMutex::new(GateState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
-        self.state.lock().expect("mutator gate poisoned")
-    }
-}
-
-/// RAII registration of one lock-free mutator (see
-/// [`PMem::mutator_enter`]). Dropping it deregisters the mutator and
-/// wakes any exclusive section waiting for the region to quiesce.
-pub struct MutatorGuard<'a> {
-    gate: &'a MutatorGate,
-}
-
-impl Drop for MutatorGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = self.gate.lock();
-        st.active -= 1;
-        if st.active == 0 {
-            self.gate.cv.notify_all();
-        }
-    }
-}
-
 /// RAII exclusive section (see [`PMem::quiesce`]): while it lives, no
-/// lock-free mutator is registered on the region and none can enter.
-/// Dropping it reopens the gate.
+/// other exclusive section runs on the region. Dropping it reopens the
+/// gate.
 pub struct QuiesceGuard<'a> {
-    gate: &'a MutatorGate,
-}
-
-impl Drop for QuiesceGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = self.gate.lock();
-        st.exclusive = false;
-        drop(st);
-        self.gate.cv.notify_all();
-    }
+    _held: std::sync::MutexGuard<'a, ()>,
 }
 
 /// Handle to an emulated NVRAM region. Cheap to clone; all clones refer
@@ -484,61 +424,24 @@ impl PMem {
         &self.inner.stats
     }
 
-    /// Registers the calling thread as a **lock-free mutator** on this
-    /// region for the lifetime of the returned guard. `PMem` never
-    /// registers itself; the gate exists so cooperating writers running
-    /// a multi-access lock-free protocol (e.g. the KV store's
-    /// reserve → persist → publish hot path) can be *machine-checked*
-    /// against exclusive sections: while any mutator is registered,
-    /// [`PMem::quiesce`] blocks, and while an exclusive section holds
-    /// the gate, this call blocks. Any number of handles opened from
-    /// the same region share the gate — clones and independent opens.
-    /// Purely volatile: not part of the persistent image, reset on
-    /// reopen. Re-registering from the same thread while it already
-    /// holds a guard is fine; holding a guard across a call to
-    /// [`PMem::quiesce`] on the same thread deadlocks.
-    pub fn mutator_enter(&self) -> MutatorGuard<'_> {
-        let gate = &self.inner.gate;
-        let mut st = gate.lock();
-        while st.exclusive {
-            st = gate.cv.wait(st).expect("mutator gate poisoned");
-        }
-        st.active += 1;
-        st.epoch += 1;
-        MutatorGuard { gate }
-    }
-
-    /// Closes the region's mutator gate and waits the current epoch
-    /// out: when this returns, **no** lock-free mutator is registered
-    /// and none can register until the guard drops. Exclusive sections
-    /// (group commits, compaction) serialize with each other through
-    /// the same gate. This is the machine-checked replacement for the
-    /// old caller-promised advisory-lock quiescence discipline.
+    /// Enters the region's **exclusive section**: blocks until no other
+    /// section holds the gate, and holds it until the guard drops.
+    /// Multi-access protocols over the region — the KV store's group
+    /// commits (every mutation is one) and its compactions — serialize
+    /// through it, machine-checked rather than caller-promised. Any
+    /// number of handles opened from the same region share the gate —
+    /// clones and independent opens. Purely volatile: not part of the
+    /// persistent image, reset on reopen. Entering it again on a thread
+    /// that already holds it deadlocks.
     pub fn quiesce(&self) -> QuiesceGuard<'_> {
-        let gate = &self.inner.gate;
-        let mut st = gate.lock();
-        while st.exclusive {
-            st = gate.cv.wait(st).expect("mutator gate poisoned");
-        }
-        st.exclusive = true;
-        while st.active > 0 {
-            st = gate.cv.wait(st).expect("mutator gate poisoned");
-        }
-        QuiesceGuard { gate }
-    }
-
-    /// Number of lock-free mutators currently registered on the region.
-    #[must_use]
-    pub fn active_mutators(&self) -> u64 {
-        self.inner.gate.lock().active
-    }
-
-    /// The region's mutator epoch: bumped on every
-    /// [`PMem::mutator_enter`]. An unchanged epoch across an interval
-    /// proves no mutator entered in between.
-    #[must_use]
-    pub fn mutator_epoch(&self) -> u64 {
-        self.inner.gate.lock().epoch
+        // A section that panicked left nothing half-done in the gate
+        // itself: a poisoned lock is still the region's one gate.
+        let held = self
+            .inner
+            .gate
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        QuiesceGuard { _held: held }
     }
 
     /// `true` once a crash has been injected and until [`PMem::reopen`].
@@ -846,7 +749,7 @@ impl PMem {
     /// snapshot made a covered line elidable (the caller must await it
     /// to keep synchronous durability semantics). The per-round-trip
     /// device latency is paid by [`PMem::settle_round_trip`] **after**
-    /// the region lock is released, so concurrent mutators' round-trips
+    /// the region lock is released, so concurrent writers' round-trips
     /// on one region overlap (a queued-command device: the data is
     /// durable when the command is accepted here; the latency is the
     /// completion wait).
@@ -934,8 +837,7 @@ impl PMem {
     /// per-round-trip device latency and records the telemetry probe.
     /// Called with the region lock released — round-trips issued by
     /// concurrent threads on the same region wait out their latency in
-    /// parallel, which is what lets a single hot shard scale with
-    /// mutator threads.
+    /// parallel.
     fn settle_round_trip(&self, probe: pstack_telemetry::PersistProbe, persisted: u64) {
         if persisted > 0 {
             if let Some(latency) = self.inner.flush_latency {
@@ -1089,20 +991,23 @@ impl PMem {
                 .filter_map(|f| f.deadline)
                 .last()
         };
-        let _await = pstack_telemetry::span("flush.await");
         let probe = pstack_telemetry::persist_probe();
-        if let Some(d) = deadline {
-            let now = std::time::Instant::now();
-            if d > now {
-                let wait = d - now;
-                std::thread::sleep(wait);
-                MemStats::add(
-                    &self.inner.stats.async_latency_waited_ns,
-                    wait.as_nanos() as u64,
-                );
-            }
-        }
         let persisted = {
+            // The span times the wait; the persist it completes belongs
+            // to the awaiting op, recorded once the span has closed —
+            // as a synchronous flush's is.
+            let _await = pstack_telemetry::span("flush.await");
+            if let Some(d) = deadline {
+                let now = std::time::Instant::now();
+                if d > now {
+                    let wait = d - now;
+                    std::thread::sleep(wait);
+                    MemStats::add(
+                        &self.inner.stats.async_latency_waited_ns,
+                        wait.as_nanos() as u64,
+                    );
+                }
+            }
             let mut st = self.inner.state.lock();
             if self.is_crashed() {
                 return Err(MemError::Crashed);
@@ -1385,7 +1290,7 @@ impl PMem {
                 flush_latency: self.inner.flush_latency,
                 psan: self.inner.psan.clone(),
                 tlabel: AtomicU32::new(self.inner.tlabel.load(Ordering::Relaxed)),
-                gate: MutatorGate::new(),
+                gate: StdMutex::new(()),
                 crashed: AtomicBool::new(false),
                 crash_stamp: AtomicU64::new(0),
                 stats: MemStats::default(),
@@ -2570,70 +2475,6 @@ mod tests {
             }
         });
         assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 400);
-    }
-
-    #[test]
-    fn quiesce_waits_out_active_mutators() {
-        let p = small();
-        let entered = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let release = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
-            {
-                let p = p.clone();
-                let entered = entered.clone();
-                let release = release.clone();
-                s.spawn(move || {
-                    let _m = p.mutator_enter();
-                    entered.store(true, Ordering::SeqCst);
-                    while !release.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            while !entered.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            assert_eq!(p.active_mutators(), 1);
-            // Quiesce must not return while the mutator is inside; let
-            // it out from a third thread after a short delay.
-            {
-                let release = release.clone();
-                s.spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    release.store(true, Ordering::SeqCst);
-                });
-            }
-            let g = p.quiesce();
-            assert_eq!(p.active_mutators(), 0);
-            assert!(release.load(Ordering::SeqCst), "quiesce returned early");
-            drop(g);
-        });
-        // Epoch advanced once per mutator entry.
-        assert_eq!(p.mutator_epoch(), 1);
-    }
-
-    #[test]
-    fn mutators_block_while_quiesced() {
-        let p = small();
-        let g = p.quiesce();
-        let progressed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
-            {
-                let p = p.clone();
-                let progressed = progressed.clone();
-                s.spawn(move || {
-                    let _m = p.mutator_enter();
-                    progressed.store(true, Ordering::SeqCst);
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert!(
-                !progressed.load(Ordering::SeqCst),
-                "mutator entered during quiesce"
-            );
-            drop(g);
-        });
-        assert!(progressed.load(Ordering::SeqCst));
     }
 
     #[test]

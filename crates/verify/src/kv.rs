@@ -1533,10 +1533,9 @@ mod tests {
 
     #[test]
     fn interleaved_multi_mutator_shard_histories_pass() {
-        // Lock-free shards publish records from several mutators
-        // directly onto the bucket chains, so one chain freely
-        // interleaves pids and their seqs arrive in publication order,
-        // not per-pid program order. The checker must accept any such
+        // Several writers publish records onto one shard's bucket
+        // chains, so one chain freely interleaves pids and their seqs
+        // arrive in publication order, not per-pid program order. The checker must accept any such
         // interleaving — it keys everything on the (pid, seq) tags,
         // never on per-pid ordering within a chain.
         let history = KvShardedHistory {

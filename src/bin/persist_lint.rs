@@ -20,8 +20,8 @@
 //! * `publish-before-persist` — a CAS (`compare_exchange` /
 //!   `fetch_update`) whose call names a commit point with no
 //!   `flush`/`persist`/`fence` in the *preceding* ten lines. A
-//!   lock-free publish makes its record reachable the instant the CAS
-//!   lands, so the evidence (record bytes, log tail) must already be
+//!   publish CAS makes its record reachable the instant it lands, so
+//!   the evidence (record bytes, log tail) must already be
 //!   persistent — flushing after the CAS is too late on a buffered
 //!   region.
 //! * `await-before-publish` — a commit-point CAS or `RootCell` swap
