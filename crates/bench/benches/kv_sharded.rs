@@ -10,8 +10,8 @@
 //! * **Sharding** multiplies persist channels — each shard's region is
 //!   its own device, so `N` shards overlap `N` round-trips;
 //! * **group commit** divides round-trips — a batch persists all its
-//!   records (and the log tail, heads, epoch) in a handful of
-//!   round-trips instead of ≥ 3 per mutation.
+//!   records (and the log tail and heads) in two round-trips instead
+//!   of ≥ 2 per mutation.
 //!
 //! Benchmarks:
 //!

@@ -162,8 +162,6 @@ pub struct ShardedKvCampaignReport {
     /// Per-shard version-log usage — a single hot shard degenerating
     /// to read-only is visible here even when the aggregate is fine.
     pub log_usage: Vec<ShardLogUsage>,
-    /// Per-shard completed group commits.
-    pub flush_epochs: Vec<u64>,
     /// Mutation descriptors in the workload (put/delete/cas — the
     /// denominator of the persists-per-mutation metric).
     pub mutations: usize,
@@ -654,7 +652,6 @@ fn run_sharded_kv_campaign_inner(
         verdict: sharded_verdict(&history, store)?,
         history,
         log_usage: ShardLogUsage::of(store)?,
-        flush_epochs: store.flush_epochs()?,
         mutations: mutations.len(),
     })
 }
@@ -676,9 +673,9 @@ mod tests {
         assert!(report.rounds > 1);
         assert!(report.log_had_headroom(), "{}", report.tightest_shard());
         assert!(
-            report.flush_epochs.iter().any(|&e| e > 0),
+            report.log_usage.iter().any(|u| u.reserved > 0),
             "group commits should have completed: {:?}",
-            report.flush_epochs
+            report.log_usage
         );
         assert!(
             report.stats.coalesced_lines > 0,
@@ -887,9 +884,9 @@ mod tests {
         // The batch windows ran as persistent-stack tasks: group
         // commits completed and interrupted frames were replayed.
         assert!(
-            report.flush_epochs.iter().any(|&e| e > 0),
+            report.log_usage.iter().any(|u| u.reserved > 0),
             "windows should group-commit: {:?}",
-            report.flush_epochs
+            report.log_usage
         );
         assert!(
             report.recovered_frames > 0,

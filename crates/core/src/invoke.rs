@@ -165,7 +165,7 @@
 //! `pending_tasks` executes each exactly once, (b). A crash after a
 //! head finds the frame durable, and its replay's evidence scan finds
 //! the effect. A served round blocks on three round-trips: `CALL` ‖
-//! descriptors ‖ records ‖ tail → heads → epoch ‖ answers.
+//! descriptors ‖ records ‖ tail → heads → answers.
 //!
 //! [`awaits_own_frame`]: crate::RecoverableFunction::awaits_own_frame
 //!

@@ -502,17 +502,17 @@ impl KvServeFunction {
     ///    slots — a crash leaves them orphans and the requests pending
     ///    (`pstack_core::invoke` argues it);
     /// 3. all shards' commits advanced together until their heads are
-    ///    durable and only their epochs are in flight;
+    ///    durable — the commit point, where every effect is;
     /// 4. per shard, the answers issued as one coalesced flight
-    ///    ([`KvRequestTable::mark_done_issue`]) beside its epoch;
-    /// 5. all epochs awaited, then 6. all answers — *before* any
-    ///    `(req_id, answer)` pair is returned for acking: an answer
-    ///    implies its effect, and answers are durable before they are
+    ///    ([`KvRequestTable::mark_done_issue`]) — after the heads, since
+    ///    an answer implies its effect;
+    /// 5. all answers awaited *before* any `(req_id, answer)` pair is
+    ///    returned for acking: answers are durable before they are
     ///    visible.
     ///
     /// So a window blocks on the same round-trips — `CALL` ‖
-    /// descriptors ‖ records ‖ tail → heads → epoch ‖ answers — however
-    /// many shards it names; its `RET` is retired into the next window's
+    /// descriptors ‖ records ‖ tail → heads → answers — however many
+    /// shards it names; its `RET` is retired into the next window's
     /// `CALL` (a replay of a completed window is safe: see
     /// `pstack_core::invoke`). `frame` is the context whose root frame
     /// the window runs in; a caller running no frame passes `None`.
@@ -569,17 +569,15 @@ impl KvServeFunction {
         for part in window {
             self.tables[part.shard as usize].persist_slots_if_dirty(&part.slots)?;
         }
-        // Every commit sealed — its effects durable, only its epoch
-        // flight outstanding — then the answers issued and the commits
-        // finished, so each shard's epoch and answers share a round-trip.
-        KvPendingBatch::seal_all(&mut batches)?;
-        let mut sealed = batches.iter();
+        // Every commit durable — its heads' flight awaited — before any
+        // answer is issued: an answer implies its effect.
+        let mut committed = KvPendingBatch::commit_all(&mut batches)?.into_iter();
         let mut answered = Vec::with_capacity(parts.len());
         for (table, staged, ops) in &parts {
             let outcomes = if ops.is_empty() {
-                &[]
+                Vec::new()
             } else {
-                sealed.next().expect("one batch per part").outcomes()
+                committed.next().expect("one batch per part")
             };
             let mut answers = Vec::with_capacity(ops.len());
             for ((&(slot, req_id), op), outcome) in staged.iter().zip(ops).zip(outcomes) {
@@ -593,7 +591,10 @@ impl KvServeFunction {
             }
             answered.push((*table, table.mark_done_issue(&answers)?));
         }
-        KvPendingBatch::commit_all(batches)?;
+        // The shards' exclusive sections end only once every answer is
+        // written, so a second replay of a slot (two frames naming it,
+        // recovered in parallel) writes its answer after this one's.
+        drop(batches);
         for (table, ticket) in &answered {
             table.mark_done_await(ticket)?;
         }
@@ -1272,8 +1273,10 @@ mod tests {
     #[test]
     fn batch_window_group_commits_and_answers_in_one_pass() {
         let ops = puts(0..16, |key| key as i64 + 1);
-        let (_stripe, main, heap, exec) = sharded_fixture(&ops, 2);
+        let (stripe, main, heap, exec) = sharded_fixture(&ops, 2);
         let registry = exec.registry().unwrap();
+        let flights = |shard: usize| stripe.region(shard).stats().snapshot().async_flushes;
+        let before = [flights(0), flights(1)];
         on_stack(&main, &heap, &registry, true, |ctx| {
             // One window covering both shards' whole tables.
             let ret = ctx.call(KV_SERVE_FUNC_ID, &whole_tables(&exec, &[0, 1]));
@@ -1287,9 +1290,10 @@ mod tests {
             }
             assert_eq!(exec.store().contents().unwrap().len(), 16);
             assert_eq!(exec.store().get_durable(3).unwrap(), Some(4));
-            // Exactly one group commit per shard — the batches rode the
-            // one persistent-stack task.
-            assert_eq!(exec.store().flush_epochs().unwrap(), vec![1, 1]);
+            // Exactly one group commit per shard — records ‖ tail →
+            // heads, then the answers: four flights a shard — the
+            // batches rode the one persistent-stack task.
+            assert_eq!([flights(0) - before[0], flights(1) - before[1]], [4, 4]);
             // A replayed window is a no-op: answers are durable.
             let before = exec.store().log_reserved_per_shard().unwrap();
             ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, 0)).unwrap();
@@ -1372,15 +1376,14 @@ mod tests {
     }
 
     #[test]
-    fn window_crash_points_with_epoch_and_answers_in_flight_never_answer_without_the_effect() {
-        // The window's last level: heads durable, then the epoch's
-        // flight and the answers' flight issued side by side, in every
-        // shard the window names. Cut the power at every event of the
-        // window in a region, with none, some or all of the dirty lines
-        // kept: a slot reopens pending (its client retries through the
-        // recovery dual) or answered over its durable record — never
-        // answered without its effect — and the replay answers every
-        // slot exactly once.
+    fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() {
+        // The window's last level: heads durable, then the answers'
+        // flight, in every shard the window names. Cut the power at
+        // every event of the window in a region, with none, some or all
+        // of the dirty lines kept: a slot reopens pending (its client
+        // retries through the recovery dual) or answered over its
+        // durable record — never answered without its effect — and the
+        // replay answers every slot exactly once.
         let ops = puts(0..12, |key| key as i64 + 3);
         let run = |shards: &[usize], region: usize, plan: Option<FailPlan>| {
             let (stripe, main, heap, exec) = sharded_fixture(&ops, 2);
@@ -1398,7 +1401,7 @@ mod tests {
         };
 
         // The lottery is seeded per line, so each seed fixes which of
-        // the epoch's and the answers' lines a cut keeps.
+        // the heads' and the answers' lines a cut keeps.
         type Survivors = [(u64, f64)];
         let none_all = [(0, 0.0), (0, 1.0)];
         let every_lottery: Vec<(u64, f64)> = none_all
@@ -1413,7 +1416,9 @@ mod tests {
             (&[0, 1], 0, &none_all),
             (&[0, 1], 1, &none_all),
         ];
-        let mut answered_over_an_unbumped_epoch = 0usize;
+        // Cuts that reopened a slot pending over its durable record:
+        // heads durable, the answers' flight cut — the last level.
+        let mut pending_over_its_record = 0usize;
         for (shards, region, survivors) in cases {
             let (.., outcome, total) = run(shards, region, None);
             outcome.unwrap();
@@ -1434,13 +1439,17 @@ mod tests {
                         let chains = store.snapshot_sharded().unwrap().swap_remove(shard);
                         chains.iter().flatten().filter(|r| r.seq == req_id).count()
                     };
+                    let mut pending_over_a_record = false;
                     for &shard in shards {
                         let table = &exec2.tables()[shard];
-                        let epoch = store.flush_epochs().unwrap()[shard];
                         for slot in 0..table.capacity() {
                             let req_id = table.req_id(slot).unwrap();
                             match table.result(slot).unwrap() {
-                                None => assert!(records(shard, req_id) <= 1, "{at}"),
+                                None => {
+                                    let n = records(shard, req_id);
+                                    assert!(n <= 1, "{at}");
+                                    pending_over_a_record |= n == 1;
+                                }
                                 Some(answer) => {
                                     assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
                                     assert_eq!(
@@ -1448,11 +1457,11 @@ mod tests {
                                         1,
                                         "{at}: answered without its effect"
                                     );
-                                    answered_over_an_unbumped_epoch += usize::from(epoch == 0);
                                 }
                             }
                         }
                     }
+                    pending_over_its_record += usize::from(pending_over_a_record);
 
                     let registry2 = FunctionRegistry::new();
                     on_stack(&main2, &heap2, &registry2, false, |ctx| {
@@ -1474,8 +1483,8 @@ mod tests {
             }
         }
         assert!(
-            answered_over_an_unbumped_epoch > 0,
-            "no cut kept answers while the epoch's flight was still in flight"
+            pending_over_its_record > 0,
+            "no cut fell between the heads' flight and the answers'"
         );
     }
 

@@ -39,10 +39,10 @@
 //! published head can reach, the head itself, and the log tail) need
 //! ordered persistence. Accordingly, the store batches mutations ([`PKvStore::apply_batch`]): all records and the
 //! log tail become durable in one coalesced persist, the touched
-//! bucket heads are published once each and persisted together, and a
-//! persistent flush epoch closes the batch — each persist a flight,
-//! awaited only where something depends on it, so a batch waits three
-//! round-trips however many shards commit together. A crash at any flush
+//! bucket heads are published once each and persisted together — the
+//! heads' flight is the batch's last persist and its commit point. Each
+//! persist is a flight, awaited only where something depends on it, so
+//! a batch waits two round-trips however many shards commit together. A crash at any flush
 //! boundary leaves each bucket entirely pre- or post-batch — never a
 //! torn head — so the evidence-scan recovery argument is unchanged,
 //! and the per-mutation persist count drops by the batch factor.
@@ -79,7 +79,7 @@
 //!
 //! The store runs on **buffered** regions — caches in front of NVRAM,
 //! as on real hardware — and orders its own persists through one
-//! routine, the group commit (records ‖ tail → heads → epoch); a
+//! routine, the group commit (records ‖ tail → heads); a
 //! per-op mutation is a group commit of one. [`PKvStore::format`] and
 //! [`PKvStore::open`], and through them every sharded and serving entry
 //! point, refuse an `eager_flush` region (§5's cache-less NVRAM) with a

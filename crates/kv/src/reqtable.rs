@@ -42,8 +42,8 @@
 //!   write the answer payload, then the one-byte done flag, and issue
 //!   **one** persist — a flight, whose issue and await halves
 //!   ([`KvRequestTable::mark_done_issue`] / `mark_done_await`) let a
-//!   window overlap it with its group commit's epoch flight once the
-//!   effects the answers report are durable. A slot is one cache line and a buffered region
+//!   window issue the answers of every shard it names before awaiting
+//!   any, once the effects the answers report are durable. A slot is one cache line and a buffered region
 //!   persists a line atomically (the recycling argument below already
 //!   relies on it), so after a crash a slot is either fully answered or
 //!   still pending — and a pending slot's answer is recomputed through
@@ -674,9 +674,10 @@ impl KvRequestTable {
 
     /// [`KvRequestTable::mark_done_batch`]'s issue half: writes the
     /// answers and issues their one coalesced persist as a flight. A
-    /// window issues it right after its group commit's epoch flight, so
-    /// the two share a round-trip; it must not be issued before the
-    /// effects the answers report are durable.
+    /// window issues it once its group commits' heads are durable — it
+    /// must not be issued before the effects the answers report are —
+    /// and every shard's before the first await, so they share a
+    /// round-trip.
     ///
     /// # Errors
     ///

@@ -465,15 +465,6 @@ impl ShardedKvStore {
     pub fn recover_compact_shard(&self, i: usize, from_gen: u64) -> Result<bool, PError> {
         self.shards[i].recover_compact(&self.heaps[i], from_gen)
     }
-
-    /// Per-shard flush epochs (completed group commits).
-    ///
-    /// # Errors
-    ///
-    /// Propagated NVRAM errors.
-    pub fn flush_epochs(&self) -> Result<Vec<u64>, PError> {
-        self.shards.iter().map(PKvStore::flush_epoch).collect()
-    }
 }
 
 /// A cross-shard mutation batch: ops accumulate in submission order,
@@ -556,10 +547,10 @@ impl KvBatch<'_> {
     /// in submission order. Every touched shard's commit is **begun**
     /// ([`PKvStore::apply_batch_begin`] issues its record and log-tail
     /// flights), then all move through the commit's dependence levels
-    /// together — records and tails awaited and heads published, heads
-    /// awaited and epochs bumped, epochs awaited — so every level's
-    /// flights share one round-trip across the regions: three
-    /// round-trips of waiting whatever the number of shards.
+    /// together — records and tails awaited and heads published, then
+    /// heads awaited — so every level's flights share one round-trip
+    /// across the regions: two round-trips of waiting whatever the
+    /// number of shards, and every effect durable when it returns.
     ///
     /// # Errors
     ///
@@ -578,7 +569,7 @@ impl KvBatch<'_> {
             pending.push(self.store.shard(*shard).apply_batch_begin(ops)?);
         }
         let mut outcomes = vec![KvApplied::PrecondFailed; self.ops.len()];
-        let committed = KvPendingBatch::commit_all(pending)?;
+        let committed = KvPendingBatch::commit_all(&mut pending)?;
         for ((indexes, _), shard_outcomes) in per_shard.values().zip(committed) {
             for (&i, outcome) in indexes.iter().zip(shard_outcomes) {
                 outcomes[i] = outcome;
@@ -789,9 +780,10 @@ mod tests {
         assert!(outcomes.iter().all(|o| o.took_effect()));
         assert_eq!(kv.get(5).unwrap(), Some(50));
         assert_eq!(kv.get(6).unwrap(), None);
-        // One group commit per touched shard.
-        for (s, epoch) in kv.flush_epochs().unwrap().into_iter().enumerate() {
-            assert_eq!(epoch, 1, "shard {s} must commit exactly once");
+        // One group commit — three flights — per touched shard.
+        for (s, region) in stripe.regions().iter().enumerate() {
+            let flights = region.stats().snapshot().async_flushes;
+            assert_eq!(flights, 3, "shard {s} must commit exactly once");
         }
     }
 
@@ -802,7 +794,7 @@ mod tests {
         let batch = kv.batch();
         assert!(batch.is_empty());
         assert!(batch.commit().unwrap().is_empty());
-        assert_eq!(kv.flush_epochs().unwrap(), vec![0, 0]);
+        assert_eq!(stripe.aggregate_stats().async_flushes, 0);
     }
 
     #[test]
@@ -938,8 +930,19 @@ mod tests {
             }
         });
         assert_eq!(kv.contents().unwrap().len(), 1024);
-        let agg: u64 = kv.flush_epochs().unwrap().iter().sum();
-        assert!(agg > 0);
+        let commits: usize = (0..4)
+            .map(|w| {
+                (0u64..1024)
+                    .filter(|&k| shard_of(k, 4) == w)
+                    .count()
+                    .div_ceil(16)
+            })
+            .sum();
+        assert_eq!(
+            stripe.aggregate_stats().async_flushes,
+            3 * commits as u64,
+            "three flights per group commit"
+        );
     }
 
     #[test]
@@ -956,11 +959,10 @@ mod tests {
         assert!(outcomes.iter().all(|o| o.took_effect()));
         assert_eq!(kv.get(5).unwrap(), Some(50));
         assert_eq!(kv.get(6).unwrap(), None);
-        for (s, epoch) in kv.flush_epochs().unwrap().into_iter().enumerate() {
-            assert_eq!(epoch, 1, "shard {s} must commit exactly once");
+        for (s, region) in stripe.regions().iter().enumerate() {
+            let flights = region.stats().snapshot().async_flushes;
+            assert_eq!(flights, 3, "shard {s}: records ‖ tail → heads, once");
         }
-        let agg = stripe.aggregate_stats();
-        assert!(agg.async_flushes >= 8, "records + tail flights per shard");
         stripe.crash_all(3, 0.0);
         let stripe2 = stripe.reopen_all().unwrap();
         let kv2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();

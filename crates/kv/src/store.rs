@@ -7,8 +7,9 @@
 //! self-contained bucket-array + version-log block:
 //!
 //! ```text
-//! root (128 B):  magic, bucket count, flush epoch,
-//!                RootCell (seq = generation number, ptr = block base)
+//! root (128 B):  magic, bucket count, reserved word (offset 16, never
+//!                written), RootCell (seq = generation number,
+//!                ptr = block base)
 //!
 //! generation block (heap-allocated, 64-aligned):
 //!   header (64 B): magic, number, log capacity, log tail,
@@ -84,12 +85,14 @@
 //! enters the region's exclusive section, stages the records of a
 //! whole batch, issues their persist and the log tail's as two
 //! overlapping flush flights ([`PKvStore::apply_batch_begin`]), then
-//! moves through dependence levels ([`KvPendingBatch::commit`]) —
+//! moves through two dependence levels ([`KvPendingBatch::commit`]) —
 //! awaits both and publishes each touched bucket's head once (heads
-//! flight issued), awaits the heads and bumps the persistent **flush
-//! epoch** in the header (epoch flight issued), awaits the epoch:
-//! records ‖ tail → heads → epoch. Every persist is a flight awaited
-//! where something depends on it, and batches of several shards move
+//! flight issued), then awaits the heads: records ‖ tail → heads. The
+//! heads' flight is the batch's last persist and its commit point;
+//! once it is awaited every effect of the batch is durable, and
+//! anything that depends on the effects (a served window's answers)
+//! is issued after it. Every persist is a flight awaited where
+//! something depends on it, and batches of several shards move
 //! through the levels together. A per-op mutation ([`PKvStore::put`]
 //! & friends) is a group commit of one, and its recovery dual a
 //! [`PKvStore::recover_batch`] of one. Records are durable strictly
@@ -112,12 +115,13 @@ const KV_MAGIC: u64 = 0x5053_4B56_5354_4F32; // "PSKVSTO2" (generational)
 const RECORD_STRIDE: u64 = 64;
 const RECORD_LEN: usize = 48;
 
-/// Root block: magic, bucket count, flush epoch, then the generation
-/// pointer cell at [`OFF_GEN_CELL`].
+/// Root block: magic, bucket count, then the generation pointer cell at
+/// [`OFF_GEN_CELL`]. Offset 16 is reserved: zeroed by `format`, never
+/// written or read — an older image's commit counter there is ignored,
+/// so such images still open.
 const ROOT_LEN: u64 = 128;
 const OFF_MAGIC: u64 = 0;
 const OFF_NBUCKETS: u64 = 8;
-const OFF_FLUSH_EPOCH: u64 = 16;
 const OFF_GEN_CELL: u64 = 64;
 
 /// Generation block header.
@@ -448,20 +452,17 @@ struct StagedBatch {
     slots: Option<(u64, u64)>,
 }
 
-/// Where a group commit stands: the dependence levels of its four
+/// Where a group commit stands: the dependence levels of its three
 /// persists. Each level awaits the flights the level before it issued,
 /// does what depends on them and issues its own — one round-trip per
 /// level, and nothing is awaited that nothing depends on yet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Level {
     /// Records and log tail in flight ([`PKvStore::apply_batch_begin`]).
     Staged,
     /// Records durable, heads published, the heads' flight issued.
     Published,
-    /// Heads durable — the batch's every effect is — and the flush
-    /// epoch's flight issued.
-    Sealed,
-    /// Epoch durable; nothing in flight.
+    /// Heads durable — the batch's every effect is; nothing in flight.
     Committed,
 }
 
@@ -470,9 +471,9 @@ enum Level {
 /// commands. Holds the region quiesced until committed or dropped;
 /// nothing is visible (or recoverable) until [`KvPendingBatch::commit`]
 /// moves it through its levels: records + tail awaited and heads
-/// published (heads flight issued), heads awaited and the flush epoch
-/// bumped (epoch flight issued), epoch awaited. Every persist is a
-/// flight, awaited where something depends on it.
+/// published (heads flight issued), then heads awaited — the commit
+/// point. Every persist is a flight, awaited where something depends on
+/// it.
 #[must_use = "a pending batch publishes nothing until committed"]
 pub struct KvPendingBatch<'a> {
     store: &'a PKvStore,
@@ -492,8 +493,7 @@ impl KvPendingBatch<'_> {
     }
 
     /// Moves the batch through its levels and publishes it: heads
-    /// flipped and durable, flush epoch bumped and durable. Outcomes
-    /// are reported in submission order.
+    /// flipped and durable. Outcomes are reported in submission order.
     ///
     /// # Errors
     ///
@@ -507,47 +507,36 @@ impl KvPendingBatch<'_> {
     /// [`KvPendingBatch::commit`] under the caller's op label: a per-op
     /// mutation's persists and PSan findings stay its own.
     fn commit_unlabelled(mut self) -> Result<Vec<KvApplied>, PError> {
-        Self::advance_all(std::slice::from_mut(&mut self), Level::Committed)?;
+        Self::advance_all(std::slice::from_mut(&mut self))?;
         Ok(self.staged.outcomes)
     }
 
     /// Commits every batch — one per shard region — moving **all** of
     /// them forward one level per round-trip: every batch's records and
-    /// tail are awaited before any heads are, every heads flight is
-    /// issued before the first is awaited, and likewise the epochs, so
-    /// `n` shards wait three round-trips, not `2n + 1`. Within a batch
-    /// the order is [`KvPendingBatch::commit`]'s (which is this routine
-    /// for one batch); nothing ever ordered one shard's persists against
-    /// another's. Outcomes per batch, in the given order.
-    pub(crate) fn commit_all(mut batches: Vec<Self>) -> Result<Vec<Vec<KvApplied>>, PError> {
+    /// tail are awaited before any heads are, and every heads flight is
+    /// issued before the first is awaited, so `n` shards wait two
+    /// round-trips, not `2n`. Within a batch the order is
+    /// [`KvPendingBatch::commit`]'s (which is this routine for one
+    /// batch); nothing ever ordered one shard's persists against
+    /// another's. Outcomes per batch, in the given order — when it
+    /// returns, every batch's effects are durable; each batch keeps its
+    /// region's exclusive section until the caller drops it.
+    pub(crate) fn commit_all(batches: &mut [Self]) -> Result<Vec<Vec<KvApplied>>, PError> {
         let _label = op_label("kv.apply_batch");
-        Self::advance_all(&mut batches, Level::Committed)?;
-        Ok(batches.into_iter().map(|b| b.staged.outcomes).collect())
-    }
-
-    /// Advances every batch until its effects are durable and only its
-    /// flush epoch's flight is outstanding — the point from which a
-    /// caller may make something that depends on the effects durable
-    /// (a window's answers) alongside the epochs, then finish with
-    /// [`KvPendingBatch::commit_all`]. Like `commit_all`, all batches
-    /// move one level per round-trip.
-    pub(crate) fn seal_all(batches: &mut [Self]) -> Result<(), PError> {
-        let _label = op_label("kv.apply_batch");
-        Self::advance_all(batches, Level::Sealed)
-    }
-
-    /// Outcomes in submission order (final once staged).
-    pub(crate) fn outcomes(&self) -> &[KvApplied] {
-        &self.staged.outcomes
+        Self::advance_all(batches)?;
+        Ok(batches
+            .iter_mut()
+            .map(|b| std::mem::take(&mut b.staged.outcomes))
+            .collect())
     }
 
     /// The one group-commit routine: every batch one level per pass
-    /// until all stand at `to`. A level's flights are all issued before
+    /// until all are committed. A level's flights are all issued before
     /// its first await, so each level costs about one round-trip
     /// however many batches (regions) take part.
-    fn advance_all(batches: &mut [Self], to: Level) -> Result<(), PError> {
-        while batches.iter().any(|b| b.level < to) {
-            for batch in batches.iter_mut().filter(|b| b.level < to) {
+    fn advance_all(batches: &mut [Self]) -> Result<(), PError> {
+        while batches.iter().any(|b| b.level != Level::Committed) {
+            for batch in batches.iter_mut().filter(|b| b.level != Level::Committed) {
                 batch.advance()?;
             }
         }
@@ -557,8 +546,7 @@ impl KvPendingBatch<'_> {
     /// One level: await what the previous level issued, do what
     /// depended on it, issue this level's flight.
     fn advance(&mut self) -> Result<(), PError> {
-        let (store, staged) = (self.store, &self.staged);
-        let pmem = &store.pmem;
+        let (pmem, staged) = (&self.store.pmem, &self.staged);
         let (lo, hi) = staged.slots.expect("only a staged batch has levels to go");
         // The touched buckets' span: one flight over it coalesces the
         // touched lines (clean lines in between stage nothing).
@@ -595,21 +583,15 @@ impl KvPendingBatch<'_> {
                 self.tickets.push(pmem.flush_async(heads.0, heads.1)?);
                 Level::Published
             }
-            Level::Published => {
-                // The bump advertises the whole batch as durable, so
-                // under PSan both the record span and the published
-                // heads must be durable *now*.
+            Level::Published | Level::Committed => {
+                // The heads' flight is the commit point: from here a bare
+                // commit returns and a window issues its answers, so
+                // under PSan the record span and the published heads
+                // must both be durable *now*.
                 pmem.psan_check_durable(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
                 pmem.psan_check_durable(heads.0, heads.1);
-                let epoch_off = store.base + OFF_FLUSH_EPOCH;
-                let epoch = pmem.read_u64(epoch_off)? + 1;
-                // persist-lint: allow(publish-no-persist) issued as the epoch's flight below, awaited by the next level
-                pmem.write_u64(epoch_off, epoch)?;
-                self.tickets.push(pmem.flush_async(epoch_off, 8)?);
-                pstack_telemetry::flush_epoch(pmem.telemetry_label_id(), epoch);
-                Level::Sealed
+                Level::Committed
             }
-            Level::Sealed | Level::Committed => Level::Committed,
         };
         Ok(())
     }
@@ -855,22 +837,6 @@ impl PKvStore {
             .read_u64(POffset::new(gen.base + GEN_OFF_LOG_TAIL))?)
     }
 
-    /// Completed group commits since format — the persistent flush
-    /// epoch the store bumps (and persists) at the end of every
-    /// [`PKvStore::apply_batch`]. After a crash it counts exactly the
-    /// batches whose epoch bump reached durability; the batch
-    /// *publishes* (head flips) are durable strictly before its epoch
-    /// bump, so `flush_epoch() == n` implies the first `n` batches are
-    /// fully visible. A per-op mutation that takes effect is a batch of
-    /// one and bumps it too.
-    ///
-    /// # Errors
-    ///
-    /// Propagated NVRAM errors.
-    pub fn flush_epoch(&self) -> Result<u64, PError> {
-        Ok(self.pmem.read_u64(self.base + OFF_FLUSH_EPOCH)?)
-    }
-
     fn bucket_off(&self, gen: &Gen, key: u64) -> POffset {
         let b = mix(key) % self.nbuckets;
         self.bucket_off_at(gen, b)
@@ -993,11 +959,10 @@ impl PKvStore {
     /// [`PKvStore::apply_batch_begin`] followed at once by
     /// [`KvPendingBatch::commit`]: all records become durable in one
     /// coalesced flight and the log tail in a second that overlaps it,
-    /// each touched bucket's head is published once, the heads are
-    /// persisted, and the header's flush epoch is bumped — 4 persists
-    /// (3 + ⌈heads/lines⌉ in general), every one a flight, and 3
-    /// round-trips of waiting for the whole batch (one per dependence
-    /// level) instead of ≥ 3 per mutation. A crash
+    /// each touched bucket's head is published once, and the heads are
+    /// persisted — 3 persists (2 + ⌈heads/lines⌉ in general), every one
+    /// a flight, and 2 round-trips of waiting for the whole batch (one
+    /// per dependence level) instead of ≥ 2 per mutation. A crash
     /// at any flush boundary leaves every bucket either entirely
     /// pre-batch or entirely post-batch (records are durable strictly
     /// before any head that can reach them), so recovery remains the
@@ -1018,14 +983,16 @@ impl PKvStore {
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
     /// let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
     /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 18)?;
-    /// let kv = PKvStore::format(pmem, &heap, 16, 64, KvVariant::Nsrl)?;
+    /// let kv = PKvStore::format(pmem.clone(), &heap, 16, 64, KvVariant::Nsrl)?;
+    /// let before = pmem.stats().snapshot();
     /// let applied = kv.apply_batch(&[
     ///     KvBatchOp::Put { pid: 0, seq: 1, key: 7, value: 70 },
     ///     KvBatchOp::Cas { pid: 0, seq: 2, key: 7, expected: 70, new: 71 },
     /// ])?;
     /// assert_eq!(applied, vec![Applied, Applied]);
     /// assert_eq!(kv.get(7)?, Some(71));
-    /// assert_eq!(kv.flush_epoch()?, 1);
+    /// // Records ‖ log tail, then the heads: three flights in all.
+    /// assert_eq!((pmem.stats().snapshot() - before).async_flushes, 3);
     /// # Ok(())
     /// # }
     /// # use pstack_kv::KvApplied::Applied;
@@ -1169,8 +1136,8 @@ impl PKvStore {
     /// generation.
     ///
     /// Like every mutation, a group commit — of this one op:
-    /// [`PKvStore::apply_batch`]'s four persists, three round-trips of
-    /// waiting, and a flush-epoch bump.
+    /// [`PKvStore::apply_batch`]'s three persists (records ‖ tail →
+    /// heads) and two round-trips of waiting; durable when it returns.
     ///
     /// # Errors
     ///
@@ -1458,7 +1425,7 @@ impl PKvStore {
             }
         }
         let mut pending = self.begin_quiesced(quiesce, &rest)?;
-        for (i, &outcome) in rest_idx.into_iter().zip(pending.outcomes()) {
+        for (i, &outcome) in rest_idx.into_iter().zip(&pending.staged.outcomes) {
             outcomes[i] = outcome;
         }
         pending.staged.outcomes = outcomes;
@@ -1879,11 +1846,11 @@ mod tests {
             .unwrap();
         assert!(pending.is_staged());
         drop(pending);
-        // Records staged but never published: invisible, epoch
-        // unmoved, and the abandoned flights are simply drained by the
-        // next synchronization point.
+        // Records staged but never published: invisible, no heads
+        // flight issued, and the abandoned flights are simply drained by
+        // the next synchronization point.
         assert_eq!(kv.get(7).unwrap(), None);
-        assert_eq!(kv.flush_epoch().unwrap(), 0);
+        assert_eq!(pmem.stats().snapshot().async_flushes, 2, "records + tail");
         pmem.fence();
         assert_eq!(pmem.inflight_tickets(), 0);
         assert!(kv.put(0, 2, 7, 71).unwrap(), "store still writable");
@@ -1974,22 +1941,21 @@ mod tests {
         assert!(kv.put(0, 1, 7, 70).unwrap());
         assert!(kv.cas(0, 2, 7, 70, 71).unwrap());
         assert_eq!(kv.get(7).unwrap(), Some(71));
-        // Every per-op mutation is a group commit of one: record, tail,
-        // head and epoch are all durable before it returns.
+        // Every per-op mutation is a group commit of one — three flights
+        // — and its record, tail and head are all durable before it
+        // returns.
+        assert_eq!(pmem.stats().snapshot().async_flushes, 2 * 3);
         pmem.crash_now(0, 0.0);
         let pmem2 = pmem.reopen().unwrap();
         let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
         assert_eq!(kv2.get(7).unwrap(), Some(71));
         assert_eq!(kv2.log_reserved().unwrap(), 2);
-        // The flush epoch counts group commits, and each per-op
-        // mutation that took effect was one.
-        assert_eq!(kv2.flush_epoch().unwrap(), 2, "one epoch per mutation");
         assert!(pmem.psan_violations().is_empty());
     }
 
     #[test]
     fn batch_sees_its_own_staged_effects() {
-        let (_, _, kv) = fixture(4, 64);
+        let (pmem, _, kv) = fixture(4, 64);
         let out = kv
             .apply_batch(&[
                 KvBatchOp::Put {
@@ -2043,14 +2009,18 @@ mod tests {
         );
         assert_eq!(kv.get(1).unwrap(), Some(12));
         assert_eq!(kv.get(9).unwrap(), None);
-        assert_eq!(kv.flush_epoch().unwrap(), 1, "one commit for the batch");
+        assert_eq!(
+            pmem.stats().snapshot().async_flushes,
+            3,
+            "one commit for the batch"
+        );
     }
 
     #[test]
     fn empty_and_no_effect_batches_skip_the_flush_protocol() {
         let (pmem, _, kv) = fixture(4, 64);
         kv.put(0, 1, 5, 50).unwrap();
-        let (before, epoch) = (pmem.stats().snapshot(), kv.flush_epoch().unwrap());
+        let before = pmem.stats().snapshot();
         assert!(kv.apply_batch(&[]).unwrap().is_empty());
         let out = kv
             .apply_batch(&[KvBatchOp::Delete {
@@ -2061,11 +2031,10 @@ mod tests {
             .unwrap();
         assert_eq!(out, vec![KvApplied::PrecondFailed]);
         let delta = pmem.stats().snapshot() - before;
-        assert_eq!(delta.persists, 0, "nothing staged, nothing persisted");
         assert_eq!(
-            kv.flush_epoch().unwrap(),
-            epoch,
-            "no epoch for empty commits"
+            (delta.persists, delta.async_flushes),
+            (0, 0),
+            "nothing staged, nothing persisted"
         );
     }
 
@@ -2356,11 +2325,10 @@ mod tests {
 
         // One more input: a two-shard `KvBatch`, both shards moving
         // through the commit's levels together (every heads flight
-        // issued before the first is awaited, likewise the epochs).
-        // Power fails at every event of each region, every dirty line
-        // lost or every one kept. Per shard, each bucket is
-        // all-or-nothing and the flush epoch reads 1 only over durable
-        // heads; nothing orders one shard against the other.
+        // issued before the first is awaited). Power fails at every
+        // event of each region, every dirty line lost or every one kept.
+        // Per shard, each bucket is all-or-nothing; nothing orders one
+        // shard against the other.
         use crate::shard::ShardedKvStore;
         use pstack_nvram::PsanViolationKind;
         let mut ops: Vec<KvBatchOp> = (0..6u64)
@@ -2435,7 +2403,6 @@ mod tests {
                     let kv2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
 
                     for s in 0..2 {
-                        let mut heads_durable = true;
                         for bucket in 0..2 {
                             let batch_recs = kv2
                                 .shard(s)
@@ -2454,10 +2421,6 @@ mod tests {
                                 batch_recs == 0 || batch_recs == full,
                                 "{at}: shard {s} bucket {bucket} published {batch_recs}/{full}"
                             );
-                            heads_durable &= batch_recs == full;
-                        }
-                        if kv2.shard(s).flush_epoch().unwrap() == 1 {
-                            assert!(heads_durable, "{at}: shard {s}'s epoch over lost heads");
                         }
                     }
 
@@ -2702,25 +2665,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_epoch_counts_only_durable_batches() {
-        let (pmem, _, kv) = fixture(4, 64);
-        for s in 0..3 {
-            kv.apply_batch(&[KvBatchOp::Put {
-                pid: 0,
-                seq: s + 1,
-                key: s,
-                value: 1,
-            }])
-            .unwrap();
-        }
-        assert_eq!(kv.flush_epoch().unwrap(), 3);
-        pmem.crash_now(0, 0.0);
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
-        assert_eq!(kv2.flush_epoch().unwrap(), 3, "epoch bump is persisted");
-    }
-
-    #[test]
     fn open_round_trips_and_rejects_garbage() {
         let (pmem, heap, kv) = fixture(8, 32);
         kv.put(1, 1, 42, -7).unwrap();
@@ -2812,7 +2756,7 @@ mod tests {
     fn crash_point_enumeration_put_recovers_exactly_once() {
         // A per-op put — a group commit of one — cut at every
         // persistence event: reserve CAS, record write, the record and
-        // tail flights, head CAS, the heads flight, the epoch. Wherever
+        // tail flights, head CAS, the heads flight. Wherever
         // the crash lands, the evidence scan answers exactly-once and
         // PSan stays silent.
         let probe = || fixture(4, 16);
@@ -3261,9 +3205,10 @@ mod tests {
     #[test]
     fn group_commits_keep_working_after_a_swap() {
         // The batched hot path across a generation boundary: group
-        // commits before and after a compaction, with the epoch
-        // (root-level) counting monotonically across the swap.
+        // commits before and after a compaction, each its three flights
+        // (the compaction issues none).
         let (pmem, heap, kv) = fixture(4, 16);
+        let flights = || pmem.stats().snapshot().async_flushes;
         let ops: Vec<KvBatchOp> = (0..8)
             .map(|i| KvBatchOp::Put {
                 pid: 0,
@@ -3277,7 +3222,7 @@ mod tests {
             .unwrap()
             .iter()
             .all(|o| o.took_effect()));
-        assert_eq!(kv.flush_epoch().unwrap(), 1);
+        assert_eq!(flights(), 3);
         kv.compact(&heap).unwrap();
         let ops2: Vec<KvBatchOp> = (0..8)
             .map(|i| KvBatchOp::Put {
@@ -3292,7 +3237,7 @@ mod tests {
             .unwrap()
             .iter()
             .all(|o| o.took_effect()));
-        assert_eq!(kv.flush_epoch().unwrap(), 2, "epoch survives the swap");
+        assert_eq!(flights(), 6, "one more group commit, in the new generation");
         assert_eq!(kv.contents().unwrap().len(), 4);
         // And the whole thing is durable.
         pmem.crash_now(0, 0.0);

@@ -3,13 +3,15 @@
 //! One device round-trip per ordered persist is the whole cost model.
 //! There is one group-commit routine — `apply_batch_begin` then the
 //! commit's dependence levels — and this file writes down what it
-//! pays: four persists a batch (records, log tail, heads, epoch), all
-//! four flights, awaited in three levels (records ‖ tail, heads, epoch)
-//! however many shards commit together — a per-op mutation is a batch
-//! of one and pays the same, or nothing when it takes no effect; what
+//! pays: three persists a batch (records, log tail, heads), all three
+//! flights, awaited in two levels (records ‖ tail → heads) however many
+//! shards commit together — a per-op mutation is a batch of one and
+//! pays the same, or nothing when it takes no effect; that the heads'
+//! flight is the commit point (a cut before it completes shows nothing
+//! of the batch, a cut after `commit` returns loses nothing); what
 //! compaction pays: seven;
 //! and what a static workload's window pays on the persistent stack:
-//! seven, the served window's own budget. Counters, not wall-clock:
+//! six, the served window's own budget. Counters, not wall-clock:
 //! the blocking bounds compare the *planned* waits the regions record
 //! (`async_latency_waited_ns`, deadline minus now at each await) to the
 //! charged latency, and a level's flights are all issued before its
@@ -21,7 +23,7 @@ use std::time::Duration;
 use pstack_core::{RuntimeConfig, StripedRuntime};
 use pstack_heap::PHeap;
 use pstack_kv::{KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore};
-use pstack_nvram::{PMem, PMemBuilder, POffset};
+use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset};
 
 const LEN: usize = 1 << 19;
 
@@ -45,7 +47,7 @@ fn puts(keys: std::ops::Range<u64>) -> Vec<KvBatchOp> {
 const LATENCY: Duration = Duration::from_millis(1);
 
 #[test]
-fn a_group_commit_is_four_persists_as_four_flights_awaited_in_three_levels() {
+fn a_group_commit_is_three_persists_as_three_flights_awaited_in_two_levels() {
     let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
     let before = pmem.stats().snapshot();
     let outcomes = kv.apply_batch(&puts(0..16)).unwrap();
@@ -53,43 +55,40 @@ fn a_group_commit_is_four_persists_as_four_flights_awaited_in_three_levels() {
     let d = pmem.stats().snapshot() - before;
     assert_eq!(
         (d.persists, d.async_flushes, d.redundant_persists),
-        (4, 4, 0),
-        "records ‖ tail, then heads, then epoch — every one a flight"
+        (3, 3, 0),
+        "records ‖ tail, then heads — every one a flight"
     );
     assert_eq!(pmem.inflight_tickets(), 0, "commit awaits what it issued");
-    // Four flights charged a round-trip each; the records and tail
+    // Three flights charged a round-trip each; the records and tail
     // overlap, so the waits plan at most one latency per level.
-    assert_eq!(d.async_latency_charged_ns, 4 * LATENCY.as_nanos() as u64);
+    assert_eq!(d.async_latency_charged_ns, 3 * LATENCY.as_nanos() as u64);
     assert!(
-        d.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "more than three levels of waiting: {} ns of {} charged",
+        d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
+        "more than two levels of waiting: {} ns of {} charged",
         d.async_latency_waited_ns,
         d.async_latency_charged_ns
     );
-    assert_eq!(kv.flush_epoch().unwrap(), 1);
 }
 
 #[test]
 fn a_per_op_put_is_a_group_commit_of_one() {
-    // The batch's four persists — the epoch among them — awaited in
-    // its three levels.
+    // The batch's three persists, awaited in its two levels.
     let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
     let before = pmem.stats().snapshot();
     assert!(kv.put(0, 1, 7, 70).unwrap());
     let d = pmem.stats().snapshot() - before;
     assert_eq!(
         (d.persists, d.async_flushes, d.redundant_persists),
-        (4, 4, 0),
-        "records ‖ tail, then heads, then epoch — every one a flight"
+        (3, 3, 0),
+        "records ‖ tail, then heads — every one a flight"
     );
     assert_eq!(pmem.inflight_tickets(), 0);
     assert!(
-        d.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "more than three levels of waiting: {} ns of {} charged",
+        d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
+        "more than two levels of waiting: {} ns of {} charged",
         d.async_latency_waited_ns,
         d.async_latency_charged_ns
     );
-    assert_eq!(kv.flush_epoch().unwrap(), 1, "the put's own epoch");
 }
 
 #[test]
@@ -99,14 +98,67 @@ fn a_per_op_delete_of_an_absent_key_persists_nothing() {
     assert!(!kv.delete(0, 1, 7).unwrap());
     let d = pmem.stats().snapshot() - before;
     assert_eq!((d.persists, d.async_flushes), (0, 0), "nothing staged");
-    assert_eq!(kv.flush_epoch().unwrap(), 0, "no effect, no epoch");
 }
 
 #[test]
-fn a_four_shard_group_commit_waits_three_round_trips_of_sixteen_charged() {
-    // The same three levels, every shard's flights of a level issued
+fn a_group_commit_is_visible_whole_iff_its_heads_flight_completed() {
+    // The heads' flight is a group commit's last persist and its commit
+    // point. One bucket, so one head publishes the whole batch. Cut the
+    // power at every event of the commit: keeping no dirty line, no cut
+    // shows any of the batch — a flight completes at its await, which
+    // consumes no event, so every cut precedes the heads' completion —
+    // and keeping every dirty line (as if every issued flight had
+    // completed), the batch shows whole exactly from the head CAS on.
+    // Never in part. After `commit` returns, a cut keeps everything.
+    let ops: Vec<KvBatchOp> = (0..4)
+        .map(|key| KvBatchOp::Put {
+            pid: 1,
+            seq: key + 1,
+            key,
+            value: key as i64,
+        })
+        .collect();
+    let fresh = || {
+        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
+        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+        let kv = PKvStore::format(pmem.clone(), &heap, 1, 16, KvVariant::Nsrl).unwrap();
+        (pmem, kv)
+    };
+    let visible = |pmem: PMem, kv: &PKvStore| {
+        let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+        kv2.chain(0).unwrap().len()
+    };
+
+    let (pmem, kv) = fresh();
+    let e0 = pmem.events();
+    kv.apply_batch(&ops).unwrap();
+    let total = pmem.events() - e0;
+    pmem.crash_now(0, 0.0);
+    assert_eq!(visible(pmem, &kv), ops.len(), "durable once commit returns");
+
+    // The commit's last two events: the head CAS, then the heads'
+    // flight issued — a heads span of one line, one event.
+    let cas = total - 2;
+    for k in 0..total {
+        for prob in [0.0, 1.0] {
+            let (pmem, kv) = fresh();
+            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(0, prob));
+            assert!(kv.apply_batch(&ops).unwrap_err().is_crash(), "event {k}");
+            let whole = prob == 1.0 && k > cas;
+            assert_eq!(
+                visible(pmem, &kv),
+                if whole { ops.len() } else { 0 },
+                "event {k} of {total}, survivors {prob}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_four_shard_group_commit_waits_two_round_trips_of_twelve_charged() {
+    // The same two levels, every shard's flights of a level issued
     // before the first of them is awaited: one shard's wait covers the
-    // others'. (Shard by shard, heads then epoch, it was 1 + 2 × 4 = 9.)
+    // others'. (Shard by shard it would be 1 + 4 = 5.)
     let stripe = PMemBuilder::new()
         .len(1 << 18)
         .flush_latency(LATENCY)
@@ -119,19 +171,16 @@ fn a_four_shard_group_commit_waits_three_round_trips_of_sixteen_charged() {
     let before = stripe.aggregate_stats();
     assert!(batch.commit().unwrap().iter().all(|o| o.took_effect()));
     let d = stripe.aggregate_stats() - before;
-    assert_eq!(
-        kv.flush_epochs().unwrap(),
-        vec![1; 4],
-        "every shard committed"
-    );
-    assert_eq!((d.persists, d.async_flushes), (16, 16), "4 flights a shard");
-    for region in stripe.regions() {
+    for (s, region) in stripe.regions().iter().enumerate() {
+        let flights = region.stats().snapshot().async_flushes;
+        assert_eq!(flights, 3, "shard {s} committed once");
         assert_eq!(region.inflight_tickets(), 0);
     }
-    assert_eq!(d.async_latency_charged_ns, 16 * LATENCY.as_nanos() as u64);
+    assert_eq!((d.persists, d.async_flushes), (12, 12), "3 flights a shard");
+    assert_eq!(d.async_latency_charged_ns, 12 * LATENCY.as_nanos() as u64);
     assert!(
-        d.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "more than three levels of waiting: {} ns of {} charged",
+        d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
+        "more than two levels of waiting: {} ns of {} charged",
         d.async_latency_waited_ns,
         d.async_latency_charged_ns
     );
@@ -156,15 +205,13 @@ fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() 
         assert_eq!(region.inflight_tickets(), 2, "shard {s}: records + tail");
     }
     assert!(kv.contents().unwrap().is_empty(), "no bucket head moved");
-    assert_eq!(kv.flush_epochs().unwrap(), vec![0; 4]);
 
     for batch in pending {
         assert!(batch.commit().unwrap().iter().all(|o| o.took_effect()));
     }
     assert_eq!(kv.contents().unwrap().len(), 64);
-    assert_eq!(kv.flush_epochs().unwrap(), vec![1; 4]);
     let agg = stripe.aggregate_stats();
-    assert_eq!(agg.async_flushes, 16, "records, tail, heads, epoch a shard");
+    assert_eq!(agg.async_flushes, 12, "records, tail, heads a shard");
     for region in stripe.regions() {
         assert_eq!(region.inflight_tickets(), 0);
     }
@@ -188,11 +235,11 @@ fn a_compaction_is_seven_persists_and_no_flight() {
 }
 
 #[test]
-fn a_preloaded_window_is_seven_persists_and_its_replay_none_on_the_shard() {
+fn a_preloaded_window_is_six_persists_and_its_replay_none_on_the_shard() {
     // A static workload is a preloaded request table run as
     // persistent-stack tasks: the served window minus the served
     // path's per-drain descriptor persist and per-op ack
-    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 1 + 4 +
+    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 1 + 3 +
     // 1 + 1). The frame is its CALL — its RET is retired into the next
     // CALL. Thirty-two slots make a 34-byte argument block — a byte per
     // slot, two for the shard's header and count — which cannot share
@@ -243,26 +290,20 @@ fn a_preloaded_window_is_seven_persists_and_its_replay_none_on_the_shard() {
         for task in tasks {
             assert_eq!(
                 run(task),
-                (frame, 5),
+                (frame, 4),
                 "windows of {batch}: the frame (frame; slot clear + marker flip; the unit \
-                 return + pop flip retired); the group commit (records, tail, heads, epoch) \
+                 return + pop flip retired); the group commit (records, tail, heads) \
                  + one answer persist"
             );
         }
         assert!(exec.pending_tasks(batch).unwrap().is_empty());
-        assert_eq!(
-            exec.store().flush_epochs().unwrap(),
-            vec![32 / batch as u64]
-        );
+        assert_eq!(exec.store().log_reserved_per_shard().unwrap(), vec![32]);
 
         // Replaying a completed window pays its frame and nothing else:
         // every slot is answered, so nothing is staged, committed or
         // re-answered. A 34-byte frame does not fit the retired pop's
         // line, so its CALL flushes that pop first: 3.
         assert_eq!(run(replay), (replayed_frame, 0), "windows of {batch}");
-        assert_eq!(
-            exec.store().flush_epochs().unwrap(),
-            vec![32 / batch as u64]
-        );
+        assert_eq!(exec.store().log_reserved_per_shard().unwrap(), vec![32]);
     }
 }

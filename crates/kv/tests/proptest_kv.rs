@@ -2,7 +2,7 @@
 //! mutators — each mutation a group commit of one — × compactions,
 //! all taking turns in the region's exclusive section × crash
 //! placements landing between the reserve, the record and tail
-//! flights, the head CAS and the epoch, all checked against the
+//! flights, the head CAS and the heads' flight, all checked against the
 //! sequential spec — every mutation takes effect exactly once, every
 //! surviving chain replays, and the persist-order sanitizer stays
 //! silent.

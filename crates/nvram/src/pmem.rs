@@ -1435,14 +1435,6 @@ impl PMem {
             .store(pstack_telemetry::intern(label), Ordering::Relaxed);
     }
 
-    /// The interned telemetry label id for this region (for layers
-    /// that record region-scoped events themselves, e.g. flush-epoch
-    /// bumps).
-    #[must_use]
-    pub fn telemetry_label_id(&self) -> u32 {
-        self.inner.tlabel.load(Ordering::Relaxed)
-    }
-
     /// The region's PSan report label, if PSan is enabled.
     #[must_use]
     pub fn psan_label(&self) -> Option<String> {
@@ -1472,8 +1464,8 @@ impl PMem {
 
     /// Immediate commit-ordering check: records an *unordered-commit*
     /// violation for every still-dirty line in `[start, start+len)`.
-    /// Used at commit points that are not root swaps (e.g. a
-    /// flush-epoch bump after a group commit).
+    /// Used at commit points that are not root swaps (e.g. a group
+    /// commit, once its heads' flight is awaited).
     pub fn psan_check_durable(&self, start: POffset, len: usize) {
         if let Some(psan) = &self.inner.psan {
             psan.check_durable(start.get(), len as u64, self.events());

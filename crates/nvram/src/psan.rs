@@ -23,8 +23,9 @@
 //!
 //! - **early publish** — a CAS inside a registered publish range
 //!   installs a pointer whose target lines are not yet durable;
-//! - **unordered commit** — a root swap (or flush-epoch bump) happens
-//!   while lines in a declared commit extent are still dirty;
+//! - **unordered commit** — a root swap happens while lines in a
+//!   declared commit extent are still dirty (a commit point that is not
+//!   a swap checks its extent the same way);
 //! - **ghost read** — a post-crash boot reads bytes that were never
 //!   durable before the crash (data that only exists because the
 //!   emulator's survivor model was generous);
@@ -550,9 +551,9 @@ impl PsanCell {
         }
     }
 
-    /// Commit-ordering check outside a root swap (e.g. before a
-    /// flush-epoch bump): `[start, start+len)` must hold no dirty
-    /// lines.
+    /// Commit-ordering check outside a root swap (e.g. a group commit
+    /// whose heads' flight was just awaited): `[start, start+len)` must
+    /// hold no dirty lines.
     pub(crate) fn check_durable(&self, start: u64, len: u64, events: u64) {
         self.inner.lock().check_span_durable(
             start,

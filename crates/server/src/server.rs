@@ -42,13 +42,13 @@
 //! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard | 0 |
 //! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window with its frame, before the heads | 1 per shard per **drain** | 0 |
 //! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
-//! | | group commit | records ‖ log tail (beside the `CALL`), heads, epoch; every shard of the window one level per round-trip | 4 per shard per round | 2 more |
-//! | | answer | [`KvRequestTable::mark_done_issue`], payload + flag in one line-atomic persist, beside the shard's epoch | 1 per shard per round | 0 |
+//! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; every shard of the window one level per round-trip | 3 per shard per round | 1 more |
+//! | | answer | [`KvRequestTable::mark_done_issue`], payload + flag in one line-atomic persist, issued once every shard's heads are durable | 1 per shard per round | 1 more |
 //! | | ack | [`ServerCore::ack`] | 1 per ack | 1 |
 //!
-//! A lone put therefore costs 8 persists end to end and blocks on 3
+//! A lone put therefore costs 7 persists end to end and blocks on 3
 //! round-trips before its answer (`CALL` (+ the previous round's `RET`)
-//! ‖ descriptor ‖ records ‖ tail → heads → epoch ‖ answer); a round
+//! ‖ descriptor ‖ records ‖ tail → heads → answer); a round
 //! that touches several shards blocks on the same 3 and pays the
 //! frame's 1 once, and a full window divides everything but the ack by
 //! its occupancy. The window's own pop stays pending until the next

@@ -5,7 +5,7 @@
 //! counted: a read pays none, a mutation pays its descriptor once per
 //! shard per *drain* (not per request), a round's one window pays 1 for
 //! its stack frame (3 once the frame outgrows the dummy frame's line)
-//! however many shards it names, and per shard 4 for its group commit
+//! however many shards it names, and per shard 3 for its group commit
 //! and 1 for its answers; an ack pays 1, a shed pays nothing. The
 //! frame's 1 is its `CALL`: the window's `RET` is retired into the next
 //! round's `CALL`, whose persist carries the pop in the same line. A
@@ -17,9 +17,9 @@
 //! issued as the window starts, and the window begins its group commit
 //! under both, awaiting the frame and the descriptors right before the
 //! heads; the group commit's and the answers' flights are awaited where
-//! something depends on them. So a lone put **blocks** on 3 of its 7
-//! round-trips before the ack (`CALL` ‖ descriptor ‖ records ‖ tail,
-//! heads, epoch ‖ answer), and so does a round over four shards. Every
+//! something depends on them. So a lone put **blocks** on 3 of its 6
+//! round-trips before the ack (`CALL` ‖ descriptor ‖ records ‖ tail →
+//! heads → answer), and so does a round over four shards. Every
 //! persist on the path is a flight, so the blocking is the waits the
 //! regions plan (`async_latency_waited_ns`, control and shards summed),
 //! which no host load can inflate: a sleep never undershoots.
@@ -117,7 +117,7 @@ fn fresh_puts_to_one_shard_drained_together_persist_one_descriptor_line_set() {
     let (_, stripe) = delta(&s, mid);
     assert_eq!(
         (stripe.persists, stripe.async_flushes, stripe.elided_lines),
-        (1 + 4 + 1, 5, 6),
+        (1 + 3 + 1, 4, 6),
         "the drain's flight (its six lines ridden by the window's reader rule, \
          no persist of its own), the group commit, one answer persist"
     );
@@ -147,7 +147,7 @@ fn fresh_puts_to_one_shard_drained_together_persist_one_descriptor_line_set() {
 }
 
 #[test]
-fn a_lone_put_costs_eight_persists_end_to_end() {
+fn a_lone_put_costs_seven_persists_end_to_end() {
     // Every region charged one round-trip per persist, so the blocking
     // bound below is in real units.
     const LATENCY: Duration = Duration::from_millis(1);
@@ -181,15 +181,15 @@ fn a_lone_put_costs_eight_persists_end_to_end() {
     );
     assert_eq!(
         (stripe.persists, stripe.async_flushes),
-        (6, 5),
-        "the drain's descriptor flight + group commit (records, tail, head, epoch) + \
+        (5, 4),
+        "the drain's descriptor flight + group commit (records, tail, head) + \
          one answer persist — every stripe persist a flight"
     );
 
     // Blocking: every persist a flight — the CALL too, issued as the
     // window starts and awaited beside the descriptor, records and tail
     // — so at most one latency per awaited level: CALL ‖ descriptor ‖
-    // records ‖ tail, heads, epoch ‖ answer.
+    // records ‖ tail → heads → answer.
     let (control, stripe) = delta(&s, t0);
     assert_eq!(
         (control.persists, control.async_flushes),
@@ -210,7 +210,7 @@ fn a_lone_put_costs_eight_persists_end_to_end() {
     assert_eq!((control.persists, stripe.persists), (0, 1), "ack");
 
     let (control, stripe) = delta(&s, t0);
-    assert_eq!(control.persists + stripe.persists, 8);
+    assert_eq!(control.persists + stripe.persists, 7);
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
     s.assert_psan_clean();
 }
@@ -258,8 +258,8 @@ fn a_four_shard_round_is_one_frame_and_three_round_trips() {
     );
     assert_eq!(
         (stripe.persists, stripe.async_flushes),
-        (4 + 16 + 4, 24),
-        "4 descriptor flights + 4 × 4 commit flights + 4 answer flights"
+        (4 + 12 + 4, 20),
+        "4 descriptor flights + 4 × 3 commit flights + 4 answer flights"
     );
     assert!(
         waited_ns(&control, &stripe) <= 3 * LATENCY.as_nanos() as u64,
@@ -291,7 +291,7 @@ fn a_four_shard_round_is_one_frame_and_three_round_trips() {
             frame,
             "{per_shard} slots a shard"
         );
-        assert_eq!(stripe.persists, 4 + 16 + 4, "{per_shard} slots a shard");
+        assert_eq!(stripe.persists, 4 + 12 + 4, "{per_shard} slots a shard");
     }
     s.assert_psan_clean();
 }

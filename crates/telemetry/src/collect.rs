@@ -104,8 +104,6 @@ pub struct TelemetrySummary {
     pub persist_economy: Vec<PersistEconomy>,
     /// Crash incidents in time order, each with its recovery phases.
     pub timeline: Vec<CrashEntry>,
-    /// Flush-epoch bumps observed.
-    pub flush_epochs: u64,
     /// Bare fences observed.
     pub fences: u64,
     /// Total events collected.
@@ -138,7 +136,6 @@ impl TraceSnapshot {
     pub fn summary(&self) -> TelemetrySummary {
         let mut hists: BTreeMap<u32, LatencyHistogram> = BTreeMap::new();
         let mut economy: BTreeMap<u32, PersistEconomy> = BTreeMap::new();
-        let mut flush_epochs = 0u64;
         let mut fences = 0u64;
         let mut events = 0u64;
         let mut dropped = 0u64;
@@ -173,7 +170,6 @@ impl TraceSnapshot {
                             pe.coalesced += u64::from(lines) - 1;
                         }
                     }
-                    EventKind::FlushEpoch { .. } => flush_epochs += 1,
                     EventKind::Fence { .. } => fences += 1,
                     _ => {}
                 }
@@ -207,7 +203,6 @@ impl TraceSnapshot {
             ops,
             persist_economy,
             timeline: self.timeline(),
-            flush_epochs,
             fences,
             events,
             dropped,
@@ -341,7 +336,6 @@ impl TraceSnapshot {
                     | EventKind::PhaseExit { label } => Some(label),
                     EventKind::Persist { region, .. }
                     | EventKind::Fence { region }
-                    | EventKind::FlushEpoch { region, .. }
                     | EventKind::Crash { region, .. } => Some(region),
                     EventKind::CrashSite { .. } => None,
                 };
@@ -414,8 +408,8 @@ impl TelemetrySummary {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "telemetry: {} events ({} dropped), {} flush-epoch bumps, {} fences",
-            self.events, self.dropped, self.flush_epochs, self.fences
+            "telemetry: {} events ({} dropped), {} fences",
+            self.events, self.dropped, self.fences
         );
         if !self.ops.is_empty() {
             let _ = writeln!(

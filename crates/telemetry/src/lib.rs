@@ -3,8 +3,8 @@
 //!
 //! The recorder turns the sanitizer's `op_label()` stack into real
 //! spans: per-thread lock-free ring buffers record span enter/exit,
-//! persist round-trips, flush-epoch bumps, crash events, and recovery
-//! phases with monotonic timestamps. A collector merges the rings
+//! persist round-trips, crash events, and recovery phases with
+//! monotonic timestamps. A collector merges the rings
 //! into per-op latency histograms (p50/p99/p999), persist-economy
 //! counters attributed per op, and a crash→recovery timeline.
 //!
@@ -319,14 +319,6 @@ pub fn fence_event(region: u32) {
     }
 }
 
-/// Records a flush-epoch bump (group-commit publication point).
-#[inline]
-pub fn flush_epoch(region: u32, epoch: u64) {
-    if enabled() {
-        push_event(EventKind::FlushEpoch { region, epoch });
-    }
-}
-
 /// Records a region crash with its event-counter reading.
 #[inline]
 pub fn crash(region: u32, events: u64) {
@@ -446,7 +438,6 @@ mod tests {
             probe.record(intern("lib-test.region"), 3);
             let _inner = span("lib-test.inner");
         }
-        flush_epoch(intern("lib-test.region"), 9);
         let snap = session.finish();
         let sum = snap.summary();
         let outer = sum

@@ -46,8 +46,6 @@ pub enum EventKind {
     },
     /// An explicit fence with no range.
     Fence { region: u32 },
-    /// The store bumped its flush epoch (group-commit publication).
-    FlushEpoch { region: u32, epoch: u64 },
     /// A region crashed; `events` is its event-counter reading.
     Crash { region: u32, events: u64 },
     /// Runtime-level crash attribution (`CrashSite`): `shard` is the
@@ -61,7 +59,7 @@ const K_PHASE_ENTER: u64 = 3;
 const K_PHASE_EXIT: u64 = 4;
 const K_PERSIST: u64 = 5;
 const K_FENCE: u64 = 6;
-const K_FLUSH_EPOCH: u64 = 7;
+// Tag 7 is retired: decoded as an unknown kind, never reused.
 const K_CRASH: u64 = 8;
 const K_CRASH_SITE: u64 = 9;
 
@@ -80,7 +78,6 @@ impl EventKind {
                 dur_ns,
             } => (pack(K_PERSIST, region), u64::from(lines), dur_ns),
             EventKind::Fence { region } => (pack(K_FENCE, region), 0, 0),
-            EventKind::FlushEpoch { region, epoch } => (pack(K_FLUSH_EPOCH, region), epoch, 0),
             EventKind::Crash { region, events } => (pack(K_CRASH, region), events, 0),
             EventKind::CrashSite { shard, events } => (pack(K_CRASH_SITE, 0), shard, events),
         }
@@ -100,10 +97,6 @@ impl EventKind {
                 dur_ns: c,
             },
             K_FENCE => EventKind::Fence { region: a },
-            K_FLUSH_EPOCH => EventKind::FlushEpoch {
-                region: a,
-                epoch: b,
-            },
             K_CRASH => EventKind::Crash {
                 region: a,
                 events: b,
@@ -266,10 +259,6 @@ mod tests {
                 dur_ns: 999,
             },
             EventKind::Fence { region: 3 },
-            EventKind::FlushEpoch {
-                region: 2,
-                epoch: 41,
-            },
             EventKind::Crash {
                 region: 2,
                 events: 1234,

@@ -233,10 +233,6 @@ impl TraceSnapshot {
                     json_str(&self.name(region))
                 )
             }
-            EventKind::FlushEpoch { region, epoch } => format!(
-                "\"kind\": \"flush-epoch\", \"region\": {}, \"epoch\": {epoch}",
-                json_str(&self.name(region))
-            ),
             EventKind::Crash { region, events } => format!(
                 "\"kind\": \"crash\", \"region\": {}, \"events\": {events}",
                 json_str(&self.name(region))
@@ -281,8 +277,8 @@ pub fn summary_json(s: &TelemetrySummary, indent: &str) -> String {
     let mut out = String::from("{");
     let _ = write!(
         out,
-        "\n{indent}  \"events\": {}, \"dropped\": {}, \"flush_epochs\": {}, \"fences\": {},",
-        s.events, s.dropped, s.flush_epochs, s.fences
+        "\n{indent}  \"events\": {}, \"dropped\": {}, \"fences\": {},",
+        s.events, s.dropped, s.fences
     );
     let _ = write!(out, "\n{indent}  \"ops\": [");
     for (i, op) in s.ops.iter().enumerate() {
