@@ -12,11 +12,11 @@
 //!   pass is;
 //! * a [`Machine`] is **how the system runs and dies**: where fail-points
 //!   go, how a crash takes the whole system down and is attributed, and
-//!   how the regions come back. Three live here — [`Single`] (one region
-//!   and a `Runtime`), [`Striped`] (control region, stripe and a
-//!   `StripedRuntime`) and [`Shards`] (a bare stripe driven by the
-//!   threads that own its shards); the fourth, OS processes over a file
-//!   image, is the `kill-harness` feature's.
+//!   how the regions come back. Two live here — [`Single`] (one region
+//!   and a `Runtime`) and [`Striped`] (control region, stripe and a
+//!   `StripedRuntime`); the third, OS processes over a file image, is the
+//!   `kill-harness` feature's. Every machine runs its tasks on persistent
+//!   stacks.
 //!
 //! Kill placement is a [`Policy`] of values each harness passes; the
 //! budget rule is one: `max_crashes` bounds the kills of normal-mode
@@ -53,8 +53,7 @@ pub struct Tally {
     pub crashes: usize,
     /// Crashes inside recovery passes — §5.2's repeated failures.
     pub recovery_crashes: usize,
-    /// Frames completed by recovery passes (0 on a machine with no
-    /// persistent stack in the loop).
+    /// Frames completed by recovery passes.
     pub recovered_frames: usize,
     /// Attribution of each crash, in reboot order: the region that
     /// tripped first and its frozen persistence-event counter.
@@ -155,8 +154,8 @@ impl Cx {
 pub(crate) trait Machine {
     /// What a workload's objects live in (`PMem` or `PMemStripe`).
     type Regions;
-    /// One boot's runtime over the workload's registry (`()` where no
-    /// persistent stack is in the loop).
+    /// One boot's runtime over the workload's registry (`()` where the
+    /// stacks run in another process).
     type Runtime;
 
     fn regions(&self) -> &Self::Regions;
@@ -244,12 +243,6 @@ pub(crate) trait StaticWorkload<R> {
 
     /// One task per descriptor (or window of descriptors) still pending.
     fn pending(&mut self, att: &Self::Attached) -> Result<Vec<Task>, PError>;
-
-    /// The sharded store whose evidence recovery scans before it
-    /// replays frames, for a workload that has one.
-    fn evidence(_: &Self::Attached) -> Option<&ShardedKvStore> {
-        None
-    }
 }
 
 impl<M: Stacked, W: StaticWorkload<M::Regions>> Workload<M> for W {
@@ -275,8 +268,8 @@ impl<M: Stacked, W: StaticWorkload<M::Regions>> Workload<M> for W {
         m.run_tasks(rt, tasks)
     }
 
-    fn recover(&mut self, (m, rt, att): (&M, &M::Runtime, &W::Attached)) -> Result<usize, PError> {
-        m.replay(rt, W::evidence(att))
+    fn recover(&mut self, (m, rt, _): (&M, &M::Runtime, &W::Attached)) -> Result<usize, PError> {
+        m.replay(rt, None)
     }
 }
 
@@ -495,26 +488,6 @@ impl Stacked for Single {
     }
 }
 
-/// Arms each stripe region with probability `crash_prob`, countdowns
-/// from the crash window — shorter than a batch window's event
-/// footprint, so kills land inside windows.
-fn arm_shards(stripe: &PMemStripe, rng: &mut SmallRng, policy: &Policy) {
-    for region in stripe.regions() {
-        if rng.random_bool(policy.crash_prob) {
-            region.arm_failpoint(FailPlan::after_events(policy.window(rng)));
-        }
-    }
-}
-
-/// The stripe region that fell first, while it can still be told from
-/// the ones the failure took with it.
-fn shard_site(stripe: &PMemStripe) -> Option<CrashSite> {
-    stripe.crash_site().map(|(shard, events)| CrashSite {
-        region: CrashRegion::Shard(shard),
-        events,
-    })
-}
-
 /// Control-region length of a [`Striped`] machine (superblock,
 /// per-worker stacks, heap).
 const CONTROL_REGION_LEN: usize = 1 << 20;
@@ -528,9 +501,14 @@ pub(crate) struct Striped {
 }
 
 impl Striped {
-    /// Formats the runtime layout in a fresh control region beside an
-    /// already formatted `stripe`.
-    pub(crate) fn format(stripe: PMemStripe, workers: usize, psan: bool) -> Result<Self, PError> {
+    /// Formats the runtime layout — `workers` stacks of `stack_kind` — in
+    /// a fresh control region beside an already formatted `stripe`.
+    pub(crate) fn format(
+        stripe: PMemStripe,
+        workers: usize,
+        stack_kind: StackKind,
+        psan: bool,
+    ) -> Result<Self, PError> {
         let control = PMemBuilder::new()
             .len(CONTROL_REGION_LEN)
             .psan(psan)
@@ -538,7 +516,9 @@ impl Striped {
         StripedRuntime::format(
             control.clone(),
             stripe.clone(),
-            RuntimeConfig::new(workers).stack_capacity(STACK_CAPACITY),
+            RuntimeConfig::new(workers)
+                .stack_kind(stack_kind)
+                .stack_capacity(STACK_CAPACITY),
             &FunctionRegistry::new(),
         )?;
         Ok(Striped { control, stripe })
@@ -557,10 +537,16 @@ impl Machine for Striped {
         StripedRuntime::open(self.control.clone(), self.stripe.clone(), registry)
     }
 
-    /// Shard fail-points, and now and then one in the control region so
-    /// the persistent stack's own discipline gets hit too.
+    /// Each shard region with probability `crash_prob`, countdowns from
+    /// the crash window — shorter than a batch window's event footprint,
+    /// so kills land inside windows — and now and then the control
+    /// region, so the persistent stack's own discipline gets hit too.
     fn arm_run(&self, rng: &mut SmallRng, policy: &Policy) {
-        arm_shards(&self.stripe, rng, policy);
+        for region in self.stripe.regions() {
+            if rng.random_bool(policy.crash_prob) {
+                region.arm_failpoint(FailPlan::after_events(policy.window(rng)));
+            }
+        }
         if rng.random_bool(policy.crash_prob / 2.0) {
             self.control
                 .arm_failpoint(FailPlan::after_events(policy.window(rng)));
@@ -593,10 +579,18 @@ impl Machine for Striped {
         tally: &mut Tally,
     ) -> Result<(), PError> {
         // The runtime attributes what it tripped itself; a crash that
-        // surfaced outside `run_tasks` has taken nothing else down yet.
+        // surfaced outside `run_tasks` has taken nothing else down yet, so
+        // the shard that fell first can still be told from the rest.
+        let shard_site = || {
+            let (shard, events) = self.stripe.crash_site()?;
+            Some(CrashSite {
+                region: CrashRegion::Shard(shard),
+                events,
+            })
+        };
         tally
             .crash_sites
-            .extend(rt.last_crash_site().or_else(|| shard_site(&self.stripe)));
+            .extend(rt.last_crash_site().or_else(shard_site));
         tally.stats = tally.stats + self.stripe.aggregate_stats();
         if !rt.all_crashed() {
             rt.crash_all(0, 0.0);
@@ -628,105 +622,6 @@ impl Stacked for Striped {
         let scan = |shard: usize| store.map_or(Ok(()), |s| s.shard(shard).snapshot().map(|_| ()));
         let report = rt.recover_with(RecoveryMode::Parallel, |shard, _| scan(shard))?;
         Ok(report.total_frames())
-    }
-}
-
-/// A bare stripe whose shards are driven directly by the threads that
-/// own them — no persistent stack in the loop, so nothing to replay: a
-/// crashed round is followed by a reboot, and recovery is the evidence
-/// scan each pending descriptor's dual runs in the rounds after it.
-pub(crate) struct Shards {
-    pub stripe: PMemStripe,
-}
-
-impl Shards {
-    /// Runs `shard_round(shard, state)` for every shard on `workers`
-    /// threads; shard `s` (and `states[s]`) belongs to worker
-    /// `s % workers`, so no interleaving reaches a region's event
-    /// stream. `true` if any shard's region crashed.
-    pub(crate) fn each_shard<S: Send>(
-        workers: usize,
-        states: &mut [S],
-        shard_round: impl Fn(usize, &mut S) -> Result<bool, PError> + Sync,
-    ) -> Result<bool, PError> {
-        let mut owned: Vec<Vec<(usize, &mut S)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (s, state) in states.iter_mut().enumerate() {
-            owned[s % workers].push((s, state));
-        }
-        let shard_round = &shard_round;
-        let crashed: Vec<Result<bool, PError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = owned
-                .into_iter()
-                .map(|shards| {
-                    scope.spawn(move || {
-                        let mut any_crash = false;
-                        for (s, state) in shards {
-                            any_crash |= shard_round(s, state)?;
-                        }
-                        Ok(any_crash)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        crashed.into_iter().try_fold(false, |any, c| Ok(any | c?))
-    }
-}
-
-impl Machine for Shards {
-    type Regions = PMemStripe;
-    type Runtime = ();
-
-    fn regions(&self) -> &PMemStripe {
-        &self.stripe
-    }
-
-    fn open(&self, _: &FunctionRegistry) -> Result<(), PError> {
-        Ok(())
-    }
-
-    fn arm_run(&self, rng: &mut SmallRng, policy: &Policy) {
-        arm_shards(&self.stripe, rng, policy);
-    }
-
-    /// Every region gets the same fuse: a pass scans one shard, and
-    /// whichever it is, the kill is waiting there.
-    fn arm_recovery(&self, rng: &mut SmallRng, policy: &Policy) {
-        if policy.recovery_kill(rng) {
-            let plan = FailPlan::after_events(policy.fuse(rng));
-            for region in self.stripe.regions() {
-                region.arm_failpoint(plan);
-            }
-        }
-    }
-
-    fn disarm(&mut self) -> Result<(), PError> {
-        self.stripe.disarm_all();
-        Ok(())
-    }
-
-    fn reopen(
-        &mut self,
-        (): &(),
-        _: &mut dyn FnMut(&PMemStripe) -> Result<FunctionRegistry, PError>,
-        tally: &mut Tally,
-    ) -> Result<(), PError> {
-        tally.crash_sites.extend(shard_site(&self.stripe));
-        tally.stats = tally.stats + self.stripe.aggregate_stats();
-        // System failure: every region dies with the killed ones, and
-        // no unflushed line survives (survival 0 keeps it seeded).
-        self.stripe.crash_all(0, 0.0);
-        let _phase = pstack_telemetry::phase("recovery.reopen");
-        self.stripe = self.stripe.reopen_all()?;
-        Ok(())
-    }
-
-    fn sweep(&self, tally: &mut Tally) {
-        tally.stats = tally.stats + self.stripe.aggregate_stats();
-        tally.psan_violations = self.stripe.psan_violations();
     }
 }
 

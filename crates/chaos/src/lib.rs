@@ -19,21 +19,19 @@
 //! That loop exists once, in `cycle.rs`: seeded fail-point arming, crash
 //! accounting, reopen, recover-until-a-pass-completes under a
 //! recovery-kill budget, and one [`Tally`] in every report. It runs
-//! over four **machines** — how the system runs and dies:
+//! over three **machines** — how the system runs and dies, each running
+//! its tasks on persistent stacks:
 //!
 //! * one region + `Runtime`, `kill` emulated by deterministic
-//!   fail-points (seeded, reproducible, CI-friendly; see the
-//!   substitution table in DESIGN.md);
+//!   fail-points (seeded, reproducible, CI-friendly);
 //! * control region + stripe + `StripedRuntime`: a crash in any region
 //!   trips them all, restart is `reopen_all` + stack-driven recovery;
-//! * a bare stripe driven by shard-owning threads, no persistent stack
-//!   in the loop;
 //! * the real thing (`run_kill_campaign`, `kill-harness` feature):
 //!   worker **processes** over a file-backed image, SIGKILLed by a
 //!   driver process at random wall-clock moments (the `kill_campaign`
 //!   binary drives it) —
 //!
-//! and six **workloads** — what is under test. The condition a harness
+//! and four **workloads** — what is under test. The condition a harness
 //! checks is a property of its workload's verify step, never of the
 //! loop it runs in:
 //!
@@ -41,15 +39,16 @@
 //! |---|---|---|---|
 //! | recoverable CAS | [`run_campaign`], `run_kill_campaign` | one region; processes | §5.1 serializability (`check_serializability`, witness replayed) |
 //! | recoverable queue | [`run_queue_campaign`], `run_kill_campaign` | one region; processes | FIFO against the slot witness (`check_fifo`) |
-//! | KV store | [`run_kv_campaign`] | one region | linearizability against the chain witness (`check_kv`) |
-//! | sharded KV | [`run_sharded_kv_campaign`] | bare stripe, or control + stripe | `check_kv_sharded_gen`: per-shard chains, unique tags, key routing |
-//! | sharded KV + compaction | [`run_compaction_campaign`] | bare stripe | `check_kv_sharded_gen` across generations: carry-overs, no live key dropped |
+//! | KV store: 1 … n shards, group commits, compaction | [`run_kv_campaign`] | control + stripe | `check_kv_sharded_gen`: per-shard chains across generations, unique tags, key routing, carry-overs |
 //! | served KV | [`run_server_campaign`] | control + stripe | `check_kv_sharded_gen` on the clients' own observations: exactly-once |
 //!
 //! The module also provides [`enumerate_crash_points`], the exhaustive
 //! single-operation crash harness used across the test suites.
 
 mod campaign;
+// `compaction_campaign` and `sharded_kv_campaign` are test modules
+// holding rows of the KV campaign's scenario table, apart so their
+// gates keep their names and CI filters.
 mod compaction_campaign;
 mod crashpoints;
 mod cycle;
@@ -65,9 +64,6 @@ mod queue_campaign;
 mod server_campaign;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
-pub use compaction_campaign::{
-    run_compaction_campaign, CompactionCampaignConfig, CompactionCampaignReport,
-};
 pub use crashpoints::{enumerate_crash_points, CrashScenario, EnumerationReport};
 pub use cycle::Tally;
 #[cfg(all(unix, feature = "kill-harness"))]
@@ -79,7 +75,4 @@ pub use kv_campaign::{run_kv_campaign, KvCampaignConfig, KvCampaignReport, Shard
 pub use queue_campaign::{run_queue_campaign, QueueCampaignConfig, QueueCampaignReport};
 pub use server_campaign::{
     run_server_campaign, CycleSlo, ServerCampaignConfig, ServerCampaignReport, SloStat,
-};
-pub use sharded_kv_campaign::{
-    run_sharded_kv_campaign, ShardedKvCampaignConfig, ShardedKvCampaignReport,
 };

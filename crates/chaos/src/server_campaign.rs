@@ -30,7 +30,7 @@
 //! duplicated mutation would publish two records under one tag, a lost
 //! effect would leave an acked mutation without its record.
 
-use pstack_core::{FunctionRegistry, PError, StripedRuntime};
+use pstack_core::{FunctionRegistry, PError, StackKind, StripedRuntime};
 use pstack_kv::{KvVariant, ShardedKvStore};
 use pstack_nvram::{PMemBuilder, PMemStripe};
 use pstack_server::{
@@ -40,7 +40,7 @@ use pstack_server::{
 use pstack_verify::{KvShardedHistory, KvVerdict, KvWitnessRecord};
 
 use crate::cycle::{self, Cx, Policy, Stacked, Striped, Tally, Workload};
-use crate::sharded_kv_campaign::{attach_stripe, sharded_verdict, ANSWER_REPLAY_FUSE};
+use crate::kv_campaign::{attach_stripe, sharded_verdict, ANSWER_REPLAY_FUSE};
 
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -457,7 +457,7 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
         .build_striped(SHARDS);
     let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
     KvServeFunction::format(store, TABLE_CAP)?;
-    let mut machine = Striped::format(stripe, WORKERS, PSAN)?;
+    let mut machine = Striped::format(stripe, WORKERS, StackKind::Fixed, PSAN)?;
 
     // The client population and its wire.
     let hub = ChannelHub::new();

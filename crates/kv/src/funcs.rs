@@ -791,12 +791,13 @@ impl RecoverableFunction for KvCompactFunction {
 mod tests {
     use super::*;
     use crate::shard::shard_of;
-    use crate::store::{KvVariant, PKvStore};
+    use crate::store::KvVariant;
     use pstack_core::{FixedStack, FunctionRegistry, PersistentStack};
     use pstack_heap::PHeap;
     use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, POffset};
 
     const HEAP_OFF: u64 = 8192;
+    const STACK_LEN: usize = 4096;
     const REGION_LEN: usize = 1 << 18;
 
     fn eager_region() -> PMem {
@@ -821,19 +822,21 @@ mod tests {
         (pmem, table)
     }
 
-    /// Stack, heap, store and preloaded table all in one buffered
-    /// region, the store riding as a one-shard stripe.
-    fn fixture(ops: &[KvTaskOp]) -> (PMem, PHeap, KvServeFunction) {
+    /// Store, preloaded table and stack all in one buffered region: the
+    /// store a one-shard stripe, the stack a block of the shard's heap.
+    /// Returns the region, its heap, the executor and the stack's base.
+    fn fixture(ops: &[KvTaskOp]) -> (PMem, PHeap, KvServeFunction, POffset) {
         let pmem = PMemBuilder::new().len(REGION_LEN).build_in_memory();
-        let heap = PHeap::format(
-            pmem.clone(),
-            POffset::new(HEAP_OFF),
-            REGION_LEN as u64 - HEAP_OFF,
+        let regions = std::slice::from_ref(&pmem);
+        let store = ShardedKvStore::format(regions, 8, 64, KvVariant::Nsrl).unwrap();
+        let heap = store.heap(0).clone();
+        let stack = heap.alloc_aligned(STACK_LEN, 64).unwrap();
+        (
+            pmem,
+            heap,
+            KvServeFunction::preload(store, ops).unwrap(),
+            stack,
         )
-        .unwrap();
-        let store = PKvStore::format(pmem.clone(), &heap, 8, 64, KvVariant::Nsrl).unwrap();
-        let store = ShardedKvStore::from_parts(vec![store], vec![heap.clone()]).unwrap();
-        (pmem, heap, KvServeFunction::preload(store, ops).unwrap())
     }
 
     /// A stripe with one preloaded table per shard, plus the (buffered)
@@ -960,10 +963,22 @@ mod tests {
         fresh: bool,
         body: impl FnOnce(&mut PContext<'_>) -> R,
     ) -> R {
+        on_stack_at(main, POffset::new(0), heap, registry, fresh, body)
+    }
+
+    /// [`on_stack`] with the stack at `base`.
+    fn on_stack_at<R>(
+        main: &PMem,
+        base: POffset,
+        heap: &PHeap,
+        registry: &FunctionRegistry,
+        fresh: bool,
+        body: impl FnOnce(&mut PContext<'_>) -> R,
+    ) -> R {
         let mut stack = if fresh {
-            FixedStack::format(main.clone(), POffset::new(0), 4096).unwrap()
+            FixedStack::format(main.clone(), base, STACK_LEN as u64).unwrap()
         } else {
-            FixedStack::open(main.clone(), POffset::new(0), 4096).unwrap()
+            FixedStack::open(main.clone(), base, STACK_LEN as u64).unwrap()
         };
         let mut ctx = PContext::new(
             main.clone(),
@@ -1089,10 +1104,10 @@ mod tests {
             },
             KvTaskOp::Delete { key: 7 },
         ];
-        let (pmem, heap, exec) = fixture(&ops);
+        let (pmem, heap, exec, stack) = fixture(&ops);
         let registry = exec.registry().unwrap();
         let one = |slot: u32| on_shard(0, &[slot]);
-        on_stack(&pmem, &heap, &registry, true, |ctx| {
+        on_stack_at(&pmem, stack, &heap, &registry, true, |ctx| {
             // A single op is a window of one.
             ctx.call(KV_SERVE_FUNC_ID, &one(0)).unwrap();
             ctx.call(KV_SERVE_FUNC_ID, &one(1)).unwrap();
@@ -1685,11 +1700,11 @@ mod tests {
         // here, so the sweep also crosses the frame's own persists.
         let args = on_shard(0, &[0]);
         let run = |k: Option<u64>| {
-            let (pmem, heap, exec) = fixture(&[KvTaskOp::Put { key: 3, value: 33 }]);
+            let (pmem, heap, exec, stack) = fixture(&[KvTaskOp::Put { key: 3, value: 33 }]);
             let registry = exec.registry().unwrap();
             // The stack is formatted before the kill is armed: the sweep
             // covers the call, not the fixture.
-            let (outcome, events) = on_stack(&pmem, &heap, &registry, true, |ctx| {
+            let (outcome, events) = on_stack_at(&pmem, stack, &heap, &registry, true, |ctx| {
                 let e0 = pmem.events();
                 if let Some(k) = k {
                     pmem.arm_failpoint(FailPlan::after_events(k));
@@ -1697,28 +1712,24 @@ mod tests {
                 let outcome = ctx.call(KV_SERVE_FUNC_ID, &args);
                 (outcome, pmem.events() - e0)
             });
-            (pmem, exec, outcome, events)
+            (pmem, stack, outcome, events)
         };
         // Count events for a clean run to know the crash range.
         let (.., outcome, total) = run(None);
         outcome.unwrap();
 
         for k in 0..total {
-            let (pmem, exec, outcome, _) = run(Some(k));
+            let (pmem, stack, outcome, _) = run(Some(k));
             assert!(outcome.unwrap_err().is_crash(), "crash at event {k}");
             let pmem2 = pmem.reopen().unwrap();
-            let heap2 = PHeap::open(pmem2.clone(), POffset::new(HEAP_OFF)).unwrap();
-            let store2 =
-                PKvStore::open(pmem2.clone(), exec.store().shard(0).base(), KvVariant::Nsrl)
-                    .unwrap();
-            let t2 = KvRequestTable::open(pmem2.clone(), exec.tables()[0].base()).unwrap();
-            let sharded2 =
-                ShardedKvStore::from_parts(vec![store2.clone()], vec![heap2.clone()]).unwrap();
-            let exec2 = KvServeFunction::new(sharded2, vec![t2.clone()]);
+            let exec2 =
+                KvServeFunction::open(std::slice::from_ref(&pmem2), KvVariant::Nsrl).unwrap();
             let registry2 = exec2.registry().unwrap();
-            on_stack(&pmem2, &heap2, &registry2, false, |ctx| {
+            let heap2 = exec2.store().heap(0);
+            on_stack_at(&pmem2, stack, heap2, &registry2, false, |ctx| {
                 pstack_core::recover_stack(ctx).unwrap();
             });
+            let (store2, t2) = (exec2.store().shard(0), &exec2.tables()[0]);
             // Whether or not the operation linearized before the crash,
             // the key holds the value at most once in the published log;
             // if the descriptor is marked done, exactly once.

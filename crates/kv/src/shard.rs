@@ -90,9 +90,6 @@ pub fn shard_of(key: u64, nshards: usize) -> usize {
 pub struct ShardedKvStore {
     shards: Vec<PKvStore>,
     heaps: Vec<PHeap>,
-    /// `false` for [`ShardedKvStore::from_parts`]: no shard root at
-    /// offset 0 of the regions.
-    rooted: bool,
 }
 
 impl ShardedKvStore {
@@ -130,11 +127,7 @@ impl ShardedKvStore {
             shards.push(store);
             heaps.push(heap);
         }
-        Ok(ShardedKvStore {
-            shards,
-            heaps,
-            rooted: true,
-        })
+        Ok(ShardedKvStore { shards, heaps })
     }
 
     /// Re-attaches to a sharded store previously formatted over these
@@ -168,38 +161,7 @@ impl ShardedKvStore {
             heaps.push(PHeap::open(pmem.clone(), POffset::new(SHARD_ROOT_LEN))?);
             shards.push(PKvStore::open(pmem.clone(), store_base, variant)?);
         }
-        Ok(ShardedKvStore {
-            shards,
-            heaps,
-            rooted: true,
-        })
-    }
-
-    /// Wraps stores that are already attached — `shards[i]` allocated
-    /// from `heaps[i]` — as a stripe. This is how a store living inside
-    /// another layout's region (a runtime's own heap, say) rides the
-    /// sharded API as a one-shard stripe; such regions carry no shard
-    /// root, so the caller re-attaches the parts itself after a
-    /// restart instead of calling [`ShardedKvStore::open`].
-    ///
-    /// # Errors
-    ///
-    /// [`PError::InvalidConfig`] for an empty list, a heap count that
-    /// differs from the store count, or a heap on an `eager_flush`
-    /// region.
-    pub fn from_parts(shards: Vec<PKvStore>, heaps: Vec<PHeap>) -> Result<Self, PError> {
-        if shards.len() != heaps.len() {
-            return Err(PError::InvalidConfig(
-                "a sharded store needs one heap per shard".into(),
-            ));
-        }
-        let regions: Vec<PMem> = heaps.iter().map(|h| h.pmem().clone()).collect();
-        Self::check_regions(&regions)?;
-        Ok(ShardedKvStore {
-            shards,
-            heaps,
-            rooted: false,
-        })
+        Ok(ShardedKvStore { shards, heaps })
     }
 
     fn check_regions(regions: &[PMem]) -> Result<(), PError> {
@@ -246,14 +208,8 @@ impl ShardedKvStore {
 
     /// Persists `base` as shard `i`'s request-table base in the shard
     /// root, so [`ShardedKvStore::table_root`] finds the table again
-    /// after a restart. A store wrapped by
-    /// [`ShardedKvStore::from_parts`] has no shard root (offset 0 of
-    /// its region belongs to another layout): nothing is written, its
-    /// caller keeps its own root record.
+    /// after a restart.
     pub(crate) fn persist_table_root(&self, i: usize, base: POffset) -> Result<(), PError> {
-        if !self.rooted {
-            return Ok(());
-        }
         let (pmem, root) = (self.heaps[i].pmem(), POffset::new(ROOT_OFF_TABLE));
         pmem.write_u64(root, base.get())?;
         Ok(pmem.flush(root, 8)?)
@@ -731,8 +687,7 @@ mod tests {
             "no half-formatted image"
         );
 
-        // The sharded store: format, open, and parts whose heap lies in
-        // an eager region.
+        // The sharded store: format and open.
         let stripe = PMemBuilder::new()
             .len(1 << 16)
             .eager_flush(true)
@@ -744,10 +699,6 @@ mod tests {
             KvVariant::Nsrl,
         ));
         assert_refused(ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl));
-        let buffered = PMemBuilder::new().len(1 << 16).build_in_memory();
-        let store_heap = PHeap::format(buffered.clone(), POffset::new(0), 1 << 16).unwrap();
-        let store = PKvStore::format(buffered, &store_heap, 4, 16, KvVariant::Nsrl).unwrap();
-        assert_refused(ShardedKvStore::from_parts(vec![store], vec![heap]));
 
         // The serving layout: open refuses; format and preload take a
         // sharded store, which an eager stripe never yields.

@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.recovery_crashes,
         report.recovered_frames,
     );
-    let records: usize = report.history.chains.iter().map(Vec::len).sum();
+    let records: usize = report.history.shards.iter().flatten().map(Vec::len).sum();
     println!("  chain witness: {records} mutations published");
     println!("  KV verdict: {:?}", report.verdict);
     println!(

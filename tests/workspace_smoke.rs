@@ -158,8 +158,8 @@ fn facade_sharded_kv_store_and_campaign() {
         .all(|o| o.took_effect()));
     assert_eq!(kv.contents().expect("contents").len(), 16);
 
-    let cfg = pstack::chaos::ShardedKvCampaignConfig::new(32, 7);
-    let report = pstack::chaos::run_sharded_kv_campaign(&cfg).expect("campaign completes");
+    let cfg = pstack::chaos::KvCampaignConfig::new(32, 7).shards(4);
+    let report = pstack::chaos::run_kv_campaign(&cfg).expect("campaign completes");
     assert!(
         report.is_linearizable(),
         "sharded store must stay linearizable under batch-window kills"
