@@ -5,15 +5,13 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pstack_bench::region;
 use pstack_heap::PHeap;
-use pstack_nvram::{PMemBuilder, POffset};
+use pstack_nvram::POffset;
 use pstack_recoverable::{CasVariant, RecoverableCas};
 
-fn eager_fixture(variant: CasVariant) -> RecoverableCas {
-    let pmem = PMemBuilder::new()
-        .len(1 << 18)
-        .eager_flush(true)
-        .build_in_memory();
+fn fixture(variant: CasVariant) -> RecoverableCas {
+    let pmem = region(1 << 18);
     let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 18).unwrap();
     RecoverableCas::format(pmem, &heap, 4, 0, variant).unwrap()
 }
@@ -29,7 +27,7 @@ fn bench_successful_cas(c: &mut Criterion) {
         ("nsrl", CasVariant::Nsrl),
         ("no_matrix", CasVariant::NoMatrix),
     ] {
-        let cas = eager_fixture(variant);
+        let cas = fixture(variant);
         let mut seq = 1u64;
         g.bench_function(name, |b| {
             b.iter(|| {
@@ -53,7 +51,7 @@ fn bench_failed_cas(c: &mut Criterion) {
         ("nsrl", CasVariant::Nsrl),
         ("no_matrix", CasVariant::NoMatrix),
     ] {
-        let cas = eager_fixture(variant);
+        let cas = fixture(variant);
         g.bench_function(name, |b| {
             b.iter(|| {
                 assert!(!cas.cas(0, 555, 777, 1).unwrap());
@@ -69,20 +67,20 @@ fn bench_recover_paths(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(500));
     // Path 1: value still in the register (cheapest confirmation).
-    let cas = eager_fixture(CasVariant::Nsrl);
+    let cas = fixture(CasVariant::Nsrl);
     cas.cas(0, 0, 5, 1).unwrap();
     g.bench_function("value_in_register", |b| {
         b.iter(|| assert!(cas.recover(0, 0, 5, 1).unwrap()));
     });
     // Path 2: value overwritten, evidence found in the matrix row scan.
-    let cas = eager_fixture(CasVariant::Nsrl);
+    let cas = fixture(CasVariant::Nsrl);
     cas.cas(0, 0, 5, 1).unwrap();
     cas.cas(1, 5, 9, 2).unwrap();
     g.bench_function("evidence_in_matrix", |b| {
         b.iter(|| assert!(cas.recover(0, 0, 5, 1).unwrap()));
     });
     // Path 3: never linearized and cannot re-apply (full scan + retry).
-    let cas = eager_fixture(CasVariant::Nsrl);
+    let cas = fixture(CasVariant::Nsrl);
     cas.cas(1, 0, 9, 1).unwrap();
     g.bench_function("reexecute_fails", |b| {
         b.iter(|| assert!(!cas.recover(0, 0, 5, 2).unwrap()));
@@ -103,7 +101,7 @@ fn bench_contended_chain(c: &mut Criterion) {
     ] {
         g.bench_function(name, |b| {
             b.iter_with_setup(
-                || eager_fixture(variant),
+                || fixture(variant),
                 |cas| {
                     let steps = 64i64;
                     std::thread::scope(|s| {

@@ -22,12 +22,8 @@ use pstack_heap::PHeap;
 use pstack_kv::{KvVariant, PKvStore};
 use pstack_nvram::{PMem, PMemBuilder, POffset};
 
-fn region(len: usize, eager: bool, psan: bool) -> PMem {
-    PMemBuilder::new()
-        .len(len)
-        .eager_flush(eager)
-        .psan(psan)
-        .build_in_memory()
+fn region(len: usize, psan: bool) -> PMem {
+    PMemBuilder::new().len(len).psan(psan).build_in_memory()
 }
 
 /// write → flush → fence over a 64-line window: the minimal persist
@@ -38,22 +34,20 @@ fn bench_raw_persist(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
     g.throughput(Throughput::Elements(1));
-    for (mode, eager) in [("eager", true), ("buffered", false)] {
-        for (tracking, psan) in [("psan_off", false), ("psan_on", true)] {
-            let pmem = region(1 << 20, eager, psan);
-            let window = 64 * pmem.line_size() as u64;
-            let mut off = 0u64;
-            g.bench_function(format!("{mode}/{tracking}"), |b| {
-                b.iter(|| {
-                    let at = POffset::new(off);
-                    pmem.write_u64(at, off).unwrap();
-                    pmem.flush(at, 8).unwrap();
-                    pmem.fence();
-                    off = (off + pmem.line_size() as u64) % window;
-                });
+    for (tracking, psan) in [("psan_off", false), ("psan_on", true)] {
+        let pmem = region(1 << 20, psan);
+        let window = 64 * pmem.line_size() as u64;
+        let mut off = 0u64;
+        g.bench_function(tracking, |b| {
+            b.iter(|| {
+                let at = POffset::new(off);
+                pmem.write_u64(at, off).unwrap();
+                pmem.flush(at, 8).unwrap();
+                pmem.fence();
+                off = (off + pmem.line_size() as u64) % window;
             });
-            assert_eq!(pmem.psan_violation_count(), 0, "workload is clean");
-        }
+        });
+        assert_eq!(pmem.psan_violation_count(), 0, "workload is clean");
     }
     g.finish();
 }
@@ -73,7 +67,7 @@ fn bench_kv_put(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     for (tracking, psan) in [("psan_off", false), ("psan_on", true)] {
         let len = 1usize << 28;
-        let pmem = region(len, false, psan);
+        let pmem = region(len, psan);
         let heap = PHeap::format(pmem.clone(), POffset::new(0), len as u64).unwrap();
         let kv = PKvStore::format(pmem.clone(), &heap, 256, LOG_CAP, KvVariant::Nsrl).unwrap();
         let mut seq = 0u64;

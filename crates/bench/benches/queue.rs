@@ -1,8 +1,8 @@
 //! E15: recoverable-queue operation and recovery-scan costs.
 //!
 //! * `queue/enqueue_dequeue_pair` — steady-state cost of one enqueue
-//!   immediately consumed by one dequeue (slot CAS + counter help +
-//!   eager persists).
+//!   immediately consumed by one dequeue (slot CAS + counter help, each
+//!   flushed as it lands).
 //! * `queue/recover_scan` — the price of the NSRL evidence scan as a
 //!   function of how many slots are already occupied: recovery is
 //!   linear in the touched prefix, which is the design trade-off for
@@ -13,17 +13,13 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pstack_bench::region;
 use pstack_heap::PHeap;
-use pstack_nvram::{PMemBuilder, POffset};
+use pstack_nvram::POffset;
 use pstack_recoverable::{QueueVariant, RecoverableQueue};
 
-fn eager_region(len: usize) -> (pstack_nvram::PMem, PHeap) {
-    let pmem = PMemBuilder::new()
-        .len(len)
-        .eager_flush(true)
-        .build_in_memory();
-    let heap = PHeap::format(pmem.clone(), POffset::new(0), len as u64).unwrap();
-    (pmem, heap)
+fn fixture(len: usize) -> PHeap {
+    PHeap::format(region(len), POffset::new(0), len as u64).unwrap()
 }
 
 fn bench_enqueue_dequeue_pair(c: &mut Criterion) {
@@ -33,7 +29,7 @@ fn bench_enqueue_dequeue_pair(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600));
     // The queue is a bounded log, so give the benchmark a large slot
     // budget and reformat when it runs out.
-    let (_, heap) = eager_region(1 << 26);
+    let heap = fixture(1 << 26);
     let capacity = 400_000u64;
     let queue =
         RecoverableQueue::format(heap.pmem().clone(), &heap, capacity, QueueVariant::Nsrl).unwrap();
@@ -59,7 +55,7 @@ fn bench_recover_scan(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
     for occupied in [16u64, 256, 4096] {
-        let (_, heap) = eager_region(1 << 24);
+        let heap = fixture(1 << 24);
         let queue =
             RecoverableQueue::format(heap.pmem().clone(), &heap, occupied + 8, QueueVariant::Nsrl)
                 .unwrap();
@@ -88,7 +84,7 @@ fn bench_contended_throughput(c: &mut Criterion) {
     g.throughput(Throughput::Elements(items_per_producer * producers));
     g.bench_function("4p2c", |b| {
         b.iter(|| {
-            let (_, heap) = eager_region(1 << 22);
+            let heap = fixture(1 << 22);
             let queue = RecoverableQueue::format(
                 heap.pmem().clone(),
                 &heap,

@@ -1,7 +1,7 @@
 //! E1/E2/E3: persistent-stack push and pop latency on the fixed layout,
-//! including the long-frame (multi-cache-line) regime and the cost of
-//! buffered vs eager flushing. Each configuration first prints the
-//! exact persists and lines of one push and one pop.
+//! including the long-frame (multi-cache-line) regime. Each
+//! configuration first prints the exact persists and lines of one push
+//! and one pop.
 
 use std::time::Duration;
 
@@ -58,29 +58,6 @@ fn bench_push_at_depth(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_eager_vs_buffered(c: &mut Criterion) {
-    let mut g = c.benchmark_group("stack_ops/eager_vs_buffered");
-    g.sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    for (name, eager) in [("buffered", false), ("eager", true)] {
-        let pmem = PMemBuilder::new()
-            .len(1 << 20)
-            .eager_flush(eager)
-            .build_in_memory();
-        let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 512 * 1024).unwrap();
-        let label = format!("stack_ops/eager_vs_buffered/{name}");
-        report_push_pop(&label, &pmem, &mut stack, &[7u8; 64]);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                stack.push(1, &[7u8; 64]).unwrap();
-                stack.pop().unwrap();
-            });
-        });
-    }
-    g.finish();
-}
-
 fn bench_line_size_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("stack_ops/line_size_sweep");
     g.sample_size(20)
@@ -110,7 +87,6 @@ criterion_group!(
     benches,
     bench_push_pop_pair,
     bench_push_at_depth,
-    bench_eager_vs_buffered,
     bench_line_size_sweep
 );
 criterion_main!(benches);

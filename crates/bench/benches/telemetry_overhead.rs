@@ -46,10 +46,7 @@ fn bench_raw_persist(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600));
     g.throughput(Throughput::Elements(1));
     with_modes(|mode| {
-        let pmem = PMemBuilder::new()
-            .len(1 << 20)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
         let window = 64 * pmem.line_size() as u64;
         let mut off = 0u64;
         g.bench_function(mode, |b| {

@@ -220,7 +220,7 @@ impl StaticWorkload<PMem> for CasWorkload {
             POffset::new(root(0)?),
             root(3)? as usize,
             variant,
-        )?;
+        );
         let table = TaskTable::open(pmem.clone(), POffset::new(root(1)?))?;
         let mut registry = FunctionRegistry::new();
         registry.register(
@@ -269,7 +269,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, PError> {
         );
         // Standard-mode boot: format the system and the application state.
         let (mut machine, rt) = Single::format(
-            PMemBuilder::new().eager_flush(true).psan(cfg.psan),
+            PMemBuilder::new().psan(cfg.psan),
             cfg.access_jitter,
             cfg.backing_file.as_deref(),
             cfg.workers,
@@ -316,6 +316,7 @@ mod tests {
     fn narrow_campaign_is_serializable_with_duplicates() {
         let report = run_campaign(&CampaignConfig::narrow(60, 43)).unwrap();
         assert!(report.is_serializable(), "verdict: {:?}", report.verdict);
+        assert_eq!(report.psan_violations, []);
         // Narrow range all but guarantees duplicate operand pairs.
         let mut pairs: Vec<(i64, i64)> =
             report.history.ops.iter().map(|o| (o.old, o.new)).collect();
@@ -336,6 +337,7 @@ mod tests {
         let b = run_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
         assert_eq!(a.tally, b.tally);
+        assert_eq!(a.psan_violations, []);
     }
 
     #[test]
@@ -347,6 +349,7 @@ mod tests {
                 "stack {kind}: verdict {:?}",
                 report.verdict
             );
+            assert_eq!(report.psan_violations, [], "stack {kind}");
         }
     }
 
@@ -401,6 +404,7 @@ mod tests {
         };
         let report = run_campaign(&cfg).unwrap();
         assert!(report.is_serializable(), "{:?}", report.verdict);
+        assert_eq!(report.psan_violations, []);
         assert!(path.exists());
         let _ = std::fs::remove_file(&path);
     }
@@ -414,6 +418,7 @@ mod tests {
                 "seed {seed}: correct CAS flagged non-serializable: {:?}",
                 report.verdict
             );
+            assert_eq!(report.psan_violations, [], "seed {seed}");
         }
     }
 }

@@ -386,10 +386,9 @@ const STACK_CAPACITY: u64 = 8 * 1024;
 /// Length of a [`Single`] machine's region.
 const SINGLE_REGION_LEN: usize = 1 << 21;
 
-/// One region holding the runtime and the object under test, in the
-/// mode the caller's builder asks for — eager flush (§5's cache-less
-/// NVRAM) for the CAS register and the queue, buffered for the KV
-/// store: a fired fail-point is the whole system's death.
+/// One region holding the runtime and the object under test, built
+/// from the caller's builder (PSan, a persist delay): a fired
+/// fail-point is the whole system's death.
 pub(crate) struct Single {
     pub pmem: PMem,
 }

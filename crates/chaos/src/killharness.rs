@@ -253,7 +253,6 @@ fn open_image(path: &Path) -> Result<(PMem, Kind), PError> {
         .len() as usize;
     let pmem = PMemBuilder::new()
         .len(len)
-        .eager_flush(true)
         .persist_delay(PERSIST_DELAY)
         .build_file(path)?;
     let magic = cycle::read_root(&pmem, HEADER_OFF, 0)?;
@@ -303,7 +302,7 @@ pub fn format_image(cfg: &KillCampaignConfig) -> Result<(), PError> {
     // Formatting runs without the persist delay: no process is racing a
     // kill against it.
     let (machine, rt) = Single::format(
-        PMemBuilder::new().eager_flush(true),
+        PMemBuilder::new(),
         None,
         Some(&cfg.image),
         cfg.workers,

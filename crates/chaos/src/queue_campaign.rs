@@ -90,7 +90,8 @@ impl QueueCampaignConfig {
 /// Outcome of a queue campaign.
 #[derive(Debug, Clone)]
 pub struct QueueCampaignReport {
-    /// Rounds, crashes and recovered frames.
+    /// Rounds, crashes, recovered frames and sanitizer findings
+    /// (expected empty, as for the CAS campaign).
     pub tally: Tally,
     /// The collected execution (answers + slot witness).
     pub history: QueueHistory,
@@ -106,6 +107,10 @@ impl QueueCampaignReport {
         self.verdict.is_fifo()
     }
 }
+
+/// The persist-order sanitizer shadows every queue campaign whenever
+/// the crate's `psan` feature is on.
+const PSAN: bool = cfg!(feature = "psan");
 
 /// Probability a generated descriptor is an enqueue (the rest are
 /// dequeues).
@@ -302,7 +307,7 @@ pub fn run_queue_campaign(cfg: &QueueCampaignConfig) -> Result<QueueCampaignRepo
         },
     );
     let (mut machine, rt) = Single::format(
-        PMemBuilder::new().eager_flush(true),
+        PMemBuilder::new().psan(PSAN),
         cfg.access_jitter,
         None,
         cfg.workers,
@@ -336,6 +341,7 @@ mod tests {
         assert!(report.crashes > 0, "campaign should experience crashes");
         assert_eq!(report.history.ops.len(), 60);
         assert!(report.rounds > 1);
+        assert_eq!(report.psan_violations, []);
     }
 
     #[test]
@@ -348,6 +354,7 @@ mod tests {
         let b = run_queue_campaign(&cfg).unwrap();
         assert_eq!(a.history, b.history);
         assert_eq!(a.tally, b.tally);
+        assert_eq!(a.psan_violations, []);
     }
 
     #[test]
@@ -355,6 +362,7 @@ mod tests {
         for kind in [StackKind::Fixed, StackKind::Vec, StackKind::List] {
             let report = run_queue_campaign(&QueueCampaignConfig::new(30, 23).stack(kind)).unwrap();
             assert!(report.is_fifo(), "stack {kind}: {:?}", report.verdict);
+            assert_eq!(report.psan_violations, [], "stack {kind}");
         }
     }
 
@@ -363,6 +371,7 @@ mod tests {
         for seed in 200..208 {
             let report = run_queue_campaign(&QueueCampaignConfig::new(40, seed)).unwrap();
             assert!(report.is_fifo(), "seed {seed}: {:?}", report.verdict);
+            assert_eq!(report.psan_violations, [], "seed {seed}");
         }
     }
 

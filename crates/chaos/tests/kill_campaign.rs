@@ -27,9 +27,11 @@ fn killed_processes_leave_a_serializable_history() {
     // The headline §5.2 result, with genuine process deaths: the
     // correct CAS + persistent-stack recovery always yields a
     // serializable execution, no matter where SIGKILL lands.
+    // A worker persists only what it flushes, one line per store, so
+    // its run is a few milliseconds of persist delay: kills come early.
     let image = tmp_image("wide");
     let cfg = KillCampaignConfig::new(&image, 36, 1)
-        .kill_delay_ms(4, 30)
+        .kill_delay_ms(1, 8)
         .max_kills(4);
     let report = run_kill_campaign(harness_exe(), &cfg).expect("campaign completes");
     assert!(

@@ -30,14 +30,12 @@
 //! call, value → flag → flip for a return — and every prefix is a state
 //! the protocol already had: *frame written but invisible*, *slot
 //! cleared, child not started*, *completion recorded, frame not yet
-//! popped*. The same order is what keeps an eager region (every store
-//! durable as issued) correct with no second code path. The two states
-//! that must never be durable are *pushed over a stale completion* (the
-//! caller's recover dual would take an earlier child's result for this
-//! child's) and *popped with the completion record lost* (the caller
-//! would re-run a child that completed); each needs the flip durable
-//! without a store issued before it in the same line, which a line
-//! cannot do.
+//! popped*. The two states that must never be durable are *pushed
+//! over a stale completion* (the caller's recover dual would take an
+//! earlier child's result for this child's) and *popped with the
+//! completion record lost* (the caller would re-run a child that
+//! completed); each needs the flip durable without a store issued
+//! before it in the same line, which a line cannot do.
 //!
 //! When the new frame lies wholly in the caller's tail line — a root
 //! task of up to 18 argument bytes does: 23-byte dummy frame, stack

@@ -54,13 +54,13 @@ const CONTROL_SEED_SALT: u64 = 0xC0_17_20_11_D0_0D_F1_1E;
 ///
 /// # fn main() -> Result<(), pstack_core::PError> {
 /// // Function 1 persists its argument into shard `args[8]`'s region.
-/// let stripe = PMemBuilder::new().len(4096).eager_flush(true).build_striped(2);
+/// let stripe = PMemBuilder::new().len(4096).build_striped(2);
 /// let mut registry = FunctionRegistry::new();
 /// {
 ///     let stripe = stripe.clone();
 ///     let body = move |_ctx: &mut pstack_core::PContext<'_>, args: &[u8]| {
 ///         let val = u64::from_le_bytes(args[..8].try_into().unwrap());
-///         stripe.region(args[8] as usize).write_u64(0u64.into(), val)?;
+///         stripe.region(args[8] as usize).write_persist(0u64.into(), &val.to_le_bytes())?;
 ///         Ok(None)
 ///     };
 ///     registry.register_pair(1, body.clone(), body)?;

@@ -213,7 +213,8 @@ impl PersistentStack for FixedStack {
         if self.frames.len() != 2 {
             return self.pop_with(Some(completion));
         }
-        self.retired = retire_ret(&self.pmem, &self.frames[0], completion)?;
+        retire_ret(&self.pmem, &self.frames[0], completion)?;
+        self.retired = true;
         self.frames.pop();
         Ok(())
     }

@@ -377,7 +377,8 @@ impl PersistentStack for ListStack {
         if self.frames.len() != 2 || top_bidx != dummy_bidx {
             return self.pop_with(Some(completion));
         }
-        self.retired = retire_ret(&self.pmem, &dummy, completion)?;
+        retire_ret(&self.pmem, &dummy, completion)?;
+        self.retired = true;
         self.frames.pop();
         Ok(())
     }

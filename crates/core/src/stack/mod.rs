@@ -184,8 +184,7 @@ pub trait PersistentStack: Send {
     /// flip — issued as an asynchronous flush and **not awaited**. Every
     /// earlier stage is durable on return (a retired pop that does not
     /// ride the flip's line, a frame past it), and so is the flip once
-    /// the returned ticket is awaited (at once on an eager region, where
-    /// every store is durable as it lands; `None` only under a
+    /// the returned ticket is awaited (`None` only under a
     /// [`FlushPolicy`] that skips the flip's flush).
     /// Until then a crash leaves the stack before the push or pushed,
     /// by the survival of the flip's one line — and a retired pop that
@@ -241,9 +240,7 @@ pub trait PersistentStack: Send {
     ///
     /// A pop that is not the root's, or that frees or moves stack
     /// memory (a list block, a shrinking array), is [`pop_with`]'s
-    /// instead. On an eager region every store is durable as it lands,
-    /// so nothing is left pending and the retire costs what `pop_with`
-    /// does.
+    /// instead.
     ///
     /// # Errors
     ///
@@ -522,13 +519,12 @@ pub(crate) fn persist_ret(
 /// layouts: [`persist_ret`]'s stages with the flip's own flush left to
 /// the next [`persist_call`] over the same `caller`. The slot stages
 /// keep the rule — they ride the flip's line or are flushed ahead of
-/// it — so only the flip is pending. Returns whether it is: not on an
-/// eager region, where every store is durable as it lands.
+/// it — so only the flip is pending.
 pub(crate) fn retire_ret(
     pmem: &PMem,
     caller: &FrameMeta,
     completion: ReturnSlot,
-) -> Result<bool, PError> {
+) -> Result<(), PError> {
     let slot = slot_stores(caller, &completion);
     let flip = pop_flip(caller);
     persist_in_order(
@@ -540,7 +536,7 @@ pub(crate) fn retire_ret(
         }]),
         LastStage::Flushed,
     )?;
-    Ok(!pmem.is_eager_flush())
+    Ok(())
 }
 
 /// Shared implementation: read a frame's return slot.

@@ -265,7 +265,8 @@ impl PersistentStack for VecStack {
         if self.frames.len() != 2 || self.shrink_to(used).is_some() {
             return self.pop_with(Some(completion));
         }
-        self.retired = retire_ret(&self.pmem, &dummy, completion)?;
+        retire_ret(&self.pmem, &dummy, completion)?;
+        self.retired = true;
         self.frames.pop();
         Ok(())
     }

@@ -21,17 +21,6 @@ const HEAP_MAGIC: u64 = 0x5053_5441_434B_4850; // "PSTACKHP"
 const BLOCK_CANARY: u64 = 0xB10C_B10C_B10C_B10C;
 const USED_BIT: u64 = 1;
 
-/// Persists `[off, off + len)` — unless the region is eager, where
-/// every write is already durable and the flush would only burn a
-/// redundant persist round-trip (PSan's redundant-persist diagnostic
-/// flagged the unconditional version).
-fn persist(pmem: &PMem, off: POffset, len: usize) -> Result<(), HeapError> {
-    if !pmem.is_eager_flush() {
-        pmem.flush(off, len)?;
-    }
-    Ok(())
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Block {
     size: u64,
@@ -97,7 +86,7 @@ impl PHeap {
         pmem.write_u64(base + 8u64, end)?;
         pmem.write_u64(base + 16u64, first_block)?;
         pmem.write_u64(base + 24u64, 0)?;
-        persist(&pmem, base, HEAP_HEADER_LEN as usize)?;
+        pmem.flush(base, HEAP_HEADER_LEN as usize)?;
 
         let total = end - first_block;
         write_header(&pmem, first_block, total, false)?;
@@ -308,7 +297,7 @@ impl PHeap {
     pub fn alloc_zeroed(&self, size: usize) -> Result<POffset, HeapError> {
         let off = self.alloc(size)?;
         self.pmem.fill(off, 0, size)?;
-        persist(&self.pmem, off, size)?;
+        self.pmem.flush(off, size)?;
         Ok(off)
     }
 
@@ -521,14 +510,14 @@ fn write_header(pmem: &PMem, start: u64, size: u64, used: bool) -> Result<(), He
     hdr[..8].copy_from_slice(&word0.to_le_bytes());
     hdr[8..].copy_from_slice(&BLOCK_CANARY.to_le_bytes());
     pmem.write(POffset::new(start), &hdr)?;
-    persist(pmem, POffset::new(start), 16)?;
+    pmem.flush(POffset::new(start), 16)?;
     Ok(())
 }
 
 fn write_header_word(pmem: &PMem, start: u64, size: u64, used: bool) -> Result<(), HeapError> {
     let word0 = size | (u64::from(used) * USED_BIT);
     pmem.write_u64(POffset::new(start), word0)?;
-    persist(pmem, POffset::new(start), 8)?;
+    pmem.flush(POffset::new(start), 8)?;
     Ok(())
 }
 
@@ -746,7 +735,7 @@ mod tests {
         let _b = h.alloc(200).unwrap();
         h.free(a).unwrap();
         let before = h.stats();
-        pmem.crash_now(0, 1.0); // keep everything: metadata flushes are eager
+        pmem.crash_now(0, 1.0); // keep everything, flushed or not
         let pmem2 = pmem.reopen().unwrap();
         let h2 = PHeap::open(pmem2, POffset::new(0)).unwrap();
         assert_eq!(h2.stats(), before);

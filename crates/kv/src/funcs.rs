@@ -800,17 +800,10 @@ mod tests {
     const STACK_LEN: usize = 4096;
     const REGION_LEN: usize = 1 << 18;
 
-    fn eager_region() -> PMem {
-        PMemBuilder::new()
-            .len(REGION_LEN)
-            .eager_flush(true)
-            .build_in_memory()
-    }
-
     /// A bare table holding `ops` (gets included — the table can hold
     /// any kind; it is the window that refuses to execute a read).
     fn table_of(ops: &[KvTaskOp]) -> (PMem, KvRequestTable) {
-        let pmem = eager_region();
+        let pmem = PMemBuilder::new().len(REGION_LEN).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), REGION_LEN as u64).unwrap();
         let table = KvRequestTable::format(pmem.clone(), &heap, ops.len() as u32).unwrap();
         for (i, &op) in ops.iter().enumerate() {

@@ -80,11 +80,9 @@
 //! The store runs on **buffered** regions — caches in front of NVRAM,
 //! as on real hardware — and orders its own persists through one
 //! routine, the group commit (records ‖ tail → heads); a
-//! per-op mutation is a group commit of one. [`PKvStore::format`] and
-//! [`PKvStore::open`], and through them every sharded and serving entry
-//! point, refuse an `eager_flush` region (§5's cache-less NVRAM) with a
-//! typed `InvalidConfig`; eager regions remain for the persistent stack
-//! and the `pstack-recoverable` objects.
+//! per-op mutation is a group commit of one. It is the only kind of
+//! region there is: the `pstack-recoverable` objects run on the same
+//! regions, under their own persist-store / persist-load rule.
 
 mod funcs;
 mod reqtable;

@@ -11,10 +11,8 @@
 //! every mutation up front
 //! ([`KvServeFunction::preload`](crate::KvServeFunction::preload)).
 //!
-//! The table is region-agnostic: it has no mode branch, and its
-//! ordering arguments below hold on a buffered region because a slot is
-//! one line that persists atomically, and on an `eager_flush` region
-//! because every store is durable in program order as it lands.
+//! The table's ordering arguments below rest on one fact: a slot is
+//! one line, and a line persists atomically.
 //!
 //! # Lifecycle and recycling
 //!
@@ -188,7 +186,7 @@ struct ReqIndex {
 /// use pstack_kv::{KvRequestTable, KvTaskOp, KvTaskResult, ReqSubmit};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 14).eager_flush(true).build_in_memory();
+/// let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 14)?;
 /// let table = KvRequestTable::format(pmem, &heap, 4)?;
 ///
@@ -463,8 +461,9 @@ impl KvRequestTable {
     /// lines — the descriptors [`KvRequestTable::submit`] staged — and
     /// returns its ticket. The round-trip is in flight when this
     /// returns: a caller with several tables issues them all back to
-    /// back, then awaits each ([`KvRequestTable::persist_slots_await`]),
-    /// paying about one round-trip for the lot.
+    /// back and pays about one round-trip for the lot, awaited by
+    /// whoever reads the slots next
+    /// ([`KvRequestTable::persist_slots_if_dirty`]).
     ///
     /// # Errors
     ///
@@ -475,17 +474,6 @@ impl KvRequestTable {
         Ok(self.pmem.flush_async(lo, len)?)
     }
 
-    /// Awaits a ticket from [`KvRequestTable::persist_slots_issue`]:
-    /// when this returns `Ok`, every descriptor it covered is durable.
-    ///
-    /// # Errors
-    ///
-    /// NVRAM errors — `Crashed` if the region died with the flight
-    /// still queued.
-    pub fn persist_slots_await(&self, ticket: &FlushTicket) -> Result<(), PError> {
-        Ok(self.pmem.await_ticket(ticket)?)
-    }
-
     /// Makes the staged descriptors in `slots` durable with one
     /// coalesced persist (issue + await).
     ///
@@ -494,7 +482,7 @@ impl KvRequestTable {
     /// Out-of-range slot or NVRAM errors.
     pub fn persist_slots(&self, slots: &[u32]) -> Result<(), PError> {
         let ticket = self.persist_slots_issue(slots)?;
-        self.persist_slots_await(&ticket)
+        Ok(self.pmem.await_ticket(&ticket)?)
     }
 
     /// The reader's side of the descriptor invariant: makes `slots`'
@@ -765,10 +753,7 @@ mod tests {
     use pstack_nvram::PMemBuilder;
 
     fn fixture(capacity: u32) -> (PMem, KvRequestTable) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 16)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
         let table = KvRequestTable::format(pmem.clone(), &heap, capacity).unwrap();
         (pmem, table)
@@ -1142,10 +1127,7 @@ mod tests {
     fn rejects_bad_magic_zero_capacity_and_reserved_id() {
         let (pmem, table) = fixture(2);
         let heap = PHeap::format(
-            PMemBuilder::new()
-                .len(1 << 14)
-                .eager_flush(true)
-                .build_in_memory(),
+            PMemBuilder::new().len(1 << 14).build_in_memory(),
             POffset::new(0),
             1 << 14,
         )

@@ -100,9 +100,8 @@ impl ShardedKvStore {
     ///
     /// # Errors
     ///
-    /// [`PError::InvalidConfig`] for an empty region list or an
-    /// `eager_flush` region among them (refused before any region is
-    /// touched); propagated heap/NVRAM errors otherwise.
+    /// [`PError::InvalidConfig`] for an empty region list; propagated
+    /// heap/NVRAM errors otherwise.
     pub fn format(
         regions: &[PMem],
         nbuckets: u64,
@@ -137,7 +136,7 @@ impl ShardedKvStore {
     ///
     /// [`PError::CorruptStack`] on a bad shard root (wrong magic,
     /// shard order or shard count), [`PError::InvalidConfig`] for an
-    /// empty region list or an `eager_flush` region among them.
+    /// empty region list.
     pub fn open(regions: &[PMem], variant: KvVariant) -> Result<Self, PError> {
         Self::check_regions(regions)?;
         let mut shards = Vec::with_capacity(regions.len());
@@ -170,7 +169,7 @@ impl ShardedKvStore {
                 "a sharded store needs at least one region".into(),
             ));
         }
-        regions.iter().try_for_each(PKvStore::refuse_eager)
+        Ok(())
     }
 
     /// Number of shards.
@@ -629,90 +628,6 @@ mod tests {
             ShardedKvStore::format(&[], 4, 16, KvVariant::Nsrl),
             Err(PError::InvalidConfig(_))
         ));
-    }
-
-    /// Asserts `outcome` is the store's refusal of an `eager_flush`
-    /// region.
-    fn assert_refused<T>(outcome: Result<T, PError>) {
-        match outcome {
-            Err(PError::InvalidConfig(why)) => {
-                assert!(why.contains("buffered regions only"), "{why}");
-            }
-            Err(e) => panic!("expected the eager-region refusal, got {e}"),
-            Ok(_) => panic!("an eager region was accepted"),
-        }
-    }
-
-    fn eager_region() -> PMem {
-        PMemBuilder::new()
-            .len(1 << 16)
-            .eager_flush(true)
-            .build_in_memory()
-    }
-
-    #[test]
-    fn mixed_commit_modes_are_rejected() {
-        // The buffered region comes first: it is refused untouched too.
-        let buffered = PMemBuilder::new().len(1 << 16).build_in_memory();
-        let regions = [buffered, eager_region()];
-        assert_refused(ShardedKvStore::format(&regions, 4, 16, KvVariant::Nsrl));
-        for region in &regions {
-            assert_eq!(region.stats().snapshot().writes, 0);
-        }
-    }
-
-    #[test]
-    fn an_eager_region_is_refused_at_every_kv_entry_point() {
-        use crate::funcs::KvServeFunction;
-        // PKvStore: format and open refuse before they read or write.
-        let pmem = eager_region();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-        let before = pmem.stats().snapshot();
-        assert_refused(PKvStore::format(
-            pmem.clone(),
-            &heap,
-            4,
-            16,
-            KvVariant::Nsrl,
-        ));
-        assert_refused(PKvStore::open(
-            pmem.clone(),
-            POffset::new(0),
-            KvVariant::Nsrl,
-        ));
-        let touched = pmem.stats().snapshot() - before;
-        assert_eq!(
-            (touched.reads, touched.writes),
-            (0, 0),
-            "no half-formatted image"
-        );
-
-        // The sharded store: format and open.
-        let stripe = PMemBuilder::new()
-            .len(1 << 16)
-            .eager_flush(true)
-            .build_striped(2);
-        assert_refused(ShardedKvStore::format(
-            stripe.regions(),
-            4,
-            16,
-            KvVariant::Nsrl,
-        ));
-        assert_refused(ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl));
-
-        // The serving layout: open refuses; format and preload take a
-        // sharded store, which an eager stripe never yields.
-        assert_refused(KvServeFunction::open(stripe.regions(), KvVariant::Nsrl));
-        assert_refused(
-            ShardedKvStore::format(stripe.regions(), 4, 16, KvVariant::Nsrl)
-                .and_then(|store| KvServeFunction::format(store, 4)),
-        );
-        assert_refused(
-            ShardedKvStore::format(stripe.regions(), 4, 16, KvVariant::Nsrl)
-                .and_then(|store| KvServeFunction::preload(store, &[])),
-        );
-        let touched = stripe.aggregate_stats();
-        assert_eq!((touched.reads, touched.writes), (0, 0), "no region touched");
     }
 
     #[test]

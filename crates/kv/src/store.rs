@@ -79,12 +79,12 @@
 //! # Persist order
 //!
 //! The store runs on a buffered region — caches in front of NVRAM, as
-//! on real hardware — and orders its own persists through one routine,
-//! the group commit; `format` and `open` refuse an `eager_flush`
-//! region with [`PError::InvalidConfig`]. [`PKvStore::apply_batch`]
-//! enters the region's exclusive section, stages the records of a
-//! whole batch, issues their persist and the log tail's as two
-//! overlapping flush flights ([`PKvStore::apply_batch_begin`]), then
+//! on real hardware, the one kind of region there is — and orders its
+//! own persists through one routine, the group commit.
+//! [`PKvStore::apply_batch`] enters the region's exclusive section,
+//! stages the records of a whole batch, issues their persist and the
+//! log tail's as two overlapping flush flights
+//! ([`PKvStore::apply_batch_begin`]), then
 //! moves through two dependence levels ([`KvPendingBatch::commit`]) —
 //! awaits both and publishes each touched bucket's head once (heads
 //! flight issued), then awaits the heads: records ‖ tail → heads. The
@@ -640,9 +640,8 @@ impl PKvStore {
     ///
     /// # Errors
     ///
-    /// [`PError::InvalidConfig`] for an `eager_flush` region (refused
-    /// before it is touched), a zero bucket count or log capacity;
-    /// heap/NVRAM errors otherwise.
+    /// [`PError::InvalidConfig`] for a zero bucket count or log
+    /// capacity; heap/NVRAM errors otherwise.
     pub fn format(
         pmem: PMem,
         heap: &PHeap,
@@ -650,7 +649,6 @@ impl PKvStore {
         log_cap: u64,
         variant: KvVariant,
     ) -> Result<Self, PError> {
-        Self::refuse_eager(&pmem)?;
         if nbuckets == 0 || log_cap == 0 {
             return Err(PError::InvalidConfig(
                 "KV store needs at least one bucket and one log slot".into(),
@@ -674,22 +672,6 @@ impl PKvStore {
             nbuckets,
             variant,
         })
-    }
-
-    /// The one place the store's region is decided: an `eager_flush`
-    /// region — every store durable as it completes, no cache to order
-    /// flushes through — is refused. Checked before anything is read or
-    /// written, by [`PKvStore::format`], [`PKvStore::open`] and every
-    /// sharded entry point.
-    pub(crate) fn refuse_eager(pmem: &PMem) -> Result<(), PError> {
-        if pmem.is_eager_flush() {
-            return Err(PError::InvalidConfig(
-                "the KV store orders its own persists and runs on buffered regions only; \
-                 this region is eager_flush"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Tells PSan (no-op when disabled) that the generation's bucket
@@ -731,11 +713,9 @@ impl PKvStore {
     ///
     /// # Errors
     ///
-    /// [`PError::InvalidConfig`] for an `eager_flush` region, as in
-    /// [`PKvStore::format`]; [`PError::CorruptStack`] on a bad magic
-    /// word (root or active generation).
+    /// [`PError::CorruptStack`] on a bad magic word (root or active
+    /// generation).
     pub fn open(pmem: PMem, base: POffset, variant: KvVariant) -> Result<Self, PError> {
-        Self::refuse_eager(&pmem)?;
         let magic = pmem.read_u64(base + OFF_MAGIC)?;
         if magic != KV_MAGIC {
             return Err(PError::CorruptStack(format!(

@@ -50,7 +50,6 @@ pub const DEFAULT_REGION_LEN: usize = 1 << 20;
 /// let pmem = PMemBuilder::new()
 ///     .len(64 * 1024)
 ///     .line_size(64)
-///     .eager_flush(false)
 ///     .build_in_memory();
 /// assert_eq!(pmem.len(), 64 * 1024);
 /// ```
@@ -58,7 +57,6 @@ pub const DEFAULT_REGION_LEN: usize = 1 << 20;
 pub struct PMemBuilder {
     len: usize,
     line_size: usize,
-    eager_flush: bool,
     jitter: Option<Jitter>,
     persist_delay: Option<std::time::Duration>,
     flush_latency: Option<std::time::Duration>,
@@ -82,14 +80,12 @@ impl Default for PMemBuilder {
 }
 
 impl PMemBuilder {
-    /// Starts a builder with default length, 64-byte lines and buffered
-    /// (non-eager) flushing.
+    /// Starts a builder with default length and 64-byte lines.
     #[must_use]
     pub fn new() -> Self {
         PMemBuilder {
             len: DEFAULT_REGION_LEN,
             line_size: DEFAULT_CACHE_LINE,
-            eager_flush: false,
             jitter: None,
             persist_delay: None,
             flush_latency: None,
@@ -110,7 +106,7 @@ impl PMemBuilder {
     }
 
     /// Adds a fixed latency to every persist **round-trip** (a flush
-    /// or eager write that makes at least one line durable), paid once
+    /// that makes at least one line durable), paid once
     /// per round-trip inside the region's critical section — the
     /// command/fence cost of a real device, as opposed to
     /// [`PMemBuilder::persist_delay`]'s per-line bandwidth cost.
@@ -195,16 +191,6 @@ impl PMemBuilder {
         self
     }
 
-    /// When `true`, every write is immediately made durable, emulating
-    /// hardware *without* a volatile NVRAM cache. §5 of the paper uses
-    /// this mode to run the recoverable-CAS algorithm, which was designed
-    /// for cache-less NVRAM.
-    #[must_use]
-    pub fn eager_flush(mut self, eager: bool) -> Self {
-        self.eager_flush = eager;
-        self
-    }
-
     /// Builds a region whose durable image lives only in process memory.
     ///
     /// # Panics
@@ -253,7 +239,6 @@ impl PMemBuilder {
             inner: Arc::new(Inner {
                 len: self.len,
                 line_size: self.line_size,
-                eager_flush: self.eager_flush,
                 jitter: self.jitter,
                 persist_delay: self.persist_delay,
                 flush_latency: self.flush_latency,
@@ -338,7 +323,6 @@ pub struct FlushTicket {
 struct Inner {
     len: usize,
     line_size: usize,
-    eager_flush: bool,
     jitter: Option<Jitter>,
     persist_delay: Option<std::time::Duration>,
     flush_latency: Option<std::time::Duration>,
@@ -386,7 +370,6 @@ impl std::fmt::Debug for PMem {
         f.debug_struct("PMem")
             .field("len", &self.inner.len)
             .field("line_size", &self.inner.line_size)
-            .field("eager_flush", &self.inner.eager_flush)
             .field("crashed", &self.inner.crashed.load(Ordering::Relaxed))
             .finish()
     }
@@ -410,12 +393,6 @@ impl PMem {
     #[must_use]
     pub fn line_size(&self) -> usize {
         self.inner.line_size
-    }
-
-    /// `true` if every write is immediately made durable (§5 mode).
-    #[must_use]
-    pub fn is_eager_flush(&self) -> bool {
-        self.inner.eager_flush
     }
 
     /// Live statistics counters for this boot of the region.
@@ -578,8 +555,7 @@ impl PMem {
     }
 
     /// Writes `data` at `off` into the volatile cache. The data is *not*
-    /// durable until the covering lines are flushed (unless the region
-    /// was built with [`PMemBuilder::eager_flush`]).
+    /// durable until the covering lines are flushed.
     ///
     /// # Errors
     ///
@@ -589,7 +565,6 @@ impl PMem {
     pub fn write(&self, off: POffset, data: &[u8]) -> Result<(), MemError> {
         self.check_alive()?;
         self.check_bounds(off, data.len())?;
-        let mut round_trip = None;
         {
             let mut st = self.inner.state.lock();
             self.on_event(&mut st)?;
@@ -599,17 +574,6 @@ impl PMem {
             if let Some(psan) = &self.inner.psan {
                 psan.note_write(off.get(), data.len(), st.fail.events);
             }
-            if self.inner.eager_flush {
-                let probe = pstack_telemetry::persist_probe();
-                // Eager regions never hold staged flights (nothing stays
-                // dirty), so the covering serial is always `None`.
-                let (persisted, _) =
-                    self.persist_range_locked(&mut st, off.as_usize(), data.len())?;
-                round_trip = Some((probe, persisted));
-            }
-        }
-        if let Some((probe, persisted)) = round_trip {
-            self.settle_round_trip(probe, persisted);
         }
         self.maybe_jitter();
         Ok(())
@@ -768,15 +732,9 @@ impl PMem {
         let mut persisted = 0u64;
         let mut covering: Option<u64> = None;
         for li in first..=last {
-            // In eager mode the write that queued this line already
-            // counted as the persistence event; per-line events would
-            // make "between write and its own flush" crash points
-            // expressible, which cache-less hardware precludes.
-            if !self.inner.eager_flush {
-                self.on_event(st).inspect_err(|_| {
-                    Self::note_persist(&self.inner.stats, persisted);
-                })?;
-            }
+            self.on_event(st).inspect_err(|_| {
+                Self::note_persist(&self.inner.stats, persisted);
+            })?;
             if let Some(&serial) = st.flights.staged.get(&li) {
                 // The line is staged in an in-flight async flush and has
                 // not been re-dirtied since: the flight's snapshot is
@@ -904,9 +862,7 @@ impl PMem {
         let mut bytes = Vec::with_capacity(staging * line);
         let mut covering: Option<u64> = None;
         for li in first..=last {
-            if !self.inner.eager_flush {
-                self.on_event(&mut st)?;
-            }
+            self.on_event(&mut st)?;
             if let Some(&s) = st.flights.staged.get(&li) {
                 MemStats::bump(&self.inner.stats.elided_lines);
                 covering = Some(covering.map_or(s, |c: u64| c.max(s)));
@@ -1077,8 +1033,11 @@ impl PMem {
         }
     }
 
-    /// Writes and immediately flushes — the common "persist this value
-    /// now" idiom of the paper's protocols.
+    /// The **persist-store**: writes, then flushes the written lines —
+    /// §5's "flush each written cache line immediately after the
+    /// corresponding write". Between the two, other threads can already
+    /// read the value; [`PMem::read_persist`] is what keeps them from
+    /// acting on it before it is durable.
     ///
     /// # Errors
     ///
@@ -1086,6 +1045,22 @@ impl PMem {
     pub fn write_persist(&self, off: POffset, data: &[u8]) -> Result<(), MemError> {
         self.write(off, data)?;
         self.flush(off, data.len())
+    }
+
+    /// The **persist-load**: reads, then persists the lines read if a
+    /// writer left them dirty ([`PMem::persist_if_dirty`]) — FliT's
+    /// load half, so a value a reader acts on has survived any crash
+    /// from the moment this returns. The read comes first: flushing
+    /// first would leave a window for a writer to dirty the line again
+    /// before the read. Free on lines nobody left dirty.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PMem::read`] and [`PMem::flush`].
+    pub fn read_persist(&self, off: POffset, buf: &mut [u8]) -> Result<(), MemError> {
+        self.read(off, buf)?;
+        self.persist_if_dirty(off, buf.len())?;
+        Ok(())
     }
 
     /// Persistence fence: completes every in-flight asynchronous flush
@@ -1148,14 +1123,7 @@ impl PMem {
             // new value reachable: early-publish check on the target.
             psan.note_cas_publish(off.get(), new, st.fail.events);
         }
-        if self.inner.eager_flush {
-            let probe = pstack_telemetry::persist_probe();
-            let (persisted, _) = self.persist_range_locked(&mut st, off.as_usize(), new.len())?;
-            drop(st);
-            self.settle_round_trip(probe, persisted);
-        } else {
-            drop(st);
-        }
+        drop(st);
         self.maybe_jitter();
         Ok(true)
     }
@@ -1284,7 +1252,6 @@ impl PMem {
             inner: Arc::new(Inner {
                 len: self.inner.len,
                 line_size: self.inner.line_size,
-                eager_flush: self.inner.eager_flush,
                 jitter: self.inner.jitter,
                 persist_delay: self.inner.persist_delay,
                 flush_latency: self.inner.flush_latency,
@@ -1598,13 +1565,10 @@ mod tests {
         // the lock to the thread whose event fires the fail-point, and
         // arrive at a crashed region. This is that arrival — the locked
         // half of write, CAS, flush and flush_async alike starts at
-        // `on_event` — on an eager region, where a late write would
-        // reach the image.
-        let p = PMemBuilder::new()
-            .len(4096)
-            .eager_flush(true)
-            .build_in_memory();
-        p.write_u64(POffset::new(64), 7).unwrap();
+        // `on_event` — where a late persist-store would reach the image.
+        let p = PMemBuilder::new().len(4096).build_in_memory();
+        p.write_persist(POffset::new(64), &7u64.to_le_bytes())
+            .unwrap();
         p.arm_failpoint(FailPlan::after_events(0));
         assert!(matches!(
             p.write_u64(POffset::new(64), 8),
@@ -1733,32 +1697,6 @@ mod tests {
         p.crash_now(0, 0.0);
         let p = p.reopen().unwrap();
         assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 10);
-    }
-
-    #[test]
-    fn eager_flush_makes_writes_durable_immediately() {
-        let p = PMemBuilder::new()
-            .len(1024)
-            .eager_flush(true)
-            .build_in_memory();
-        p.write_u64(POffset::new(8), 99).unwrap();
-        p.crash_now(0, 0.0);
-        let p = p.reopen().unwrap();
-        assert_eq!(p.read_u64(POffset::new(8)).unwrap(), 99);
-    }
-
-    #[test]
-    fn eager_flush_cas_is_durable() {
-        let p = PMemBuilder::new()
-            .len(1024)
-            .eager_flush(true)
-            .build_in_memory();
-        p.write_u64(POffset::new(0), 1).unwrap();
-        p.compare_exchange(POffset::new(0), &1u64.to_le_bytes(), &2u64.to_le_bytes())
-            .unwrap();
-        p.crash_now(0, 0.0);
-        let p = p.reopen().unwrap();
-        assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 2);
     }
 
     #[test]
@@ -1963,15 +1901,6 @@ mod tests {
         p.flush(POffset::new(0), 0).unwrap(); // empty range: not counted
         let d = p.stats().snapshot() - before;
         assert_eq!(d.redundant_persists, 1);
-        // Eager regions: the write persists itself, explicit flushes
-        // on top are pure redundancy.
-        let e = PMemBuilder::new()
-            .len(1024)
-            .eager_flush(true)
-            .build_in_memory();
-        e.write_u8(POffset::new(0), 1).unwrap();
-        e.flush(POffset::new(0), 1).unwrap();
-        assert_eq!(e.stats().snapshot().redundant_persists, 1);
     }
 
     fn psan_region() -> PMem {
@@ -2000,27 +1929,6 @@ mod tests {
         assert!(!plain.psan_enabled());
         assert_eq!(plain.psan_line_state(off), None);
         assert_eq!(plain.psan_label(), None);
-    }
-
-    #[test]
-    fn psan_eager_writes_reach_durable_immediately() {
-        use crate::psan::ShadowState;
-        let p = PMemBuilder::new()
-            .len(1024)
-            .eager_flush(true)
-            .psan(true)
-            .build_in_memory();
-        p.write_u64(POffset::new(0), 7).unwrap();
-        assert_eq!(
-            p.psan_line_state(POffset::new(0)),
-            Some(ShadowState::Durable)
-        );
-        p.compare_exchange(POffset::new(0), &7u64.to_le_bytes(), &8u64.to_le_bytes())
-            .unwrap();
-        assert_eq!(
-            p.psan_line_state(POffset::new(0)),
-            Some(ShadowState::Durable)
-        );
     }
 
     #[test]

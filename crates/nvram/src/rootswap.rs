@@ -80,12 +80,7 @@ impl RootCell {
         pmem.write_u64(base + OFF_SLOTS, seq)?;
         pmem.write_u64(base + (OFF_SLOTS + 8), ptr)?;
         pmem.write_u64(base + OFF_MAGIC, ROOTSWAP_MAGIC)?;
-        if !pmem.is_eager_flush() {
-            // On an eager region every write above is already durable;
-            // flushing again would only burn a redundant round-trip
-            // (PSan's redundant-persist diagnostic flagged this).
-            pmem.flush(base, ROOT_CELL_LEN as usize)?;
-        }
+        pmem.flush(base, ROOT_CELL_LEN as usize)?;
         Ok(RootCell { pmem, base })
     }
 
@@ -156,18 +151,13 @@ impl RootCell {
         let slot = self.slot_off(next);
         self.pmem.write_u64(slot, seq)?;
         self.pmem.write_u64(slot + 8u64, ptr)?;
-        let eager = self.pmem.is_eager_flush();
-        if !eager {
-            self.pmem.flush(slot, SLOT_STRIDE as usize)?;
-        }
+        self.pmem.flush(slot, SLOT_STRIDE as usize)?;
         // The selector flip below is the commit point: under PSan,
         // everything the caller declared reachable from the new root
         // (or, undeclared, the line at `ptr`) must be durable *now*.
         self.pmem.psan_note_root_swap(ptr);
         self.pmem.write_u64(self.base + OFF_SELECTOR, next)?;
-        if !eager {
-            self.pmem.flush(self.base + OFF_SELECTOR, 8)?;
-        }
+        self.pmem.flush(self.base + OFF_SELECTOR, 8)?;
         Ok(())
     }
 }
@@ -269,19 +259,6 @@ mod tests {
         p.psan_declare_commit(POffset::new(1024), 128);
         cell.swap(1, 1024).unwrap();
         assert!(p.psan_violations().is_empty());
-    }
-
-    #[test]
-    fn swap_works_on_eager_regions_too() {
-        let p = PMemBuilder::new()
-            .len(4096)
-            .eager_flush(true)
-            .build_in_memory();
-        let cell = RootCell::format(p.clone(), POffset::new(0), 0, 64).unwrap();
-        cell.swap(1, 128).unwrap();
-        p.crash_now(0, 0.0);
-        let cell = RootCell::open(p.reopen().unwrap(), POffset::new(0)).unwrap();
-        assert_eq!(cell.current().unwrap(), (1, 128));
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub struct StatsSnapshot {
     pub flush_calls: u64,
     /// Number of individual cache lines made durable.
     pub lines_persisted: u64,
-    /// Number of persist round-trips: flush/write operations that made
+    /// Number of persist round-trips: flush operations that made
     /// at least one line durable. This is the group-commit headline
     /// metric — batching many record persists into one `flush` call
     /// leaves `lines_persisted` unchanged but collapses `persists`.
@@ -107,8 +107,8 @@ pub struct StatsSnapshot {
     /// Flush calls over a non-empty range that persisted **zero**
     /// lines: every covered line was already durable. PSan's
     /// *redundant persist* diagnostic class — wasted round-trips a
-    /// protocol could elide (e.g. unconditional flushes on an
-    /// eager-flush region).
+    /// protocol could elide (e.g. a flush of lines a persist-store
+    /// already made durable).
     pub redundant_persists: u64,
     /// Asynchronous flush commands issued (flights queued by
     /// [`PMem::flush_async`](crate::PMem::flush_async)); fully-elided

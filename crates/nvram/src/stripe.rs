@@ -24,7 +24,7 @@ use crate::{MemError, PMem, POffset};
 /// ```
 /// use pstack_nvram::PMemBuilder;
 ///
-/// let stripe = PMemBuilder::new().len(4096).eager_flush(true).build_striped(4);
+/// let stripe = PMemBuilder::new().len(4096).build_striped(4);
 /// assert_eq!(stripe.len(), 4);
 /// stripe.region(0).write_u64(64u64.into(), 7).unwrap();
 /// assert_eq!(stripe.aggregate_stats().writes, 1);

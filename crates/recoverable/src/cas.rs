@@ -19,6 +19,12 @@
 //! CAS); otherwise it **cannot** have taken effect, and is safely
 //! re-executed.
 //!
+//! Every value read in step 1 and in the recovery scans is persisted
+//! before it is used ([`TaggedValue::read_from`]): on a region with a
+//! cache, `q`'s pair can be in the register before `q` flushed it, and
+//! `p` must not record it as evidence, or answer *false* because of it,
+//! while a crash could still take it back.
+//!
 //! [`CasVariant::NoMatrix`] omits steps 2 and the row scan — the bug
 //! the paper injects in §5.2. Recovery then re-executes CAS operations
 //! that already took effect (double application) or reports *false* for
@@ -29,7 +35,7 @@ use pstack_core::PError;
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, POffset};
 
-use crate::cell::{TaggedValue, INIT_PID};
+use crate::cell::{TaggedValue, INIT_PID, TAGGED_LEN};
 
 /// Byte stride between matrix cells (padded so a cell never crosses a
 /// cache-line border).
@@ -76,10 +82,8 @@ impl CasVariant {
     }
 }
 
-/// A recoverable compare-and-swap register for `n` processes.
-///
-/// Requires an `eager_flush` NVRAM region (the algorithm is specified
-/// for cache-less NVRAM; see the crate docs).
+/// A recoverable compare-and-swap register for `n` processes, under
+/// the crate's one persistence rule (see the crate docs).
 ///
 /// # Example
 ///
@@ -89,7 +93,7 @@ impl CasVariant {
 /// use pstack_recoverable::{CasVariant, RecoverableCas};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 16).eager_flush(true).build_in_memory();
+/// let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 16)?;
 /// let cas = RecoverableCas::format(pmem, &heap, 4, 100, CasVariant::Nsrl)?;
 /// assert!(cas.cas(0, 100, 200, 1)?);
@@ -118,8 +122,8 @@ impl RecoverableCas {
     ///
     /// # Errors
     ///
-    /// [`PError::InvalidConfig`] if the region is not `eager_flush` or
-    /// `n` is zero; heap or NVRAM errors otherwise.
+    /// [`PError::InvalidConfig`] if `n` is zero; heap or NVRAM errors
+    /// otherwise.
     pub fn format(
         pmem: PMem,
         heap: &PHeap,
@@ -129,13 +133,6 @@ impl RecoverableCas {
     ) -> Result<Self, PError> {
         if n == 0 {
             return Err(PError::InvalidConfig("need at least one process".into()));
-        }
-        if !pmem.is_eager_flush() {
-            return Err(PError::InvalidConfig(
-                "recoverable CAS requires an eager-flush region (the algorithm assumes \
-                 cache-less NVRAM, §5)"
-                    .into(),
-            ));
         }
         let len = Self::required_len(n);
         let base = heap.alloc_aligned(len, 64)?;
@@ -152,22 +149,14 @@ impl RecoverableCas {
 
     /// Re-attaches to an object previously created by
     /// [`RecoverableCas::format`] at `base` (recovery boot).
-    ///
-    /// # Errors
-    ///
-    /// [`PError::InvalidConfig`] if the region is not `eager_flush`.
-    pub fn open(pmem: PMem, base: POffset, n: usize, variant: CasVariant) -> Result<Self, PError> {
-        if !pmem.is_eager_flush() {
-            return Err(PError::InvalidConfig(
-                "recoverable CAS requires an eager-flush region".into(),
-            ));
-        }
-        Ok(RecoverableCas {
+    #[must_use]
+    pub fn open(pmem: PMem, base: POffset, n: usize, variant: CasVariant) -> Self {
+        RecoverableCas {
             pmem,
             base,
             n,
             variant,
-        })
+        }
     }
 
     /// The object's base offset (persist this to find it after restart).
@@ -238,17 +227,15 @@ impl RecoverableCas {
                 return Ok(false);
             }
             if self.variant == CasVariant::Nsrl && cur.pid != INIT_PID {
-                // Evidence first (flushed by eager mode): q's pair was
-                // in the register and is about to be overwritten.
+                // Evidence first, durable: q's pair was in the register
+                // and is about to be overwritten.
                 cur.write_to(&self.pmem, self.matrix_cell(cur.pid, pid as u64))?;
             }
             if self
                 .pmem
                 .compare_exchange(self.base, &cur.encode(), &desired.encode())?
             {
-                // Eager mode already persisted the CAS result; the
-                // fence marks the linearization for the stats.
-                self.pmem.fence();
+                self.pmem.flush(self.base, TAGGED_LEN)?;
                 return Ok(true);
             }
             // Lost a race: re-read and retry.
@@ -299,12 +286,10 @@ impl RecoverableCas {
 mod tests {
     use super::*;
     use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_verify::{check_serializability, CasHistory, CasOp};
 
     fn fixture(n: usize, init: i64, variant: CasVariant) -> (PMem, PHeap, RecoverableCas) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 16)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
         let cas = RecoverableCas::format(pmem.clone(), &heap, n, init, variant).unwrap();
         (pmem, heap, cas)
@@ -317,16 +302,6 @@ mod tests {
         assert!(!cas.cas(1, 10, 30, 2).unwrap());
         assert!(cas.cas(1, 20, 30, 3).unwrap());
         assert_eq!(cas.read().unwrap(), 30);
-    }
-
-    #[test]
-    fn eager_flush_region_is_required() {
-        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-        assert!(matches!(
-            RecoverableCas::format(pmem, &heap, 2, 0, CasVariant::Nsrl),
-            Err(PError::InvalidConfig(_))
-        ));
     }
 
     #[test]
@@ -410,7 +385,7 @@ mod tests {
             assert!(err.is_crash());
             let pmem2 = pmem.reopen().unwrap();
             let heap2 = PHeap::open(pmem2.clone(), POffset::new(0)).unwrap();
-            let cas2 = RecoverableCas::open(pmem2, cas.base(), 1, CasVariant::Nsrl).unwrap();
+            let cas2 = RecoverableCas::open(pmem2, cas.base(), 1, CasVariant::Nsrl);
             let _ = heap2;
             let result = cas2.recover(0, 0, 5, 1).unwrap();
             assert!(
@@ -455,6 +430,72 @@ mod tests {
             }
         });
         assert_eq!(cas.read().unwrap(), n_steps);
+    }
+
+    #[test]
+    fn cas_never_answers_from_a_register_value_a_crash_takes_back() {
+        // p's CAS(0 → 1) has written the register but not flushed it
+        // when q's whole CAS(1 → 5) runs over it. While q's first
+        // persist is on the device, p lands CAS(1 → 0) the same way, so
+        // q's hardware CAS fails, q re-reads and answers false. Then the
+        // power fails with no survivors. Every value q read must have
+        // been durable before q acted on it: a plain read lets q's
+        // evidence vouch for a p value the crash erased, and a flush
+        // ahead of the read lets q answer from p's second, unflushed
+        // value — either history is not serializable.
+        let (p, q) = (0, 1);
+        let pmem = PMemBuilder::new()
+            .len(1 << 16)
+            .flush_latency(std::time::Duration::from_millis(50))
+            .build_in_memory();
+        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+        let cas = RecoverableCas::format(pmem.clone(), &heap, 2, 0, CasVariant::Nsrl).unwrap();
+        let tagged = |value, seq| TaggedValue {
+            value,
+            pid: p as u64,
+            seq,
+        };
+        let stage = |from: TaggedValue, to: TaggedValue| {
+            pmem.compare_exchange(cas.base(), &from.encode(), &to.encode())
+                .unwrap()
+        };
+        assert!(stage(TaggedValue::initial(0), tagged(1, 1)));
+        let persists = pmem.stats().snapshot().persists;
+        let answer = std::thread::scope(|s| {
+            let q_run = s.spawn(|| cas.cas(q, 1, 5, 1).unwrap());
+            while pmem.stats().snapshot().persists == persists {
+                std::thread::yield_now();
+            }
+            assert!(stage(tagged(1, 1), tagged(0, 2)), "q's CAS won the race");
+            q_run.join().unwrap()
+        });
+        assert!(!answer, "q's CAS(1 → 5) lost to p's CAS(1 → 0)");
+        pmem.crash_now(0, 0.0);
+        let cas = RecoverableCas::open(pmem.reopen().unwrap(), cas.base(), 2, CasVariant::Nsrl);
+        assert_eq!(
+            cas.recover(q, 1, 5, 1).unwrap(),
+            answer,
+            "q's recovery must give the answer q already gave"
+        );
+        let mut ops: Vec<CasOp> = [(1, 0, 1), (2, 1, 0)]
+            .map(|(seq, old, new)| CasOp {
+                pid: p,
+                old,
+                new,
+                success: cas.recover(p, old, new, seq).unwrap(),
+            })
+            .into();
+        ops.push(CasOp {
+            pid: q,
+            old: 1,
+            new: 5,
+            success: answer,
+        });
+        let history = CasHistory::new(0, cas.read().unwrap(), ops);
+        assert!(
+            check_serializability(&history).is_serializable(),
+            "{history:?}"
+        );
     }
 
     #[test]

@@ -58,25 +58,29 @@ impl TaggedValue {
         }
     }
 
-    /// Reads a tagged value from NVRAM.
+    /// Reads a tagged value from NVRAM with a persist-load
+    /// ([`PMem::read_persist`]): the value returned is durable, so a
+    /// caller may act on it — overwrite it, record it as evidence,
+    /// answer from it — even when the write that put it there has not
+    /// been flushed by its own writer yet.
     ///
     /// # Errors
     ///
     /// Propagated NVRAM errors.
     pub fn read_from(pmem: &PMem, off: POffset) -> Result<Self, MemError> {
         let mut buf = [0u8; TAGGED_LEN];
-        pmem.read(off, &mut buf)?;
+        pmem.read_persist(off, &mut buf)?;
         Ok(Self::decode(&buf))
     }
 
-    /// Writes and flushes a tagged value to NVRAM.
+    /// Writes a tagged value to NVRAM with a persist-store
+    /// ([`PMem::write_persist`]).
     ///
     /// # Errors
     ///
     /// Propagated NVRAM errors.
     pub fn write_to(&self, pmem: &PMem, off: POffset) -> Result<(), MemError> {
-        pmem.write(off, &self.encode())?;
-        pmem.flush(off, TAGGED_LEN)
+        pmem.write_persist(off, &self.encode())
     }
 }
 

@@ -1,11 +1,13 @@
 //! A recoverable counter with per-process slots.
 //!
 //! Each process owns a 64-aligned slot holding `(count, last_seq)`;
-//! an increment persists both words with one atomic line flush. The
-//! recover dual re-runs the increment, and the sequence tag makes it
-//! idempotent: if the slot already records `seq`, the increment took
-//! effect before the crash and is not applied again. The counter value
-//! is the sum of all slots, as in classic shared counters.
+//! an increment persists both words with one atomic line flush, and
+//! every read of a slot persists it if its owner has not flushed it
+//! yet. The recover dual re-runs the increment, and the sequence tag
+//! makes it idempotent: if the slot already records `seq`, the
+//! increment took effect before the crash and is not applied again.
+//! The counter value is the sum of all slots, as in classic shared
+//! counters.
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
@@ -23,7 +25,7 @@ const SLOT_STRIDE: u64 = 64;
 /// use pstack_recoverable::RecoverableCounter;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 14).eager_flush(true).build_in_memory();
+/// let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 14)?;
 /// let counter = RecoverableCounter::format(pmem, &heap, 2)?;
 /// counter.increment(0, 1)?;
@@ -80,6 +82,14 @@ impl RecoverableCounter {
         self.base + pid as u64 * SLOT_STRIDE
     }
 
+    /// Process `pid`'s `(count, last_seq)`, durable.
+    fn read_slot(&self, pid: usize) -> Result<(u64, u64), PError> {
+        let mut b = [0u8; 16];
+        self.pmem.read_persist(self.slot(pid), &mut b)?;
+        let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        Ok((word(0), word(8)))
+    }
+
     /// Increments process `pid`'s slot, tagged with the operation's
     /// unique `seq`. Calling it again with the same `seq` (as the
     /// recover dual does) has no further effect.
@@ -99,17 +109,14 @@ impl RecoverableCounter {
             self.n
         );
         assert_ne!(seq, 0, "sequence tags start at 1");
-        let slot = self.slot(pid);
-        let count = self.pmem.read_u64(slot)?;
-        let last_seq = self.pmem.read_u64(slot + 8u64)?;
+        let (count, last_seq) = self.read_slot(pid)?;
         if last_seq == seq {
             return Ok(()); // already applied before the crash
         }
         let mut buf = [0u8; 16];
         buf[..8].copy_from_slice(&(count + 1).to_le_bytes());
         buf[8..].copy_from_slice(&seq.to_le_bytes());
-        self.pmem.write(slot, &buf)?;
-        self.pmem.flush(slot, 16)?;
+        self.pmem.write_persist(self.slot(pid), &buf)?;
         Ok(())
     }
 
@@ -130,7 +137,7 @@ impl RecoverableCounter {
     pub fn read(&self) -> Result<u64, PError> {
         let mut total = 0u64;
         for pid in 0..self.n {
-            total += self.pmem.read_u64(self.slot(pid))?;
+            total += self.read_slot(pid)?.0;
         }
         Ok(total)
     }
@@ -142,10 +149,7 @@ mod tests {
     use pstack_nvram::{FailPlan, PMemBuilder};
 
     fn fixture(n: usize) -> (PMem, RecoverableCounter) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 14)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 14).unwrap();
         let c = RecoverableCounter::format(pmem.clone(), &heap, n).unwrap();
         (pmem, c)

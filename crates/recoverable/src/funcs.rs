@@ -143,10 +143,7 @@ mod tests {
 
     #[test]
     fn cas_tasks_run_on_the_runtime() {
-        let pmem = PMemBuilder::new()
-            .len(1 << 20)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
         let mut registry = FunctionRegistry::new();
         let rt = Runtime::format(pmem.clone(), RuntimeConfig::new(2), &registry).unwrap();
         let cas = RecoverableCas::format(pmem.clone(), rt.heap(), 2, 0, CasVariant::Nsrl).unwrap();
@@ -183,10 +180,7 @@ mod tests {
 
     #[test]
     fn completed_descriptor_is_not_reexecuted() {
-        let pmem = PMemBuilder::new()
-            .len(1 << 18)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(4096), (1 << 18) - 4096).unwrap();
         let cas = RecoverableCas::format(pmem.clone(), &heap, 1, 0, CasVariant::Nsrl).unwrap();
         let table = TaskTable::format(pmem.clone(), &heap, &[(0, 1)]).unwrap();
@@ -219,10 +213,7 @@ mod tests {
 
     #[test]
     fn counter_tasks_survive_crash_recover_loop() {
-        let pmem = PMemBuilder::new()
-            .len(1 << 20)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
         let registry_for = |counter: &RecoverableCounter| {
             let mut r = FunctionRegistry::new();
             r.register(

@@ -22,9 +22,25 @@
 //!
 //! The CAS algorithm assumes NVRAM **without** a volatile cache (§5:
 //! "we should flush each written cache line immediately after the
-//! corresponding write"), so [`RecoverableCas`] insists on a region
-//! built with `eager_flush(true)`; every value it writes is placed so
-//! that it never crosses a cache-line border.
+//! corresponding write"). Every object here runs that discipline on an
+//! ordinary buffered region under one rule, FliT's (PAPERS.md):
+//!
+//! * **stores** are persist-stores — a write and then a flush of its
+//!   line ([`PMem::write_persist`](pstack_nvram::PMem::write_persist)),
+//!   a successful CAS and then a flush of its line;
+//! * **loads** of shared state are persist-loads — a read and then a
+//!   flush of the lines read if a writer left them dirty
+//!   ([`PMem::read_persist`](pstack_nvram::PMem::read_persist)), before
+//!   the object answers from the value or writes anything derived
+//!   from it.
+//!
+//! The store half makes every completed write durable, as cache-less
+//! NVRAM would; the load half closes the window between another
+//! process's write and its flush, in which a reader could otherwise
+//! act on a value a crash takes back. On a quiescent region a load
+//! costs no persist, so the per-operation persist counts are those of
+//! cache-less NVRAM. Every value is placed so that it never crosses a
+//! cache-line border.
 
 mod cas;
 mod cell;

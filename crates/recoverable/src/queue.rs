@@ -33,9 +33,10 @@
 //!
 //! Head and tail counters are only *hints* (they lag by at most the
 //! number of in-flight operations and every operation helps repair
-//! them); the slot array is the durable truth. The queue requires an
-//! `eager_flush` region, like every §5 object: the algorithms are
-//! specified for cache-less NVRAM.
+//! them); the slot array is the durable truth. Like every §5 object the
+//! queue flushes each CAS it lands at once, and persists each slot or
+//! counter it reads if a writer left it dirty: no operation installs,
+//! tombstones or answers from a state a crash can take back.
 //!
 //! # Example
 //!
@@ -45,7 +46,7 @@
 //! use pstack_recoverable::{QueueVariant, RecoverableQueue};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let pmem = PMemBuilder::new().len(1 << 16).eager_flush(true).build_in_memory();
+//! let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
 //! let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 16)?;
 //! let q = RecoverableQueue::format(pmem, &heap, 8, QueueVariant::Nsrl)?;
 //! assert!(q.enqueue(0, 1, 42)?);
@@ -231,8 +232,8 @@ impl RecoverableQueue {
     ///
     /// # Errors
     ///
-    /// [`PError::InvalidConfig`] for zero capacity or a region without
-    /// `eager_flush`; heap/NVRAM errors otherwise.
+    /// [`PError::InvalidConfig`] for zero capacity; heap/NVRAM errors
+    /// otherwise.
     pub fn format(
         pmem: PMem,
         heap: &PHeap,
@@ -242,13 +243,6 @@ impl RecoverableQueue {
         if capacity == 0 {
             return Err(PError::InvalidConfig(
                 "queue capacity must be positive".into(),
-            ));
-        }
-        if !pmem.is_eager_flush() {
-            return Err(PError::InvalidConfig(
-                "recoverable queue requires an eager-flush region (the algorithm assumes \
-                 cache-less NVRAM, like §5's CAS)"
-                    .into(),
             ));
         }
         let len = Self::required_len(capacity);
@@ -270,14 +264,8 @@ impl RecoverableQueue {
     ///
     /// # Errors
     ///
-    /// [`PError::CorruptStack`] on a bad magic word,
-    /// [`PError::InvalidConfig`] without `eager_flush`.
+    /// [`PError::CorruptStack`] on a bad magic word.
     pub fn open(pmem: PMem, base: POffset, variant: QueueVariant) -> Result<Self, PError> {
-        if !pmem.is_eager_flush() {
-            return Err(PError::InvalidConfig(
-                "recoverable queue requires an eager-flush region".into(),
-            ));
-        }
         let magic = pmem.read_u64(base + OFF_MAGIC)?;
         if magic != QUEUE_MAGIC {
             return Err(PError::CorruptStack(format!(
@@ -315,7 +303,7 @@ impl RecoverableQueue {
         self.base + (HEADER_LEN + i * SLOT_STRIDE)
     }
 
-    /// Reads slot `i`'s record.
+    /// Reads slot `i`'s record, durable.
     ///
     /// # Errors
     ///
@@ -331,23 +319,32 @@ impl RecoverableQueue {
             self.capacity
         );
         let mut b = [0u8; SLOT_RECORD_LEN];
-        self.pmem.read(self.slot_off(i), &mut b)?;
+        self.pmem.read_persist(self.slot_off(i), &mut b)?;
         Ok(QueueSlot::decode(&b))
     }
 
+    /// A CAS at `off`, flushed when it lands.
+    fn cas_persist(&self, off: POffset, expected: &[u8], new: &[u8]) -> Result<bool, PError> {
+        let landed = self.pmem.compare_exchange(off, expected, new)?;
+        if landed {
+            self.pmem.flush(off, new.len())?;
+        }
+        Ok(landed)
+    }
+
     fn cas_slot(&self, i: u64, expected: &QueueSlot, new: &QueueSlot) -> Result<bool, PError> {
-        Ok(self
-            .pmem
-            .compare_exchange(self.slot_off(i), &expected.encode(), &new.encode())?)
+        self.cas_persist(self.slot_off(i), &expected.encode(), &new.encode())
     }
 
     fn counter(&self, off: u64) -> Result<u64, PError> {
-        Ok(self.pmem.read_u64(self.base + off)?)
+        let mut b = [0u8; 8];
+        self.pmem.read_persist(self.base + off, &mut b)?;
+        Ok(u64::from_le_bytes(b))
     }
 
     fn help_advance(&self, off: u64, from: u64) -> Result<(), PError> {
         // Failure means someone else already advanced it — fine.
-        let _ = self.pmem.compare_exchange(
+        self.cas_persist(
             self.base + off,
             &from.to_le_bytes(),
             &(from + 1).to_le_bytes(),
@@ -511,10 +508,7 @@ mod tests {
     use pstack_nvram::{FailPlan, PMemBuilder};
 
     fn fixture(capacity: u64, variant: QueueVariant) -> (PMem, PHeap, RecoverableQueue) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 18)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 18).unwrap();
         let q = RecoverableQueue::format(pmem.clone(), &heap, capacity, variant).unwrap();
         (pmem, heap, q)
@@ -544,16 +538,6 @@ mod tests {
         // Dequeuing does not free capacity: slots are never recycled.
         assert_eq!(q.dequeue(0, 4).unwrap(), Some(1));
         assert!(!q.enqueue(0, 5, 5).unwrap());
-    }
-
-    #[test]
-    fn eager_flush_region_is_required() {
-        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-        assert!(matches!(
-            RecoverableQueue::format(pmem, &heap, 4, QueueVariant::Nsrl),
-            Err(PError::InvalidConfig(_))
-        ));
     }
 
     #[test]

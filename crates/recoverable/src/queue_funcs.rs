@@ -63,7 +63,7 @@ pub enum QueueTaskResult {
 /// use pstack_recoverable::{QueueOpTable, QueueTaskOp};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 14).eager_flush(true).build_in_memory();
+/// let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 14)?;
 /// let ops = [QueueTaskOp::Enqueue(5), QueueTaskOp::Dequeue];
 /// let table = QueueOpTable::format(pmem, &heap, &ops)?;
@@ -212,10 +212,11 @@ impl QueueOpTable {
         Ok(Some(QueueTaskAnswer { executor, result }))
     }
 
-    /// Persists descriptor `idx`'s answer. The answer payload is
-    /// persisted before the one-byte done flag, so a crash in between
-    /// leaves the descriptor pending and recovery recomputes the
-    /// answer — the same discipline as the stack's marker flips.
+    /// Persists descriptor `idx`'s answer, field by field, each a
+    /// persist-store. The answer payload is persisted before the
+    /// one-byte done flag, so a crash in between leaves the descriptor
+    /// pending and recovery recomputes the answer — the same discipline
+    /// as the stack's marker flips.
     ///
     /// # Errors
     ///
@@ -227,22 +228,17 @@ impl QueueOpTable {
         result: QueueTaskResult,
     ) -> Result<(), PError> {
         let e = self.entry(idx)?;
-        self.pmem.write_u32(e + 4u64, executor)?;
+        let pmem = &self.pmem;
+        pmem.write_persist(e + 4u64, &executor.to_le_bytes())?;
         match result {
-            QueueTaskResult::Accepted(ok) => {
-                self.pmem.write_u8(e + 3u64, u8::from(ok))?;
-            }
-            QueueTaskResult::Dequeued(None) => {
-                self.pmem.write_u8(e + 2u64, 0)?;
-            }
+            QueueTaskResult::Accepted(ok) => pmem.write_persist(e + 3u64, &[u8::from(ok)])?,
+            QueueTaskResult::Dequeued(None) => pmem.write_persist(e + 2u64, &[0])?,
             QueueTaskResult::Dequeued(Some(v)) => {
-                self.pmem.write_i64(e + 16u64, v)?;
-                self.pmem.write_u8(e + 2u64, 1)?;
+                pmem.write_persist(e + 16u64, &v.to_le_bytes())?;
+                pmem.write_persist(e + 2u64, &[1])?;
             }
         }
-        self.pmem.flush(e, ENTRY_STRIDE as usize)?;
-        self.pmem.write_u8(e + 1u64, ST_DONE)?;
-        self.pmem.flush(e + 1u64, 1)?;
+        pmem.write_persist(e + 1u64, &[ST_DONE])?;
         Ok(())
     }
 
@@ -386,10 +382,7 @@ mod tests {
         capacity: u64,
         ops: &[QueueTaskOp],
     ) -> (PMem, PHeap, RecoverableQueue, QueueOpTable) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 18)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(8192), (1 << 18) - 8192).unwrap();
         let q =
             RecoverableQueue::format(pmem.clone(), &heap, capacity, QueueVariant::Nsrl).unwrap();

@@ -21,7 +21,7 @@ use crate::cell::TaggedValue;
 /// use pstack_recoverable::RecoverableRegister;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 14).eager_flush(true).build_in_memory();
+/// let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 14)?;
 /// let reg = RecoverableRegister::format(pmem, &heap, 7)?;
 /// reg.write(0, 42, 1)?;
@@ -102,10 +102,7 @@ mod tests {
     use pstack_nvram::PMemBuilder;
 
     fn fixture() -> (PMem, RecoverableRegister) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 14)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 14).unwrap();
         let reg = RecoverableRegister::format(pmem.clone(), &heap, 7).unwrap();
         (pmem, reg)

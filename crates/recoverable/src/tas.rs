@@ -22,10 +22,10 @@ use pstack_nvram::{PMem, POffset};
 /// Cell content before any process wins.
 pub const NO_WINNER: u64 = u64::MAX;
 
-/// A recoverable one-shot test-and-set object.
-///
-/// Requires an `eager_flush` region like every §5 object (the
-/// algorithms are specified for cache-less NVRAM).
+/// A recoverable one-shot test-and-set object. A winning CAS is
+/// flushed at once, and every read of the cell persists it if the
+/// winner has not flushed it yet — a loser never answers from a win a
+/// crash can take back.
 ///
 /// # Example
 ///
@@ -35,7 +35,7 @@ pub const NO_WINNER: u64 = u64::MAX;
 /// use pstack_recoverable::RecoverableTas;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 12).eager_flush(true).build_in_memory();
+/// let pmem = PMemBuilder::new().len(1 << 12).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 12)?;
 /// let tas = RecoverableTas::format(pmem, &heap)?;
 /// assert!(tas.test_and_set(3)?);
@@ -61,38 +61,30 @@ impl RecoverableTas {
     ///
     /// # Errors
     ///
-    /// [`PError::InvalidConfig`] without `eager_flush`; heap/NVRAM
-    /// errors otherwise.
+    /// Heap/NVRAM errors.
     pub fn format(pmem: PMem, heap: &PHeap) -> Result<Self, PError> {
-        if !pmem.is_eager_flush() {
-            return Err(PError::InvalidConfig(
-                "recoverable TAS requires an eager-flush region".into(),
-            ));
-        }
         let base = heap.alloc_aligned(Self::required_len(), 64)?;
-        pmem.write_u64(base, NO_WINNER)?;
-        pmem.flush(base, 8)?;
+        pmem.write_persist(base, &NO_WINNER.to_le_bytes())?;
         Ok(RecoverableTas { pmem, base })
     }
 
     /// Re-attaches to a cell previously created at `base`.
-    ///
-    /// # Errors
-    ///
-    /// [`PError::InvalidConfig`] without `eager_flush`.
-    pub fn open(pmem: PMem, base: POffset) -> Result<Self, PError> {
-        if !pmem.is_eager_flush() {
-            return Err(PError::InvalidConfig(
-                "recoverable TAS requires an eager-flush region".into(),
-            ));
-        }
-        Ok(RecoverableTas { pmem, base })
+    #[must_use]
+    pub fn open(pmem: PMem, base: POffset) -> Self {
+        RecoverableTas { pmem, base }
     }
 
     /// The object's base offset (persist it to find the cell again).
     #[must_use]
     pub fn base(&self) -> POffset {
         self.base
+    }
+
+    /// The cell's content, durable.
+    fn cell(&self) -> Result<u64, PError> {
+        let mut b = [0u8; 8];
+        self.pmem.read_persist(self.base, &mut b)?;
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Attempts to win the TAS as process `pid`. Returns `true` iff
@@ -113,10 +105,11 @@ impl RecoverableTas {
             .pmem
             .compare_exchange(self.base, &NO_WINNER.to_le_bytes(), &pid.to_le_bytes())?
         {
+            self.pmem.flush(self.base, 8)?;
             return Ok(true);
         }
         // Lost — or already won earlier (idempotence).
-        Ok(self.pmem.read_u64(self.base)? == pid)
+        Ok(self.cell()? == pid)
     }
 
     /// Completes an interrupted `test_and_set(pid)`. A single read
@@ -128,7 +121,7 @@ impl RecoverableTas {
     ///
     /// A propagated crash; recovery is then re-run after restart.
     pub fn recover(&self, pid: u64) -> Result<bool, PError> {
-        match self.pmem.read_u64(self.base)? {
+        match self.cell()? {
             w if w == pid => Ok(true),
             NO_WINNER => self.test_and_set(pid),
             _ => Ok(false),
@@ -141,7 +134,7 @@ impl RecoverableTas {
     ///
     /// Propagated NVRAM errors.
     pub fn winner(&self) -> Result<Option<u64>, PError> {
-        match self.pmem.read_u64(self.base)? {
+        match self.cell()? {
             NO_WINNER => Ok(None),
             w => Ok(Some(w)),
         }
@@ -154,10 +147,7 @@ mod tests {
     use pstack_nvram::{FailPlan, PMemBuilder};
 
     fn fixture() -> (PMem, PHeap, RecoverableTas) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 14)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 14).unwrap();
         let tas = RecoverableTas::format(pmem.clone(), &heap).unwrap();
         (pmem, heap, tas)
@@ -192,20 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_flush_region_is_required() {
-        let pmem = PMemBuilder::new().len(1 << 12).build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 12).unwrap();
-        assert!(matches!(
-            RecoverableTas::format(pmem.clone(), &heap),
-            Err(PError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            RecoverableTas::open(pmem, POffset::new(0)),
-            Err(PError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
     fn crash_point_enumeration_recovery_is_exact() {
         let (pmem, _, tas) = fixture();
         let e0 = pmem.events();
@@ -218,7 +194,7 @@ mod tests {
             let err = tas.test_and_set(1).unwrap_err();
             assert!(err.is_crash());
             let pmem2 = pmem.reopen().unwrap();
-            let tas2 = RecoverableTas::open(pmem2, tas.base()).unwrap();
+            let tas2 = RecoverableTas::open(pmem2, tas.base());
             assert!(tas2.recover(1).unwrap(), "crash at event {k}");
             assert_eq!(tas2.winner().unwrap(), Some(1));
         }

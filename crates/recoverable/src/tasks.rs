@@ -29,7 +29,7 @@ const ST_DONE: u8 = 1;
 /// use pstack_recoverable::TaskTable;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let pmem = PMemBuilder::new().len(1 << 14).eager_flush(true).build_in_memory();
+/// let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 14)?;
 /// let table = TaskTable::format(pmem, &heap, &[(0, 1), (1, 2)])?;
 /// assert_eq!(table.pending()?, vec![0, 1]);
@@ -177,8 +177,8 @@ impl TaskTable {
     /// Out-of-range index or NVRAM errors.
     pub fn mark_done(&self, idx: usize, result: bool) -> Result<(), PError> {
         let e = self.entry(idx)?;
-        self.pmem.write(e + 16u64, &[ST_DONE, u8::from(result)])?;
-        self.pmem.flush(e + 16u64, 2)?;
+        self.pmem
+            .write_persist(e + 16u64, &[ST_DONE, u8::from(result)])?;
         Ok(())
     }
 
@@ -213,10 +213,7 @@ mod tests {
     use pstack_nvram::PMemBuilder;
 
     fn fixture(ops: &[(i64, i64)]) -> (PMem, TaskTable) {
-        let pmem = PMemBuilder::new()
-            .len(1 << 16)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
         let t = TaskTable::format(pmem.clone(), &heap, ops).unwrap();
         (pmem, t)
@@ -270,10 +267,7 @@ mod tests {
 
     #[test]
     fn empty_table_is_rejected() {
-        let pmem = PMemBuilder::new()
-            .len(1 << 14)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 14).unwrap();
         assert!(TaskTable::format(pmem, &heap, &[]).is_err());
     }

@@ -504,7 +504,7 @@ mod tests {
         let store = ShardedKvStore::format(stripe.regions(), 64, 4096, KvVariant::Nsrl).unwrap();
         let exec = KvServeFunction::format(store, table_cap).unwrap();
         let rt = StripedRuntime::format(
-            region().eager_flush(true).build_in_memory(),
+            region().build_in_memory(),
             stripe,
             RuntimeConfig::new(1).stack_capacity(4096),
             &exec.registry().unwrap(),

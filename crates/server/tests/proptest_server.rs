@@ -537,10 +537,7 @@ proptest! {
         use pstack_heap::PHeap;
         use pstack_nvram::POffset;
 
-        let pmem = PMemBuilder::new()
-            .len(1 << 16)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
         let table = KvRequestTable::format(pmem.clone(), &heap, capacity).unwrap();
 

@@ -44,12 +44,9 @@ fn build_registry() -> Result<FunctionRegistry, PError> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The counter's NSRL algorithm assumes cache-less NVRAM, so the
-    // region flushes eagerly (§5 mode).
-    let mut pmem = PMemBuilder::new()
-        .len(1 << 20)
-        .eager_flush(true)
-        .build_in_memory();
+    // The counter's NSRL algorithm assumes cache-less NVRAM; it runs
+    // on a buffered region by flushing every line it writes at once.
+    let mut pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
     let registry = build_registry()?;
 
     // Boot, create the counter + bitmap, persist a root record.

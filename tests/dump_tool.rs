@@ -20,11 +20,7 @@ fn dump_renders_crashed_image() {
     let image = tmp_image("crashed");
     let _ = std::fs::remove_file(&image);
     {
-        let pmem = PMemBuilder::new()
-            .len(1 << 20)
-            .eager_flush(true)
-            .build_file(&image)
-            .unwrap();
+        let pmem = PMemBuilder::new().len(1 << 20).build_file(&image).unwrap();
         let mut registry = FunctionRegistry::new();
         registry
             .register_pair(

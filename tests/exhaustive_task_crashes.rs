@@ -28,7 +28,7 @@ struct System {
 fn build_registry(pmem: &PMem) -> Result<(FunctionRegistry, RecoverableCas, TaskTable), PError> {
     let cas_base = POffset::new(pmem.read_u64(POffset::new(64))?);
     let table_base = POffset::new(pmem.read_u64(POffset::new(72))?);
-    let cas = RecoverableCas::open(pmem.clone(), cas_base, 1, CasVariant::Nsrl)?;
+    let cas = RecoverableCas::open(pmem.clone(), cas_base, 1, CasVariant::Nsrl);
     let table = TaskTable::open(pmem.clone(), table_base)?;
     let mut registry = FunctionRegistry::new();
     registry.register(
@@ -42,10 +42,7 @@ impl CrashScenario for FullTaskScenario {
     type System = System;
 
     fn setup(&self) -> Result<(PMem, System), PError> {
-        let pmem = PMemBuilder::new()
-            .len(1 << 20)
-            .eager_flush(true)
-            .build_in_memory();
+        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
         let stub = FunctionRegistry::new();
         let rt = Runtime::format(
             pmem.clone(),

@@ -1,6 +1,6 @@
 //! Property tests for the NVRAM substrate itself: the volatile-cache /
 //! persistent-image split against a shadow model, across random
-//! write/flush/crash interleavings.
+//! write/flush/persist-store/persist-load/crash interleavings.
 
 use std::collections::HashSet;
 
@@ -13,9 +13,27 @@ const LINE: usize = 64;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write { off: usize, len: usize, byte: u8 },
-    Flush { off: usize, len: usize },
+    Write {
+        off: usize,
+        len: usize,
+        byte: u8,
+    },
+    Flush {
+        off: usize,
+        len: usize,
+    },
     Fence,
+    /// `write_persist`: a write, then a flush of its lines.
+    PersistStore {
+        off: usize,
+        len: usize,
+        byte: u8,
+    },
+    /// `read_persist`: a read, then a flush of the lines read.
+    PersistLoad {
+        off: usize,
+        len: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,6 +48,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             len,
         }),
         1 => Just(Op::Fence),
+        2 => (0usize..LEN, 1usize..200, any::<u8>()).prop_map(|(off, len, byte)| {
+            Op::PersistStore { off: off.min(LEN - 1), len, byte }
+        }),
+        2 => (0usize..LEN, 1usize..200).prop_map(|(off, len)| Op::PersistLoad {
+            off: off.min(LEN - 1),
+            len,
+        }),
     ]
 }
 
@@ -113,6 +138,19 @@ proptest! {
                     model.flush(off, len);
                 }
                 Op::Fence => pmem.fence(),
+                Op::PersistStore { off, len, byte } => {
+                    let len = len.min(LEN - off);
+                    pmem.write_persist(POffset::new(off as u64), &vec![byte; len]).unwrap();
+                    model.write(off, len, byte);
+                    model.flush(off, len);
+                }
+                Op::PersistLoad { off, len } => {
+                    let len = len.min(LEN - off);
+                    let mut got = vec![0u8; len];
+                    pmem.read_persist(POffset::new(off as u64), &mut got).unwrap();
+                    prop_assert_eq!(&got[..], &model.cached[off..off + len]);
+                    model.flush(off, len);
+                }
             }
             // Live reads must see the cached view.
             let got = pmem.read_vec(POffset::new(0), LEN).unwrap();
@@ -125,31 +163,6 @@ proptest! {
         let pmem = pmem.reopen().unwrap();
         let got = pmem.read_vec(POffset::new(0), LEN).unwrap();
         prop_assert_eq!(&got, &model.durable);
-    }
-
-    /// Eager-flush regions behave like the model with an implicit flush
-    /// after every write: nothing is ever lost in a crash.
-    #[test]
-    fn eager_mode_never_loses_writes(
-        ops in proptest::collection::vec(op_strategy(), 1..40),
-    ) {
-        let pmem = PMemBuilder::new()
-            .len(LEN)
-            .line_size(LINE)
-            .eager_flush(true)
-            .build_in_memory();
-        let mut shadow = vec![0u8; LEN];
-        for op in &ops {
-            if let Op::Write { off, len, byte } = *op {
-                let len = len.min(LEN - off);
-                if len == 0 { continue; }
-                pmem.write(POffset::new(off as u64), &vec![byte; len]).unwrap();
-                shadow[off..off + len].fill(byte);
-            }
-        }
-        pmem.crash_now(1, 0.0); // survivors irrelevant: nothing is dirty
-        let pmem = pmem.reopen().unwrap();
-        prop_assert_eq!(pmem.read_vec(POffset::new(0), LEN).unwrap(), shadow);
     }
 
     /// The event counter advances exactly once per write and once per
@@ -170,9 +183,8 @@ proptest! {
             let before_lines = pmem.stats().snapshot().lines_persisted;
             pmem.flush(POffset::new(off as u64), len).unwrap();
             let persisted = pmem.stats().snapshot().lines_persisted - before_lines;
-            // Every line of the flush counts as an event whether or not
-            // it was dirty... no: only the countdown sees all lines; the
-            // event counter ticks per *covering line*, dirty or not.
+            // The event counter ticks once per line the flush covers,
+            // dirty or not; only the dirty ones persist.
             let first = off / LINE;
             let last = (off + len - 1) / LINE;
             expected += (last - first + 1) as u64;

@@ -17,10 +17,7 @@ use pstack::verify::{
 const REGION: usize = 1 << 20;
 
 fn fixture(capacity: u64) -> (pstack::nvram::PMem, RecoverableQueue) {
-    let pmem = PMemBuilder::new()
-        .len(REGION)
-        .eager_flush(true)
-        .build_in_memory();
+    let pmem = PMemBuilder::new().len(REGION).build_in_memory();
     let heap = PHeap::format(pmem.clone(), POffset::new(0), REGION as u64).unwrap();
     let q = RecoverableQueue::format(pmem.clone(), &heap, capacity, QueueVariant::Nsrl).unwrap();
     (pmem, q)

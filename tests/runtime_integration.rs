@@ -181,31 +181,6 @@ fn serial_and_parallel_recovery_have_identical_effects() {
 }
 
 #[test]
-fn eager_flush_region_runs_the_runtime_too() {
-    // §5 mode: every write persists immediately; the runtime protocols
-    // must be oblivious to the flushing mode.
-    let pmem = PMemBuilder::new()
-        .len(1 << 20)
-        .eager_flush(true)
-        .build_in_memory();
-    let reg = mark_slot_registry();
-    let rt = Runtime::format(pmem.clone(), RuntimeConfig::new(2), &reg).unwrap();
-    let report = rt.run_tasks((0..20).map(|i| mark_task(i, i + 1)));
-    assert_eq!(report.completed, 20);
-    pmem.crash_now(0, 0.0);
-    let pmem2 = pmem.reopen().unwrap();
-    let rt2 = Runtime::open(pmem2.clone(), &reg).unwrap();
-    assert_eq!(
-        rt2.recover(RecoveryMode::Parallel).unwrap().total_frames(),
-        0
-    );
-    let root = rt2.user_root().unwrap();
-    for i in 0..20u64 {
-        assert_eq!(pmem2.read_u64(root + i * 8).unwrap(), i + 1);
-    }
-}
-
-#[test]
 fn small_line_size_region_works_end_to_end() {
     // 16-byte cache lines: frames span many lines, marker flips still
     // single-line. Exercises the long-frame path pervasively (E3).

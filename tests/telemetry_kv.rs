@@ -103,10 +103,7 @@ fn overlapping_sessions_collect_independently() {
     // each gets the events from its own start cursor and both stay
     // valid.
     let outer = TraceSession::start();
-    let pmem = PMemBuilder::new()
-        .len(1 << 16)
-        .eager_flush(true)
-        .build_in_memory();
+    let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
     pmem.write_u64(0u64.into(), 1).unwrap();
     pmem.flush(0u64.into(), 8).unwrap();
 
