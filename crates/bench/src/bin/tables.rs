@@ -17,9 +17,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pstack_bench::{crashed_system, region_with_heap};
-use pstack_chaos::{run_campaign, run_queue_campaign, CampaignConfig, QueueCampaignConfig};
 #[cfg(all(unix, feature = "kill-harness"))]
-use pstack_chaos::{run_kill_campaign, KillCampaignConfig};
+use pstack_chaos::Kill;
+use pstack_chaos::{run_campaign, CampaignConfig, Workload};
 use pstack_core::{
     FixedStack, FunctionRegistry, ListStack, PersistentStack, RecoveryMode, Runtime, RuntimeConfig,
     StackKind, TxnLoop, U64CellStep, VecStack,
@@ -28,29 +28,31 @@ use pstack_nvram::{FailPlan, PMemBuilder, POffset};
 use pstack_recoverable::{CasVariant, QueueVariant};
 use pstack_verify::{check_serializability, CasHistory, CasOp};
 
-fn campaign_table(title: &str, base: &CampaignConfig, seeds: u64) -> (usize, usize) {
+/// One row per seed of `base`; the rows whose execution passed its
+/// check (`ok` names them), out of how many.
+fn campaign_table(title: &str, base: &CampaignConfig, seeds: u64, ok: &str) -> (usize, usize) {
     println!("\n### {title}\n");
     println!("| seed | rounds | crashes | recovery crashes | frames recovered | verdict |");
     println!("|-----:|-------:|--------:|-----------------:|-----------------:|---------|");
-    let mut serializable = 0usize;
+    let mut consistent = 0usize;
     for seed in 0..seeds {
         let cfg = CampaignConfig {
             seed,
             ..base.clone()
         };
         let r = run_campaign(&cfg).expect("campaign setup");
-        let verdict = if r.is_serializable() {
-            serializable += 1;
-            "serializable"
+        let verdict = if r.is_consistent() {
+            consistent += 1;
+            ok.to_string()
         } else {
-            "**NOT serializable**"
+            format!("**NOT {ok}**")
         };
         println!(
             "| {seed} | {} | {} | {} | {} | {verdict} |",
             r.rounds, r.crashes, r.recovery_crashes, r.recovered_frames
         );
     }
-    (serializable, seeds as usize)
+    (consistent, seeds as usize)
 }
 
 fn flush_accounting() {
@@ -198,31 +200,6 @@ fn verifier_scaling() {
     }
 }
 
-fn queue_campaign_table(title: &str, base: &QueueCampaignConfig, seeds: u64) -> (usize, usize) {
-    println!("\n### {title}\n");
-    println!("| seed | rounds | crashes | recovery crashes | frames recovered | verdict |");
-    println!("|-----:|-------:|--------:|-----------------:|-----------------:|---------|");
-    let mut fifo = 0usize;
-    for seed in 0..seeds {
-        let cfg = QueueCampaignConfig {
-            seed,
-            ..base.clone()
-        };
-        let r = run_queue_campaign(&cfg).expect("queue campaign setup");
-        let verdict = if r.is_fifo() {
-            fifo += 1;
-            "FIFO"
-        } else {
-            "**NOT FIFO**"
-        };
-        println!(
-            "| {seed} | {} | {} | {} | {} | {verdict} |",
-            r.rounds, r.crashes, r.recovery_crashes, r.recovered_frames
-        );
-    }
-    (fifo, seeds as usize)
-}
-
 fn txn_sweep() {
     println!("\n### T9 — transactional-loop crash-point sweep, 6 items (E11)\n");
     println!(
@@ -311,9 +288,10 @@ fn kill_campaigns() {
         return;
     };
     println!(
-        "Worker **processes** on a file-backed image with the modelled 150 µs/line\n\
-         HDD persist latency, SIGKILLed by the driver at random wall-clock moments\n\
-         (kill timing is not seeded — rows vary run to run, verdicts must not).\n"
+        "Worker **processes** over image files with the modelled 150 µs/line\n\
+         HDD persist latency, SIGKILLed by the driver once they report the event\n\
+         count drawn for their round (kill timing is not reproducible — rows vary\n\
+         run to run, verdicts must not).\n"
     );
     println!("| seed | workload | rounds | kills | recovery kills | verdict |");
     println!("|-----:|----------|-------:|------:|---------------:|---------|");
@@ -332,15 +310,19 @@ fn kill_campaigns() {
             "pstack-tables-kill-{seed}-{}.img",
             std::process::id()
         ));
-        let mut cfg = KillCampaignConfig::new(&image, 60, seed)
-            .kill_delay_ms(2, 20)
-            .max_kills(5);
-        cfg = match label {
-            "CAS narrow" => cfg.narrow(),
-            "queue" => cfg.queue(QueueVariant::Nsrl),
-            _ => cfg,
+        let row = match label {
+            "CAS narrow" => CampaignConfig::narrow(60, seed),
+            "queue" => CampaignConfig::new(Workload::Queue(QueueVariant::Nsrl), 60, seed),
+            _ => CampaignConfig::wide(60, seed),
         };
-        let r = run_kill_campaign(&exe, &cfg).expect("kill campaign");
+        let cfg = CampaignConfig {
+            kill: Kill::Processes { exe: exe.clone() },
+            image: Some(image.clone()),
+            max_crashes: 5,
+            crash_window: (5, 60),
+            ..row
+        };
+        let r = run_campaign(&cfg).expect("kill campaign");
         total += 1;
         let verdict = if r.is_consistent() {
             consistent += 1;
@@ -350,8 +332,13 @@ fn kill_campaigns() {
         };
         println!(
             "| {seed} | {label} | {} | {} | {} | {verdict} |",
-            r.rounds, r.kills, r.recovery_kills,
+            r.rounds - 1,
+            r.crashes,
+            r.recovery_crashes,
         );
+        let mut stripe_file = image.clone().into_os_string();
+        stripe_file.push(".0");
+        let _ = std::fs::remove_file(stripe_file);
         let _ = std::fs::remove_file(&image);
     }
     println!(
@@ -374,6 +361,7 @@ fn main() {
         "T1 — correct NSRL CAS, wide range [-100000, 100000] (E7)",
         &CampaignConfig::wide(120, 0),
         8,
+        "serializable",
     );
     println!("\n**{ok}/{n} serializable** (paper: all serializable)");
     assert_eq!(ok, n);
@@ -382,23 +370,27 @@ fn main() {
         "T2 — correct NSRL CAS, narrow range [-10, 10] (E8)",
         &CampaignConfig::narrow(120, 0),
         8,
+        "serializable",
     );
     println!("\n**{ok}/{n} serializable** (paper: all serializable)");
     assert_eq!(ok, n);
 
     let buggy = CampaignConfig {
-        value_range: (-1, 1),
+        workload: Workload::Cas {
+            variant: CasVariant::NoMatrix,
+            value_range: (-1, 1),
+        },
         max_crashes: 40,
         crash_window: (10, 80),
         recovery_crash_prob: 0.5,
         access_jitter: Some((0.15, 40)),
         ..CampaignConfig::wide(80, 0)
-    }
-    .variant(CasVariant::NoMatrix);
+    };
     let (ok, n) = campaign_table(
         "T3 — buggy CAS (matrix R removed), values in [-1, 1] (E9)",
         &buggy,
         12,
+        "serializable",
     );
     println!(
         "\n**{}/{n} NON-serializable** (paper: bug detected; detection is probabilistic per run)",
@@ -411,26 +403,27 @@ fn main() {
     variant_counters();
     verifier_scaling();
 
-    let (ok, n) = queue_campaign_table(
+    let (ok, n) = campaign_table(
         "T8a — correct NSRL queue, 60% enqueues (E15)",
-        &QueueCampaignConfig::new(80, 0),
+        &CampaignConfig::new(Workload::Queue(QueueVariant::Nsrl), 80, 0),
         8,
+        "FIFO",
     );
     println!("\n**{ok}/{n} FIFO** (correct queue: all executions verify)");
     assert_eq!(ok, n);
 
-    let noscan = QueueCampaignConfig {
+    let noscan = CampaignConfig {
         max_crashes: 40,
         crash_window: (10, 80),
         recovery_crash_prob: 0.5,
         access_jitter: Some((0.15, 40)),
-        ..QueueCampaignConfig::new(80, 0)
-    }
-    .variant(QueueVariant::NoScan);
-    let (ok, n) = queue_campaign_table(
+        ..CampaignConfig::new(Workload::Queue(QueueVariant::NoScan), 80, 0)
+    };
+    let (ok, n) = campaign_table(
         "T8b — buggy queue (evidence scan removed), crash-heavy (E15)",
         &noscan,
         12,
+        "FIFO",
     );
     println!(
         "\n**{}/{n} NOT FIFO** (no-scan bug detected; detection is probabilistic per run)",

@@ -1,24 +1,35 @@
-//! Real-`kill(1)` crash campaign over a file-backed NVRAM image.
+//! Real-`kill(1)` crash campaign over image files.
 //!
 //! ```text
-//! kill_campaign drive <image> [n_ops] [seed] [--buggy] [--narrow]
+//! kill_campaign drive <image> [n_ops] [seed] [--buggy] [--narrow] [--queue]
 //! kill_campaign child-run <image>        # spawned by the driver
 //! kill_campaign child-recover <image>    # spawned by the driver
 //! ```
 //!
-//! `drive` formats the image, then repeatedly spawns this same binary
-//! in `child-run` mode and SIGKILLs it at a random moment, running
-//! `child-recover` processes (also candidates for killing — repeated
-//! failures) after each kill, until every CAS descriptor completed.
-//! Finally it prints the §5.1 serializability verdict.
+//! `drive` runs a CAS row (`--narrow`: operands in `[-10, 10]`;
+//! `--queue`: a queue row; `--buggy`: the no-matrix CAS or the no-scan
+//! queue) under the kill(1) policy: it formats `<image>` (plus
+//! `<image>.0` for the object's stripe region), then repeatedly spawns
+//! this same binary in `child-run` mode and SIGKILLs it once the child
+//! reports the event count drawn for that round, running `child-recover`
+//! processes (also candidates for killing — repeated failures) after
+//! each kill, until every descriptor completed. It prints the kills and
+//! the verdict. A child prints its persistence events, one count a line,
+//! on stdout.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pstack_chaos::{
-    child_recover, child_run, run_kill_campaign, ChildOutcome, KillCampaignConfig, KillOutcome,
+    child_recover, child_run, run_campaign, CampaignConfig, Execution, Kill, Workload,
 };
 use pstack_recoverable::{CasVariant, QueueVariant};
+
+/// Kills per campaign.
+const MAX_KILLS: usize = 6;
+/// Events into a worker process at which the driver kills it.
+const KILL_WINDOW: (u64, u64) = (5, 60);
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -29,21 +40,17 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn drive(image: PathBuf, mut rest: std::env::Args) -> ExitCode {
-    let mut n_ops = 60usize;
-    let mut seed = 42u64;
-    let mut buggy = false;
-    let mut narrow = false;
-    let mut queue = false;
+fn drive(image: PathBuf, rest: std::env::Args) -> ExitCode {
+    let (mut n_ops, mut seed) = (60usize, 42u64);
+    let (mut buggy, mut narrow, mut queue) = (false, false, false);
     let mut positional = 0;
-    for arg in rest.by_ref() {
+    for arg in rest {
         match arg.as_str() {
             "--buggy" => buggy = true,
             "--narrow" => narrow = true,
             "--queue" => queue = true,
             other => {
-                let parsed: Result<u64, _> = other.parse();
-                match (positional, parsed) {
+                match (positional, other.parse::<u64>()) {
                     (0, Ok(v)) => n_ops = v as usize,
                     (1, Ok(v)) => seed = v,
                     _ => return usage(),
@@ -52,23 +59,26 @@ fn drive(image: PathBuf, mut rest: std::env::Args) -> ExitCode {
             }
         }
     }
-    let mut cfg = KillCampaignConfig::new(image, n_ops, seed);
-    cfg = if queue {
-        cfg.queue(if buggy {
+    let workload = if queue {
+        Workload::Queue(if buggy {
             QueueVariant::NoScan
         } else {
             QueueVariant::Nsrl
         })
     } else {
-        cfg.variant(if buggy {
-            CasVariant::NoMatrix
-        } else {
-            CasVariant::Nsrl
-        })
+        Workload::Cas {
+            variant: if buggy {
+                CasVariant::NoMatrix
+            } else {
+                CasVariant::Nsrl
+            },
+            value_range: if narrow {
+                (-10, 10)
+            } else {
+                (-100_000, 100_000)
+            },
+        }
     };
-    if narrow {
-        cfg = cfg.narrow();
-    }
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => {
@@ -77,73 +87,72 @@ fn drive(image: PathBuf, mut rest: std::env::Args) -> ExitCode {
         }
     };
     println!(
-        "driving kill campaign: {} ops, seed {}, workload {:?}, image {}",
-        cfg.n_ops,
-        cfg.seed,
-        cfg.workload,
-        cfg.image.display()
+        "driving kill campaign: {n_ops} ops, seed {seed}, workload {workload:?}, image {}",
+        image.display()
     );
-    match run_kill_campaign(&exe, &cfg) {
-        Ok(report) => {
-            println!(
-                "rounds: {}  kills: {}  recovery kills: {}  recovery attempts: {}",
-                report.rounds, report.kills, report.recovery_kills, report.recovery_attempts
-            );
-            match &report.outcome {
-                KillOutcome::Cas { history, verdict } => {
-                    println!(
-                        "history: {} ops, {} successful, final value {}",
-                        history.ops.len(),
-                        history.successful().len(),
-                        history.final_value
-                    );
-                    if verdict.is_serializable() {
-                        println!("verdict: SERIALIZABLE");
-                    } else {
-                        println!("verdict: NON-SERIALIZABLE ({verdict:?})");
-                    }
-                }
-                KillOutcome::Queue { history, verdict } => {
-                    println!(
-                        "history: {} ops, {} slots linearized, {} consumed",
-                        history.ops.len(),
-                        history.snapshot.len(),
-                        history
-                            .snapshot
-                            .iter()
-                            .filter(|s| s.dequeued_by.is_some())
-                            .count()
-                    );
-                    if verdict.is_fifo() {
-                        println!("verdict: FIFO");
-                    } else {
-                        println!("verdict: NOT FIFO ({verdict:?})");
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
+    let cfg = CampaignConfig {
+        kill: Kill::Processes { exe },
+        image: Some(image),
+        max_crashes: MAX_KILLS,
+        crash_window: KILL_WINDOW,
+        ..CampaignConfig::new(workload, n_ops, seed)
+    };
+    let report = match run_campaign(&cfg) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("campaign failed: {e}");
-            ExitCode::from(3)
+            return ExitCode::from(3);
         }
+    };
+    println!(
+        "rounds: {}  kills: {}  recovery kills: {}",
+        report.rounds - 1,
+        report.crashes,
+        report.recovery_crashes
+    );
+    match &report.execution {
+        Execution::Cas { history, verdict } => {
+            println!(
+                "history: {} ops, {} successful, final value {}",
+                history.ops.len(),
+                history.successful().len(),
+                history.final_value
+            );
+            println!("verdict: {verdict:?}");
+        }
+        Execution::Queue { history, verdict } => {
+            let consumed = history.snapshot.iter().filter(|s| s.dequeued_by.is_some());
+            println!(
+                "history: {} ops, {} slots linearized, {} consumed",
+                history.ops.len(),
+                history.snapshot.len(),
+                consumed.count()
+            );
+            println!("verdict: {verdict:?}");
+        }
+        Execution::Kv { .. } => unreachable!("kill(1) rows are CAS or queue rows"),
     }
+    let consistent = if report.is_consistent() {
+        "consistent"
+    } else {
+        "VIOLATION"
+    };
+    println!("{consistent}");
+    ExitCode::SUCCESS
 }
 
 fn child(mode: &str, image: &Path) -> ExitCode {
+    // The driver reads these lines to place its kill; a closed pipe only
+    // means the kill is on its way.
+    let progress = |events: u64| {
+        let _ = writeln!(std::io::stdout(), "{events}");
+    };
     let result = match mode {
-        "child-run" => child_run(image).map(|outcome| {
-            if let ChildOutcome::Ran { completed } = outcome {
-                eprintln!("worker: completed {completed} tasks");
-            }
-        }),
-        "child-recover" => child_recover(image).map(|frames| {
-            eprintln!("recovery: {frames} frames");
-        }),
-        _ => unreachable!("caller dispatches only child modes"),
+        "child-run" => child_run(image, &progress),
+        _ => child_recover(image, &progress),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{mode} failed: {e}");
             ExitCode::from(3)

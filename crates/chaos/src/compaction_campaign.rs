@@ -12,13 +12,13 @@
 mod tests {
     use pstack_kv::{shard_of, KvVariant};
 
-    use crate::kv_campaign::table::{compacting, gate};
-    use crate::{run_kv_campaign, KvCampaignConfig};
+    use crate::campaign::table::{compacting, gate, with_kv};
+    use crate::{run_campaign, CampaignConfig};
 
     #[test]
     fn compaction_campaign_outlives_capacity_and_verifies() {
-        let report = run_kv_campaign(&compacting(300, 21)).unwrap();
-        assert!(report.is_linearizable(), "verdict: {:?}", report.verdict);
+        let report = run_campaign(&compacting(300, 21)).unwrap();
+        assert!(report.is_consistent(), "{:?}", report.execution);
         assert!(
             report.outlived_original_capacity(),
             "published {:?} vs capacity {} — the whole point is to cross it",
@@ -44,9 +44,9 @@ mod tests {
     #[test]
     fn compaction_campaigns_are_deterministic_per_seed() {
         let cfg = compacting(200, 5);
-        let a = run_kv_campaign(&cfg).unwrap();
-        let b = run_kv_campaign(&cfg).unwrap();
-        assert_eq!(a.history, b.history);
+        let a = run_campaign(&cfg).unwrap();
+        let b = run_campaign(&cfg).unwrap();
+        assert_eq!(a.execution, b.execution);
         assert_eq!(a.generations, b.generations);
         assert_eq!(a.tally, b.tally);
         assert_eq!(a.compaction_kills, b.compaction_kills);
@@ -56,19 +56,21 @@ mod tests {
     fn disabled_compaction_names_the_shard_that_should_trigger() {
         // threshold 0 disables the compactor; the hot shard fills and
         // the report names it as the candidate.
-        let cfg = KvCampaignConfig {
-            compact_threshold: 0.0,
-            key_space: 1,            // one key → one hot shard
-            op_mix: (1.0, 0.0, 0.0), // all puts
+        let cfg = CampaignConfig {
             max_crashes: 0,
-            log_cap_per_shard: Some(8),
             ..compacting(80, 11)
         };
-        let report = run_kv_campaign(&cfg).unwrap();
+        let cfg = with_kv(cfg, |kv| {
+            kv.compact_threshold = 0.0;
+            kv.key_space = 1; // one key → one hot shard
+            kv.op_mix = (1.0, 0.0, 0.0); // all puts
+            kv.log_cap_per_shard = Some(8);
+        });
+        let report = run_campaign(&cfg).unwrap();
         assert!(
-            report.is_linearizable(),
+            report.is_consistent(),
             "capacity-rejected puts are legal answers: {:?}",
-            report.verdict
+            report.execution
         );
         assert_eq!(report.generations, vec![0, 0], "compaction was disabled");
         let hot = shard_of(0, 2);
@@ -83,16 +85,17 @@ mod tests {
         // the root swap. Recovery still converges (the verifier stays
         // green without crashes), but the sanitizer sees the swap
         // publish over dirty lines — the bug the verifier cannot catch.
-        let cfg = KvCampaignConfig {
+        let cfg = CampaignConfig {
             max_crashes: 0, // deterministic: violations fire at swap time
             psan: true,
-            ..compacting(300, 21).variant(KvVariant::NoPersistBeforeSwap)
+            ..compacting(300, 21)
         };
-        let report = run_kv_campaign(&cfg).unwrap();
+        let cfg = with_kv(cfg, |kv| kv.variant = KvVariant::NoPersistBeforeSwap);
+        let report = run_campaign(&cfg).unwrap();
         assert!(
-            report.is_linearizable(),
+            report.is_consistent(),
             "without crashes the buggy variant still verifies: {:?}",
-            report.verdict
+            report.execution
         );
         assert!(
             report.generations.iter().any(|&g| g > 0),
@@ -127,12 +130,14 @@ mod tests {
         // inside the recovery passes that replay the compaction's frame
         // — zero violations of the generation-aware check, and capacity
         // crossed anyway.
-        let g = gate(|seed| KvCampaignConfig {
-            max_crashes: 18,
-            crash_prob: 0.35,
-            recovery_crash_prob: 0.5,
-            compaction_crash_prob: 0.7,
-            ..compacting(260, 9000 + seed)
+        let g = gate(|seed| {
+            let cfg = CampaignConfig {
+                max_crashes: 18,
+                crash_prob: 0.35,
+                recovery_crash_prob: 0.5,
+                ..compacting(260, 9000 + seed)
+            };
+            with_kv(cfg, |kv| kv.compaction_crash_prob = 0.7)
         });
         assert!(
             g.compaction_kills > 0,

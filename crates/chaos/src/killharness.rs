@@ -1,405 +1,213 @@
-//! The §5.2 experiment with a *real* `kill(1)`: separate OS processes
-//! over a file-backed NVRAM image.
+//! The kill(1) policy: a CAS or queue row ([`Kill::Processes`]) run by
+//! separate OS processes over image files, SIGKILLed by a driver.
 //!
-//! The in-process campaign ([`crate::run_campaign`]) emulates the kill
-//! with deterministic fail-points. This module removes the emulation:
-//! a **driver** process formats an NVRAM image file, then repeatedly
-//! spawns a **worker** process (the same binary, `child-run` mode) that
-//! executes CAS descriptors against the file, and SIGKILLs it at a
-//! random wall-clock moment — exactly the paper's methodology ("we used
-//! UNIX utility `kill` to interrupt the system at random moments"). The
-//! worker's volatile state (its in-process dirty-line cache, threads,
-//! volatile stack indexes) genuinely evaporates with the process; only
-//! what the write-through file backend persisted survives. After each
-//! kill the driver runs a **recovery** process (`child-recover` mode),
-//! which it may also kill — the paper's repeated-failure scenario —
-//! until one recovery pass completes. When every descriptor is done the
-//! driver reads the answers from the image and runs the workload's
-//! semantic verifier — §5.1 serializability for the CAS workload, the
-//! FIFO witness check for the queue workload ([`KillWorkload`]).
+//! Fail-point rows emulate the kill. This module removes the emulation:
+//! the driver ([`crate::run_campaign`]) formats the row's image — a
+//! control file for the runtime and one file per stripe region, the
+//! header in the control file naming the workload — then repeatedly
+//! spawns a **worker** process (`exe child-run <image>`) that runs the
+//! pending descriptors on a `StripedRuntime` over the files, and
+//! SIGKILLs it — exactly the paper's methodology ("we used UNIX utility
+//! `kill` to interrupt the system at random moments"). The kill is
+//! placed by the child's own progress: a child reports its persistence
+//! events over its stdout, and the driver kills it once the count drawn
+//! from the row's crash window is reached, whatever the device costs.
+//! The worker's volatile state (its dirty-line cache, threads, volatile
+//! stack indexes) genuinely evaporates with the process; only what it
+//! flushed reached the files. After each kill the driver runs a
+//! **recovery** process (`exe child-recover <image>`), which it may kill
+//! too — the paper's repeated-failure scenario — until one recovery pass
+//! completes. When every descriptor is done the driver checks the
+//! execution on the image.
 //!
-//! The driver/worker protocol lives in this module so both the
-//! `kill_campaign` binary and the integration tests can drive it; see
-//! `crates/chaos/src/bin/kill_campaign.rs` for the CLI.
+//! The `kill_campaign` binary is the usual `exe`: see
+//! `crates/chaos/src/bin/kill_campaign.rs` for its CLI.
 
 use std::cell::Cell;
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use pstack_core::{FunctionRegistry, PError, RecoveryMode, Runtime, StackKind, Task};
+use pstack_core::{FunctionRegistry, PError, RecoveryMode, StripedRuntime, Task};
 use pstack_kv::ShardedKvStore;
-use pstack_nvram::{MemError, PMem, PMemBuilder};
-use pstack_recoverable::{CasVariant, QueueVariant};
-use pstack_verify::{CasHistory, FifoVerdict, QueueHistory, SerialVerdict};
+use pstack_nvram::{MemError, PMem, PMemBuilder, PMemStripe};
 
-use crate::campaign::CasWorkload;
-use crate::cycle::{self, Cx, Machine, Policy, Single, Stacked, StaticWorkload, Tally, ROOT_OFF};
-use crate::queue_campaign::QueueWorkload;
+use crate::campaign::{stripe_file, CampaignConfig, Object, Objects, OBJECT_REGION_LEN};
+use crate::cycle::{self, Cx, Machine, Policy, Striped, Tally, ROOT_OFF};
 
-/// Magic word opening the harness header.
-const ROOT_MAGIC: u64 = 0x4B49_4C4C_524F_4F54; // "KILLROOT"
-/// The harness header — `[magic, workload kind]` — sits in the user
-/// scratch area past the workload's own root record.
-const HEADER_OFF: u64 = ROOT_OFF + 64;
+/// Magic word opening the image header.
+const MAGIC: u64 = 0x4B49_4C4C_524F_4F54; // "KILLROOT"
 /// Per-line persist latency every child runs under, emulating the
-/// paper's slow HDD persists. Without it the emulated device is so fast
-/// that worker processes finish before any wall-clock kill can land
-/// mid-operation.
+/// paper's slow HDD persists. A child's run then spans enough wall-clock
+/// time that the driver's kill, placed by the child's event reports,
+/// lands while the work it aimed at is still going on.
 const PERSIST_DELAY: Duration = Duration::from_micros(150);
-/// Probability that a recovery process is also killed (repeated
-/// failures), while the kill budget lasts.
-const RECOVERY_KILL_PROB: f64 = 0.3;
+/// How often a child reports its persistence events.
+const REPORT_EVERY: Duration = Duration::from_micros(50);
 
-/// Which object (and semantic check) a kill campaign exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillWorkload {
-    /// The §5.2 recoverable CAS, verified for serializability.
-    Cas(CasVariant),
-    /// The recoverable queue (future work 1), verified for FIFO.
-    Queue(QueueVariant),
-}
-
-impl Default for KillWorkload {
-    fn default() -> Self {
-        KillWorkload::Cas(CasVariant::Nsrl)
-    }
-}
-
-/// The workload kind as the header stores it (the variant lives in the
-/// workload's own root record).
-#[derive(Clone, Copy)]
-enum Kind {
-    Cas = 0,
-    Queue = 1,
-}
-
-/// Configuration of one real-`kill` campaign.
-///
-/// # Example
-///
-/// ```
-/// use pstack_chaos::KillCampaignConfig;
-///
-/// let cfg = KillCampaignConfig::new("/tmp/pstack-kill.img", 40, 7)
-///     .kill_delay_ms(2, 20)
-///     .max_kills(4);
-/// assert_eq!(cfg.n_ops, 40);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillCampaignConfig {
-    /// Path of the NVRAM image file (created by the driver).
-    pub image: PathBuf,
-    /// Number of CAS descriptors.
-    pub n_ops: usize,
-    /// Worker threads inside each worker process — the paper uses 4.
-    pub workers: usize,
-    /// Inclusive operand range.
-    pub value_range: (i64, i64),
-    /// Seed for the workload (operands and initial value). Kill timing
-    /// is wall-clock and therefore *not* reproducible — as in the paper.
-    pub seed: u64,
-    /// Which object (and check) the campaign exercises.
-    pub workload: KillWorkload,
-    /// Stack layout for the worker threads.
-    pub stack_kind: StackKind,
-    /// Kills of normal-mode worker processes before the driver lets the
-    /// campaign run to completion.
-    pub max_kills: usize,
-    /// Range (inclusive, milliseconds) the driver sleeps before killing
-    /// a worker process.
-    pub kill_delay: (u64, u64),
-}
-
-impl KillCampaignConfig {
-    /// Starts a configuration with the paper's §5.2 defaults: 4 worker
-    /// threads, operands in the wide range `[-10⁵, 10⁵]`, the correct
-    /// NSRL CAS, fixed stacks and a 2 MiB image.
-    #[must_use]
-    pub fn new(image: impl Into<PathBuf>, n_ops: usize, seed: u64) -> Self {
-        KillCampaignConfig {
-            image: image.into(),
-            n_ops,
-            workers: 4,
-            value_range: (-100_000, 100_000),
-            seed,
-            workload: KillWorkload::Cas(CasVariant::Nsrl),
-            stack_kind: StackKind::Fixed,
-            max_kills: 6,
-            kill_delay: (2, 25),
-        }
-    }
-
-    /// Selects the CAS variant (and the CAS workload).
-    #[must_use]
-    pub fn variant(mut self, variant: CasVariant) -> Self {
-        self.workload = KillWorkload::Cas(variant);
-        self
-    }
-
-    /// Switches the campaign to the queue workload with the given
-    /// variant; operand range narrows to `[-100, 100]` like the
-    /// in-process queue campaign.
-    #[must_use]
-    pub fn queue(mut self, variant: QueueVariant) -> Self {
-        self.workload = KillWorkload::Queue(variant);
-        self.value_range = (-100, 100);
-        self
-    }
-
-    /// Narrows the operand range to the paper's `[-10, 10]` setup.
-    #[must_use]
-    pub fn narrow(mut self) -> Self {
-        self.value_range = (-10, 10);
-        self
-    }
-
-    /// Sets the kill-delay window in milliseconds.
-    #[must_use]
-    pub fn kill_delay_ms(mut self, lo: u64, hi: u64) -> Self {
-        self.kill_delay = (lo, hi);
-        self
-    }
-
-    /// Sets the kill budget.
-    #[must_use]
-    pub fn max_kills(mut self, kills: usize) -> Self {
-        self.max_kills = kills;
-        self
-    }
-}
-
-/// The collected execution and its semantic verdict, per workload.
-#[derive(Debug, Clone)]
-pub enum KillOutcome {
-    /// A CAS campaign's history and §5.1 serializability verdict.
-    Cas {
-        /// The collected execution.
-        history: CasHistory,
-        /// The §5.1 verdict.
-        verdict: SerialVerdict,
-    },
-    /// A queue campaign's history and FIFO verdict.
-    Queue {
-        /// The collected execution (answers + slot witness).
-        history: QueueHistory,
-        /// The FIFO verdict.
-        verdict: FifoVerdict,
-    },
-}
-
-impl KillOutcome {
-    /// `true` if the execution passed its semantic check
-    /// (serializability for CAS, FIFO for the queue).
-    #[must_use]
-    pub fn is_consistent(&self) -> bool {
-        match self {
-            KillOutcome::Cas { verdict, .. } => verdict.is_serializable(),
-            KillOutcome::Queue { verdict, .. } => verdict.is_fifo(),
-        }
-    }
-
-    /// Number of operations in the collected history.
-    #[must_use]
-    pub fn ops(&self) -> usize {
-        match self {
-            KillOutcome::Cas { history, .. } => history.ops.len(),
-            KillOutcome::Queue { history, .. } => history.ops.len(),
-        }
-    }
-}
-
-/// Outcome of a real-`kill` campaign.
-#[derive(Debug, Clone)]
-pub struct KillCampaignReport {
-    /// Worker processes spawned (killed or completed).
-    pub rounds: usize,
-    /// Worker processes killed by the driver.
-    pub kills: usize,
-    /// Recovery processes killed by the driver (repeated failures).
-    pub recovery_kills: usize,
-    /// Recovery processes spawned in total.
-    pub recovery_attempts: usize,
-    /// The collected execution and its verdict.
-    pub outcome: KillOutcome,
-}
-
-impl KillCampaignReport {
-    /// `true` if the execution passed its semantic check.
-    #[must_use]
-    pub fn is_consistent(&self) -> bool {
-        self.outcome.is_consistent()
-    }
-
-    /// `true` if this was a CAS campaign and it verified serializable
-    /// (kept for symmetry with the paper's §5.2 wording).
-    #[must_use]
-    pub fn is_serializable(&self) -> bool {
-        matches!(
-            &self.outcome,
-            KillOutcome::Cas { verdict, .. } if verdict.is_serializable()
-        )
-    }
-}
-
-/// Opens a formatted image and says which workload it holds.
-fn open_image(path: &Path) -> Result<(PMem, Kind), PError> {
-    let len = std::fs::metadata(path)
-        .map_err(|e| PError::InvalidConfig(format!("cannot stat image {}: {e}", path.display())))?
-        .len() as usize;
-    let pmem = PMemBuilder::new()
-        .len(len)
-        .persist_delay(PERSIST_DELAY)
-        .build_file(path)?;
-    let magic = cycle::read_root(&pmem, HEADER_OFF, 0)?;
-    if magic != ROOT_MAGIC {
-        return Err(PError::CorruptStack(format!(
-            "image {} has no kill-harness root record (magic {magic:#x})",
-            path.display()
-        )));
-    }
-    let kind = match cycle::read_root(&pmem, HEADER_OFF, 1)? {
-        0 => Kind::Cas,
-        1 => Kind::Queue,
-        other => {
-            return Err(PError::InvalidConfig(format!(
-                "unknown kill workload kind {other}"
-            )))
-        }
+/// Runs a formatted CAS or queue row under kill(1): writes the image
+/// header (`[magic, workload tag, stripe files, region length]`) into
+/// the control region, then runs §5.2's loop with children as the
+/// machine. Returns the quiescent image's objects for step 9.
+pub(crate) fn drive(
+    formatted: &Striped,
+    mut object: Object,
+    exe: &Path,
+    cfg: &CampaignConfig,
+    cx: &mut Cx,
+) -> Result<Objects, PError> {
+    let image = cfg
+        .image
+        .as_deref()
+        .ok_or_else(|| PError::InvalidConfig("a kill(1) row needs an image".into()))?;
+    write_header(&formatted.control, object, formatted.stripe.len())?;
+    let mut machine = Processes {
+        exe,
+        image,
+        stripe: open_image(image, Duration::ZERO)?.1,
+        kill_at: Cell::new(None),
     };
-    Ok((pmem, kind))
+    cycle::cycle(&mut machine, &mut object, cx)
 }
 
-/// Re-attaches the image's workload: its registry and one task per
-/// descriptor still pending.
-fn attach(pmem: &PMem, kind: Kind) -> Result<(FunctionRegistry, Vec<Task>), PError> {
-    fn of<W: StaticWorkload<PMem>>(
-        mut w: W,
-        pmem: &PMem,
-    ) -> Result<(FunctionRegistry, Vec<Task>), PError> {
-        let (registry, att) = w.attach(pmem)?;
-        Ok((registry, w.pending(&att)?))
-    }
-    match kind {
-        Kind::Cas => of(CasWorkload, pmem),
-        Kind::Queue => of(QueueWorkload, pmem),
-    }
+fn write_header(control: &PMem, object: Object, stripe_files: usize) -> Result<(), PError> {
+    let header = [
+        MAGIC,
+        object as u64,
+        stripe_files as u64,
+        OBJECT_REGION_LEN as u64,
+    ];
+    cycle::write_root(control, ROOT_OFF, &header)
 }
 
-/// Formats the image file for a campaign: runtime layout, the workload
-/// object, its descriptor table and root record, and the harness
-/// header. Run by the driver before the first worker process.
+/// Opens a formatted image: its control region, its stripe and the
+/// object its header names. Every region persists under
+/// `persist_delay`.
 ///
 /// # Errors
 ///
-/// File I/O, layout or formatting failures.
-pub fn format_image(cfg: &KillCampaignConfig) -> Result<(), PError> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    // Formatting runs without the persist delay: no process is racing a
-    // kill against it.
-    let (machine, rt) = Single::format(
-        PMemBuilder::new(),
-        None,
-        Some(&cfg.image),
-        cfg.workers,
-        cfg.stack_kind,
-    )?;
-    let (pmem, heap) = (&machine.pmem, rt.heap());
-    let (n_ops, range) = (cfg.n_ops, cfg.value_range);
-    let kind = match cfg.workload {
-        KillWorkload::Cas(variant) => {
-            CasWorkload::format(pmem, heap, &mut rng, n_ops, range, cfg.workers, variant)?;
-            Kind::Cas
-        }
-        KillWorkload::Queue(variant) => {
-            QueueWorkload::format(pmem, heap, &mut rng, n_ops, range, variant)?;
-            Kind::Queue
-        }
+/// [`PError::CorruptStack`] if the control file carries no header;
+/// [`PError::InvalidConfig`] for an unknown workload tag, or stripe
+/// files missing, shorter than the header's region length, or more
+/// than it counts; I/O errors as they come.
+fn open_image(image: &Path, persist_delay: Duration) -> Result<(PMem, PMemStripe, Object), PError> {
+    let builder = PMemBuilder::new().persist_delay(persist_delay);
+    let control = open_file(builder.clone(), image, 1)?;
+    let header = |i| cycle::read_root(&control, ROOT_OFF, i);
+    if header(0)? != MAGIC {
+        return Err(PError::CorruptStack(format!(
+            "image {} has no kill-harness header",
+            image.display()
+        )));
+    }
+    let object = match header(1)? {
+        0 => Object::Cas,
+        1 => Object::Queue,
+        tag => return Err(PError::InvalidConfig(format!("unknown workload tag {tag}"))),
     };
-    cycle::write_root(pmem, HEADER_OFF, &[ROOT_MAGIC, kind as u64])
+    let (files, len) = (header(2)? as usize, header(3)?);
+    if files == 0 || stripe_file(image, files).exists() {
+        return Err(PError::InvalidConfig(format!(
+            "image {}: its stripe files disagree with the header's count {files}",
+            image.display()
+        )));
+    }
+    let regions = (0..files).map(|i| open_file(builder.clone(), &stripe_file(image, i), len));
+    let stripe = PMemStripe::from_regions(regions.collect::<Result<_, _>>()?);
+    Ok((control, stripe, object))
 }
 
-/// What a worker process found to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChildOutcome {
-    /// Every descriptor was already done; nothing ran.
-    AllDone,
-    /// The worker ran (and completed) the pending descriptors.
-    Ran {
-        /// Tasks completed in this process.
-        completed: usize,
-    },
+/// Opens one file of an image, at its own length, which must be at least
+/// `min_len` bytes.
+fn open_file(builder: PMemBuilder, path: &Path, min_len: u64) -> Result<PMem, PError> {
+    let invalid =
+        |what: String| PError::InvalidConfig(format!("image file {}: {what}", path.display()));
+    let len = std::fs::metadata(path)
+        .map_err(|e| invalid(e.to_string()))?
+        .len();
+    if len < min_len.max(1) {
+        return Err(invalid(format!("{len} bytes, expected {min_len}")));
+    }
+    Ok(builder.len(len as usize).build_file(path)?)
+}
+
+/// Runs `work` while a reporter thread hands `progress` the boot's
+/// persistence events (control region and stripe) every
+/// [`REPORT_EVERY`].
+fn reporting<T>(
+    rt: &StripedRuntime,
+    progress: &(dyn Fn(u64) + Sync),
+    work: impl FnOnce() -> T,
+) -> T {
+    let done = AtomicBool::new(false);
+    let regions = std::iter::once(rt.control()).chain(rt.stripe().regions());
+    let regions: Vec<&PMem> = regions.collect();
+    let events = || {
+        let counts = regions.iter().map(|r| r.stats().snapshot());
+        counts
+            .map(|s| s.writes + s.lines_persisted + s.cas_ops)
+            .sum::<u64>()
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                progress(events());
+                std::thread::sleep(REPORT_EVERY);
+            }
+        });
+        let out = work();
+        done.store(true, Ordering::Relaxed);
+        out
+    })
 }
 
 /// Normal-mode body of a worker process: attach to the image, enqueue
-/// the still-pending descriptors in random order, and run them on
-/// `workers` threads. The process is expected to be SIGKILLed at any
-/// moment; everything it must not lose is persisted through the file
-/// backend.
+/// the still-pending descriptors in random order and run them, handing
+/// `progress` the events done as it goes. The process is expected to be
+/// SIGKILLed at any moment; everything it must not lose is flushed to
+/// the files. Returns the tasks it completed (0: nothing was pending).
 ///
 /// # Errors
 ///
-/// Attachment failures, or an in-process crash signal (which cannot
-/// happen in a worker process — no fail-points are armed — and is
-/// therefore reported as an error).
-pub fn child_run(image: &Path) -> Result<ChildOutcome, PError> {
-    let (pmem, kind) = open_image(image)?;
-    let (registry, mut tasks) = attach(&pmem, kind)?;
-    let rt = Runtime::open(pmem, &registry)?;
-    if tasks.is_empty() {
-        return Ok(ChildOutcome::AllDone);
-    }
-    // Shuffle from OS entropy: kill timing already makes runs
+/// A typed error for an image that is not a well-formed kill(1) image
+/// (see the module docs), attachment failures, or an in-process crash
+/// signal (no fail-point is armed in a worker process).
+pub fn child_run(image: &Path, progress: &(dyn Fn(u64) + Sync)) -> Result<usize, PError> {
+    let (control, stripe, object) = open_image(image, PERSIST_DELAY)?;
+    let (registry, objects) = object.open(&stripe)?;
+    let rt = StripedRuntime::open(control, stripe, &registry)?;
+    let mut tasks = objects.pending()?;
+    // Shuffled from OS entropy: kill timing already makes runs
     // non-reproducible, and distinct processes must not replay one
     // fixed order.
     tasks.shuffle(&mut SmallRng::seed_from_u64(rand::rng().random()));
-    let report = rt.run_tasks(tasks);
+    let report = reporting(&rt, progress, || rt.run_tasks(tasks));
     if report.crashed {
-        return Err(PError::Task(
-            "worker process observed an in-process crash signal".into(),
-        ));
+        let msg = "worker process observed an in-process crash signal";
+        return Err(PError::Task(msg.into()));
     }
-    Ok(ChildOutcome::Ran {
-        completed: report.completed,
-    })
+    Ok(report.completed)
 }
 
 /// Recovery-mode body: attach and run one parallel recovery pass over
-/// all worker stacks. Returns the number of frames recovered.
+/// all worker stacks, handing `progress` the events done as it goes.
+/// Returns the number of frames recovered.
 ///
 /// # Errors
 ///
-/// Attachment or recovery failures.
-pub fn child_recover(image: &Path) -> Result<usize, PError> {
-    let (pmem, kind) = open_image(image)?;
-    let rt = Runtime::open(pmem.clone(), &attach(&pmem, kind)?.0)?;
-    Ok(rt.recover(RecoveryMode::Parallel)?.total_frames())
-}
-
-/// Reads the completed campaign's answers from the image and runs the
-/// workload's semantic check (step 9): §5.1 serializability for CAS,
-/// the FIFO witness check for the queue.
-///
-/// # Errors
-///
-/// Attachment failures, or [`PError::Task`] if any descriptor is still
-/// pending (the campaign has not finished).
-pub fn collect_report(image: &Path) -> Result<KillOutcome, PError> {
-    let (pmem, kind) = open_image(image)?;
-    Ok(match kind {
-        Kind::Cas => {
-            let (history, verdict) = CasWorkload::verify(&CasWorkload.attach(&pmem)?.1)?;
-            KillOutcome::Cas { history, verdict }
-        }
-        Kind::Queue => {
-            let (history, verdict) = QueueWorkload::verify(&QueueWorkload.attach(&pmem)?.1)?;
-            KillOutcome::Queue { history, verdict }
-        }
-    })
+/// As [`child_run`], or recovery failures.
+pub fn child_recover(image: &Path, progress: &(dyn Fn(u64) + Sync)) -> Result<usize, PError> {
+    let (control, stripe, object) = open_image(image, PERSIST_DELAY)?;
+    let (registry, _) = object.open(&stripe)?;
+    let rt = StripedRuntime::open(control, stripe, &registry)?;
+    let report = reporting(&rt, progress, || rt.recover(RecoveryMode::Parallel))?;
+    Ok(report.total_frames())
 }
 
 /// Child subcommands the driver spawns; the binary maps these onto
@@ -407,92 +215,63 @@ pub fn collect_report(image: &Path) -> Result<KillOutcome, PError> {
 const CHILD_RUN: &str = "child-run";
 const CHILD_RECOVER: &str = "child-recover";
 
-fn spawn_child(exe: &Path, mode: &str, image: &Path) -> std::io::Result<std::process::Child> {
-    Command::new(exe)
-        .arg(mode)
-        .arg(image)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-}
-
-/// Waits up to `delay`, then reports whether the child exited on its
-/// own (`Some(status)`) or is still running (`None`).
-fn wait_with_deadline(
-    child: &mut std::process::Child,
-    delay: Duration,
-) -> std::io::Result<Option<std::process::ExitStatus>> {
-    let deadline = std::time::Instant::now() + delay;
-    loop {
-        if let Some(status) = child.try_wait()? {
-            return Ok(Some(status));
-        }
-        if std::time::Instant::now() >= deadline {
-            return Ok(None);
-        }
-        std::thread::sleep(Duration::from_micros(300));
-    }
-}
-
-/// The paper's own machine: the system is an OS process over a
-/// file-backed image, and it dies by SIGKILL. Its volatile state (the
-/// in-process dirty-line cache, threads, volatile stack indexes)
-/// genuinely evaporates; only what the write-through file backend
-/// persisted survives. A kill is a wall-clock delay, not an event
-/// count, so the policy's windows are milliseconds here.
+/// The paper's own machine: the system is an OS process over image
+/// files, and it dies by SIGKILL once it reports the event count the
+/// policy drew.
 struct Processes<'a> {
     exe: &'a Path,
     image: &'a Path,
-    /// The driver's own handle on the image, for the quiescence check
-    /// between children. It loads the file at open, so every child that
-    /// ran makes it stale.
-    pmem: PMem,
-    /// How long the next child lives, when it is to be killed.
-    deadline: Cell<Option<Duration>>,
-    recovery_attempts: Cell<usize>,
+    /// The driver's own handle on the stripe, for the quiescence check
+    /// between children. It loads the files at open, so every child
+    /// that ran makes it stale.
+    stripe: PMemStripe,
+    /// Events into the next child at which the driver kills it.
+    kill_at: Cell<Option<u64>>,
 }
 
 impl Processes<'_> {
-    /// Runs one child to completion or to its deadline. `true` if the
-    /// driver killed it.
+    /// Runs one child until it exits or reports the armed event count.
+    /// `true` if the driver killed it.
     fn child(&self, mode: &str, what: &str) -> Result<bool, PError> {
         let io_err =
             |context: &str, e: std::io::Error| PError::Task(format!("{context} {what}: {e}"));
-        let mut child = spawn_child(self.exe, mode, self.image).map_err(|e| io_err("spawn", e))?;
-        let status = match self.deadline.take() {
-            Some(delay) => wait_with_deadline(&mut child, delay),
-            None => child.wait().map(Some),
+        let mut child = Command::new(self.exe)
+            .arg(mode)
+            .arg(self.image)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| io_err("spawn", e))?;
+        let progress = BufReader::new(child.stdout.take().expect("stdout is piped"));
+        // §5.2 step 5: the kill lands at the drawn event count; a child
+        // that never reports it ran to its end.
+        let kill_at = self.kill_at.take().unwrap_or(u64::MAX);
+        let mut reports = progress.lines().map_while(Result::ok);
+        if reports.any(|line| line.parse::<u64>().is_ok_and(|events| events >= kill_at)) {
+            let _ = child.kill();
         }
-        .map_err(|e| io_err("wait for", e))?;
-        match status {
-            Some(status) if status.success() => Ok(false),
-            // A child that *exits with an error* is a failure; one that
-            // dies from the driver's own SIGKILL is the experiment.
-            Some(status) => Err(PError::Task(format!("{what} process failed: {status}"))),
-            None => {
-                // §5.2 step 5: the process dies with SIGKILL; its
-                // unflushed dirty lines are lost with it.
-                let _ = child.kill();
-                let _ = child.wait();
-                Ok(true)
-            }
+        let status = child.wait().map_err(|e| io_err("wait for", e))?;
+        match (status.success(), status.code()) {
+            (true, _) => Ok(false),
+            // No exit code: the driver's own SIGKILL, the experiment.
+            (false, None) => Ok(true),
+            (false, Some(_)) => Err(PError::Task(format!("{what} process failed: {status}"))),
         }
     }
 
     fn refresh(&mut self) -> Result<(), PError> {
-        self.pmem = open_image(self.image)?.0;
+        self.stripe = open_image(self.image, Duration::ZERO)?.1;
         Ok(())
     }
 }
 
 impl Machine for Processes<'_> {
-    type Regions = PMem;
     /// Every child opens its own runtime.
     type Runtime = ();
 
-    fn regions(&self) -> &PMem {
-        &self.pmem
+    fn stripe(&self) -> &PMemStripe {
+        &self.stripe
     }
 
     fn open(&self, _: &FunctionRegistry) -> Result<(), PError> {
@@ -500,14 +279,12 @@ impl Machine for Processes<'_> {
     }
 
     fn arm_run(&self, rng: &mut SmallRng, policy: &Policy) {
-        let delay = Duration::from_millis(policy.window(rng));
-        self.deadline.set(Some(delay));
+        self.kill_at.set(Some(policy.window(rng)));
     }
 
     fn arm_recovery(&self, rng: &mut SmallRng, policy: &Policy) {
         if policy.recovery_kill(rng) {
-            let delay = Duration::from_millis(policy.fuse(rng));
-            self.deadline.set(Some(delay));
+            self.kill_at.set(Some(policy.fuse(rng)));
         }
     }
 
@@ -519,16 +296,14 @@ impl Machine for Processes<'_> {
     fn reopen(
         &mut self,
         (): &(),
-        _: &mut dyn FnMut(&PMem) -> Result<FunctionRegistry, PError>,
+        _: &mut dyn FnMut(&PMemStripe) -> Result<FunctionRegistry, PError>,
         _: &mut Tally,
     ) -> Result<(), PError> {
         self.refresh()
     }
 
     fn sweep(&self, _: &mut Tally) {}
-}
 
-impl Stacked for Processes<'_> {
     /// The worker process re-derives the pending set from the image and
     /// enqueues it in an order of its own.
     fn run_tasks(&self, (): &(), _: Vec<Task>) -> Result<bool, PError> {
@@ -536,7 +311,6 @@ impl Stacked for Processes<'_> {
     }
 
     fn replay(&self, (): &(), _: Option<&ShardedKvStore>) -> Result<usize, PError> {
-        self.recovery_attempts.set(self.recovery_attempts.get() + 1);
         if self.child(CHILD_RECOVER, "recovery")? {
             return Err(MemError::Crashed.into());
         }
@@ -544,166 +318,181 @@ impl Stacked for Processes<'_> {
     }
 }
 
-/// Range (inclusive, milliseconds) a recovery process lives before the
-/// driver kills it.
-const RECOVERY_KILL_DELAY: (u64, u64) = (1, 6);
-
-/// Runs a full real-`kill` campaign: format the image, repeatedly spawn
-/// `exe child-run <image>` and SIGKILL it at a random moment, run (and
-/// occasionally kill) `exe child-recover <image>` passes, and loop
-/// until every descriptor completed; finally verify serializability.
-///
-/// `exe` must be a binary whose `child-run`/`child-recover` subcommands
-/// call [`child_run`]/[`child_recover`] — normally the `kill_campaign`
-/// binary itself (the driver re-invokes its own executable).
-///
-/// # Errors
-///
-/// Formatting, spawning or attachment failures, and child processes
-/// that *exit with an error* (a child that dies from the driver's own
-/// SIGKILL is the experiment working as intended, not an error).
-pub fn run_kill_campaign(
-    exe: &Path,
-    cfg: &KillCampaignConfig,
-) -> Result<KillCampaignReport, PError> {
-    let (lo, hi) = cfg.value_range;
-    assert!(lo <= hi, "empty value range");
-    format_image(cfg)?;
-    let mut cx = Cx::new(
-        cfg.seed ^ 0x6B69_6C6C,
-        Policy {
-            max_crashes: cfg.max_kills,
-            crash_window: cfg.kill_delay,
-            crash_prob: 1.0,
-            recovery_crash_prob: RECOVERY_KILL_PROB,
-            recovery_fuse: RECOVERY_KILL_DELAY,
-        },
-    );
-    let (pmem, kind) = open_image(&cfg.image)?;
-    let mut machine = Processes {
-        exe,
-        image: &cfg.image,
-        pmem,
-        deadline: Cell::new(None),
-        recovery_attempts: Cell::new(0),
-    };
-    match kind {
-        Kind::Cas => cycle::cycle(&mut machine, &mut CasWorkload, &mut cx).map(drop),
-        Kind::Queue => cycle::cycle(&mut machine, &mut QueueWorkload, &mut cx).map(drop),
-    }?;
-    Ok(KillCampaignReport {
-        // The last round only found the image quiescent.
-        rounds: cx.tally.rounds - 1,
-        kills: cx.tally.crashes,
-        recovery_kills: cx.tally.recovery_crashes,
-        recovery_attempts: machine.recovery_attempts.get(),
-        outcome: collect_report(&cfg.image)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use pstack_recoverable::{QueueVariant, CAS_TASK_FUNC_ID};
 
-    fn tmp_image(tag: &str) -> PathBuf {
+    use super::*;
+    use crate::{Execution, Workload};
+
+    fn tmp_image(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("pstack-kill-{tag}-{}.img", std::process::id()));
         p
     }
 
+    /// Formats `cfg`'s image the way a kill(1) row does.
+    fn format(cfg: &CampaignConfig) -> Object {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let (control, stripe) = cfg.regions(1, OBJECT_REGION_LEN).unwrap();
+        let object = Object::format(cfg, stripe.region(0), &mut rng).unwrap();
+        let machine = Striped::format(control, stripe, cfg.workers, cfg.stack_kind).unwrap();
+        write_header(&machine.control, object, 1).unwrap();
+        object
+    }
+
+    fn image_row(image: &Path, workload: Workload, n_ops: usize, seed: u64) -> CampaignConfig {
+        CampaignConfig {
+            image: Some(image.to_path_buf()),
+            ..CampaignConfig::new(workload, n_ops, seed)
+        }
+    }
+
+    fn cas_row(image: &Path, n_ops: usize, seed: u64) -> CampaignConfig {
+        CampaignConfig {
+            image: Some(image.to_path_buf()),
+            ..CampaignConfig::wide(n_ops, seed)
+        }
+    }
+
+    fn remove(image: &Path) {
+        let _ = std::fs::remove_file(stripe_file(image, 0));
+        let _ = std::fs::remove_file(image);
+    }
+
+    fn no_progress(_: u64) {}
+
     #[test]
     fn format_then_attach_round_trips_root_record() {
         let image = tmp_image("root");
-        let cfg = KillCampaignConfig::new(&image, 10, 3);
-        format_image(&cfg).unwrap();
-        let (pmem, kind) = open_image(&image).unwrap();
-        assert!(matches!(kind, Kind::Cas), "default workload is CAS");
-        let (registry, att) = CasWorkload.attach(&pmem).unwrap();
-        assert_eq!(att.cas.processes(), 4);
-        assert_eq!(att.table.len(), 10);
-        assert_eq!(attach(&pmem, kind).unwrap().1.len(), 10);
-        assert!(registry.contains(pstack_recoverable::CAS_TASK_FUNC_ID));
-        let _ = std::fs::remove_file(&image);
+        assert_eq!(format(&cas_row(&image, 10, 3)), Object::Cas);
+        let (_, stripe, object) = open_image(&image, Duration::ZERO).unwrap();
+        assert_eq!(object, Object::Cas, "the header names the workload");
+        let (registry, objects) = object.open(&stripe).unwrap();
+        let Objects::Cas { cas, table, .. } = &objects else {
+            panic!("a CAS image");
+        };
+        assert_eq!(cas.processes(), 4);
+        assert_eq!(table.len(), 10);
+        assert_eq!(objects.pending().unwrap().len(), 10);
+        assert!(registry.contains(CAS_TASK_FUNC_ID));
+        remove(&image);
     }
 
     #[test]
     fn attach_rejects_unformatted_image() {
+        // Hostile images answer with a typed error, never a panic or a
+        // hang — from the driver's open and from both child bodies.
         let image = tmp_image("bad");
+        let rejects = |expect: fn(&PError) -> bool| {
+            let err = open_image(&image, Duration::ZERO).map(|_| ()).unwrap_err();
+            assert!(expect(&err), "{err:?}");
+            assert!(child_run(&image, &no_progress).is_err());
+            assert!(child_recover(&image, &no_progress).is_err());
+        };
+        let invalid = |e: &PError| matches!(e, PError::InvalidConfig(_));
         std::fs::write(&image, vec![0u8; 4096]).unwrap();
-        assert!(matches!(open_image(&image), Err(PError::CorruptStack(_))));
-        let _ = std::fs::remove_file(&image);
+        rejects(|e| matches!(e, PError::CorruptStack(_)));
+
+        // A missing stripe file.
+        format(&cas_row(&image, 4, 1));
+        std::fs::remove_file(stripe_file(&image, 0)).unwrap();
+        rejects(invalid);
+
+        // A truncated stripe file.
+        format(&cas_row(&image, 4, 1));
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(stripe_file(&image, 0))
+            .unwrap();
+        file.set_len(OBJECT_REGION_LEN as u64 / 2).unwrap();
+        rejects(invalid);
+
+        // More stripe files than the header counts, then fewer.
+        format(&cas_row(&image, 4, 1));
+        std::fs::write(stripe_file(&image, 1), vec![0u8; 64]).unwrap();
+        rejects(invalid);
+        std::fs::remove_file(stripe_file(&image, 1)).unwrap();
+        let control = PMemBuilder::new()
+            .len(cycle::CONTROL_REGION_LEN)
+            .build_file(&image)
+            .unwrap();
+        cycle::write_root(&control, ROOT_OFF + 16, &[2]).unwrap();
+        rejects(invalid);
+
+        // An unknown workload tag.
+        cycle::write_root(&control, ROOT_OFF + 8, &[7]).unwrap();
+        cycle::write_root(&control, ROOT_OFF + 16, &[1]).unwrap();
+        rejects(invalid);
+        remove(&image);
     }
 
     #[test]
     fn child_run_completes_everything_without_kills() {
-        // In-process use of the child bodies: a single "worker process"
-        // run with no kill must finish all descriptors, after which
-        // another run reports AllDone and collect_report verifies.
+        // In-process use of the child bodies: one "worker process" run
+        // with no kill must finish all descriptors and report progress,
+        // after which another run finds nothing and the image verifies.
         let image = tmp_image("norm");
-        let cfg = KillCampaignConfig::new(&image, 12, 5);
-        format_image(&cfg).unwrap();
-        match child_run(&image).unwrap() {
-            ChildOutcome::Ran { completed } => assert_eq!(completed, 12),
-            ChildOutcome::AllDone => panic!("first run must execute tasks"),
-        }
-        assert_eq!(child_run(&image).unwrap(), ChildOutcome::AllDone);
-        let outcome = collect_report(&image).unwrap();
-        assert_eq!(outcome.ops(), 12);
-        assert!(outcome.is_consistent(), "{outcome:?}");
-        let _ = std::fs::remove_file(&image);
+        let object = format(&cas_row(&image, 12, 5));
+        let reports = std::sync::atomic::AtomicUsize::new(0);
+        let progress = |_| {
+            reports.fetch_add(1, Ordering::Relaxed);
+        };
+        assert_eq!(child_run(&image, &progress).unwrap(), 12);
+        assert!(reports.load(Ordering::Relaxed) > 0, "progress was reported");
+        assert_eq!(child_run(&image, &no_progress).unwrap(), 0);
+        let (_, stripe, _) = open_image(&image, Duration::ZERO).unwrap();
+        let execution = object.open(&stripe).unwrap().1.verify().unwrap();
+        assert_eq!(execution.ops(), 12);
+        assert!(execution.is_consistent(), "{execution:?}");
+        remove(&image);
     }
 
     #[test]
     fn child_recover_is_idempotent_on_clean_image() {
         let image = tmp_image("rec");
-        let cfg = KillCampaignConfig::new(&image, 4, 9);
-        format_image(&cfg).unwrap();
-        assert_eq!(child_recover(&image).unwrap(), 0);
-        assert_eq!(child_recover(&image).unwrap(), 0);
-        let _ = std::fs::remove_file(&image);
+        format(&cas_row(&image, 4, 9));
+        assert_eq!(child_recover(&image, &no_progress).unwrap(), 0);
+        assert_eq!(child_recover(&image, &no_progress).unwrap(), 0);
+        remove(&image);
     }
 
     #[test]
     fn collect_report_rejects_incomplete_campaign() {
         let image = tmp_image("inc");
-        let cfg = KillCampaignConfig::new(&image, 4, 11);
-        format_image(&cfg).unwrap();
-        assert!(matches!(collect_report(&image), Err(PError::Task(_))));
-        let _ = std::fs::remove_file(&image);
+        let object = format(&cas_row(&image, 4, 11));
+        let (_, stripe, _) = open_image(&image, Duration::ZERO).unwrap();
+        let objects = object.open(&stripe).unwrap().1;
+        assert!(matches!(objects.verify(), Err(PError::Task(_))));
+        remove(&image);
     }
 
     #[test]
-    fn config_builders_apply() {
-        let cfg = KillCampaignConfig::new("/tmp/x", 5, 1)
-            .narrow()
-            .variant(CasVariant::NoMatrix)
-            .kill_delay_ms(1, 2)
-            .max_kills(9);
-        assert_eq!(cfg.value_range, (-10, 10));
-        assert_eq!(cfg.workload, KillWorkload::Cas(CasVariant::NoMatrix));
-        assert_eq!(cfg.kill_delay, (1, 2));
-        assert_eq!(cfg.max_kills, 9);
-        let cfg = KillCampaignConfig::new("/tmp/x", 5, 1).queue(QueueVariant::Nsrl);
-        assert_eq!(cfg.workload, KillWorkload::Queue(QueueVariant::Nsrl));
-        assert_eq!(cfg.value_range, (-100, 100));
+    fn kill_rows_outside_cas_and_queue_are_rejected() {
+        let cfg = CampaignConfig {
+            kill: crate::Kill::Processes {
+                exe: "/nonexistent".into(),
+            },
+            ..CampaignConfig::served(1, 1, 1)
+        };
+        let err = crate::run_campaign(&cfg).unwrap_err();
+        assert!(matches!(err, PError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]
     fn queue_image_round_trips_and_runs_in_process() {
         let image = tmp_image("queue");
-        let cfg = KillCampaignConfig::new(&image, 14, 8).queue(QueueVariant::Nsrl);
-        format_image(&cfg).unwrap();
-        let (pmem, kind) = open_image(&image).unwrap();
-        assert!(matches!(kind, Kind::Queue));
-        assert_eq!(attach(&pmem, kind).unwrap().1.len(), 14);
-        drop(pmem);
-        match child_run(&image).unwrap() {
-            ChildOutcome::Ran { completed } => assert_eq!(completed, 14),
-            ChildOutcome::AllDone => panic!("first run must execute tasks"),
-        }
-        let outcome = collect_report(&image).unwrap();
-        assert!(matches!(outcome, KillOutcome::Queue { .. }));
-        assert!(outcome.is_consistent(), "{outcome:?}");
-        let _ = std::fs::remove_file(&image);
+        let workload = Workload::Queue(QueueVariant::Nsrl);
+        let object = format(&image_row(&image, workload, 14, 8));
+        assert_eq!(object, Object::Queue);
+        let (_, stripe, _) = open_image(&image, Duration::ZERO).unwrap();
+        assert_eq!(object.open(&stripe).unwrap().1.pending().unwrap().len(), 14);
+        drop(stripe);
+        assert_eq!(child_run(&image, &no_progress).unwrap(), 14);
+        let (_, stripe, _) = open_image(&image, Duration::ZERO).unwrap();
+        let execution = object.open(&stripe).unwrap().1.verify().unwrap();
+        assert!(matches!(execution, Execution::Queue { .. }));
+        assert!(execution.is_consistent(), "{execution:?}");
+        remove(&image);
     }
 }

@@ -16,63 +16,55 @@
 //! > answers …, get the final value …, verify the execution for
 //! > serializability.
 //!
-//! That loop exists once, in `cycle.rs`: seeded fail-point arming, crash
-//! accounting, reopen, recover-until-a-pass-completes under a
-//! recovery-kill budget, and one [`Tally`] in every report. It runs
-//! over three **machines** — how the system runs and dies, each running
-//! its tasks on persistent stacks:
+//! That experiment is one campaign: a [`CampaignConfig`] is a row of its
+//! scenario table, [`run_campaign`] runs it and a [`CampaignReport`] says
+//! what it found. The loop exists once, in `cycle.rs`: seeded kill
+//! placement, crash accounting, reopen, recover-until-a-pass-completes
+//! under a recovery-kill budget, and one [`Tally`] in every report. Every
+//! row runs its tasks on persistent stacks over a control region beside a
+//! stripe of data regions, the §5 objects in a stripe of one. A row's two
+//! main columns are what runs and how it dies; the condition it checks is
+//! a property of its workload, never of the kill policy:
 //!
-//! * one region + `Runtime`, `kill` emulated by deterministic
-//!   fail-points (seeded, reproducible, CI-friendly);
-//! * control region + stripe + `StripedRuntime`: a crash in any region
-//!   trips them all, restart is `reopen_all` + stack-driven recovery;
-//! * the real thing (`run_kill_campaign`, `kill-harness` feature):
-//!   worker **processes** over a file-backed image, SIGKILLed by a
-//!   driver process at random wall-clock moments (the `kill_campaign`
-//!   binary drives it) —
-//!
-//! and four **workloads** — what is under test. The condition a harness
-//! checks is a property of its workload's verify step, never of the
-//! loop it runs in:
-//!
-//! | workload | entry point | machine | `verify` checks |
+//! | workload | [`Kill::FailPoints`]: seeded, in process | [`Kill::Processes`]: `kill(1)` over image files | [`Execution`] checks |
 //! |---|---|---|---|
-//! | recoverable CAS | [`run_campaign`], `run_kill_campaign` | one region; processes | §5.1 serializability (`check_serializability`, witness replayed) |
-//! | recoverable queue | [`run_queue_campaign`], `run_kill_campaign` | one region; processes | FIFO against the slot witness (`check_fifo`) |
-//! | KV store: 1 … n shards, group commits, compaction | [`run_kv_campaign`] | control + stripe | `check_kv_sharded_gen`: per-shard chains across generations, unique tags, key routing, carry-overs |
-//! | served KV | [`run_server_campaign`] | control + stripe | `check_kv_sharded_gen` on the clients' own observations: exactly-once |
+//! | [`Workload::Cas`] | ✓ | ✓ | §5.1 serializability (`check_serializability`, witness replayed) |
+//! | [`Workload::Queue`] | ✓ | ✓ | FIFO against the slot witness (`check_fifo`) |
+//! | [`Workload::Kv`]: 1 … n shards, group commits, compaction | ✓ | — | `check_kv_sharded_gen`: per-shard chains across generations, unique tags, key routing, carry-overs |
+//! | [`Workload::Served`] | ✓ | — | `check_kv_sharded_gen` on the clients' own observations: exactly-once |
+//!
+//! Fail-point rows are deterministic per seed with one worker. kill(1)
+//! rows (`kill-harness` feature, unix) SIGKILL worker processes — the
+//! `kill_campaign` binary's child modes, [`child_run`] and
+//! [`child_recover`] — at the event count the row's crash window draws,
+//! as each child reports it; a KV or served row there is
+//! [`pstack_core::PError::InvalidConfig`].
 //!
 //! The module also provides [`enumerate_crash_points`], the exhaustive
 //! single-operation crash harness used across the test suites.
 
 mod campaign;
 // `compaction_campaign` and `sharded_kv_campaign` are test modules
-// holding rows of the KV campaign's scenario table, apart so their
-// gates keep their names and CI filters.
+// holding rows of the campaign's scenario table, apart so their gates
+// keep their names and CI filters.
 mod compaction_campaign;
 mod crashpoints;
 mod cycle;
-mod kv_campaign;
-mod sharded_kv_campaign;
-// The real-kill(1) harness spawns and SIGKILLs OS processes: unix-only
+// The real-kill(1) policy spawns and SIGKILLs OS processes: unix-only
 // and inherently nondeterministic, so it is opt-in via the
 // `kill-harness` feature. Default builds and `cargo test -q` stay
 // deterministic.
 #[cfg(all(unix, feature = "kill-harness"))]
 mod killharness;
+mod kv_campaign;
 mod queue_campaign;
 mod server_campaign;
+mod sharded_kv_campaign;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
+pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Execution, Kill, Workload};
 pub use crashpoints::{enumerate_crash_points, CrashScenario, EnumerationReport};
 pub use cycle::Tally;
 #[cfg(all(unix, feature = "kill-harness"))]
-pub use killharness::{
-    child_recover, child_run, collect_report, format_image, run_kill_campaign, ChildOutcome,
-    KillCampaignConfig, KillCampaignReport, KillOutcome, KillWorkload,
-};
-pub use kv_campaign::{run_kv_campaign, KvCampaignConfig, KvCampaignReport, ShardLogUsage};
-pub use queue_campaign::{run_queue_campaign, QueueCampaignConfig, QueueCampaignReport};
-pub use server_campaign::{
-    run_server_campaign, CycleSlo, ServerCampaignConfig, ServerCampaignReport, SloStat,
-};
+pub use killharness::{child_recover, child_run};
+pub use kv_campaign::{KvWorkload, ShardLogUsage};
+pub use server_campaign::{CycleSlo, ServedStats, SloStat};

@@ -1,7 +1,8 @@
-//! The live-load serving campaign: closed-loop clients with timeouts
-//! and backoff retries against a [`ServerCore`] whose batch windows run
-//! on the [`StripedRuntime`] — and power failures landing mid-flight in
-//! the stripe, in the control region, and inside recovery passes.
+//! The served harness — a [`Workload::Served`] row: closed-loop clients
+//! with timeouts and backoff retries against a [`ServerCore`] whose
+//! batch windows run on the [`StripedRuntime`] — and power failures
+//! landing mid-flight in the stripe, in the control region, and inside
+//! recovery passes.
 //!
 //! The property under test is **durable linearizability from the
 //! client's chair**: across every crash/recover cycle a client observes
@@ -26,33 +27,29 @@
 //! completed ops, tagged `(pid = client_id, seq = req_id)`) against the
 //! store's published chain witnesses — the server-side request tables
 //! recycle answered slots, so only the clients hold the full history.
-//! [`check_kv_sharded_gen`] then enforces exactly-once effects: a
+//! [`pstack_verify::check_kv_sharded_gen`] then enforces exactly-once effects: a
 //! duplicated mutation would publish two records under one tag, a lost
 //! effect would leave an acked mutation without its record.
 
-use pstack_core::{FunctionRegistry, PError, StackKind, StripedRuntime};
+use pstack_core::{FunctionRegistry, PError, StripedRuntime};
 use pstack_kv::{KvVariant, ShardedKvStore};
-use pstack_nvram::{PMemBuilder, PMemStripe};
+use pstack_nvram::PMemStripe;
 use pstack_server::{
     serve_round, ChannelConn, ChannelHub, ClientConfig, ClientSim, ClientStats, Clock,
     KvServeFunction, OpClass, ServerCore, VirtualClock,
 };
-use pstack_verify::{KvShardedHistory, KvVerdict, KvWitnessRecord};
+use pstack_verify::{KvShardedHistory, KvWitnessRecord};
 
-use crate::cycle::{self, Cx, Policy, Stacked, Striped, Tally, Workload};
-use crate::kv_campaign::{attach_stripe, sharded_verdict, ANSWER_REPLAY_FUSE};
+use crate::campaign::{CampaignConfig, CampaignReport, Workload};
+use crate::cycle::{self, Cx, Harness, Machine, Striped};
+use crate::kv_campaign::{attach_stripe, kv_report};
 
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Shards (independent regions) behind the server.
 const SHARDS: usize = 4;
-/// Runtime worker threads: one keeps the whole campaign deterministic
-/// per seed (more would stay correct but reorder window execution).
-const WORKERS: usize = 1;
 /// NVRAM region length per shard.
 const REGION_LEN: usize = 1 << 21;
-/// Shadow every region with the persist-order sanitizer.
-const PSAN: bool = cfg!(feature = "psan");
 /// Keys are zipfian ranks over `0..KEY_SPACE`.
 const KEY_SPACE: u64 = 16;
 /// Zipf skew of the client key distributions.
@@ -72,68 +69,6 @@ const SERVICE_TICK_NS: u64 = 100_000;
 /// Virtual nanoseconds a reboot + recovery costs the clients — crash
 /// cycles show up in the SLO tail, as they would in production.
 const REBOOT_PENALTY_NS: u64 = 3_000_000;
-
-/// Configuration of one serving crash campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerCampaignConfig {
-    /// Closed-loop clients (ids `1..=clients`).
-    pub clients: usize,
-    /// Operations each client must complete (done **and** acked).
-    pub ops_per_client: usize,
-    /// Master seed; campaigns are deterministic given the seed (at
-    /// `workers == 1`).
-    pub seed: u64,
-    /// Correct NSRL recovery or the no-scan bug (negative control).
-    pub variant: KvVariant,
-    /// Per-shard admission-queue capacity; excess load sheds as
-    /// explicit `Overloaded` responses.
-    pub queue_capacity: usize,
-    /// Crashes stop after this many, so the campaign terminates
-    /// (recovery kills get their own budget of the same size).
-    pub max_crashes: usize,
-    /// Fail-point countdowns are drawn uniformly from this event
-    /// window — smaller than a batch window's event footprint, so
-    /// kills land mid-window.
-    pub crash_window: (u64, u64),
-    /// Probability a given shard region is armed in a given boot.
-    pub crash_prob: f64,
-    /// Probability of arming a kill inside each recovery pass.
-    pub recovery_crash_prob: f64,
-}
-
-impl ServerCampaignConfig {
-    /// Defaults: 4 shards served in batch windows of 4 over a
-    /// 64-slot-per-shard request table, one deterministic worker, and
-    /// kills armed aggressively while the crash budget lasts.
-    #[must_use]
-    pub fn new(clients: usize, ops_per_client: usize, seed: u64) -> Self {
-        ServerCampaignConfig {
-            clients,
-            ops_per_client,
-            seed,
-            variant: KvVariant::Nsrl,
-            queue_capacity: 64,
-            max_crashes: 8,
-            crash_window: (8, 60),
-            crash_prob: 0.5,
-            recovery_crash_prob: 0.3,
-        }
-    }
-
-    /// Selects the recovery variant.
-    #[must_use]
-    pub fn variant(mut self, variant: KvVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// Selects the admission-queue capacity.
-    #[must_use]
-    pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
-        self.queue_capacity = queue_capacity;
-        self
-    }
-}
 
 /// p50/p99/p999 of one op class within one crash cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,21 +98,9 @@ pub struct CycleSlo {
     pub ops: Vec<SloStat>,
 }
 
-/// Outcome of one serving crash campaign.
+/// What a served row's clients saw.
 #[derive(Debug, Clone)]
-pub struct ServerCampaignReport {
-    /// Boots (as `rounds`: one per crash cycle plus the boot that found
-    /// every client finished), power failures during serving and inside
-    /// stack-driven recovery passes, recovered frames, the region that
-    /// tripped each crash, NVRAM statistics, sanitizer findings
-    /// (expected empty) and the flight-recorder summary.
-    pub tally: Tally,
-    /// Boots of the serving stack (`tally.rounds`).
-    pub boots: usize,
-    /// The client-observed execution plus the store's chain witnesses.
-    pub history: KvShardedHistory,
-    /// The sharded exactly-once/linearizability verdict.
-    pub verdict: KvVerdict,
+pub struct ServedStats {
     /// Client counters summed over the population.
     pub client_stats: ClientStats,
     /// Requests admitted into shard queues, summed over all boots.
@@ -189,16 +112,8 @@ pub struct ServerCampaignReport {
     /// Virtual time the campaign spanned.
     pub virtual_duration_ns: u64,
 }
-cycle::report_derefs_to_tally!(ServerCampaignReport);
 
-impl ServerCampaignReport {
-    /// `true` if the client-observed execution passed the sharded
-    /// exactly-once check.
-    #[must_use]
-    pub fn is_linearizable(&self) -> bool {
-        self.verdict.is_linearizable()
-    }
-
+impl ServedStats {
     /// Renders the per-cycle SLO table (the form the campaign test
     /// prints under `--nocapture`).
     #[must_use]
@@ -274,11 +189,12 @@ fn transport_err(e: std::io::Error) -> PError {
     PError::Task(format!("serving transport: {e}"))
 }
 
-/// The serving workload: a population of closed-loop clients, their
+/// The serving harness: a population of closed-loop clients, their
 /// wire and the virtual clock — everything volatile that outlives a
 /// boot of the server.
-struct Serving<'a> {
-    cfg: &'a ServerCampaignConfig,
+struct Serving {
+    variant: KvVariant,
+    queue_capacity: usize,
     clock: VirtualClock,
     hub: ChannelHub,
     clients: Vec<ClientSim>,
@@ -292,7 +208,7 @@ struct Serving<'a> {
     marks: Vec<usize>,
 }
 
-impl Serving<'_> {
+impl Serving {
     /// Folds the ops completed since the last power failure into the
     /// current cycle's SLO entry.
     fn close_slo_cycle(&mut self) {
@@ -344,7 +260,7 @@ impl Serving<'_> {
     }
 }
 
-impl Workload<Striped> for Serving<'_> {
+impl Harness<Striped> for Serving {
     type Attached = KvServeFunction;
     type Work = ();
 
@@ -352,7 +268,7 @@ impl Workload<Striped> for Serving<'_> {
         &mut self,
         stripe: &PMemStripe,
     ) -> Result<(FunctionRegistry, KvServeFunction), PError> {
-        attach_stripe(stripe, self.cfg.variant)
+        attach_stripe(stripe, self.variant)
     }
 
     /// There is work while any client has an op or an ack outstanding.
@@ -381,9 +297,8 @@ impl Workload<Striped> for Serving<'_> {
         &mut self,
         (_, rt, exec): (&Striped, &StripedRuntime, &KvServeFunction),
         (): (),
-        _: &Cx,
     ) -> Result<bool, PError> {
-        let core = ServerCore::new(exec.clone(), self.cfg.queue_capacity, BATCH);
+        let core = ServerCore::new(exec.clone(), self.queue_capacity, BATCH);
         let outcome = self.serve(&core, rt);
         self.admitted += core.admitted();
         self.shed += core.shed();
@@ -398,52 +313,23 @@ impl Workload<Striped> for Serving<'_> {
     }
 }
 
-/// Runs one live-load serving crash campaign. Deterministic per
-/// configuration at `workers == 1`.
-///
-/// # Errors
-///
-/// Propagates setup failures; power failures and their recoveries are
-/// the experiment, not errors.
-///
-/// # Panics
-///
-/// Panics if a runtime worker thread panics.
-///
-/// # Example
-///
-/// ```
-/// use pstack_chaos::{run_server_campaign, ServerCampaignConfig};
-///
-/// # fn main() -> Result<(), pstack_core::PError> {
-/// let report = run_server_campaign(&ServerCampaignConfig::new(2, 6, 11))?;
-/// assert!(report.is_linearizable());
-/// assert_eq!(report.client_stats.completed, 12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn run_server_campaign(cfg: &ServerCampaignConfig) -> Result<ServerCampaignReport, PError> {
-    cycle::traced(cfg!(feature = "telemetry"), || {
-        run_server_campaign_inner(cfg)
-    })
-}
+/// A served row: the §5.2 loop around a live client population, then
+/// step 9 on the clients' own observations.
+pub(crate) fn run(cfg: &CampaignConfig, mut cx: Cx) -> Result<CampaignReport, PError> {
+    let Workload::Served {
+        clients,
+        ops_per_client,
+        queue_capacity,
+        variant,
+    } = cfg.workload
+    else {
+        unreachable!("a served row");
+    };
+    assert!(clients > 0, "at least one client");
+    assert!(ops_per_client > 0, "clients need work");
+    assert!(queue_capacity > 0, "admission queues need room");
 
-fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaignReport, PError> {
-    assert!(cfg.clients > 0, "at least one client");
-    assert!(cfg.ops_per_client > 0, "clients need work");
-    assert!(cfg.queue_capacity > 0, "admission queues need room");
-
-    let mut cx = Cx::new(
-        cfg.seed,
-        Policy {
-            max_crashes: cfg.max_crashes,
-            crash_window: cfg.crash_window,
-            crash_prob: cfg.crash_prob,
-            recovery_crash_prob: cfg.recovery_crash_prob,
-            recovery_fuse: ANSWER_REPLAY_FUSE,
-        },
-    );
-    let total_ops = (cfg.clients * cfg.ops_per_client) as u64;
+    let total_ops = (clients * ops_per_client) as u64;
     // Every op publishes at most one record; crash orphans add at most
     // one staged batch per window source per cycle (both budgets).
     let log_cap = total_ops * 2 + (cfg.max_crashes as u64 * 2 + 1) * (BATCH as u64 + 1) * 2 + 64;
@@ -451,21 +337,18 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
 
     // Buffered regions: descriptor persists are line-atomic and batch
     // windows group-commit, so kills land inside real multi-op windows.
-    let stripe = PMemBuilder::new()
-        .len(REGION_LEN)
-        .psan(PSAN)
-        .build_striped(SHARDS);
-    let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, cfg.variant)?;
+    let (control, stripe) = cfg.regions(SHARDS, REGION_LEN)?;
+    let store = ShardedKvStore::format(stripe.regions(), nbuckets, log_cap, variant)?;
     KvServeFunction::format(store, TABLE_CAP)?;
-    let mut machine = Striped::format(stripe, WORKERS, StackKind::Fixed, PSAN)?;
+    let mut machine = Striped::format(control, stripe, cfg.workers, cfg.stack_kind)?;
 
     // The client population and its wire.
     let hub = ChannelHub::new();
-    let clients: Vec<ClientSim> = (0..cfg.clients)
+    let clients: Vec<ClientSim> = (0..clients)
         .map(|i| {
             ClientSim::new(ClientConfig {
                 client_id: i as u32 + 1,
-                n_ops: cfg.ops_per_client,
+                n_ops: ops_per_client,
                 key_space: KEY_SPACE,
                 zipf_s: ZIPF_S,
                 value_range: VALUE_RANGE,
@@ -476,9 +359,12 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
         })
         .collect();
     let mut serving = Serving {
-        cfg,
+        variant,
+        queue_capacity,
         clock: VirtualClock::new(),
-        conns: (1..=cfg.clients as u32).map(|id| hub.connect(id)).collect(),
+        conns: (1..=clients.len() as u32)
+            .map(|id| hub.connect(id))
+            .collect(),
         hub,
         marks: vec![0; clients.len()],
         clients,
@@ -520,39 +406,46 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
         client_stats.acks_sent += s.acks_sent;
         client_stats.stale_signals += s.stale_signals;
     }
-    Ok(ServerCampaignReport {
-        boots: cx.tally.rounds,
-        tally: cx.tally,
-        verdict: sharded_verdict(&history, store)?,
-        history,
+    let served = ServedStats {
         client_stats,
         admitted: serving.admitted,
         shed: serving.shed,
         slo: serving.slo,
         virtual_duration_ns: serving.clock.now_ns(),
+    };
+    Ok(CampaignReport {
+        served: Some(served),
+        ..kv_report(cx.tally, history, store)?
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::campaign::table::{caught, duplicate_application, gate};
+    use crate::{run_campaign, CampaignConfig, Workload};
+
     use super::*;
-    use pstack_nvram::StatsSnapshot;
+
+    fn served(report: &CampaignReport) -> &ServedStats {
+        report.served.as_ref().expect("a served row")
+    }
 
     #[test]
     fn server_campaign_exactly_once_under_live_load() {
-        let report = run_server_campaign(&ServerCampaignConfig::new(4, 20, 33)).unwrap();
-        assert!(report.is_linearizable(), "verdict: {:?}", report.verdict);
+        let report = run_campaign(&CampaignConfig::served(4, 20, 33)).unwrap();
+        assert!(report.is_consistent(), "{:?}", report.execution);
         assert!(report.crashes > 0, "kills must land under live load");
         // Zero lost acks: the campaign only terminates quiescent, and
         // every client completed its full quota.
-        assert_eq!(report.client_stats.completed, 80);
-        assert_eq!(report.history.ops.len(), 80);
+        let s = served(&report);
+        assert_eq!(s.client_stats.completed, 80);
+        assert_eq!(report.execution.ops(), 80);
         assert!(
-            report.client_stats.acks_sent >= report.client_stats.completed,
+            s.client_stats.acks_sent >= s.client_stats.completed,
             "acks are at-least-once"
         );
         assert!(
-            report.client_stats.retry_signals > 0,
+            s.client_stats.retry_signals > 0,
             "crashes must be client-visible only as Retry signals"
         );
         assert!(
@@ -560,16 +453,16 @@ mod tests {
             "sanitizer findings: {:?}",
             report.psan_violations
         );
-        assert!(!report.slo.is_empty(), "per-cycle SLO summaries expected");
+        assert!(!s.slo.is_empty(), "per-cycle SLO summaries expected");
         assert!(
-            report.slo.iter().all(|c| !c.ops.is_empty()),
+            s.slo.iter().all(|c| !c.ops.is_empty()),
             "every reported cycle carries percentiles"
         );
         println!(
             "server campaign: {} boots, {} crashes (+{} in recovery), {} admitted, {} shed",
-            report.boots, report.crashes, report.recovery_crashes, report.admitted, report.shed
+            report.rounds, report.crashes, report.recovery_crashes, s.admitted, s.shed
         );
-        println!("{}", report.render_slo());
+        println!("{}", s.render_slo());
     }
 
     #[test]
@@ -581,49 +474,26 @@ mod tests {
         // the drain, so kills land on staged descriptors, on the
         // drain's flights and on a window's record and log-tail
         // flights too.
-        let mut cycles = 0usize;
-        let mut campaigns = 0usize;
-        let mut recovery_kills = 0usize;
-        let mut stats = StatsSnapshot::default();
-        for seed in 0u64.. {
-            let cfg = ServerCampaignConfig::new(4, 16, 4000 + seed);
-            let report = run_server_campaign(&cfg).unwrap();
-            let at = format!("seed {seed}");
-            assert!(report.is_linearizable(), "{at}: {:?}", report.verdict);
-            assert_eq!(report.client_stats.completed, 64, "{at}: lost acks");
-            assert!(
-                report.psan_violations.is_empty(),
-                "{at}: sanitizer findings: {:?}",
-                report.psan_violations
-            );
-            assert!(!report.slo.is_empty(), "{at}: no SLO summary");
-            cycles += report.total_crashes();
-            recovery_kills += report.recovery_crashes;
-            campaigns += 1;
-            stats = stats + report.stats;
-            if cycles >= 200 {
-                break;
-            }
-        }
+        let g = gate(|seed| CampaignConfig::served(4, 16, 4000 + seed));
         assert!(
-            recovery_kills > 0,
+            g.recovery_kills > 0,
             "kills must land inside recovery passes too"
         );
-        assert!(stats.async_flushes > 0, "no window ever issued a flight");
+        assert!(g.async_flushes > 0, "no window ever issued a flight");
         assert!(
-            stats.flights_cut > 0,
+            g.flights_cut > 0,
             "no kill ever landed with a flight still queued"
         );
-        println!("server campaign gate: {cycles} cycles across {campaigns} campaigns");
     }
 
     #[test]
     fn server_campaigns_are_deterministic_per_seed() {
-        let cfg = ServerCampaignConfig::new(3, 12, 77);
-        let a = run_server_campaign(&cfg).unwrap();
-        let b = run_server_campaign(&cfg).unwrap();
-        assert_eq!(a.history, b.history);
+        let cfg = CampaignConfig::served(3, 12, 77);
+        let a = run_campaign(&cfg).unwrap();
+        let b = run_campaign(&cfg).unwrap();
+        assert_eq!(a.execution, b.execution);
         assert_eq!(a.tally, b.tally);
+        let (a, b) = (served(&a), served(&b));
         assert_eq!(a.slo, b.slo);
         assert_eq!(a.client_stats, b.client_stats);
         assert_eq!(a.virtual_duration_ns, b.virtual_duration_ns);
@@ -634,15 +504,19 @@ mod tests {
         // A queue of 1 under 6 clients: load must shed as Overloaded
         // responses the clients observe — never a drop, never a panic —
         // and still complete exactly once.
-        let cfg = ServerCampaignConfig::new(6, 10, 5).queue_capacity(1);
-        let report = run_server_campaign(&cfg).unwrap();
-        assert!(report.is_linearizable(), "verdict: {:?}", report.verdict);
-        assert!(report.shed > 0, "tiny queue must shed");
+        let mut cfg = CampaignConfig::served(6, 10, 5);
+        if let Workload::Served { queue_capacity, .. } = &mut cfg.workload {
+            *queue_capacity = 1;
+        }
+        let report = run_campaign(&cfg).unwrap();
+        assert!(report.is_consistent(), "{:?}", report.execution);
+        let s = served(&report);
+        assert!(s.shed > 0, "tiny queue must shed");
         assert!(
-            report.client_stats.overloads > 0,
+            s.client_stats.overloads > 0,
             "sheds must surface as Overloaded responses"
         );
-        assert_eq!(report.client_stats.completed, 60, "sheds lose nothing");
+        assert_eq!(s.client_stats.completed, 60, "sheds lose nothing");
     }
 
     #[test]
@@ -651,30 +525,21 @@ mod tests {
         // window double-applies mutations whose records were already
         // published — the client-observed history then carries
         // duplicate tags and the checker must say so. Detection is
-        // probabilistic per seed, so scan a crash-heavy configuration.
-        let mut detected = 0usize;
-        let mut runs = 0usize;
-        for seed in 0u64..24 {
-            if detected >= 2 {
-                break;
-            }
-            let cfg = ServerCampaignConfig {
+        // probabilistic per seed, so scan a crash-heavy row.
+        let row = |seed| {
+            let mut cfg = CampaignConfig {
                 max_crashes: 16,
                 crash_prob: 0.8,
                 crash_window: (4, 40),
                 recovery_crash_prob: 0.5,
-                ..ServerCampaignConfig::new(4, 16, 6000 + seed)
+                ..CampaignConfig::served(4, 16, 6000 + seed)
+            };
+            if let Workload::Served { variant, .. } = &mut cfg.workload {
+                *variant = KvVariant::NoScan;
             }
-            .variant(KvVariant::NoScan);
-            let report = run_server_campaign(&cfg).unwrap();
-            runs += 1;
-            if !report.is_linearizable() {
-                detected += 1;
-            }
-        }
-        assert!(
-            detected > 0,
-            "no exactly-once violation detected in {runs} no-scan runs"
-        );
+            cfg
+        };
+        let detected = caught(row, duplicate_application);
+        assert!(detected > 0, "no duplicate application in no-scan runs");
     }
 }

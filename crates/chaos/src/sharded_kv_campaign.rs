@@ -13,17 +13,18 @@ mod tests {
         check_kv_sharded, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord,
     };
 
+    use crate::campaign::table::{caught, duplicate_application, gate, sharded, with_kv};
     use crate::kv_campaign::attach_stripe;
-    use crate::kv_campaign::table::{caught, gate, sharded};
-    use crate::{run_kv_campaign, KvCampaignConfig};
+    use crate::{run_campaign, CampaignConfig};
 
     #[test]
     fn sharded_campaign_is_linearizable_and_crashes_in_batch_windows() {
-        let report = run_kv_campaign(&sharded(80, 21)).unwrap();
-        assert!(report.is_linearizable(), "verdict: {:?}", report.verdict);
+        let report = run_campaign(&sharded(80, 21)).unwrap();
+        assert!(report.is_consistent(), "{:?}", report.execution);
         assert!(report.crashes > 0, "campaign should experience crashes");
-        assert!(report.shard_kills > 0, "fail-points should actually fire");
-        assert_eq!(report.history.shards.len(), 4);
+        let shard_kills = report.crash_sites.len() - report.kills_in(CrashRegion::Runtime);
+        assert!(shard_kills > 0, "fail-points should actually fire");
+        assert_eq!(report.log_usage.len(), 4);
         assert!(report.rounds > 1);
         assert!(report.log_had_headroom(), "{}", report.tightest_shard());
         assert!(
@@ -89,15 +90,14 @@ mod tests {
     fn sharded_campaigns_are_deterministic_per_seed() {
         // One worker: more would run a round's windows in an order the
         // scheduler picks.
-        let cfg = KvCampaignConfig {
+        let cfg = CampaignConfig {
             workers: 1,
             ..sharded(48, 5)
         };
-        let a = run_kv_campaign(&cfg).unwrap();
-        let b = run_kv_campaign(&cfg).unwrap();
-        assert_eq!(a.history, b.history);
+        let a = run_campaign(&cfg).unwrap();
+        let b = run_campaign(&cfg).unwrap();
+        assert_eq!(a.execution, b.execution);
         assert_eq!(a.tally, b.tally);
-        assert_eq!(a.shard_kills, b.shard_kills);
     }
 
     #[test]
@@ -106,16 +106,19 @@ mod tests {
         // far fewer persist round-trips per mutation than windows of
         // one — measured straight from the stripe's PMem counters.
         let quiet = |batch| {
-            let cfg = KvCampaignConfig {
+            let cfg = CampaignConfig {
                 max_crashes: 0,
-                key_space: 64,
-                ..sharded(200, 3).group_commit(batch)
+                ..sharded(200, 3)
             };
-            run_kv_campaign(&cfg).unwrap()
+            let cfg = with_kv(cfg, |kv| {
+                kv.key_space = 64;
+                kv.group_commit = batch;
+            });
+            run_campaign(&cfg).unwrap()
         };
         let batched = quiet(16);
         let per_op = quiet(1);
-        assert!(batched.is_linearizable() && per_op.is_linearizable());
+        assert!(batched.is_consistent() && per_op.is_consistent());
         assert_eq!(batched.mutations, per_op.mutations);
         assert!(
             batched.persists_per_mutation() * 2.0 < per_op.persists_per_mutation(),
@@ -131,18 +134,20 @@ mod tests {
         // shard fills while the others stay empty: the per-shard
         // report must expose it (a global sum would hide it behind
         // three idle shards' headroom).
-        let cfg = KvCampaignConfig {
-            key_space: 1,
+        let cfg = CampaignConfig {
             max_crashes: 0,
-            op_mix: (1.0, 0.0, 0.0), // all puts
-            log_cap_per_shard: Some(8),
             ..sharded(60, 11)
         };
-        let report = run_kv_campaign(&cfg).unwrap();
+        let cfg = with_kv(cfg, |kv| {
+            kv.key_space = 1;
+            kv.op_mix = (1.0, 0.0, 0.0); // all puts
+            kv.log_cap_per_shard = Some(8);
+        });
+        let report = run_campaign(&cfg).unwrap();
         assert!(
-            report.is_linearizable(),
+            report.is_consistent(),
             "capacity-rejected puts are legal answers: {:?}",
-            report.verdict
+            report.execution
         );
         assert!(!report.log_had_headroom(), "hot shard must be flagged");
         let hot = shard_of(0, 4);
@@ -181,7 +186,7 @@ mod tests {
         // recovering all shards in parallel — keeping exactly the
         // completed-flight prefix — and verifying against the
         // sequential spec: zero lost or torn updates.
-        let g = gate(|seed| KvCampaignConfig {
+        let g = gate(|seed| CampaignConfig {
             max_crashes: 14,
             crash_prob: 0.8,
             recovery_crash_prob: 0.5,
@@ -209,13 +214,14 @@ mod tests {
         // campaign's observable history: no device thread exists, so
         // two runs of the same seed on one worker retire identical
         // flights and crash at identical event counts.
-        let cfg = KvCampaignConfig {
+        let cfg = CampaignConfig {
             workers: 1,
-            ..sharded(48, 5).group_commit(16)
+            ..sharded(48, 5)
         };
-        let a = run_kv_campaign(&cfg).unwrap();
-        let b = run_kv_campaign(&cfg).unwrap();
-        assert_eq!(a.history, b.history);
+        let cfg = with_kv(cfg, |kv| kv.group_commit = 16);
+        let a = run_campaign(&cfg).unwrap();
+        let b = run_campaign(&cfg).unwrap();
+        assert_eq!(a.execution, b.execution);
         assert_eq!(a.tally, b.tally);
         assert!(a.stats.async_flushes > 0, "no group commit issued a flight");
     }
@@ -229,16 +235,17 @@ mod tests {
         // but the sanitizer must flag every buggy publish and attribute
         // it to the home shard and the group-commit op.
         use pstack_nvram::PsanViolationKind;
-        let cfg = KvCampaignConfig {
+        let cfg = CampaignConfig {
             max_crashes: 0, // deterministic: violations fire at publish time
             psan: true,
-            ..sharded(60, 13).variant(KvVariant::EarlyPublish)
+            ..sharded(60, 13)
         };
-        let report = run_kv_campaign(&cfg).unwrap();
+        let cfg = with_kv(cfg, |kv| kv.variant = KvVariant::EarlyPublish);
+        let report = run_campaign(&cfg).unwrap();
         assert!(
-            report.is_linearizable(),
+            report.is_consistent(),
             "without crashes the bug is invisible to the verifier: {:?}",
-            report.verdict
+            report.execution
         );
         let early: Vec<_> = report
             .psan_violations
@@ -266,14 +273,19 @@ mod tests {
     /// scan re-execute already-published operations, and the verifier
     /// must flag the duplicates. `recovery_crash_prob` is the row's one
     /// free column.
-    fn noscan(recovery_crash_prob: f64) -> impl Fn(u64) -> KvCampaignConfig {
-        move |seed| KvCampaignConfig {
-            key_space: 4,
-            max_crashes: 30,
-            crash_prob: 0.9,
-            crash_window: (5, 60),
-            recovery_crash_prob,
-            ..sharded(80, seed).variant(KvVariant::NoScan)
+    fn noscan(recovery_crash_prob: f64) -> impl Fn(u64) -> CampaignConfig {
+        move |seed| {
+            let cfg = CampaignConfig {
+                max_crashes: 30,
+                crash_prob: 0.9,
+                crash_window: (5, 60),
+                recovery_crash_prob,
+                ..sharded(80, seed)
+            };
+            with_kv(cfg, |kv| {
+                kv.key_space = 4;
+                kv.variant = KvVariant::NoScan;
+            })
         }
     }
 
@@ -281,8 +293,8 @@ mod tests {
     fn runtime_driven_noscan_is_caught() {
         // With kills inside the recovery passes too. Detection is
         // probabilistic per run, so scan seeds.
-        let detected = caught(noscan(0.6));
-        assert!(detected > 0, "no sharded KV violation in no-scan runs");
+        let detected = caught(noscan(0.6), duplicate_application);
+        assert!(detected > 0, "no duplicate application in no-scan runs");
     }
 
     // ---- multi-region crash-point enumeration -------------------------
@@ -564,7 +576,7 @@ mod tests {
         // with kills in normal rounds only: every replay that
         // re-executes an operation whose record already published in
         // its home shard is one a run kill left behind.
-        let detected = caught(noscan(0.0));
-        assert!(detected > 0, "no sharded KV violation in no-scan runs");
+        let detected = caught(noscan(0.0), duplicate_application);
+        assert!(detected > 0, "no duplicate application in no-scan runs");
     }
 }

@@ -31,8 +31,9 @@
 //!   the listener's one serving thread owns the runtime, and a power
 //!   failure closes its connections and is reported by its handle.
 //!
-//! The proof of robustness lives in `pstack-chaos::run_server_campaign`:
-//! power failures under live load, with clients observing only
+//! The proof of robustness lives in `pstack-chaos`'s served campaign rows
+//! (`run_campaign` on a `Workload::Served` row): power failures under
+//! live load, with clients observing only
 //! `Retry`/`Done` — never a lost ack, never a duplicated effect.
 //!
 //! [`KvRequestTable`]: pstack_kv::KvRequestTable

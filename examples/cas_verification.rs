@@ -8,7 +8,7 @@
 //! cargo run --release --example cas_verification
 //! ```
 
-use pstack::chaos::{run_campaign, CampaignConfig};
+use pstack::chaos::{run_campaign, CampaignConfig, Workload};
 use pstack::recoverable::CasVariant;
 
 fn banner(title: &str) {
@@ -28,7 +28,7 @@ fn run_block(base: &CampaignConfig, seeds: std::ops::Range<u64>) -> (usize, usiz
             ..base.clone()
         };
         let report = run_campaign(&cfg).expect("campaign setup must succeed");
-        let verdict = if report.is_serializable() {
+        let verdict = if report.is_consistent() {
             serializable += 1;
             "serializable".to_string()
         } else {
@@ -67,14 +67,16 @@ fn main() {
     // not yet persistent, value overwritten) is actually hit.
     banner("buggy CAS (matrix R removed), values in [-1, 1]");
     let buggy = CampaignConfig {
-        value_range: (-1, 1),
+        workload: Workload::Cas {
+            variant: CasVariant::NoMatrix,
+            value_range: (-1, 1),
+        },
         max_crashes: 40,
         crash_window: (10, 80),
         recovery_crash_prob: 0.5,
         access_jitter: Some((0.15, 40)),
         ..CampaignConfig::wide(80, 0)
-    }
-    .variant(CasVariant::NoMatrix);
+    };
     let (ok, n) = run_block(&buggy, 0..12);
     println!(
         "--> {}/{n} executions NON-serializable (paper: bug detected)",

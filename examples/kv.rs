@@ -35,7 +35,7 @@
 //!
 //! [`KvVariant::NoScan`]: pstack::kv::KvVariant
 
-use pstack::chaos::{run_kv_campaign, KvCampaignConfig};
+use pstack::chaos::{run_campaign, CampaignConfig, Execution, KvWorkload, Workload};
 use pstack::heap::PHeap;
 use pstack::kv::{shard_of, KvVariant, PKvStore, ShardedKvStore};
 use pstack::nvram::{PMemBuilder, PMemStripe};
@@ -74,24 +74,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Act 2: the full §5.2-style loop — the correct store must verify
     // as linearizable no matter where the crashes land.
-    let report = run_kv_campaign(&KvCampaignConfig::new(80, 2025))?;
+    let kv = Workload::Kv(KvWorkload::default());
+    let report = run_campaign(&CampaignConfig::new(kv, 80, 2025))?;
+    let Execution::Kv { history, verdict } = &report.execution else {
+        unreachable!("a KV row");
+    };
     println!(
         "\ncorrect store: {} ops, {} rounds, {} crashes (+{} during recovery), {} frames recovered",
-        report.history.ops.len(),
+        history.ops.len(),
         report.rounds,
         report.crashes,
         report.recovery_crashes,
         report.recovered_frames,
     );
-    let records: usize = report.history.shards.iter().flatten().map(Vec::len).sum();
+    let records: usize = history.shards.iter().flatten().map(Vec::len).sum();
     println!("  chain witness: {records} mutations published");
-    println!("  KV verdict: {:?}", report.verdict);
+    println!("  KV verdict: {verdict:?}");
     println!(
         "  sanitizer: {} persist-order violations",
         report.psan_violations.len()
     );
     assert!(
-        report.is_linearizable(),
+        report.is_consistent(),
         "the correct store must verify as linearizable"
     );
     assert!(
@@ -106,17 +110,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nno-scan (buggy) store, hunting for a violation:");
     let mut caught = None;
     for seed in 0.. {
-        let cfg = KvCampaignConfig {
+        let kv = KvWorkload {
             key_space: 4,
+            variant: KvVariant::NoScan,
+            ..KvWorkload::default()
+        };
+        let cfg = CampaignConfig {
             max_crashes: 40,
             crash_window: (10, 80),
             recovery_crash_prob: 0.5,
             access_jitter: Some((0.15, 40)),
-            ..KvCampaignConfig::new(80, seed)
-        }
-        .variant(KvVariant::NoScan);
-        let report = run_kv_campaign(&cfg)?;
-        if !report.is_linearizable() {
+            ..CampaignConfig::new(Workload::Kv(kv), 80, seed)
+        };
+        let report = run_campaign(&cfg)?;
+        if !report.is_consistent() {
             caught = Some((seed, report));
             break;
         }
@@ -125,10 +132,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let (seed, report) = caught.expect("the no-scan bug manifests within a few seeds");
+    let Execution::Kv { verdict, .. } = &report.execution else {
+        unreachable!("a KV row");
+    };
     println!(
-        "  seed {seed}: NOT linearizable after {} crashes — {:?}",
+        "  seed {seed}: NOT linearizable after {} crashes — {verdict:?}",
         report.total_crashes(),
-        report.verdict,
     );
 
     // Act 4: outliving the log — the generational compactor. A sharded

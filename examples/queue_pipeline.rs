@@ -16,17 +16,26 @@
 //!
 //! [`RecoverableQueue`]: pstack::recoverable::RecoverableQueue
 
-use pstack::chaos::{run_queue_campaign, QueueCampaignConfig};
+use pstack::chaos::{run_campaign, CampaignConfig, CampaignReport, Execution, Workload};
 use pstack::recoverable::QueueVariant;
+use pstack::verify::{FifoVerdict, QueueHistory};
+
+fn queue(report: &CampaignReport) -> (&QueueHistory, &FifoVerdict) {
+    let Execution::Queue { history, verdict } = &report.execution else {
+        unreachable!("a queue row");
+    };
+    (history, verdict)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The correct NSRL queue: every execution must verify as FIFO, no
     // matter where the crashes land.
-    let cfg = QueueCampaignConfig::new(80, 2024);
-    let report = run_queue_campaign(&cfg)?;
+    let cfg = CampaignConfig::new(Workload::Queue(QueueVariant::Nsrl), 80, 2024);
+    let report = run_campaign(&cfg)?;
+    let (history, verdict) = queue(&report);
     println!(
         "correct queue: {} ops, {} rounds, {} crashes (+{} during recovery), {} frames recovered",
-        report.history.ops.len(),
+        history.ops.len(),
         report.rounds,
         report.crashes,
         report.recovery_crashes,
@@ -34,16 +43,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  slot witness: {} enqueues linearized, {} consumed",
-        report.history.snapshot.len(),
-        report
-            .history
+        history.snapshot.len(),
+        history
             .snapshot
             .iter()
             .filter(|s| s.dequeued_by.is_some())
             .count(),
     );
-    println!("  FIFO verdict: {:?}", report.verdict);
-    assert!(report.is_fifo(), "the correct queue must verify as FIFO");
+    println!("  FIFO verdict: {verdict:?}");
+    assert!(verdict.is_fifo(), "the correct queue must verify as FIFO");
 
     // The injected bug (recovery without the evidence scan — the queue
     // analogue of §5.2 removing the matrix R): scan seeds until the
@@ -51,16 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nno-scan (buggy) queue, hunting for a violation:");
     let mut caught = None;
     for seed in 0.. {
-        let cfg = QueueCampaignConfig {
+        let cfg = CampaignConfig {
             max_crashes: 40,
             crash_window: (10, 80),
             recovery_crash_prob: 0.5,
             access_jitter: Some((0.15, 40)),
-            ..QueueCampaignConfig::new(80, seed)
-        }
-        .variant(QueueVariant::NoScan);
-        let report = run_queue_campaign(&cfg)?;
-        if !report.is_fifo() {
+            ..CampaignConfig::new(Workload::Queue(QueueVariant::NoScan), 80, seed)
+        };
+        let report = run_campaign(&cfg)?;
+        if !report.is_consistent() {
             caught = Some((seed, report));
             break;
         }
@@ -72,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  seed {seed}: NOT FIFO after {} crashes — {:?}",
         report.crashes + report.recovery_crashes,
-        report.verdict,
+        queue(&report).1,
     );
     println!("\nqueue pipeline example finished");
     Ok(())

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use pstack::chaos::{run_campaign, run_queue_campaign, CampaignConfig, QueueCampaignConfig};
+use pstack::chaos::{run_campaign, CampaignConfig, Workload};
 use pstack::core::{
     FunctionRegistry, RecoveryMode, Runtime, RuntimeConfig, StackKind, TxnLoop, U64CellStep,
 };
@@ -32,11 +32,11 @@ fn cas_campaigns_soak() {
             .stack(kind);
             let report = run_campaign(&cfg).expect("campaign completes");
             assert!(
-                report.is_serializable(),
+                report.is_consistent(),
                 "seed {seed}, stack {kind}: {:?}",
-                report.verdict
+                report.execution
             );
-            assert_eq!(report.history.ops.len(), 500);
+            assert_eq!(report.execution.ops(), 500);
         }
     }
 }
@@ -46,18 +46,17 @@ fn cas_campaigns_soak() {
 fn queue_campaigns_soak() {
     for seed in 0..96u64 {
         for kind in [StackKind::Fixed, StackKind::Vec, StackKind::List] {
-            let cfg = QueueCampaignConfig {
+            let cfg = CampaignConfig {
                 max_crashes: 24,
                 recovery_crash_prob: 0.5,
-                ..QueueCampaignConfig::new(500, seed)
+                ..CampaignConfig::new(Workload::Queue(QueueVariant::Nsrl), 500, seed)
             }
-            .stack(kind)
-            .variant(QueueVariant::Nsrl);
-            let report = run_queue_campaign(&cfg).expect("campaign completes");
+            .stack(kind);
+            let report = run_campaign(&cfg).expect("campaign completes");
             assert!(
-                report.is_fifo(),
+                report.is_consistent(),
                 "seed {seed}, stack {kind}: {:?}",
-                report.verdict
+                report.execution
             );
         }
     }

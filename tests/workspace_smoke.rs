@@ -107,7 +107,7 @@ fn facade_campaign_is_serializable() {
     let report = pstack::chaos::run_campaign(&cfg).expect("campaign completes");
     assert!(report.rounds >= 1);
     assert!(
-        report.is_serializable(),
+        report.is_consistent(),
         "correct NSRL CAS must stay serializable under crashes"
     );
 }
@@ -127,11 +127,12 @@ fn facade_kv_store_and_campaign() {
     assert_eq!(kv.get(9).expect("get"), Some(90));
     assert!(kv.delete(0, 2, 9).expect("delete"));
 
-    let cfg = pstack::chaos::KvCampaignConfig::new(24, 7);
-    let report = pstack::chaos::run_kv_campaign(&cfg).expect("campaign completes");
+    let kv = pstack::chaos::Workload::Kv(pstack::chaos::KvWorkload::default());
+    let cfg = pstack::chaos::CampaignConfig::new(kv, 24, 7);
+    let report = pstack::chaos::run_campaign(&cfg).expect("campaign completes");
     assert!(report.rounds >= 1);
     assert!(
-        report.is_linearizable(),
+        report.is_consistent(),
         "correct KV store must stay linearizable under crashes"
     );
     assert!(report.log_had_headroom());
@@ -158,10 +159,14 @@ fn facade_sharded_kv_store_and_campaign() {
         .all(|o| o.took_effect()));
     assert_eq!(kv.contents().expect("contents").len(), 16);
 
-    let cfg = pstack::chaos::KvCampaignConfig::new(32, 7).shards(4);
-    let report = pstack::chaos::run_kv_campaign(&cfg).expect("campaign completes");
+    let kv = pstack::chaos::KvWorkload {
+        shards: 4,
+        ..pstack::chaos::KvWorkload::default()
+    };
+    let cfg = pstack::chaos::CampaignConfig::new(pstack::chaos::Workload::Kv(kv), 32, 7);
+    let report = pstack::chaos::run_campaign(&cfg).expect("campaign completes");
     assert!(
-        report.is_linearizable(),
+        report.is_consistent(),
         "sharded store must stay linearizable under batch-window kills"
     );
     assert_eq!(report.log_usage.len(), 4);
