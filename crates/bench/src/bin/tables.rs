@@ -1,4 +1,5 @@
-//! Regenerates every table in EXPERIMENTS.md:
+//! Prints the experiment tables T1–T10 and asserts every table's
+//! invariant, ending with "all table assertions hold":
 //!
 //! ```sh
 //! cargo run -p pstack-bench --bin tables --release

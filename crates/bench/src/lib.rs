@@ -1,8 +1,8 @@
 //! Shared workload builders for the benchmark harness.
 //!
-//! Every table and figure reproduction in EXPERIMENTS.md is regenerated
-//! either by a criterion bench in `benches/` or by the `tables` binary
-//! (`cargo run -p pstack-bench --bin tables --release`); both build
+//! Every figure reproduction is a criterion bench in `benches/`, and
+//! the `tables` binary (`cargo run -p pstack-bench --bin tables
+//! --release`) prints the tables T1–T10 and asserts them; both build
 //! their systems through the helpers here so the configurations stay
 //! comparable.
 

@@ -31,7 +31,7 @@ use pstack_nvram::{op_label, PMem, PMemStripe};
 
 use crate::registry::FunctionRegistry;
 use crate::runtime::exec::{CrashRegion, CrashSite, RunReport};
-use crate::runtime::queue::{Task, TaskQueue};
+use crate::runtime::queue::Task;
 use crate::runtime::recovery::{RecoveryMode, RecoveryReport};
 use crate::runtime::{Runtime, RuntimeConfig};
 use crate::PError;
@@ -304,13 +304,6 @@ impl StripedRuntime {
         let (queue, width) = self.runtime.closed_queue(tasks);
         self.runtime
             .run_queue_sited(&queue, width, &|| self.trip_system_crash())
-    }
-
-    /// Like [`StripedRuntime::run_tasks`] over a caller-managed queue.
-    pub fn run_queue(&self, queue: &TaskQueue) -> RunReport {
-        let workers = self.runtime.workers();
-        self.runtime
-            .run_queue_sited(queue, workers, &|| self.trip_system_crash())
     }
 
     /// Recovers the whole system: replays every interrupted frame on

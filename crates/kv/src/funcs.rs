@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use pstack_core::{FunctionRegistry, PContext, PError, RecoverableFunction, RetBytes, Task};
-use pstack_nvram::{op_label, PMem};
+use pstack_nvram::{op_label, Level, PMem};
 use pstack_verify::{KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord};
 
 use crate::reqtable::{split_id, KvRequestTable, ReqSubmit};
@@ -481,34 +481,29 @@ impl KvServeFunction {
         Ok(KvShardedHistory { ops, shards })
     }
 
-    /// Executes one batch window — every shard it names, as one
-    /// dependence schedule (each arrow an await, `‖` flights that share
-    /// a round-trip because nothing orders them; no shard's persist is
+    /// Executes one batch window — every shard it names — as the
+    /// window's levels (each arrow an await, `‖` flights that share a
+    /// round-trip because nothing orders them; no shard's persist is
     /// ordered against another's):
     ///
-    /// 1. per shard, the slots read, answered slots skipped (their
-    ///    answers are simply re-collected) and the rest begun as a group
-    ///    commit ([`PKvStore::apply_batch`](crate::PKvStore::apply_batch)'s
-    ///    first level, or the evidence-scanning
-    ///    [`PKvStore::recover_batch`](crate::PKvStore::recover_batch) dual
-    ///    for a shard marked `recovery`) — records ‖ tail in flight beside the
-    ///    window's `CALL` and the drain's descriptor flights;
-    /// 2. the window's `frame` awaited ([`PContext::frame_durable`]),
-    ///    then every shard's descriptors
-    ///    ([`KvRequestTable::persist_slots_if_dirty`], riding the
-    ///    drain's flights): nothing is published before a replay can
-    ///    find the frame, or on behalf of a descriptor that is not
-    ///    durable. Until then the records are reserved, unpublished log
-    ///    slots — a crash leaves them orphans and the requests pending
-    ///    (`pstack_core::invoke` argues it);
-    /// 3. all shards' commits advanced together until their heads are
-    ///    durable — the commit point, where every effect is;
-    /// 4. per shard, the answers issued as one coalesced flight
-    ///    ([`KvRequestTable::mark_done_issue`]) — after the heads, since
-    ///    an answer implies its effect;
-    /// 5. all answers awaited *before* any `(req_id, answer)` pair is
-    ///    returned for acking: answers are durable before they are
-    ///    visible.
+    /// 1. `CALL` ‖ descriptors ‖ records ‖ tail: per shard, the slots
+    ///    read, answered slots skipped (their answers are re-collected)
+    ///    and the rest begun as a group commit
+    ///    ([`PKvStore::apply_batch`](crate::PKvStore::apply_batch), or
+    ///    the evidence-scanning
+    ///    [`PKvStore::recover_batch`](crate::PKvStore::recover_batch)
+    ///    for a shard marked `recovery`); then the window's `frame`
+    ///    ([`PContext::frame_durable`]) and every shard's descriptors
+    ///    ([`KvRequestTable::persist_slots_if_dirty`]) awaited: nothing
+    ///    is published before a replay can find the frame, or on behalf
+    ///    of a descriptor that is not durable. Until then the records are
+    ///    unpublished log slots — a crash leaves them orphans and the
+    ///    requests pending (`pstack_core::invoke` argues it);
+    /// 2. → heads, every shard's in one level — the commit point;
+    /// 3. → answers, every shard's in one level
+    ///    ([`KvRequestTable::answer`]) — an answer implies its effect —
+    ///    awaited before any `(req_id, answer)` pair is returned for
+    ///    acking: answers are durable before they are visible.
     ///
     /// So a window blocks on the same round-trips — `CALL` ‖
     /// descriptors ‖ records ‖ tail → heads → answers — however many
@@ -541,9 +536,10 @@ impl KvServeFunction {
             "server.window"
         });
         let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
-        // Per shard: its table, its staged (slot, req_id)s and their
-        // ops; a shard with ops to execute has a group commit in
-        // `batches`. Shards are begun in the window's (ascending) order.
+        // CALL ‖ descriptors ‖ records ‖ tail. Per shard: its table,
+        // its staged (slot, req_id)s and their ops; a shard with ops to
+        // execute has a group commit in `batches`. Shards are begun in
+        // the window's (ascending) order.
         let mut parts = Vec::with_capacity(window.len());
         let mut batches = Vec::new();
         for part in window {
@@ -569,35 +565,46 @@ impl KvServeFunction {
         for part in window {
             self.tables[part.shard as usize].persist_slots_if_dirty(&part.slots)?;
         }
-        // Every commit durable — its heads' flight awaited — before any
-        // answer is issued: an answer implies its effect.
-        let mut committed = KvPendingBatch::commit_all(&mut batches)?.into_iter();
-        let mut answered = Vec::with_capacity(parts.len());
+        // → heads: every commit durable — its heads' level awaited —
+        // before any answer is issued: an answer implies its effect.
+        let mut committed = {
+            let _label = op_label("kv.apply_batch");
+            let mut heads = Level::default();
+            for batch in &mut batches {
+                batch.publish(&mut heads)?;
+            }
+            heads.await_all()?;
+            batches
+                .iter_mut()
+                .map(KvPendingBatch::committed)
+                .collect::<Vec<_>>()
+        }
+        .into_iter();
+        // → answers: every shard's issued into one level.
+        let mut answers = Level::default();
         for (table, staged, ops) in &parts {
             let outcomes = if ops.is_empty() {
                 Vec::new()
             } else {
                 committed.next().expect("one batch per part")
             };
-            let mut answers = Vec::with_capacity(ops.len());
+            let mut entries = Vec::with_capacity(ops.len());
             for ((&(slot, req_id), op), outcome) in staged.iter().zip(ops).zip(outcomes) {
                 let result = match op {
                     KvBatchOp::Put { .. } => KvTaskResult::Stored(outcome.took_effect()),
                     KvBatchOp::Delete { .. } => KvTaskResult::Deleted(outcome.took_effect()),
                     KvBatchOp::Cas { .. } => KvTaskResult::Swapped(outcome.took_effect()),
                 };
-                answers.push((slot, executor, result));
+                entries.push((slot, executor, result));
                 ready.push((req_id, KvTaskAnswer { executor, result }));
             }
-            answered.push((*table, table.mark_done_issue(&answers)?));
+            table.answer(&entries, &mut answers)?;
         }
         // The shards' exclusive sections end only once every answer is
         // written, so a second replay of a slot (two frames naming it,
         // recovered in parallel) writes its answer after this one's.
         drop(batches);
-        for (table, ticket) in &answered {
-            table.mark_done_await(ticket)?;
-        }
+        answers.await_all()?;
         Ok(ready)
     }
 

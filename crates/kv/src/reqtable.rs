@@ -38,14 +38,15 @@
 //!   client's retry is `Fresh`.
 //! * [`KvRequestTable::mark_done`] / [`KvRequestTable::mark_done_batch`]
 //!   write the answer payload, then the one-byte done flag, and issue
-//!   **one** persist — a flight, whose issue and await halves
-//!   ([`KvRequestTable::mark_done_issue`] / `mark_done_await`) let a
-//!   window issue the answers of every shard it names before awaiting
-//!   any, once the effects the answers report are durable. A slot is one cache line and a buffered region
-//!   persists a line atomically (the recycling argument below already
-//!   relies on it), so after a crash a slot is either fully answered or
-//!   still pending — and a pending slot's answer is recomputed through
-//!   the store's evidence-scanning duals.
+//!   **one** persist — a flight, which [`KvRequestTable::answer`]
+//!   issues into the window's levels: the answers of every shard it
+//!   names in one level, issued once the effects the answers report
+//!   are durable and awaited before any is shown. A slot is one cache
+//!   line and a buffered region persists a line atomically (the
+//!   recycling argument below already relies on it), so after a crash
+//!   a slot is either fully answered or still pending — and a pending
+//!   slot's answer is recomputed through the store's evidence-scanning
+//!   duals.
 //! * [`KvRequestTable::ack`] records that the client received the
 //!   answer. A slot that is both done and acked is **recyclable**: its
 //!   next occupant overwrites it. This is what keeps a long-running
@@ -86,7 +87,7 @@ use std::sync::{Arc, Mutex};
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{FlushTicket, PMem, POffset};
+use pstack_nvram::{FlushTicket, Level, PMem, POffset};
 
 use crate::funcs::{KvTaskAnswer, KvTaskOp, KvTaskResult};
 
@@ -656,41 +657,30 @@ impl KvRequestTable {
     ///
     /// Out-of-range slot or NVRAM errors.
     pub fn mark_done_batch(&self, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
-        let ticket = self.mark_done_issue(entries)?;
-        self.mark_done_await(&ticket)
+        let mut answers = Level::default();
+        self.answer(entries, &mut answers)?;
+        Ok(answers.await_all()?)
     }
 
-    /// [`KvRequestTable::mark_done_batch`]'s issue half: writes the
-    /// answers and issues their one coalesced persist as a flight. A
-    /// window issues it once its group commits' heads are durable — it
-    /// must not be issued before the effects the answers report are —
-    /// and every shard's before the first await, so they share a
-    /// round-trip.
+    /// [`KvRequestTable::mark_done_batch`] as a flight of the window's
+    /// `answers` level: issued once the effects the answers report are
+    /// durable (its heads' level awaited), every shard's into the one
+    /// level, and shown once that level is awaited.
     ///
     /// # Errors
     ///
     /// Out-of-range slot or NVRAM errors.
-    pub fn mark_done_issue(
+    pub fn answer(
         &self,
         entries: &[(u32, u32, KvTaskResult)],
-    ) -> Result<FlushTicket, PError> {
+        answers: &mut Level,
+    ) -> Result<(), PError> {
         for &(slot, executor, result) in entries {
             let e = self.write_answer(slot, executor, result)?;
             self.pmem.write_u8(e + F_DONE, ST_DONE)?;
         }
         let (lo, len) = self.span_of(entries.iter().map(|&(slot, ..)| slot))?;
-        Ok(self.pmem.flush_async(lo, len)?)
-    }
-
-    /// Awaits a ticket from [`KvRequestTable::mark_done_issue`]: when
-    /// this returns `Ok`, the answers are durable and may be shown.
-    ///
-    /// # Errors
-    ///
-    /// NVRAM errors — `Crashed` if the region died with the flight
-    /// still queued (each slot then reopens answered or pending).
-    pub fn mark_done_await(&self, ticket: &FlushTicket) -> Result<(), PError> {
-        Ok(self.pmem.await_ticket(ticket)?)
+        Ok(answers.issue(&self.pmem, lo, len)?)
     }
 
     /// Records the client's acknowledgement of `req_id`'s answer and

@@ -30,10 +30,10 @@ use std::collections::BTreeMap;
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{op_label, Level, PMem, POffset};
 
 use crate::store::{
-    mix, CompactionStats, KvApplied, KvBatchOp, KvPendingBatch, KvVariant, PKvStore, VersionRecord,
+    mix, CompactionStats, KvApplied, KvBatchOp, KvVariant, PKvStore, VersionRecord,
 };
 
 const SHARD_MAGIC: u64 = 0x5053_4B56_5348_4431; // "PSKVSHD1"
@@ -501,9 +501,9 @@ impl KvBatch<'_> {
     /// Commits the batch: one group commit per touched shard, outcomes
     /// in submission order. Every touched shard's commit is **begun**
     /// ([`PKvStore::apply_batch_begin`] issues its record and log-tail
-    /// flights), then all move through the commit's dependence levels
-    /// together — records and tails awaited and heads published, then
-    /// heads awaited — so every level's flights share one round-trip
+    /// flights), then each publishes into one heads [`Level`] (its
+    /// records and tail awaited, its heads flipped and issued), and the
+    /// heads are awaited — so every level's flights share one round-trip
     /// across the regions: two round-trips of waiting whatever the
     /// number of shards, and every effect durable when it returns.
     ///
@@ -523,10 +523,15 @@ impl KvBatch<'_> {
         for (shard, (_, ops)) in &per_shard {
             pending.push(self.store.shard(*shard).apply_batch_begin(ops)?);
         }
+        let _label = op_label("kv.apply_batch");
+        let mut heads = Level::default();
+        for batch in &mut pending {
+            batch.publish(&mut heads)?;
+        }
+        heads.await_all()?;
         let mut outcomes = vec![KvApplied::PrecondFailed; self.ops.len()];
-        let committed = KvPendingBatch::commit_all(&mut pending)?;
-        for ((indexes, _), shard_outcomes) in per_shard.values().zip(committed) {
-            for (&i, outcome) in indexes.iter().zip(shard_outcomes) {
+        for ((indexes, _), batch) in per_shard.values().zip(&mut pending) {
+            for (&i, outcome) in indexes.iter().zip(batch.committed()) {
                 outcomes[i] = outcome;
             }
         }

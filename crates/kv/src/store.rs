@@ -108,7 +108,7 @@
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{op_label, FlushTicket, MemError, PMem, POffset, QuiesceGuard, RootCell};
+use pstack_nvram::{op_label, Level, MemError, PMem, POffset, QuiesceGuard, RootCell};
 use std::collections::BTreeMap;
 
 const KV_MAGIC: u64 = 0x5053_4B56_5354_4F32; // "PSKVSTO2" (generational)
@@ -452,36 +452,21 @@ struct StagedBatch {
     slots: Option<(u64, u64)>,
 }
 
-/// Where a group commit stands: the dependence levels of its three
-/// persists. Each level awaits the flights the level before it issued,
-/// does what depends on them and issues its own — one round-trip per
-/// level, and nothing is awaited that nothing depends on yet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Level {
-    /// Records and log tail in flight ([`PKvStore::apply_batch_begin`]).
-    Staged,
-    /// Records durable, heads published, the heads' flight issued.
-    Published,
-    /// Heads durable — the batch's every effect is; nothing in flight.
-    Committed,
-}
-
 /// A group commit staged by [`PKvStore::apply_batch_begin`] whose
-/// record and log-tail persists are in flight as asynchronous flush
-/// commands. Holds the region quiesced until committed or dropped;
-/// nothing is visible (or recoverable) until [`KvPendingBatch::commit`]
-/// moves it through its levels: records + tail awaited and heads
-/// published (heads flight issued), then heads awaited — the commit
-/// point. Every persist is a flight, awaited where something depends on
-/// it.
+/// record and log-tail persists are in flight as one dependence level.
+/// Holds the region quiesced until committed or dropped; nothing is
+/// visible (or recoverable) until [`KvPendingBatch::commit`] runs its
+/// levels: records ‖ tail awaited and heads published, their flight
+/// issued ([`KvPendingBatch::publish`]), then heads awaited — the
+/// commit point ([`KvPendingBatch::committed`]). Every persist is a
+/// flight, awaited where something depends on it.
 #[must_use = "a pending batch publishes nothing until committed"]
 pub struct KvPendingBatch<'a> {
     store: &'a PKvStore,
     _quiesce: QuiesceGuard<'a>,
     staged: StagedBatch,
-    level: Level,
-    /// The flights the current level issued.
-    tickets: Vec<FlushTicket>,
+    /// Records ‖ tail: the level the heads depend on.
+    records: Level,
 }
 
 impl KvPendingBatch<'_> {
@@ -492,8 +477,8 @@ impl KvPendingBatch<'_> {
         self.staged.slots.is_some()
     }
 
-    /// Moves the batch through its levels and publishes it: heads
-    /// flipped and durable. Outcomes are reported in submission order.
+    /// Runs the batch's levels and publishes it: heads flipped and
+    /// durable. Outcomes are reported in submission order.
     ///
     /// # Errors
     ///
@@ -507,93 +492,58 @@ impl KvPendingBatch<'_> {
     /// [`KvPendingBatch::commit`] under the caller's op label: a per-op
     /// mutation's persists and PSan findings stay its own.
     fn commit_unlabelled(mut self) -> Result<Vec<KvApplied>, PError> {
-        Self::advance_all(std::slice::from_mut(&mut self))?;
-        Ok(self.staged.outcomes)
+        let mut heads = Level::default();
+        self.publish(&mut heads)?;
+        heads.await_all()?;
+        Ok(self.committed())
     }
 
-    /// Commits every batch — one per shard region — moving **all** of
-    /// them forward one level per round-trip: every batch's records and
-    /// tail are awaited before any heads are, and every heads flight is
-    /// issued before the first is awaited, so `n` shards wait two
-    /// round-trips, not `2n`. Within a batch the order is
-    /// [`KvPendingBatch::commit`]'s (which is this routine for one
-    /// batch); nothing ever ordered one shard's persists against
-    /// another's. Outcomes per batch, in the given order — when it
-    /// returns, every batch's effects are durable; each batch keeps its
-    /// region's exclusive section until the caller drops it.
-    pub(crate) fn commit_all(batches: &mut [Self]) -> Result<Vec<Vec<KvApplied>>, PError> {
-        let _label = op_label("kv.apply_batch");
-        Self::advance_all(batches)?;
-        Ok(batches
-            .iter_mut()
-            .map(|b| std::mem::take(&mut b.staged.outcomes))
-            .collect())
-    }
-
-    /// The one group-commit routine: every batch one level per pass
-    /// until all are committed. A level's flights are all issued before
-    /// its first await, so each level costs about one round-trip
-    /// however many batches (regions) take part.
-    fn advance_all(batches: &mut [Self]) -> Result<(), PError> {
-        while batches.iter().any(|b| b.level != Level::Committed) {
-            for batch in batches.iter_mut().filter(|b| b.level != Level::Committed) {
-                batch.advance()?;
+    /// Awaits the records ‖ tail, flips each touched bucket's head once,
+    /// to the newest staged record (intermediate staged heads are never
+    /// published, so per bucket the batch is all-or-nothing), and issues
+    /// the heads' flight into `heads` — one level for every region's.
+    pub(crate) fn publish(&mut self, heads: &mut Level) -> Result<(), PError> {
+        std::mem::take(&mut self.records).await_all()?;
+        let pmem = &self.store.pmem;
+        for (&bucket, &new_head) in &self.staged.staged_heads {
+            let expected = self.staged.pre_heads[&bucket];
+            if !pmem.compare_exchange(
+                POffset::new(bucket),
+                &expected.to_le_bytes(),
+                &new_head.to_le_bytes(),
+            )? {
+                return Err(PError::CorruptStack(
+                    "bucket head moved under a group commit — every mutation must \
+                     run in the region's exclusive section"
+                        .into(),
+                ));
             }
+        }
+        if let Some((off, len)) = self.heads_span() {
+            heads.issue(pmem, off, len)?;
         }
         Ok(())
     }
 
-    /// One level: await what the previous level issued, do what
-    /// depended on it, issue this level's flight.
-    fn advance(&mut self) -> Result<(), PError> {
-        let (pmem, staged) = (&self.store.pmem, &self.staged);
-        let (lo, hi) = staged.slots.expect("only a staged batch has levels to go");
-        // The touched buckets' span: one flight over it coalesces the
-        // touched lines (clean lines in between stage nothing).
-        let first = *staged.staged_heads.keys().next().expect("staged heads");
-        let last = *staged
-            .staged_heads
-            .keys()
-            .next_back()
-            .expect("staged heads");
-        let heads = (POffset::new(first), (last - first + 8) as usize);
-        // At `Staged`, records and tail become durable here; then each
-        // touched bucket's head flips once, to the newest staged record
-        // (intermediate staged heads are never published, so per bucket
-        // the batch is all-or-nothing).
-        for ticket in self.tickets.drain(..) {
-            pmem.await_ticket(&ticket)?;
+    /// The commit point, once the heads' level is awaited: a bare commit
+    /// returns and a window issues its answers, so under PSan the record
+    /// span and the heads must both be durable *now*. Takes the outcomes
+    /// (submission order); the exclusive section lasts until drop.
+    pub(crate) fn committed(&mut self) -> Vec<KvApplied> {
+        if let (Some((lo, hi)), Some((off, len))) = (self.staged.slots, self.heads_span()) {
+            let pmem = &self.store.pmem;
+            pmem.psan_check_durable(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
+            pmem.psan_check_durable(off, len);
         }
-        self.level = match self.level {
-            Level::Staged => {
-                for (&bucket, &new_head) in &staged.staged_heads {
-                    let expected = staged.pre_heads[&bucket];
-                    if !pmem.compare_exchange(
-                        POffset::new(bucket),
-                        &expected.to_le_bytes(),
-                        &new_head.to_le_bytes(),
-                    )? {
-                        return Err(PError::CorruptStack(
-                            "bucket head moved under a group commit — every mutation must \
-                             run in the region's exclusive section"
-                                .into(),
-                        ));
-                    }
-                }
-                self.tickets.push(pmem.flush_async(heads.0, heads.1)?);
-                Level::Published
-            }
-            Level::Published | Level::Committed => {
-                // The heads' flight is the commit point: from here a bare
-                // commit returns and a window issues its answers, so
-                // under PSan the record span and the published heads
-                // must both be durable *now*.
-                pmem.psan_check_durable(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
-                pmem.psan_check_durable(heads.0, heads.1);
-                Level::Committed
-            }
-        };
-        Ok(())
+        std::mem::take(&mut self.staged.outcomes)
+    }
+
+    /// The touched buckets' span, if any: one flight over it coalesces
+    /// the touched lines (clean lines in between stage nothing).
+    fn heads_span(&self) -> Option<(POffset, usize)> {
+        let first = *self.staged.staged_heads.keys().next()?;
+        let last = *self.staged.staged_heads.keys().next_back()?;
+        Some((POffset::new(first), (last - first + 8) as usize))
     }
 }
 
@@ -1062,37 +1012,26 @@ impl PKvStore {
     ) -> Result<KvPendingBatch<'a>, PError> {
         let gen = self.active_gen()?;
         let staged = self.stage_batch(&gen, ops)?;
-        let mut tickets = Vec::new();
+        let mut records = Level::default();
         if let Some((lo, hi)) = staged.slots {
             // Issue the record-span and log-tail flights back to back;
             // their round-trips overlap in the device queue. The
             // quiesce makes the reserved slots consecutive, so [lo, hi]
             // covers exactly this batch. KvVariant::EarlyPublish omits
             // the record flight — PSan's negative control: the head CAS
-            // of the first level then publishes still-volatile records,
-            // which the sanitizer flags.
+            // of the heads' level then publishes still-volatile
+            // records, which the sanitizer flags.
             if self.variant != KvVariant::EarlyPublish {
-                tickets.push(
-                    self.pmem
-                        .flush_async(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize)?,
-                );
+                let span = (hi - lo + RECORD_STRIDE) as usize;
+                records.issue(&self.pmem, POffset::new(lo), span)?;
             }
-            tickets.push(
-                self.pmem
-                    .flush_async(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?,
-            );
+            records.issue(&self.pmem, POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?;
         }
-        // Nothing staged: no records, no tail movement to persist.
-        let level = match staged.slots {
-            Some(_) => Level::Staged,
-            None => Level::Committed,
-        };
         Ok(KvPendingBatch {
             store: self,
             _quiesce: quiesce,
             staged,
-            level,
-            tickets,
+            records,
         })
     }
 

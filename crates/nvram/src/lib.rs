@@ -47,6 +47,7 @@
 mod backend;
 mod error;
 mod failpoint;
+mod level;
 mod offset;
 mod pmem;
 pub mod psan;
@@ -57,6 +58,7 @@ mod stripe;
 pub use backend::BackendKind;
 pub use error::MemError;
 pub use failpoint::FailPlan;
+pub use level::Level;
 pub use offset::POffset;
 pub use pmem::{
     FlushTicket, PMem, PMemBuilder, QuiesceGuard, DEFAULT_CACHE_LINE, DEFAULT_REGION_LEN,

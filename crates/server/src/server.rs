@@ -42,8 +42,8 @@
 //! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard | 0 |
 //! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window with its frame, before the heads | 1 per shard per **drain** | 0 |
 //! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
-//! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; every shard of the window one level per round-trip | 3 per shard per round | 1 more |
-//! | | answer | [`KvRequestTable::mark_done_issue`], payload + flag in one line-atomic persist, issued once every shard's heads are durable | 1 per shard per round | 1 more |
+//! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
+//! | | answer | [`KvRequestTable::answer`], payload + flag in one line-atomic persist, issued into the window's answers level once its heads level is durable | 1 per shard per round | 1 more |
 //! | | ack | [`ServerCore::ack`] | 1 per ack | 1 |
 //!
 //! A lone put therefore costs 7 persists end to end and blocks on 3
@@ -100,7 +100,7 @@
 //! loops re-drive every lost request through the dedup path above.
 //!
 //! [`KvRequestTable`]: pstack_kv::KvRequestTable
-//! [`KvRequestTable::mark_done_issue`]: pstack_kv::KvRequestTable::mark_done_issue
+//! [`KvRequestTable::answer`]: pstack_kv::KvRequestTable::answer
 //! [`PKvStore::apply_batch`]: pstack_kv::PKvStore::apply_batch
 //! [`PKvStore::recover_batch`]: pstack_kv::PKvStore::recover_batch
 //! [`ShardedKvStore::get_durable`]: pstack_kv::ShardedKvStore::get_durable
@@ -315,7 +315,7 @@ impl ServerCore {
     /// queue was empty) plus the request id and the kind of every entry
     /// it will answer. One frame, one `CALL` and one `RET` per round,
     /// however many shards it touches: the shards' group commits then
-    /// move through their dependence levels together inside it.
+    /// share the window's levels inside it.
     ///
     /// The invariant: *nothing is published on behalf of a descriptor
     /// that is not durable*. A flight cut by a power failure — or one that
@@ -411,7 +411,7 @@ impl ServerCore {
 /// persistent stack** ([`StripedRuntime::run_tasks`]; nothing executes
 /// a window without a frame), and collect its durable answers.
 /// Cross-shard overlap comes from inside that window — its shards'
-/// group commits advance one dependence level per round-trip together
+/// group commits share the window's levels, one round-trip per level
 /// — not from the runtime's workers: one task starts one worker. The
 /// serving campaign, the test fixtures and the unix-socket listener
 /// all call it. Returns the responses to send — the admission-time

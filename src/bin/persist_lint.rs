@@ -26,8 +26,9 @@
 //!   region.
 //! * `await-before-publish` — a commit-point CAS or `RootCell` swap
 //!   whose *preceding* ten lines issue an asynchronous flight
-//!   (`flush_async`) without any `await_ticket`/`fence`/synchronous
-//!   persist between issue and publish. An issued flight is only
+//!   (`flush_async`, or a `Level`'s `issue`) without any
+//!   `await_ticket`/`await_all`/`fence`/synchronous persist between
+//!   issue and publish. An issued flight is only
 //!   *scheduled* durability; publishing against an un-awaited ticket
 //!   is the pipelined spelling of the early-publish bug (PSan catches
 //!   it at runtime, this catches it at review time).
@@ -60,11 +61,19 @@ const STORE_PATTERNS: &[&str] = &[
 const PUBLISH_NAMES: &[&str] = &["root", "head", "epoch", "selector", "req_id"];
 // `flush(` deliberately does not substring-match `flush_async(`: an
 // async issue is not durability evidence, only its await is.
-// `await_ticket(` and `.commit(` (a pending batch's await-then-publish
-// step) count as persists so pipelined commit paths lint clean.
-const PERSIST_PATTERNS: &[&str] = &["flush(", "persist(", "fence(", "await_ticket(", ".commit("];
+// `await_ticket(`, a level's `await_all(` and `.commit(` (a pending
+// batch's await-then-publish step) count as persists so pipelined
+// commit paths lint clean.
+const PERSIST_PATTERNS: &[&str] = &[
+    "flush(",
+    "persist(",
+    "fence(",
+    "await_ticket(",
+    "await_all(",
+    ".commit(",
+];
 /// Flight issues: scheduled durability, not durability.
-const ASYNC_ISSUE_PATTERNS: &[&str] = &["flush_async("];
+const ASYNC_ISSUE_PATTERNS: &[&str] = &["flush_async(", ".issue("];
 // persist-lint: allow(publish-before-persist) the pattern table itself
 const CAS_PATTERNS: &[&str] = &[".compare_exchange(", ".fetch_update("];
 /// Publish calls the `await-before-publish` rule watches: CASes plus
@@ -121,77 +130,46 @@ fn waived(lines: &[&str], idx: usize, rule: &str) -> bool {
 
 fn lint_file(path: &Path, src: &str, out: &mut Vec<Finding>) {
     let lines: Vec<&str> = src.lines().collect();
+    let any_in = |range: std::ops::Range<usize>, patterns: &[&str]| {
+        lines[range]
+            .iter()
+            .any(|l| contains_any(code_of(l), patterns))
+    };
     for (i, raw) in lines.iter().enumerate() {
         let code = code_of(raw);
-        if contains_any(code, BACKEND_PATTERNS) {
+        let mut flag = |rule: &'static str| {
             out.push(Finding {
                 file: path.to_path_buf(),
                 line: i + 1,
-                rule: "raw-backend",
+                rule,
                 text: (*raw).to_string(),
-                waived: waived(&lines, i, "raw-backend"),
+                waived: waived(&lines, i, rule),
             });
-        }
-        let lower = code.to_ascii_lowercase();
-        if contains_any(code, STORE_PATTERNS) && contains_any(&lower, PUBLISH_NAMES) {
-            let persisted = lines[i..(i + 1 + WINDOW).min(lines.len())]
-                .iter()
-                .any(|l| contains_any(code_of(l), PERSIST_PATTERNS));
-            if !persisted {
-                out.push(Finding {
-                    file: path.to_path_buf(),
-                    line: i + 1,
-                    rule: "publish-no-persist",
-                    text: (*raw).to_string(),
-                    waived: waived(&lines, i, "publish-no-persist"),
-                });
-            }
-        }
-        if contains_any(code, CAS_PATTERNS) {
-            let span: String = lines[i..(i + 1 + CAS_SPAN).min(lines.len())]
-                .iter()
-                .map(|l| code_of(l).to_ascii_lowercase())
-                .collect::<Vec<_>>()
-                .join("\n");
-            if contains_any(&span, PUBLISH_NAMES) {
-                let persisted_before = lines[i.saturating_sub(WINDOW)..i]
+        };
+        // A call publishes if it names a commit point in its operands.
+        let publishes = |patterns: &[&str]| {
+            contains_any(code, patterns)
+                && lines[i..(i + 1 + CAS_SPAN).min(lines.len())]
                     .iter()
-                    .any(|l| contains_any(code_of(l), PERSIST_PATTERNS));
-                if !persisted_before {
-                    out.push(Finding {
-                        file: path.to_path_buf(),
-                        line: i + 1,
-                        rule: "publish-before-persist",
-                        text: (*raw).to_string(),
-                        waived: waived(&lines, i, "publish-before-persist"),
-                    });
-                }
-            }
+                    .any(|l| contains_any(&code_of(l).to_ascii_lowercase(), PUBLISH_NAMES))
+        };
+        if contains_any(code, BACKEND_PATTERNS) {
+            flag("raw-backend");
         }
-        if contains_any(code, PUBLISH_CALL_PATTERNS) {
-            let span: String = lines[i..(i + 1 + CAS_SPAN).min(lines.len())]
-                .iter()
-                .map(|l| code_of(l).to_ascii_lowercase())
-                .collect::<Vec<_>>()
-                .join("\n");
-            if contains_any(&span, PUBLISH_NAMES) {
-                let before = &lines[i.saturating_sub(WINDOW)..i];
-                let issued = before
-                    .iter()
-                    .any(|l| contains_any(code_of(l), ASYNC_ISSUE_PATTERNS));
-                let awaited = before
-                    .iter()
-                    .any(|l| contains_any(code_of(l), PERSIST_PATTERNS));
-                if issued && !awaited {
-                    out.push(Finding {
-                        file: path.to_path_buf(),
-                        line: i + 1,
-                        rule: "await-before-publish",
-                        text: (*raw).to_string(),
-                        waived: waived(&lines, i, "await-before-publish"),
-                    });
-                }
-            }
+        if contains_any(code, STORE_PATTERNS)
+            && contains_any(&code.to_ascii_lowercase(), PUBLISH_NAMES)
+            && !any_in(i..(i + 1 + WINDOW).min(lines.len()), PERSIST_PATTERNS)
+        {
+            flag("publish-no-persist");
+        }
+        let before = i.saturating_sub(WINDOW)..i;
+        let persisted_before = any_in(before.clone(), PERSIST_PATTERNS);
+        if publishes(CAS_PATTERNS) && !persisted_before {
+            flag("publish-before-persist");
+        }
+        let issued_before = any_in(before, ASYNC_ISSUE_PATTERNS);
+        if publishes(PUBLISH_CALL_PATTERNS) && issued_before && !persisted_before {
+            flag("await-before-publish");
         }
     }
 }
@@ -299,6 +277,28 @@ mod tests {
             rules_of(&src),
             vec!["publish-before-persist", "await-before-publish"]
         );
+    }
+
+    #[test]
+    fn publish_against_unawaited_level_is_flagged() {
+        let src = src_of(&[
+            call("level", "iss", "ue", "&pmem, off, len"),
+            call("head_cell", "compare", "_exchange", "old_head, new_head"),
+        ]);
+        assert_eq!(
+            rules_of(&src),
+            vec!["publish-before-persist", "await-before-publish"]
+        );
+    }
+
+    #[test]
+    fn awaited_level_before_publish_is_clean() {
+        let src = src_of(&[
+            call("level", "iss", "ue", "&pmem, off, len"),
+            call("level", "await", "_all", ""),
+            call("head_cell", "compare", "_exchange", "old_head, new_head"),
+        ]);
+        assert_eq!(rules_of(&src), Vec::<&str>::new());
     }
 
     #[test]
