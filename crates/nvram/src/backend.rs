@@ -10,11 +10,13 @@
 //!   emulating the paper's HDD-backed `mmap` deployment (§5.2). A real
 //!   process restart can then reopen the file and recover.
 //!
-//! On unix the file backend writes lines with the positional
-//! `FileExt::write_all_at` (no seek, safe under concurrent clones of
-//! the handle); elsewhere it falls back to portable seek-then-write,
-//! which is equivalent here because every write happens inside the
-//! region's critical section.
+//! A backend has one write hook, [`Backend::persist_lines`]: a
+//! completed flight hands it all its lines at once, and so does a
+//! crash for the lines that survive it. On unix the file backend
+//! writes them with the positional `FileExt::write_all_at` (no seek,
+//! safe under concurrent clones of the handle); elsewhere it falls back
+//! to portable seek-then-write, which is equivalent here because every
+//! write happens inside the region's critical section.
 
 use std::fs::{File, OpenOptions};
 use std::io::Read;
@@ -34,19 +36,15 @@ pub enum BackendKind {
 }
 
 pub(crate) trait Backend: Send {
-    /// Mirrors one persisted line to durable storage.
-    fn persist_line(&mut self, offset: usize, data: &[u8]) -> Result<(), MemError>;
-
-    /// Mirrors a batch of persisted lines in one call — the completion
-    /// of an asynchronous flush command applying a whole flight. The
-    /// default loops [`Backend::persist_line`]; backends with a
-    /// cheaper batched path (vectored writes, one `msync`) override.
-    fn persist_lines(&mut self, lines: &[(usize, &[u8])]) -> Result<(), MemError> {
-        for (offset, data) in lines {
-            self.persist_line(*offset, data)?;
-        }
-        Ok(())
-    }
+    /// Mirrors a batch of persisted lines to durable storage in one
+    /// call: line index `lines[i]` holds the `i`-th `line_size` bytes
+    /// of `bytes`.
+    fn persist_lines(
+        &mut self,
+        line_size: usize,
+        lines: &[usize],
+        bytes: &[u8],
+    ) -> Result<(), MemError>;
 
     /// Loads the durable image into `buf` when the region is (re)opened.
     fn load(&mut self, buf: &mut [u8]) -> Result<(), MemError>;
@@ -59,7 +57,7 @@ pub(crate) trait Backend: Send {
 pub(crate) struct MemBackend;
 
 impl Backend for MemBackend {
-    fn persist_line(&mut self, _offset: usize, _data: &[u8]) -> Result<(), MemError> {
+    fn persist_lines(&mut self, _: usize, _: &[usize], _: &[u8]) -> Result<(), MemError> {
         Ok(())
     }
 
@@ -100,17 +98,23 @@ impl FileBackend {
 }
 
 impl Backend for FileBackend {
-    #[cfg(unix)]
-    fn persist_line(&mut self, offset: usize, data: &[u8]) -> Result<(), MemError> {
-        self.file.write_all_at(data, offset as u64)?;
-        Ok(())
-    }
-
-    #[cfg(not(unix))]
-    fn persist_line(&mut self, offset: usize, data: &[u8]) -> Result<(), MemError> {
-        use std::io::{Seek, SeekFrom, Write};
-        self.file.seek(SeekFrom::Start(offset as u64))?;
-        self.file.write_all(data)?;
+    fn persist_lines(
+        &mut self,
+        line_size: usize,
+        lines: &[usize],
+        bytes: &[u8],
+    ) -> Result<(), MemError> {
+        for (&li, data) in lines.iter().zip(bytes.chunks_exact(line_size)) {
+            let offset = (li * line_size) as u64;
+            #[cfg(unix)]
+            self.file.write_all_at(data, offset)?;
+            #[cfg(not(unix))]
+            {
+                use std::io::{Seek, SeekFrom, Write};
+                self.file.seek(SeekFrom::Start(offset))?;
+                self.file.write_all(data)?;
+            }
+        }
         Ok(())
     }
 
@@ -143,7 +147,7 @@ mod tests {
     #[test]
     fn mem_backend_is_inert() {
         let mut b = MemBackend;
-        b.persist_line(0, &[1, 2, 3]).unwrap();
+        b.persist_lines(4, &[0], &[1, 2, 3, 4]).unwrap();
         let mut buf = [0u8; 4];
         b.load(&mut buf).unwrap();
         assert_eq!(buf, [0; 4]);
@@ -156,7 +160,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut b = FileBackend::open(&path, 256).unwrap();
-            b.persist_line(64, &[7u8; 64]).unwrap();
+            b.persist_lines(64, &[1], &[7u8; 64]).unwrap();
         }
         {
             let mut b = FileBackend::open(&path, 256).unwrap();

@@ -12,7 +12,10 @@
 //!    was not (explicitly or nondeterministically) persisted.
 //! 2. **Per-line atomic flush.** Flushing one cache line is atomic: after
 //!    a crash the line is either entirely persistent or entirely lost. A
-//!    flush spanning several lines can be cut in the middle by a crash.
+//!    flush is one flight over its lines, issued and awaited; a crash
+//!    that cuts it before the flight completes leaves its lines to the
+//!    survivor lottery like any un-completed flight, so any subset of a
+//!    multi-line flush may persist.
 //!
 //! All persistent references are [`POffset`] values — offsets from the
 //! start of the region — never raw addresses, because the mapping address

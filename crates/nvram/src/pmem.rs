@@ -4,9 +4,10 @@
 //! volatile cache of fixed-size lines (§1–§3 of the paper):
 //!
 //! * [`PMem::write`] stores into volatile dirty lines only;
-//! * [`PMem::flush`] makes the covering lines durable, **one line at a
-//!   time** — each line persists atomically, but a crash can land
-//!   between the lines of a multi-line flush;
+//! * [`PMem::flush`] makes the covering lines durable by issuing one
+//!   flight over them and awaiting it — each line persists atomically,
+//!   but a crash before the flight completes leaves its lines to the
+//!   survivor lottery, so any subset of a multi-line flush may survive;
 //! * a crash ([`PMem::crash_now`] or an armed [`FailPlan`]) persists an
 //!   arbitrary seeded subset of dirty lines (modelling evictions that
 //!   happened to occur before the failure) and discards the rest, after
@@ -19,12 +20,14 @@
 //! granularity — exactly the granularity at which a `kill` can cut a real
 //! execution between flushes.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 
-use parking_lot::FairMutex;
+use parking_lot::{FairMutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,9 +108,9 @@ impl PMemBuilder {
         self
     }
 
-    /// Adds a fixed latency to every persist **round-trip** (a flush
-    /// that makes at least one line durable), paid once
-    /// per round-trip inside the region's critical section — the
+    /// Adds a fixed latency to every persist **round-trip** (a flight
+    /// that makes at least one line durable), charged once per flight
+    /// into its deadline and slept by whoever awaits it — the
     /// command/fence cost of a real device, as opposed to
     /// [`PMemBuilder::persist_delay`]'s per-line bandwidth cost.
     ///
@@ -128,9 +131,10 @@ impl PMemBuilder {
 
     /// Adds a fixed latency to every line persist, emulating the slow
     /// persistence of the paper's HDD-backed deployment (or an SSD /
-    /// pessimistic NVRAM write). The delay is paid inside the device's
-    /// critical section, serializing persists exactly as a single
-    /// mechanical device would.
+    /// pessimistic NVRAM write). A flight of `n` lines charges `n ×
+    /// delay` into its deadline, on top of
+    /// [`PMemBuilder::flush_latency`], so its await sleeps the device's
+    /// bandwidth cost along with its command cost.
     ///
     /// Real kills land *mid-operation* because persists are slow; with
     /// the default zero-latency emulation a whole workload can finish
@@ -249,7 +253,7 @@ impl PMemBuilder {
                 stats: MemStats::default(),
                 state: FairMutex::new(State {
                     image,
-                    dirty: HashMap::new(),
+                    dirty: HashMap::default(),
                     backend,
                     fail: FailState::default(),
                     flights: FlightState::default(),
@@ -262,35 +266,67 @@ impl PMemBuilder {
 
 struct State {
     image: Vec<u8>,
-    /// Volatile cache: line index → full line content.
-    dirty: HashMap<usize, Vec<u8>>,
+    /// Volatile cache: line index → the line's one volatile record.
+    dirty: HashMap<usize, DirtyLine, BuildHasherDefault<LineHasher>>,
     backend: Box<dyn Backend>,
     fail: FailState,
     flights: FlightState,
 }
 
-/// One asynchronous flush command in flight: the line snapshots it
-/// promised to make durable and the wall-clock deadline at which the
-/// emulated device completes it (`None` with no configured
-/// [`PMemBuilder::flush_latency`] — completes on the next touch).
+/// Hashes a line index with one multiply and a fold, for the volatile
+/// cache that every access and every flushed line looks up. Its keys
+/// are line indexes of the region, computed by the program — never
+/// input from outside it.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the volatile cache is keyed by line index")
+    }
+
+    fn write_usize(&mut self, li: usize) {
+        self.0 = (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A line written since it was last made durable.
+struct DirtyLine {
+    /// The full line content, as reads see it.
+    content: Vec<u8>,
+    /// Serial of the un-completed flight holding a snapshot of the
+    /// current content; 0 when none does (never staged, or re-dirtied
+    /// since — the snapshot is stale).
+    staged: u64,
+}
+
+/// One flush command in flight: the line snapshots it promised to
+/// make durable and the wall-clock deadline at which the emulated
+/// device completes it (`None` with neither
+/// [`PMemBuilder::flush_latency`] nor [`PMemBuilder::persist_delay`]
+/// configured — completes on the next await).
 struct Flight {
     serial: u64,
     deadline: Option<std::time::Instant>,
-    /// Line index of each snapshot, in issue order; `None` once a
-    /// fresher synchronous persist of the line superseded it.
-    lines: Vec<Option<usize>>,
+    /// Line index of each snapshot, in issue order.
+    lines: Vec<usize>,
     /// The snapshots, one line each, back to back in `lines` order. One
     /// buffer per flight, not one per line: a completed flight then
-    /// returns one block to the allocator instead of a run of
-    /// line-sized chunks (ROADMAP, "`peak_rss_mb` and `calloc`").
+    /// returns one block to the allocator (a one-line flight's to
+    /// `FlightState::spare`) instead of a run of line-sized chunks
+    /// (ROADMAP, "`peak_rss_mb` and `calloc`").
     bytes: Vec<u8>,
 }
 
-/// The region's asynchronous flush queue (see [`PMem::flush_async`]).
-/// There is no device thread: completions are applied lazily by the
-/// application threads that await, fence or synchronously flush, once
-/// a flight's deadline has passed — which keeps seeded campaign
-/// executions deterministic.
+/// The region's flush queue (see [`PMem::flush_async`]). There is no
+/// device thread: completions are applied lazily, in issue order, by
+/// the application threads that await, fence or flush, once a flight's
+/// deadline has passed — which keeps seeded campaign executions
+/// deterministic.
 #[derive(Default)]
 struct FlightState {
     /// Serial of the most recently issued flight.
@@ -298,20 +334,21 @@ struct FlightState {
     /// Serial of the most recently applied (completed) flight.
     completed: u64,
     queue: VecDeque<Flight>,
-    /// Line index → serial of the in-flight flight holding its current
-    /// snapshot. Cleared when the line is re-dirtied (the snapshot is
-    /// stale) or persisted synchronously (the fresher persist subsumes
-    /// the promise).
-    staged: HashMap<usize, u64>,
+    /// The buffers of the last applied one-line flight — every
+    /// persist-store's — emptied, for the next one-line flight to
+    /// fill: the hot single-line persist allocates nothing. Bigger
+    /// flights allocate their own and free them, so the region never
+    /// holds more than one line's buffers.
+    spare: (Vec<usize>, Vec<u8>),
 }
 
 /// Claim ticket for an asynchronous flush issued with
 /// [`PMem::flush_async`]. The round-trip is in flight on the region's
-/// flush queue; [`PMem::await_ticket`] (or a [`PMem::fence`], or a
-/// synchronous flush covering the same lines) blocks until the staged
-/// content is durable. Cheap value type, bound to the issuing region
-/// boot — awaiting it against another region or a reopened boot is an
-/// error.
+/// flush queue; [`PMem::await_ticket`] (or a [`PMem::fence`], or any
+/// later [`PMem::flush`] on the region — flights complete in issue
+/// order) blocks until the staged content is durable. Cheap value
+/// type, bound to the issuing region boot — awaiting it against
+/// another region or a reopened boot is an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushTicket {
     /// Identity of the issuing region boot.
@@ -542,7 +579,7 @@ impl PMem {
         let first_line = start / line;
         let last_line = (start + buf.len().max(1) - 1) / line;
         for li in first_line..=last_line {
-            if let Some(content) = st.dirty.get(&li) {
+            if let Some(DirtyLine { content, .. }) = st.dirty.get(&li) {
                 let line_start = li * line;
                 let copy_from = start.max(line_start);
                 let copy_to = (start + buf.len()).min(line_start + line);
@@ -609,53 +646,46 @@ impl PMem {
             let line_start = li * line;
             let within = abs - line_start;
             let n = (line - within).min(data.len() - pos);
-            if !st.flights.staged.is_empty() {
-                // Re-dirtying a line staged in an in-flight async flush:
-                // the flight's snapshot is stale, so later flushes of
-                // this line must persist anew instead of riding it.
-                st.flights.staged.remove(&li);
-            }
             let image = &st.image;
-            let content = st
-                .dirty
-                .entry(li)
-                .or_insert_with(|| image[line_start..line_start + line].to_vec());
-            content[within..within + n].copy_from_slice(&data[pos..pos + n]);
+            let dirty = st.dirty.entry(li).or_insert_with(|| DirtyLine {
+                content: image[line_start..line_start + line].to_vec(),
+                staged: 0,
+            });
+            // Re-dirtying a line staged in an in-flight flush: the
+            // flight's snapshot is stale, so later flushes of this line
+            // must persist anew instead of riding it.
+            dirty.staged = 0;
+            dirty.content[within..within + n].copy_from_slice(&data[pos..pos + n]);
             pos += n;
         }
     }
 
-    /// Flushes the cache lines covering `[off, off + len)` to durable
-    /// storage, one line at a time. Each line persists atomically; a
-    /// crash injected mid-call persists a prefix of the lines only —
-    /// this is the partial-flush hazard of Fig. 5 in the paper.
+    /// Makes the cache lines covering `[off, off + len)` durable: issues
+    /// one flight over the dirty ones, exactly as [`PMem::flush_async`]
+    /// does, and awaits it before returning. A covered line already
+    /// staged by an un-completed flight (and not re-dirtied since) rides
+    /// that flight instead. Flights complete in issue order, so the
+    /// await also completes every older flight on the region. Each line
+    /// persists atomically; a crash before the flight completes leaves
+    /// the covered lines to the survivor lottery, so any subset of them
+    /// may survive — the torn state Fig. 5 in the paper tolerates.
     ///
     /// # Errors
     ///
     /// [`MemError::Crashed`], [`MemError::OutOfBounds`], or an I/O error
     /// from the write-through backend.
     pub fn flush(&self, off: POffset, len: usize) -> Result<(), MemError> {
-        self.check_alive()?;
-        self.check_bounds(off, len)?;
-        // Telemetry round-trip timer: a no-op unless recording (and
-        // compiled away entirely without the `telemetry` feature).
-        let probe = pstack_telemetry::persist_probe();
-        let (persisted, covering) = {
-            let mut st = self.inner.state.lock();
-            MemStats::bump(&self.inner.stats.flush_calls);
-            self.persist_range_locked(&mut st, off.as_usize(), len)?
-        };
-        self.finish_flush(probe, persisted, covering)
+        self.persist(off, len, false).map(drop)
     }
 
     /// The **durable-read** primitive (FliT's rule: a reader persists
     /// a line only if a writer has left it un-persisted). Decided under
     /// the region lock: if no line covering `[off, off + len)` is dirty
     /// — none written since its last persist, none staged in an
-    /// un-awaited [`PMem::flush_async`] flight — this returns
-    /// `Ok(false)` having done **nothing**: no persistence event, no
-    /// round-trip, no counter (not even `redundant_persists`).
-    /// Otherwise it is exactly [`PMem::flush`] and returns `Ok(true)`.
+    /// un-completed flight — this returns `Ok(false)` having done
+    /// **nothing**: no persistence event, no round-trip, no counter
+    /// (not even `redundant_persists`). Otherwise it is exactly
+    /// [`PMem::flush`] and returns `Ok(true)`.
     ///
     /// A reader that returns a value read from these lines calls this
     /// first, so the value it hands out survives a crash; on a
@@ -665,156 +695,48 @@ impl PMem {
     ///
     /// Same as [`PMem::flush`].
     pub fn persist_if_dirty(&self, off: POffset, len: usize) -> Result<bool, MemError> {
+        self.persist(off, len, true)
+    }
+
+    /// [`PMem::flush`], or with `only_if_dirty` [`PMem::persist_if_dirty`]:
+    /// one flight issued and awaited, under one lock unless the await
+    /// has device time to sleep.
+    fn persist(&self, off: POffset, len: usize, only_if_dirty: bool) -> Result<bool, MemError> {
         self.check_alive()?;
         self.check_bounds(off, len)?;
-        if len == 0 {
-            return Ok(false);
-        }
+        // Telemetry round-trip timer: a no-op unless recording (and
+        // compiled away entirely without the `telemetry` feature).
         let probe = pstack_telemetry::persist_probe();
-        let (persisted, covering) = {
-            let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.lock();
+        if only_if_dirty {
             let line = self.inner.line_size;
-            let first = off.as_usize() / line;
-            let last = (off.as_usize() + len - 1) / line;
+            let start = off.as_usize();
             // Staged lines stay in `dirty` until their flight is
             // applied, so one lookup covers both cases.
-            if !(first..=last).any(|li| st.dirty.contains_key(&li)) {
+            if len == 0
+                || !(start / line..=(start + len - 1) / line).any(|li| st.dirty.contains_key(&li))
+            {
                 return Ok(false);
             }
-            MemStats::bump(&self.inner.stats.flush_calls);
-            self.persist_range_locked(&mut st, off.as_usize(), len)?
-        };
-        self.finish_flush(probe, persisted, covering)?;
-        Ok(true)
-    }
-
-    /// The unlocked tail of a synchronous flush: pays the round-trip
-    /// and awaits the flight covering any elided line.
-    fn finish_flush(
-        &self,
-        probe: pstack_telemetry::PersistProbe,
-        persisted: u64,
-        covering: Option<u64>,
-    ) -> Result<(), MemError> {
-        self.settle_round_trip(probe, persisted);
-        if let Some(serial) = covering {
-            // Lines elided because an in-flight async flush already
-            // carries their snapshot: synchronous semantics ("durable
-            // on return") still hold — by awaiting that flight.
-            self.await_serial(serial)?;
         }
-        self.maybe_jitter();
-        Ok(())
-    }
-
-    /// The locked half of a persist round-trip: drains the dirty lines
-    /// covering the range into the backend and returns how many lines
-    /// persisted, plus the youngest in-flight async flush whose staged
-    /// snapshot made a covered line elidable (the caller must await it
-    /// to keep synchronous durability semantics). The per-round-trip
-    /// device latency is paid by [`PMem::settle_round_trip`] **after**
-    /// the region lock is released, so concurrent writers' round-trips
-    /// on one region overlap (a queued-command device: the data is
-    /// durable when the command is accepted here; the latency is the
-    /// completion wait).
-    fn persist_range_locked(
-        &self,
-        st: &mut State,
-        start: usize,
-        len: usize,
-    ) -> Result<(u64, Option<u64>), MemError> {
-        if len == 0 {
-            return Ok((0, None));
-        }
-        let line = self.inner.line_size;
-        let first = start / line;
-        let last = (start + len - 1) / line;
-        let mut persisted = 0u64;
-        let mut covering: Option<u64> = None;
-        for li in first..=last {
-            self.on_event(st).inspect_err(|_| {
-                Self::note_persist(&self.inner.stats, persisted);
-            })?;
-            if let Some(&serial) = st.flights.staged.get(&li) {
-                // The line is staged in an in-flight async flush and has
-                // not been re-dirtied since: the flight's snapshot is
-                // current, so this persist is elided (FliT-style
-                // per-line durable tracking) and the caller awaits the
-                // flight instead.
-                MemStats::bump(&self.inner.stats.elided_lines);
-                covering = Some(covering.map_or(serial, |c: u64| c.max(serial)));
-                continue;
-            }
-            if let Some(content) = st.dirty.remove(&li) {
-                let line_start = li * line;
-                st.image[line_start..line_start + line].copy_from_slice(&content);
-                // A backend failure still ends the round-trip: account
-                // the lines persisted so far, like the crash path above.
-                st.backend
-                    .persist_line(line_start, &content)
-                    .inspect_err(|_| {
-                        Self::note_persist(&self.inner.stats, persisted);
-                    })?;
-                MemStats::bump(&self.inner.stats.lines_persisted);
-                if let Some(psan) = &self.inner.psan {
-                    psan.note_persist_line(li, st.fail.events);
-                }
-                // This fresher persist subsumes any queued snapshot of
-                // the line: tombstone it so a completing flight can
-                // never roll the backend back.
-                for f in &mut st.flights.queue {
-                    for l in &mut f.lines {
-                        if *l == Some(li) {
-                            *l = None;
-                        }
-                    }
-                }
-                persisted += 1;
-                if let Some(delay) = self.inner.persist_delay {
-                    // Slow device: the delay is paid with the region
-                    // locked, serializing persists like one spindle.
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-        Self::note_persist(&self.inner.stats, persisted);
-        if persisted == 0 && covering.is_none() {
-            // A non-empty flush that persisted nothing: every covered
-            // line was already durable. Diagnostic, not a violation.
-            MemStats::bump(&self.inner.stats.redundant_persists);
-        }
-        if let Some(psan) = &self.inner.psan {
-            // The round-trip completed: everything it copied out is
-            // now ordered, i.e. durable.
-            psan.note_flush_complete(st.fail.events);
-        }
-        Ok((persisted, covering))
-    }
-
-    /// The unlocked half of a persist round-trip: pays the emulated
-    /// per-round-trip device latency and records the telemetry probe.
-    /// Called with the region lock released — round-trips issued by
-    /// concurrent threads on the same region wait out their latency in
-    /// parallel.
-    fn settle_round_trip(&self, probe: pstack_telemetry::PersistProbe, persisted: u64) {
-        if persisted > 0 {
-            if let Some(latency) = self.inner.flush_latency {
-                std::thread::sleep(latency);
-            }
-        }
+        MemStats::bump(&self.inner.stats.flush_calls);
+        let serial = self.issue(&mut st, off.as_usize(), len)?;
+        let persisted = self.await_serial(st, serial)?;
         // Recorded after the emulated device latency so span/persist
         // durations reflect the cost the caller actually paid.
         probe.record(
             self.inner.tlabel.load(Ordering::Relaxed),
             persisted as usize,
         );
+        self.maybe_jitter();
+        Ok(true)
     }
 
     /// Issues an **asynchronous flush** of the lines covering
-    /// `[off, off + len)`: the round-trip is queued on the region's
-    /// flush queue with its device latency charged off-thread, and the
+    /// `[off, off + len)`: one flight is queued on the region's flush
+    /// queue with its device time charged into its deadline, and the
     /// returned [`FlushTicket`] is awaited — with [`PMem::await_ticket`],
-    /// a [`PMem::fence`], or any synchronous flush over the same lines —
+    /// a [`PMem::fence`], or any later [`PMem::flush`] on the region —
     /// at the point that needs durability, typically right before a
     /// commit-point CAS or root swap. Work done between issue and await
     /// overlaps the round-trip; that overlap is the pipeline win.
@@ -822,15 +744,14 @@ impl PMem {
     /// Dirty lines are snapshotted at issue time: once awaited, the
     /// ticket guarantees the content *as of this call* is durable, even
     /// if the lines are re-dirtied in between. A covered line already
-    /// staged by an earlier un-completed ticket (and not re-dirtied
+    /// staged by an earlier un-completed flight (and not re-dirtied
     /// since) is elided — the returned ticket rides the earlier flight.
-    /// A call whose every covered line is clean or already staged
-    /// elides the whole round-trip (counted in `redundant_persists`).
-    /// Covered lines consume persistence events exactly like a
-    /// synchronous flush, so crash-point enumeration sees the same
-    /// event stream; a crash with the flight still queued keeps only
-    /// completed flights durable (staged lines take the survivor
-    /// lottery like any other dirty line).
+    /// A call whose every covered line is clean issues nothing (counted
+    /// in `redundant_persists`). Each covered line consumes one
+    /// persistence event, so crash-point enumeration sees the same
+    /// event stream as for [`PMem::flush`]; a crash with the flight
+    /// still queued keeps only completed flights durable (staged lines
+    /// take the survivor lottery like any other dirty line).
     ///
     /// # Errors
     ///
@@ -843,67 +764,89 @@ impl PMem {
         let region = Arc::as_ptr(&self.inner) as usize;
         let mut st = self.inner.state.lock();
         MemStats::bump(&self.inner.stats.flush_calls);
+        let issued = st.flights.issued;
+        let serial = self.issue(&mut st, off.as_usize(), len)?;
+        if st.flights.issued != issued {
+            MemStats::bump(&self.inner.stats.async_flushes);
+        }
+        Ok(FlushTicket { region, serial })
+    }
+
+    /// Stages one flight over the dirty lines covering `[start, start +
+    /// len)` — each covered line one persistence event — and returns the
+    /// serial whose completion makes them all durable: the new flight's,
+    /// else the youngest flight a covered line rides, else (every
+    /// covered line clean) the last completed one.
+    fn issue(&self, st: &mut State, start: usize, len: usize) -> Result<u64, MemError> {
         if len == 0 {
-            let serial = st.flights.completed;
-            return Ok(FlushTicket { region, serial });
+            return Ok(st.flights.completed);
         }
         let line = self.inner.line_size;
-        let first = off.as_usize() / line;
-        let last = (off.as_usize() + len - 1) / line;
+        let first = start / line;
+        let last = (start + len - 1) / line;
         let serial = st.flights.issued + 1;
         // Sized up front to the lines this flight stages — grown by
         // doubling, each flight would also free a run of small outgrown
         // buffers — and not to the span: a heads flight spans a shard's
         // whole touched bucket range for the few lines a batch dirtied.
         let staging = (first..=last)
-            .filter(|li| st.dirty.contains_key(li) && !st.flights.staged.contains_key(li))
+            .filter(|li| st.dirty.get(li).is_some_and(|d| d.staged == 0))
             .count();
-        let mut lines = Vec::with_capacity(staging);
-        let mut bytes = Vec::with_capacity(staging * line);
-        let mut covering: Option<u64> = None;
+        let (mut lines, mut bytes) = if staging == 1 {
+            std::mem::take(&mut st.flights.spare)
+        } else {
+            Default::default()
+        };
+        lines.reserve_exact(staging);
+        bytes.reserve_exact(staging * line);
+        let mut covering = 0u64;
         for li in first..=last {
-            self.on_event(&mut st)?;
-            if let Some(&s) = st.flights.staged.get(&li) {
+            self.on_event(st)?;
+            let Some(dirty) = st.dirty.get_mut(&li) else {
+                continue;
+            };
+            if dirty.staged != 0 {
+                // Staged by an un-completed flight and not re-dirtied
+                // since: the flight's snapshot is current, so the line
+                // rides it (FliT-style per-line durable tracking).
                 MemStats::bump(&self.inner.stats.elided_lines);
-                covering = Some(covering.map_or(s, |c: u64| c.max(s)));
+                covering = covering.max(dirty.staged);
                 continue;
             }
-            if let Some(content) = st.dirty.get(&li) {
-                lines.push(Some(li));
-                bytes.extend_from_slice(content);
-                st.flights.staged.insert(li, serial);
-                if let Some(psan) = &self.inner.psan {
-                    psan.note_persist_line_ticket(li, serial, st.fail.events);
-                }
+            dirty.staged = serial;
+            lines.push(li);
+            bytes.extend_from_slice(&dirty.content);
+            if let Some(psan) = &self.inner.psan {
+                psan.note_persist_line_ticket(li, serial, st.fail.events);
             }
         }
         if lines.is_empty() {
-            // Nothing newly staged: the round-trip is elided outright.
-            // The ticket resolves to the youngest flight still carrying
-            // a covered line, or to "already complete".
-            MemStats::bump(&self.inner.stats.redundant_persists);
-            let serial = covering.unwrap_or(st.flights.completed);
-            return Ok(FlushTicket { region, serial });
+            if covering == 0 {
+                // Every covered line was already durable. Diagnostic,
+                // not a violation.
+                MemStats::bump(&self.inner.stats.redundant_persists);
+                return Ok(st.flights.completed);
+            }
+            return Ok(covering);
         }
         st.flights.issued = serial;
-        let deadline = match self.inner.flush_latency {
-            Some(latency) => {
-                MemStats::add(
-                    &self.inner.stats.async_latency_charged_ns,
-                    latency.as_nanos() as u64,
-                );
-                Some(std::time::Instant::now() + latency)
-            }
-            None => None,
-        };
+        // Device time: the command once, then each line's bandwidth.
+        let charge = self.inner.flush_latency.unwrap_or_default()
+            + self.inner.persist_delay.unwrap_or_default() * lines.len() as u32;
+        let deadline = (!charge.is_zero()).then(|| {
+            MemStats::add(
+                &self.inner.stats.async_latency_charged_ns,
+                charge.as_nanos() as u64,
+            );
+            std::time::Instant::now() + charge
+        });
         st.flights.queue.push_back(Flight {
             serial,
             deadline,
             lines,
             bytes,
         });
-        MemStats::bump(&self.inner.stats.async_flushes);
-        Ok(FlushTicket { region, serial })
+        Ok(serial)
     }
 
     /// Blocks until the flush issued as `ticket` completed, applying
@@ -924,56 +867,23 @@ impl PMem {
                 "flush ticket belongs to a different region or boot".into(),
             ));
         }
-        self.await_serial(ticket.serial)
+        self.await_traced(ticket.serial)
     }
 
-    /// Completes every queued flight up to `serial`: sleeps out the
-    /// youngest covered deadline with the region lock released (so
-    /// concurrent awaits — and round-trips on other regions — overlap),
-    /// then applies the snapshots under the lock.
-    fn await_serial(&self, serial: u64) -> Result<(), MemError> {
-        let deadline = {
-            let st = self.inner.state.lock();
-            if st.flights.completed >= serial {
-                return Ok(());
-            }
-            if self.is_crashed() {
-                return Err(MemError::Crashed);
-            }
-            st.flights
-                .queue
-                .iter()
-                .take_while(|f| f.serial <= serial)
-                .filter_map(|f| f.deadline)
-                .last()
-        };
+    /// [`PMem::await_serial`] as a ticket or a fence waits: timed by a
+    /// `flush.await` span when anything is left to complete.
+    fn await_traced(&self, serial: u64) -> Result<(), MemError> {
+        let st = self.inner.state.lock();
+        if st.flights.completed >= serial {
+            return Ok(());
+        }
         let probe = pstack_telemetry::persist_probe();
         let persisted = {
             // The span times the wait; the persist it completes belongs
             // to the awaiting op, recorded once the span has closed —
             // as a synchronous flush's is.
             let _await = pstack_telemetry::span("flush.await");
-            if let Some(d) = deadline {
-                let now = std::time::Instant::now();
-                if d > now {
-                    let wait = d - now;
-                    std::thread::sleep(wait);
-                    MemStats::add(
-                        &self.inner.stats.async_latency_waited_ns,
-                        wait.as_nanos() as u64,
-                    );
-                }
-            }
-            let mut st = self.inner.state.lock();
-            if self.is_crashed() {
-                return Err(MemError::Crashed);
-            }
-            let mut persisted = 0u64;
-            while st.flights.queue.front().is_some_and(|f| f.serial <= serial) {
-                let flight = st.flights.queue.pop_front().expect("checked front");
-                persisted += self.apply_flight(&mut st, flight)?;
-            }
-            persisted
+            self.await_serial(st, serial)?
         };
         probe.record(
             self.inner.tlabel.load(Ordering::Relaxed),
@@ -982,42 +892,89 @@ impl PMem {
         Ok(())
     }
 
-    /// Applies one completed flight: copies its snapshots into the
-    /// image and the backend, retires their staged markers, and
-    /// promotes the ticket's shadow lines. Consumes no persistence
-    /// events — those were charged at issue.
-    fn apply_flight(&self, st: &mut State, flight: Flight) -> Result<u64, MemError> {
-        let line = self.inner.line_size;
-        let batch: Vec<(usize, &[u8])> = flight
-            .lines
+    /// The one await: completes every queued flight up to `serial` and
+    /// returns how many lines they made durable. The device time is
+    /// slept here and nowhere else — until the latest deadline among
+    /// the flights it completes, with the region lock released (so
+    /// concurrent awaits, and round-trips on other regions, overlap).
+    /// With nothing left to sleep the flights apply under the lock the
+    /// caller already holds.
+    fn await_serial<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State>,
+        serial: u64,
+    ) -> Result<u64, MemError> {
+        if st.flights.completed >= serial {
+            return Ok(0);
+        }
+        if self.is_crashed() {
+            return Err(MemError::Crashed);
+        }
+        let deadline = st
+            .flights
+            .queue
             .iter()
-            .zip(flight.bytes.chunks_exact(line))
-            .filter_map(|(li, content)| li.map(|li| (li * line, content)))
-            .collect();
-        st.backend.persist_lines(&batch)?;
-        let persisted = batch.len() as u64;
-        for &(line_start, content) in &batch {
-            let li = line_start / line;
-            st.image[line_start..line_start + line].copy_from_slice(content);
-            MemStats::bump(&self.inner.stats.lines_persisted);
-            if st.flights.staged.get(&li) == Some(&flight.serial) {
-                // Not re-dirtied since issue: the snapshot is the live
-                // content, so the cache entry retires with the marker.
-                st.flights.staged.remove(&li);
-                st.dirty.remove(&li);
+            .take_while(|f| f.serial <= serial)
+            .filter_map(|f| f.deadline)
+            .max();
+        if let Some(wait) =
+            deadline.and_then(|d| d.checked_duration_since(std::time::Instant::now()))
+        {
+            drop(st);
+            std::thread::sleep(wait);
+            MemStats::add(
+                &self.inner.stats.async_latency_waited_ns,
+                wait.as_nanos() as u64,
+            );
+            st = self.inner.state.lock();
+            if self.is_crashed() {
+                return Err(MemError::Crashed);
             }
         }
+        let mut persisted = 0u64;
+        while st.flights.queue.front().is_some_and(|f| f.serial <= serial) {
+            let flight = st.flights.queue.pop_front().expect("checked front");
+            persisted += self.apply_flight(&mut st, flight)?;
+        }
+        Ok(persisted)
+    }
+
+    /// Applies one completed flight: copies its snapshots into the
+    /// backend and the image, retires the dirty entries they still
+    /// match, and promotes the ticket's shadow lines. Consumes no
+    /// persistence events — those were charged at issue.
+    fn apply_flight(&self, st: &mut State, mut flight: Flight) -> Result<u64, MemError> {
+        let line = self.inner.line_size;
+        st.backend
+            .persist_lines(line, &flight.lines, &flight.bytes)?;
+        for (&li, content) in flight.lines.iter().zip(flight.bytes.chunks_exact(line)) {
+            st.image[li * line..(li + 1) * line].copy_from_slice(content);
+            if let Entry::Occupied(dirty) = st.dirty.entry(li) {
+                // Not re-dirtied since issue: the snapshot is the live
+                // content, so the cache entry retires.
+                if dirty.get().staged == flight.serial {
+                    dirty.remove();
+                }
+            }
+        }
+        let persisted = flight.lines.len() as u64;
+        MemStats::add(&self.inner.stats.lines_persisted, persisted);
         Self::note_persist(&self.inner.stats, persisted);
         st.flights.completed = flight.serial;
         if let Some(psan) = &self.inner.psan {
             psan.note_ticket_complete(flight.serial, st.fail.events);
         }
+        if persisted == 1 {
+            flight.lines.clear();
+            flight.bytes.clear();
+            st.flights.spare = (flight.lines, flight.bytes);
+        }
         Ok(persisted)
     }
 
-    /// Number of asynchronous flushes issued but not yet completed
-    /// (flights still on the queue). Crash campaigns use this to prove
-    /// kills land while flushes are in flight.
+    /// Number of flights issued but not yet completed (still on the
+    /// queue). Crash campaigns use this to prove kills land while
+    /// flushes are in flight.
     #[must_use]
     pub fn inflight_tickets(&self) -> u64 {
         self.inner.state.lock().flights.queue.len() as u64
@@ -1063,20 +1020,16 @@ impl PMem {
         Ok(())
     }
 
-    /// Persistence fence: completes every in-flight asynchronous flush
-    /// (the strongest await), then records the `sfence`-style marker
-    /// (under PSan it additionally orders any lines still in the
-    /// `Flushed` shadow state). Errors from draining — a crashed
-    /// region — are swallowed to keep the infallible signature; the
-    /// crash surfaces on the next access.
+    /// Persistence fence: completes every flight on the region (the
+    /// strongest await — under PSan every `Flushed` line is `Durable`
+    /// after it), then records the `sfence`-style marker. Errors from
+    /// draining — a crashed region — are swallowed to keep the
+    /// infallible signature; the crash surfaces on the next access.
     pub fn fence(&self) {
         let target = self.inner.state.lock().flights.issued;
-        let _ = self.await_serial(target);
+        let _ = self.await_traced(target);
         MemStats::bump(&self.inner.stats.fences);
         pstack_telemetry::fence_event(self.inner.tlabel.load(Ordering::Relaxed));
-        if let Some(psan) = &self.inner.psan {
-            psan.note_fence(self.events());
-        }
     }
 
     /// Atomic compare-exchange on `expected.len()` bytes at `off`,
@@ -1183,10 +1136,12 @@ impl PMem {
         st.fail.disarm();
         MemStats::bump(&self.inner.stats.crashes);
         let line = self.inner.line_size;
-        let mut lines: Vec<usize> = st.dirty.keys().copied().collect();
-        lines.sort_unstable();
-        let mut outcomes = Vec::with_capacity(lines.len());
-        for li in lines {
+        let mut dirty: Vec<(usize, DirtyLine)> = st.dirty.drain().collect();
+        dirty.sort_unstable_by_key(|&(li, _)| li);
+        let mut outcomes = Vec::with_capacity(dirty.len());
+        let mut survivors = Vec::new();
+        let mut bytes = Vec::new();
+        for (li, DirtyLine { content, .. }) in dirty {
             let survives = if survival_prob <= 0.0 {
                 false
             } else if survival_prob >= 1.0 {
@@ -1196,26 +1151,24 @@ impl PMem {
                     SmallRng::seed_from_u64(seed ^ (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 rng.random_bool(survival_prob)
             };
-            let content = st.dirty.remove(&li).expect("line listed as dirty");
             if survives {
-                let line_start = li * line;
-                st.image[line_start..line_start + line].copy_from_slice(&content);
-                // Write-through failures during a crash are ignored: the
-                // crash wins, and the image stays authoritative for the
-                // in-process reopen path.
-                let _ = st.backend.persist_line(line_start, &content);
-                MemStats::bump(&self.inner.stats.lines_persisted);
+                st.image[li * line..(li + 1) * line].copy_from_slice(&content);
+                survivors.push(li);
+                bytes.extend_from_slice(&content);
             }
             outcomes.push((li, survives));
         }
-        st.dirty.clear();
+        // Write-through failures during a crash are ignored: the crash
+        // wins, and the image stays authoritative for the in-process
+        // reopen path.
+        let _ = st.backend.persist_lines(line, &survivors, &bytes);
+        MemStats::add(&self.inner.stats.lines_persisted, survivors.len() as u64);
         // Un-completed flights die with the cache: their staged lines
         // just took the lottery above (so recovery sees exactly the
         // completed-ticket prefix, plus any lucky survivors), and
         // pending tickets fail their await with `Crashed`.
         MemStats::add(&self.inner.stats.flights_cut, st.flights.queue.len() as u64);
         st.flights.queue.clear();
-        st.flights.staged.clear();
         pstack_telemetry::crash(self.inner.tlabel.load(Ordering::Relaxed), st.fail.events);
         if let Some(psan) = &self.inner.psan {
             // Dropped lines revert to their durable content (shadow
@@ -1263,7 +1216,7 @@ impl PMem {
                 stats: MemStats::default(),
                 state: FairMutex::new(State {
                     image,
-                    dirty: HashMap::new(),
+                    dirty: HashMap::default(),
                     backend,
                     fail: FailState::default(),
                     flights: FlightState::default(),
@@ -1602,19 +1555,26 @@ mod tests {
 
     #[test]
     fn multi_line_flush_can_be_cut_in_the_middle() {
-        // Write 3 lines, arm a crash after the 4th event
-        // (3 writes + first persisted line), so exactly one line persists.
-        let p = small();
-        p.write(POffset::new(0), &[1u8; 64]).unwrap();
-        p.write(POffset::new(64), &[2u8; 64]).unwrap();
-        p.write(POffset::new(128), &[3u8; 64]).unwrap();
-        p.arm_failpoint(FailPlan::after_events(1));
-        let err = p.flush(POffset::new(0), 192).unwrap_err();
-        assert!(matches!(err, MemError::Crashed));
-        let p = p.reopen().unwrap();
-        assert_eq!(p.read_u8(POffset::new(0)).unwrap(), 1);
-        assert_eq!(p.read_u8(POffset::new(64)).unwrap(), 0);
-        assert_eq!(p.read_u8(POffset::new(128)).unwrap(), 0);
+        // Write 3 lines and cut their flush at its second line's event:
+        // the flight never completes, so all three lines take the
+        // survivor lottery — none survive at probability 0, all at 1,
+        // and a seeded 0.5 cut keeps a set that is not a prefix (the
+        // torn state Fig. 5 tolerates).
+        let cut = |seed: u64, prob: f64| {
+            let p = small();
+            p.write(POffset::new(0), &[1u8; 64]).unwrap();
+            p.write(POffset::new(64), &[2u8; 64]).unwrap();
+            p.write(POffset::new(128), &[3u8; 64]).unwrap();
+            p.arm_failpoint(FailPlan::after_events(1).with_survivors(seed, prob));
+            let err = p.flush(POffset::new(0), 192).unwrap_err();
+            assert!(matches!(err, MemError::Crashed));
+            let p = p.reopen().unwrap();
+            [0, 64, 128].map(|off| p.read_u8(POffset::new(off)).unwrap())
+        };
+        assert_eq!(cut(0, 0.0), [0, 0, 0]);
+        assert_eq!(cut(0, 1.0), [1, 2, 3]);
+        // The first and last line survive, the middle one is lost.
+        assert_eq!(cut(3, 0.5), [1, 0, 3]);
     }
 
     #[test]
@@ -2118,8 +2078,9 @@ mod tests {
         let p = small();
         p.write_u64(POffset::new(0), 1).unwrap();
         let t = p.flush_async(POffset::new(0), 8).unwrap();
-        // Re-dirty after staging: the marker clears, the sync flush
-        // persists the new content and purges the stale snapshot.
+        // Re-dirty after staging: the marker clears, and the sync
+        // flush's flight carries the new content, completing after the
+        // stale snapshot's.
         p.write_u64(POffset::new(0), 2).unwrap();
         p.flush(POffset::new(0), 8).unwrap();
         p.await_ticket(&t).unwrap();
@@ -2147,8 +2108,10 @@ mod tests {
         let before = p.stats().snapshot();
         let t2 = p.flush_async(POffset::new(64), 8).unwrap();
         let d = p.stats().snapshot() - before;
+        // The line was dirty, so the call is not redundant: only a
+        // call whose every covered line was clean is.
         assert_eq!(d.elided_lines, 1);
-        assert_eq!(d.redundant_persists, 1);
+        assert_eq!(d.redundant_persists, 0);
         assert_eq!(t2, t1, "the elided ticket rides the earlier flight");
         p.await_ticket(&t2).unwrap();
         p.crash_now(0, 0.0);
@@ -2250,16 +2213,24 @@ mod tests {
     fn psan_tracks_ticket_lifecycle() {
         use crate::psan::ShadowState;
         let p = psan_region();
+        let other = psan_region();
         let off = POffset::new(64);
         p.write_u64(off, 7).unwrap();
         let t = p.flush_async(off, 8).unwrap();
         assert_eq!(p.psan_line_state(off), Some(ShadowState::Flushed));
-        // A sync round-trip elsewhere must NOT promote the staged line.
+        // A sync flush on another region must NOT promote the staged
+        // line.
+        other.write_u64(POffset::new(256), 1).unwrap();
+        other.flush(POffset::new(256), 8).unwrap();
+        assert_eq!(p.psan_line_state(off), Some(ShadowState::Flushed));
+        // A sync flush on the same region completes the flight: flights
+        // complete in issue order, as they do when a later ticket is
+        // awaited.
         p.write_u64(POffset::new(256), 1).unwrap();
         p.flush(POffset::new(256), 8).unwrap();
-        assert_eq!(p.psan_line_state(off), Some(ShadowState::Flushed));
-        p.await_ticket(&t).unwrap();
         assert_eq!(p.psan_line_state(off), Some(ShadowState::Durable));
+        assert_eq!(p.inflight_tickets(), 0);
+        p.await_ticket(&t).unwrap();
         assert!(p.psan_violations().is_empty());
     }
 

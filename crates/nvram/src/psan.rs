@@ -9,15 +9,18 @@
 //! execution by shadowing each cache line with a tiny state machine:
 //!
 //! ```text
-//!            write                persist (line)        round-trip / fence
-//!   Clean ─────────▶ Dirty ──────────────────▶ Flushed ─────────────▶ Durable
-//!     ▲                │ crash (line dropped)     │ crash (mid-flush)
-//!     └────────────────┘                          └──▶ Durable
+//!            write              flight issued           flight completes
+//!   Clean ─────────▶ Dirty ──────────────────▶ Flushed ─────────────────▶ Durable
+//!     ▲                │ crash (line dropped)     │ crash (line dropped)
+//!     └────────────────┴──────────────────────────┘
 //! ```
 //!
-//! On a crash, Dirty lines either revert to Clean (content lost — the
-//! shadow forgets them) or, when the crash model lets them survive "by
-//! luck", their never-persisted bytes are remembered as **ghosts**.
+//! Every persist is a flight ([`PMem::flush`](crate::PMem::flush) is one
+//! issued and awaited at once), so a line is `Flushed` exactly while its
+//! snapshot rides an un-completed flight. On a crash, Dirty and Flushed
+//! lines either revert to Clean (content lost — the shadow forgets
+//! them) or, when the crash model lets them survive "by luck", their
+//! never-durable bytes are remembered as **ghosts**.
 //!
 //! Violation classes:
 //!
@@ -29,8 +32,8 @@
 //! - **ghost read** — a post-crash boot reads bytes that were never
 //!   durable before the crash (data that only exists because the
 //!   emulator's survivor model was generous);
-//! - **redundant persist** — diagnostic only: a flush call that
-//!   persisted zero lines (counted in
+//! - **redundant persist** — diagnostic only: a flush call over lines
+//!   that were all clean (counted in
 //!   [`StatsSnapshot::redundant_persists`](crate::StatsSnapshot), not
 //!   reported as a violation).
 //!
@@ -110,8 +113,9 @@ pub enum ShadowState {
     Clean,
     /// Written, not yet handed to a persist operation.
     Dirty,
-    /// A persist has copied the line out, but the round-trip that
-    /// orders it (flush return / fence) has not completed.
+    /// A flight carries a snapshot of the line, but has not completed
+    /// (its await, a later flush on the region or a fence completes
+    /// it).
     Flushed,
     /// Content guaranteed to survive a crash.
     Durable,
@@ -277,18 +281,10 @@ struct ShadowInner {
     region: String,
     lines: HashMap<usize, ShadowLine>,
     ghosts: HashMap<usize, GhostLine>,
-    /// Lines currently `Flushed`, awaiting promotion at the next fence
-    /// or completed round-trip. Keeping the worklist explicit makes
-    /// fences O(lines flushed since the last fence) instead of O(every
-    /// line ever touched) — entries whose line was re-dirtied in the
-    /// meantime are skipped on drain.
-    pending_flush: Vec<usize>,
-    /// Ticket-staged lines per in-flight asynchronous flush, promoted
-    /// by [`Self::note_ticket_complete`] when the flight applies. Kept
-    /// apart from `pending_flush` so a synchronous round-trip (or
-    /// fence) completing on the region cannot promote lines whose own
-    /// flight is still queued — publishing against an un-awaited
-    /// ticket must stay an attributable early-publish.
+    /// Staged lines per un-completed flight, promoted by
+    /// [`PsanCell::note_ticket_complete`] when that flight applies —
+    /// no other flight's completion promotes them, so publishing
+    /// against an un-awaited ticket stays an attributable early-publish.
     ticket_pending: HashMap<u64, Vec<usize>>,
     publish: Vec<PublishRange>,
     /// Commit extents declared ahead of the next root swap (drained by
@@ -332,11 +328,11 @@ impl ShadowInner {
     fn check_span_durable(&mut self, start: u64, len: u64, kind: PsanViolationKind, events: u64) {
         for li in self.line_range(start, len as usize) {
             // `Flushed` is as bad as `Dirty` at a commit point: the
-            // line rides an un-completed async flight (synchronous
-            // round-trips promote to `Durable` before their region
-            // call returns, so an in-thread observer never sees their
-            // transient `Flushed`). Publishing against an un-awaited
-            // ticket is the early-publish bug class.
+            // line rides an un-completed flight (a synchronous flush
+            // awaits its flight before returning, so an in-thread
+            // observer never sees its transient `Flushed`). Publishing
+            // against an un-awaited ticket is the early-publish bug
+            // class.
             if self
                 .lines
                 .get(&li)
@@ -368,7 +364,6 @@ impl PsanCell {
                 region: "region".to_string(),
                 lines: HashMap::new(),
                 ghosts: HashMap::new(),
-                pending_flush: Vec::new(),
                 ticket_pending: HashMap::new(),
                 publish: Vec::new(),
                 commits: Vec::new(),
@@ -414,33 +409,17 @@ impl PsanCell {
         }
     }
 
-    /// A persist has copied line `li` out to the backend: `Dirty →
-    /// Flushed`. The bytes are on media, but ordering is only
-    /// guaranteed once the round-trip completes.
-    pub(crate) fn note_persist_line(&self, li: usize, events: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(line) = inner.lines.get_mut(&li) {
-            if line.state == ShadowState::Dirty {
-                line.state = ShadowState::Flushed;
-                line.clear_mask();
-                line.push_hist("persist", events);
-                inner.pending_flush.push(li);
-            }
-        }
-    }
-
-    /// An asynchronous flush snapshotted line `li` into flight
-    /// `serial`: `Dirty → Flushed`, but promotion waits for **that
-    /// flight's** completion, not any intervening sync round-trip or
-    /// fence. The written-bytes mask is kept: if a crash's survivor
-    /// lottery keeps the line before the flight completes, its bytes
-    /// were never durable — ghosts.
+    /// A flight snapshotted line `li` as flight `serial`: `Dirty →
+    /// Flushed`, and promotion waits for **that flight's** completion.
+    /// The written-bytes mask is kept: if a crash's survivor lottery
+    /// keeps the line before the flight completes, its bytes were never
+    /// durable — ghosts.
     pub(crate) fn note_persist_line_ticket(&self, li: usize, serial: u64, events: u64) {
         let mut inner = self.inner.lock();
         if let Some(line) = inner.lines.get_mut(&li) {
             if line.state == ShadowState::Dirty {
                 line.state = ShadowState::Flushed;
-                line.push_hist("persist-async", events);
+                line.push_hist("persist", events);
                 inner.ticket_pending.entry(serial).or_default().push(li);
             }
         }
@@ -458,35 +437,7 @@ impl PsanCell {
                 if line.state == ShadowState::Flushed {
                     line.state = ShadowState::Durable;
                     line.clear_mask();
-                    line.push_hist("ticket-durable", events);
-                }
-            }
-        }
-    }
-
-    /// The flush round-trip completed: every `Flushed` line is now
-    /// `Durable`.
-    pub(crate) fn note_flush_complete(&self, events: u64) {
-        self.promote_flushed("durable", events);
-    }
-
-    /// A fence orders everything previously flushed: same promotion as
-    /// a completed round-trip.
-    pub(crate) fn note_fence(&self, events: u64) {
-        self.promote_flushed("fence", events);
-    }
-
-    /// Drains the flushed worklist, promoting every line still in
-    /// `Flushed`. A line re-dirtied since its persist is left alone —
-    /// its next persist re-enqueues it.
-    fn promote_flushed(&self, what: &'static str, events: u64) {
-        let mut inner = self.inner.lock();
-        let pending = std::mem::take(&mut inner.pending_flush);
-        for li in pending {
-            if let Some(line) = inner.lines.get_mut(&li) {
-                if line.state == ShadowState::Flushed {
-                    line.state = ShadowState::Durable;
-                    line.push_hist(what, events);
+                    line.push_hist("durable", events);
                 }
             }
         }
@@ -564,11 +515,11 @@ impl PsanCell {
     }
 
     /// Crash-time shadow update. `outcomes` lists every dirty line the
-    /// crash adjudicated: survivors keep their content *without ever
-    /// having been persisted* — their un-persisted bytes become ghosts
-    /// — while dropped lines revert to `Clean` (the image still holds
-    /// their last durable content). Lines caught in `Flushed`
-    /// (mid-flush crash) were already on media: they end up `Durable`.
+    /// crash adjudicated — staged ones included, their flights never
+    /// completed: survivors keep their content *without ever having
+    /// been durable* — their un-persisted bytes become ghosts — while
+    /// dropped lines revert to `Clean` (the image still holds their
+    /// last durable content).
     pub(crate) fn note_crash(&self, outcomes: &[(usize, bool)], events: u64) {
         let mut inner = self.inner.lock();
         for &(li, survived) in outcomes {
@@ -576,10 +527,10 @@ impl PsanCell {
                 continue;
             };
             match line.state {
-                // A `Flushed` line in the dirty set is ticket-staged:
-                // its flight never completed, so surviving the lottery
-                // is as ghostly as a plain dirty survivor (the mask is
-                // retained at staging time for exactly this).
+                // A `Flushed` line is staged in a flight that never
+                // completed, so surviving the lottery is as ghostly as
+                // a plain dirty survivor (the mask is retained at
+                // staging time for exactly this).
                 ShadowState::Dirty | ShadowState::Flushed if survived => {
                     line.push_hist("crash-survive", events);
                     let prior = inner.ghosts.remove(&li);
@@ -610,17 +561,6 @@ impl PsanCell {
         // Un-completed flights died with the cache; their worklists
         // were adjudicated by the lottery above.
         inner.ticket_pending.clear();
-        // Any line still tracked was not in the dirty set: a line
-        // persisted mid-flush (Flushed) is on media and survives.
-        let pending = std::mem::take(&mut inner.pending_flush);
-        for li in pending {
-            if let Some(line) = inner.lines.get_mut(&li) {
-                if line.state == ShadowState::Flushed {
-                    line.state = ShadowState::Durable;
-                    line.push_hist("crash-durable", events);
-                }
-            }
-        }
     }
 
     /// Ghost-read check for `[start, start+len)`.
@@ -707,27 +647,33 @@ mod tests {
     fn persist_then_round_trip_reaches_durable() {
         let c = cell();
         c.note_write(0, 8, 1);
-        c.note_persist_line(0, 2);
+        c.note_persist_line_ticket(0, 1, 2);
         assert_eq!(c.state_of(0), ShadowState::Flushed);
-        c.note_flush_complete(2);
+        c.note_ticket_complete(1, 2);
         assert_eq!(c.state_of(0), ShadowState::Durable);
     }
 
     #[test]
     fn fence_promotes_flushed_to_durable() {
-        let c = cell();
-        c.note_write(0, 8, 1);
-        c.note_persist_line(0, 2);
-        c.note_fence(3);
-        assert_eq!(c.state_of(0), ShadowState::Durable);
+        let p = crate::PMemBuilder::new()
+            .len(1024)
+            .line_size(64)
+            .psan(true)
+            .build_in_memory();
+        let off = crate::POffset::new(0);
+        p.write_u64(off, 7).unwrap();
+        let _t = p.flush_async(off, 8).unwrap();
+        assert_eq!(p.psan_line_state(off), Some(ShadowState::Flushed));
+        p.fence();
+        assert_eq!(p.psan_line_state(off), Some(ShadowState::Durable));
     }
 
     #[test]
     fn durable_line_rewritten_goes_dirty_again() {
         let c = cell();
         c.note_write(0, 8, 1);
-        c.note_persist_line(0, 2);
-        c.note_flush_complete(2);
+        c.note_persist_line_ticket(0, 1, 2);
+        c.note_ticket_complete(1, 2);
         c.note_write(0, 8, 3);
         assert_eq!(c.state_of(0), ShadowState::Dirty);
     }
@@ -747,12 +693,24 @@ mod tests {
     #[test]
     fn crash_mid_flush_leaves_persisted_lines_durable() {
         let c = cell();
+        // Flight 1 over line 0 completes before the crash ...
         c.note_write(0, 8, 1);
-        c.note_write(64, 8, 2);
-        c.note_persist_line(0, 3); // flush got through line 0 ...
-        c.note_crash(&[(1, false)], 4); // ... then the crash hit line 1
+        c.note_persist_line_ticket(0, 1, 2);
+        c.note_ticket_complete(1, 2);
+        // ... flight 2 over lines 2 and 3 does not: both take the
+        // lottery, line 2 dropped, line 3 a lucky survivor.
+        c.note_write(128, 8, 3);
+        c.note_write(192, 8, 4);
+        c.note_persist_line_ticket(2, 2, 5);
+        c.note_persist_line_ticket(3, 2, 6);
+        c.note_crash(&[(2, false), (3, true)], 7);
         assert_eq!(c.state_of(0), ShadowState::Durable);
-        assert_eq!(c.state_of(64), ShadowState::Clean);
+        assert_eq!(c.state_of(128), ShadowState::Clean);
+        assert!(!c.has_ghost(128));
+        assert!(c.has_ghost(192));
+        // The cut flight never completes.
+        c.note_ticket_complete(2, 8);
+        assert_eq!(c.state_of(192), ShadowState::Clean);
     }
 
     #[test]
@@ -813,8 +771,8 @@ mod tests {
         let c = cell();
         c.register_publish_range(0, 64, 64);
         c.note_write(256, 48, 1);
-        c.note_persist_line(4, 2);
-        c.note_flush_complete(2);
+        c.note_persist_line_ticket(4, 1, 2);
+        c.note_ticket_complete(1, 2);
         c.note_cas_publish(8, &256u64.to_le_bytes(), 3);
         assert!(c.violations().is_empty());
     }

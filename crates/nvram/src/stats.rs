@@ -90,11 +90,12 @@ pub struct StatsSnapshot {
     pub writes: u64,
     /// Total bytes passed to write operations.
     pub bytes_written: u64,
-    /// Number of `flush` calls.
+    /// Number of flush calls: `flush`, `flush_async` and the
+    /// `persist_if_dirty` calls that found a dirty line.
     pub flush_calls: u64,
     /// Number of individual cache lines made durable.
     pub lines_persisted: u64,
-    /// Number of persist round-trips: flush operations that made
+    /// Number of persist round-trips: completed flights that made
     /// at least one line durable. This is the group-commit headline
     /// metric — batching many record persists into one `flush` call
     /// leaves `lines_persisted` unchanged but collapses `persists`.
@@ -104,27 +105,33 @@ pub struct StatsSnapshot {
     /// (`lines_persisted - persists` when every persist lands ≥ 1
     /// line). Multiply by the line size for coalesced bytes.
     pub coalesced_lines: u64,
-    /// Flush calls over a non-empty range that persisted **zero**
-    /// lines: every covered line was already durable. PSan's
+    /// Flush calls (synchronous or not) over a non-empty range whose
+    /// every covered line was clean — already durable. PSan's
     /// *redundant persist* diagnostic class — wasted round-trips a
     /// protocol could elide (e.g. a flush of lines a persist-store
-    /// already made durable).
+    /// already made durable). A call whose dirty lines all ride
+    /// earlier flights is not redundant; it counts in `elided_lines`.
     pub redundant_persists: u64,
-    /// Asynchronous flush commands issued (flights queued by
-    /// [`PMem::flush_async`](crate::PMem::flush_async)); fully-elided
-    /// issues count as `redundant_persists` instead.
+    /// Flights issued by
+    /// [`PMem::flush_async`](crate::PMem::flush_async); a call that
+    /// stages no line issues none. A synchronous flush's flight is not
+    /// counted here.
     pub async_flushes: u64,
-    /// Individual line persists elided because the line was already
-    /// staged in an in-flight async flush (FliT-style per-line durable
-    /// tracking) — durability work the pipeline saved outright.
+    /// Lines a flush call found already staged in a flight still in
+    /// flight, and not re-dirtied since: they ride that flight instead
+    /// of being staged again (FliT-style per-line durable tracking) —
+    /// durability work saved outright.
     pub elided_lines: u64,
-    /// Nanoseconds of device round-trip latency charged to issued
-    /// flights. With `async_latency_waited_ns` this yields the overlap
-    /// fraction: `1 - waited / charged` is the share of flush latency
-    /// hidden behind useful work.
+    /// Nanoseconds of device time charged into the deadlines of every
+    /// issued flight — a synchronous flush's included, since it is one:
+    /// `flush_latency` per flight plus `persist_delay` per line. With
+    /// `async_latency_waited_ns` this yields the overlap fraction:
+    /// `1 - waited / charged` is the share of flush latency hidden
+    /// behind useful work.
     pub async_latency_charged_ns: u64,
-    /// Nanoseconds callers actually slept in awaits — the part of the
-    /// charged latency the pipeline failed to hide.
+    /// Nanoseconds callers actually slept in awaits — every flight's,
+    /// a synchronous flush's included: the part of the charged latency
+    /// the pipeline failed to hide.
     pub async_latency_waited_ns: u64,
     /// Flights still queued — issued, not yet completed — when a crash
     /// cut the region: what
