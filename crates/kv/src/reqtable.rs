@@ -48,10 +48,19 @@
 //!   slot's answer is recomputed through the store's evidence-scanning
 //!   duals.
 //! * [`KvRequestTable::ack`] records that the client received the
-//!   answer. A slot that is both done and acked is **recyclable**: its
-//!   next occupant overwrites it. This is what keeps a long-running
-//!   server's answer table bounded (the table never grows; it sheds
-//!   instead, see `Full` above).
+//!   answer: it writes the acked byte and issues the slot's line into
+//!   the caller's ack level — one level for a round's acks on every
+//!   shard, awaited once before any `AckOk` is shown. A slot that is
+//!   both done and acked is **recyclable** in volatile state at once:
+//!   its next occupant may overwrite it while the ack is still in
+//!   flight. That keeps the two-store argument below, which rests only
+//!   on the line being written whole: the flight carries a snapshot of
+//!   the acked line, the recycle's stores re-dirty it, and a power
+//!   failure leaves the line as some whole state it held — done and
+//!   un-acked (the ack cut: the client retransmits it and it frees the
+//!   slot), done and acked, or one of the recycle's two stores. This is
+//!   what keeps a long-running server's answer table bounded (the
+//!   table never grows; it sheds instead, see `Full` above).
 //!
 //! # The retry contract
 //!
@@ -182,7 +191,7 @@ struct ReqIndex {
 /// # Example
 ///
 /// ```
-/// use pstack_nvram::PMemBuilder;
+/// use pstack_nvram::{Level, PMemBuilder};
 /// use pstack_heap::PHeap;
 /// use pstack_kv::{KvRequestTable, KvTaskOp, KvTaskResult, ReqSubmit};
 ///
@@ -204,8 +213,11 @@ struct ReqIndex {
 /// };
 /// assert_eq!(a.result, KvTaskResult::Stored(true));
 ///
-/// // Ack → the slot becomes recyclable.
-/// assert!(table.ack(0x1_0001)?);
+/// // Ack → the slot becomes recyclable, and the acked mark durable
+/// // once the round's ack level is awaited.
+/// let mut acks = Level::default();
+/// assert!(table.ack(0x1_0001, &mut acks)?);
+/// acks.await_all()?;
 /// # Ok(())
 /// # }
 /// ```
@@ -684,8 +696,14 @@ impl KvRequestTable {
     }
 
     /// Records the client's acknowledgement of `req_id`'s answer and
-    /// frees the slot for recycling. Returns `false` for unknown ids
-    /// (already recycled, or never admitted) and done-less slots
+    /// frees the slot for recycling: writes the acked byte and issues
+    /// the slot's line as a flight of `acks` — the round's ack level,
+    /// which the caller awaits before it shows the client its `AckOk`.
+    /// Nothing orders two acks against each other, so a round's acks
+    /// on every shard share one level and one round-trip. An already
+    /// acked slot issues nothing: its first ack's flight is in the same
+    /// level or in one already awaited. Returns `false` for unknown
+    /// ids (already recycled, or never admitted) and done-less slots
     /// (acks are only valid answers to a durable `Done`).
     ///
     /// # Errors
@@ -695,7 +713,7 @@ impl KvRequestTable {
     /// # Panics
     ///
     /// Panics if the volatile index lock is poisoned.
-    pub fn ack(&self, req_id: u64) -> Result<bool, PError> {
+    pub fn ack(&self, req_id: u64, acks: &mut Level) -> Result<bool, PError> {
         let mut idx = self.idx.lock().expect("request-table index poisoned");
         let Some(&slot) = idx.by_id.get(&req_id) else {
             return Ok(false);
@@ -706,7 +724,7 @@ impl KvRequestTable {
         }
         if self.pmem.read_u8(e + F_ACKED)? == 0 {
             self.pmem.write_u8(e + F_ACKED, 1)?;
-            self.pmem.flush(e + F_ACKED, 1)?;
+            acks.issue(&self.pmem, e + F_ACKED, 1)?;
             idx.free.push(slot);
         }
         // Advance the client's acked high-water line: from here on a
@@ -741,6 +759,14 @@ impl KvRequestTable {
 mod tests {
     use super::*;
     use pstack_nvram::PMemBuilder;
+
+    /// An ack made durable on its own: a level of one flight, awaited.
+    fn ack(table: &KvRequestTable, req_id: u64) -> bool {
+        let mut acks = Level::default();
+        let acked = table.ack(req_id, &mut acks).unwrap();
+        acks.await_all().unwrap();
+        acked
+    }
 
     fn fixture(capacity: u32) -> (PMem, KvRequestTable) {
         let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
@@ -787,12 +813,12 @@ mod tests {
         assert_eq!(ans.result, KvTaskResult::Swapped(true));
 
         assert!(!table.acked(slot).unwrap());
-        assert!(table.ack(0x7_0001).unwrap());
+        assert!(ack(&table, 0x7_0001));
         assert!(table.acked(slot).unwrap());
         assert_eq!(table.live(), 0, "done+acked slots are recyclable");
         // Acks are idempotent; unknown ids are refused.
-        assert!(table.ack(0x7_0001).unwrap());
-        assert!(!table.ack(0xDEAD).unwrap());
+        assert!(ack(&table, 0x7_0001));
+        assert!(!ack(&table, 0xDEAD));
         // Reopen rebuilds the same view.
         let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
         assert_eq!(t2.live(), 0);
@@ -806,7 +832,7 @@ mod tests {
     fn ack_of_pending_slot_is_refused() {
         let (_, table) = fixture(2);
         table.submit(5, KvTaskOp::Get { key: 0 }).unwrap();
-        assert!(!table.ack(5).unwrap(), "only durable answers can be acked");
+        assert!(!ack(&table, 5), "only durable answers can be acked");
         assert_eq!(table.live(), 1);
     }
 
@@ -822,7 +848,7 @@ mod tests {
                 panic!("req {req} should find a recycled slot")
             };
             table.mark_done(slot, 0, KvTaskResult::Got(None)).unwrap();
-            assert!(table.ack(req).unwrap());
+            assert!(ack(&table, req));
         }
         assert!(table.live_high_water() <= 8);
         assert_eq!(
@@ -846,7 +872,7 @@ mod tests {
         );
         assert_eq!(table.live(), 8);
         // Draining one ack frees exactly one admission.
-        assert!(table.ack(100).unwrap());
+        assert!(ack(&table, 100));
         assert!(matches!(
             table.submit(999, KvTaskOp::Get { key: 1 }).unwrap(),
             ReqSubmit::Fresh(_)
@@ -868,7 +894,7 @@ mod tests {
             panic!("fresh")
         };
         table.mark_done(slot, 0, KvTaskResult::Got(None)).unwrap();
-        assert!(table.ack(id(1, 1)).unwrap());
+        assert!(ack(&table, id(1, 1)));
 
         // Another client recycles the table until client 1's evidence
         // is overwritten.
@@ -878,7 +904,7 @@ mod tests {
                 panic!("recyclable")
             };
             table.mark_done(s, 0, KvTaskResult::Got(None)).unwrap();
-            assert!(table.ack(id(2, seq)).unwrap());
+            assert!(ack(&table, id(2, seq)));
         }
         assert!(table.lookup(id(1, 1)).unwrap().is_none(), "evidence gone");
 
@@ -928,7 +954,7 @@ mod tests {
             table
                 .mark_done(slot, 0, KvTaskResult::Stored(true))
                 .unwrap();
-            table.ack(1).unwrap();
+            ack(&table, 1);
             (pmem, table)
         };
         // The recycle under test: stage the new descriptor, then the

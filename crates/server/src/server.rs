@@ -44,15 +44,17 @@
 //! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
 //! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
 //! | | answer | [`KvRequestTable::answer`], payload + flag in one line-atomic persist, issued into the window's answers level once its heads level is durable | 1 per shard per round | 1 more |
-//! | | ack | [`ServerCore::ack`] | 1 per ack | 1 |
+//! | | ack | [`ServerCore::ack`] issues the acked mark into the round's one ack level, every shard's acks together; the round's last server step awaits it — the drain when it hands out no window, else [`ServerCore::answers_for`] | 1 per ack | 1 per **ack round**, however many acks and shards; 0 beside a window |
 //!
 //! A lone put therefore costs 7 persists end to end and blocks on 3
 //! round-trips before its answer (`CALL` (+ the previous round's `RET`)
-//! ‖ descriptor ‖ records ‖ tail → heads → answer); a round
-//! that touches several shards blocks on the same 3 and pays the
-//! frame's 1 once, and a full window divides everything but the ack by
-//! its occupancy. The window's own pop stays pending until the next
-//! round's `CALL`: a power failure before it replays the completed
+//! ‖ descriptor ‖ records ‖ tail → heads → answer), and on 1 more for
+//! its ack round; a round that touches several shards blocks on the
+//! same 3 and pays the frame's 1 once, and a full window divides
+//! everything but the acks by its occupancy — the acks' one round-trip
+//! is shared by every ack of the round, and hides under the window's
+//! when the round runs one. The window's own pop stays pending until
+//! the next round's `CALL`: a power failure before it replays the completed
 //! window, which re-collects its answers (`pstack_core::invoke` says why
 //! that is safe).
 //!
@@ -112,7 +114,7 @@ use pstack_core::{Admission, AdmissionQueue, PError, StripedRuntime, Task};
 use pstack_kv::{
     KvServeFunction, KvTaskAnswer, KvTaskOp, KvTaskResult, ReqSubmit, ShardWindow, KV_SERVE_FUNC_ID,
 };
-use pstack_nvram::{op_label, MemError};
+use pstack_nvram::{op_label, Level, MemError};
 
 use crate::proto::{kind_of, Request, RequestBody, Response};
 
@@ -161,6 +163,11 @@ struct ShardQueue {
     queued: Mutex<HashSet<u64>>,
 }
 
+/// What a drain hands out: the round's window as a task (none when
+/// every queue was empty), plus the request id and the kind of every
+/// entry it will answer.
+type Drained = (Vec<Task>, Vec<u64>, Vec<u8>);
+
 /// The serving front end: per-shard admission queues over the durable
 /// [`KvServeFunction`]. Rebuilt from the reopened store/tables after
 /// every reboot (all its own state is volatile by design).
@@ -168,6 +175,9 @@ struct ShardQueue {
 pub struct ServerCore {
     exec: KvServeFunction,
     shards: Arc<Vec<ShardQueue>>,
+    /// The round's acks, one dependence level: issued by
+    /// [`ServerCore::ack`], awaited at the round's last server step.
+    acks: Arc<Mutex<Level>>,
     batch: usize,
 }
 
@@ -190,6 +200,7 @@ impl ServerCore {
         ServerCore {
             exec,
             shards: Arc::new(shards),
+            acks: Arc::default(),
             batch,
         }
     }
@@ -285,17 +296,38 @@ impl ServerCore {
     /// — e.g. an ack retransmitted after its slot was recycled — are
     /// fine: acks are idempotent and always safe to confirm.
     ///
+    /// The acked mark is **issued, not awaited**: nothing orders two
+    /// acks against each other, so the round's acks on every shard are
+    /// one level, which the round's last server step awaits — the drain
+    /// when it hands out no window ([`ServerCore::drain_tasks`]),
+    /// otherwise [`ServerCore::answers_for`]. An ack round costs one
+    /// round-trip however many acks it carries, and a round that runs a
+    /// window pays nothing for its acks. The slot is recyclable at once;
+    /// the `AckOk` must not be shown before that await.
+    ///
     /// # Errors
     ///
     /// Propagated table/NVRAM errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ack level's lock is poisoned.
     pub fn ack(&self, req_id: u64) -> Result<bool, PError> {
         let _label = op_label("server.ack");
+        let mut acks = self.acks.lock().expect("ack level poisoned");
         for table in self.exec.tables() {
-            if table.ack(req_id)? {
+            if table.ack(req_id, &mut acks)? {
                 return Ok(true);
             }
         }
         Ok(false)
+    }
+
+    /// Awaits the round's ack level: once it returns `Ok`, every ack
+    /// [`ServerCore::ack`] confirmed so far is durable.
+    fn await_acks(&self) -> Result<(), PError> {
+        let acks = std::mem::take(&mut *self.acks.lock().expect("ack level poisoned"));
+        Ok(acks.await_all()?)
     }
 
     /// Admitted requests still waiting for a window.
@@ -329,10 +361,19 @@ impl ServerCore {
     /// executes on behalf of a descriptor that was lost. The clients'
     /// retries then find no descriptor and are `Fresh`.
     ///
+    /// A drain that hands out no window is the round's last server
+    /// step, so it awaits the round's ack level (see
+    /// [`ServerCore::ack`]); one that hands out a window leaves it to
+    /// [`ServerCore::answers_for`].
+    ///
+    /// # Errors
+    ///
+    /// The ack level's await.
+    ///
     /// # Panics
     ///
     /// Panics if a queue lock is poisoned.
-    fn drain(&self) -> (Vec<Task>, Vec<u64>, Vec<u8>) {
+    fn drain(&self) -> Result<Drained, PError> {
         let _label = op_label("server.drain");
         let mut window = Vec::new();
         let (mut req_ids, mut kinds) = (Vec::new(), Vec::new());
@@ -362,11 +403,12 @@ impl ServerCore {
             // A failure shows in the run that follows (see above).
             let _ = tables[part.shard as usize].persist_slots_issue(&part.slots);
         }
-        let tasks = (!window.is_empty())
-            .then(|| Task::new(KV_SERVE_FUNC_ID, KvServeFunction::window_args(&window)))
-            .into_iter()
-            .collect();
-        (tasks, req_ids, kinds)
+        if window.is_empty() {
+            self.await_acks()?;
+            return Ok((Vec::new(), req_ids, kinds));
+        }
+        let task = Task::new(KV_SERVE_FUNC_ID, KvServeFunction::window_args(&window));
+        Ok((vec![task], req_ids, kinds))
     }
 
     /// The drain as a step of its own, for a caller that arms events or
@@ -377,19 +419,50 @@ impl ServerCore {
     /// collect the durable answers for the ids with
     /// [`ServerCore::answers_for`] (a crashed run simply leaves some
     /// pending — their clients retry).
+    ///
+    /// A drain that hands out no window awaits the round's ack level
+    /// before it returns, so the caller may show the round's `AckOk`s
+    /// once it has; with a window, [`ServerCore::answers_for`] awaits
+    /// it. That await cannot fail in a round that hands out no window.
+    /// An await fails only on a region that crashed with the flight
+    /// still queued, and a crash happens at a persistence event (or
+    /// when a caller crashes the regions itself, after which it does
+    /// not drain). The events between an ack's issue and this await
+    /// are the admission's own — the acks' writes and issues, the
+    /// staged descriptors, a read's head persist — and each sits on a
+    /// path that returns its error ([`ServerCore::ack`],
+    /// [`ServerCore::submit`]): a caller that met the power failure
+    /// there stopped the round before the drain. A drain with nothing
+    /// to hand out issues no descriptor flight, and the await itself
+    /// is no event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a queue lock is poisoned, or if the ack level's await
+    /// fails anyway — a power failure the admission path reported and
+    /// the caller ignored, or a backend write error: an `AckOk` shown
+    /// after that would be a lie.
     #[must_use]
     pub fn drain_tasks(&self) -> (Vec<Task>, Vec<u64>) {
-        let (tasks, req_ids, _) = self.drain();
+        let (tasks, req_ids, _) = self
+            .drain()
+            .expect("the ack level's await fails only after a reported power failure");
         (tasks, req_ids)
     }
 
     /// The durable answers currently on record for `req_ids` (`None`
     /// entries are still pending — e.g. their window crashed).
     ///
+    /// A round that ran a window ends here, so this first awaits the
+    /// round's ack level (see [`ServerCore::ack`]): its flights were
+    /// issued before the window and have had the whole run to land, so
+    /// the await costs no round-trip of its own.
+    ///
     /// # Errors
     ///
-    /// Propagated table/NVRAM errors.
+    /// Propagated table/NVRAM errors, the ack level's await among them.
     pub fn answers_for(&self, req_ids: &[u64]) -> Result<Vec<(u64, Option<KvTaskAnswer>)>, PError> {
+        self.await_acks()?;
         let mut out = Vec::with_capacity(req_ids.len());
         for &req_id in req_ids {
             let mut found = None;
@@ -419,15 +492,18 @@ impl ServerCore {
 /// entry in execution order (entries admitted by an earlier round and
 /// left over by its `batch` bound among them; `Retry` for an entry
 /// whose window erred) — each `Done` echoing its op's kind from the
-/// admission queue, not from a caller's map.
+/// admission queue, not from a caller's map. Its `AckOk`s are
+/// returned only once the round's ack level is durable (see
+/// [`ServerCore::ack`]).
 ///
 /// # Errors
 ///
 /// A power failure, wherever the round met it — under a staged
 /// descriptor or an ack on the admission path, inside a window, under
-/// the answer lookup — is one outcome: a crash error
-/// ([`PError::is_crash`]) returned with **every region down**, ready
-/// for `reopen_all_with`. Any other error is propagated as it is.
+/// the await of the round's acks or the answer lookup — is one
+/// outcome: a crash error ([`PError::is_crash`]) returned with
+/// **every region down**, ready for `reopen_all_with`. Any other error
+/// is propagated as it is.
 pub fn serve_round(
     core: &ServerCore,
     rt: &StripedRuntime,
@@ -468,7 +544,7 @@ fn round(
             }),
         }
     }
-    let (tasks, ids, kinds) = core.drain();
+    let (tasks, ids, kinds) = core.drain()?;
     if tasks.is_empty() {
         return Ok(responses);
     }

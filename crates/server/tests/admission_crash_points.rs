@@ -35,10 +35,20 @@
 //! round's `CALL`, so a power failure anywhere between the two replays
 //! the completed window — after the round in between has acked its
 //! request, recycled its slot and admitted a new request into it. The
-//! last sweep fails at every event of such a round up to its `CALL`
+//! third sweep fails at every event of such a round up to its `CALL`
 //! (and the retire after its window), with every dirty line lost, with
 //! every one kept, and with the stack's lost but the shards' kept: each
 //! request still has exactly one effect and one durable answer.
+//!
+//! A round's acks are one dependence level, issued by each `Ack` and
+//! awaited once at the round's last server step, and an acked slot is
+//! recyclable before that await. The last sweep fails at every event of
+//! an ack round — two shards' acks, with and without a new put admitted
+//! into a slot one of them freed — and once past its end, with every
+//! dirty line lost, kept and drawn by lottery: each acked slot is
+//! durably acked or done and un-acked, never the old id over a cleared
+//! state; retransmitted acks leave no slot pinned; each request has one
+//! effect; and a round that returned `Ok` lost no ack it confirmed.
 
 mod common;
 
@@ -458,5 +468,178 @@ fn a_power_failure_between_a_completed_window_and_the_next_call_keeps_exactly_on
         replayed_over_the_new_put > 0,
         "a completed window must be replayed over a recycled slot whose new \
          descriptor survived"
+    );
+}
+
+/// Round 1 of the ack sweep, answered and not yet acked: a put into
+/// shard 0's one slot and one into shard 1's.
+fn two_unacked() -> (Stack, [u64; 2]) {
+    let s = Stack::format(SHAPE);
+    let acked = [req_id_for(1, 1), req_id_for(1, 2)];
+    let requests: Vec<Request> = (0..2)
+        .map(|shard| {
+            let (key, value) = (s.key_on(shard, 5), 10 + shard as i64);
+            let body = RequestBody::Op(KvTaskOp::Put { key, value });
+            Request {
+                req_id: acked[shard],
+                body,
+            }
+        })
+        .collect();
+    let responses = serve_round(&s.core, &s.rt, &requests).unwrap();
+    assert!(matches!(
+        responses[..],
+        [Response::Done { .. }, Response::Done { .. }]
+    ));
+    (s, acked)
+}
+
+#[test]
+fn a_power_failure_at_every_event_of_an_ack_round_loses_no_confirmed_ack() {
+    // The round acks two shards' answered puts — one level, awaited at
+    // the round's last server step — and, in its first shape, admits a
+    // new put into shard 0's slot, freed by an ack still in flight, and
+    // runs it: the acks then ride beside the window and `answers_for`
+    // awaits them. Every event of the round in the control region and
+    // in both shards, every dirty line lost, kept and drawn by lottery,
+    // plus one more event past the round's last: the round returns
+    // `Ok` and the power fails after it.
+    let new = |s: &Stack| {
+        let key = s.key_on(0, 6);
+        (req_id_for(2, 1), KvTaskOp::Put { key, value: 26 })
+    };
+    let acks = |acked: [u64; 2]| -> Vec<Request> {
+        acked
+            .map(|req_id| Request {
+                req_id,
+                body: RequestBody::Ack,
+            })
+            .to_vec()
+    };
+    let round = |s: &Stack, acked: [u64; 2], admit: bool| {
+        let mut requests = acks(acked);
+        if admit {
+            let (req_id, op) = new(s);
+            let body = RequestBody::Op(op);
+            requests.push(Request { req_id, body });
+        }
+        serve_round(&s.core, &s.rt, &requests)
+    };
+    // [ack cut, ack durable, recycle's first store, new occupant]: what
+    // shard 0's slot showed after a power failure inside the round.
+    let mut seen = [[0usize; 4]; 2];
+    for (shape, admit) in [true, false].into_iter().enumerate() {
+        let (twin, acked) = two_unacked();
+        let before = twin.events();
+        round(&twin, acked, admit).unwrap();
+        let spent: Vec<u64> = twin.events()[..3]
+            .iter()
+            .zip(&before)
+            .map(|(now, then)| now - then)
+            .collect();
+        assert_eq!(
+            spent[0] > 0,
+            admit,
+            "only a round with a window runs a frame"
+        );
+
+        for (region, &total) in spent.iter().enumerate() {
+            for k in 0..=total {
+                for survivors in [0.0, 1.0, 0.5] {
+                    let at =
+                        format!("admit {admit}, region {region} event {k}, survivors {survivors}");
+                    let (mut s, acked) = two_unacked();
+                    let new = new(&s);
+                    s.rt = s.rt.clone().crash_seed(k).crash_survival(survivors);
+                    match region {
+                        0 => s.rt.control(),
+                        r => s.region(r - 1),
+                    }
+                    .arm_failpoint(FailPlan::after_events(k).with_survivors(k, survivors));
+                    let confirmed = match round(&s, acked, admit) {
+                        Ok(responses) => {
+                            assert_eq!(k, total, "{at}: only a round left unarmed completes");
+                            for req_id in acked {
+                                assert!(responses.contains(&Response::AckOk { req_id }), "{at}");
+                            }
+                            true
+                        }
+                        Err(e) => {
+                            assert!(e.is_crash(), "{at}: {e}");
+                            false
+                        }
+                    };
+                    s.rt.control().crash_now(k, survivors);
+                    s.rt.stripe().crash_all(k, survivors);
+
+                    let s = s.power_cycle();
+                    for (shard, &old_id) in acked.iter().enumerate() {
+                        let table = s.table(shard);
+                        let at = format!("{at} shard {shard}");
+                        match table.req_id(0).unwrap() {
+                            id if id == old_id => {
+                                // Never the old id over a cleared state:
+                                // the slot is done, acked or not.
+                                let answer = table.result(0).unwrap().map(|a| a.result);
+                                assert_eq!(answer, Some(KvTaskResult::Stored(true)), "{at}");
+                                let durable = table.acked(0).unwrap();
+                                assert!(durable || !confirmed, "{at}: a confirmed ack lost");
+                                if shard == 0 {
+                                    seen[shape][usize::from(durable)] += 1;
+                                }
+                            }
+                            // The recycle's first store: a free slot.
+                            0 if shard == 0 && admit => seen[shape][2] += 1,
+                            id if shard == 0 && admit && id == new.0 => {
+                                // The new occupant, with its own answer
+                                // or none — never the old one's.
+                                if let Some(answer) = table.result(0).unwrap() {
+                                    assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
+                                    assert_eq!(s.records_of(new.0).len(), 1, "{at}");
+                                }
+                                seen[shape][3] += 1;
+                            }
+                            other => panic!("{at}: torn identity {other:#x}"),
+                        }
+                    }
+
+                    // The clients retransmit what was not confirmed: the
+                    // acks free the slots still un-acked, and the new
+                    // put's client retries it (answered from the table
+                    // if it ran) and acks it.
+                    if !confirmed {
+                        serve_round(&s.core, &s.rt, &acks(acked)).expect("no failure armed");
+                    }
+                    if admit {
+                        let answers = s.serve(&[new]).expect("no failure armed");
+                        assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
+                    }
+                    for shard in 0..SHAPE.shards {
+                        assert_eq!(s.table(shard).live(), 0, "{at} shard {shard}: a slot leaks");
+                    }
+                    let effects = acked.into_iter().chain(admit.then_some(new.0));
+                    for req_id in effects {
+                        assert_eq!(
+                            s.records_of(req_id).len(),
+                            1,
+                            "{at}: {req_id:#x} one effect"
+                        );
+                    }
+                    if survivors == 0.0 {
+                        s.assert_psan_clean();
+                    }
+                }
+            }
+        }
+    }
+    let [recycled, ack_only] = seen;
+    assert!(
+        recycled.iter().all(|&n| n > 0),
+        "shard 0's slot after a failure in the recycling round — ack cut, ack \
+         durable, free, new occupant — each seen: {recycled:?}"
+    );
+    assert!(
+        ack_only[0] > 0 && ack_only[1] > 0,
+        "an ack-only round's ack both cut and durable: {ack_only:?}"
     );
 }

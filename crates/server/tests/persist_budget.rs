@@ -19,7 +19,10 @@
 //! heads; the group commit's and the answers' flights are awaited where
 //! something depends on them. So a lone put **blocks** on 3 of its 6
 //! round-trips before the ack (`CALL` ‖ descriptor ‖ records ‖ tail →
-//! heads → answer), and so does a round over four shards. Every
+//! heads → answer), and so does a round over four shards. A round's
+//! acks are one level, awaited at the round's last server step: an ack
+//! round blocks on one round-trip however many acks and shards it
+//! carries, and a round that also runs a window on none more. Every
 //! persist on the path is a flight, so the blocking is the waits the
 //! regions plan (`async_latency_waited_ns`, control and shards summed),
 //! which no host load can inflate: a sleep never undershoots.
@@ -205,7 +208,10 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
     let t2 = s.stats();
     let answers = s.core.answers_for(&ids).unwrap();
     assert_eq!(answers[0].1.unwrap().result, KvTaskResult::Stored(true));
+    // The ack, then the next round's empty drain, which awaits the
+    // round's ack level.
     assert!(s.core.ack(req).unwrap());
+    assert!(s.core.drain_tasks().0.is_empty());
     let (control, stripe) = delta(&s, t2);
     assert_eq!((control.persists, stripe.persists), (0, 1), "ack");
 
@@ -293,6 +299,95 @@ fn a_four_shard_round_is_one_frame_and_three_round_trips() {
         );
         assert_eq!(stripe.persists, 4 + 12 + 4, "{per_shard} slots a shard");
     }
+    s.assert_psan_clean();
+}
+
+#[test]
+fn a_round_of_acks_is_one_level() {
+    // Acks on four shards, plus two more on one of them: one ack each,
+    // all issued into the round's one level and awaited once.
+    const LATENCY: Duration = Duration::from_millis(1);
+    let shape = Shape { shards: 4, ..SHAPE };
+    let s = Stack::format_with(shape, PMemBuilder::new().flush_latency(LATENCY));
+    let mut seq = 0;
+    let mut nth = [0usize; 4];
+    let mut submit_puts = |shards: &[usize]| -> Vec<u64> {
+        let mut reqs = Vec::new();
+        for &shard in shards {
+            seq += 1;
+            let (req, key) = (req_id_for(1, seq), s.key_on(shard, nth[shard]));
+            nth[shard] += 1;
+            let op = KvTaskOp::Put { key, value: 1 };
+            assert_eq!(s.core.submit(req, op).unwrap(), Submission::Queued);
+            reqs.push(req);
+        }
+        reqs
+    };
+    let run_window = || {
+        let (tasks, ids) = s.core.drain_tasks();
+        assert_eq!(tasks.len(), 1, "one window");
+        let report = s.rt.run_tasks(tasks);
+        assert!(!report.crashed && report.task_errors == 0);
+        for (req, answer) in s.core.answers_for(&ids).unwrap() {
+            assert_eq!(
+                answer.unwrap().result,
+                KvTaskResult::Stored(true),
+                "{req:#x}"
+            );
+        }
+    };
+    let six = [0, 1, 2, 3, 0, 0];
+
+    // An ack-only round: six flights issued, none awaited by the acks;
+    // the round's empty drain awaits them, in one round-trip.
+    let acked = submit_puts(&six);
+    run_window();
+    let t = s.stats();
+    for &req in &acked {
+        assert!(s.core.ack(req).unwrap());
+    }
+    let (control, stripe) = delta(&s, t);
+    assert_eq!(
+        (control.persists, stripe.persists, stripe.async_flushes),
+        (0, 0, 6),
+        "the acks only issue"
+    );
+    assert!(s.core.drain_tasks().0.is_empty());
+    let (control, stripe) = delta(&s, t);
+    assert_eq!((control.persists, stripe.persists), (0, 6), "one per ack");
+    assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
+    assert!(
+        waited_ns(&control, &stripe) <= LATENCY.as_nanos() as u64,
+        "an ack round blocked on more than 1 round-trip: {} ns waited on flights",
+        waited_ns(&control, &stripe)
+    );
+
+    // The same acks in a round that also runs a window: they ride
+    // beside it, and `answers_for` awaits them at no cost of its own.
+    let acked = submit_puts(&six);
+    run_window();
+    let t = s.stats();
+    for &req in &acked {
+        assert!(s.core.ack(req).unwrap());
+    }
+    submit_puts(&[0, 1, 2, 3]);
+    run_window();
+    let (control, stripe) = delta(&s, t);
+    assert_eq!(
+        stripe.persists,
+        6 + 4 + 12 + 4,
+        "the acks, then the four-shard round's descriptors, commits and answers"
+    );
+    assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
+    assert!(
+        (0..4).all(|shard| s.region(shard).inflight_tickets() == 0),
+        "answers_for leaves no ack in flight"
+    );
+    assert!(
+        waited_ns(&control, &stripe) <= 3 * LATENCY.as_nanos() as u64,
+        "acks beside a window blocked it past 3 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe)
+    );
     s.assert_psan_clean();
 }
 

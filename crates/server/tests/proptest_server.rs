@@ -535,7 +535,7 @@ proptest! {
         use std::collections::VecDeque;
 
         use pstack_heap::PHeap;
-        use pstack_nvram::POffset;
+        use pstack_nvram::{Level, POffset};
 
         let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
@@ -569,7 +569,9 @@ proptest! {
                 }
             } else if kind >= 4 && !unacked[c].is_empty() {
                 let seq = unacked[c].pop_front().unwrap();
-                prop_assert!(table.ack(req_id_for(client, seq)).unwrap());
+                let mut acks = Level::default();
+                prop_assert!(table.ack(req_id_for(client, seq), &mut acks).unwrap());
+                acks.await_all().unwrap();
                 acked_max[c] = acked_max[c].max(seq);
             } else {
                 let seq = next_seq[c];
