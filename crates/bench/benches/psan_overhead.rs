@@ -19,7 +19,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pstack_bench::report_persist_economy;
 use pstack_heap::PHeap;
-use pstack_kv::{KvVariant, PKvStore};
+use pstack_kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack_nvram::{PMem, PMemBuilder, POffset};
 
 fn region(len: usize, psan: bool) -> PMem {
@@ -75,8 +75,14 @@ fn bench_kv_put(c: &mut Criterion) {
         g.bench_function(tracking, |b| {
             b.iter(|| {
                 seq += 1;
+                let put = KvBatchOp::Put {
+                    pid: 1,
+                    seq,
+                    key: seq % KEYS,
+                    value: seq as i64,
+                };
                 assert!(
-                    kv.put(1, seq, seq % KEYS, seq as i64).unwrap(),
+                    kv.apply_batch(&[put]).unwrap()[0].took_effect(),
                     "log sized too small"
                 );
             });

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pstack_heap::PHeap;
-use pstack_kv::{KvVariant, PKvStore};
+use pstack_kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack_nvram::{PMemBuilder, POffset};
 use pstack_telemetry::TraceSession;
 
@@ -83,8 +83,14 @@ fn bench_kv_put(c: &mut Criterion) {
         g.bench_function(mode, |b| {
             b.iter(|| {
                 seq += 1;
+                let put = KvBatchOp::Put {
+                    pid: 0,
+                    seq,
+                    key: seq % KEYS,
+                    value: seq as i64,
+                };
                 assert!(
-                    kv.put(0, seq, seq % KEYS, seq as i64).unwrap(),
+                    kv.apply_batch(&[put]).unwrap()[0].took_effect(),
                     "log sized too small"
                 );
             });

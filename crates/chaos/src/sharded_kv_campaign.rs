@@ -7,7 +7,9 @@
 #[cfg(test)]
 mod tests {
     use pstack_core::{CrashRegion, FunctionRegistry, RecoveryMode, RuntimeConfig, StripedRuntime};
-    use pstack_kv::{shard_of, KvServeFunction, KvTaskOp, KvVariant, ShardedKvStore};
+    use pstack_kv::{
+        shard_of, KvApplied, KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, ShardedKvStore,
+    };
     use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe};
     use pstack_verify::{
         check_kv_sharded, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord,
@@ -510,7 +512,14 @@ mod tests {
         let kv2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
         // The bug: recovery re-executes in a shard the router never
         // picked, instead of scanning the home shard.
-        assert!(kv2.shard(wrong).recover_put(1, 1, key, 42).unwrap());
+        let put = KvBatchOp::Put {
+            pid: 1,
+            seq: 1,
+            key,
+            value: 42,
+        };
+        let out = kv2.shard(wrong).recover_batch(&[put]).unwrap();
+        assert_eq!(out, [KvApplied::Applied]);
 
         let history = KvShardedHistory {
             ops: vec![KvOp {

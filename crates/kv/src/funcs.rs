@@ -125,8 +125,8 @@ pub enum KvTaskResult {
 
 /// One shard's share of a batch window: slots of the shard's request
 /// table, and whether they run through the evidence-scanning recovery
-/// duals. A window names each shard at most once, in ascending shard
-/// order.
+/// dual ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
+/// A window names each shard at most once, in ascending shard order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardWindow {
     /// The shard.
@@ -675,7 +675,7 @@ impl RecoverableFunction for KvServeFunction {
     fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
         let mut window = self.parse_args(args)?;
         // A replayed frame might have executed before the crash: every
-        // shard through the evidence-scanning duals.
+        // shard through the evidence-scanning dual.
         for part in &mut window {
             part.recovery = true;
         }
@@ -991,6 +991,16 @@ mod tests {
         body(&mut ctx)
     }
 
+    /// Answers one slot as a window does: a flight of an answers level,
+    /// then the level awaited.
+    fn answer(table: &KvRequestTable, slot: u32, executor: u32, result: KvTaskResult) {
+        let mut answers = Level::default();
+        table
+            .answer(&[(slot, executor, result)], &mut answers)
+            .unwrap();
+        answers.await_all().unwrap();
+    }
+
     /// A window of `slots` on shard `shard` alone, as task arguments.
     fn on_shard(shard: usize, slots: &[u32]) -> Vec<u8> {
         KvServeFunction::window_args(&[ShardWindow {
@@ -1051,9 +1061,9 @@ mod tests {
         }
         assert_eq!(table.pending_slots().unwrap(), vec![0, 1, 2, 3]);
 
-        table.mark_done(0, 2, KvTaskResult::Stored(true)).unwrap();
-        table.mark_done(1, 3, KvTaskResult::Got(Some(-5))).unwrap();
-        table.mark_done(2, 1, KvTaskResult::Deleted(true)).unwrap();
+        answer(&table, 0, 2, KvTaskResult::Stored(true));
+        answer(&table, 1, 3, KvTaskResult::Got(Some(-5)));
+        answer(&table, 2, 1, KvTaskResult::Deleted(true));
         assert_eq!(table.pending_slots().unwrap(), vec![3]);
         assert_eq!(
             table.result(1).unwrap(),
@@ -1082,8 +1092,8 @@ mod tests {
             },
         ];
         let (_, table) = table_of(&ops);
-        table.mark_done(0, 0, KvTaskResult::Got(None)).unwrap();
-        table.mark_done(1, 0, KvTaskResult::Swapped(false)).unwrap();
+        answer(&table, 0, 0, KvTaskResult::Got(None));
+        answer(&table, 1, 0, KvTaskResult::Swapped(false));
         assert_eq!(
             results_of(&table),
             vec![
@@ -1512,7 +1522,13 @@ mod tests {
         let (stripe, main, heap, exec) = sharded_fixture(&[], 2);
         let store = exec.store().clone();
         for (i, key) in (0..keys).filter(|&k| shard_of(k, 2) == 0).enumerate() {
-            store.put(0, i as u64 + 1, key, value_of(key)).unwrap();
+            let op = KvBatchOp::Put {
+                pid: 0,
+                seq: i as u64 + 1,
+                key,
+                value: value_of(key),
+            };
+            store.shard(0).apply_batch(&[op]).unwrap();
         }
         (stripe, main, heap, store)
     }
@@ -1628,9 +1644,7 @@ mod tests {
         let (_stripe, _main, _heap, exec) = sharded_fixture(&puts(0..10, |_| 1), 2);
         let tables = exec.tables();
         // Complete a descriptor by hand to make the pending sets sparse.
-        tables[0]
-            .mark_done(0, 0, KvTaskResult::Stored(true))
-            .unwrap();
+        answer(&tables[0], 0, 0, KvTaskResult::Stored(true));
         let pending_of = |s: usize| tables[s].pending_slots().unwrap();
         assert_ne!(pending_of(0).len(), pending_of(1).len());
 
@@ -1660,9 +1674,7 @@ mod tests {
         // A drained table contributes nothing.
         for (s, table) in tables.iter().enumerate() {
             for slot in pending_of(s) {
-                table
-                    .mark_done(slot, 0, KvTaskResult::Stored(true))
-                    .unwrap();
+                answer(table, slot, 0, KvTaskResult::Stored(true));
             }
         }
         assert!(exec.pending_tasks(3).unwrap().is_empty());

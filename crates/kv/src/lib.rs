@@ -9,7 +9,9 @@
 //!
 //! * [`PKvStore`] — a persistent hash-indexed map from `u64` keys to
 //!   `i64` values, laid out in the `PMem` region via `PHeap`, with
-//!   `put`/`get`/`delete`/`cas` operations and their recovery duals;
+//!   `get` reads and one mutation API: a put, delete or cas is a
+//!   [`KvBatchOp`] in a group commit ([`PKvStore::apply_batch`]), and
+//!   its recovery dual is [`PKvStore::recover_batch`];
 //!   [`ShardedKvStore`] stripes the key space across `N` of them, one
 //!   independent region (one version log, one recovery scan) per shard
 //!   behind the [`shard_of`] router, with [`KvBatch`] group commits;
@@ -79,8 +81,8 @@
 //!
 //! The store runs on **buffered** regions — caches in front of NVRAM,
 //! as on real hardware — and orders its own persists through one
-//! routine, the group commit (records ‖ tail → heads); a
-//! per-op mutation is a group commit of one. It is the only kind of
+//! routine, the group commit (records ‖ tail → heads); a lone
+//! mutation is a batch of one. It is the only kind of
 //! region there is: the `pstack-recoverable` objects run on the same
 //! regions, under their own persist-store / persist-load rule.
 

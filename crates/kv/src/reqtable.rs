@@ -36,17 +36,16 @@
 //!   while a descriptor is only staged, so a crash in between loses
 //!   nothing: the slot reverts to its old, recyclable occupant and the
 //!   client's retry is `Fresh`.
-//! * [`KvRequestTable::mark_done`] / [`KvRequestTable::mark_done_batch`]
-//!   write the answer payload, then the one-byte done flag, and issue
-//!   **one** persist — a flight, which [`KvRequestTable::answer`]
-//!   issues into the window's levels: the answers of every shard it
-//!   names in one level, issued once the effects the answers report
-//!   are durable and awaited before any is shown. A slot is one cache
+//! * [`KvRequestTable::answer`] writes each answer payload, then its
+//!   one-byte done flag, and issues **one** persist — a flight of the
+//!   window's answers level: the answers of every shard it names in
+//!   one level, issued once the effects the answers report are durable
+//!   and awaited before any is shown. A slot is one cache
 //!   line and a buffered region persists a line atomically (the
 //!   recycling argument below already relies on it), so after a crash
 //!   a slot is either fully answered or still pending — and a pending
 //!   slot's answer is recomputed through the store's evidence-scanning
-//!   duals.
+//!   dual ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
 //! * [`KvRequestTable::ack`] records that the client received the
 //!   answer: it writes the acked byte and issues the slot's line into
 //!   the caller's ack level — one level for a round's acks on every
@@ -67,7 +66,7 @@
 //! Recycling leans on the client contract: *a client never retransmits
 //! a request after acknowledging its answer*. A retry of a live
 //! request dedupes against the slot (pending → the caller routes it
-//! through the recovery duals; done → the durable answer is replayed).
+//! through the recovery dual; done → the durable answer is replayed).
 //! The contract is **not trusted blindly**: the table keeps a
 //! per-client high-water line of acked sequence numbers, and a
 //! retransmission at or below it whose slot has already been recycled
@@ -133,7 +132,7 @@ pub enum ReqSubmit {
     /// The request id is already in the table — a retry. `answer` is
     /// the durable answer when the first execution completed, `None`
     /// while the slot is still pending (route the retry through the
-    /// store's recovery duals).
+    /// store's recovery dual, [`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
     Known {
         /// The slot holding the request.
         slot: u32,
@@ -204,7 +203,9 @@ struct ReqIndex {
 /// let ReqSubmit::Fresh(slot) = table.submit(0x1_0001, KvTaskOp::Put { key: 9, value: 4 })? else {
 ///     panic!("fresh request");
 /// };
-/// table.mark_done(slot, 1, KvTaskResult::Stored(true))?;
+/// let mut answers = Level::default();
+/// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], &mut answers)?;
+/// answers.await_all()?;
 ///
 /// // A retry dedupes against the durable answer instead of re-executing.
 /// let ReqSubmit::Known { answer: Some(a), .. } =
@@ -645,39 +646,15 @@ impl KvRequestTable {
         Ok(e)
     }
 
-    /// Persists slot `slot`'s answer with **one** persist: payload,
-    /// then the done flag, then one flush of the slot's line. The line
-    /// persists atomically, so a crash leaves the slot either answered
-    /// or still pending (recovery recomputes a pending answer through
-    /// the evidence scan).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range slot or NVRAM errors.
-    pub fn mark_done(&self, slot: u32, executor: u32, result: KvTaskResult) -> Result<(), PError> {
-        self.mark_done_batch(&[(slot, executor, result)])
-    }
-
-    /// Persists a whole batch of answers with **one** coalesced persist
-    /// — the answer half of a group-commit window. Per slot the
-    /// payload is written before the done flag and each slot's line
-    /// persists atomically ([`KvRequestTable::mark_done`]'s argument),
-    /// so a crash inside the flush leaves every slot either answered
-    /// or pending, never a flag over a missing payload.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range slot or NVRAM errors.
-    pub fn mark_done_batch(&self, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
-        let mut answers = Level::default();
-        self.answer(entries, &mut answers)?;
-        Ok(answers.await_all()?)
-    }
-
-    /// [`KvRequestTable::mark_done_batch`] as a flight of the window's
-    /// `answers` level: issued once the effects the answers report are
-    /// durable (its heads' level awaited), every shard's into the one
-    /// level, and shown once that level is awaited.
+    /// Writes a batch of answers and issues them as **one** flight of
+    /// `answers`, the window's answers level: issued once the effects
+    /// the answers report are durable (its heads' level awaited), every
+    /// shard's into the one level, and shown once that level is
+    /// awaited. Per slot the payload is written before the done flag,
+    /// and a slot is one line, which persists atomically: a crash
+    /// leaves each slot either answered or still pending (recovery
+    /// recomputes a pending answer through the evidence scan), never a
+    /// flag over a missing payload.
     ///
     /// # Errors
     ///
@@ -737,7 +714,7 @@ impl KvRequestTable {
     }
 
     /// Slots holding a request whose execution has not completed, in
-    /// slot order — what a reboot re-drives through the recovery duals
+    /// slot order — what a reboot re-drives through the recovery dual
     /// when the client retries.
     ///
     /// # Errors
@@ -766,6 +743,14 @@ mod tests {
         let acked = table.ack(req_id, &mut acks).unwrap();
         acks.await_all().unwrap();
         acked
+    }
+
+    /// Answers `entries` as a window does: one flight of an answers
+    /// level, then the level awaited.
+    fn answer(table: &KvRequestTable, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
+        let mut answers = Level::default();
+        table.answer(entries, &mut answers)?;
+        Ok(answers.await_all()?)
     }
 
     fn fixture(capacity: u32) -> (PMem, KvRequestTable) {
@@ -800,9 +785,7 @@ mod tests {
             ReqSubmit::Known { slot, answer: None }
         );
 
-        table
-            .mark_done(slot, 7, KvTaskResult::Swapped(true))
-            .unwrap();
+        answer(&table, &[(slot, 7, KvTaskResult::Swapped(true))]).unwrap();
         let ReqSubmit::Known {
             answer: Some(ans), ..
         } = table.submit(0x7_0001, op).unwrap()
@@ -847,7 +830,7 @@ mod tests {
             else {
                 panic!("req {req} should find a recycled slot")
             };
-            table.mark_done(slot, 0, KvTaskResult::Got(None)).unwrap();
+            answer(&table, &[(slot, 0, KvTaskResult::Got(None))]).unwrap();
             assert!(ack(&table, req));
         }
         assert!(table.live_high_water() <= 8);
@@ -864,7 +847,7 @@ mod tests {
             else {
                 panic!("slots free again")
             };
-            table.mark_done(slot, 0, KvTaskResult::Got(None)).unwrap();
+            answer(&table, &[(slot, 0, KvTaskResult::Got(None))]).unwrap();
         }
         assert_eq!(
             table.submit(999, KvTaskOp::Get { key: 1 }).unwrap(),
@@ -893,7 +876,7 @@ mod tests {
         else {
             panic!("fresh")
         };
-        table.mark_done(slot, 0, KvTaskResult::Got(None)).unwrap();
+        answer(&table, &[(slot, 0, KvTaskResult::Got(None))]).unwrap();
         assert!(ack(&table, id(1, 1)));
 
         // Another client recycles the table until client 1's evidence
@@ -903,7 +886,7 @@ mod tests {
             else {
                 panic!("recyclable")
             };
-            table.mark_done(s, 0, KvTaskResult::Got(None)).unwrap();
+            answer(&table, &[(s, 0, KvTaskResult::Got(None))]).unwrap();
             assert!(ack(&table, id(2, seq)));
         }
         assert!(table.lookup(id(1, 1)).unwrap().is_none(), "evidence gone");
@@ -951,9 +934,7 @@ mod tests {
             else {
                 panic!("fresh")
             };
-            table
-                .mark_done(slot, 0, KvTaskResult::Stored(true))
-                .unwrap();
+            answer(&table, &[(slot, 0, KvTaskResult::Stored(true))]).unwrap();
             ack(&table, 1);
             (pmem, table)
         };
@@ -1074,14 +1055,14 @@ mod tests {
             entries.push((slot, 1u32, KvTaskResult::Got(Some(req as i64))));
         }
         let before = pmem.stats().snapshot();
-        table.mark_done_batch(&entries).unwrap();
+        answer(&table, &entries).unwrap();
         let delta = pmem.stats().snapshot() - before;
         assert_eq!(delta.persists, 1, "payloads and flags ride one persist");
         assert_eq!(delta.lines_persisted, 8);
         for (slot, _, expect) in entries {
             assert_eq!(table.result(slot).unwrap().unwrap().result, expect);
         }
-        assert!(table.mark_done_batch(&[]).is_ok());
+        assert!(answer(&table, &[]).is_ok());
     }
 
     #[test]
@@ -1111,14 +1092,14 @@ mod tests {
         };
         let (pmem, table, entries) = build();
         let e0 = pmem.events();
-        table.mark_done_batch(&entries).unwrap();
+        answer(&table, &entries).unwrap();
         let total = pmem.events() - e0;
         let mut answered = 0usize;
         for k in 0..total {
             for (seed, prob) in [(0, 0.0), (1, 0.5), (2, 0.5), (0, 1.0)] {
                 let (pmem, table, entries) = build();
                 pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed, prob));
-                assert!(table.mark_done_batch(&entries).unwrap_err().is_crash());
+                assert!(answer(&table, &entries).unwrap_err().is_crash());
                 let t2 = KvRequestTable::open(pmem.reopen().unwrap(), table.base()).unwrap();
                 for &(slot, executor, result) in &entries {
                     let at = format!("event {k}, survivors {prob} (seed {seed})");
@@ -1161,7 +1142,7 @@ mod tests {
             Err(PError::InvalidConfig(_))
         ));
         assert!(table.op(99).is_err());
-        assert!(table.mark_done(99, 0, KvTaskResult::Got(None)).is_err());
+        assert!(answer(&table, &[(99, 0, KvTaskResult::Got(None))]).is_err());
     }
 
     fn heap_pmem(heap: &PHeap) -> PMem {

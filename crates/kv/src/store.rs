@@ -52,8 +52,8 @@
 //! crash anywhere after it recovers into the new one. Old generations
 //! are retained, marked retired, and chained via their `prev` pointer:
 //!
-//! * recovery evidence scans ([`PKvStore::recover_put`] & friends)
-//!   walk the key's chain **across generations**, so an operation that
+//! * recovery evidence scans ([`PKvStore::recover_batch`]) walk the
+//!   key's chain **across generations**, so an operation that
 //!   published before a compaction is never re-executed after one —
 //!   and a carried record is itself evidence (it is a copy of the
 //!   original published record, tag included);
@@ -93,12 +93,12 @@
 //! anything that depends on the effects (a served window's answers)
 //! is issued after it. Every persist is a flight awaited where
 //! something depends on it, and batches of several shards move
-//! through the levels together. A per-op mutation ([`PKvStore::put`]
-//! & friends) is a group commit of one, and its recovery dual a
-//! [`PKvStore::recover_batch`] of one. Records are durable strictly
-//! before any head that can reach them, so a crash at *any* flush
-//! boundary leaves each bucket either entirely pre-batch or entirely
-//! post-batch — never a torn head — and recovery detects a
+//! through the levels together. There is one mutation API: a write is
+//! a [`KvBatchOp`] in a group commit (a lone write a batch of one), and
+//! its recovery dual is [`PKvStore::recover_batch`]. Records are
+//! durable strictly before any head that can reach them, so a crash at
+//! *any* flush boundary leaves each bucket either entirely pre-batch or
+//! entirely post-batch — never a torn head — and recovery detects a
 //! completed-but-unacked operation purely from the `(pid, seq)`
 //! evidence already in the log. (Shard-level parallelism comes from
 //! striping stores across regions, see
@@ -419,16 +419,21 @@ impl KvBatchOp {
 /// ```
 /// use pstack_nvram::PMemBuilder;
 /// use pstack_heap::PHeap;
-/// use pstack_kv::{KvVariant, PKvStore};
+/// use pstack_kv::{KvApplied, KvBatchOp, KvVariant, PKvStore};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
 /// let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 18)?;
 /// let kv = PKvStore::format(pmem, &heap, 16, 64, KvVariant::Nsrl)?;
-/// assert!(kv.put(0, 1, 7, 700)?);
+/// let put = KvBatchOp::Put { pid: 0, seq: 1, key: 7, value: 700 };
+/// assert_eq!(kv.apply_batch(&[put])?, [KvApplied::Applied]);
 /// assert_eq!(kv.get(7)?, Some(700));
-/// assert!(kv.cas(0, 2, 7, 700, 701)?);
-/// assert!(kv.delete(0, 3, 7)?);
+/// let cas = KvBatchOp::Cas { pid: 0, seq: 2, key: 7, expected: 700, new: 701 };
+/// let delete = KvBatchOp::Delete { pid: 0, seq: 3, key: 7 };
+/// assert_eq!(kv.apply_batch(&[cas, delete])?, [KvApplied::Applied; 2]);
+/// assert_eq!(kv.get(7)?, None);
+/// // Replaying a write that published is answered from its evidence.
+/// assert_eq!(kv.recover_batch(&[put])?, [KvApplied::Applied]);
 /// assert_eq!(kv.get(7)?, None);
 /// # Ok(())
 /// # }
@@ -482,16 +487,10 @@ impl KvPendingBatch<'_> {
     ///
     /// # Errors
     ///
-    /// A propagated crash (recover each op with its recovery dual
-    /// after restart).
-    pub fn commit(self) -> Result<Vec<KvApplied>, PError> {
+    /// A propagated crash (complete the batch with
+    /// [`PKvStore::recover_batch`] after restart).
+    pub fn commit(mut self) -> Result<Vec<KvApplied>, PError> {
         let _label = op_label("kv.apply_batch");
-        self.commit_unlabelled()
-    }
-
-    /// [`KvPendingBatch::commit`] under the caller's op label: a per-op
-    /// mutation's persists and PSan findings stay its own.
-    fn commit_unlabelled(mut self) -> Result<Vec<KvApplied>, PError> {
         let mut heads = Level::default();
         self.publish(&mut heads)?;
         heads.await_all()?;
@@ -898,10 +897,13 @@ impl PKvStore {
     /// before any head that can reach them), so recovery remains the
     /// per-key evidence scan.
     ///
+    /// It is the one way to write the store: a lone mutation is a batch
+    /// of one, at the same 3 persists and 2 round-trips.
+    ///
     /// # Errors
     ///
-    /// A propagated crash (recover each op with its recovery dual
-    /// after restart).
+    /// A propagated crash (complete the batch with
+    /// [`PKvStore::recover_batch`] after restart).
     ///
     /// # Example
     ///
@@ -995,8 +997,8 @@ impl PKvStore {
     ///
     /// # Errors
     ///
-    /// A propagated crash (recover each op with its recovery dual
-    /// after restart).
+    /// A propagated crash (complete the batch with
+    /// [`PKvStore::recover_batch`] after restart).
     pub fn apply_batch_begin(&self, ops: &[KvBatchOp]) -> Result<KvPendingBatch<'_>, PError> {
         let _label = op_label("kv.apply_batch");
         self.begin_quiesced(self.pmem.quiesce(), ops)
@@ -1035,44 +1037,6 @@ impl PKvStore {
         })
     }
 
-    /// A per-op mutation: a group commit of `op` alone — or, for a
-    /// recovery dual, a [`PKvStore::recover_batch`] of it, whose
-    /// evidence scan runs in the exclusive section the commit then
-    /// keeps. Under the caller's op label; `true` iff it took effect.
-    fn commit_one(&self, op: KvBatchOp, recovery: bool) -> Result<bool, PError> {
-        let pending = if recovery {
-            self.scan_then_begin(&[op])?
-        } else {
-            self.begin_quiesced(self.pmem.quiesce(), &[op])?
-        };
-        Ok(pending.commit_unlabelled()?[0].took_effect())
-    }
-
-    /// Stores `value` under `key` as process `pid` with unique tag
-    /// `seq`, inserting or overwriting. Returns `false` if the active
-    /// generation's version log is exhausted — the store is then
-    /// read-only until [`PKvStore::compact`] swaps in a fresh
-    /// generation.
-    ///
-    /// Like every mutation, a group commit — of this one op:
-    /// [`PKvStore::apply_batch`]'s three persists (records ‖ tail →
-    /// heads) and two round-trips of waiting; durable when it returns.
-    ///
-    /// # Errors
-    ///
-    /// A propagated crash (complete with [`PKvStore::recover_put`]
-    /// after restart).
-    pub fn put(&self, pid: u64, seq: u64, key: u64, value: i64) -> Result<bool, PError> {
-        let _label = op_label("kv.put");
-        let op = KvBatchOp::Put {
-            pid,
-            seq,
-            key,
-            value,
-        };
-        self.commit_one(op, false)
-    }
-
     /// Reads the current value of `key`.
     ///
     /// # Errors
@@ -1109,49 +1073,9 @@ impl PKvStore {
         self.lookup_from(head, key, gen.number)
     }
 
-    /// Removes `key` as process `pid` with unique tag `seq`. Returns
-    /// `true` if the key was present (and is now removed), `false` if
-    /// it was absent or the log is full.
-    ///
-    /// # Errors
-    ///
-    /// A propagated crash (complete with [`PKvStore::recover_delete`]
-    /// after restart).
-    pub fn delete(&self, pid: u64, seq: u64, key: u64) -> Result<bool, PError> {
-        let _label = op_label("kv.delete");
-        self.commit_one(KvBatchOp::Delete { pid, seq, key }, false)
-    }
-
-    /// Replaces `key`'s value with `new` iff it currently equals
-    /// `expected`, as process `pid` with unique tag `seq`. Returns
-    /// `false` if the current value differs (or the key is absent, or
-    /// the log is full).
-    ///
-    /// # Errors
-    ///
-    /// A propagated crash (complete with [`PKvStore::recover_cas`]
-    /// after restart).
-    pub fn cas(
-        &self,
-        pid: u64,
-        seq: u64,
-        key: u64,
-        expected: i64,
-        new: i64,
-    ) -> Result<bool, PError> {
-        let _label = op_label("kv.cas");
-        let op = KvBatchOp::Cas {
-            pid,
-            seq,
-            key,
-            expected,
-            new,
-        };
-        self.commit_one(op, false)
-    }
-
     /// Searches `key`'s published chain for the record tagged
-    /// `(pid, seq)` — the evidence scan of the NSRL recovery duals.
+    /// `(pid, seq)` — the evidence scan of NSRL recovery
+    /// ([`PKvStore::recover_batch`]).
     ///
     /// The scan spans **every generation** (newest first): an operation
     /// that published before a compaction must still be recognized
@@ -1226,78 +1150,22 @@ impl PKvStore {
         Ok(out)
     }
 
-    /// Completes an interrupted `put(pid, seq, key, value)`: the
-    /// operation linearized iff a published record carries its tag;
-    /// only then is re-execution skipped. A [`PKvStore::recover_batch`]
-    /// of the one op, so the scan runs in the region's exclusive
-    /// section: two concurrent replays of one op take one effect.
-    ///
-    /// # Errors
-    ///
-    /// A propagated crash; recovery is then re-run after restart.
-    pub fn recover_put(&self, pid: u64, seq: u64, key: u64, value: i64) -> Result<bool, PError> {
-        let _label = op_label("kv.recover_put");
-        let op = KvBatchOp::Put {
-            pid,
-            seq,
-            key,
-            value,
-        };
-        self.commit_one(op, true)
-    }
-
-    /// Completes an interrupted `delete(pid, seq, key)`.
-    ///
-    /// A delete that observed an absent key and crashed before
-    /// reporting leaves no evidence — recovery re-executes it, which is
-    /// correct because an answer that was never persisted is
-    /// indistinguishable from the operation not having run (the same
-    /// argument the recoverable queue makes for empty dequeues).
-    ///
-    /// # Errors
-    ///
-    /// A propagated crash; recovery is then re-run after restart.
-    pub fn recover_delete(&self, pid: u64, seq: u64, key: u64) -> Result<bool, PError> {
-        let _label = op_label("kv.recover_delete");
-        self.commit_one(KvBatchOp::Delete { pid, seq, key }, true)
-    }
-
-    /// Completes an interrupted `cas(pid, seq, key, expected, new)`. A
-    /// successful CAS left a tagged record; a failed one left no effect
-    /// and is safely re-executed.
-    ///
-    /// # Errors
-    ///
-    /// A propagated crash; recovery is then re-run after restart.
-    pub fn recover_cas(
-        &self,
-        pid: u64,
-        seq: u64,
-        key: u64,
-        expected: i64,
-        new: i64,
-    ) -> Result<bool, PError> {
-        let _label = op_label("kv.recover_cas");
-        let op = KvBatchOp::Cas {
-            pid,
-            seq,
-            key,
-            expected,
-            new,
-        };
-        self.commit_one(op, true)
-    }
-
     /// The batched recovery dual of [`PKvStore::apply_batch`]: runs the
     /// evidence scan for every op first (an op whose tagged record
     /// already published answers `Applied` without re-executing), then
     /// re-executes the remainder through **one** group commit.
-    /// Equivalent to running each op's recovery dual in submission
-    /// order — a re-execution publishes only its own tag, so it cannot
-    /// create or destroy another pending op's evidence — but it pays
-    /// the batch's persist economy, so recovery traffic runs inside
-    /// real batch windows too (which is what lets a crash campaign
-    /// kill *recovery* mid-batch and still converge).
+    /// Equivalent to recovering each op alone in submission order — a
+    /// re-execution publishes only its own tag, so it cannot create or
+    /// destroy another pending op's evidence — but it pays the batch's
+    /// persist economy, so recovery traffic runs inside real batch
+    /// windows too (which is what lets a crash campaign kill
+    /// *recovery* mid-batch and still converge).
+    ///
+    /// An op that left no evidence is re-executed. That includes a
+    /// delete that found its key absent, or a cas whose expected value
+    /// did not match, before the crash: an answer that was never
+    /// persisted is indistinguishable from the op not having run (the
+    /// recoverable queue's argument for empty dequeues).
     ///
     /// Under [`KvVariant::NoScan`] the scans are skipped and every op
     /// re-executes — the injected §5.2-style bug, preserved here so
@@ -1320,12 +1188,6 @@ impl PKvStore {
     ) -> Result<KvPendingBatch<'_>, PError> {
         let _label = op_label("kv.recover_batch");
         let _phase = pstack_telemetry::phase("recovery.batch-replay");
-        self.scan_then_begin(ops)
-    }
-
-    /// The body of [`PKvStore::recover_batch_begin`], under the
-    /// caller's op label.
-    fn scan_then_begin(&self, ops: &[KvBatchOp]) -> Result<KvPendingBatch<'_>, PError> {
         // The scans run in the exclusive section the group commit then
         // keeps: two replays of one op — two frames naming one pending
         // slot, recovered in parallel — are serialized, and the second
@@ -1708,45 +1570,91 @@ mod tests {
         (pmem, heap, kv)
     }
 
+    fn put(pid: u64, seq: u64, key: u64, value: i64) -> KvBatchOp {
+        KvBatchOp::Put {
+            pid,
+            seq,
+            key,
+            value,
+        }
+    }
+
+    fn del(pid: u64, seq: u64, key: u64) -> KvBatchOp {
+        KvBatchOp::Delete { pid, seq, key }
+    }
+
+    fn cas(pid: u64, seq: u64, key: u64, expected: i64, new: i64) -> KvBatchOp {
+        KvBatchOp::Cas {
+            pid,
+            seq,
+            key,
+            expected,
+            new,
+        }
+    }
+
+    /// A group commit of `op` alone; `true` iff it took effect.
+    fn apply(kv: &PKvStore, op: KvBatchOp) -> Result<bool, PError> {
+        Ok(kv.apply_batch(&[op])?[0].took_effect())
+    }
+
+    /// A [`PKvStore::recover_batch`] of `op` alone; `true` iff it took
+    /// effect (before the crash or now).
+    fn recover(kv: &PKvStore, op: KvBatchOp) -> Result<bool, PError> {
+        Ok(kv.recover_batch(&[op])?[0].took_effect())
+    }
+
     #[test]
     fn put_get_delete_cas_semantics() {
         let (_, _, kv) = fixture(8, 64);
         assert_eq!(kv.get(1).unwrap(), None);
-        assert!(kv.put(0, 1, 1, 100).unwrap());
-        assert!(kv.put(0, 2, 2, 200).unwrap());
+        assert!(apply(&kv, put(0, 1, 1, 100)).unwrap());
+        assert!(apply(&kv, put(0, 2, 2, 200)).unwrap());
         assert_eq!(kv.get(1).unwrap(), Some(100));
-        assert!(kv.put(0, 3, 1, 101).unwrap(), "overwrite succeeds");
+        assert!(apply(&kv, put(0, 3, 1, 101)).unwrap(), "overwrite succeeds");
         assert_eq!(kv.get(1).unwrap(), Some(101));
-        assert!(!kv.cas(0, 4, 1, 100, 999).unwrap(), "stale expected fails");
-        assert!(kv.cas(0, 5, 1, 101, 102).unwrap());
+        assert!(
+            !apply(&kv, cas(0, 4, 1, 100, 999)).unwrap(),
+            "stale expected fails"
+        );
+        assert!(apply(&kv, cas(0, 5, 1, 101, 102)).unwrap());
         assert_eq!(kv.get(1).unwrap(), Some(102));
-        assert!(!kv.cas(0, 6, 99, 0, 1).unwrap(), "absent key fails cas");
-        assert!(kv.delete(0, 7, 1).unwrap());
+        assert!(
+            !apply(&kv, cas(0, 6, 99, 0, 1)).unwrap(),
+            "absent key fails cas"
+        );
+        assert!(apply(&kv, del(0, 7, 1)).unwrap());
         assert_eq!(kv.get(1).unwrap(), None);
-        assert!(!kv.delete(0, 8, 1).unwrap(), "double delete reports absent");
-        assert!(!kv.cas(0, 9, 1, 102, 103).unwrap(), "deleted key fails cas");
+        assert!(
+            !apply(&kv, del(0, 8, 1)).unwrap(),
+            "double delete reports absent"
+        );
+        assert!(
+            !apply(&kv, cas(0, 9, 1, 102, 103)).unwrap(),
+            "deleted key fails cas"
+        );
         assert_eq!(kv.get(2).unwrap(), Some(200));
     }
 
     #[test]
     fn put_after_delete_reinserts() {
         let (_, _, kv) = fixture(4, 32);
-        kv.put(0, 1, 5, 50).unwrap();
-        kv.delete(0, 2, 5).unwrap();
-        assert!(kv.put(0, 3, 5, 51).unwrap());
+        apply(&kv, put(0, 1, 5, 50)).unwrap();
+        apply(&kv, del(0, 2, 5)).unwrap();
+        assert!(apply(&kv, put(0, 3, 5, 51)).unwrap());
         assert_eq!(kv.get(5).unwrap(), Some(51));
     }
 
     #[test]
     fn log_capacity_is_lifetime_bounded() {
         let (_, _, kv) = fixture(2, 3);
-        assert!(kv.put(0, 1, 1, 1).unwrap());
-        assert!(kv.put(0, 2, 2, 2).unwrap());
-        assert!(kv.put(0, 3, 3, 3).unwrap());
-        assert!(!kv.put(0, 4, 4, 4).unwrap(), "log exhausted");
+        assert!(apply(&kv, put(0, 1, 1, 1)).unwrap());
+        assert!(apply(&kv, put(0, 2, 2, 2)).unwrap());
+        assert!(apply(&kv, put(0, 3, 3, 3)).unwrap());
+        assert!(!apply(&kv, put(0, 4, 4, 4)).unwrap(), "log exhausted");
         // Deletes and cas also need log slots.
-        assert!(!kv.delete(0, 5, 1).unwrap());
-        assert!(!kv.cas(0, 6, 1, 1, 9).unwrap());
+        assert!(!apply(&kv, del(0, 5, 1)).unwrap());
+        assert!(!apply(&kv, cas(0, 6, 1, 1, 9)).unwrap());
         // Reads still work.
         assert_eq!(kv.get(2).unwrap(), Some(2));
         assert_eq!(kv.log_reserved().unwrap(), 3);
@@ -1772,7 +1680,10 @@ mod tests {
         assert_eq!(pmem.stats().snapshot().async_flushes, 2, "records + tail");
         pmem.fence();
         assert_eq!(pmem.inflight_tickets(), 0);
-        assert!(kv.put(0, 2, 7, 71).unwrap(), "store still writable");
+        assert!(
+            apply(&kv, put(0, 2, 7, 71)).unwrap(),
+            "store still writable"
+        );
         assert_eq!(kv.get(7).unwrap(), Some(71));
     }
 
@@ -1780,7 +1691,7 @@ mod tests {
     fn pipelined_compaction_preserves_live_state() {
         let (pmem, heap, kv) = fixture(8, 256);
         for i in 0..128u64 {
-            assert!(kv.put(0, i + 1, i, i as i64).unwrap());
+            assert!(apply(&kv, put(0, i + 1, i, i as i64)).unwrap());
         }
         let stats = kv.compact(&heap).unwrap();
         assert_eq!(stats.carried, 128);
@@ -1802,11 +1713,11 @@ mod tests {
         const BUCKETS: u64 = 16;
         let (pmem, heap, kv) = fixture(BUCKETS, 64);
         for key in 0..8u64 {
-            assert!(kv.put(0, key + 1, key, key as i64).unwrap());
+            assert!(apply(&kv, put(0, key + 1, key, key as i64)).unwrap());
         }
         kv.compact(&heap).unwrap();
         for key in 0..4u64 {
-            assert!(kv.put(0, key + 9, key, -(key as i64)).unwrap());
+            assert!(apply(&kv, put(0, key + 9, key, -(key as i64))).unwrap());
         }
         let reads = || pmem.stats().snapshot().reads;
         let r0 = reads();
@@ -1857,11 +1768,11 @@ mod tests {
     #[test]
     fn buffered_region_yields_a_batched_store() {
         let (pmem, _, kv) = fixture(8, 64);
-        assert!(kv.put(0, 1, 7, 70).unwrap());
-        assert!(kv.cas(0, 2, 7, 70, 71).unwrap());
+        assert!(apply(&kv, put(0, 1, 7, 70)).unwrap());
+        assert!(apply(&kv, cas(0, 2, 7, 70, 71)).unwrap());
         assert_eq!(kv.get(7).unwrap(), Some(71));
-        // Every per-op mutation is a group commit of one — three flights
-        // — and its record, tail and head are all durable before it
+        // Every one-op batch is a group commit of one — three flights —
+        // and its record, tail and head are all durable before it
         // returns.
         assert_eq!(pmem.stats().snapshot().async_flushes, 2 * 3);
         pmem.crash_now(0, 0.0);
@@ -1938,7 +1849,7 @@ mod tests {
     #[test]
     fn empty_and_no_effect_batches_skip_the_flush_protocol() {
         let (pmem, _, kv) = fixture(4, 64);
-        kv.put(0, 1, 5, 50).unwrap();
+        apply(&kv, put(0, 1, 5, 50)).unwrap();
         let before = pmem.stats().snapshot();
         assert!(kv.apply_batch(&[]).unwrap().is_empty());
         let out = kv
@@ -2111,11 +2022,11 @@ mod tests {
             }
 
             // Recovery duals complete the batch exactly once.
-            assert!(kv2.recover_put(1, 1, 0, 10).unwrap());
-            assert!(kv2.recover_put(1, 2, 2, 20).unwrap());
-            assert!(kv2.recover_put(1, 3, 4, 40).unwrap());
-            assert!(kv2.recover_cas(1, 4, 0, 10, 11).unwrap());
-            assert!(kv2.recover_delete(1, 5, 2).unwrap());
+            assert!(recover(&kv2, put(1, 1, 0, 10)).unwrap());
+            assert!(recover(&kv2, put(1, 2, 2, 20)).unwrap());
+            assert!(recover(&kv2, put(1, 3, 4, 40)).unwrap());
+            assert!(recover(&kv2, cas(1, 4, 0, 10, 11)).unwrap());
+            assert!(recover(&kv2, del(1, 5, 2)).unwrap());
             assert_eq!(kv2.contents().unwrap(), want, "crash at event {k}");
             let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
             assert_eq!(published, ops.len(), "crash at {k}: duplicate application");
@@ -2223,11 +2134,11 @@ mod tests {
                 );
             }
 
-            assert!(kv2.recover_put(1, 1, 0, 10).unwrap());
-            assert!(kv2.recover_put(1, 2, 2, 20).unwrap());
-            assert!(kv2.recover_put(1, 3, 4, 40).unwrap());
-            assert!(kv2.recover_cas(1, 4, 0, 10, 11).unwrap());
-            assert!(kv2.recover_delete(1, 5, 2).unwrap());
+            assert!(recover(&kv2, put(1, 1, 0, 10)).unwrap());
+            assert!(recover(&kv2, put(1, 2, 2, 20)).unwrap());
+            assert!(recover(&kv2, put(1, 3, 4, 40)).unwrap());
+            assert!(recover(&kv2, cas(1, 4, 0, 10, 11)).unwrap());
+            assert!(recover(&kv2, del(1, 5, 2)).unwrap());
             assert_eq!(kv2.contents().unwrap(), want, "crash at event {k}");
             let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
             assert_eq!(published, ops.len(), "crash at {k}: duplicate application");
@@ -2280,22 +2191,8 @@ mod tests {
             ops.iter().for_each(|&op| batch.push(op));
             batch.commit()
         };
-        let recover = |kv: &ShardedKvStore, op: KvBatchOp| match op {
-            KvBatchOp::Put {
-                pid,
-                seq,
-                key,
-                value,
-            } => kv.recover_put(pid, seq, key, value),
-            KvBatchOp::Delete { pid, seq, key } => kv.recover_delete(pid, seq, key),
-            KvBatchOp::Cas {
-                pid,
-                seq,
-                key,
-                expected,
-                new,
-            } => kv.recover_cas(pid, seq, key, expected, new),
-        };
+        let recover =
+            |kv: &ShardedKvStore, op: KvBatchOp| recover(kv.shard(kv.shard_of(op.key())), op);
 
         let (stripe, kv) = probe();
         let e0 = stripe.events_per_region();
@@ -2406,7 +2303,7 @@ mod tests {
     #[test]
     fn recover_batch_completes_exactly_once_and_is_idempotent() {
         let (_, _, kv) = fixture(4, 64);
-        assert!(kv.put(1, 1, 10, 100).unwrap());
+        assert!(apply(&kv, put(1, 1, 10, 100)).unwrap());
         let ops = [
             // Linearized before the "crash": evidence skips it.
             KvBatchOp::Put {
@@ -2452,17 +2349,12 @@ mod tests {
         // second replay scans in the exclusive section the first one's
         // group commit holds, so it finds the first's evidence — it
         // does not scan first, miss, and then apply a second time. The
-        // second is a window's batch dual, then the per-op dual.
-        let op = KvBatchOp::Put {
-            pid: 3,
-            seq: 7,
-            key: 12,
-            value: 120,
-        };
-        let seconds: [&(dyn Fn(&PKvStore) -> bool + Sync); 2] = [
-            &|kv| kv.recover_batch(&[op]).unwrap() == [KvApplied::Applied],
-            &|kv| kv.recover_put(3, 7, 12, 120).unwrap(),
-        ];
+        // second replays the op alone, then behind an op that never ran.
+        let op = put(3, 7, 12, 120);
+        let seconds: [&(dyn Fn(&PKvStore) -> bool + Sync); 2] =
+            [&|kv| recover(kv, op).unwrap(), &|kv| {
+                kv.recover_batch(&[put(3, 8, 13, 130), op]).unwrap() == [KvApplied::Applied; 2]
+            }];
         for (input, second) in seconds.into_iter().enumerate() {
             let (_, _, kv) = fixture(4, 64);
             let first = kv.recover_batch_begin(&[op]).unwrap();
@@ -2475,8 +2367,9 @@ mod tests {
                 assert_eq!(first.commit().unwrap(), vec![KvApplied::Applied]);
                 assert!(second.join().unwrap(), "input {input}");
             });
-            let published: usize = kv.snapshot().unwrap().iter().map(Vec::len).sum();
-            assert_eq!(published, 1, "input {input}: one effect for two replays");
+            let effects = kv.snapshot().unwrap().into_iter().flatten();
+            let effects = effects.filter(|r| (r.pid, r.seq) == (3, 7)).count();
+            assert_eq!(effects, 1, "input {input}: one effect for two replays");
         }
     }
 
@@ -2485,7 +2378,7 @@ mod tests {
         let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 18).unwrap();
         let kv = PKvStore::format(pmem, &heap, 4, 32, KvVariant::NoScan).unwrap();
-        assert!(kv.put(0, 1, 1, 10).unwrap());
+        assert!(apply(&kv, put(0, 1, 1, 10)).unwrap());
         let out = kv
             .recover_batch(&[KvBatchOp::Put {
                 pid: 0,
@@ -2509,7 +2402,7 @@ mod tests {
         // back.
         for durable in [true, false] {
             let (pmem, _heap, kv) = fixture(16, 64);
-            kv.put(1, 1, 7, 10).unwrap();
+            apply(&kv, put(1, 1, 7, 10)).unwrap();
             let put = KvBatchOp::Put {
                 pid: 1,
                 seq: 2,
@@ -2586,7 +2479,7 @@ mod tests {
     #[test]
     fn open_round_trips_and_rejects_garbage() {
         let (pmem, heap, kv) = fixture(8, 32);
-        kv.put(1, 1, 42, -7).unwrap();
+        apply(&kv, put(1, 1, 42, -7)).unwrap();
         let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
         assert_eq!(kv2.nbuckets(), 8);
         assert_eq!(kv2.log_capacity().unwrap(), 32);
@@ -2601,10 +2494,10 @@ mod tests {
     #[test]
     fn contents_and_chains_reflect_history() {
         let (_, _, kv) = fixture(4, 64);
-        kv.put(0, 1, 10, 1).unwrap();
-        kv.put(0, 2, 11, 2).unwrap();
-        kv.put(0, 3, 10, 3).unwrap();
-        kv.delete(0, 4, 11).unwrap();
+        apply(&kv, put(0, 1, 10, 1)).unwrap();
+        apply(&kv, put(0, 2, 11, 2)).unwrap();
+        apply(&kv, put(0, 3, 10, 3)).unwrap();
+        apply(&kv, del(0, 4, 11)).unwrap();
         let contents = kv.contents().unwrap();
         assert_eq!(contents.get(&10), Some(&3));
         assert_eq!(contents.get(&11), None);
@@ -2625,9 +2518,9 @@ mod tests {
     #[test]
     fn state_survives_crash_and_reopen() {
         let (pmem, _, kv) = fixture(8, 64);
-        kv.put(0, 1, 7, 70).unwrap();
-        kv.put(0, 2, 8, 80).unwrap();
-        kv.delete(0, 3, 8).unwrap();
+        apply(&kv, put(0, 1, 7, 70)).unwrap();
+        apply(&kv, put(0, 2, 8, 80)).unwrap();
+        apply(&kv, del(0, 3, 8)).unwrap();
         pmem.crash_now(0, 0.0); // every op was durable as it returned
         let pmem2 = pmem.reopen().unwrap();
         let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
@@ -2638,13 +2531,13 @@ mod tests {
     #[test]
     fn recovery_sees_linearized_ops() {
         let (_, _, kv) = fixture(8, 64);
-        assert!(kv.put(3, 9, 1, 11).unwrap());
-        assert!(kv.recover_put(3, 9, 1, 11).unwrap());
+        assert!(apply(&kv, put(3, 9, 1, 11)).unwrap());
+        assert!(recover(&kv, put(3, 9, 1, 11)).unwrap());
         assert_eq!(kv.log_reserved().unwrap(), 1, "no second application");
-        assert!(kv.cas(2, 10, 1, 11, 12).unwrap());
-        assert!(kv.recover_cas(2, 10, 1, 11, 12).unwrap());
-        assert!(kv.delete(1, 11, 1).unwrap());
-        assert!(kv.recover_delete(1, 11, 1).unwrap());
+        assert!(apply(&kv, cas(2, 10, 1, 11, 12)).unwrap());
+        assert!(recover(&kv, cas(2, 10, 1, 11, 12)).unwrap());
+        assert!(apply(&kv, del(1, 11, 1)).unwrap());
+        assert!(recover(&kv, del(1, 11, 1)).unwrap());
         assert_eq!(kv.log_reserved().unwrap(), 3);
         assert_eq!(kv.get(1).unwrap(), None);
     }
@@ -2652,11 +2545,11 @@ mod tests {
     #[test]
     fn recovery_reexecutes_unlinearized_ops() {
         let (_, _, kv) = fixture(8, 64);
-        assert!(kv.recover_put(0, 1, 5, 55).unwrap());
+        assert!(recover(&kv, put(0, 1, 5, 55)).unwrap());
         assert_eq!(kv.get(5).unwrap(), Some(55));
-        assert!(kv.recover_delete(0, 2, 5).unwrap());
+        assert!(recover(&kv, del(0, 2, 5)).unwrap());
         assert_eq!(kv.get(5).unwrap(), None);
-        assert!(!kv.recover_cas(0, 3, 5, 55, 56).unwrap());
+        assert!(!recover(&kv, cas(0, 3, 5, 55, 56)).unwrap());
     }
 
     #[test]
@@ -2664,8 +2557,8 @@ mod tests {
         let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 18).unwrap();
         let kv = PKvStore::format(pmem, &heap, 4, 32, KvVariant::NoScan).unwrap();
-        assert!(kv.put(0, 1, 1, 10).unwrap());
-        assert!(kv.recover_put(0, 1, 1, 10).unwrap());
+        assert!(apply(&kv, put(0, 1, 1, 10)).unwrap());
+        assert!(recover(&kv, put(0, 1, 1, 10)).unwrap());
         let records: Vec<VersionRecord> = kv.snapshot().unwrap().into_iter().flatten().collect();
         assert_eq!(records.len(), 2, "double application must be visible");
         assert_eq!(records[0].seq, records[1].seq);
@@ -2673,7 +2566,7 @@ mod tests {
 
     #[test]
     fn crash_point_enumeration_put_recovers_exactly_once() {
-        // A per-op put — a group commit of one — cut at every
+        // A one-op put — a group commit of one — cut at every
         // persistence event: reserve CAS, record write, the record and
         // tail flights, head CAS, the heads flight. Wherever
         // the crash lands, the evidence scan answers exactly-once and
@@ -2681,18 +2574,21 @@ mod tests {
         let probe = || fixture(4, 16);
         let (pmem, _, kv) = probe();
         let e0 = pmem.events();
-        assert!(kv.put(0, 1, 7, 77).unwrap());
+        assert!(apply(&kv, put(0, 1, 7, 77)).unwrap());
         let total = pmem.events() - e0;
         assert!(total >= 5, "reserve + record + head CAS + flights");
 
         for k in 0..total {
             let (pmem, _, kv) = probe();
             pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = kv.put(0, 1, 7, 77).unwrap_err();
+            let err = apply(&kv, put(0, 1, 7, 77)).unwrap_err();
             assert!(err.is_crash());
             let pmem2 = pmem.reopen().unwrap();
             let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-            assert!(kv2.recover_put(0, 1, 7, 77).unwrap(), "crash at event {k}");
+            assert!(
+                recover(&kv2, put(0, 1, 7, 77)).unwrap(),
+                "crash at event {k}"
+            );
             assert_eq!(kv2.get(7).unwrap(), Some(77), "crash at event {k}");
             let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
             assert_eq!(published, 1, "crash at event {k}: exactly one record");
@@ -2704,22 +2600,22 @@ mod tests {
     fn crash_point_enumeration_delete_recovers_exactly_once() {
         let probe = || {
             let (pmem, heap, kv) = fixture(4, 16);
-            kv.put(0, 1, 7, 77).unwrap();
+            apply(&kv, put(0, 1, 7, 77)).unwrap();
             (pmem, heap, kv)
         };
         let (pmem, _, kv) = probe();
         let e0 = pmem.events();
-        assert!(kv.delete(1, 2, 7).unwrap());
+        assert!(apply(&kv, del(1, 2, 7)).unwrap());
         let total = pmem.events() - e0;
 
         for k in 0..total {
             let (pmem, _, kv) = probe();
             pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = kv.delete(1, 2, 7).unwrap_err();
+            let err = apply(&kv, del(1, 2, 7)).unwrap_err();
             assert!(err.is_crash());
             let pmem2 = pmem.reopen().unwrap();
             let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
-            assert!(kv2.recover_delete(1, 2, 7).unwrap(), "crash at event {k}");
+            assert!(recover(&kv2, del(1, 2, 7)).unwrap(), "crash at event {k}");
             assert_eq!(kv2.get(7).unwrap(), None, "crash at event {k}");
             let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
             assert_eq!(published, 2, "crash at event {k}: put + delete records");
@@ -2730,23 +2626,23 @@ mod tests {
     fn crash_point_enumeration_cas_recovers_exactly_once() {
         let probe = || {
             let (pmem, heap, kv) = fixture(4, 16);
-            kv.put(0, 1, 7, 77).unwrap();
+            apply(&kv, put(0, 1, 7, 77)).unwrap();
             (pmem, heap, kv)
         };
         let (pmem, _, kv) = probe();
         let e0 = pmem.events();
-        assert!(kv.cas(1, 2, 7, 77, 78).unwrap());
+        assert!(apply(&kv, cas(1, 2, 7, 77, 78)).unwrap());
         let total = pmem.events() - e0;
 
         for k in 0..total {
             let (pmem, _, kv) = probe();
             pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = kv.cas(1, 2, 7, 77, 78).unwrap_err();
+            let err = apply(&kv, cas(1, 2, 7, 77, 78)).unwrap_err();
             assert!(err.is_crash());
             let pmem2 = pmem.reopen().unwrap();
             let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
             assert!(
-                kv2.recover_cas(1, 2, 7, 77, 78).unwrap(),
+                recover(&kv2, cas(1, 2, 7, 77, 78)).unwrap(),
                 "crash at event {k}"
             );
             assert_eq!(kv2.get(7).unwrap(), Some(78), "crash at event {k}");
@@ -2768,7 +2664,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per {
                         let key = w * per + i;
-                        assert!(kv.put(w, i + 1, key, key as i64).unwrap());
+                        assert!(apply(&kv, put(w, i + 1, key, key as i64)).unwrap());
                     }
                 });
             }
@@ -2792,7 +2688,7 @@ mod tests {
         // Four threads increment one key via cas-retry loops; the final
         // value counts every success exactly once.
         let (pmem, _, kv) = fixture(4, 4096);
-        kv.put(0, 1, 0, 0).unwrap();
+        apply(&kv, put(0, 1, 0, 0)).unwrap();
         let per = 50i64;
         std::thread::scope(|s| {
             for w in 0..4u64 {
@@ -2803,7 +2699,7 @@ mod tests {
                         loop {
                             seq += 1;
                             let cur = kv.get(0).unwrap().unwrap();
-                            if kv.cas(w, seq, 0, cur, cur + 1).unwrap() {
+                            if apply(&kv, cas(w, seq, 0, cur, cur + 1)).unwrap() {
                                 break;
                             }
                         }
@@ -2832,7 +2728,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per {
                         let key = w * per + i;
-                        assert!(kv.put(w, i + 1, key, key as i64).unwrap());
+                        assert!(apply(&kv, put(w, i + 1, key, key as i64)).unwrap());
                     }
                 });
             }
@@ -2858,12 +2754,12 @@ mod tests {
     fn early_publish_variant_flags_on_the_lock_free_path() {
         // Negative control: skip the record flight before the head CAS
         // and PSan must flag the publication — proof the
-        // durable-before-publish check covers a per-op put (a group
-        // commit of one), attributed to the put.
+        // durable-before-publish check covers a lone put (a group
+        // commit of one), attributed to the group commit.
         let pmem = PMemBuilder::new().len(1 << 19).psan(true).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
         let kv = PKvStore::format(pmem.clone(), &heap, 4, 32, KvVariant::EarlyPublish).unwrap();
-        assert!(kv.put(0, 1, 7, 77).unwrap());
+        assert!(apply(&kv, put(0, 1, 7, 77)).unwrap());
         let violations = pmem.psan_violations();
         assert!(
             violations
@@ -2871,7 +2767,7 @@ mod tests {
                 .any(|v| matches!(v.kind, pstack_nvram::PsanViolationKind::EarlyPublish { .. })),
             "expected an EarlyPublish violation, got {violations:?}"
         );
-        assert_eq!(violations[0].op_label, "kv.put");
+        assert_eq!(violations[0].op_label, "kv.apply_batch");
     }
 
     #[test]
@@ -2881,7 +2777,7 @@ mod tests {
         // walk. Compaction now registers the retired extent; the free
         // fails typed, immediately.
         let (pmem, heap, kv) = fixture(4, 32);
-        kv.put(0, 1, 7, 77).unwrap();
+        apply(&kv, put(0, 1, 7, 77)).unwrap();
         assert!(heap.retired_extents().is_empty());
         kv.compact(&heap).unwrap();
         let retired = heap.retired_extents();
@@ -2952,14 +2848,14 @@ mod tests {
 
     /// A mixed workload leaving 3 live keys out of 8 mutations.
     fn seed_history(kv: &PKvStore) {
-        kv.put(0, 1, 1, 10).unwrap();
-        kv.put(0, 2, 2, 20).unwrap();
-        kv.put(0, 3, 1, 11).unwrap(); // supersedes seq 1
-        kv.put(0, 4, 3, 30).unwrap();
-        kv.delete(0, 5, 2).unwrap(); // kills key 2
-        kv.cas(0, 6, 3, 30, 31).unwrap();
-        kv.put(0, 7, 4, 40).unwrap();
-        kv.delete(0, 8, 4).unwrap();
+        apply(kv, put(0, 1, 1, 10)).unwrap();
+        apply(kv, put(0, 2, 2, 20)).unwrap();
+        apply(kv, put(0, 3, 1, 11)).unwrap(); // supersedes seq 1
+        apply(kv, put(0, 4, 3, 30)).unwrap();
+        apply(kv, del(0, 5, 2)).unwrap(); // kills key 2
+        apply(kv, cas(0, 6, 3, 30, 31)).unwrap();
+        apply(kv, put(0, 7, 4, 40)).unwrap();
+        apply(kv, del(0, 8, 4)).unwrap();
     }
 
     #[test]
@@ -3033,7 +2929,7 @@ mod tests {
             }
             let key = seq % 6;
             assert!(
-                kv.put(0, seq, key, seq as i64).unwrap(),
+                apply(&kv, put(0, seq, key, seq as i64)).unwrap(),
                 "put {seq} rejected — compaction failed to free headroom"
             );
             applied += 1;
@@ -3069,9 +2965,9 @@ mod tests {
         let reserved = kv.log_reserved().unwrap();
         // seq 3 is live (carried); seq 1 is superseded (retired log
         // only); seq 5 is a delete (retired log only).
-        assert!(kv.recover_put(0, 3, 1, 11).unwrap());
-        assert!(kv.recover_put(0, 1, 1, 10).unwrap());
-        assert!(kv.recover_delete(0, 5, 2).unwrap());
+        assert!(recover(&kv, put(0, 3, 1, 11)).unwrap());
+        assert!(recover(&kv, put(0, 1, 1, 10)).unwrap());
+        assert!(recover(&kv, del(0, 5, 2)).unwrap());
         assert_eq!(
             kv.log_reserved().unwrap(),
             reserved,
@@ -3084,7 +2980,7 @@ mod tests {
     fn compact_capacity_validation_and_growth() {
         let (_, heap, kv) = fixture(4, 16);
         for seq in 1..=10u64 {
-            kv.put(0, seq, seq, seq as i64).unwrap(); // 10 live keys
+            apply(&kv, put(0, seq, seq, seq as i64)).unwrap(); // 10 live keys
         }
         assert!(matches!(
             kv.compact_with_capacity(&heap, Some(5)),
@@ -3257,7 +3153,7 @@ mod tests {
         for round in 0..4u64 {
             for key in 0..3u64 {
                 seq += 1;
-                kv.put(0, seq, key, (round * 10 + key) as i64).unwrap();
+                apply(&kv, put(0, seq, key, (round * 10 + key) as i64)).unwrap();
             }
             kv.compact(&heap).unwrap();
             assert_eq!(kv.generation().unwrap(), round + 1);
@@ -3277,7 +3173,7 @@ mod tests {
             .filter(|r| !r.compacted)
             .count();
         assert_eq!(real, 12);
-        assert!(kv.recover_put(0, 1, 0, 0).unwrap());
+        assert!(recover(&kv, put(0, 1, 0, 0)).unwrap());
         assert_eq!(
             kv.snapshot()
                 .unwrap()
@@ -3294,7 +3190,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle_is_psan_clean_on_both_commit_modes() {
-        // The unit-scope zero-violation gate: per-op mutations, a group
+        // The unit-scope zero-violation gate: one-op batches, a group
         // commit, a compaction and a crash/recover cycle must leave the
         // sanitizer silent.
         let (pmem, heap, kv) = fixture(4, 16);
@@ -3316,12 +3212,12 @@ mod tests {
         ])
         .unwrap();
         kv.compact(&heap).unwrap();
-        kv.put(2, 3, 6, 60).unwrap();
+        apply(&kv, put(2, 3, 6, 60)).unwrap();
         assert!(pmem.psan_violations().is_empty());
         pmem.crash_now(0, 0.0);
         let pmem2 = pmem.reopen().unwrap();
         let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-        assert!(kv2.recover_put(2, 3, 6, 60).unwrap());
+        assert!(recover(&kv2, put(2, 3, 6, 60)).unwrap());
         assert_eq!(kv2.get(5).unwrap(), Some(51));
         let violations = pmem2.psan_violations();
         assert!(
@@ -3371,7 +3267,7 @@ mod tests {
         let kv =
             PKvStore::format(pmem.clone(), &heap, 4, 16, KvVariant::NoPersistBeforeSwap).unwrap();
         for seq in 1..=4u64 {
-            kv.put(0, seq, seq, seq as i64).unwrap();
+            apply(&kv, put(0, seq, seq, seq as i64)).unwrap();
         }
         assert!(
             pmem.psan_violations().is_empty(),

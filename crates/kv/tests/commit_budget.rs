@@ -5,8 +5,9 @@
 //! commit's dependence levels — and this file writes down what it
 //! pays: three persists a batch (records, log tail, heads), all three
 //! flights, awaited in two levels (records ‖ tail → heads) however many
-//! shards commit together — a per-op mutation is a batch of one and
-//! pays the same, or nothing when it takes no effect; that the heads'
+//! shards commit together — a lone mutation is a batch of one and
+//! pays the same, on its home shard alone, or nothing when it takes no
+//! effect; that the heads'
 //! flight is the commit point (a cut before it completes shows nothing
 //! of the batch, a cut after `commit` returns loses nothing); what
 //! compaction pays: seven;
@@ -75,7 +76,7 @@ fn a_per_op_put_is_a_group_commit_of_one() {
     // The batch's three persists, awaited in its two levels.
     let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
     let before = pmem.stats().snapshot();
-    assert!(kv.put(0, 1, 7, 70).unwrap());
+    assert!(kv.apply_batch(&puts(7..8)).unwrap()[0].took_effect());
     let d = pmem.stats().snapshot() - before;
     assert_eq!(
         (d.persists, d.async_flushes, d.redundant_persists),
@@ -95,7 +96,12 @@ fn a_per_op_put_is_a_group_commit_of_one() {
 fn a_per_op_delete_of_an_absent_key_persists_nothing() {
     let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
     let before = pmem.stats().snapshot();
-    assert!(!kv.delete(0, 1, 7).unwrap());
+    let delete = KvBatchOp::Delete {
+        pid: 0,
+        seq: 1,
+        key: 7,
+    };
+    assert!(!kv.apply_batch(&[delete]).unwrap()[0].took_effect());
     let d = pmem.stats().snapshot() - before;
     assert_eq!((d.persists, d.async_flushes), (0, 0), "nothing staged");
 }
@@ -184,6 +190,44 @@ fn a_four_shard_group_commit_waits_two_round_trips_of_twelve_charged() {
         d.async_latency_waited_ns,
         d.async_latency_charged_ns
     );
+}
+
+#[test]
+fn a_sharded_put_is_a_group_commit_of_one_on_its_home_shard() {
+    // `ShardedKvStore::put`, what the benchmark's `kv.put_persists`
+    // reports: the home shard pays one group commit, the others nothing.
+    let stripe = PMemBuilder::new()
+        .len(1 << 18)
+        .flush_latency(LATENCY)
+        .build_striped(4);
+    let kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
+    let key = 7;
+    let home = kv.shard_of(key);
+    let before: Vec<_> = stripe
+        .regions()
+        .iter()
+        .map(|r| r.stats().snapshot())
+        .collect();
+    assert!(kv.put(0, 1, key, 70).unwrap());
+    for (s, (region, before)) in stripe.regions().iter().zip(before).enumerate() {
+        let d = region.stats().snapshot() - before;
+        if s != home {
+            assert_eq!(d.persists, 0, "shard {s} is not the key's home");
+            continue;
+        }
+        assert_eq!(
+            (d.persists, d.async_flushes, d.redundant_persists),
+            (3, 3, 0),
+            "records ‖ tail, then heads — every one a flight"
+        );
+        assert_eq!(region.inflight_tickets(), 0);
+        assert!(
+            d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
+            "more than two levels of waiting: {} ns of {} charged",
+            d.async_latency_waited_ns,
+            d.async_latency_charged_ns
+        );
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Property tests for a shard's per-op path: random crews of concurrent
+//! Property tests for one-op group commits on a shard: random crews of concurrent
 //! mutators — each mutation a group commit of one — × compactions,
 //! all taking turns in the region's exclusive section × crash
 //! placements landing between the reserve, the record and tail
@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 
 use pstack_heap::PHeap;
-use pstack_kv::{KvVariant, PKvStore};
+use pstack_kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack_nvram::{FailPlan, PMemBuilder, POffset};
 use pstack_verify::{check_kv_gen, KvAnswer, KvHistory, KvOp, KvOpKind};
 
@@ -38,6 +38,30 @@ struct Planned {
     key: u64,
     value: i64,
     expected: i64,
+}
+
+impl Planned {
+    /// The mutation as a one-op batch's op.
+    fn op(self) -> KvBatchOp {
+        let (pid, seq, key) = (self.pid, self.seq, self.key);
+        match self.kind {
+            KvOpKind::Put => KvBatchOp::Put {
+                pid,
+                seq,
+                key,
+                value: self.value,
+            },
+            KvOpKind::Delete => KvBatchOp::Delete { pid, seq, key },
+            KvOpKind::Cas => KvBatchOp::Cas {
+                pid,
+                seq,
+                key,
+                expected: self.expected,
+                new: self.value,
+            },
+            KvOpKind::Get => unreachable!(),
+        }
+    }
 }
 
 fn plan_op(pid: u64, seq: u64, word: u64) -> Planned {
@@ -117,7 +141,7 @@ proptest! {
             .collect();
         let mut answered: Vec<Option<bool>> = vec![None; plan.len()];
         // Ops a thread *started* before a crash: unknown outcome, must
-        // go through the evidence-scanning recovery duals.
+        // go through the evidence-scanning recovery dual (`recover_batch`).
         let mut attempted: Vec<bool> = vec![false; plan.len()];
         let mut crashes = countdowns.into_iter();
         let mut rounds = 0usize;
@@ -133,15 +157,7 @@ proptest! {
                 if answered[i].is_some() || !attempted[i] {
                     continue;
                 }
-                let p = plan[i];
-                let ok = match p.kind {
-                    KvOpKind::Put => store.recover_put(p.pid, p.seq, p.key, p.value).unwrap(),
-                    KvOpKind::Delete => store.recover_delete(p.pid, p.seq, p.key).unwrap(),
-                    KvOpKind::Cas => store
-                        .recover_cas(p.pid, p.seq, p.key, p.expected, p.value)
-                        .unwrap(),
-                    KvOpKind::Get => unreachable!(),
-                };
+                let ok = store.recover_batch(&[plan[i].op()]).unwrap()[0].took_effect();
                 answered[i] = Some(ok);
             }
 
@@ -180,17 +196,8 @@ proptest! {
                         sc.spawn(move || {
                             let mut done = Vec::new();
                             for &i in mine {
-                                let p = plan[i];
-                                let r = match p.kind {
-                                    KvOpKind::Put => store.put(p.pid, p.seq, p.key, p.value),
-                                    KvOpKind::Delete => store.delete(p.pid, p.seq, p.key),
-                                    KvOpKind::Cas => {
-                                        store.cas(p.pid, p.seq, p.key, p.expected, p.value)
-                                    }
-                                    KvOpKind::Get => unreachable!(),
-                                };
-                                match r {
-                                    Ok(ok) => done.push((i, ok)),
+                                match store.apply_batch(&[plan[i].op()]) {
+                                    Ok(out) => done.push((i, out[0].took_effect())),
                                     // Crash mid-op: outcome unknown.
                                     Err(e) if e.is_crash() => return (done, Some(i)),
                                     Err(e) => panic!("mutator failed: {e}"),

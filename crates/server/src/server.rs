@@ -17,9 +17,10 @@
 //!    `(pid = client_id, seq = req_id)` — a tag stable across retries
 //!    and across executing workers. Any execution that *might* be a
 //!    re-execution (a retried pending slot, or a window replayed by
-//!    stack recovery) runs through the store's `recover_*` duals, which
-//!    scan for the tag first and take **no new effect** if the first
-//!    execution's record was already published. The table is the fast
+//!    stack recovery) runs through the store's recovery dual
+//!    ([`PKvStore::recover_batch`]), which scans for the tag first and
+//!    takes **no new effect** if the first execution's record was
+//!    already published. The table is the fast
 //!    path; the evidence scan is the authority.
 //!
 //! The rule that makes layer 2 sufficient: a window is executed via
@@ -151,7 +152,8 @@ struct WindowEntry {
     slot: u32,
     /// `true` if this entry *might* have executed before (a retry of a
     /// pending slot) — it and its whole window must run through the
-    /// evidence-scanning recovery duals.
+    /// evidence-scanning recovery dual
+    /// ([`pstack_kv::PKvStore::recover_batch`]).
     recovery: bool,
 }
 
@@ -264,7 +266,7 @@ impl ServerCore {
                 answer: Some(a), ..
             } => return Ok(Submission::Answered(a)),
             // A retry of a still-pending request: re-enter execution,
-            // but only ever through the recovery duals — its first
+            // but only ever through the recovery dual — its first
             // execution may be in flight or already published.
             ReqSubmit::Known { slot, answer: None } => (slot, true),
             ReqSubmit::Fresh(slot) => (slot, false),

@@ -584,7 +584,9 @@ proptest! {
                             executed.insert((client, seq)),
                             "({client}, {seq}) executed twice"
                         );
-                        table.mark_done(slot, 0, KvTaskResult::Got(None)).unwrap();
+                        let mut answers = Level::default();
+                        table.answer(&[(slot, 0, KvTaskResult::Got(None))], &mut answers).unwrap();
+                        answers.await_all().unwrap();
                         unacked[c].push_back(seq);
                         next_seq[c] += 1;
                     }

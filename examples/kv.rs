@@ -4,8 +4,9 @@
 //!
 //! The demo has three acts:
 //!
-//! 1. drive the store directly (put/get/cas/delete over emulated
-//!    NVRAM) and show the state surviving a power cut;
+//! 1. drive the store directly (a put/put/cas/delete group commit and
+//!    gets over emulated NVRAM) and show the state surviving a power
+//!    cut;
 //! 2. run a full crash campaign: four workers drain a descriptor table
 //!    of KV operations, crashes land at random flush boundaries, every
 //!    restart recovers the interrupted operations from the persistent
@@ -37,9 +38,17 @@
 
 use pstack::chaos::{run_campaign, CampaignConfig, Execution, KvWorkload, Workload};
 use pstack::heap::PHeap;
-use pstack::kv::{shard_of, KvVariant, PKvStore, ShardedKvStore};
+use pstack::kv::{shard_of, KvApplied, KvBatchOp, KvVariant, PKvStore, ShardedKvStore};
 use pstack::nvram::{PMemBuilder, PMemStripe};
 use pstack::telemetry::TraceSession;
+
+/// A put as a one-op batch on the sharded store; `true` iff it took
+/// effect (`false`: its shard's log is full).
+fn put(kv: &ShardedKvStore, seq: u64, key: u64) -> Result<bool, Box<dyn std::error::Error>> {
+    let mut batch = kv.batch();
+    batch.put(0, seq, key, seq as i64);
+    Ok(batch.commit()?[0].took_effect())
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Record the whole demo. With `--no-default-features` the recorder
@@ -52,11 +61,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pmem = PMemBuilder::new().len(1 << 18).psan(true).build_in_memory();
     let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 18)?;
     let kv = PKvStore::format(pmem.clone(), &heap, 16, 128, KvVariant::Nsrl)?;
-    kv.put(0, 1, 1001, 42)?;
-    kv.put(0, 2, 1002, 7)?;
-    kv.cas(0, 3, 1001, 42, 43)?;
-    kv.delete(0, 4, 1002)?;
-    pmem.crash_now(0, 0.0); // power cut: every op was durable as it returned
+    // One group commit; each op sees the ones staged before it.
+    let ops = [
+        KvBatchOp::Put {
+            pid: 0,
+            seq: 1,
+            key: 1001,
+            value: 42,
+        },
+        KvBatchOp::Put {
+            pid: 0,
+            seq: 2,
+            key: 1002,
+            value: 7,
+        },
+        KvBatchOp::Cas {
+            pid: 0,
+            seq: 3,
+            key: 1001,
+            expected: 42,
+            new: 43,
+        },
+        KvBatchOp::Delete {
+            pid: 0,
+            seq: 4,
+            key: 1002,
+        },
+    ];
+    assert_eq!(kv.apply_batch(&ops)?, [KvApplied::Applied; 4]);
+    pmem.crash_now(0, 0.0); // power cut: the batch was durable as it returned
     let pmem = pmem.reopen()?;
     let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl)?;
     println!(
@@ -164,7 +197,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut bricked_at = None;
     for seq in 1..=50u64 {
         let key = hot_keys[(seq % 5) as usize];
-        if !kv.put(0, seq, key, seq as i64)? {
+        if !put(&kv, seq, key)? {
             bricked_at = Some(seq);
             break;
         }
@@ -193,7 +226,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         assert!(
-            kv.put(0, seq, key, seq as i64)?,
+            put(&kv, seq, key)?,
             "with compaction no mutation is ever rejected"
         );
     }

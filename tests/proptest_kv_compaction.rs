@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use pstack::heap::PHeap;
-use pstack::kv::{KvVariant, PKvStore};
+use pstack::kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack::nvram::{PMemBuilder, POffset};
 use pstack::verify::{check_kv_gen, KvAnswer, KvHistory, KvOp, KvOpKind, KvSpec, KvWitnessRecord};
 
@@ -62,6 +62,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// A group commit of `op` alone; `true` iff it took effect.
+fn apply(kv: &PKvStore, op: KvBatchOp) -> bool {
+    kv.apply_batch(&[op]).unwrap()[0].took_effect()
+}
+
 /// Drives the steps against a store and the spec in lockstep,
 /// asserting answer equality op by op, then checks the collected
 /// history against the generation-aware witness verifier.
@@ -83,7 +88,13 @@ fn run_case(steps: &[Step], log_cap: u64) -> Result<(), TestCaseError> {
                     kv.compact(&heap).unwrap();
                     compactions += 1;
                 }
-                let stored = kv.put(0, seq, key, value).unwrap();
+                let put = KvBatchOp::Put {
+                    pid: 0,
+                    seq,
+                    key,
+                    value,
+                };
+                let stored = apply(&kv, put);
                 prop_assert!(stored, "put after compaction cannot be rejected");
                 spec.put(key, value);
                 ops.push(KvOp {
@@ -114,7 +125,7 @@ fn run_case(steps: &[Step], log_cap: u64) -> Result<(), TestCaseError> {
                     kv.compact(&heap).unwrap();
                     compactions += 1;
                 }
-                let deleted = kv.delete(0, seq, key).unwrap();
+                let deleted = apply(&kv, KvBatchOp::Delete { pid: 0, seq, key });
                 prop_assert_eq!(deleted, spec.delete(key), "step {}: delete mismatch", i);
                 ops.push(KvOp {
                     pid: 0,
@@ -131,7 +142,14 @@ fn run_case(steps: &[Step], log_cap: u64) -> Result<(), TestCaseError> {
                     kv.compact(&heap).unwrap();
                     compactions += 1;
                 }
-                let swapped = kv.cas(0, seq, key, expected, new).unwrap();
+                let cas = KvBatchOp::Cas {
+                    pid: 0,
+                    seq,
+                    key,
+                    expected,
+                    new,
+                };
+                let swapped = apply(&kv, cas);
                 prop_assert_eq!(
                     swapped,
                     spec.cas(key, expected, new),

@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 
 use pstack::heap::PHeap;
-use pstack::kv::{KvVariant, PKvStore};
+use pstack::kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack::nvram::{PMemBuilder, POffset};
 use pstack::verify::KvSpec;
 
@@ -63,6 +63,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// A group commit of `op` alone; `true` iff it took effect.
+fn apply(kv: &PKvStore, op: KvBatchOp) -> bool {
+    kv.apply_batch(&[op]).unwrap()[0].took_effect()
+}
+
 /// Random traffic + threshold-triggered compactions under PSan; the
 /// property is zero violations at every quiescent point and at the
 /// end, with answers matching the sequential spec throughout.
@@ -85,7 +90,13 @@ fn run_case(steps: &[Step], log_cap: u64) -> Result<(), TestCaseError> {
                 if full {
                     compact(&kv);
                 }
-                prop_assert!(kv.put(0, seq, key, value).unwrap());
+                let put = KvBatchOp::Put {
+                    pid: 0,
+                    seq,
+                    key,
+                    value,
+                };
+                prop_assert!(apply(&kv, put));
                 spec.put(key, value);
             }
             Step::Get { key } => {
@@ -95,16 +106,21 @@ fn run_case(steps: &[Step], log_cap: u64) -> Result<(), TestCaseError> {
                 if full {
                     compact(&kv);
                 }
-                prop_assert_eq!(kv.delete(0, seq, key).unwrap(), spec.delete(key));
+                let delete = KvBatchOp::Delete { pid: 0, seq, key };
+                prop_assert_eq!(apply(&kv, delete), spec.delete(key));
             }
             Step::Cas { key, expected, new } => {
                 if full {
                     compact(&kv);
                 }
-                prop_assert_eq!(
-                    kv.cas(0, seq, key, expected, new).unwrap(),
-                    spec.cas(key, expected, new)
-                );
+                let cas = KvBatchOp::Cas {
+                    pid: 0,
+                    seq,
+                    key,
+                    expected,
+                    new,
+                };
+                prop_assert_eq!(apply(&kv, cas), spec.cas(key, expected, new));
             }
             Step::Compact { below } => {
                 let headroom = kv.log_capacity().unwrap() - kv.log_reserved().unwrap();

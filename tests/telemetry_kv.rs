@@ -4,7 +4,7 @@
 #![cfg(feature = "telemetry")]
 
 use pstack::heap::PHeap;
-use pstack::kv::{KvVariant, PKvStore};
+use pstack::kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack::nvram::PMemBuilder;
 use pstack::telemetry::{self, TraceSession};
 
@@ -34,13 +34,24 @@ fn spans_stay_balanced_across_crash_and_reopen() {
     let heap = PHeap::format(pmem.clone(), 0u64.into(), 1 << 18).unwrap();
     let kv = PKvStore::format(pmem.clone(), &heap, 16, 128, KvVariant::Nsrl).unwrap();
 
+    let put = |seq, key, value| KvBatchOp::Put {
+        pid: 0,
+        seq,
+        key,
+        value,
+    };
     {
         let _outer = telemetry::span("test.outer");
-        kv.put(0, 1, 10, 1).unwrap();
-        kv.put(0, 2, 20, 2).unwrap();
+        kv.apply_batch(&[put(1, 10, 1)]).unwrap();
+        kv.apply_batch(&[put(2, 20, 2)]).unwrap();
         {
             let _inner = telemetry::span("test.inner");
-            kv.delete(0, 3, 20).unwrap();
+            let delete = KvBatchOp::Delete {
+                pid: 0,
+                seq: 3,
+                key: 20,
+            };
+            kv.apply_batch(&[delete]).unwrap();
         }
     }
 
@@ -76,7 +87,7 @@ fn spans_stay_balanced_across_crash_and_reopen() {
     assert!(labels.contains(&"test.outer"), "ops: {labels:?}");
     assert!(labels.contains(&"test.inner"), "ops: {labels:?}");
     assert!(labels.contains(&"test.across-crash"), "ops: {labels:?}");
-    assert!(labels.contains(&"kv.put"), "ops: {labels:?}");
+    assert!(labels.contains(&"kv.apply_batch"), "ops: {labels:?}");
     assert!(
         !labels.contains(&"test.pre-session"),
         "a span entered before the session must not appear: {labels:?}"
@@ -85,12 +96,12 @@ fn spans_stay_balanced_across_crash_and_reopen() {
     assert_eq!(summary.timeline.len(), 1, "{:?}", summary.timeline);
     assert!(summary.events > 0);
 
-    // Persist economy: the puts persisted inside their spans.
+    // Persist economy: the group commits persisted inside their spans.
     assert!(
         summary
             .persist_economy
             .iter()
-            .any(|pe| pe.label == "kv.put" && pe.persists > 0),
+            .any(|pe| pe.label == "kv.apply_batch" && pe.persists > 0),
         "economy: {:?}",
         summary.persist_economy
     );

@@ -117,15 +117,29 @@ fn facade_campaign_is_serializable() {
 /// linearizable against the sequential spec.
 #[test]
 fn facade_kv_store_and_campaign() {
-    use pstack::kv::{KvVariant, PKvStore};
+    use pstack::kv::{KvApplied, KvBatchOp, KvVariant, PKvStore};
 
     let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
     let heap =
         pstack::heap::PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).expect("heap formats");
     let kv = PKvStore::format(pmem, &heap, 8, 32, KvVariant::Nsrl).expect("store formats");
-    assert!(kv.put(0, 1, 9, 90).expect("put"));
+    let put = KvBatchOp::Put {
+        pid: 0,
+        seq: 1,
+        key: 9,
+        value: 90,
+    };
+    assert_eq!(kv.apply_batch(&[put]).expect("put"), [KvApplied::Applied]);
     assert_eq!(kv.get(9).expect("get"), Some(90));
-    assert!(kv.delete(0, 2, 9).expect("delete"));
+    let delete = KvBatchOp::Delete {
+        pid: 0,
+        seq: 2,
+        key: 9,
+    };
+    assert_eq!(
+        kv.apply_batch(&[delete]).expect("delete"),
+        [KvApplied::Applied]
+    );
 
     let kv = pstack::chaos::Workload::Kv(pstack::chaos::KvWorkload::default());
     let cfg = pstack::chaos::CampaignConfig::new(kv, 24, 7);
