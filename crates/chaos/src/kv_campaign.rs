@@ -20,8 +20,9 @@
 //! answers the workload's gets itself, between rounds, with
 //! [`ShardedKvStore::get_durable`].
 //!
-//! Step 9 checks the execution with the generation-aware sharded verifier
-//! ([`check_kv_sharded_gen`]): per-shard chains, globally unique tags, key
+//! Step 9 checks the execution against the store's own witness
+//! ([`ShardedKvStore::check`], over `pstack-verify`'s
+//! `check_kv_sharded_gen`): per-shard chains, globally unique tags, key
 //! routing, carry-overs across every compaction and no live key dropped.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,7 +40,7 @@ use pstack_kv::{
     ShardedKvStore, KV_COMPACT_FUNC_ID,
 };
 use pstack_nvram::{FailPlan, PMemStripe};
-use pstack_verify::{check_kv_sharded_gen, KvOp, KvShardedHistory};
+use pstack_verify::KvOp;
 
 use crate::campaign::{CampaignConfig, CampaignReport, Execution};
 use crate::cycle::{self, Cx, Harness, Machine, Striped, Tally};
@@ -386,20 +387,18 @@ pub(crate) fn attach_stripe(
 }
 
 /// Step 9 of a KV or served row: the sharded linearizability verdict
-/// over `history` — shards compact independently, so each shard's chains
-/// are checked against its own active generation — and the store's
-/// shards as the campaign left them.
+/// over `ops` against the store's own witness
+/// ([`ShardedKvStore::check`]), and the store's shards as the campaign
+/// left them.
 pub(crate) fn kv_report(
     tally: Tally,
-    history: KvShardedHistory,
+    ops: Vec<KvOp>,
     store: &ShardedKvStore,
 ) -> Result<CampaignReport, PError> {
-    let nshards = store.nshards();
-    let generations = store.generations()?;
-    let verdict = check_kv_sharded_gen(&history, |key| shard_of(key, nshards), &generations);
+    let (history, verdict) = store.check(ops)?;
     Ok(CampaignReport {
         log_usage: ShardLogUsage::of(store)?,
-        generations,
+        generations: store.generations()?,
         ..CampaignReport::new(tally, Execution::Kv { history, verdict })
     })
 }
@@ -568,14 +567,14 @@ pub(crate) fn run(
 
     // Step 9, from the quiescent system: every descriptor answered,
     // every get asked.
-    let mut history = exec.history()?;
-    history.ops.extend(harness.gets.done);
+    let mut ops = exec.ops()?;
+    ops.extend(harness.gets.done);
     Ok(CampaignReport {
         log_cap,
         mutations: mutations.len(),
         compaction_kills: harness.compaction_kills,
         compaction_replays: harness.compaction_replays,
-        ..kv_report(cx.tally, history, exec.store())?
+        ..kv_report(cx.tally, ops, exec.store())?
     })
 }
 

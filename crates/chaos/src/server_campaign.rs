@@ -27,7 +27,7 @@
 //! completed ops, tagged `(pid = client_id, seq = req_id)`) against the
 //! store's published chain witnesses — the server-side request tables
 //! recycle answered slots, so only the clients hold the full history.
-//! [`pstack_verify::check_kv_sharded_gen`] then enforces exactly-once effects: a
+//! [`ShardedKvStore::check`] then enforces exactly-once effects: a
 //! duplicated mutation would publish two records under one tag, a lost
 //! effect would leave an acked mutation without its record.
 
@@ -38,7 +38,6 @@ use pstack_server::{
     serve_round, ChannelConn, ChannelHub, ClientConfig, ClientSim, ClientStats, Clock,
     KvServeFunction, OpClass, ServerCore, VirtualClock,
 };
-use pstack_verify::{KvShardedHistory, KvWitnessRecord};
 
 use crate::campaign::{CampaignConfig, CampaignReport, Workload};
 use crate::cycle::{self, Cx, Harness, Machine, Striped};
@@ -378,24 +377,11 @@ pub(crate) fn run(cfg: &CampaignConfig, mut cx: Cx) -> Result<CampaignReport, PE
     serving.close_slo_cycle();
 
     let store = exec.store();
-    let shards: Vec<Vec<Vec<KvWitnessRecord>>> = store
-        .snapshot_sharded()?
-        .into_iter()
-        .map(|chains| {
-            chains
-                .into_iter()
-                .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-                .collect()
-        })
-        .collect();
     let clients = &serving.clients;
     let ops = clients
         .iter()
-        .flat_map(|c| c.observations().iter().cloned());
-    let history = KvShardedHistory {
-        ops: ops.collect(),
-        shards,
-    };
+        .flat_map(|c| c.observations().iter().cloned())
+        .collect();
     let mut client_stats = ClientStats::default();
     for c in clients {
         let s = c.stats();
@@ -415,7 +401,7 @@ pub(crate) fn run(cfg: &CampaignConfig, mut cx: Cx) -> Result<CampaignReport, PE
     };
     Ok(CampaignReport {
         served: Some(served),
-        ..kv_report(cx.tally, history, store)?
+        ..kv_report(cx.tally, ops, store)?
     })
 }
 

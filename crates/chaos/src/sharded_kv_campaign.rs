@@ -11,9 +11,7 @@ mod tests {
         shard_of, KvApplied, KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, ShardedKvStore,
     };
     use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe};
-    use pstack_verify::{
-        check_kv_sharded, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord,
-    };
+    use pstack_verify::{KvAnswer, KvOp, KvOpKind};
 
     use crate::campaign::table::{caught, duplicate_application, gate, sharded, with_kv};
     use crate::kv_campaign::attach_stripe;
@@ -341,8 +339,7 @@ mod tests {
             rt.recover(RecoveryMode::Parallel).unwrap();
             let tasks = exec.pending_tasks(4).unwrap();
             if tasks.is_empty() {
-                let history = exec.history().unwrap();
-                let verdict = check_kv_sharded(&history, |key| shard_of(key, 2));
+                let (_, verdict) = exec.store().check(exec.ops().unwrap()).unwrap();
                 assert!(verdict.is_linearizable(), "{label}: {verdict:?}");
                 let contents = exec.store().contents().unwrap();
                 for op in ops {
@@ -478,21 +475,6 @@ mod tests {
 
     // ---- negative controls: deliberately broken recovery --------------
 
-    /// Maps a store's chains into the verifier's witness shape.
-    fn witness_of(store: &ShardedKvStore) -> Vec<Vec<Vec<KvWitnessRecord>>> {
-        store
-            .snapshot_sharded()
-            .unwrap()
-            .into_iter()
-            .map(|chains| {
-                chains
-                    .into_iter()
-                    .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-                    .collect()
-            })
-            .collect()
-    }
-
     #[test]
     fn recovery_into_the_wrong_shard_is_flagged_as_misrouted() {
         use pstack_verify::KvViolation;
@@ -521,8 +503,8 @@ mod tests {
         let out = kv2.shard(wrong).recover_batch(&[put]).unwrap();
         assert_eq!(out, [KvApplied::Applied]);
 
-        let history = KvShardedHistory {
-            ops: vec![KvOp {
+        let (_, verdict) = kv2
+            .check(vec![KvOp {
                 pid: 1,
                 seq: 1,
                 kind: KvOpKind::Put,
@@ -530,10 +512,8 @@ mod tests {
                 value: 42,
                 expected: 0,
                 answer: KvAnswer::Stored(true),
-            }],
-            shards: witness_of(&kv2),
-        };
-        let verdict = check_kv_sharded(&history, |k| shard_of(k, 2));
+            }])
+            .unwrap();
         match verdict.violation() {
             Some(KvViolation::MisroutedKey { shard, home: h, .. }) => {
                 assert_eq!(*shard, wrong);
@@ -560,8 +540,8 @@ mod tests {
         let stripe2 = stripe.reopen_all().unwrap();
         let kv2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
 
-        let history = KvShardedHistory {
-            ops: vec![KvOp {
+        let (_, verdict) = kv2
+            .check(vec![KvOp {
                 pid: 2,
                 seq: 9,
                 kind: KvOpKind::Put,
@@ -569,10 +549,8 @@ mod tests {
                 value: 77,
                 expected: 0,
                 answer: KvAnswer::Stored(true), // the skipped-scan lie
-            }],
-            shards: witness_of(&kv2),
-        };
-        let verdict = check_kv_sharded(&history, |k| shard_of(k, 2));
+            }])
+            .unwrap();
         match verdict.violation() {
             Some(KvViolation::LostUpdate { tag }) => assert_eq!(*tag, (2, 9)),
             other => panic!("expected LostUpdate, got {other:?}"),

@@ -79,8 +79,6 @@ pub struct RuntimeConfig {
     /// Capacity of each fixed stack, or initial capacity / default
     /// block size for the unbounded variants.
     pub capacity: u64,
-    /// Explicit heap length; defaults to all space after the stacks.
-    pub heap_len: Option<u64>,
 }
 
 impl RuntimeConfig {
@@ -92,7 +90,6 @@ impl RuntimeConfig {
             workers,
             kind: StackKind::Fixed,
             capacity: DEFAULT_STACK_CAPACITY,
-            heap_len: None,
         }
     }
 
@@ -107,13 +104,6 @@ impl RuntimeConfig {
     #[must_use]
     pub fn stack_capacity(mut self, capacity: u64) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Limits the heap length instead of using all remaining space.
-    #[must_use]
-    pub fn heap_len(mut self, len: u64) -> Self {
-        self.heap_len = Some(len);
         self
     }
 }
@@ -193,11 +183,10 @@ impl Runtime {
             StackKind::Vec | StackKind::List => 64,
         };
         let heap_base = round64(stacks_base + cfg.workers as u64 * stack_area);
-        let max_heap = (pmem.len() as u64).saturating_sub(heap_base);
-        let heap_len = cfg.heap_len.unwrap_or(max_heap);
-        if heap_len > max_heap || heap_len < 256 {
+        let heap_len = (pmem.len() as u64).saturating_sub(heap_base);
+        if heap_len < 256 {
             return Err(PError::InvalidConfig(format!(
-                "heap of {heap_len} bytes does not fit (region leaves {max_heap} after layout)"
+                "region leaves a heap of {heap_len} bytes after layout"
             )));
         }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use pstack_core::{FunctionRegistry, PContext, PError, RecoverableFunction, RetBytes, Task};
 use pstack_nvram::{op_label, Level, PMem};
-use pstack_verify::{KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord};
+use pstack_verify::{KvAnswer, KvOp, KvOpKind};
 
 use crate::reqtable::{split_id, KvRequestTable, ReqSubmit};
 use crate::shard::ShardedKvStore;
@@ -442,17 +442,17 @@ impl KvServeFunction {
             .collect())
     }
 
-    /// The quiescent execution as the sharded verifier wants it: every
-    /// descriptor in the tables with its durable answer, tagged as the
-    /// window tagged its record (`(client, req_id)`), plus each shard's
-    /// chain witness. Reads are not in the tables — a harness appends
-    /// the gets it answered itself.
+    /// The quiescent execution's mutations as the verifier wants them:
+    /// every descriptor in the tables with its durable answer, tagged as
+    /// the window tagged its record (`(client, req_id)`). Reads are not
+    /// in the tables — a harness appends the gets it answered itself
+    /// and checks the lot with [`ShardedKvStore::check`].
     ///
     /// # Errors
     ///
     /// [`PError::Task`] if a descriptor is still pending; propagated
     /// NVRAM errors.
-    pub fn history(&self) -> Result<KvShardedHistory, PError> {
+    pub fn ops(&self) -> Result<Vec<KvOp>, PError> {
         let mut ops = Vec::new();
         for (shard, table) in self.tables.iter().enumerate() {
             for slot in 0..table.capacity() {
@@ -467,18 +467,7 @@ impl KvServeFunction {
                 ops.push(table.op(slot)?.observed(pid, req_id, answer.result));
             }
         }
-        let shards = self
-            .store
-            .snapshot_sharded()?
-            .into_iter()
-            .map(|chains| {
-                chains
-                    .into_iter()
-                    .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-                    .collect()
-            })
-            .collect();
-        Ok(KvShardedHistory { ops, shards })
+        Ok(ops)
     }
 
     /// Executes one batch window — every shard it names — as the

@@ -72,9 +72,11 @@
 //! The record is unreachable until that CAS, so a crash can only leave
 //! an invisible orphan, never a torn or half-visible update. The bucket
 //! chain order **is** the linearization order of the key's mutations,
-//! which is what makes the execution verifiable (`pstack-verify`'s
-//! `check_kv`) and recovery a scan: an interrupted operation linearized
-//! iff some published record carries its `(pid, seq)` tag.
+//! which is what makes the execution verifiable
+//! ([`ShardedKvStore::check`], over `pstack-verify`'s
+//! `check_kv_sharded_gen`) and recovery a scan: an interrupted
+//! operation linearized iff some published record carries its
+//! `(pid, seq)` tag.
 //! [`KvVariant::NoScan`] removes that scan — the analogue of the paper
 //! removing the matrix `R` — and the verifier catches the resulting
 //! double applications.

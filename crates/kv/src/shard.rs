@@ -17,20 +17,20 @@
 //! the key), so per-key linearization order is exactly the key's chain
 //! order inside its home shard — the global witness a sharded verifier
 //! checks is just the union of per-shard witnesses
-//! ([`check_kv_sharded`] in `pstack-verify`).
+//! ([`ShardedKvStore::check`] runs `pstack-verify`'s
+//! [`check_kv_sharded_gen`] over them).
 //!
 //! The shard router hashes with the *high* half of the same SplitMix64
 //! finalizer whose low half picks the bucket inside a shard, so shard
 //! and bucket choices stay decorrelated even when both counts are
 //! powers of two.
-//!
-//! [`check_kv_sharded`]: ../pstack_verify/fn.check_kv_sharded.html
 
 use std::collections::BTreeMap;
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
 use pstack_nvram::{op_label, Level, PMem, POffset};
+use pstack_verify::{check_kv_sharded_gen, KvOp, KvShardedHistory, KvVerdict, KvWitnessRecord};
 
 use crate::store::{
     mix, CompactionStats, KvApplied, KvBatchOp, KvVariant, PKvStore, VersionRecord,
@@ -283,13 +283,41 @@ impl ShardedKvStore {
     }
 
     /// Per-shard chain witnesses: `result[s][b]` is shard `s`'s bucket
-    /// `b`, oldest record first — the input of `check_kv_sharded`.
+    /// `b`, oldest record first — the witness [`ShardedKvStore::check`]
+    /// checks.
     ///
     /// # Errors
     ///
     /// Propagated NVRAM errors.
     pub fn snapshot_sharded(&self) -> Result<Vec<Vec<Vec<VersionRecord>>>, PError> {
         self.shards.iter().map(PKvStore::snapshot).collect()
+    }
+
+    /// Checks `ops` — every operation of the execution with its answer —
+    /// against this store's own witness with `check_kv_sharded_gen`: its
+    /// chains, its router and each shard's active generation number as
+    /// the store reports it. Returns the checked history with its
+    /// verdict.
+    ///
+    /// # Errors
+    ///
+    /// Propagated NVRAM errors.
+    pub fn check(&self, ops: Vec<KvOp>) -> Result<(KvShardedHistory, KvVerdict), PError> {
+        let shards = self
+            .snapshot_sharded()?
+            .into_iter()
+            .map(|chains| {
+                chains
+                    .into_iter()
+                    .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
+                    .collect()
+            })
+            .collect();
+        let history = KvShardedHistory { ops, shards };
+        let nshards = self.nshards();
+        let verdict =
+            check_kv_sharded_gen(&history, |key| shard_of(key, nshards), &self.generations()?);
+        Ok((history, verdict))
     }
 
     /// The whole store's current contents as one ordinary map.

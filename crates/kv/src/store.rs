@@ -227,8 +227,9 @@ pub struct VersionRecord {
     pub gen: u64,
 }
 
-/// The canonical bridge into the verifier's witness shape — every
-/// harness that feeds `check_kv[_sharded][_gen]` maps snapshots
+/// The canonical bridge into the verifier's witness shape —
+/// [`ShardedKvStore::check`](crate::ShardedKvStore::check) and every
+/// history built by hand for `check_kv_sharded_gen` map snapshots
 /// through this one conversion, so a new record field cannot be
 /// silently dropped by one of them.
 impl From<VersionRecord> for pstack_verify::KvWitnessRecord {

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use pstack_heap::PHeap;
 use pstack_kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack_nvram::{FailPlan, PMemBuilder, POffset};
-use pstack_verify::{check_kv_gen, KvAnswer, KvHistory, KvOp, KvOpKind};
+use pstack_verify::{check_kv_sharded_gen, KvAnswer, KvOp, KvOpKind, KvShardedHistory};
 
 const REGION: usize = 1 << 21;
 const NBUCKETS: u64 = 8;
@@ -237,21 +237,22 @@ proptest! {
 
         // Replay against the sequential spec: every chain record owned
         // by exactly one op, every effectful answer backed by exactly
-        // one record, compaction carries faithful.
-        let history = KvHistory {
+        // one record, compaction carries faithful. One store is the
+        // one-shard history.
+        let history = KvShardedHistory {
             ops: plan
                 .iter()
                 .zip(&answered)
                 .map(|(&p, ok)| to_kv_op(p, ok.unwrap()))
                 .collect(),
-            chains: store
+            shards: vec![store
                 .snapshot()
                 .unwrap()
                 .into_iter()
                 .map(|chain| chain.into_iter().map(Into::into).collect())
-                .collect(),
+                .collect()],
         };
-        let verdict = check_kv_gen(&history, store.generation().unwrap());
+        let verdict = check_kv_sharded_gen(&history, |_| 0, &[store.generation().unwrap()]);
         prop_assert!(
             verdict.is_linearizable(),
             "lost or torn update: {:?}",

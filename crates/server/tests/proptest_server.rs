@@ -32,18 +32,14 @@ use std::collections::{HashMap, HashSet};
 use proptest::prelude::*;
 
 use pstack_core::{RuntimeConfig, StripedRuntime};
-use pstack_kv::{
-    shard_of, KvRequestTable, KvTaskOp, KvTaskResult, KvVariant, ReqSubmit, ShardedKvStore,
-};
+use pstack_kv::{KvRequestTable, KvTaskOp, KvTaskResult, KvVariant, ReqSubmit, ShardedKvStore};
 use pstack_nvram::{PMemBuilder, StatsSnapshot};
 use pstack_server::proto::{kind_of, req_id_for, RequestBody, Response};
 use pstack_server::{
     serve_round, ChannelConn, ChannelHub, ClientConfig, ClientSim, Clock, KvServeFunction,
     ServerCore, Submission, VirtualClock,
 };
-use pstack_verify::{
-    check_kv_sharded_gen, KvAnswer, KvOpKind, KvShardedHistory, KvSpec, KvWitnessRecord,
-};
+use pstack_verify::{KvAnswer, KvOpKind, KvSpec};
 
 const REGION: usize = 1 << 21;
 const LOG_CAP: u64 = 4096;
@@ -233,15 +229,14 @@ fn published_tags(store: &ShardedKvStore) -> Result<HashSet<(u64, u64)>, TestCas
     for shard in store.snapshot_sharded().unwrap() {
         for chain in shard {
             for rec in chain {
-                let w = KvWitnessRecord::from(rec);
-                if w.compacted {
+                if rec.compacted {
                     continue;
                 }
                 prop_assert!(
-                    tags.insert((w.pid, w.seq)),
+                    tags.insert((rec.pid, rec.seq)),
                     "duplicate effect: tag ({}, {}) published twice",
-                    w.pid,
-                    w.seq
+                    rec.pid,
+                    rec.seq
                 );
             }
         }
@@ -362,29 +357,11 @@ proptest! {
             prop_assert!(overloads > 0, "{} sheds never surfaced", totals.shed);
         }
 
-        let history = KvShardedHistory {
-            ops: clients
-                .iter()
-                .flat_map(|c| c.observations().iter().cloned())
-                .collect(),
-            shards: fixture
-                .store()
-                .snapshot_sharded()
-                .unwrap()
-                .into_iter()
-                .map(|chains| {
-                    chains
-                        .into_iter()
-                        .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
-                        .collect()
-                })
-                .collect(),
-        };
-        let verdict = check_kv_sharded_gen(
-            &history,
-            |key| shard_of(key, nshards),
-            &fixture.store().generations().unwrap(),
-        );
+        let ops = clients
+            .iter()
+            .flat_map(|c| c.observations().iter().cloned())
+            .collect();
+        let (_, verdict) = fixture.store().check(ops).unwrap();
         prop_assert!(verdict.is_linearizable(), "{:?}", verdict.violation());
         // The driver's model, advanced in execution order, is the store.
         let served: HashMap<u64, i64> = fixture.store().contents().unwrap().into_iter().collect();

@@ -8,9 +8,12 @@
 //! publishes an immutable version record by CASing a bucket's chain
 //! head, so a bucket chain in publish order *is* the real-time order of
 //! the linearization points of every mutation on that bucket's keys.
-//! [`check_kv`] replays each chain, oldest record first, against the
-//! sequential map specification [`KvSpec`] and checks:
+//! [`check_kv_sharded_gen`] replays each chain, oldest record first,
+//! against the sequential map specification [`KvSpec`] and checks:
 //!
+//! * every operation of the history carries its own `(pid, seq)` tag
+//!   (two operations under one tag could hide each other's effects);
+//! * every record sits in the shard the router homes its key in;
 //! * every record belongs to exactly one operation of the history, with
 //!   matching key, kind and value (no phantom or torn records);
 //! * no operation's tag appears on two records (double application —
@@ -32,15 +35,14 @@
 //! Chains may span **generation boundaries** (the store's log
 //! compaction rewrites live heads into a fresh generation and swaps
 //! the root): records carry a generation stamp and a `compacted` flag,
-//! and the generation-aware entry points ([`check_kv_gen`],
-//! [`check_kv_sharded_gen`]) additionally validate that every
+//! and the check takes each shard's active generation number from the
+//! store itself — never guessed from the records, which a compaction
+//! that drops every live key would fool — to validate that every
 //! carry-over reproduces exactly the live state at its boundary, that
 //! generation stamps are monotone, and that no live key was dropped by
-//! a swap (its newest record must sit in the active generation). The
-//! plain entry points infer each scope's active generation from the
-//! records — sufficient for uncompacted stores, fooled by a
-//! drop-everything compaction, so campaigns pass the store's real
-//! generation numbers.
+//! a swap (its newest record must sit in the active generation). A
+//! single store is the one-shard case: `shards: vec![chains]`, router
+//! `|_| 0`, generations `[store.generation()]`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -117,21 +119,11 @@ pub struct KvWitnessRecord {
     pub gen: u64,
 }
 
-/// A complete KV execution: every operation with its answer, plus the
-/// per-bucket chain witness (each chain oldest record first).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvHistory {
-    /// All operations, in any order.
-    pub ops: Vec<KvOp>,
-    /// Per-bucket published chains, each oldest record first.
-    pub chains: Vec<Vec<KvWitnessRecord>>,
-}
-
 /// A complete **sharded** KV execution: every operation with its
 /// answer, plus one per-bucket chain witness per shard
 /// (`shards[s][b]` = shard `s`'s bucket `b`, oldest record first).
 ///
-/// Checked by [`check_kv_sharded`]: each shard's chains are a local
+/// Checked by [`check_kv_sharded_gen`]: each shard's chains are a local
 /// linearization witness, keys are disjoint across shards (the router
 /// is a pure function of the key), and operation tags are global — so
 /// the global check is the per-shard replay plus cross-shard tag
@@ -198,6 +190,12 @@ impl KvSpec {
 /// Why a KV execution failed the check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvViolation {
+    /// Two operations of the history carry the same `(pid, seq)` tag,
+    /// so a record cannot name which of them it belongs to.
+    DuplicateOpTag {
+        /// The shared `(pid, seq)` tag.
+        tag: (u64, u64),
+    },
     /// An operation's tag appears on more than one record (double
     /// application).
     DuplicateApplication {
@@ -351,6 +349,9 @@ pub enum KvViolation {
 impl std::fmt::Display for KvViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            KvViolation::DuplicateOpTag { tag } => {
+                write!(f, "two operations share the tag {tag:?}")
+            }
             KvViolation::DuplicateApplication { tag } => {
                 write!(f, "operation {tag:?} applied more than once")
             }
@@ -494,7 +495,8 @@ impl KvViolation {
     #[must_use]
     pub fn tag(&self) -> (u64, u64) {
         match *self {
-            KvViolation::DuplicateApplication { tag }
+            KvViolation::DuplicateOpTag { tag }
+            | KvViolation::DuplicateApplication { tag }
             | KvViolation::PhantomRecord { tag }
             | KvViolation::KeyMismatch { tag, .. }
             | KvViolation::WrongRecordKind { tag }
@@ -520,19 +522,40 @@ fn fail(violation: KvViolation) -> KvVerdict {
 }
 
 /// Checks a KV execution against the sequential map specification,
-/// using the per-bucket chains as the linearization witness. Runs in
-/// `O(ops + records)`.
+/// using each shard's per-bucket chains as the linearization witness.
+/// Runs in `O(ops + records)`; see the module header of `kv.rs` for the
+/// exact conditions.
 ///
-/// See the module header of `kv.rs` for the exact conditions.
+/// Every record must sit in its key's home shard under `router`; then
+/// the chains of all shards replay as one (valid because routed shards,
+/// like buckets, hold disjoint key sets, while the operation-tag
+/// bookkeeping stays global — a double application across two shards is
+/// still caught). `router` must be the same pure key→shard function the
+/// store used (`pstack_kv::shard_of` partially applied with the shard
+/// count), and `generations[s]` shard `s`'s active generation number
+/// (`PKvStore::generation()` in `pstack-kv`): shards compact and swap
+/// roots independently, so each shard's chains are checked against its
+/// own. On top of the chain replay this validates the compaction
+/// invariants:
+///
+/// * carried records (`compacted`) are copies, not applications — each
+///   must reproduce exactly the live value of its key at its position
+///   in the replay, must originate from an earlier published record,
+///   and is never a delete;
+/// * generation stamps are non-decreasing along each chain and never
+///   exceed the shard's active generation;
+/// * every key the replay ends with as *live* has its newest record in
+///   the active generation — a live key left behind in an older
+///   generation was dropped by a root swap.
 ///
 /// # Example
 ///
 /// ```
 /// use pstack_verify::{
-///     check_kv, KvAnswer, KvHistory, KvOp, KvOpKind, KvWitnessRecord,
+///     check_kv_sharded_gen, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord,
 /// };
 ///
-/// let history = KvHistory {
+/// let history = KvShardedHistory {
 ///     ops: vec![
 ///         KvOp {
 ///             pid: 0,
@@ -553,7 +576,8 @@ fn fail(violation: KvViolation) -> KvVerdict {
 ///             answer: KvAnswer::Got(Some(70)),
 ///         },
 ///     ],
-///     chains: vec![vec![KvWitnessRecord {
+///     // One store, one bucket: the one-shard case.
+///     shards: vec![vec![vec![KvWitnessRecord {
 ///         key: 7,
 ///         value: 70,
 ///         pid: 0,
@@ -561,110 +585,10 @@ fn fail(violation: KvViolation) -> KvVerdict {
 ///         is_delete: false,
 ///         compacted: false,
 ///         gen: 0,
-///     }]],
+///     }]]],
 /// };
-/// assert!(check_kv(&history).is_linearizable());
+/// assert!(check_kv_sharded_gen(&history, |_| 0, &[0]).is_linearizable());
 /// ```
-#[must_use]
-pub fn check_kv(history: &KvHistory) -> KvVerdict {
-    check_kv_gen(history, infer_active_gen(&history.chains))
-}
-
-/// [`check_kv`] for a store whose chains span **generation
-/// boundaries**: `active_gen` is the store's active generation number
-/// (`PKvStore::generation()` in `pstack-kv`), which the plain
-/// [`check_kv`] can only infer from the records (an inference a
-/// drop-everything compaction bug could fool — always pass the real
-/// number when the store compacted).
-///
-/// On top of the chain-replay conditions, the generation-aware check
-/// validates the compaction invariants:
-///
-/// * carried records (`compacted`) are copies, not applications — each
-///   must reproduce exactly the live value of its key at its position
-///   in the replay, must originate from an earlier published record,
-///   and is never a delete;
-/// * generation stamps are non-decreasing along each chain and never
-///   exceed `active_gen`;
-/// * every key the replay ends with as *live* has its newest record in
-///   the active generation — a live key left behind in an older
-///   generation was dropped by a root swap.
-#[must_use]
-pub fn check_kv_gen(history: &KvHistory, active_gen: u64) -> KvVerdict {
-    check_ops_against_chains(
-        &history.ops,
-        history
-            .chains
-            .iter()
-            .map(|chain| (active_gen, chain.as_slice())),
-    )
-}
-
-/// The most conservative generation inference available to the
-/// non-generational entry points: the newest generation any record
-/// mentions (0 for an empty witness).
-fn infer_active_gen(chains: &[Vec<KvWitnessRecord>]) -> u64 {
-    chains.iter().flatten().map(|r| r.gen).max().unwrap_or(0)
-}
-
-/// Checks a **sharded** KV execution: validates that every record sits
-/// in its key's home shard under `router`, then runs the chain-replay
-/// check of [`check_kv`] over the union of all shards' chains (valid
-/// because routed shards, like buckets, hold disjoint key sets, while
-/// the operation-tag bookkeeping stays global — a double application
-/// across two shards is still caught). Runs in `O(ops + records)`.
-///
-/// `router` must be the same pure key→shard function the store used
-/// (`pstack_kv::shard_of` partially applied with the shard count).
-///
-/// # Example
-///
-/// ```
-/// use pstack_verify::{
-///     check_kv_sharded, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvWitnessRecord,
-/// };
-///
-/// let history = KvShardedHistory {
-///     ops: vec![KvOp {
-///         pid: 0,
-///         seq: 1,
-///         kind: KvOpKind::Put,
-///         key: 7,
-///         value: 70,
-///         expected: 0,
-///         answer: KvAnswer::Stored(true),
-///     }],
-///     shards: vec![
-///         vec![vec![]],
-///         vec![vec![KvWitnessRecord {
-///             key: 7,
-///             value: 70,
-///             pid: 0,
-///             seq: 1,
-///             is_delete: false,
-///             compacted: false,
-///             gen: 0,
-///         }]],
-///     ],
-/// };
-/// // Key 7's home shard is 1 under this (toy) router.
-/// assert!(check_kv_sharded(&history, |key| (key % 2) as usize).is_linearizable());
-/// ```
-#[must_use]
-pub fn check_kv_sharded(history: &KvShardedHistory, router: impl Fn(u64) -> usize) -> KvVerdict {
-    let generations: Vec<u64> = history
-        .shards
-        .iter()
-        .map(|chains| infer_active_gen(chains))
-        .collect();
-    check_kv_sharded_gen(history, router, &generations)
-}
-
-/// [`check_kv_sharded`] for stores whose shards compact independently:
-/// `generations[s]` is shard `s`'s active generation number. See
-/// [`check_kv_gen`] for the extra invariants this validates — each
-/// shard's chains are checked against that shard's own active
-/// generation (shards swap roots independently).
 ///
 /// # Panics
 ///
@@ -708,9 +632,15 @@ fn check_ops_against_chains<'a>(
     ops: &[KvOp],
     chains: impl IntoIterator<Item = (u64, &'a [KvWitnessRecord])>,
 ) -> KvVerdict {
-    // Index operations by tag.
-    let ops_by_tag: HashMap<(u64, u64), &KvOp> =
-        ops.iter().map(|op| ((op.pid, op.seq), op)).collect();
+    // Index operations by tag; a tag two operations share would let one
+    // operation's record answer for the other's.
+    let mut ops_by_tag: HashMap<(u64, u64), &KvOp> = HashMap::with_capacity(ops.len());
+    for op in ops {
+        let tag = (op.pid, op.seq);
+        if ops_by_tag.insert(tag, op).is_some() {
+            return fail(KvViolation::DuplicateOpTag { tag });
+        }
+    }
 
     // Which values each key ever held (for explaining gets).
     let mut values_of_key: HashMap<u64, Vec<i64>> = HashMap::new();
@@ -980,18 +910,27 @@ mod tests {
         }
     }
 
+    /// The one check every test runs: each shard checked against the
+    /// active generation the test states, keys routed by a toy router —
+    /// key modulo the shard count (`|_| 0` for one shard, key parity
+    /// for two).
+    fn check(h: &KvShardedHistory, generations: &[u64]) -> KvVerdict {
+        let nshards = h.shards.len() as u64;
+        check_kv_sharded_gen(h, |key| (key % nshards) as usize, generations)
+    }
+
     #[test]
     fn empty_history_is_linearizable() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![],
-            chains: vec![vec![], vec![]],
+            shards: vec![vec![vec![], vec![]]],
         };
-        assert!(check_kv(&h).is_linearizable());
+        assert!(check(&h, &[0]).is_linearizable());
     }
 
     #[test]
     fn put_cas_delete_get_round_trip_is_linearizable() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![
                 put(0, 1, 7, 70, true),
                 cas(1, 2, 7, 70, 71, true),
@@ -1000,19 +939,23 @@ mod tests {
                 get(1, 5, 7, None),
                 cas(2, 6, 7, 71, 72, false),
             ],
-            chains: vec![vec![rec(0, 1, 7, 70), rec(1, 2, 7, 71), drec(0, 4, 7, 71)]],
+            shards: vec![vec![vec![
+                rec(0, 1, 7, 70),
+                rec(1, 2, 7, 71),
+                drec(0, 4, 7, 71),
+            ]]],
         };
-        assert!(check_kv(&h).is_linearizable());
+        assert!(check(&h, &[0]).is_linearizable());
     }
 
     #[test]
     fn duplicate_application_is_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec(0, 1, 7, 70), rec(0, 1, 7, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70), rec(0, 1, 7, 70)]]],
         };
         assert_eq!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::DuplicateApplication { tag: (0, 1) }
             }
@@ -1020,13 +963,30 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_op_tags_are_flagged() {
+        // Two answered puts under one tag, one record: with the ops
+        // indexed by tag, the second put's record would answer for both
+        // and the first put's effect would be lost unseen.
+        let h = KvShardedHistory {
+            ops: vec![put(0, 1, 7, 1, true), put(0, 1, 7, 2, true)],
+            shards: vec![vec![vec![rec(0, 1, 7, 2)]]],
+        };
+        assert_eq!(
+            check(&h, &[0]),
+            KvVerdict::NotLinearizable {
+                violation: KvViolation::DuplicateOpTag { tag: (0, 1) }
+            }
+        );
+    }
+
+    #[test]
     fn duplicate_across_chains_is_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec(0, 1, 7, 70)], vec![rec(0, 1, 8, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70)], vec![rec(0, 1, 8, 70)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::DuplicateApplication { .. }
             }
@@ -1035,12 +995,12 @@ mod tests {
 
     #[test]
     fn lost_update_is_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![]],
+            shards: vec![vec![vec![]]],
         };
         assert_eq!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::LostUpdate { tag: (0, 1) }
             }
@@ -1049,12 +1009,12 @@ mod tests {
 
     #[test]
     fn phantom_record_is_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![],
-            chains: vec![vec![rec(9, 9, 7, 70)]],
+            shards: vec![vec![vec![rec(9, 9, 7, 70)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::PhantomRecord { .. }
             }
@@ -1063,22 +1023,22 @@ mod tests {
 
     #[test]
     fn value_and_key_mismatches_are_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec(0, 1, 7, 99)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 99)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::ValueMismatch { .. }
             }
         ));
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec(0, 1, 8, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 8, 70)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::KeyMismatch { .. }
             }
@@ -1088,12 +1048,12 @@ mod tests {
     #[test]
     fn cas_expectation_violation_is_flagged() {
         // The cas record claims effect although the key held 99, not 70.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 99, true), cas(1, 2, 7, 70, 71, true)],
-            chains: vec![vec![rec(0, 1, 7, 99), rec(1, 2, 7, 71)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 99), rec(1, 2, 7, 71)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::CasExpectationViolated { .. }
             }
@@ -1102,12 +1062,12 @@ mod tests {
 
     #[test]
     fn cas_false_with_record_is_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), cas(1, 2, 7, 70, 71, false)],
-            chains: vec![vec![rec(0, 1, 7, 70), rec(1, 2, 7, 71)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70), rec(1, 2, 7, 71)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::RejectedButApplied { .. }
             }
@@ -1117,34 +1077,34 @@ mod tests {
     #[test]
     fn delete_violations_are_flagged() {
         // Delete record on an absent key.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![del(0, 1, 7, true)],
-            chains: vec![vec![drec(0, 1, 7, 0)]],
+            shards: vec![vec![vec![drec(0, 1, 7, 0)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::DeleteOfAbsentKey { .. }
             }
         ));
         // Delete record carrying the wrong removed value.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), del(1, 2, 7, true)],
-            chains: vec![vec![rec(0, 1, 7, 70), drec(1, 2, 7, 71)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70), drec(1, 2, 7, 71)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::DeletedValueMismatch { .. }
             }
         ));
         // Delete answered false yet owns a record.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), del(1, 2, 7, false)],
-            chains: vec![vec![rec(0, 1, 7, 70), drec(1, 2, 7, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70), drec(1, 2, 7, 70)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::RejectedButApplied { .. }
             }
@@ -1153,32 +1113,32 @@ mod tests {
 
     #[test]
     fn unexplained_get_is_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), get(1, 2, 7, Some(71))],
-            chains: vec![vec![rec(0, 1, 7, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::UnexplainedGet { .. }
             }
         ));
         // Got(None) is always explainable (the key starts absent).
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), get(1, 2, 7, None)],
-            chains: vec![vec![rec(0, 1, 7, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70)]]],
         };
-        assert!(check_kv(&h).is_linearizable());
+        assert!(check(&h, &[0]).is_linearizable());
     }
 
     #[test]
     fn wrong_record_kind_is_flagged() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![drec(0, 1, 7, 70)]],
+            shards: vec![vec![vec![drec(0, 1, 7, 70)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::WrongRecordKind { .. }
             }
@@ -1187,26 +1147,21 @@ mod tests {
 
     #[test]
     fn rejected_put_must_leave_no_record() {
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, false)],
-            chains: vec![vec![]],
+            shards: vec![vec![vec![]]],
         };
-        assert!(check_kv(&h).is_linearizable());
-        let h = KvHistory {
+        assert!(check(&h, &[0]).is_linearizable());
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, false)],
-            chains: vec![vec![rec(0, 1, 7, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70)]]],
         };
         assert!(matches!(
-            check_kv(&h),
+            check(&h, &[0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::RejectedButApplied { .. }
             }
         ));
-    }
-
-    /// Toy router for the sharded tests: shard = key parity.
-    fn parity(key: u64) -> usize {
-        (key % 2) as usize
     }
 
     #[test]
@@ -1224,7 +1179,7 @@ mod tests {
                 vec![vec![rec(1, 2, 3, 30), rec(0, 3, 3, 31)]],
             ],
         };
-        assert!(check_kv_sharded(&h, parity).is_linearizable());
+        assert!(check(&h, &[0, 0]).is_linearizable());
     }
 
     #[test]
@@ -1235,7 +1190,7 @@ mod tests {
             shards: vec![vec![vec![rec(0, 1, 3, 30)]], vec![vec![]]],
         };
         assert_eq!(
-            check_kv_sharded(&h, parity),
+            check(&h, &[0, 0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::MisroutedKey {
                     tag: (0, 1),
@@ -1269,7 +1224,7 @@ mod tests {
             ],
         };
         assert!(matches!(
-            check_kv_sharded(&h, parity),
+            check(&h, &[0, 0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::DuplicateApplication { .. }
             }
@@ -1283,7 +1238,7 @@ mod tests {
             shards: vec![vec![vec![]], vec![vec![]]],
         };
         assert!(matches!(
-            check_kv_sharded(&h, parity),
+            check(&h, &[0, 0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::LostUpdate { .. }
             }
@@ -1293,7 +1248,7 @@ mod tests {
             shards: vec![vec![vec![rec(0, 1, 2, 20)]], vec![vec![]]],
         };
         assert!(matches!(
-            check_kv_sharded(&h, parity),
+            check(&h, &[0, 0]),
             KvVerdict::NotLinearizable {
                 violation: KvViolation::UnexplainedGet { .. }
             }
@@ -1306,7 +1261,7 @@ mod tests {
             ops: vec![],
             shards: vec![vec![vec![], vec![]], vec![vec![]]],
         };
-        assert!(check_kv_sharded(&h, parity).is_linearizable());
+        assert!(check(&h, &[0, 0]).is_linearizable());
     }
 
     // ---- generation boundaries (compaction) ----------------------------
@@ -1315,7 +1270,7 @@ mod tests {
     fn chains_spanning_a_generation_boundary_are_linearizable() {
         // Generation 0 history, a compaction carrying the one live key,
         // then fresh generation-1 traffic — all in one bucket chain.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![
                 put(0, 1, 7, 70, true),
                 cas(1, 2, 7, 70, 71, true),
@@ -1323,17 +1278,16 @@ mod tests {
                 del(1, 4, 8, true),
                 put(2, 5, 9, 90, true),
             ],
-            chains: vec![vec![
+            shards: vec![vec![vec![
                 rec(0, 1, 7, 70),
                 rec(1, 2, 7, 71),
                 rec(0, 3, 8, 80),
                 drec(1, 4, 8, 80),
                 carry(1, 2, 7, 71, 1),
                 rec_gen(2, 5, 9, 90, 1),
-            ]],
+            ]]],
         };
-        assert!(check_kv_gen(&h, 1).is_linearizable());
-        assert!(check_kv(&h).is_linearizable(), "inference agrees");
+        assert!(check(&h, &[1]).is_linearizable());
     }
 
     #[test]
@@ -1341,32 +1295,32 @@ mod tests {
         // The carry repeats the original's tag; that is a copy, not a
         // double application — and the answered op still owns exactly
         // one real record.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec(0, 1, 7, 70), carry(0, 1, 7, 70, 1)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70), carry(0, 1, 7, 70, 1)]]],
         };
-        assert!(check_kv_gen(&h, 1).is_linearizable());
+        assert!(check(&h, &[1]).is_linearizable());
         // Carried twice (two consecutive compactions): still fine.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![
+            shards: vec![vec![vec![
                 rec(0, 1, 7, 70),
                 carry(0, 1, 7, 70, 1),
                 carry(0, 1, 7, 70, 2),
-            ]],
+            ]]],
         };
-        assert!(check_kv_gen(&h, 2).is_linearizable());
+        assert!(check(&h, &[2]).is_linearizable());
     }
 
     #[test]
     fn dropped_live_key_is_flagged() {
         // Key 7 was live at the boundary but has no record in the
         // active generation: the swap dropped it.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), put(0, 2, 9, 90, true)],
-            chains: vec![vec![rec(0, 1, 7, 70), rec_gen(0, 2, 9, 90, 1)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70), rec_gen(0, 2, 9, 90, 1)]]],
         };
-        match check_kv_gen(&h, 1).violation() {
+        match check(&h, &[1]).violation() {
             Some(KvViolation::DroppedByCompaction {
                 key,
                 last_gen,
@@ -1378,34 +1332,33 @@ mod tests {
             other => panic!("expected DroppedByCompaction, got {other:?}"),
         }
         // A key *deleted* before the boundary is legitimately absent.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![
                 put(0, 1, 7, 70, true),
                 del(0, 2, 7, true),
                 put(0, 3, 9, 90, true),
             ],
-            chains: vec![vec![
+            shards: vec![vec![vec![
                 rec(0, 1, 7, 70),
                 drec(0, 2, 7, 70),
                 rec_gen(0, 3, 9, 90, 1),
-            ]],
+            ]]],
         };
-        assert!(check_kv_gen(&h, 1).is_linearizable());
+        assert!(check(&h, &[1]).is_linearizable());
     }
 
     #[test]
     fn explicit_generation_catches_what_inference_cannot() {
         // A drop-everything compaction leaves no generation-1 records
-        // at all: the inferred active generation is 0 and the plain
-        // check passes, but the store's real generation number exposes
-        // the drop — why campaigns must use the _gen entry points.
-        let h = KvHistory {
+        // at all, so nothing in the records says a swap happened: the
+        // store's real generation number exposes the drop — why every
+        // caller passes the store's own generations.
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec(0, 1, 7, 70)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70)]]],
         };
-        assert!(check_kv(&h).is_linearizable());
         assert!(matches!(
-            check_kv_gen(&h, 1).violation(),
+            check(&h, &[1]).violation(),
             Some(KvViolation::DroppedByCompaction { .. })
         ));
     }
@@ -1413,27 +1366,27 @@ mod tests {
     #[test]
     fn carried_value_mismatch_is_flagged() {
         // Carry claims 99 but the key held 70 at the boundary.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec(0, 1, 7, 70), carry(0, 1, 7, 99, 1)]],
+            shards: vec![vec![vec![rec(0, 1, 7, 70), carry(0, 1, 7, 99, 1)]]],
         };
-        match check_kv_gen(&h, 1).violation() {
+        match check(&h, &[1]).violation() {
             Some(KvViolation::CarriedValueMismatch { carried, held, .. }) => {
                 assert_eq!((*carried, *held), (99, Some(70)));
             }
             other => panic!("expected CarriedValueMismatch, got {other:?}"),
         }
         // Carry of a key that was dead at the boundary (held = None).
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), del(1, 2, 7, true)],
-            chains: vec![vec![
+            shards: vec![vec![vec![
                 rec(0, 1, 7, 70),
                 drec(1, 2, 7, 70),
                 carry(0, 1, 7, 70, 1),
-            ]],
+            ]]],
         };
         assert!(matches!(
-            check_kv_gen(&h, 1).violation(),
+            check(&h, &[1]).violation(),
             Some(KvViolation::CarriedValueMismatch { held: None, .. })
         ));
     }
@@ -1444,22 +1397,22 @@ mod tests {
             is_delete: true,
             ..carry(0, 1, 7, 70, 1)
         };
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![del(0, 1, 7, true)],
-            chains: vec![vec![bad_carry]],
+            shards: vec![vec![vec![bad_carry]]],
         };
         assert!(matches!(
-            check_kv_gen(&h, 1).violation(),
+            check(&h, &[1]).violation(),
             Some(KvViolation::CarriedDelete { .. })
         ));
         // A carry whose tag no generation ever published: the compactor
         // invented a record.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![carry(0, 1, 7, 70, 1)]],
+            shards: vec![vec![vec![carry(0, 1, 7, 70, 1)]]],
         };
         assert!(matches!(
-            check_kv_gen(&h, 1).violation(),
+            check(&h, &[1]).violation(),
             Some(KvViolation::CarriedWithoutOrigin { .. })
         ));
     }
@@ -1467,21 +1420,21 @@ mod tests {
     #[test]
     fn generation_stamps_must_be_ordered_and_in_range() {
         // Regression along the chain.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true), put(0, 2, 9, 90, true)],
-            chains: vec![vec![rec_gen(0, 1, 7, 70, 1), rec(0, 2, 9, 90)]],
+            shards: vec![vec![vec![rec_gen(0, 1, 7, 70, 1), rec(0, 2, 9, 90)]]],
         };
         assert!(matches!(
-            check_kv_gen(&h, 1).violation(),
+            check(&h, &[1]).violation(),
             Some(KvViolation::GenerationOutOfOrder { .. })
         ));
         // A record from the future.
-        let h = KvHistory {
+        let h = KvShardedHistory {
             ops: vec![put(0, 1, 7, 70, true)],
-            chains: vec![vec![rec_gen(0, 1, 7, 70, 2)]],
+            shards: vec![vec![vec![rec_gen(0, 1, 7, 70, 2)]]],
         };
         assert!(matches!(
-            check_kv_gen(&h, 1).violation(),
+            check(&h, &[1]).violation(),
             Some(KvViolation::GenerationOutOfOrder { .. })
         ));
     }
@@ -1497,12 +1450,11 @@ mod tests {
                 vec![vec![rec(1, 2, 3, 30)]],
             ],
         };
-        assert!(check_kv_sharded_gen(&h, parity, &[1, 0]).is_linearizable());
-        assert!(check_kv_sharded(&h, parity).is_linearizable(), "inference");
+        assert!(check(&h, &[1, 0]).is_linearizable());
         // Claiming shard 1 is also at generation 1 exposes its live key
         // as dropped.
         assert!(matches!(
-            check_kv_sharded_gen(&h, parity, &[1, 1]).violation(),
+            check(&h, &[1, 1]).violation(),
             Some(KvViolation::DroppedByCompaction { key: 3, .. })
         ));
     }
@@ -1514,7 +1466,7 @@ mod tests {
             ops: vec![],
             shards: vec![vec![vec![]], vec![vec![]]],
         };
-        let _ = check_kv_sharded_gen(&h, parity, &[0]);
+        let _ = check(&h, &[0]);
     }
 
     #[test]
@@ -1559,13 +1511,13 @@ mod tests {
                 vec![vec![rec(2, 3, 1, 7), rec(1, 3, 1, 8)]],
             ],
         };
-        assert!(check_kv_sharded(&history, |key| (key % 2) as usize).is_linearizable());
+        assert!(check(&history, &[0, 0]).is_linearizable());
 
         // The tag bookkeeping stays global across the interleaving: a
         // record double-published by two racing mutators is caught.
         let mut dup = history;
         dup.shards[0][1].push(rec(1, 1, 2, 10));
-        let verdict = check_kv_sharded(&dup, |key| (key % 2) as usize);
+        let verdict = check(&dup, &[0, 0]);
         assert_eq!(
             verdict.violation().unwrap().tag(),
             (1, 1),
@@ -1576,6 +1528,7 @@ mod tests {
     #[test]
     fn violations_display_nonempty() {
         let violations = [
+            KvViolation::DuplicateOpTag { tag: (0, 1) },
             KvViolation::DuplicateApplication { tag: (0, 1) },
             KvViolation::PhantomRecord { tag: (0, 1) },
             KvViolation::KeyMismatch {

@@ -18,9 +18,10 @@
 //! program orders, and [`brute_force_serializable`] cross-checks the
 //! polynomial checker on tiny inputs. Two further object-specific
 //! witness checkers follow the same extract-the-witness strategy:
-//! [`check_fifo`] for recoverable-queue executions and [`check_kv`]
-//! for key-value executions against the sequential map spec
-//! ([`KvSpec`]).
+//! [`check_fifo`] for recoverable-queue executions and
+//! [`check_kv_sharded_gen`] for key-value executions against the
+//! sequential map spec ([`KvSpec`]), over the store's own chains, key
+//! router and generation numbers.
 
 mod brute;
 mod fifo;
@@ -38,8 +39,8 @@ pub use fifo::{
 };
 pub use history::{CasHistory, CasOp, TimedHistory, TimedOp};
 pub use kv::{
-    check_kv, check_kv_gen, check_kv_sharded, check_kv_sharded_gen, KvAnswer, KvHistory, KvOp,
-    KvOpKind, KvShardedHistory, KvSpec, KvVerdict, KvViolation, KvWitnessRecord,
+    check_kv_sharded_gen, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvSpec, KvVerdict,
+    KvViolation, KvWitnessRecord,
 };
 pub use linearizability::{check_linearizability, LinVerdict};
 pub use sequential::{check_sequential_consistency, ProgramOrderHistory, ScVerdict};

@@ -20,7 +20,9 @@ use proptest::prelude::*;
 use pstack::heap::PHeap;
 use pstack::kv::{KvBatchOp, KvVariant, PKvStore};
 use pstack::nvram::{PMemBuilder, POffset};
-use pstack::verify::{check_kv_gen, KvAnswer, KvHistory, KvOp, KvOpKind, KvSpec, KvWitnessRecord};
+use pstack::verify::{
+    check_kv_sharded_gen, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvSpec, KvWitnessRecord,
+};
 
 const REGION: usize = 1 << 21;
 const KEY_SPACE: u64 = 8;
@@ -200,7 +202,12 @@ fn run_case(steps: &[Step], log_cap: u64) -> Result<(), TestCaseError> {
         .into_iter()
         .map(|chain| chain.into_iter().map(KvWitnessRecord::from).collect())
         .collect();
-    let verdict = check_kv_gen(&KvHistory { ops, chains }, generation);
+    // One store is the one-shard history.
+    let history = KvShardedHistory {
+        ops,
+        shards: vec![chains],
+    };
+    let verdict = check_kv_sharded_gen(&history, |_| 0, &[generation]);
     prop_assert!(verdict.is_linearizable(), "{:?}", verdict);
     Ok(())
 }

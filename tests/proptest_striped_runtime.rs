@@ -6,8 +6,8 @@
 //! with crash injection into random regions (shard or control), checked
 //! two ways:
 //!
-//! * `check_kv_sharded` over the collected history (per-shard chains,
-//!   global tags, key routing);
+//! * `ShardedKvStore::check` over the collected history (per-shard
+//!   chains, global tags, key routing, the store's own generations);
 //! * a `KvSpec` replay — answer-exact against the sequential map in
 //!   the single-worker, no-crash property, and witness-derived final
 //!   contents in the crashing property.
@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use pstack::core::{FunctionRegistry, RecoveryMode, RuntimeConfig, StripedRuntime, Task};
 use pstack::kv::{shard_of, KvServeFunction, KvTaskOp, KvTaskResult, KvVariant, ShardedKvStore};
 use pstack::nvram::{FailPlan, PMem, PMemBuilder, PMemStripe};
-use pstack::verify::{check_kv_sharded, KvShardedHistory, KvSpec};
+use pstack::verify::{KvSpec, KvVerdict};
 
 const KEY_SPACE: u64 = 12;
 
@@ -107,16 +107,15 @@ fn spec_answer(spec: &mut KvSpec, op: KvTaskOp) -> KvTaskResult {
     }
 }
 
-/// The verifier history: the tables' descriptors and answers, the
-/// chains, and the gets the harness answered itself.
-fn history_of(exec: &KvServeFunction, gets: &[(u64, u64, Option<i64>)]) -> KvShardedHistory {
-    let mut history = exec.history().unwrap();
-    history
-        .ops
-        .extend(gets.iter().map(|&(tag, key, got)| {
-            KvTaskOp::Get { key }.observed(0, tag, KvTaskResult::Got(got))
-        }));
-    history
+/// The verdict over the tables' descriptors and answers plus the gets
+/// the harness answered itself, against the store's own witness.
+fn verdict_of(exec: &KvServeFunction, gets: &[(u64, u64, Option<i64>)]) -> KvVerdict {
+    let mut ops = exec.ops().unwrap();
+    ops.extend(
+        gets.iter()
+            .map(|&(tag, key, got)| KvTaskOp::Get { key }.observed(0, tag, KvTaskResult::Got(got))),
+    );
+    exec.store().check(ops).unwrap().1
 }
 
 proptest! {
@@ -180,13 +179,13 @@ proptest! {
         for (key, value) in store.contents().unwrap() {
             prop_assert_eq!(spec.get(key), Some(value));
         }
-        let verdict = check_kv_sharded(&history_of(&exec, &gets), |k| shard_of(k, shards));
+        let verdict = verdict_of(&exec, &gets);
         prop_assert!(verdict.is_linearizable(), "{:?}", verdict);
     }
 
     /// Random batch windows + crash injection into random regions: the
     /// campaign loop in miniature. After every schedule the history
-    /// must pass `check_kv_sharded`, and the store's reported contents
+    /// must pass `ShardedKvStore::check`, and the store's reported contents
     /// must equal a `KvSpec` replay of the published witness chains.
     #[test]
     fn crashing_schedules_stay_linearizable(
@@ -215,8 +214,7 @@ proptest! {
                 gets.push((tag, key, store.get_durable(key).unwrap()));
             }
             if tasks.is_empty() {
-                let verdict =
-                    check_kv_sharded(&history_of(&exec, &gets), |k| shard_of(k, shards));
+                let verdict = verdict_of(&exec, &gets);
                 prop_assert!(verdict.is_linearizable(), "{:?}", verdict);
                 // KvSpec replay of the witness chains reproduces the
                 // store's reported contents exactly.
