@@ -813,6 +813,57 @@ fn check_ops_against_chains<'a>(
     KvVerdict::Linearizable
 }
 
+/// The one-shard case of [`check_kv_sharded_gen`]: one store's chains,
+/// router `|_| 0`, and the store's generation — here 1, after one root
+/// swap. A put whose record is missing is a lost update.
+///
+/// ```
+/// use pstack_verify::{
+///     check_kv_sharded_gen, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvViolation,
+///     KvWitnessRecord,
+/// };
+///
+/// let put = KvOp { pid: 0, seq: 1, kind: KvOpKind::Put, key: 7, value: 70, expected: 0,
+///                  answer: KvAnswer::Stored(true) };
+/// let get = KvOp { pid: 1, seq: 2, kind: KvOpKind::Get, key: 7, value: 0, expected: 0,
+///                  answer: KvAnswer::Got(Some(70)) };
+/// let record = KvWitnessRecord { key: 7, value: 70, pid: 0, seq: 1, is_delete: false,
+///                                compacted: false, gen: 1 };
+/// let history = KvShardedHistory { ops: vec![put, get], shards: vec![vec![vec![record]]] };
+/// assert!(check_kv_sharded_gen(&history, |_| 0, &[1]).is_linearizable());
+///
+/// let lost = KvShardedHistory { ops: vec![put], shards: vec![vec![vec![]]] };
+/// let verdict = check_kv_sharded_gen(&lost, |_| 0, &[1]);
+/// assert!(matches!(verdict.violation(), Some(KvViolation::LostUpdate { tag: (0, 1) })));
+/// ```
+#[cfg(doctest)]
+mod check_kv {}
+
+/// The two-shard case of [`check_kv_sharded_gen`]: each record must sit
+/// in its key's home shard under the router.
+///
+/// ```
+/// use pstack_verify::{
+///     check_kv_sharded_gen, KvAnswer, KvOp, KvOpKind, KvShardedHistory, KvViolation,
+///     KvWitnessRecord,
+/// };
+///
+/// let put = KvOp { pid: 0, seq: 1, kind: KvOpKind::Put, key: 7, value: 70, expected: 0,
+///                  answer: KvAnswer::Stored(true) };
+/// let record = KvWitnessRecord { key: 7, value: 70, pid: 0, seq: 1, is_delete: false,
+///                                compacted: false, gen: 0 };
+/// // Key 7's home shard is 1 under this (toy) router.
+/// let parity = |key: u64| (key % 2) as usize;
+/// let routed = KvShardedHistory { ops: vec![put], shards: vec![vec![vec![]], vec![vec![record]]] };
+/// assert!(check_kv_sharded_gen(&routed, parity, &[0, 0]).is_linearizable());
+///
+/// let misrouted = KvShardedHistory { ops: vec![put], shards: vec![vec![vec![record]], vec![vec![]]] };
+/// let verdict = check_kv_sharded_gen(&misrouted, parity, &[0, 0]);
+/// assert!(matches!(verdict.violation(), Some(KvViolation::MisroutedKey { shard: 0, home: 1, .. })));
+/// ```
+#[cfg(doctest)]
+mod check_kv_sharded {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
