@@ -51,7 +51,7 @@ pub use fixed::{FixedStack, FlushPolicy};
 pub use list::ListStack;
 pub use vec::VecStack;
 
-use pstack_nvram::{FlushTicket, PMem, POffset};
+use pstack_nvram::{Durable, FlushTicket, PMem, POffset};
 
 use crate::frame::{
     FrameMeta, MARKER_FRAME_END, MARKER_STACK_END, RET_COMPLETED_UNIT, RET_COMPLETED_VALUE,
@@ -338,16 +338,17 @@ pub(crate) struct Stage<'a> {
 }
 
 impl Stage<'_> {
-    /// The byte range `[start, end)` one flush must cover to persist
-    /// every store of the stage.
-    fn hull(&self) -> (u64, u64) {
+    /// The range `(start, len)` one flush must cover to persist every
+    /// store of the stage.
+    fn hull(&self) -> (POffset, usize) {
         let start = self.stores.iter().map(|(off, _)| off.get()).min();
         let end = self
             .stores
             .iter()
             .map(|(off, data)| off.get() + data.len() as u64)
             .max();
-        (start.unwrap_or(0), end.unwrap_or(0))
+        let (start, end) = (start.unwrap_or(0), end.unwrap_or(0));
+        (POffset::new(start), (end - start) as usize)
     }
 }
 
@@ -366,42 +367,44 @@ pub(crate) enum LastStage {
 /// every store of every earlier stage, at the fewest persists the
 /// offsets allow: a stage lying in the one line the next stage also
 /// lies in is not flushed — [`PMem::flush`] persists a line atomically,
-/// so it rides the next stage's persist — and any other stage is made
-/// durable by one flush over its hull before the next is issued. A
-/// crash before a shared persist keeps, per line, a prefix of the
-/// stores, which is why the order inside a stage is also an order every
-/// prefix of which is a legal state. The last stage is flushed or
-/// issued as `last` says; the ticket of an issued one is returned.
+/// so it rides the next stage's persist ([`Durable::same_line`]) — and
+/// any other stage is made durable by one flush over its hull before
+/// the next is written, which takes its receipt. A crash before a
+/// shared persist keeps, per line, a prefix of the stores, which is why
+/// the order inside a stage is also an order every prefix of which is a
+/// legal state. The last stage is flushed or issued as `last` says; the
+/// ticket of an issued one is returned.
 pub(crate) fn persist_in_order<'a>(
     pmem: &PMem,
     stages: impl IntoIterator<Item = Stage<'a>>,
     last: LastStage,
 ) -> Result<Option<FlushTicket>, PError> {
-    let line = pmem.line_size() as u64;
-    let only_line = |stage: &Stage<'_>| {
-        let (start, end) = stage.hull();
-        (start / line == end.saturating_sub(1) / line).then_some(start / line)
-    };
     let mut stages = stages.into_iter().peekable();
     let mut ticket = None;
+    // The previous stage's hull and receipt; none when a negative
+    // control of [`FlushPolicy`] left it unpersisted.
+    let mut before: Option<((POffset, usize), Durable)> = None;
     while let Some(stage) = stages.next() {
         if stage.write {
+            if let Some(((off, len), receipt)) = &before {
+                receipt.check(pmem, *off, *len);
+            }
             for (off, data) in stage.stores {
                 pmem.write(*off, data)?;
             }
         }
-        let line_of_stage = only_line(&stage);
+        let hull = stage.hull();
         let next = stages.peek();
-        let rides = line_of_stage.is_some() && next.is_some_and(|n| only_line(n) == line_of_stage);
-        if stage.flush && !rides {
-            let (start, end) = stage.hull();
-            let (start, len) = (POffset::new(start), (end - start) as usize);
-            if next.is_none() && last == LastStage::Issued {
-                ticket = Some(pmem.flush_async(start, len)?);
-            } else {
-                pmem.flush(start, len)?;
+        let riding = next.and_then(|n| Durable::same_line(pmem, hull, n.hull()));
+        before = match riding {
+            _ if !stage.flush => None,
+            Some(riding) => Some((hull, riding)),
+            None if next.is_none() && last == LastStage::Issued => {
+                ticket = Some(pmem.flush_async(hull.0, hull.1)?);
+                None
             }
-        }
+            None => Some((hull, pmem.flush(hull.0, hull.1)?)),
+        };
     }
     Ok(ticket)
 }

@@ -21,7 +21,7 @@ use pstack_verify::{KvAnswer, KvOp, KvOpKind};
 
 use crate::reqtable::{split_id, KvRequestTable, ReqSubmit};
 use crate::shard::ShardedKvStore;
-use crate::store::{KvBatchOp, KvPendingBatch, KvVariant};
+use crate::store::{KvBatchOp, KvVariant};
 
 /// Function id under which [`KvServeFunction`] is registered.
 pub const KV_SERVE_FUNC_ID: u64 = 0x0FFB;
@@ -556,19 +556,19 @@ impl KvServeFunction {
         }
         // → heads: every commit durable — its heads' level awaited —
         // before any answer is issued: an answer implies its effect.
-        let mut committed = {
+        let (heads, mut committed) = {
             let _label = op_label("kv.apply_batch");
             let mut heads = Level::default();
             for batch in &mut batches {
                 batch.publish(&mut heads)?;
             }
-            heads.await_all()?;
-            batches
+            let heads = heads.await_all()?;
+            let committed = batches
                 .iter_mut()
-                .map(KvPendingBatch::committed)
-                .collect::<Vec<_>>()
-        }
-        .into_iter();
+                .map(|batch| batch.committed(&heads))
+                .collect::<Vec<_>>();
+            (heads, committed.into_iter())
+        };
         // → answers: every shard's issued into one level.
         let mut answers = Level::default();
         for (table, staged, ops) in &parts {
@@ -587,7 +587,7 @@ impl KvServeFunction {
                 entries.push((slot, executor, result));
                 ready.push((req_id, KvTaskAnswer { executor, result }));
             }
-            table.answer(&entries, &mut answers)?;
+            table.answer(&entries, &heads, &mut answers)?;
         }
         // The shards' exclusive sections end only once every answer is
         // written, so a second replay of a slot (two frames naming it,
@@ -981,11 +981,13 @@ mod tests {
     }
 
     /// Answers one slot as a window does: a flight of an answers level,
-    /// then the level awaited.
+    /// then the level awaited. Nothing is committed first, so the heads
+    /// level is empty.
     fn answer(table: &KvRequestTable, slot: u32, executor: u32, result: KvTaskResult) {
+        let heads = Level::default().await_all().unwrap();
         let mut answers = Level::default();
         table
-            .answer(&[(slot, executor, result)], &mut answers)
+            .answer(&[(slot, executor, result)], &heads, &mut answers)
             .unwrap();
         answers.await_all().unwrap();
     }

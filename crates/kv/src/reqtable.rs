@@ -95,7 +95,7 @@ use std::sync::{Arc, Mutex};
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{FlushTicket, Level, PMem, POffset};
+use pstack_nvram::{Durable, FlushTicket, Level, PMem, POffset};
 
 use crate::funcs::{KvTaskAnswer, KvTaskOp, KvTaskResult};
 
@@ -203,8 +203,11 @@ struct ReqIndex {
 /// let ReqSubmit::Fresh(slot) = table.submit(0x1_0001, KvTaskOp::Put { key: 9, value: 4 })? else {
 ///     panic!("fresh request");
 /// };
+/// // The answer follows its effect's commit: it takes the receipt of
+/// // the window's heads level (here, a window that committed nothing).
+/// let heads = Level::default().await_all()?;
 /// let mut answers = Level::default();
-/// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], &mut answers)?;
+/// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], &heads, &mut answers)?;
 /// answers.await_all()?;
 ///
 /// // A retry dedupes against the durable answer instead of re-executing.
@@ -448,7 +451,12 @@ impl KvRequestTable {
         body[F_VALUE as usize..][..8].copy_from_slice(&value.to_le_bytes());
         body[F_EXPECTED as usize..][..8].copy_from_slice(&expected.to_le_bytes());
         self.pmem.write(e, &body)?;
-        // persist-lint: allow(publish-no-persist) staged on purpose — the drain issues its persist and the window awaits it before reading the slot (persist_slots_issue in ServerCore::drain; persist_slots_if_dirty)
+        // The identity publishes the slot, and is not persisted here: it
+        // rides its descriptor's line, which the drain's flight makes
+        // durable whole (persist_slots_issue in ServerCore::drain), and
+        // the window awaits before reading the slot.
+        let descriptor = Durable::same_line(&self.pmem, (e, F_REQ_ID as usize), (e + F_REQ_ID, 8));
+        debug_assert!(descriptor.is_some(), "a request slot spans lines");
         self.pmem.write_u64(e + F_REQ_ID, req_id)?;
         idx.by_id.insert(req_id, slot);
         let live = u64::from(self.capacity) - idx.free.len() as u64;
@@ -648,13 +656,13 @@ impl KvRequestTable {
 
     /// Writes a batch of answers and issues them as **one** flight of
     /// `answers`, the window's answers level: issued once the effects
-    /// the answers report are durable (its heads' level awaited), every
-    /// shard's into the one level, and shown once that level is
-    /// awaited. Per slot the payload is written before the done flag,
-    /// and a slot is one line, which persists atomically: a crash
-    /// leaves each slot either answered or still pending (recovery
-    /// recomputes a pending answer through the evidence scan), never a
-    /// flag over a missing payload.
+    /// the answers report are durable — `heads` is the receipt of the
+    /// window's heads level — every shard's into the one level, and
+    /// shown once that level is awaited. Per slot the payload is
+    /// written before the done flag, and a slot is one line, which
+    /// persists atomically: a crash leaves each slot either answered or
+    /// still pending (recovery recomputes a pending answer through the
+    /// evidence scan), never a flag over a missing payload.
     ///
     /// # Errors
     ///
@@ -662,6 +670,7 @@ impl KvRequestTable {
     pub fn answer(
         &self,
         entries: &[(u32, u32, KvTaskResult)],
+        _heads: &Durable,
         answers: &mut Level,
     ) -> Result<(), PError> {
         for &(slot, executor, result) in entries {
@@ -746,11 +755,14 @@ mod tests {
     }
 
     /// Answers `entries` as a window does: one flight of an answers
-    /// level, then the level awaited.
+    /// level, then the level awaited. Nothing is committed first, so
+    /// the heads level is empty.
     fn answer(table: &KvRequestTable, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
+        let heads = Level::default().await_all()?;
         let mut answers = Level::default();
-        table.answer(entries, &mut answers)?;
-        Ok(answers.await_all()?)
+        table.answer(entries, &heads, &mut answers)?;
+        answers.await_all()?;
+        Ok(())
     }
 
     fn fixture(capacity: u32) -> (PMem, KvRequestTable) {

@@ -213,7 +213,8 @@ impl ShardedKvStore {
     pub(crate) fn persist_table_root(&self, i: usize, base: POffset) -> Result<(), PError> {
         let (pmem, root) = (self.heaps[i].pmem(), POffset::new(ROOT_OFF_TABLE));
         pmem.write_u64(root, base.get())?;
-        Ok(pmem.flush(root, 8)?)
+        pmem.flush(root, 8)?;
+        Ok(())
     }
 
     /// Shard `i`'s request-table base as its shard root records it.
@@ -508,10 +509,10 @@ impl KvBatch<'_> {
         for batch in &mut pending {
             batch.publish(&mut heads)?;
         }
-        heads.await_all()?;
+        let heads = heads.await_all()?;
         let mut outcomes = vec![KvApplied::PrecondFailed; self.ops.len()];
         for ((indexes, _), batch) in per_shard.values().zip(&mut pending) {
-            for (&i, outcome) in indexes.iter().zip(batch.committed()) {
+            for (&i, outcome) in indexes.iter().zip(batch.committed(&heads)) {
                 outcomes[i] = outcome;
             }
         }

@@ -108,7 +108,7 @@
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{op_label, Level, MemError, PMem, POffset, QuiesceGuard, RootCell};
+use pstack_nvram::{op_label, Durable, Level, MemError, PMem, POffset, QuiesceGuard, RootCell};
 use std::collections::BTreeMap;
 
 const KV_MAGIC: u64 = 0x5053_4B56_5354_4F32; // "PSKVSTO2" (generational)
@@ -155,16 +155,19 @@ pub enum KvVariant {
     /// evidence scan and always re-executes — operations that already
     /// linearized are applied twice, which the KV verifier flags.
     NoScan,
-    /// Injected persist-order bug: a group commit (every mutation is
-    /// one) publishes its bucket heads *without* first persisting the
-    /// staged records — the early-publish class PSan's shadow tracking
-    /// flags at the head CAS. Recovery itself is correct (the scan
-    /// still runs).
+    /// Injected persist-order bug, in `test` and `fault-seeds` builds
+    /// only: a group commit (every mutation is one) issues no record
+    /// flight and forges its receipt, so the heads publish still-volatile
+    /// records — the early-publish class PSan's shadow tracking flags at
+    /// the head CAS. Recovery itself is correct (the scan still runs).
+    #[cfg(any(test, feature = "fault-seeds"))]
     EarlyPublish,
-    /// Injected persist-order bug: compaction commits the root swap
-    /// without the coalesced flush of the new generation block — the
-    /// unordered-commit class PSan flags at the selector flip.
-    /// Recovery itself is correct (the scan still runs).
+    /// Injected persist-order bug, in `test` and `fault-seeds` builds
+    /// only: compaction forges the new generation block's receipt
+    /// instead of flushing it, so the root swap commits a still-volatile
+    /// generation — the unordered-commit class PSan flags at the
+    /// selector flip. Recovery itself is correct (the scan still runs).
+    #[cfg(any(test, feature = "fault-seeds"))]
     NoPersistBeforeSwap,
 }
 
@@ -175,7 +178,9 @@ impl KvVariant {
         match self {
             KvVariant::Nsrl => 0,
             KvVariant::NoScan => 1,
+            #[cfg(any(test, feature = "fault-seeds"))]
             KvVariant::EarlyPublish => 2,
+            #[cfg(any(test, feature = "fault-seeds"))]
             KvVariant::NoPersistBeforeSwap => 3,
         }
     }
@@ -189,7 +194,9 @@ impl KvVariant {
         match v {
             0 => Ok(KvVariant::Nsrl),
             1 => Ok(KvVariant::NoScan),
+            #[cfg(any(test, feature = "fault-seeds"))]
             2 => Ok(KvVariant::EarlyPublish),
+            #[cfg(any(test, feature = "fault-seeds"))]
             3 => Ok(KvVariant::NoPersistBeforeSwap),
             other => Err(PError::InvalidConfig(format!(
                 "unknown KV variant encoding {other}"
@@ -198,8 +205,8 @@ impl KvVariant {
     }
 
     /// `true` when recovery runs the evidence scan before re-executing.
-    /// Only [`KvVariant::NoScan`] skips it; the persist-order bug
-    /// variants break durability ordering, not recovery.
+    /// Only [`KvVariant::NoScan`] skips it; the persist-order seeds
+    /// break durability ordering, not recovery.
     #[must_use]
     pub fn scans_evidence(self) -> bool {
         self != KvVariant::NoScan
@@ -450,22 +457,24 @@ pub struct PKvStore {
 
 /// What staging a group commit produced: records written (volatile), per
 /// touched bucket the durable pre-batch head and the staged head to
-/// publish, and the `[lo, hi]` slot span (`None` when nothing staged).
+/// publish, the `[lo, hi]` slot span (`None` when nothing staged) and
+/// the log tail that reserved it.
 struct StagedBatch {
     outcomes: Vec<KvApplied>,
     pre_heads: BTreeMap<u64, u64>,
     staged_heads: BTreeMap<u64, u64>,
     slots: Option<(u64, u64)>,
+    tail: POffset,
 }
 
 /// A group commit staged by [`PKvStore::apply_batch_begin`] whose
 /// record and log-tail persists are in flight as one dependence level.
 /// Holds the region quiesced until committed or dropped; nothing is
 /// visible (or recoverable) until [`KvPendingBatch::commit`] runs its
-/// levels: records ‖ tail awaited and heads published, their flight
-/// issued ([`KvPendingBatch::publish`]), then heads awaited — the
-/// commit point ([`KvPendingBatch::committed`]). Every persist is a
-/// flight, awaited where something depends on it.
+/// levels: records ‖ tail awaited and heads published on its receipt,
+/// their flight issued ([`KvPendingBatch::publish`]), then heads
+/// awaited — the commit point ([`KvPendingBatch::committed`]). Every
+/// persist is a flight, awaited where something depends on it.
 #[must_use = "a pending batch publishes nothing until committed"]
 pub struct KvPendingBatch<'a> {
     store: &'a PKvStore,
@@ -473,6 +482,9 @@ pub struct KvPendingBatch<'a> {
     staged: StagedBatch,
     /// Records ‖ tail: the level the heads depend on.
     records: Level,
+    /// The records level's receipt, once [`KvPendingBatch::publish`]
+    /// awaited it.
+    durable: Option<Durable>,
 }
 
 impl KvPendingBatch<'_> {
@@ -494,17 +506,33 @@ impl KvPendingBatch<'_> {
         let _label = op_label("kv.apply_batch");
         let mut heads = Level::default();
         self.publish(&mut heads)?;
-        heads.await_all()?;
-        Ok(self.committed())
+        let heads = heads.await_all()?;
+        Ok(self.committed(&heads))
     }
 
-    /// Awaits the records ‖ tail, flips each touched bucket's head once,
-    /// to the newest staged record (intermediate staged heads are never
-    /// published, so per bucket the batch is all-or-nothing), and issues
-    /// the heads' flight into `heads` — one level for every region's.
+    /// Awaits the records ‖ tail, publishes the heads on its receipt
+    /// ([`KvPendingBatch::flip_heads`]), and issues the heads' flight
+    /// into `heads` — one level for every region's.
     pub(crate) fn publish(&mut self, heads: &mut Level) -> Result<(), PError> {
-        std::mem::take(&mut self.records).await_all()?;
+        let records = std::mem::take(&mut self.records).await_all()?;
+        self.flip_heads(&records)?;
+        self.durable = Some(records);
+        if let Some((off, len)) = self.heads_span() {
+            heads.issue(&self.store.pmem, off, len)?;
+        }
+        Ok(())
+    }
+
+    /// The publish: flips each touched bucket's head once, to the newest
+    /// staged record (intermediate staged heads are never published, so
+    /// per bucket the batch is all-or-nothing), on `records`, the
+    /// receipt for the record span and the log tail.
+    fn flip_heads(&self, records: &Durable) -> Result<(), PError> {
         let pmem = &self.store.pmem;
+        if let Some((lo, hi)) = self.staged.slots {
+            records.check(pmem, POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
+            records.check(pmem, self.staged.tail, 8);
+        }
         for (&bucket, &new_head) in &self.staged.staged_heads {
             let expected = self.staged.pre_heads[&bucket];
             if !pmem.compare_exchange(
@@ -519,21 +547,19 @@ impl KvPendingBatch<'_> {
                 ));
             }
         }
-        if let Some((off, len)) = self.heads_span() {
-            heads.issue(pmem, off, len)?;
-        }
         Ok(())
     }
 
-    /// The commit point, once the heads' level is awaited: a bare commit
-    /// returns and a window issues its answers, so under PSan the record
-    /// span and the heads must both be durable *now*. Takes the outcomes
+    /// The commit point, once the heads' level is awaited into `heads`:
+    /// a bare commit returns and a window issues its answers, so under
+    /// PSan the ranges of both receipts on this region — records ‖ tail
+    /// and the heads — must be durable *now*. Takes the outcomes
     /// (submission order); the exclusive section lasts until drop.
-    pub(crate) fn committed(&mut self) -> Vec<KvApplied> {
-        if let (Some((lo, hi)), Some((off, len))) = (self.staged.slots, self.heads_span()) {
+    pub(crate) fn committed(&mut self, heads: &Durable) -> Vec<KvApplied> {
+        if let Some(records) = self.durable.take() {
             let pmem = &self.store.pmem;
-            pmem.psan_check_durable(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
-            pmem.psan_check_durable(off, len);
+            records.psan_check(pmem);
+            heads.psan_check(pmem);
         }
         std::mem::take(&mut self.staged.outcomes)
     }
@@ -975,6 +1001,7 @@ impl PKvStore {
             pre_heads,
             staged_heads,
             slots,
+            tail: POffset::new(gen.base + GEN_OFF_LOG_TAIL),
         })
     }
 
@@ -1020,22 +1047,51 @@ impl PKvStore {
             // Issue the record-span and log-tail flights back to back;
             // their round-trips overlap in the device queue. The
             // quiesce makes the reserved slots consecutive, so [lo, hi]
-            // covers exactly this batch. KvVariant::EarlyPublish omits
-            // the record flight — PSan's negative control: the head CAS
-            // of the heads' level then publishes still-volatile
+            // covers exactly this batch. KvVariant::EarlyPublish forges
+            // the record flight's receipt instead — PSan's negative
+            // control: the head CAS then publishes still-volatile
             // records, which the sanitizer flags.
-            if self.variant != KvVariant::EarlyPublish {
-                let span = (hi - lo + RECORD_STRIDE) as usize;
+            let span = (hi - lo + RECORD_STRIDE) as usize;
+            #[cfg(any(test, feature = "fault-seeds"))]
+            let forged = self.forges(KvVariant::EarlyPublish, &mut records, lo, span);
+            #[cfg(not(any(test, feature = "fault-seeds")))]
+            let forged = false;
+            if !forged {
                 records.issue(&self.pmem, POffset::new(lo), span)?;
             }
-            records.issue(&self.pmem, POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?;
+            records.issue(&self.pmem, staged.tail, 8)?;
         }
         Ok(KvPendingBatch {
             store: self,
             _quiesce: quiesce,
             staged,
             records,
+            durable: None,
         })
+    }
+
+    /// The persist-order seeds' one move: when this store is `seed`, puts
+    /// `[off, off + len)` in `level`'s receipt with no flight behind it
+    /// ([`Level::forge`]) and returns `true`.
+    #[cfg(any(test, feature = "fault-seeds"))]
+    fn forges(&self, seed: KvVariant, level: &mut Level, off: u64, len: usize) -> bool {
+        let forged = self.variant == seed;
+        if forged {
+            level.forge(&self.pmem, POffset::new(off), len);
+        }
+        forged
+    }
+
+    /// [`PMem::flush`] of `[off, off + len)`, or its forged receipt when
+    /// this store is `seed`.
+    #[cfg(any(test, feature = "fault-seeds"))]
+    fn flush_unless(&self, seed: KvVariant, off: u64, len: usize) -> Result<Durable, MemError> {
+        let mut forged = Level::default();
+        if self.forges(seed, &mut forged, off, len) {
+            forged.await_all()
+        } else {
+            self.pmem.flush(POffset::new(off), len)
+        }
     }
 
     /// Reads the current value of `key`.
@@ -1432,7 +1488,6 @@ impl PKvStore {
                 slot += 1;
             }
             if head != 0 {
-                // persist-lint: allow(publish-no-persist) the step-2 flush below covers header+buckets+carries in one round-trip
                 self.pmem
                     .write_u64(self.bucket_off_at(&new_gen, b as u64), head)?;
             }
@@ -1442,22 +1497,22 @@ impl PKvStore {
         self.pmem
             .write_u64(POffset::new(nb + GEN_OFF_CARRIED), live_total)?;
         // One persist round-trip covers the contiguous prefix: header,
-        // buckets and every carry slot.
-        // KvVariant::NoPersistBeforeSwap omits it — PSan's negative
-        // control: the root swap below then commits a still-volatile
-        // generation, which the sanitizer flags at the selector flip.
-        let new_block_len = gen_prefix_len(self.nbuckets) + live_total * RECORD_STRIDE;
-        if self.variant != KvVariant::NoPersistBeforeSwap {
-            self.pmem.flush(POffset::new(nb), new_block_len as usize)?;
-        }
+        // buckets and every carry slot. KvVariant::NoPersistBeforeSwap
+        // forges its receipt instead — PSan's negative control: the
+        // root swap below then commits a still-volatile generation,
+        // which the sanitizer flags at the selector flip.
+        let new_block_len = (gen_prefix_len(self.nbuckets) + live_total * RECORD_STRIDE) as usize;
+        #[cfg(any(test, feature = "fault-seeds"))]
+        let block = self.flush_unless(KvVariant::NoPersistBeforeSwap, nb, new_block_len)?;
+        #[cfg(not(any(test, feature = "fault-seeds")))]
+        let block = self.pmem.flush(POffset::new(nb), new_block_len)?;
 
-        // Step 3 — the commit point. Declare the new block as the
-        // swap's commit extent so PSan checks every reachable line (not
-        // just the line at `nb`) for durability at the selector flip.
+        // Step 3 — the commit point, on the receipt for the whole new
+        // block: PSan checks every line of it at the selector flip.
         Self::register_publish_range(&self.pmem, nb, self.nbuckets);
-        self.pmem
-            .psan_declare_commit(POffset::new(nb), new_block_len as usize);
-        self.cell.swap(new_gen.number, nb).map_err(PError::from)?;
+        self.cell
+            .swap(new_gen.number, nb, new_block_len, &block)
+            .map_err(PError::from)?;
 
         // Step 4 — retire the old generation (advisory, repaired by
         // recover_compact if a crash lands before it persists), and

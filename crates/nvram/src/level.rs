@@ -1,6 +1,6 @@
 //! One dependence level of a persist schedule.
 
-use crate::{FlushTicket, MemError, PMem, POffset};
+use crate::{Durable, FlushTicket, MemError, PMem, POffset};
 
 /// The flights of one **dependence level**: persists on any number of
 /// regions that nothing orders against each other. The consuming
@@ -21,7 +21,8 @@ use crate::{FlushTicket, MemError, PMem, POffset};
 /// let mut level = Level::default();
 /// level.issue(&a, off, 8)?;
 /// level.issue(&b, off, 8)?;
-/// level.await_all()?;
+/// let receipt = level.await_all()?;
+/// assert!(receipt.covers(&a, off, 8) && receipt.covers(&b, off, 8));
 /// a.crash_now(0, 0.0);
 /// b.crash_now(0, 0.0);
 /// assert_eq!(a.reopen()?.read_u64(off)?, 1);
@@ -45,12 +46,27 @@ impl Level {
     }
 
     /// Awaits every flight, in issue order: when it returns `Ok`, the
-    /// whole level is durable.
+    /// whole level is durable, and its receipt names every range it
+    /// issued, on its region boot.
     ///
     /// # Errors
     ///
-    /// The first [`PMem::await_ticket`] error.
-    pub fn await_all(self) -> Result<(), MemError> {
-        self.0.iter().try_for_each(|(pmem, t)| pmem.await_ticket(t))
+    /// The first [`PMem::await_ticket`] error — a flight cut by a crash
+    /// gives an error, never a receipt.
+    pub fn await_all(self) -> Result<Durable, MemError> {
+        for (pmem, t) in &self.0 {
+            pmem.await_ticket(t)?;
+        }
+        Ok(Durable::level(self.0))
+    }
+
+    /// A persist-order seed: puts `[off, off + len)` of `pmem` into the
+    /// level's receipt with no flight behind it, so the publish the
+    /// receipt licenses goes ahead over bytes that may still be
+    /// volatile — PSan's negative controls, compiled only into builds
+    /// with `test` or the `fault-seeds` feature.
+    #[cfg(any(test, feature = "fault-seeds"))]
+    pub fn forge(&mut self, pmem: &PMem, off: POffset, len: usize) {
+        self.0.push((pmem.clone(), pmem.ticket(0, off, len)));
     }
 }

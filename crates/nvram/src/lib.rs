@@ -48,6 +48,7 @@
 //! ```
 
 mod backend;
+mod durable;
 mod error;
 mod failpoint;
 mod level;
@@ -59,6 +60,7 @@ mod stats;
 mod stripe;
 
 pub use backend::BackendKind;
+pub use durable::Durable;
 pub use error::MemError;
 pub use failpoint::FailPlan;
 pub use level::Level;

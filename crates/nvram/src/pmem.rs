@@ -35,7 +35,7 @@ use crate::backend::{Backend, BackendKind, FileBackend, MemBackend};
 use crate::failpoint::{FailPlan, FailState};
 use crate::psan::{PsanCell, PsanViolation};
 use crate::stats::MemStats;
-use crate::{MemError, POffset};
+use crate::{Durable, MemError, POffset};
 
 /// Default cache-line size in bytes, matching x86.
 pub const DEFAULT_CACHE_LINE: usize = 64;
@@ -352,9 +352,20 @@ struct FlightState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushTicket {
     /// Identity of the issuing region boot.
-    region: usize,
+    pub(crate) region: usize,
     /// Flush-queue serial this ticket waits for.
     serial: u64,
+    /// The range `[start, end)` it was issued over, which its
+    /// [`Durable`] receipt names.
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+}
+
+impl FlushTicket {
+    /// `true` when `other`'s range lies inside this one, on one boot.
+    pub(crate) fn contains(&self, other: &FlushTicket) -> bool {
+        self.region == other.region && self.start <= other.start && other.end <= self.end
+    }
 }
 
 struct Inner {
@@ -670,12 +681,15 @@ impl PMem {
     /// the covered lines to the survivor lottery, so any subset of them
     /// may survive — the torn state Fig. 5 in the paper tolerates.
     ///
+    /// Returns the receipt for `[off, off + len)`.
+    ///
     /// # Errors
     ///
     /// [`MemError::Crashed`], [`MemError::OutOfBounds`], or an I/O error
     /// from the write-through backend.
-    pub fn flush(&self, off: POffset, len: usize) -> Result<(), MemError> {
-        self.persist(off, len, false).map(drop)
+    pub fn flush(&self, off: POffset, len: usize) -> Result<Durable, MemError> {
+        self.persist(off, len, false)?;
+        Ok(Durable::flight(self.ticket(0, off, len)))
     }
 
     /// The **durable-read** primitive (FliT's rule: a reader persists
@@ -761,7 +775,6 @@ impl PMem {
         self.check_alive()?;
         self.check_bounds(off, len)?;
         let _issue = pstack_telemetry::span("flush.issue");
-        let region = Arc::as_ptr(&self.inner) as usize;
         let mut st = self.inner.state.lock();
         MemStats::bump(&self.inner.stats.flush_calls);
         let issued = st.flights.issued;
@@ -769,7 +782,23 @@ impl PMem {
         if st.flights.issued != issued {
             MemStats::bump(&self.inner.stats.async_flushes);
         }
-        Ok(FlushTicket { region, serial })
+        Ok(self.ticket(serial, off, len))
+    }
+
+    /// Identity of this region boot: what a [`FlushTicket`] and a
+    /// [`Durable`] receipt are bound to.
+    pub(crate) fn boot(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
+    }
+
+    /// A ticket for flight `serial` over `[off, off + len)` of this boot.
+    pub(crate) fn ticket(&self, serial: u64, off: POffset, len: usize) -> FlushTicket {
+        FlushTicket {
+            region: self.boot(),
+            serial,
+            start: off.get(),
+            end: off.get() + len as u64,
+        }
     }
 
     /// Stages one flight over the dirty lines covering `[start, start +
@@ -862,7 +891,7 @@ impl PMem {
     /// and [`MemError::InvalidConfig`] for a ticket from a different
     /// region or an earlier boot.
     pub fn await_ticket(&self, ticket: &FlushTicket) -> Result<(), MemError> {
-        if ticket.region != Arc::as_ptr(&self.inner) as usize {
+        if ticket.region != self.boot() {
             return Err(MemError::InvalidConfig(
                 "flush ticket belongs to a different region or boot".into(),
             ));
@@ -1001,7 +1030,7 @@ impl PMem {
     /// Same as [`PMem::write`] and [`PMem::flush`].
     pub fn write_persist(&self, off: POffset, data: &[u8]) -> Result<(), MemError> {
         self.write(off, data)?;
-        self.flush(off, data.len())
+        self.flush(off, data.len()).map(drop)
     }
 
     /// The **persist-load**: reads, then persists the lines read if a
@@ -1373,32 +1402,13 @@ impl PMem {
         }
     }
 
-    /// Declares that `[start, start+len)` must be durable by the next
-    /// root swap on this region ([`RootCell::swap`](crate::RootCell)
-    /// consumes the declaration and checks it at its commit point).
-    pub fn psan_declare_commit(&self, start: POffset, len: usize) {
-        if let Some(psan) = &self.inner.psan {
-            psan.declare_commit(start.get(), len as u64);
-        }
-    }
-
     /// Immediate commit-ordering check: records an *unordered-commit*
     /// violation for every still-dirty line in `[start, start+len)`.
-    /// Used at commit points that are not root swaps (e.g. a group
-    /// commit, once its heads' flight is awaited).
+    /// Used at commit points: a root swap's flip, and a group commit
+    /// once its heads' flight is awaited.
     pub fn psan_check_durable(&self, start: POffset, len: usize) {
         if let Some(psan) = &self.inner.psan {
             psan.check_durable(start.get(), len as u64, self.events());
-        }
-    }
-
-    /// Internal hook for [`RootCell::swap`](crate::RootCell): the
-    /// commit point publishing `ptr`. Checks (and consumes) declared
-    /// commit extents — or, with none declared, the line holding `ptr`.
-    #[doc(hidden)]
-    pub fn psan_note_root_swap(&self, ptr: u64) {
-        if let Some(psan) = &self.inner.psan {
-            psan.note_root_swap(ptr, self.inner.len as u64, self.events());
         }
     }
 

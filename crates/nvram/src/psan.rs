@@ -26,9 +26,10 @@
 //!
 //! - **early publish** — a CAS inside a registered publish range
 //!   installs a pointer whose target lines are not yet durable;
-//! - **unordered commit** — a root swap happens while lines in a
-//!   declared commit extent are still dirty (a commit point that is not
-//!   a swap checks its extent the same way);
+//! - **unordered commit** — a root swap happens while lines in the
+//!   block it publishes — the extent its [`Durable`](crate::Durable)
+//!   receipt names — are still dirty (a group commit checks its
+//!   receipts' ranges the same way);
 //! - **ghost read** — a post-crash boot reads bytes that were never
 //!   durable before the crash (data that only exists because the
 //!   emulator's survivor model was generous);
@@ -130,8 +131,8 @@ pub enum PsanViolationKind {
         /// The pointer value the CAS made reachable.
         published: u64,
     },
-    /// A root swap / commit point ran while the flagged line of a
-    /// declared commit extent was still dirty.
+    /// A root swap / commit point ran while the flagged line of the
+    /// extent it publishes was still dirty.
     UnorderedCommit,
     /// A read returned bytes that were never durable before the last
     /// crash (survivor-model luck, not a program guarantee).
@@ -287,9 +288,6 @@ struct ShadowInner {
     /// against an un-awaited ticket stays an attributable early-publish.
     ticket_pending: HashMap<u64, Vec<usize>>,
     publish: Vec<PublishRange>,
-    /// Commit extents declared ahead of the next root swap (drained by
-    /// the swap that consumes them).
-    commits: Vec<(u64, u64)>,
     waivers: Vec<(u64, u64)>,
     violations: Vec<PsanViolation>,
     reported: HashSet<(u8, usize)>,
@@ -366,7 +364,6 @@ impl PsanCell {
                 ghosts: HashMap::new(),
                 ticket_pending: HashMap::new(),
                 publish: Vec::new(),
-                commits: Vec::new(),
                 waivers: Vec::new(),
                 violations: Vec::new(),
                 reported: HashSet::new(),
@@ -479,30 +476,7 @@ impl PsanCell {
         inner.check_span_durable(published, range.extent, kind, events);
     }
 
-    /// Declares that `[start, start+len)` must be durable at the next
-    /// root swap on this region (consumed by [`Self::note_root_swap`]).
-    pub(crate) fn declare_commit(&self, start: u64, len: u64) {
-        self.inner.lock().commits.push((start, len));
-    }
-
-    /// The commit point of a root swap publishing `ptr`: every declared
-    /// commit extent (or, with none declared, the line holding `ptr`)
-    /// must hold no dirty lines.
-    pub(crate) fn note_root_swap(&self, ptr: u64, region_len: u64, events: u64) {
-        let mut inner = self.inner.lock();
-        let extents = std::mem::take(&mut inner.commits);
-        if extents.is_empty() {
-            if ptr < region_len {
-                inner.check_span_durable(ptr, 1, PsanViolationKind::UnorderedCommit, events);
-            }
-            return;
-        }
-        for (start, len) in extents {
-            inner.check_span_durable(start, len, PsanViolationKind::UnorderedCommit, events);
-        }
-    }
-
-    /// Commit-ordering check outside a root swap (e.g. a group commit
+    /// Commit-ordering check (a root swap's flip, or a group commit
     /// whose heads' flight was just awaited): `[start, start+len)` must
     /// hold no dirty lines.
     pub(crate) fn check_durable(&self, start: u64, len: u64, events: u64) {
@@ -792,32 +766,24 @@ mod tests {
 
     #[test]
     fn root_swap_checks_declared_commit_extents() {
-        let c = cell();
-        c.note_write(512, 128, 1);
-        c.declare_commit(512, 128);
-        c.note_root_swap(512, 4096, 2);
-        let v = c.violations();
+        // The extent is the swap's receipt: every line of it is checked
+        // at the flip, not just the line at the pointer.
+        let p = crate::PMemBuilder::new()
+            .len(4096)
+            .line_size(64)
+            .psan(true)
+            .build_in_memory();
+        let cell = crate::RootCell::format(p.clone(), crate::POffset::new(64), 0, 0).unwrap();
+        let mut level = crate::Level::default();
+        level.forge(&p, crate::POffset::new(512), 128);
+        let receipt = level.await_all().unwrap();
+        p.write(crate::POffset::new(512), &[1; 128]).unwrap();
+        cell.swap(1, 512, 128, &receipt).unwrap();
+        let v = p.psan_violations();
         assert_eq!(v.len(), 2, "both dirty lines of the extent flagged");
         assert!(v
             .iter()
             .all(|x| x.kind == PsanViolationKind::UnorderedCommit));
-        // The declaration is consumed: a later swap re-checks nothing.
-        let before = c.violations().len();
-        c.note_root_swap(512, 4096, 3);
-        // Fallback checks the pointer's line, still dirty -> deduped.
-        assert_eq!(c.violations().len(), before);
-    }
-
-    #[test]
-    fn root_swap_without_declaration_falls_back_to_pointer_line() {
-        let c = cell();
-        c.note_write(512, 8, 1);
-        c.note_root_swap(512, 4096, 2);
-        assert_eq!(c.violations().len(), 1);
-        // Out-of-range pointers are ignored (not this region's swap).
-        let c = cell();
-        c.note_root_swap(1 << 40, 4096, 1);
-        assert!(c.violations().is_empty());
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! moment of a swap leaves the cell naming either the complete old root
 //! or the complete new root — never a mix. That is the whole crash
 //! contract a generational store needs: everything reachable from the
-//! new root must be durable before `swap` is called, and recovery reads
-//! whichever root won.
+//! new root must be durable before `swap` is called — `swap` takes its
+//! [`Durable`] receipt — and recovery reads whichever root won.
 
-use crate::{MemError, PMem, POffset};
+use crate::{Durable, MemError, PMem, POffset};
 
 const ROOTSWAP_MAGIC: u64 = 0x5053_524F_4F54_5357; // "PSROOTSW"
 
@@ -51,14 +51,17 @@ pub const ROOT_CELL_LEN: u64 = 64;
 ///
 /// # fn main() -> Result<(), pstack_nvram::MemError> {
 /// let pmem = PMemBuilder::new().len(4096).build_in_memory();
-/// let cell = RootCell::format(pmem.clone(), POffset::new(128), 0, 0x1000)?;
-/// assert_eq!(cell.current()?, (0, 0x1000));
-/// cell.swap(1, 0x2000)?;
-/// assert_eq!(cell.current()?, (1, 0x2000));
+/// let cell = RootCell::format(pmem.clone(), POffset::new(128), 0, 0x400)?;
+/// assert_eq!(cell.current()?, (0, 0x400));
+/// // The new block, durable before the root names it.
+/// pmem.write(POffset::new(0x800), &[7; 64])?;
+/// let block = pmem.flush(POffset::new(0x800), 64)?;
+/// cell.swap(1, 0x800, 64, &block)?;
+/// assert_eq!(cell.current()?, (1, 0x800));
 /// // The committed root survives a crash.
 /// pmem.crash_now(7, 0.0);
 /// let cell = RootCell::open(pmem.reopen()?, POffset::new(128))?;
-/// assert_eq!(cell.current()?, (1, 0x2000));
+/// assert_eq!(cell.current()?, (1, 0x800));
 /// # Ok(())
 /// # }
 /// ```
@@ -139,23 +142,26 @@ impl RootCell {
     /// the commit point — a crash anywhere in this method leaves the
     /// cell naming either the old root or the new one, complete.
     ///
-    /// The caller must have made everything reachable from `ptr`
-    /// durable *before* calling; the cell orders only its own writes.
+    /// `block` is the receipt for `[ptr, ptr + len)`, the whole block
+    /// the new root makes reachable: it was durable before the call,
+    /// and the cell orders only its own writes. The receipt is checked
+    /// ([`Durable::check`]) and, under PSan, every line of the block is
+    /// checked at the flip.
     ///
     /// # Errors
     ///
     /// A propagated crash (re-read [`RootCell::current`] after restart
     /// to learn which root won), or other NVRAM errors.
-    pub fn swap(&self, seq: u64, ptr: u64) -> Result<(), MemError> {
+    pub fn swap(&self, seq: u64, ptr: u64, len: usize, block: &Durable) -> Result<(), MemError> {
+        block.check(&self.pmem, POffset::new(ptr), len);
         let next = 1 - self.selector()?;
         let slot = self.slot_off(next);
         self.pmem.write_u64(slot, seq)?;
         self.pmem.write_u64(slot + 8u64, ptr)?;
         self.pmem.flush(slot, SLOT_STRIDE as usize)?;
-        // The selector flip below is the commit point: under PSan,
-        // everything the caller declared reachable from the new root
-        // (or, undeclared, the line at `ptr`) must be durable *now*.
-        self.pmem.psan_note_root_swap(ptr);
+        // The selector flip below is the commit point: under PSan, the
+        // block the new root names must be durable *now*.
+        self.pmem.psan_check_durable(POffset::new(ptr), len);
         self.pmem.write_u64(self.base + OFF_SELECTOR, next)?;
         self.pmem.flush(self.base + OFF_SELECTOR, 8)?;
         Ok(())
@@ -166,6 +172,12 @@ impl RootCell {
 mod tests {
     use super::*;
     use crate::{FailPlan, PMemBuilder};
+
+    /// Writes and flushes the block a test swap publishes.
+    fn block(p: &PMem, ptr: u64) -> Durable {
+        p.write(POffset::new(ptr), &[7; 64]).unwrap();
+        p.flush(POffset::new(ptr), 64).unwrap()
+    }
 
     fn buffered() -> PMem {
         // PSan shadows every rootswap test: the cell's own protocol
@@ -182,11 +194,11 @@ mod tests {
         let p = buffered();
         let cell = RootCell::format(p.clone(), POffset::new(64), 3, 300).unwrap();
         assert_eq!(cell.current().unwrap(), (3, 300));
-        cell.swap(4, 400).unwrap();
-        cell.swap(5, 500).unwrap();
-        assert_eq!(cell.current().unwrap(), (5, 500));
+        cell.swap(4, 1024, 64, &block(&p, 1024)).unwrap();
+        cell.swap(5, 2048, 64, &block(&p, 2048)).unwrap();
+        assert_eq!(cell.current().unwrap(), (5, 2048));
         let cell2 = RootCell::open(p, POffset::new(64)).unwrap();
-        assert_eq!(cell2.current().unwrap(), (5, 500));
+        assert_eq!(cell2.current().unwrap(), (5, 2048));
         assert_eq!(cell2.base(), POffset::new(64));
     }
 
@@ -210,21 +222,23 @@ mod tests {
             (p, cell)
         };
         let (p, cell) = probe();
+        let new = block(&p, 1024);
         let e0 = p.events();
-        cell.swap(8, 800).unwrap();
+        cell.swap(8, 1024, 64, &new).unwrap();
         let total = p.events() - e0;
         assert!(total >= 3, "slot writes + slot persist + selector persist");
 
         for k in 0..total {
             let (p, cell) = probe();
+            let new = block(&p, 1024);
             p.arm_failpoint(FailPlan::after_events(k));
-            let err = cell.swap(8, 800).unwrap_err();
+            let err = cell.swap(8, 1024, 64, &new).unwrap_err();
             assert!(matches!(err, MemError::Crashed), "crash at event {k}");
             let p2 = p.reopen().unwrap();
             let cell2 = RootCell::open(p2.clone(), POffset::new(64)).unwrap();
             let got = cell2.current().unwrap();
             assert!(
-                got == (7, 700) || got == (8, 800),
+                got == (7, 700) || got == (8, 1024),
                 "crash at event {k}: torn root {got:?}"
             );
             assert!(
@@ -238,11 +252,11 @@ mod tests {
     fn psan_catches_a_swap_over_a_dirty_commit_extent() {
         let p = buffered();
         let cell = RootCell::format(p.clone(), POffset::new(64), 0, 0).unwrap();
-        // New-generation block written but never flushed...
+        // New-generation block flushed, then written again...
+        let receipt = p.flush(POffset::new(1024), 128).unwrap();
         p.write(POffset::new(1024), &[7u8; 128]).unwrap();
-        p.psan_declare_commit(POffset::new(1024), 128);
-        // ...and committed anyway: the sanitizer must object.
-        cell.swap(1, 1024).unwrap();
+        // ...and committed on the stale receipt: the sanitizer objects.
+        cell.swap(1, 1024, 128, &receipt).unwrap();
         let v = p.psan_violations();
         assert!(
             v.iter().any(
@@ -255,9 +269,8 @@ mod tests {
         let p = buffered();
         let cell = RootCell::format(p.clone(), POffset::new(64), 0, 0).unwrap();
         p.write(POffset::new(1024), &[7u8; 128]).unwrap();
-        p.flush(POffset::new(1024), 128).unwrap();
-        p.psan_declare_commit(POffset::new(1024), 128);
-        cell.swap(1, 1024).unwrap();
+        let receipt = p.flush(POffset::new(1024), 128).unwrap();
+        cell.swap(1, 1024, 128, &receipt).unwrap();
         assert!(p.psan_violations().is_empty());
     }
 
@@ -276,7 +289,8 @@ mod tests {
         for s in 0..3u64 {
             let cell = stripe.root_cell(s as usize, POffset::new(64)).unwrap();
             assert_eq!(cell.current().unwrap(), (s, 100 * s));
-            cell.swap(s + 1, 100 * s + 1).unwrap();
+            let new = block(stripe.region(s as usize), 1024 + 64 * s);
+            cell.swap(s + 1, 1024 + 64 * s, 64, &new).unwrap();
         }
         assert_eq!(
             stripe
@@ -284,7 +298,7 @@ mod tests {
                 .unwrap()
                 .current()
                 .unwrap(),
-            (2, 101)
+            (2, 1088)
         );
     }
 }

@@ -329,7 +329,8 @@ impl ServerCore {
     /// [`ServerCore::ack`] confirmed so far is durable.
     fn await_acks(&self) -> Result<(), PError> {
         let acks = std::mem::take(&mut *self.acks.lock().expect("ack level poisoned"));
-        Ok(acks.await_all()?)
+        acks.await_all()?;
+        Ok(())
     }
 
     /// Admitted requests still waiting for a window.

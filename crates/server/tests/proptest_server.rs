@@ -561,8 +561,11 @@ proptest! {
                             executed.insert((client, seq)),
                             "({client}, {seq}) executed twice"
                         );
+                        // A get commits nothing: its heads level is empty.
+                        let heads = Level::default().await_all().unwrap();
                         let mut answers = Level::default();
-                        table.answer(&[(slot, 0, KvTaskResult::Got(None))], &mut answers).unwrap();
+                        let entry = [(slot, 0, KvTaskResult::Got(None))];
+                        table.answer(&entry, &heads, &mut answers).unwrap();
                         answers.await_all().unwrap();
                         unacked[c].push_back(seq);
                         next_seq[c] += 1;
