@@ -24,8 +24,8 @@ use pstack_heap::PHeap;
 use pstack_kv::KvVariant;
 use pstack_nvram::{PMem, PMemBuilder, PMemStripe, POffset};
 use pstack_recoverable::{
-    CasTaskFunction, CasVariant, QueueOpTable, QueueVariant, RecoverableCas, RecoverableQueue,
-    TaskTable, CAS_TASK_FUNC_ID, QUEUE_TASK_FUNC_ID,
+    CasTaskFunction, CasVariant, QueueVariant, RecoverableCas, RecoverableQueue, TaskAnswer,
+    TaskOp, TaskResult, TaskTable, CAS_TASK_FUNC_ID, QUEUE_TASK_FUNC_ID,
 };
 use pstack_verify::{
     check_serializability, replay_witness, CasHistory, CasOp, FifoVerdict, KvShardedHistory,
@@ -464,8 +464,10 @@ const OBJECT_HEAP_OFF: u64 = 128;
 /// A static row's object: what its descriptor tasks run against, and
 /// what a kill(1) image's header records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Object {
+pub enum Object {
+    /// The recoverable CAS register.
     Cas = 0,
+    /// The recoverable queue.
     Queue = 1,
 }
 
@@ -478,7 +480,7 @@ pub(crate) enum Objects {
     },
     Queue {
         queue: RecoverableQueue,
-        table: QueueOpTable,
+        table: TaskTable,
     },
 }
 
@@ -586,8 +588,11 @@ fn format_cas(
 ) -> Result<(), PError> {
     assert!(lo <= hi, "empty value range");
     let init: i64 = rng.random_range(lo..=hi);
-    let ops: Vec<(i64, i64)> = (0..cfg.n_ops)
-        .map(|_| (rng.random_range(lo..=hi), rng.random_range(lo..=hi)))
+    let ops: Vec<TaskOp> = (0..cfg.n_ops)
+        .map(|_| TaskOp::Cas {
+            old: rng.random_range(lo..=hi),
+            new: rng.random_range(lo..=hi),
+        })
         .collect();
     let cas = RecoverableCas::format(region.clone(), heap, cfg.workers, init, variant)?;
     let table = TaskTable::format(region.clone(), heap, &ops)?;
@@ -615,19 +620,15 @@ fn open_cas(region: &PMem) -> Result<(FunctionRegistry, Objects), PError> {
 }
 
 fn verify_cas(cas: &RecoverableCas, table: &TaskTable, init: i64) -> Result<Execution, PError> {
-    let mut ops = Vec::with_capacity(table.len());
-    for (i, result) in table.results()?.iter().enumerate() {
-        let (old, new) = table.op(i)?;
-        let success = result.ok_or_else(|| {
-            PError::Task(format!("descriptor {i} still pending; campaign incomplete"))
-        })?;
-        ops.push(CasOp {
-            pid: 0,
+    let ops = answered(table, |_, op, answer| match (op, answer.result) {
+        (TaskOp::Cas { old, new }, TaskResult::Swapped(success)) => Some(CasOp {
+            pid: answer.executor as usize,
             old,
             new,
             success,
-        });
-    }
+        }),
+        _ => None,
+    })?;
     let history = CasHistory::new(init, cas.read()?, ops);
     let verdict = check_serializability(&history);
     if let SerialVerdict::Serializable { order } = &verdict {
@@ -636,6 +637,34 @@ fn verify_cas(cas: &RecoverableCas, table: &TaskTable, init: i64) -> Result<Exec
         replay_witness(&history, order).expect("serializability witness must replay");
     }
     Ok(Execution::Cas { history, verdict })
+}
+
+/// Step 9's input: every descriptor of `table` with its answer, each
+/// mapped by `f` (handed the index, the op and the answer; `None` for an
+/// op the workload does not run).
+///
+/// # Errors
+///
+/// [`PError::Task`] if a descriptor is still pending or `f` refuses one.
+pub(crate) fn answered<T>(
+    table: &TaskTable,
+    mut f: impl FnMut(usize, TaskOp, TaskAnswer) -> Option<T>,
+) -> Result<Vec<T>, PError> {
+    (0..table.len())
+        .map(|idx| {
+            let answer = table.result(idx)?.ok_or_else(|| {
+                PError::Task(format!(
+                    "descriptor {idx} still pending; campaign incomplete"
+                ))
+            })?;
+            let op = table.op(idx)?;
+            f(idx, op, answer).ok_or_else(|| {
+                PError::Task(format!(
+                    "descriptor {idx}: {op:?} is not this workload's op"
+                ))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -39,10 +39,9 @@ use pstack_kv::ShardedKvStore;
 use pstack_nvram::{MemError, PMem, PMemBuilder, PMemStripe};
 
 use crate::campaign::{stripe_file, CampaignConfig, Object, Objects, OBJECT_REGION_LEN};
-use crate::cycle::{self, Cx, Machine, Policy, Striped, Tally, ROOT_OFF};
+use crate::cycle::{self, Cx, Machine, Policy, Striped, Tally};
+use crate::header::KillHeader;
 
-/// Magic word opening the image header.
-const MAGIC: u64 = 0x4B49_4C4C_524F_4F54; // "KILLROOT"
 /// Per-line persist latency every child runs under, emulating the
 /// paper's slow HDD persists. A child's run then spans enough wall-clock
 /// time that the driver's kill, placed by the child's event reports,
@@ -51,10 +50,10 @@ const PERSIST_DELAY: Duration = Duration::from_micros(150);
 /// How often a child reports its persistence events.
 const REPORT_EVERY: Duration = Duration::from_micros(50);
 
-/// Runs a formatted CAS or queue row under kill(1): writes the image
-/// header (`[magic, workload tag, stripe files, region length]`) into
-/// the control region, then runs §5.2's loop with children as the
-/// machine. Returns the quiescent image's objects for step 9.
+/// Runs a formatted CAS or queue row under kill(1): writes the image's
+/// [`KillHeader`] into the control region, then runs §5.2's loop with
+/// children as the machine. Returns the quiescent image's objects for
+/// step 9.
 pub(crate) fn drive(
     formatted: &Striped,
     mut object: Object,
@@ -66,7 +65,7 @@ pub(crate) fn drive(
         .image
         .as_deref()
         .ok_or_else(|| PError::InvalidConfig("a kill(1) row needs an image".into()))?;
-    write_header(&formatted.control, object, formatted.stripe.len())?;
+    header(object, formatted.stripe.len()).write(&formatted.control)?;
     let mut machine = Processes {
         exe,
         image,
@@ -76,14 +75,13 @@ pub(crate) fn drive(
     cycle::cycle(&mut machine, &mut object, cx)
 }
 
-fn write_header(control: &PMem, object: Object, stripe_files: usize) -> Result<(), PError> {
-    let header = [
-        MAGIC,
-        object as u64,
-        stripe_files as u64,
-        OBJECT_REGION_LEN as u64,
-    ];
-    cycle::write_root(control, ROOT_OFF, &header)
+/// The header of an image holding `object` in `stripe_files` regions.
+fn header(object: Object, stripe_files: usize) -> KillHeader {
+    KillHeader {
+        object,
+        stripe_files,
+        region_len: OBJECT_REGION_LEN as u64,
+    }
 }
 
 /// Opens a formatted image: its control region, its stripe and the
@@ -99,19 +97,16 @@ fn write_header(control: &PMem, object: Object, stripe_files: usize) -> Result<(
 fn open_image(image: &Path, persist_delay: Duration) -> Result<(PMem, PMemStripe, Object), PError> {
     let builder = PMemBuilder::new().persist_delay(persist_delay);
     let control = open_file(builder.clone(), image, 1)?;
-    let header = |i| cycle::read_root(&control, ROOT_OFF, i);
-    if header(0)? != MAGIC {
-        return Err(PError::CorruptStack(format!(
+    let KillHeader {
+        object,
+        stripe_files: files,
+        region_len: len,
+    } = KillHeader::read(&control)?.ok_or_else(|| {
+        PError::CorruptStack(format!(
             "image {} has no kill-harness header",
             image.display()
-        )));
-    }
-    let object = match header(1)? {
-        0 => Object::Cas,
-        1 => Object::Queue,
-        tag => return Err(PError::InvalidConfig(format!("unknown workload tag {tag}"))),
-    };
-    let (files, len) = (header(2)? as usize, header(3)?);
+        ))
+    })?;
     if files == 0 || stripe_file(image, files).exists() {
         return Err(PError::InvalidConfig(format!(
             "image {}: its stripe files disagree with the header's count {files}",
@@ -337,7 +332,7 @@ mod tests {
         let (control, stripe) = cfg.regions(1, OBJECT_REGION_LEN).unwrap();
         let object = Object::format(cfg, stripe.region(0), &mut rng).unwrap();
         let machine = Striped::format(control, stripe, cfg.workers, cfg.stack_kind).unwrap();
-        write_header(&machine.control, object, 1).unwrap();
+        header(object, 1).write(&machine.control).unwrap();
         object
     }
 
@@ -417,12 +412,7 @@ mod tests {
             .len(cycle::CONTROL_REGION_LEN)
             .build_file(&image)
             .unwrap();
-        cycle::write_root(&control, ROOT_OFF + 16, &[2]).unwrap();
-        rejects(invalid);
-
-        // An unknown workload tag.
-        cycle::write_root(&control, ROOT_OFF + 8, &[7]).unwrap();
-        cycle::write_root(&control, ROOT_OFF + 16, &[1]).unwrap();
+        header(Object::Cas, 2).write(&control).unwrap();
         rejects(invalid);
         remove(&image);
     }

@@ -50,6 +50,7 @@ mod campaign;
 mod compaction_campaign;
 mod crashpoints;
 mod cycle;
+mod header;
 // The real-kill(1) policy spawns and SIGKILLs OS processes: unix-only
 // and inherently nondeterministic, so it is opt-in via the
 // `kill-harness` feature. Default builds and `cargo test -q` stay
@@ -61,9 +62,12 @@ mod queue_campaign;
 mod server_campaign;
 mod sharded_kv_campaign;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Execution, Kill, Workload};
+pub use campaign::{
+    run_campaign, CampaignConfig, CampaignReport, Execution, Kill, Object, Workload,
+};
 pub use crashpoints::{enumerate_crash_points, CrashScenario, EnumerationReport};
 pub use cycle::Tally;
+pub use header::KillHeader;
 #[cfg(all(unix, feature = "kill-harness"))]
 pub use killharness::{child_recover, child_run};
 pub use kv_campaign::{KvWorkload, ShardLogUsage};

@@ -2,9 +2,9 @@
 //! to the recoverable queue — the paper's future-work direction 1
 //! ("implement and test other NVRAM algorithms") executed end to end —
 //! as a [`Workload::Queue`](crate::Workload::Queue) row. The CAS register
-//! is replaced by a [`RecoverableQueue`], the descriptor table by a
-//! [`QueueOpTable`], and the §5.1 Eulerian-path check by
-//! [`pstack_verify::check_fifo`]'s slot-witness check.
+//! is replaced by a [`RecoverableQueue`] (the descriptor table stays the
+//! one [`TaskTable`], holding queue ops), and the §5.1 Eulerian-path
+//! check by [`pstack_verify::check_fifo`]'s slot-witness check.
 
 use std::collections::HashMap;
 
@@ -15,12 +15,12 @@ use pstack_core::{FunctionRegistry, PError};
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, POffset};
 use pstack_recoverable::{
-    QueueOpTable, QueueTaskFunction, QueueTaskOp, QueueTaskResult, QueueVariant, RecoverableQueue,
+    QueueTaskFunction, QueueVariant, RecoverableQueue, TaskOp, TaskResult, TaskTable,
     QUEUE_TASK_FUNC_ID,
 };
 use pstack_verify::{check_fifo, QueueAnswer, QueueHistory, QueueOp, QueueOpKind, SlotWitness};
 
-use crate::campaign::{Execution, Objects};
+use crate::campaign::{answered, Execution, Objects};
 use crate::cycle::{self, ROOT_OFF};
 
 /// Inclusive range enqueue values are drawn from.
@@ -41,19 +41,19 @@ pub(crate) fn format(
     variant: QueueVariant,
 ) -> Result<(), PError> {
     let (lo, hi) = VALUE_RANGE;
-    let ops: Vec<QueueTaskOp> = (0..n_ops)
+    let ops: Vec<TaskOp> = (0..n_ops)
         .map(|_| {
             if rng.random_bool(ENQUEUE_BIAS) {
-                QueueTaskOp::Enqueue(rng.random_range(lo..=hi))
+                TaskOp::Enqueue(rng.random_range(lo..=hi))
             } else {
-                QueueTaskOp::Dequeue
+                TaskOp::Dequeue
             }
         })
         .collect();
-    let enqueues = ops.iter().filter(|o| matches!(o, QueueTaskOp::Enqueue(_)));
+    let enqueues = ops.iter().filter(|o| matches!(o, TaskOp::Enqueue(_)));
     let capacity = enqueues.count().max(1) as u64;
     let queue = RecoverableQueue::format(region.clone(), heap, capacity, variant)?;
-    let table = QueueOpTable::format(region.clone(), heap, &ops)?;
+    let table = TaskTable::format(region.clone(), heap, &ops)?;
     let root = [
         queue.base().get(),
         table.base().get(),
@@ -68,7 +68,7 @@ pub(crate) fn open(region: &PMem) -> Result<(FunctionRegistry, Objects), PError>
     let root = |i| cycle::read_root(region, ROOT_OFF, i);
     let variant = QueueVariant::from_u8(root(2)? as u8)?;
     let queue = RecoverableQueue::open(region.clone(), POffset::new(root(0)?), variant)?;
-    let table = QueueOpTable::open(region.clone(), POffset::new(root(1)?))?;
+    let table = TaskTable::open(region.clone(), POffset::new(root(1)?))?;
     let mut registry = FunctionRegistry::new();
     let func = QueueTaskFunction::new(queue.clone(), table.clone());
     registry.register(QUEUE_TASK_FUNC_ID, func.into_arc())?;
@@ -89,7 +89,7 @@ pub(crate) fn open(region: &PMem) -> Result<(FunctionRegistry, Objects), PError>
 /// # Errors
 ///
 /// [`PError::Task`] if a descriptor is still pending.
-pub(crate) fn verify(queue: &RecoverableQueue, table: &QueueOpTable) -> Result<Execution, PError> {
+pub(crate) fn verify(queue: &RecoverableQueue, table: &TaskTable) -> Result<Execution, PError> {
     let snapshot: Vec<SlotWitness> = queue
         .snapshot()?
         .into_iter()
@@ -110,34 +110,24 @@ pub(crate) fn verify(queue: &RecoverableQueue, table: &QueueOpTable) -> Result<E
         .filter_map(|(i, s)| s.dequeued_by.map(|tag| (tag, i)))
         .collect();
 
-    let mut ops = Vec::with_capacity(table.len());
-    for idx in 0..table.len() {
-        let answer = table.result(idx)?.ok_or_else(|| {
-            PError::Task(format!(
-                "descriptor {idx} still pending; campaign incomplete"
-            ))
-        })?;
-        let (kind, value, ans) = match (table.op(idx)?, answer.result) {
-            (QueueTaskOp::Enqueue(v), QueueTaskResult::Accepted(ok)) => {
+    let mut ops = answered(table, |idx, op, answer| {
+        let (kind, value, ans) = match (op, answer.result) {
+            (TaskOp::Enqueue(v), TaskResult::Accepted(ok)) => {
                 (QueueOpKind::Enqueue, v, QueueAnswer::Accepted(ok))
             }
-            (QueueTaskOp::Dequeue, QueueTaskResult::Dequeued(v)) => {
+            (TaskOp::Dequeue, TaskResult::Dequeued(v)) => {
                 (QueueOpKind::Dequeue, 0, QueueAnswer::Dequeued(v))
             }
-            (op, res) => {
-                return Err(PError::Task(format!(
-                    "descriptor {idx}: answer {res:?} does not match op {op:?}"
-                )))
-            }
+            _ => return None,
         };
-        ops.push(QueueOp {
+        Some(QueueOp {
             pid: u64::from(answer.executor),
             seq: idx as u64 + 1,
             kind,
             value,
             answer: ans,
-        });
-    }
+        })
+    })?;
     // Witness order within each process (see above).
     ops.sort_by_key(|op| {
         let pos = match op.kind {

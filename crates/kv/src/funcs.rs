@@ -1,7 +1,6 @@
 //! KV workload descriptors and the recoverable functions gluing the
 //! store to the persistent-stack runtime — the KV analogue of the §5.2
-//! CAS machinery (`TaskTable` + `CasTaskFunction`) and of the queue's
-//! `QueueOpTable` + `QueueTaskFunction`.
+//! machinery (`TaskTable` + `CasTaskFunction` / `QueueTaskFunction`).
 //!
 //! There is **one** executor of KV descriptors, [`KvServeFunction`]:
 //! a batch window over slots of any number of shards'

@@ -77,9 +77,9 @@
 //! `check_kv_sharded_gen`) and recovery a scan: an interrupted
 //! operation linearized iff some published record carries its
 //! `(pid, seq)` tag.
-//! [`KvVariant::NoScan`] removes that scan — the analogue of the paper
-//! removing the matrix `R` — and the verifier catches the resulting
-//! double applications.
+//! The `KvVariant::NoScan` seed (`test` and `fault-seeds` builds only)
+//! removes that scan — the analogue of the paper removing the matrix
+//! `R` — and the verifier catches the resulting double applications.
 //!
 //! The store runs on **buffered** regions — caches in front of NVRAM,
 //! as on real hardware — and orders its own persists through one

@@ -151,9 +151,11 @@ pub enum KvVariant {
     /// interrupted operation's tag before re-executing.
     #[default]
     Nsrl,
-    /// Injected bug mirroring §5.2's matrix removal: recovery skips the
-    /// evidence scan and always re-executes — operations that already
-    /// linearized are applied twice, which the KV verifier flags.
+    /// Injected bug mirroring §5.2's matrix removal, in `test` and
+    /// `fault-seeds` builds only: recovery skips the evidence scan and
+    /// always re-executes — operations that already linearized are
+    /// applied twice, which the KV verifier flags.
+    #[cfg(any(test, feature = "fault-seeds"))]
     NoScan,
     /// Injected persist-order bug, in `test` and `fault-seeds` builds
     /// only: a group commit (every mutation is one) issues no record
@@ -172,44 +174,16 @@ pub enum KvVariant {
 }
 
 impl KvVariant {
-    /// One-byte encoding for persistent configuration records.
-    #[must_use]
-    pub fn as_u8(self) -> u8 {
-        match self {
-            KvVariant::Nsrl => 0,
-            KvVariant::NoScan => 1,
-            #[cfg(any(test, feature = "fault-seeds"))]
-            KvVariant::EarlyPublish => 2,
-            #[cfg(any(test, feature = "fault-seeds"))]
-            KvVariant::NoPersistBeforeSwap => 3,
-        }
-    }
-
-    /// Decodes [`KvVariant::as_u8`].
-    ///
-    /// # Errors
-    ///
-    /// [`PError::InvalidConfig`] for unknown encodings.
-    pub fn from_u8(v: u8) -> Result<Self, PError> {
-        match v {
-            0 => Ok(KvVariant::Nsrl),
-            1 => Ok(KvVariant::NoScan),
-            #[cfg(any(test, feature = "fault-seeds"))]
-            2 => Ok(KvVariant::EarlyPublish),
-            #[cfg(any(test, feature = "fault-seeds"))]
-            3 => Ok(KvVariant::NoPersistBeforeSwap),
-            other => Err(PError::InvalidConfig(format!(
-                "unknown KV variant encoding {other}"
-            ))),
-        }
-    }
-
     /// `true` when recovery runs the evidence scan before re-executing.
-    /// Only [`KvVariant::NoScan`] skips it; the persist-order seeds
-    /// break durability ordering, not recovery.
+    /// Only the `NoScan` seed skips it; the persist-order seeds break
+    /// durability ordering, not recovery.
     #[must_use]
     pub fn scans_evidence(self) -> bool {
-        self != KvVariant::NoScan
+        #[cfg(any(test, feature = "fault-seeds"))]
+        if self == KvVariant::NoScan {
+            return false;
+        }
+        true
     }
 }
 
@@ -1224,9 +1198,10 @@ impl PKvStore {
     /// persisted is indistinguishable from the op not having run (the
     /// recoverable queue's argument for empty dequeues).
     ///
-    /// Under [`KvVariant::NoScan`] the scans are skipped and every op
-    /// re-executes — the injected §5.2-style bug, preserved here so
-    /// batched recovery stays subject to the same negative control.
+    /// Under the `NoScan` seed (`test` and `fault-seeds` builds) the
+    /// scans are skipped and every op re-executes — the injected
+    /// §5.2-style bug, preserved here so batched recovery stays subject
+    /// to the same negative control.
     ///
     /// # Errors
     ///
@@ -2881,23 +2856,6 @@ mod tests {
     fn chain_bounds_are_enforced() {
         let (_, _, kv) = fixture(2, 8);
         let _ = kv.chain(2);
-    }
-
-    #[test]
-    fn variant_codec_round_trips() {
-        for v in [
-            KvVariant::Nsrl,
-            KvVariant::NoScan,
-            KvVariant::EarlyPublish,
-            KvVariant::NoPersistBeforeSwap,
-        ] {
-            assert_eq!(KvVariant::from_u8(v.as_u8()).unwrap(), v);
-        }
-        assert!(KvVariant::from_u8(9).is_err());
-        assert!(KvVariant::Nsrl.scans_evidence());
-        assert!(!KvVariant::NoScan.scans_evidence());
-        assert!(KvVariant::EarlyPublish.scans_evidence());
-        assert!(KvVariant::NoPersistBeforeSwap.scans_evidence());
     }
 
     // ---- compaction: the generational log ------------------------------

@@ -1412,14 +1412,6 @@ impl PMem {
         }
     }
 
-    /// Waives ghost-read reports for `[start, start+len)` — for fields
-    /// recovery deliberately reads optimistically.
-    pub fn psan_waive(&self, start: POffset, len: usize, _reason: &str) {
-        if let Some(psan) = &self.inner.psan {
-            psan.waive(start.get(), len as u64);
-        }
-    }
-
     /// All violations recorded so far (across reopen boots).
     #[must_use]
     pub fn psan_violations(&self) -> Vec<PsanViolation> {
@@ -1938,14 +1930,6 @@ mod tests {
         assert_eq!(v[0].kind, crate::psan::PsanViolationKind::GhostRead);
         assert_eq!(v[0].region, "ghost-demo");
         assert_eq!(v[0].offset, 128);
-        // A waived range is not flagged again (fresh region).
-        let p = psan_region();
-        p.write_u64(POffset::new(128), 42).unwrap();
-        p.crash_now(0, 1.0);
-        let p = p.reopen().unwrap();
-        p.psan_waive(POffset::new(128), 8, "test: optimistic field");
-        assert_eq!(p.read_u64(POffset::new(128)).unwrap(), 42);
-        assert!(p.psan_violations().is_empty());
     }
 
     #[test]

@@ -288,7 +288,6 @@ struct ShadowInner {
     /// against an un-awaited ticket stays an attributable early-publish.
     ticket_pending: HashMap<u64, Vec<usize>>,
     publish: Vec<PublishRange>,
-    waivers: Vec<(u64, u64)>,
     violations: Vec<PsanViolation>,
     reported: HashSet<(u8, usize)>,
 }
@@ -340,10 +339,6 @@ impl ShadowInner {
             }
         }
     }
-
-    fn waived(&self, addr: u64) -> bool {
-        self.waivers.iter().any(|&(s, l)| addr >= s && addr < s + l)
-    }
 }
 
 /// Per-region shadow memory; owned by `Inner` behind an `Arc` so it
@@ -364,7 +359,6 @@ impl PsanCell {
                 ghosts: HashMap::new(),
                 ticket_pending: HashMap::new(),
                 publish: Vec::new(),
-                waivers: Vec::new(),
                 violations: Vec::new(),
                 reported: HashSet::new(),
             }),
@@ -551,19 +545,10 @@ impl PsanCell {
             let line_start = li * ls;
             let from = (start as usize).max(line_start) - line_start;
             let to = ((start as usize + len).min(line_start + ls)) - line_start;
-            let bad = (from..to).find(|&b| {
-                g.mask[b / 64] & (1 << (b % 64)) != 0 && !inner.waived((line_start + b) as u64)
-            });
-            if bad.is_some() {
+            if (from..to).any(|b| g.mask[b / 64] & (1 << (b % 64)) != 0) {
                 inner.violate(PsanViolationKind::GhostRead, li, events);
             }
         }
-    }
-
-    /// Waives ghost-read reports for `[start, start+len)` — the escape
-    /// hatch for fields recovery deliberately reads optimistically.
-    pub(crate) fn waive(&self, start: u64, len: u64) {
-        self.inner.lock().waivers.push((start, len));
     }
 
     pub(crate) fn violations(&self) -> Vec<PsanViolation> {
@@ -713,16 +698,6 @@ mod tests {
         c.note_write(64, 8, 3); // this boot rewrites the bytes
         assert!(!c.has_ghost(64));
         c.note_read(64, 8, 4);
-        assert!(c.violations().is_empty());
-    }
-
-    #[test]
-    fn waiver_suppresses_ghost_reads() {
-        let c = cell();
-        c.note_write(64, 8, 1);
-        c.note_crash(&[(1, true)], 2);
-        c.waive(64, 8);
-        c.note_read(64, 8, 3);
         assert!(c.violations().is_empty());
     }
 

@@ -1,10 +1,11 @@
 //! Recoverable functions gluing the NSRL primitives to the persistent
-//! stack: the §5.2 CAS task and a counter task.
+//! stack: the §5.2 CAS task, the queue task's shared skeleton, and a
+//! counter task.
 //!
 //! Each worker executes descriptors by index: the function id plus the
 //! 8-byte index form the persistent frame, so after a crash the
 //! recovery thread knows exactly which descriptor was in flight and
-//! calls the CAS *recovery* procedure for it.
+//! calls the object's *recovery* procedure for it.
 
 use std::sync::Arc;
 
@@ -12,7 +13,7 @@ use pstack_core::{PContext, PError, RecoverableFunction, RetBytes};
 
 use crate::cas::RecoverableCas;
 use crate::counter::RecoverableCounter;
-use crate::tasks::TaskTable;
+use crate::tasks::{TaskOp, TaskResult, TaskTable};
 
 /// Function id under which [`CasTaskFunction`] is registered.
 pub const CAS_TASK_FUNC_ID: u64 = 0x0CA5;
@@ -28,10 +29,48 @@ fn parse_index(args: &[u8]) -> Result<usize, PError> {
     Ok(u64::from_le_bytes(bytes) as usize)
 }
 
-fn encode_answer(ok: bool) -> Option<RetBytes> {
+/// One 8-byte return: byte 0 is the answer's flag (swapped, accepted, or
+/// a value dequeued), bytes 1..8 the low 7 bytes of a dequeued value.
+/// The authoritative answer is the table's.
+fn encode_answer(result: TaskResult) -> Option<RetBytes> {
     let mut b = [0u8; 8];
-    b[0] = u8::from(ok);
+    match result {
+        TaskResult::Swapped(ok) | TaskResult::Accepted(ok) => b[0] = u8::from(ok),
+        TaskResult::Dequeued(got) => {
+            b[0] = u8::from(got.is_some());
+            b[1..].copy_from_slice(&got.unwrap_or(0).to_le_bytes()[..7]);
+        }
+    }
     Some(b)
+}
+
+/// The §5.2 task every descriptor function runs, as `call` and as
+/// `recover`: parse the descriptor index; replay its answer if one is
+/// durable (a completion that raced a crash with the queue refill gets
+/// its descriptor re-enqueued); else run `op` — the function's own
+/// object call, handed the descriptor and its `(worker pid, index + 1)`
+/// tag — persist the answer with [`TaskTable::mark_done`] and return it.
+pub(crate) fn run_task(
+    table: &TaskTable,
+    ctx: &PContext<'_>,
+    args: &[u8],
+    op: impl FnOnce(TaskOp, usize, u64) -> Result<TaskResult, PError>,
+) -> Result<Option<RetBytes>, PError> {
+    let idx = parse_index(args)?;
+    let result = match table.result(idx)? {
+        Some(answer) => answer.result,
+        None => {
+            let result = op(table.op(idx)?, ctx.pid, idx as u64 + 1)?;
+            table.mark_done(idx, ctx.pid as u32, result)?;
+            result
+        }
+    };
+    Ok(encode_answer(result))
+}
+
+/// The error for a descriptor whose operation is not the function's.
+pub(crate) fn foreign_op(func: &str, op: TaskOp) -> PError {
+    PError::Task(format!("{func} task given a {op:?} descriptor"))
 }
 
 /// Executes descriptor `idx` of a [`TaskTable`] against a
@@ -62,34 +101,33 @@ impl CasTaskFunction {
         Arc::new(self)
     }
 
-    fn seq_of(idx: usize) -> u64 {
-        idx as u64 + 1
+    fn run(
+        &self,
+        ctx: &PContext<'_>,
+        args: &[u8],
+        recovery: bool,
+    ) -> Result<Option<RetBytes>, PError> {
+        run_task(&self.table, ctx, args, |op, pid, seq| {
+            let TaskOp::Cas { old, new } = op else {
+                return Err(foreign_op("CAS", op));
+            };
+            let ok = if recovery {
+                self.cas.recover(pid, old, new, seq)?
+            } else {
+                self.cas.cas(pid, old, new, seq)?
+            };
+            Ok(TaskResult::Swapped(ok))
+        })
     }
 }
 
 impl RecoverableFunction for CasTaskFunction {
     fn call(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let idx = parse_index(args)?;
-        if let Some(answer) = self.table.result(idx)? {
-            // Re-enqueued after completion (e.g. the completion raced a
-            // crash with the queue refill): keep the original answer.
-            return Ok(encode_answer(answer));
-        }
-        let (old, new) = self.table.op(idx)?;
-        let ok = self.cas.cas(ctx.pid, old, new, Self::seq_of(idx))?;
-        self.table.mark_done(idx, ok)?;
-        Ok(encode_answer(ok))
+        self.run(ctx, args, false)
     }
 
     fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let idx = parse_index(args)?;
-        if let Some(answer) = self.table.result(idx)? {
-            return Ok(encode_answer(answer));
-        }
-        let (old, new) = self.table.op(idx)?;
-        let ok = self.cas.recover(ctx.pid, old, new, Self::seq_of(idx))?;
-        self.table.mark_done(idx, ok)?;
-        Ok(encode_answer(ok))
+        self.run(ctx, args, true)
     }
 }
 
@@ -143,6 +181,7 @@ mod tests {
 
     #[test]
     fn cas_tasks_run_on_the_runtime() {
+        let chain = [(0, 1), (1, 2), (2, 3)].map(|(old, new)| TaskOp::Cas { old, new });
         let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
         let mut registry = FunctionRegistry::new();
         let rt = Runtime::format(pmem.clone(), RuntimeConfig::new(2), &registry).unwrap();
@@ -150,7 +189,7 @@ mod tests {
         // A chain 0→1→2→3: all succeed when executed in order by one
         // worker each... but workers race, so use a single worker for
         // determinism here.
-        let table = TaskTable::format(pmem.clone(), rt.heap(), &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let table = TaskTable::format(pmem.clone(), rt.heap(), &chain).unwrap();
         registry
             .register(
                 CAS_TASK_FUNC_ID,
@@ -160,7 +199,7 @@ mod tests {
         let rt = Runtime::format(pmem.clone(), RuntimeConfig::new(1), &registry).unwrap();
         // Reformatting wiped the heap; recreate objects on the fresh heap.
         let cas = RecoverableCas::format(pmem.clone(), rt.heap(), 1, 0, CasVariant::Nsrl).unwrap();
-        let table = TaskTable::format(pmem.clone(), rt.heap(), &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let table = TaskTable::format(pmem.clone(), rt.heap(), &chain).unwrap();
         let mut registry = FunctionRegistry::new();
         registry
             .register(
@@ -172,10 +211,8 @@ mod tests {
         let report = rt.run_tasks((0..3).map(|i| Task::new(CAS_TASK_FUNC_ID, encode_idx(i))));
         assert_eq!(report.completed, 3);
         assert_eq!(cas.read().unwrap(), 3);
-        assert_eq!(
-            table.results().unwrap(),
-            vec![Some(true), Some(true), Some(true)]
-        );
+        let mut results = table.results().unwrap().into_iter();
+        assert!(results.all(|a| a.unwrap().result == TaskResult::Swapped(true)));
     }
 
     #[test]
@@ -183,7 +220,8 @@ mod tests {
         let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(4096), (1 << 18) - 4096).unwrap();
         let cas = RecoverableCas::format(pmem.clone(), &heap, 1, 0, CasVariant::Nsrl).unwrap();
-        let table = TaskTable::format(pmem.clone(), &heap, &[(0, 1)]).unwrap();
+        let table =
+            TaskTable::format(pmem.clone(), &heap, &[TaskOp::Cas { old: 0, new: 1 }]).unwrap();
         let f = CasTaskFunction::new(cas.clone(), table.clone());
 
         // Run once through the runtime-free path: fabricate a context.

@@ -14,11 +14,15 @@
 //!   primitives (the paper's future-work direction 1), including the
 //!   queue's own injected-bug variant ([`QueueVariant::NoScan`]) for
 //!   the §5.2-style negative control;
-//! * [`TaskTable`] — the persistent table of operation descriptors and
-//!   answers that lets the §5.2 experiment re-enqueue unfinished
-//!   operations after every restart;
-//! * [`CasTaskFunction`] / [`CounterTaskFunction`] — glue registering
-//!   these operations as recoverable functions on the persistent stack.
+//! * [`TaskTable`] — the one persistent table of operation descriptors
+//!   (CAS, enqueue, dequeue) and answers that lets the §5.2 experiment
+//!   re-enqueue unfinished operations after every restart; its
+//!   [`TaskTable::mark_done`] is the one answer point, a single
+//!   line-atomic persist for every answer;
+//! * [`CasTaskFunction`] / [`QueueTaskFunction`] /
+//!   [`CounterTaskFunction`] — glue registering these operations as
+//!   recoverable functions on the persistent stack; the first two share
+//!   one task skeleton and differ only in their object call.
 //!
 //! The CAS algorithm assumes NVRAM **without** a volatile cache (§5:
 //! "we should flush each written cache line immediately after the
@@ -57,10 +61,7 @@ pub use cell::{TaggedValue, INIT_PID, TAGGED_LEN};
 pub use counter::RecoverableCounter;
 pub use funcs::{CasTaskFunction, CounterTaskFunction, CAS_TASK_FUNC_ID, COUNTER_TASK_FUNC_ID};
 pub use queue::{QueueSlot, QueueVariant, RecoverableQueue, NO_DEQ};
-pub use queue_funcs::{
-    QueueOpTable, QueueTaskAnswer, QueueTaskFunction, QueueTaskOp, QueueTaskResult,
-    QUEUE_TASK_FUNC_ID,
-};
+pub use queue_funcs::{QueueTaskFunction, QUEUE_TASK_FUNC_ID};
 pub use register::RecoverableRegister;
 pub use tas::{RecoverableTas, NO_WINNER};
-pub use tasks::TaskTable;
+pub use tasks::{TaskAnswer, TaskOp, TaskResult, TaskTable};

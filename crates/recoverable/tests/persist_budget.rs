@@ -8,8 +8,8 @@
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, PMemBuilder, POffset};
 use pstack_recoverable::{
-    CasVariant, QueueOpTable, QueueTaskOp, QueueTaskResult, QueueVariant, RecoverableCas,
-    RecoverableCounter, RecoverableQueue, RecoverableTas, TaskTable,
+    CasVariant, QueueVariant, RecoverableCas, RecoverableCounter, RecoverableQueue, RecoverableTas,
+    TaskOp, TaskResult, TaskTable,
 };
 
 fn region() -> (PMem, PHeap) {
@@ -75,23 +75,22 @@ fn a_counter_increment_is_one_persist() {
 }
 
 #[test]
-fn mark_done_persists_each_answer_field() {
+fn mark_done_is_one_persist_for_every_answer() {
     let (pmem, heap) = region();
-    let t = TaskTable::format(pmem.clone(), &heap, &[(0, 1)]).unwrap();
-    costs(&pmem, 1, "task table", || t.mark_done(0, true).unwrap());
-    let ops = [
-        QueueTaskOp::Enqueue(1),
-        QueueTaskOp::Dequeue,
-        QueueTaskOp::Dequeue,
+    let cas = TaskOp::Cas { old: 0, new: 1 };
+    let answers = [
+        (cas, TaskResult::Swapped(true)),
+        (cas, TaskResult::Swapped(false)),
+        (TaskOp::Enqueue(1), TaskResult::Accepted(true)),
+        (TaskOp::Enqueue(2), TaskResult::Accepted(false)),
+        (TaskOp::Dequeue, TaskResult::Dequeued(Some(7))),
+        (TaskOp::Dequeue, TaskResult::Dequeued(None)),
     ];
-    let t = QueueOpTable::format(pmem.clone(), &heap, &ops).unwrap();
-    // Executor, result, then the done flag; a dequeued value adds one.
-    for (idx, result, persists) in [
-        (0, QueueTaskResult::Accepted(true), 3),
-        (1, QueueTaskResult::Dequeued(Some(7)), 4),
-        (2, QueueTaskResult::Dequeued(None), 3),
-    ] {
-        costs(&pmem, persists, &format!("{result:?}"), || {
+    let ops = answers.map(|(op, _)| op);
+    let t = TaskTable::format(pmem.clone(), &heap, &ops).unwrap();
+    // The answer, then the done flag, then one flush of the entry's line.
+    for (idx, (_, result)) in answers.into_iter().enumerate() {
+        costs(&pmem, 1, &format!("{result:?}"), || {
             t.mark_done(idx, 1, result).unwrap();
         });
     }

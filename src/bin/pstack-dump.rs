@@ -13,7 +13,7 @@
 //!   argument previews, return-slot states) — exactly what a recovery
 //!   boot would walk;
 //! * heap allocator statistics from a consistency-checked block walk;
-//! * the kill-harness root record, if the image carries one.
+//! * the kill(1) image header, if the image carries one.
 //!
 //! The inspector never writes to the image: it is safe to point at the
 //! artifact of a crashed (killed) run before deciding how to recover it.
@@ -21,15 +21,11 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use pstack::chaos::KillHeader;
 use pstack::core::stack::dump_stack;
 use pstack::core::{FunctionRegistry, Runtime};
 use pstack::heap::PHeap;
-use pstack::nvram::{PMemBuilder, POffset};
-use pstack::recoverable::{CasVariant, QueueVariant};
-
-/// Magic of the kill-harness root record (see `pstack-chaos`).
-const KILL_ROOT_MAGIC: u64 = 0x4B49_4C4C_524F_4F54;
-const KILL_ROOT_OFF: u64 = 64;
+use pstack::nvram::PMemBuilder;
 
 fn dump(path: &Path) -> Result<(), Box<dyn std::error::Error>> {
     let len = std::fs::metadata(path)?.len() as usize;
@@ -76,34 +72,11 @@ fn dump(path: &Path) -> Result<(), Box<dyn std::error::Error>> {
         Err(e) => println!("  consistency:   FAILED — {e}"),
     }
 
-    if pmem.read_u64(POffset::new(KILL_ROOT_OFF))? == KILL_ROOT_MAGIC {
-        let base = POffset::new(KILL_ROOT_OFF);
-        println!("\nkill-harness root record:");
-        println!("  object at:       {:#x}", pmem.read_u64(base + 8u64)?);
-        println!("  task table at:   {:#x}", pmem.read_u64(base + 16u64)?);
-        println!("  initial value:   {}", pmem.read_i64(base + 24u64)?);
-        println!("  processes:       {}", pmem.read_u32(base + 32u64)?);
-        let variant = pmem.read_u8(base + 36u64)?;
-        let workload = match pmem.read_u8(base + 37u64)? {
-            0 => format!(
-                "CAS ({})",
-                CasVariant::from_u8(variant)
-                    .map(|v| format!("{v:?}"))
-                    .unwrap_or_else(|_| "unknown variant".into())
-            ),
-            1 => format!(
-                "queue ({})",
-                QueueVariant::from_u8(variant)
-                    .map(|v| format!("{v:?}"))
-                    .unwrap_or_else(|_| "unknown variant".into())
-            ),
-            other => format!("unknown kind {other}"),
-        };
-        println!("  workload:        {workload}");
-        println!(
-            "  persist delay:   {} µs/line",
-            pmem.read_u32(base + 40u64)?
-        );
+    if let Some(header) = KillHeader::read(&pmem)? {
+        println!("\nkill(1) image header:");
+        println!("  workload:      {:?}", header.object);
+        println!("  stripe files:  {}", header.stripe_files);
+        println!("  region length: {} bytes", header.region_len);
     }
 
     Ok(())

@@ -1,11 +1,13 @@
 //! Integration test for the `pstack-dump` image inspector: build a
 //! file-backed system, leave an in-flight frame on a worker stack via a
 //! crash, and check the inspector renders it without touching the
-//! image.
+//! image; and check it names the workload a kill(1) image's header
+//! records.
 
 use std::path::PathBuf;
 use std::process::Command;
 
+use pstack::chaos::{KillHeader, Object};
 use pstack::core::{FunctionRegistry, Runtime, RuntimeConfig, Task};
 use pstack::nvram::{FailPlan, PMemBuilder};
 
@@ -93,4 +95,30 @@ fn dump_rejects_garbage_and_missing_files() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "usage error code");
+}
+
+#[test]
+fn dump_names_the_workload_of_a_kill_image() {
+    let image = tmp_image("kill");
+    let _ = std::fs::remove_file(&image);
+    {
+        let pmem = PMemBuilder::new().len(1 << 20).build_file(&image).unwrap();
+        let stub = FunctionRegistry::new();
+        Runtime::format(pmem.clone(), RuntimeConfig::new(1), &stub).unwrap();
+        let header = KillHeader {
+            object: Object::Queue,
+            stripe_files: 3,
+            region_len: 1 << 20,
+        };
+        header.write(&pmem).unwrap();
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_pstack-dump"))
+        .arg(&image)
+        .output()
+        .expect("inspector runs");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains("workload:      Queue"), "{text}");
+    assert!(text.contains("stripe files:  3"), "{text}");
+    let _ = std::fs::remove_file(&image);
 }

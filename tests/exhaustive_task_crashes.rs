@@ -1,8 +1,10 @@
 //! The strongest end-to-end guarantee in the suite: enumerate EVERY
 //! crash point across a complete runtime task — queue pop, return-slot
-//! clear, frame push, recoverable CAS, answer persist, return-slot
+//! clear, frame push, the object's operation, answer persist, return-slot
 //! write, frame pop — and prove that recovery always converges to the
-//! correct final state with exactly-once semantics.
+//! correct final state with exactly-once semantics. The task is a CAS,
+//! an enqueue, a dequeue that returns a value or a dequeue of an empty
+//! queue, each on every stack layout, all on the one descriptor table.
 
 use pstack::chaos::{enumerate_crash_points, CrashScenario};
 use pstack::core::{
@@ -10,32 +12,118 @@ use pstack::core::{
 };
 use pstack::nvram::{PMem, PMemBuilder, POffset};
 use pstack::recoverable::{
-    CasTaskFunction, CasVariant, RecoverableCas, TaskTable, CAS_TASK_FUNC_ID,
+    CasTaskFunction, CasVariant, QueueSlot, QueueTaskFunction, QueueVariant, RecoverableCas,
+    RecoverableQueue, TaskOp, TaskResult, TaskTable, CAS_TASK_FUNC_ID, QUEUE_TASK_FUNC_ID,
 };
 
 const INIT: i64 = 100;
 const NEW: i64 = 200;
+const VALUE: i64 = 7;
+
+/// A table's descriptors: all but the last complete before the crash
+/// points start, and the last is the task they cut, with the answer it
+/// must give.
+struct Case {
+    ops: &'static [TaskOp],
+    answer: TaskResult,
+}
+
+const CASES: [Case; 4] = [
+    Case {
+        ops: &[TaskOp::Cas {
+            old: INIT,
+            new: NEW,
+        }],
+        answer: TaskResult::Swapped(true),
+    },
+    Case {
+        ops: &[TaskOp::Enqueue(VALUE)],
+        answer: TaskResult::Accepted(true),
+    },
+    Case {
+        ops: &[TaskOp::Enqueue(VALUE), TaskOp::Dequeue],
+        answer: TaskResult::Dequeued(Some(VALUE)),
+    },
+    Case {
+        ops: &[TaskOp::Dequeue],
+        answer: TaskResult::Dequeued(None),
+    },
+];
+
+/// The register's value and the queue's slots.
+type State = (i64, Vec<QueueSlot>);
+
+struct Objects {
+    cas: RecoverableCas,
+    queue: RecoverableQueue,
+    table: TaskTable,
+}
+
+impl Objects {
+    fn state(&self) -> Result<State, PError> {
+        Ok((self.cas.read()?, self.queue.snapshot()?))
+    }
+
+    /// The task running descriptor `idx`.
+    fn task(&self, idx: usize) -> Result<Task, PError> {
+        let func = match self.table.op(idx)? {
+            TaskOp::Cas { .. } => CAS_TASK_FUNC_ID,
+            TaskOp::Enqueue(_) | TaskOp::Dequeue => QUEUE_TASK_FUNC_ID,
+        };
+        Ok(Task::new(func, (idx as u64).to_le_bytes().to_vec()))
+    }
+
+    fn last(&self) -> usize {
+        self.table.len() - 1
+    }
+}
 
 struct FullTaskScenario {
     kind: StackKind,
+    case: &'static Case,
+    /// The state before and after the last task, from a clean run.
+    before: State,
+    after: State,
 }
 
 struct System {
     pmem: PMem,
     runtime: Runtime,
+    objects: Objects,
 }
 
-fn build_registry(pmem: &PMem) -> Result<(FunctionRegistry, RecoverableCas, TaskTable), PError> {
-    let cas_base = POffset::new(pmem.read_u64(POffset::new(64))?);
-    let table_base = POffset::new(pmem.read_u64(POffset::new(72))?);
-    let cas = RecoverableCas::open(pmem.clone(), cas_base, 1, CasVariant::Nsrl);
-    let table = TaskTable::open(pmem.clone(), table_base)?;
+/// Both task functions on the one table, over the objects whose bases
+/// the region's user scratch records.
+fn attach(pmem: &PMem) -> Result<(FunctionRegistry, Objects), PError> {
+    let base = |off| pmem.read_u64(POffset::new(off)).map(POffset::new);
+    let cas = RecoverableCas::open(pmem.clone(), base(64)?, 1, CasVariant::Nsrl);
+    let queue = RecoverableQueue::open(pmem.clone(), base(72)?, QueueVariant::Nsrl)?;
+    let table = TaskTable::open(pmem.clone(), base(80)?)?;
     let mut registry = FunctionRegistry::new();
-    registry.register(
-        CAS_TASK_FUNC_ID,
-        CasTaskFunction::new(cas.clone(), table.clone()).into_arc(),
-    )?;
-    Ok((registry, cas, table))
+    let cas_func = CasTaskFunction::new(cas.clone(), table.clone());
+    registry.register(CAS_TASK_FUNC_ID, cas_func.into_arc())?;
+    let queue_func = QueueTaskFunction::new(queue.clone(), table.clone());
+    registry.register(QUEUE_TASK_FUNC_ID, queue_func.into_arc())?;
+    Ok((registry, Objects { cas, queue, table }))
+}
+
+impl FullTaskScenario {
+    fn new(kind: StackKind, case: &'static Case) -> Self {
+        let mut scenario = FullTaskScenario {
+            kind,
+            case,
+            before: (0, Vec::new()),
+            after: (0, Vec::new()),
+        };
+        let (_, mut sys) = scenario.setup().unwrap();
+        scenario.before = sys.objects.state().unwrap();
+        scenario.run(&mut sys).unwrap();
+        scenario.after = sys.objects.state().unwrap();
+        let last = sys.objects.last();
+        let answer = sys.objects.table.result(last).unwrap();
+        assert_eq!(answer.map(|a| a.result), Some(case.answer), "clean run");
+        scenario
+    }
 }
 
 impl CrashScenario for FullTaskScenario {
@@ -52,20 +140,31 @@ impl CrashScenario for FullTaskScenario {
             &stub,
         )?;
         let cas = RecoverableCas::format(pmem.clone(), rt.heap(), 1, INIT, CasVariant::Nsrl)?;
-        let table = TaskTable::format(pmem.clone(), rt.heap(), &[(INIT, NEW)])?;
-        pmem.write_u64(POffset::new(64), cas.base().get())?;
-        pmem.write_u64(POffset::new(72), table.base().get())?;
-        pmem.flush(POffset::new(64), 16)?;
-        let (registry, _, _) = build_registry(&pmem)?;
+        let queue = RecoverableQueue::format(pmem.clone(), rt.heap(), 2, QueueVariant::Nsrl)?;
+        let table = TaskTable::format(pmem.clone(), rt.heap(), self.case.ops)?;
+        let bases = [cas.base(), queue.base(), table.base()];
+        for (i, base) in bases.into_iter().enumerate() {
+            pmem.write_u64(POffset::new(64 + 8 * i as u64), base.get())?;
+        }
+        pmem.flush(POffset::new(64), 24)?;
+        let (registry, objects) = attach(&pmem)?;
         let runtime = Runtime::open(pmem.clone(), &registry)?;
-        Ok((pmem.clone(), System { pmem, runtime }))
+        let earlier = (0..objects.last()).map(|i| objects.task(i));
+        let report = runtime.run_tasks(earlier.collect::<Result<Vec<_>, _>>()?);
+        assert_eq!(report.completed, objects.last(), "setup's descriptors");
+        Ok((
+            pmem.clone(),
+            System {
+                pmem,
+                runtime,
+                objects,
+            },
+        ))
     }
 
     fn run(&self, sys: &mut System) -> Result<(), PError> {
-        let report = sys.runtime.run_tasks(vec![Task::new(
-            CAS_TASK_FUNC_ID,
-            0u64.to_le_bytes().to_vec(),
-        )]);
+        let task = sys.objects.task(sys.objects.last())?;
+        let report = sys.runtime.run_tasks(vec![task]);
         if report.crashed || sys.pmem.is_crashed() {
             Err(PError::Mem(pstack::nvram::MemError::Crashed))
         } else {
@@ -77,7 +176,7 @@ impl CrashScenario for FullTaskScenario {
         let fail = |msg: String| -> Result<(), PError> {
             Err(PError::CorruptStack(format!("event {crash_event}: {msg}")))
         };
-        let (registry, cas, table) = build_registry(&pmem)?;
+        let (registry, objects) = attach(&pmem)?;
         let rt = Runtime::open(pmem.clone(), &registry)?;
         rt.recover(RecoveryMode::Parallel)?;
 
@@ -88,53 +187,50 @@ impl CrashScenario for FullTaskScenario {
         }
         stack.check_consistency()?;
 
-        // The single descriptor either never started (crash before the
-        // frame linearized) or completed exactly once with the right
-        // answer — and the register agrees with the recorded answer.
-        let register = cas.read()?;
-        match table.result(0)? {
-            Some(true) => {
-                if register != NEW {
-                    return fail(format!("answer true but register {register}"));
-                }
+        // The descriptor either never started (crash before the frame
+        // linearized) or completed exactly once with the right answer —
+        // and the objects agree with the recorded answer.
+        let last = objects.last();
+        let answered = |objects: &Objects| -> Result<Option<TaskResult>, PError> {
+            Ok(objects.table.result(last)?.map(|a| a.result))
+        };
+        match answered(&objects)? {
+            Some(answer) if answer != self.case.answer => fail(format!("answer {answer:?}")),
+            Some(_) if objects.state()? != self.after => {
+                fail(format!("answered, but state {:?}", objects.state()?))
             }
-            Some(false) => {
-                // With one process the CAS(INIT→NEW) cannot legitimately
-                // fail: nothing else writes the register.
-                return fail("answer false for an uncontended CAS".into());
+            Some(_) => Ok(()),
+            None if objects.state()? != self.before => {
+                fail(format!("pending, but state {:?}", objects.state()?))
             }
             None => {
-                if register != INIT {
-                    return fail(format!(
-                        "descriptor pending but register moved to {register}"
-                    ));
-                }
                 // Resubmitting the task must complete it.
-                let report = rt.run_tasks(vec![Task::new(
-                    CAS_TASK_FUNC_ID,
-                    0u64.to_le_bytes().to_vec(),
-                )]);
+                let report = rt.run_tasks(vec![objects.task(last)?]);
                 if report.completed != 1 {
                     return fail("resubmission did not complete".into());
                 }
-                if cas.read()? != NEW || table.result(0)? != Some(true) {
+                if answered(&objects)? != Some(self.case.answer) || objects.state()? != self.after {
                     return fail("resubmitted task has wrong outcome".into());
                 }
+                Ok(())
             }
         }
-        Ok(())
     }
 }
 
 #[test]
 fn every_crash_point_of_a_full_task_recovers_exactly_once() {
     for kind in [StackKind::Fixed, StackKind::Vec, StackKind::List] {
-        let report = enumerate_crash_points(&FullTaskScenario { kind }, &[0.0])
-            .unwrap_or_else(|e| panic!("{kind}: {e}"));
-        assert!(
-            report.total_events >= 8,
-            "{kind}: a full task should persist through many events, saw {}",
-            report.total_events
-        );
+        for case in &CASES {
+            let scenario = FullTaskScenario::new(kind, case);
+            let report = enumerate_crash_points(&scenario, &[0.0])
+                .unwrap_or_else(|e| panic!("{kind} {:?}: {e}", case.ops));
+            assert!(
+                report.total_events >= 8,
+                "{kind} {:?}: a full task should persist through many events, saw {}",
+                case.ops,
+                report.total_events
+            );
+        }
     }
 }
