@@ -82,7 +82,10 @@
 //!
 //! * `KvServeFunction` (`pstack-kv`, the served window): the replay
 //!   reads every slot its frame names. An answered slot is only
-//!   re-collected. A slot holding request id 0 — never used, or caught
+//!   re-collected — a completed window awaited its answers with the
+//!   heads they report, so the replay's check (an un-acked answer whose
+//!   commit's heads did not all land is voided and re-executed) finds
+//!   every one settled. A slot holding request id 0 — never used, or caught
 //!   between the two stores of a recycle — is skipped. A slot recycled
 //!   since, whose new descriptor is durable, is executed through
 //!   `recover_batch`, exactly once: its evidence scan finds no earlier
@@ -115,23 +118,25 @@
 //! head reaches a record of it. A pop becomes durable — by the next
 //! push's persist or by surviving a crash unflushed — only after its
 //! stores are written, and they are written when the body has
-//! returned: for a window, after its answers are durable. So no popped
-//! frame ever names a slot its window left unanswered. (That is why the
-//! `RET` may not overlap the answers' flight: a frame popped over a
+//! returned: for a window, after its heads and answers are durable. So
+//! no popped frame ever names a slot its window left unanswered, or
+//! answered over a lost head. (That is why the `RET` may not overlap
+//! the heads ‖ answers level: a frame popped over a
 //! pending slot whose effect is published would send the request
 //! through `apply_batch` a second time.) And a window publishes only
 //! once its frame is durable, so a request whose frame was lost is
 //! pending and unpublished, and `apply_batch` — no evidence scan — is
 //! its one execution.
 //!
-//! **(c) Two frames may name one pending slot**: an idle worker's
-//! retired frame whose slot was recycled, and the in-flight window over
-//! the slot's new occupant. Recovery replays both — concurrently under
+//! **(c) Two frames may name one pending slot** (or one whose answer a
+//! replay voids): an idle worker's retired frame whose slot was
+//! recycled, and the in-flight window over the slot's new occupant.
+//! Recovery replays both — concurrently under
 //! [`RecoveryMode::Parallel`] — and both go through `recover_batch`. On a
 //! batched shard (every serving shard) its evidence scan runs under the
-//! shard's gate, which the group commit it begins holds until it
-//! commits, so the second replay finds the first one's record and the
-//! effect stays single.
+//! shard's gate, which the group commit it begins holds until its last
+//! level is awaited, so the second replay finds the first one's record
+//! and the effect stays single.
 //!
 //! [`RecoveryMode::Parallel`]: crate::RecoveryMode::Parallel
 //!
@@ -162,8 +167,10 @@
 //! failure — and its requests pending and unpublished: a retry or
 //! `pending_tasks` executes each exactly once, (b). A crash after a
 //! head finds the frame durable, and its replay's evidence scan finds
-//! the effect. A served round blocks on three round-trips: `CALL` ‖
-//! descriptors ‖ records ‖ tail → heads → answers.
+//! the effect. A served round blocks on two round-trips: `CALL` ‖
+//! descriptors ‖ records ‖ tail → heads ‖ answers. An answer that
+//! reached NVRAM over a lost head finds the frame durable too, and its
+//! replay voids it and re-executes it through the evidence scan.
 //!
 //! [`awaits_own_frame`]: crate::RecoverableFunction::awaits_own_frame
 //!

@@ -475,8 +475,9 @@ impl KvServeFunction {
     /// ordered against another's):
     ///
     /// 1. `CALL` ‖ descriptors ‖ records ‖ tail: per shard, the slots
-    ///    read, answered slots skipped (their answers are re-collected)
-    ///    and the rest begun as a group commit
+    ///    read, answered slots skipped (their answers are re-collected;
+    ///    a replay voids some, below) and the rest begun as a group
+    ///    commit
     ///    ([`PKvStore::apply_batch`](crate::PKvStore::apply_batch), or
     ///    the evidence-scanning
     ///    [`PKvStore::recover_batch`](crate::PKvStore::recover_batch)
@@ -487,18 +488,64 @@ impl KvServeFunction {
     ///    of a descriptor that is not durable. Until then the records are
     ///    unpublished log slots — a crash leaves them orphans and the
     ///    requests pending (`pstack_core::invoke` argues it);
-    /// 2. → heads, every shard's in one level — the commit point;
-    /// 3. → answers, every shard's in one level
-    ///    ([`KvRequestTable::answer`]) — an answer implies its effect —
-    ///    awaited before any `(req_id, answer)` pair is returned for
-    ///    acking: answers are durable before they are visible.
+    /// 2. → heads ‖ answers, every shard's in one level: each commit's
+    ///    heads — its commit point — and beside them its answers
+    ///    ([`KvRequestTable::answer`], each recording the commit's
+    ///    record span), awaited before any `(req_id, answer)` pair is
+    ///    returned for acking: an answer is shown only once its effect
+    ///    is durable.
     ///
     /// So a window blocks on the same round-trips — `CALL` ‖
-    /// descriptors ‖ records ‖ tail → heads → answers — however many
+    /// descriptors ‖ records ‖ tail → heads ‖ answers — however many
     /// shards it names; its `RET` is retired into the next window's
     /// `CALL` (a replay of a completed window is safe: see
     /// `pstack_core::invoke`). `frame` is the context whose root frame
     /// the window runs in; a caller running no frame passes `None`.
+    ///
+    /// # The replay's check
+    ///
+    /// An answer line may reach NVRAM before the heads it reports: they
+    /// share a level. The invariant is therefore not "a durable answer
+    /// implies its effect" but "an answer is shown only after its
+    /// effect is durable", and a replayed part (`recovery`) enforces
+    /// it: an answered slot that is not acked and whose recorded span
+    /// the heads do not wholly reach (`PKvStore::span_published`) is
+    /// *voided* — executed as if pending, so the evidence scan keeps
+    /// the records whose heads did land and re-executes the rest. Why
+    /// that is sound:
+    ///
+    /// - **A voided answer was never shown.** Answers are returned,
+    ///   and so shown, only once the last level is awaited, and an
+    ///   awaited level leaves every head of the batch durable — the
+    ///   span then is reachable, and stays so: records are never
+    ///   unlinked, and a compaction retires a generation with its heads
+    ///   as they were. An unreached span means that level was cut.
+    /// - **Acked slots and answers of an earlier, settled batch are
+    ///   never voided.** An ack follows a shown answer, and a window
+    ///   answers only slots that are pending or voided, so an acked
+    ///   slot's answer is settled and is trusted without reading its
+    ///   span. A settled batch's span is reachable by the rule above.
+    ///   And at most one batch per shard is unsettled at a power
+    ///   failure: a shard's exclusive section is held until its last
+    ///   level is awaited, so no later commit and no compaction runs
+    ///   over heads that are not durable.
+    /// - **A no-effect answer goes with its batch.** A cas that failed,
+    ///   a delete of an absent key, a `LogFull` — they stage no record,
+    ///   but they share their batch's span, so they are voided with the
+    ///   rest of an unsettled batch: they were computed against its
+    ///   staged state. Their re-execution may answer otherwise (a
+    ///   `LogFull` where the lost run found room, say), which is
+    ///   sound because the voided answer was never shown. A batch that
+    ///   staged nothing records no span and is never voided: it read
+    ///   only heads that earlier, settled batches had made durable.
+    /// - **Two frames replaying one slot still give one effect.** A
+    ///   replay that reads the slot after the other rewrote it finds a
+    ///   reachable span and only re-collects; one that read it before
+    ///   stages it too. Either way only the group commit's exclusive
+    ///   section runs the evidence scan and the re-execution, and each
+    ///   replay writes and awaits its answers before it leaves the
+    ///   section: the second to enter finds the first's record, or
+    ///   re-executes a no-effect op whose answer no one has seen.
     ///
     /// A window never carries a read — the server answers those at
     /// admission and a harness answers its own, both through
@@ -524,23 +571,24 @@ impl KvServeFunction {
             "server.window"
         });
         let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
-        // CALL ‖ descriptors ‖ records ‖ tail. Per shard: its table,
-        // its staged (slot, req_id)s and their ops; a shard with ops to
-        // execute has a group commit in `batches`. Shards are begun in
-        // the window's (ascending) order.
+        // CALL ‖ descriptors ‖ records ‖ tail. Per shard with ops to
+        // execute: its table, its staged (slot, req_id)s and its group
+        // commit, the ops' order. Shards are begun in the window's
+        // (ascending) order.
         let mut parts = Vec::with_capacity(window.len());
         let mut batches = Vec::new();
         for part in window {
             let table = &self.tables[part.shard as usize];
-            let (staged, ops) = Self::read_slots(table, part, &mut ready)?;
-            let pstore = self.store.shard(part.shard as usize);
-            if !ops.is_empty() {
-                batches.push(if part.recovery {
-                    pstore.recover_batch_begin(&ops)?
-                } else {
-                    pstore.apply_batch_begin(&ops)?
-                });
+            let (staged, ops) = self.read_slots(table, part, &mut ready)?;
+            if ops.is_empty() {
+                continue;
             }
+            let pstore = self.store.shard(part.shard as usize);
+            batches.push(if part.recovery {
+                pstore.recover_batch_begin(&ops)?
+            } else {
+                pstore.apply_batch_begin(&ops)?
+            });
             parts.push((table, staged, ops));
         }
         // What the heads depend on beyond their records: the frame, which
@@ -553,29 +601,17 @@ impl KvServeFunction {
         for part in window {
             self.tables[part.shard as usize].persist_slots_if_dirty(&part.slots)?;
         }
-        // → heads: every commit durable — its heads' level awaited —
-        // before any answer is issued: an answer implies its effect.
-        let (heads, mut committed) = {
+        // → heads ‖ answers: every shard's heads, then its answers, into
+        // one level.
+        let mut level = Level::default();
+        {
             let _label = op_label("kv.apply_batch");
-            let mut heads = Level::default();
             for batch in &mut batches {
-                batch.publish(&mut heads)?;
+                batch.publish(&mut level)?;
             }
-            let heads = heads.await_all()?;
-            let committed = batches
-                .iter_mut()
-                .map(|batch| batch.committed(&heads))
-                .collect::<Vec<_>>();
-            (heads, committed.into_iter())
-        };
-        // → answers: every shard's issued into one level.
-        let mut answers = Level::default();
-        for (table, staged, ops) in &parts {
-            let outcomes = if ops.is_empty() {
-                Vec::new()
-            } else {
-                committed.next().expect("one batch per part")
-            };
+        }
+        for ((table, staged, ops), batch) in parts.iter().zip(&batches) {
+            let (span, records, outcomes) = batch.published();
             let mut entries = Vec::with_capacity(ops.len());
             for ((&(slot, req_id), op), outcome) in staged.iter().zip(ops).zip(outcomes) {
                 let result = match op {
@@ -586,20 +622,27 @@ impl KvServeFunction {
                 entries.push((slot, executor, result));
                 ready.push((req_id, KvTaskAnswer { executor, result }));
             }
-            table.answer(&entries, &heads, &mut answers)?;
+            table.answer(&entries, span, records, &mut level)?;
         }
-        // The shards' exclusive sections end only once every answer is
-        // written, so a second replay of a slot (two frames naming it,
-        // recovered in parallel) writes its answer after this one's.
+        // Awaited with every shard's exclusive section still held: no
+        // later commit or compaction on a shard runs over heads that
+        // are not durable, and a second replay of a slot (two frames
+        // naming it, recovered in parallel) writes its answer after
+        // this one's.
+        let durable = level.await_all()?;
+        for batch in &mut batches {
+            batch.committed(&durable);
+        }
         drop(batches);
-        answers.await_all()?;
         Ok(ready)
     }
 
     /// Reads one shard's part of a window: the `(slot, req_id)` and the
     /// op of every slot still to execute; an answered slot's answer goes
-    /// to `ready` instead.
+    /// to `ready` instead — unless the part is a replay and the answer
+    /// is unsettled ([`KvServeFunction::unsettled`]), which voids it.
     fn read_slots(
+        &self,
         table: &KvRequestTable,
         part: &ShardWindow,
         ready: &mut Vec<(u64, KvTaskAnswer)>,
@@ -616,8 +659,10 @@ impl KvServeFunction {
                 continue;
             }
             if let Some(answer) = table.result(slot)? {
-                ready.push((req_id, answer)); // already durable: replay only
-                continue;
+                if !(part.recovery && self.unsettled(table, part.shard, slot)?) {
+                    ready.push((req_id, answer)); // durable and settled: replay only
+                    continue;
+                }
             }
             let (pid, seq) = (u64::from(split_id(req_id).0), req_id);
             staged.push((slot, req_id));
@@ -645,6 +690,20 @@ impl KvServeFunction {
             });
         }
         Ok((staged, ops))
+    }
+
+    /// `true` when answered slot `slot` of `shard` may report a batch
+    /// whose heads are not all durable — not acked, and its recorded
+    /// span not wholly reachable — so a replay must void it (see
+    /// [`KvServeFunction::execute_window`]).
+    fn unsettled(&self, table: &KvRequestTable, shard: u32, slot: u32) -> Result<bool, PError> {
+        if table.acked(slot)? {
+            return Ok(false);
+        }
+        let Some(span) = table.answer_span(slot)? else {
+            return Ok(false);
+        };
+        Ok(!self.store.shard(shard as usize).span_published(span)?)
     }
 }
 
@@ -979,16 +1038,16 @@ mod tests {
         body(&mut ctx)
     }
 
-    /// Answers one slot as a window does: a flight of an answers level,
-    /// then the level awaited. Nothing is committed first, so the heads
-    /// level is empty.
+    /// Answers one slot as a window does: a flight of its last level,
+    /// then the level awaited. Nothing is committed first, so the
+    /// records receipt is empty and there is no span.
     fn answer(table: &KvRequestTable, slot: u32, executor: u32, result: KvTaskResult) {
-        let heads = Level::default().await_all().unwrap();
-        let mut answers = Level::default();
+        let records = Level::default().await_all().unwrap();
+        let mut level = Level::default();
         table
-            .answer(&[(slot, executor, result)], &heads, &mut answers)
+            .answer(&[(slot, executor, result)], None, &records, &mut level)
             .unwrap();
-        answers.await_all().unwrap();
+        level.await_all().unwrap();
     }
 
     /// A window of `slots` on shard `shard` alone, as task arguments.
@@ -1390,111 +1449,288 @@ mod tests {
         });
     }
 
+    /// One shape of the answers-in-flight sweep: what the tables hold,
+    /// the windows run to completion before the one under test (shard
+    /// 0's slots, and which of them are then acked), the window under
+    /// test — whole tables of `shards` — the region whose events are
+    /// cut, and the survivor sets each cut is tried under.
+    struct InFlight<'a> {
+        ops: Vec<KvTaskOp>,
+        before: &'a [(&'a [u32], &'a [u32])],
+        shards: &'a [usize],
+        region: usize,
+        survivors: &'a [(u64, f64)],
+    }
+
+    /// Whether `result` reports an effect — a record tagged with its
+    /// request.
+    fn took_effect(result: KvTaskResult) -> bool {
+        match result {
+            KvTaskResult::Stored(ok) | KvTaskResult::Deleted(ok) | KvTaskResult::Swapped(ok) => ok,
+            KvTaskResult::Got(_) => false,
+        }
+    }
+
+    /// `n` distinct keys that shard 0 of two owns.
+    fn keys_on_shard_0(n: usize) -> Vec<u64> {
+        (0..).filter(|&k| shard_of(k, 2) == 0).take(n).collect()
+    }
+
     #[test]
     fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() {
-        // The window's last level: heads durable, then the answers'
-        // flight, in every shard the window names. Cut the power at
-        // every event of the window in a region, with none, some or all
-        // of the dirty lines kept: a slot reopens pending (its client
-        // retries through the recovery dual) or answered over its
-        // durable record — never answered without its effect — and the
-        // replay answers every slot exactly once.
-        let ops = puts(0..12, |key| key as i64 + 3);
-        let run = |shards: &[usize], region: usize, plan: Option<FailPlan>| {
-            let (stripe, main, heap, exec) = sharded_fixture(&ops, 2);
-            let args = whole_tables(&exec, shards);
-            let registry = exec.registry().unwrap();
-            let e0 = stripe.region(region).events();
-            if let Some(plan) = plan {
-                stripe.region(region).arm_failpoint(plan);
-            }
-            let outcome = on_stack(&main, &heap, &registry, true, |ctx| {
-                ctx.call(KV_SERVE_FUNC_ID, &args)
-            });
-            let events = stripe.region(region).events() - e0;
-            (stripe, main, args, outcome, events)
-        };
-
+        // The window's last level: heads ‖ answers, in every shard the
+        // window names. Cut the power at every event of the window in a
+        // region, with none, some or all of the dirty lines kept: an
+        // answer line may land without its heads — that state is
+        // reachable by design, and was never shown — and the replay
+        // must void it. After the replay every slot is answered exactly
+        // once over its effect; an answer that reached NVRAM over a lost
+        // head is answered afresh; an acked answer, or one a settled
+        // window gave, is left alone.
+        type Survivors = [(u64, f64)];
+        let none_all: &Survivors = &[(0, 0.0), (0, 1.0)];
         // The lottery is seeded per line, so each seed fixes which of
         // the heads' and the answers' lines a cut keeps.
-        type Survivors = [(u64, f64)];
-        let none_all = [(0, 0.0), (0, 1.0)];
         let every_lottery: Vec<(u64, f64)> = none_all
-            .into_iter()
+            .iter()
+            .copied()
             .chain((1..=8).map(|seed| (seed, 0.5)))
             .collect();
-        // (the shards the window names, the region that fails, the
-        // survivor sets): one shard under every lottery, and a window
-        // over both shards failing in each of its regions.
-        let cases: [(&[usize], usize, &Survivors); 3] = [
-            (&[0], 0, &every_lottery),
-            (&[0, 1], 0, &none_all),
-            (&[0, 1], 1, &none_all),
+        let keys = keys_on_shard_0(3);
+        // Shard 0's slot 0 a delete of an absent key — a no-effect
+        // answer no replay may re-run: slot 2, in the window under test,
+        // puts the key — beside slot 1, a put that gives its batch a
+        // span.
+        let settled_ops = vec![
+            KvTaskOp::Delete { key: keys[0] },
+            KvTaskOp::Put {
+                key: keys[1],
+                value: 1,
+            },
+            KvTaskOp::Put {
+                key: keys[0],
+                value: 2,
+            },
         ];
-        // Cuts that reopened a slot pending over its durable record:
-        // heads durable, the answers' flight cut — the last level.
+        let shapes = [
+            // One shard under every lottery, and a window over both
+            // shards failing in each of its regions.
+            InFlight {
+                ops: puts(0..12, |key| key as i64 + 3),
+                before: &[],
+                shards: &[0],
+                region: 0,
+                survivors: &every_lottery,
+            },
+            InFlight {
+                ops: puts(0..12, |key| key as i64 + 3),
+                before: &[],
+                shards: &[0, 1],
+                region: 0,
+                survivors: none_all,
+            },
+            InFlight {
+                ops: puts(0..12, |key| key as i64 + 3),
+                before: &[],
+                shards: &[0, 1],
+                region: 1,
+                survivors: none_all,
+            },
+            // A put, then a cas on its key that fails against it: the
+            // no-effect answer goes with its batch.
+            InFlight {
+                ops: vec![
+                    KvTaskOp::Put {
+                        key: keys[2],
+                        value: 5,
+                    },
+                    KvTaskOp::Cas {
+                        key: keys[2],
+                        expected: 7,
+                        new: 9,
+                    },
+                ],
+                before: &[],
+                shards: &[0],
+                region: 0,
+                survivors: &every_lottery,
+            },
+            // Slot 0 answered by a settled window and acked: the window
+            // under test names it again (a completed window's frame
+            // replayed after its client acked).
+            InFlight {
+                ops: settled_ops.clone(),
+                before: &[(&[0, 1], &[0])],
+                shards: &[0],
+                region: 0,
+                survivors: &every_lottery,
+            },
+            // The same, not acked: a retry named the slot while its
+            // first window executed.
+            InFlight {
+                ops: settled_ops,
+                before: &[(&[0, 1], &[])],
+                shards: &[0],
+                region: 0,
+                survivors: &every_lottery,
+            },
+        ];
+        // Cuts that reopened a slot pending over its durable record
+        // (heads kept, the answer's line lost).
         let mut pending_over_its_record = 0usize;
-        for (shards, region, survivors) in cases {
-            let (.., outcome, total) = run(shards, region, None);
+        for shape in &shapes {
+            // Cuts that left an answer line durable over a lost head.
+            let mut answered_over_a_lost_head = 0usize;
+            let run = |plan: Option<FailPlan>| {
+                let (stripe, main, heap, exec) = sharded_fixture(&shape.ops, 2);
+                let mut acks = Level::default();
+                for &(slots, acked) in shape.before {
+                    let window = [ShardWindow {
+                        shard: 0,
+                        recovery: false,
+                        slots: slots.to_vec(),
+                    }];
+                    exec.execute_window(&window, 0, None).unwrap();
+                    for &slot in acked {
+                        let table = &exec.tables()[0];
+                        assert!(table.ack(table.req_id(slot).unwrap(), &mut acks).unwrap());
+                    }
+                }
+                acks.await_all().unwrap();
+                // Slots the window under test must leave as they are.
+                let table = &exec.tables()[0];
+                let settled: Vec<_> = (shape.before.iter().flat_map(|&(slots, _)| slots))
+                    .map(|&slot| {
+                        let answer = table.result(slot).unwrap();
+                        (slot, answer, table.answer_span(slot).unwrap())
+                    })
+                    .collect();
+                let args = whole_tables(&exec, shape.shards);
+                let registry = exec.registry().unwrap();
+                let e0 = stripe.region(shape.region).events();
+                if let Some(plan) = plan {
+                    stripe.region(shape.region).arm_failpoint(plan);
+                }
+                let outcome = on_stack(&main, &heap, &registry, true, |ctx| {
+                    ctx.call(KV_SERVE_FUNC_ID, &args)
+                });
+                let events = stripe.region(shape.region).events() - e0;
+                (stripe, main, args, settled, outcome, events)
+            };
+            let (.., outcome, total) = run(None);
             outcome.unwrap();
             for k in 0..total {
-                for &(seed, prob) in survivors {
+                for &(seed, prob) in shape.survivors {
                     let at = format!(
-                        "window {shards:?}, region {region} event {k}, survivors {prob} (seed {seed})"
+                        "window {:?} over {:?}, region {} event {k}, survivors {prob} (seed {seed})",
+                        shape.shards, shape.ops[0], shape.region
                     );
                     let plan = FailPlan::after_events(k).with_survivors(seed, prob);
-                    let (stripe, main, args, outcome, _) = run(shards, region, Some(plan));
+                    let (stripe, main, args, settled, outcome, _) = run(Some(plan));
                     assert!(outcome.unwrap_err().is_crash(), "{at}");
                     stripe.crash_all(seed, prob);
                     main.crash_now(seed, prob);
                     let (main2, heap2, exec2) = reopen_sharded(&stripe, &main);
-                    published_only_over_a_durable_frame(&main2, &exec2, &args, &at);
+                    if shape.before.is_empty() {
+                        // (An earlier window published without a frame.)
+                        published_only_over_a_durable_frame(&main2, &exec2, &args, &at);
+                    }
                     let store = exec2.store();
                     let records = |shard: usize, req_id: u64| {
                         let chains = store.snapshot_sharded().unwrap().swap_remove(shard);
                         chains.iter().flatten().filter(|r| r.seq == req_id).count()
                     };
-                    let mut pending_over_a_record = false;
-                    for &shard in shards {
+                    let fresh = |shard: usize, slot: u32| {
+                        settled.iter().all(|&(s, ..)| shard != 0 || s != slot)
+                    };
+                    // Per shard, the window's answers before the replay,
+                    // with their spans, when a put of its batch has no
+                    // record: an answer line reached NVRAM, so the
+                    // records did and the heads were flipped — some of
+                    // them were lost.
+                    let mut voidable = Vec::new();
+                    for &shard in shape.shards {
                         let table = &exec2.tables()[shard];
-                        for slot in 0..table.capacity() {
-                            let req_id = table.req_id(slot).unwrap();
+                        let mut answered = Vec::new();
+                        let mut lost_head = false;
+                        for slot in (0..table.capacity()).filter(|&slot| fresh(shard, slot)) {
+                            let n = records(shard, table.req_id(slot).unwrap());
+                            assert!(n <= 1, "{at}");
+                            lost_head |=
+                                matches!(table.op(slot).unwrap(), KvTaskOp::Put { .. }) && n == 0;
                             match table.result(slot).unwrap() {
-                                None => {
-                                    let n = records(shard, req_id);
-                                    assert!(n <= 1, "{at}");
-                                    pending_over_a_record |= n == 1;
-                                }
-                                Some(answer) => {
-                                    assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
-                                    assert_eq!(
-                                        records(shard, req_id),
-                                        1,
-                                        "{at}: answered without its effect"
-                                    );
+                                None => pending_over_its_record += usize::from(n == 1),
+                                Some(_) => {
+                                    answered.push((shard, slot, table.answer_span(slot).unwrap()))
                                 }
                             }
                         }
+                        if lost_head {
+                            voidable.extend(answered);
+                        }
                     }
-                    pending_over_its_record += usize::from(pending_over_a_record);
+                    answered_over_a_lost_head += usize::from(!voidable.is_empty());
 
                     let registry2 = FunctionRegistry::new();
                     on_stack(&main2, &heap2, &registry2, false, |ctx| {
                         exec2.recover(ctx, &args).unwrap();
                     });
-                    for &shard in shards {
+                    for &shard in shape.shards {
                         let table = &exec2.tables()[shard];
                         assert!(table.pending_slots().unwrap().is_empty(), "{at}");
-                        for slot in 0..table.capacity() {
+                        for slot in (0..table.capacity()).filter(|&slot| fresh(shard, slot)) {
                             let req_id = table.req_id(slot).unwrap();
+                            let answer = table.result(slot).unwrap().unwrap();
+                            let n = records(shard, req_id);
                             assert_eq!(
-                                records(shard, req_id),
-                                1,
-                                "{at}: shard {shard} slot {slot}"
+                                took_effect(answer.result),
+                                n == 1,
+                                "{at}: shard {shard} slot {slot} answered {answer:?} over {n} records"
                             );
+                            if let KvTaskOp::Put { .. } = table.op(slot).unwrap() {
+                                assert_eq!(
+                                    n, 1,
+                                    "{at}: shard {shard} slot {slot}: answered without its effect"
+                                );
+                            }
                         }
                     }
+                    // A voided answer is answered afresh: its span was
+                    // the lost batch's, and the replay's batch staged
+                    // elsewhere, or nothing.
+                    for (shard, slot, span) in voidable {
+                        let table = &exec2.tables()[shard];
+                        assert_ne!(
+                            table.answer_span(slot).unwrap(),
+                            span,
+                            "{at}: slot {slot} not voided"
+                        );
+                    }
+                    // A settled answer, acked or not, is neither voided
+                    // nor re-run: slot 0's delete would now find its key.
+                    for &(slot, answer, span) in &settled {
+                        let table = &exec2.tables()[0];
+                        let now = (
+                            table.result(slot).unwrap(),
+                            table.answer_span(slot).unwrap(),
+                        );
+                        assert_eq!(now, (answer, span), "{at}: settled slot {slot} re-run");
+                        let n = records(0, table.req_id(slot).unwrap());
+                        assert_eq!(took_effect(answer.unwrap().result), n == 1, "{at}");
+                    }
                 }
+            }
+            // Only a lottery keeps one line of a level and not another.
+            if shape
+                .survivors
+                .iter()
+                .any(|&(_, prob)| prob > 0.0 && prob < 1.0)
+            {
+                assert!(
+                    answered_over_a_lost_head > 0,
+                    "window over {:?}: no cut kept an answer line over a lost head",
+                    shape.ops[0]
+                );
             }
         }
         assert!(

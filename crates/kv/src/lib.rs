@@ -25,8 +25,8 @@
 //!   descriptors: a batch window naming any number of shards' slots as
 //!   one persistent-stack task (a group commit per shard, or the
 //!   evidence-scanning dual on replay, all shards moved one dependence
-//!   level per round-trip, then one line-atomic answer persist per
-//!   shard), so KV
+//!   level per round-trip, one line-atomic answer persist per shard
+//!   riding the heads' level), so KV
 //!   traffic runs through `run_tasks` and survives crashes via the
 //!   persistent stack. Reads are never descriptors —
 //!   [`ShardedKvStore::get_durable`] is the one read path;

@@ -38,9 +38,14 @@
 //!   client's retry is `Fresh`.
 //! * [`KvRequestTable::answer`] writes each answer payload, then its
 //!   one-byte done flag, and issues **one** persist — a flight of the
-//!   window's answers level: the answers of every shard it names in
-//!   one level, issued once the effects the answers report are durable
-//!   and awaited before any is shown. A slot is one cache
+//!   window's last level, heads ‖ answers: the answers of every shard
+//!   it names beside the heads of the commits they report, awaited
+//!   before any is shown. An answer records its commit's record span,
+//!   so a replay can tell whether the heads it reports reached NVRAM
+//!   with it; one whose heads did not was never shown (its level was
+//!   not awaited), and the replay voids and re-executes it
+//!   ([`KvServeFunction::execute_window`](crate::KvServeFunction::execute_window)).
+//!   A slot is one cache
 //!   line and a buffered region persists a line atomically (the
 //!   recycling argument below already relies on it), so after a crash
 //!   a slot is either fully answered or still pending — and a pending
@@ -98,6 +103,7 @@ use pstack_heap::PHeap;
 use pstack_nvram::{Durable, FlushTicket, Level, PMem, POffset};
 
 use crate::funcs::{KvTaskAnswer, KvTaskOp, KvTaskResult};
+use crate::store::span_extent;
 
 const TABLE_MAGIC: u64 = 0x5053_4B56_5251_5431; // "PSKVRQT1"
 const HEADER_LEN: u64 = 64; // keeps slot 0 cache-line aligned
@@ -121,6 +127,9 @@ const F_VALUE: u64 = 16;
 const F_EXPECTED: u64 = 24;
 const F_GOT: u64 = 32;
 const F_REQ_ID: u64 = 40;
+/// The answering batch's record span `[first, last]`, two offsets (0
+/// and 0 when it staged no record).
+const F_SPAN: u64 = 48;
 
 /// Outcome of a [`KvRequestTable::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,12 +212,12 @@ struct ReqIndex {
 /// let ReqSubmit::Fresh(slot) = table.submit(0x1_0001, KvTaskOp::Put { key: 9, value: 4 })? else {
 ///     panic!("fresh request");
 /// };
-/// // The answer follows its effect's commit: it takes the receipt of
-/// // the window's heads level (here, a window that committed nothing).
-/// let heads = Level::default().await_all()?;
-/// let mut answers = Level::default();
-/// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], &heads, &mut answers)?;
-/// answers.await_all()?;
+/// // The answer rides its commit's last level, on the receipt of the
+/// // commit's records ‖ tail (here, a commit that staged no record).
+/// let records = Level::default().await_all()?;
+/// let mut level = Level::default();
+/// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], None, &records, &mut level)?;
+/// level.await_all()?;
 ///
 /// // A retry dedupes against the durable answer instead of re-executing.
 /// let ReqSubmit::Known { answer: Some(a), .. } =
@@ -631,54 +640,95 @@ impl KvRequestTable {
         Ok(self.pmem.read_u8(self.slot(slot)? + F_ACKED)? != 0)
     }
 
+    /// Writes slot `slot`'s answer payload — flag, executor and the
+    /// answering batch's record span (and a got value) — in as many
+    /// stores as the answer had before it carried a span: flag and
+    /// executor are one store, with the acked byte between them
+    /// rewritten as the 0 it holds (a slot is answered only while
+    /// pending or voided, never once acked).
     fn write_answer(
         &self,
         slot: u32,
         executor: u32,
         result: KvTaskResult,
+        span: Option<(u64, u64)>,
     ) -> Result<POffset, PError> {
         let e = self.slot(slot)?;
-        self.pmem.write_u32(e + F_EXEC, executor)?;
-        match result {
-            KvTaskResult::Stored(ok) | KvTaskResult::Deleted(ok) | KvTaskResult::Swapped(ok) => {
-                self.pmem.write_u8(e + F_FLAG, u8::from(ok))?;
-            }
-            KvTaskResult::Got(None) => {
-                self.pmem.write_u8(e + F_FLAG, 0)?;
-            }
+        let flag = match result {
+            KvTaskResult::Stored(ok) | KvTaskResult::Deleted(ok) | KvTaskResult::Swapped(ok) => ok,
+            KvTaskResult::Got(None) => false,
             KvTaskResult::Got(Some(v)) => {
                 self.pmem.write_i64(e + F_GOT, v)?;
-                self.pmem.write_u8(e + F_FLAG, 1)?;
+                true
             }
-        }
+        };
+        let mut head = [0u8; (F_EXEC + 4 - F_FLAG) as usize];
+        head[0] = u8::from(flag);
+        head[(F_EXEC - F_FLAG) as usize..].copy_from_slice(&executor.to_le_bytes());
+        self.pmem.write(e + F_FLAG, &head)?;
+        let (first, last) = span.unwrap_or((0, 0));
+        let mut tail = [0u8; 16];
+        tail[..8].copy_from_slice(&first.to_le_bytes());
+        tail[8..].copy_from_slice(&last.to_le_bytes());
+        self.pmem.write(e + F_SPAN, &tail)?;
         Ok(e)
     }
 
     /// Writes a batch of answers and issues them as **one** flight of
-    /// `answers`, the window's answers level: issued once the effects
-    /// the answers report are durable — `heads` is the receipt of the
-    /// window's heads level — every shard's into the one level, and
-    /// shown once that level is awaited. Per slot the payload is
-    /// written before the done flag, and a slot is one line, which
-    /// persists atomically: a crash leaves each slot either answered or
-    /// still pending (recovery recomputes a pending answer through the
-    /// evidence scan), never a flag over a missing payload.
+    /// `level`, the window's last level — its heads' and answers' —
+    /// awaited before any answer is shown. Every answer records `span`,
+    /// the record span `[first, last]` of the group commit that answered
+    /// it (`None` when it staged no record), and is written on that
+    /// commit's records ‖ tail receipt, `records`, which must cover the
+    /// span. That the answer may reach NVRAM before its heads is the
+    /// replay's to handle: a replayed window re-executes an un-acked
+    /// answer whose span the durable heads do not wholly reach
+    /// (`KvServeFunction::execute_window` argues it). Per slot the
+    /// payload is written before the done flag, and a slot is one line,
+    /// which persists atomically: a crash leaves each slot either
+    /// answered or still pending (recovery recomputes a pending answer
+    /// through the evidence scan), never a flag over a missing payload.
     ///
     /// # Errors
     ///
     /// Out-of-range slot or NVRAM errors.
+    ///
+    /// # Panics
+    ///
+    /// In a debug build, if `records` does not cover `span`.
     pub fn answer(
         &self,
         entries: &[(u32, u32, KvTaskResult)],
-        _heads: &Durable,
-        answers: &mut Level,
+        span: Option<(u64, u64)>,
+        records: &Durable,
+        level: &mut Level,
     ) -> Result<(), PError> {
+        if let Some(span) = span {
+            let (off, len) = span_extent(span);
+            records.check(&self.pmem, off, len);
+        }
         for &(slot, executor, result) in entries {
-            let e = self.write_answer(slot, executor, result)?;
+            let e = self.write_answer(slot, executor, result, span)?;
             self.pmem.write_u8(e + F_DONE, ST_DONE)?;
         }
         let (lo, len) = self.span_of(entries.iter().map(|&(slot, ..)| slot))?;
-        Ok(answers.issue(&self.pmem, lo, len)?)
+        Ok(level.issue(&self.pmem, lo, len)?)
+    }
+
+    /// The record span stored with slot `slot`'s answer: the `[first,
+    /// last]` of the group commit that answered it, `None` when that
+    /// commit staged no record. Meaningful only while the slot holds an
+    /// answer ([`KvRequestTable::result`]).
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range slot or NVRAM errors.
+    pub fn answer_span(&self, slot: u32) -> Result<Option<(u64, u64)>, PError> {
+        let mut b = [0u8; 16];
+        self.pmem.read(self.slot(slot)? + F_SPAN, &mut b)?;
+        let first = u64::from_le_bytes(b[..8].try_into().expect("slice length"));
+        let last = u64::from_le_bytes(b[8..].try_into().expect("slice length"));
+        Ok((first != 0).then_some((first, last)))
     }
 
     /// Records the client's acknowledgement of `req_id`'s answer and
@@ -754,14 +804,14 @@ mod tests {
         acked
     }
 
-    /// Answers `entries` as a window does: one flight of an answers
+    /// Answers `entries` as a window does: one flight of its last
     /// level, then the level awaited. Nothing is committed first, so
-    /// the heads level is empty.
+    /// the records receipt is empty and there is no span.
     fn answer(table: &KvRequestTable, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
-        let heads = Level::default().await_all()?;
-        let mut answers = Level::default();
-        table.answer(entries, &heads, &mut answers)?;
-        answers.await_all()?;
+        let records = Level::default().await_all()?;
+        let mut level = Level::default();
+        table.answer(entries, None, &records, &mut level)?;
+        level.await_all()?;
         Ok(())
     }
 
@@ -1075,6 +1125,55 @@ mod tests {
             assert_eq!(table.result(slot).unwrap().unwrap().result, expect);
         }
         assert!(answer(&table, &[]).is_ok());
+    }
+
+    /// A table with one fresh put, and a receipt for the one record
+    /// line at `RECORD`, as a commit's records ‖ tail level gives it.
+    fn one_put_and_a_record_receipt() -> (KvRequestTable, u32, Durable) {
+        let (pmem, table) = fixture(2);
+        let ReqSubmit::Fresh(slot) = table.submit(1, KvTaskOp::Put { key: 1, value: 1 }).unwrap()
+        else {
+            panic!("fresh")
+        };
+        pmem.write(POffset::new(RECORD), &[7; 48]).unwrap();
+        let mut records = Level::default();
+        records.issue(&pmem, POffset::new(RECORD), 64).unwrap();
+        (table, slot, records.await_all().unwrap())
+    }
+
+    const RECORD: u64 = 1 << 15;
+
+    #[test]
+    fn an_answer_records_the_span_of_its_commit() {
+        let (table, slot, records) = one_put_and_a_record_receipt();
+        let mut level = Level::default();
+        let entry = [(slot, 3, KvTaskResult::Stored(true))];
+        table
+            .answer(&entry, Some((RECORD, RECORD)), &records, &mut level)
+            .unwrap();
+        level.await_all().unwrap();
+        assert_eq!(table.answer_span(slot).unwrap(), Some((RECORD, RECORD)));
+        assert_eq!(
+            table.result(slot).unwrap(),
+            Some(KvTaskAnswer {
+                executor: 3,
+                result: KvTaskResult::Stored(true)
+            })
+        );
+        // A commit that staged nothing records no span.
+        answer(&table, &entry).unwrap();
+        assert_eq!(table.answer_span(slot).unwrap(), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not cover")]
+    fn an_answer_on_a_receipt_that_does_not_cover_its_span_panics() {
+        // The receipt holds one record line; the answer claims two.
+        let (table, slot, records) = one_put_and_a_record_receipt();
+        let span = Some((RECORD, RECORD + 64));
+        let entry = [(slot, 0, KvTaskResult::Stored(true))];
+        let _ = table.answer(&entry, span, &records, &mut Level::default());
     }
 
     #[test]

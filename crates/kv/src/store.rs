@@ -89,9 +89,12 @@
 //! awaits both and publishes each touched bucket's head once (heads
 //! flight issued), then awaits the heads: records ‖ tail → heads. The
 //! heads' flight is the batch's last persist and its commit point;
-//! once it is awaited every effect of the batch is durable, and
-//! anything that depends on the effects (a served window's answers)
-//! is issued after it. Every persist is a flight awaited where
+//! once it is awaited every effect of the batch is durable. A served
+//! window issues its answers into the heads' level, each recording the
+//! batch's record span (`KvPendingBatch::published`), and shows them
+//! once that level is awaited; a replay tells an answer that landed
+//! without its heads by that span (`PKvStore::span_published`). Every
+//! persist is a flight awaited where
 //! something depends on it, and batches of several shards move
 //! through the levels together. There is one mutation API: a write is
 //! a [`KvBatchOp`] in a group commit (a lone write a batch of one), and
@@ -152,8 +155,10 @@ pub enum KvVariant {
     #[default]
     Nsrl,
     /// Injected bug mirroring §5.2's matrix removal, in `test` and
-    /// `fault-seeds` builds only: recovery skips the evidence scan and
-    /// always re-executes — operations that already linearized are
+    /// `fault-seeds` builds only: recovery skips the evidence scans and
+    /// always re-executes — a replayed window cannot tell a settled
+    /// answer from one whose heads were lost, so it re-runs every
+    /// un-acked one, and operations that already linearized are
     /// applied twice, which the KV verifier flags.
     #[cfg(any(test, feature = "fault-seeds"))]
     NoScan,
@@ -497,6 +502,20 @@ impl KvPendingBatch<'_> {
         Ok(())
     }
 
+    /// What a served window's answers rest on once
+    /// [`KvPendingBatch::publish`] has run: the batch's record span
+    /// `[first, last]` by offset (`None` when it staged no record), the
+    /// records ‖ tail receipt its heads were published on, and every
+    /// op's outcome in submission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was not published.
+    pub(crate) fn published(&self) -> (Option<(u64, u64)>, &Durable, &[KvApplied]) {
+        let records = self.durable.as_ref().expect("a published batch");
+        (self.staged.slots, records, &self.staged.outcomes)
+    }
+
     /// The publish: flips each touched bucket's head once, to the newest
     /// staged record (intermediate staged heads are never published, so
     /// per bucket the batch is all-or-nothing), on `records`, the
@@ -525,7 +544,7 @@ impl KvPendingBatch<'_> {
     }
 
     /// The commit point, once the heads' level is awaited into `heads`:
-    /// a bare commit returns and a window issues its answers, so under
+    /// a bare commit returns and a window shows its answers, so under
     /// PSan the ranges of both receipts on this region — records ‖ tail
     /// and the heads — must be durable *now*. Takes the outcomes
     /// (submission order); the exclusive section lasts until drop.
@@ -545,6 +564,13 @@ impl KvPendingBatch<'_> {
         let last = *self.staged.staged_heads.keys().next_back()?;
         Some((POffset::new(first), (last - first + 8) as usize))
     }
+}
+
+/// The bytes of a record span `[first, last]` (slot offsets, as
+/// [`KvPendingBatch::published`] reports them): what the records ‖ tail
+/// level persisted for it.
+pub(crate) fn span_extent((first, last): (u64, u64)) -> (POffset, usize) {
+    (POffset::new(first), (last - first + RECORD_STRIDE) as usize)
 }
 
 fn round64(v: u64) -> u64 {
@@ -1132,6 +1158,57 @@ impl PKvStore {
             }
             gen = self.load_gen(prev)?;
         }
+    }
+
+    /// `true` when every record of `span` — a group commit's
+    /// `[first, last]`, as [`KvPendingBatch::published`] reports it — is
+    /// reachable from the heads of the generation whose log holds it:
+    /// the batch's heads are all durable, or were when a compaction
+    /// retired that generation. Reads only.
+    ///
+    /// A batch flips each touched bucket's head to its newest record,
+    /// which chains to the batch's older records in that bucket, so
+    /// the span is reachable iff every touched head's flip reached
+    /// NVRAM. Within one generation a chain runs from higher log
+    /// offsets to lower (a record links to the head it replaced, which
+    /// was reserved before it), so each walk stops at the record's own
+    /// offset. A retired generation's heads are the durable heads a
+    /// compaction read: it runs in the exclusive section a batch keeps
+    /// until its heads are awaited, and no generation block is ever
+    /// freed, so a span names one generation for good.
+    ///
+    /// Under the `NoScan` seed the scan is skipped and finds nothing:
+    /// `false`.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::CorruptStack`] for a span in no generation's log;
+    /// propagated NVRAM errors.
+    pub(crate) fn span_published(&self, (first, last): (u64, u64)) -> Result<bool, PError> {
+        if !self.variant.scans_evidence() {
+            return Ok(false);
+        }
+        let gens = self.gens_oldest_first()?;
+        let log = |gen: &Gen| self.record_off(gen, 0)..self.record_off(gen, gen.log_cap);
+        let gen = gens
+            .iter()
+            .find(|gen| log(gen).contains(&first))
+            .ok_or_else(|| {
+                PError::CorruptStack(format!(
+                    "record span [{first:#x}, {last:#x}] lies in no generation's log"
+                ))
+            })?;
+        for off in (first..=last).step_by(RECORD_STRIDE as usize) {
+            let (rec, _) = self.read_record(off, gen.number)?;
+            let mut at = self.pmem.read_u64(self.bucket_off(gen, rec.key))?;
+            while at > off {
+                at = self.read_record(at, gen.number)?.1;
+            }
+            if at != off {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Loads a generation descriptor from its block base, validating

@@ -10,9 +10,11 @@
 //!
 //! 1. **The request table** ([`KvRequestTable`], one per shard): a
 //!    mutation's descriptor is durable *before the window that names
-//!    its slot is handed out*, so a retry of an answered request
-//!    replays the durable answer and a retry of a pending request
-//!    re-enters execution without a second slot.
+//!    its slot publishes anything* — the drain issues its flight, the
+//!    window awaits it with its frame, right before the heads — so a
+//!    retry of an answered request replays the durable answer and a
+//!    retry of a pending request re-enters execution without a second
+//!    slot.
 //! 2. **The store's evidence scan**: version records are tagged
 //!    `(pid = client_id, seq = req_id)` — a tag stable across retries
 //!    and across executing workers. Any execution that *might* be a
@@ -44,14 +46,14 @@
 //! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window with its frame, before the heads | 1 per shard per **drain** | 0 |
 //! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
 //! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
-//! | | answer | [`KvRequestTable::answer`], payload + flag in one line-atomic persist, issued into the window's answers level once its heads level is durable | 1 per shard per round | 1 more |
+//! | | answer | [`KvRequestTable::answer`], payload + flag + its commit's record span in one line-atomic persist, issued into the heads' level on the commit's records ‖ tail receipt; a replay voids an un-acked answer whose heads did not land | 1 per shard per round | 0 more: it rides the heads' level |
 //! | | ack | [`ServerCore::ack`] issues the acked mark into the round's one ack level, every shard's acks together; the round's last server step awaits it — the drain when it hands out no window, else [`ServerCore::answers_for`] | 1 per ack | 1 per **ack round**, however many acks and shards; 0 beside a window |
 //!
-//! A lone put therefore costs 7 persists end to end and blocks on 3
+//! A lone put therefore costs 7 persists end to end and blocks on 2
 //! round-trips before its answer (`CALL` (+ the previous round's `RET`)
-//! ‖ descriptor ‖ records ‖ tail → heads → answer), and on 1 more for
+//! ‖ descriptor ‖ records ‖ tail → heads ‖ answer), and on 1 more for
 //! its ack round; a round that touches several shards blocks on the
-//! same 3 and pays the frame's 1 once, and a full window divides
+//! same 2 and pays the frame's 1 once, and a full window divides
 //! everything but the acks by its occupancy — the acks' one round-trip
 //! is shared by every ack of the round, and hides under the window's
 //! when the round runs one. The window's own pop stays pending until

@@ -16,10 +16,11 @@
 //! issues the descriptors' flight, the window's `CALL` is a flight too,
 //! issued as the window starts, and the window begins its group commit
 //! under both, awaiting the frame and the descriptors right before the
-//! heads; the group commit's and the answers' flights are awaited where
-//! something depends on them. So a lone put **blocks** on 3 of its 6
-//! round-trips before the ack (`CALL` ‖ descriptor ‖ records ‖ tail →
-//! heads → answer), and so does a round over four shards. A round's
+//! heads; the group commit's flights are awaited where something
+//! depends on them, and the answers ride the heads' level. So a lone
+//! put **blocks** on 2 of its 6 round-trips before the ack (`CALL` ‖
+//! descriptor ‖ records ‖ tail → heads ‖ answer), and so does a round
+//! over four shards. A round's
 //! acks are one level, awaited at the round's last server step: an ack
 //! round blocks on one round-trip however many acks and shards it
 //! carries, and a round that also runs a window on none more. Every
@@ -192,7 +193,7 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
     // Blocking: every persist a flight — the CALL too, issued as the
     // window starts and awaited beside the descriptor, records and tail
     // — so at most one latency per awaited level: CALL ‖ descriptor ‖
-    // records ‖ tail → heads → answer.
+    // records ‖ tail → heads ‖ answer.
     let (control, stripe) = delta(&s, t0);
     assert_eq!(
         (control.persists, control.async_flushes),
@@ -200,8 +201,8 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
         "the one control persist is a flight: 0 synchronous"
     );
     assert!(
-        waited_ns(&control, &stripe) <= 3 * LATENCY.as_nanos() as u64,
-        "a lone put blocked on more than 3 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe) <= 2 * LATENCY.as_nanos() as u64,
+        "a lone put blocked on more than 2 round-trips: {} ns waited on flights",
         waited_ns(&control, &stripe)
     );
 
@@ -222,10 +223,10 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
 }
 
 #[test]
-fn a_four_shard_round_is_one_frame_and_three_round_trips() {
+fn a_four_shard_round_is_one_frame_and_two_round_trips() {
     // A round that touches every shard is one window: one frame, and
     // the four shards' group commits moved through their levels
-    // together — the lone put's 3 blocking round-trips, not 3 per
+    // together — the lone put's 2 blocking round-trips, not 2 per
     // shard, and 1 control persist per round, not per shard.
     const LATENCY: Duration = Duration::from_millis(1);
     let shape = Shape { shards: 4, ..SHAPE };
@@ -268,8 +269,8 @@ fn a_four_shard_round_is_one_frame_and_three_round_trips() {
         "4 descriptor flights + 4 × 3 commit flights + 4 answer flights"
     );
     assert!(
-        waited_ns(&control, &stripe) <= 3 * LATENCY.as_nanos() as u64,
-        "a four-shard round blocked on more than 3 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe) <= 2 * LATENCY.as_nanos() as u64,
+        "a four-shard round blocked on more than 2 round-trips: {} ns waited on flights",
         waited_ns(&control, &stripe)
     );
 
@@ -384,8 +385,8 @@ fn a_round_of_acks_is_one_level() {
         "answers_for leaves no ack in flight"
     );
     assert!(
-        waited_ns(&control, &stripe) <= 3 * LATENCY.as_nanos() as u64,
-        "acks beside a window blocked it past 3 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe) <= 2 * LATENCY.as_nanos() as u64,
+        "acks beside a window blocked it past 2 round-trips: {} ns waited on flights",
         waited_ns(&control, &stripe)
     );
     s.assert_psan_clean();

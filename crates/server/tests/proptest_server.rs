@@ -561,12 +561,12 @@ proptest! {
                             executed.insert((client, seq)),
                             "({client}, {seq}) executed twice"
                         );
-                        // A get commits nothing: its heads level is empty.
-                        let heads = Level::default().await_all().unwrap();
-                        let mut answers = Level::default();
+                        // A get commits nothing: no records, no span.
+                        let records = Level::default().await_all().unwrap();
+                        let mut level = Level::default();
                         let entry = [(slot, 0, KvTaskResult::Got(None))];
-                        table.answer(&entry, &heads, &mut answers).unwrap();
-                        answers.await_all().unwrap();
+                        table.answer(&entry, None, &records, &mut level).unwrap();
+                        level.await_all().unwrap();
                         unacked[c].push_back(seq);
                         next_seq[c] += 1;
                     }
