@@ -2,8 +2,8 @@
 //!
 //! Compaction rewrites the **live** heads into a fresh generation and
 //! commits with one root swap, so its persist bill must be O(live
-//! keys) — one coalesced block flush, two root-cell round-trips, one
-//! retirement mark — and never O(history). Two views:
+//! keys) — one coalesced block flush and two root-cell round-trips —
+//! and never O(history). Two views:
 //!
 //! * `kv_compaction/pause` — wall-clock compaction pause on a buffered
 //!   region with an emulated 50 µs per-round-trip persist latency

@@ -3,8 +3,8 @@
 //! rewrite**. Two shards with deliberately tiny logs take sustained
 //! traffic, a shard whose headroom falls under the threshold is compacted
 //! by a `KvCompactFunction` task ahead of the round's windows, and kills
-//! land inside the rewrite, at the root swap, at the retirement mark and
-//! inside the recovery passes that replay the interrupted frame. Every
+//! land inside the rewrite, at the root swap and inside the recovery
+//! passes that replay the interrupted frame. Every
 //! campaign must end with a shard having absorbed strictly more lifetime
 //! mutations than its formatted capacity, verifier-clean.
 

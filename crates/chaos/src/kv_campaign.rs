@@ -15,7 +15,7 @@
 //! system down. A row that compacts runs each round's
 //! [`KvCompactFunction`] tasks ahead of its windows — one per shard whose
 //! log headroom fell under the threshold, a kill armed inside the
-//! rewrite, at the root swap or at the retirement mark — and recovery
+//! rewrite or at the root swap — and recovery
 //! replays an interrupted compaction's frame like any other. The harness
 //! answers the workload's gets itself, between rounds, with
 //! [`ShardedKvStore::get_durable`].
@@ -63,7 +63,7 @@ const WINDOW_REPLAY_FUSE: (u64, u64) = (2, 40);
 const COMPACTION_RECOVERY_FUSE: (u64, u64) = (0, 20);
 /// Countdown of a kill inside a compaction task: 0..=30 sweeps the whole
 /// rewrite — the new generation first, then the swap's slot and
-/// selector persists, then the retirement mark.
+/// selector persists.
 const COMPACTION_WINDOW: (u64, u64) = (0, 30);
 /// Descriptors a shard runs per round while a row compacts (rounded up to
 /// whole windows): few enough that the headroom check interleaves with

@@ -95,7 +95,7 @@
 //!   not durable reverts to its old, answered occupant.
 //! * `KvCompactFunction`: the evidence is the shard's root cell. A
 //!   completed compaction moved the shard past `from_gen`, so the
-//!   replay only finishes the idempotent retirement mark; a request
+//!   replay only re-registers the retired generations with the heap; a request
 //!   from a generation the shard never reached answers without effect,
 //!   as its call did.
 //! * `CasTaskFunction` and `QueueTaskFunction` (`pstack-recoverable`):

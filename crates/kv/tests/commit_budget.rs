@@ -10,7 +10,7 @@
 //! effect; that the heads'
 //! flight is the commit point (a cut before it completes shows nothing
 //! of the batch, a cut after `commit` returns loses nothing); what
-//! compaction pays: seven;
+//! compaction pays: six;
 //! and what a static workload's window pays on the persistent stack:
 //! six, the served window's own budget. Counters, not wall-clock:
 //! the blocking bounds compare the *planned* waits the regions record
@@ -262,7 +262,7 @@ fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() 
 }
 
 #[test]
-fn a_compaction_is_seven_persists_and_no_flight() {
+fn a_compaction_is_six_persists_and_no_flight() {
     let (pmem, heap, kv) = store(PMemBuilder::new());
     for chunk in puts(0..128).chunks(16) {
         kv.apply_batch(chunk).unwrap();
@@ -272,7 +272,7 @@ fn a_compaction_is_seven_persists_and_no_flight() {
     let d = pmem.stats().snapshot() - before;
     assert_eq!(
         (d.persists, d.async_flushes),
-        (7, 0),
+        (6, 0),
         "one coalesced flush of the new block, however many carries"
     );
     assert!(d.lines_persisted > 128, "every carry slot is its own line");
