@@ -1,10 +1,8 @@
 //! Shared workload builders for the benchmark harness.
 //!
-//! Every figure reproduction is a criterion bench in `benches/`, and
-//! the `tables` binary (`cargo run -p pstack-bench --bin tables
-//! --release`) prints the tables T1–T10 and asserts them; both build
-//! their systems through the helpers here so the configurations stay
-//! comparable.
+//! Every figure reproduction is a criterion bench in `benches/`; they
+//! build their systems through the helpers here so the configurations
+//! stay comparable.
 
 use pstack_core::{
     FixedStack, FunctionRegistry, ListStack, PContext, PersistentStack, Runtime, RuntimeConfig,
@@ -13,11 +11,10 @@ use pstack_core::{
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, PMemBuilder, POffset, StatsSnapshot};
 
-/// Function id of the no-op workload function used by recovery benches.
-pub const NOOP_FUNC: u64 = 900;
-
-/// Function id of the slot-writer workload function.
-pub const SLOT_FUNC: u64 = 901;
+/// Function id of the recovery fixture's workload function: its
+/// recover dual spins for the number of iterations encoded in its
+/// 8-byte argument (zero means a pure no-op).
+const NOOP_FUNC: u64 = 900;
 
 /// Builds an in-memory region of `len` bytes.
 #[must_use]
@@ -119,12 +116,18 @@ pub fn make_stack(
     }
 }
 
-/// Registry with the two standard workload functions: [`NOOP_FUNC`]
-/// (its recover dual spins for the number of iterations encoded in its
-/// 8-byte argument — zero means a pure no-op) and [`SLOT_FUNC`]
-/// (persists `args[8..16]` into user slot `args[0..8]`, idempotent).
+/// Builds a crashed system with `workers` stacks each holding `depth`
+/// in-flight `NOOP_FUNC` frames whose recover duals each perform
+/// `work_iters` iterations of CPU work, reopened and ready for
+/// `Runtime::recover` — the recovery-benchmark fixture (E5).
+/// `work_iters == 0` measures the bare stack-walk machinery.
 #[must_use]
-pub fn workload_registry() -> FunctionRegistry {
+pub fn crashed_system(
+    workers: usize,
+    depth: usize,
+    work_iters: u64,
+) -> (PMem, Runtime, FunctionRegistry) {
+    let pmem = region(1 << 22);
     let mut reg = FunctionRegistry::new();
     let spin = |_c: &mut PContext<'_>, args: &[u8]| {
         let iters = args
@@ -142,31 +145,6 @@ pub fn workload_registry() -> FunctionRegistry {
         Ok(None)
     };
     reg.register_pair(NOOP_FUNC, spin, spin).unwrap();
-    let body = |c: &mut PContext<'_>, args: &[u8]| {
-        let slot = u64::from_le_bytes(args[..8].try_into().unwrap());
-        let val = u64::from_le_bytes(args[8..16].try_into().unwrap());
-        let off = c.user_root() + slot * 8;
-        c.pmem.write_u64(off, val)?;
-        c.pmem.flush(off, 8)?;
-        Ok(None)
-    };
-    reg.register_pair(SLOT_FUNC, body, body).unwrap();
-    reg
-}
-
-/// Builds a crashed system with `workers` stacks each holding `depth`
-/// in-flight [`NOOP_FUNC`] frames whose recover duals each perform
-/// `work_iters` iterations of CPU work, reopened and ready for
-/// `Runtime::recover` — the recovery-benchmark fixture (E5).
-/// `work_iters == 0` measures the bare stack-walk machinery.
-#[must_use]
-pub fn crashed_system(
-    workers: usize,
-    depth: usize,
-    work_iters: u64,
-) -> (PMem, Runtime, FunctionRegistry) {
-    let pmem = region(1 << 22);
-    let reg = workload_registry();
     let rt = Runtime::format(
         pmem.clone(),
         RuntimeConfig::new(workers).stack_capacity(64 * 1024),

@@ -36,7 +36,9 @@ use crate::cycle::{self, Cx, Harness, Machine, Policy, Striped, Tally, CONTROL_R
 use crate::kv_campaign::{self, KvWorkload, ShardLogUsage, ANSWER_REPLAY_FUSE};
 use crate::server_campaign::{self, ServedStats};
 
-/// One row of the campaign table.
+/// One row of the campaign table. Every row runs under the
+/// persist-order sanitizer, whose findings its report collects, and the
+/// flight recorder, whose summary it carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Operations (descriptors) the workload generates; a served row's
@@ -76,9 +78,6 @@ pub struct CampaignConfig {
     /// plus one file per stripe region beside it (`<image>.0`, …), made
     /// afresh — the paper's deployment, and what kill(1) runs over.
     pub image: Option<PathBuf>,
-    /// Shadow every region with the persist-order sanitizer and collect
-    /// its findings. Defaults to the `psan` crate feature.
-    pub psan: bool,
 }
 
 /// What a row runs, and the check its execution must pass.
@@ -159,7 +158,6 @@ impl CampaignConfig {
             recovery_crash_prob: 0.3,
             access_jitter: None,
             image: None,
-            psan: cfg!(feature = "psan"),
         }
     }
 
@@ -228,8 +226,8 @@ impl CampaignConfig {
     /// The row's control region and a stripe of `shards` regions of
     /// `len` bytes, in memory or on fresh image files.
     pub(crate) fn regions(&self, shards: usize, len: usize) -> Result<(PMem, PMemStripe), PError> {
-        let control = PMemBuilder::new().psan(self.psan).len(CONTROL_REGION_LEN);
-        let mut data = PMemBuilder::new().psan(self.psan).len(len);
+        let control = PMemBuilder::new().psan(true).len(CONTROL_REGION_LEN);
+        let mut data = PMemBuilder::new().psan(true).len(len);
         if let Some((prob, pause_events)) = self.access_jitter {
             data = data.access_jitter(prob, pause_events);
         }

@@ -87,7 +87,6 @@ mod tests {
         // publish over dirty lines — the bug the verifier cannot catch.
         let cfg = CampaignConfig {
             max_crashes: 0, // deterministic: violations fire at swap time
-            psan: true,
             ..compacting(300, 21)
         };
         let cfg = with_kv(cfg, |kv| kv.variant = KvVariant::NoPersistBeforeSwap);

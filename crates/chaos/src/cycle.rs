@@ -61,12 +61,10 @@ pub struct Tally {
     /// NVRAM statistics of the stripe summed over every boot (a control
     /// region's stack traffic is not counted).
     pub stats: StatsSnapshot,
-    /// Persist-order sanitizer findings across every region and boot
-    /// (empty when PSan is off).
+    /// Persist-order sanitizer findings across every region and boot.
     pub psan_violations: Vec<PsanViolation>,
-    /// Flight-recorder summary of the whole campaign; `None` when
-    /// recording was off.
-    pub telemetry: Option<TelemetrySummary>,
+    /// Flight-recorder summary of the whole campaign.
+    pub telemetry: TelemetrySummary,
 }
 
 impl Tally {
@@ -226,14 +224,13 @@ pub(crate) trait Harness<M: Machine> {
 }
 
 /// Records a whole campaign — format, cycle and verification — with the
-/// flight recorder when the `telemetry` feature is on, and attaches the
-/// summary.
+/// flight recorder, and attaches the summary.
 pub(crate) fn traced<R: std::ops::DerefMut<Target = Tally>>(
     campaign: impl FnOnce() -> Result<R, PError>,
 ) -> Result<R, PError> {
-    let session = cfg!(feature = "telemetry").then(TraceSession::start);
+    let session = TraceSession::start();
     let mut report = campaign()?;
-    report.telemetry = session.map(|s| s.finish().summary());
+    report.telemetry = session.finish().summary();
     Ok(report)
 }
 

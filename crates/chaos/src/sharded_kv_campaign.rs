@@ -64,26 +64,23 @@ mod tests {
         // Every crash→recovery cycle that completed was timed.
         assert_eq!(report.recovery_durations.len(), report.crashes);
         assert!(report.recovery_durations.iter().all(|d| d.as_nanos() > 0));
-        #[cfg(feature = "telemetry")]
-        {
-            let telemetry = report.telemetry.as_ref().expect("recording was on");
-            // The stack-driven recovery path exercises the reopen, the
-            // per-shard evidence scan, the frame replay, and the
-            // recover duals — the timeline must attribute at least
-            // three distinct phases with durations.
-            assert!(
-                telemetry.distinct_recovery_phases() >= 3,
-                "timeline:\n{}",
-                telemetry.render()
-            );
-            assert!(!telemetry.timeline.is_empty());
-            assert!(
-                telemetry.ops.iter().any(|op| op.count > 0),
-                "spans should have latencies: {:?}",
-                telemetry.ops
-            );
-            println!("{}", telemetry.render());
-        }
+        let telemetry = &report.telemetry;
+        // The stack-driven recovery path exercises the reopen, the
+        // per-shard evidence scan, the frame replay, and the
+        // recover duals — the timeline must attribute at least
+        // three distinct phases with durations.
+        assert!(
+            telemetry.distinct_recovery_phases() >= 3,
+            "timeline:\n{}",
+            telemetry.render()
+        );
+        assert!(!telemetry.timeline.is_empty());
+        assert!(
+            telemetry.ops.iter().any(|op| op.count > 0),
+            "spans should have latencies: {:?}",
+            telemetry.ops
+        );
+        println!("{}", telemetry.render());
     }
 
     #[test]
@@ -237,7 +234,6 @@ mod tests {
         use pstack_nvram::PsanViolationKind;
         let cfg = CampaignConfig {
             max_crashes: 0, // deterministic: violations fire at publish time
-            psan: true,
             ..sharded(60, 13)
         };
         let cfg = with_kv(cfg, |kv| kv.variant = KvVariant::EarlyPublish);

@@ -92,7 +92,7 @@ impl Runtime {
             RecoveryMode::Serial => {
                 let mut out = Vec::with_capacity(self.workers());
                 for pid in 0..self.workers() {
-                    out.push(self.recover_worker_timed(pid)?);
+                    out.push(self.recover_worker(pid)?);
                 }
                 out
             }
@@ -100,11 +100,11 @@ impl Runtime {
                 let results: Vec<Result<(usize, Duration), PError>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..self.workers())
                         .map(|pid| match self.host_stack() {
-                            None => scope.spawn(move || self.recover_worker_timed(pid)),
+                            None => scope.spawn(move || self.recover_worker(pid)),
                             Some(bytes) => std::thread::Builder::new()
                                 .name(format!("pstack-recovery-{pid}"))
                                 .stack_size(bytes)
-                                .spawn_scoped(scope, move || self.recover_worker_timed(pid))
+                                .spawn_scoped(scope, move || self.recover_worker(pid))
                                 .expect("recovery thread spawns"),
                         })
                         .collect();
@@ -128,16 +128,9 @@ impl Runtime {
         })
     }
 
-    /// Recovers a single worker stack; exposed for tests and benches.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::recover`].
-    pub fn recover_worker(&self, pid: usize) -> Result<usize, PError> {
-        Ok(self.recover_worker_timed(pid)?.0)
-    }
-
-    fn recover_worker_timed(&self, pid: usize) -> Result<(usize, Duration), PError> {
+    /// Recovers worker `pid`'s stack: the frames it completed, and how
+    /// long that took.
+    fn recover_worker(&self, pid: usize) -> Result<(usize, Duration), PError> {
         let start = Instant::now();
         let user_root = self.user_root()?;
         let frames = self.with_worker_stack(pid, |stack| {

@@ -92,8 +92,7 @@ impl StripedRuntime {
     #[must_use]
     pub fn from_parts(runtime: Runtime, stripe: PMemStripe) -> Self {
         // Name the control region in telemetry traces; shard regions
-        // were already labeled by `build_striped`. No-op when the
-        // recorder is compiled out.
+        // were already labeled by `build_striped`.
         runtime.pmem().telemetry_set_label("control");
         StripedRuntime {
             runtime,

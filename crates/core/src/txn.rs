@@ -554,35 +554,37 @@ mod tests {
         // The central Appendix-A claim, exhaustively: crash after every
         // k-th persistence event of the whole transaction; after
         // recovery the array is either fully updated (commit happened)
-        // or fully restored.
+        // or fully restored. Both unbounded stack layouts.
         let count = 6u64;
-        let (_, rt, step, txn, _) = setup(StackKind::Vec, count);
-        let before = step.read_all().unwrap();
-        let after: Vec<u64> = before.iter().map(|v| v * 2 + 1).collect();
-        step.begin().unwrap();
-        let e0 = rt.pmem().events();
-        let report = rt.run_tasks(vec![txn.task(count)]);
-        assert_eq!(report.completed, 1);
-        let total = rt.pmem().events() - e0;
-
-        for k in 0..total {
-            let (pmem, rt, step, txn, _) = setup(StackKind::Vec, count);
+        for kind in [StackKind::Vec, StackKind::List] {
+            let (_, rt, step, txn, _) = setup(kind, count);
+            let before = step.read_all().unwrap();
+            let after: Vec<u64> = before.iter().map(|v| v * 2 + 1).collect();
             step.begin().unwrap();
-            pmem.arm_failpoint(FailPlan::after_events(k));
+            let e0 = rt.pmem().events();
             let report = rt.run_tasks(vec![txn.task(count)]);
-            if !report.crashed {
-                // The fail-point landed after the task finished (final
-                // queue bookkeeping): the commit stands.
-                assert_eq!(step.read_all().unwrap(), after, "crash at {k}");
-                continue;
+            assert_eq!(report.completed, 1);
+            let total = rt.pmem().events() - e0;
+
+            for k in 0..total {
+                let (pmem, rt, step, txn, _) = setup(kind, count);
+                step.begin().unwrap();
+                pmem.arm_failpoint(FailPlan::after_events(k));
+                let report = rt.run_tasks(vec![txn.task(count)]);
+                if !report.crashed {
+                    // The fail-point landed after the task finished (final
+                    // queue bookkeeping): the commit stands.
+                    assert_eq!(step.read_all().unwrap(), after, "{kind}: crash at {k}");
+                    continue;
+                }
+                let (_, rt2, step2) = reopen(&pmem, step.base());
+                rt2.recover(RecoveryMode::Parallel).unwrap();
+                let got = step2.read_all().unwrap();
+                assert!(
+                    got == before || got == after,
+                    "{kind}: crash at event {k}: torn state {got:?}"
+                );
             }
-            let (_, rt2, step2) = reopen(&pmem, step.base());
-            rt2.recover(RecoveryMode::Parallel).unwrap();
-            let got = step2.read_all().unwrap();
-            assert!(
-                got == before || got == after,
-                "crash at event {k}: torn state {got:?}"
-            );
         }
     }
 

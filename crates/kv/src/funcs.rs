@@ -375,11 +375,13 @@ impl KvServeFunction {
     }
 
     /// A window names shards in range, each at most once and in
-    /// ascending order, and slots inside their shard's table. The order
-    /// is what lets windows run side by side: a shard's group commit
-    /// holds the shard's gate until it commits, so a window naming a
-    /// shard twice would wait on itself, and two windows taking gates in
-    /// different orders could wait on each other.
+    /// ascending order, and slots inside their shard's table, each at
+    /// most once. The order is what lets windows run side by side: a
+    /// shard's group commit holds the shard's gate until it commits, so
+    /// a window naming a shard twice would wait on itself, and two
+    /// windows taking gates in different orders could wait on each
+    /// other. A slot named twice would be staged twice, its descriptor
+    /// applied twice under one tag.
     fn check(&self, window: &[ShardWindow]) -> Result<(), PError> {
         let mut last = None;
         for part in window {
@@ -402,6 +404,14 @@ impl KvServeFunction {
                     "slot {slot} out of range for shard {}'s {}-slot table",
                     part.shard,
                     table.capacity()
+                )));
+            }
+            let mut slots = part.slots.clone();
+            slots.sort_unstable();
+            if let Some(pair) = slots.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(PError::Task(format!(
+                    "slot {} named twice in shard {}'s part",
+                    pair[0], part.shard
                 )));
             }
         }

@@ -497,6 +497,23 @@ fn window_args_naming_a_shard_twice_are_a_task_error_not_a_deadlock() {
 }
 
 #[test]
+fn a_window_naming_a_slot_twice_is_a_task_error_and_publishes_nothing() {
+    // Staging the slot twice would write two records under one
+    // `(pid, seq)` tag: one descriptor applied twice.
+    let (_, _, exec, _) = fixture(&puts(0..1, |_| 7));
+    let window = [ShardWindow {
+        shard: 0,
+        recovery: false,
+        slots: vec![0, 0],
+    }];
+    let why = task_error(exec.execute_window(&window, 0, None));
+    assert!(why.contains("slot 0 named twice"), "{why}");
+    task_error(exec.parse_args(&KvServeFunction::window_args(&window)));
+    assert!(exec.store().contents().unwrap().is_empty(), "no record");
+    assert_eq!(exec.tables()[0].pending_slots().unwrap(), vec![0]);
+}
+
+#[test]
 fn batch_window_group_commits_and_answers_in_one_pass() {
     let ops = puts(0..16, |key| key as i64 + 1);
     let (stripe, main, heap, exec) = sharded_fixture(&ops, 2);

@@ -718,8 +718,7 @@ impl PMem {
     fn persist(&self, off: POffset, len: usize, only_if_dirty: bool) -> Result<bool, MemError> {
         self.check_alive()?;
         self.check_bounds(off, len)?;
-        // Telemetry round-trip timer: a no-op unless recording (and
-        // compiled away entirely without the `telemetry` feature).
+        // Telemetry round-trip timer: a no-op unless recording.
         let probe = pstack_telemetry::persist_probe();
         let mut st = self.inner.state.lock();
         if only_if_dirty {
@@ -1376,8 +1375,7 @@ impl PMem {
     }
 
     /// Names the region in telemetry traces (persist round-trips,
-    /// crash events). Survives [`PMem::reopen`] like the PSan label;
-    /// a no-op when the flight recorder is compiled out.
+    /// crash events). Survives [`PMem::reopen`] like the PSan label.
     pub fn telemetry_set_label(&self, label: &str) {
         self.inner
             .tlabel

@@ -65,7 +65,7 @@ thread_local! {
 /// wins. Cheap enough to call unconditionally — a thread-local `Vec`
 /// push/pop, no locking, no allocation.
 ///
-/// When the flight recorder is compiled in and recording, the guard
+/// While the flight recorder is recording, the guard
 /// doubles as a telemetry span: enter/exit events land in the calling
 /// thread's ring, and the collector turns them into per-op latency
 /// histograms and persist attribution.

@@ -4,7 +4,8 @@
 //! a stack push costs one frame flush plus exactly one single-byte
 //! marker flush; a pop costs one single-byte flush (§3.4). The counters
 //! here let tests and benchmarks check those claims directly
-//! (experiment E13: table T4 of `pstack-bench`'s `tables` binary).
+//! (experiment E13: the persist budgets of `tests/stack_contract.rs`,
+//! and the exact counts the `stack_ops` bench prints).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

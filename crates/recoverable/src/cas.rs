@@ -190,15 +190,6 @@ impl RecoverableCas {
         Ok(TaggedValue::read_from(&self.pmem, self.base)?.value)
     }
 
-    /// Reads the full tagged register content (diagnostics, verifier).
-    ///
-    /// # Errors
-    ///
-    /// Propagated NVRAM errors.
-    pub fn read_tagged(&self) -> Result<TaggedValue, PError> {
-        Ok(TaggedValue::read_from(&self.pmem, self.base)?)
-    }
-
     /// Executes `CAS(old → new)` as process `pid` with unique tag `seq`.
     /// Returns whether the CAS took effect.
     ///

@@ -352,24 +352,6 @@ impl RecoverableQueue {
         Ok(())
     }
 
-    /// Tail hint (lags by at most the number of in-flight enqueues).
-    ///
-    /// # Errors
-    ///
-    /// Propagated NVRAM errors.
-    pub fn tail_hint(&self) -> Result<u64, PError> {
-        self.counter(OFF_TAIL)
-    }
-
-    /// Head hint (lags by at most the number of in-flight dequeues).
-    ///
-    /// # Errors
-    ///
-    /// Propagated NVRAM errors.
-    pub fn head_hint(&self) -> Result<u64, PError> {
-        self.counter(OFF_HEAD)
-    }
-
     /// Enqueues `value` as process `pid` with unique tag `seq`. Returns
     /// `false` if the queue's lifetime capacity is exhausted.
     ///

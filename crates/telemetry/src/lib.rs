@@ -1,5 +1,5 @@
-//! `pstack-telemetry` — an always-compiled, feature-gated flight
-//! recorder for the persistent-stack runtime.
+//! `pstack-telemetry` — an always-compiled flight recorder for the
+//! persistent-stack runtime, switched on at run time.
 //!
 //! The recorder turns the sanitizer's `op_label()` stack into real
 //! spans: per-thread lock-free ring buffers record span enter/exit,
@@ -8,14 +8,12 @@
 //! into per-op latency histograms (p50/p99/p999), persist-economy
 //! counters attributed per op, and a crash→recovery timeline.
 //!
-//! Cost model, in three gates:
+//! Cost model, in two regimes (the `instrumentation` bench in
+//! `pstack-bench` measures both):
 //!
-//! 1. **Feature off** (`recorder` not enabled): every hook body is
-//!    behind `cfg!(feature = "recorder")`, a compile-time constant, so
-//!    the persist path carries literally nothing — the
-//!    `telemetry_overhead` bench in `pstack-bench` holds this gate.
-//! 2. **Feature on, recording off**: one relaxed atomic load per hook.
-//! 3. **Recording on** (inside a [`TraceSession`]): one seqlock slot
+//! 1. **Idle** (no [`TraceSession`] active): one relaxed atomic load
+//!    and a branch per hook.
+//! 2. **Recording** (inside a [`TraceSession`]): one seqlock slot
 //!    write into the calling thread's ring — no locks, no allocation
 //!    after the ring exists.
 //!
@@ -43,22 +41,15 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// True when the recorder is compiled in (`recorder` feature).
-#[must_use]
-pub const fn compiled() -> bool {
-    cfg!(feature = "recorder")
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ACTIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// True when events are being recorded right now. This is the hot-path
-/// gate: with the `recorder` feature off it is a compile-time `false`
-/// and every hook folds away.
+/// True when events are being recorded right now: the hot-path gate
+/// every hook checks first.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    compiled() && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Nanoseconds since the process-wide trace epoch (first use).
@@ -86,13 +77,10 @@ fn interner() -> &'static Mutex<Interner> {
     })
 }
 
-/// Interns a label, returning its stable id (0 when the recorder is
-/// compiled out). Region names go through here once at build time.
+/// Interns a label, returning its stable id. Region names go through
+/// here once at build time.
 #[must_use]
 pub fn intern(name: &str) -> u32 {
-    if !compiled() {
-        return 0;
-    }
     let mut it = interner().lock().unwrap();
     if let Some(&id) = it.by_name.get(name) {
         return id;
@@ -342,8 +330,8 @@ pub const CONTROL_REGION: u64 = u64::MAX;
 // ---------------------------------------------------------------------------
 // Sessions
 
-/// A recording window. Starting a session turns the recorder on (if
-/// compiled); finishing it collects every event recorded since the
+/// A recording window. Starting a session turns the recorder on;
+/// finishing it collects every event recorded since the
 /// start into a [`TraceSnapshot`]. Sessions nest/overlap: each keeps
 /// its own per-ring cursors, and the recorder switches off when the
 /// last one finishes.
@@ -366,12 +354,6 @@ impl TraceSession {
     /// Starts recording and marks the collection window.
     #[must_use]
     pub fn start() -> Self {
-        if !compiled() {
-            return Self {
-                start: Vec::new(),
-                live: false,
-            };
-        }
         let reg = registry().lock().unwrap();
         let start = reg.rings.iter().map(|r| r.head()).collect();
         ACTIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
@@ -382,9 +364,6 @@ impl TraceSession {
     /// Stops this session and returns everything it recorded.
     #[must_use]
     pub fn finish(mut self) -> TraceSnapshot {
-        if !compiled() {
-            return TraceSnapshot::default();
-        }
         if std::mem::take(&mut self.live) {
             deactivate();
         }
@@ -426,11 +405,6 @@ mod tests {
     // assertions only ever look at labels this test itself creates.)
     #[test]
     fn session_records_spans_and_persists() {
-        if !compiled() {
-            let snap = TraceSession::start().finish();
-            assert!(snap.threads.is_empty());
-            return;
-        }
         let session = TraceSession::start();
         {
             let _outer = span("lib-test.outer");

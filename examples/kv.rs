@@ -51,8 +51,7 @@ fn put(kv: &ShardedKvStore, seq: u64, key: u64) -> Result<bool, Box<dyn std::err
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Record the whole demo. With `--no-default-features` the recorder
-    // is compiled out and this session collects nothing (for free).
+    // Record the whole demo with the flight recorder.
     let session = TraceSession::start();
 
     // Act 1: the store API over emulated NVRAM, surviving a power cut.

@@ -1,7 +1,6 @@
 //! Flight-recorder integration over the KV store: spans opened around
 //! (and across) a crash/reopen boundary stay balanced, the collected
 //! trace validates, and the summary attributes the store's ops.
-#![cfg(feature = "telemetry")]
 
 use pstack::heap::PHeap;
 use pstack::kv::{KvBatchOp, KvVariant, PKvStore};
@@ -69,11 +68,6 @@ fn spans_stay_balanced_across_crash_and_reopen() {
     drop(pre_session_span);
     let snapshot = session.finish();
 
-    if !telemetry::compiled() {
-        assert!(snapshot.threads.is_empty());
-        return;
-    }
-
     // The structural lint the trace-dump --validate mode runs: monotone
     // timestamps, gapless positions, and — the point of this test —
     // balanced span enter/exit pairs despite the crash in the middle
@@ -127,9 +121,6 @@ fn overlapping_sessions_collect_independently() {
     pmem.flush(128u64.into(), 8).unwrap();
     let outer_snap = outer.finish();
 
-    if !telemetry::compiled() {
-        return;
-    }
     inner_snap.validate().expect("inner trace validates");
     outer_snap.validate().expect("outer trace validates");
     let inner_events: usize = inner_snap.threads.iter().map(|t| t.events.len()).sum();
