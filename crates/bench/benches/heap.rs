@@ -13,12 +13,9 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pstack_bench::region;
 use pstack_heap::PHeap;
-use pstack_nvram::{PMemBuilder, POffset};
-
-fn region(len: usize) -> pstack_nvram::PMem {
-    PMemBuilder::new().len(len).build_in_memory()
-}
+use pstack_nvram::POffset;
 
 fn bench_alloc_free_pair(c: &mut Criterion) {
     let mut g = c.benchmark_group("heap/alloc_free_pair");

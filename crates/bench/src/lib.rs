@@ -25,8 +25,8 @@ pub fn region(len: usize) -> PMem {
 /// Prints a measured run's persist economy — persist round-trips,
 /// durable lines and coalesced bytes per operation, derived from a
 /// `PMem` stats delta over `ops` operations. One format for every
-/// bench that reports the counters (flush ablation, group-commit
-/// sweep), so the lines stay comparable.
+/// bench that reports the counters (instrumentation, stack layouts),
+/// so the lines stay comparable.
 pub fn report_persist_economy(label: &str, line_size: usize, delta: StatsSnapshot, ops: f64) {
     println!(
         "{label:<55} stats: persists/op={:.3} lines/op={:.3} coalesced_bytes/op={:.1} \

@@ -241,8 +241,7 @@ impl CampaignConfig {
         let _ = std::fs::remove_file(stripe_file(image, shards));
         let regions = (0..shards).map(|i| {
             let region = fresh(data.clone(), &stripe_file(image, i))?;
-            region.psan_set_label(&format!("shard-{i}"));
-            region.telemetry_set_label(&format!("shard-{i}"));
+            region.set_label(&format!("shard-{i}"));
             Ok(region)
         });
         let regions = regions.collect::<Result<Vec<_>, PError>>()?;

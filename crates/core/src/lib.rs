@@ -59,7 +59,6 @@ pub use runtime::{
     StripedRuntime, Task, TaskQueue,
 };
 pub use stack::{
-    FixedStack, FlushPolicy, FrameRecord, ListStack, PersistentStack, ReturnSlot, StackKind,
-    VecStack,
+    FixedStack, FrameRecord, ListStack, PersistentStack, ReturnSlot, StackKind, VecStack,
 };
 pub use txn::{TxnLoop, TxnStep, U64CellStep};

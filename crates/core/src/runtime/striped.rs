@@ -91,9 +91,9 @@ impl StripedRuntime {
     /// with the data stripe its tasks operate on.
     #[must_use]
     pub fn from_parts(runtime: Runtime, stripe: PMemStripe) -> Self {
-        // Name the control region in telemetry traces; shard regions
-        // were already labeled by `build_striped`.
-        runtime.pmem().telemetry_set_label("control");
+        // Name the control region in PSan reports and telemetry traces;
+        // shard regions were already labeled by `build_striped`.
+        runtime.pmem().set_label("control");
         StripedRuntime {
             runtime,
             stripe,
@@ -483,6 +483,26 @@ mod tests {
         let site = report.crash_site.expect("crash must carry a site");
         assert_eq!(site.region, CrashRegion::Runtime);
         assert_eq!(site.events, rt.control().events());
+    }
+
+    #[test]
+    fn a_psan_violation_names_the_region_that_raised_it() {
+        let psan = PMemBuilder::new().psan(true);
+        let stripe = psan.clone().len(1 << 16).build_striped(1);
+        let control = psan.len(1 << 20).build_in_memory();
+        let reg = stripe_registry(&stripe);
+        let rt =
+            StripedRuntime::format(control, stripe.clone(), RuntimeConfig::new(1), &reg).unwrap();
+        // A store checked as a commit point while still dirty: one
+        // unordered-commit violation in each region.
+        for (region, label) in [(rt.control(), "control"), (stripe.region(0), "shard-0")] {
+            let off = POffset::new(region.len() as u64 - 64);
+            region.write_u64(off, 7).unwrap();
+            region.psan_check_durable(off, 8);
+            let raised = region.psan_violations();
+            assert_eq!(raised.len(), 1, "{raised:?}");
+            assert_eq!(raised[0].region, label);
+        }
     }
 
     #[test]

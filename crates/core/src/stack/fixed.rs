@@ -9,37 +9,6 @@ use crate::stack::{
 };
 use crate::PError;
 
-/// Controls which of the paper's two flushing invariants (§3.4, Fig. 6)
-/// the stack honours. **Production code always uses the default** (both
-/// on); the off switches exist so tests can demonstrate that each
-/// invariant is load-bearing — disabling either one makes recovery lose
-/// or miss frames, exactly as Fig. 6 predicts (experiment E4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Invariant 1: flush the new frame **before** moving the stack end
-    /// forward. If violated, a crash can persist the marker flip but
-    /// lose the frame it points at (Fig. 6a). Vacuous — and no flush is
-    /// issued either way — for a frame lying wholly in the line of the
-    /// marker that flips: the two persist together or not at all.
-    pub flush_frame_before_advance: bool,
-    /// Invariant 2: every end-marker flip durable before the next step
-    /// that depends on it — a push's and a nested pop's flip flushed
-    /// immediately, a root frame's retired pop
-    /// ([`PersistentStack::retire`]) by the next push, riding its
-    /// persist or flushed ahead of it. If violated, a crash can lose
-    /// the flip, so recovery never sees the topmost frame (Fig. 6b).
-    pub flush_markers: bool,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        FlushPolicy {
-            flush_frame_before_advance: true,
-            flush_markers: true,
-        }
-    }
-}
-
 /// A persistent stack in a contiguous NVRAM region of constant size.
 ///
 /// # Example
@@ -67,7 +36,6 @@ pub struct FixedStack {
     /// Volatile frame index, including the dummy frame at position 0.
     /// Rebuilt from NVRAM by [`FixedStack::open`].
     frames: Vec<FrameMeta>,
-    policy: FlushPolicy,
     /// A retired root pop is written and not yet durable; the next
     /// push makes it so.
     retired: bool,
@@ -100,7 +68,6 @@ impl FixedStack {
             base,
             capacity,
             frames,
-            policy: FlushPolicy::default(),
             retired: false,
         })
     }
@@ -128,15 +95,8 @@ impl FixedStack {
             base,
             capacity,
             frames,
-            policy: FlushPolicy::default(),
             retired: false,
         })
-    }
-
-    /// Replaces the flush policy. Only tests should ever weaken it; see
-    /// [`FlushPolicy`].
-    pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
-        self.policy = policy;
     }
 
     /// The stack's base offset.
@@ -179,14 +139,7 @@ impl PersistentStack for FixedStack {
         // Step 2 (Fig. 3c): move the stack end forward — flip the old
         // top's marker 0x1 → 0x0. One byte, one line: crash-atomic, and
         // the clearing of that frame's return slot rides the same line.
-        let ticket = persist_call(
-            &self.pmem,
-            &caller,
-            self.retired,
-            None,
-            (new_start, &buf),
-            self.policy,
-        )?;
+        let ticket = persist_call(&self.pmem, &caller, self.retired, None, (new_start, &buf))?;
         self.retired = false;
         self.frames.push(FrameMeta {
             start: new_start,
@@ -204,7 +157,7 @@ impl PersistentStack for FixedStack {
         // frame's marker 0x0 → 0x1. The popped frame becomes invalid
         // data past the stack end.
         let penult = self.frames[self.frames.len() - 2];
-        persist_ret(&self.pmem, &penult, completion, self.policy)?;
+        persist_ret(&self.pmem, &penult, completion)?;
         self.frames.pop();
         Ok(())
     }
@@ -256,6 +209,7 @@ impl PersistentStack for FixedStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::FlushPolicy;
     use pstack_nvram::{FailPlan, MemError, PMemBuilder};
 
     fn stack(cap: u64) -> (PMem, FixedStack) {
@@ -500,15 +454,16 @@ mod tests {
         // frame should be.
         let (pmem, mut s) = stack(4 * 1024);
         s.push(1, b"anchor").unwrap();
-        s.set_flush_policy(FlushPolicy {
-            flush_frame_before_advance: false,
-            flush_markers: true,
-        });
         // The new frame's bytes start past the old top frame. With args
         // of 200 bytes the frame spans lines that hold no other data, so
         // survival_prob 0 drops the frame but the marker flush already
         // persisted the flip.
-        s.push(2, &[0xCD; 200]).unwrap();
+        FlushPolicy {
+            flush_frame_before_advance: false,
+            flush_markers: true,
+        }
+        .during(|| s.push(2, &[0xCD; 200]))
+        .unwrap();
         pmem.crash_now(0, 0.0);
         let pmem = pmem.reopen().unwrap();
         let result = FixedStack::open(pmem, POffset::new(0), 4 * 1024);
@@ -527,11 +482,12 @@ mod tests {
         // not consider the new top frame part of the stack.
         let (pmem, mut s) = stack(4 * 1024);
         s.push(1, b"anchor").unwrap();
-        s.set_flush_policy(FlushPolicy {
+        FlushPolicy {
             flush_frame_before_advance: true,
             flush_markers: false,
-        });
-        s.push(2, b"will-be-missed").unwrap();
+        }
+        .during(|| s.push(2, b"will-be-missed"))
+        .unwrap();
         pmem.crash_now(0, 0.0);
         let pmem = pmem.reopen().unwrap();
         let s2 = FixedStack::open(pmem, POffset::new(0), 4 * 1024).unwrap();

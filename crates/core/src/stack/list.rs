@@ -24,9 +24,7 @@ use crate::frame::{
     MARKER_STACK_END, ORDINARY_OVERHEAD, POINTER_FRAME_LEN,
 };
 use crate::registry::DUMMY_FUNC_ID;
-use crate::stack::{
-    persist_call, persist_ret, retire_ret, FlushPolicy, PersistentStack, ReturnSlot, StackKind,
-};
+use crate::stack::{persist_call, persist_ret, retire_ret, PersistentStack, ReturnSlot, StackKind};
 use crate::PError;
 
 const LIST_MAGIC: u64 = 0x5053_4C49_5354_534B; // "PSLISTSK"
@@ -285,14 +283,7 @@ impl PersistentStack for ListStack {
         if tail.get() + need + POINTER_FRAME_LEN <= limit.get() {
             // Fits in the current block: §3.4 protocol verbatim.
             let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-            let ticket = persist_call(
-                &self.pmem,
-                &top_meta,
-                self.retired,
-                None,
-                (tail, &buf),
-                FlushPolicy::default(),
-            )?;
+            let ticket = persist_call(&self.pmem, &top_meta, self.retired, None, (tail, &buf))?;
             self.retired = false;
             self.frames.push((
                 top_bidx,
@@ -322,7 +313,6 @@ impl PersistentStack for ListStack {
             self.retired,
             Some((frame_start, &buf)),
             (tail, &ptr),
-            FlushPolicy::default(),
         )?;
         self.retired = false;
 
@@ -354,7 +344,7 @@ impl PersistentStack for ListStack {
         // Flip the penultimate frame's marker: if the top frame was the
         // only one in its block, this single byte atomically invalidates
         // the pointer frame *and* the whole top block (Fig. 8).
-        persist_ret(&self.pmem, &penult, completion, FlushPolicy::default())?;
+        persist_ret(&self.pmem, &penult, completion)?;
         self.frames.pop();
         if top_bidx != penult_bidx {
             // Crash here leaks the unreachable block; same window as

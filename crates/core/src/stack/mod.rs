@@ -47,7 +47,7 @@ mod list;
 mod vec;
 
 pub use dump::dump_stack;
-pub use fixed::{FixedStack, FlushPolicy};
+pub use fixed::FixedStack;
 pub use list::ListStack;
 pub use vec::VecStack;
 
@@ -184,8 +184,8 @@ pub trait PersistentStack: Send {
     /// flip — issued as an asynchronous flush and **not awaited**. Every
     /// earlier stage is durable on return (a retired pop that does not
     /// ride the flip's line, a frame past it), and so is the flip once
-    /// the returned ticket is awaited (`None` only under a
-    /// [`FlushPolicy`] that skips the flip's flush).
+    /// the returned ticket is awaited (`None` only under a test's
+    /// negative control that skips the flip's flush).
     /// Until then a crash leaves the stack before the push or pushed,
     /// by the survival of the flip's one line — and a retired pop that
     /// rides that line shares its fate: lost with it, the retired frame
@@ -332,8 +332,9 @@ pub(crate) struct Stage<'a> {
     /// `false` for stores written by an earlier step and left pending
     /// there — a retired pop — which this step only makes durable.
     pub write: bool,
-    /// Whether the step may persist this stage: always `true` except
-    /// under [`FlushPolicy`]'s negative controls.
+    /// Whether the step persists this stage: `false` for a retired
+    /// pop's flip, left to the next push, and under a test's Fig. 6
+    /// negative control.
     pub flush: bool,
 }
 
@@ -381,8 +382,8 @@ pub(crate) fn persist_in_order<'a>(
 ) -> Result<Option<FlushTicket>, PError> {
     let mut stages = stages.into_iter().peekable();
     let mut ticket = None;
-    // The previous stage's hull and receipt; none when a negative
-    // control of [`FlushPolicy`] left it unpersisted.
+    // The previous stage's hull and receipt; none when the stage was
+    // left unpersisted.
     let mut before: Option<((POffset, usize), Durable)> = None;
     while let Some(stage) = stages.next() {
         if stage.write {
@@ -437,6 +438,64 @@ fn pop_flip(caller: &FrameMeta) -> [Store<'static>; 1] {
     [(caller.marker_off(), &[MARKER_STACK_END])]
 }
 
+/// The paper's two flushing invariants (§3.4, Fig. 6) as `CALL` and
+/// `RET` keep them: whether what a flip publishes is flushed before the
+/// flip (invariant 1), and whether the flip itself is flushed before
+/// the next step (invariant 2). Both, always: only a test's negative
+/// control drops one (`FlushPolicy`).
+#[cfg(not(test))]
+fn invariants() -> (bool, bool) {
+    (true, true)
+}
+
+#[cfg(test)]
+fn invariants() -> (bool, bool) {
+    let policy = FLUSH_POLICY.get();
+    (policy.flush_frame_before_advance, policy.flush_markers)
+}
+
+/// Which of the paper's two flushing invariants (§3.4, Fig. 6) `CALL`
+/// and `RET` honour on the current thread. The seed of the Fig. 6
+/// negative controls (experiment E4): dropping either one makes
+/// recovery lose or miss a frame, which shows that each is
+/// load-bearing.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlushPolicy {
+    /// Invariant 1: flush the new frame **before** moving the stack end
+    /// forward. If violated, a crash can persist the marker flip but
+    /// lose the frame it points at (Fig. 6a). Vacuous — and no flush is
+    /// issued either way — for a frame lying wholly in the line of the
+    /// marker that flips: the two persist together or not at all.
+    pub flush_frame_before_advance: bool,
+    /// Invariant 2: every end-marker flip durable before the next step
+    /// that depends on it. If violated, a crash can lose the flip, so
+    /// recovery never sees the topmost frame (Fig. 6b).
+    pub flush_markers: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    static FLUSH_POLICY: std::cell::Cell<FlushPolicy> = const {
+        std::cell::Cell::new(FlushPolicy {
+            flush_frame_before_advance: true,
+            flush_markers: true,
+        })
+    };
+}
+
+#[cfg(test)]
+impl FlushPolicy {
+    /// Runs `f` with this thread's `CALL` and `RET` keeping only the
+    /// invariants `self` keeps.
+    pub(crate) fn during<T>(self, f: impl FnOnce() -> T) -> T {
+        let kept = FLUSH_POLICY.replace(self);
+        let out = f();
+        FLUSH_POLICY.set(kept);
+        out
+    }
+}
+
 /// `CALL`'s linearization step, shared by the three layouts. Before
 /// `caller`'s marker flips to frame-end, what the flip publishes must
 /// be durable — `appended`, written right after `caller`'s frame (the
@@ -462,12 +521,12 @@ pub(crate) fn persist_call(
     retired: bool,
     detached: Option<Store<'_>>,
     appended: Store<'_>,
-    policy: FlushPolicy,
 ) -> Result<Option<FlushTicket>, PError> {
+    let (frame_first, flip_flushed) = invariants();
     let published = |stores| Stage {
         stores,
         write: true,
-        flush: policy.flush_frame_before_advance,
+        flush: frame_first,
     };
     let popped = pop_flip(caller);
     let tail = [appended, (caller.ret_flag_off(), &[RET_EMPTY])];
@@ -476,14 +535,14 @@ pub(crate) fn persist_call(
         Stage {
             stores: if retired { &popped } else { &[] },
             write: false,
-            flush: policy.flush_markers,
+            flush: flip_flushed,
         },
         published(detached.as_slice()),
         published(&tail),
         Stage {
             stores: &flip,
             write: true,
-            flush: policy.flush_markers,
+            flush: flip_flushed,
         },
     ];
     persist_in_order(
@@ -500,7 +559,6 @@ pub(crate) fn persist_ret(
     pmem: &PMem,
     caller: &FrameMeta,
     completion: Option<ReturnSlot>,
-    policy: FlushPolicy,
 ) -> Result<(), PError> {
     let slot = completion
         .as_ref()
@@ -511,7 +569,7 @@ pub(crate) fn persist_ret(
         slot_stages(&slot).chain([Stage {
             stores: &flip,
             write: true,
-            flush: policy.flush_markers,
+            flush: invariants().1,
         }]),
         LastStage::Flushed,
     )?;

@@ -15,8 +15,7 @@ use pstack_nvram::{FlushTicket, PMem, POffset};
 use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    persist_call, persist_ret, retire_ret, walk_contiguous, FlushPolicy, PersistentStack,
-    ReturnSlot, StackKind,
+    persist_call, persist_ret, retire_ret, walk_contiguous, PersistentStack, ReturnSlot, StackKind,
 };
 use crate::PError;
 
@@ -228,14 +227,7 @@ impl PersistentStack for VecStack {
         let caller = *self.top();
         let new_start = caller.end();
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        let ticket = persist_call(
-            &self.pmem,
-            &caller,
-            self.retired,
-            None,
-            (new_start, &buf),
-            FlushPolicy::default(),
-        )?;
+        let ticket = persist_call(&self.pmem, &caller, self.retired, None, (new_start, &buf))?;
         self.retired = false;
         self.frames.push(FrameMeta {
             start: new_start,
@@ -250,7 +242,7 @@ impl PersistentStack for VecStack {
             return Err(PError::StackEmpty);
         }
         let penult = self.frames[self.frames.len() - 2];
-        persist_ret(&self.pmem, &penult, completion, FlushPolicy::default())?;
+        persist_ret(&self.pmem, &penult, completion)?;
         self.frames.pop();
         if let Some(capacity) = self.shrink_to(self.used_bytes()) {
             self.relocate(capacity)?;

@@ -276,6 +276,35 @@ fn a_compaction_is_six_persists_and_no_flight() {
         "one coalesced flush of the new block, however many carries"
     );
     assert!(d.lines_persisted > 128, "every carry slot is its own line");
+
+    // The bill follows the live set, not the history: 64 live keys
+    // compact for the same persists and lines after 512 mutations as
+    // after 4096.
+    let bill = |history: u64| {
+        let log_cap = history + 16;
+        let len = (PKvStore::required_len(64, log_cap) * 4).next_power_of_two();
+        let pmem = PMemBuilder::new().len(len).build_in_memory();
+        let heap = PHeap::format(pmem.clone(), POffset::new(0), len as u64).unwrap();
+        let kv = PKvStore::format(pmem.clone(), &heap, 64, log_cap, KvVariant::Nsrl).unwrap();
+        let ops: Vec<KvBatchOp> = (0..history)
+            .map(|i| KvBatchOp::Put {
+                pid: 0,
+                seq: i + 1,
+                key: i % 64,
+                value: i as i64,
+            })
+            .collect();
+        for chunk in ops.chunks(64) {
+            kv.apply_batch(chunk).unwrap();
+        }
+        let before = pmem.stats().snapshot();
+        assert_eq!(kv.compact(&heap).unwrap().carried, 64);
+        let d = pmem.stats().snapshot() - before;
+        (d.persists, d.lines_persisted)
+    };
+    let (shallow, deep) = (bill(512), bill(4096));
+    assert_eq!(shallow.0, 6);
+    assert_eq!(shallow, deep, "history 512 vs 4096: (persists, lines)");
 }
 
 #[test]

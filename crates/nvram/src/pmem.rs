@@ -488,12 +488,6 @@ impl PMem {
         }
     }
 
-    /// Which durable backend the region uses.
-    #[must_use]
-    pub fn backend_kind(&self) -> BackendKind {
-        self.inner.state.lock().backend.kind()
-    }
-
     /// Total persistence events (writes, per-line persists, CAS) since
     /// this handle's boot. Used by crash-point enumeration.
     #[must_use]
@@ -1109,34 +1103,6 @@ impl PMem {
         Ok(true)
     }
 
-    /// Atomic read-modify-write of the `u64` at `off` via a CAS-retry
-    /// loop — the fetch-add-style primitive lock-free reservation
-    /// protocols build on. `f` maps the current value to the desired
-    /// new one; returning `None` aborts. Returns `Ok(previous)` when an
-    /// update was installed and `Err(current)` when `f` declined.
-    ///
-    /// The update is volatile like any CAS: its durability still takes
-    /// a flush of the covering line.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::Crashed`] or [`MemError::OutOfBounds`].
-    #[allow(clippy::missing_panics_doc)] // read_u64's slice conversion cannot fail
-    pub fn fetch_update<F>(&self, off: POffset, mut f: F) -> Result<Result<u64, u64>, MemError>
-    where
-        F: FnMut(u64) -> Option<u64>,
-    {
-        loop {
-            let current = self.read_u64(off)?;
-            let Some(new) = f(current) else {
-                return Ok(Err(current));
-            };
-            if self.compare_exchange(off, &current.to_le_bytes(), &new.to_le_bytes())? {
-                return Ok(Ok(current));
-            }
-        }
-    }
-
     /// Injects a crash: each dirty line independently survives (is
     /// persisted) with probability `survival_prob`, decided
     /// deterministically from `seed`; all other dirty lines are lost.
@@ -1367,25 +1333,17 @@ impl PMem {
         self.inner.psan.is_some()
     }
 
-    /// Names the region in PSan violation reports (e.g. `"shard-3"`).
-    pub fn psan_set_label(&self, label: &str) {
+    /// Names the region (e.g. `"shard-3"`, `"control"`) in PSan
+    /// violation reports and in telemetry traces (persist round-trips,
+    /// crash events). Survives [`PMem::reopen`]. Unnamed, a region is
+    /// `"region"` in both.
+    pub fn set_label(&self, label: &str) {
         if let Some(psan) = &self.inner.psan {
             psan.set_label(label);
         }
-    }
-
-    /// Names the region in telemetry traces (persist round-trips,
-    /// crash events). Survives [`PMem::reopen`] like the PSan label.
-    pub fn telemetry_set_label(&self, label: &str) {
         self.inner
             .tlabel
             .store(pstack_telemetry::intern(label), Ordering::Relaxed);
-    }
-
-    /// The region's PSan report label, if PSan is enabled.
-    #[must_use]
-    pub fn psan_label(&self) -> Option<String> {
-        self.inner.psan.as_ref().map(|p| p.label())
     }
 
     /// Registers `[start, start+len)` as a **publish range**: any
@@ -1417,16 +1375,6 @@ impl PMem {
             .psan
             .as_ref()
             .map(|p| p.violations())
-            .unwrap_or_default()
-    }
-
-    /// Drains recorded violations (and resets per-line deduplication).
-    #[must_use]
-    pub fn psan_take_violations(&self) -> Vec<PsanViolation> {
-        self.inner
-            .psan
-            .as_ref()
-            .map(|p| p.take_violations())
             .unwrap_or_default()
     }
 
@@ -1745,7 +1693,6 @@ mod tests {
         let p = p.reopen().unwrap();
         assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 1);
         assert_eq!(p.read_u64(POffset::new(64)).unwrap(), 0);
-        assert!(matches!(p.backend_kind(), BackendKind::File(_)));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1888,7 +1835,6 @@ mod tests {
         let plain = small();
         assert!(!plain.psan_enabled());
         assert_eq!(plain.psan_line_state(off), None);
-        assert_eq!(plain.psan_label(), None);
     }
 
     #[test]
@@ -1914,7 +1860,7 @@ mod tests {
     #[test]
     fn psan_flags_post_crash_ghost_reads_end_to_end() {
         let p = psan_region();
-        p.psan_set_label("ghost-demo");
+        p.set_label("ghost-demo");
         p.write_u64(POffset::new(128), 42).unwrap();
         // Survival probability 1.0: the dirty line survives "by luck"
         // without ever having been persisted — a ghost.
@@ -1939,8 +1885,6 @@ mod tests {
         p.crash_now(0, 0.0);
         let p = p.reopen().unwrap();
         assert_eq!(p.psan_violation_count(), 1, "shadow outlives the crash");
-        assert_eq!(p.psan_take_violations().len(), 1);
-        assert_eq!(p.psan_violation_count(), 0);
     }
 
     #[test]
@@ -2303,41 +2247,6 @@ mod tests {
                 i as u64 + 1
             );
         }
-    }
-
-    #[test]
-    fn fetch_update_installs_and_declines() {
-        let p = small();
-        p.write_u64(POffset::new(0), 5).unwrap();
-        // Install: bump by one, observing the previous value.
-        assert_eq!(
-            p.fetch_update(POffset::new(0), |v| Some(v + 1)).unwrap(),
-            Ok(5)
-        );
-        assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 6);
-        // Decline: `None` aborts and reports what was seen.
-        assert_eq!(
-            p.fetch_update(POffset::new(0), |v| if v >= 6 { None } else { Some(v) })
-                .unwrap(),
-            Err(6)
-        );
-        assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 6);
-    }
-
-    #[test]
-    fn fetch_update_is_atomic_under_contention() {
-        let p = small();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let p = p.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        let _ = p.fetch_update(POffset::new(0), |v| Some(v + 1)).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(p.read_u64(POffset::new(0)).unwrap(), 400);
     }
 
     #[test]

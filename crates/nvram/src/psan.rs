@@ -167,7 +167,7 @@ pub struct PsanViolation {
     /// The violation class (and class-specific payload).
     pub kind: PsanViolationKind,
     /// Label of the region that raised it (see
-    /// [`PMem::psan_set_label`](crate::PMem::psan_set_label)).
+    /// [`PMem::set_label`](crate::PMem::set_label)).
     pub region: String,
     /// Start of the offending byte range.
     pub offset: u64,
@@ -369,10 +369,6 @@ impl PsanCell {
         self.inner.lock().region = label.to_string();
     }
 
-    pub(crate) fn label(&self) -> String {
-        self.inner.lock().region.clone()
-    }
-
     /// A write dirties its lines (byte-granular mask, for ghosts) and
     /// clears any ghost bytes it overwrites — this boot now owns them.
     pub(crate) fn note_write(&self, start: u64, len: usize, events: u64) {
@@ -553,12 +549,6 @@ impl PsanCell {
 
     pub(crate) fn violations(&self) -> Vec<PsanViolation> {
         self.inner.lock().violations.clone()
-    }
-
-    pub(crate) fn take_violations(&self) -> Vec<PsanViolation> {
-        let mut inner = self.inner.lock();
-        inner.reported.clear();
-        std::mem::take(&mut inner.violations)
     }
 
     pub(crate) fn violation_count(&self) -> usize {
@@ -792,21 +782,9 @@ mod tests {
     }
 
     #[test]
-    fn take_violations_drains_and_resets_dedup() {
-        let c = cell();
-        c.note_write(0, 8, 1);
-        c.check_durable(0, 8, 2);
-        assert_eq!(c.take_violations().len(), 1);
-        assert!(c.violations().is_empty());
-        c.check_durable(0, 8, 3);
-        assert_eq!(c.violation_count(), 1, "dedup reset with the drain");
-    }
-
-    #[test]
     fn violation_display_is_readable() {
         let c = cell();
         c.set_label("shard-3");
-        assert_eq!(c.label(), "shard-3");
         let _g = op_label("kv.compact");
         c.note_write(256, 8, 7);
         c.check_durable(256, 8, 9);

@@ -217,11 +217,9 @@ impl PMemBuilder {
             (0..n)
                 .map(|i| {
                     let region = self.clone().build_in_memory();
-                    // No-ops unless PSan / the recorder are enabled:
-                    // name the region so violation reports and
+                    // Name the region so violation reports and
                     // telemetry events attribute to the right shard.
-                    region.psan_set_label(&format!("shard-{i}"));
-                    region.telemetry_set_label(&format!("shard-{i}"));
+                    region.set_label(&format!("shard-{i}"));
                     region
                 })
                 .collect(),

@@ -94,16 +94,6 @@ impl ChannelHub {
         self.inner.requests.lock().expect("hub poisoned").clear();
         self.inner.outboxes.lock().expect("hub poisoned").clear();
     }
-
-    /// Pending unserved requests (diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a hub lock is poisoned.
-    #[must_use]
-    pub fn pending_requests(&self) -> usize {
-        self.inner.requests.lock().expect("hub poisoned").len()
-    }
 }
 
 /// One client's endpoint on a [`ChannelHub`].
@@ -390,9 +380,7 @@ mod tests {
             })
         );
         // reset drops the in-flight request from client 2.
-        assert_eq!(hub.pending_requests(), 1);
         hub.reset();
-        assert_eq!(hub.pending_requests(), 0);
         assert!(hub.poll_request().unwrap().is_none());
     }
 }

@@ -33,18 +33,6 @@ impl ProgramOrderHistory {
         ProgramOrderHistory { init, per_process }
     }
 
-    /// Groups a flat operation list by `pid`, preserving order — the
-    /// common way to build this from a collected execution.
-    #[must_use]
-    pub fn from_flat(init: i64, ops: &[CasOp]) -> Self {
-        let procs = ops.iter().map(|o| o.pid).max().map_or(0, |m| m + 1);
-        let mut per_process = vec![Vec::new(); procs];
-        for op in ops {
-            per_process[op.pid].push(*op);
-        }
-        ProgramOrderHistory { init, per_process }
-    }
-
     fn total_ops(&self) -> usize {
         self.per_process.iter().map(Vec::len).sum()
     }
@@ -217,16 +205,6 @@ mod tests {
     fn double_application_is_not_sc() {
         let h = ProgramOrderHistory::new(0, vec![vec![op(0, 0, 5, true)], vec![op(1, 0, 5, true)]]);
         assert!(!check_sequential_consistency(&h).is_sequentially_consistent());
-    }
-
-    #[test]
-    fn from_flat_groups_by_pid() {
-        let flat = vec![op(0, 0, 1, true), op(1, 1, 2, true), op(0, 2, 3, true)];
-        let h = ProgramOrderHistory::from_flat(0, &flat);
-        assert_eq!(h.per_process.len(), 2);
-        assert_eq!(h.per_process[0].len(), 2);
-        assert_eq!(h.per_process[1].len(), 1);
-        assert!(check_sequential_consistency(&h).is_sequentially_consistent());
     }
 
     #[test]
