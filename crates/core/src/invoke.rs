@@ -83,8 +83,8 @@
 //! * `KvServeFunction` (`pstack-kv`, the served window): the replay
 //!   reads every slot its frame names. An answered slot is only
 //!   re-collected — a completed window awaited its answers with the
-//!   heads they report, so the replay's check (an un-acked answer whose
-//!   commit's heads did not all land is voided and re-executed) finds
+//!   heads they report, so the replay's check (an answer whose commit's
+//!   heads did not all land is voided and re-executed) finds
 //!   every one settled. A slot holding request id 0 — never used, or caught
 //!   between the two stores of a recycle — is skipped. A slot recycled
 //!   since, whose new descriptor is durable, is executed through

@@ -752,7 +752,6 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
         let mut answered_over_a_lost_head = 0usize;
         let run = |plan: Option<FailPlan>| {
             let (stripe, main, heap, exec) = sharded_fixture(&shape.ops, 2);
-            let mut acks = Level::default();
             for &(slots, acked) in shape.before {
                 let window = [ShardWindow {
                     shard: 0,
@@ -762,10 +761,9 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
                 exec.execute_window(&window, 0, None).unwrap();
                 for &slot in acked {
                     let table = &exec.tables()[0];
-                    assert!(table.ack(table.req_id(slot).unwrap(), &mut acks).unwrap());
+                    assert!(table.ack(table.req_id(slot).unwrap()).unwrap());
                 }
             }
-            acks.await_all().unwrap();
             // Slots the window under test must leave as they are.
             let table = &exec.tables()[0];
             let settled: Vec<_> = (shape.before.iter().flat_map(|&(slots, _)| slots))

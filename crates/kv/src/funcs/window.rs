@@ -53,8 +53,8 @@ impl KvServeFunction {
     /// share a level. The invariant is therefore not "a durable answer
     /// implies its effect" but "an answer is shown only after its
     /// effect is durable", and a replayed part (`recovery`) enforces
-    /// it: an answered slot that is not acked and whose recorded span
-    /// the heads do not wholly reach (`PKvStore::span_published`) is
+    /// it: an answered slot whose recorded span the heads do not
+    /// wholly reach (`PKvStore::span_published`) is
     /// *voided* — executed as if pending, so the evidence scan keeps
     /// the records whose heads did land and re-executes the rest. Why
     /// that is sound:
@@ -65,12 +65,11 @@ impl KvServeFunction {
     ///   span then is reachable, and stays so: records are never
     ///   unlinked, and a compaction retires a generation with its heads
     ///   as they were. An unreached span means that level was cut.
-    /// - **Acked slots and answers of an earlier, settled batch are
-    ///   never voided.** An ack follows a shown answer, and a window
-    ///   answers only slots that are pending or voided, so an acked
-    ///   slot's answer is settled and is trusted without reading its
-    ///   span. A settled batch's span is reachable by the rule above.
-    ///   And at most one batch per shard is unsettled at a power
+    /// - **Answers of an earlier, settled batch are never voided.** A
+    ///   shown answer's span is reachable by the rule above, and so is
+    ///   that of every answer its client acked, which the replay checks
+    ///   like any other: acks are volatile, so no slot says it was
+    ///   acked. And at most one batch per shard is unsettled at a power
     ///   failure: a shard's exclusive section is held until its last
     ///   level is awaited, so no later commit and no compaction runs
     ///   over heads that are not durable.
@@ -102,7 +101,7 @@ impl KvServeFunction {
     /// A window [`KvServeFunction::window_args`] could not carry (a
     /// shard out of range, named twice or out of order, a slot out of
     /// range) or a get descriptor ([`PError::Task`]); in a replayed
-    /// part, an un-acked answer whose recorded span is not an ordered
+    /// part, an answer whose recorded span is not an ordered
     /// run of one generation's log slots ([`PError::CorruptStack`]); or
     /// propagated store/NVRAM errors.
     pub fn execute_window(
@@ -240,13 +239,10 @@ impl KvServeFunction {
     }
 
     /// `true` when answered slot `slot` of `shard` may report a batch
-    /// whose heads are not all durable — not acked, and its recorded
-    /// span not wholly reachable — so a replay must void it (see
+    /// whose heads are not all durable — its recorded span not wholly
+    /// reachable — so a replay must void it (see
     /// [`KvServeFunction::execute_window`]).
     fn unsettled(&self, table: &KvRequestTable, shard: u32, slot: u32) -> Result<bool, PError> {
-        if table.acked(slot)? {
-            return Ok(false);
-        }
         let Some(span) = table.answer_span(slot)? else {
             return Ok(false);
         };

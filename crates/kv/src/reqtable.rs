@@ -16,7 +16,7 @@
 //!
 //! # Lifecycle and recycling
 //!
-//! A slot moves `Free → Pending → Done → Done+Acked → Free`:
+//! A slot moves `Free → Pending → Done → Free`:
 //!
 //! * [`KvRequestTable::submit`] claims a free slot and **stages** the
 //!   descriptor in it — written, not flushed — and returns
@@ -51,38 +51,38 @@
 //!   a slot is either fully answered or still pending — and a pending
 //!   slot's answer is recomputed through the store's evidence-scanning
 //!   dual ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
-//! * [`KvRequestTable::ack`] records that the client received the
-//!   answer: it writes the acked byte and issues the slot's line into
-//!   the caller's ack level — one level for a round's acks on every
-//!   shard, awaited once before any `AckOk` is shown. A slot that is
-//!   both done and acked is **recyclable** in volatile state at once:
-//!   its next occupant may overwrite it while the ack is still in
-//!   flight. That keeps the two-store argument below, which rests only
-//!   on the line being written whole: the flight carries a snapshot of
-//!   the acked line, the recycle's stores re-dirty it, and a power
-//!   failure leaves the line as some whole state it held — done and
-//!   un-acked (the ack cut: the client retransmits it and it frees the
-//!   slot), done and acked, or one of the recycle's two stores. This is
-//!   what keeps a long-running server's answer table bounded (the
-//!   table never grows; it sheds instead, see `Full` above).
+//! * `Done → Free` is **volatile**: [`KvRequestTable::ack`] makes the
+//!   slot recyclable and writes nothing — an ack carries no effect.
+//!   Across a power failure the evidence the table keeps anyway
+//!   retires it: [`KvRequestTable::open`] retires an answered slot when
+//!   a later request of the same client sits in the table (the retry
+//!   contract below), and a recycled slot's descriptor persist
+//!   overwrites its old occupant. At most one answered slot per client
+//!   stays pinned, its latest, until the client's next request or a
+//!   retransmitted ack. Slot byte 3, the durable ack mark of older
+//!   images, is reserved: cleared when a descriptor is staged, honoured
+//!   by `open`. This keeps a long-running server's table bounded (it
+//!   never grows; it sheds instead, see `Full` above).
 //!
 //! # The retry contract
 //!
 //! Recycling leans on the client contract: *a client never retransmits
-//! a request after acknowledging its answer*. A retry of a live
-//! request dedupes against the slot (pending → the caller routes it
-//! through the recovery dual; done → the durable answer is replayed).
-//! The contract is **not trusted blindly**: the table keeps a
-//! per-client high-water line of acked sequence numbers, and a
-//! retransmission at or below it whose slot has already been recycled
-//! is shed as [`ReqSubmit::Stale`] instead of being admitted as a
-//! fresh request — a buggy client gets a typed refusal, never a
-//! second effect.
+//! a request after acknowledging its answer, and sends request n+1 only
+//! after its `AckOk` for n*. So n+1 in the table is n's ack, which lets
+//! a reboot retire n. A retry of a live request dedupes against the
+//! slot (pending → the caller routes it through the recovery dual;
+//! done → the durable answer is replayed). The contract is **not
+//! trusted blindly**: the table keeps a per-client high-water line of
+//! acked sequence numbers, and a retransmission at or below it whose
+//! slot has already been recycled is shed as [`ReqSubmit::Stale`] — a
+//! buggy client gets a typed refusal, never a second effect. A
+//! preloaded static table (`KvServeFunction::preload`) never admits,
+//! so a slot `open` retires there is never reused.
 //!
 //! # Crash safety of recycling
 //!
 //! Reusing a slot rewrites it in two stores in a fixed order — the
-//! cleared completion state (done/acked/flag) together with the new
+//! cleared completion state (done, reserved byte, flag) together with the new
 //! descriptor and a cleared request id first, the new request id
 //! **last** — and each slot is one 64-byte cache-line-aligned extent,
 //! so a flush persists the whole transition atomically. A crash between
@@ -120,6 +120,8 @@ const ST_DONE: u8 = 1;
 const F_KIND: u64 = 0;
 const F_DONE: u64 = 1;
 const F_FLAG: u64 = 2;
+/// Reserved: an older image's durable ack mark. Never set; cleared with
+/// the slot when a descriptor is staged, and honoured by `open`.
 const F_ACKED: u64 = 3;
 const F_EXEC: u64 = 4;
 const F_KEY: u64 = 8;
@@ -149,7 +151,7 @@ pub enum ReqSubmit {
         answer: Option<KvTaskAnswer>,
     },
     /// Every slot is occupied by a request that is not yet both done
-    /// and acked — the admission-control signal (shed the request with
+    /// and retired — the admission-control signal (shed the request with
     /// an explicit overload response; never drop it silently).
     Full,
     /// The request id is at or below its client's acknowledged
@@ -169,7 +171,7 @@ pub(crate) fn split_id(req_id: u64) -> (u32, u32) {
 }
 
 /// Volatile bookkeeping rebuilt by [`KvRequestTable::open`]: the
-/// request-id index and the recyclable-slot free list.
+/// request-id index, the recyclable-slot free list and every ack.
 #[derive(Debug, Default)]
 struct ReqIndex {
     /// Request id → slot, for every slot whose identity is still
@@ -179,6 +181,11 @@ struct ReqIndex {
     /// Slots whose next occupant may overwrite them (never used, or
     /// done + acked).
     free: Vec<u32>,
+    /// Per slot: its occupant is done and acked, so it sits in `free`.
+    acked: Vec<bool>,
+    /// Per client: its latest answered request, whose ack a power
+    /// failure may have dropped. The client's next request retires it.
+    pinned: HashMap<u32, u64>,
     /// Slots handed out again after an earlier occupant completed.
     recycled: u64,
     /// High-water mark of live (non-recyclable) slots.
@@ -188,10 +195,24 @@ struct ReqIndex {
     /// promise. A submit whose `(client, seq)` is at or below this line
     /// and absent from `by_id` is a stale retransmission
     /// ([`ReqSubmit::Stale`]), not a fresh admission. Rebuilt
-    /// best-effort by [`KvRequestTable::open`] from the done+acked
-    /// slots still present (evidence in recycled slots is gone — the
-    /// line re-grows as the client acks again).
+    /// best-effort by [`KvRequestTable::open`] from each client's
+    /// latest request still in a slot — the closed loop acked every
+    /// earlier one (evidence in recycled slots is gone — the line
+    /// re-grows as the client acks again).
     acked_high: HashMap<u32, u32>,
+}
+
+impl ReqIndex {
+    /// Retires answered slot `slot` of `req_id` — recyclable from now
+    /// on — and advances its client's acked line. Idempotent.
+    fn retire(&mut self, req_id: u64, slot: u32) {
+        if !std::mem::replace(&mut self.acked[slot as usize], true) {
+            self.free.push(slot);
+        }
+        let (client, seq) = split_id(req_id);
+        let hw = self.acked_high.entry(client).or_insert(0);
+        *hw = (*hw).max(seq);
+    }
 }
 
 /// A persistent, bounded, request-id-keyed descriptor/answer table.
@@ -226,11 +247,9 @@ struct ReqIndex {
 /// };
 /// assert_eq!(a.result, KvTaskResult::Stored(true));
 ///
-/// // Ack → the slot becomes recyclable, and the acked mark durable
-/// // once the round's ack level is awaited.
-/// let mut acks = Level::default();
-/// assert!(table.ack(0x1_0001, &mut acks)?);
-/// acks.await_all()?;
+/// // Ack → the slot becomes recyclable; nothing is written.
+/// assert!(table.ack(0x1_0001)?);
+/// assert_eq!(table.live(), 0);
 /// # Ok(())
 /// # }
 /// ```
@@ -269,6 +288,7 @@ impl KvRequestTable {
         pmem.flush(base, len)?;
         let idx = ReqIndex {
             free: (0..capacity).rev().collect(),
+            acked: vec![false; capacity as usize],
             ..ReqIndex::default()
         };
         Ok(KvRequestTable {
@@ -281,6 +301,10 @@ impl KvRequestTable {
 
     /// Re-attaches to a table created at `base`, rebuilding the
     /// volatile request-id index and free list from the durable slots.
+    /// An answered slot is retired when a later request of its client
+    /// sits in the table (the retry contract: that request was sent
+    /// after the `AckOk`) or when it shows an older image's ack mark;
+    /// else it stays pinned until its client's next request.
     ///
     /// # Errors
     ///
@@ -297,7 +321,13 @@ impl KvRequestTable {
             .ok()
             .filter(|&c| base.get() + Self::required_len(c) as u64 <= pmem.len() as u64)
             .ok_or_else(|| PError::CorruptStack("request table overruns its region".into()))?;
-        let mut idx = ReqIndex::default();
+        let mut idx = ReqIndex {
+            acked: vec![false; capacity as usize],
+            ..ReqIndex::default()
+        };
+        // One pass over the slots, then the inference: a client's latest
+        // request in the table acks every earlier one.
+        let mut slots = Vec::new();
         for slot in (0..capacity).rev() {
             let e = Self::slot_off(base, slot);
             let req_id = pmem.read_u64(e + F_REQ_ID)?;
@@ -306,18 +336,19 @@ impl KvRequestTable {
                 continue;
             }
             let done = pmem.read_u8(e + F_DONE)? == ST_DONE;
-            let acked = pmem.read_u8(e + F_ACKED)? != 0;
-            if done && acked {
-                idx.free.push(slot);
-                // Best-effort rebuild of the per-client acked
-                // high-water line from the evidence still in the table
-                // (recycled slots' evidence is gone; the line re-grows
-                // as the client acks again).
-                let (client, seq) = split_id(req_id);
-                let hw = idx.acked_high.entry(client).or_insert(0);
-                *hw = (*hw).max(seq);
+            slots.push((slot, req_id, done, pmem.read_u8(e + F_ACKED)? != 0));
+            let (client, seq) = split_id(req_id);
+            let hw = idx.acked_high.entry(client).or_insert(0);
+            *hw = (*hw).max(seq.saturating_sub(1));
+        }
+        for (slot, req_id, done, marked) in slots {
+            let (client, seq) = split_id(req_id);
+            if done && (marked || seq <= idx.acked_high[&client]) {
+                idx.retire(req_id, slot);
+            } else if done {
+                idx.pinned.insert(client, req_id);
             }
-            // Done+acked slots stay in the index until recycled: a
+            // Retired slots stay in the index until recycled: a
             // duplicate retry that races the ack still dedupes.
             idx.by_id.insert(req_id, slot);
         }
@@ -432,9 +463,20 @@ impl KvRequestTable {
         if idx.acked_high.get(&client).is_some_and(|&hw| seq <= hw) {
             return Ok(ReqSubmit::Stale);
         }
+        // A later request of a client that `open` left pinned: under the
+        // retry contract it follows the pinned answer's `AckOk`.
+        if let Some(&pin) = idx.pinned.get(&client) {
+            if split_id(pin).1 < seq {
+                idx.pinned.remove(&client);
+                if let Some(&slot) = idx.by_id.get(&pin) {
+                    idx.retire(pin, slot);
+                }
+            }
+        }
         let Some(slot) = idx.free.pop() else {
             return Ok(ReqSubmit::Full);
         };
+        idx.acked[slot as usize] = false;
         let e = self.slot(slot)?;
         let old_id = self.pmem.read_u64(e + F_REQ_ID)?;
         if old_id != 0 {
@@ -453,7 +495,7 @@ impl KvRequestTable {
             KvTaskOp::Delete { key } => (KIND_DEL, key, 0, 0),
             KvTaskOp::Cas { key, expected, new } => (KIND_CAS, key, new, expected),
         };
-        // done, flag, acked, executor, got and the request id: cleared
+        // done, flag, reserved byte, executor, got and the request id: cleared
         let mut body = [0u8; F_REQ_ID as usize + 8];
         body[F_KIND as usize] = kind;
         body[F_KEY as usize..][..8].copy_from_slice(&key.to_le_bytes());
@@ -631,21 +673,26 @@ impl KvRequestTable {
         Ok(Some(KvTaskAnswer { executor, result }))
     }
 
-    /// `true` if slot `slot`'s answer was acknowledged by its client.
+    /// `true` if slot `slot`'s answer is retired: acked by its client
+    /// in this boot, or retired by [`KvRequestTable::open`]. Volatile.
     ///
     /// # Errors
     ///
-    /// Out-of-range slot or NVRAM errors.
+    /// Out-of-range slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the volatile index lock is poisoned.
     pub fn acked(&self, slot: u32) -> Result<bool, PError> {
-        Ok(self.pmem.read_u8(self.slot(slot)? + F_ACKED)? != 0)
+        self.slot(slot)?;
+        Ok(self.idx.lock().expect("request-table index poisoned").acked[slot as usize])
     }
 
     /// Writes slot `slot`'s answer payload — flag, executor and the
     /// answering batch's record span (and a got value) — in as many
     /// stores as the answer had before it carried a span: flag and
-    /// executor are one store, with the acked byte between them
-    /// rewritten as the 0 it holds (a slot is answered only while
-    /// pending or voided, never once acked).
+    /// executor are one store, with the reserved byte between them
+    /// rewritten as the 0 its staging left.
     fn write_answer(
         &self,
         slot: u32,
@@ -681,8 +728,8 @@ impl KvRequestTable {
     /// it (`None` when it staged no record), and is written on that
     /// commit's records ‖ tail receipt, `records`, which must cover the
     /// span. That the answer may reach NVRAM before its heads is the
-    /// replay's to handle: a replayed window re-executes an un-acked
-    /// answer whose span the durable heads do not wholly reach
+    /// replay's to handle: a replayed window re-executes an answer
+    /// whose span the durable heads do not wholly reach
     /// (`KvServeFunction::execute_window` argues it). Per slot the
     /// payload is written before the done flag, and a slot is one line,
     /// which persists atomically: a crash leaves each slot either
@@ -731,14 +778,13 @@ impl KvRequestTable {
         Ok((first != 0).then_some((first, last)))
     }
 
-    /// Records the client's acknowledgement of `req_id`'s answer and
-    /// frees the slot for recycling: writes the acked byte and issues
-    /// the slot's line as a flight of `acks` — the round's ack level,
-    /// which the caller awaits before it shows the client its `AckOk`.
-    /// Nothing orders two acks against each other, so a round's acks
-    /// on every shard share one level and one round-trip. An already
-    /// acked slot issues nothing: its first ack's flight is in the same
-    /// level or in one already awaited. Returns `false` for unknown
+    /// Records the client's acknowledgement of `req_id`'s answer: the
+    /// slot is recyclable at once and the client's acked line advances.
+    /// **Volatile** — it writes nothing and issues no flight, so the
+    /// caller may show its `AckOk` at once: an ack carries no effect,
+    /// and a power failure that drops it leaves the slot answered, to
+    /// be retired by the client's next request or a retransmitted ack
+    /// (see the module docs). Idempotent. Returns `false` for unknown
     /// ids (already recycled, or never admitted) and done-less slots
     /// (acks are only valid answers to a durable `Done`).
     ///
@@ -749,26 +795,15 @@ impl KvRequestTable {
     /// # Panics
     ///
     /// Panics if the volatile index lock is poisoned.
-    pub fn ack(&self, req_id: u64, acks: &mut Level) -> Result<bool, PError> {
+    pub fn ack(&self, req_id: u64) -> Result<bool, PError> {
         let mut idx = self.idx.lock().expect("request-table index poisoned");
         let Some(&slot) = idx.by_id.get(&req_id) else {
             return Ok(false);
         };
-        let e = self.slot(slot)?;
-        if self.pmem.read_u8(e + F_DONE)? != ST_DONE {
+        if self.pmem.read_u8(self.slot(slot)? + F_DONE)? != ST_DONE {
             return Ok(false);
         }
-        if self.pmem.read_u8(e + F_ACKED)? == 0 {
-            self.pmem.write_u8(e + F_ACKED, 1)?;
-            acks.issue(&self.pmem, e + F_ACKED, 1)?;
-            idx.free.push(slot);
-        }
-        // Advance the client's acked high-water line: from here on a
-        // retransmission of this seq (or below) is shed as Stale once
-        // its slot recycles.
-        let (client, seq) = split_id(req_id);
-        let hw = idx.acked_high.entry(client).or_insert(0);
-        *hw = (*hw).max(seq);
+        idx.retire(req_id, slot);
         Ok(true)
     }
 
@@ -795,14 +830,6 @@ impl KvRequestTable {
 mod tests {
     use super::*;
     use pstack_nvram::PMemBuilder;
-
-    /// An ack made durable on its own: a level of one flight, awaited.
-    fn ack(table: &KvRequestTable, req_id: u64) -> bool {
-        let mut acks = Level::default();
-        let acked = table.ack(req_id, &mut acks).unwrap();
-        acks.await_all().unwrap();
-        acked
-    }
 
     /// Answers `entries` as a window does: one flight of its last
     /// level, then the level awaited. Nothing is committed first, so
@@ -858,26 +885,45 @@ mod tests {
         assert_eq!(ans.result, KvTaskResult::Swapped(true));
 
         assert!(!table.acked(slot).unwrap());
-        assert!(ack(&table, 0x7_0001));
+        let before = pmem.stats().snapshot();
+        assert!(table.ack(0x7_0001).unwrap());
         assert!(table.acked(slot).unwrap());
         assert_eq!(table.live(), 0, "done+acked slots are recyclable");
-        // Acks are idempotent; unknown ids are refused.
-        assert!(ack(&table, 0x7_0001));
-        assert!(!ack(&table, 0xDEAD));
-        // Reopen rebuilds the same view.
+        // Acks are idempotent; unknown ids are refused; none writes.
+        assert!(table.ack(0x7_0001).unwrap());
+        assert!(!table.ack(0xDEAD).unwrap());
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!((d.writes, d.persists, d.async_flushes), (0, 0, 0));
+        // The ack was volatile: a reopen finds the answer pinned, the
+        // client's latest, until its next request retires it.
         let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
-        assert_eq!(t2.live(), 0);
+        assert_eq!((t2.live(), t2.acked(slot).unwrap()), (1, false));
         assert_eq!(
             t2.lookup(0x7_0001).unwrap().unwrap().1.unwrap().result,
             KvTaskResult::Swapped(true)
         );
+        assert!(matches!(t2.submit(0x7_0002, op).unwrap(), ReqSubmit::Fresh(s) if s == slot));
+        assert_eq!(t2.live(), 1, "the next request took the retired slot");
+        assert_eq!(t2.submit(0x7_0001, op).unwrap(), ReqSubmit::Stale);
+    }
+
+    #[test]
+    fn an_older_images_ack_mark_still_retires_its_slot() {
+        let (pmem, table) = fixture(2);
+        let ReqSubmit::Fresh(slot) = table.submit(1, KvTaskOp::Get { key: 1 }).unwrap() else {
+            panic!("fresh")
+        };
+        answer(&table, &[(slot, 0, KvTaskResult::Got(None))]).unwrap();
+        pmem.write_u8(table.slot(slot).unwrap() + 3u64, 1).unwrap(); // the mark, slot byte 3
+        let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
+        assert_eq!((t2.live(), t2.acked(slot).unwrap()), (0, true));
     }
 
     #[test]
     fn ack_of_pending_slot_is_refused() {
         let (_, table) = fixture(2);
         table.submit(5, KvTaskOp::Get { key: 0 }).unwrap();
-        assert!(!ack(&table, 5), "only durable answers can be acked");
+        assert!(!table.ack(5).unwrap(), "only durable answers can be acked");
         assert_eq!(table.live(), 1);
     }
 
@@ -893,7 +939,7 @@ mod tests {
                 panic!("req {req} should find a recycled slot")
             };
             answer(&table, &[(slot, 0, KvTaskResult::Got(None))]).unwrap();
-            assert!(ack(&table, req));
+            assert!(table.ack(req).unwrap());
         }
         assert!(table.live_high_water() <= 8);
         assert_eq!(
@@ -917,7 +963,7 @@ mod tests {
         );
         assert_eq!(table.live(), 8);
         // Draining one ack frees exactly one admission.
-        assert!(ack(&table, 100));
+        assert!(table.ack(100).unwrap());
         assert!(matches!(
             table.submit(999, KvTaskOp::Get { key: 1 }).unwrap(),
             ReqSubmit::Fresh(_)
@@ -939,7 +985,7 @@ mod tests {
             panic!("fresh")
         };
         answer(&table, &[(slot, 0, KvTaskResult::Got(None))]).unwrap();
-        assert!(ack(&table, id(1, 1)));
+        assert!(table.ack(id(1, 1)).unwrap());
 
         // Another client recycles the table until client 1's evidence
         // is overwritten.
@@ -949,7 +995,7 @@ mod tests {
                 panic!("recyclable")
             };
             answer(&table, &[(s, 0, KvTaskResult::Got(None))]).unwrap();
-            assert!(ack(&table, id(2, seq)));
+            assert!(table.ack(id(2, seq)).unwrap());
         }
         assert!(table.lookup(id(1, 1)).unwrap().is_none(), "evidence gone");
 
@@ -959,10 +1005,10 @@ mod tests {
             table.submit(id(1, 1), KvTaskOp::Get { key: 9 }).unwrap(),
             ReqSubmit::Stale
         );
-        // Reopen rebuilds the line from surviving done+acked slots:
-        // client 2's latest acked seq still sits in a slot, so its
-        // earlier seqs stay shed across a restart. (Shedding writes
-        // nothing, so the probe leaves the table untouched.)
+        // Reopen rebuilds the line from each client's latest request
+        // still in a slot: client 2's seq 4 sits in one, so its earlier
+        // seqs stay shed across a restart. (Shedding writes nothing, so
+        // the probe leaves the table untouched.)
         let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
         assert_eq!(
             t2.submit(id(2, 3), KvTaskOp::Get { key: 1 }).unwrap(),
@@ -997,7 +1043,7 @@ mod tests {
                 panic!("fresh")
             };
             answer(&table, &[(slot, 0, KvTaskResult::Stored(true))]).unwrap();
-            ack(&table, 1);
+            table.ack(1).unwrap();
             (pmem, table)
         };
         // The recycle under test: stage the new descriptor, then the
@@ -1035,13 +1081,14 @@ mod tests {
                     seen_free = true;
                 }
                 1 => {
-                    // Old occupant intact: done, acked, recyclable.
+                    // Old occupant intact: done, and pinned — its ack
+                    // was volatile — until its client's next request.
                     assert_eq!(
                         t2.result(0).unwrap().unwrap().result,
                         KvTaskResult::Stored(true)
                     );
-                    assert!(t2.acked(0).unwrap());
-                    assert_eq!(t2.live(), 0);
+                    assert!(!t2.acked(0).unwrap());
+                    assert_eq!(t2.live(), 1);
                 }
                 2 => {
                     // New occupant fully installed and pending.

@@ -4,7 +4,7 @@
 //!
 //! # Exactly-once, in two layers
 //!
-//! A retried request must take effect at most once while its ack is
+//! A retried request must take effect at most once while its answer is
 //! delivered at least once. Two durable mechanisms compose to give
 //! that:
 //!
@@ -46,17 +46,15 @@
 //! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window with its frame, before the heads | 1 per shard per **drain** | 0 |
 //! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
 //! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
-//! | | answer | [`KvRequestTable::answer`], payload + flag + its commit's record span in one line-atomic persist, issued into the heads' level on the commit's records ‖ tail receipt; a replay voids an un-acked answer whose heads did not land | 1 per shard per round | 0 more: it rides the heads' level |
-//! | | ack | [`ServerCore::ack`] issues the acked mark into the round's one ack level, every shard's acks together; the round's last server step awaits it — the drain when it hands out no window, else [`ServerCore::answers_for`] | 1 per ack | 1 per **ack round**, however many acks and shards; 0 beside a window |
+//! | | answer | [`KvRequestTable::answer`], payload + flag + its commit's record span in one line-atomic persist, issued into the heads' level on the commit's records ‖ tail receipt; a replay voids an answer whose heads did not land | 1 per shard per round | 0 more: it rides the heads' level |
+//! | | ack | — : [`ServerCore::ack`] is volatile, and a client's next request is what retires its slot across a power failure | **0** | 0 |
 //!
-//! A lone put therefore costs 7 persists end to end and blocks on 2
+//! A lone put therefore costs 6 persists end to end and blocks on 2
 //! round-trips before its answer (`CALL` (+ the previous round's `RET`)
-//! ‖ descriptor ‖ records ‖ tail → heads ‖ answer), and on 1 more for
-//! its ack round; a round that touches several shards blocks on the
-//! same 2 and pays the frame's 1 once, and a full window divides
-//! everything but the acks by its occupancy — the acks' one round-trip
-//! is shared by every ack of the round, and hides under the window's
-//! when the round runs one. The window's own pop stays pending until
+//! ‖ descriptor ‖ records ‖ tail → heads ‖ answer), and on none for its
+//! ack; a round that touches several shards blocks on the same 2 and
+//! pays the frame's 1 once, and a full window divides everything by
+//! its occupancy. The window's own pop stays pending until
 //! the next round's `CALL`: a power failure before it replays the completed
 //! window, which re-collects its answers (`pstack_core::invoke` says why
 //! that is safe).
@@ -72,7 +70,7 @@
 //! the traversal's destination needs ordering, NVTraverse's). Records
 //! are durable before any head CAS on every commit path, so persisting
 //! a head early is always safe. The later `Ack` of a get finds no slot
-//! and is confirmed without a persist, like any unknown-id ack.
+//! and is confirmed, like any unknown-id ack.
 //!
 //! **Descriptors are staged at `submit`, issued at the drain, awaited
 //! by their window.** Nothing is promised to a client at
@@ -92,6 +90,18 @@
 //! issue is its region's power failure: that window's first access
 //! trips the whole system, in the run that follows the drain.
 //!
+//! # Acks
+//!
+//! An ack carries no effect, so nothing about it needs to be durable:
+//! [`ServerCore::ack`] frees the slot in volatile state and its `AckOk`
+//! waits for nothing. The retry contract closes the loop — a client
+//! sends request n+1 only after its `AckOk` for n, so a later request
+//! of the client in n's table is n's ack, durable with that request's
+//! descriptor, and a reboot's [`KvRequestTable::open`] retires n from
+//! it. A power failure leaves at most one answered slot per client per
+//! table pinned, its latest, until that client's next request there or
+//! a retransmitted `Ack`.
+//!
 //! # Admission control
 //!
 //! Volatile [`AdmissionQueue`]s (one per shard) sit between the
@@ -106,6 +116,7 @@
 //!
 //! [`KvRequestTable`]: pstack_kv::KvRequestTable
 //! [`KvRequestTable::answer`]: pstack_kv::KvRequestTable::answer
+//! [`KvRequestTable::open`]: pstack_kv::KvRequestTable::open
 //! [`PKvStore::apply_batch`]: pstack_kv::PKvStore::apply_batch
 //! [`PKvStore::recover_batch`]: pstack_kv::PKvStore::recover_batch
 //! [`ShardedKvStore::get_durable`]: pstack_kv::ShardedKvStore::get_durable
@@ -117,7 +128,7 @@ use pstack_core::{Admission, AdmissionQueue, PError, StripedRuntime, Task};
 use pstack_kv::{
     KvServeFunction, KvTaskAnswer, KvTaskOp, KvTaskResult, ReqSubmit, ShardWindow, KV_SERVE_FUNC_ID,
 };
-use pstack_nvram::{op_label, Level, MemError};
+use pstack_nvram::{op_label, MemError};
 
 use crate::proto::{kind_of, Request, RequestBody, Response};
 
@@ -179,9 +190,6 @@ type Drained = (Vec<Task>, Vec<u64>, Vec<u8>);
 pub struct ServerCore {
     exec: KvServeFunction,
     shards: Arc<Vec<ShardQueue>>,
-    /// The round's acks, one dependence level: issued by
-    /// [`ServerCore::ack`], awaited at the round's last server step.
-    acks: Arc<Mutex<Level>>,
     batch: usize,
 }
 
@@ -204,7 +212,6 @@ impl ServerCore {
         ServerCore {
             exec,
             shards: Arc::new(shards),
-            acks: Arc::default(),
             batch,
         }
     }
@@ -300,39 +307,22 @@ impl ServerCore {
     /// — e.g. an ack retransmitted after its slot was recycled — are
     /// fine: acks are idempotent and always safe to confirm.
     ///
-    /// The acked mark is **issued, not awaited**: nothing orders two
-    /// acks against each other, so the round's acks on every shard are
-    /// one level, which the round's last server step awaits — the drain
-    /// when it hands out no window ([`ServerCore::drain_tasks`]),
-    /// otherwise [`ServerCore::answers_for`]. An ack round costs one
-    /// round-trip however many acks it carries, and a round that runs a
-    /// window pays nothing for its acks. The slot is recyclable at once;
-    /// the `AckOk` must not be shown before that await.
+    /// **Volatile** ([`KvRequestTable::ack`](pstack_kv::KvRequestTable::ack)):
+    /// the slot is recyclable at once, nothing is written and nothing
+    /// awaited, so the `AckOk` may be shown at once. An ack round costs
+    /// no persist and no round-trip.
     ///
     /// # Errors
     ///
     /// Propagated table/NVRAM errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ack level's lock is poisoned.
     pub fn ack(&self, req_id: u64) -> Result<bool, PError> {
         let _label = op_label("server.ack");
-        let mut acks = self.acks.lock().expect("ack level poisoned");
         for table in self.exec.tables() {
-            if table.ack(req_id, &mut acks)? {
+            if table.ack(req_id)? {
                 return Ok(true);
             }
         }
         Ok(false)
-    }
-
-    /// Awaits the round's ack level: once it returns `Ok`, every ack
-    /// [`ServerCore::ack`] confirmed so far is durable.
-    fn await_acks(&self) -> Result<(), PError> {
-        let acks = std::mem::take(&mut *self.acks.lock().expect("ack level poisoned"));
-        acks.await_all()?;
-        Ok(())
     }
 
     /// Admitted requests still waiting for a window.
@@ -366,19 +356,10 @@ impl ServerCore {
     /// executes on behalf of a descriptor that was lost. The clients'
     /// retries then find no descriptor and are `Fresh`.
     ///
-    /// A drain that hands out no window is the round's last server
-    /// step, so it awaits the round's ack level (see
-    /// [`ServerCore::ack`]); one that hands out a window leaves it to
-    /// [`ServerCore::answers_for`].
-    ///
-    /// # Errors
-    ///
-    /// The ack level's await.
-    ///
     /// # Panics
     ///
     /// Panics if a queue lock is poisoned.
-    fn drain(&self) -> Result<Drained, PError> {
+    fn drain(&self) -> Drained {
         let _label = op_label("server.drain");
         let mut window = Vec::new();
         let (mut req_ids, mut kinds) = (Vec::new(), Vec::new());
@@ -409,11 +390,10 @@ impl ServerCore {
             let _ = tables[part.shard as usize].persist_slots_issue(&part.slots);
         }
         if window.is_empty() {
-            self.await_acks()?;
-            return Ok((Vec::new(), req_ids, kinds));
+            return (Vec::new(), req_ids, kinds);
         }
         let task = Task::new(KV_SERVE_FUNC_ID, KvServeFunction::window_args(&window));
-        Ok((vec![task], req_ids, kinds))
+        (vec![task], req_ids, kinds)
     }
 
     /// The drain as a step of its own, for a caller that arms events or
@@ -425,49 +405,22 @@ impl ServerCore {
     /// [`ServerCore::answers_for`] (a crashed run simply leaves some
     /// pending — their clients retry).
     ///
-    /// A drain that hands out no window awaits the round's ack level
-    /// before it returns, so the caller may show the round's `AckOk`s
-    /// once it has; with a window, [`ServerCore::answers_for`] awaits
-    /// it. That await cannot fail in a round that hands out no window.
-    /// An await fails only on a region that crashed with the flight
-    /// still queued, and a crash happens at a persistence event (or
-    /// when a caller crashes the regions itself, after which it does
-    /// not drain). The events between an ack's issue and this await
-    /// are the admission's own — the acks' writes and issues, the
-    /// staged descriptors, a read's head persist — and each sits on a
-    /// path that returns its error ([`ServerCore::ack`],
-    /// [`ServerCore::submit`]): a caller that met the power failure
-    /// there stopped the round before the drain. A drain with nothing
-    /// to hand out issues no descriptor flight, and the await itself
-    /// is no event.
-    ///
     /// # Panics
     ///
-    /// Panics if a queue lock is poisoned, or if the ack level's await
-    /// fails anyway — a power failure the admission path reported and
-    /// the caller ignored, or a backend write error: an `AckOk` shown
-    /// after that would be a lie.
+    /// Panics if a queue lock is poisoned.
     #[must_use]
     pub fn drain_tasks(&self) -> (Vec<Task>, Vec<u64>) {
-        let (tasks, req_ids, _) = self
-            .drain()
-            .expect("the ack level's await fails only after a reported power failure");
+        let (tasks, req_ids, _) = self.drain();
         (tasks, req_ids)
     }
 
     /// The durable answers currently on record for `req_ids` (`None`
     /// entries are still pending — e.g. their window crashed).
     ///
-    /// A round that ran a window ends here, so this first awaits the
-    /// round's ack level (see [`ServerCore::ack`]): its flights were
-    /// issued before the window and have had the whole run to land, so
-    /// the await costs no round-trip of its own.
-    ///
     /// # Errors
     ///
-    /// Propagated table/NVRAM errors, the ack level's await among them.
+    /// Propagated table/NVRAM errors.
     pub fn answers_for(&self, req_ids: &[u64]) -> Result<Vec<(u64, Option<KvTaskAnswer>)>, PError> {
-        self.await_acks()?;
         let mut out = Vec::with_capacity(req_ids.len());
         for &req_id in req_ids {
             let mut found = None;
@@ -497,18 +450,15 @@ impl ServerCore {
 /// entry in execution order (entries admitted by an earlier round and
 /// left over by its `batch` bound among them; `Retry` for an entry
 /// whose window erred) — each `Done` echoing its op's kind from the
-/// admission queue, not from a caller's map. Its `AckOk`s are
-/// returned only once the round's ack level is durable (see
-/// [`ServerCore::ack`]).
+/// admission queue, not from a caller's map. Its `AckOk`s wait for
+/// nothing (see [`ServerCore::ack`]).
 ///
 /// # Errors
 ///
-/// A power failure, wherever the round met it — under a staged
-/// descriptor or an ack on the admission path, inside a window, under
-/// the await of the round's acks or the answer lookup — is one
-/// outcome: a crash error ([`PError::is_crash`]) returned with
-/// **every region down**, ready for `reopen_all_with`. Any other error
-/// is propagated as it is.
+/// A power failure, wherever the round met it — on the admission path,
+/// inside a window or in the answer lookup — is one outcome: a crash
+/// error ([`PError::is_crash`]) returned with **every region down**,
+/// ready for `reopen_all_with`. Any other error is propagated as it is.
 pub fn serve_round(
     core: &ServerCore,
     rt: &StripedRuntime,
@@ -549,7 +499,7 @@ fn round(
             }),
         }
     }
-    let (tasks, ids, kinds) = core.drain()?;
+    let (tasks, ids, kinds) = core.drain();
     if tasks.is_empty() {
         return Ok(responses);
     }

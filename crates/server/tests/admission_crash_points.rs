@@ -4,20 +4,22 @@
 //! to back), the round's one window frame issued, the four group
 //! commits begun under it, the window awaiting its frame and every
 //! shard's descriptors before the heads, the commits moved level by
-//! level together, answer persists, acks — in each shard region and in
-//! the control region, every dirty line lost (survival 0).
+//! level together, answer persists — in each shard region and in the
+//! control region, every dirty line lost (survival 0).
 //!
 //! After each kill the system restarts, the persistent stacks replay,
 //! and the clients retry under the contract. Checked every time:
 //!
 //! * **effect exactly once** — one record per request tag, whatever
 //!   prefix of the round the failure kept;
-//! * **no lost ack** — the retried round completes and leaves every
+//! * **no lost answer** — the retried round completes and leaves every
 //!   slot answered and acked (recyclable);
 //! * **no new id over a stale answer** — shard 0's slot is a recycled
-//!   one (its old occupant answered and acked), shards 1–3's have never
-//!   been used, and a reopened table shows each either as it was
-//!   before the round, intact, or as the new request with the new
+//!   one (its old occupant answered and acked, by the client whose
+//!   round it is), shards 1–3's have never been used, and a reopened
+//!   table shows each either as it was before the round, intact — the
+//!   old occupant pinned, its ack having been volatile, until its
+//!   client's next request — or as the new request with the new
 //!   request's own answer or none;
 //! * **nothing executes over a lost descriptor** — a frame naming a
 //!   slot whose descriptor never became durable is replayed over
@@ -40,15 +42,16 @@
 //! every one kept, and with the stack's lost but the shards' kept: each
 //! request still has exactly one effect and one durable answer.
 //!
-//! A round's acks are one dependence level, issued by each `Ack` and
-//! awaited once at the round's last server step, and an acked slot is
-//! recyclable before that await. The last sweep fails at every event of
-//! an ack round — two shards' acks, with and without a new put admitted
-//! into a slot one of them freed — and once past its end, with every
-//! dirty line lost, kept and drawn by lottery: each acked slot is
-//! durably acked or done and un-acked, never the old id over a cleared
-//! state; retransmitted acks leave no slot pinned; each request has one
-//! effect; and a round that returned `Ok` lost no ack it confirmed.
+//! An ack is volatile: it writes nothing, and its `AckOk` waits for
+//! nothing. The last sweep fails at every event of an ack round — two
+//! shards' acks, with and without the client's next put admitted into
+//! the slot one of them freed — and once past its end, with every dirty
+//! line lost, kept and drawn by lottery. An ack-only round has no event
+//! at all, so its only cut is the one after its `AckOk`s. Each slot
+//! reopens as its old occupant, free, or the next put's; a confirmed
+//! ack pins no slot past the client's next request into its table; each
+//! request has one effect, and a retransmission of an acked id is shed
+//! `Stale`, never run again.
 
 mod common;
 
@@ -71,16 +74,17 @@ const SHAPE: Shape = Shape {
 /// `Deleted(false)`. Shards 1–3's slots stay never-used (request id 0).
 fn old_round(s: &Stack) -> (u64, KvTaskOp) {
     let key = s.key_on(0, 5);
-    (req_id_for(1, 1), KvTaskOp::Delete { key })
+    (req_id_for(2, 1), KvTaskOp::Delete { key })
 }
 
-/// The round under test: one put per shard, `Stored(true)`.
+/// The round under test, the same client's next: one put per shard,
+/// `Stored(true)`.
 fn new_round(s: &Stack) -> Vec<(u64, KvTaskOp)> {
     (0..SHAPE.shards)
         .map(|shard| {
             let (key, value) = (s.key_on(shard, 0), 40 + shard as i64);
             (
-                req_id_for(2, shard as u32 + 1),
+                req_id_for(2, shard as u32 + 2),
                 KvTaskOp::Put { key, value },
             )
         })
@@ -149,13 +153,14 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
                     id if id == old_id => {
                         // The staged descriptor never became durable:
                         // the slot is as it was (the old occupant
-                        // intact and recyclable, or never used), and
-                        // nothing was promised to the new request.
+                        // intact, pinned until its client's next
+                        // request, or never used), and nothing was
+                        // promised to the new request.
                         let before = table.result(0).unwrap().map(|a| a.result);
                         let expect = (old_id != 0).then_some(KvTaskResult::Deleted(false));
                         assert_eq!(before, expect, "{at}");
-                        assert_eq!(table.acked(0).unwrap(), old_id != 0, "{at}");
-                        assert_eq!(table.live(), 0, "{at}");
+                        assert!(!table.acked(0).unwrap(), "{at}");
+                        assert_eq!(table.live(), u64::from(old_id != 0), "{at}");
                         assert!(
                             s.records_of(new_id).is_empty(),
                             "{at}: effect without descriptor"
@@ -187,7 +192,10 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
                     unreachable!()
                 };
                 assert_eq!(s.store().get(key).unwrap(), Some(value), "{at}");
-                assert!(s.table(shard).acked(0).unwrap(), "{at}: lost ack");
+                assert!(
+                    s.table(shard).acked(0).unwrap(),
+                    "{at}: the ack frees the slot"
+                );
                 assert_eq!(s.table(shard).live(), 0, "{at}: slot must be recyclable");
             }
             // A read after the dust settles is answered at admission
@@ -309,7 +317,7 @@ fn a_failed_drain_persist_shows_in_the_run_that_follows() {
     let s = s.power_cycle();
     assert_eq!(
         s.table(0).req_id(0).unwrap(),
-        req_id_for(1, 1),
+        old_round(&s).0,
         "old occupant"
     );
     assert!(s.records_of(new[0].0).is_empty());
@@ -471,8 +479,8 @@ fn a_power_failure_between_a_completed_window_and_the_next_call_keeps_exactly_on
     );
 }
 
-/// Round 1 of the ack sweep, answered and not yet acked: a put into
-/// shard 0's one slot and one into shard 1's.
+/// Round 1 of the ack sweep, answered and not yet acked: client 1's
+/// puts into shard 0's one slot and shard 1's.
 fn two_unacked() -> (Stack, [u64; 2]) {
     let s = Stack::format(SHAPE);
     let acked = [req_id_for(1, 1), req_id_for(1, 2)];
@@ -495,18 +503,23 @@ fn two_unacked() -> (Stack, [u64; 2]) {
 }
 
 #[test]
-fn a_power_failure_at_every_event_of_an_ack_round_loses_no_confirmed_ack() {
-    // The round acks two shards' answered puts — one level, awaited at
-    // the round's last server step — and, in its first shape, admits a
-    // new put into shard 0's slot, freed by an ack still in flight, and
-    // runs it: the acks then ride beside the window and `answers_for`
-    // awaits them. Every event of the round in the control region and
-    // in both shards, every dirty line lost, kept and drawn by lottery,
-    // plus one more event past the round's last: the round returns
-    // `Ok` and the power fails after it.
-    let new = |s: &Stack| {
-        let key = s.key_on(0, 6);
-        (req_id_for(2, 1), KvTaskOp::Put { key, value: 26 })
+fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
+    // The round acks client 1's two answered puts and, in its first
+    // shape, admits the client's next put into shard 0's slot — freed
+    // by the ack a moment before, in volatile state only — and runs
+    // it. Every event of the round in the control region and in both
+    // shards, every dirty line lost, kept and drawn by lottery, plus
+    // one more event past the round's last: the round returns `Ok` and
+    // the power fails after it.
+    let next = |s: &Stack, shard: usize, seq: u32| {
+        let key = s.key_on(shard, 6);
+        (
+            req_id_for(1, seq),
+            KvTaskOp::Put {
+                key,
+                value: 20 + i64::from(seq),
+            },
+        )
     };
     let acks = |acked: [u64; 2]| -> Vec<Request> {
         acked
@@ -519,16 +532,16 @@ fn a_power_failure_at_every_event_of_an_ack_round_loses_no_confirmed_ack() {
     let round = |s: &Stack, acked: [u64; 2], admit: bool| {
         let mut requests = acks(acked);
         if admit {
-            let (req_id, op) = new(s);
+            let (req_id, op) = next(s, 0, 3);
             let body = RequestBody::Op(op);
             requests.push(Request { req_id, body });
         }
         serve_round(&s.core, &s.rt, &requests)
     };
-    // [ack cut, ack durable, recycle's first store, new occupant]: what
-    // shard 0's slot showed after a power failure inside the round.
-    let mut seen = [[0usize; 4]; 2];
-    for (shape, admit) in [true, false].into_iter().enumerate() {
+    // [old occupant, recycle's first store, next put]: what shard 0's
+    // slot showed after a power failure inside the recycling round.
+    let mut seen = [0usize; 3];
+    for admit in [true, false] {
         let (twin, acked) = two_unacked();
         let before = twin.events();
         round(&twin, acked, admit).unwrap();
@@ -537,11 +550,13 @@ fn a_power_failure_at_every_event_of_an_ack_round_loses_no_confirmed_ack() {
             .zip(&before)
             .map(|(now, then)| now - then)
             .collect();
-        assert_eq!(
-            spent[0] > 0,
-            admit,
-            "only a round with a window runs a frame"
-        );
+        if !admit {
+            assert_eq!(
+                spent,
+                [0, 0, 0],
+                "an ack writes nothing and persists nothing"
+            );
+        }
 
         for (region, &total) in spent.iter().enumerate() {
             for k in 0..=total {
@@ -549,7 +564,7 @@ fn a_power_failure_at_every_event_of_an_ack_round_loses_no_confirmed_ack() {
                     let at =
                         format!("admit {admit}, region {region} event {k}, survivors {survivors}");
                     let (mut s, acked) = two_unacked();
-                    let new = new(&s);
+                    let new = next(&s, 0, 3);
                     s.rt = s.rt.clone().crash_seed(k).crash_survival(survivors);
                     match region {
                         0 => s.rt.control(),
@@ -578,47 +593,57 @@ fn a_power_failure_at_every_event_of_an_ack_round_loses_no_confirmed_ack() {
                         let at = format!("{at} shard {shard}");
                         match table.req_id(0).unwrap() {
                             id if id == old_id => {
-                                // Never the old id over a cleared state:
-                                // the slot is done, acked or not.
+                                // Never the old id over a cleared state,
+                                // and pinned: nothing made its ack durable.
                                 let answer = table.result(0).unwrap().map(|a| a.result);
                                 assert_eq!(answer, Some(KvTaskResult::Stored(true)), "{at}");
-                                let durable = table.acked(0).unwrap();
-                                assert!(durable || !confirmed, "{at}: a confirmed ack lost");
-                                if shard == 0 {
-                                    seen[shape][usize::from(durable)] += 1;
+                                assert_eq!((table.live(), table.acked(0).unwrap()), (1, false));
+                                if shard == 0 && admit {
+                                    seen[0] += 1;
                                 }
                             }
                             // The recycle's first store: a free slot.
-                            0 if shard == 0 && admit => seen[shape][2] += 1,
+                            0 if shard == 0 && admit => seen[1] += 1,
                             id if shard == 0 && admit && id == new.0 => {
-                                // The new occupant, with its own answer
-                                // or none — never the old one's.
+                                // The next put, with its own answer or
+                                // none — never the old one's.
                                 if let Some(answer) = table.result(0).unwrap() {
                                     assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
                                     assert_eq!(s.records_of(new.0).len(), 1, "{at}");
                                 }
-                                seen[shape][3] += 1;
+                                seen[2] += 1;
                             }
                             other => panic!("{at}: torn identity {other:#x}"),
                         }
                     }
 
-                    // The clients retransmit what was not confirmed: the
-                    // acks free the slots still un-acked, and the new
-                    // put's client retries it (answered from the table
-                    // if it ran) and acks it.
+                    // The client retransmits acks it saw no `AckOk` for,
+                    // then sends its next put into each shard (the first
+                    // a retry when the round carried it): each is admitted
+                    // — a confirmed ack pins no slot past it.
                     if !confirmed {
                         serve_round(&s.core, &s.rt, &acks(acked)).expect("no failure armed");
                     }
-                    if admit {
-                        let answers = s.serve(&[new]).expect("no failure armed");
+                    for (shard, seq) in [(0, 3), (1, 4)] {
+                        let answers = s.serve(&[next(&s, shard, seq)]).expect("no failure armed");
                         assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
                     }
                     for shard in 0..SHAPE.shards {
                         assert_eq!(s.table(shard).live(), 0, "{at} shard {shard}: a slot leaks");
                     }
-                    let effects = acked.into_iter().chain(admit.then_some(new.0));
-                    for req_id in effects {
+                    // A buggy retransmission of an acked id is shed, its
+                    // slot gone to the next put.
+                    for (shard, req_id) in acked.into_iter().enumerate() {
+                        let key = s.key_on(shard, 5);
+                        let op = KvTaskOp::Put { key, value: 99 };
+                        assert_eq!(
+                            s.core.submit(req_id, op).unwrap(),
+                            Submission::Stale,
+                            "{at}"
+                        );
+                    }
+                    for seq in 1..=4 {
+                        let req_id = req_id_for(1, seq);
                         assert_eq!(
                             s.records_of(req_id).len(),
                             1,
@@ -632,14 +657,146 @@ fn a_power_failure_at_every_event_of_an_ack_round_loses_no_confirmed_ack() {
             }
         }
     }
-    let [recycled, ack_only] = seen;
     assert!(
-        recycled.iter().all(|&n| n > 0),
-        "shard 0's slot after a failure in the recycling round — ack cut, ack \
-         durable, free, new occupant — each seen: {recycled:?}"
+        seen.iter().all(|&n| n > 0),
+        "shard 0's slot after a failure in the recycling round — old occupant, \
+         free, next put — each seen: {seen:?}"
     );
-    assert!(
-        ack_only[0] > 0 && ack_only[1] > 0,
-        "an ack-only round's ack both cut and durable: {ack_only:?}"
+}
+
+#[test]
+fn a_dropped_ack_pins_one_slot_until_the_clients_next_request() {
+    let s = Stack::format(Shape {
+        table_cap: 4,
+        ..SHAPE
+    });
+    let put = |s: &Stack, client: u32, seq: u32| {
+        let key = s.key_on(0, (client * 10 + seq) as usize);
+        let value = i64::from(seq);
+        (req_id_for(client, seq), KvTaskOp::Put { key, value })
+    };
+    let (one, two, three) = (put(&s, 1, 1), put(&s, 1, 2), put(&s, 1, 3));
+    // Client 1's first put beside client 2's; each acked, so client 1's
+    // second takes the slot client 2's ack freed last, and the first
+    // stays in its own.
+    s.serve(&[one, put(&s, 2, 1)]).unwrap();
+    s.serve(&[two]).unwrap();
+    assert_eq!(s.table(0).live(), 0, "every slot acked");
+
+    // The power fails after the `AckOk`s and takes them back. The
+    // reopened table retires the first put — the second is its client's
+    // promise never to send it again — and pins the second, the client's
+    // latest.
+    let s = s.power_cycle();
+    let slot_of = |s: &Stack, req_id| s.table(0).lookup(req_id).unwrap().unwrap().0;
+    assert!(s.table(0).acked(slot_of(&s, one.0)).unwrap());
+    assert!(!s.table(0).acked(slot_of(&s, two.0)).unwrap());
+    assert_eq!(s.table(0).live(), 1, "one pin, the client's latest");
+    // A retransmission of either is answered from its durable answer.
+    for (req_id, op) in [one, two] {
+        let answer = s.core.submit(req_id, op).unwrap();
+        let stored =
+            matches!(answer, Submission::Answered(a) if a.result == KvTaskResult::Stored(true));
+        assert!(stored, "{req_id:#x}: {answer:?}");
+    }
+
+    // The client's next request is admitted into the pinned slot.
+    let pinned = slot_of(&s, two.0);
+    assert_eq!(s.core.submit(three.0, three.1).unwrap(), Submission::Queued);
+    assert_eq!(slot_of(&s, three.0), pinned, "the pin retired and recycled");
+    s.serve(&[three]).unwrap();
+    let s = s.power_cycle();
+    assert_eq!(s.table(0).live(), 1, "one pin again: the third put");
+    let shed = s.core.submit(two.0, two.1).unwrap();
+    assert_eq!(
+        shed,
+        Submission::Stale,
+        "its slot recycled, its id below the line"
     );
+    for req_id in [one.0, two.0, three.0] {
+        assert_eq!(s.records_of(req_id).len(), 1, "{req_id:#x}: one effect");
+    }
+}
+
+#[test]
+fn pinned_slots_stay_bounded_over_two_hundred_power_cycles() {
+    // Four closed-loop clients, three rounds a power cycle: in each,
+    // every client sends its next mutation (or retries the one a power
+    // failure cut) and acks it — the rounds hand slots from client to
+    // client, so a client's older answers outlive its newer — then the
+    // power fails: at a drawn event, or after the last `AckOk`s, which
+    // it takes back. A table holds, per client, at most its pinned
+    // answer and its request in flight.
+    const CLIENTS: usize = 4;
+    const CYCLES: usize = 200;
+    let shape = Shape {
+        shards: 2,
+        table_cap: 4 * CLIENTS as u32,
+        queue_cap: 8,
+        batch: 8,
+    };
+    let mut s = Stack::format(shape);
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = |n: u64| {
+        rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (rng >> 33) % n
+    };
+    let mut seq = [0u32; CLIENTS];
+    let mut in_flight: [Option<(u64, KvTaskOp)>; CLIENTS] = [None; CLIENTS];
+    let mut puts = Vec::new();
+    let mut cut = 0;
+    for cycle in 0..CYCLES {
+        arm(&s, draw(3) as usize, draw(40));
+        for _ in 0..3 {
+            let mut next = |c: usize| {
+                seq[c] += 1;
+                let req_id = req_id_for(c as u32 + 1, seq[c]);
+                // One in eight a put; the rest delete keys never written,
+                // which stage no record: the logs stay small, the slots
+                // churn the same.
+                let key = draw(32);
+                if draw(8) == 0 {
+                    puts.push(req_id);
+                    let value = i64::from(seq[c]);
+                    (req_id, KvTaskOp::Put { key, value })
+                } else {
+                    (req_id, KvTaskOp::Delete { key: 1000 + key })
+                }
+            };
+            let requests: Vec<(u64, KvTaskOp)> = (0..CLIENTS)
+                .map(|c| *in_flight[c].get_or_insert_with(|| next(c)))
+                .collect();
+            if s.serve(&requests).is_none() {
+                cut += 1;
+                break;
+            }
+            in_flight = [None; CLIENTS];
+        }
+        s = s.power_cycle();
+        for shard in 0..shape.shards {
+            let table = s.table(shard);
+            assert!(
+                table.live_high_water() <= 2 * CLIENTS as u64,
+                "cycle {cycle} shard {shard}: {} live slots",
+                table.live_high_water()
+            );
+        }
+    }
+    assert!(cut > 0 && cut < CYCLES, "{cut} of {CYCLES} rounds cut");
+    let mut effects = std::collections::HashMap::new();
+    for r in s
+        .store()
+        .snapshot_sharded()
+        .unwrap()
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        *effects.entry(r.seq).or_insert(0) += 1;
+    }
+    for req_id in puts {
+        let done = !in_flight.iter().flatten().any(|&(id, _)| id == req_id);
+        let n = effects.get(&req_id).copied().unwrap_or(0);
+        assert!(n == 1 || (n == 0 && !done), "{req_id:#x}: {n} effects");
+    }
 }
