@@ -68,11 +68,11 @@ impl KvServeFunction {
     /// - **Answers of an earlier, settled batch are never voided.** A
     ///   shown answer's span is reachable by the rule above, and so is
     ///   that of every answer its client acked, which the replay checks
-    ///   like any other: acks are volatile, so no slot says it was
-    ///   acked. And at most one batch per shard is unsettled at a power
-    ///   failure: a shard's exclusive section is held until its last
-    ///   level is awaited, so no later commit and no compaction runs
-    ///   over heads that are not durable.
+    ///   like any other: it does not read the slot's ack mark, which
+    ///   may not have landed. And at most one batch per shard is
+    ///   unsettled at a power failure: a shard's exclusive section is
+    ///   held until its last level is awaited, so no later commit and
+    ///   no compaction runs over heads that are not durable.
     /// - **A no-effect answer goes with its batch.** A cas that failed,
     ///   a delete of an absent key, a `LogFull` — they stage no record,
     ///   but they share their batch's span, so they are voided with the

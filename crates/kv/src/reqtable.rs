@@ -16,7 +16,7 @@
 //!
 //! # Lifecycle and recycling
 //!
-//! A slot moves `Free → Pending → Done → Free`:
+//! A slot moves `Free → Pending → Done → Done+Acked → Free`:
 //!
 //! * [`KvRequestTable::submit`] claims a free slot and **stages** the
 //!   descriptor in it — written, not flushed — and returns
@@ -51,51 +51,53 @@
 //!   a slot is either fully answered or still pending — and a pending
 //!   slot's answer is recomputed through the store's evidence-scanning
 //!   dual ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
-//! * `Done → Free` is **volatile**: [`KvRequestTable::ack`] makes the
-//!   slot recyclable and writes nothing — an ack carries no effect.
-//!   Across a power failure the evidence the table keeps anyway
-//!   retires it: [`KvRequestTable::open`] retires an answered slot when
-//!   a later request of the same client sits in the table (the retry
-//!   contract below), and a recycled slot's descriptor persist
-//!   overwrites its old occupant. At most one answered slot per client
-//!   stays pinned, its latest, until the client's next request or a
-//!   retransmitted ack. Slot byte 3, the durable ack mark of older
-//!   images, is reserved: cleared when a descriptor is staged, honoured
-//!   by `open`. This keeps a long-running server's table bounded (it
-//!   never grows; it sheds instead, see `Full` above).
+//! * [`KvRequestTable::ack`] records that the client received the
+//!   answer: the slot is **recyclable** in volatile state at once, and
+//!   its acked byte — the **mark** — is written and issued as a flight
+//!   that nothing awaits, so the `AckOk` waits for nothing. The mark
+//!   lands with the region's next await, and before the slot's next
+//!   occupant overwrites it (below). An ack a power failure caught
+//!   before its mark landed leaves the answer pinned, as if un-acked,
+//!   until the client's next request in the table (the retry contract)
+//!   or a retransmitted ack — at most one slot per client. This keeps
+//!   a long-running server's table bounded (it never grows; it sheds
+//!   instead, see `Full` above).
 //!
 //! # The retry contract
 //!
 //! Recycling leans on the client contract: *a client never retransmits
 //! a request after acknowledging its answer, and sends request n+1 only
-//! after its `AckOk` for n*. So n+1 in the table is n's ack, which lets
-//! a reboot retire n. A retry of a live request dedupes against the
-//! slot (pending → the caller routes it through the recovery dual;
-//! done → the durable answer is replayed). The contract is **not
-//! trusted blindly**: the table keeps a per-client high-water line of
-//! acked sequence numbers, and a retransmission at or below it whose
-//! slot has already been recycled is shed as [`ReqSubmit::Stale`] — a
-//! buggy client gets a typed refusal, never a second effect. A
-//! preloaded static table (`KvServeFunction::preload`) never admits,
-//! so a slot `open` retires there is never reused.
+//! after its `AckOk` for n* — so [`KvRequestTable::open`] retires an
+//! answered slot that shows its mark or has a later request of its
+//! client in the table (a preloaded static table never admits, so a
+//! slot retired there is never reused). A retry of a live request
+//! dedupes against the slot (pending → the caller routes it through the
+//! recovery dual; done → the durable answer is replayed). The contract
+//! is **not trusted blindly**: the table keeps a per-client high-water
+//! line of acked sequence numbers, and a retransmission at or below it
+//! whose slot has already been recycled is shed as [`ReqSubmit::Stale`]
+//! — a buggy client gets a typed refusal, never a second effect.
 //!
 //! # Crash safety of recycling
 //!
-//! Reusing a slot rewrites it in two stores in a fixed order — the
-//! cleared completion state (done, reserved byte, flag) together with the new
-//! descriptor and a cleared request id first, the new request id
-//! **last** — and each slot is one 64-byte cache-line-aligned extent,
-//! so a flush persists the whole transition atomically. A crash between
-//! the stores — one whose slot line survives the power failure
-//! unflushed — can only produce a free
+//! A slot is recycled only over a landed mark: the free list hands out
+//! the longest-free slot first, and a recycle that finds its mark still
+//! in flight awaits it. The recycle then rewrites the
+//! slot in two stores in a fixed order — the cleared completion state
+//! (done/acked/flag) together with the new descriptor and a cleared
+//! request id first, the new request id **last** — and each slot is one
+//! 64-byte cache-line-aligned extent, so a flush persists the whole
+//! transition atomically. A crash between the stores — one whose slot
+//! line survives the power failure unflushed — can only produce a free
 //! slot (request id 0): the old occupant is gone, which its client
-//! acked and will never ask about again, and nothing is pending. Never
-//! a new request paired with a stale answer, and never the old id over
-//! a cleared completion state — which would read as pending, and be
-//! executed a second time under the old id by whoever re-drives
-//! pending slots.
+//! acked and will never ask about again, and nothing is pending; any
+//! other crash leaves the old occupant, marked, or the new one. Never a
+//! new request paired with a stale answer, and never the old id over a
+//! cleared completion state — which would read as pending, and be
+//! executed a second time under the old id by whoever re-drives pending
+//! slots.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use pstack_core::PError;
@@ -120,8 +122,6 @@ const ST_DONE: u8 = 1;
 const F_KIND: u64 = 0;
 const F_DONE: u64 = 1;
 const F_FLAG: u64 = 2;
-/// Reserved: an older image's durable ack mark. Never set; cleared with
-/// the slot when a descriptor is staged, and honoured by `open`.
 const F_ACKED: u64 = 3;
 const F_EXEC: u64 = 4;
 const F_KEY: u64 = 8;
@@ -151,7 +151,7 @@ pub enum ReqSubmit {
         answer: Option<KvTaskAnswer>,
     },
     /// Every slot is occupied by a request that is not yet both done
-    /// and retired — the admission-control signal (shed the request with
+    /// and acked — the admission-control signal (shed the request with
     /// an explicit overload response; never drop it silently).
     Full,
     /// The request id is at or below its client's acknowledged
@@ -170,22 +170,36 @@ pub(crate) fn split_id(req_id: u64) -> (u32, u32) {
     ((req_id >> 32) as u32, req_id as u32)
 }
 
+/// Where a slot's occupant stands: what a recycle checks before it
+/// overwrites the occupant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Occupant {
+    /// Nothing to keep: never used, or retired with its mark durable.
+    Free,
+    /// Pending, or answered and not yet acked.
+    Live,
+    /// Answered, and found by `open` with no mark and no later request
+    /// of its client: an ack a power failure may have caught before its
+    /// mark landed. The client's next request in the table retires it.
+    Pinned,
+    /// Retired; its mark rides this flight.
+    Marked(FlushTicket),
+}
+
 /// Volatile bookkeeping rebuilt by [`KvRequestTable::open`]: the
-/// request-id index, the recyclable-slot free list and every ack.
+/// request-id index, the free list and where each slot's occupant
+/// stands.
 #[derive(Debug, Default)]
 struct ReqIndex {
     /// Request id → slot, for every slot whose identity is still
     /// meaningful (pending, done-unacked, and done+acked slots that
     /// have not been recycled yet — the latter still serve dedup hits).
     by_id: HashMap<u64, u32>,
-    /// Slots whose next occupant may overwrite them (never used, or
-    /// done + acked).
-    free: Vec<u32>,
-    /// Per slot: its occupant is done and acked, so it sits in `free`.
-    acked: Vec<bool>,
-    /// Per client: its latest answered request, whose ack a power
-    /// failure may have dropped. The client's next request retires it.
-    pinned: HashMap<u32, u64>,
+    /// Slots whose next occupant may overwrite them, the longest-free
+    /// first: by the time a slot comes round again its mark has landed.
+    free: VecDeque<u32>,
+    /// Per slot.
+    occupant: Vec<Occupant>,
     /// Slots handed out again after an earlier occupant completed.
     recycled: u64,
     /// High-water mark of live (non-recyclable) slots.
@@ -203,12 +217,18 @@ struct ReqIndex {
 }
 
 impl ReqIndex {
-    /// Retires answered slot `slot` of `req_id` — recyclable from now
-    /// on — and advances its client's acked line. Idempotent.
-    fn retire(&mut self, req_id: u64, slot: u32) {
-        if !std::mem::replace(&mut self.acked[slot as usize], true) {
-            self.free.push(slot);
+    fn new(capacity: u32) -> Self {
+        ReqIndex {
+            occupant: vec![Occupant::Free; capacity as usize],
+            ..ReqIndex::default()
         }
+    }
+
+    /// Frees retired slot `slot` of `req_id`, standing `now`, and
+    /// advances its client's acked line.
+    fn free_retired(&mut self, req_id: u64, slot: u32, now: Occupant) {
+        self.occupant[slot as usize] = now;
+        self.free.push_back(slot);
         let (client, seq) = split_id(req_id);
         let hw = self.acked_high.entry(client).or_insert(0);
         *hw = (*hw).max(seq);
@@ -247,7 +267,8 @@ impl ReqIndex {
 /// };
 /// assert_eq!(a.result, KvTaskResult::Stored(true));
 ///
-/// // Ack → the slot becomes recyclable; nothing is written.
+/// // Ack → the slot becomes recyclable, and its mark is in flight:
+/// // nothing needs to await it.
 /// assert!(table.ack(0x1_0001)?);
 /// assert_eq!(table.live(), 0);
 /// # Ok(())
@@ -286,11 +307,8 @@ impl KvRequestTable {
         pmem.write_u64(base, TABLE_MAGIC)?;
         pmem.write_u64(base + 8u64, u64::from(capacity))?;
         pmem.flush(base, len)?;
-        let idx = ReqIndex {
-            free: (0..capacity).rev().collect(),
-            acked: vec![false; capacity as usize],
-            ..ReqIndex::default()
-        };
+        let mut idx = ReqIndex::new(capacity);
+        idx.free = (0..capacity).collect();
         Ok(KvRequestTable {
             pmem,
             base,
@@ -301,10 +319,11 @@ impl KvRequestTable {
 
     /// Re-attaches to a table created at `base`, rebuilding the
     /// volatile request-id index and free list from the durable slots.
-    /// An answered slot is retired when a later request of its client
-    /// sits in the table (the retry contract: that request was sent
-    /// after the `AckOk`) or when it shows an older image's ack mark;
-    /// else it stays pinned until its client's next request.
+    /// An answered slot is retired when it shows its mark, or when a
+    /// later request of its client sits in the table (the retry
+    /// contract: that request was sent after the `AckOk`) — then this
+    /// writes and issues its mark. Else it stays pinned until its
+    /// client's next request or a retransmitted ack.
     ///
     /// # Errors
     ///
@@ -321,44 +340,65 @@ impl KvRequestTable {
             .ok()
             .filter(|&c| base.get() + Self::required_len(c) as u64 <= pmem.len() as u64)
             .ok_or_else(|| PError::CorruptStack("request table overruns its region".into()))?;
-        let mut idx = ReqIndex {
-            acked: vec![false; capacity as usize],
-            ..ReqIndex::default()
-        };
-        // One pass over the slots, then the inference: a client's latest
-        // request in the table acks every earlier one.
-        let mut slots = Vec::new();
-        for slot in (0..capacity).rev() {
-            let e = Self::slot_off(base, slot);
-            let req_id = pmem.read_u64(e + F_REQ_ID)?;
-            if req_id == 0 {
-                idx.free.push(slot);
-                continue;
-            }
-            let done = pmem.read_u8(e + F_DONE)? == ST_DONE;
-            slots.push((slot, req_id, done, pmem.read_u8(e + F_ACKED)? != 0));
-            let (client, seq) = split_id(req_id);
-            let hw = idx.acked_high.entry(client).or_insert(0);
-            *hw = (*hw).max(seq.saturating_sub(1));
-        }
-        for (slot, req_id, done, marked) in slots {
-            let (client, seq) = split_id(req_id);
-            if done && (marked || seq <= idx.acked_high[&client]) {
-                idx.retire(req_id, slot);
-            } else if done {
-                idx.pinned.insert(client, req_id);
-            }
-            // Retired slots stay in the index until recycled: a
-            // duplicate retry that races the ack still dedupes.
-            idx.by_id.insert(req_id, slot);
-        }
-        idx.live_high_water = u64::from(capacity) - idx.free.len() as u64;
-        Ok(KvRequestTable {
+        let table = KvRequestTable {
             pmem,
             base,
             capacity,
-            idx: Arc::new(Mutex::new(idx)),
-        })
+            idx: Arc::new(Mutex::new(ReqIndex::new(capacity))),
+        };
+        let mut idx = table.idx.lock().expect("request-table index poisoned");
+        // One pass over the slots, one read each, then the inference: a
+        // client's latest request in the table acks every earlier one.
+        let mut unmarked = Vec::new();
+        let mut line = [0u8; SLOT_STRIDE as usize];
+        for slot in 0..capacity {
+            table.pmem.read(Self::slot_off(base, slot), &mut line)?;
+            let id = &line[F_REQ_ID as usize..][..8];
+            let req_id = u64::from_le_bytes(id.try_into().expect("slice length"));
+            if req_id == 0 {
+                idx.free.push_back(slot);
+                continue;
+            }
+            // Done+acked slots stay in the index until recycled: a
+            // duplicate retry that races the ack still dedupes.
+            idx.by_id.insert(req_id, slot);
+            let (client, seq) = split_id(req_id);
+            let hw = idx.acked_high.entry(client).or_insert(0);
+            *hw = (*hw).max(seq.saturating_sub(1));
+            if line[F_DONE as usize] != ST_DONE {
+                idx.occupant[slot as usize] = Occupant::Live;
+            } else if line[F_ACKED as usize] != 0 {
+                idx.free_retired(req_id, slot, Occupant::Free);
+            } else {
+                unmarked.push((slot, req_id));
+            }
+        }
+        for (slot, req_id) in unmarked {
+            let (client, seq) = split_id(req_id);
+            idx.occupant[slot as usize] = Occupant::Pinned;
+            if seq <= idx.acked_high[&client] {
+                table.retire(&mut idx, req_id, slot)?;
+            }
+        }
+        idx.live_high_water = u64::from(capacity) - idx.free.len() as u64;
+        drop(idx);
+        Ok(table)
+    }
+
+    /// Retires answered slot `slot` of `req_id`, live or pinned: writes
+    /// its mark, issues it as a flight that nothing awaits, and frees
+    /// the slot. Idempotent.
+    fn retire(&self, idx: &mut ReqIndex, req_id: u64, slot: u32) -> Result<(), PError> {
+        if matches!(
+            idx.occupant[slot as usize],
+            Occupant::Live | Occupant::Pinned
+        ) {
+            let e = self.slot(slot)?;
+            self.pmem.write_u8(e + F_ACKED, 1)?;
+            let ticket = self.pmem.flush_async(e, SLOT_STRIDE as usize)?;
+            idx.free_retired(req_id, slot, Occupant::Marked(ticket));
+        }
+        Ok(())
     }
 
     fn slot_off(base: POffset, slot: u32) -> POffset {
@@ -460,24 +500,29 @@ impl KvRequestTable {
         // its client already acked this seq (or a later one) — the slot
         // was legitimately recycled and re-admitting would re-execute.
         let (client, seq) = split_id(req_id);
-        if idx.acked_high.get(&client).is_some_and(|&hw| seq <= hw) {
+        let hw = idx.acked_high.get(&client).copied().unwrap_or(0);
+        if seq <= hw {
             return Ok(ReqSubmit::Stale);
         }
-        // A later request of a client that `open` left pinned: under the
-        // retry contract it follows the pinned answer's `AckOk`.
-        if let Some(&pin) = idx.pinned.get(&client) {
-            if split_id(pin).1 < seq {
-                idx.pinned.remove(&client);
-                if let Some(&slot) = idx.by_id.get(&pin) {
-                    idx.retire(pin, slot);
-                }
+        // `open` pins a client's latest answer, the one just above its
+        // acked line; a later request of the client follows that
+        // answer's `AckOk` (the retry contract) and retires it.
+        let pin = (u64::from(client) << 32) | u64::from(hw + 1);
+        if let Some(&slot) = idx.by_id.get(&pin).filter(|_| seq > hw + 1) {
+            if idx.occupant[slot as usize] == Occupant::Pinned {
+                self.retire(&mut idx, pin, slot)?;
             }
         }
-        let Some(slot) = idx.free.pop() else {
+        let Some(&slot) = idx.free.front() else {
             return Ok(ReqSubmit::Full);
         };
-        idx.acked[slot as usize] = false;
+        // Never over a mark that has not landed (see the module docs).
+        if let Occupant::Marked(ticket) = idx.occupant[slot as usize] {
+            self.pmem.await_ticket(&ticket)?;
+        }
         let e = self.slot(slot)?;
+        idx.free.pop_front();
+        idx.occupant[slot as usize] = Occupant::Live;
         let old_id = self.pmem.read_u64(e + F_REQ_ID)?;
         if old_id != 0 {
             idx.by_id.remove(&old_id);
@@ -495,7 +540,7 @@ impl KvRequestTable {
             KvTaskOp::Delete { key } => (KIND_DEL, key, 0, 0),
             KvTaskOp::Cas { key, expected, new } => (KIND_CAS, key, new, expected),
         };
-        // done, flag, reserved byte, executor, got and the request id: cleared
+        // done, flag, acked, executor, got and the request id: cleared
         let mut body = [0u8; F_REQ_ID as usize + 8];
         body[F_KIND as usize] = kind;
         body[F_KEY as usize..][..8].copy_from_slice(&key.to_le_bytes());
@@ -673,25 +718,20 @@ impl KvRequestTable {
         Ok(Some(KvTaskAnswer { executor, result }))
     }
 
-    /// `true` if slot `slot`'s answer is retired: acked by its client
-    /// in this boot, or retired by [`KvRequestTable::open`]. Volatile.
+    /// `true` if slot `slot`'s answer was acknowledged by its client:
+    /// its mark is written, landed or not (see the module docs).
     ///
     /// # Errors
     ///
-    /// Out-of-range slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volatile index lock is poisoned.
+    /// Out-of-range slot or NVRAM errors.
     pub fn acked(&self, slot: u32) -> Result<bool, PError> {
-        self.slot(slot)?;
-        Ok(self.idx.lock().expect("request-table index poisoned").acked[slot as usize])
+        Ok(self.pmem.read_u8(self.slot(slot)? + F_ACKED)? != 0)
     }
 
     /// Writes slot `slot`'s answer payload — flag, executor and the
     /// answering batch's record span (and a got value) — in as many
     /// stores as the answer had before it carried a span: flag and
-    /// executor are one store, with the reserved byte between them
+    /// executor are one store, with the acked byte between them
     /// rewritten as the 0 its staging left.
     fn write_answer(
         &self,
@@ -779,14 +819,15 @@ impl KvRequestTable {
     }
 
     /// Records the client's acknowledgement of `req_id`'s answer: the
-    /// slot is recyclable at once and the client's acked line advances.
-    /// **Volatile** — it writes nothing and issues no flight, so the
-    /// caller may show its `AckOk` at once: an ack carries no effect,
-    /// and a power failure that drops it leaves the slot answered, to
-    /// be retired by the client's next request or a retransmitted ack
-    /// (see the module docs). Idempotent. Returns `false` for unknown
-    /// ids (already recycled, or never admitted) and done-less slots
-    /// (acks are only valid answers to a durable `Done`).
+    /// slot is recyclable at once, the client's acked line advances,
+    /// and the slot's mark is written and issued as a flight that
+    /// nothing awaits, so the caller may show its `AckOk` at once. An
+    /// ack carries no effect; a power failure that catches its mark in
+    /// flight leaves the slot answered, pinned until the client's next
+    /// request or a retransmitted ack (see the module docs).
+    /// Idempotent. Returns `false` for unknown ids (already recycled,
+    /// or never admitted) and done-less slots (acks are only valid
+    /// answers to a durable `Done`).
     ///
     /// # Errors
     ///
@@ -803,7 +844,7 @@ impl KvRequestTable {
         if self.pmem.read_u8(self.slot(slot)? + F_DONE)? != ST_DONE {
             return Ok(false);
         }
-        idx.retire(req_id, slot);
+        self.retire(&mut idx, req_id, slot)?;
         Ok(true)
     }
 
@@ -889,34 +930,19 @@ mod tests {
         assert!(table.ack(0x7_0001).unwrap());
         assert!(table.acked(slot).unwrap());
         assert_eq!(table.live(), 0, "done+acked slots are recyclable");
-        // Acks are idempotent; unknown ids are refused; none writes.
+        // Acks are idempotent; unknown ids are refused. The first wrote
+        // the mark and issued it, awaiting nothing.
         assert!(table.ack(0x7_0001).unwrap());
         assert!(!table.ack(0xDEAD).unwrap());
         let d = pmem.stats().snapshot() - before;
-        assert_eq!((d.writes, d.persists, d.async_flushes), (0, 0, 0));
-        // The ack was volatile: a reopen finds the answer pinned, the
-        // client's latest, until its next request retires it.
+        assert_eq!((d.writes, d.persists, d.async_flushes), (1, 0, 1));
+        // Reopen rebuilds the same view.
         let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
-        assert_eq!((t2.live(), t2.acked(slot).unwrap()), (1, false));
+        assert_eq!(t2.live(), 0);
         assert_eq!(
             t2.lookup(0x7_0001).unwrap().unwrap().1.unwrap().result,
             KvTaskResult::Swapped(true)
         );
-        assert!(matches!(t2.submit(0x7_0002, op).unwrap(), ReqSubmit::Fresh(s) if s == slot));
-        assert_eq!(t2.live(), 1, "the next request took the retired slot");
-        assert_eq!(t2.submit(0x7_0001, op).unwrap(), ReqSubmit::Stale);
-    }
-
-    #[test]
-    fn an_older_images_ack_mark_still_retires_its_slot() {
-        let (pmem, table) = fixture(2);
-        let ReqSubmit::Fresh(slot) = table.submit(1, KvTaskOp::Get { key: 1 }).unwrap() else {
-            panic!("fresh")
-        };
-        answer(&table, &[(slot, 0, KvTaskResult::Got(None))]).unwrap();
-        pmem.write_u8(table.slot(slot).unwrap() + 3u64, 1).unwrap(); // the mark, slot byte 3
-        let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
-        assert_eq!((t2.live(), t2.acked(slot).unwrap()), (0, true));
     }
 
     #[test]
@@ -944,8 +970,8 @@ mod tests {
         assert!(table.live_high_water() <= 8);
         assert_eq!(
             table.recycled(),
-            79,
-            "every request after the first reused a slot"
+            72,
+            "every request after the first eight reused a slot"
         );
 
         // Un-acked answers pin their slots: the table fills and sheds
@@ -1010,8 +1036,9 @@ mod tests {
         // seqs stay shed across a restart. (Shedding writes nothing, so
         // the probe leaves the table untouched.)
         let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
+        assert!(t2.lookup(id(2, 2)).unwrap().is_none(), "recycled");
         assert_eq!(
-            t2.submit(id(2, 3), KvTaskOp::Get { key: 1 }).unwrap(),
+            t2.submit(id(2, 2), KvTaskOp::Get { key: 1 }).unwrap(),
             ReqSubmit::Stale,
             "acked high-water rebuilt from slot evidence"
         );
@@ -1081,14 +1108,14 @@ mod tests {
                     seen_free = true;
                 }
                 1 => {
-                    // Old occupant intact: done, and pinned — its ack
-                    // was volatile — until its client's next request.
+                    // Old occupant intact: done, acked (the recycle
+                    // awaited its mark), recyclable.
                     assert_eq!(
                         t2.result(0).unwrap().unwrap().result,
                         KvTaskResult::Stored(true)
                     );
-                    assert!(!t2.acked(0).unwrap());
-                    assert_eq!(t2.live(), 1);
+                    assert!(t2.acked(0).unwrap());
+                    assert_eq!(t2.live(), 0);
                 }
                 2 => {
                     // New occupant fully installed and pending.

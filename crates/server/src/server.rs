@@ -47,13 +47,13 @@
 //! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
 //! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
 //! | | answer | [`KvRequestTable::answer`], payload + flag + its commit's record span in one line-atomic persist, issued into the heads' level on the commit's records ‖ tail receipt; a replay voids an answer whose heads did not land | 1 per shard per round | 0 more: it rides the heads' level |
-//! | | ack | — : [`ServerCore::ack`] is volatile, and a client's next request is what retires its slot across a power failure | **0** | 0 |
+//! | | ack | mark (acked byte): written by [`ServerCore::ack`] and issued at once as a flight that nothing awaits; the slot's next occupant awaits it before overwriting the slot | 1 per ack | **0** |
 //!
-//! A lone put therefore costs 6 persists end to end and blocks on 2
+//! A lone put therefore costs 7 persists end to end and blocks on 2
 //! round-trips before its answer (`CALL` (+ the previous round's `RET`)
 //! ‖ descriptor ‖ records ‖ tail → heads ‖ answer), and on none for its
 //! ack; a round that touches several shards blocks on the same 2 and
-//! pays the frame's 1 once, and a full window divides everything by
+//! pays the frame's 1 once, and a full window divides all but the ack by
 //! its occupancy. The window's own pop stays pending until
 //! the next round's `CALL`: a power failure before it replays the completed
 //! window, which re-collects its answers (`pstack_core::invoke` says why
@@ -92,15 +92,17 @@
 //!
 //! # Acks
 //!
-//! An ack carries no effect, so nothing about it needs to be durable:
-//! [`ServerCore::ack`] frees the slot in volatile state and its `AckOk`
-//! waits for nothing. The retry contract closes the loop — a client
-//! sends request n+1 only after its `AckOk` for n, so a later request
-//! of the client in n's table is n's ack, durable with that request's
-//! descriptor, and a reboot's [`KvRequestTable::open`] retires n from
-//! it. A power failure leaves at most one answered slot per client per
-//! table pinned, its latest, until that client's next request there or
-//! a retransmitted `Ack`.
+//! An ack carries no effect, so its `AckOk` waits for nothing:
+//! [`ServerCore::ack`] frees the slot in volatile state, writes the
+//! slot's mark and issues it as a flight that nothing awaits. The mark
+//! lands with its region's next await, and before any other request
+//! overwrites the slot. A reboot's [`KvRequestTable::open`] retires a
+//! marked slot, and, by the retry contract — a client sends request
+//! n+1 only after its `AckOk` for n — an answered slot with a later
+//! request of its client in the table. So only a mark that a power
+//! failure caught in flight pins its slot: the client's latest answer,
+//! at most one per client per table, until that client's next request
+//! there or a retransmitted `Ack`.
 //!
 //! # Admission control
 //!
@@ -307,10 +309,11 @@ impl ServerCore {
     /// — e.g. an ack retransmitted after its slot was recycled — are
     /// fine: acks are idempotent and always safe to confirm.
     ///
-    /// **Volatile** ([`KvRequestTable::ack`](pstack_kv::KvRequestTable::ack)):
-    /// the slot is recyclable at once, nothing is written and nothing
-    /// awaited, so the `AckOk` may be shown at once. An ack round costs
-    /// no persist and no round-trip.
+    /// The slot is recyclable at once, and its mark is written and
+    /// issued as a flight that nothing awaits
+    /// ([`KvRequestTable::ack`](pstack_kv::KvRequestTable::ack)), so the
+    /// `AckOk` may be shown at once: an ack round blocks on no
+    /// round-trip.
     ///
     /// # Errors
     ///

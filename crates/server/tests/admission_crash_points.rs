@@ -4,22 +4,21 @@
 //! to back), the round's one window frame issued, the four group
 //! commits begun under it, the window awaiting its frame and every
 //! shard's descriptors before the heads, the commits moved level by
-//! level together, answer persists — in each shard region and in the
-//! control region, every dirty line lost (survival 0).
+//! level together, answer persists, acks — in each shard region and in
+//! the control region, every dirty line lost (survival 0).
 //!
 //! After each kill the system restarts, the persistent stacks replay,
 //! and the clients retry under the contract. Checked every time:
 //!
 //! * **effect exactly once** — one record per request tag, whatever
 //!   prefix of the round the failure kept;
-//! * **no lost answer** — the retried round completes and leaves every
+//! * **no lost ack** — the retried round completes and leaves every
 //!   slot answered and acked (recyclable);
 //! * **no new id over a stale answer** — shard 0's slot is a recycled
-//!   one (its old occupant answered and acked, by the client whose
-//!   round it is), shards 1–3's have never been used, and a reopened
-//!   table shows each either as it was before the round, intact — the
-//!   old occupant pinned, its ack having been volatile, until its
-//!   client's next request — or as the new request with the new
+//!   one (its old occupant answered and acked by another client, its
+//!   mark landed before the recycle), shards 1–3's have never been
+//!   used, and a reopened table shows each either as it was before the
+//!   round, intact and recyclable, or as the new request with the new
 //!   request's own answer or none;
 //! * **nothing executes over a lost descriptor** — a frame naming a
 //!   slot whose descriptor never became durable is replayed over
@@ -42,16 +41,19 @@
 //! every one kept, and with the stack's lost but the shards' kept: each
 //! request still has exactly one effect and one durable answer.
 //!
-//! An ack is volatile: it writes nothing, and its `AckOk` waits for
-//! nothing. The last sweep fails at every event of an ack round — two
-//! shards' acks, with and without the client's next put admitted into
-//! the slot one of them freed — and once past its end, with every dirty
-//! line lost, kept and drawn by lottery. An ack-only round has no event
-//! at all, so its only cut is the one after its `AckOk`s. Each slot
-//! reopens as its old occupant, free, or the next put's; a confirmed
-//! ack pins no slot past the client's next request into its table; each
-//! request has one effect, and a retransmission of an acked id is shed
-//! `Stale`, never run again.
+//! An ack's `AckOk` waits for nothing: the ack writes the slot's mark,
+//! and issues it as a flight that nothing awaits. The
+//! ack-round sweep fails at every event of an ack round — two shards'
+//! acks, with and without another client's put admitted into the slot
+//! one of them freed — and once past its end, with every dirty line
+//! lost, kept and drawn by lottery. Each slot reopens as its old
+//! occupant, acked or pinned (its mark cut in flight — never where a
+//! confirmed ack's line was kept), free, or the new put's; no slot stays
+//! pinned past its client's next request; each request has one effect,
+//! and a retransmission of an acked id is shed `Stale`, never run
+//! again. Two more tests follow a mark cut in flight to the client's
+//! next request, and a client that acks and goes quiet in a table with
+//! fewer slots than clients.
 
 mod common;
 
@@ -74,17 +76,16 @@ const SHAPE: Shape = Shape {
 /// `Deleted(false)`. Shards 1–3's slots stay never-used (request id 0).
 fn old_round(s: &Stack) -> (u64, KvTaskOp) {
     let key = s.key_on(0, 5);
-    (req_id_for(2, 1), KvTaskOp::Delete { key })
+    (req_id_for(1, 1), KvTaskOp::Delete { key })
 }
 
-/// The round under test, the same client's next: one put per shard,
-/// `Stored(true)`.
+/// The round under test: one put per shard, `Stored(true)`.
 fn new_round(s: &Stack) -> Vec<(u64, KvTaskOp)> {
     (0..SHAPE.shards)
         .map(|shard| {
             let (key, value) = (s.key_on(shard, 0), 40 + shard as i64);
             (
-                req_id_for(2, shard as u32 + 2),
+                req_id_for(2, shard as u32 + 1),
                 KvTaskOp::Put { key, value },
             )
         })
@@ -153,14 +154,14 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
                     id if id == old_id => {
                         // The staged descriptor never became durable:
                         // the slot is as it was (the old occupant
-                        // intact, pinned until its client's next
-                        // request, or never used), and nothing was
-                        // promised to the new request.
+                        // intact and recyclable — its mark landed
+                        // before the recycle — or never used), and
+                        // nothing was promised to the new request.
                         let before = table.result(0).unwrap().map(|a| a.result);
                         let expect = (old_id != 0).then_some(KvTaskResult::Deleted(false));
                         assert_eq!(before, expect, "{at}");
-                        assert!(!table.acked(0).unwrap(), "{at}");
-                        assert_eq!(table.live(), u64::from(old_id != 0), "{at}");
+                        assert_eq!(table.acked(0).unwrap(), old_id != 0, "{at}");
+                        assert_eq!(table.live(), 0, "{at}");
                         assert!(
                             s.records_of(new_id).is_empty(),
                             "{at}: effect without descriptor"
@@ -192,10 +193,7 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
                     unreachable!()
                 };
                 assert_eq!(s.store().get(key).unwrap(), Some(value), "{at}");
-                assert!(
-                    s.table(shard).acked(0).unwrap(),
-                    "{at}: the ack frees the slot"
-                );
+                assert!(s.table(shard).acked(0).unwrap(), "{at}: lost ack");
                 assert_eq!(s.table(shard).live(), 0, "{at}: slot must be recyclable");
             }
             // A read after the dust settles is answered at admission
@@ -317,7 +315,7 @@ fn a_failed_drain_persist_shows_in_the_run_that_follows() {
     let s = s.power_cycle();
     assert_eq!(
         s.table(0).req_id(0).unwrap(),
-        old_round(&s).0,
+        req_id_for(1, 1),
         "old occupant"
     );
     assert!(s.records_of(new[0].0).is_empty());
@@ -479,8 +477,8 @@ fn a_power_failure_between_a_completed_window_and_the_next_call_keeps_exactly_on
     );
 }
 
-/// Round 1 of the ack sweep, answered and not yet acked: client 1's
-/// puts into shard 0's one slot and shard 1's.
+/// Round 1 of the ack sweep, answered and not yet acked: a put into
+/// shard 0's one slot and one into shard 1's.
 fn two_unacked() -> (Stack, [u64; 2]) {
     let s = Stack::format(SHAPE);
     let acked = [req_id_for(1, 1), req_id_for(1, 2)];
@@ -503,23 +501,26 @@ fn two_unacked() -> (Stack, [u64; 2]) {
 }
 
 #[test]
-fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
+fn an_ack_round_cut_anywhere_keeps_one_effect_and_no_lasting_pin() {
     // The round acks client 1's two answered puts and, in its first
-    // shape, admits the client's next put into shard 0's slot — freed
-    // by the ack a moment before, in volatile state only — and runs
-    // it. Every event of the round in the control region and in both
-    // shards, every dirty line lost, kept and drawn by lottery, plus
-    // one more event past the round's last: the round returns `Ok` and
-    // the power fails after it.
+    // shape, admits client 2's put into shard 0's slot, which the first
+    // ack freed, and runs it: the recycle lands the ack's mark before it
+    // overwrites the slot. Every event of the round in the control
+    // region and in both shards, every dirty line lost, kept and drawn
+    // by lottery, plus one more event past the round's last: the round
+    // returns `Ok` and the power fails after it. The marks are flights
+    // that nothing in the round awaits, so a round
+    // that returned `Ok` may lose them: only such a mark, cut in
+    // flight, leaves its slot pinned, and client 1's next request there
+    // frees it.
+    let new = |s: &Stack| {
+        let key = s.key_on(0, 6);
+        (req_id_for(2, 1), KvTaskOp::Put { key, value: 26 })
+    };
     let next = |s: &Stack, shard: usize, seq: u32| {
-        let key = s.key_on(shard, 6);
-        (
-            req_id_for(1, seq),
-            KvTaskOp::Put {
-                key,
-                value: 20 + i64::from(seq),
-            },
-        )
+        let key = s.key_on(shard, 7);
+        let value = i64::from(seq);
+        (req_id_for(1, seq), KvTaskOp::Put { key, value })
     };
     let acks = |acked: [u64; 2]| -> Vec<Request> {
         acked
@@ -532,16 +533,16 @@ fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
     let round = |s: &Stack, acked: [u64; 2], admit: bool| {
         let mut requests = acks(acked);
         if admit {
-            let (req_id, op) = next(s, 0, 3);
+            let (req_id, op) = new(s);
             let body = RequestBody::Op(op);
             requests.push(Request { req_id, body });
         }
         serve_round(&s.core, &s.rt, &requests)
     };
-    // [old occupant, recycle's first store, next put]: what shard 0's
-    // slot showed after a power failure inside the recycling round.
-    let mut seen = [0usize; 3];
-    for admit in [true, false] {
+    // [pinned, acked, recycle's first store, new occupant]: what shard
+    // 0's slot showed after a power failure inside the round.
+    let mut seen = [[0usize; 4]; 2];
+    for (shape, admit) in [true, false].into_iter().enumerate() {
         let (twin, acked) = two_unacked();
         let before = twin.events();
         round(&twin, acked, admit).unwrap();
@@ -550,13 +551,11 @@ fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
             .zip(&before)
             .map(|(now, then)| now - then)
             .collect();
-        if !admit {
-            assert_eq!(
-                spent,
-                [0, 0, 0],
-                "an ack writes nothing and persists nothing"
-            );
-        }
+        assert_eq!(
+            spent[0] > 0,
+            admit,
+            "only a round with a window runs a frame"
+        );
 
         for (region, &total) in spent.iter().enumerate() {
             for k in 0..=total {
@@ -564,7 +563,7 @@ fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
                     let at =
                         format!("admit {admit}, region {region} event {k}, survivors {survivors}");
                     let (mut s, acked) = two_unacked();
-                    let new = next(&s, 0, 3);
+                    let new = new(&s);
                     s.rt = s.rt.clone().crash_seed(k).crash_survival(survivors);
                     match region {
                         0 => s.rt.control(),
@@ -593,36 +592,50 @@ fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
                         let at = format!("{at} shard {shard}");
                         match table.req_id(0).unwrap() {
                             id if id == old_id => {
-                                // Never the old id over a cleared state,
-                                // and pinned: nothing made its ack durable.
+                                // Never the old id over a cleared state:
+                                // the slot is done, acked by its mark or
+                                // pinned — never for a confirmed ack
+                                // whose line was kept, and never under a
+                                // recycle that ran.
                                 let answer = table.result(0).unwrap().map(|a| a.result);
                                 assert_eq!(answer, Some(KvTaskResult::Stored(true)), "{at}");
-                                assert_eq!((table.live(), table.acked(0).unwrap()), (1, false));
-                                if shard == 0 && admit {
-                                    seen[0] += 1;
+                                let acked = table.acked(0).unwrap();
+                                assert_eq!(table.live(), u64::from(!acked), "{at}");
+                                let kept = confirmed && survivors == 1.0;
+                                assert!(acked || !kept, "{at}: a kept mark lost");
+                                let recycled = shard == 0 && admit && confirmed;
+                                assert!(!recycled, "{at}: the recycle's put lost");
+                                if shard == 0 {
+                                    seen[shape][usize::from(acked)] += 1;
                                 }
                             }
                             // The recycle's first store: a free slot.
-                            0 if shard == 0 && admit => seen[1] += 1,
+                            0 if shard == 0 && admit => seen[shape][2] += 1,
                             id if shard == 0 && admit && id == new.0 => {
-                                // The next put, with its own answer or
-                                // none — never the old one's.
+                                // The new occupant, with its own answer
+                                // or none — never the old one's.
                                 if let Some(answer) = table.result(0).unwrap() {
                                     assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
                                     assert_eq!(s.records_of(new.0).len(), 1, "{at}");
                                 }
-                                seen[2] += 1;
+                                seen[shape][3] += 1;
                             }
                             other => panic!("{at}: torn identity {other:#x}"),
                         }
                     }
 
-                    // The client retransmits acks it saw no `AckOk` for,
-                    // then sends its next put into each shard (the first
-                    // a retry when the round carried it): each is admitted
-                    // — a confirmed ack pins no slot past it.
+                    // The clients retransmit what was not confirmed: the
+                    // acks free the slots they pinned, and the new put's
+                    // client retries it (answered from the table if it
+                    // ran) and acks it. Then client 1 sends its next put
+                    // into each shard: admitted, whatever the failure
+                    // kept — a confirmed ack pins no slot past it.
                     if !confirmed {
                         serve_round(&s.core, &s.rt, &acks(acked)).expect("no failure armed");
+                    }
+                    if admit {
+                        let answers = s.serve(&[new]).expect("no failure armed");
+                        assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
                     }
                     for (shard, seq) in [(0, 3), (1, 4)] {
                         let answers = s.serve(&[next(&s, shard, seq)]).expect("no failure armed");
@@ -632,18 +645,16 @@ fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
                         assert_eq!(s.table(shard).live(), 0, "{at} shard {shard}: a slot leaks");
                     }
                     // A buggy retransmission of an acked id is shed, its
-                    // slot gone to the next put.
+                    // slot gone to a later put.
                     for (shard, req_id) in acked.into_iter().enumerate() {
                         let key = s.key_on(shard, 5);
                         let op = KvTaskOp::Put { key, value: 99 };
-                        assert_eq!(
-                            s.core.submit(req_id, op).unwrap(),
-                            Submission::Stale,
-                            "{at}"
-                        );
+                        let shed = s.core.submit(req_id, op).unwrap();
+                        assert_eq!(shed, Submission::Stale, "{at}");
                     }
-                    for seq in 1..=4 {
-                        let req_id = req_id_for(1, seq);
+                    let nexts = [3, 4].map(|seq| req_id_for(1, seq));
+                    let effects = acked.into_iter().chain(nexts).chain(admit.then_some(new.0));
+                    for req_id in effects {
                         assert_eq!(
                             s.records_of(req_id).len(),
                             1,
@@ -657,15 +668,20 @@ fn an_ack_round_cut_anywhere_gives_one_effect_and_pins_no_slot() {
             }
         }
     }
+    let [recycled, ack_only] = seen;
     assert!(
-        seen.iter().all(|&n| n > 0),
-        "shard 0's slot after a failure in the recycling round — old occupant, \
-         free, next put — each seen: {seen:?}"
+        recycled.iter().all(|&n| n > 0),
+        "shard 0's slot after a failure in the recycling round — pinned, acked, \
+         free, new occupant — each seen: {recycled:?}"
+    );
+    assert!(
+        ack_only[0] > 0 && ack_only[1] > 0,
+        "an ack-only round's mark both cut in flight and landed: {ack_only:?}"
     );
 }
 
 #[test]
-fn a_dropped_ack_pins_one_slot_until_the_clients_next_request() {
+fn an_ack_cut_in_flight_pins_its_slot_until_the_clients_next_request() {
     let s = Stack::format(Shape {
         table_cap: 4,
         ..SHAPE
@@ -675,24 +691,25 @@ fn a_dropped_ack_pins_one_slot_until_the_clients_next_request() {
         let value = i64::from(seq);
         (req_id_for(client, seq), KvTaskOp::Put { key, value })
     };
-    let (one, two, three) = (put(&s, 1, 1), put(&s, 1, 2), put(&s, 1, 3));
-    // Client 1's first put beside client 2's; each acked, so client 1's
-    // second takes the slot client 2's ack freed last, and the first
-    // stays in its own.
-    s.serve(&[one, put(&s, 2, 1)]).unwrap();
+    let (one, other, two, three) = (put(&s, 1, 1), put(&s, 2, 1), put(&s, 1, 2), put(&s, 1, 3));
+    // Client 1's first put beside client 2's, each acked; then client
+    // 1's second, acked too. Its window's awaits land the first two
+    // marks, and its own ack's mark rides a flight nothing awaits.
+    s.serve(&[one, other]).unwrap();
     s.serve(&[two]).unwrap();
     assert_eq!(s.table(0).live(), 0, "every slot acked");
 
-    // The power fails after the `AckOk`s and takes them back. The
-    // reopened table retires the first put — the second is its client's
-    // promise never to send it again — and pins the second, the client's
-    // latest.
+    // The power fails with that flight in flight: the landed marks
+    // retire their slots, and the cut one leaves its slot pinned — the
+    // client's latest answer, as if never acked.
     let s = s.power_cycle();
     let slot_of = |s: &Stack, req_id| s.table(0).lookup(req_id).unwrap().unwrap().0;
-    assert!(s.table(0).acked(slot_of(&s, one.0)).unwrap());
-    assert!(!s.table(0).acked(slot_of(&s, two.0)).unwrap());
+    let acked = |s: &Stack, req_id| s.table(0).acked(slot_of(s, req_id)).unwrap();
+    assert!(acked(&s, one.0) && acked(&s, other.0), "landed marks");
+    assert!(!acked(&s, two.0), "the mark cut in flight");
     assert_eq!(s.table(0).live(), 1, "one pin, the client's latest");
-    // A retransmission of either is answered from its durable answer.
+    // A retransmission of either of client 1's is answered from its
+    // durable answer, never run again.
     for (req_id, op) in [one, two] {
         let answer = s.core.submit(req_id, op).unwrap();
         let stored =
@@ -700,21 +717,92 @@ fn a_dropped_ack_pins_one_slot_until_the_clients_next_request() {
         assert!(stored, "{req_id:#x}: {answer:?}");
     }
 
-    // The client's next request is admitted into the pinned slot.
-    let pinned = slot_of(&s, two.0);
-    assert_eq!(s.core.submit(three.0, three.1).unwrap(), Submission::Queued);
-    assert_eq!(slot_of(&s, three.0), pinned, "the pin retired and recycled");
+    // The client's next request retires the pin, and its window lands
+    // the mark that retirement wrote.
     s.serve(&[three]).unwrap();
+    assert!(acked(&s, two.0), "retired by the next request");
     let s = s.power_cycle();
-    assert_eq!(s.table(0).live(), 1, "one pin again: the third put");
-    let shed = s.core.submit(two.0, two.1).unwrap();
-    assert_eq!(
-        shed,
-        Submission::Stale,
-        "its slot recycled, its id below the line"
-    );
-    for req_id in [one.0, two.0, three.0] {
+    assert!(acked(&s, two.0), "its mark landed");
+    assert!(!acked(&s, three.0), "the third put's ack cut in flight");
+    assert_eq!(s.table(0).live(), 1, "one pin again: the client's latest");
+    for req_id in [one.0, other.0, two.0, three.0] {
         assert_eq!(s.records_of(req_id).len(), 1, "{req_id:#x}: one effect");
+    }
+}
+
+#[test]
+fn a_client_that_acks_and_goes_quiet_leaves_its_slot_to_the_others() {
+    // Shard 0's table has two slots and three clients use it. Client 3
+    // puts, acks and goes quiet; clients 1 and 2 keep putting there, a
+    // power failure at a drawn event of every third round. Client 3's
+    // mark lands with the next window on the shard, so its slot is the
+    // others' from then on, whatever later failures take: each round
+    // admits both clients (a shed would leave a request unanswered).
+    let s = Stack::format(Shape {
+        table_cap: 2,
+        ..SHAPE
+    });
+    let put = |s: &Stack, client: u32, seq: u32| {
+        let key = s.key_on(0, client as usize);
+        let value = i64::from(seq);
+        (req_id_for(client, seq), KvTaskOp::Put { key, value })
+    };
+    let quiet = put(&s, 3, 1);
+    s.serve(&[quiet]).unwrap();
+    s.serve(&[put(&s, 1, 1)]).unwrap();
+    let mut s = s.power_cycle();
+    let slot = s.table(0).lookup(quiet.0).unwrap().unwrap().0;
+    assert!(
+        s.table(0).acked(slot).unwrap(),
+        "the quiet client's mark landed"
+    );
+
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let mut draw = |n: u64| {
+        rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (rng >> 33) % n
+    };
+    let mut seq = [1u32, 0];
+    let mut in_flight = [None; 2];
+    let (mut served, mut cut) = (0, 0);
+    for round in 0..30 {
+        let requests: Vec<(u64, KvTaskOp)> = (0..2)
+            .map(|c| {
+                *in_flight[c].get_or_insert_with(|| {
+                    seq[c] += 1;
+                    put(&s, c as u32 + 1, seq[c])
+                })
+            })
+            .collect();
+        if round % 3 == 2 {
+            arm(&s, draw(2) as usize, draw(24));
+        }
+        match s.serve(&requests) {
+            Some(answers) => {
+                assert!(answers
+                    .iter()
+                    .all(|a| a.result == KvTaskResult::Stored(true)));
+                in_flight = [None; 2];
+                served += 1;
+            }
+            None => cut += 1,
+        }
+        if round % 3 == 2 {
+            s = s.power_cycle();
+        }
+    }
+    assert!(served > 0 && cut > 0, "{served} rounds served, {cut} cut");
+    assert_eq!(s.records_of(quiet.0).len(), 1);
+    for c in 0..2 {
+        for n in 1..=seq[c] {
+            let req_id = req_id_for(c as u32 + 1, n);
+            let done = in_flight[c].is_none_or(|(id, _)| id != req_id);
+            let effects = s.records_of(req_id).len();
+            assert!(
+                effects == 1 || (effects == 0 && !done),
+                "{req_id:#x}: {effects}"
+            );
+        }
     }
 }
 

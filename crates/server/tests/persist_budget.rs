@@ -6,7 +6,8 @@
 //! shard per *drain* (not per request), a round's one window pays 1 for
 //! its stack frame (3 once the frame outgrows the dummy frame's line)
 //! however many shards it names, and per shard 3 for its group commit
-//! and 1 for its answers; an ack and a shed pay nothing. The
+//! and 1 for its answers; an ack pays 1 for its mark, a shed pays
+//! nothing. The
 //! frame's 1 is its `CALL`: the window's `RET` is retired into the next
 //! round's `CALL`, whose persist carries the pop in the same line. A
 //! change that adds a round-trip to the exactly-once path fails this
@@ -18,10 +19,11 @@
 //! under both, awaiting the frame and the descriptors right before the
 //! heads; the group commit's flights are awaited where something
 //! depends on them, and the answers ride the heads' level. So a lone
-//! put **blocks** on 2 of its 6 round-trips (`CALL` ‖ descriptor ‖
+//! put **blocks** on 2 of its 7 round-trips (`CALL` ‖ descriptor ‖
 //! records ‖ tail → heads ‖ answer), and so does a round over four
-//! shards. An ack is volatile: an ack round blocks on nothing, and a
-//! round that also runs a window on nothing more. Every persist on the
+//! shards. A round's acks are one level of marks that nothing awaits:
+//! an ack round blocks on nothing, and a round that also runs a window
+//! on nothing more. Every persist on the
 //! path is a flight, so the blocking is the waits the
 //! regions plan (`async_latency_waited_ns`, control and shards summed),
 //! which no host load can inflate: a sleep never undershoots.
@@ -149,7 +151,7 @@ fn fresh_puts_to_one_shard_drained_together_persist_one_descriptor_line_set() {
 }
 
 #[test]
-fn a_lone_put_costs_six_persists_end_to_end() {
+fn a_lone_put_costs_seven_persists_end_to_end() {
     // Every region charged one round-trip per persist, so the blocking
     // bound below is in real units.
     const LATENCY: Duration = Duration::from_millis(1);
@@ -207,14 +209,30 @@ fn a_lone_put_costs_six_persists_end_to_end() {
     let t2 = s.stats();
     let answers = s.core.answers_for(&ids).unwrap();
     assert_eq!(answers[0].1.unwrap().result, KvTaskResult::Stored(true));
-    // The ack, then the next round's empty drain: nothing.
+    // The ack writes its mark and issues it, then the next round's
+    // empty drain: a flight nothing awaits, so the ack waits for
+    // nothing. It lands with its region's next await — here a fence.
     assert!(s.core.ack(req).unwrap());
     assert!(s.core.drain_tasks().0.is_empty());
     let (control, stripe) = delta(&s, t2);
-    assert_eq!((control.persists, stripe.persists), (0, 0), "ack");
+    assert_eq!(
+        (
+            stripe.writes,
+            stripe.async_flushes,
+            control.persists + stripe.persists
+        ),
+        (1, 1, 0),
+        "ack: its mark written and issued, nothing awaited"
+    );
+    assert_eq!(waited_ns(&control, &stripe), 0, "the ack waits for nothing");
+    for shard in 0..SHAPE.shards {
+        s.region(shard).fence();
+    }
+    let (control, stripe) = delta(&s, t2);
+    assert_eq!((control.persists, stripe.persists), (0, 1), "the mark");
 
     let (control, stripe) = delta(&s, t0);
-    assert_eq!(control.persists + stripe.persists, 6);
+    assert_eq!(control.persists + stripe.persists, 7);
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
     s.assert_psan_clean();
 }
@@ -301,9 +319,9 @@ fn a_four_shard_round_is_one_frame_and_two_round_trips() {
 }
 
 #[test]
-fn an_ack_round_persists_nothing_and_waits_for_nothing() {
-    // Acks on four shards, plus two more on one of them: volatile, each
-    // one, in a round of their own or beside a window.
+fn a_round_of_acks_is_one_level() {
+    // Acks on four shards, plus two more on one of them: one mark each,
+    // all issued into one level that nothing in the round awaits.
     const LATENCY: Duration = Duration::from_millis(1);
     let shape = Shape { shards: 4, ..SHAPE };
     let s = Stack::format_with(shape, PMemBuilder::new().flush_latency(LATENCY));
@@ -336,31 +354,44 @@ fn an_ack_round_persists_nothing_and_waits_for_nothing() {
     };
     let six = [0, 1, 2, 3, 0, 0];
 
-    // An ack-only round: no write, no flight, no wait, no event.
+    // An ack-only round: six marks written and issued, none awaited.
     let acked = submit_puts(&six);
     run_window();
-    let (t, events) = (s.stats(), s.events());
+    let t = s.stats();
     for &req in &acked {
         assert!(s.core.ack(req).unwrap());
     }
     assert!(s.core.drain_tasks().0.is_empty());
     let (control, stripe) = delta(&s, t);
-    for d in [control, stripe] {
-        assert_eq!((d.persists, d.async_flushes, d.writes), (0, 0, 0));
-    }
+    assert_eq!(
+        (
+            stripe.writes,
+            stripe.async_flushes,
+            control.persists + stripe.persists
+        ),
+        (6, 6, 0),
+        "six marks issued, none awaited"
+    );
     assert_eq!(
         waited_ns(&control, &stripe),
         0,
         "an ack round waits for nothing"
     );
-    assert_eq!(s.events(), events);
     assert!(
         (0..4).all(|shard| s.table(shard).live() == 0),
         "every slot recyclable"
     );
+    // The level lands with each region's next await — here a fence.
+    for shard in 0..4 {
+        s.region(shard).fence();
+    }
+    let (control, stripe) = delta(&s, t);
+    assert_eq!((control.persists, stripe.persists), (0, 6), "one per ack");
+    assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
 
-    // The same acks in a round that also runs a window: the window's
-    // persists and none for the acks, its 2 round-trips and none more.
+    // The same acks in a round that also runs a window: they ride
+    // beside it, and its awaits land them at no cost of their own — its
+    // 2 round-trips and none more.
     let acked = submit_puts(&six);
     run_window();
     let t = s.stats();
@@ -372,8 +403,8 @@ fn an_ack_round_persists_nothing_and_waits_for_nothing() {
     let (control, stripe) = delta(&s, t);
     assert_eq!(
         stripe.persists,
-        4 + 12 + 4,
-        "the four-shard round's descriptors, commits and answers; no ack term"
+        6 + 4 + 12 + 4,
+        "the acks, then the four-shard round's descriptors, commits and answers"
     );
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
     assert!(

@@ -98,7 +98,9 @@ fn unix_socket_round_trip_exactly_once() {
     );
     assert_eq!(persists(), (1, 5, 0));
 
-    // Acks flow over the same wire, are idempotent and persist nothing.
+    // Acks flow over the same wire and are idempotent. The first writes
+    // the slot's mark and issues it, and nothing awaits it: the seventh
+    // persist, once, when the region next awaits.
     let ack = Request {
         req_id: put.req_id,
         body: RequestBody::Ack,
@@ -109,7 +111,10 @@ fn unix_socket_round_trip_exactly_once() {
             Response::AckOk { req_id: put.req_id }
         );
         assert_eq!(persists(), (1, 5, 0));
+        assert_eq!(s.region(1).inflight_tickets(), 1, "the mark's flight");
     }
+    s.region(1).fence();
+    assert_eq!(persists(), (1, 6, 0));
 
     assert_eq!(s.records_of(put.req_id).len(), 1, "no second effect");
     handle.stop().expect("no power failure");
