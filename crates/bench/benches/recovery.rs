@@ -4,8 +4,14 @@
 //!
 //! The wall-clock rows are host-bound: four recovery threads on a host
 //! with fewer cores share them, and on light recover duals thread
-//! start-up alone outweighs the walk (on 2 vCPUs `parallel_work0/16`
-//! measured 4–6x *slower* than serial). Each parallel row is
+//! start-up alone outweighs the walk. On 2 vCPUs, two runs a side,
+//! `parallel_work0/16` measured p50 252–296 µs against 48–50 µs serial
+//! while every stack had a spawned thread, and 286–332 µs against
+//! 52–54 µs with pid 0's stack on the calling thread: the three threads
+//! still started cost as much. A one-worker pass starts none —
+//! `worker_scaling_parallel` p50 at 1/2/4/8 workers went 1.65–1.84 /
+//! 1.29–1.40 / 1.44–1.48 / 1.65–1.78 ms to 1.30–1.34 / 1.26–1.52 /
+//! 1.38–1.40 / 1.55–1.68 ms. Each parallel row is
 //! followed by the algorithm's own figure, the median over five
 //! recoveries of `RecoveryReport::modeled_speedup` — total work over
 //! the longest worker's recovery, what enough cores would give.

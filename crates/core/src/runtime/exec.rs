@@ -1,5 +1,5 @@
-//! Standard-mode execution: worker threads draining the task queue
-//! (§4.3, steps 3–4).
+//! Standard-mode execution: workers draining the task queue (§4.3,
+//! steps 3–4), worker 0 on the calling thread.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -74,9 +74,12 @@ pub struct RunReport {
 
 impl Runtime {
     /// Runs `tasks` to completion (or until a crash) on up to the
-    /// configured number of worker threads — one per task at most: the
-    /// queue is closed, so a worker beyond the task count would only
-    /// take its stack to find nothing to do. Each worker takes its own
+    /// configured number of workers — one per task at most: the queue
+    /// is closed, so a worker beyond the task count would only take its
+    /// stack to find nothing to do. Worker 0 is the calling thread and
+    /// the others are spawned, so a one-task run starts no thread
+    /// (unless [`Runtime::host_stack_size`] is set, which spawns every
+    /// worker). Each worker takes its own
     /// persistent stack (the handle the runtime keeps across runs), then
     /// repeatedly pops a task from the shared queue and executes it as a
     /// root persistent call, whose `RET` the worker's next `CALL`
@@ -105,7 +108,7 @@ impl Runtime {
         }
     }
 
-    /// `tasks` on a closed queue, with the workers worth starting for
+    /// `tasks` on a closed queue, with the workers worth running for
     /// them: one per task, at most [`Runtime::workers`].
     pub(crate) fn closed_queue(&self, tasks: impl IntoIterator<Item = Task>) -> (TaskQueue, usize) {
         let queue = TaskQueue::new();
@@ -118,9 +121,10 @@ impl Runtime {
         (queue, count.min(self.workers()))
     }
 
-    /// The engine behind [`Runtime::run_queue`], on workers `0..width`,
-    /// with a pluggable crash locator. The first worker to observe a
-    /// crash invokes `locate` exactly once — a
+    /// The engine behind [`Runtime::run_queue`], on workers `0..width`
+    /// (worker 0 the calling thread), with a pluggable crash locator.
+    /// The first worker to observe a crash invokes `locate` exactly
+    /// once — a
     /// [`StripedRuntime`](crate::runtime::StripedRuntime) uses the hook
     /// to attribute the crash to the region that tripped it *and* to
     /// propagate the failure to every other region, so all workers
@@ -156,57 +160,33 @@ impl Runtime {
             }
         };
 
-        std::thread::scope(|scope| {
-            for pid in 0..width {
-                let queue = &queue;
-                let completed = &completed;
-                let task_errors = &task_errors;
-                let crashed = &crashed;
-                let note_crash = &note_crash;
-                let body = move || {
-                    let run = self.with_worker_stack(pid, |stack| {
-                        while let Some(task) = queue.pop() {
-                            let mut ctx = PContext::new(
-                                self.pmem().clone(),
-                                self.heap().clone(),
-                                self.registry(),
-                                stack,
-                                pid,
-                                user_root,
-                            );
-                            match ctx.call_task(task.func_id, &task.args) {
-                                Ok(_) => {
-                                    completed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                // The worker dies here, like a killed
-                                // process: frames stay for recovery.
-                                Err(e) if e.is_crash() => return Err(e),
-                                Err(_) => {
-                                    task_errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+        self.fan_out(width, "pstack-worker", |pid| {
+            let run = self.with_worker_stack(pid, |stack| {
+                while let Some(task) = queue.pop() {
+                    let mut ctx = PContext::new(
+                        self.pmem().clone(),
+                        self.heap().clone(),
+                        self.registry(),
+                        stack,
+                        pid,
+                        user_root,
+                    );
+                    match ctx.call_task(task.func_id, &task.args) {
+                        Ok(_) => {
+                            completed.fetch_add(1, Ordering::Relaxed);
                         }
-                        Ok(())
-                    });
-                    if run.is_err_and(|e| e.is_crash()) {
-                        note_crash(crashed);
-                    }
-                };
-                // Persistent recursion is mirrored by host recursion,
-                // so deep workloads may need a bigger host stack (see
-                // Runtime::host_stack_size).
-                match self.host_stack() {
-                    None => {
-                        scope.spawn(body);
-                    }
-                    Some(bytes) => {
-                        std::thread::Builder::new()
-                            .name(format!("pstack-worker-{pid}"))
-                            .stack_size(bytes)
-                            .spawn_scoped(scope, body)
-                            .expect("worker thread spawns");
+                        // The worker dies here, like a killed
+                        // process: frames stay for recovery.
+                        Err(e) if e.is_crash() => return Err(e),
+                        Err(_) => {
+                            task_errors.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
+                Ok(())
+            });
+            if run.is_err_and(|e| e.is_crash()) {
+                note_crash(&crashed);
             }
         });
 
@@ -226,6 +206,9 @@ mod tests {
     use crate::runtime::RuntimeConfig;
     use crate::PError;
     use pstack_nvram::{FailPlan, PMemBuilder};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::{Arc, Barrier};
+    use std::thread::ThreadId;
 
     /// Function 1: atomically (write+flush) adds its argument into the
     /// u64 accumulator cell at `user_root + 8 * pid_slot`, guarded by a
@@ -295,6 +278,90 @@ mod tests {
             assert_eq!((report.completed, report.task_errors), (1, 0));
             assert_eq!(pmem.read_u64(cell).unwrap(), 1, "run {run}: not pid 0");
         }
+    }
+
+    /// Function 1 waits at `meet` (when given), then records the thread
+    /// it ran on; a task run on `panic_on`'s thread panics instead.
+    fn thread_registry(
+        seen: &Arc<Mutex<Vec<ThreadId>>>,
+        meet: Option<Arc<Barrier>>,
+        panic_on: Option<ThreadId>,
+    ) -> FunctionRegistry {
+        let seen = Arc::clone(seen);
+        let body = move |_c: &mut PContext<'_>, _: &[u8]| {
+            if let Some(meet) = &meet {
+                meet.wait();
+            }
+            let me = std::thread::current().id();
+            assert_ne!(Some(me), panic_on, "a task panics on the caller");
+            seen.lock().push(me);
+            Ok(None)
+        };
+        let mut reg = FunctionRegistry::new();
+        reg.register_pair(1, body.clone(), body).unwrap();
+        reg
+    }
+
+    fn runtime(workers: usize, reg: &FunctionRegistry) -> Runtime {
+        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
+        Runtime::format(pmem, RuntimeConfig::new(workers), reg).unwrap()
+    }
+
+    #[test]
+    fn a_one_task_run_runs_on_the_calling_thread() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let rt = runtime(4, &thread_registry(&seen, None, None));
+        for _ in 0..8 {
+            assert_eq!(rt.run_tasks(vec![Task::new(1, vec![])]).completed, 1);
+        }
+        let caller = std::thread::current().id();
+        assert_eq!(*seen.lock(), [caller; 8]);
+    }
+
+    #[test]
+    fn a_two_task_run_on_two_workers_runs_exactly_one_task_on_the_caller() {
+        // Both tasks meet at a barrier, so each worker holds one.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let meet = Some(Arc::new(Barrier::new(2)));
+        let rt = runtime(2, &thread_registry(&seen, meet, None));
+        let report = rt.run_tasks(vec![Task::new(1, vec![]), Task::new(1, vec![])]);
+        assert_eq!(report.completed, 2);
+        let caller = std::thread::current().id();
+        let seen = seen.lock();
+        assert_eq!(seen.iter().filter(|&&t| t == caller).count(), 1, "{seen:?}");
+    }
+
+    #[test]
+    fn a_sized_host_stack_spawns_worker_0_too() {
+        let names = Arc::new(Mutex::new(Vec::new()));
+        let mut reg = FunctionRegistry::new();
+        let noted = Arc::clone(&names);
+        let note_name = move |_c: &mut PContext<'_>, _: &[u8]| {
+            let name = std::thread::current().name().map(str::to_owned);
+            noted.lock().push(name);
+            Ok(None)
+        };
+        reg.register_pair(1, note_name.clone(), note_name).unwrap();
+        let rt = runtime(4, &reg).host_stack_size(4 << 20);
+        assert_eq!(rt.run_tasks(vec![Task::new(1, vec![])]).completed, 1);
+        assert_eq!(*names.lock(), [Some("pstack-worker-0".to_owned())]);
+    }
+
+    #[test]
+    fn a_task_panicking_on_the_caller_propagates_after_the_other_worker_finishes() {
+        // The caller's task panics once both tasks have met; the other
+        // worker's task is recorded only after that, and still is.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let meet = Some(Arc::new(Barrier::new(2)));
+        let caller = std::thread::current().id();
+        let rt = runtime(2, &thread_registry(&seen, meet, Some(caller)));
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            rt.run_tasks(vec![Task::new(1, vec![]), Task::new(1, vec![])])
+        }));
+        assert!(run.is_err(), "the caller's panic propagates");
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 1, "the other worker finished its task");
+        assert_ne!(seen[0], caller);
     }
 
     #[test]

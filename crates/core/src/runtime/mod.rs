@@ -369,20 +369,56 @@ impl Runtime {
         self.kind
     }
 
-    /// Sets the *host* (volatile) stack size for worker and recovery
-    /// threads. Persistent recursion is mirrored by host recursion —
-    /// one Rust frame per persistent frame — so deep transactional
-    /// loops (Appendix A) need more than the platform's default thread
-    /// stack even though the *persistent* stack is unbounded. Volatile
-    /// configuration: set it again after every open.
+    /// Sets the *host* (volatile) stack size of every thread that runs
+    /// a share of a fan-out: the workers of a run, the recovery
+    /// threads and the shard preludes of
+    /// [`StripedRuntime::recover_with`]. Persistent recursion is
+    /// mirrored by host recursion — one Rust frame per persistent
+    /// frame — so deep transactional loops (Appendix A) need more than
+    /// the platform's default thread stack even though the
+    /// *persistent* stack is unbounded. The caller's own stack size is
+    /// unknown, so with this set share 0 is spawned too and a one-task
+    /// run starts one thread. Volatile configuration: set it again
+    /// after every open.
     #[must_use]
     pub fn host_stack_size(mut self, bytes: usize) -> Self {
         self.host_stack = Some(bytes);
         self
     }
 
-    pub(crate) fn host_stack(&self) -> Option<usize> {
-        self.host_stack
+    /// Runs `share(i)` for every `i` in `0..shares` and returns the
+    /// results in share order: shares `1..` on scoped threads named
+    /// `{name}-{i}`, share 0 on the calling thread — or every share
+    /// spawned, with the host stack size, when one is set. A panicking
+    /// share propagates once every other share has finished.
+    fn fan_out<T: Send>(
+        &self,
+        shares: usize,
+        name: &str,
+        share: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let share = &share;
+        let on_caller = usize::from(self.host_stack.is_none() && shares > 0);
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = (on_caller..shares)
+                .map(|i| {
+                    let thread = std::thread::Builder::new().name(format!("{name}-{i}"));
+                    match self.host_stack {
+                        Some(bytes) => thread.stack_size(bytes),
+                        None => thread,
+                    }
+                    .spawn_scoped(scope, move || share(i))
+                    .expect("runtime thread spawns")
+                })
+                .collect();
+            let mut out: Vec<T> = (0..on_caller).map(share).collect();
+            out.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+            );
+            out
+        })
     }
 
     /// Reads the persistent application root offset.

@@ -1,5 +1,6 @@
-//! Recovery mode (§4.3): one recovery thread per worker stack, each
-//! walking its stack top-to-bottom invoking recover duals.
+//! Recovery mode (§4.3): one recovery thread per worker stack — the
+//! calling thread takes pid 0's — each walking its stack top-to-bottom
+//! invoking recover duals.
 
 use std::time::{Duration, Instant};
 
@@ -10,7 +11,8 @@ use crate::PError;
 /// How recovery threads are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryMode {
-    /// One thread per worker stack, all at once — the paper's design:
+    /// One thread per worker stack, all at once, pid 0's the calling
+    /// thread — the paper's design:
     /// "system recovery happens in parallel, which allows for a faster
     /// recovery than an ordinary single-threaded recovery."
     #[default]
@@ -88,37 +90,13 @@ impl Runtime {
     pub fn recover(&self, mode: RecoveryMode) -> Result<RecoveryReport, PError> {
         let _phase = pstack_telemetry::phase("recovery.frame-replay");
         let start = Instant::now();
+        let one = |pid| self.recover_worker(pid);
         let timed: Vec<(usize, Duration)> = match mode {
-            RecoveryMode::Serial => {
-                let mut out = Vec::with_capacity(self.workers());
-                for pid in 0..self.workers() {
-                    out.push(self.recover_worker(pid)?);
-                }
-                out
-            }
-            RecoveryMode::Parallel => {
-                let results: Vec<Result<(usize, Duration), PError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..self.workers())
-                        .map(|pid| match self.host_stack() {
-                            None => scope.spawn(move || self.recover_worker(pid)),
-                            Some(bytes) => std::thread::Builder::new()
-                                .name(format!("pstack-recovery-{pid}"))
-                                .stack_size(bytes)
-                                .spawn_scoped(scope, move || self.recover_worker(pid))
-                                .expect("recovery thread spawns"),
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("recovery thread must not panic"))
-                        .collect()
-                });
-                let mut out = Vec::with_capacity(results.len());
-                for r in results {
-                    out.push(r?);
-                }
-                out
-            }
+            RecoveryMode::Serial => (0..self.workers()).map(one).collect::<Result<_, _>>()?,
+            RecoveryMode::Parallel => self
+                .fan_out(self.workers(), "pstack-recovery", one)
+                .into_iter()
+                .collect::<Result<_, _>>()?,
         };
         Ok(RecoveryReport {
             frames_recovered: timed.iter().map(|(n, _)| *n).collect(),
@@ -189,6 +167,40 @@ mod tests {
             assert_eq!(report.frames_recovered.len(), 3);
             assert_eq!(report.mode, mode);
         }
+    }
+
+    #[test]
+    fn parallel_recovery_replays_pid_0s_stack_on_the_calling_thread() {
+        // Function 2's recover dual records which pid it replayed and
+        // on which thread.
+        let seen = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let noted = std::sync::Arc::clone(&seen);
+        let mut reg = FunctionRegistry::new();
+        reg.register_pair(
+            2,
+            |_c, _| Ok(None),
+            move |c, _| {
+                noted.lock().push((c.pid, std::thread::current().id()));
+                Ok(None)
+            },
+        )
+        .unwrap();
+        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
+        let rt = Runtime::format(pmem.clone(), RuntimeConfig::new(3), &reg).unwrap();
+        for pid in 0..3 {
+            rt.open_stack(pid).unwrap().push(2, &[]).unwrap();
+        }
+        pmem.crash_now(0, 1.0);
+        let rt = Runtime::open(pmem.reopen().unwrap(), &reg).unwrap();
+        assert_eq!(
+            rt.recover(RecoveryMode::Parallel).unwrap().total_frames(),
+            3
+        );
+        let caller = std::thread::current().id();
+        let mut seen = seen.lock().clone();
+        seen.sort_by_key(|&(pid, _)| pid);
+        let on_caller: Vec<bool> = seen.iter().map(|&(_, t)| t == caller).collect();
+        assert_eq!(on_caller, [true, false, false], "{seen:?}");
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   region together as the recovery boot would;
 //! * [`StripedRuntime::recover_with`] fans out a per-shard prelude
 //!   (e.g. an evidence scan over the shard's own log) — in parallel,
-//!   one thread per shard, mirroring §4.3's parallel stack recovery —
-//!   before replaying the interrupted frames. A crash during either
+//!   shard 0's on the calling thread and one spawned thread per other
+//!   shard, mirroring §4.3's parallel stack recovery — before
+//!   replaying the interrupted frames. A crash during either
 //!   phase trips the remaining regions and leaves a state from which
 //!   the next `reopen_all` + `recover` continues idempotently.
 
@@ -291,8 +292,9 @@ impl StripedRuntime {
         })
     }
 
-    /// Runs `tasks` on the configured workers (one per task at most, as
-    /// [`Runtime::run_tasks`] does) under whole-system crash
+    /// Runs `tasks` on the configured workers (one per task at most,
+    /// worker 0 the calling thread, as [`Runtime::run_tasks`] does; a
+    /// one-task run starts no thread) under whole-system crash
     /// semantics: the first worker to observe a crash in *any* region
     /// attributes it ([`RunReport::crash_site`]) and crashes every
     /// other region, so all workers unwind at their next NVRAM access
@@ -320,8 +322,9 @@ impl StripedRuntime {
     ///
     /// 1. **per-shard fan-out** — `prelude(shard, region)` runs for
     ///    every stripe region (in parallel under
-    ///    [`RecoveryMode::Parallel`], one thread per shard, mirroring
-    ///    §4.3's parallel stack recovery). Applications hook their
+    ///    [`RecoveryMode::Parallel`], shard 0's on the calling thread
+    ///    and one spawned thread per other shard, mirroring §4.3's
+    ///    parallel stack recovery). Applications hook their
     ///    per-shard evidence scans here;
     /// 2. **frame replay** — [`Runtime::recover`] walks every worker
     ///    stack top-to-bottom invoking recover duals.
@@ -358,38 +361,18 @@ impl StripedRuntime {
     where
         F: Fn(usize, &PMem) -> Result<(), PError> + Sync,
     {
+        let regions = self.stripe.regions();
+        let one = |shard: usize| {
+            let _label = op_label("runtime.recover");
+            prelude(shard, &regions[shard])
+        };
         match mode {
-            RecoveryMode::Serial => {
-                for (shard, region) in self.stripe.regions().iter().enumerate() {
-                    let _label = op_label("runtime.recover");
-                    prelude(shard, region)?;
-                }
-                Ok(())
-            }
-            RecoveryMode::Parallel => {
-                let results: Vec<Result<(), PError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .stripe
-                        .regions()
-                        .iter()
-                        .enumerate()
-                        .map(|(shard, region)| {
-                            scope.spawn(move || {
-                                let _label = op_label("runtime.recover");
-                                prelude(shard, region)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard prelude must not panic"))
-                        .collect()
-                });
-                for r in results {
-                    r?;
-                }
-                Ok(())
-            }
+            RecoveryMode::Serial => (0..regions.len()).try_for_each(one),
+            RecoveryMode::Parallel => self
+                .runtime
+                .fan_out(regions.len(), "pstack-prelude", one)
+                .into_iter()
+                .collect(),
         }
     }
 }
@@ -555,6 +538,25 @@ mod tests {
             .unwrap();
             assert_eq!(seen.load(Ordering::SeqCst), 3);
         }
+    }
+
+    #[test]
+    fn parallel_recover_with_runs_shard_0s_prelude_on_the_calling_thread() {
+        let (rt, _stripe, reg) = fixture(3, 1);
+        rt.crash_all(1, 1.0);
+        let rt2 = rt.reopen_all(&reg).unwrap();
+        let seen = std::sync::Mutex::new(Vec::new());
+        rt2.recover_with(RecoveryMode::Parallel, |shard, _| {
+            let me = std::thread::current().id();
+            seen.lock().unwrap().push((shard, me));
+            Ok(())
+        })
+        .unwrap();
+        let caller = std::thread::current().id();
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|&(shard, _)| shard);
+        let on_caller: Vec<bool> = seen.iter().map(|&(_, t)| t == caller).collect();
+        assert_eq!(on_caller, [true, false, false], "{seen:?}");
     }
 
     #[test]

@@ -446,7 +446,8 @@ impl ServerCore {
 /// a window without a frame), and collect its durable answers.
 /// Cross-shard overlap comes from inside that window — its shards'
 /// group commits share the window's levels, one round-trip per level
-/// — not from the runtime's workers: one task starts one worker. The
+/// — not from the runtime's workers: one task runs on worker 0, the
+/// calling thread, and the round starts no thread. The
 /// serving campaign, the test fixtures and the unix-socket listener
 /// all call it. Returns the responses to send — the admission-time
 /// ones in request order, then one `Done` per drained
