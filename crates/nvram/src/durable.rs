@@ -1,6 +1,7 @@
-//! The receipt a completed persist hands back.
+//! The ticket an issued flight hands back, and the receipt a completed
+//! persist hands back.
 
-use crate::{FlushTicket, PMem, POffset};
+use crate::{PMem, POffset};
 
 /// Proof that byte ranges are durable: the receipt a completed
 /// [`PMem::flush`] or [`Level::await_all`](crate::Level::await_all)
@@ -56,11 +57,11 @@ use crate::{FlushTicket, PMem, POffset};
 /// cell.swap(1, 2048).unwrap();
 /// ```
 ///
-/// And nothing outside this crate reaches the storage behind a region,
-/// around the cache, the fail-points and PSan:
+/// And nothing outside this crate reaches the device behind a region —
+/// its cache, flights and image — around the fail-points and PSan:
 ///
 /// ```compile_fail
-/// use pstack_nvram::Backend;
+/// use pstack_nvram::Device;
 /// ```
 #[derive(Debug)]
 pub struct Durable(Receipt);
@@ -141,6 +142,32 @@ impl Durable {
         for t in self.tickets().filter(|t| t.region == pmem.boot()) {
             pmem.psan_check_durable(POffset::new(t.start), (t.end - t.start) as usize);
         }
+    }
+}
+
+/// Claim ticket for an asynchronous flush issued with
+/// [`PMem::flush_async`]. The round-trip is in flight on the region's
+/// flush queue; [`PMem::await_ticket`] (or a [`PMem::fence`], or any
+/// later [`PMem::flush`] on the region — flights complete in issue
+/// order) blocks until the staged content is durable. Cheap value
+/// type, bound to the issuing region boot — awaiting it against
+/// another region or a reopened boot is an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlushTicket {
+    /// Identity of the issuing region boot.
+    pub(crate) region: usize,
+    /// Flush-queue serial this ticket waits for.
+    pub(crate) serial: u64,
+    /// The range `[start, end)` it was issued over, which its
+    /// [`Durable`] receipt names.
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+}
+
+impl FlushTicket {
+    /// `true` when `other`'s range lies inside this one, on one boot.
+    pub(crate) fn contains(&self, other: &FlushTicket) -> bool {
+        self.region == other.region && self.start <= other.start && other.end <= self.end
     }
 }
 

@@ -22,8 +22,8 @@
 //! may change across restarts (§4.1 of the paper). The API makes this
 //! discipline impossible to violate: no raw pointers are ever exposed.
 //!
-//! Two backends are provided: a fast in-memory image for tests and
-//! benchmarks, and a file-backed image that emulates the paper's
+//! Behind every region is one emulated device: its image kept in
+//! memory, or written through to a file, which emulates the paper's
 //! HDD-based `mmap` deployment and survives real process restarts.
 //!
 //! # Example
@@ -48,6 +48,7 @@
 //! ```
 
 mod backend;
+mod builder;
 mod durable;
 mod error;
 mod failpoint;
@@ -58,16 +59,15 @@ pub mod psan;
 mod rootswap;
 mod stats;
 mod stripe;
+mod typed;
 
-pub use backend::BackendKind;
-pub use durable::Durable;
+pub use builder::{PMemBuilder, DEFAULT_CACHE_LINE, DEFAULT_REGION_LEN};
+pub use durable::{Durable, FlushTicket};
 pub use error::MemError;
 pub use failpoint::FailPlan;
 pub use level::Level;
 pub use offset::POffset;
-pub use pmem::{
-    FlushTicket, PMem, PMemBuilder, QuiesceGuard, DEFAULT_CACHE_LINE, DEFAULT_REGION_LEN,
-};
+pub use pmem::{PMem, QuiesceGuard};
 pub use psan::{op_label, OpLabelGuard, PsanViolation, PsanViolationKind, ShadowState};
 pub use rootswap::{RootCell, ROOT_CELL_LEN};
 pub use stats::{MemStats, StatsSnapshot};

@@ -1,7 +1,8 @@
-//! The emulated NVRAM region.
+//! The program's side of an NVRAM region.
 //!
-//! [`PMem`] models a byte-addressable persistent region fronted by a
-//! volatile cache of fixed-size lines (§1–§3 of the paper):
+//! [`PMem`] is a byte-addressable persistent region fronted by a
+//! volatile cache of fixed-size lines (§1–§3 of the paper), as a
+//! program sees it:
 //!
 //! * [`PMem::write`] stores into volatile dirty lines only;
 //! * [`PMem::flush`] makes the covering lines durable by issuing one
@@ -15,356 +16,45 @@
 //! * [`PMem::reopen`] produces a fresh handle onto the surviving
 //!   persistent image, as the recovery boot of the system would.
 //!
+//! This half checks and counts — liveness, bounds, persistence events,
+//! fail-points, stats, PSan and telemetry hooks, jitter, the quiesce
+//! gate, tickets and [`Durable`] receipts — over the region's one
+//! device (`backend.rs`), which moves from a crashed boot to the next.
+//!
 //! Accesses are serialized internally with critical sections of a single
 //! read/write/flush, so concurrent threads interleave at persistence-event
 //! granularity — exactly the granularity at which a `kill` can cut a real
 //! execution between flushes.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 
 use parking_lot::{FairMutex, MutexGuard};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::backend::{Backend, BackendKind, FileBackend, MemBackend};
+use crate::backend::Device;
+use crate::builder::Jitter;
 use crate::failpoint::{FailPlan, FailState};
-use crate::psan::{PsanCell, PsanViolation};
+use crate::psan::PsanCell;
 use crate::stats::MemStats;
-use crate::{Durable, MemError, POffset};
-
-/// Default cache-line size in bytes, matching x86.
-pub const DEFAULT_CACHE_LINE: usize = 64;
-
-/// Default region length: 1 MiB.
-pub const DEFAULT_REGION_LEN: usize = 1 << 20;
-
-/// Configures and creates [`PMem`] regions.
-///
-/// # Example
-///
-/// ```
-/// use pstack_nvram::PMemBuilder;
-///
-/// let pmem = PMemBuilder::new()
-///     .len(64 * 1024)
-///     .line_size(64)
-///     .build_in_memory();
-/// assert_eq!(pmem.len(), 64 * 1024);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PMemBuilder {
-    len: usize,
-    line_size: usize,
-    jitter: Option<Jitter>,
-    persist_delay: Option<std::time::Duration>,
-    flush_latency: Option<std::time::Duration>,
-    psan: bool,
-}
-
-/// Scheduling-noise configuration: after a mutating access, the calling
-/// thread occasionally pauses until other threads have made progress,
-/// modelling OS preemption and slow persistence hardware. See
-/// [`PMemBuilder::access_jitter`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Jitter {
-    prob: f64,
-    pause_events: u64,
-}
-
-impl Default for PMemBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PMemBuilder {
-    /// Starts a builder with default length and 64-byte lines.
-    #[must_use]
-    pub fn new() -> Self {
-        PMemBuilder {
-            len: DEFAULT_REGION_LEN,
-            line_size: DEFAULT_CACHE_LINE,
-            jitter: None,
-            persist_delay: None,
-            flush_latency: None,
-            psan: false,
-        }
-    }
-
-    /// Enables PSan, the persist-order sanitizer, on the region: every
-    /// line gets a shadow state machine (`Clean → Dirty → Flushed →
-    /// Durable`) and publish/commit/ghost-read ordering checks record
-    /// attributable violations (see the [`psan`](crate::psan) module).
-    /// The shadow survives crash/reopen cycles. Off by default; when
-    /// off, every hook is a single pointer-is-null check.
-    #[must_use]
-    pub fn psan(mut self, enabled: bool) -> Self {
-        self.psan = enabled;
-        self
-    }
-
-    /// Adds a fixed latency to every persist **round-trip** (a flight
-    /// that makes at least one line durable), charged once per flight
-    /// into its deadline and slept by whoever awaits it — the
-    /// command/fence cost of a real device, as opposed to
-    /// [`PMemBuilder::persist_delay`]'s per-line bandwidth cost.
-    ///
-    /// This is the knob that makes the two scaling levers measurable
-    /// in wall-clock even on a single core: striping a store over `N`
-    /// regions lets `N` round-trips overlap (each region is its own
-    /// device), and group commit divides the number of round-trips
-    /// outright.
-    #[must_use]
-    pub fn flush_latency(mut self, latency: std::time::Duration) -> Self {
-        self.flush_latency = if latency.is_zero() {
-            None
-        } else {
-            Some(latency)
-        };
-        self
-    }
-
-    /// Adds a fixed latency to every line persist, emulating the slow
-    /// persistence of the paper's HDD-backed deployment (or an SSD /
-    /// pessimistic NVRAM write). A flight of `n` lines charges `n ×
-    /// delay` into its deadline, on top of
-    /// [`PMemBuilder::flush_latency`], so its await sleeps the device's
-    /// bandwidth cost along with its command cost.
-    ///
-    /// Real kills land *mid-operation* because persists are slow; with
-    /// the default zero-latency emulation a whole workload can finish
-    /// before any wall-clock kill fires. The real-`kill` harness uses
-    /// this knob to restore the paper's timing regime.
-    #[must_use]
-    pub fn persist_delay(mut self, delay: std::time::Duration) -> Self {
-        self.persist_delay = if delay.is_zero() { None } else { Some(delay) };
-        self
-    }
-
-    /// Enables scheduling noise: after each mutating access, with
-    /// probability `prob`, the calling thread pauses until `pause_events`
-    /// further persistence events have happened (necessarily performed
-    /// by *other* threads), bounded by a 5 ms deadline so a system
-    /// where everyone pauses cannot deadlock.
-    ///
-    /// Real deployments (the paper emulates NVRAM with HDD-backed
-    /// `mmap`) have slow persists and OS preemption, so a thread can sit
-    /// arbitrarily long between two of its own accesses while others
-    /// proceed — exactly the windows crash campaigns must exercise. In
-    /// the simulator, threads otherwise interleave in near-lockstep and
-    /// those windows stay unrealistically narrow. Pausing on *event*
-    /// progress rather than wall-clock time keeps the interleaving
-    /// pressure independent of machine load. Jittered regions are
-    /// **not** deterministic; leave this off (the default) for
-    /// reproducible tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is outside `[0, 1]`.
-    #[must_use]
-    pub fn access_jitter(mut self, prob: f64, pause_events: u64) -> Self {
-        assert!((0.0..=1.0).contains(&prob), "probability must be in [0, 1]");
-        self.jitter = if prob > 0.0 && pause_events > 0 {
-            Some(Jitter { prob, pause_events })
-        } else {
-            None
-        };
-        self
-    }
-
-    /// Sets the region length in bytes.
-    #[must_use]
-    pub fn len(mut self, len: usize) -> Self {
-        self.len = len;
-        self
-    }
-
-    /// Sets the cache-line size in bytes (must be a power of two).
-    ///
-    /// Small lines (e.g. 8 bytes) are useful in tests: they make "frame
-    /// does not fit in one line" scenarios (§3.4, *Flushing long frames*)
-    /// easy to trigger.
-    #[must_use]
-    pub fn line_size(mut self, line_size: usize) -> Self {
-        self.line_size = line_size;
-        self
-    }
-
-    /// Builds a region whose durable image lives only in process memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (zero length, or a line
-    /// size that is zero or not a power of two).
-    #[must_use]
-    pub fn build_in_memory(self) -> PMem {
-        self.validate().expect("invalid PMem configuration");
-        let image = vec![0u8; self.len];
-        self.assemble(image, Box::new(MemBackend))
-    }
-
-    /// Builds a region backed by a write-through file, creating and
-    /// zero-extending the file if necessary. Reopening the same path
-    /// later (even from another process) sees all persisted data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidConfig`] for invalid parameters and
-    /// [`MemError::Io`] if the file cannot be opened or read.
-    pub fn build_file(self, path: impl AsRef<Path>) -> Result<PMem, MemError> {
-        self.validate()?;
-        let mut backend = FileBackend::open(path.as_ref(), self.len)?;
-        let mut image = vec![0u8; self.len];
-        backend.load(&mut image)?;
-        Ok(self.assemble(image, Box::new(backend)))
-    }
-
-    fn validate(&self) -> Result<(), MemError> {
-        if self.len == 0 {
-            return Err(MemError::InvalidConfig(
-                "region length must be positive".into(),
-            ));
-        }
-        if self.line_size == 0 || !self.line_size.is_power_of_two() {
-            return Err(MemError::InvalidConfig(
-                "line size must be a positive power of two".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn assemble(self, image: Vec<u8>, backend: Box<dyn Backend>) -> PMem {
-        PMem {
-            inner: Arc::new(Inner {
-                len: self.len,
-                line_size: self.line_size,
-                jitter: self.jitter,
-                persist_delay: self.persist_delay,
-                flush_latency: self.flush_latency,
-                psan: self.psan.then(|| Arc::new(PsanCell::new(self.line_size))),
-                tlabel: AtomicU32::new(pstack_telemetry::intern("region")),
-                crashed: AtomicBool::new(false),
-                crash_stamp: AtomicU64::new(0),
-                stats: MemStats::default(),
-                state: FairMutex::new(State {
-                    image,
-                    dirty: HashMap::default(),
-                    backend,
-                    fail: FailState::default(),
-                    flights: FlightState::default(),
-                }),
-                gate: StdMutex::new(()),
-            }),
-        }
-    }
-}
+use crate::{Durable, FlushTicket, MemError, POffset};
 
 struct State {
-    image: Vec<u8>,
-    /// Volatile cache: line index → the line's one volatile record.
-    dirty: HashMap<usize, DirtyLine, BuildHasherDefault<LineHasher>>,
-    backend: Box<dyn Backend>,
+    /// The region's device; [`PMem::reopen`] moves it to the next boot.
+    device: Option<Device>,
     fail: FailState,
-    flights: FlightState,
-}
-
-/// Hashes a line index with one multiply and a fold, for the volatile
-/// cache that every access and every flushed line looks up. Its keys
-/// are line indexes of the region, computed by the program — never
-/// input from outside it.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the volatile cache is keyed by line index")
-    }
-
-    fn write_usize(&mut self, li: usize) {
-        self.0 = (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// A line written since it was last made durable.
-struct DirtyLine {
-    /// The full line content, as reads see it.
-    content: Vec<u8>,
-    /// Serial of the un-completed flight holding a snapshot of the
-    /// current content; 0 when none does (never staged, or re-dirtied
-    /// since — the snapshot is stale).
-    staged: u64,
-}
-
-/// One flush command in flight: the line snapshots it promised to
-/// make durable and the wall-clock deadline at which the emulated
-/// device completes it (`None` with neither
-/// [`PMemBuilder::flush_latency`] nor [`PMemBuilder::persist_delay`]
-/// configured — completes on the next await).
-struct Flight {
-    serial: u64,
-    deadline: Option<std::time::Instant>,
-    /// Line index of each snapshot, in issue order.
-    lines: Vec<usize>,
-    /// The snapshots, one line each, back to back in `lines` order. One
-    /// buffer per flight, not one per line: a completed flight then
-    /// returns one block to the allocator (a one-line flight's to
-    /// `FlightState::spare`) instead of a run of line-sized chunks
-    /// (ROADMAP, "`peak_rss_mb` and `calloc`").
-    bytes: Vec<u8>,
-}
-
-/// The region's flush queue (see [`PMem::flush_async`]). There is no
-/// device thread: completions are applied lazily, in issue order, by
-/// the application threads that await, fence or flush, once a flight's
-/// deadline has passed — which keeps seeded campaign executions
-/// deterministic.
-#[derive(Default)]
-struct FlightState {
     /// Serial of the most recently issued flight.
     issued: u64,
-    /// Serial of the most recently applied (completed) flight.
+    /// Serial of the most recently completed flight.
     completed: u64,
-    queue: VecDeque<Flight>,
-    /// The buffers of the last applied one-line flight — every
-    /// persist-store's — emptied, for the next one-line flight to
-    /// fill: the hot single-line persist allocates nothing. Bigger
-    /// flights allocate their own and free them, so the region never
-    /// holds more than one line's buffers.
-    spare: (Vec<usize>, Vec<u8>),
 }
 
-/// Claim ticket for an asynchronous flush issued with
-/// [`PMem::flush_async`]. The round-trip is in flight on the region's
-/// flush queue; [`PMem::await_ticket`] (or a [`PMem::fence`], or any
-/// later [`PMem::flush`] on the region — flights complete in issue
-/// order) blocks until the staged content is durable. Cheap value
-/// type, bound to the issuing region boot — awaiting it against
-/// another region or a reopened boot is an error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushTicket {
-    /// Identity of the issuing region boot.
-    pub(crate) region: usize,
-    /// Flush-queue serial this ticket waits for.
-    serial: u64,
-    /// The range `[start, end)` it was issued over, which its
-    /// [`Durable`] receipt names.
-    pub(crate) start: u64,
-    pub(crate) end: u64,
-}
-
-impl FlushTicket {
-    /// `true` when `other`'s range lies inside this one, on one boot.
-    pub(crate) fn contains(&self, other: &FlushTicket) -> bool {
-        self.region == other.region && self.start <= other.start && other.end <= self.end
+impl State {
+    /// The device. Only a crashed boot's moves on, and the crash flag
+    /// is only set under the region lock: a caller that found the boot
+    /// alive under the lock finds the device here.
+    fn device(&mut self) -> &mut Device {
+        self.device.as_mut().expect("a live boot has its device")
     }
 }
 
@@ -372,8 +62,6 @@ struct Inner {
     len: usize,
     line_size: usize,
     jitter: Option<Jitter>,
-    persist_delay: Option<std::time::Duration>,
-    flush_latency: Option<std::time::Duration>,
     /// PSan shadow memory; shared (`Arc`) across reopen boots so ghosts
     /// and violations outlive crashes. `None` unless enabled.
     psan: Option<Arc<PsanCell>>,
@@ -424,6 +112,35 @@ impl std::fmt::Debug for PMem {
 }
 
 impl PMem {
+    /// A boot of a region on `device`: the one way both a builder and
+    /// [`PMem::reopen`] make a handle.
+    pub(crate) fn start(
+        device: Device,
+        jitter: Option<Jitter>,
+        psan: Option<Arc<PsanCell>>,
+        tlabel: u32,
+    ) -> PMem {
+        PMem {
+            inner: Arc::new(Inner {
+                len: device.len(),
+                line_size: device.line_size(),
+                jitter,
+                psan,
+                tlabel: AtomicU32::new(tlabel),
+                crashed: AtomicBool::new(false),
+                crash_stamp: AtomicU64::new(0),
+                stats: MemStats::default(),
+                state: FairMutex::new(State {
+                    device: Some(device),
+                    fail: FailState::default(),
+                    issued: 0,
+                    completed: 0,
+                }),
+                gate: StdMutex::new(()),
+            }),
+        }
+    }
+
     /// Region length in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -521,15 +238,8 @@ impl PMem {
     }
 
     fn check_bounds(&self, off: POffset, len: usize) -> Result<(), MemError> {
-        if off.is_null() {
-            return Err(MemError::OutOfBounds {
-                offset: u64::MAX,
-                len,
-                region_len: self.inner.len,
-            });
-        }
-        let end = off.get().checked_add(len as u64);
-        match end {
+        // `POffset::NULL` is `u64::MAX`: past the end of every region.
+        match off.get().checked_add(len as u64) {
             Some(end) if end <= self.inner.len as u64 => Ok(()),
             _ => Err(MemError::OutOfBounds {
                 offset: off.get(),
@@ -564,36 +274,15 @@ impl PMem {
     /// [`MemError::Crashed`] after a crash; [`MemError::OutOfBounds`]
     /// for accesses past the region end.
     pub fn read(&self, off: POffset, buf: &mut [u8]) -> Result<(), MemError> {
+        let mut st = self.inner.state.lock();
         self.check_alive()?;
         self.check_bounds(off, buf.len())?;
-        let st = self.inner.state.lock();
-        self.compose_read(&st, off.as_usize(), buf);
+        st.device().read(off.as_usize(), buf);
         MemStats::bump(&self.inner.stats.reads);
         if let Some(psan) = &self.inner.psan {
             psan.note_read(off.get(), buf.len(), st.fail.events);
         }
         Ok(())
-    }
-
-    fn compose_read(&self, st: &State, start: usize, buf: &mut [u8]) {
-        buf.copy_from_slice(&st.image[start..start + buf.len()]);
-        if st.dirty.is_empty() {
-            return;
-        }
-        let line = self.inner.line_size;
-        let first_line = start / line;
-        let last_line = (start + buf.len().max(1) - 1) / line;
-        for li in first_line..=last_line {
-            if let Some(DirtyLine { content, .. }) = st.dirty.get(&li) {
-                let line_start = li * line;
-                let copy_from = start.max(line_start);
-                let copy_to = (start + buf.len()).min(line_start + line);
-                if copy_from < copy_to {
-                    buf[copy_from - start..copy_to - start]
-                        .copy_from_slice(&content[copy_from - line_start..copy_to - line_start]);
-                }
-            }
-        }
     }
 
     /// Writes `data` at `off` into the volatile cache. The data is *not*
@@ -610,7 +299,7 @@ impl PMem {
         {
             let mut st = self.inner.state.lock();
             self.on_event(&mut st)?;
-            self.write_locked(&mut st, off.as_usize(), data);
+            st.device().write(off.as_usize(), data);
             MemStats::bump(&self.inner.stats.writes);
             MemStats::add(&self.inner.stats.bytes_written, data.len() as u64);
             if let Some(psan) = &self.inner.psan {
@@ -642,45 +331,19 @@ impl PMem {
         }
     }
 
-    fn write_locked(&self, st: &mut State, start: usize, data: &[u8]) {
-        let line = self.inner.line_size;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = start + pos;
-            let li = abs / line;
-            let line_start = li * line;
-            let within = abs - line_start;
-            let n = (line - within).min(data.len() - pos);
-            let image = &st.image;
-            let dirty = st.dirty.entry(li).or_insert_with(|| DirtyLine {
-                content: image[line_start..line_start + line].to_vec(),
-                staged: 0,
-            });
-            // Re-dirtying a line staged in an in-flight flush: the
-            // flight's snapshot is stale, so later flushes of this line
-            // must persist anew instead of riding it.
-            dirty.staged = 0;
-            dirty.content[within..within + n].copy_from_slice(&data[pos..pos + n]);
-            pos += n;
-        }
-    }
-
-    /// Makes the cache lines covering `[off, off + len)` durable: issues
-    /// one flight over the dirty ones, exactly as [`PMem::flush_async`]
-    /// does, and awaits it before returning. A covered line already
-    /// staged by an un-completed flight (and not re-dirtied since) rides
-    /// that flight instead. Flights complete in issue order, so the
-    /// await also completes every older flight on the region. Each line
-    /// persists atomically; a crash before the flight completes leaves
-    /// the covered lines to the survivor lottery, so any subset of them
-    /// may survive — the torn state Fig. 5 in the paper tolerates.
-    ///
-    /// Returns the receipt for `[off, off + len)`.
+    /// Makes the cache lines covering `[off, off + len)` durable and
+    /// returns their receipt: one flight issued exactly as
+    /// [`PMem::flush_async`] issues it, then awaited — which completes
+    /// every older flight on the region too, since flights complete in
+    /// issue order. Each line persists atomically; a crash before the
+    /// flight completes leaves the covered lines to the survivor
+    /// lottery, so any subset of them may survive — the torn state
+    /// Fig. 5 in the paper tolerates.
     ///
     /// # Errors
     ///
     /// [`MemError::Crashed`], [`MemError::OutOfBounds`], or an I/O error
-    /// from the write-through backend.
+    /// from the file the device writes through to.
     pub fn flush(&self, off: POffset, len: usize) -> Result<Durable, MemError> {
         self.persist(off, len, false)?;
         Ok(Durable::flight(self.ticket(0, off, len)))
@@ -710,18 +373,18 @@ impl PMem {
     /// one flight issued and awaited, under one lock unless the await
     /// has device time to sleep.
     fn persist(&self, off: POffset, len: usize, only_if_dirty: bool) -> Result<bool, MemError> {
-        self.check_alive()?;
-        self.check_bounds(off, len)?;
         // Telemetry round-trip timer: a no-op unless recording.
         let probe = pstack_telemetry::persist_probe();
         let mut st = self.inner.state.lock();
+        self.check_alive()?;
+        self.check_bounds(off, len)?;
         if only_if_dirty {
             let line = self.inner.line_size;
             let start = off.as_usize();
-            // Staged lines stay in `dirty` until their flight is
-            // applied, so one lookup covers both cases.
             if len == 0
-                || !(start / line..=(start + len - 1) / line).any(|li| st.dirty.contains_key(&li))
+                || !st
+                    .device()
+                    .any_dirty(start / line, (start + len - 1) / line)
             {
                 return Ok(false);
             }
@@ -740,39 +403,38 @@ impl PMem {
     }
 
     /// Issues an **asynchronous flush** of the lines covering
-    /// `[off, off + len)`: one flight is queued on the region's flush
-    /// queue with its device time charged into its deadline, and the
-    /// returned [`FlushTicket`] is awaited — with [`PMem::await_ticket`],
-    /// a [`PMem::fence`], or any later [`PMem::flush`] on the region —
-    /// at the point that needs durability, typically right before a
-    /// commit-point CAS or root swap. Work done between issue and await
-    /// overlaps the round-trip; that overlap is the pipeline win.
+    /// `[off, off + len)`: one flight, its device time charged into its
+    /// deadline, whose [`FlushTicket`] is awaited — by
+    /// [`PMem::await_ticket`], a [`PMem::fence`] or any later
+    /// [`PMem::flush`] on the region — where durability is needed,
+    /// typically right before a commit-point CAS or root swap. Work done
+    /// in between overlaps the round-trip; that overlap is the pipeline
+    /// win.
     ///
-    /// Dirty lines are snapshotted at issue time: once awaited, the
-    /// ticket guarantees the content *as of this call* is durable, even
-    /// if the lines are re-dirtied in between. A covered line already
-    /// staged by an earlier un-completed flight (and not re-dirtied
-    /// since) is elided — the returned ticket rides the earlier flight.
-    /// A call whose every covered line is clean issues nothing (counted
-    /// in `redundant_persists`). Each covered line consumes one
-    /// persistence event, so crash-point enumeration sees the same
-    /// event stream as for [`PMem::flush`]; a crash with the flight
-    /// still queued keeps only completed flights durable (staged lines
-    /// take the survivor lottery like any other dirty line).
+    /// Dirty lines are snapshotted at issue: once awaited, the ticket
+    /// guarantees the content *as of this call* is durable, even if the
+    /// lines are re-dirtied in between. A covered line staged by an
+    /// earlier un-completed flight (and not re-dirtied since) is elided:
+    /// the ticket rides that flight. A call whose every covered line is
+    /// clean issues nothing (counted in `redundant_persists`). Each
+    /// covered line is one persistence event, as in [`PMem::flush`]; a
+    /// crash with the flight still queued keeps only completed flights
+    /// durable (staged lines take the survivor lottery like any other
+    /// dirty line).
     ///
     /// # Errors
     ///
     /// [`MemError::Crashed`] (including a fail-point firing on a
     /// covered line's event) or [`MemError::OutOfBounds`].
     pub fn flush_async(&self, off: POffset, len: usize) -> Result<FlushTicket, MemError> {
-        self.check_alive()?;
-        self.check_bounds(off, len)?;
         let _issue = pstack_telemetry::span("flush.issue");
         let mut st = self.inner.state.lock();
+        self.check_alive()?;
+        self.check_bounds(off, len)?;
         MemStats::bump(&self.inner.stats.flush_calls);
-        let issued = st.flights.issued;
+        let issued = st.issued;
         let serial = self.issue(&mut st, off.as_usize(), len)?;
-        if st.flights.issued != issued {
+        if serial > issued {
             MemStats::bump(&self.inner.stats.async_flushes);
         }
         Ok(self.ticket(serial, off, len))
@@ -801,73 +463,47 @@ impl PMem {
     /// covered line clean) the last completed one.
     fn issue(&self, st: &mut State, start: usize, len: usize) -> Result<u64, MemError> {
         if len == 0 {
-            return Ok(st.flights.completed);
+            return Ok(st.completed);
         }
         let line = self.inner.line_size;
-        let first = start / line;
-        let last = (start + len - 1) / line;
-        let serial = st.flights.issued + 1;
-        // Sized up front to the lines this flight stages — grown by
-        // doubling, each flight would also free a run of small outgrown
-        // buffers — and not to the span: a heads flight spans a shard's
-        // whole touched bucket range for the few lines a batch dirtied.
-        let staging = (first..=last)
-            .filter(|li| st.dirty.get(li).is_some_and(|d| d.staged == 0))
-            .count();
-        let (mut lines, mut bytes) = if staging == 1 {
-            std::mem::take(&mut st.flights.spare)
-        } else {
-            Default::default()
-        };
-        lines.reserve_exact(staging);
-        bytes.reserve_exact(staging * line);
+        let (first, last) = (start / line, (start + len - 1) / line);
+        let serial = st.issued + 1;
+        let mut flight = st.device().begin_flight(serial, first, last);
         let mut covering = 0u64;
         for li in first..=last {
             self.on_event(st)?;
-            let Some(dirty) = st.dirty.get_mut(&li) else {
-                continue;
-            };
-            if dirty.staged != 0 {
-                // Staged by an un-completed flight and not re-dirtied
-                // since: the flight's snapshot is current, so the line
-                // rides it (FliT-style per-line durable tracking).
-                MemStats::bump(&self.inner.stats.elided_lines);
-                covering = covering.max(dirty.staged);
-                continue;
-            }
-            dirty.staged = serial;
-            lines.push(li);
-            bytes.extend_from_slice(&dirty.content);
-            if let Some(psan) = &self.inner.psan {
-                psan.note_persist_line_ticket(li, serial, st.fail.events);
+            match st.device().stage(&mut flight, li) {
+                Some(s) if s == serial => {
+                    if let Some(psan) = &self.inner.psan {
+                        psan.note_persist_line_ticket(li, serial, st.fail.events);
+                    }
+                }
+                Some(s) => {
+                    // Staged by an un-completed flight and not
+                    // re-dirtied since: the line rides it (FliT-style
+                    // per-line durable tracking).
+                    MemStats::bump(&self.inner.stats.elided_lines);
+                    covering = covering.max(s);
+                }
+                None => {}
             }
         }
-        if lines.is_empty() {
+        let Some(charge) = st.device().queue(flight) else {
             if covering == 0 {
                 // Every covered line was already durable. Diagnostic,
                 // not a violation.
                 MemStats::bump(&self.inner.stats.redundant_persists);
-                return Ok(st.flights.completed);
+                return Ok(st.completed);
             }
             return Ok(covering);
-        }
-        st.flights.issued = serial;
-        // Device time: the command once, then each line's bandwidth.
-        let charge = self.inner.flush_latency.unwrap_or_default()
-            + self.inner.persist_delay.unwrap_or_default() * lines.len() as u32;
-        let deadline = (!charge.is_zero()).then(|| {
+        };
+        st.issued = serial;
+        if !charge.is_zero() {
             MemStats::add(
                 &self.inner.stats.async_latency_charged_ns,
                 charge.as_nanos() as u64,
             );
-            std::time::Instant::now() + charge
-        });
-        st.flights.queue.push_back(Flight {
-            serial,
-            deadline,
-            lines,
-            bytes,
-        });
+        }
         Ok(serial)
     }
 
@@ -896,7 +532,7 @@ impl PMem {
     /// `flush.await` span when anything is left to complete.
     fn await_traced(&self, serial: u64) -> Result<(), MemError> {
         let st = self.inner.state.lock();
-        if st.flights.completed >= serial {
+        if st.completed >= serial {
             return Ok(());
         }
         let probe = pstack_telemetry::persist_probe();
@@ -920,25 +556,20 @@ impl PMem {
     /// the flights it completes, with the region lock released (so
     /// concurrent awaits, and round-trips on other regions, overlap).
     /// With nothing left to sleep the flights apply under the lock the
-    /// caller already holds.
+    /// caller already holds. Completing a flight consumes no
+    /// persistence events — those were charged at issue.
     fn await_serial<'a>(
         &'a self,
         mut st: MutexGuard<'a, State>,
         serial: u64,
     ) -> Result<u64, MemError> {
-        if st.flights.completed >= serial {
+        if st.completed >= serial {
             return Ok(0);
         }
         if self.is_crashed() {
             return Err(MemError::Crashed);
         }
-        let deadline = st
-            .flights
-            .queue
-            .iter()
-            .take_while(|f| f.serial <= serial)
-            .filter_map(|f| f.deadline)
-            .max();
+        let deadline = st.device().deadline(serial);
         if let Some(wait) =
             deadline.and_then(|d| d.checked_duration_since(std::time::Instant::now()))
         {
@@ -954,42 +585,17 @@ impl PMem {
             }
         }
         let mut persisted = 0u64;
-        while st.flights.queue.front().is_some_and(|f| f.serial <= serial) {
-            let flight = st.flights.queue.pop_front().expect("checked front");
-            persisted += self.apply_flight(&mut st, flight)?;
-        }
-        Ok(persisted)
-    }
-
-    /// Applies one completed flight: copies its snapshots into the
-    /// backend and the image, retires the dirty entries they still
-    /// match, and promotes the ticket's shadow lines. Consumes no
-    /// persistence events — those were charged at issue.
-    fn apply_flight(&self, st: &mut State, mut flight: Flight) -> Result<u64, MemError> {
-        let line = self.inner.line_size;
-        st.backend
-            .persist_lines(line, &flight.lines, &flight.bytes)?;
-        for (&li, content) in flight.lines.iter().zip(flight.bytes.chunks_exact(line)) {
-            st.image[li * line..(li + 1) * line].copy_from_slice(content);
-            if let Entry::Occupied(dirty) = st.dirty.entry(li) {
-                // Not re-dirtied since issue: the snapshot is the live
-                // content, so the cache entry retires.
-                if dirty.get().staged == flight.serial {
-                    dirty.remove();
-                }
+        while let Some((done, lines)) = st.device().complete(serial)? {
+            st.completed = done;
+            // One round-trip: `persists` counts it, `coalesced_lines`
+            // the lines amortized beyond the first.
+            persisted += lines;
+            MemStats::add(&self.inner.stats.lines_persisted, lines);
+            MemStats::bump(&self.inner.stats.persists);
+            MemStats::add(&self.inner.stats.coalesced_lines, lines - 1);
+            if let Some(psan) = &self.inner.psan {
+                psan.note_ticket_complete(done, st.fail.events);
             }
-        }
-        let persisted = flight.lines.len() as u64;
-        MemStats::add(&self.inner.stats.lines_persisted, persisted);
-        Self::note_persist(&self.inner.stats, persisted);
-        st.flights.completed = flight.serial;
-        if let Some(psan) = &self.inner.psan {
-            psan.note_ticket_complete(flight.serial, st.fail.events);
-        }
-        if persisted == 1 {
-            flight.lines.clear();
-            flight.bytes.clear();
-            st.flights.spare = (flight.lines, flight.bytes);
         }
         Ok(persisted)
     }
@@ -999,17 +605,8 @@ impl PMem {
     /// flushes are in flight.
     #[must_use]
     pub fn inflight_tickets(&self) -> u64 {
-        self.inner.state.lock().flights.queue.len() as u64
-    }
-
-    /// Accounts one persist round-trip that made `lines` lines durable:
-    /// `persists` counts the round-trip, `coalesced_lines` the lines
-    /// amortized beyond the first.
-    fn note_persist(stats: &MemStats, lines: u64) {
-        if lines > 0 {
-            MemStats::bump(&stats.persists);
-            MemStats::add(&stats.coalesced_lines, lines - 1);
-        }
+        let st = self.inner.state.lock();
+        st.device.as_ref().map_or(0, |d| d.in_flight() as u64)
     }
 
     /// The **persist-store**: writes, then flushes the written lines —
@@ -1048,7 +645,7 @@ impl PMem {
     /// draining — a crashed region — are swallowed to keep the
     /// infallible signature; the crash surfaces on the next access.
     pub fn fence(&self) {
-        let target = self.inner.state.lock().flights.issued;
+        let target = self.inner.state.lock().issued;
         let _ = self.await_traced(target);
         MemStats::bump(&self.inner.stats.fences);
         pstack_telemetry::fence_event(self.inner.tlabel.load(Ordering::Relaxed));
@@ -1085,11 +682,12 @@ impl PMem {
         self.on_event(&mut st)?;
         MemStats::bump(&self.inner.stats.cas_ops);
         let mut current = vec![0u8; expected.len()];
-        self.compose_read(&st, off.as_usize(), &mut current);
+        let device = st.device();
+        device.read(off.as_usize(), &mut current);
         if current != expected {
             return Ok(false);
         }
-        self.write_locked(&mut st, off.as_usize(), new);
+        device.write(off.as_usize(), new);
         MemStats::bump(&self.inner.stats.writes);
         MemStats::add(&self.inner.stats.bytes_written, new.len() as u64);
         if let Some(psan) = &self.inner.psan {
@@ -1110,11 +708,10 @@ impl PMem {
     ///
     /// Calling this on an already-crashed region is a no-op.
     pub fn crash_now(&self, seed: u64, survival_prob: f64) {
-        if self.is_crashed() {
-            return;
-        }
         let mut st = self.inner.state.lock();
-        self.crash_locked(&mut st, seed, survival_prob);
+        if !self.is_crashed() {
+            self.crash_locked(&mut st, seed, survival_prob);
+        }
     }
 
     fn crash_locked(&self, st: &mut State, seed: u64, survival_prob: f64) {
@@ -1129,40 +726,14 @@ impl PMem {
         );
         st.fail.disarm();
         MemStats::bump(&self.inner.stats.crashes);
-        let line = self.inner.line_size;
-        let mut dirty: Vec<(usize, DirtyLine)> = st.dirty.drain().collect();
-        dirty.sort_unstable_by_key(|&(li, _)| li);
-        let mut outcomes = Vec::with_capacity(dirty.len());
-        let mut survivors = Vec::new();
-        let mut bytes = Vec::new();
-        for (li, DirtyLine { content, .. }) in dirty {
-            let survives = if survival_prob <= 0.0 {
-                false
-            } else if survival_prob >= 1.0 {
-                true
-            } else {
-                let mut rng =
-                    SmallRng::seed_from_u64(seed ^ (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                rng.random_bool(survival_prob)
-            };
-            if survives {
-                st.image[li * line..(li + 1) * line].copy_from_slice(&content);
-                survivors.push(li);
-                bytes.extend_from_slice(&content);
-            }
-            outcomes.push((li, survives));
-        }
-        // Write-through failures during a crash are ignored: the crash
-        // wins, and the image stays authoritative for the in-process
-        // reopen path.
-        let _ = st.backend.persist_lines(line, &survivors, &bytes);
-        MemStats::add(&self.inner.stats.lines_persisted, survivors.len() as u64);
-        // Un-completed flights die with the cache: their staged lines
-        // just took the lottery above (so recovery sees exactly the
+        let (outcomes, cut) = st.device().crash(seed, survival_prob);
+        let survivors = outcomes.iter().filter(|&&(_, kept)| kept).count();
+        MemStats::add(&self.inner.stats.lines_persisted, survivors as u64);
+        // Un-completed flights died with the cache: their staged lines
+        // took the lottery (so recovery sees exactly the
         // completed-ticket prefix, plus any lucky survivors), and
         // pending tickets fail their await with `Crashed`.
-        MemStats::add(&self.inner.stats.flights_cut, st.flights.queue.len() as u64);
-        st.flights.queue.clear();
+        MemStats::add(&self.inner.stats.flights_cut, cut as u64);
         pstack_telemetry::crash(self.inner.tlabel.load(Ordering::Relaxed), st.fail.events);
         if let Some(psan) = &self.inner.psan {
             // Dropped lines revert to their durable content (shadow
@@ -1174,6 +745,8 @@ impl PMem {
     /// Reopens a crashed region, as the recovery boot of the system
     /// would: the persistent image survives, the volatile cache is
     /// empty, statistics start from zero, and no fail plan is armed.
+    /// The region's device moves to the new boot, so a crashed boot
+    /// reopens once.
     ///
     /// For file-backed regions the image is re-read from the file, so
     /// the returned handle sees exactly what a new process would see.
@@ -1181,7 +754,8 @@ impl PMem {
     /// # Errors
     ///
     /// Returns [`MemError::InvalidConfig`] if the region has not
-    /// crashed, or an I/O error when re-reading a file backend.
+    /// crashed or this boot was already reopened, or an I/O error when
+    /// re-reading the file.
     pub fn reopen(&self) -> Result<PMem, MemError> {
         if !self.is_crashed() {
             return Err(MemError::InvalidConfig(
@@ -1189,148 +763,19 @@ impl PMem {
             ));
         }
         let mut st = self.inner.state.lock();
-        let mut backend = std::mem::replace(&mut st.backend, Box::new(MemBackend));
-        let mut image = std::mem::take(&mut st.image);
-        if let BackendKind::File(_) = backend.kind() {
-            image = vec![0u8; self.inner.len];
-            backend.load(&mut image)?;
-        }
-        Ok(PMem {
-            inner: Arc::new(Inner {
-                len: self.inner.len,
-                line_size: self.inner.line_size,
-                jitter: self.inner.jitter,
-                persist_delay: self.inner.persist_delay,
-                flush_latency: self.inner.flush_latency,
-                psan: self.inner.psan.clone(),
-                tlabel: AtomicU32::new(self.inner.tlabel.load(Ordering::Relaxed)),
-                gate: StdMutex::new(()),
-                crashed: AtomicBool::new(false),
-                crash_stamp: AtomicU64::new(0),
-                stats: MemStats::default(),
-                state: FairMutex::new(State {
-                    image,
-                    dirty: HashMap::default(),
-                    backend,
-                    fail: FailState::default(),
-                    flights: FlightState::default(),
-                }),
-            }),
-        })
-    }
-
-    // ---- typed helpers ------------------------------------------------
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::read`].
-    pub fn read_u8(&self, off: POffset) -> Result<u8, MemError> {
-        let mut b = [0u8; 1];
-        self.read(off, &mut b)?;
-        Ok(b[0])
-    }
-
-    /// Writes one byte (volatile until flushed).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::write`].
-    pub fn write_u8(&self, off: POffset, v: u8) -> Result<(), MemError> {
-        self.write(off, &[v])
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::read`].
-    pub fn read_u32(&self, off: POffset) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read(off, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u32` (volatile until flushed).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::write`].
-    pub fn write_u32(&self, off: POffset, v: u32) -> Result<(), MemError> {
-        self.write(off, &v.to_le_bytes())
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::read`].
-    pub fn read_u64(&self, off: POffset) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read(off, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u64` (volatile until flushed).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::write`].
-    pub fn write_u64(&self, off: POffset, v: u64) -> Result<(), MemError> {
-        self.write(off, &v.to_le_bytes())
-    }
-
-    /// Reads a little-endian `i64`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::read`].
-    pub fn read_i64(&self, off: POffset) -> Result<i64, MemError> {
-        let mut b = [0u8; 8];
-        self.read(off, &mut b)?;
-        Ok(i64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `i64` (volatile until flushed).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::write`].
-    pub fn write_i64(&self, off: POffset, v: i64) -> Result<(), MemError> {
-        self.write(off, &v.to_le_bytes())
-    }
-
-    /// Reads `len` bytes into a freshly allocated vector.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::read`].
-    pub fn read_vec(&self, off: POffset, len: usize) -> Result<Vec<u8>, MemError> {
-        let mut v = vec![0u8; len];
-        self.read(off, &mut v)?;
-        Ok(v)
-    }
-
-    /// Writes `len` copies of `byte` (volatile until flushed).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::write`].
-    pub fn fill(&self, off: POffset, byte: u8, len: usize) -> Result<(), MemError> {
-        self.write(off, &vec![byte; len])
-    }
-
-    // ---- PSan (persist-order sanitizer) -------------------------------
-    //
-    // All of these are no-ops unless the region was built with
-    // [`PMemBuilder::psan`]; application layers call them
-    // unconditionally.
-
-    /// `true` if PSan shadows this region.
-    #[must_use]
-    pub fn psan_enabled(&self) -> bool {
-        self.inner.psan.is_some()
+        let Some(device) = st.device.as_mut() else {
+            return Err(MemError::InvalidConfig(
+                "this crashed boot was already reopened".into(),
+            ));
+        };
+        device.restart()?;
+        let device = st.device.take().expect("checked above");
+        Ok(PMem::start(
+            device,
+            self.inner.jitter,
+            self.inner.psan.clone(),
+            self.inner.tlabel.load(Ordering::Relaxed),
+        ))
     }
 
     /// Names the region (e.g. `"shard-3"`, `"control"`) in PSan
@@ -1346,56 +791,16 @@ impl PMem {
             .store(pstack_telemetry::intern(label), Ordering::Relaxed);
     }
 
-    /// Registers `[start, start+len)` as a **publish range**: any
-    /// successful 8-byte CAS inside it is treated as publishing a
-    /// pointer into this region, and the `extent` bytes at the pointer
-    /// must already be durable (else an *early-publish* violation).
-    /// Typical use: a store registers its bucket-head array so head
-    /// CASes are checked against the records they link in.
-    pub fn psan_register_publish_range(&self, start: POffset, len: usize, extent: usize) {
-        if let Some(psan) = &self.inner.psan {
-            psan.register_publish_range(start.get(), len as u64, extent as u64);
-        }
-    }
-
-    /// Immediate commit-ordering check: records an *unordered-commit*
-    /// violation for every still-dirty line in `[start, start+len)`.
-    /// Used at commit points: a root swap's flip, and a group commit
-    /// once its heads' flight is awaited.
-    pub fn psan_check_durable(&self, start: POffset, len: usize) {
-        if let Some(psan) = &self.inner.psan {
-            psan.check_durable(start.get(), len as u64, self.events());
-        }
-    }
-
-    /// All violations recorded so far (across reopen boots).
-    #[must_use]
-    pub fn psan_violations(&self) -> Vec<PsanViolation> {
-        self.inner
-            .psan
-            .as_ref()
-            .map(|p| p.violations())
-            .unwrap_or_default()
-    }
-
-    /// Number of violations recorded so far.
-    #[must_use]
-    pub fn psan_violation_count(&self) -> usize {
-        self.inner.psan.as_ref().map_or(0, |p| p.violation_count())
-    }
-
-    /// Shadow state of the line containing `addr` (`None` when PSan is
-    /// off). Test/debug accessor.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn psan_line_state(&self, addr: POffset) -> Option<crate::psan::ShadowState> {
-        self.inner.psan.as_ref().map(|p| p.state_of(addr.get()))
+    /// The region's PSan shadow, when enabled.
+    pub(crate) fn psan(&self) -> Option<&PsanCell> {
+        self.inner.psan.as_deref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PMemBuilder;
 
     fn small() -> PMem {
         PMemBuilder::new().len(1024).line_size(64).build_in_memory()
@@ -2260,5 +1665,31 @@ mod tests {
         assert!(sb < sa, "b crashed first, must carry the earlier stamp");
         // Reopen clears the stamp with the crashed flag.
         assert_eq!(a.reopen().unwrap().crash_stamp(), None);
+    }
+
+    #[test]
+    fn a_crashed_boot_reopens_once() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("pstack-pmem-reopen-once-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let file = PMemBuilder::new().len(4096).build_file(&path).unwrap();
+        for p in [PMemBuilder::new().len(4096).build_in_memory(), file] {
+            p.write_u64(POffset::new(128), 42).unwrap();
+            p.flush(POffset::new(128), 8).unwrap();
+            p.crash_now(1, 0.0);
+            let reopened = p.reopen().unwrap();
+            assert!(matches!(p.reopen(), Err(MemError::InvalidConfig(_))));
+            assert_eq!(reopened.read_u64(POffset::new(128)).unwrap(), 42);
+            // The device moved on whole: the new boot still writes
+            // through, and reopens once in its turn.
+            reopened.write_u64(POffset::new(256), 7).unwrap();
+            reopened.flush(POffset::new(256), 8).unwrap();
+            reopened.crash_now(1, 0.0);
+            let again = reopened.reopen().unwrap();
+            assert_eq!(again.read_u64(POffset::new(256)).unwrap(), 7);
+        }
+        let p = PMemBuilder::new().len(4096).build_file(&path).unwrap();
+        assert_eq!(p.read_u64(POffset::new(256)).unwrap(), 7);
+        let _ = std::fs::remove_file(&path);
     }
 }

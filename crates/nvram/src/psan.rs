@@ -51,6 +51,8 @@ use std::fmt;
 
 use parking_lot::Mutex;
 
+use crate::{PMem, POffset};
+
 /// Longest shadow history kept per line (oldest entries are dropped).
 const HISTORY_CAP: usize = 8;
 
@@ -570,6 +572,59 @@ impl PsanCell {
         let inner = self.inner.lock();
         let li = (addr as usize) / inner.line_size;
         inner.ghosts.contains_key(&li)
+    }
+}
+
+/// PSan on a region. All of these are no-ops unless the region was
+/// built with [`PMemBuilder::psan`](crate::PMemBuilder::psan);
+/// application layers call them unconditionally.
+impl PMem {
+    /// `true` if PSan shadows this region.
+    #[must_use]
+    pub fn psan_enabled(&self) -> bool {
+        self.psan().is_some()
+    }
+
+    /// Registers `[start, start+len)` as a **publish range**: any
+    /// successful 8-byte CAS inside it is treated as publishing a
+    /// pointer into this region, and the `extent` bytes at the pointer
+    /// must already be durable (else an *early-publish* violation).
+    /// Typical use: a store registers its bucket-head array so head
+    /// CASes are checked against the records they link in.
+    pub fn psan_register_publish_range(&self, start: POffset, len: usize, extent: usize) {
+        if let Some(psan) = self.psan() {
+            psan.register_publish_range(start.get(), len as u64, extent as u64);
+        }
+    }
+
+    /// Immediate commit-ordering check: records an *unordered-commit*
+    /// violation for every still-dirty line in `[start, start+len)`.
+    /// Used at commit points: a root swap's flip, and a group commit
+    /// once its heads' flight is awaited.
+    pub fn psan_check_durable(&self, start: POffset, len: usize) {
+        if let Some(psan) = self.psan() {
+            psan.check_durable(start.get(), len as u64, self.events());
+        }
+    }
+
+    /// All violations recorded so far (across reopen boots).
+    #[must_use]
+    pub fn psan_violations(&self) -> Vec<PsanViolation> {
+        self.psan().map(|p| p.violations()).unwrap_or_default()
+    }
+
+    /// Number of violations recorded so far.
+    #[must_use]
+    pub fn psan_violation_count(&self) -> usize {
+        self.psan().map_or(0, |p| p.violation_count())
+    }
+
+    /// Shadow state of the line containing `addr` (`None` when PSan is
+    /// off). Test/debug accessor.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn psan_line_state(&self, addr: POffset) -> Option<ShadowState> {
+        self.psan().map(|p| p.state_of(addr.get()))
     }
 }
 

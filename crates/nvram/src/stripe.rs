@@ -11,11 +11,10 @@
 //! [`crash_all`]: PMemStripe::crash_all
 //! [`reopen_all`]: PMemStripe::reopen_all
 
-use crate::pmem::PMemBuilder;
 use crate::psan::PsanViolation;
 use crate::rootswap::RootCell;
 use crate::stats::StatsSnapshot;
-use crate::{MemError, PMem, POffset};
+use crate::{MemError, PMem, PMemBuilder, POffset};
 
 /// A fixed-size bundle of independent [`PMem`] regions, one per shard.
 ///
