@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{Level, PMem, POffset};
 
 use crate::HeapError;
 
@@ -90,6 +90,7 @@ impl PHeap {
 
         let total = end - first_block;
         write_header(&pmem, first_block, total, false)?;
+        pmem.flush(POffset::new(first_block), BLOCK_HEADER_LEN as usize)?;
 
         let mut blocks = BTreeMap::new();
         blocks.insert(
@@ -206,6 +207,8 @@ impl PHeap {
     /// Allocates `size` bytes whose payload offset is a multiple of
     /// `align` (a power of two, at least 16). Useful for data that must
     /// not cross cache-line borders, such as the recoverable-CAS cells.
+    /// [`PHeap::alloc_aligned_in`] with a level of its own, awaited:
+    /// the allocation is durable when this returns.
     ///
     /// # Errors
     ///
@@ -213,6 +216,36 @@ impl PHeap {
     /// [`HeapError::OutOfMemory`] when nothing fits, or a propagated
     /// NVRAM error.
     pub fn alloc_aligned(&self, size: usize, align: u64) -> Result<POffset, HeapError> {
+        let mut level = Level::default();
+        let off = self.alloc_aligned_in(size, align, &mut level)?;
+        level.await_all()?;
+        Ok(off)
+    }
+
+    /// The one allocation path, as two dependence levels. The interior
+    /// headers (the split-off tail, and the block's own header when
+    /// alignment leaves a free front) are invisible to the block walk,
+    /// which the old size word still drives: they are issued as one
+    /// level and awaited here. The **switch** — the rewrite of that
+    /// size word that makes the split visible — is then written and
+    /// issued into the caller's `level`, unawaited.
+    ///
+    /// The allocation is durable once `level` is awaited. A caller that
+    /// fills the block issues the fill into the same level: the switch
+    /// and the block are unordered against each other, and only what
+    /// publishes the block waits for both. A crash before the await
+    /// leaves the block free (the switch lost) or allocated and
+    /// unreachable (kept) — a leak, never a torn heap.
+    ///
+    /// # Errors
+    ///
+    /// As [`PHeap::alloc_aligned`].
+    pub fn alloc_aligned_in(
+        &self,
+        size: usize,
+        align: u64,
+        level: &mut Level,
+    ) -> Result<POffset, HeapError> {
         if !align.is_power_of_two() || align < 16 {
             return Err(HeapError::InvalidConfig(format!(
                 "alignment {align} must be a power of two >= 16"
@@ -249,14 +282,24 @@ impl PHeap {
             };
 
             let alloc_start = start + front;
-            // Interior headers first: invisible to the walk until the
-            // original size word is rewritten (the atomic switch).
+            // Level 1, awaited: the interior headers.
+            let hdr = BLOCK_HEADER_LEN as usize;
+            let mut interior = Level::default();
             if tail > 0 {
                 write_header(&self.pmem, alloc_start + need, tail, false)?;
+                interior.issue(&self.pmem, POffset::new(alloc_start + need), hdr)?;
             }
             if front > 0 {
                 write_header(&self.pmem, alloc_start, need, true)?;
-                write_header_word(&self.pmem, start, front, false)?;
+                interior.issue(&self.pmem, POffset::new(alloc_start), hdr)?;
+            }
+            interior.await_all()?;
+            // Level 2, the caller's: the atomic switch — the old size
+            // word shrinks to the free front, or marks the block used.
+            let switch = if front > 0 { front } else { need | USED_BIT };
+            self.pmem.write_u64(POffset::new(start), switch)?;
+            level.issue(&self.pmem, POffset::new(start), 8)?;
+            if front > 0 {
                 inner.blocks.insert(
                     start,
                     Block {
@@ -264,8 +307,6 @@ impl PHeap {
                         used: false,
                     },
                 );
-            } else {
-                write_header_word(&self.pmem, start, need, true)?;
             }
             inner.blocks.insert(
                 alloc_start,
@@ -290,14 +331,17 @@ impl PHeap {
 
     /// Allocates and zero-fills `size` bytes; the zeros are flushed, so
     /// the freshly allocated payload has a defined persistent state.
+    /// The zeros ride the allocation's switch: one level.
     ///
     /// # Errors
     ///
     /// Same as [`PHeap::alloc`].
     pub fn alloc_zeroed(&self, size: usize) -> Result<POffset, HeapError> {
-        let off = self.alloc(size)?;
+        let mut level = Level::default();
+        let off = self.alloc_aligned_in(size, 16, &mut level)?;
         self.pmem.fill(off, 0, size)?;
-        self.pmem.flush(off, size)?;
+        level.issue(&self.pmem, off, size)?;
+        level.await_all()?;
         Ok(off)
     }
 
@@ -504,13 +548,13 @@ fn align_up(v: u64, align: u64) -> u64 {
     (v + align - 1) & !(align - 1)
 }
 
+/// Writes a whole block header; the caller persists it.
 fn write_header(pmem: &PMem, start: u64, size: u64, used: bool) -> Result<(), HeapError> {
     let word0 = size | (u64::from(used) * USED_BIT);
     let mut hdr = [0u8; 16];
     hdr[..8].copy_from_slice(&word0.to_le_bytes());
     hdr[8..].copy_from_slice(&BLOCK_CANARY.to_le_bytes());
     pmem.write(POffset::new(start), &hdr)?;
-    pmem.flush(POffset::new(start), 16)?;
     Ok(())
 }
 
@@ -553,7 +597,7 @@ fn walk_blocks(pmem: &PMem, first_block: u64, end: u64) -> Result<BTreeMap<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::PMemBuilder;
+    use pstack_nvram::{FailPlan, PMemBuilder};
 
     fn heap(len: usize) -> (PMem, PHeap) {
         let pmem = PMemBuilder::new().len(len).build_in_memory();
@@ -795,7 +839,7 @@ mod tests {
 
         for k in 0..total_events {
             let (pmem, h, warm) = probe();
-            pmem.arm_failpoint(pstack_nvram::FailPlan::after_events(k));
+            pmem.arm_failpoint(FailPlan::after_events(k));
             let r = (|| -> Result<(), HeapError> {
                 let x = h.alloc(100)?;
                 h.free(x)?;
@@ -811,6 +855,77 @@ mod tests {
                 .unwrap_or_else(|e| panic!("inconsistent after crash at event {k}: {e}"));
             // The heap must still be able to allocate.
             h2.alloc(32).unwrap();
+        }
+    }
+
+    #[test]
+    fn an_aligned_allocation_is_two_levels_and_its_switch_rides_the_callers() {
+        let (pmem, h) = heap(4096);
+        h.alloc(16).unwrap(); // misalign the free space: a front and a tail
+        let before = pmem.stats().snapshot();
+        let mut level = Level::default();
+        let a = h.alloc_aligned_in(200, 64, &mut level).unwrap();
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(d.persists, 2, "the interior headers, awaited");
+        assert_eq!(
+            pmem.inflight_tickets(),
+            1,
+            "the switch, in the caller's level"
+        );
+        pmem.fill(a, 0xAB, 200).unwrap();
+        level.issue(&pmem, a, 200).unwrap();
+        level.await_all().unwrap();
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!((d.persists, d.async_flushes), (4, 4));
+        h.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn alloc_aligned_in_cut_at_every_event_leaves_the_block_free_or_used_whole() {
+        // The allocation both interior headers precede (a front and a
+        // tail), then its switch and the block's fill in one level. Cut
+        // at every event, keeping no dirty line, every one or a seeded
+        // half: the heap reopens clean, and the block is either inside
+        // free space (the same allocation is granted again) or a used
+        // block of its full size.
+        let probe = || {
+            let (pmem, h) = heap(4096);
+            h.alloc(16).unwrap();
+            (pmem, h)
+        };
+        let run = |pmem: &PMem, h: &PHeap| -> Result<POffset, HeapError> {
+            let mut level = Level::default();
+            let off = h.alloc_aligned_in(200, 64, &mut level)?;
+            pmem.fill(off, 0xAB, 200)?;
+            level.issue(pmem, off, 200)?;
+            level.await_all()?;
+            Ok(off)
+        };
+        let (pmem, h) = probe();
+        let e0 = pmem.events();
+        let want = run(&pmem, &h).unwrap();
+        let total = pmem.events() - e0;
+        let len = h.payload_len(want).unwrap();
+
+        for (seed, prob) in [(0, 0.0), (0, 1.0), (5, 0.5)] {
+            let mut seen = [false; 2];
+            for k in 0..total {
+                let at = format!("survivors {prob}, crash at event {k}");
+                let (pmem, h) = probe();
+                pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed + k, prob));
+                assert!(run(&pmem, &h).is_err(), "{at}");
+                let h2 = PHeap::open(pmem.reopen().unwrap(), POffset::new(0)).unwrap();
+                h2.check_consistency()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                let used = h2.payload_len(want);
+                seen[usize::from(used.is_ok())] = true;
+                match used {
+                    Ok(got) => assert_eq!(got, len, "{at}: a used block, whole"),
+                    Err(_) => assert_eq!(h2.alloc_aligned(200, 64).unwrap(), want, "{at}"),
+                }
+            }
+            assert!(seen[0], "survivors {prob}: no cut left the block free");
+            assert_eq!(seen[1], prob > 0.0, "survivors {prob}: a kept switch");
         }
     }
 

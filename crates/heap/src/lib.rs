@@ -19,7 +19,11 @@
 //!
 //! * *allocation with a split* first writes the interior headers (still
 //!   invisible to the walk, which is driven by the old size word) and
-//!   only then rewrites the original size word — the atomic switch;
+//!   persists them as one level, and only then rewrites the original
+//!   size word — the atomic switch — as a flight of the caller's level
+//!   ([`PHeap::alloc_aligned_in`]), beside the block's own fill: a
+//!   block allocated, filled and published waits three round-trips
+//!   (interior headers, switch ‖ fill, publish);
 //! * *free* clears the used bit, then absorbs free neighbours by
 //!   rewriting one size word at a time.
 //!

@@ -302,11 +302,14 @@ impl KvRequestTable {
             ));
         }
         let len = Self::required_len(capacity);
-        let base = heap.alloc_aligned(len, 64)?;
+        // The allocation's switch and the table share one level.
+        let mut level = Level::default();
+        let base = heap.alloc_aligned_in(len, 64, &mut level)?;
         pmem.fill(base, 0, len)?;
         pmem.write_u64(base, TABLE_MAGIC)?;
         pmem.write_u64(base + 8u64, u64::from(capacity))?;
-        pmem.flush(base, len)?;
+        level.issue(&pmem, base, len)?;
+        level.await_all()?;
         let mut idx = ReqIndex::new(capacity);
         idx.free = (0..capacity).collect();
         Ok(KvRequestTable {

@@ -651,6 +651,11 @@ mod tests {
     fn cross_shard_batch_commits_per_shard_and_preserves_order() {
         let stripe = buffered_stripe(4);
         let kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
+        let formatted: Vec<u64> = stripe
+            .regions()
+            .iter()
+            .map(|r| r.stats().snapshot().async_flushes)
+            .collect();
         let mut batch = kv.batch();
         for key in 0..32u64 {
             batch.put(0, key + 1, key, key as i64);
@@ -665,7 +670,7 @@ mod tests {
         assert_eq!(kv.get(6).unwrap(), None);
         // One group commit — three flights — per touched shard.
         for (s, region) in stripe.regions().iter().enumerate() {
-            let flights = region.stats().snapshot().async_flushes;
+            let flights = region.stats().snapshot().async_flushes - formatted[s];
             assert_eq!(flights, 3, "shard {s} must commit exactly once");
         }
     }
@@ -674,10 +679,11 @@ mod tests {
     fn empty_batch_commits_to_nothing() {
         let stripe = buffered_stripe(2);
         let kv = ShardedKvStore::format(stripe.regions(), 4, 16, KvVariant::Nsrl).unwrap();
+        let formatted = stripe.aggregate_stats();
         let batch = kv.batch();
         assert!(batch.is_empty());
         assert!(batch.commit().unwrap().is_empty());
-        assert_eq!(stripe.aggregate_stats().async_flushes, 0);
+        assert_eq!((stripe.aggregate_stats() - formatted).async_flushes, 0);
     }
 
     #[test]
@@ -805,6 +811,7 @@ mod tests {
         // its own keys — the group-commit fast path under parallelism.
         let stripe = buffered_stripe(4);
         let kv = ShardedKvStore::format(stripe.regions(), 16, 1024, KvVariant::Nsrl).unwrap();
+        let formatted = stripe.aggregate_stats();
         std::thread::scope(|s| {
             for w in 0..4usize {
                 let kv = kv.clone();
@@ -830,7 +837,7 @@ mod tests {
             })
             .sum();
         assert_eq!(
-            stripe.aggregate_stats().async_flushes,
+            (stripe.aggregate_stats() - formatted).async_flushes,
             3 * commits as u64,
             "three flights per group commit"
         );
@@ -840,6 +847,11 @@ mod tests {
     fn pipelined_cross_shard_batch_overlaps_flights_and_stays_clean() {
         let stripe = PMemBuilder::new().len(1 << 18).psan(true).build_striped(4);
         let kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
+        let formatted: Vec<u64> = stripe
+            .regions()
+            .iter()
+            .map(|r| r.stats().snapshot().async_flushes)
+            .collect();
         let mut batch = kv.batch();
         for key in 0..32u64 {
             batch.put(0, key + 1, key, key as i64);
@@ -851,7 +863,7 @@ mod tests {
         assert_eq!(kv.get(5).unwrap(), Some(50));
         assert_eq!(kv.get(6).unwrap(), None);
         for (s, region) in stripe.regions().iter().enumerate() {
-            let flights = region.stats().snapshot().async_flushes;
+            let flights = region.stats().snapshot().async_flushes - formatted[s];
             assert_eq!(flights, 3, "shard {s}: records ‖ tail → heads, once");
         }
         stripe.crash_all(3, 0.0);

@@ -22,7 +22,7 @@
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{MemError, PMem, POffset, RootCell};
+use pstack_nvram::{Level, MemError, PMem, POffset, RootCell};
 
 mod commit;
 mod compact;
@@ -316,15 +316,19 @@ impl PKvStore {
                 "KV store needs at least one bucket and one log slot".into(),
             ));
         }
-        let base = heap.alloc_aligned(ROOT_LEN as usize, 64)?;
+        // Two allocations, each awaiting its interior headers; their
+        // switches, the root and generation 0 then share one level,
+        // durable before the cell (formatted below, self-persisting)
+        // names them: four round-trips in all.
+        let mut level = Level::default();
+        let base = heap.alloc_aligned_in(ROOT_LEN as usize, 64, &mut level)?;
         pmem.fill(base, 0, ROOT_LEN as usize)?;
         pmem.write_u64(base + OFF_NBUCKETS, nbuckets)?;
         pmem.write_u64(base + OFF_MAGIC, KV_MAGIC)?;
-        let gen0 = Self::format_generation(&pmem, heap, nbuckets, log_cap, 0, 0)?;
-        // Root + generation 0 durable before the cell (formatted below,
-        // self-persisting) names them.
-        pmem.flush(base, ROOT_LEN as usize)?;
-        pmem.flush(POffset::new(gen0), gen_prefix_len(nbuckets) as usize)?;
+        let gen0 = Self::format_generation(&pmem, heap, &mut level, nbuckets, log_cap, 0, 0)?;
+        level.issue(&pmem, base, ROOT_LEN as usize)?;
+        level.issue(&pmem, POffset::new(gen0), gen_prefix_len(nbuckets) as usize)?;
+        level.await_all()?;
         let cell = RootCell::format(pmem.clone(), base + OFF_GEN_CELL, 0, gen0)?;
         Self::register_publish_range(&pmem, gen0, nbuckets);
         Ok(PKvStore {

@@ -7,11 +7,18 @@
 //! heads — the newest non-delete record of each key, O(live keys)
 //! persists, not O(history) — into a freshly allocated generation
 //! block as `carried` records (kind 3, original `(pid, seq)` tags
-//! preserved), persists the block with one coalesced flush, and then
-//! commits with a single [`RootCell::swap`]. The selector flip is the
-//! *only* commit point: a crash anywhere before it recovers into the
-//! old generation (the half-built block is an unreachable orphan); a
-//! crash anywhere after it recovers into the new one. Old generations
+//! preserved), persists the block with one coalesced flight, and then
+//! commits with a single [`RootCell::swap`]. The persists form three
+//! dependence levels, one round-trip each: the heap's interior headers;
+//! the allocation's switch word ‖ the block; the root cell (slot and
+//! selector in one line). Five persists in all. The selector flip is
+//! the *only* commit point: a crash anywhere before it recovers into
+//! the old generation; a crash anywhere after it recovers into the new
+//! one. A crash before the flip leaves the new block free (its switch
+//! lost) or an allocated, unreachable orphan (its switch landed, with
+//! or without the block) — the heap leaks it, the same pre-swap trade
+//! as a block whose owner crashed before publishing it (`pstack-heap`'s
+//! crate docs). Old generations
 //! are retained and chained via their `prev` pointer; every generation
 //! but the active one is retired:
 //!
@@ -44,9 +51,7 @@ use std::collections::BTreeMap;
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{op_label, POffset};
-#[cfg(any(test, feature = "fault-seeds"))]
-use pstack_nvram::{Durable, Level, MemError};
+use pstack_nvram::{op_label, Level, POffset};
 
 use super::layout::{
     gen_block_len, gen_prefix_len, Gen, GEN_OFF_CARRIED, GEN_OFF_LOG_TAIL, KIND_CARRY,
@@ -79,20 +84,25 @@ impl PKvStore {
     ///
     /// 1. replay the active generation's chains and collect the newest
     ///    non-delete record of every key — the live set;
-    /// 2. allocate a fresh generation block from `heap` and write the
-    ///    live records into it as `carried` records (original tags
-    ///    preserved, one chain per bucket), then persist header,
-    ///    buckets and carries with **one coalesced flush** — O(live
-    ///    keys) persist traffic, never O(history);
+    /// 2. allocate a fresh generation block from `heap`
+    ///    ([`PHeap::alloc_aligned_in`]: its interior headers awaited —
+    ///    round-trip 1 — and its switch word issued into this
+    ///    compaction's level), write the live records into it as
+    ///    `carried` records (original tags preserved, one chain per
+    ///    bucket), then issue header, buckets and carries as **one
+    ///    coalesced flight** into the same level and await it —
+    ///    round-trip 2, O(live keys) persist traffic, never O(history);
     /// 3. commit by swapping the root cell to the new block — the
-    ///    single-line selector flip is the only commit point — and
-    ///    register the old block with `heap` as a retired extent.
+    ///    single-line selector flip is the only commit point, one
+    ///    persist: round-trip 3 — and register the old block with
+    ///    `heap` as a retired extent.
     ///
     /// A crash before step 3 leaves the old generation active and the
-    /// half-built block an unreachable orphan; a crash after it leaves
-    /// the new generation active. Either way the store reopens
-    /// consistent, which is what the crash-point enumeration tests
-    /// check boundary by boundary.
+    /// half-built block free or an unreachable, allocated orphan (the
+    /// cut where the switch and the block landed and the cell did not
+    /// leaks it); a crash after it leaves the new generation active.
+    /// Either way the store reopens consistent, which is what the
+    /// crash-point enumeration tests check boundary by boundary.
     ///
     /// Old generations are retained (chained via their `prev` pointer)
     /// as recovery evidence and verifier witness; only the *active*
@@ -153,10 +163,13 @@ impl PKvStore {
 
         // Step 2 — build the new generation: header + buckets zeroed,
         // carries written slot by slot, all volatile until the single
-        // coalesced flush below.
+        // coalesced flight below, issued into the level that holds the
+        // allocation's switch.
+        let mut level = Level::default();
         let nb = Self::format_generation(
             &self.pmem,
             heap,
+            &mut level,
             self.nbuckets,
             new_cap,
             gen.number + 1,
@@ -192,16 +205,26 @@ impl PKvStore {
             .write_u64(POffset::new(nb + GEN_OFF_LOG_TAIL), live_total)?;
         self.pmem
             .write_u64(POffset::new(nb + GEN_OFF_CARRIED), live_total)?;
-        // One persist round-trip covers the contiguous prefix: header,
-        // buckets and every carry slot. KvVariant::NoPersistBeforeSwap
-        // forges its receipt instead — PSan's negative control: the
-        // root swap below then commits a still-volatile generation,
-        // which the sanitizer flags at the selector flip.
+        // One flight covers the contiguous prefix: header, buckets and
+        // every carry slot. It shares the switch's round-trip.
+        // KvVariant::NoPersistBeforeSwap forges its receipt instead —
+        // PSan's negative control: the root swap below then commits a
+        // still-volatile generation, which the sanitizer flags at the
+        // selector flip.
         let new_block_len = (gen_prefix_len(self.nbuckets) + live_total * RECORD_STRIDE) as usize;
         #[cfg(any(test, feature = "fault-seeds"))]
-        let block = self.flush_unless(KvVariant::NoPersistBeforeSwap, nb, new_block_len)?;
+        let forged = self.forges(
+            KvVariant::NoPersistBeforeSwap,
+            &mut level,
+            nb,
+            new_block_len,
+        );
         #[cfg(not(any(test, feature = "fault-seeds")))]
-        let block = self.pmem.flush(POffset::new(nb), new_block_len)?;
+        let forged = false;
+        if !forged {
+            level.issue(&self.pmem, POffset::new(nb), new_block_len)?;
+        }
+        let block = level.await_all()?;
 
         // Step 3 — the commit point, on the receipt for the whole new
         // block: PSan checks every line of it at the selector flip. The
@@ -226,18 +249,6 @@ impl PKvStore {
             dropped: old_reserved.saturating_sub(live_total),
             new_capacity: new_cap,
         })
-    }
-
-    /// [`PMem::flush`](pstack_nvram::PMem::flush) of `[off, off + len)`,
-    /// or its forged receipt when this store is `seed`.
-    #[cfg(any(test, feature = "fault-seeds"))]
-    fn flush_unless(&self, seed: KvVariant, off: u64, len: usize) -> Result<Durable, MemError> {
-        let mut forged = Level::default();
-        if self.forges(seed, &mut forged, off, len) {
-            forged.await_all()
-        } else {
-            self.pmem.flush(POffset::new(off), len)
-        }
     }
 
     /// Registers every non-active generation's extent as retired with

@@ -43,7 +43,7 @@ use std::ops::Range;
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{MemError, PMem, POffset};
+use pstack_nvram::{Level, MemError, PMem, POffset};
 
 use super::{GenerationInfo, PKvStore, VersionRecord};
 
@@ -170,20 +170,23 @@ impl PKvStore {
         );
     }
 
-    /// Writes an empty generation block's header (tail 0) and zeroes
-    /// its bucket array. Log slots are left untouched: they are
-    /// unreachable until reserved, written in full and published.
-    /// Volatile until the caller persists it.
+    /// Allocates a generation block, writes its header (tail 0) and
+    /// zeroes its bucket array. Log slots are left untouched: they are
+    /// unreachable until reserved, written in full and published. The
+    /// allocation's switch is issued into `level`
+    /// ([`PHeap::alloc_aligned_in`]); the block is volatile until the
+    /// caller issues it into the same level and awaits it.
     pub(super) fn format_generation(
         pmem: &PMem,
         heap: &PHeap,
+        level: &mut Level,
         nbuckets: u64,
         log_cap: u64,
         number: u64,
         prev: u64,
     ) -> Result<u64, PError> {
         let len = gen_block_len(nbuckets, log_cap) as usize;
-        let base = heap.alloc_aligned(len, 64)?;
+        let base = heap.alloc_aligned_in(len, 64, level)?;
         pmem.fill(base, 0, gen_prefix_len(nbuckets) as usize)?;
         pmem.write_u64(base + GEN_OFF_NUMBER, number)?;
         pmem.write_u64(base + GEN_OFF_LOG_CAP, log_cap)?;

@@ -1,6 +1,8 @@
+use std::collections::BTreeMap;
+
 use super::layout::{round64, RECORD_STRIDE};
 use super::*;
-use pstack_nvram::{FailPlan, PMemBuilder};
+use pstack_nvram::{FailPlan, PMemBuilder, PsanViolationKind};
 
 fn fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
     // PSan shadows every store test: the protocols must never trip
@@ -104,6 +106,7 @@ fn log_capacity_is_lifetime_bounded() {
 #[test]
 fn uncommitted_pending_batch_leaves_invisible_orphans() {
     let (pmem, _, kv) = fixture(8, 64);
+    let formatted = pmem.stats().snapshot();
     let pending = kv.apply_batch_begin(&[put(0, 1, 7, 70)]).unwrap();
     assert!(pending.is_staged());
     drop(pending);
@@ -111,7 +114,8 @@ fn uncommitted_pending_batch_leaves_invisible_orphans() {
     // flight issued, and the abandoned flights are simply drained by
     // the next synchronization point.
     assert_eq!(kv.get(7).unwrap(), None);
-    assert_eq!(pmem.stats().snapshot().async_flushes, 2, "records + tail");
+    let d = pmem.stats().snapshot() - formatted;
+    assert_eq!(d.async_flushes, 2, "records + tail");
     pmem.fence();
     assert_eq!(pmem.inflight_tickets(), 0);
     assert!(
@@ -180,13 +184,15 @@ fn a_snapshot_walks_the_generation_list_once() {
 #[test]
 fn buffered_region_yields_a_batched_store() {
     let (pmem, _, kv) = fixture(8, 64);
+    let formatted = pmem.stats().snapshot();
     assert!(apply(&kv, put(0, 1, 7, 70)).unwrap());
     assert!(apply(&kv, cas(0, 2, 7, 70, 71)).unwrap());
     assert_eq!(kv.get(7).unwrap(), Some(71));
     // Every one-op batch is a group commit of one — three flights —
     // and its record, tail and head are all durable before it
     // returns.
-    assert_eq!(pmem.stats().snapshot().async_flushes, 2 * 3);
+    let d = pmem.stats().snapshot() - formatted;
+    assert_eq!(d.async_flushes, 2 * 3);
     pmem.crash_now(0, 0.0);
     let pmem2 = pmem.reopen().unwrap();
     let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
@@ -198,6 +204,7 @@ fn buffered_region_yields_a_batched_store() {
 #[test]
 fn batch_sees_its_own_staged_effects() {
     let (pmem, _, kv) = fixture(4, 64);
+    let formatted = pmem.stats().snapshot();
     let out = kv
         .apply_batch(&[
             put(0, 1, 1, 10),
@@ -222,7 +229,7 @@ fn batch_sees_its_own_staged_effects() {
     assert_eq!(kv.get(1).unwrap(), Some(12));
     assert_eq!(kv.get(9).unwrap(), None);
     assert_eq!(
-        pmem.stats().snapshot().async_flushes,
+        (pmem.stats().snapshot() - formatted).async_flushes,
         3,
         "one commit for the batch"
     );
@@ -472,7 +479,6 @@ fn pipelined_crash_points_keep_exactly_the_completed_flight_prefix() {
     // Per shard, each bucket is all-or-nothing; nothing orders one
     // shard against the other.
     use crate::shard::ShardedKvStore;
-    use pstack_nvram::PsanViolationKind;
     let mut ops: Vec<KvBatchOp> = (0..6u64)
         .map(|key| KvBatchOp::Put {
             pid: 1,
@@ -1246,9 +1252,11 @@ fn recover_compact_resumes_or_safely_abandons() {
 fn group_commits_keep_working_after_a_swap() {
     // The batched hot path across a generation boundary: group
     // commits before and after a compaction, each its three flights
-    // (the compaction issues none).
+    // (the compaction's own four counted apart: two interior headers,
+    // then its switch and its block).
     let (pmem, heap, kv) = fixture(4, 16);
-    let flights = || pmem.stats().snapshot().async_flushes;
+    let formatted = pmem.stats().snapshot().async_flushes;
+    let flights = || pmem.stats().snapshot().async_flushes - formatted;
     let ops: Vec<KvBatchOp> = (0..8).map(|i| put(0, i + 1, i % 4, i as i64)).collect();
     assert!(kv
         .apply_batch(&ops)
@@ -1257,6 +1265,8 @@ fn group_commits_keep_working_after_a_swap() {
         .all(|o| o.took_effect()));
     assert_eq!(flights(), 3);
     kv.compact(&heap).unwrap();
+    let compaction = flights() - 3;
+    assert_eq!(compaction, 4, "interior headers, then switch ‖ block");
     let ops2: Vec<KvBatchOp> = (0..8)
         .map(|i| put(0, 100 + i, i % 4, -(i as i64)))
         .collect();
@@ -1265,7 +1275,11 @@ fn group_commits_keep_working_after_a_swap() {
         .unwrap()
         .iter()
         .all(|o| o.took_effect()));
-    assert_eq!(flights(), 6, "one more group commit, in the new generation");
+    assert_eq!(
+        flights() - compaction,
+        6,
+        "one more group commit, in the new generation"
+    );
     assert_eq!(kv.contents().unwrap().len(), 4);
     // And the whole thing is durable.
     pmem.crash_now(0, 0.0);
@@ -1275,12 +1289,28 @@ fn group_commits_keep_working_after_a_swap() {
     }
 }
 
+/// What every reopen after a cut compaction must show: generation 0
+/// or 1, whole; the contents unchanged; a clean heap whose block the
+/// root names is a used heap block. Returns the generation.
+fn assert_whole_after_cut(kv: &PKvStore, heap: &PHeap, want: &BTreeMap<u64, i64>, at: &str) -> u64 {
+    let gen = kv.active_gen().unwrap();
+    assert!(gen.number <= 1, "{at}: generation {}", gen.number);
+    assert_eq!(&kv.contents().unwrap(), want, "{at}: contents torn");
+    heap.check_consistency()
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
+    let len = heap
+        .payload_len(POffset::new(gen.base))
+        .unwrap_or_else(|e| panic!("{at}: the root names no used block: {e}"));
+    assert!(len >= gen_block_len(kv.nbuckets(), gen.log_cap), "{at}");
+    gen.number
+}
+
 #[test]
 fn compaction_crash_points_buffered() {
-    // A crash at every persistence event inside `compact` (the
-    // rewrite, the root swap), and, from each
-    // crash state, at every persistence event inside the recovery
-    // dual.
+    // A crash at every persistence event inside `compact` (the heap's
+    // interior headers, its switch ‖ the block, the root swap), keeping
+    // no dirty line, every one, or a seeded half, and, from each crash
+    // state, at every persistence event inside the recovery dual.
     let probe = || {
         let (pmem, heap, kv) = fixture(4, 16);
         seed_history(&kv);
@@ -1288,6 +1318,7 @@ fn compaction_crash_points_buffered() {
     };
     let (pmem, heap, kv) = probe();
     let want = kv.contents().unwrap();
+    let used_before = heap.stats().used_blocks;
     let e0 = pmem.events();
     kv.compact(&heap).unwrap();
     let total = pmem.events() - e0;
@@ -1296,67 +1327,78 @@ fn compaction_crash_points_buffered() {
         "rewrite + swap span several events (got {total})"
     );
 
-    for k in 0..total {
-        // Phase 1: crash the compaction after k events; the store
-        // must reopen consistent in the old or the new generation.
-        let (pmem, heap, kv) = probe();
-        pmem.arm_failpoint(FailPlan::after_events(k));
-        let err = kv.compact(&heap).unwrap_err();
-        assert!(err.is_crash(), "crash at event {k}");
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-        let gen = kv2.generation().unwrap();
-        assert!(gen <= 1, "crash at {k} left generation {gen}");
-        assert_eq!(kv2.contents().unwrap(), want, "crash at {k}: contents torn");
-        assert!(
-            pmem2.psan_violations().is_empty(),
-            "crash at {k}: PSan flagged the correct protocol"
-        );
-
-        // Phase 2: enumerate crashes inside the recovery dual. The
-        // first j at or past recovery's event footprint completes.
-        for j in 0.. {
+    let mut leaked = false;
+    for (seed, prob) in [(0, 0.0), (0, 1.0), (3, 0.5)] {
+        // Kept lines that were never durable are read as ghosts (the
+        // emulator's generosity, not an order violation).
+        let order_violations = |pmem: &PMem| -> Vec<_> {
+            pmem.psan_violations()
+                .into_iter()
+                .filter(|v| prob == 0.0 || !matches!(v.kind, PsanViolationKind::GhostRead))
+                .collect()
+        };
+        let cut = |k: u64| {
             let (pmem, heap, kv) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            assert!(kv.compact(&heap).unwrap_err().is_crash());
+            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed + k, prob));
+            let err = kv.compact(&heap).unwrap_err();
+            assert!(err.is_crash(), "survivors {prob}, crash at event {k}");
             let pmem = pmem.reopen().unwrap();
             let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
             let heap = PHeap::open(pmem.clone(), POffset::new(0)).unwrap();
-            pmem.arm_failpoint(FailPlan::after_events(j));
-            match kv.recover_compact(&heap, 0) {
-                Ok(_committed_before) => {
-                    pmem.disarm_failpoint();
-                    assert_eq!(kv.generation().unwrap(), 1);
-                    assert_eq!(kv.contents().unwrap(), want, "crash {k}, recovery step {j}");
-                    let gens = kv.generations().unwrap();
-                    assert!(gens[0].retired, "the old generation is retired");
-                    // Idempotent: a second recovery changes nothing.
-                    assert!(kv.recover_compact(&heap, 0).unwrap());
-                    assert_eq!(kv.generation().unwrap(), 1);
-                    assert!(
-                        pmem.psan_violations().is_empty(),
-                        "crash {k}, step {j}: PSan flagged recovery"
-                    );
-                    break;
-                }
-                Err(e) => {
-                    assert!(e.is_crash(), "crash {k}, step {j}: {e}");
-                    let pmem = pmem.reopen().unwrap();
-                    let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-                    let heap = PHeap::open(pmem, POffset::new(0)).unwrap();
-                    // A clean pass from the doubly-crashed state
-                    // must still converge.
-                    kv.recover_compact(&heap, 0).unwrap();
-                    assert_eq!(kv.generation().unwrap(), 1);
-                    assert_eq!(
-                        kv.contents().unwrap(),
-                        want,
-                        "crash {k}, step {j}: post-recovery state"
-                    );
+            (pmem, heap, kv)
+        };
+        for k in 0..total {
+            // Phase 1: crash the compaction after k events; the store
+            // must reopen whole in the old or the new generation.
+            let at = format!("survivors {prob}, crash at {k}");
+            let (pmem2, heap2, kv2) = cut(k);
+            // The cut "switch ‖ block landed, cell not": the old root
+            // and one more used block, the new one, leaked.
+            let gen = assert_whole_after_cut(&kv2, &heap2, &want, &at);
+            leaked |= gen == 0 && heap2.stats().used_blocks > used_before;
+            let violations = order_violations(&pmem2);
+            assert!(violations.is_empty(), "{at}: {violations:?}");
+
+            // Phase 2: enumerate crashes inside the recovery dual. The
+            // first j at or past recovery's event footprint completes.
+            for j in 0.. {
+                let at = format!("{at}, recovery step {j}");
+                let (pmem, heap, kv) = cut(k);
+                pmem.arm_failpoint(FailPlan::after_events(j));
+                match kv.recover_compact(&heap, 0) {
+                    Ok(_committed_before) => {
+                        pmem.disarm_failpoint();
+                        assert_eq!(assert_whole_after_cut(&kv, &heap, &want, &at), 1);
+                        let gens = kv.generations().unwrap();
+                        assert!(gens[0].retired, "the old generation is retired");
+                        // Idempotent: a second recovery changes nothing.
+                        assert!(kv.recover_compact(&heap, 0).unwrap());
+                        assert_eq!(kv.generation().unwrap(), 1);
+                        let violations = order_violations(&pmem);
+                        assert!(
+                            violations.is_empty(),
+                            "{at}: PSan flagged recovery: {violations:?}"
+                        );
+                        break;
+                    }
+                    Err(e) => {
+                        assert!(e.is_crash(), "{at}: {e}");
+                        let pmem = pmem.reopen().unwrap();
+                        let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                        let heap = PHeap::open(pmem, POffset::new(0)).unwrap();
+                        // A clean pass from the doubly-crashed state
+                        // must still converge.
+                        kv.recover_compact(&heap, 0).unwrap();
+                        assert_eq!(assert_whole_after_cut(&kv, &heap, &want, &at), 1);
+                    }
                 }
             }
         }
     }
+    assert!(
+        leaked,
+        "no cut landed the switch and the block without the cell"
+    );
 }
 
 #[test]
@@ -1427,7 +1469,6 @@ fn full_lifecycle_is_psan_clean_on_both_commit_modes() {
 
 #[test]
 fn psan_flags_the_early_publish_variant_at_the_head_cas() {
-    use pstack_nvram::PsanViolationKind;
     let pmem = PMemBuilder::new().len(1 << 19).psan(true).build_in_memory();
     let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
     let kv = PKvStore::format(pmem.clone(), &heap, 4, 32, KvVariant::EarlyPublish).unwrap();
@@ -1454,7 +1495,6 @@ fn psan_flags_the_early_publish_variant_at_the_head_cas() {
 
 #[test]
 fn psan_flags_the_no_persist_before_swap_variant_at_the_root_swap() {
-    use pstack_nvram::PsanViolationKind;
     let pmem = PMemBuilder::new().len(1 << 19).psan(true).build_in_memory();
     let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
     let kv = PKvStore::format(pmem.clone(), &heap, 4, 16, KvVariant::NoPersistBeforeSwap).unwrap();

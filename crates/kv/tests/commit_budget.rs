@@ -10,7 +10,7 @@
 //! effect; that the heads'
 //! flight is the commit point (a cut before it completes shows nothing
 //! of the batch, a cut after `commit` returns loses nothing); what
-//! compaction pays: six;
+//! compaction pays: five persists in three levels;
 //! and what a static workload's window pays on the persistent stack:
 //! six, the served window's own budget. Counters, not wall-clock:
 //! the blocking bounds compare the *planned* waits the regions record
@@ -23,7 +23,9 @@ use std::time::Duration;
 
 use pstack_core::{RuntimeConfig, StripedRuntime};
 use pstack_heap::PHeap;
-use pstack_kv::{KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore};
+use pstack_kv::{
+    KvBatchOp, KvRequestTable, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore,
+};
 use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset};
 
 const LEN: usize = 1 << 19;
@@ -170,6 +172,11 @@ fn a_four_shard_group_commit_waits_two_round_trips_of_twelve_charged() {
         .flush_latency(LATENCY)
         .build_striped(4);
     let kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
+    let formatted: Vec<u64> = stripe
+        .regions()
+        .iter()
+        .map(|r| r.stats().snapshot().async_flushes)
+        .collect();
     let mut batch = kv.batch();
     for op in puts(0..16) {
         batch.push(op);
@@ -178,7 +185,7 @@ fn a_four_shard_group_commit_waits_two_round_trips_of_twelve_charged() {
     assert!(batch.commit().unwrap().iter().all(|o| o.took_effect()));
     let d = stripe.aggregate_stats() - before;
     for (s, region) in stripe.regions().iter().enumerate() {
-        let flights = region.stats().snapshot().async_flushes;
+        let flights = region.stats().snapshot().async_flushes - formatted[s];
         assert_eq!(flights, 3, "shard {s} committed once");
         assert_eq!(region.inflight_tickets(), 0);
     }
@@ -234,6 +241,7 @@ fn a_sharded_put_is_a_group_commit_of_one_on_its_home_shard() {
 fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() {
     let stripe = PMemBuilder::new().len(1 << 18).build_striped(4);
     let kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
+    let formatted = stripe.aggregate_stats();
     let mut per_shard = vec![Vec::new(); kv.nshards()];
     for op in puts(0..64) {
         per_shard[kv.shard_of(op.key())].push(op);
@@ -254,7 +262,7 @@ fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() 
         assert!(batch.commit().unwrap().iter().all(|o| o.took_effect()));
     }
     assert_eq!(kv.contents().unwrap().len(), 64);
-    let agg = stripe.aggregate_stats();
+    let agg = stripe.aggregate_stats() - formatted;
     assert_eq!(agg.async_flushes, 12, "records, tail, heads a shard");
     for region in stripe.regions() {
         assert_eq!(region.inflight_tickets(), 0);
@@ -262,8 +270,11 @@ fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() 
 }
 
 #[test]
-fn a_compaction_is_six_persists_and_no_flight() {
-    let (pmem, heap, kv) = store(PMemBuilder::new());
+fn a_compaction_is_five_persists_in_three_round_trips() {
+    // The heap's two interior headers, then the allocation's switch ‖
+    // one coalesced flight of the new block however many carries, then
+    // the root cell's slot and selector in one line: three levels.
+    let (pmem, heap, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
     for chunk in puts(0..128).chunks(16) {
         kv.apply_batch(chunk).unwrap();
     }
@@ -271,11 +282,21 @@ fn a_compaction_is_six_persists_and_no_flight() {
     assert_eq!(kv.compact(&heap).unwrap().carried, 128);
     let d = pmem.stats().snapshot() - before;
     assert_eq!(
-        (d.persists, d.async_flushes),
-        (6, 0),
-        "one coalesced flush of the new block, however many carries"
+        (d.persists, d.async_flushes, d.redundant_persists),
+        (5, 4, 0),
+        "headers ‖ → switch ‖ block → cell: the cell alone is a plain flush"
+    );
+    assert_eq!(
+        pmem.inflight_tickets(),
+        0,
+        "compaction awaits what it issued"
     );
     assert!(d.lines_persisted > 128, "every carry slot is its own line");
+    assert!(
+        d.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
+        "more than three levels of waiting: {} ns planned",
+        d.async_latency_waited_ns
+    );
 
     // The bill follows the live set, not the history: 64 live keys
     // compact for the same persists and lines after 512 mutations as
@@ -303,7 +324,7 @@ fn a_compaction_is_six_persists_and_no_flight() {
         (d.persists, d.lines_persisted)
     };
     let (shallow, deep) = (bill(512), bill(4096));
-    assert_eq!(shallow.0, 6);
+    assert_eq!(shallow.0, 5);
     assert_eq!(shallow, deep, "history 512 vs 4096: (persists, lines)");
 }
 
@@ -379,4 +400,42 @@ fn a_preloaded_window_is_six_persists_and_its_replay_none_on_the_shard() {
         assert_eq!(run(replay), (replayed_frame, 0), "windows of {batch}");
         assert_eq!(exec.store().log_reserved_per_shard().unwrap(), vec![32]);
     }
+}
+
+#[test]
+fn a_store_format_waits_four_round_trips_and_a_table_two() {
+    // Same persists as one flush each, fewer waits: each allocation
+    // awaits its interior headers, and its switch shares the level of
+    // what it holds. A store: root headers, generation-0 headers, the
+    // switches ‖ root ‖ generation 0, the root cell. A table: headers,
+    // then switch ‖ slots.
+    let pmem = PMemBuilder::new()
+        .flush_latency(LATENCY)
+        .len(LEN)
+        .build_in_memory();
+    let heap = PHeap::format(pmem.clone(), POffset::new(0), LEN as u64).unwrap();
+    let latency = LATENCY.as_nanos() as u64;
+    let before = pmem.stats().snapshot();
+    PKvStore::format(pmem.clone(), &heap, 8, 256, KvVariant::Nsrl).unwrap();
+    let d = pmem.stats().snapshot() - before;
+    assert_eq!((d.persists, d.redundant_persists), (9, 0));
+    assert!(
+        d.async_latency_waited_ns <= 4 * latency,
+        "more than four levels of waiting: {} ns",
+        d.async_latency_waited_ns
+    );
+    let before = pmem.stats().snapshot();
+    KvRequestTable::format(pmem.clone(), &heap, 64).unwrap();
+    let d = pmem.stats().snapshot() - before;
+    assert_eq!(
+        (d.persists, d.redundant_persists),
+        (4, 0),
+        "a front, a tail"
+    );
+    assert!(
+        d.async_latency_waited_ns <= 2 * latency,
+        "more than two levels of waiting: {} ns",
+        d.async_latency_waited_ns
+    );
+    assert_eq!(pmem.inflight_tickets(), 0);
 }

@@ -9,8 +9,8 @@
 //! atomically by a single write, so [`RootCell`] uses the classic A/B
 //! scheme: two slots, each holding a `(seq, ptr)` pair, plus a one-word
 //! selector naming the live slot. [`RootCell::swap`] writes the whole
-//! next root into the *inactive* slot, persists it, and only then flips
-//! (and persists) the selector:
+//! next root into the *inactive* slot and only then flips the selector;
+//! the selector's persist is the commit:
 //!
 //! ```text
 //!  base+0   magic
@@ -26,6 +26,14 @@
 //! contract a generational store needs: everything reachable from the
 //! new root must be durable before `swap` is called — `swap` takes its
 //! [`Durable`] receipt — and recovery reads whichever root won.
+//!
+//! When the inactive slot shares the selector's line — every slot of a
+//! cell formatted at a 64-aligned base on 64-byte lines — the swap is
+//! **one** persist of that line: a line persists whole and the slot is
+//! written first, so no crash state holds the flipped selector without
+//! the slot (under a prefix model too, since the slot's store precedes
+//! the selector's). A slot on another line is persisted before the
+//! selector is written: two persists.
 
 use crate::{Durable, MemError, PMem, POffset};
 
@@ -138,9 +146,11 @@ impl RootCell {
     }
 
     /// Commits a new root: writes `(seq, ptr)` into the inactive slot,
-    /// persists it, then flips and persists the selector. The flip is
-    /// the commit point — a crash anywhere in this method leaves the
-    /// cell naming either the old root or the new one, complete.
+    /// then flips and persists the selector. The flip is the commit
+    /// point — a crash anywhere in this method leaves the cell naming
+    /// either the old root or the new one, complete. One persist when
+    /// the slot shares the selector's line (the line carries both), two
+    /// when it does not (the slot persisted before the flip is written).
     ///
     /// `block` is the receipt for `[ptr, ptr + len)`, the whole block
     /// the new root makes reachable: it was durable before the call,
@@ -158,12 +168,22 @@ impl RootCell {
         let slot = self.slot_off(next);
         self.pmem.write_u64(slot, seq)?;
         self.pmem.write_u64(slot + 8u64, ptr)?;
-        self.pmem.flush(slot, SLOT_STRIDE as usize)?;
+        let selector = self.base + OFF_SELECTOR;
+        let line = self.pmem.line_size() as u64;
+        let slot_end = slot.get() + SLOT_STRIDE;
+        // A slot in the selector's line rides the flip's persist; a slot
+        // on another line is persisted ahead of the flip.
+        let flip_len = if selector.get() / line == (slot_end - 1) / line {
+            slot_end - selector.get()
+        } else {
+            self.pmem.flush(slot, SLOT_STRIDE as usize)?;
+            8
+        };
         // The selector flip below is the commit point: under PSan, the
         // block the new root names must be durable *now*.
         self.pmem.psan_check_durable(POffset::new(ptr), len);
-        self.pmem.write_u64(self.base + OFF_SELECTOR, next)?;
-        self.pmem.flush(self.base + OFF_SELECTOR, 8)?;
+        self.pmem.write_u64(selector, next)?;
+        self.pmem.flush(selector, flip_len as usize)?;
         Ok(())
     }
 }
@@ -171,6 +191,7 @@ impl RootCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::psan::PsanViolationKind;
     use crate::{FailPlan, PMemBuilder};
 
     /// Writes and flushes the block a test swap publishes.
@@ -211,40 +232,95 @@ mod tests {
         ));
     }
 
+    /// Persists of one swap into a cell at `base`.
+    fn swap_persists(cell: &RootCell, p: &PMem, seq: u64, ptr: u64) -> u64 {
+        let new = block(p, ptr);
+        let before = p.stats().snapshot();
+        cell.swap(seq, ptr, 64, &new).unwrap();
+        (p.stats().snapshot() - before).persists
+    }
+
+    #[test]
+    fn a_one_line_swap_is_one_persist_and_a_slot_across_lines_two() {
+        // Line-aligned: both slots share the selector's line.
+        let p = buffered();
+        let cell = RootCell::format(p.clone(), POffset::new(64), 0, 0).unwrap();
+        assert_eq!(swap_persists(&cell, &p, 1, 1024), 1);
+        assert_eq!(swap_persists(&cell, &p, 2, 2048), 1);
+        // At offset 32 slot 1 lies on the next line: slot first, then
+        // the selector. Slot 0 shares the selector's line.
+        let p = buffered();
+        let cell = RootCell::format(p.clone(), POffset::new(32), 0, 0).unwrap();
+        assert_eq!(swap_persists(&cell, &p, 1, 1024), 2, "into slot 1");
+        assert_eq!(swap_persists(&cell, &p, 2, 2048), 1, "into slot 0");
+        assert_eq!(cell.current().unwrap(), (2, 2048));
+        assert!(p.psan_violations().is_empty());
+    }
+
     #[test]
     fn swap_crash_points_leave_old_or_new_root_never_a_mix() {
-        // Enumerate every persistence event inside swap(): after any
+        // Enumerate every persistence event inside swap(), for a cell
+        // on one line and one whose target slot lies on the next line,
+        // keeping no dirty line, every one, or seeded halves: after any
         // crash the reopened cell must read a *complete* root — the old
         // pair or the new pair, never old seq with new ptr.
-        let probe = || {
-            let p = buffered();
-            let cell = RootCell::format(p.clone(), POffset::new(64), 7, 700).unwrap();
-            (p, cell)
-        };
-        let (p, cell) = probe();
-        let new = block(&p, 1024);
-        let e0 = p.events();
-        cell.swap(8, 1024, 64, &new).unwrap();
-        let total = p.events() - e0;
-        assert!(total >= 3, "slot writes + slot persist + selector persist");
-
-        for k in 0..total {
+        for base in [64u64, 32] {
+            let probe = || {
+                let p = buffered();
+                let cell = RootCell::format(p.clone(), POffset::new(base), 7, 700).unwrap();
+                (p, cell)
+            };
             let (p, cell) = probe();
             let new = block(&p, 1024);
-            p.arm_failpoint(FailPlan::after_events(k));
-            let err = cell.swap(8, 1024, 64, &new).unwrap_err();
-            assert!(matches!(err, MemError::Crashed), "crash at event {k}");
-            let p2 = p.reopen().unwrap();
-            let cell2 = RootCell::open(p2.clone(), POffset::new(64)).unwrap();
-            let got = cell2.current().unwrap();
+            let e0 = p.events();
+            cell.swap(8, 1024, 64, &new).unwrap();
+            let total = p.events() - e0;
             assert!(
-                got == (7, 700) || got == (8, 1024),
-                "crash at event {k}: torn root {got:?}"
+                total >= 3,
+                "base {base}: slot writes + selector write + its line"
             );
-            assert!(
-                p2.psan_violations().is_empty(),
-                "crash at event {k}: PSan flagged the correct protocol"
-            );
+
+            // The half model under eight seeds: one seed rarely keeps
+            // the one line of a two-line flight that would tear it.
+            let half = (0..8).map(|seed| (seed, 0.5));
+            for (seed, prob) in [(0, 0.0), (0, 1.0)].into_iter().chain(half) {
+                let mut seen = [false; 2];
+                for k in 0..total {
+                    let (p, cell) = probe();
+                    let new = block(&p, 1024);
+                    p.arm_failpoint(FailPlan::after_events(k).with_survivors(seed + k, prob));
+                    let err = cell.swap(8, 1024, 64, &new).unwrap_err();
+                    let at = format!("base {base}, survivors {prob}, crash at event {k}");
+                    assert!(matches!(err, MemError::Crashed), "{at}");
+                    let p2 = p.reopen().unwrap();
+                    let cell2 = RootCell::open(p2.clone(), POffset::new(base)).unwrap();
+                    let got = cell2.current().unwrap();
+                    assert!(
+                        got == (7, 700) || got == (8, 1024),
+                        "{at}: torn root {got:?}"
+                    );
+                    seen[usize::from(got == (8, 1024))] = true;
+                    // Kept lines that were never durable are read as
+                    // ghosts (the emulator's generosity, not an order
+                    // violation); no order violation either way.
+                    let violations: Vec<_> = p2
+                        .psan_violations()
+                        .into_iter()
+                        .filter(|v| prob == 0.0 || v.kind != PsanViolationKind::GhostRead)
+                        .collect();
+                    assert!(violations.is_empty(), "{at}: {violations:?}");
+                }
+                assert!(
+                    seen[0],
+                    "base {base}, survivors {prob}: no cut kept the old root"
+                );
+                if prob == 1.0 {
+                    assert!(
+                        seen[1],
+                        "base {base}: a kept flip never showed the new root"
+                    );
+                }
+            }
         }
     }
 
