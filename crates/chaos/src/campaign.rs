@@ -571,6 +571,21 @@ impl<M: Machine> Harness<M> for Object {
     }
 }
 
+/// The word of a §5 row's root record that holds its descriptor table's
+/// base: `[object base, table base, …]`.
+const ROOT_TABLE: u64 = 1;
+
+/// The descriptor table of a §5 row's `region`, found at the row's root
+/// record.
+///
+/// # Errors
+///
+/// As [`TaskTable::open`], or NVRAM errors.
+pub(crate) fn open_table(region: &PMem) -> Result<TaskTable, PError> {
+    let base = cycle::read_root(region, cycle::ROOT_OFF, ROOT_TABLE)?;
+    TaskTable::open(region.clone(), POffset::new(base))
+}
+
 /// §5.2 steps 1–2: draws the initial value and the `(old, new)` operands
 /// from `(lo, hi)`, and formats the register — one process per worker —
 /// and its descriptor table. Root record: `[cas base, table base,
@@ -608,7 +623,7 @@ fn open_cas(region: &PMem) -> Result<(FunctionRegistry, Objects), PError> {
     let variant = CasVariant::from_u8(root(4)? as u8)?;
     let base = POffset::new(root(0)?);
     let cas = RecoverableCas::open(region.clone(), base, root(3)? as usize, variant);
-    let table = TaskTable::open(region.clone(), POffset::new(root(1)?))?;
+    let table = open_table(region)?;
     let mut registry = FunctionRegistry::new();
     let func = CasTaskFunction::new(cas.clone(), table.clone());
     registry.register(CAS_TASK_FUNC_ID, func.into_arc())?;

@@ -2,12 +2,20 @@
 //! writes when it formats the image, and what its worker processes and
 //! the `pstack-dump` inspector read back. It is the root record at
 //! [`ROOT_OFF`]: `[magic, workload tag, stripe files, region length]`.
+//! From it the image's descriptor table is found: in stripe file 0, at
+//! the row's own root record ([`KillHeader::descriptor_table`]).
+
+use std::path::Path;
+
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use pstack_core::PError;
-use pstack_nvram::PMem;
+use pstack_nvram::{PMem, PMemBuilder};
+use pstack_recoverable::TaskTable;
 
-use crate::campaign::Object;
-use crate::cycle::{self, ROOT_OFF};
+use crate::campaign::{self, stripe_file, CampaignConfig, Object, Workload, OBJECT_REGION_LEN};
+use crate::cycle::{self, Striped, ROOT_OFF};
 
 /// Magic word opening the header.
 const MAGIC: u64 = 0x4B49_4C4C_524F_4F54; // "KILLROOT"
@@ -40,6 +48,47 @@ impl KillHeader {
         cycle::write_root(control, ROOT_OFF, &words)
     }
 
+    /// Formats `cfg`'s §5 row as a kill(1) image at `cfg.image`: the
+    /// control file with the runtime and this header, and stripe file 0
+    /// with the row's object and its descriptor table, every descriptor
+    /// pending — the image a kill(1) driver hands its first child.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::InvalidConfig`] for a row with no image or a KV or
+    /// served workload; setup errors.
+    pub fn format(cfg: &CampaignConfig) -> Result<KillHeader, PError> {
+        if cfg.image.is_none() || !matches!(cfg.workload, Workload::Cas { .. } | Workload::Queue(_))
+        {
+            let msg = "a kill(1) image holds a CAS or queue row on image files";
+            return Err(PError::InvalidConfig(msg.into()));
+        }
+        let (control, stripe) = cfg.regions(1, OBJECT_REGION_LEN)?;
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let object = Object::format(cfg, stripe.region(0), &mut rng)?;
+        let machine = Striped::format(control, stripe, cfg.workers, cfg.stack_kind)?;
+        let header = KillHeader {
+            object,
+            stripe_files: 1,
+            region_len: OBJECT_REGION_LEN as u64,
+        };
+        header.write(&machine.control)?;
+        Ok(header)
+    }
+
+    /// The descriptor table of `image`, the control file this header
+    /// was read from: in stripe file 0, at the row's root record. Reads
+    /// only.
+    ///
+    /// # Errors
+    ///
+    /// [`PError::InvalidConfig`] for a stripe file missing or shorter
+    /// than the header's region length; the table's open errors.
+    pub fn descriptor_table(&self, image: &Path) -> Result<TaskTable, PError> {
+        let region = open_file(PMemBuilder::new(), &stripe_file(image, 0), self.region_len)?;
+        campaign::open_table(&region)
+    }
+
     /// Reads the header of `control`; `None` if it carries none.
     ///
     /// # Errors
@@ -62,6 +111,20 @@ impl KillHeader {
             region_len: word(3)?,
         }))
     }
+}
+
+/// Opens one file of an image, at its own length, which must be at least
+/// `min_len` bytes.
+pub(crate) fn open_file(builder: PMemBuilder, path: &Path, min_len: u64) -> Result<PMem, PError> {
+    let invalid =
+        |what: String| PError::InvalidConfig(format!("image file {}: {what}", path.display()));
+    let len = std::fs::metadata(path)
+        .map_err(|e| invalid(e.to_string()))?
+        .len();
+    if len < min_len.max(1) {
+        return Err(invalid(format!("{len} bytes, expected {min_len}")));
+    }
+    Ok(builder.len(len as usize).build_file(path)?)
 }
 
 #[cfg(test)]

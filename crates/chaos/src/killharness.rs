@@ -40,7 +40,7 @@ use pstack_nvram::{MemError, PMem, PMemBuilder, PMemStripe};
 
 use crate::campaign::{stripe_file, CampaignConfig, Object, Objects, OBJECT_REGION_LEN};
 use crate::cycle::{self, Cx, Machine, Policy, Striped, Tally};
-use crate::header::KillHeader;
+use crate::header::{open_file, KillHeader};
 
 /// Per-line persist latency every child runs under, emulating the
 /// paper's slow HDD persists. A child's run then spans enough wall-clock
@@ -116,20 +116,6 @@ fn open_image(image: &Path, persist_delay: Duration) -> Result<(PMem, PMemStripe
     let regions = (0..files).map(|i| open_file(builder.clone(), &stripe_file(image, i), len));
     let stripe = PMemStripe::from_regions(regions.collect::<Result<_, _>>()?);
     Ok((control, stripe, object))
-}
-
-/// Opens one file of an image, at its own length, which must be at least
-/// `min_len` bytes.
-fn open_file(builder: PMemBuilder, path: &Path, min_len: u64) -> Result<PMem, PError> {
-    let invalid =
-        |what: String| PError::InvalidConfig(format!("image file {}: {what}", path.display()));
-    let len = std::fs::metadata(path)
-        .map_err(|e| invalid(e.to_string()))?
-        .len();
-    if len < min_len.max(1) {
-        return Err(invalid(format!("{len} bytes, expected {min_len}")));
-    }
-    Ok(builder.len(len as usize).build_file(path)?)
 }
 
 /// Runs `work` while a reporter thread hands `progress` the boot's
@@ -328,12 +314,7 @@ mod tests {
 
     /// Formats `cfg`'s image the way a kill(1) row does.
     fn format(cfg: &CampaignConfig) -> Object {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let (control, stripe) = cfg.regions(1, OBJECT_REGION_LEN).unwrap();
-        let object = Object::format(cfg, stripe.region(0), &mut rng).unwrap();
-        let machine = Striped::format(control, stripe, cfg.workers, cfg.stack_kind).unwrap();
-        header(object, 1).write(&machine.control).unwrap();
-        object
+        KillHeader::format(cfg).unwrap().object
     }
 
     fn image_row(image: &Path, workload: Workload, n_ops: usize, seed: u64) -> CampaignConfig {

@@ -20,7 +20,7 @@ use pstack_recoverable::{
 };
 use pstack_verify::{check_fifo, QueueAnswer, QueueHistory, QueueOp, QueueOpKind, SlotWitness};
 
-use crate::campaign::{answered, Execution, Objects};
+use crate::campaign::{answered, open_table, Execution, Objects};
 use crate::cycle::{self, ROOT_OFF};
 
 /// Inclusive range enqueue values are drawn from.
@@ -68,7 +68,7 @@ pub(crate) fn open(region: &PMem) -> Result<(FunctionRegistry, Objects), PError>
     let root = |i| cycle::read_root(region, ROOT_OFF, i);
     let variant = QueueVariant::from_u8(root(2)? as u8)?;
     let queue = RecoverableQueue::open(region.clone(), POffset::new(root(0)?), variant)?;
-    let table = TaskTable::open(region.clone(), POffset::new(root(1)?))?;
+    let table = open_table(region)?;
     let mut registry = FunctionRegistry::new();
     let func = QueueTaskFunction::new(queue.clone(), table.clone());
     registry.register(QUEUE_TASK_FUNC_ID, func.into_arc())?;

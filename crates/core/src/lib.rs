@@ -32,6 +32,9 @@
 //!   region trips them all, runs are attributed to the tripping region
 //!   ([`CrashSite`]), and recovery fans per-shard preludes out before
 //!   replaying interrupted frames.
+//! * [`table`] — the one durable descriptor table of §5.2's loop: a
+//!   line per slot, one format, one open, one answer rule, one pending
+//!   scan, under the §5 tasks and the KV requests alike.
 //! * [`txn`] — the transactional for-loop of Appendix A.1 as a reusable
 //!   combinator: one persistent frame per item, crash ⇒ reverse-order
 //!   rollback, commit at the final unwind.
@@ -44,6 +47,7 @@ pub mod invoke;
 pub mod registry;
 pub mod runtime;
 pub mod stack;
+pub mod table;
 pub mod txn;
 
 mod error;

@@ -278,13 +278,14 @@ impl U64CellStep {
             return Err(PError::InvalidConfig("cell count must be positive".into()));
         }
         let pmem = rt.pmem().clone();
-        let base = rt.heap().alloc_aligned(Self::required_len(count), 64)?;
-        pmem.fill(base, 0, Self::required_len(count))?;
-        pmem.write_u64(base, CELL_MAGIC)?;
-        pmem.write_u64(base + 16u64, count)?;
-        // No transaction has committed yet; MAX is never a real epoch.
-        pmem.write_u64(base + 24u64, u64::MAX)?;
-        pmem.flush(base, Self::required_len(count))?;
+        let base = rt
+            .heap()
+            .alloc_filled(Self::required_len(count), 64, |base| {
+                pmem.write_u64(base, CELL_MAGIC)?;
+                pmem.write_u64(base + 16u64, count)?;
+                // No transaction has committed yet; MAX is never a real epoch.
+                pmem.write_u64(base + 24u64, u64::MAX)
+            })?;
         Ok(U64CellStep {
             pmem,
             base,

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pstack_nvram::{Level, PMem, POffset};
+use pstack_nvram::{Level, MemError, PMem, POffset};
 
 use crate::HeapError;
 
@@ -331,15 +331,34 @@ impl PHeap {
 
     /// Allocates and zero-fills `size` bytes; the zeros are flushed, so
     /// the freshly allocated payload has a defined persistent state.
-    /// The zeros ride the allocation's switch: one level.
     ///
     /// # Errors
     ///
     /// Same as [`PHeap::alloc`].
     pub fn alloc_zeroed(&self, size: usize) -> Result<POffset, HeapError> {
+        self.alloc_filled(size, 16, |_| Ok(()))
+    }
+
+    /// Allocates `size` bytes at alignment `align`, zeroes them and lets
+    /// `fill` write the block's initial content over the zeros — every
+    /// store buffered, none flushed. The block rides the allocation's
+    /// switch: one level, awaited once, so a format waits two
+    /// round-trips (the interior headers, then switch ‖ block). The
+    /// block is allocated and durable when this returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`PHeap::alloc_aligned`], or `fill`'s.
+    pub fn alloc_filled(
+        &self,
+        size: usize,
+        align: u64,
+        fill: impl FnOnce(POffset) -> Result<(), MemError>,
+    ) -> Result<POffset, HeapError> {
         let mut level = Level::default();
-        let off = self.alloc_aligned_in(size, 16, &mut level)?;
+        let off = self.alloc_aligned_in(size, align, &mut level)?;
         self.pmem.fill(off, 0, size)?;
+        fill(off)?;
         level.issue(&self.pmem, off, size)?;
         level.await_all()?;
         Ok(off)

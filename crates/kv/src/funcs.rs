@@ -1,6 +1,7 @@
 //! KV workload descriptors and the recoverable functions gluing the
-//! store to the persistent-stack runtime — the KV analogue of the §5.2
-//! machinery (`TaskTable` + `CasTaskFunction` / `QueueTaskFunction`).
+//! store to the persistent-stack runtime — the KV side of the §5.2
+//! machinery, over the same descriptor-table format as the §5 tasks
+//! ([`pstack_core::table`]).
 //!
 //! There is **one** executor of KV descriptors, [`KvServeFunction`]:
 //! a batch window over slots of any number of shards'

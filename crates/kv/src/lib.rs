@@ -15,8 +15,11 @@
 //!   [`ShardedKvStore`] stripes the key space across `N` of them, one
 //!   independent region (one version log, one recovery scan) per shard
 //!   behind the [`shard_of`] router, with [`KvBatch`] group commits;
-//! * [`KvRequestTable`] — the one durable table of operation
-//!   descriptors and answers, per shard, keyed by request id. A server
+//! * [`KvRequestTable`] — the durable table of operation descriptors
+//!   and answers, per shard, keyed by request id: `pstack-core`'s one
+//!   descriptor-table format ([`pstack_core::table`]) plus the KV codec
+//!   and admission (ids, recycling, marks, stale retransmissions). A
+//!   server
 //!   fills it as requests arrive; a §5.2-style experiment preloads it
 //!   with its whole workload ([`KvServeFunction::preload`]) and
 //!   re-enqueues what is still pending after every restart

@@ -1,8 +1,12 @@
 //! A **bounded, request-id-keyed** descriptor/answer table — the
-//! durable half of exactly-once execution, and the only descriptor
-//! table there is.
+//! durable half of exactly-once execution.
 //!
-//! [`KvRequestTable`] is a fixed-capacity slab of slots, each holding
+//! [`KvRequestTable`] is `pstack-core`'s one descriptor-table format
+//! ([`pstack_core::table`]: header, slot addressing, the checks at open
+//! and format, the answer rule, the pending scan) plus what only KV
+//! has: the [`KvTaskOp`] codec, request ids, the free list, recycling,
+//! marks, [`ReqSubmit::Stale`] and the answer's record span. It is a
+//! fixed-capacity slab of slots, each holding
 //! one request's descriptor and (once executed) its answer, looked up
 //! by request id. A serving front end admits requests into it forever
 //! — each tagged with a client-chosen id, retried requests answered
@@ -11,8 +15,9 @@
 //! every mutation up front
 //! ([`KvServeFunction::preload`](crate::KvServeFunction::preload)).
 //!
-//! The table's ordering arguments below rest on one fact: a slot is
-//! one line, and a line persists atomically.
+//! The table's ordering arguments below rest on the core's one fact: a
+//! slot is one line, and a line persists atomically. A region whose
+//! lines are shorter than a slot is refused at format and open.
 //!
 //! # Lifecycle and recycling
 //!
@@ -36,21 +41,15 @@
 //!   while a descriptor is only staged, so a crash in between loses
 //!   nothing: the slot reverts to its old, recyclable occupant and the
 //!   client's retry is `Fresh`.
-//! * [`KvRequestTable::answer`] writes each answer payload, then its
-//!   one-byte done flag, and issues **one** persist — a flight of the
-//!   window's last level, heads ‖ answers: the answers of every shard
-//!   it names beside the heads of the commits they report, awaited
-//!   before any is shown. An answer records its commit's record span,
-//!   so a replay can tell whether the heads it reports reached NVRAM
-//!   with it; one whose heads did not was never shown (its level was
-//!   not awaited), and the replay voids and re-executes it
-//!   ([`KvServeFunction::execute_window`](crate::KvServeFunction::execute_window)).
-//!   A slot is one cache
-//!   line and a buffered region persists a line atomically (the
-//!   recycling argument below already relies on it), so after a crash
-//!   a slot is either fully answered or still pending — and a pending
-//!   slot's answer is recomputed through the store's evidence-scanning
-//!   dual ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
+//! * [`KvRequestTable::answer`] is the core's answer rule — each
+//!   payload, then its done flag, the slots one flight — issued into the
+//!   window's last level, heads ‖ answers, awaited before any answer is
+//!   shown. An answer records its commit's record span, so a replay can
+//!   tell whether the heads it reports reached NVRAM with it; one whose
+//!   heads did not was never shown, and the replay voids and re-executes
+//!   it ([`KvServeFunction::execute_window`](crate::KvServeFunction::execute_window)).
+//!   A slot a crash left pending is recomputed through the store's
+//!   evidence-scanning dual ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
 //! * [`KvRequestTable::ack`] records that the client received the
 //!   answer: the slot is **recyclable** in volatile state at once, and
 //!   its acked byte — the **mark** — is written and issued as a flight
@@ -82,14 +81,14 @@
 //!
 //! A slot is recycled only over a landed mark: the free list hands out
 //! the longest-free slot first, and a recycle that finds its mark still
-//! in flight awaits it. The recycle then rewrites the
-//! slot in two stores in a fixed order — the cleared completion state
+//! in flight awaits it. The recycle then rewrites the slot in two
+//! stores in a fixed order — the cleared completion state
 //! (done/acked/flag) together with the new descriptor and a cleared
-//! request id first, the new request id **last** — and each slot is one
-//! 64-byte cache-line-aligned extent, so a flush persists the whole
-//! transition atomically. A crash between the stores — one whose slot
-//! line survives the power failure unflushed — can only produce a free
-//! slot (request id 0): the old occupant is gone, which its client
+//! request id first, the new request id **last** — and a flush persists
+//! the slot's one line, so the whole transition, atomically. A crash
+//! between the stores — one whose slot line survives the power failure
+//! unflushed — can only produce a free slot (request id 0): the old
+//! occupant is gone, which its client
 //! acked and will never ask about again, and nothing is pending; any
 //! other crash leaves the old occupant, marked, or the new one. Never a
 //! new request paired with a stale answer, and never the old id over a
@@ -100,30 +99,23 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
+use pstack_core::table::{line_done, Codec, DescriptorTable, F_EXEC, F_FLAG, F_KIND, SLOT_LEN};
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{Durable, FlushTicket, Level, PMem, POffset};
+use pstack_nvram::{Durable, FlushTicket, Level, MemError, PMem, POffset};
 
 use crate::funcs::{KvTaskAnswer, KvTaskOp, KvTaskResult};
 use crate::store::span_extent;
-
-const TABLE_MAGIC: u64 = 0x5053_4B56_5251_5431; // "PSKVRQT1"
-const HEADER_LEN: u64 = 64; // keeps slot 0 cache-line aligned
-const SLOT_STRIDE: u64 = 64; // one slot = one persist line
 
 const KIND_PUT: u8 = 0;
 const KIND_GET: u8 = 1;
 const KIND_DEL: u8 = 2;
 const KIND_CAS: u8 = 3;
 
-const ST_DONE: u8 = 1;
-
-// Slot field offsets (all inside the one 64-byte line).
-const F_KIND: u64 = 0;
-const F_DONE: u64 = 1;
-const F_FLAG: u64 = 2;
+// The codec's fields, each inside the slot's one line, around the
+// core's kind, done, flag and executor bytes.
+/// The mark: the client acked the answer.
 const F_ACKED: u64 = 3;
-const F_EXEC: u64 = 4;
 const F_KEY: u64 = 8;
 const F_VALUE: u64 = 16;
 const F_EXPECTED: u64 = 24;
@@ -276,9 +268,7 @@ impl ReqIndex {
 /// ```
 #[derive(Debug, Clone)]
 pub struct KvRequestTable {
-    pmem: PMem,
-    base: POffset,
-    capacity: u32,
+    table: DescriptorTable,
     idx: Arc<Mutex<ReqIndex>>,
 }
 
@@ -286,7 +276,7 @@ impl KvRequestTable {
     /// Bytes of NVRAM needed for a `capacity`-slot table.
     #[must_use]
     pub fn required_len(capacity: u32) -> usize {
-        (HEADER_LEN + u64::from(capacity) * SLOT_STRIDE) as usize
+        DescriptorTable::required_len(capacity as usize)
     }
 
     /// Allocates and persists an empty table of `capacity` slots.
@@ -294,28 +284,13 @@ impl KvRequestTable {
     /// # Errors
     ///
     /// Heap or NVRAM errors, or [`PError::InvalidConfig`] for zero
-    /// capacity.
+    /// capacity or a line shorter than a slot.
     pub fn format(pmem: PMem, heap: &PHeap, capacity: u32) -> Result<Self, PError> {
-        if capacity == 0 {
-            return Err(PError::InvalidConfig(
-                "request table needs at least one slot".into(),
-            ));
-        }
-        let len = Self::required_len(capacity);
-        // The allocation's switch and the table share one level.
-        let mut level = Level::default();
-        let base = heap.alloc_aligned_in(len, 64, &mut level)?;
-        pmem.fill(base, 0, len)?;
-        pmem.write_u64(base, TABLE_MAGIC)?;
-        pmem.write_u64(base + 8u64, u64::from(capacity))?;
-        level.issue(&pmem, base, len)?;
-        level.await_all()?;
+        let table = DescriptorTable::format(pmem, heap, Codec::Request, capacity, |_, _| Ok(()))?;
         let mut idx = ReqIndex::new(capacity);
         idx.free = (0..capacity).collect();
         Ok(KvRequestTable {
-            pmem,
-            base,
-            capacity,
+            table,
             idx: Arc::new(Mutex::new(idx)),
         })
     }
@@ -331,31 +306,22 @@ impl KvRequestTable {
     /// # Errors
     ///
     /// [`PError::CorruptStack`] on a bad magic word or a capacity that
-    /// overruns the region (nothing is scanned then), NVRAM errors.
+    /// overruns the region (nothing is scanned then),
+    /// [`PError::InvalidConfig`] for a line shorter than a slot, NVRAM
+    /// errors.
     pub fn open(pmem: PMem, base: POffset) -> Result<Self, PError> {
-        let magic = pmem.read_u64(base)?;
-        if magic != TABLE_MAGIC {
-            return Err(PError::CorruptStack(format!(
-                "bad request-table magic {magic:#x} at {base}"
-            )));
-        }
-        let capacity = u32::try_from(pmem.read_u64(base + 8u64)?)
-            .ok()
-            .filter(|&c| base.get() + Self::required_len(c) as u64 <= pmem.len() as u64)
-            .ok_or_else(|| PError::CorruptStack("request table overruns its region".into()))?;
+        let table = DescriptorTable::open(pmem, base, Codec::Request)?;
+        let capacity = table.slots();
         let table = KvRequestTable {
-            pmem,
-            base,
-            capacity,
+            table,
             idx: Arc::new(Mutex::new(ReqIndex::new(capacity))),
         };
         let mut idx = table.idx.lock().expect("request-table index poisoned");
         // One pass over the slots, one read each, then the inference: a
         // client's latest request in the table acks every earlier one.
         let mut unmarked = Vec::new();
-        let mut line = [0u8; SLOT_STRIDE as usize];
         for slot in 0..capacity {
-            table.pmem.read(Self::slot_off(base, slot), &mut line)?;
+            let line = table.table.read_slot(slot)?;
             let id = &line[F_REQ_ID as usize..][..8];
             let req_id = u64::from_le_bytes(id.try_into().expect("slice length"));
             if req_id == 0 {
@@ -368,7 +334,7 @@ impl KvRequestTable {
             let (client, seq) = split_id(req_id);
             let hw = idx.acked_high.entry(client).or_insert(0);
             *hw = (*hw).max(seq.saturating_sub(1));
-            if line[F_DONE as usize] != ST_DONE {
+            if !line_done(&line) {
                 idx.occupant[slot as usize] = Occupant::Live;
             } else if line[F_ACKED as usize] != 0 {
                 idx.free_retired(req_id, slot, Occupant::Free);
@@ -396,39 +362,29 @@ impl KvRequestTable {
             idx.occupant[slot as usize],
             Occupant::Live | Occupant::Pinned
         ) {
-            let e = self.slot(slot)?;
-            self.pmem.write_u8(e + F_ACKED, 1)?;
-            let ticket = self.pmem.flush_async(e, SLOT_STRIDE as usize)?;
+            let e = self.table.slot(slot)?;
+            self.pmem().write_u8(e + F_ACKED, 1)?;
+            let ticket = self.pmem().flush_async(e, SLOT_LEN)?;
             idx.free_retired(req_id, slot, Occupant::Marked(ticket));
         }
         Ok(())
     }
 
-    fn slot_off(base: POffset, slot: u32) -> POffset {
-        base + (HEADER_LEN + u64::from(slot) * SLOT_STRIDE)
-    }
-
-    fn slot(&self, slot: u32) -> Result<POffset, PError> {
-        if slot >= self.capacity {
-            return Err(PError::InvalidConfig(format!(
-                "slot {slot} out of range ({} slots)",
-                self.capacity
-            )));
-        }
-        Ok(Self::slot_off(self.base, slot))
+    fn pmem(&self) -> &PMem {
+        self.table.pmem()
     }
 
     /// The table's base offset (persist it to find the table again).
     #[must_use]
     pub fn base(&self) -> POffset {
-        self.base
+        self.table.base()
     }
 
     /// Number of slots — the hard bound on outstanding-or-unacked
     /// requests.
     #[must_use]
     pub fn capacity(&self) -> u32 {
-        self.capacity
+        self.table.slots()
     }
 
     /// Slots currently holding a request that is not yet recyclable.
@@ -439,7 +395,7 @@ impl KvRequestTable {
     #[must_use]
     pub fn live(&self) -> u64 {
         let idx = self.idx.lock().expect("request-table index poisoned");
-        u64::from(self.capacity) - idx.free.len() as u64
+        u64::from(self.capacity()) - idx.free.len() as u64
     }
 
     /// High-water mark of live slots since this handle family opened —
@@ -521,12 +477,12 @@ impl KvRequestTable {
         };
         // Never over a mark that has not landed (see the module docs).
         if let Occupant::Marked(ticket) = idx.occupant[slot as usize] {
-            self.pmem.await_ticket(&ticket)?;
+            self.pmem().await_ticket(&ticket)?;
         }
-        let e = self.slot(slot)?;
+        let e = self.table.slot(slot)?;
         idx.free.pop_front();
         idx.occupant[slot as usize] = Occupant::Live;
-        let old_id = self.pmem.read_u64(e + F_REQ_ID)?;
+        let old_id = self.pmem().read_u64(e + F_REQ_ID)?;
         if old_id != 0 {
             idx.by_id.remove(&old_id);
             idx.recycled += 1;
@@ -549,33 +505,18 @@ impl KvRequestTable {
         body[F_KEY as usize..][..8].copy_from_slice(&key.to_le_bytes());
         body[F_VALUE as usize..][..8].copy_from_slice(&value.to_le_bytes());
         body[F_EXPECTED as usize..][..8].copy_from_slice(&expected.to_le_bytes());
-        self.pmem.write(e, &body)?;
+        self.pmem().write(e, &body)?;
         // The identity publishes the slot, and is not persisted here: it
         // rides its descriptor's line, which the drain's flight makes
         // durable whole (persist_slots_issue in ServerCore::drain), and
         // the window awaits before reading the slot.
-        let descriptor = Durable::same_line(&self.pmem, (e, F_REQ_ID as usize), (e + F_REQ_ID, 8));
+        let descriptor = Durable::same_line(self.pmem(), (e, F_REQ_ID as usize), (e + F_REQ_ID, 8));
         debug_assert!(descriptor.is_some(), "a request slot spans lines");
-        self.pmem.write_u64(e + F_REQ_ID, req_id)?;
+        self.pmem().write_u64(e + F_REQ_ID, req_id)?;
         idx.by_id.insert(req_id, slot);
-        let live = u64::from(self.capacity) - idx.free.len() as u64;
+        let live = u64::from(self.capacity()) - idx.free.len() as u64;
         idx.live_high_water = idx.live_high_water.max(live);
         Ok(ReqSubmit::Fresh(slot))
-    }
-
-    /// The extent covering `slots`' lines: `(lowest slot offset, span
-    /// in bytes)`, empty for no slots. One flush over it coalesces the
-    /// touched lines into one round-trip (clean lines in between
-    /// persist nothing).
-    fn span_of(&self, slots: impl IntoIterator<Item = u32>) -> Result<(POffset, usize), PError> {
-        let mut span: Option<(u64, u64)> = None;
-        for slot in slots {
-            let e = self.slot(slot)?.get();
-            span = Some(span.map_or((e, e), |(lo, hi)| (lo.min(e), hi.max(e))));
-        }
-        Ok(span.map_or((self.base, 0), |(lo, hi)| {
-            (POffset::new(lo), (hi - lo + SLOT_STRIDE) as usize)
-        }))
     }
 
     /// Issues **one coalesced asynchronous persist** over `slots`'
@@ -591,8 +532,8 @@ impl KvRequestTable {
     /// Out-of-range slot or NVRAM errors (a crash leaves the
     /// descriptors staged or lost, never torn).
     pub fn persist_slots_issue(&self, slots: &[u32]) -> Result<FlushTicket, PError> {
-        let (lo, len) = self.span_of(slots.iter().copied())?;
-        Ok(self.pmem.flush_async(lo, len)?)
+        let (lo, len) = self.table.span(slots.iter().copied())?;
+        Ok(self.pmem().flush_async(lo, len)?)
     }
 
     /// Makes the staged descriptors in `slots` durable with one
@@ -603,7 +544,7 @@ impl KvRequestTable {
     /// Out-of-range slot or NVRAM errors.
     pub fn persist_slots(&self, slots: &[u32]) -> Result<(), PError> {
         let ticket = self.persist_slots_issue(slots)?;
-        Ok(self.pmem.await_ticket(&ticket)?)
+        Ok(self.pmem().await_ticket(&ticket)?)
     }
 
     /// The reader's side of the descriptor invariant: makes `slots`'
@@ -619,8 +560,8 @@ impl KvRequestTable {
     /// Out-of-range slot or NVRAM errors (`Crashed` if the region died
     /// with the flight still queued).
     pub fn persist_slots_if_dirty(&self, slots: &[u32]) -> Result<(), PError> {
-        let (lo, len) = self.span_of(slots.iter().copied())?;
-        self.pmem.persist_if_dirty(lo, len)?;
+        let (lo, len) = self.table.span(slots.iter().copied())?;
+        self.pmem().persist_if_dirty(lo, len)?;
         Ok(())
     }
 
@@ -660,7 +601,7 @@ impl KvRequestTable {
     ///
     /// Out-of-range slot or NVRAM errors.
     pub fn req_id(&self, slot: u32) -> Result<u64, PError> {
-        Ok(self.pmem.read_u64(self.slot(slot)? + F_REQ_ID)?)
+        Ok(self.pmem().read_u64(self.table.slot(slot)? + F_REQ_ID)?)
     }
 
     /// Reads slot `slot`'s operation.
@@ -670,19 +611,20 @@ impl KvRequestTable {
     /// Out-of-range slot, an unknown kind byte (corruption), or NVRAM
     /// errors.
     pub fn op(&self, slot: u32) -> Result<KvTaskOp, PError> {
-        let e = self.slot(slot)?;
-        let key = self.pmem.read_u64(e + F_KEY)?;
-        match self.pmem.read_u8(e + F_KIND)? {
+        let e = self.table.slot(slot)?;
+        let pmem = self.pmem();
+        let key = pmem.read_u64(e + F_KEY)?;
+        match pmem.read_u8(e + F_KIND)? {
             KIND_PUT => Ok(KvTaskOp::Put {
                 key,
-                value: self.pmem.read_i64(e + F_VALUE)?,
+                value: pmem.read_i64(e + F_VALUE)?,
             }),
             KIND_GET => Ok(KvTaskOp::Get { key }),
             KIND_DEL => Ok(KvTaskOp::Delete { key }),
             KIND_CAS => Ok(KvTaskOp::Cas {
                 key,
-                expected: self.pmem.read_i64(e + F_EXPECTED)?,
-                new: self.pmem.read_i64(e + F_VALUE)?,
+                expected: pmem.read_i64(e + F_EXPECTED)?,
+                new: pmem.read_i64(e + F_VALUE)?,
             }),
             other => Err(PError::CorruptStack(format!(
                 "slot {slot} has unknown kind {other}"
@@ -697,28 +639,25 @@ impl KvRequestTable {
     /// Out-of-range slot, an unknown kind byte (corruption), or NVRAM
     /// errors.
     pub fn result(&self, slot: u32) -> Result<Option<KvTaskAnswer>, PError> {
-        let e = self.slot(slot)?;
-        if self.pmem.read_u8(e + F_DONE)? != ST_DONE {
+        let Some(a) = self.table.answered(slot)? else {
             return Ok(None);
-        }
-        let executor = self.pmem.read_u32(e + F_EXEC)?;
-        let flag = self.pmem.read_u8(e + F_FLAG)? != 0;
-        let result = match self.pmem.read_u8(e + F_KIND)? {
-            KIND_PUT => KvTaskResult::Stored(flag),
-            KIND_GET => KvTaskResult::Got(if flag {
-                Some(self.pmem.read_i64(e + F_GOT)?)
-            } else {
-                None
-            }),
-            KIND_DEL => KvTaskResult::Deleted(flag),
-            KIND_CAS => KvTaskResult::Swapped(flag),
+        };
+        let result = match a.kind {
+            KIND_PUT => KvTaskResult::Stored(a.flag),
+            KIND_GET if a.flag => KvTaskResult::Got(Some(self.pmem().read_i64(a.at + F_GOT)?)),
+            KIND_GET => KvTaskResult::Got(None),
+            KIND_DEL => KvTaskResult::Deleted(a.flag),
+            KIND_CAS => KvTaskResult::Swapped(a.flag),
             other => {
                 return Err(PError::CorruptStack(format!(
                     "slot {slot} has unknown kind {other}"
                 )))
             }
         };
-        Ok(Some(KvTaskAnswer { executor, result }))
+        Ok(Some(KvTaskAnswer {
+            executor: a.executor,
+            result,
+        }))
     }
 
     /// `true` if slot `slot`'s answer was acknowledged by its client:
@@ -728,40 +667,38 @@ impl KvRequestTable {
     ///
     /// Out-of-range slot or NVRAM errors.
     pub fn acked(&self, slot: u32) -> Result<bool, PError> {
-        Ok(self.pmem.read_u8(self.slot(slot)? + F_ACKED)? != 0)
+        Ok(self.pmem().read_u8(self.table.slot(slot)? + F_ACKED)? != 0)
     }
 
-    /// Writes slot `slot`'s answer payload — flag, executor and the
-    /// answering batch's record span (and a got value) — in as many
-    /// stores as the answer had before it carried a span: flag and
+    /// Writes the answer payload of the slot at `e` — flag, executor
+    /// and the answering batch's record span (and a got value) — in as
+    /// many stores as the answer had before it carried a span: flag and
     /// executor are one store, with the acked byte between them
     /// rewritten as the 0 its staging left.
     fn write_answer(
         &self,
-        slot: u32,
-        executor: u32,
-        result: KvTaskResult,
+        e: POffset,
+        (executor, result): (u32, KvTaskResult),
         span: Option<(u64, u64)>,
-    ) -> Result<POffset, PError> {
-        let e = self.slot(slot)?;
+    ) -> Result<(), MemError> {
+        let pmem = self.pmem();
         let flag = match result {
             KvTaskResult::Stored(ok) | KvTaskResult::Deleted(ok) | KvTaskResult::Swapped(ok) => ok,
             KvTaskResult::Got(None) => false,
             KvTaskResult::Got(Some(v)) => {
-                self.pmem.write_i64(e + F_GOT, v)?;
+                pmem.write_i64(e + F_GOT, v)?;
                 true
             }
         };
         let mut head = [0u8; (F_EXEC + 4 - F_FLAG) as usize];
         head[0] = u8::from(flag);
         head[(F_EXEC - F_FLAG) as usize..].copy_from_slice(&executor.to_le_bytes());
-        self.pmem.write(e + F_FLAG, &head)?;
+        pmem.write(e + F_FLAG, &head)?;
         let (first, last) = span.unwrap_or((0, 0));
         let mut tail = [0u8; 16];
         tail[..8].copy_from_slice(&first.to_le_bytes());
         tail[8..].copy_from_slice(&last.to_le_bytes());
-        self.pmem.write(e + F_SPAN, &tail)?;
-        Ok(e)
+        pmem.write(e + F_SPAN, &tail)
     }
 
     /// Writes a batch of answers and issues them as **one** flight of
@@ -773,11 +710,11 @@ impl KvRequestTable {
     /// span. That the answer may reach NVRAM before its heads is the
     /// replay's to handle: a replayed window re-executes an answer
     /// whose span the durable heads do not wholly reach
-    /// (`KvServeFunction::execute_window` argues it). Per slot the
-    /// payload is written before the done flag, and a slot is one line,
-    /// which persists atomically: a crash leaves each slot either
-    /// answered or still pending (recovery recomputes a pending answer
-    /// through the evidence scan), never a flag over a missing payload.
+    /// (`KvServeFunction::execute_window` argues it). The core's answer
+    /// rule orders each slot's payload before its done flag in one
+    /// line-atomic persist: a crash leaves each slot either answered or
+    /// still pending (recovery recomputes a pending answer through the
+    /// evidence scan), never a flag over a missing payload.
     ///
     /// # Errors
     ///
@@ -795,14 +732,14 @@ impl KvRequestTable {
     ) -> Result<(), PError> {
         if let Some(span) = span {
             let (off, len) = span_extent(span);
-            records.check(&self.pmem, off, len);
+            records.check(self.pmem(), off, len);
         }
-        for &(slot, executor, result) in entries {
-            let e = self.write_answer(slot, executor, result, span)?;
-            self.pmem.write_u8(e + F_DONE, ST_DONE)?;
-        }
-        let (lo, len) = self.span_of(entries.iter().map(|&(slot, ..)| slot))?;
-        Ok(level.issue(&self.pmem, lo, len)?)
+        let entries = entries
+            .iter()
+            .map(|&(slot, exec, result)| (slot, (exec, result)));
+        self.table.answer(entries, level, |e, answer| {
+            self.write_answer(e, answer, span)
+        })
     }
 
     /// The record span stored with slot `slot`'s answer: the `[first,
@@ -815,7 +752,7 @@ impl KvRequestTable {
     /// Out-of-range slot or NVRAM errors.
     pub fn answer_span(&self, slot: u32) -> Result<Option<(u64, u64)>, PError> {
         let mut b = [0u8; 16];
-        self.pmem.read(self.slot(slot)? + F_SPAN, &mut b)?;
+        self.pmem().read(self.table.slot(slot)? + F_SPAN, &mut b)?;
         let first = u64::from_le_bytes(b[..8].try_into().expect("slice length"));
         let last = u64::from_le_bytes(b[8..].try_into().expect("slice length"));
         Ok((first != 0).then_some((first, last)))
@@ -844,7 +781,7 @@ impl KvRequestTable {
         let Some(&slot) = idx.by_id.get(&req_id) else {
             return Ok(false);
         };
-        if self.pmem.read_u8(self.slot(slot)? + F_DONE)? != ST_DONE {
+        if !self.table.is_done(slot)? {
             return Ok(false);
         }
         self.retire(&mut idx, req_id, slot)?;
@@ -859,14 +796,9 @@ impl KvRequestTable {
     ///
     /// Propagated NVRAM errors.
     pub fn pending_slots(&self) -> Result<Vec<u32>, PError> {
-        let mut out = Vec::new();
-        for slot in 0..self.capacity {
-            let e = self.slot(slot)?;
-            if self.pmem.read_u64(e + F_REQ_ID)? != 0 && self.pmem.read_u8(e + F_DONE)? != ST_DONE {
-                out.push(slot);
-            }
-        }
-        Ok(out)
+        let pmem = self.pmem();
+        self.table
+            .pending(|e| Ok(pmem.read_u64(e + F_REQ_ID)? != 0))
     }
 }
 
@@ -1331,6 +1263,25 @@ mod tests {
         ));
         assert!(table.op(99).is_err());
         assert!(answer(&table, &[(99, 0, KvTaskResult::Got(None))]).is_err());
+    }
+
+    #[test]
+    fn a_request_table_on_short_lines_is_refused() {
+        // A slot is one line: on 32-byte lines a recycle could persist
+        // the new request id over the old descriptor's other half.
+        let pmem = PMemBuilder::new()
+            .len(1 << 16)
+            .line_size(32)
+            .build_in_memory();
+        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+        assert!(matches!(
+            KvRequestTable::format(pmem.clone(), &heap, 4),
+            Err(PError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            KvRequestTable::open(pmem, POffset::new(4096)),
+            Err(PError::InvalidConfig(_))
+        ));
     }
 
     fn heap_pmem(heap: &PHeap) -> PMem {

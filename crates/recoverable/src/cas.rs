@@ -134,11 +134,9 @@ impl RecoverableCas {
         if n == 0 {
             return Err(PError::InvalidConfig("need at least one process".into()));
         }
-        let len = Self::required_len(n);
-        let base = heap.alloc_aligned(len, 64)?;
-        pmem.fill(base, 0, len)?;
-        pmem.flush(base, len)?;
-        TaggedValue::initial(init).write_to(&pmem, base)?;
+        let initial = TaggedValue::initial(init).encode();
+        let base =
+            heap.alloc_filled(Self::required_len(n), 64, |base| pmem.write(base, &initial))?;
         Ok(RecoverableCas {
             pmem,
             base,

@@ -59,10 +59,7 @@ impl RecoverableCounter {
         if n == 0 {
             return Err(PError::InvalidConfig("need at least one process".into()));
         }
-        let len = Self::required_len(n);
-        let base = heap.alloc_aligned(len, 64)?;
-        pmem.fill(base, 0, len)?;
-        pmem.flush(base, len)?;
+        let base = heap.alloc_filled(Self::required_len(n), 64, |_| Ok(()))?;
         Ok(RecoverableCounter { pmem, base, n })
     }
 

@@ -14,10 +14,11 @@
 //!   primitives (the paper's future-work direction 1), including the
 //!   queue's own injected-bug variant ([`QueueVariant::NoScan`]) for
 //!   the §5.2-style negative control;
-//! * [`TaskTable`] — the one persistent table of operation descriptors
-//!   (CAS, enqueue, dequeue) and answers that lets the §5.2 experiment
-//!   re-enqueue unfinished operations after every restart; its
-//!   [`TaskTable::mark_done`] is the one answer point, a single
+//! * [`TaskTable`] — the §5 codec (CAS, enqueue, dequeue and their
+//!   answers) over `pstack-core`'s one descriptor-table format
+//!   ([`pstack_core::table`]), preloaded with the workload so the §5.2
+//!   experiment re-enqueues unfinished operations after every restart;
+//!   its [`TaskTable::mark_done`] is the one answer point, a single
 //!   line-atomic persist for every answer;
 //! * [`CasTaskFunction`] / [`QueueTaskFunction`] /
 //!   [`CounterTaskFunction`] — glue registering these operations as

@@ -245,12 +245,10 @@ impl RecoverableQueue {
                 "queue capacity must be positive".into(),
             ));
         }
-        let len = Self::required_len(capacity);
-        let base = heap.alloc_aligned(len, 64)?;
-        pmem.fill(base, 0, len)?;
-        pmem.write_u64(base + OFF_MAGIC, QUEUE_MAGIC)?;
-        pmem.write_u64(base + OFF_CAPACITY, capacity)?;
-        pmem.flush(base, len)?;
+        let base = heap.alloc_filled(Self::required_len(capacity), 64, |base| {
+            pmem.write_u64(base + OFF_MAGIC, QUEUE_MAGIC)?;
+            pmem.write_u64(base + OFF_CAPACITY, capacity)
+        })?;
         Ok(RecoverableQueue {
             pmem,
             base,

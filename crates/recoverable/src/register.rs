@@ -44,8 +44,8 @@ impl RecoverableRegister {
     ///
     /// Heap or NVRAM errors.
     pub fn format(pmem: PMem, heap: &PHeap, init: i64) -> Result<Self, PError> {
-        let base = heap.alloc_aligned(64, 64)?;
-        TaggedValue::initial(init).write_to(&pmem, base)?;
+        let initial = TaggedValue::initial(init).encode();
+        let base = heap.alloc_filled(64, 64, |base| pmem.write(base, &initial))?;
         Ok(RecoverableRegister { pmem, base })
     }
 

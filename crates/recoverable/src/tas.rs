@@ -63,8 +63,9 @@ impl RecoverableTas {
     ///
     /// Heap/NVRAM errors.
     pub fn format(pmem: PMem, heap: &PHeap) -> Result<Self, PError> {
-        let base = heap.alloc_aligned(Self::required_len(), 64)?;
-        pmem.write_persist(base, &NO_WINNER.to_le_bytes())?;
+        let base = heap.alloc_filled(Self::required_len(), 64, |base| {
+            pmem.write(base, &NO_WINNER.to_le_bytes())
+        })?;
         Ok(RecoverableTas { pmem, base })
     }
 

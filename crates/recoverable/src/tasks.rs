@@ -7,30 +7,24 @@
 //! §5 workload: a descriptor is a CAS, an enqueue or a dequeue, and its
 //! answer — the worker that executed it and the result — is made
 //! durable by one line-atomic persist when the operation completes.
+//!
+//! The table is `pstack-core`'s one descriptor-table format
+//! ([`pstack_core::table`]) preloaded with [`TaskOp`]s: this module is
+//! only the §5 codec — where a slot keeps its operands and its dequeued
+//! value, and what its kind and flag bytes mean.
 
+use pstack_core::table::{Codec, DescriptorTable, F_EXEC, F_FLAG, F_KIND};
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{PMem, POffset};
-
-const TABLE_MAGIC: u64 = 0x5053_5441_534B_5432; // "PSTASKT2"
-/// Keeps every entry 32-byte aligned: with the table 64-byte aligned, no
-/// entry crosses a line of 32 bytes or more.
-const HEADER_LEN: u64 = 32;
-const ENTRY_STRIDE: u64 = 32;
+use pstack_nvram::{Level, PMem, POffset};
 
 const KIND_CAS: u8 = 0;
 const KIND_ENQ: u8 = 1;
 const KIND_DEQ: u8 = 2;
 
-const ST_DONE: u8 = 1;
-
-// Entry field offsets (all inside the one 32-byte entry). The answer
-// (flag, executor, dequeued value) is one contiguous extent.
-const F_KIND: u64 = 0;
-const F_DONE: u64 = 1;
-/// The CAS swapped, the enqueue was accepted, or the dequeue found a value.
-const F_FLAG: u64 = 2;
-const F_EXEC: u64 = 4;
+// The codec's fields, each inside the slot's one line. The answer
+// (flag, executor, dequeued value) is one contiguous extent from the
+// core's flag byte.
 /// The dequeued value.
 const F_GOT: u64 = 8;
 /// CAS `old`, or the enqueued value.
@@ -100,106 +94,69 @@ pub enum TaskResult {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct TaskTable {
-    pmem: PMem,
-    base: POffset,
-    len: usize,
-}
+pub struct TaskTable(DescriptorTable);
 
 impl TaskTable {
     /// Bytes of NVRAM needed for `n` descriptors.
     #[must_use]
     pub fn required_len(n: usize) -> usize {
-        (HEADER_LEN + n as u64 * ENTRY_STRIDE) as usize
+        DescriptorTable::required_len(n)
     }
 
-    /// Allocates and persists a table holding `ops`, all pending.
+    /// Allocates and persists a table holding `ops`, all pending: one
+    /// store a slot, riding the allocation's switch level.
     ///
     /// # Errors
     ///
     /// Heap or NVRAM errors, or [`PError::InvalidConfig`] for an empty
-    /// op list or a line size that would split an entry.
+    /// op list, more ops than a table holds, or a line shorter than a
+    /// slot.
     pub fn format(pmem: PMem, heap: &PHeap, ops: &[TaskOp]) -> Result<Self, PError> {
-        check_line_size(&pmem)?;
-        if ops.is_empty() {
-            return Err(PError::InvalidConfig(
-                "task table needs at least one op".into(),
-            ));
-        }
-        let len = Self::required_len(ops.len());
-        let base = heap.alloc_aligned(len, 64)?;
-        pmem.fill(base, 0, len)?;
-        pmem.write_u64(base, TABLE_MAGIC)?;
-        pmem.write_u64(base + 8u64, ops.len() as u64)?;
-        for (i, op) in ops.iter().enumerate() {
-            let (kind, arg, new) = match *op {
+        let n = u32::try_from(ops.len())
+            .map_err(|_| PError::InvalidConfig("too many ops for one task table".into()))?;
+        let table = DescriptorTable::format(pmem.clone(), heap, Codec::Task, n, |e, slot| {
+            let (kind, arg, new) = match ops[slot as usize] {
                 TaskOp::Cas { old, new } => (KIND_CAS, old, new),
                 TaskOp::Enqueue(v) => (KIND_ENQ, v, 0),
                 TaskOp::Dequeue => (KIND_DEQ, 0, 0),
             };
-            let e = Self::entry_off(base, i);
-            pmem.write_u8(e + F_KIND, kind)?;
-            pmem.write_i64(e + F_ARG, arg)?;
-            pmem.write_i64(e + F_NEW, new)?;
-        }
-        pmem.flush(base, len)?;
-        Ok(TaskTable {
-            pmem,
-            base,
-            len: ops.len(),
-        })
+            let mut descriptor = [0u8; F_NEW as usize + 8];
+            descriptor[F_KIND as usize] = kind;
+            descriptor[F_ARG as usize..F_NEW as usize].copy_from_slice(&arg.to_le_bytes());
+            descriptor[F_NEW as usize..].copy_from_slice(&new.to_le_bytes());
+            pmem.write(e, &descriptor)
+        })?;
+        Ok(TaskTable(table))
     }
 
     /// Re-attaches to a table created at `base`.
     ///
     /// # Errors
     ///
-    /// [`PError::CorruptStack`] on a bad magic word,
-    /// [`PError::InvalidConfig`] for a line size that would split an
-    /// entry.
+    /// [`PError::CorruptStack`] on a bad magic word or a count that
+    /// overruns the region (nothing is scanned then),
+    /// [`PError::InvalidConfig`] for a line shorter than a slot.
     pub fn open(pmem: PMem, base: POffset) -> Result<Self, PError> {
-        check_line_size(&pmem)?;
-        let magic = pmem.read_u64(base)?;
-        if magic != TABLE_MAGIC {
-            return Err(PError::CorruptStack(format!(
-                "bad task-table magic {magic:#x} at {base}"
-            )));
-        }
-        let len = pmem.read_u64(base + 8u64)? as usize;
-        Ok(TaskTable { pmem, base, len })
-    }
-
-    fn entry_off(base: POffset, idx: usize) -> POffset {
-        base + (HEADER_LEN + idx as u64 * ENTRY_STRIDE)
-    }
-
-    fn entry(&self, idx: usize) -> Result<POffset, PError> {
-        if idx >= self.len {
-            return Err(PError::InvalidConfig(format!(
-                "descriptor index {idx} out of range ({} descriptors)",
-                self.len
-            )));
-        }
-        Ok(Self::entry_off(self.base, idx))
+        DescriptorTable::open(pmem, base, Codec::Task).map(TaskTable)
     }
 
     /// The table's base offset (persist it to find the table again).
     #[must_use]
     pub fn base(&self) -> POffset {
-        self.base
+        self.0.base()
     }
 
     /// Number of descriptors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.0.slots() as usize
     }
 
     /// Returns `true` if the table has no descriptors (never happens
     /// for tables built by [`TaskTable::format`]).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Descriptor `idx`'s operation.
@@ -208,12 +165,13 @@ impl TaskTable {
     ///
     /// Out-of-range index, an unknown kind byte, or NVRAM errors.
     pub fn op(&self, idx: usize) -> Result<TaskOp, PError> {
-        let e = self.entry(idx)?;
-        let arg = || self.pmem.read_i64(e + F_ARG);
-        Ok(match self.pmem.read_u8(e + F_KIND)? {
+        let e = self.0.slot(slot(idx))?;
+        let pmem = self.0.pmem();
+        let arg = || pmem.read_i64(e + F_ARG);
+        Ok(match pmem.read_u8(e + F_KIND)? {
             KIND_CAS => TaskOp::Cas {
                 old: arg()?,
-                new: self.pmem.read_i64(e + F_NEW)?,
+                new: pmem.read_i64(e + F_NEW)?,
             },
             KIND_ENQ => TaskOp::Enqueue(arg()?),
             KIND_DEQ => TaskOp::Dequeue,
@@ -231,8 +189,7 @@ impl TaskTable {
     ///
     /// Out-of-range index or NVRAM errors.
     pub fn is_done(&self, idx: usize) -> Result<bool, PError> {
-        let e = self.entry(idx)?;
-        Ok(self.pmem.read_u8(e + F_DONE)? == ST_DONE)
+        self.0.is_done(slot(idx))
     }
 
     /// The answer of descriptor `idx`, if it has completed. Nothing but
@@ -242,35 +199,31 @@ impl TaskTable {
     ///
     /// Out-of-range index or NVRAM errors.
     pub fn result(&self, idx: usize) -> Result<Option<TaskAnswer>, PError> {
-        if !self.is_done(idx)? {
+        let Some(a) = self.0.answered(slot(idx))? else {
             return Ok(None);
-        }
-        let e = self.entry(idx)?;
-        let pmem = &self.pmem;
-        let flag = pmem.read_u8(e + F_FLAG)? != 0;
-        let result = match pmem.read_u8(e + F_KIND)? {
-            KIND_CAS => TaskResult::Swapped(flag),
-            KIND_ENQ => TaskResult::Accepted(flag),
-            _ if flag => TaskResult::Dequeued(Some(pmem.read_i64(e + F_GOT)?)),
+        };
+        let result = match a.kind {
+            KIND_CAS => TaskResult::Swapped(a.flag),
+            KIND_ENQ => TaskResult::Accepted(a.flag),
+            _ if a.flag => TaskResult::Dequeued(Some(self.0.pmem().read_i64(a.at + F_GOT)?)),
             _ => TaskResult::Dequeued(None),
         };
-        let executor = pmem.read_u32(e + F_EXEC)?;
-        Ok(Some(TaskAnswer { executor, result }))
+        Ok(Some(TaskAnswer {
+            executor: a.executor,
+            result,
+        }))
     }
 
     /// Persists the completion of descriptor `idx` with its answer, in
-    /// one persist: the answer's one store, then the done flag as a
-    /// separate, later store, then one flush of the entry. The entry is
-    /// one line-atomic extent, so a crash leaves it answered or still
-    /// pending — never a done flag over a missing answer — and a flush
-    /// of the line by a neighbour's `mark_done` sees the done flag only
-    /// after the answer.
+    /// one persist: the core's answer rule over one slot — the answer's
+    /// one store, then the done flag, then one flush of the slot's line,
+    /// awaited here. A crash leaves the slot answered or still pending,
+    /// never a done flag over a missing answer.
     ///
     /// # Errors
     ///
     /// Out-of-range index or NVRAM errors.
     pub fn mark_done(&self, idx: usize, executor: u32, result: TaskResult) -> Result<(), PError> {
-        let e = self.entry(idx)?;
         let (flag, got) = match result {
             TaskResult::Swapped(ok) | TaskResult::Accepted(ok) => (ok, 0),
             TaskResult::Dequeued(got) => (got.is_some(), got.unwrap_or(0)),
@@ -280,10 +233,13 @@ impl TaskTable {
         answer[at(F_FLAG)] = u8::from(flag);
         answer[at(F_EXEC)..at(F_GOT)].copy_from_slice(&executor.to_le_bytes());
         answer[at(F_GOT)..].copy_from_slice(&got.to_le_bytes());
-        let pmem = &self.pmem;
-        pmem.write(e + F_FLAG, &answer)?;
-        pmem.write_u8(e + F_DONE, ST_DONE)?;
-        pmem.flush(e, ENTRY_STRIDE as usize)?;
+        let mut level = Level::default();
+        let pmem = self.0.pmem();
+        self.0
+            .answer([(slot(idx), answer)], &mut level, |e, answer| {
+                pmem.write(e + F_FLAG, &answer)
+            })?;
+        level.await_all()?;
         Ok(())
     }
 
@@ -293,13 +249,8 @@ impl TaskTable {
     ///
     /// Propagated NVRAM errors.
     pub fn pending(&self) -> Result<Vec<usize>, PError> {
-        let mut out = Vec::new();
-        for i in 0..self.len {
-            if !self.is_done(i)? {
-                out.push(i);
-            }
-        }
-        Ok(out)
+        let pending = self.0.pending(|_| Ok(true))?;
+        Ok(pending.into_iter().map(|slot| slot as usize).collect())
     }
 
     /// All answers: `None` for descriptors still pending.
@@ -308,21 +259,14 @@ impl TaskTable {
     ///
     /// Propagated NVRAM errors.
     pub fn results(&self) -> Result<Vec<Option<TaskAnswer>>, PError> {
-        (0..self.len).map(|i| self.result(i)).collect()
+        (0..self.len()).map(|i| self.result(i)).collect()
     }
 }
 
-/// An entry is one line-atomic persist only on lines of at least
-/// [`ENTRY_STRIDE`] bytes (line sizes are powers of two, so such a line
-/// holds whole 32-byte-aligned entries).
-fn check_line_size(pmem: &PMem) -> Result<(), PError> {
-    let line = pmem.line_size();
-    if line < ENTRY_STRIDE as usize {
-        return Err(PError::InvalidConfig(format!(
-            "a {line}-byte line would split a {ENTRY_STRIDE}-byte task-table entry"
-        )));
-    }
-    Ok(())
+/// Descriptor `idx`'s slot; an index past `u32` is out of every
+/// table's range.
+fn slot(idx: usize) -> u32 {
+    u32::try_from(idx).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
@@ -404,18 +348,44 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_a_count_that_overruns_the_region() {
+        // A kill(1) child's image is hostile input: a count word past
+        // the region is refused before any slot is read.
+        let (pmem, t) = fixture(&[cas(0, 1), cas(1, 2)]);
+        for count in [1 << 10, u64::from(u32::MAX) + 1, u64::MAX] {
+            pmem.write_u64(t.base() + 8u64, count).unwrap();
+            let before = pmem.stats().snapshot();
+            let r = TaskTable::open(pmem.clone(), t.base());
+            assert!(
+                matches!(r, Err(PError::CorruptStack(_))),
+                "count {count}: {r:?}"
+            );
+            assert_eq!(
+                (pmem.stats().snapshot() - before).reads,
+                2,
+                "the header alone"
+            );
+        }
+        pmem.write_u64(t.base() + 8u64, 2).unwrap();
+        assert_eq!(TaskTable::open(pmem, t.base()).unwrap().len(), 2);
+    }
+
+    #[test]
     fn a_line_that_would_split_an_entry_is_rejected() {
-        let pmem = PMemBuilder::new()
-            .len(1 << 16)
-            .line_size(16)
-            .build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-        let invalid = |r: Result<TaskTable, PError>| matches!(r, Err(PError::InvalidConfig(_)));
-        assert!(invalid(TaskTable::format(
-            pmem.clone(),
-            &heap,
-            &[TaskOp::Dequeue]
-        )));
-        assert!(invalid(TaskTable::open(pmem, POffset::new(0))));
+        // An entry is a 64-byte line: 16- and 32-byte lines split it.
+        for line in [16, 32] {
+            let pmem = PMemBuilder::new()
+                .len(1 << 16)
+                .line_size(line)
+                .build_in_memory();
+            let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+            let invalid = |r: Result<TaskTable, PError>| matches!(r, Err(PError::InvalidConfig(_)));
+            assert!(invalid(TaskTable::format(
+                pmem.clone(),
+                &heap,
+                &[TaskOp::Dequeue]
+            )));
+            assert!(invalid(TaskTable::open(pmem, POffset::new(0))));
+        }
     }
 }

@@ -48,6 +48,28 @@ fn cas_pays_its_evidence_and_its_register_and_a_failure_nothing() {
 }
 
 #[test]
+fn a_cas_format_waits_two_round_trips() {
+    // The heap's interior headers, then the allocation's switch ‖ the
+    // zeroed matrix and the initial value: two levels, each planning at
+    // most one latency however many flights it holds.
+    let latency = std::time::Duration::from_millis(1);
+    let pmem = PMemBuilder::new()
+        .len(1 << 16)
+        .flush_latency(latency)
+        .build_in_memory();
+    let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+    let before = pmem.stats().snapshot();
+    RecoverableCas::format(pmem.clone(), &heap, 4, 0, CasVariant::Nsrl).unwrap();
+    let d = pmem.stats().snapshot() - before;
+    assert!(
+        d.async_latency_waited_ns <= 2 * latency.as_nanos() as u64,
+        "more than two levels of waiting: {} ns planned",
+        d.async_latency_waited_ns
+    );
+    assert_eq!(pmem.inflight_tickets(), 0);
+}
+
+#[test]
 fn tas_win_is_one_persist_and_a_loss_none() {
     let (pmem, heap) = region();
     let tas = RecoverableTas::format(pmem.clone(), &heap).unwrap();

@@ -13,7 +13,10 @@
 //!   argument previews, return-slot states) — exactly what a recovery
 //!   boot would walk;
 //! * heap allocator statistics from a consistency-checked block walk;
-//! * the kill(1) image header, if the image carries one.
+//! * the kill(1) image header, if the image carries one, and then the
+//!   image's descriptor table: its descriptor count, how many are
+//!   pending and answered, and each pending descriptor's operation —
+//!   what the next worker process would re-enqueue.
 //!
 //! The inspector never writes to the image: it is safe to point at the
 //! artifact of a crashed (killed) run before deciding how to recover it.
@@ -77,6 +80,19 @@ fn dump(path: &Path) -> Result<(), Box<dyn std::error::Error>> {
         println!("  workload:      {:?}", header.object);
         println!("  stripe files:  {}", header.stripe_files);
         println!("  region length: {} bytes", header.region_len);
+        match header.descriptor_table(path) {
+            Ok(table) => {
+                let pending = table.pending()?;
+                println!("\ndescriptor table:");
+                println!("  descriptors:   {}", table.len());
+                println!("  pending:       {}", pending.len());
+                println!("  answered:      {}", table.len() - pending.len());
+                for idx in pending {
+                    println!("  pending #{idx}: {:?}", table.op(idx)?);
+                }
+            }
+            Err(e) => println!("\ndescriptor table: unreadable — {e}"),
+        }
     }
 
     Ok(())

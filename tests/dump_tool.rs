@@ -2,14 +2,15 @@
 //! file-backed system, leave an in-flight frame on a worker stack via a
 //! crash, and check the inspector renders it without touching the
 //! image; and check it names the workload a kill(1) image's header
-//! records.
+//! records, and lists the image's descriptor table.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use pstack::chaos::{KillHeader, Object};
+use pstack::chaos::{CampaignConfig, KillHeader, Object};
 use pstack::core::{FunctionRegistry, Runtime, RuntimeConfig, Task};
 use pstack::nvram::{FailPlan, PMemBuilder};
+use pstack::recoverable::TaskResult;
 
 fn tmp_image(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -120,5 +121,54 @@ fn dump_names_the_workload_of_a_kill_image() {
     assert!(out.status.success(), "{text}");
     assert!(text.contains("workload:      Queue"), "{text}");
     assert!(text.contains("stripe files:  3"), "{text}");
+    let _ = std::fs::remove_file(&image);
+}
+
+#[test]
+fn dump_lists_the_descriptor_table_of_a_cas_kill_image() {
+    let image = tmp_image("table");
+    let stripe0 = {
+        let mut p = image.clone().into_os_string();
+        p.push(".0");
+        PathBuf::from(p)
+    };
+    let cfg = CampaignConfig {
+        image: Some(image.clone()),
+        ..CampaignConfig::wide(6, 3)
+    };
+    let header = KillHeader::format(&cfg).unwrap();
+    assert_eq!(header.object, Object::Cas);
+    let ops = {
+        // Two descriptors answered, as a killed worker leaves them.
+        let table = header.descriptor_table(&image).unwrap();
+        table.mark_done(1, 2, TaskResult::Swapped(true)).unwrap();
+        table.mark_done(4, 0, TaskResult::Swapped(false)).unwrap();
+        (0..6).map(|i| table.op(i).unwrap()).collect::<Vec<_>>()
+    };
+    let before = std::fs::read(&stripe0).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pstack-dump"))
+        .arg(&image)
+        .output()
+        .expect("inspector runs");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains("workload:      Cas"), "{text}");
+    assert!(text.contains("descriptors:   6"), "{text}");
+    assert!(text.contains("pending:       4"), "{text}");
+    assert!(text.contains("answered:      2"), "{text}");
+    for idx in [0, 2, 3, 5] {
+        let line = format!("pending #{idx}: {:?}", ops[idx]);
+        assert!(text.contains(&line), "{line} missing: {text}");
+    }
+    assert!(
+        !text.contains("pending #1:") && !text.contains("pending #4:"),
+        "{text}"
+    );
+    assert_eq!(
+        before,
+        std::fs::read(&stripe0).unwrap(),
+        "inspector must not write"
+    );
+    let _ = std::fs::remove_file(&stripe0);
     let _ = std::fs::remove_file(&image);
 }
