@@ -23,20 +23,27 @@
 //! 64-line window, and the KV put path (a group commit of one, which
 //! also crosses the `op_label` spans). Each row prints its persist
 //! economy, identical across rows: neither instrument adds a persist.
+//!
+//! A row's mean moves between runs by more than one run's confidence
+//! interval on a shared host, so every row runs [`RUNS`] times, the
+//! four rows alternated run by run, and prints the median and the
+//! min–max of its per-run means. A row is distinguishable from `off`
+//! only when those ranges do not overlap.
 
 use std::time::Duration;
 
-use criterion::{
-    criterion_group, criterion_main, BenchmarkGroup, Comparison, Criterion, Measurement, Throughput,
-};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use pstack_bench::report_persist_economy;
 use pstack_heap::PHeap;
 use pstack_kv::{KvBatchOp, KvVariant, PKvStore};
-use pstack_nvram::{PMem, PMemBuilder, POffset};
+use pstack_nvram::{PMem, PMemBuilder, POffset, StatsSnapshot};
 use pstack_telemetry::{EventKind, TraceSession};
 
 /// Operations recorded to count a workload's hooks.
 const COUNTED_OPS: usize = 512;
+
+/// Alternated runs of every row.
+const RUNS: usize = 5;
 
 /// The recorder hooks one operation crosses, by kind.
 #[derive(Debug, Default)]
@@ -89,67 +96,140 @@ fn region(len: usize, psan: bool) -> PMem {
     PMemBuilder::new().len(len).psan(psan).build_in_memory()
 }
 
-/// Times `op` on `pmem` as row `row`, then prints its persist economy.
-fn measure(
-    g: &mut BenchmarkGroup<'_>,
-    name: &str,
-    row: &str,
-    (pmem, mut op): (PMem, impl FnMut()),
-) -> Measurement {
-    let before = pmem.stats().snapshot();
-    let mut ops = 0u64;
-    let m = g.bench_measured(row, |b| {
-        b.iter(|| {
-            op();
-            ops += 1;
-        });
-    });
-    assert_eq!(pmem.psan_violation_count(), 0, "workload is clean");
-    let delta = pmem.stats().snapshot() - before;
-    report_persist_economy(
-        &format!("{name}/{row}"),
-        pmem.line_size(),
-        delta,
-        ops as f64,
-    );
-    m
+/// The per-run means of one row.
+#[derive(Debug, Default)]
+struct Spread(Vec<Duration>);
+
+impl Spread {
+    fn median(&self) -> Duration {
+        let mut means = self.0.clone();
+        means.sort();
+        means[means.len() / 2]
+    }
+
+    fn range(&self) -> (Duration, Duration) {
+        let min = self.0.iter().min().copied().unwrap_or_default();
+        (min, self.0.iter().max().copied().unwrap_or_default())
+    }
+
+    /// `true` when the two rows' min–max ranges of per-run means do
+    /// not overlap: the difference outlasts the host's drift between
+    /// runs, not only one run's sampling noise.
+    fn distinguishable_from(&self, other: &Spread) -> bool {
+        let ((lo, hi), (other_lo, other_hi)) = (self.range(), other.range());
+        hi < other_lo || other_hi < lo
+    }
 }
 
-/// The four rows of one workload; `make(psan)` builds a fresh system
-/// and returns its region and one operation.
+/// One timed row: its system, its operation, and what the runs so far
+/// measured and cost.
+struct Row<Op> {
+    label: &'static str,
+    pmem: PMem,
+    op: Op,
+    before: StatsSnapshot,
+    ops: u64,
+    means: Spread,
+}
+
+impl<Op: FnMut()> Row<Op> {
+    fn new(label: &'static str, (pmem, op): (PMem, Op)) -> Self {
+        let before = pmem.stats().snapshot();
+        Row {
+            label,
+            pmem,
+            op,
+            before,
+            ops: 0,
+            means: Spread::default(),
+        }
+    }
+
+    /// One run of the row.
+    fn run(&mut self, g: &mut BenchmarkGroup<'_>) {
+        let (op, ops) = (&mut self.op, &mut self.ops);
+        let m = g.bench_measured(self.label, |b| {
+            b.iter(|| {
+                op();
+                *ops += 1;
+            });
+        });
+        assert_eq!(self.pmem.psan_violation_count(), 0, "workload is clean");
+        self.means.0.push(m.mean);
+    }
+
+    /// Prints the row's persist economy over every run.
+    fn report_economy(&self, name: &str) {
+        let delta = self.pmem.stats().snapshot() - self.before;
+        report_persist_economy(
+            &format!("{name}/{}", self.label),
+            self.pmem.line_size(),
+            delta,
+            self.ops as f64,
+        );
+    }
+}
+
+/// The four rows of one workload, alternated over [`RUNS`] runs;
+/// `make(psan)` builds a fresh system and returns its region and one
+/// operation.
 fn rows<Op: FnMut()>(c: &mut Criterion, workload: &str, make: impl Fn(bool) -> (PMem, Op)) {
     let name = format!("instrumentation/{workload}");
     let mut g = c.benchmark_group(name.as_str());
     g.sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+        .warm_up_time(Duration::from_millis(100))
+        .measurement_time(Duration::from_millis(300));
     g.throughput(Throughput::Elements(1));
 
     let (pmem, mut op) = make(false);
     let hooks = Hooks::count(&mut op);
-    let off = measure(&mut g, &name, "off", (pmem, op));
-    let psan = measure(&mut g, &name, "psan", make(true));
-    let idle = g.bench_measured("recorder_idle", |b| b.iter(|| hooks.cross()));
-    let session = TraceSession::start();
-    let recording = measure(&mut g, &name, "recording", make(false));
-    drop(session);
+    let mut off = Row::new("off", (pmem, op));
+    let mut psan = Row::new("psan", make(true));
+    let mut recording = Row::new("recording", make(false));
+    let mut idle = Spread::default();
+    for _ in 0..RUNS {
+        off.run(&mut g);
+        psan.run(&mut g);
+        idle.0.push(
+            g.bench_measured("recorder_idle", |b| b.iter(|| hooks.cross()))
+                .mean,
+        );
+        let session = TraceSession::start();
+        recording.run(&mut g);
+        drop(session);
+    }
     g.finish();
 
+    for row in [&off, &psan, &recording] {
+        row.report_economy(&name);
+    }
+    for (label, spread) in [
+        ("off", &off.means),
+        ("psan", &psan.means),
+        ("recorder_idle", &idle),
+        ("recording", &recording.means),
+    ] {
+        let (lo, hi) = spread.range();
+        println!(
+            "{name:<55} {label}: median {:.1?}, per-run means {lo:.1?}–{hi:.1?} over {RUNS} runs",
+            spread.median()
+        );
+    }
     println!(
         "{name:<55} idle hooks/op: {} spans + {} persist probes + {} fences = {:.1?} \
-         ({:.1} % of off)",
+         ({:.1} % of off, medians)",
         hooks.spans,
         hooks.persists,
         hooks.fences,
-        idle.mean,
-        100.0 * idle.mean.as_secs_f64() / off.mean.as_secs_f64()
+        idle.median(),
+        100.0 * idle.median().as_secs_f64() / off.means.median().as_secs_f64()
     );
-    let vs_off = Comparison::new(name.as_str(), "off", off);
-    for (row, m) in [("psan", psan), ("recording", recording)] {
-        vs_off.versus(row, m);
+    for row in [&psan, &recording] {
         println!(
-            "{name:<55} {row} distinguishable from off: {}",
-            m.distinguishable_from(&off)
+            "{name:<55} {} vs off: x{:.2} (medians), distinguishable from off: {}",
+            row.label,
+            off.means.median().as_secs_f64() / row.means.median().as_secs_f64(),
+            row.means.distinguishable_from(&off.means)
         );
     }
 }

@@ -362,8 +362,9 @@ mod tests {
         // recovery-step) state, recovery must converge with per-bucket
         // all-or-nothing effects and no re-run frames. (Ten puts: a
         // window answers with one persist, not two, so eight would walk
-        // fewer boundaries than this sweep used to — 72 crash moments
-        // and 1896 recovery steps now, 62 and 1519 before.)
+        // fewer boundaries than this sweep used to. Since a batch writes
+        // its log tail once instead of a CAS per record: 62 crash moments
+        // and 1404 recovery steps, 68 and 1548 before.)
         let ops: Vec<KvTaskOp> = (0..10u64)
             .map(|key| KvTaskOp::Put {
                 key,
@@ -375,13 +376,15 @@ mod tests {
         // Clean run: count the target region's events for the whole
         // drive (one worker, unshuffled tasks — fully deterministic).
         let (control, stripe) = build_enum_system(&ops);
-        let e0 = stripe.region(target).events();
-        {
+        let run_events = {
+            // Counted from the attach on, as the kill below is: the
+            // store's open persists its header first.
             let (exec, rt) = attach_enum_system(&control, &stripe);
+            let e0 = stripe.region(target).events();
             let report = rt.run_tasks(exec.pending_tasks(4).unwrap());
             assert!(!report.crashed);
-        }
-        let run_events = stripe.region(target).events() - e0;
+            stripe.region(target).events() - e0
+        };
         assert!(run_events >= 3, "a window must span several events");
 
         for k in 0..run_events {

@@ -158,17 +158,18 @@
 //! (a) covers.
 //!
 //! `KvServeFunction` is the function that declares it. Its window reads
-//! its slots and begins every shard's group commit — records ‖ tail in
+//! its slots and begins every shard's group commit — records ‖ header in
 //! flight, after the evidence scan on a recovery window — and only then
 //! awaits the frame and the descriptors, right before the heads are
-//! published. Records and tail are reserved, unpublished log slots that
-//! nothing reads until a head points at them, so a crash before the
+//! published. The records are unpublished log slots that nothing reads
+//! until a head points at them — the header that lands with them moves
+//! the log's replay point past them — so a crash before the
 //! heads leaves orphan slots — at most one staged batch per shard per
 //! failure — and its requests pending and unpublished: a retry or
 //! `pending_tasks` executes each exactly once, (b). A crash after a
 //! head finds the frame durable, and its replay's evidence scan finds
 //! the effect. A served round blocks on two round-trips: `CALL` ‖
-//! descriptors ‖ records ‖ tail → heads ‖ answers. An answer that
+//! descriptors ‖ records ‖ header → heads ‖ answers. An answer that
 //! reached NVRAM over a lost head finds the frame durable too, and its
 //! replay voids it and re-executes it through the evidence scan.
 //!

@@ -533,7 +533,7 @@ fn batch_window_group_commits_and_answers_in_one_pass() {
         }
         assert_eq!(exec.store().contents().unwrap().len(), 16);
         assert_eq!(exec.store().get_durable(3).unwrap(), Some(4));
-        // Exactly one group commit per shard — records ‖ tail →
+        // Exactly one group commit per shard — records ‖ header →
         // heads, then the answers: four flights a shard — the
         // batches rode the one persistent-stack task.
         assert_eq!([flights(0) - before[0], flights(1) - before[1]], [4, 4]);

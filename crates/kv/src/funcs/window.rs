@@ -7,7 +7,7 @@ use pstack_nvram::{op_label, Level};
 
 use super::{KvServeFunction, KvTaskAnswer, KvTaskOp, KvTaskResult, ShardWindow};
 use crate::reqtable::{split_id, KvRequestTable};
-use crate::store::KvBatchOp;
+use crate::store::{Heads, KvBatchOp};
 
 /// One shard's slots still to execute in a window, `(slot, req_id)`,
 /// beside their ops.
@@ -19,14 +19,18 @@ impl KvServeFunction {
     /// round-trip because nothing orders them; no shard's persist is
     /// ordered against another's):
     ///
-    /// 1. `CALL` ‖ descriptors ‖ records ‖ tail: per shard, the slots
+    /// 1. `CALL` ‖ descriptors ‖ records ‖ header: per shard, the slots
     ///    read, answered slots skipped (their answers are re-collected;
     ///    a replay voids some, below) and the rest begun as a group
-    ///    commit
+    ///    commit whose heads go into the window's next level
     ///    ([`PKvStore::apply_batch`](crate::PKvStore::apply_batch), or
     ///    the evidence-scanning
     ///    [`PKvStore::recover_batch`](crate::PKvStore::recover_batch)
-    ///    for a shard marked `recovery`); then the window's `frame`
+    ///    for a shard marked `recovery`) — its header moves the log's
+    ///    replay point past the window's records, which are never
+    ///    replayed, so a shard whose heads bare commits left dirty
+    ///    checkpoints them first, in one awaited level (once, after a
+    ///    preload); then the window's `frame`
     ///    ([`PContext::frame_durable`]) and every shard's descriptors
     ///    ([`KvRequestTable::persist_slots_if_dirty`]) awaited: nothing
     ///    is published before a replay can find the frame, or on behalf
@@ -41,7 +45,7 @@ impl KvServeFunction {
     ///    is durable.
     ///
     /// So a window blocks on the same round-trips — `CALL` ‖
-    /// descriptors ‖ records ‖ tail → heads ‖ answers — however many
+    /// descriptors ‖ records ‖ header → heads ‖ answers — however many
     /// shards it names; its `RET` is retired into the next window's
     /// `CALL` (a replay of a completed window is safe: see
     /// `pstack_core::invoke`). `frame` is the context whose root frame
@@ -81,7 +85,8 @@ impl KvServeFunction {
     ///   `LogFull` where the lost run found room, say), which is
     ///   sound because the voided answer was never shown. A batch that
     ///   staged nothing records no span and is never voided: it read
-    ///   only heads that earlier, settled batches had made durable.
+    ///   only heads that earlier, settled batches made durable, or that
+    ///   bare commits flipped over a stamped log a reopen replays.
     /// - **Two frames replaying one slot still give one effect.** A
     ///   replay that reads the slot after the other rewrote it finds a
     ///   reachable span and only re-collects; one that read it before
@@ -117,7 +122,7 @@ impl KvServeFunction {
             "server.window"
         });
         let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
-        // CALL ‖ descriptors ‖ records ‖ tail. Per shard with ops to
+        // CALL ‖ descriptors ‖ records ‖ header. Per shard with ops to
         // execute: its table, its staged (slot, req_id)s and its group
         // commit, the ops' order. Shards are begun in the window's
         // (ascending) order.
@@ -131,9 +136,9 @@ impl KvServeFunction {
             }
             let pstore = self.store.shard(part.shard as usize);
             batches.push(if part.recovery {
-                pstore.recover_batch_begin(&ops)?
+                pstore.recover_batch_begin(&ops, Heads::CallerLevel)?
             } else {
-                pstore.apply_batch_begin(&ops)?
+                pstore.begin(&ops, Heads::CallerLevel)?
             });
             parts.push((table, staged, ops));
         }

@@ -29,7 +29,7 @@
 //!   one persistent-stack task (a group commit per shard, or the
 //!   evidence-scanning dual on replay, all shards moved one dependence
 //!   level per round-trip, one line-atomic answer persist per shard
-//!   riding the heads' level), so KV
+//!   riding the heads' level — a window's commit point), so KV
 //!   traffic runs through `run_tasks` and survives crashes via the
 //!   persistent stack. Reads are never descriptors —
 //!   [`ShardedKvStore::get_durable`] is the one read path;
@@ -40,17 +40,21 @@
 //!
 //! Two §5-adjacent results justify the scaling layer. FliT shows that
 //! most persistence overhead is redundant flushes on the hot path;
-//! NVTraverse shows only the *destination* stores (here: records a
-//! published head can reach, the head itself, and the log tail) need
-//! ordered persistence. Accordingly, the store batches mutations ([`PKvStore::apply_batch`]): all records and the
-//! log tail become durable in one coalesced persist, the touched
-//! bucket heads are published once each and persisted together — the
-//! heads' flight is the batch's last persist and its commit point. Each
-//! persist is a flight, awaited only where something depends on it, so
-//! a batch waits two round-trips however many shards commit together. A crash at any flush
-//! boundary leaves each bucket entirely pre- or post-batch — never a
-//! torn head — so the evidence-scan recovery argument is unchanged,
-//! and the per-mutation persist count drops by the batch factor.
+//! NVTraverse shows only the *destination* stores need ordered
+//! persistence — here the records a published head can reach, and the
+//! log's header; a bucket head is traversal state, which the log can
+//! rebuild. Accordingly, the store batches mutations
+//! ([`PKvStore::apply_batch`]): every record of a batch, stamped, and
+//! the generation header become durable in one level, beside the heads
+//! the shard's previous commit flipped; then the batch's touched heads
+//! are published once each and left dirty for the next commit, or a
+//! reopen's replay of the stamped log, to persist. A bare batch waits
+//! one round-trip however many shards commit together; a served
+//! window, whose heads are the commit point it shows answers on, waits
+//! for them in its next level. A crash at any point leaves each shard's
+//! batch whole or absent — never a torn head — so the evidence-scan
+//! recovery argument is unchanged, and the per-mutation persist count
+//! drops by the batch factor.
 //! Sharding multiplies this by core count: different shards are
 //! different regions, so their critical sections never serialize.
 //!
@@ -68,12 +72,14 @@
 //!                  (newest)                (oldest)
 //! ```
 //!
-//! A mutation reserves a log slot (CAS on the persistent tail counter),
-//! writes the full record — `(kind, key, value, pid, seq, next)` fits
-//! in 48 bytes of a 64-byte-aligned slot, so it persists atomically —
-//! and then *publishes* it with a single 8-byte CAS on the bucket head.
-//! The record is unreachable until that CAS, so a crash can only leave
-//! an invisible orphan, never a torn or half-visible update. The bucket
+//! A mutation takes the next log slot (a batch counts its slots from
+//! the header's tail and writes the tail once), writes the full record
+//! — `(kind, key, value, pid, seq, next)` and its stamp fill one
+//! 64-byte-aligned slot, so it persists atomically — and then
+//! *publishes* it with a single 8-byte CAS on the bucket head, once the
+//! record is durable. A crash before then leaves an orphan, which a
+//! reopen replays into its chain only if its whole batch landed: never
+//! a torn or half-visible update. The bucket
 //! chain order **is** the linearization order of the key's mutations,
 //! which is what makes the execution verifiable
 //! ([`ShardedKvStore::check`], over `pstack-verify`'s
@@ -86,8 +92,8 @@
 //!
 //! The store runs on **buffered** regions — caches in front of NVRAM,
 //! as on real hardware — and orders its own persists through one
-//! routine, the group commit (records ‖ tail → heads); a lone
-//! mutation is a batch of one. It is the only kind of
+//! routine, the group commit (records ‖ header, the heads riding the
+//! next commit); a lone mutation is a batch of one. It is the only kind of
 //! region there is: the `pstack-recoverable` objects run on the same
 //! regions, under their own persist-store / persist-load rule.
 

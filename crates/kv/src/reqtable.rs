@@ -246,7 +246,7 @@ impl ReqIndex {
 ///     panic!("fresh request");
 /// };
 /// // The answer rides its commit's last level, on the receipt of the
-/// // commit's records ‖ tail (here, a commit that staged no record).
+/// // commit's records ‖ header (here, a commit that staged no record).
 /// let records = Level::default().await_all()?;
 /// let mut level = Level::default();
 /// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], None, &records, &mut level)?;
@@ -706,7 +706,7 @@ impl KvRequestTable {
     /// awaited before any answer is shown. Every answer records `span`,
     /// the record span `[first, last]` of the group commit that answered
     /// it (`None` when it staged no record), and is written on that
-    /// commit's records ‖ tail receipt, `records`, which must cover the
+    /// commit's records ‖ header receipt, `records`, which must cover the
     /// span. That the answer may reach NVRAM before its heads is the
     /// replay's to handle: a replayed window re-executes an answer
     /// whose span the durable heads do not wholly reach
@@ -1137,7 +1137,7 @@ mod tests {
     }
 
     /// A table with one fresh put, and a receipt for the one record
-    /// line at `RECORD`, as a commit's records ‖ tail level gives it.
+    /// line at `RECORD`, as a commit's records ‖ header level gives it.
     fn one_put_and_a_record_receipt() -> (KvRequestTable, u32, Durable) {
         let (pmem, table) = fixture(2);
         let ReqSubmit::Fresh(slot) = table.submit(1, KvTaskOp::Put { key: 1, value: 1 }).unwrap()

@@ -7,14 +7,16 @@
 //! self-contained bucket-array + version-log block. The store is split
 //! by concern:
 //!
-//! - `layout` — the root and generation blocks, the record codec, and
-//!   the two walks every reader shares: the generations newest first
-//!   and one chain's records newest first;
+//! - `layout` — the root and generation blocks, the record codec and
+//!   its stamp, the generation header's commit words, and the two walks
+//!   every reader shares: the generations newest first and one chain's
+//!   records newest first;
 //! - `commit` — the group commit, the one way to write
 //!   ([`PKvStore::apply_batch`], [`KvPendingBatch`]), and its persist
 //!   order;
-//! - `recovery` — the evidence scans ([`PKvStore::recover_batch`] and
-//!   the replay's span check);
+//! - `recovery` — the log replay [`PKvStore::open`] runs, and the
+//!   evidence scans ([`PKvStore::recover_batch`] and a served replay's
+//!   span check);
 //! - `compact` — the generational swap ([`PKvStore::compact`],
 //!   [`PKvStore::recover_compact`]).
 //!
@@ -29,10 +31,11 @@ mod compact;
 mod layout;
 mod recovery;
 
+pub(crate) use commit::Heads;
 pub use commit::KvPendingBatch;
 use layout::{
-    gen_block_len, gen_prefix_len, GEN_OFF_LOG_TAIL, KV_MAGIC, OFF_GEN_CELL, OFF_MAGIC,
-    OFF_NBUCKETS, ROOT_LEN,
+    gen_block_len, gen_prefix_len, write_header, LogHeader, KV_MAGIC, KV_MAGIC_V2, OFF_GEN_CELL,
+    OFF_MAGIC, OFF_NBUCKETS, ROOT_LEN,
 };
 pub(crate) use layout::{mix, span_extent};
 
@@ -303,7 +306,8 @@ impl PKvStore {
     /// # Errors
     ///
     /// [`PError::InvalidConfig`] for a zero bucket count or log
-    /// capacity; heap/NVRAM errors otherwise.
+    /// capacity, or one past 2³² (the header packs slot and bucket
+    /// indexes in 32 bits); heap/NVRAM errors otherwise.
     pub fn format(
         pmem: PMem,
         heap: &PHeap,
@@ -316,6 +320,12 @@ impl PKvStore {
                 "KV store needs at least one bucket and one log slot".into(),
             ));
         }
+        if nbuckets >= 1 << 32 || log_cap >= 1 << 32 {
+            return Err(PError::InvalidConfig(format!(
+                "KV store of {nbuckets} buckets and {log_cap} log slots: \
+                 each must stay below 2^32"
+            )));
+        }
         // Two allocations, each awaiting its interior headers; their
         // switches, the root and generation 0 then share one level,
         // durable before the cell (formatted below, self-persisting)
@@ -326,6 +336,8 @@ impl PKvStore {
         pmem.write_u64(base + OFF_NBUCKETS, nbuckets)?;
         pmem.write_u64(base + OFF_MAGIC, KV_MAGIC)?;
         let gen0 = Self::format_generation(&pmem, heap, &mut level, nbuckets, log_cap, 0, 0)?;
+        // A fresh store is ready for bare commits: its bare bit is set.
+        write_header(&pmem, gen0, &LogHeader::settled(0, 0, true))?;
         level.issue(&pmem, base, ROOT_LEN as usize)?;
         level.issue(&pmem, POffset::new(gen0), gen_prefix_len(nbuckets) as usize)?;
         level.await_all()?;
@@ -341,14 +353,26 @@ impl PKvStore {
     }
 
     /// Re-attaches to a store previously created at `base` (recovery
-    /// boot).
+    /// boot). A shard that ran bare commits gets the heads they left
+    /// dirty back: the log is replayed from the header's `C`, the tail
+    /// set where the whole batches end, and the epoch advanced — the
+    /// header and the rebuilt heads persisted in one level
+    /// (`store/recovery.rs` argues it). A shard a served window left
+    /// settled persists nothing.
     ///
     /// # Errors
     ///
     /// [`PError::CorruptStack`] on a bad magic word (root or active
-    /// generation).
+    /// generation), an image of the version-2 format (no stamped log),
+    /// or a propagated crash.
     pub fn open(pmem: PMem, base: POffset, variant: KvVariant) -> Result<Self, PError> {
         let magic = pmem.read_u64(base + OFF_MAGIC)?;
+        if magic == KV_MAGIC_V2 {
+            return Err(PError::CorruptStack(format!(
+                "KV store at {base} is a version-2 image (PSKVSTO2); this build reads \
+                 version 3 (PSKVSTO3) only"
+            )));
+        }
         if magic != KV_MAGIC {
             return Err(PError::CorruptStack(format!(
                 "bad KV store magic {magic:#x} at {base}"
@@ -368,6 +392,7 @@ impl PKvStore {
         };
         let gen = store.active_gen()?; // validates the active generation's magic
         Self::register_publish_range(&store.pmem, gen.base, nbuckets);
+        store.replay_log()?;
         Ok(store)
     }
 
@@ -410,10 +435,7 @@ impl PKvStore {
     ///
     /// Propagated NVRAM errors.
     pub fn log_reserved(&self) -> Result<u64, PError> {
-        let gen = self.active_gen()?;
-        Ok(self
-            .pmem
-            .read_u64(POffset::new(gen.base + GEN_OFF_LOG_TAIL))?)
+        Ok(self.read_header(&self.active_gen()?)?.tail)
     }
 
     /// Walks a chain from `head` for `key`: the newest record decides.
@@ -436,19 +458,19 @@ impl PKvStore {
     /// This is the hot path the sharding layer amortizes persists
     /// with, and it is exactly
     /// [`PKvStore::apply_batch_begin`] followed at once by
-    /// [`KvPendingBatch::commit`]: all records become durable in one
-    /// coalesced flight and the log tail in a second that overlaps it,
-    /// each touched bucket's head is published once, and the heads are
-    /// persisted — 3 persists (2 + ⌈heads/lines⌉ in general), every one
-    /// a flight, and 2 round-trips of waiting for the whole batch (one
-    /// per dependence level) instead of ≥ 2 per mutation. A crash
-    /// at any flush boundary leaves every bucket either entirely
-    /// pre-batch or entirely post-batch (records are durable strictly
-    /// before any head that can reach them), so recovery remains the
-    /// per-key evidence scan.
+    /// [`KvPendingBatch::commit`]: every record, stamped, and the
+    /// generation header become durable in one level of coalesced
+    /// flights, beside the heads the previous commit flipped, and each
+    /// touched bucket's head is published once on that level's receipt
+    /// and left for the next commit to persist — at most 3 persists
+    /// (2 + ⌈dirty heads/lines⌉ in general), every one a flight, and
+    /// one round-trip of waiting for the whole batch instead of ≥ 2 per
+    /// mutation. A crash at any point leaves the batch whole or absent
+    /// (a reopen replays the stamped log into the heads), so recovery
+    /// remains the per-key evidence scan.
     ///
     /// It is the one way to write the store: a lone mutation is a batch
-    /// of one, at the same 3 persists and 2 round-trips.
+    /// of one, at the same persists and one round-trip.
     ///
     /// # Errors
     ///
@@ -473,8 +495,9 @@ impl PKvStore {
     /// ])?;
     /// assert_eq!(applied, vec![Applied, Applied]);
     /// assert_eq!(kv.get(7)?, Some(71));
-    /// // Records ‖ log tail, then the heads: three flights in all.
-    /// assert_eq!((pmem.stats().snapshot() - before).async_flushes, 3);
+    /// // Records ‖ header: two flights, one round-trip. The heads ride
+    /// // the next commit (a third flight beside its records).
+    /// assert_eq!((pmem.stats().snapshot() - before).async_flushes, 2);
     /// # Ok(())
     /// # }
     /// # use pstack_kv::KvApplied::Applied;
@@ -496,12 +519,17 @@ impl PKvStore {
 
     /// [`PKvStore::get`] whose answer is **durably linearizable**: the
     /// value returned survives a power failure right after the call,
-    /// so it may be handed to a client. A reader persists only what a
-    /// writer has not yet (FliT's rule): the bucket-head line is
+    /// so it may be handed to a client. A reader persists only what no
+    /// one else makes durable (FliT's rule): the bucket-head line is
     /// persisted **iff** it is dirty or staged in an un-awaited flight
-    /// ([`PMem::persist_if_dirty`]) — a racing mutation between its
-    /// head CAS and its head persist — and on a quiescent shard the
-    /// read persists nothing and costs no round-trip.
+    /// ([`PMem::persist_if_dirty`]) and the log does not cover it. While
+    /// the header's bare bit is set, every head that is not durable was
+    /// flipped by a bare commit, whose records and header were durable
+    /// first, and `open` replays that batch: such a head costs the
+    /// reader nothing. A window clears the bit before its head CAS, so
+    /// a racing window's head is persisted here. On a quiescent shard
+    /// the read persists nothing and costs no round-trip, and it reads
+    /// the header only when the head's line is dirty.
     ///
     /// Only the destination needs ordering (NVTraverse): every commit
     /// path makes a record durable *before* the head CAS that can
@@ -515,7 +543,9 @@ impl PKvStore {
         let gen = self.active_gen()?;
         let bucket = self.bucket_off(&gen, key);
         let head = self.pmem.read_u64(bucket)?;
-        self.pmem.persist_if_dirty(bucket, 8)?;
+        if self.pmem.is_dirty(bucket, 8)? && !self.read_header(&gen)?.bare {
+            self.pmem.persist_if_dirty(bucket, 8)?;
+        }
         self.lookup_from(head, key, gen.number)
     }
 }

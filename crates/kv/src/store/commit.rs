@@ -1,4 +1,4 @@
-//! The group commit: staging, [`KvPendingBatch`] and its levels.
+//! The group commit: staging, [`KvPendingBatch`] and its level.
 //!
 //! # Persist order
 //!
@@ -6,28 +6,41 @@
 //! on real hardware, the one kind of region there is — and orders its
 //! own persists through one routine, the group commit.
 //! [`PKvStore::apply_batch`] enters the region's exclusive section,
-//! stages the records of a whole batch, issues their persist and the
-//! log tail's as two overlapping flush flights
-//! ([`PKvStore::apply_batch_begin`]), then
-//! moves through two dependence levels ([`KvPendingBatch::commit`]) —
-//! awaits both and publishes each touched bucket's head once (heads
-//! flight issued), then awaits the heads: records ‖ tail → heads. The
-//! heads' flight is the batch's last persist and its commit point;
-//! once it is awaited every effect of the batch is durable. A served
-//! window issues its answers into the heads' level, each recording the
-//! batch's record span (`KvPendingBatch::published`), and shows them
-//! once that level is awaited; a replay tells an answer that landed
-//! without its heads by that span (`PKvStore::span_published`). Every
-//! persist is a flight awaited where
-//! something depends on it, and batches of several shards move
-//! through the levels together. There is one mutation API: a write is
-//! a [`KvBatchOp`] in a group commit (a lone write a batch of one), and
-//! its recovery dual is [`PKvStore::recover_batch`]. Records are
-//! durable strictly before any head that can reach them, so a crash at
-//! *any* flush boundary leaves each bucket either entirely pre-batch or
-//! entirely post-batch — never a torn head — and recovery detects a
+//! stages a whole batch in volatile memory — its preconditions resolved
+//! against the staged chains, its slots counted from the header's tail
+//! (the section makes them its own: no per-record reserve) — writes the
+//! records, each stamped, and the generation header once, and issues
+//! one level ([`PKvStore::apply_batch_begin`]): records ‖ header ‖ the
+//! checkpoint of the heads the shard's previous bare commit flipped.
+//! [`KvPendingBatch::commit`] awaits that level once — across every
+//! shard of a [`KvBatch`](crate::KvBatch) — flips each touched bucket's
+//! head on its receipt, and returns: **one round-trip**. The new heads
+//! stay dirty; the header names them, and the shard's next commit, a
+//! compaction or a window persists them. Until then the log is the
+//! truth: a crash loses at most heads, and `PKvStore::open` rebuilds
+//! them by replaying the stamped batches from the header's `C`
+//! (`store/recovery.rs`). Records are durable strictly before any head
+//! that can reach them, so a crash at *any* point leaves each shard's
+//! batch whole or absent — never a torn head — and recovery detects a
 //! completed-but-unacked operation purely from the `(pid, seq)`
-//! evidence already in the log. (Shard-level parallelism comes from
+//! evidence in the log.
+//!
+//! A served window runs the same routine, and differs only in where
+//! its heads persist ([`Heads`]): its client is shown an answer, so its
+//! heads are its commit point, issued into the window's next level
+//! beside its answers — `CALL` ‖ descriptors ‖ records ‖ header → heads
+//! ‖ answers. Its records carry no stamp and are never replayed (its
+//! descriptor may be lost): the header it persists in its first level
+//! moves `C` past them and clears the bare bit, and a shard whose heads
+//! bare commits left dirty checkpoints them first, in one awaited
+//! level. Each answer records the batch's record span
+//! (`KvPendingBatch::published`), and a replay tells an answer that
+//! landed without its heads by that span
+//! (`PKvStore::span_published`).
+//!
+//! There is one mutation API: a write is a [`KvBatchOp`] in a group
+//! commit (a lone write a batch of one), and its recovery dual is
+//! [`PKvStore::recover_batch`]. (Shard-level parallelism comes from
 //! striping stores across regions, see
 //! [`ShardedKvStore`](crate::ShardedKvStore).)
 
@@ -36,7 +49,10 @@ use std::collections::BTreeMap;
 use pstack_core::PError;
 use pstack_nvram::{op_label, Durable, Level, POffset, QuiesceGuard};
 
-use super::layout::{Gen, GEN_OFF_LOG_TAIL, KIND_DEL, KIND_PUT, RECORD_STRIDE};
+use super::layout::{
+    decode_record, encode_record, header_range, heads_range, stamp, write_header, Gen, LogHeader,
+    RecordBytes, KIND_DEL, KIND_PUT, RECORD_STRIDE,
+};
 #[cfg(any(test, feature = "fault-seeds"))]
 use super::KvVariant;
 use super::{KvApplied, KvBatchOp, PKvStore};
@@ -74,36 +90,66 @@ impl KvBatchOp {
     }
 }
 
-/// What staging a group commit produced: records written (volatile), per
-/// touched bucket the durable pre-batch head and the staged head to
-/// publish, the `[lo, hi]` slot span (`None` when nothing staged) and
-/// the log tail that reserved it.
+/// Where a group commit's heads persist: the one thing a bare commit
+/// and a served window do differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Heads {
+    /// A bare commit shows nothing to a client, so its heads ride the
+    /// shard's next commit; until then `PKvStore::open` rebuilds them
+    /// from the stamped log.
+    NextCommit,
+    /// A served window's heads go into the caller's next level, beside
+    /// the answers they let it show: its commit point.
+    CallerLevel,
+}
+
+/// What staging a group commit produced: the records (volatile, slot by
+/// slot from `first`), per touched bucket (by index) the pre-batch head
+/// and the staged head to publish, and the `[lo, hi]` slot span by
+/// offset (`None` when nothing staged).
 pub(super) struct StagedBatch {
     pub(super) outcomes: Vec<KvApplied>,
-    pub(super) pre_heads: BTreeMap<u64, u64>,
-    pub(super) staged_heads: BTreeMap<u64, u64>,
+    pre_heads: BTreeMap<u64, u64>,
+    staged_heads: BTreeMap<u64, u64>,
+    records: Vec<RecordBytes>,
+    first: u64,
     pub(super) slots: Option<(u64, u64)>,
-    tail: POffset,
+}
+
+impl StagedBatch {
+    /// The batch's last slot index.
+    fn last(&self) -> u64 {
+        self.first + self.records.len() as u64 - 1
+    }
 }
 
 /// A group commit staged by [`PKvStore::apply_batch_begin`] whose
-/// record and log-tail persists are in flight as one dependence level.
+/// records and generation header are in flight as one dependence level.
 /// Holds the region quiesced until committed or dropped; nothing is
-/// visible (or recoverable) until [`KvPendingBatch::commit`] runs its
-/// levels: records ‖ tail awaited and heads published on its receipt,
-/// their flight issued ([`KvPendingBatch::publish`]), then heads
-/// awaited — the commit point ([`KvPendingBatch::committed`]). Every
-/// persist is a flight, awaited where something depends on it.
+/// visible until [`KvPendingBatch::commit`] awaits that level and flips
+/// the heads on its receipt ([`KvPendingBatch::publish`]). A bare
+/// commit returns there: its heads persist with the shard's next
+/// commit. A served window issues them into its next level instead, and
+/// shows its answers once that is awaited ([`KvPendingBatch::committed`]).
+/// Dropped before its publish, a bare batch voids its slots.
 #[must_use = "a pending batch publishes nothing until committed"]
 pub struct KvPendingBatch<'a> {
     store: &'a PKvStore,
     _quiesce: QuiesceGuard<'a>,
+    gen: Gen,
+    heads: Heads,
     pub(super) staged: StagedBatch,
-    /// Records ‖ tail: the level the heads depend on.
+    /// Records ‖ header: the level the heads depend on.
     records: Level,
+    /// A bare commit's checkpoint of the heads earlier commits left
+    /// dirty, in the same round-trip; its receipt licenses nothing.
+    checkpoint: Level,
     /// The records level's receipt, once [`KvPendingBatch::publish`]
     /// awaited it.
     durable: Option<Durable>,
+    /// A bare batch not yet published: the header it found, which a
+    /// drop restores past the voided slots.
+    restore: Option<LogHeader>,
 }
 
 impl KvPendingBatch<'_> {
@@ -114,8 +160,11 @@ impl KvPendingBatch<'_> {
         self.staged.slots.is_some()
     }
 
-    /// Runs the batch's levels and publishes it: heads flipped and
-    /// durable. Outcomes are reported in submission order.
+    /// Awaits the batch's level and publishes it. Outcomes are reported
+    /// in submission order. A bare commit's heads stay dirty: they
+    /// persist with the shard's next commit, and a crash before then
+    /// loses nothing — `PKvStore::open` replays the batch's stamped
+    /// records.
     ///
     /// # Errors
     ///
@@ -129,15 +178,22 @@ impl KvPendingBatch<'_> {
         Ok(self.committed(&heads))
     }
 
-    /// Awaits the records ‖ tail, publishes the heads on its receipt
-    /// ([`KvPendingBatch::flip_heads`]), and issues the heads' flight
-    /// into `heads` — one level for every region's.
+    /// Awaits the records ‖ header level, publishes the heads on its
+    /// receipt ([`KvPendingBatch::flip_heads`]), and — for a window —
+    /// issues the heads' flight into `heads`, one level for every
+    /// region's.
     pub(crate) fn publish(&mut self, heads: &mut Level) -> Result<(), PError> {
         let records = std::mem::take(&mut self.records).await_all()?;
+        std::mem::take(&mut self.checkpoint).await_all()?;
+        // The level landed: a reopen would replay the batch, so a drop
+        // from here on must not void it.
+        self.restore = None;
         self.flip_heads(&records)?;
         self.durable = Some(records);
-        if let Some((off, len)) = self.heads_span() {
-            heads.issue(&self.store.pmem, off, len)?;
+        if self.heads == Heads::CallerLevel {
+            if let Some((off, len)) = self.heads_span() {
+                heads.issue(&self.store.pmem, off, len)?;
+            }
         }
         Ok(())
     }
@@ -145,7 +201,7 @@ impl KvPendingBatch<'_> {
     /// What a served window's answers rest on once
     /// [`KvPendingBatch::publish`] has run: the batch's record span
     /// `[first, last]` by offset (`None` when it staged no record), the
-    /// records ‖ tail receipt its heads were published on, and every
+    /// records ‖ header receipt its heads were published on, and every
     /// op's outcome in submission order.
     ///
     /// # Panics
@@ -159,17 +215,18 @@ impl KvPendingBatch<'_> {
     /// The publish: flips each touched bucket's head once, to the newest
     /// staged record (intermediate staged heads are never published, so
     /// per bucket the batch is all-or-nothing), on `records`, the
-    /// receipt for the record span and the log tail.
+    /// receipt for the record span and the header.
     fn flip_heads(&self, records: &Durable) -> Result<(), PError> {
         let pmem = &self.store.pmem;
         if let Some((lo, hi)) = self.staged.slots {
             records.check(pmem, POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
-            records.check(pmem, self.staged.tail, 8);
+            let (off, len) = header_range(self.gen.base);
+            records.check(pmem, off, len);
         }
         for (&bucket, &new_head) in &self.staged.staged_heads {
             let expected = self.staged.pre_heads[&bucket];
             if !pmem.compare_exchange(
-                POffset::new(bucket),
+                self.store.bucket_off_at(&self.gen, bucket),
                 &expected.to_le_bytes(),
                 &new_head.to_le_bytes(),
             )? {
@@ -183,10 +240,10 @@ impl KvPendingBatch<'_> {
         Ok(())
     }
 
-    /// The commit point, once the heads' level is awaited into `heads`:
-    /// a bare commit returns and a window shows its answers, so under
-    /// PSan the ranges of both receipts on this region — records ‖ tail
-    /// and the heads — must be durable *now*. Takes the outcomes
+    /// Once the caller's level is awaited into `heads`: a bare commit
+    /// returns and a window shows its answers, so under PSan the ranges
+    /// of both receipts on this region — records ‖ header and, for a
+    /// window, the heads — must be durable *now*. Takes the outcomes
     /// (submission order); the exclusive section lasts until drop.
     pub(crate) fn committed(&mut self, heads: &Durable) -> Vec<KvApplied> {
         if let Some(records) = self.durable.take() {
@@ -197,109 +254,157 @@ impl KvPendingBatch<'_> {
         std::mem::take(&mut self.staged.outcomes)
     }
 
-    /// The touched buckets' span, if any: one flight over it coalesces
-    /// the touched lines (clean lines in between stage nothing).
+    /// The touched buckets' heads, if any: one flight over them
+    /// coalesces the touched lines (clean lines in between stage
+    /// nothing).
     fn heads_span(&self) -> Option<(POffset, usize)> {
-        let first = *self.staged.staged_heads.keys().next()?;
-        let last = *self.staged.staged_heads.keys().next_back()?;
-        Some((POffset::new(first), (last - first + 8) as usize))
+        Some(heads_range(self.gen.base, self.touched()?))
+    }
+
+    /// The first and last bucket the batch touched.
+    fn touched(&self) -> Option<(u64, u64)> {
+        let heads = &self.staged.staged_heads;
+        Some((*heads.keys().next()?, *heads.keys().next_back()?))
+    }
+
+    /// A bare batch dropped before its publish: its records are
+    /// rewritten as stamped voids (kind 0), which replay skips whole,
+    /// and the header goes back to what the batch found, with the
+    /// tail past the voided slots. Both are issued as a flight that
+    /// nothing awaits: any later commit's await completes it first.
+    fn void(&mut self) -> Result<(), PError> {
+        let Some(mut header) = self.restore.take() else {
+            return Ok(());
+        };
+        let store = self.store;
+        let (first, last) = (self.staged.first, self.staged.last());
+        for (i, rec) in self.staged.records.iter_mut().enumerate() {
+            let off = store.record_off(&self.gen, first + i as u64);
+            rec[0] = 0;
+            stamp(rec, off, self.gen.number, (first, last), header.epoch);
+            store.write_slot(off, rec)?;
+        }
+        header.tail = last + 1;
+        write_header(&store.pmem, self.gen.base, &header)?;
+        let (lo, hi) = self.staged.slots.expect("a staged batch");
+        store
+            .pmem
+            .flush_async(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize)?;
+        let (off, len) = header_range(self.gen.base);
+        store.pmem.flush_async(off, len)?;
+        Ok(())
+    }
+}
+
+impl Drop for KvPendingBatch<'_> {
+    fn drop(&mut self) {
+        // On a crashed region the void's writes fail: the reboot then
+        // replays the batch only if its whole level landed, as it would
+        // a commit cut right after its await.
+        let _ = self.void();
     }
 }
 
 impl PKvStore {
-    /// Reserves one log slot in `gen`; `None` when its log is
-    /// exhausted.
-    fn reserve(&self, gen: &Gen) -> Result<Option<u64>, PError> {
-        let tail = POffset::new(gen.base + GEN_OFF_LOG_TAIL);
-        loop {
-            let t = self.pmem.read_u64(tail)?;
-            if t >= gen.log_cap {
-                return Ok(None);
-            }
-            if self
-                .pmem
-                .compare_exchange(tail, &t.to_le_bytes(), &(t + 1).to_le_bytes())?
-            {
-                return Ok(Some(self.record_off(gen, t)));
-            }
-        }
-    }
-
-    /// Resolves a mutation's precondition against the chain at `head`:
-    /// `None` means the precondition failed, `Some(v)` the value the
-    /// record must carry (a delete records the value it removed).
+    /// Resolves a mutation's precondition against the chain at `head`,
+    /// reading the batch's own staged records from `staged`: `None`
+    /// means the precondition failed, `Some(v)` the value the record
+    /// must carry (a delete records the value it removed).
     fn resolve_value(
         &self,
+        gen: &Gen,
+        staged: &StagedBatch,
         head: u64,
         key: u64,
         value: i64,
         precond: &Precond,
-        gen_number: u64,
     ) -> Result<Option<i64>, PError> {
+        let current = || self.lookup_staged(gen, staged, head, key);
         match precond {
             Precond::None => Ok(Some(value)),
-            Precond::Exists => self.lookup_from(head, key, gen_number),
-            Precond::ValueIs(expected) => {
-                if self.lookup_from(head, key, gen_number)? == Some(*expected) {
-                    Ok(Some(value))
-                } else {
-                    Ok(None)
-                }
-            }
+            Precond::Exists => current(),
+            Precond::ValueIs(expected) => Ok((current()? == Some(*expected)).then_some(value)),
         }
+    }
+
+    /// `key`'s value along the chain at `head`: the batch's staged
+    /// records (every one at or above its first slot) from `staged`,
+    /// the rest from the log.
+    fn lookup_staged(
+        &self,
+        gen: &Gen,
+        staged: &StagedBatch,
+        mut head: u64,
+        key: u64,
+    ) -> Result<Option<i64>, PError> {
+        let first = self.record_off(gen, staged.first);
+        while head >= first {
+            let rec = &staged.records[((head - first) / RECORD_STRIDE) as usize];
+            let (kind, k, value, _, next) = decode_record(rec);
+            if k == key {
+                return Ok((kind != KIND_DEL).then_some(value));
+            }
+            head = next;
+        }
+        self.lookup_from(head, key, gen.number)
     }
 
     /// The staging step of a group commit: resolve preconditions
-    /// against the staged chain state, reserve slots, write records (volatile). The
-    /// caller holds the region quiesced.
-    pub(super) fn stage_batch(&self, gen: &Gen, ops: &[KvBatchOp]) -> Result<StagedBatch, PError> {
-        let mut outcomes = vec![KvApplied::PrecondFailed; ops.len()];
-        // Per touched bucket: the durable pre-batch head and the staged
-        // head the batch will publish.
-        let mut pre_heads: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut staged_heads: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut slots: Option<(u64, u64)> = None;
+    /// against the staged chain state and build the records in
+    /// volatile memory, in slots from `tail` on. Reserving is counting:
+    /// the caller holds the region quiesced, so the slots are its own,
+    /// and the tail is written once, in the header the level persists.
+    fn stage_batch(&self, gen: &Gen, ops: &[KvBatchOp], tail: u64) -> Result<StagedBatch, PError> {
+        let mut staged = StagedBatch {
+            outcomes: vec![KvApplied::PrecondFailed; ops.len()],
+            pre_heads: BTreeMap::new(),
+            staged_heads: BTreeMap::new(),
+            records: Vec::new(),
+            first: tail,
+            slots: None,
+        };
         for (i, op) in ops.iter().enumerate() {
             let (pid, seq, key, kind, value, precond) = op.parts();
-            let bucket = self.bucket_off(gen, key).get();
-            let head = match staged_heads.get(&bucket) {
+            let bucket = self.bucket_of(key);
+            let head = match staged.staged_heads.get(&bucket) {
                 Some(&h) => h,
                 None => {
-                    let h = self.pmem.read_u64(POffset::new(bucket))?;
-                    pre_heads.insert(bucket, h);
+                    let h = self.pmem.read_u64(self.bucket_off_at(gen, bucket))?;
+                    staged.pre_heads.insert(bucket, h);
                     h
                 }
             };
-            let Some(value) = self.resolve_value(head, key, value, &precond, gen.number)? else {
+            let Some(value) = self.resolve_value(gen, &staged, head, key, value, &precond)? else {
                 continue;
             };
-            let Some(off) = self.reserve(gen)? else {
-                outcomes[i] = KvApplied::LogFull;
+            let idx = tail + staged.records.len() as u64;
+            if idx >= gen.log_cap {
+                staged.outcomes[i] = KvApplied::LogFull;
                 continue;
-            };
-            self.write_record(off, kind, key, value, (pid, seq), head)?;
-            staged_heads.insert(bucket, off);
-            slots = Some(match slots {
-                None => (off, off),
-                Some((lo, hi)) => (lo.min(off), hi.max(off)),
-            });
-            outcomes[i] = KvApplied::Applied;
+            }
+            staged
+                .records
+                .push(encode_record(kind, key, value, (pid, seq), head));
+            staged
+                .staged_heads
+                .insert(bucket, self.record_off(gen, idx));
+            staged.outcomes[i] = KvApplied::Applied;
         }
-        Ok(StagedBatch {
-            outcomes,
-            pre_heads,
-            staged_heads,
-            slots,
-            tail: POffset::new(gen.base + GEN_OFF_LOG_TAIL),
-        })
+        if !staged.records.is_empty() {
+            staged.slots = Some((
+                self.record_off(gen, staged.first),
+                self.record_off(gen, staged.last()),
+            ));
+        }
+        Ok(staged)
     }
 
-    /// Stages a group commit and **issues** its record and log-tail
-    /// persists as asynchronous flush commands without publishing. The
-    /// two flights ride the device queue concurrently, so draining
-    /// them costs about one round-trip instead of two — and while they
-    /// are in flight the caller is free to build other work (another
-    /// shard's batch, the next batch's records) before making this one
+    /// Stages a bare group commit and **issues** its level — records ‖
+    /// generation header ‖ the checkpoint of the heads earlier bare
+    /// commits left dirty — without publishing. The flights ride the
+    /// device queue concurrently, so draining them costs about one
+    /// round-trip — and while they are in flight the caller is free to
+    /// build other work (another shard's batch) before making this one
     /// visible with [`KvPendingBatch::commit`].
     ///
     /// The returned handle holds the region's exclusive section
@@ -309,55 +414,125 @@ impl PKvStore {
     /// enters it for every mutation, and so does `compact`; so the
     /// generation loaded here cannot be swapped and no bucket head can
     /// move under the batch. Dropping the handle without committing
-    /// abandons the staged records as unpublished orphans — invisible
-    /// to lookups, scans and recovery alike, the same shape a
-    /// pre-publish crash leaves.
+    /// abandons the staged records as voided orphans — invisible to
+    /// lookups, scans and recovery alike.
     ///
     /// # Errors
     ///
     /// A propagated crash (complete the batch with
     /// [`PKvStore::recover_batch`] after restart).
     pub fn apply_batch_begin(&self, ops: &[KvBatchOp]) -> Result<KvPendingBatch<'_>, PError> {
-        let _label = op_label("kv.apply_batch");
-        self.begin_quiesced(self.pmem.quiesce(), ops)
+        self.begin(ops, Heads::NextCommit)
     }
 
-    /// [`PKvStore::apply_batch_begin`] with the region already
-    /// quiesced by `quiesce` — which the pending batch keeps until it
-    /// commits.
+    /// [`PKvStore::apply_batch_begin`], its heads persisting as `heads`
+    /// says.
+    pub(crate) fn begin(
+        &self,
+        ops: &[KvBatchOp],
+        heads: Heads,
+    ) -> Result<KvPendingBatch<'_>, PError> {
+        let _label = op_label("kv.apply_batch");
+        self.begin_quiesced(self.pmem.quiesce(), ops, heads)
+    }
+
+    /// [`PKvStore::begin`] with the region already quiesced by
+    /// `quiesce` — which the pending batch keeps until it commits.
+    ///
+    /// The header is read once and written once. A window moves `C`
+    /// past its records, so a shard whose heads bare commits left dirty
+    /// checkpoints them first, in one awaited level; a bare commit on a
+    /// shard a window left settled sets the bare bit first, in one
+    /// persist, so that `open` advances the epoch before any slot is
+    /// reused.
     pub(super) fn begin_quiesced<'a>(
         &'a self,
         quiesce: QuiesceGuard<'a>,
         ops: &[KvBatchOp],
+        heads: Heads,
     ) -> Result<KvPendingBatch<'a>, PError> {
         let gen = self.active_gen()?;
-        let staged = self.stage_batch(&gen, ops)?;
-        let mut records = Level::default();
-        if let Some((lo, hi)) = staged.slots {
-            // Issue the record-span and log-tail flights back to back;
-            // their round-trips overlap in the device queue. The
-            // quiesce makes the reserved slots consecutive, so [lo, hi]
-            // covers exactly this batch. KvVariant::EarlyPublish forges
-            // the record flight's receipt instead — PSan's negative
-            // control: the head CAS then publishes still-volatile
-            // records, which the sanitizer flags.
-            let span = (hi - lo + RECORD_STRIDE) as usize;
-            #[cfg(any(test, feature = "fault-seeds"))]
-            let forged = self.forges(KvVariant::EarlyPublish, &mut records, lo, span);
-            #[cfg(not(any(test, feature = "fault-seeds")))]
-            let forged = false;
-            if !forged {
-                records.issue(&self.pmem, POffset::new(lo), span)?;
-            }
-            records.issue(&self.pmem, staged.tail, 8)?;
-        }
-        Ok(KvPendingBatch {
+        let mut header = self.read_header(&gen)?;
+        let staged = self.stage_batch(&gen, ops, header.tail)?;
+        let mut pending = KvPendingBatch {
             store: self,
             _quiesce: quiesce,
+            gen,
+            heads,
             staged,
-            records,
+            records: Level::default(),
+            checkpoint: Level::default(),
             durable: None,
-        })
+            restore: None,
+        };
+        let Some((lo, hi)) = pending.staged.slots else {
+            return Ok(pending);
+        };
+        match heads {
+            Heads::CallerLevel => self.checkpoint(&gen, &header)?,
+            Heads::NextCommit if !header.bare => {
+                header.bare = true;
+                write_header(&self.pmem, gen.base, &header)?;
+                let (off, len) = header_range(gen.base);
+                self.pmem.flush(off, len)?;
+            }
+            Heads::NextCommit => {}
+        }
+        let (first, last) = (pending.staged.first, pending.staged.last());
+        for (i, rec) in pending.staged.records.iter_mut().enumerate() {
+            let off = lo + i as u64 * RECORD_STRIDE;
+            if heads == Heads::NextCommit {
+                stamp(rec, off, gen.number, (first, last), header.epoch);
+            }
+            self.write_slot(off, rec)?;
+        }
+        let next = match heads {
+            Heads::CallerLevel => LogHeader::settled(last + 1, header.epoch, false),
+            Heads::NextCommit => LogHeader {
+                tail: last + 1,
+                replay_from: if header.dirty.is_some() {
+                    header.last_batch
+                } else {
+                    first
+                },
+                last_batch: first,
+                dirty: pending.touched(),
+                ..header
+            },
+        };
+        write_header(&self.pmem, gen.base, &next)?;
+        // The record span, the header and a bare commit's checkpoint,
+        // issued back to back: their round-trips overlap in the device
+        // queue. KvVariant::EarlyPublish forges the record flight's
+        // receipt instead — PSan's negative control: the head CAS then
+        // publishes still-volatile records, which the sanitizer flags.
+        let span = (hi - lo + RECORD_STRIDE) as usize;
+        #[cfg(any(test, feature = "fault-seeds"))]
+        let forged = self.forges(KvVariant::EarlyPublish, &mut pending.records, lo, span);
+        #[cfg(not(any(test, feature = "fault-seeds")))]
+        let forged = false;
+        if !forged {
+            pending.records.issue(&self.pmem, POffset::new(lo), span)?;
+        }
+        let (off, len) = header_range(gen.base);
+        pending.records.issue(&self.pmem, off, len)?;
+        if heads == Heads::NextCommit {
+            if let Some(dirty) = header.dirty {
+                let (off, len) = heads_range(gen.base, dirty);
+                pending.checkpoint.issue(&self.pmem, off, len)?;
+            }
+            pending.restore = Some(header);
+        }
+        Ok(pending)
+    }
+
+    /// Persists the heads `header` names dirty, in one awaited flight.
+    fn checkpoint(&self, gen: &Gen, header: &LogHeader) -> Result<(), PError> {
+        if let Some(dirty) = header.dirty {
+            let (off, len) = heads_range(gen.base, dirty);
+            self.pmem.flush(off, len)?;
+        }
+        Ok(())
     }
 
     /// The persist-order seeds' one move: when this store is `seed`, puts

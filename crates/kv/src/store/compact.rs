@@ -10,8 +10,14 @@
 //! preserved), persists the block with one coalesced flight, and then
 //! commits with a single [`RootCell::swap`]. The persists form three
 //! dependence levels, one round-trip each: the heap's interior headers;
-//! the allocation's switch word ‖ the block; the root cell (slot and
-//! selector in one line). Five persists in all. The selector flip is
+//! the allocation's switch word ‖ the block ‖ the heads bare commits
+//! left dirty in the retired generation; the root cell (slot and
+//! selector in one line). Five persists in all, six with dirty heads:
+//! once the swap lands nothing replays the retired generation's log,
+//! and its chains are the evidence [`PKvStore::recover_batch`] walks,
+//! so its heads must be durable first. The new generation starts
+//! settled — every head durable, its replay point at its tail — with
+//! the retired one's epoch and bare bit. The selector flip is
 //! the *only* commit point: a crash anywhere before it recovers into
 //! the old generation; a crash anywhere after it recovers into the new
 //! one. A crash before the flip leaves the new block free (its switch
@@ -54,8 +60,8 @@ use pstack_heap::PHeap;
 use pstack_nvram::{op_label, Level, POffset};
 
 use super::layout::{
-    gen_block_len, gen_prefix_len, Gen, GEN_OFF_CARRIED, GEN_OFF_LOG_TAIL, KIND_CARRY,
-    RECORD_STRIDE,
+    encode_record, gen_block_len, gen_prefix_len, heads_range, write_header, Gen, LogHeader,
+    GEN_OFF_CARRIED, KIND_CARRY, RECORD_STRIDE,
 };
 #[cfg(any(test, feature = "fault-seeds"))]
 use super::KvVariant;
@@ -90,8 +96,9 @@ impl PKvStore {
     ///    compaction's level), write the live records into it as
     ///    `carried` records (original tags preserved, one chain per
     ///    bucket), then issue header, buckets and carries as **one
-    ///    coalesced flight** into the same level and await it —
-    ///    round-trip 2, O(live keys) persist traffic, never O(history);
+    ///    coalesced flight** into the same level, beside the old
+    ///    generation's dirty heads, and await it — round-trip 2,
+    ///    O(live keys) persist traffic, never O(history);
     /// 3. commit by swapping the root cell to the new block — the
     ///    single-line selector flip is the only commit point, one
     ///    persist: round-trip 3 — and register the old block with
@@ -135,6 +142,7 @@ impl PKvStore {
         capacity: Option<u64>,
     ) -> Result<CompactionStats, PError> {
         let gen = self.active_gen()?;
+        let header = self.read_header(&gen)?;
 
         // Step 1 — the live set, per bucket in ascending key order
         // (deterministic carry layout).
@@ -160,11 +168,17 @@ impl PKvStore {
             }
             None => gen.log_cap.max(live_total * 2),
         };
+        if new_cap >= 1 << 32 {
+            return Err(PError::InvalidConfig(format!(
+                "compaction capacity {new_cap} does not fit the header's 32-bit slot indexes"
+            )));
+        }
 
         // Step 2 — build the new generation: header + buckets zeroed,
         // carries written slot by slot, all volatile until the single
         // coalesced flight below, issued into the level that holds the
-        // allocation's switch.
+        // allocation's switch. Its header is settled past the carries,
+        // with the retired generation's epoch and bare bit.
         let mut level = Level::default();
         let nb = Self::format_generation(
             &self.pmem,
@@ -174,6 +188,11 @@ impl PKvStore {
             new_cap,
             gen.number + 1,
             gen.base,
+        )?;
+        write_header(
+            &self.pmem,
+            nb,
+            &LogHeader::settled(live_total, header.epoch, header.bare),
         )?;
         let new_gen = Gen {
             base: nb,
@@ -185,13 +204,9 @@ impl PKvStore {
             let mut head = 0u64;
             for rec in keep {
                 let off = self.record_off(&new_gen, slot);
-                self.write_record(
+                self.write_slot(
                     off,
-                    KIND_CARRY,
-                    rec.key,
-                    rec.value,
-                    (rec.pid, rec.seq),
-                    head,
+                    &encode_record(KIND_CARRY, rec.key, rec.value, (rec.pid, rec.seq), head),
                 )?;
                 head = off;
                 slot += 1;
@@ -201,8 +216,6 @@ impl PKvStore {
                     .write_u64(self.bucket_off_at(&new_gen, b as u64), head)?;
             }
         }
-        self.pmem
-            .write_u64(POffset::new(nb + GEN_OFF_LOG_TAIL), live_total)?;
         self.pmem
             .write_u64(POffset::new(nb + GEN_OFF_CARRIED), live_total)?;
         // One flight covers the contiguous prefix: header, buckets and
@@ -224,6 +237,13 @@ impl PKvStore {
         if !forged {
             level.issue(&self.pmem, POffset::new(nb), new_block_len)?;
         }
+        // The heads bare commits left dirty ride the same round-trip:
+        // the retired generation's heads are what `find_tag` walks for
+        // evidence once the swap lands, and nothing replays its log.
+        if let Some(dirty) = header.dirty {
+            let (off, len) = heads_range(gen.base, dirty);
+            level.issue(&self.pmem, off, len)?;
+        }
         let block = level.await_all()?;
 
         // Step 3 — the commit point, on the receipt for the whole new
@@ -239,9 +259,7 @@ impl PKvStore {
             gen_block_len(self.nbuckets, gen.log_cap),
         );
 
-        let old_reserved = self
-            .pmem
-            .read_u64(POffset::new(gen.base + GEN_OFF_LOG_TAIL))?;
+        let old_reserved = header.tail;
         Ok(CompactionStats {
             from_gen: gen.number,
             to_gen: new_gen.number,

@@ -1,39 +1,79 @@
 //! The persistent layout: the root block, the generation block, the
-//! record codec, and the two walks every reader of them shares — the
-//! generations newest first (`PKvStore::gens`) and one chain's records
-//! newest first (`PKvStore::records_from`).
+//! record codec with its stamp, the commit words of a generation
+//! header ([`LogHeader`]), and the two walks every reader of them
+//! shares — the generations newest first (`PKvStore::gens`) and one
+//! chain's records newest first (`PKvStore::records_from`).
 //!
 //! ```text
-//! root (128 B):  magic, bucket count, reserved word (offset 16, never
-//!                written), RootCell (seq = generation number,
-//!                ptr = block base)
+//! root (128 B):  magic ("PSKVSTO3"), bucket count, reserved word
+//!                (offset 16, never written), RootCell (seq =
+//!                generation number, ptr = block base)
 //!
 //! generation block (heap-allocated, 64-aligned):
-//!   header (64 B): magic, number, log capacity, log tail,
-//!                  prev-generation base, reserved word (offset 40,
-//!                  never written), carried count
+//!   header (64 B): magic, number, log capacity, prev-generation base,
+//!                  carried count, then the three commit words:
+//!     40  log word:   tail (bits 0..32) | replay-from C (bits 32..64)
+//!     48  bare word:  last bare batch's first slot L (bits 0..32) |
+//!                     epoch (bits 32..63) | bare bit (bit 63)
+//!     56  dirty word: first dirty bucket (bits 0..32) | one past the
+//!                     last (bits 32..64, never 0); 0 = every head
+//!                     durable
 //!   buckets:       nbuckets × 8 B — absolute offset of the newest
 //!                                   record of each chain (0 = empty)
 //!   version log:   log_cap × 64 B — immutable records, 64-aligned
 //! ```
 //!
-//! Offset 40 of a generation header held a retirement mark in older
-//! images. Nothing decided anything on it: a generation is retired iff
-//! it is not the active one. Such images open unchanged.
+//! The three commit words are one line, read and written as one access
+//! ([`PKvStore::read_header`], [`write_header`]), and persisted by the
+//! level of the commit that writes them. A bare group commit leaves its
+//! heads dirty: they persist with the shard's next commit, and until
+//! then the log from `C` is what recovery trusts. So the words say:
 //!
-//! A record occupies the first 48 bytes of its 64-byte slot:
+//! - **tail** — the next free slot; a batch reserves its slots in
+//!   volatile memory and writes the tail once;
+//! - **C** — every head that a record below `C` needs is durable, so
+//!   `PKvStore::open` replays `[C, tail)`;
+//! - **L** — the first slot of the newest bare batch, which carries the
+//!   header's epoch, or the tail while the epoch has no batch yet.
+//!   Every head that a record below `L` needs is durable once the dirty
+//!   span is: the next bare commit checkpoints that span in its level
+//!   and moves `C` to `L`;
+//! - **epoch** — what a bare batch stamps its records with. `open`
+//!   advances it whenever the bare bit is set, in the one level that
+//!   also persists the heads it rebuilt, and holds the batch at `L` to
+//!   it, so a record of a batch a crash cut never validates inside a
+//!   later batch that reuses its slot;
+//! - **bare bit** — set (durably, before any stamped record is written)
+//!   while bare commits may run; a served window clears it, so a reboot
+//!   of a served shard reads the words and persists nothing;
+//! - **dirty span** — the buckets whose heads bare commits flipped and
+//!   no level has persisted yet.
+//!
+//! A record fills its 64-byte slot:
 //!
 //! ```text
-//! 0      kind   (0 = unpublished, 1 = PUT, 2 = DELETE,
+//! 0      kind   (0 = unpublished or void, 1 = PUT, 2 = DELETE,
 //!                3 = carried PUT — a compaction copy of a live record)
 //! 8..16  key
 //! 16..24 value  (the stored value; for DELETE, the value removed)
 //! 24..32 pid    (writer's process id)
 //! 32..40 seq    (writer's operation tag)
 //! 40..48 next   (offset of the chain's previous record, 0 = end)
+//! 48..56 batch  (first slot of its batch, bits 0..32 | last, 32..64)
+//! 56..64 stamp  (check, bits 0..32 | epoch, bits 32..64)
 //! ```
 //!
-//! Records become visible only through the bucket-head publish, after
+//! The stamp's check is a hash of the record's fields, its slot, its
+//! generation, its batch word and its epoch, never 0. A bare batch
+//! stamps every record; a window's records and a compaction's carries
+//! leave batch and stamp 0, so they never validate — they are never
+//! replayed. A batch in `[C, tail)` replays only if every slot from its
+//! first to its last holds a record stamped with that batch word and
+//! one epoch (`PKvStore::logged_batch`), the header's own for the batch
+//! at `L`; a dropped bare batch is rewritten as stamped voids (kind 0),
+//! which replay skips whole.
+//!
+//! Records become visible only through a bucket-head publish, after
 //! every field is durable, so no crash moment can expose a torn
 //! record. Reserved-but-unpublished slots are orphans: invisible to
 //! lookups, scans and the verifier alike.
@@ -47,9 +87,14 @@ use pstack_nvram::{Level, MemError, PMem, POffset};
 
 use super::{GenerationInfo, PKvStore, VersionRecord};
 
-pub(super) const KV_MAGIC: u64 = 0x5053_4B56_5354_4F32; // "PSKVSTO2" (generational)
+pub(super) const KV_MAGIC: u64 = 0x5053_4B56_5354_4F33; // "PSKVSTO3" (stamped log)
+/// The generational image before stamped records: refused by `open`.
+pub(super) const KV_MAGIC_V2: u64 = 0x5053_4B56_5354_4F32; // "PSKVSTO2"
 pub(super) const RECORD_STRIDE: u64 = 64;
+/// The record's fields, without batch word and stamp.
 const RECORD_LEN: usize = 48;
+/// A record slot as written: fields, batch word, stamp.
+pub(super) type RecordBytes = [u8; RECORD_STRIDE as usize];
 
 /// Root block: magic, bucket count, then the generation pointer cell at
 /// [`OFF_GEN_CELL`]. Offset 16 is reserved: zeroed by `format`, never
@@ -60,21 +105,188 @@ pub(super) const OFF_MAGIC: u64 = 0;
 pub(super) const OFF_NBUCKETS: u64 = 8;
 pub(super) const OFF_GEN_CELL: u64 = 64;
 
-/// Generation block header. Offset 40 is reserved (see the module doc).
+/// Generation block header (see the module doc).
 const GEN_MAGIC: u64 = 0x5053_4B56_4745_4E31; // "PSKVGEN1"
 const GEN_HEADER_LEN: u64 = 64;
 const GEN_OFF_MAGIC: u64 = 0;
 const GEN_OFF_NUMBER: u64 = 8;
 const GEN_OFF_LOG_CAP: u64 = 16;
-pub(super) const GEN_OFF_LOG_TAIL: u64 = 24;
-const GEN_OFF_PREV: u64 = 32;
-pub(super) const GEN_OFF_CARRIED: u64 = 48;
+const GEN_OFF_PREV: u64 = 24;
+pub(super) const GEN_OFF_CARRIED: u64 = 32;
+/// The commit words: log word, bare word, dirty word.
+const GEN_OFF_WORDS: u64 = 40;
+pub(super) const WORDS_LEN: usize = 24;
+const BARE_BIT: u64 = 1 << 63;
+const EPOCH_MASK: u32 = (1 << 31) - 1;
 
 pub(super) const KIND_PUT: u8 = 1;
 pub(super) const KIND_DEL: u8 = 2;
 /// A compaction carry-over: a copy of a live PUT (or effective CAS)
 /// record, original tag preserved.
 pub(super) const KIND_CARRY: u8 = 3;
+
+/// The commit words of a generation header, decoded (see the module
+/// doc). Slots and buckets are indexes, not offsets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(super) struct LogHeader {
+    /// The next free slot.
+    pub(super) tail: u64,
+    /// `C`: where `open` starts its replay.
+    pub(super) replay_from: u64,
+    /// `L`: the first slot of the last bare batch whose heads are
+    /// dirty.
+    pub(super) last_batch: u64,
+    /// What bare batches stamp their records with (31 bits).
+    pub(super) epoch: u32,
+    /// Bare commits may run: `open` advances the epoch.
+    pub(super) bare: bool,
+    /// `[lo, hi]`: buckets whose heads bare commits left dirty.
+    pub(super) dirty: Option<(u64, u64)>,
+}
+
+impl LogHeader {
+    /// A generation with `tail` slots in use and every head durable.
+    pub(super) fn settled(tail: u64, epoch: u32, bare: bool) -> Self {
+        LogHeader {
+            tail,
+            replay_from: tail,
+            last_batch: tail,
+            epoch,
+            bare,
+            dirty: None,
+        }
+    }
+
+    /// The next epoch, wrapping within its 31 bits.
+    pub(super) fn next_epoch(&self) -> u32 {
+        self.epoch.wrapping_add(1) & EPOCH_MASK
+    }
+
+    fn encode(&self) -> [u8; WORDS_LEN] {
+        let log = self.tail | self.replay_from << 32;
+        let bare = self.last_batch
+            | u64::from(self.epoch & EPOCH_MASK) << 32
+            | if self.bare { BARE_BIT } else { 0 };
+        let dirty = self.dirty.map_or(0, |(lo, hi)| lo | (hi + 1) << 32);
+        let mut b = [0u8; WORDS_LEN];
+        for (chunk, word) in b.chunks_exact_mut(8).zip([log, bare, dirty]) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        b
+    }
+
+    /// The words `b` hold, or `None` for a dirty word that is not 0 and
+    /// names no span (its high half 0): an image no commit wrote.
+    pub(super) fn decode(b: &[u8; WORDS_LEN]) -> Option<Self> {
+        let word = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        let (log, bare, dirty) = (word(0), word(1), word(2));
+        let low = |w: u64| w & u64::from(u32::MAX);
+        let dirty = match dirty {
+            0 => None,
+            w => Some((low(w), (w >> 32).checked_sub(1)?)),
+        };
+        Some(LogHeader {
+            tail: low(log),
+            replay_from: log >> 32,
+            last_batch: low(bare),
+            epoch: (bare >> 32) as u32 & EPOCH_MASK,
+            bare: bare & BARE_BIT != 0,
+            dirty,
+        })
+    }
+}
+
+/// Writes `header` into the commit words of the generation at
+/// `gen_base` (volatile until a level persists [`header_range`]).
+pub(super) fn write_header(pmem: &PMem, gen_base: u64, header: &LogHeader) -> Result<(), PError> {
+    Ok(pmem.write(POffset::new(gen_base + GEN_OFF_WORDS), &header.encode())?)
+}
+
+/// The commit words' bytes, as a flight covers them.
+pub(super) fn header_range(gen_base: u64) -> (POffset, usize) {
+    (POffset::new(gen_base + GEN_OFF_WORDS), WORDS_LEN)
+}
+
+/// The bytes of the heads of buckets `[lo, hi]` of the generation at
+/// `gen_base`: one flight over them coalesces their lines.
+pub(super) fn heads_range(gen_base: u64, (lo, hi): (u64, u64)) -> (POffset, usize) {
+    (
+        POffset::new(gen_base + GEN_HEADER_LEN + lo * 8),
+        ((hi - lo + 1) * 8) as usize,
+    )
+}
+
+/// A record slot's bytes: fields, then batch word and stamp 0 (a
+/// record that never validates — what a window or a compaction
+/// writes; [`stamp`] fills the last two words for a bare batch).
+pub(super) fn encode_record(
+    kind: u8,
+    key: u64,
+    value: i64,
+    (pid, seq): (u64, u64),
+    next: u64,
+) -> RecordBytes {
+    let mut b = [0u8; RECORD_STRIDE as usize];
+    b[0] = kind;
+    b[8..16].copy_from_slice(&key.to_le_bytes());
+    b[16..24].copy_from_slice(&value.to_le_bytes());
+    b[24..32].copy_from_slice(&pid.to_le_bytes());
+    b[32..40].copy_from_slice(&seq.to_le_bytes());
+    b[40..48].copy_from_slice(&next.to_le_bytes());
+    b
+}
+
+fn field(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// A record's fields: (kind, key, value, tag, next).
+pub(super) fn decode_record(b: &[u8]) -> (u8, u64, i64, (u64, u64), u64) {
+    (
+        b[0],
+        field(b, 8),
+        field(b, 16) as i64,
+        (field(b, 24), field(b, 32)),
+        field(b, 40),
+    )
+}
+
+/// The stamp's check over slot `off` of generation `gen` holding
+/// `rec`'s fields and batch word, in `epoch`. Never 0, so an unstamped
+/// slot never validates.
+fn check(rec: &RecordBytes, off: u64, gen: u64, epoch: u32) -> u32 {
+    let mut h = mix(off ^ gen.rotate_left(32));
+    for at in (0..56).step_by(8) {
+        h = mix(h ^ field(rec, at));
+    }
+    (mix(h ^ u64::from(epoch)) as u32) | 1
+}
+
+/// Stamps `rec`, in slot `off` of generation `gen`, as a record of the
+/// batch `[first, last]` (slot indexes) in `epoch`.
+pub(super) fn stamp(
+    rec: &mut RecordBytes,
+    off: u64,
+    gen: u64,
+    (first, last): (u64, u64),
+    epoch: u32,
+) {
+    rec[48..56].copy_from_slice(&(first | last << 32).to_le_bytes());
+    let stamp = u64::from(check(rec, off, gen, epoch)) | u64::from(epoch) << 32;
+    rec[56..64].copy_from_slice(&stamp.to_le_bytes());
+}
+
+/// `Some((batch, epoch))` when `rec` in slot `off` of generation `gen`
+/// carries a valid stamp: its batch `[first, last]` and epoch.
+pub(super) fn stamped(rec: &RecordBytes, off: u64, gen: u64) -> Option<((u64, u64), u32)> {
+    let stamp = field(rec, 56);
+    let epoch = (stamp >> 32) as u32;
+    if stamp as u32 == 0 || stamp as u32 != check(rec, off, gen, epoch) {
+        return None;
+    }
+    let batch = field(rec, 48);
+    Some(((batch & u64::from(u32::MAX), batch >> 32), epoch))
+}
 
 /// A loaded generation descriptor (volatile; re-read from the root
 /// cell on every operation so handles never go stale across swaps).
@@ -87,7 +299,7 @@ pub(super) struct Gen {
 
 /// The bytes of a record span `[first, last]` (slot offsets, as
 /// [`KvPendingBatch::published`](super::KvPendingBatch::published)
-/// reports them): what the records ‖ tail level persisted for it.
+/// reports them): what the records ‖ header level persisted for it.
 pub(crate) fn span_extent((first, last): (u64, u64)) -> (POffset, usize) {
     (POffset::new(first), (last - first + RECORD_STRIDE) as usize)
 }
@@ -170,12 +382,13 @@ impl PKvStore {
         );
     }
 
-    /// Allocates a generation block, writes its header (tail 0) and
-    /// zeroes its bucket array. Log slots are left untouched: they are
-    /// unreachable until reserved, written in full and published. The
-    /// allocation's switch is issued into `level`
-    /// ([`PHeap::alloc_aligned_in`]); the block is volatile until the
-    /// caller issues it into the same level and awaits it.
+    /// Allocates a generation block, writes its header (commit words
+    /// zero: the caller writes them, [`write_header`]) and zeroes its
+    /// bucket array. Log slots are left untouched: they are unreachable
+    /// until reserved, written in full and published. The allocation's
+    /// switch is issued into `level` ([`PHeap::alloc_aligned_in`]); the
+    /// block is volatile until the caller issues it into the same level
+    /// and awaits it.
     pub(super) fn format_generation(
         pmem: &PMem,
         heap: &PHeap,
@@ -193,6 +406,20 @@ impl PKvStore {
         pmem.write_u64(base + GEN_OFF_PREV, prev)?;
         pmem.write_u64(base + GEN_OFF_MAGIC, GEN_MAGIC)?;
         Ok(base.get())
+    }
+
+    /// The commit words of `gen`'s header, in one read; a dirty word no
+    /// commit wrote is [`PError::CorruptStack`].
+    pub(super) fn read_header(&self, gen: &Gen) -> Result<LogHeader, PError> {
+        let mut b = [0u8; WORDS_LEN];
+        self.pmem
+            .read(POffset::new(gen.base + GEN_OFF_WORDS), &mut b)?;
+        LogHeader::decode(&b).ok_or_else(|| {
+            PError::CorruptStack(format!(
+                "KV generation {} header's dirty word names no span",
+                gen.number
+            ))
+        })
     }
 
     /// Loads the active generation from the root cell. Re-read on every
@@ -283,8 +510,12 @@ impl PKvStore {
     }
 
     pub(super) fn bucket_off(&self, gen: &Gen, key: u64) -> POffset {
-        let b = mix(key) % self.nbuckets;
-        self.bucket_off_at(gen, b)
+        self.bucket_off_at(gen, self.bucket_of(key))
+    }
+
+    /// The bucket `key` hashes to.
+    pub(super) fn bucket_of(&self, key: u64) -> u64 {
+        mix(key) % self.nbuckets
     }
 
     pub(super) fn bucket_off_at(&self, gen: &Gen, bucket: u64) -> POffset {
@@ -307,44 +538,34 @@ impl PKvStore {
     ) -> Result<(VersionRecord, u64), PError> {
         let mut b = [0u8; RECORD_LEN];
         self.pmem.read(POffset::new(off), &mut b)?;
-        let kind = b[0];
+        let (kind, key, value, (pid, seq), next) = decode_record(&b);
         if kind != KIND_PUT && kind != KIND_DEL && kind != KIND_CARRY {
             return Err(PError::CorruptStack(format!(
                 "published KV record at {off:#x} has kind {kind}"
             )));
         }
         let rec = VersionRecord {
-            key: u64::from_le_bytes(b[8..16].try_into().expect("slice length")),
-            value: i64::from_le_bytes(b[16..24].try_into().expect("slice length")),
-            pid: u64::from_le_bytes(b[24..32].try_into().expect("slice length")),
-            seq: u64::from_le_bytes(b[32..40].try_into().expect("slice length")),
+            key,
+            value,
+            pid,
+            seq,
             is_delete: kind == KIND_DEL,
             compacted: kind == KIND_CARRY,
             gen: gen_number,
         };
-        let next = u64::from_le_bytes(b[40..48].try_into().expect("slice length"));
         Ok((rec, next))
     }
 
-    /// Writes a full record into slot `off` (volatile until flushed).
-    /// `tag` is the writer's `(pid, seq)` pair.
-    pub(super) fn write_record(
-        &self,
-        off: u64,
-        kind: u8,
-        key: u64,
-        value: i64,
-        tag: (u64, u64),
-        next: u64,
-    ) -> Result<(), PError> {
-        let mut b = [0u8; RECORD_LEN];
-        b[0] = kind;
-        b[8..16].copy_from_slice(&key.to_le_bytes());
-        b[16..24].copy_from_slice(&value.to_le_bytes());
-        b[24..32].copy_from_slice(&tag.0.to_le_bytes());
-        b[32..40].copy_from_slice(&tag.1.to_le_bytes());
-        b[40..48].copy_from_slice(&next.to_le_bytes());
-        Ok(self.pmem.write(POffset::new(off), &b)?)
+    /// Reads a whole record slot: fields, batch word and stamp.
+    pub(super) fn read_slot(&self, off: u64) -> Result<RecordBytes, PError> {
+        let mut b = [0u8; RECORD_STRIDE as usize];
+        self.pmem.read(POffset::new(off), &mut b)?;
+        Ok(b)
+    }
+
+    /// Writes a whole record slot (volatile until flushed).
+    pub(super) fn write_slot(&self, off: u64, rec: &RecordBytes) -> Result<(), PError> {
+        Ok(self.pmem.write(POffset::new(off), rec)?)
     }
 
     /// One bucket's published chain within one generation, oldest
@@ -448,7 +669,7 @@ impl PKvStore {
                 Ok(GenerationInfo {
                     number: gen.number,
                     log_cap: gen.log_cap,
-                    reserved: self.pmem.read_u64(off + GEN_OFF_LOG_TAIL)?,
+                    reserved: self.read_header(gen)?.tail,
                     carried: self.pmem.read_u64(off + GEN_OFF_CARRIED)?,
                     retired: i < active,
                 })

@@ -1,7 +1,10 @@
 use std::collections::BTreeMap;
 
-use super::layout::{round64, RECORD_STRIDE};
+use super::layout::{
+    decode_record, header_range, round64, write_header, LogHeader, RECORD_STRIDE, WORDS_LEN,
+};
 use super::*;
+use pstack_nvram::Level;
 use pstack_nvram::{FailPlan, PMemBuilder, PsanViolationKind};
 
 fn fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
@@ -111,11 +114,12 @@ fn uncommitted_pending_batch_leaves_invisible_orphans() {
     assert!(pending.is_staged());
     drop(pending);
     // Records staged but never published: invisible, no heads
-    // flight issued, and the abandoned flights are simply drained by
-    // the next synchronization point.
+    // published, the slot voided, and every flight — records ‖ header,
+    // then the void's records and header — simply drained by the next
+    // synchronization point.
     assert_eq!(kv.get(7).unwrap(), None);
     let d = pmem.stats().snapshot() - formatted;
-    assert_eq!(d.async_flushes, 2, "records + tail");
+    assert_eq!(d.async_flushes, 4, "records + header, voids + header");
     pmem.fence();
     assert_eq!(pmem.inflight_tickets(), 0);
     assert!(
@@ -123,6 +127,32 @@ fn uncommitted_pending_batch_leaves_invisible_orphans() {
         "store still writable"
     );
     assert_eq!(kv.get(7).unwrap(), Some(71));
+
+    // A power failure right after the drop, every dirty line lost or
+    // every one kept: the dropped batch never shows, before or after a
+    // later commit, and the later commit survives.
+    for prob in [0.0, 1.0] {
+        for later in [false, true] {
+            let at = format!("survivors {prob}, a later commit {later}");
+            let (pmem, _, kv) = fixture(8, 64);
+            apply(&kv, put(0, 1, 3, 30)).unwrap();
+            drop(
+                kv.apply_batch_begin(&[put(0, 2, 7, 70), put(0, 3, 8, 80)])
+                    .unwrap(),
+            );
+            if later {
+                apply(&kv, put(0, 4, 9, 90)).unwrap();
+            }
+            pmem.crash_now(5, prob);
+            let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+            assert_eq!(kv2.get(7).unwrap(), None, "{at}");
+            assert_eq!(kv2.get(8).unwrap(), None, "{at}");
+            assert_eq!(kv2.get(3).unwrap(), Some(30), "{at}");
+            assert_eq!(kv2.get(9).unwrap(), later.then_some(90), "{at}");
+            assert!(recover(&kv2, put(0, 2, 7, 70)).unwrap(), "{at}");
+            assert_eq!(kv2.get(7).unwrap(), Some(70), "{at}: re-executed once");
+        }
+    }
 }
 
 #[test]
@@ -188,11 +218,12 @@ fn buffered_region_yields_a_batched_store() {
     assert!(apply(&kv, put(0, 1, 7, 70)).unwrap());
     assert!(apply(&kv, cas(0, 2, 7, 70, 71)).unwrap());
     assert_eq!(kv.get(7).unwrap(), Some(71));
-    // Every one-op batch is a group commit of one — three flights —
-    // and its record, tail and head are all durable before it
-    // returns.
+    // Every one-op batch is a group commit of one — records ‖ header,
+    // and from the second on the previous one's head beside them — and
+    // its record and header are durable before it returns; its head,
+    // left dirty, is rebuilt from the log by the reopen.
     let d = pmem.stats().snapshot() - formatted;
-    assert_eq!(d.async_flushes, 2 * 3);
+    assert_eq!(d.async_flushes, 2 + 3);
     pmem.crash_now(0, 0.0);
     let pmem2 = pmem.reopen().unwrap();
     let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
@@ -230,8 +261,8 @@ fn batch_sees_its_own_staged_effects() {
     assert_eq!(kv.get(9).unwrap(), None);
     assert_eq!(
         (pmem.stats().snapshot() - formatted).async_flushes,
-        3,
-        "one commit for the batch"
+        2,
+        "one commit for the batch: records ‖ header"
     );
 }
 
@@ -408,12 +439,12 @@ fn pipelined_crash_points_keep_exactly_the_completed_flight_prefix() {
     };
 
     // Golden run: the batch stages two overlapping flights (records
-    // and log tail), both still queued when `begin` returns.
+    // and header), both still queued when `begin` returns.
     let (pmem, kv) = probe();
     let e0 = pmem.events();
     let pending = kv.apply_batch_begin(&ops).unwrap();
     let staged_events = pmem.events() - e0;
-    assert_eq!(pmem.inflight_tickets(), 2, "records + tail in flight");
+    assert_eq!(pmem.inflight_tickets(), 2, "records + header in flight");
     assert!(pending.commit().unwrap().iter().all(|o| o.took_effect()));
     let total = pmem.events() - e0;
     let want = kv.contents().unwrap();
@@ -643,7 +674,7 @@ fn two_concurrent_replays_of_one_op_take_one_effect() {
         }];
     for (input, second) in seconds.into_iter().enumerate() {
         let (_, _, kv) = fixture(4, 64);
-        let first = kv.recover_batch_begin(&[op]).unwrap();
+        let first = kv.recover_batch_begin(&[op], Heads::NextCommit).unwrap();
         std::thread::scope(|s| {
             let second = s.spawn(|| second(&kv));
             // Time for the second replay to reach the gate. Its
@@ -673,34 +704,18 @@ fn recover_batch_noscan_double_applies() {
 
 #[test]
 fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
-    // The read rule and its negative control. A reader races a
-    // group commit stopped between its head CAS and its head
-    // persist; the power fails right after it answers.
-    // `get_durable` persisted the dirty head first, so its answer
-    // survives; a plain `get` handed out a value the crash takes
-    // back.
+    // The read rule and its negative control. A reader races a served
+    // window stopped between its head CAS and its heads' await; the
+    // power fails right after it answers. `get_durable` persisted the
+    // dirty head first, so its answer survives; a plain `get` handed
+    // out a value the crash takes back (a window's records are never
+    // replayed: its heads are its commit point).
     for durable in [true, false] {
         let (pmem, _heap, kv) = fixture(16, 64);
         apply(&kv, put(1, 1, 7, 10)).unwrap();
-        let put = put(1, 2, 7, 20);
-        let quiesce = kv.pmem.quiesce();
-        let gen = kv.active_gen().unwrap();
-        let staged = kv.stage_batch(&gen, &[put]).unwrap();
-        let (lo, hi) = staged.slots.unwrap();
-        pmem.flush(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize)
-            .unwrap();
-        pmem.flush(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)
-            .unwrap();
-        for (&bucket, &new_head) in &staged.staged_heads {
-            let expected = staged.pre_heads[&bucket];
-            assert!(pmem
-                .compare_exchange(
-                    POffset::new(bucket),
-                    &expected.to_le_bytes(),
-                    &new_head.to_le_bytes()
-                )
-                .unwrap());
-        }
+        let mut pending = kv.begin(&[put(1, 2, 7, 20)], Heads::CallerLevel).unwrap();
+        let mut heads = Level::default();
+        pending.publish(&mut heads).unwrap();
 
         let before = pmem.stats().snapshot();
         let answered = if durable {
@@ -711,7 +726,7 @@ fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
         assert_eq!(answered, Some(20), "both readers see the published head");
         let d = pmem.stats().snapshot() - before;
         assert_eq!(d.persists, u64::from(durable), "only the durable read pays");
-        drop(quiesce);
+        drop(pending);
 
         pmem.crash_now(3, 0.0);
         let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
@@ -724,13 +739,29 @@ fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
         assert!(pmem.psan_violations().is_empty());
     }
 
-    // On a quiescent store the durable read is free: no persist, no
-    // line, no event, not even a redundant-persist count.
-    let (pmem, _heap, kv) = fixture(16, 64);
-    kv.apply_batch(&[put(1, 1, 7, 10)]).unwrap();
+    // A bare commit leaves its heads dirty, and the log covers them: a
+    // durable read of any of them persists nothing — no persist, no
+    // line, no event, not even a redundant-persist count — and its
+    // answer survives a power failure that keeps no dirty line, since
+    // the reopen replays the batch.
+    let (pmem, _heap, kv) = fixture(64, 64);
+    let keys = 0..16u64;
+    let puts: Vec<_> = keys
+        .clone()
+        .map(|k| put(1, k + 1, k, 10 + k as i64))
+        .collect();
+    kv.apply_batch(&puts).unwrap();
+    let gen = kv.active_gen().unwrap();
+    assert!(
+        keys.clone()
+            .all(|k| pmem.is_dirty(kv.bucket_off(&gen, k), 8).unwrap()),
+        "every head the commit flipped is dirty"
+    );
     let (e0, before) = (pmem.events(), pmem.stats().snapshot());
-    assert_eq!(kv.get_durable(7).unwrap(), Some(10));
-    assert_eq!(kv.get_durable(8).unwrap(), None);
+    for k in keys.clone() {
+        assert_eq!(kv.get_durable(k).unwrap(), Some(10 + k as i64));
+    }
+    assert_eq!(kv.get_durable(99).unwrap(), None);
     let d = pmem.stats().snapshot() - before;
     assert_eq!(
         (
@@ -742,6 +773,11 @@ fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
         (0, 0, 0, 0)
     );
     assert_eq!(pmem.events(), e0);
+    pmem.crash_now(0, 0.0);
+    let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+    for k in keys {
+        assert_eq!(kv2.get(k).unwrap(), Some(10 + k as i64), "key {k} survives");
+    }
 }
 
 #[test]
@@ -757,6 +793,28 @@ fn open_round_trips_and_rejects_garbage() {
         PKvStore::open(pmem, junk, KvVariant::Nsrl),
         Err(PError::CorruptStack(_))
     ));
+}
+
+#[test]
+fn open_refuses_a_version_2_image_with_a_typed_error() {
+    // An image of the format before stamped records: its log holds no
+    // stamps to replay, so it is refused by name, not misread.
+    let (pmem, _, kv) = fixture(8, 32);
+    apply(&kv, put(1, 1, 42, -7)).unwrap();
+    let magic = kv.base() + layout::OFF_MAGIC;
+    pmem.write_u64(magic, layout::KV_MAGIC_V2).unwrap();
+    match PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl) {
+        Err(PError::CorruptStack(msg)) => {
+            assert!(
+                msg.contains("version-2") && msg.contains("PSKVSTO2"),
+                "{msg}"
+            );
+        }
+        other => panic!("a version-2 image opened: {other:?}"),
+    }
+    pmem.write_u64(magic, layout::KV_MAGIC).unwrap();
+    let kv2 = PKvStore::open(pmem, kv.base(), KvVariant::Nsrl).unwrap();
+    assert_eq!(kv2.get(42).unwrap(), Some(-7));
 }
 
 #[test]
@@ -1251,9 +1309,10 @@ fn recover_compact_resumes_or_safely_abandons() {
 #[test]
 fn group_commits_keep_working_after_a_swap() {
     // The batched hot path across a generation boundary: group
-    // commits before and after a compaction, each its three flights
-    // (the compaction's own four counted apart: two interior headers,
-    // then its switch and its block).
+    // commits before and after a compaction, each records ‖ header on
+    // a generation with no dirty head (the compaction's own five
+    // counted apart: two interior headers, then its switch, its block
+    // and the retired generation's dirty heads).
     let (pmem, heap, kv) = fixture(4, 16);
     let formatted = pmem.stats().snapshot().async_flushes;
     let flights = || pmem.stats().snapshot().async_flushes - formatted;
@@ -1263,10 +1322,13 @@ fn group_commits_keep_working_after_a_swap() {
         .unwrap()
         .iter()
         .all(|o| o.took_effect()));
-    assert_eq!(flights(), 3);
+    assert_eq!(flights(), 2);
     kv.compact(&heap).unwrap();
-    let compaction = flights() - 3;
-    assert_eq!(compaction, 4, "interior headers, then switch ‖ block");
+    let compaction = flights() - 2;
+    assert_eq!(
+        compaction, 5,
+        "interior headers, then switch ‖ block ‖ heads"
+    );
     let ops2: Vec<KvBatchOp> = (0..8)
         .map(|i| put(0, 100 + i, i % 4, -(i as i64)))
         .collect();
@@ -1277,7 +1339,7 @@ fn group_commits_keep_working_after_a_swap() {
         .all(|o| o.took_effect()));
     assert_eq!(
         flights() - compaction,
-        6,
+        4,
         "one more group commit, in the new generation"
     );
     assert_eq!(kv.contents().unwrap().len(), 4);
@@ -1519,4 +1581,538 @@ fn psan_flags_the_no_persist_before_swap_variant_at_the_root_swap() {
         "violation at {:#x} should fall in the new generation block",
         hit.offset
     );
+}
+
+/// The stamped log: a bare commit's heads ride the next commit, and
+/// `open` replays what they do not yet cover.
+mod stamped_log {
+    use super::*;
+
+    /// The survivor policies a cut sweep runs at event `k`: every dirty
+    /// line lost, every one kept, and four seeded halves.
+    fn survivor_plans(k: u64) -> Vec<(String, FailPlan, u64, f64)> {
+        let mut plans = vec![(0, 0.0), (0, 1.0)];
+        plans.extend((1..=4).map(|seed| (seed, 0.5)));
+        plans
+            .into_iter()
+            .map(|(seed, prob)| {
+                let plan = FailPlan::after_events(k).with_survivors(seed, prob);
+                (
+                    format!("event {k}, survivors {prob} (seed {seed})"),
+                    plan,
+                    seed,
+                    prob,
+                )
+            })
+            .collect()
+    }
+
+    /// Every published tag of `kv` but the compaction copies, each once.
+    fn tags_once(kv: &PKvStore, at: &str) -> Vec<(u64, u64)> {
+        let mut tags = std::collections::BTreeSet::new();
+        for rec in kv.snapshot().unwrap().into_iter().flatten() {
+            if !rec.compacted {
+                assert!(
+                    tags.insert((rec.pid, rec.seq)),
+                    "{at}: tag {:?} twice",
+                    (rec.pid, rec.seq)
+                );
+            }
+        }
+        tags.into_iter().collect()
+    }
+
+    /// PSan's verdict after a cut: no violation, except that a line a crash
+    /// kept without a completed flight reads as a ghost.
+    fn assert_psan_clean(pmem: &PMem, prob: f64, at: &str) {
+        let violations: Vec<_> = pmem
+            .psan_violations()
+            .into_iter()
+            .filter(|v| prob == 0.0 || !matches!(v.kind, PsanViolationKind::GhostRead))
+            .collect();
+        assert!(violations.is_empty(), "{at}: {violations:?}");
+    }
+
+    fn pid_count(tags: &[(u64, u64)], pid: u64) -> usize {
+        tags.iter().filter(|t| t.0 == pid).count()
+    }
+
+    #[test]
+    fn a_bare_commit_cut_at_every_event_is_whole_or_absent_and_loses_no_returned_one() {
+        // The commit before the cut returned and left its heads dirty; the
+        // cut one checkpoints them in its own level. Whatever the cut and
+        // whatever survives, the reopen shows the returned commit whole and
+        // the cut one whole or not at all — over four buckets, so whole
+        // means every chain it touched.
+        let first: Vec<KvBatchOp> = (0..6).map(|k| put(1, k + 1, k, k as i64)).collect();
+        let second = [
+            put(2, 1, 0, 100),
+            put(2, 2, 3, 300),
+            del(2, 3, 4),
+            cas(2, 4, 5, 5, 55),
+            put(2, 5, 9, 900),
+        ];
+        let probe = || {
+            let (pmem, _, kv) = fixture(4, 32);
+            assert!(kv
+                .apply_batch(&first)
+                .unwrap()
+                .iter()
+                .all(|o| o.took_effect()));
+            (pmem, kv)
+        };
+        let (pmem, kv) = probe();
+        let before = kv.contents().unwrap();
+        let e0 = pmem.events();
+        assert!(kv
+            .apply_batch(&second)
+            .unwrap()
+            .iter()
+            .all(|o| o.took_effect()));
+        let total = pmem.events() - e0;
+        let after = kv.contents().unwrap();
+        pmem.crash_now(0, 0.0);
+        let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+        assert_eq!(
+            kv2.contents().unwrap(),
+            after,
+            "a cut after commit returns loses nothing"
+        );
+
+        for k in 0..total {
+            for (at, plan, _, prob) in survivor_plans(k) {
+                let (pmem, kv) = probe();
+                pmem.arm_failpoint(plan);
+                assert!(kv.apply_batch(&second).unwrap_err().is_crash(), "{at}");
+                let pmem2 = pmem.reopen().unwrap();
+                let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                let tags = tags_once(&kv2, &at);
+                assert_eq!(
+                    pid_count(&tags, 1),
+                    first.len(),
+                    "{at}: the returned commit"
+                );
+                let whole = match pid_count(&tags, 2) {
+                    0 => false,
+                    5 => true,
+                    n => panic!("{at}: {n} of the cut commit's 5 records"),
+                };
+                let contents = kv2.contents().unwrap();
+                assert_eq!(&contents, if whole { &after } else { &before }, "{at}");
+                // And the reopened store goes on: the replayed heads ride
+                // its next commit, and a second reopen keeps everything.
+                assert!(apply(&kv2, put(3, 1, 11, 1)).unwrap(), "{at}");
+                pmem2.crash_now(0, 0.0);
+                let kv3 =
+                    PKvStore::open(pmem2.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+                let mut want = contents.clone();
+                want.insert(11, 1);
+                assert_eq!(kv3.contents().unwrap(), want, "{at}: after the next commit");
+                assert_psan_clean(&pmem2, prob, &at);
+            }
+        }
+    }
+
+    #[test]
+    fn a_two_shard_bare_commit_cut_at_every_event_is_whole_or_absent_per_shard() {
+        use crate::shard::ShardedKvStore;
+        let first: Vec<KvBatchOp> = (0..8).map(|k| put(1, k + 1, k, k as i64)).collect();
+        let second: Vec<KvBatchOp> = (0..8)
+            .map(|k| put(2, k + 1, k + 4, 100 + k as i64))
+            .collect();
+        let commit = |kv: &ShardedKvStore, ops: &[KvBatchOp]| {
+            let mut batch = kv.batch();
+            ops.iter().for_each(|&op| batch.push(op));
+            batch.commit()
+        };
+        let probe = || {
+            let stripe = PMemBuilder::new().len(1 << 17).psan(true).build_striped(2);
+            let kv = ShardedKvStore::format(stripe.regions(), 4, 32, KvVariant::Nsrl).unwrap();
+            assert!(commit(&kv, &first).unwrap().iter().all(|o| o.took_effect()));
+            (stripe, kv)
+        };
+        let (stripe, kv) = probe();
+        let e0 = stripe.events_per_region();
+        commit(&kv, &second).unwrap();
+        let spent: Vec<u64> = stripe
+            .events_per_region()
+            .iter()
+            .zip(&e0)
+            .map(|(now, then)| now - then)
+            .collect();
+        assert!(spent.iter().all(|&n| n > 0), "both shards take part");
+        let on = |kv: &ShardedKvStore, s: usize, pid: u64| {
+            kv.shard(s)
+                .snapshot()
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .filter(|r| r.pid == pid)
+                .count()
+        };
+        let want: Vec<usize> = (0..2)
+            .map(|s| {
+                second
+                    .iter()
+                    .filter(|op| kv.shard_of(op.key()) == s)
+                    .count()
+            })
+            .collect();
+        let first_on: Vec<usize> = (0..2).map(|s| on(&kv, s, 1)).collect();
+
+        for (region, &total) in spent.iter().enumerate() {
+            for k in 0..total {
+                for (at, plan, seed, prob) in survivor_plans(k) {
+                    let at = format!("shard {region} {at}");
+                    let (stripe, kv) = probe();
+                    stripe.region(region).arm_failpoint(plan);
+                    assert!(commit(&kv, &second).unwrap_err().is_crash(), "{at}");
+                    stripe.crash_all(seed, prob);
+                    let stripe2 = stripe.reopen_all().unwrap();
+                    let kv2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
+                    for s in 0..2 {
+                        assert_eq!(
+                            on(&kv2, s, 1),
+                            first_on[s],
+                            "{at}: shard {s} lost a returned commit"
+                        );
+                        let n = on(&kv2, s, 2);
+                        assert!(
+                            n == 0 || n == want[s],
+                            "{at}: shard {s} shows {n} of {}",
+                            want[s]
+                        );
+                        tags_once(kv2.shard(s), &at);
+                    }
+                    let violations: Vec<_> = stripe2
+                        .psan_violations()
+                        .into_iter()
+                        .filter(|v| prob == 0.0 || !matches!(v.kind, PsanViolationKind::GhostRead))
+                        .collect();
+                    assert!(violations.is_empty(), "{at}: {violations:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_slot_never_validates_a_record_of_the_batch_that_lost_it() {
+        // A batch cut at its header's write with every dirty line kept: its
+        // records land in the slots past the durable tail, its header does
+        // not. The reopen reuses those slots for a batch of the same size —
+        // the same first and last slot — cut at every event. None of the
+        // lost batch's records may ever show, as part of the new batch or
+        // otherwise. The lost batch is a bare commit (stamped records: the
+        // new batch differs from it only in its epoch) or a window's first
+        // level (records that carry no stamp).
+        let base = [put(1, 1, 0, 0), put(1, 2, 1, 1)];
+        let lost: Vec<KvBatchOp> = (0..4).map(|k| put(7, k + 1, 10 + k, 70)).collect();
+        let reuse: Vec<KvBatchOp> = (0..4).map(|k| put(8, k + 1, 20 + k, 80)).collect();
+        for heads in [Heads::NextCommit, Heads::CallerLevel] {
+            let commit_lost =
+                |kv: &PKvStore| kv.begin(&lost, heads).and_then(KvPendingBatch::commit);
+            // The cut: the last event at which, every line kept, the header
+            // still shows the pre-batch tail.
+            let setup = |k: u64| {
+                let (pmem, _, kv) = fixture(4, 32);
+                kv.apply_batch(&base).unwrap();
+                let tail = kv.log_reserved().unwrap();
+                pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(0, 1.0));
+                let cut = commit_lost(&kv).is_err();
+                pmem.disarm_failpoint();
+                (pmem, kv, tail, cut)
+            };
+            let cut_at = (0..64)
+                .take_while(|&k| {
+                    let (pmem, kv, tail, cut) = setup(k);
+                    assert!(cut, "{heads:?}: the lost batch spans more than 64 events");
+                    let kv2 =
+                        PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+                    kv2.log_reserved().unwrap() == tail
+                })
+                .last()
+                .unwrap();
+            let reopened = || {
+                let (pmem, kv, tail, _) = setup(cut_at);
+                let pmem = pmem.reopen().unwrap();
+                let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                // Every record of the lost batch landed past the tail.
+                for i in 0..lost.len() as u64 {
+                    let gen = kv.active_gen().unwrap();
+                    let rec = kv.read_slot(kv.record_off(&gen, tail + i)).unwrap();
+                    assert_eq!(decode_record(&rec).3 .0, 7, "{heads:?}: slot {i} landed");
+                }
+                (pmem, kv)
+            };
+            let (pmem, kv) = reopened();
+            let e0 = pmem.events();
+            kv.apply_batch(&reuse).unwrap();
+            let total = pmem.events() - e0;
+            for k in 0..=total {
+                for (at, plan, _, prob) in survivor_plans(k) {
+                    let at = format!("{heads:?} lost, {at}");
+                    let (pmem, kv) = reopened();
+                    pmem.arm_failpoint(plan);
+                    let _ = kv.apply_batch(&reuse);
+                    pmem.disarm_failpoint();
+                    if !pmem.is_crashed() {
+                        pmem.crash_now(0, prob);
+                    }
+                    let kv2 =
+                        PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+                    let tags = tags_once(&kv2, &at);
+                    assert_eq!(pid_count(&tags, 7), 0, "{at}: a lost record shows");
+                    assert_eq!(pid_count(&tags, 1), base.len(), "{at}");
+                    let n = pid_count(&tags, 8);
+                    assert!(n == 0 || n == reuse.len(), "{at}: {n} of the batch");
+                    assert!(
+                        k < total || n == reuse.len(),
+                        "{at}: a returned commit lost"
+                    );
+                    // The lost batch's lines were kept without a completed
+                    // flight: reading them is a ghost read, by design.
+                    assert_psan_clean(&pmem, 1.0, &at);
+                }
+            }
+            // The lottery outcome the sweep's four halves may miss: the
+            // reusing batch's header line kept and every record line lost,
+            // so the header names the slots the lost batch still holds.
+            // Seeds are tried in order; those that land it are checked.
+            let mut landed = 0;
+            for seed in 0..256 {
+                let (pmem, kv) = reopened();
+                let gen = kv.active_gen().unwrap();
+                let tail = kv.log_reserved().unwrap();
+                let pending = kv.apply_batch_begin(&reuse).unwrap();
+                pmem.crash_now(seed, 0.5);
+                drop(pending);
+                let image = pmem.reopen().unwrap();
+                let (off, _) = header_range(gen.base);
+                let mut words = [0u8; WORDS_LEN];
+                image.read(off, &mut words).unwrap();
+                let header_kept =
+                    LogHeader::decode(&words).unwrap().tail == tail + reuse.len() as u64;
+                let records_lost = (0..reuse.len() as u64).all(|i| {
+                    let mut rec = [0u8; RECORD_STRIDE as usize];
+                    let off = POffset::new(kv.record_off(&gen, tail + i));
+                    image.read(off, &mut rec).unwrap();
+                    decode_record(&rec).3 .0 == 7
+                });
+                if !(header_kept && records_lost) {
+                    continue;
+                }
+                landed += 1;
+                let at = format!("{heads:?} lost, seed {seed}: header kept, records lost");
+                let kv2 = PKvStore::open(image, kv.base(), KvVariant::Nsrl).unwrap();
+                let tags = tags_once(&kv2, &at);
+                assert_eq!(pid_count(&tags, 7), 0, "{at}: a lost record shows");
+                assert_eq!(pid_count(&tags, 8), 0, "{at}: a batch shows in part");
+                assert_eq!(pid_count(&tags, 1), base.len(), "{at}");
+                assert_eq!(kv2.log_reserved().unwrap(), tail, "{at}: the tail");
+            }
+            assert!(landed > 0, "{heads:?}: no seed kept the header alone");
+        }
+    }
+
+    #[test]
+    fn a_window_after_bare_commits_cut_at_every_event_keeps_every_returned_effect() {
+        // Two bare commits leave heads dirty; a served window checkpoints
+        // them, moves `C` past its own records and clears the bare bit; a
+        // bare commit after it sets the bit again. Cut anywhere in the
+        // window or that commit: the bare commits before it show whole, the
+        // window's buckets whole or not at all (its heads are its commit
+        // point), the commit after it whole or absent — and only if the
+        // window's commit returned. Then the store goes on: a further
+        // commit and a reopen keep all of that, so no replay ever ran into
+        // the window's unstamped records and gave their slots away.
+        let bare = [
+            vec![put(1, 1, 0, 0), put(1, 2, 1, 1), put(1, 3, 2, 2)],
+            vec![put(1, 4, 3, 3), put(1, 5, 0, 10)],
+        ];
+        let window = [
+            put(5, 1, 4, 40),
+            put(5, 2, 5, 50),
+            put(5, 3, 1, 41),
+            put(5, 4, 6, 60),
+        ];
+        let after = [put(6, 1, 7, 70), put(6, 2, 2, 72)];
+        let probe = || {
+            let (pmem, _, kv) = fixture(4, 64);
+            for ops in &bare {
+                kv.apply_batch(ops).unwrap();
+            }
+            (pmem, kv)
+        };
+        let run = |kv: &PKvStore| -> Result<(), PError> {
+            kv.begin(&window, Heads::CallerLevel)?.commit()?;
+            kv.apply_batch(&after)?;
+            Ok(())
+        };
+        let (pmem, kv) = probe();
+        let e0 = pmem.events();
+        kv.begin(&window, Heads::CallerLevel)
+            .unwrap()
+            .commit()
+            .unwrap();
+        let window_events = pmem.events() - e0;
+        kv.apply_batch(&after).unwrap();
+        let total = pmem.events() - e0;
+        let bucket = |key: u64| mix(key) % 4;
+
+        for k in 0..total {
+            for (at, plan, _, prob) in survivor_plans(k) {
+                let (pmem, kv) = probe();
+                pmem.arm_failpoint(plan);
+                assert!(run(&kv).unwrap_err().is_crash(), "{at}");
+                let pmem2 = pmem.reopen().unwrap();
+                let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                let tags = tags_once(&kv2, &at);
+                assert_eq!(pid_count(&tags, 1), 5, "{at}: the bare commits");
+                let shown: Vec<_> = window
+                    .iter()
+                    .filter(|op| tags.contains(&op.tag()))
+                    .collect();
+                for op in &window {
+                    let same: Vec<_> = window
+                        .iter()
+                        .filter(|o| bucket(o.key()) == bucket(op.key()))
+                        .collect();
+                    let kept = same.iter().filter(|o| tags.contains(&o.tag())).count();
+                    assert!(
+                        kept == 0 || kept == same.len(),
+                        "{at}: a window bucket torn"
+                    );
+                }
+                if k >= window_events {
+                    assert_eq!(shown.len(), window.len(), "{at}: the window returned");
+                }
+                let n = pid_count(&tags, 6);
+                assert!(n == 0 || n == after.len(), "{at}: {n} of the commit after");
+                assert!(
+                    n == 0 || k >= window_events,
+                    "{at}: a commit before its window returned"
+                );
+                // The store goes on, and keeps what it shows.
+                let mut want = kv2.contents().unwrap();
+                assert!(apply(&kv2, put(9, 1, 8, 90)).unwrap(), "{at}");
+                want.insert(8, 90);
+                pmem2.crash_now(0, 0.0);
+                let kv3 =
+                    PKvStore::open(pmem2.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+                assert_eq!(kv3.contents().unwrap(), want, "{at}: after the next commit");
+                assert_eq!(tags_once(&kv3, &at).len(), tags.len() + 1, "{at}");
+                assert_psan_clean(&pmem2, prob, &at);
+            }
+        }
+    }
+
+    #[test]
+    fn a_compaction_cut_with_dirty_heads_keeps_every_returned_tag_as_evidence() {
+        // The last bare commit's heads are dirty when the compaction runs:
+        // they ride its switch ‖ block level, for the retired generation's
+        // chains are what the evidence scan walks once the swap lands — and
+        // no replay reads a retired log. That commit overwrites a key twice
+        // and deletes another, so two of its tags live nowhere else: the
+        // carry keeps only the newest record of a live key. Cut the
+        // compaction at every event, or after it returns: every returned
+        // op is found, none re-executed.
+        let commits = [
+            (0..6)
+                .map(|k| put(1, k + 1, k, k as i64))
+                .collect::<Vec<_>>(),
+            vec![put(1, 7, 0, 10), del(1, 8, 1)],
+            vec![
+                put(1, 9, 3, 30),
+                put(1, 10, 3, 31),
+                del(1, 11, 4),
+                put(1, 12, 2, 22),
+            ],
+        ];
+        let probe = || {
+            let (pmem, heap, kv) = fixture(4, 32);
+            for ops in &commits {
+                assert!(kv.apply_batch(ops).unwrap().iter().all(|o| o.took_effect()));
+            }
+            (pmem, heap, kv)
+        };
+        let (pmem, heap, kv) = probe();
+        let want = kv.contents().unwrap();
+        let e0 = pmem.events();
+        kv.compact(&heap).unwrap();
+        let total = pmem.events() - e0;
+        for k in 0..=total {
+            for (at, plan, _, prob) in survivor_plans(k) {
+                let (pmem, heap, kv) = probe();
+                pmem.arm_failpoint(plan);
+                let _ = kv.compact(&heap);
+                pmem.disarm_failpoint();
+                if !pmem.is_crashed() {
+                    pmem.crash_now(0, prob);
+                }
+                let pmem2 = pmem.reopen().unwrap();
+                let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                assert!(
+                    k < total || kv2.generation().unwrap() == 1,
+                    "{at}: the swap returned"
+                );
+                assert_eq!(kv2.contents().unwrap(), want, "{at}");
+                for &op in commits.iter().flatten() {
+                    assert_eq!(
+                        kv2.recover_batch(&[op]).unwrap(),
+                        [KvApplied::Applied],
+                        "{at}: {op:?}"
+                    );
+                }
+                assert_eq!(kv2.contents().unwrap(), want, "{at}: nothing re-executed");
+                assert_eq!(tags_once(&kv2, &at).len(), 12, "{at}");
+                assert_psan_clean(&pmem2, prob, &at);
+            }
+        }
+    }
+
+    #[test]
+    fn a_header_naming_slots_or_buckets_it_lacks_is_a_typed_error() {
+        // The commit words come back from NVRAM: a tail past the log, a
+        // replay point past the tail, a last batch outside `[C, tail]`
+        // or a dirty bucket past the array is refused, not replayed.
+        let bad = [
+            LogHeader::settled(33, 0, true),
+            LogHeader {
+                replay_from: 5,
+                ..LogHeader::settled(4, 0, true)
+            },
+            LogHeader {
+                replay_from: 2,
+                last_batch: 1,
+                ..LogHeader::settled(4, 0, true)
+            },
+            LogHeader {
+                dirty: Some((0, 8)),
+                ..LogHeader::settled(4, 0, false)
+            },
+        ];
+        for header in bad {
+            let (pmem, _, kv) = fixture(8, 32);
+            apply(&kv, put(1, 1, 42, -7)).unwrap();
+            let gen = kv.active_gen().unwrap();
+            write_header(&pmem, gen.base, &header).unwrap();
+            assert!(
+                matches!(
+                    PKvStore::open(pmem, kv.base(), KvVariant::Nsrl),
+                    Err(PError::CorruptStack(_))
+                ),
+                "{header:?}"
+            );
+        }
+        // A dirty word no commit writes: a first bucket, and a span end
+        // of 0 that would underflow.
+        let (pmem, _, kv) = fixture(8, 32);
+        apply(&kv, put(1, 1, 42, -7)).unwrap();
+        let (words, _) = header_range(kv.active_gen().unwrap().base);
+        pmem.write_u64(words + 16u64, 1).unwrap();
+        assert!(matches!(
+            PKvStore::open(pmem, kv.base(), KvVariant::Nsrl),
+            Err(PError::CorruptStack(_))
+        ));
+    }
 }

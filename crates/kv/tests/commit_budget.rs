@@ -2,18 +2,19 @@
 //!
 //! One device round-trip per ordered persist is the whole cost model.
 //! There is one group-commit routine — `apply_batch_begin` then the
-//! commit's dependence levels — and this file writes down what it
-//! pays: three persists a batch (records, log tail, heads), all three
-//! flights, awaited in two levels (records ‖ tail → heads) however many
-//! shards commit together — a lone mutation is a batch of one and
-//! pays the same, on its home shard alone, or nothing when it takes no
-//! effect; that the heads'
-//! flight is the commit point (a cut before it completes shows nothing
-//! of the batch, a cut after `commit` returns loses nothing); what
-//! compaction pays: five persists in three levels;
-//! and what a static workload's window pays on the persistent stack:
-//! six, the served window's own budget. Counters, not wall-clock:
-//! the blocking bounds compare the *planned* waits the regions record
+//! commit's level — and this file writes down what it pays: a bare
+//! batch is at most three persists (records, the generation header,
+//! and the heads the shard's previous commit flipped), all flights,
+//! awaited in **one** level however many shards commit together — a
+//! lone mutation is a batch of one and pays the same, on its home shard
+//! alone, or nothing when it takes no effect; that its records and
+//! header are the commit point (a cut shows the batch whole or not at
+//! all, a cut after `commit` returns loses nothing); what compaction
+//! pays: five persists in three levels, and one flight more in its
+//! middle level for heads a bare commit left dirty; and what a static
+//! workload's window pays on the persistent stack: six, the served
+//! window's own budget. Counters, not wall-clock: the blocking bounds
+//! compare the *planned* waits the regions record
 //! (`async_latency_waited_ns`, deadline minus now at each await) to the
 //! charged latency, and a level's flights are all issued before its
 //! first await, so each level plans at most one latency — however
@@ -26,7 +27,7 @@ use pstack_heap::PHeap;
 use pstack_kv::{
     KvBatchOp, KvRequestTable, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore,
 };
-use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset};
+use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset, StatsSnapshot};
 
 const LEN: usize = 1 << 19;
 
@@ -49,49 +50,66 @@ fn puts(keys: std::ops::Range<u64>) -> Vec<KvBatchOp> {
 
 const LATENCY: Duration = Duration::from_millis(1);
 
-#[test]
-fn a_group_commit_is_three_persists_as_three_flights_awaited_in_two_levels() {
-    let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
-    let before = pmem.stats().snapshot();
-    let outcomes = kv.apply_batch(&puts(0..16)).unwrap();
-    assert!(outcomes.iter().all(|o| o.took_effect()));
+/// Asserts one bare group commit's bill from `before`: `flights`
+/// persists, every one a flight charged a round-trip, nothing left in
+/// flight, and at most one latency of waiting — one level.
+fn assert_one_level(pmem: &PMem, before: StatsSnapshot, flights: u64, what: &str) {
     let d = pmem.stats().snapshot() - before;
     assert_eq!(
         (d.persists, d.async_flushes, d.redundant_persists),
-        (3, 3, 0),
-        "records ‖ tail, then heads — every one a flight"
+        (flights, flights, 0),
+        "{what}"
     );
     assert_eq!(pmem.inflight_tickets(), 0, "commit awaits what it issued");
-    // Three flights charged a round-trip each; the records and tail
-    // overlap, so the waits plan at most one latency per level.
-    assert_eq!(d.async_latency_charged_ns, 3 * LATENCY.as_nanos() as u64);
+    assert_eq!(
+        d.async_latency_charged_ns,
+        flights * LATENCY.as_nanos() as u64
+    );
     assert!(
-        d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
-        "more than two levels of waiting: {} ns of {} charged",
+        d.async_latency_waited_ns <= LATENCY.as_nanos() as u64,
+        "{what}: more than one level of waiting: {} ns of {} charged",
         d.async_latency_waited_ns,
         d.async_latency_charged_ns
     );
 }
 
 #[test]
-fn a_per_op_put_is_a_group_commit_of_one() {
-    // The batch's three persists, awaited in its two levels.
+fn a_group_commit_is_three_persists_as_three_flights_awaited_in_one_level() {
+    // Records ‖ header ‖ the heads the previous commit flipped: one
+    // level. A fresh store has no dirty head, so its first commit is
+    // two flights; every later one three.
     let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
     let before = pmem.stats().snapshot();
-    assert!(kv.apply_batch(&puts(7..8)).unwrap()[0].took_effect());
-    let d = pmem.stats().snapshot() - before;
-    assert_eq!(
-        (d.persists, d.async_flushes, d.redundant_persists),
-        (3, 3, 0),
-        "records ‖ tail, then heads — every one a flight"
+    assert!(kv
+        .apply_batch(&puts(0..16))
+        .unwrap()
+        .iter()
+        .all(|o| o.took_effect()));
+    assert_one_level(&pmem, before, 2, "records ‖ header");
+    let before = pmem.stats().snapshot();
+    assert!(kv
+        .apply_batch(&puts(16..32))
+        .unwrap()
+        .iter()
+        .all(|o| o.took_effect()));
+    assert_one_level(
+        &pmem,
+        before,
+        3,
+        "records ‖ header ‖ the first commit's heads",
     );
-    assert_eq!(pmem.inflight_tickets(), 0);
-    assert!(
-        d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
-        "more than two levels of waiting: {} ns of {} charged",
-        d.async_latency_waited_ns,
-        d.async_latency_charged_ns
-    );
+}
+
+#[test]
+fn a_per_op_put_is_a_group_commit_of_one() {
+    // A lone put waits one round-trip: its record ‖ the header, and
+    // from the second on the previous put's head beside them.
+    let (pmem, _, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
+    for (key, flights) in [(7, 2), (8, 3)] {
+        let before = pmem.stats().snapshot();
+        assert!(kv.apply_batch(&puts(key..key + 1)).unwrap()[0].took_effect());
+        assert_one_level(&pmem, before, flights, "a lone put");
+    }
 }
 
 #[test]
@@ -109,15 +127,17 @@ fn a_per_op_delete_of_an_absent_key_persists_nothing() {
 }
 
 #[test]
-fn a_group_commit_is_visible_whole_iff_its_heads_flight_completed() {
-    // The heads' flight is a group commit's last persist and its commit
-    // point. One bucket, so one head publishes the whole batch. Cut the
-    // power at every event of the commit: keeping no dirty line, no cut
-    // shows any of the batch — a flight completes at its await, which
-    // consumes no event, so every cut precedes the heads' completion —
-    // and keeping every dirty line (as if every issued flight had
-    // completed), the batch shows whole exactly from the head CAS on.
-    // Never in part. After `commit` returns, a cut keeps everything.
+fn a_group_commit_is_visible_whole_or_not_at_all_at_every_cut() {
+    // A bare group commit's records and header are its last persists:
+    // its heads ride the next commit, and a reopen rebuilds them from
+    // the stamped log. Cut the power at every event of the commit:
+    // keeping no dirty line, no cut before the head CAS shows any of
+    // the batch — a flight completes at its await, which consumes no
+    // event, and the CAS is the first event after it — and keeping
+    // every dirty line (as if every issued flight had completed), the
+    // batch shows whole exactly from the header's write on (its records
+    // are written before it). Never in part. After `commit` returns, a
+    // cut keeps everything.
     let ops: Vec<KvBatchOp> = (0..4)
         .map(|key| KvBatchOp::Put {
             pid: 1,
@@ -144,15 +164,15 @@ fn a_group_commit_is_visible_whole_iff_its_heads_flight_completed() {
     pmem.crash_now(0, 0.0);
     assert_eq!(visible(pmem, &kv), ops.len(), "durable once commit returns");
 
-    // The commit's last two events: the head CAS, then the heads'
-    // flight issued — a heads span of one line, one event.
-    let cas = total - 2;
+    // The commit's events: one write per record, the header's write,
+    // then the flights' lines and, after the await, the head CAS.
+    let (header, cas) = (ops.len() as u64, total - 1);
     for k in 0..total {
         for prob in [0.0, 1.0] {
             let (pmem, kv) = fresh();
             pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(0, prob));
             assert!(kv.apply_batch(&ops).unwrap_err().is_crash(), "event {k}");
-            let whole = prob == 1.0 && k > cas;
+            let whole = (prob == 1.0 && k > header) || k == cas;
             assert_eq!(
                 visible(pmem, &kv),
                 if whole { ops.len() } else { 0 },
@@ -163,40 +183,48 @@ fn a_group_commit_is_visible_whole_iff_its_heads_flight_completed() {
 }
 
 #[test]
-fn a_four_shard_group_commit_waits_two_round_trips_of_twelve_charged() {
-    // The same two levels, every shard's flights of a level issued
-    // before the first of them is awaited: one shard's wait covers the
-    // others'. (Shard by shard it would be 1 + 4 = 5.)
+fn a_four_shard_group_commit_waits_one_round_trip_of_twelve_charged() {
+    // One level, every shard's flights issued before the first of them
+    // is awaited: one shard's wait covers the others'. (Shard by shard
+    // it would be 4.) The first commit finds no dirty head: eight
+    // flights; the second checkpoints the first's heads: twelve.
     let stripe = PMemBuilder::new()
         .len(1 << 18)
         .flush_latency(LATENCY)
         .build_striped(4);
     let kv = ShardedKvStore::format(stripe.regions(), 8, 64, KvVariant::Nsrl).unwrap();
-    let formatted: Vec<u64> = stripe
-        .regions()
-        .iter()
-        .map(|r| r.stats().snapshot().async_flushes)
-        .collect();
-    let mut batch = kv.batch();
-    for op in puts(0..16) {
-        batch.push(op);
+    for (keys, per_shard) in [(0..16, 2), (16..32, 3)] {
+        let formatted: Vec<u64> = stripe
+            .regions()
+            .iter()
+            .map(|r| r.stats().snapshot().async_flushes)
+            .collect();
+        let mut batch = kv.batch();
+        for op in puts(keys) {
+            batch.push(op);
+        }
+        let before = stripe.aggregate_stats();
+        assert!(batch.commit().unwrap().iter().all(|o| o.took_effect()));
+        let d = stripe.aggregate_stats() - before;
+        for (s, region) in stripe.regions().iter().enumerate() {
+            let flights = region.stats().snapshot().async_flushes - formatted[s];
+            assert_eq!(flights, per_shard, "shard {s} committed once");
+            assert_eq!(region.inflight_tickets(), 0);
+        }
+        let all = 4 * per_shard;
+        assert_eq!(
+            (d.persists, d.async_flushes),
+            (all, all),
+            "{per_shard} flights a shard"
+        );
+        assert_eq!(d.async_latency_charged_ns, all * LATENCY.as_nanos() as u64);
+        assert!(
+            d.async_latency_waited_ns <= LATENCY.as_nanos() as u64,
+            "more than one level of waiting: {} ns of {} charged",
+            d.async_latency_waited_ns,
+            d.async_latency_charged_ns
+        );
     }
-    let before = stripe.aggregate_stats();
-    assert!(batch.commit().unwrap().iter().all(|o| o.took_effect()));
-    let d = stripe.aggregate_stats() - before;
-    for (s, region) in stripe.regions().iter().enumerate() {
-        let flights = region.stats().snapshot().async_flushes - formatted[s];
-        assert_eq!(flights, 3, "shard {s} committed once");
-        assert_eq!(region.inflight_tickets(), 0);
-    }
-    assert_eq!((d.persists, d.async_flushes), (12, 12), "3 flights a shard");
-    assert_eq!(d.async_latency_charged_ns, 12 * LATENCY.as_nanos() as u64);
-    assert!(
-        d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
-        "more than two levels of waiting: {} ns of {} charged",
-        d.async_latency_waited_ns,
-        d.async_latency_charged_ns
-    );
 }
 
 #[test]
@@ -217,23 +245,12 @@ fn a_sharded_put_is_a_group_commit_of_one_on_its_home_shard() {
         .collect();
     assert!(kv.put(0, 1, key, 70).unwrap());
     for (s, (region, before)) in stripe.regions().iter().zip(before).enumerate() {
-        let d = region.stats().snapshot() - before;
         if s != home {
+            let d = region.stats().snapshot() - before;
             assert_eq!(d.persists, 0, "shard {s} is not the key's home");
             continue;
         }
-        assert_eq!(
-            (d.persists, d.async_flushes, d.redundant_persists),
-            (3, 3, 0),
-            "records ‖ tail, then heads — every one a flight"
-        );
-        assert_eq!(region.inflight_tickets(), 0);
-        assert!(
-            d.async_latency_waited_ns <= 2 * LATENCY.as_nanos() as u64,
-            "more than two levels of waiting: {} ns of {} charged",
-            d.async_latency_waited_ns,
-            d.async_latency_charged_ns
-        );
+        assert_one_level(region, before, 2, "records ‖ header");
     }
 }
 
@@ -254,7 +271,7 @@ fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() 
         .map(|(s, ops)| kv.shard(s).apply_batch_begin(ops).unwrap())
         .collect();
     for (s, region) in stripe.regions().iter().enumerate() {
-        assert_eq!(region.inflight_tickets(), 2, "shard {s}: records + tail");
+        assert_eq!(region.inflight_tickets(), 2, "shard {s}: records + header");
     }
     assert!(kv.contents().unwrap().is_empty(), "no bucket head moved");
 
@@ -263,7 +280,7 @@ fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() 
     }
     assert_eq!(kv.contents().unwrap().len(), 64);
     let agg = stripe.aggregate_stats() - formatted;
-    assert_eq!(agg.async_flushes, 12, "records, tail, heads a shard");
+    assert_eq!(agg.async_flushes, 8, "records, header a shard");
     for region in stripe.regions() {
         assert_eq!(region.inflight_tickets(), 0);
     }
@@ -273,30 +290,34 @@ fn begun_windows_hold_two_flights_a_shard_and_publish_nothing_until_committed() 
 fn a_compaction_is_five_persists_in_three_round_trips() {
     // The heap's two interior headers, then the allocation's switch ‖
     // one coalesced flight of the new block however many carries, then
-    // the root cell's slot and selector in one line: three levels.
+    // the root cell's slot and selector in one line: three levels. The
+    // heads the last group commit left dirty ride the middle level, one
+    // flight more; a generation with none pays five.
     let (pmem, heap, kv) = store(PMemBuilder::new().flush_latency(LATENCY));
     for chunk in puts(0..128).chunks(16) {
         kv.apply_batch(chunk).unwrap();
     }
-    let before = pmem.stats().snapshot();
-    assert_eq!(kv.compact(&heap).unwrap().carried, 128);
-    let d = pmem.stats().snapshot() - before;
-    assert_eq!(
-        (d.persists, d.async_flushes, d.redundant_persists),
-        (5, 4, 0),
-        "headers ‖ → switch ‖ block → cell: the cell alone is a plain flush"
-    );
-    assert_eq!(
-        pmem.inflight_tickets(),
-        0,
-        "compaction awaits what it issued"
-    );
-    assert!(d.lines_persisted > 128, "every carry slot is its own line");
-    assert!(
-        d.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
-        "more than three levels of waiting: {} ns planned",
-        d.async_latency_waited_ns
-    );
+    for (dirty, carried) in [(1, 128), (0, 128)] {
+        let before = pmem.stats().snapshot();
+        assert_eq!(kv.compact(&heap).unwrap().carried, carried);
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(
+            (d.persists, d.async_flushes, d.redundant_persists),
+            (5 + dirty, 4 + dirty, 0),
+            "headers ‖ → switch ‖ block (‖ heads) → cell: the cell alone is a plain flush"
+        );
+        assert_eq!(
+            pmem.inflight_tickets(),
+            0,
+            "compaction awaits what it issued"
+        );
+        assert!(d.lines_persisted > 128, "every carry slot is its own line");
+        assert!(
+            d.async_latency_waited_ns <= 3 * LATENCY.as_nanos() as u64,
+            "more than three levels of waiting: {} ns planned",
+            d.async_latency_waited_ns
+        );
+    }
 
     // The bill follows the live set, not the history: 64 live keys
     // compact for the same persists and lines after 512 mutations as
@@ -324,7 +345,7 @@ fn a_compaction_is_five_persists_in_three_round_trips() {
         (d.persists, d.lines_persisted)
     };
     let (shallow, deep) = (bill(512), bill(4096));
-    assert_eq!(shallow.0, 5);
+    assert_eq!(shallow.0, 6, "five, and the last commit's heads");
     assert_eq!(shallow, deep, "history 512 vs 4096: (persists, lines)");
 }
 

@@ -1,8 +1,10 @@
 //! Property tests for one-op group commits on a shard: random crews of concurrent
 //! mutators — each mutation a group commit of one — × compactions,
 //! all taking turns in the region's exclusive section × crash
-//! placements landing between the reserve, the record and tail
-//! flights, the head CAS and the heads' flight, all checked against the
+//! placements landing among the record writes, the header's, the
+//! record ‖ header ‖ checkpoint flights and the head CAS — the heads
+//! left dirty for the next commit, or the reopen's replay — all
+//! checked against the
 //! sequential spec — every mutation takes effect exactly once, every
 //! surviving chain replays, and the persist-order sanitizer stays
 //! silent.

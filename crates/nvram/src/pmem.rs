@@ -369,6 +369,27 @@ impl PMem {
         self.persist(off, len, true)
     }
 
+    /// `true` when [`PMem::persist_if_dirty`] over `[off, off + len)`
+    /// would persist: a covering line is dirty. No persistence event.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Crashed`] or [`MemError::OutOfBounds`].
+    pub fn is_dirty(&self, off: POffset, len: usize) -> Result<bool, MemError> {
+        let mut st = self.inner.state.lock();
+        self.check_alive()?;
+        self.check_bounds(off, len)?;
+        Ok(self.dirty_in(&mut st, off, len))
+    }
+
+    fn dirty_in(&self, st: &mut State, off: POffset, len: usize) -> bool {
+        let (line, start) = (self.inner.line_size, off.as_usize());
+        len != 0
+            && st
+                .device()
+                .any_dirty(start / line, (start + len - 1) / line)
+    }
+
     /// [`PMem::flush`], or with `only_if_dirty` [`PMem::persist_if_dirty`]:
     /// one flight issued and awaited, under one lock unless the await
     /// has device time to sleep.
@@ -378,16 +399,8 @@ impl PMem {
         let mut st = self.inner.state.lock();
         self.check_alive()?;
         self.check_bounds(off, len)?;
-        if only_if_dirty {
-            let line = self.inner.line_size;
-            let start = off.as_usize();
-            if len == 0
-                || !st
-                    .device()
-                    .any_dirty(start / line, (start + len - 1) / line)
-            {
-                return Ok(false);
-            }
+        if only_if_dirty && !self.dirty_in(&mut st, off, len) {
+            return Ok(false);
         }
         MemStats::bump(&self.inner.stats.flush_calls);
         let serial = self.issue(&mut st, off.as_usize(), len)?;
@@ -607,36 +620,6 @@ impl PMem {
     pub fn inflight_tickets(&self) -> u64 {
         let st = self.inner.state.lock();
         st.device.as_ref().map_or(0, |d| d.in_flight() as u64)
-    }
-
-    /// The **persist-store**: writes, then flushes the written lines —
-    /// §5's "flush each written cache line immediately after the
-    /// corresponding write". Between the two, other threads can already
-    /// read the value; [`PMem::read_persist`] is what keeps them from
-    /// acting on it before it is durable.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::write`] and [`PMem::flush`].
-    pub fn write_persist(&self, off: POffset, data: &[u8]) -> Result<(), MemError> {
-        self.write(off, data)?;
-        self.flush(off, data.len()).map(drop)
-    }
-
-    /// The **persist-load**: reads, then persists the lines read if a
-    /// writer left them dirty ([`PMem::persist_if_dirty`]) — FliT's
-    /// load half, so a value a reader acts on has survived any crash
-    /// from the moment this returns. The read comes first: flushing
-    /// first would leave a window for a writer to dirty the line again
-    /// before the read. Free on lines nobody left dirty.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PMem::read`] and [`PMem::flush`].
-    pub fn read_persist(&self, off: POffset, buf: &mut [u8]) -> Result<(), MemError> {
-        self.read(off, buf)?;
-        self.persist_if_dirty(off, buf.len())?;
-        Ok(())
     }
 
     /// Persistence fence: completes every flight on the region (the

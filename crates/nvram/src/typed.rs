@@ -1,6 +1,8 @@
 //! Typed accessors over [`PMem::read`] and [`PMem::write`]: bytes,
 //! little-endian integers, vectors and fills. Each fails as the access
-//! it makes does, and what it writes is volatile until flushed.
+//! it makes does, and what it writes is volatile until flushed — but
+//! for §5's persist-store and persist-load, which pair the access with
+//! its flush.
 
 use crate::{MemError, PMem, POffset};
 
@@ -63,5 +65,35 @@ impl PMem {
     /// Writes `len` copies of `byte`.
     pub fn fill(&self, off: POffset, byte: u8, len: usize) -> Result<(), MemError> {
         self.write(off, &vec![byte; len])
+    }
+
+    /// The **persist-store**: writes, then flushes the written lines —
+    /// §5's "flush each written cache line immediately after the
+    /// corresponding write". Between the two, other threads can already
+    /// read the value; [`PMem::read_persist`] is what keeps them from
+    /// acting on it before it is durable.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PMem::write`] and [`PMem::flush`].
+    pub fn write_persist(&self, off: POffset, data: &[u8]) -> Result<(), MemError> {
+        self.write(off, data)?;
+        self.flush(off, data.len()).map(drop)
+    }
+
+    /// The **persist-load**: reads, then persists the lines read if a
+    /// writer left them dirty ([`PMem::persist_if_dirty`]) — FliT's
+    /// load half, so a value a reader acts on has survived any crash
+    /// from the moment this returns. The read comes first: flushing
+    /// first would leave a window for a writer to dirty the line again
+    /// before the read. Free on lines nobody left dirty.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PMem::read`] and [`PMem::flush`].
+    pub fn read_persist(&self, off: POffset, buf: &mut [u8]) -> Result<(), MemError> {
+        self.read(off, buf)?;
+        self.persist_if_dirty(off, buf.len())?;
+        Ok(())
     }
 }

@@ -45,13 +45,13 @@
 //! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard | 0 |
 //! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window with its frame, before the heads | 1 per shard per **drain** | 0 |
 //! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
-//! | | group commit | records ‖ log tail (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
-//! | | answer | [`KvRequestTable::answer`], payload + flag + its commit's record span in one line-atomic persist, issued into the heads' level on the commit's records ‖ tail receipt; a replay voids an answer whose heads did not land | 1 per shard per round | 0 more: it rides the heads' level |
+//! | | group commit | records ‖ header (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
+//! | | answer | [`KvRequestTable::answer`], payload + flag + its commit's record span in one line-atomic persist, issued into the heads' level on the commit's records ‖ header receipt; a replay voids an answer whose heads did not land | 1 per shard per round | 0 more: it rides the heads' level |
 //! | | ack | mark (acked byte): written by [`ServerCore::ack`] and issued at once as a flight that nothing awaits; the slot's next occupant awaits it before overwriting the slot | 1 per ack | **0** |
 //!
 //! A lone put therefore costs 7 persists end to end and blocks on 2
 //! round-trips before its answer (`CALL` (+ the previous round's `RET`)
-//! ‖ descriptor ‖ records ‖ tail → heads ‖ answer), and on none for its
+//! ‖ descriptor ‖ records ‖ header → heads ‖ answer), and on none for its
 //! ack; a round that touches several shards blocks on the same 2 and
 //! pays the frame's 1 once, and a full window divides all but the ack by
 //! its occupancy. The window's own pop stays pending until

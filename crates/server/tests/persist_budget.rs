@@ -20,7 +20,7 @@
 //! heads; the group commit's flights are awaited where something
 //! depends on them, and the answers ride the heads' level. So a lone
 //! put **blocks** on 2 of its 7 round-trips (`CALL` ‖ descriptor ‖
-//! records ‖ tail → heads ‖ answer), and so does a round over four
+//! records ‖ header → heads ‖ answer), and so does a round over four
 //! shards. A round's acks are one level of marks that nothing awaits:
 //! an ack round blocks on nothing, and a round that also runs a window
 //! on nothing more. Every persist on the
@@ -193,7 +193,7 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
     // Blocking: every persist a flight — the CALL too, issued as the
     // window starts and awaited beside the descriptor, records and tail
     // — so at most one latency per awaited level: CALL ‖ descriptor ‖
-    // records ‖ tail → heads ‖ answer.
+    // records ‖ header → heads ‖ answer.
     let (control, stripe) = delta(&s, t0);
     assert_eq!(
         (control.persists, control.async_flushes),
