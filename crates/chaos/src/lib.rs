@@ -40,15 +40,15 @@
 //! as each child reports it; a KV or served row there is
 //! [`pstack_core::PError::InvalidConfig`].
 //!
-//! The module also provides [`enumerate_crash_points`], the exhaustive
-//! single-operation crash harness used across the test suites.
+//! The exhaustive single-operation crash sweep is not here: it is
+//! `pstack_nvram::sweep`, beside the fail-points it arms, where every
+//! crate's tests can reach it.
 
 mod campaign;
 // `compaction_campaign` and `sharded_kv_campaign` are test modules
 // holding rows of the campaign's scenario table, apart so their gates
 // keep their names and CI filters.
 mod compaction_campaign;
-mod crashpoints;
 mod cycle;
 mod header;
 // The real-kill(1) policy spawns and SIGKILLs OS processes: unix-only
@@ -65,7 +65,6 @@ mod sharded_kv_campaign;
 pub use campaign::{
     run_campaign, CampaignConfig, CampaignReport, Execution, Kill, Object, Workload,
 };
-pub use crashpoints::{enumerate_crash_points, CrashScenario, EnumerationReport};
 pub use cycle::Tally;
 pub use header::KillHeader;
 #[cfg(all(unix, feature = "kill-harness"))]

@@ -6,11 +6,13 @@
 
 #[cfg(test)]
 mod tests {
-    use pstack_core::{CrashRegion, FunctionRegistry, RecoveryMode, RuntimeConfig, StripedRuntime};
+    use pstack_core::{
+        CrashRegion, FunctionRegistry, PError, RecoveryMode, RuntimeConfig, StripedRuntime,
+    };
     use pstack_kv::{
         shard_of, KvApplied, KvBatchOp, KvServeFunction, KvTaskOp, KvVariant, ShardedKvStore,
     };
-    use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe};
+    use pstack_nvram::{FailPlan, PMem, PMemBuilder, PMemStripe, Survivors, Sweep};
     use pstack_verify::{KvAnswer, KvOp, KvOpKind};
 
     use crate::campaign::table::{caught, duplicate_application, gate, sharded, with_kv};
@@ -372,104 +374,70 @@ mod tests {
             })
             .collect();
         let target = 0usize;
-
-        // Clean run: count the target region's events for the whole
-        // drive (one worker, unshuffled tasks — fully deterministic).
-        let (control, stripe) = build_enum_system(&ops);
-        let run_events = {
-            // Counted from the attach on, as the kill below is: the
-            // store's open persists its header first.
+        // The control region, then the stripe: shard 0 is region 1. One
+        // worker, unshuffled tasks: fully deterministic. The events are
+        // counted from the attach on: the store's open persists its
+        // header first.
+        let setup = || {
+            let (control, stripe) = build_enum_system(&ops);
             let (exec, rt) = attach_enum_system(&control, &stripe);
-            let e0 = stripe.region(target).events();
-            let report = rt.run_tasks(exec.pending_tasks(4).unwrap());
-            assert!(!report.crashed);
-            stripe.region(target).events() - e0
+            (control, stripe, (exec, rt))
         };
-        assert!(run_events >= 3, "a window must span several events");
-
-        for k in 0..run_events {
-            // Phase 1 (attribution): crash shard 0 after k events of
-            // the run; the kill must trip the whole system and be
-            // blamed on the armed region.
-            {
-                let (control, stripe) = build_enum_system(&ops);
-                let (exec, rt) = attach_enum_system(&control, &stripe);
-                stripe
-                    .region(target)
-                    .arm_failpoint(FailPlan::after_events(k));
+        // The kill must trip the whole system and be blamed on the
+        // armed region.
+        let run =
+            |(_, _, (exec, rt)): &mut (PMem, PMemStripe, (KvServeFunction, StripedRuntime))| {
                 let report = rt.run_tasks(exec.pending_tasks(4).unwrap());
-                assert!(report.crashed, "crash at event {k} must fire");
-                assert!(rt.all_crashed(), "event {k}: whole system down");
+                if !report.crashed {
+                    return Ok(());
+                }
+                assert!(rt.all_crashed(), "whole system down");
                 assert_eq!(
                     report.crash_site.map(|s| s.region),
                     Some(CrashRegion::Shard(target)),
-                    "event {k}: kill attributed to the armed shard"
+                    "kill attributed to the armed shard"
                 );
-            }
-
-            // Phase 2: enumerate recovery-step boundaries j. Every
-            // j below recovery's event footprint crashes the pass; the
-            // first j at or past it completes cleanly — an `Ok` means
-            // the plan never fired, so the enumeration of this k is
-            // done.
-            for j in 0.. {
-                // Rebuild the identical crash-at-k state from scratch
-                // (one worker, unshuffled tasks: fully deterministic).
-                let (control, stripe) = build_enum_system(&ops);
-                {
-                    let (exec, rt) = attach_enum_system(&control, &stripe);
-                    stripe
-                        .region(target)
-                        .arm_failpoint(FailPlan::after_events(k));
-                    let report = rt.run_tasks(exec.pending_tasks(4).unwrap());
-                    assert!(report.crashed);
-                }
-                let control = control.reopen().unwrap();
-                let stripe = stripe.reopen_all().unwrap();
-
-                // Per-bucket all-or-nothing after the crash: every
-                // published record carries an untorn tag and value
-                // from the workload.
-                let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
-                for chains in store.snapshot_sharded().unwrap() {
-                    for rec in chains.iter().flatten() {
-                        assert!(rec.key < 10, "crash {k}: phantom key {}", rec.key);
-                        assert_eq!(
-                            rec.value,
-                            rec.key as i64 + 10,
-                            "crash {k}: torn record value"
-                        );
-                    }
-                }
-
-                let (_, rt) = attach_enum_system(&control, &stripe);
-                stripe
-                    .region(target)
-                    .arm_failpoint(FailPlan::after_events(j));
-                match rt.recover(RecoveryMode::Parallel) {
-                    Ok(rep) => {
-                        stripe.disarm_all();
-                        // No re-run frames: a completed recovery pass
-                        // leaves nothing for a second one.
-                        assert!(rep.total_frames() <= 1, "one worker, one frame");
-                        assert_eq!(
-                            rt.recover(RecoveryMode::Serial).unwrap().total_frames(),
-                            0,
-                            "crash {k}, step {j}: recovered frames must not re-run"
-                        );
-                        drain_and_check(&control, &stripe, &ops, &format!("crash {k}, step {j}"));
-                        break;
-                    }
-                    Err(e) => {
-                        assert!(e.is_crash(), "crash {k}, step {j}: {e}");
-                        assert!(rt.all_crashed(), "recovery crash must trip all regions");
-                        let control = control.reopen().unwrap();
-                        let stripe = stripe.reopen_all().unwrap();
-                        drain_and_check(&control, &stripe, &ops, &format!("crash {k}, step {j}"));
-                    }
+                Err("the power failed")
+            };
+        // Every dirty line lost only, in both sweeps: with each cut's
+        // recovery swept in turn, the full set would run this test ~36×
+        // longer.
+        let armed = [1 + target];
+        let lost = Sweep::new().survivors(&[Survivors::None]).regions(&armed);
+        let events = lost.run(setup, run, |(_, stripe, _), cut| {
+            // Per-bucket all-or-nothing after the crash: every published
+            // record carries an untorn tag and value from the workload.
+            let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
+            for chains in store.snapshot_sharded().unwrap() {
+                for rec in chains.iter().flatten() {
+                    assert!(rec.key < 10, "{cut}: phantom key {}", rec.key);
+                    assert_eq!(rec.value, rec.key as i64 + 10, "{cut}: torn record value");
                 }
             }
-        }
+
+            // From this state, crash the recovery pass at every event
+            // of the same region: the system converges from each.
+            lost.run(
+                || {
+                    let (control, stripe, _) = cut.replay(setup, run);
+                    let (_, rt) = attach_enum_system(&control, &stripe);
+                    (control, stripe, rt)
+                },
+                |(_, _, rt)| {
+                    let rep = rt.recover(RecoveryMode::Parallel)?;
+                    // No re-run frames: a completed recovery pass leaves
+                    // nothing for a second one.
+                    assert!(rep.total_frames() <= 1, "one worker, one frame");
+                    let again = rt.recover(RecoveryMode::Serial)?.total_frames();
+                    assert_eq!(again, 0, "recovered frames must not re-run");
+                    Ok::<_, PError>(())
+                },
+                |(control, stripe, _), step| {
+                    drain_and_check(&control, &stripe, &ops, &format!("{cut}, recovery {step}"));
+                },
+            );
+        });
+        assert!(events[1 + target] >= 3, "a window must span several events");
     }
 
     // ---- negative controls: deliberately broken recovery --------------

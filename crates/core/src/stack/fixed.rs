@@ -210,7 +210,7 @@ impl PersistentStack for FixedStack {
 mod tests {
     use super::*;
     use crate::stack::FlushPolicy;
-    use pstack_nvram::{FailPlan, MemError, PMemBuilder};
+    use pstack_nvram::{sweep, FailPlan, MemError, PMemBuilder};
 
     fn stack(cap: u64) -> (PMem, FixedStack) {
         let pmem = PMemBuilder::new().len(cap as usize + 64).build_in_memory();
@@ -366,10 +366,9 @@ mod tests {
         // Frame writing is 1 write event; its flush covers multiple
         // lines. Crash after 3 events = during the frame flush, before
         // the marker flip.
-        pmem.arm_failpoint(FailPlan::after_events(2));
+        pmem.arm_failpoint(FailPlan::after_events(2).with_survivors(7, 0.5));
         let err = s.push(2, &[0xEE; 500]).unwrap_err();
         assert!(err.is_crash());
-        pmem.crash_now(7, 0.5);
         let pmem = pmem.reopen().unwrap();
         let s2 = FixedStack::open(pmem, POffset::new(0), 8 * 1024).unwrap();
         assert_eq!(s2.depth(), 1, "partial frame must be invisible");
@@ -381,26 +380,15 @@ mod tests {
     fn crash_point_enumeration_push_is_atomic() {
         // E1: for every persistence event inside push, a crash leaves
         // the stack in either the pre-push or the post-push state.
-        let probe = || stack(4 * 1024);
-        let (pmem, mut s) = probe();
-        let e0 = pmem.events();
-        s.push(9, &[0xAB; 100]).unwrap();
-        let total = pmem.events() - e0;
-        assert!(total >= 3, "write frame, flush frame, write+flush marker");
-
-        for k in 0..total {
-            for prob in [0.0, 0.5, 1.0] {
-                let (pmem, mut s) = probe();
-                pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(k, prob));
-                let err = s.push(9, &[0xAB; 100]).unwrap_err();
-                assert!(err.is_crash());
-                pmem.crash_now(k, prob);
-                let pmem = pmem.reopen().unwrap();
+        let events = sweep(
+            || stack(4 * 1024),
+            |(_, s)| s.push(9, &[0xAB; 100]),
+            |(pmem, _), cut| {
                 let s2 = FixedStack::open(pmem, POffset::new(0), 4 * 1024)
-                    .unwrap_or_else(|e| panic!("crash at event {k}, prob {prob}: {e}"));
+                    .unwrap_or_else(|e| panic!("{cut}: {e}"));
                 assert!(
                     s2.depth() == 0 || s2.depth() == 1,
-                    "crash at event {k} left depth {}",
+                    "{cut} left depth {}",
                     s2.depth()
                 );
                 if s2.depth() == 1 {
@@ -410,8 +398,12 @@ mod tests {
                     assert_eq!(rec.args, vec![0xAB; 100]);
                 }
                 s2.check_consistency().unwrap();
-            }
-        }
+            },
+        );
+        assert!(
+            events[0] >= 3,
+            "write frame, flush frame, write+flush marker"
+        );
     }
 
     #[test]
@@ -423,27 +415,20 @@ mod tests {
             s.push(2, b"two").unwrap();
             (pmem, s)
         };
-        let (pmem, mut s) = probe();
-        let e0 = pmem.events();
-        s.pop().unwrap();
-        let total = pmem.events() - e0;
-        assert_eq!(total, 2, "pop is one marker write plus one flush");
-
-        for k in 0..total {
-            let (pmem, mut s) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = s.pop().unwrap_err();
-            assert!(err.is_crash());
-            pmem.crash_now(k, 0.5);
-            let pmem = pmem.reopen().unwrap();
-            let s2 = FixedStack::open(pmem, POffset::new(0), 4 * 1024).unwrap();
-            assert!(
-                s2.depth() == 1 || s2.depth() == 2,
-                "crash at event {k} left depth {}",
-                s2.depth()
-            );
-            s2.check_consistency().unwrap();
-        }
+        let events = sweep(
+            probe,
+            |(_, s)| s.pop(),
+            |(pmem, _), cut| {
+                let s2 = FixedStack::open(pmem, POffset::new(0), 4 * 1024).unwrap();
+                assert!(
+                    s2.depth() == 1 || s2.depth() == 2,
+                    "{cut} left depth {}",
+                    s2.depth()
+                );
+                s2.check_consistency().unwrap();
+            },
+        );
+        assert_eq!(events, [2], "pop is one marker write plus one flush");
     }
 
     #[test]

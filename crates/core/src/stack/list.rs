@@ -425,7 +425,7 @@ impl PersistentStack for ListStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, Cut, PMemBuilder};
 
     fn setup(block: u64) -> (PMem, PHeap, ListStack) {
         let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
@@ -507,65 +507,59 @@ mod tests {
             (pmem, heap, s)
         };
         // The third push must chain a new block.
-        let (pmem, _, mut s) = probe();
-        let e0 = pmem.events();
+        let (_, _, mut s) = probe();
         s.push(3, &[0u8; 24]).unwrap();
-        let chained = s.block_count() > 1;
-        assert!(chained, "third push should chain");
-        let total = pmem.events() - e0;
-
-        for k in 0..total {
-            let (pmem, _, mut s) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(k, 0.5));
-            let err = s.push(3, &[0u8; 24]).unwrap_err();
-            assert!(err.is_crash(), "event {k}");
-            let pmem2 = pmem.reopen().unwrap();
-            let heap2 = PHeap::open(pmem2.clone(), POffset::new(64)).unwrap();
-            let s2 = ListStack::open(pmem2, heap2, POffset::new(0))
-                .unwrap_or_else(|e| panic!("reopen failed after crash at event {k}: {e}"));
-            assert!(
-                s2.depth() == 2 || s2.depth() == 3,
-                "crash at event {k} left depth {}",
-                s2.depth()
-            );
-            if s2.depth() == 3 {
-                assert_eq!(s2.frame_record(3).unwrap().func_id, 3);
-            }
-            s2.check_consistency().unwrap();
-        }
+        assert!(s.block_count() > 1, "third push should chain");
+        sweep(
+            || {
+                let (pmem, _, s) = probe();
+                (pmem, s)
+            },
+            |(_, s)| s.push(3, &[0u8; 24]),
+            |(pmem, _), cut| {
+                let s2 = reopen(pmem, cut);
+                assert!(
+                    s2.depth() == 2 || s2.depth() == 3,
+                    "{cut} left depth {}",
+                    s2.depth()
+                );
+                if s2.depth() == 3 {
+                    assert_eq!(s2.frame_record(3).unwrap().func_id, 3);
+                }
+                s2.check_consistency().unwrap();
+            },
+        );
     }
 
     #[test]
     fn crash_point_enumeration_cross_block_pop_is_atomic() {
         let probe = || {
-            let (pmem, heap, mut s) = setup(96);
+            let (pmem, _, mut s) = setup(96);
             s.push(1, &[0u8; 24]).unwrap();
             s.push(2, &[0u8; 24]).unwrap();
             s.push(3, &[0u8; 24]).unwrap();
             assert!(s.block_count() > 1);
-            (pmem, heap, s)
+            (pmem, s)
         };
-        let (pmem, _, mut s) = probe();
-        let e0 = pmem.events();
-        s.pop().unwrap();
-        let total = pmem.events() - e0;
+        sweep(
+            probe,
+            |(_, s)| s.pop(),
+            |(pmem, _), cut| {
+                let s2 = reopen(pmem, cut);
+                assert!(
+                    s2.depth() == 2 || s2.depth() == 3,
+                    "{cut} left depth {}",
+                    s2.depth()
+                );
+                s2.check_consistency().unwrap();
+            },
+        );
+    }
 
-        for k in 0..total {
-            let (pmem, _, mut s) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(k, 0.5));
-            let err = s.pop().unwrap_err();
-            assert!(err.is_crash(), "event {k}");
-            let pmem2 = pmem.reopen().unwrap();
-            let heap2 = PHeap::open(pmem2.clone(), POffset::new(64)).unwrap();
-            let s2 = ListStack::open(pmem2, heap2, POffset::new(0))
-                .unwrap_or_else(|e| panic!("reopen failed after crash at event {k}: {e}"));
-            assert!(
-                s2.depth() == 2 || s2.depth() == 3,
-                "crash at event {k} left depth {}",
-                s2.depth()
-            );
-            s2.check_consistency().unwrap();
-        }
+    /// The stack and its heap, reopened after `cut`.
+    fn reopen(pmem: PMem, cut: &Cut) -> ListStack {
+        let heap = PHeap::open(pmem.clone(), POffset::new(64)).unwrap();
+        ListStack::open(pmem, heap, POffset::new(0)).unwrap_or_else(|e| panic!("{cut}: {e}"))
     }
 
     #[test]

@@ -307,7 +307,7 @@ impl PersistentStack for VecStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, PMemBuilder};
 
     fn setup(initial: u64) -> (PMem, PHeap, VecStack) {
         let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
@@ -403,37 +403,34 @@ mod tests {
             }
             (pmem, heap, s)
         };
-        let (pmem, _, mut s) = probe();
-        let e0 = pmem.events();
-        s.push(99, &[7u8; 64]).unwrap(); // forces relocation
-        let total = pmem.events() - e0;
-        assert!(total > 4, "relocation path should have many events");
-
-        for k in 0..total {
-            let (pmem, _, mut s) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(k, 0.5));
-            let err = s.push(99, &[7u8; 64]).unwrap_err();
-            assert!(err.is_crash(), "event {k}");
-            let pmem2 = pmem.reopen().unwrap();
-            let heap2 = PHeap::open(pmem2.clone(), POffset::new(64)).unwrap();
-            let s2 = VecStack::open(pmem2, heap2, POffset::new(0))
-                .unwrap_or_else(|e| panic!("reopen failed after crash at event {k}: {e}"));
-            assert!(
-                s2.depth() == 3 || s2.depth() == 4,
-                "crash at event {k} left depth {}",
-                s2.depth()
-            );
-            if s2.depth() == 4 {
-                let rec = s2.frame_record(4).unwrap();
-                assert_eq!(rec.func_id, 99);
-                assert_eq!(rec.args, vec![7u8; 64]);
-            }
-            // Old frames intact in every outcome.
-            for i in 0..3u64 {
-                assert_eq!(s2.frame_record(1 + i as usize).unwrap().func_id, i);
-            }
-            s2.check_consistency().unwrap();
-        }
+        let events = sweep(
+            || {
+                let (pmem, _, s) = probe();
+                (pmem, s)
+            },
+            |(_, s)| s.push(99, &[7u8; 64]), // forces relocation
+            |(pmem, _), cut| {
+                let heap = PHeap::open(pmem.clone(), POffset::new(64)).unwrap();
+                let s2 = VecStack::open(pmem, heap, POffset::new(0))
+                    .unwrap_or_else(|e| panic!("{cut}: {e}"));
+                assert!(
+                    s2.depth() == 3 || s2.depth() == 4,
+                    "{cut} left depth {}",
+                    s2.depth()
+                );
+                if s2.depth() == 4 {
+                    let rec = s2.frame_record(4).unwrap();
+                    assert_eq!(rec.func_id, 99);
+                    assert_eq!(rec.args, vec![7u8; 64]);
+                }
+                // Old frames intact in every outcome.
+                for i in 0..3u64 {
+                    assert_eq!(s2.frame_record(1 + i as usize).unwrap().func_id, i);
+                }
+                s2.check_consistency().unwrap();
+            },
+        );
+        assert!(events[0] > 4, "relocation path should have many events");
     }
 
     #[test]

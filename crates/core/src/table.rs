@@ -303,7 +303,7 @@ fn check_line(pmem: &PMem) -> Result<(), PError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, PMemBuilder, Survivors};
 
     fn region(line: usize) -> (PMem, PHeap) {
         let pmem = PMemBuilder::new()
@@ -416,39 +416,37 @@ mod tests {
 
     #[test]
     fn an_answer_is_whole_or_absent_at_every_crash_point() {
-        let (pmem, heap, t) = table(2);
-        let e0 = pmem.events();
-        answer(&t, &[0, 1], 5);
-        let total = pmem.events() - e0;
-        drop((pmem, heap, t));
         let mut answered = 0;
-        for k in 0..total {
-            for survivors in [0.0, 0.5, 1.0] {
+        sweep(
+            || {
                 let (pmem, _, t) = table(2);
-                pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(k, survivors));
-                let cut = || -> Result<(), PError> {
-                    let mut level = Level::default();
-                    t.answer([(0, ()), (1, ())], &mut level, |e, ()| {
-                        pmem.write(e + F_FLAG, &[1, 0, 5, 0, 0, 0])
-                    })?;
-                    level.await_all()?;
-                    Ok(())
-                };
-                assert!(cut().unwrap_err().is_crash(), "event {k}");
-                let t2 =
-                    DescriptorTable::open(pmem.reopen().unwrap(), t.base(), Codec::Task).unwrap();
+                (pmem, t)
+            },
+            |(pmem, t)| -> Result<(), PError> {
+                let mut level = Level::default();
+                t.answer([(0, ()), (1, ())], &mut level, |e, ()| {
+                    pmem.write(e + F_FLAG, &[1, 0, 5, 0, 0, 0])
+                })?;
+                level.await_all()?;
+                Ok(())
+            },
+            |(pmem, t), cut| {
+                let t2 = DescriptorTable::open(pmem, t.base(), Codec::Task).unwrap();
                 for slot in 0..2 {
-                    if let Some(a) = t2.answered(slot).unwrap() {
-                        assert!(
-                            survivors > 0.0,
-                            "event {k}: an un-awaited flight kept a line"
-                        );
-                        assert_eq!((a.executor, a.flag), (5, true), "event {k}");
-                        answered += 1;
+                    match t2.answered(slot).unwrap() {
+                        None => assert!(!cut.returned(), "{cut}: an awaited answer lost"),
+                        Some(a) => {
+                            assert!(
+                                cut.survivors != Survivors::None || cut.returned(),
+                                "{cut}: an un-awaited flight kept a line"
+                            );
+                            assert_eq!((a.executor, a.flag), (5, true), "{cut}");
+                            answered += 1;
+                        }
                     }
                 }
-            }
-        }
+            },
+        );
         assert!(
             answered > 0,
             "surviving lines must reach the answered state"

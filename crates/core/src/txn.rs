@@ -477,7 +477,7 @@ mod tests {
     use super::*;
     use crate::runtime::{RecoveryMode, Runtime, RuntimeConfig};
     use crate::stack::StackKind;
-    use pstack_nvram::{FailPlan, PMem, PMemBuilder};
+    use pstack_nvram::{sweep, FailPlan, PMem, PMemBuilder};
 
     const TXN_FN: u64 = 0x7871;
 
@@ -508,13 +508,29 @@ mod tests {
     /// exactly this — the old handles died with the process).
     fn reopen(pmem: &PMem, step_base: POffset) -> (PMem, Runtime, U64CellStep) {
         let pmem2 = pmem.reopen().unwrap();
-        let stub = FunctionRegistry::new();
-        let rt_probe = Runtime::open(pmem2.clone(), &stub).unwrap();
-        let step2 = U64CellStep::open(&rt_probe, step_base, Arc::new(|v| v * 2 + 1)).unwrap();
-        let mut registry = FunctionRegistry::new();
-        TxnLoop::register(&mut registry, TXN_FN, Arc::new(step2.clone())).unwrap();
-        let rt2 = Runtime::open(pmem2.clone(), &registry).unwrap();
+        let (rt2, step2) = attach(&pmem2, step_base);
         (pmem2, rt2, step2)
+    }
+
+    /// The runtime and the step over a reopened region.
+    fn attach(pmem: &PMem, step_base: POffset) -> (Runtime, U64CellStep) {
+        let stub = FunctionRegistry::new();
+        let rt_probe = Runtime::open(pmem.clone(), &stub).unwrap();
+        let step = U64CellStep::open(&rt_probe, step_base, Arc::new(|v| v * 2 + 1)).unwrap();
+        let mut registry = FunctionRegistry::new();
+        TxnLoop::register(&mut registry, TXN_FN, Arc::new(step.clone())).unwrap();
+        (Runtime::open(pmem.clone(), &registry).unwrap(), step)
+    }
+
+    /// Runs one transaction of `count` items; a power failure, wherever
+    /// it lands, is an error.
+    fn run_txn(pmem: &PMem, rt: &Runtime, txn: &TxnLoop, count: u64) -> Result<(), PError> {
+        let report = rt.run_tasks(vec![txn.task(count)]);
+        if report.crashed || pmem.is_crashed() {
+            return Err(PError::Mem(pstack_nvram::MemError::Crashed));
+        }
+        assert_eq!(report.completed, 1);
+        Ok(())
     }
 
     #[test]
@@ -558,34 +574,31 @@ mod tests {
         // or fully restored. Both unbounded stack layouts.
         let count = 6u64;
         for kind in [StackKind::Vec, StackKind::List] {
-            let (_, rt, step, txn, _) = setup(kind, count);
+            let (_, _, step, ..) = setup(kind, count);
             let before = step.read_all().unwrap();
             let after: Vec<u64> = before.iter().map(|v| v * 2 + 1).collect();
-            step.begin().unwrap();
-            let e0 = rt.pmem().events();
-            let report = rt.run_tasks(vec![txn.task(count)]);
-            assert_eq!(report.completed, 1);
-            let total = rt.pmem().events() - e0;
-
-            for k in 0..total {
+            let probe = || {
                 let (pmem, rt, step, txn, _) = setup(kind, count);
                 step.begin().unwrap();
-                pmem.arm_failpoint(FailPlan::after_events(k));
-                let report = rt.run_tasks(vec![txn.task(count)]);
-                if !report.crashed {
-                    // The fail-point landed after the task finished (final
-                    // queue bookkeeping): the commit stands.
-                    assert_eq!(step.read_all().unwrap(), after, "{kind}: crash at {k}");
-                    continue;
-                }
-                let (_, rt2, step2) = reopen(&pmem, step.base());
-                rt2.recover(RecoveryMode::Parallel).unwrap();
-                let got = step2.read_all().unwrap();
-                assert!(
-                    got == before || got == after,
-                    "{kind}: crash at event {k}: torn state {got:?}"
-                );
-            }
+                (pmem, (rt, step, txn))
+            };
+            sweep(
+                probe,
+                |(pmem, (rt, _, txn))| run_txn(pmem, rt, txn, count),
+                |(pmem, (_, step, _)), cut| {
+                    let (rt, step) = attach(&pmem, step.base());
+                    rt.recover(RecoveryMode::Parallel).unwrap();
+                    let got = step.read_all().unwrap();
+                    assert!(
+                        got == before || got == after,
+                        "{kind}: {cut}: torn state {got:?}"
+                    );
+                    assert!(
+                        !cut.returned() || got == after,
+                        "{kind}: {cut}: commit lost"
+                    );
+                },
+            );
         }
     }
 
@@ -633,41 +646,37 @@ mod tests {
         // Transaction 1 commits. Transaction 2 crashes after pushing
         // F(0) but before its apply persisted a fresh undo record; the
         // rollback must NOT replay transaction 1's record for item 0.
-        let (pmem, rt, step, txn, registry) = setup(StackKind::Fixed, 4);
-        step.begin().unwrap();
-        let report = rt.run_tasks(vec![txn.task(4)]);
-        assert_eq!(report.completed, 1);
-        let committed = step.read_all().unwrap();
-
-        step.begin().unwrap();
-        // The frame push costs a handful of events; crash before any
-        // undo write of transaction 2 (its first apply would write the
-        // undo record for item 0). Sweep the earliest window to be sure
-        // we hit the frame-pushed-but-no-undo point.
-        for k in 0..8 {
-            // Rebuild a fresh copy of the committed state for each k.
+        let committed = || {
             let (pmem, rt, step, txn, _) = setup(StackKind::Fixed, 4);
             step.begin().unwrap();
             assert_eq!(rt.run_tasks(vec![txn.task(4)]).completed, 1);
-            let committed = step.read_all().unwrap();
-            step.begin().unwrap();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let report = rt.run_tasks(vec![txn.task(4)]);
-            if !report.crashed {
-                continue;
-            }
-            let (_, rt2, step2) = reopen(&pmem, step.base());
-            rt2.recover(RecoveryMode::Parallel).unwrap();
-            let got = step2.read_all().unwrap();
-            // All-or-nothing relative to transaction 2; never a replay
-            // of transaction 1's old values.
-            let after2: Vec<u64> = committed.iter().map(|v| v * 2 + 1).collect();
-            assert!(
-                got == committed || got == after2,
-                "crash at {k}: stale undo replayed: {got:?} (committed {committed:?})"
-            );
-        }
-        let _ = (pmem, registry, committed);
+            let values = step.read_all().unwrap();
+            (values, (pmem, (rt, step, txn)))
+        };
+        let probe = || {
+            let (_, system) = committed();
+            system.1 .1.begin().unwrap();
+            system
+        };
+        let committed = committed().0;
+        let after2: Vec<u64> = committed.iter().map(|v| v * 2 + 1).collect();
+        // Every event of transaction 2, its frame push the first of
+        // them: the frame-pushed-but-no-undo point among them.
+        sweep(
+            probe,
+            |(pmem, (rt, _, txn))| run_txn(pmem, rt, txn, 4),
+            |(pmem, (_, step, _)), cut| {
+                let (rt, step) = attach(&pmem, step.base());
+                rt.recover(RecoveryMode::Parallel).unwrap();
+                let got = step.read_all().unwrap();
+                // All-or-nothing relative to transaction 2; never a
+                // replay of transaction 1's old values.
+                assert!(
+                    got == committed || got == after2,
+                    "{cut}: stale undo replayed: {got:?} (committed {committed:?})"
+                );
+            },
+        );
     }
 
     #[test]

@@ -616,7 +616,7 @@ fn walk_blocks(pmem: &PMem, first_block: u64, end: u64) -> Result<BTreeMap<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, PMemBuilder, Survivors};
 
     fn heap(len: usize) -> (PMem, PHeap) {
         let pmem = PMemBuilder::new().len(len).build_in_memory();
@@ -848,33 +848,26 @@ mod tests {
             let warm = h.alloc(40).unwrap(); // stable starting shape
             (pmem, h, warm)
         };
-        let (pmem, h, warm) = probe();
-        let e0 = pmem.events();
-        let x = h.alloc(100).unwrap();
-        h.free(x).unwrap();
-        h.free(warm).unwrap();
-        let total_events = pmem.events() - e0;
-        assert!(total_events > 0);
-
-        for k in 0..total_events {
-            let (pmem, h, warm) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let r = (|| -> Result<(), HeapError> {
+        let events = sweep(
+            || {
+                let (pmem, h, warm) = probe();
+                (pmem, (h, warm))
+            },
+            |(_, (h, warm))| -> Result<(), HeapError> {
                 let x = h.alloc(100)?;
                 h.free(x)?;
-                h.free(warm)?;
-                Ok(())
-            })();
-            assert!(r.is_err(), "crash at event {k} should interrupt");
-            pmem.crash_now(k, 0.5);
-            let pmem2 = pmem.reopen().unwrap();
-            let h2 = PHeap::open(pmem2, POffset::new(0))
-                .unwrap_or_else(|e| panic!("reopen failed after crash at event {k}: {e}"));
-            h2.check_consistency()
-                .unwrap_or_else(|e| panic!("inconsistent after crash at event {k}: {e}"));
-            // The heap must still be able to allocate.
-            h2.alloc(32).unwrap();
-        }
+                h.free(*warm)
+            },
+            |(pmem, _), cut| {
+                let h2 = PHeap::open(pmem, POffset::new(0))
+                    .unwrap_or_else(|e| panic!("reopen failed after {cut}: {e}"));
+                h2.check_consistency()
+                    .unwrap_or_else(|e| panic!("inconsistent after {cut}: {e}"));
+                // The heap must still be able to allocate.
+                h2.alloc(32).unwrap();
+            },
+        );
+        assert!(events[0] > 0);
     }
 
     #[test]
@@ -921,30 +914,36 @@ mod tests {
             Ok(off)
         };
         let (pmem, h) = probe();
-        let e0 = pmem.events();
         let want = run(&pmem, &h).unwrap();
-        let total = pmem.events() - e0;
         let len = h.payload_len(want).unwrap();
 
-        for (seed, prob) in [(0, 0.0), (0, 1.0), (5, 0.5)] {
-            let mut seen = [false; 2];
-            for k in 0..total {
-                let at = format!("survivors {prob}, crash at event {k}");
-                let (pmem, h) = probe();
-                pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed + k, prob));
-                assert!(run(&pmem, &h).is_err(), "{at}");
-                let h2 = PHeap::open(pmem.reopen().unwrap(), POffset::new(0)).unwrap();
+        // Per survivor choice: [left free, used whole].
+        let mut seen = [[false; 2]; Survivors::EVERY.len()];
+        sweep(
+            probe,
+            |(pmem, h)| run(pmem, h),
+            |(pmem, _), cut| {
+                let h2 = PHeap::open(pmem, POffset::new(0)).unwrap();
                 h2.check_consistency()
-                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    .unwrap_or_else(|e| panic!("{cut}: {e}"));
                 let used = h2.payload_len(want);
-                seen[usize::from(used.is_ok())] = true;
-                match used {
-                    Ok(got) => assert_eq!(got, len, "{at}: a used block, whole"),
-                    Err(_) => assert_eq!(h2.alloc_aligned(200, 64).unwrap(), want, "{at}"),
+                if !cut.returned() {
+                    let choice = Survivors::EVERY.iter().position(|&s| s == cut.survivors);
+                    seen[choice.unwrap()][usize::from(used.is_ok())] = true;
                 }
-            }
-            assert!(seen[0], "survivors {prob}: no cut left the block free");
-            assert_eq!(seen[1], prob > 0.0, "survivors {prob}: a kept switch");
+                match used {
+                    Ok(got) => assert_eq!(got, len, "{cut}: a used block, whole"),
+                    Err(_) => assert_eq!(h2.alloc_aligned(200, 64).unwrap(), want, "{cut}"),
+                }
+            },
+        );
+        for (survivors, seen) in Survivors::EVERY.iter().zip(seen) {
+            assert!(
+                seen[0],
+                "survivors {survivors:?}: no cut left the block free"
+            );
+            let kept = *survivors != Survivors::None;
+            assert_eq!(seen[1], kept, "survivors {survivors:?}: a kept switch");
         }
     }
 

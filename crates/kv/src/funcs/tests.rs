@@ -3,7 +3,7 @@ use crate::shard::shard_of;
 use crate::store::{KvBatchOp, KvVariant};
 use pstack_core::{FixedStack, FunctionRegistry, PersistentStack};
 use pstack_heap::PHeap;
-use pstack_nvram::{FailPlan, Level, PMem, PMemBuilder, PMemStripe, POffset};
+use pstack_nvram::{sweep, Cut, Level, PMem, PMemBuilder, PMemStripe, POffset, Survivors, Sweep};
 
 const HEAP_OFF: u64 = 8192;
 const STACK_LEN: usize = 4096;
@@ -60,15 +60,25 @@ fn sharded_fixture(ops: &[KvTaskOp], nshards: usize) -> (PMemStripe, PMem, PHeap
 
 /// The recovery boot of [`sharded_fixture`]: everything re-attached
 /// over the reopened regions.
-fn reopen_sharded(stripe: &PMemStripe, main: &PMem) -> (PMem, PHeap, KvServeFunction) {
-    let stripe2 = stripe.reopen_all().unwrap();
-    let main2 = main.reopen().unwrap();
-    let exec2 = KvServeFunction::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
-    let heap2 = PHeap::open(main2.clone(), POffset::new(HEAP_OFF)).unwrap();
-    (main2, heap2, exec2)
+fn attach_sharded(main: &PMem, stripe: &PMemStripe) -> (PHeap, KvServeFunction) {
+    let exec = KvServeFunction::open(stripe.regions(), KvVariant::Nsrl).unwrap();
+    let heap = PHeap::open(main.clone(), POffset::new(HEAP_OFF)).unwrap();
+    (heap, exec)
 }
 
-/// Checked on a [`reopen_sharded`] boot before anything replays:
+/// A [`sharded_fixture`] as a sweep cuts it: the control region, then
+/// the stripe, then the handles and the window's arguments.
+type Sharded = (PMem, PMemStripe, (PHeap, KvServeFunction, Vec<u8>));
+
+/// Runs the window `args` names from a fresh stack in the control region.
+fn run_window((main, _, (heap, exec, args)): &mut Sharded) -> Result<impl std::fmt::Debug, PError> {
+    let registry = exec.registry().unwrap();
+    on_stack(main, heap, &registry, true, |ctx| {
+        ctx.call(KV_SERVE_FUNC_ID, args)
+    })
+}
+
+/// Checked on an [`attach_sharded`] boot before anything replays:
 /// a durable head reaching a record of the window `args` implies
 /// the window's frame and its descriptors are durable — the window
 /// awaits both before it publishes. Returns whether the frame
@@ -551,46 +561,36 @@ fn batch_window_group_commits_and_answers_in_one_pass() {
 fn sweep_window_crash_points(
     ops: &[KvTaskOp],
     shard: usize,
-    check: impl Fn(u64, &KvServeFunction),
+    check: impl Fn(&Cut, &KvServeFunction),
 ) {
-    let run = |k: Option<u64>| {
+    let setup = || {
         let (stripe, main, heap, exec) = sharded_fixture(ops, 2);
         let args = whole_table(&exec, shard);
-        let registry = exec.registry().unwrap();
-        let e0 = stripe.region(shard).events();
-        if let Some(k) = k {
-            stripe
-                .region(shard)
-                .arm_failpoint(FailPlan::after_events(k));
-        }
-        let outcome = on_stack(&main, &heap, &registry, true, |ctx| {
-            ctx.call(KV_SERVE_FUNC_ID, &args)
-        });
-        let events = stripe.region(shard).events() - e0;
-        (stripe, main, args, outcome, events)
+        (main, stripe, (heap, exec, args))
     };
-    let (.., outcome, total) = run(None);
-    outcome.unwrap();
-    assert!(total >= 2, "store op + answer persist in the shard region");
-
     let mut begun_over_a_lost_frame = 0;
-    for k in 0..total {
-        let (stripe, main, args, outcome, _) = run(Some(k));
-        assert!(outcome.unwrap_err().is_crash(), "crash at shard event {k}");
-        // Whole-system failure, then the recovery boot.
-        stripe.crash_all(7, 0.0);
-        main.crash_now(7, 0.0);
-        let (main2, heap2, exec2) = reopen_sharded(&stripe, &main);
-        let at = format!("crash at shard event {k}");
-        if !published_only_over_a_durable_frame(&main2, &exec2, &args, &at) {
-            begun_over_a_lost_frame += 1;
-        }
-        let registry2 = FunctionRegistry::new();
-        on_stack(&main2, &heap2, &registry2, false, |ctx| {
-            exec2.recover(ctx, &args).unwrap();
-        });
-        check(k, &exec2);
-    }
+    let events = Sweep::new().regions(&[1 + shard]).run(
+        setup,
+        run_window,
+        |(main, stripe, (_, _, args)), cut| {
+            // Whole-system failure, then the recovery boot.
+            let (heap, exec) = attach_sharded(&main, &stripe);
+            // (A returned window popped its frame.)
+            let at = cut.to_string();
+            if !cut.returned() && !published_only_over_a_durable_frame(&main, &exec, &args, &at) {
+                begun_over_a_lost_frame += 1;
+            }
+            let registry = FunctionRegistry::new();
+            on_stack(&main, &heap, &registry, false, |ctx| {
+                exec.recover(ctx, &args).unwrap();
+            });
+            check(cut, &exec);
+        },
+    );
+    assert!(
+        events[1 + shard] >= 2,
+        "store op + answer persist in the shard region"
+    );
     assert!(
         begun_over_a_lost_frame > 0,
         "no cut met the window begun under its CALL's flight"
@@ -603,9 +603,9 @@ fn batch_window_crash_points_recover_exactly_once() {
     // window; the recover dual (evidence scan + recover_batch) must
     // complete each op exactly once from every intermediate state.
     let shard = 0usize;
-    sweep_window_crash_points(&puts(0..12, |key| key as i64 + 50), shard, |k, exec| {
+    sweep_window_crash_points(&puts(0..12, |key| key as i64 + 50), shard, |cut, exec| {
         let table = &exec.tables()[shard];
-        assert!(table.pending_slots().unwrap().is_empty(), "crash at {k}");
+        assert!(table.pending_slots().unwrap().is_empty(), "{cut}");
         let published: usize = exec.store().snapshot_sharded().unwrap()[shard]
             .iter()
             .map(Vec::len)
@@ -613,7 +613,7 @@ fn batch_window_crash_points_recover_exactly_once() {
         assert_eq!(
             published,
             table.capacity() as usize,
-            "crash at {k}: exactly one record per put"
+            "{cut}: exactly one record per put"
         );
     });
 }
@@ -621,14 +621,14 @@ fn batch_window_crash_points_recover_exactly_once() {
 /// One shape of the answers-in-flight sweep: what the tables hold,
 /// the windows run to completion before the one under test (shard
 /// 0's slots, and which of them are then acked), the window under
-/// test — whole tables of `shards` — the region whose events are
-/// cut, and the survivor sets each cut is tried under.
+/// test — whole tables of `shards` — the shard whose region's events
+/// are cut, and the survivor sets each cut is tried under.
 struct InFlight<'a> {
     ops: Vec<KvTaskOp>,
     before: &'a [(&'a [u32], &'a [u32])],
     shards: &'a [usize],
     region: usize,
-    survivors: &'a [(u64, f64)],
+    survivors: &'a [Survivors],
 }
 
 /// Whether `result` reports an effect — a record tagged with its
@@ -656,15 +656,9 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
     // once over its effect; an answer that reached NVRAM over a lost
     // head is answered afresh; an acked answer, or one a settled
     // window gave, is left alone.
-    type Survivors = [(u64, f64)];
-    let none_all: &Survivors = &[(0, 0.0), (0, 1.0)];
-    // The lottery is seeded per line, so each seed fixes which of
-    // the heads' and the answers' lines a cut keeps.
-    let every_lottery: Vec<(u64, f64)> = none_all
-        .iter()
-        .copied()
-        .chain((1..=8).map(|seed| (seed, 0.5)))
-        .collect();
+    // Only a lottery keeps an answer line and loses a head line, and
+    // only by chance: eight halves on the shapes that must show it.
+    let eight_halves = Survivors::halves(8);
     let keys = keys_on_shard_0(3);
     // Shard 0's slot 0 a delete of an absent key — a no-effect
     // answer no replay may re-run: slot 2, in the window under test,
@@ -689,21 +683,21 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             before: &[],
             shards: &[0],
             region: 0,
-            survivors: &every_lottery,
+            survivors: &eight_halves,
         },
         InFlight {
             ops: puts(0..12, |key| key as i64 + 3),
             before: &[],
             shards: &[0, 1],
             region: 0,
-            survivors: none_all,
+            survivors: &Survivors::EVERY,
         },
         InFlight {
             ops: puts(0..12, |key| key as i64 + 3),
             before: &[],
             shards: &[0, 1],
             region: 1,
-            survivors: none_all,
+            survivors: &Survivors::EVERY,
         },
         // A put, then a cas on its key that fails against it: the
         // no-effect answer goes with its batch.
@@ -722,7 +716,7 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             before: &[],
             shards: &[0],
             region: 0,
-            survivors: &every_lottery,
+            survivors: &eight_halves,
         },
         // Slot 0 answered by a settled window and acked: the window
         // under test names it again (a completed window's frame
@@ -732,7 +726,7 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             before: &[(&[0, 1], &[0])],
             shards: &[0],
             region: 0,
-            survivors: &every_lottery,
+            survivors: &eight_halves,
         },
         // The same, not acked: a retry named the slot while its
         // first window executed.
@@ -741,7 +735,7 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             before: &[(&[0, 1], &[])],
             shards: &[0],
             region: 0,
-            survivors: &every_lottery,
+            survivors: &eight_halves,
         },
     ];
     // Cuts that reopened a slot pending over its durable record
@@ -750,7 +744,7 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
     for shape in &shapes {
         // Cuts that left an answer line durable over a lost head.
         let mut answered_over_a_lost_head = 0usize;
-        let run = |plan: Option<FailPlan>| {
+        let setup = || {
             let (stripe, main, heap, exec) = sharded_fixture(&shape.ops, 2);
             for &(slots, acked) in shape.before {
                 let window = [ShardWindow {
@@ -764,135 +758,113 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
                     assert!(table.ack(table.req_id(slot).unwrap()).unwrap());
                 }
             }
-            // Slots the window under test must leave as they are.
+            let args = whole_tables(&exec, shape.shards);
+            (main, stripe, (heap, exec, args))
+        };
+        // Slots the window under test must leave as they are.
+        let settled: Vec<_> = {
+            let (_, _, (_, exec, _)) = setup();
             let table = &exec.tables()[0];
-            let settled: Vec<_> = (shape.before.iter().flat_map(|&(slots, _)| slots))
+            (shape.before.iter().flat_map(|&(slots, _)| slots))
                 .map(|&slot| {
                     let answer = table.result(slot).unwrap();
                     (slot, answer, table.answer_span(slot).unwrap())
                 })
-                .collect();
-            let args = whole_tables(&exec, shape.shards);
-            let registry = exec.registry().unwrap();
-            let e0 = stripe.region(shape.region).events();
-            if let Some(plan) = plan {
-                stripe.region(shape.region).arm_failpoint(plan);
-            }
-            let outcome = on_stack(&main, &heap, &registry, true, |ctx| {
-                ctx.call(KV_SERVE_FUNC_ID, &args)
-            });
-            let events = stripe.region(shape.region).events() - e0;
-            (stripe, main, args, settled, outcome, events)
+                .collect()
         };
-        let (.., outcome, total) = run(None);
-        outcome.unwrap();
-        for k in 0..total {
-            for &(seed, prob) in shape.survivors {
-                let at = format!(
-                    "window {:?} over {:?}, region {} event {k}, survivors {prob} (seed {seed})",
-                    shape.shards, shape.ops[0], shape.region
-                );
-                let plan = FailPlan::after_events(k).with_survivors(seed, prob);
-                let (stripe, main, args, settled, outcome, _) = run(Some(plan));
-                assert!(outcome.unwrap_err().is_crash(), "{at}");
-                stripe.crash_all(seed, prob);
-                main.crash_now(seed, prob);
-                let (main2, heap2, exec2) = reopen_sharded(&stripe, &main);
-                if shape.before.is_empty() {
-                    // (An earlier window published without a frame.)
-                    published_only_over_a_durable_frame(&main2, &exec2, &args, &at);
-                }
-                let store = exec2.store();
-                let records = |shard: usize, req_id: u64| {
-                    let chains = store.snapshot_sharded().unwrap().swap_remove(shard);
-                    chains.iter().flatten().filter(|r| r.seq == req_id).count()
-                };
-                let fresh = |shard: usize, slot: u32| {
-                    settled.iter().all(|&(s, ..)| shard != 0 || s != slot)
-                };
-                // Per shard, the window's answers before the replay,
-                // with their spans, when a put of its batch has no
-                // record: an answer line reached NVRAM, so the
-                // records did and the heads were flipped — some of
-                // them were lost.
-                let mut voidable = Vec::new();
-                for &shard in shape.shards {
-                    let table = &exec2.tables()[shard];
-                    let mut answered = Vec::new();
-                    let mut lost_head = false;
-                    for slot in (0..table.capacity()).filter(|&slot| fresh(shard, slot)) {
-                        let n = records(shard, table.req_id(slot).unwrap());
-                        assert!(n <= 1, "{at}");
-                        lost_head |=
-                            matches!(table.op(slot).unwrap(), KvTaskOp::Put { .. }) && n == 0;
-                        match table.result(slot).unwrap() {
-                            None => pending_over_its_record += usize::from(n == 1),
-                            Some(_) => {
-                                answered.push((shard, slot, table.answer_span(slot).unwrap()))
-                            }
-                        }
-                    }
-                    if lost_head {
-                        voidable.extend(answered);
+        let armed = [1 + shape.region];
+        let sweep = Sweep::new().survivors(shape.survivors).regions(&armed);
+        sweep.run(setup, run_window, |(main, stripe, (_, _, args)), cut| {
+            let at = format!("window {:?} over {:?}, {cut}", shape.shards, shape.ops[0]);
+            let (heap2, exec2) = attach_sharded(&main, &stripe);
+            if shape.before.is_empty() && !cut.returned() {
+                // (An earlier window published without a frame, and a
+                // returned one popped its own.)
+                published_only_over_a_durable_frame(&main, &exec2, &args, &at);
+            }
+            let store = exec2.store();
+            let records = |shard: usize, req_id: u64| {
+                let chains = store.snapshot_sharded().unwrap().swap_remove(shard);
+                chains.iter().flatten().filter(|r| r.seq == req_id).count()
+            };
+            let fresh =
+                |shard: usize, slot: u32| settled.iter().all(|&(s, ..)| shard != 0 || s != slot);
+            // Per shard, the window's answers before the replay,
+            // with their spans, when a put of its batch has no
+            // record: an answer line reached NVRAM, so the
+            // records did and the heads were flipped — some of
+            // them were lost.
+            let mut voidable = Vec::new();
+            for &shard in shape.shards {
+                let table = &exec2.tables()[shard];
+                let mut answered = Vec::new();
+                let mut lost_head = false;
+                for slot in (0..table.capacity()).filter(|&slot| fresh(shard, slot)) {
+                    let n = records(shard, table.req_id(slot).unwrap());
+                    assert!(n <= 1, "{at}");
+                    lost_head |= matches!(table.op(slot).unwrap(), KvTaskOp::Put { .. }) && n == 0;
+                    match table.result(slot).unwrap() {
+                        None => pending_over_its_record += usize::from(n == 1),
+                        Some(_) => answered.push((shard, slot, table.answer_span(slot).unwrap())),
                     }
                 }
-                answered_over_a_lost_head += usize::from(!voidable.is_empty());
-
-                let registry2 = FunctionRegistry::new();
-                on_stack(&main2, &heap2, &registry2, false, |ctx| {
-                    exec2.recover(ctx, &args).unwrap();
-                });
-                for &shard in shape.shards {
-                    let table = &exec2.tables()[shard];
-                    assert!(table.pending_slots().unwrap().is_empty(), "{at}");
-                    for slot in (0..table.capacity()).filter(|&slot| fresh(shard, slot)) {
-                        let req_id = table.req_id(slot).unwrap();
-                        let answer = table.result(slot).unwrap().unwrap();
-                        let n = records(shard, req_id);
-                        assert_eq!(
-                            took_effect(answer.result),
-                            n == 1,
-                            "{at}: shard {shard} slot {slot} answered {answer:?} over {n} records"
-                        );
-                        if let KvTaskOp::Put { .. } = table.op(slot).unwrap() {
-                            assert_eq!(
-                                n, 1,
-                                "{at}: shard {shard} slot {slot}: answered without its effect"
-                            );
-                        }
-                    }
-                }
-                // A voided answer is answered afresh: its span was
-                // the lost batch's, and the replay's batch staged
-                // elsewhere, or nothing.
-                for (shard, slot, span) in voidable {
-                    let table = &exec2.tables()[shard];
-                    assert_ne!(
-                        table.answer_span(slot).unwrap(),
-                        span,
-                        "{at}: slot {slot} not voided"
-                    );
-                }
-                // A settled answer, acked or not, is neither voided
-                // nor re-run: slot 0's delete would now find its key.
-                for &(slot, answer, span) in &settled {
-                    let table = &exec2.tables()[0];
-                    let now = (
-                        table.result(slot).unwrap(),
-                        table.answer_span(slot).unwrap(),
-                    );
-                    assert_eq!(now, (answer, span), "{at}: settled slot {slot} re-run");
-                    let n = records(0, table.req_id(slot).unwrap());
-                    assert_eq!(took_effect(answer.unwrap().result), n == 1, "{at}");
+                if lost_head {
+                    voidable.extend(answered);
                 }
             }
-        }
-        // Only a lottery keeps one line of a level and not another.
-        if shape
-            .survivors
-            .iter()
-            .any(|&(_, prob)| prob > 0.0 && prob < 1.0)
-        {
+            answered_over_a_lost_head += usize::from(!voidable.is_empty());
+
+            let registry2 = FunctionRegistry::new();
+            on_stack(&main, &heap2, &registry2, false, |ctx| {
+                exec2.recover(ctx, &args).unwrap();
+            });
+            for &shard in shape.shards {
+                let table = &exec2.tables()[shard];
+                assert!(table.pending_slots().unwrap().is_empty(), "{at}");
+                for slot in (0..table.capacity()).filter(|&slot| fresh(shard, slot)) {
+                    let req_id = table.req_id(slot).unwrap();
+                    let answer = table.result(slot).unwrap().unwrap();
+                    let n = records(shard, req_id);
+                    assert_eq!(
+                        took_effect(answer.result),
+                        n == 1,
+                        "{at}: shard {shard} slot {slot} answered {answer:?} over {n} records"
+                    );
+                    if let KvTaskOp::Put { .. } = table.op(slot).unwrap() {
+                        assert_eq!(
+                            n, 1,
+                            "{at}: shard {shard} slot {slot}: answered without its effect"
+                        );
+                    }
+                }
+            }
+            // A voided answer is answered afresh: its span was
+            // the lost batch's, and the replay's batch staged
+            // elsewhere, or nothing.
+            for (shard, slot, span) in voidable {
+                let table = &exec2.tables()[shard];
+                assert_ne!(
+                    table.answer_span(slot).unwrap(),
+                    span,
+                    "{at}: slot {slot} not voided"
+                );
+            }
+            // A settled answer, acked or not, is neither voided
+            // nor re-run: slot 0's delete would now find its key.
+            for &(slot, answer, span) in &settled {
+                let table = &exec2.tables()[0];
+                let now = (
+                    table.result(slot).unwrap(),
+                    table.answer_span(slot).unwrap(),
+                );
+                assert_eq!(now, (answer, span), "{at}: settled slot {slot} re-run");
+                let n = records(0, table.req_id(slot).unwrap());
+                assert_eq!(took_effect(answer.unwrap().result), n == 1, "{at}");
+            }
+        });
+        // Only a lottery keeps one line of a level and not another: a
+        // shape drawn under eight halves must reach that state.
+        if shape.survivors.len() > Survivors::EVERY.len() {
             assert!(
                 answered_over_a_lost_head > 0,
                 "window over {:?}: no cut kept an answer line over a lost head",
@@ -1018,61 +990,44 @@ fn compaction_task_crash_points_resume_or_safely_abandon() {
     // — with contents intact.
     let shard = 0usize;
     let args = KvCompactFunction::args_for(shard as u32, 0);
-    let run = |k: Option<u64>| {
+    let setup = || {
         let (stripe, main, heap, store) = compaction_fixture(16, |key| key as i64 + 5);
-        let want = store.contents().unwrap();
-        let registry = registry_of(
-            KvCompactFunction::new(store.clone()).into_arc(),
-            KV_COMPACT_FUNC_ID,
-        );
-        let e0 = stripe.region(shard).events();
-        if let Some(k) = k {
-            stripe
-                .region(shard)
-                .arm_failpoint(FailPlan::after_events(k));
-        }
-        let outcome = on_stack(&main, &heap, &registry, true, |ctx| {
-            ctx.call(KV_COMPACT_FUNC_ID, &args)
-        });
-        let events = stripe.region(shard).events() - e0;
-        (stripe, main, want, outcome, events)
+        (main, stripe, (heap, store))
     };
-    // Clean run: the shard region's event footprint of one task.
-    let (.., outcome, total) = run(None);
-    outcome.unwrap();
-    assert!(total >= 3, "rewrite + swap in the region");
-
-    for k in 0..total {
-        let (stripe, main, want, outcome, _) = run(Some(k));
-        assert!(outcome.unwrap_err().is_crash(), "crash at shard event {k}");
-        // Whole-system failure, then the recovery dual.
-        stripe.crash_all(3, 0.0);
-        main.crash_now(3, 0.0);
-        let stripe2 = stripe.reopen_all().unwrap();
-        let main2 = main.reopen().unwrap();
-        let store2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
-        let f2 = KvCompactFunction::new(store2.clone());
-        let heap2 = PHeap::open(main2.clone(), POffset::new(HEAP_OFF)).unwrap();
-        let registry2 = FunctionRegistry::new();
-        on_stack(&main2, &heap2, &registry2, false, |ctx| {
-            let ret = f2.recover(ctx, &args).unwrap().unwrap();
-            assert_eq!(ret[0], 9);
-            assert_eq!(
-                store2.shard(shard).generation().unwrap(),
-                1,
-                "crash at {k}: resumed or redone, never double-swapped"
-            );
-            assert_eq!(store2.contents().unwrap(), want, "crash at {k}");
-            let gens = store2.shard(shard).generations().unwrap();
-            assert!(
-                gens[0].retired,
-                "crash at {k}: the old generation is retired"
-            );
-            // A second recovery pass is a no-op.
-            let ret = f2.recover(ctx, &args).unwrap().unwrap();
-            assert_eq!(ret[1], 0, "crash at {k}: recovery is idempotent");
-        });
-    }
+    let want = setup().2 .1.contents().unwrap();
+    let events = Sweep::new().regions(&[1 + shard]).run(
+        setup,
+        |(main, _, (heap, store))| {
+            let f = KvCompactFunction::new(store.clone()).into_arc();
+            let registry = registry_of(f, KV_COMPACT_FUNC_ID);
+            on_stack(main, heap, &registry, true, |ctx| {
+                ctx.call(KV_COMPACT_FUNC_ID, &args)
+            })
+        },
+        |(main, stripe, _), cut| {
+            // Whole-system failure, then the recovery dual.
+            let store = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
+            let f = KvCompactFunction::new(store.clone());
+            let heap = PHeap::open(main.clone(), POffset::new(HEAP_OFF)).unwrap();
+            let registry = FunctionRegistry::new();
+            on_stack(&main, &heap, &registry, false, |ctx| {
+                let ret = f.recover(ctx, &args).unwrap().unwrap();
+                assert_eq!(ret[0], 9);
+                assert_eq!(
+                    store.shard(shard).generation().unwrap(),
+                    1,
+                    "{cut}: resumed or redone, never double-swapped"
+                );
+                assert_eq!(store.contents().unwrap(), want, "{cut}");
+                let gens = store.shard(shard).generations().unwrap();
+                assert!(gens[0].retired, "{cut}: the old generation is retired");
+                // A second recovery pass is a no-op.
+                let ret = f.recover(ctx, &args).unwrap().unwrap();
+                assert_eq!(ret[1], 0, "{cut}: recovery is idempotent");
+            });
+        },
+    );
+    assert!(events[1 + shard] >= 3, "rewrite + swap in the region");
 }
 
 #[test]
@@ -1122,22 +1077,26 @@ fn sharded_crash_between_store_op_and_mark_done_recovers_once() {
     // the answer in the shard's table never persisted. Recovery
     // must find the chain evidence inside that shard alone.
     let shard = shard_of(3, 2);
-    sweep_window_crash_points(&[KvTaskOp::Put { key: 3, value: 33 }], shard, |k, exec| {
-        assert_eq!(exec.store().get(3).unwrap(), Some(33), "crash at {k}");
-        let published: usize = exec
-            .store()
-            .snapshot_sharded()
-            .unwrap()
-            .iter()
-            .flatten()
-            .map(Vec::len)
-            .sum();
-        assert_eq!(published, 1, "crash at {k}: exactly one record");
-        assert_eq!(
-            results_of(&exec.tables()[shard]),
-            vec![Some(KvTaskResult::Stored(true))]
-        );
-    });
+    sweep_window_crash_points(
+        &[KvTaskOp::Put { key: 3, value: 33 }],
+        shard,
+        |cut, exec| {
+            assert_eq!(exec.store().get(3).unwrap(), Some(33), "{cut}");
+            let published: usize = exec
+                .store()
+                .snapshot_sharded()
+                .unwrap()
+                .iter()
+                .flatten()
+                .map(Vec::len)
+                .sum();
+            assert_eq!(published, 1, "{cut}: exactly one record");
+            assert_eq!(
+                results_of(&exec.tables()[shard]),
+                vec![Some(KvTaskResult::Stored(true))]
+            );
+        },
+    );
 }
 
 #[test]
@@ -1147,45 +1106,45 @@ fn crash_between_store_op_and_mark_done_recovers_exactly_once() {
     // and not double-apply. Stack, store and table share one region
     // here, so the sweep also crosses the frame's own persists.
     let args = on_shard(0, &[0]);
-    let run = |k: Option<u64>| {
+    // The stack is formatted before the sweep counts: it covers the
+    // call, not the fixture.
+    let setup = || {
         let (pmem, heap, exec, stack) = fixture(&[KvTaskOp::Put { key: 3, value: 33 }]);
         let registry = exec.registry().unwrap();
-        // The stack is formatted before the kill is armed: the sweep
-        // covers the call, not the fixture.
-        let (outcome, events) = on_stack_at(&pmem, stack, &heap, &registry, true, |ctx| {
-            let e0 = pmem.events();
-            if let Some(k) = k {
-                pmem.arm_failpoint(FailPlan::after_events(k));
-            }
-            let outcome = ctx.call(KV_SERVE_FUNC_ID, &args);
-            (outcome, pmem.events() - e0)
-        });
-        (pmem, stack, outcome, events)
+        let stack = FixedStack::format(pmem.clone(), stack, STACK_LEN as u64).unwrap();
+        (pmem, (heap, registry, stack))
     };
-    // Count events for a clean run to know the crash range.
-    let (.., outcome, total) = run(None);
-    outcome.unwrap();
-
-    for k in 0..total {
-        let (pmem, stack, outcome, _) = run(Some(k));
-        assert!(outcome.unwrap_err().is_crash(), "crash at event {k}");
-        let pmem2 = pmem.reopen().unwrap();
-        let exec2 = KvServeFunction::open(std::slice::from_ref(&pmem2), KvVariant::Nsrl).unwrap();
-        let registry2 = exec2.registry().unwrap();
-        let heap2 = exec2.store().heap(0);
-        on_stack_at(&pmem2, stack, heap2, &registry2, false, |ctx| {
-            pstack_core::recover_stack(ctx).unwrap();
-        });
-        let (store2, t2) = (exec2.store().shard(0), &exec2.tables()[0]);
-        // Whether or not the operation linearized before the crash,
-        // the key holds the value at most once in the published log;
-        // if the descriptor is marked done, exactly once.
-        let published: usize = store2.snapshot().unwrap().iter().map(Vec::len).sum();
-        assert!(published <= 1, "crash at event {k}: duplicate record");
-        if let Some(ans) = t2.result(0).unwrap() {
-            assert_eq!(ans.result, KvTaskResult::Stored(true));
-            assert_eq!(published, 1, "crash at event {k}: answer without record");
-            assert_eq!(store2.get(3).unwrap(), Some(33));
-        }
-    }
+    sweep(
+        setup,
+        |(pmem, (heap, registry, stack))| {
+            let mut ctx = PContext::new(
+                pmem.clone(),
+                heap.clone(),
+                registry,
+                stack,
+                0,
+                POffset::new(64),
+            );
+            ctx.call(KV_SERVE_FUNC_ID, &args)
+        },
+        |(pmem, (_, _, stack)), cut| {
+            let exec = KvServeFunction::open(std::slice::from_ref(&pmem), KvVariant::Nsrl).unwrap();
+            let registry = exec.registry().unwrap();
+            let heap = exec.store().heap(0);
+            on_stack_at(&pmem, stack.base(), heap, &registry, false, |ctx| {
+                pstack_core::recover_stack(ctx).unwrap();
+            });
+            let (store, table) = (exec.store().shard(0), &exec.tables()[0]);
+            // Whether or not the operation linearized before the crash,
+            // the key holds the value at most once in the published log;
+            // if the descriptor is marked done, exactly once.
+            let published: usize = store.snapshot().unwrap().iter().map(Vec::len).sum();
+            assert!(published <= 1, "{cut}: duplicate record");
+            if let Some(ans) = table.result(0).unwrap() {
+                assert_eq!(ans.result, KvTaskResult::Stored(true));
+                assert_eq!(published, 1, "{cut}: answer without record");
+                assert_eq!(store.get(3).unwrap(), Some(33));
+            }
+        },
+    );
 }

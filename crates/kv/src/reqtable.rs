@@ -805,7 +805,7 @@ impl KvRequestTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::PMemBuilder;
+    use pstack_nvram::{sweep, PMemBuilder, Survivors};
 
     /// Answers `entries` as a window does: one flight of its last
     /// level, then the level awaited. Nothing is committed first, so
@@ -994,7 +994,6 @@ mod tests {
         // acked) or the new one (pending), never a mix — and where the
         // unflushed line survives the crash, a free slot between the
         // two stores, never the old id over a cleared (pending) state.
-        use pstack_nvram::FailPlan;
         let build = || {
             let pmem = PMemBuilder::new().len(1 << 16).build_in_memory(); // buffered
             let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
@@ -1016,52 +1015,43 @@ mod tests {
             };
             table.persist_slots(&[slot])
         };
-        let (pmem, table) = build();
-        let e0 = pmem.events();
-        recycle(&table).unwrap();
-        let total = pmem.events() - e0;
-        assert!(total >= 2, "descriptor writes + the line persist");
-
         let (mut seen_new, mut seen_free) = (false, false);
-        for (k, survivors) in (0..=total).flat_map(|k| [(k, 0.0), (k, 1.0)]) {
-            let (pmem, table) = build();
-            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(k, survivors));
-            match recycle(&table) {
-                Ok(()) => assert_eq!(k, total, "only the unarmed tail completes"),
-                Err(e) => assert!(e.is_crash()),
-            }
-            pmem.crash_now(0, survivors); // no-op if the fail-point already fired
-            let pmem2 = pmem.reopen().unwrap();
-            let t2 = KvRequestTable::open(pmem2, table.base()).unwrap();
-            match t2.req_id(0).unwrap() {
-                0 => {
-                    // The first store survived alone: free, nothing
-                    // pending, the acked old occupant simply gone.
-                    assert_eq!(survivors, 1.0, "crash at event {k}");
-                    assert_eq!(t2.live(), 0);
-                    assert!(t2.pending_slots().unwrap().is_empty());
-                    seen_free = true;
+        let events = sweep(
+            build,
+            |(_, table)| recycle(table),
+            |(pmem, table), cut| {
+                let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
+                match t2.req_id(0).unwrap() {
+                    0 => {
+                        // The first store survived alone: free, nothing
+                        // pending, the acked old occupant simply gone.
+                        assert_ne!(cut.survivors, Survivors::None, "{cut}");
+                        assert_eq!(t2.live(), 0);
+                        assert!(t2.pending_slots().unwrap().is_empty());
+                        seen_free = true;
+                    }
+                    1 => {
+                        // Old occupant intact: done, acked (the recycle
+                        // awaited its mark), recyclable.
+                        assert_eq!(
+                            t2.result(0).unwrap().unwrap().result,
+                            KvTaskResult::Stored(true)
+                        );
+                        assert!(t2.acked(0).unwrap());
+                        assert_eq!(t2.live(), 0);
+                    }
+                    2 => {
+                        // New occupant fully installed and pending.
+                        assert_eq!(t2.op(0).unwrap(), KvTaskOp::Delete { key: 9 });
+                        assert!(t2.result(0).unwrap().is_none());
+                        assert_eq!(t2.pending_slots().unwrap(), vec![0]);
+                        seen_new = true;
+                    }
+                    other => panic!("{cut}: torn identity {other}"),
                 }
-                1 => {
-                    // Old occupant intact: done, acked (the recycle
-                    // awaited its mark), recyclable.
-                    assert_eq!(
-                        t2.result(0).unwrap().unwrap().result,
-                        KvTaskResult::Stored(true)
-                    );
-                    assert!(t2.acked(0).unwrap());
-                    assert_eq!(t2.live(), 0);
-                }
-                2 => {
-                    // New occupant fully installed and pending.
-                    assert_eq!(t2.op(0).unwrap(), KvTaskOp::Delete { key: 9 });
-                    assert!(t2.result(0).unwrap().is_none());
-                    assert_eq!(t2.pending_slots().unwrap(), vec![0]);
-                    seen_new = true;
-                }
-                other => panic!("crash at event {k}: torn identity {other}"),
-            }
-        }
+            },
+        );
+        assert!(events[0] >= 2, "descriptor writes + the line persist");
         assert!(seen_new, "a completed persist installs the new occupant");
         assert!(seen_free, "a survivor between the two stores");
     }
@@ -1193,7 +1183,6 @@ mod tests {
         // payload — never a done flag over a stale one. The persist is
         // a flight, so with no survivors nothing of it is durable before
         // its await; the lottery is what reaches the answered states.
-        use pstack_nvram::FailPlan;
         let build = || {
             let pmem = PMemBuilder::new().len(1 << 16).build_in_memory(); // buffered
             let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
@@ -1210,30 +1199,30 @@ mod tests {
             table.persist_slots(&slots).unwrap();
             (pmem, table, entries)
         };
-        let (pmem, table, entries) = build();
-        let e0 = pmem.events();
-        answer(&table, &entries).unwrap();
-        let total = pmem.events() - e0;
         let mut answered = 0usize;
-        for k in 0..total {
-            for (seed, prob) in [(0, 0.0), (1, 0.5), (2, 0.5), (0, 1.0)] {
+        sweep(
+            || {
                 let (pmem, table, entries) = build();
-                pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed, prob));
-                assert!(answer(&table, &entries).unwrap_err().is_crash());
-                let t2 = KvRequestTable::open(pmem.reopen().unwrap(), table.base()).unwrap();
+                (pmem, (table, entries))
+            },
+            |(_, (table, entries))| answer(table, entries),
+            |(pmem, (table, entries)), cut| {
+                let t2 = KvRequestTable::open(pmem, table.base()).unwrap();
                 for &(slot, executor, result) in &entries {
-                    let at = format!("event {k}, survivors {prob} (seed {seed})");
                     match t2.result(slot).unwrap() {
-                        None => {}
+                        None => assert!(!cut.returned(), "{cut}: an awaited answer lost"),
                         Some(a) => {
-                            assert!(prob > 0.0, "{at}: an un-awaited flight kept a line");
-                            assert_eq!((a.executor, a.result), (executor, result), "{at}");
+                            assert!(
+                                cut.survivors != Survivors::None || cut.returned(),
+                                "{cut}: an un-awaited flight kept a line"
+                            );
+                            assert_eq!((a.executor, a.result), (executor, result), "{cut}");
                             answered += 1;
                         }
                     }
                 }
-            }
-        }
+            },
+        );
         assert!(
             answered > 0,
             "surviving lines must reach the answered state"

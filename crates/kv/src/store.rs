@@ -34,8 +34,8 @@ mod recovery;
 pub(crate) use commit::Heads;
 pub use commit::KvPendingBatch;
 use layout::{
-    gen_block_len, gen_prefix_len, write_header, LogHeader, KV_MAGIC, KV_MAGIC_V2, OFF_GEN_CELL,
-    OFF_MAGIC, OFF_NBUCKETS, ROOT_LEN,
+    checked_block_len, gen_block_len, gen_prefix_len, write_header, LogHeader, KV_MAGIC,
+    KV_MAGIC_V2, OFF_GEN_CELL, OFF_MAGIC, OFF_NBUCKETS, ROOT_LEN,
 };
 pub(crate) use layout::{mix, span_extent};
 
@@ -391,6 +391,18 @@ impl PKvStore {
             variant,
         };
         let gen = store.active_gen()?; // validates the active generation's magic
+
+        // The counts come back from NVRAM: bound them before any
+        // arithmetic on them.
+        let end =
+            checked_block_len(nbuckets, gen.log_cap).and_then(|len| gen.base.checked_add(len));
+        let fits = end.is_some_and(|end| end <= store.pmem.len() as u64);
+        if nbuckets == 0 || !fits {
+            return Err(PError::CorruptStack(format!(
+                "KV store at {base}: {nbuckets} buckets and a {}-slot log overrun the region",
+                gen.log_cap
+            )));
+        }
         Self::register_publish_range(&store.pmem, gen.base, nbuckets);
         store.replay_log()?;
         Ok(store)

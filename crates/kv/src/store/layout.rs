@@ -110,8 +110,8 @@ const GEN_MAGIC: u64 = 0x5053_4B56_4745_4E31; // "PSKVGEN1"
 const GEN_HEADER_LEN: u64 = 64;
 const GEN_OFF_MAGIC: u64 = 0;
 const GEN_OFF_NUMBER: u64 = 8;
-const GEN_OFF_LOG_CAP: u64 = 16;
-const GEN_OFF_PREV: u64 = 24;
+pub(super) const GEN_OFF_LOG_CAP: u64 = 16;
+pub(super) const GEN_OFF_PREV: u64 = 24;
 pub(super) const GEN_OFF_CARRIED: u64 = 32;
 /// The commit words: log word, bare word, dirty word.
 const GEN_OFF_WORDS: u64 = 40;
@@ -328,8 +328,17 @@ pub(super) fn gen_block_len(nbuckets: u64, log_cap: u64) -> u64 {
     gen_prefix_len(nbuckets) + log_cap * RECORD_STRIDE
 }
 
+/// [`gen_block_len`] of counts read back from NVRAM: `None` if they
+/// overflow.
+pub(super) fn checked_block_len(nbuckets: u64, log_cap: u64) -> Option<u64> {
+    let prefix = nbuckets.checked_mul(8)?.checked_add(GEN_HEADER_LEN + 63)? & !63;
+    prefix.checked_add(log_cap.checked_mul(RECORD_STRIDE)?)
+}
+
 /// A cursor down one chain of one generation, newest record first: each
-/// hop reads one record and yields it with its offset.
+/// hop reads one record and yields it with its offset. A record links
+/// only downward (see [`Records::reaches`]), so a `next` at or above
+/// its own record is [`PError::CorruptStack`], never a cycle.
 pub(super) struct Records<'a> {
     store: &'a PKvStore,
     gen_number: u64,
@@ -348,9 +357,14 @@ impl Iterator for Records<'_> {
         Some(
             self.store
                 .read_record(off, self.gen_number)
-                .map(|(rec, next)| {
+                .and_then(|(rec, next)| {
+                    if next >= off {
+                        return Err(PError::CorruptStack(format!(
+                            "KV record at {off:#x} links up its chain, to {next:#x}"
+                        )));
+                    }
                     self.at = next;
-                    (off, rec)
+                    Ok((off, rec))
                 }),
         )
     }
@@ -469,25 +483,36 @@ impl PKvStore {
     /// The generations, newest first: the active one, then each `prev`
     /// in turn. Lazy — a generation's header is read only when the walk
     /// reaches it, so a scan that stops in the active generation reads
-    /// no older one.
+    /// no older one. A `prev` whose number does not go down is
+    /// [`PError::CorruptStack`], never a cycle.
     pub(super) fn gens(&self) -> impl Iterator<Item = Result<Gen, PError>> + '_ {
-        // The base of the generation yielded last: `None` before the
-        // first, 0 once the walk has ended.
-        let mut last: Option<u64> = None;
+        // The base and number of the generation yielded last: `None`
+        // before the first, base 0 once the walk has ended.
+        let mut last: Option<(u64, u64)> = None;
         std::iter::from_fn(move || {
             let gen = match last {
                 None => self.active_gen(),
-                Some(0) => return None,
-                Some(base) => match self.pmem.read_u64(POffset::new(base + GEN_OFF_PREV)) {
-                    Ok(0) => {
-                        last = Some(0);
-                        return None;
+                Some((0, _)) => return None,
+                Some((base, number)) => {
+                    match self.pmem.read_u64(POffset::new(base + GEN_OFF_PREV)) {
+                        Ok(0) => {
+                            last = Some((0, 0));
+                            return None;
+                        }
+                        Ok(prev) => self.load_gen(prev).and_then(|gen| {
+                            if gen.number < number {
+                                return Ok(gen);
+                            }
+                            Err(PError::CorruptStack(format!(
+                                "KV generation {number}'s prev is generation {}",
+                                gen.number
+                            )))
+                        }),
+                        Err(e) => Err(e.into()),
                     }
-                    Ok(prev) => self.load_gen(prev),
-                    Err(e) => Err(e.into()),
-                },
+                }
             };
-            last = Some(gen.as_ref().map_or(0, |gen| gen.base));
+            last = Some(gen.as_ref().map_or((0, 0), |gen| (gen.base, gen.number)));
             Some(gen)
         })
     }

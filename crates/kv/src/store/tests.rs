@@ -1,11 +1,12 @@
 use std::collections::BTreeMap;
 
 use super::layout::{
-    decode_record, header_range, round64, write_header, LogHeader, RECORD_STRIDE, WORDS_LEN,
+    decode_record, header_range, round64, write_header, LogHeader, GEN_OFF_LOG_CAP, GEN_OFF_PREV,
+    RECORD_STRIDE, WORDS_LEN,
 };
 use super::*;
 use pstack_nvram::Level;
-use pstack_nvram::{FailPlan, PMemBuilder, PsanViolationKind};
+use pstack_nvram::{sweep, Cut, PMemBuilder, PsanViolationKind, Survivors, Sweep};
 
 fn fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
     // PSan shadows every store test: the protocols must never trip
@@ -16,7 +17,7 @@ fn fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
     (pmem, heap, kv)
 }
 
-fn put(pid: u64, seq: u64, key: u64, value: i64) -> KvBatchOp {
+const fn put(pid: u64, seq: u64, key: u64, value: i64) -> KvBatchOp {
     KvBatchOp::Put {
         pid,
         seq,
@@ -25,11 +26,11 @@ fn put(pid: u64, seq: u64, key: u64, value: i64) -> KvBatchOp {
     }
 }
 
-fn del(pid: u64, seq: u64, key: u64) -> KvBatchOp {
+const fn del(pid: u64, seq: u64, key: u64) -> KvBatchOp {
     KvBatchOp::Delete { pid, seq, key }
 }
 
-fn cas(pid: u64, seq: u64, key: u64, expected: i64, new: i64) -> KvBatchOp {
+const fn cas(pid: u64, seq: u64, key: u64, expected: i64, new: i64) -> KvBatchOp {
     KvBatchOp::Cas {
         pid,
         seq,
@@ -334,6 +335,61 @@ fn log_full_mid_batch_reports_per_op() {
     assert_eq!(kv.contents().unwrap().len(), 2);
 }
 
+/// The batch-window sweeps' check on the reopened store: no torn state,
+/// each bucket all or nothing of the batch, and the recovery duals
+/// complete the batch exactly once.
+fn assert_batch_recovers(kv: &PKvStore, ops: &[KvBatchOp], want: &BTreeMap<u64, i64>, cut: &Cut) {
+    // No torn state: every published record decodes, every chain
+    // walks, and published tags are unique.
+    let mut tags = std::collections::HashSet::new();
+    for chain in kv.snapshot().unwrap() {
+        for rec in chain {
+            assert!(tags.insert((rec.pid, rec.seq)), "{cut}: dup tag");
+        }
+    }
+    // Per-bucket all-or-nothing: a bucket publishes either none or all
+    // of its batch records (one head flip per bucket).
+    for bucket in 0..2 {
+        let batch_recs = kv
+            .chain(bucket)
+            .unwrap()
+            .iter()
+            .filter(|r| r.pid == 1)
+            .count();
+        let full = ops.iter().filter(|op| mix(op.key()) % 2 == bucket).count();
+        assert!(
+            batch_recs == 0 || batch_recs == full,
+            "{cut}: bucket {bucket} published {batch_recs}/{full} — torn batch"
+        );
+    }
+    // Recovery duals complete the batch exactly once.
+    for &op in ops {
+        assert!(recover(kv, op).unwrap(), "{cut}: {op:?}");
+    }
+    assert_eq!(kv.contents().unwrap(), *want, "{cut}");
+    let published: usize = kv.snapshot().unwrap().iter().map(Vec::len).sum();
+    assert_eq!(published, ops.len(), "{cut}: duplicate application");
+}
+
+/// A two-bucket store in a PSan-shadowed region, the batch sweeps'
+/// starting point.
+fn two_buckets() -> (PMem, PKvStore) {
+    let pmem = PMemBuilder::new().len(1 << 16).psan(true).build_in_memory();
+    let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+    let kv = PKvStore::format(pmem.clone(), &heap, 2, 16, KvVariant::Nsrl).unwrap();
+    (pmem, kv)
+}
+
+const BATCH: [KvBatchOp; 5] = [
+    put(1, 1, 0, 10),
+    put(1, 2, 2, 20),
+    // Same bucket pressure: nbuckets = 2, so keys collide and chain
+    // within the batch.
+    put(1, 3, 4, 40),
+    cas(1, 4, 0, 10, 11),
+    del(1, 5, 2),
+];
+
 #[test]
 fn batch_crash_points_leave_no_lost_or_torn_heads() {
     // The group-commit publish path, exhaustively: crash at every
@@ -341,76 +397,26 @@ fn batch_crash_points_leave_no_lost_or_torn_heads() {
     // published state must be per-bucket all-or-nothing (no torn
     // heads), and the recovery duals must complete every op exactly
     // once.
-    let ops = [
-        put(1, 1, 0, 10),
-        put(1, 2, 2, 20),
-        // Same bucket pressure: nbuckets = 2, so keys collide and
-        // chain within the batch.
-        put(1, 3, 4, 40),
-        cas(1, 4, 0, 10, 11),
-        del(1, 5, 2),
-    ];
-    let probe = || {
-        let pmem = PMemBuilder::new().len(1 << 16).psan(true).build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-        let kv = PKvStore::format(pmem.clone(), &heap, 2, 16, KvVariant::Nsrl).unwrap();
-        (pmem, kv)
-    };
-    let (pmem, kv) = probe();
-    let e0 = pmem.events();
-    let out = kv.apply_batch(&ops).unwrap();
-    assert!(out.iter().all(|o| o.took_effect()));
-    let total = pmem.events() - e0;
+    let (_, kv) = two_buckets();
+    assert!(kv
+        .apply_batch(&BATCH)
+        .unwrap()
+        .iter()
+        .all(|o| o.took_effect()));
     let want = kv.contents().unwrap();
-    assert!(total > 8, "the batch window spans many flush boundaries");
-
-    for k in 0..total {
-        let (pmem, kv) = probe();
-        pmem.arm_failpoint(FailPlan::after_events(k));
-        let err = kv.apply_batch(&ops).unwrap_err();
-        assert!(err.is_crash(), "crash at event {k}");
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-
-        // No torn state: every published record decodes, every
-        // chain walks, and published tags are unique.
-        let mut tags = std::collections::HashSet::new();
-        for chain in kv2.snapshot().unwrap() {
-            for rec in chain {
-                assert!(tags.insert((rec.pid, rec.seq)), "crash at {k}: dup tag");
-            }
-        }
-        // Per-bucket all-or-nothing: a bucket publishes either none
-        // or all of its batch records (one head flip per bucket).
-        for bucket in 0..2 {
-            let batch_recs = kv2
-                .chain(bucket)
-                .unwrap()
-                .iter()
-                .filter(|r| r.pid == 1)
-                .count();
-            let full = ops.iter().filter(|op| mix(op.key()) % 2 == bucket).count();
-            assert!(
-                batch_recs == 0 || batch_recs == full,
-                "crash at {k}: bucket {bucket} published {batch_recs}/{full} — torn batch"
-            );
-        }
-
-        // Recovery duals complete the batch exactly once.
-        assert!(recover(&kv2, put(1, 1, 0, 10)).unwrap());
-        assert!(recover(&kv2, put(1, 2, 2, 20)).unwrap());
-        assert!(recover(&kv2, put(1, 3, 4, 40)).unwrap());
-        assert!(recover(&kv2, cas(1, 4, 0, 10, 11)).unwrap());
-        assert!(recover(&kv2, del(1, 5, 2)).unwrap());
-        assert_eq!(kv2.contents().unwrap(), want, "crash at event {k}");
-        let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
-        assert_eq!(published, ops.len(), "crash at {k}: duplicate application");
-        let violations = pmem2.psan_violations();
-        assert!(
-            violations.is_empty(),
-            "crash at {k}: PSan flagged the correct protocol: {violations:?}"
-        );
-    }
+    let events = sweep(
+        two_buckets,
+        |(_, kv)| kv.apply_batch(&BATCH),
+        |(pmem, kv), cut| {
+            let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+            assert_batch_recovers(&kv, &BATCH, &want, cut);
+            cut.assert_psan_clean(pmem.psan_violations());
+        },
+    );
+    assert!(
+        events[0] > 8,
+        "the batch window spans many flush boundaries"
+    );
 }
 
 #[test]
@@ -424,25 +430,12 @@ fn pipelined_crash_points_keep_exactly_the_completed_flight_prefix() {
     // prefix durable: decodable records, unique tags, per-bucket
     // all-or-nothing heads, and recovery duals that finish the
     // batch exactly once.
-    let ops = [
-        put(1, 1, 0, 10),
-        put(1, 2, 2, 20),
-        put(1, 3, 4, 40),
-        cas(1, 4, 0, 10, 11),
-        del(1, 5, 2),
-    ];
-    let probe = || {
-        let pmem = PMemBuilder::new().len(1 << 16).psan(true).build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-        let kv = PKvStore::format(pmem.clone(), &heap, 2, 16, KvVariant::Nsrl).unwrap();
-        (pmem, kv)
-    };
-
+    //
     // Golden run: the batch stages two overlapping flights (records
     // and header), both still queued when `begin` returns.
-    let (pmem, kv) = probe();
+    let (pmem, kv) = two_buckets();
     let e0 = pmem.events();
-    let pending = kv.apply_batch_begin(&ops).unwrap();
+    let pending = kv.apply_batch_begin(&BATCH).unwrap();
     let staged_events = pmem.events() - e0;
     assert_eq!(pmem.inflight_tickets(), 2, "records + header in flight");
     assert!(pending.commit().unwrap().iter().all(|o| o.took_effect()));
@@ -451,53 +444,18 @@ fn pipelined_crash_points_keep_exactly_the_completed_flight_prefix() {
     assert!(total > staged_events, "publish consumes events too");
 
     let mut inflight_kills = 0usize;
-    for k in 0..total {
-        let (pmem, kv) = probe();
-        pmem.arm_failpoint(FailPlan::after_events(k));
-        let err = kv.apply_batch(&ops).unwrap_err();
-        assert!(err.is_crash(), "crash at event {k}");
-        // Countdowns landing before the staging point cut the
-        // window while flights are still queued on the device.
-        if k < staged_events {
-            inflight_kills += 1;
-        }
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-
-        let mut tags = std::collections::HashSet::new();
-        for chain in kv2.snapshot().unwrap() {
-            for rec in chain {
-                assert!(tags.insert((rec.pid, rec.seq)), "crash at {k}: dup tag");
-            }
-        }
-        for bucket in 0..2 {
-            let batch_recs = kv2
-                .chain(bucket)
-                .unwrap()
-                .iter()
-                .filter(|r| r.pid == 1)
-                .count();
-            let full = ops.iter().filter(|op| mix(op.key()) % 2 == bucket).count();
-            assert!(
-                batch_recs == 0 || batch_recs == full,
-                "crash at {k}: bucket {bucket} published {batch_recs}/{full} — torn batch"
-            );
-        }
-
-        assert!(recover(&kv2, put(1, 1, 0, 10)).unwrap());
-        assert!(recover(&kv2, put(1, 2, 2, 20)).unwrap());
-        assert!(recover(&kv2, put(1, 3, 4, 40)).unwrap());
-        assert!(recover(&kv2, cas(1, 4, 0, 10, 11)).unwrap());
-        assert!(recover(&kv2, del(1, 5, 2)).unwrap());
-        assert_eq!(kv2.contents().unwrap(), want, "crash at event {k}");
-        let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
-        assert_eq!(published, ops.len(), "crash at {k}: duplicate application");
-        let violations = pmem2.psan_violations();
-        assert!(
-            violations.is_empty(),
-            "crash at {k}: PSan flagged the correct protocol: {violations:?}"
-        );
-    }
+    sweep(
+        two_buckets,
+        |(_, kv)| kv.apply_batch(&BATCH),
+        |(pmem, kv), cut| {
+            // Countdowns landing before the staging point cut the
+            // window while flights are still queued on the device.
+            inflight_kills += usize::from(cut.event < staged_events);
+            let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+            assert_batch_recovers(&kv, &BATCH, &want, cut);
+            cut.assert_psan_clean(pmem.psan_violations());
+        },
+    );
     assert!(
         inflight_kills > 2,
         "the sweep never cut the window with flights in flight"
@@ -506,9 +464,8 @@ fn pipelined_crash_points_keep_exactly_the_completed_flight_prefix() {
     // One more input: a two-shard `KvBatch`, both shards moving
     // through the commit's levels together (every heads flight
     // issued before the first is awaited). Power fails at every
-    // event of each region, every dirty line lost or every one kept.
-    // Per shard, each bucket is all-or-nothing; nothing orders one
-    // shard against the other.
+    // event of each region. Per shard, each bucket is all-or-nothing;
+    // nothing orders one shard against the other.
     use crate::shard::ShardedKvStore;
     let mut ops: Vec<KvBatchOp> = (0..6u64)
         .map(|key| KvBatchOp::Put {
@@ -532,74 +489,49 @@ fn pipelined_crash_points_keep_exactly_the_completed_flight_prefix() {
     };
     let recover = |kv: &ShardedKvStore, op: KvBatchOp| recover(kv.shard(kv.shard_of(op.key())), op);
 
-    let (stripe, kv) = probe();
-    let e0 = stripe.events_per_region();
+    let (_, kv) = probe();
     assert!(commit(&kv).unwrap().iter().all(|o| o.took_effect()));
-    let spent: Vec<u64> = stripe
-        .events_per_region()
-        .iter()
-        .zip(&e0)
-        .map(|(now, then)| now - then)
-        .collect();
-    assert!(spent.iter().all(|&n| n > 0), "both shards take part");
     let want = kv.contents().unwrap();
-
-    for (region, &total) in spent.iter().enumerate() {
-        for k in 0..total {
-            for prob in [0.0, 1.0] {
-                let at = format!("shard {region} event {k}, survivors {prob}");
-                let (stripe, kv) = probe();
-                let plan = FailPlan::after_events(k).with_survivors(0, prob);
-                stripe.region(region).arm_failpoint(plan);
-                assert!(commit(&kv).unwrap_err().is_crash(), "{at}");
-                stripe.crash_all(0, prob);
-                let stripe2 = stripe.reopen_all().unwrap();
-                let kv2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
-
-                for s in 0..2 {
-                    for bucket in 0..2 {
-                        let batch_recs = kv2
-                            .shard(s)
-                            .chain(bucket)
-                            .unwrap()
-                            .iter()
-                            .filter(|r| r.pid == 1)
-                            .count();
-                        let full = ops
-                            .iter()
-                            .filter(|op| kv2.shard_of(op.key()) == s && mix(op.key()) % 2 == bucket)
-                            .count();
-                        assert!(
-                            batch_recs == 0 || batch_recs == full,
-                            "{at}: shard {s} bucket {bucket} published {batch_recs}/{full}"
-                        );
-                    }
+    let events = sweep(
+        probe,
+        |(_, kv)| commit(kv),
+        |(stripe, _), cut| {
+            let kv = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
+            for s in 0..2 {
+                for bucket in 0..2 {
+                    let batch_recs = kv
+                        .shard(s)
+                        .chain(bucket)
+                        .unwrap()
+                        .iter()
+                        .filter(|r| r.pid == 1)
+                        .count();
+                    let full = ops
+                        .iter()
+                        .filter(|op| kv.shard_of(op.key()) == s && mix(op.key()) % 2 == bucket)
+                        .count();
+                    assert!(
+                        batch_recs == 0 || batch_recs == full,
+                        "{cut}: shard {s} bucket {bucket} published {batch_recs}/{full}"
+                    );
                 }
-
-                for &op in &ops {
-                    assert!(recover(&kv2, op).unwrap(), "{at}: {op:?}");
-                }
-                assert_eq!(kv2.contents().unwrap(), want, "{at}");
-                let published: usize = kv2
-                    .snapshot_sharded()
-                    .unwrap()
-                    .iter()
-                    .flatten()
-                    .map(Vec::len)
-                    .sum();
-                assert_eq!(published, ops.len(), "{at}: duplicate application");
-                // Kept lines that were never durable are read as
-                // ghosts (the emulator's generosity, not an order
-                // violation); no order violation either way.
-                let violations: Vec<_> = stripe2
-                    .psan_violations()
-                    .into_iter()
-                    .filter(|v| prob == 0.0 || !matches!(v.kind, PsanViolationKind::GhostRead))
-                    .collect();
-                assert!(violations.is_empty(), "{at}: {violations:?}");
             }
-        }
-    }
+            for &op in &ops {
+                assert!(recover(&kv, op).unwrap(), "{cut}: {op:?}");
+            }
+            assert_eq!(kv.contents().unwrap(), want, "{cut}");
+            let published: usize = kv
+                .snapshot_sharded()
+                .unwrap()
+                .iter()
+                .flatten()
+                .map(Vec::len)
+                .sum();
+            assert_eq!(published, ops.len(), "{cut}: duplicate application");
+            cut.assert_psan_clean(stripe.psan_violations());
+        },
+    );
+    assert!(events.iter().all(|&n| n > 0), "both shards take part");
 }
 
 #[test]
@@ -817,6 +749,90 @@ fn open_refuses_a_version_2_image_with_a_typed_error() {
     assert_eq!(kv2.get(42).unwrap(), Some(-7));
 }
 
+/// Runs `walk` on `kv` on a thread of its own: `Some` of its result if
+/// it returns within ten seconds, `None` if it hangs.
+fn bounded<T: Send + 'static>(kv: &PKvStore, walk: fn(&PKvStore) -> T) -> Option<T> {
+    let (kv, (tx, rx)) = (kv.clone(), std::sync::mpsc::channel());
+    std::thread::spawn(move || tx.send(walk(&kv)));
+    rx.recv_timeout(std::time::Duration::from_secs(10)).ok()
+}
+
+#[test]
+fn a_link_that_does_not_go_down_is_a_typed_error_not_a_hang() {
+    // A chain runs from higher log offsets to lower, and a generation's
+    // `prev` to a lower number. A record whose `next` names itself or a
+    // record above it, or a generation whose `prev` names itself, read
+    // back from a corrupt image, would make every walk over it a cycle:
+    // each walk ends with a typed error instead.
+    type Walk = fn(&PKvStore) -> Result<(), PError>;
+    let walks: [(&str, Walk); 3] = [
+        ("contents", |kv| kv.contents().map(drop)),
+        ("get", |kv| kv.get(1).map(drop)),
+        ("recover_batch", |kv| {
+            kv.recover_batch(&[put(2, 1, 9, 9)]).map(drop)
+        }),
+    ];
+    for up in [0, RECORD_STRIDE] {
+        let (pmem, _, kv) = fixture(1, 32);
+        for k in 1..=3 {
+            assert!(apply(&kv, put(1, k, k, k as i64)).unwrap());
+        }
+        let gen = kv.active_gen().unwrap();
+        let head = pmem.read_u64(kv.bucket_off_at(&gen, 0)).unwrap();
+        let below = decode_record(&kv.read_slot(head).unwrap()).4;
+        assert!(
+            below > 0 && below + RECORD_STRIDE <= head,
+            "a chain of three"
+        );
+        pmem.write_u64(POffset::new(below + 40), below + up)
+            .unwrap();
+        for (what, walk) in walks {
+            match bounded(&kv, walk) {
+                Some(Err(PError::CorruptStack(_))) => {}
+                other => panic!("{what}, next {up} above its record: {other:?}"),
+            }
+        }
+    }
+    let (pmem, heap, kv) = fixture(4, 16);
+    apply(&kv, put(1, 1, 1, 1)).unwrap();
+    kv.compact(&heap).unwrap();
+    let gen = kv.active_gen().unwrap();
+    pmem.write_u64(POffset::new(gen.base + GEN_OFF_PREV), gen.base)
+        .unwrap();
+    match bounded(&kv, |kv| kv.generations().map(drop)) {
+        Some(Err(PError::CorruptStack(_))) => {}
+        other => panic!("generation 1's prev names itself: {other:?}"),
+    }
+}
+
+#[test]
+fn open_refuses_counts_that_overrun_the_region_with_a_typed_error() {
+    // Byte 143 ^ 0x80 of a populated image — the bucket count's top
+    // byte in that image — made `open` multiply with overflow; a zero
+    // count, and a log past the region, are the same kind of lie.
+    let (pmem, _, kv) = fixture(8, 32);
+    apply(&kv, put(1, 1, 1, 1)).unwrap();
+    let gen = kv.active_gen().unwrap();
+    let nbuckets = kv.base() + OFF_NBUCKETS;
+    let log_cap = POffset::new(gen.base + GEN_OFF_LOG_CAP);
+    for (at, word) in [
+        (nbuckets, 8 | 0x80 << 56),
+        (nbuckets, 0),
+        (nbuckets, u64::MAX / 8),
+        (log_cap, 32 | 0x80 << 56),
+        (log_cap, 1 << 40),
+    ] {
+        let old = pmem.read_u64(at).unwrap();
+        pmem.write_u64(at, word).unwrap();
+        match PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl) {
+            Err(PError::CorruptStack(_)) => {}
+            other => panic!("{word:#x} at {at}: {other:?}"),
+        }
+        pmem.write_u64(at, old).unwrap();
+    }
+    PKvStore::open(pmem, kv.base(), KvVariant::Nsrl).unwrap();
+}
+
 #[test]
 fn contents_and_chains_reflect_history() {
     let (_, _, kv) = fixture(4, 64);
@@ -890,91 +906,69 @@ fn noscan_variant_double_applies() {
     assert_eq!(records[0].seq, records[1].seq);
 }
 
+/// Sweeps a one-op group commit of `op` over a store `probe` builds:
+/// from every cut, `op`'s recovery dual takes effect once, and the
+/// reopened store passes `check`.
+fn sweep_one_op(
+    probe: impl Fn() -> (PMem, PKvStore),
+    op: KvBatchOp,
+    check: impl Fn(&PKvStore, &Cut),
+) -> Vec<u64> {
+    sweep(
+        probe,
+        |(_, kv)| apply(kv, op),
+        |(pmem, kv), cut| {
+            let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+            assert!(recover(&kv, op).unwrap(), "{cut}");
+            check(&kv, cut);
+            cut.assert_psan_clean(pmem.psan_violations());
+        },
+    )
+}
+
+/// The number of published records.
+fn published(kv: &PKvStore) -> usize {
+    kv.snapshot().unwrap().iter().map(Vec::len).sum()
+}
+
+/// A four-bucket store holding one put of key 7.
+fn with_key_7() -> (PMem, PKvStore) {
+    let (pmem, _, kv) = fixture(4, 16);
+    apply(&kv, put(0, 1, 7, 77)).unwrap();
+    (pmem, kv)
+}
+
 #[test]
 fn crash_point_enumeration_put_recovers_exactly_once() {
     // A one-op put — a group commit of one — cut at every
-    // persistence event: reserve CAS, record write, the record and
-    // tail flights, head CAS, the heads flight. Wherever
-    // the crash lands, the evidence scan answers exactly-once and
-    // PSan stays silent.
-    let probe = || fixture(4, 16);
-    let (pmem, _, kv) = probe();
-    let e0 = pmem.events();
-    assert!(apply(&kv, put(0, 1, 7, 77)).unwrap());
-    let total = pmem.events() - e0;
-    assert!(total >= 5, "reserve + record + head CAS + flights");
-
-    for k in 0..total {
-        let (pmem, _, kv) = probe();
-        pmem.arm_failpoint(FailPlan::after_events(k));
-        let err = apply(&kv, put(0, 1, 7, 77)).unwrap_err();
-        assert!(err.is_crash());
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-        assert!(
-            recover(&kv2, put(0, 1, 7, 77)).unwrap(),
-            "crash at event {k}"
-        );
-        assert_eq!(kv2.get(7).unwrap(), Some(77), "crash at event {k}");
-        let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
-        assert_eq!(published, 1, "crash at event {k}: exactly one record");
-        assert!(pmem2.psan_violations().is_empty(), "crash at event {k}");
-    }
+    // persistence event: the record write, the header's, the record
+    // and header flights, the head CAS. Wherever the crash lands, the
+    // evidence scan answers exactly-once and PSan stays silent.
+    let probe = || {
+        let (pmem, _, kv) = fixture(4, 16);
+        (pmem, kv)
+    };
+    let events = sweep_one_op(probe, put(0, 1, 7, 77), |kv, cut| {
+        assert_eq!(kv.get(7).unwrap(), Some(77), "{cut}");
+        assert_eq!(published(kv), 1, "{cut}: exactly one record");
+    });
+    assert!(events[0] >= 5, "record + header + flights + head CAS");
 }
 
 #[test]
 fn crash_point_enumeration_delete_recovers_exactly_once() {
-    let probe = || {
-        let (pmem, heap, kv) = fixture(4, 16);
-        apply(&kv, put(0, 1, 7, 77)).unwrap();
-        (pmem, heap, kv)
-    };
-    let (pmem, _, kv) = probe();
-    let e0 = pmem.events();
-    assert!(apply(&kv, del(1, 2, 7)).unwrap());
-    let total = pmem.events() - e0;
-
-    for k in 0..total {
-        let (pmem, _, kv) = probe();
-        pmem.arm_failpoint(FailPlan::after_events(k));
-        let err = apply(&kv, del(1, 2, 7)).unwrap_err();
-        assert!(err.is_crash());
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
-        assert!(recover(&kv2, del(1, 2, 7)).unwrap(), "crash at event {k}");
-        assert_eq!(kv2.get(7).unwrap(), None, "crash at event {k}");
-        let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
-        assert_eq!(published, 2, "crash at event {k}: put + delete records");
-    }
+    sweep_one_op(with_key_7, del(1, 2, 7), |kv, cut| {
+        assert_eq!(kv.get(7).unwrap(), None, "{cut}");
+        assert_eq!(published(kv), 2, "{cut}: put + delete records");
+    });
 }
 
 #[test]
 fn crash_point_enumeration_cas_recovers_exactly_once() {
-    let probe = || {
-        let (pmem, heap, kv) = fixture(4, 16);
-        apply(&kv, put(0, 1, 7, 77)).unwrap();
-        (pmem, heap, kv)
-    };
-    let (pmem, _, kv) = probe();
-    let e0 = pmem.events();
-    assert!(apply(&kv, cas(1, 2, 7, 77, 78)).unwrap());
-    let total = pmem.events() - e0;
-
-    for k in 0..total {
-        let (pmem, _, kv) = probe();
-        pmem.arm_failpoint(FailPlan::after_events(k));
-        let err = apply(&kv, cas(1, 2, 7, 77, 78)).unwrap_err();
-        assert!(err.is_crash());
-        let pmem2 = pmem.reopen().unwrap();
-        let kv2 = PKvStore::open(pmem2, kv.base(), KvVariant::Nsrl).unwrap();
-        assert!(
-            recover(&kv2, cas(1, 2, 7, 77, 78)).unwrap(),
-            "crash at event {k}"
-        );
-        assert_eq!(kv2.get(7).unwrap(), Some(78), "crash at event {k}");
-        let published: usize = kv2.snapshot().unwrap().iter().map(Vec::len).sum();
-        assert_eq!(published, 2, "crash at event {k}: no double application");
-    }
+    sweep_one_op(with_key_7, cas(1, 2, 7, 77, 78), |kv, cut| {
+        assert_eq!(kv.get(7).unwrap(), Some(78), "{cut}");
+        assert_eq!(published(kv), 2, "{cut}: no double application");
+    });
 }
 
 #[test]
@@ -1370,93 +1364,64 @@ fn assert_whole_after_cut(kv: &PKvStore, heap: &PHeap, want: &BTreeMap<u64, i64>
 #[test]
 fn compaction_crash_points_buffered() {
     // A crash at every persistence event inside `compact` (the heap's
-    // interior headers, its switch ‖ the block, the root swap), keeping
-    // no dirty line, every one, or a seeded half, and, from each crash
-    // state, at every persistence event inside the recovery dual.
+    // interior headers, its switch ‖ the block, the root swap), under
+    // every survivor choice, and, from each crash state, at every
+    // persistence event inside the recovery dual.
+    type Store = (PMem, (PHeap, PKvStore));
     let probe = || {
         let (pmem, heap, kv) = fixture(4, 16);
         seed_history(&kv);
-        (pmem, heap, kv)
+        (pmem, (heap, kv))
     };
-    let (pmem, heap, kv) = probe();
+    let compact = |(_, (heap, kv)): &mut Store| kv.compact(heap);
+    let reopen = |(pmem, (_, kv)): Store| -> Store {
+        let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+        let heap = PHeap::open(pmem.clone(), POffset::new(0)).unwrap();
+        (pmem, (heap, kv))
+    };
+    let (_, (heap, kv)) = probe();
     let want = kv.contents().unwrap();
     let used_before = heap.stats().used_blocks;
-    let e0 = pmem.events();
-    kv.compact(&heap).unwrap();
-    let total = pmem.events() - e0;
-    assert!(
-        total >= 3,
-        "rewrite + swap span several events (got {total})"
-    );
 
     let mut leaked = false;
-    for (seed, prob) in [(0, 0.0), (0, 1.0), (3, 0.5)] {
-        // Kept lines that were never durable are read as ghosts (the
-        // emulator's generosity, not an order violation).
-        let order_violations = |pmem: &PMem| -> Vec<_> {
-            pmem.psan_violations()
-                .into_iter()
-                .filter(|v| prob == 0.0 || !matches!(v.kind, PsanViolationKind::GhostRead))
-                .collect()
-        };
-        let cut = |k: u64| {
-            let (pmem, heap, kv) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed + k, prob));
-            let err = kv.compact(&heap).unwrap_err();
-            assert!(err.is_crash(), "survivors {prob}, crash at event {k}");
-            let pmem = pmem.reopen().unwrap();
-            let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-            let heap = PHeap::open(pmem.clone(), POffset::new(0)).unwrap();
-            (pmem, heap, kv)
-        };
-        for k in 0..total {
-            // Phase 1: crash the compaction after k events; the store
-            // must reopen whole in the old or the new generation.
-            let at = format!("survivors {prob}, crash at {k}");
-            let (pmem2, heap2, kv2) = cut(k);
-            // The cut "switch ‖ block landed, cell not": the old root
-            // and one more used block, the new one, leaked.
-            let gen = assert_whole_after_cut(&kv2, &heap2, &want, &at);
-            leaked |= gen == 0 && heap2.stats().used_blocks > used_before;
-            let violations = order_violations(&pmem2);
-            assert!(violations.is_empty(), "{at}: {violations:?}");
+    let events = sweep(probe, compact, |store, cut| {
+        // Phase 1: the store must reopen whole in the old or the new
+        // generation. The cut "switch ‖ block landed, cell not": the old
+        // root and one more used block, the new one, leaked.
+        let (pmem, (heap, kv)) = reopen(store);
+        let at = cut.to_string();
+        let gen = assert_whole_after_cut(&kv, &heap, &want, &at);
+        assert!(!cut.returned() || gen == 1, "{cut}: the swap returned");
+        leaked |= gen == 0 && heap.stats().used_blocks > used_before;
+        cut.assert_psan_clean(pmem.psan_violations());
 
-            // Phase 2: enumerate crashes inside the recovery dual. The
-            // first j at or past recovery's event footprint completes.
-            for j in 0.. {
-                let at = format!("{at}, recovery step {j}");
-                let (pmem, heap, kv) = cut(k);
-                pmem.arm_failpoint(FailPlan::after_events(j));
-                match kv.recover_compact(&heap, 0) {
-                    Ok(_committed_before) => {
-                        pmem.disarm_failpoint();
-                        assert_eq!(assert_whole_after_cut(&kv, &heap, &want, &at), 1);
-                        let gens = kv.generations().unwrap();
-                        assert!(gens[0].retired, "the old generation is retired");
-                        // Idempotent: a second recovery changes nothing.
-                        assert!(kv.recover_compact(&heap, 0).unwrap());
-                        assert_eq!(kv.generation().unwrap(), 1);
-                        let violations = order_violations(&pmem);
-                        assert!(
-                            violations.is_empty(),
-                            "{at}: PSan flagged recovery: {violations:?}"
-                        );
-                        break;
-                    }
-                    Err(e) => {
-                        assert!(e.is_crash(), "{at}: {e}");
-                        let pmem = pmem.reopen().unwrap();
-                        let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-                        let heap = PHeap::open(pmem, POffset::new(0)).unwrap();
-                        // A clean pass from the doubly-crashed state
-                        // must still converge.
-                        kv.recover_compact(&heap, 0).unwrap();
-                        assert_eq!(assert_whole_after_cut(&kv, &heap, &want, &at), 1);
-                    }
-                }
-            }
-        }
-    }
+        // Phase 2: a crash at every event of the recovery dual, from
+        // this cut's state. Every dirty line lost only: under each of
+        // the outer cuts, the full set would run this test 6× longer.
+        let recover = |(_, (heap, kv)): &mut Store| kv.recover_compact(heap, 0);
+        Sweep::new().survivors(&[Survivors::None]).run(
+            || reopen(cut.replay(probe, compact)),
+            recover,
+            |store, step| {
+                let (pmem, (heap, kv)) = reopen(store);
+                let at = format!("{cut}, recovery {step}");
+                // A clean pass from the doubly-crashed state converges,
+                // and a second one finds it committed.
+                kv.recover_compact(&heap, 0).unwrap();
+                assert_eq!(assert_whole_after_cut(&kv, &heap, &want, &at), 1);
+                assert!(kv.recover_compact(&heap, 0).unwrap(), "{at}");
+                assert_eq!(kv.generation().unwrap(), 1, "{at}");
+                let gens = kv.generations().unwrap();
+                assert!(gens[0].retired, "{at}: the old generation is retired");
+                cut.assert_psan_clean(pmem.psan_violations());
+            },
+        );
+    });
+    assert!(
+        events[0] >= 3,
+        "rewrite + swap span several events (got {:?})",
+        events
+    );
     assert!(
         leaked,
         "no cut landed the switch and the block without the cell"
@@ -1587,28 +1552,10 @@ fn psan_flags_the_no_persist_before_swap_variant_at_the_root_swap() {
 /// `open` replays what they do not yet cover.
 mod stamped_log {
     use super::*;
-
-    /// The survivor policies a cut sweep runs at event `k`: every dirty
-    /// line lost, every one kept, and four seeded halves.
-    fn survivor_plans(k: u64) -> Vec<(String, FailPlan, u64, f64)> {
-        let mut plans = vec![(0, 0.0), (0, 1.0)];
-        plans.extend((1..=4).map(|seed| (seed, 0.5)));
-        plans
-            .into_iter()
-            .map(|(seed, prob)| {
-                let plan = FailPlan::after_events(k).with_survivors(seed, prob);
-                (
-                    format!("event {k}, survivors {prob} (seed {seed})"),
-                    plan,
-                    seed,
-                    prob,
-                )
-            })
-            .collect()
-    }
+    use std::fmt::Display;
 
     /// Every published tag of `kv` but the compaction copies, each once.
-    fn tags_once(kv: &PKvStore, at: &str) -> Vec<(u64, u64)> {
+    fn tags_once(kv: &PKvStore, at: impl Display) -> Vec<(u64, u64)> {
         let mut tags = std::collections::BTreeSet::new();
         for rec in kv.snapshot().unwrap().into_iter().flatten() {
             if !rec.compacted {
@@ -1622,17 +1569,6 @@ mod stamped_log {
         tags.into_iter().collect()
     }
 
-    /// PSan's verdict after a cut: no violation, except that a line a crash
-    /// kept without a completed flight reads as a ghost.
-    fn assert_psan_clean(pmem: &PMem, prob: f64, at: &str) {
-        let violations: Vec<_> = pmem
-            .psan_violations()
-            .into_iter()
-            .filter(|v| prob == 0.0 || !matches!(v.kind, PsanViolationKind::GhostRead))
-            .collect();
-        assert!(violations.is_empty(), "{at}: {violations:?}");
-    }
-
     fn pid_count(tags: &[(u64, u64)], pid: u64) -> usize {
         tags.iter().filter(|t| t.0 == pid).count()
     }
@@ -1643,7 +1579,7 @@ mod stamped_log {
         // cut one checkpoints them in its own level. Whatever the cut and
         // whatever survives, the reopen shows the returned commit whole and
         // the cut one whole or not at all — over four buckets, so whole
-        // means every chain it touched.
+        // means every chain it touched — and whole once it returned.
         let first: Vec<KvBatchOp> = (0..6).map(|k| put(1, k + 1, k, k as i64)).collect();
         let second = [
             put(2, 1, 0, 100),
@@ -1661,56 +1597,50 @@ mod stamped_log {
                 .all(|o| o.took_effect()));
             (pmem, kv)
         };
-        let (pmem, kv) = probe();
+        let (_, kv) = probe();
         let before = kv.contents().unwrap();
-        let e0 = pmem.events();
         assert!(kv
             .apply_batch(&second)
             .unwrap()
             .iter()
             .all(|o| o.took_effect()));
-        let total = pmem.events() - e0;
         let after = kv.contents().unwrap();
-        pmem.crash_now(0, 0.0);
-        let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
-        assert_eq!(
-            kv2.contents().unwrap(),
-            after,
-            "a cut after commit returns loses nothing"
-        );
 
-        for k in 0..total {
-            for (at, plan, _, prob) in survivor_plans(k) {
-                let (pmem, kv) = probe();
-                pmem.arm_failpoint(plan);
-                assert!(kv.apply_batch(&second).unwrap_err().is_crash(), "{at}");
-                let pmem2 = pmem.reopen().unwrap();
-                let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-                let tags = tags_once(&kv2, &at);
+        sweep(
+            probe,
+            |(_, kv)| kv.apply_batch(&second),
+            |(pmem, kv), cut| {
+                let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                let tags = tags_once(&kv2, cut);
                 assert_eq!(
                     pid_count(&tags, 1),
                     first.len(),
-                    "{at}: the returned commit"
+                    "{cut}: the returned commit"
                 );
                 let whole = match pid_count(&tags, 2) {
                     0 => false,
                     5 => true,
-                    n => panic!("{at}: {n} of the cut commit's 5 records"),
+                    n => panic!("{cut}: {n} of the cut commit's 5 records"),
                 };
+                assert!(whole || !cut.returned(), "{cut}: a returned commit lost");
                 let contents = kv2.contents().unwrap();
-                assert_eq!(&contents, if whole { &after } else { &before }, "{at}");
+                assert_eq!(&contents, if whole { &after } else { &before }, "{cut}");
                 // And the reopened store goes on: the replayed heads ride
                 // its next commit, and a second reopen keeps everything.
-                assert!(apply(&kv2, put(3, 1, 11, 1)).unwrap(), "{at}");
-                pmem2.crash_now(0, 0.0);
+                assert!(apply(&kv2, put(3, 1, 11, 1)).unwrap(), "{cut}");
+                pmem.crash_now(0, 0.0);
                 let kv3 =
-                    PKvStore::open(pmem2.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+                    PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
                 let mut want = contents.clone();
                 want.insert(11, 1);
-                assert_eq!(kv3.contents().unwrap(), want, "{at}: after the next commit");
-                assert_psan_clean(&pmem2, prob, &at);
-            }
-        }
+                assert_eq!(
+                    kv3.contents().unwrap(),
+                    want,
+                    "{cut}: after the next commit"
+                );
+                cut.assert_psan_clean(pmem.psan_violations());
+            },
+        );
     }
 
     #[test]
@@ -1731,16 +1661,6 @@ mod stamped_log {
             assert!(commit(&kv, &first).unwrap().iter().all(|o| o.took_effect()));
             (stripe, kv)
         };
-        let (stripe, kv) = probe();
-        let e0 = stripe.events_per_region();
-        commit(&kv, &second).unwrap();
-        let spent: Vec<u64> = stripe
-            .events_per_region()
-            .iter()
-            .zip(&e0)
-            .map(|(now, then)| now - then)
-            .collect();
-        assert!(spent.iter().all(|&n| n > 0), "both shards take part");
         let on = |kv: &ShardedKvStore, s: usize, pid: u64| {
             kv.shard(s)
                 .snapshot()
@@ -1750,6 +1670,7 @@ mod stamped_log {
                 .filter(|r| r.pid == pid)
                 .count()
         };
+        let (_, kv) = probe();
         let want: Vec<usize> = (0..2)
             .map(|s| {
                 second
@@ -1760,39 +1681,29 @@ mod stamped_log {
             .collect();
         let first_on: Vec<usize> = (0..2).map(|s| on(&kv, s, 1)).collect();
 
-        for (region, &total) in spent.iter().enumerate() {
-            for k in 0..total {
-                for (at, plan, seed, prob) in survivor_plans(k) {
-                    let at = format!("shard {region} {at}");
-                    let (stripe, kv) = probe();
-                    stripe.region(region).arm_failpoint(plan);
-                    assert!(commit(&kv, &second).unwrap_err().is_crash(), "{at}");
-                    stripe.crash_all(seed, prob);
-                    let stripe2 = stripe.reopen_all().unwrap();
-                    let kv2 = ShardedKvStore::open(stripe2.regions(), KvVariant::Nsrl).unwrap();
-                    for s in 0..2 {
-                        assert_eq!(
-                            on(&kv2, s, 1),
-                            first_on[s],
-                            "{at}: shard {s} lost a returned commit"
-                        );
-                        let n = on(&kv2, s, 2);
-                        assert!(
-                            n == 0 || n == want[s],
-                            "{at}: shard {s} shows {n} of {}",
-                            want[s]
-                        );
-                        tags_once(kv2.shard(s), &at);
-                    }
-                    let violations: Vec<_> = stripe2
-                        .psan_violations()
-                        .into_iter()
-                        .filter(|v| prob == 0.0 || !matches!(v.kind, PsanViolationKind::GhostRead))
-                        .collect();
-                    assert!(violations.is_empty(), "{at}: {violations:?}");
+        let events = sweep(
+            probe,
+            |(_, kv)| commit(kv, &second),
+            |(stripe, _), cut| {
+                let kv2 = ShardedKvStore::open(stripe.regions(), KvVariant::Nsrl).unwrap();
+                for s in 0..2 {
+                    assert_eq!(
+                        on(&kv2, s, 1),
+                        first_on[s],
+                        "{cut}: shard {s} lost a returned commit"
+                    );
+                    let n = on(&kv2, s, 2);
+                    assert!(
+                        n == want[s] || n == 0 && !cut.returned(),
+                        "{cut}: shard {s} shows {n} of {}",
+                        want[s]
+                    );
+                    tags_once(kv2.shard(s), cut);
                 }
-            }
-        }
+                cut.assert_psan_clean(stripe.psan_violations());
+            },
+        );
+        assert!(events.iter().all(|&n| n > 0), "both shards take part");
     }
 
     #[test]
@@ -1808,33 +1719,38 @@ mod stamped_log {
         let base = [put(1, 1, 0, 0), put(1, 2, 1, 1)];
         let lost: Vec<KvBatchOp> = (0..4).map(|k| put(7, k + 1, 10 + k, 70)).collect();
         let reuse: Vec<KvBatchOp> = (0..4).map(|k| put(8, k + 1, 20 + k, 80)).collect();
+        type Based = (PMem, (PKvStore, u64));
+        let based = || {
+            let (pmem, _, kv) = fixture(4, 32);
+            kv.apply_batch(&base).unwrap();
+            let tail = kv.log_reserved().unwrap();
+            (pmem, (kv, tail))
+        };
         for heads in [Heads::NextCommit, Heads::CallerLevel] {
             let commit_lost =
-                |kv: &PKvStore| kv.begin(&lost, heads).and_then(KvPendingBatch::commit);
+                |(_, (kv, _)): &mut Based| kv.begin(&lost, heads).and_then(KvPendingBatch::commit);
             // The cut: the last event at which, every line kept, the header
             // still shows the pre-batch tail.
-            let setup = |k: u64| {
-                let (pmem, _, kv) = fixture(4, 32);
-                kv.apply_batch(&base).unwrap();
-                let tail = kv.log_reserved().unwrap();
-                pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(0, 1.0));
-                let cut = commit_lost(&kv).is_err();
-                pmem.disarm_failpoint();
-                (pmem, kv, tail, cut)
-            };
-            let cut_at = (0..64)
-                .take_while(|&k| {
-                    let (pmem, kv, tail, cut) = setup(k);
-                    assert!(cut, "{heads:?}: the lost batch spans more than 64 events");
-                    let kv2 =
-                        PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
-                    kv2.log_reserved().unwrap() == tail
-                })
+            let mut header_unwritten = Vec::new();
+            Sweep::new().survivors(&[Survivors::All]).run(
+                based,
+                commit_lost,
+                |(pmem, (kv, tail)), cut| {
+                    let kv2 = PKvStore::open(pmem, kv.base(), KvVariant::Nsrl).unwrap();
+                    if kv2.log_reserved().unwrap() == tail {
+                        header_unwritten.push(*cut);
+                    }
+                },
+            );
+            let lost_cut = header_unwritten
+                .iter()
+                .zip(0..)
+                .take_while(|(cut, k)| cut.event == *k)
                 .last()
-                .unwrap();
+                .unwrap()
+                .0;
             let reopened = || {
-                let (pmem, kv, tail, _) = setup(cut_at);
-                let pmem = pmem.reopen().unwrap();
+                let (pmem, (kv, tail)) = lost_cut.replay(based, commit_lost);
                 let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
                 // Every record of the lost batch landed past the tail.
                 for i in 0..lost.len() as u64 {
@@ -1844,40 +1760,35 @@ mod stamped_log {
                 }
                 (pmem, kv)
             };
-            let (pmem, kv) = reopened();
-            let e0 = pmem.events();
-            kv.apply_batch(&reuse).unwrap();
-            let total = pmem.events() - e0;
-            for k in 0..=total {
-                for (at, plan, _, prob) in survivor_plans(k) {
-                    let at = format!("{heads:?} lost, {at}");
-                    let (pmem, kv) = reopened();
-                    pmem.arm_failpoint(plan);
-                    let _ = kv.apply_batch(&reuse);
-                    pmem.disarm_failpoint();
-                    if !pmem.is_crashed() {
-                        pmem.crash_now(0, prob);
-                    }
-                    let kv2 =
-                        PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+            sweep(
+                reopened,
+                |(_, kv)| kv.apply_batch(&reuse),
+                |(pmem, kv), cut| {
+                    let at = format!("{heads:?} lost, {cut}");
+                    let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
                     let tags = tags_once(&kv2, &at);
                     assert_eq!(pid_count(&tags, 7), 0, "{at}: a lost record shows");
                     assert_eq!(pid_count(&tags, 1), base.len(), "{at}");
                     let n = pid_count(&tags, 8);
                     assert!(n == 0 || n == reuse.len(), "{at}: {n} of the batch");
                     assert!(
-                        k < total || n == reuse.len(),
+                        !cut.returned() || n == reuse.len(),
                         "{at}: a returned commit lost"
                     );
                     // The lost batch's lines were kept without a completed
                     // flight: reading them is a ghost read, by design.
-                    assert_psan_clean(&pmem, 1.0, &at);
-                }
-            }
-            // The lottery outcome the sweep's four halves may miss: the
-            // reusing batch's header line kept and every record line lost,
-            // so the header names the slots the lost batch still holds.
-            // Seeds are tried in order; those that land it are checked.
+                    let violations: Vec<_> = pmem
+                        .psan_violations()
+                        .into_iter()
+                        .filter(|v| v.kind != PsanViolationKind::GhostRead)
+                        .collect();
+                    assert!(violations.is_empty(), "{at}: {violations:?}");
+                },
+            );
+            // The lottery outcome a sweep's halves may miss: the reusing
+            // batch's header line kept and every record line lost, so the
+            // header names the slots the lost batch still holds. Seeds are
+            // tried in order; those that land it are checked.
             let mut landed = 0;
             for seed in 0..256 {
                 let (pmem, kv) = reopened();
@@ -1943,11 +1854,6 @@ mod stamped_log {
             }
             (pmem, kv)
         };
-        let run = |kv: &PKvStore| -> Result<(), PError> {
-            kv.begin(&window, Heads::CallerLevel)?.commit()?;
-            kv.apply_batch(&after)?;
-            Ok(())
-        };
         let (pmem, kv) = probe();
         let e0 = pmem.events();
         kv.begin(&window, Heads::CallerLevel)
@@ -1955,19 +1861,19 @@ mod stamped_log {
             .commit()
             .unwrap();
         let window_events = pmem.events() - e0;
-        kv.apply_batch(&after).unwrap();
-        let total = pmem.events() - e0;
         let bucket = |key: u64| mix(key) % 4;
 
-        for k in 0..total {
-            for (at, plan, _, prob) in survivor_plans(k) {
-                let (pmem, kv) = probe();
-                pmem.arm_failpoint(plan);
-                assert!(run(&kv).unwrap_err().is_crash(), "{at}");
-                let pmem2 = pmem.reopen().unwrap();
-                let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
-                let tags = tags_once(&kv2, &at);
-                assert_eq!(pid_count(&tags, 1), 5, "{at}: the bare commits");
+        sweep(
+            probe,
+            |(_, kv)| -> Result<(), PError> {
+                kv.begin(&window, Heads::CallerLevel)?.commit()?;
+                kv.apply_batch(&after)?;
+                Ok(())
+            },
+            |(pmem, kv), cut| {
+                let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                let tags = tags_once(&kv2, cut);
+                assert_eq!(pid_count(&tags, 1), 5, "{cut}: the bare commits");
                 let shown: Vec<_> = window
                     .iter()
                     .filter(|op| tags.contains(&op.tag()))
@@ -1980,30 +1886,38 @@ mod stamped_log {
                     let kept = same.iter().filter(|o| tags.contains(&o.tag())).count();
                     assert!(
                         kept == 0 || kept == same.len(),
-                        "{at}: a window bucket torn"
+                        "{cut}: a window bucket torn"
                     );
                 }
-                if k >= window_events {
-                    assert_eq!(shown.len(), window.len(), "{at}: the window returned");
+                if cut.event >= window_events {
+                    assert_eq!(shown.len(), window.len(), "{cut}: the window returned");
                 }
                 let n = pid_count(&tags, 6);
-                assert!(n == 0 || n == after.len(), "{at}: {n} of the commit after");
+                assert!(n == 0 || n == after.len(), "{cut}: {n} of the commit after");
                 assert!(
-                    n == 0 || k >= window_events,
-                    "{at}: a commit before its window returned"
+                    n == 0 || cut.event >= window_events,
+                    "{cut}: a commit before its window returned"
+                );
+                assert!(
+                    !cut.returned() || n == after.len(),
+                    "{cut}: a returned commit lost"
                 );
                 // The store goes on, and keeps what it shows.
                 let mut want = kv2.contents().unwrap();
-                assert!(apply(&kv2, put(9, 1, 8, 90)).unwrap(), "{at}");
+                assert!(apply(&kv2, put(9, 1, 8, 90)).unwrap(), "{cut}");
                 want.insert(8, 90);
-                pmem2.crash_now(0, 0.0);
+                pmem.crash_now(0, 0.0);
                 let kv3 =
-                    PKvStore::open(pmem2.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
-                assert_eq!(kv3.contents().unwrap(), want, "{at}: after the next commit");
-                assert_eq!(tags_once(&kv3, &at).len(), tags.len() + 1, "{at}");
-                assert_psan_clean(&pmem2, prob, &at);
-            }
-        }
+                    PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+                assert_eq!(
+                    kv3.contents().unwrap(),
+                    want,
+                    "{cut}: after the next commit"
+                );
+                assert_eq!(tags_once(&kv3, cut).len(), tags.len() + 1, "{cut}");
+                cut.assert_psan_clean(pmem.psan_violations());
+            },
+        );
     }
 
     #[test]
@@ -2033,41 +1947,31 @@ mod stamped_log {
             for ops in &commits {
                 assert!(kv.apply_batch(ops).unwrap().iter().all(|o| o.took_effect()));
             }
-            (pmem, heap, kv)
+            (pmem, (heap, kv))
         };
-        let (pmem, heap, kv) = probe();
-        let want = kv.contents().unwrap();
-        let e0 = pmem.events();
-        kv.compact(&heap).unwrap();
-        let total = pmem.events() - e0;
-        for k in 0..=total {
-            for (at, plan, _, prob) in survivor_plans(k) {
-                let (pmem, heap, kv) = probe();
-                pmem.arm_failpoint(plan);
-                let _ = kv.compact(&heap);
-                pmem.disarm_failpoint();
-                if !pmem.is_crashed() {
-                    pmem.crash_now(0, prob);
-                }
-                let pmem2 = pmem.reopen().unwrap();
-                let kv2 = PKvStore::open(pmem2.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+        let want = probe().1 .1.contents().unwrap();
+        sweep(
+            probe,
+            |(_, (heap, kv))| kv.compact(heap),
+            |(pmem, (_, kv)), cut| {
+                let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
                 assert!(
-                    k < total || kv2.generation().unwrap() == 1,
-                    "{at}: the swap returned"
+                    !cut.returned() || kv2.generation().unwrap() == 1,
+                    "{cut}: the swap returned"
                 );
-                assert_eq!(kv2.contents().unwrap(), want, "{at}");
+                assert_eq!(kv2.contents().unwrap(), want, "{cut}");
                 for &op in commits.iter().flatten() {
                     assert_eq!(
                         kv2.recover_batch(&[op]).unwrap(),
                         [KvApplied::Applied],
-                        "{at}: {op:?}"
+                        "{cut}: {op:?}"
                     );
                 }
-                assert_eq!(kv2.contents().unwrap(), want, "{at}: nothing re-executed");
-                assert_eq!(tags_once(&kv2, &at).len(), 12, "{at}");
-                assert_psan_clean(&pmem2, prob, &at);
-            }
-        }
+                assert_eq!(kv2.contents().unwrap(), want, "{cut}: nothing re-executed");
+                assert_eq!(tags_once(&kv2, cut).len(), 12, "{cut}");
+                cut.assert_psan_clean(pmem.psan_violations());
+            },
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use pstack_heap::PHeap;
 use pstack_kv::{
     KvBatchOp, KvRequestTable, KvServeFunction, KvTaskOp, KvVariant, PKvStore, ShardedKvStore,
 };
-use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset, StatsSnapshot};
+use pstack_nvram::{sweep, PMem, PMemBuilder, POffset, StatsSnapshot, Survivors};
 
 const LEN: usize = 1 << 19;
 
@@ -152,34 +152,31 @@ fn a_group_commit_is_visible_whole_or_not_at_all_at_every_cut() {
         let kv = PKvStore::format(pmem.clone(), &heap, 1, 16, KvVariant::Nsrl).unwrap();
         (pmem, kv)
     };
-    let visible = |pmem: PMem, kv: &PKvStore| {
-        let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
-        kv2.chain(0).unwrap().len()
-    };
-
     let (pmem, kv) = fresh();
     let e0 = pmem.events();
     kv.apply_batch(&ops).unwrap();
     let total = pmem.events() - e0;
-    pmem.crash_now(0, 0.0);
-    assert_eq!(visible(pmem, &kv), ops.len(), "durable once commit returns");
 
     // The commit's events: one write per record, the header's write,
-    // then the flights' lines and, after the await, the head CAS.
+    // then the flights' lines and, after the await, the head CAS. A
+    // lottery keeps any subset of the dirty lines: whole or nothing.
     let (header, cas) = (ops.len() as u64, total - 1);
-    for k in 0..total {
-        for prob in [0.0, 1.0] {
-            let (pmem, kv) = fresh();
-            pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(0, prob));
-            assert!(kv.apply_batch(&ops).unwrap_err().is_crash(), "event {k}");
-            let whole = (prob == 1.0 && k > header) || k == cas;
-            assert_eq!(
-                visible(pmem, &kv),
-                if whole { ops.len() } else { 0 },
-                "event {k} of {total}, survivors {prob}"
-            );
-        }
-    }
+    sweep(
+        fresh,
+        |(_, kv)| kv.apply_batch(&ops),
+        |(pmem, kv), cut| {
+            let kv2 = PKvStore::open(pmem, kv.base(), KvVariant::Nsrl).unwrap();
+            let visible = kv2.chain(0).unwrap().len();
+            let k = cut.event;
+            let whole = match cut.survivors {
+                Survivors::None => k >= cas,
+                Survivors::All => k > header,
+                Survivors::Half(_) if k >= cas => true,
+                Survivors::Half(_) => visible > 0,
+            };
+            assert_eq!(visible, if whole { ops.len() } else { 0 }, "{cut}");
+        },
+    );
 }
 
 #[test]

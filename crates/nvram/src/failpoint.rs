@@ -10,7 +10,8 @@
 //! crash-point enumeration possible: run an operation once to count its
 //! events, then replay it `E` times, crashing after event `1..=E`, and
 //! check that recovery succeeds from every intermediate state. The
-//! `pstack-chaos` crate builds that harness on top of this module.
+//! sweep module builds that harness on top of this one
+//! ([`sweep`](crate::sweep)).
 
 /// A crash-injection plan for a [`PMem`](crate::PMem) region.
 ///

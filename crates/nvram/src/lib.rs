@@ -59,6 +59,7 @@ pub mod psan;
 mod rootswap;
 mod stats;
 mod stripe;
+mod sweep;
 mod typed;
 
 pub use builder::{PMemBuilder, DEFAULT_CACHE_LINE, DEFAULT_REGION_LEN};
@@ -72,3 +73,4 @@ pub use psan::{op_label, OpLabelGuard, PsanViolation, PsanViolationKind, ShadowS
 pub use rootswap::{RootCell, ROOT_CELL_LEN};
 pub use stats::{MemStats, StatsSnapshot};
 pub use stripe::PMemStripe;
+pub use sweep::{sweep, Cut, Image, Survivors, Sweep};

@@ -191,8 +191,7 @@ impl RootCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::psan::PsanViolationKind;
-    use crate::{FailPlan, PMemBuilder};
+    use crate::{PMemBuilder, Survivors, Sweep};
 
     /// Writes and flushes the block a test swap publishes.
     fn block(p: &PMem, ptr: u64) -> Durable {
@@ -268,53 +267,40 @@ mod tests {
             let probe = || {
                 let p = buffered();
                 let cell = RootCell::format(p.clone(), POffset::new(base), 7, 700).unwrap();
-                (p, cell)
+                let new = block(&p, 1024);
+                (p, (cell, new))
             };
-            let (p, cell) = probe();
-            let new = block(&p, 1024);
-            let e0 = p.events();
-            cell.swap(8, 1024, 64, &new).unwrap();
-            let total = p.events() - e0;
-            assert!(
-                total >= 3,
-                "base {base}: slot writes + selector write + its line"
-            );
-
             // The half model under eight seeds: one seed rarely keeps
             // the one line of a two-line flight that would tear it.
-            let half = (0..8).map(|seed| (seed, 0.5));
-            for (seed, prob) in [(0, 0.0), (0, 1.0)].into_iter().chain(half) {
-                let mut seen = [false; 2];
-                for k in 0..total {
-                    let (p, cell) = probe();
-                    let new = block(&p, 1024);
-                    p.arm_failpoint(FailPlan::after_events(k).with_survivors(seed + k, prob));
-                    let err = cell.swap(8, 1024, 64, &new).unwrap_err();
-                    let at = format!("base {base}, survivors {prob}, crash at event {k}");
-                    assert!(matches!(err, MemError::Crashed), "{at}");
-                    let p2 = p.reopen().unwrap();
+            let survivors = Survivors::halves(8);
+            // Per survivor choice: [kept the old root, showed the new].
+            let mut seen = vec![[false; 2]; survivors.len()];
+            let events = Sweep::new().survivors(&survivors).run(
+                probe,
+                |(_, (cell, new))| cell.swap(8, 1024, 64, new),
+                |(p2, _), cut| {
+                    let at = format!("base {base}, {cut}");
                     let cell2 = RootCell::open(p2.clone(), POffset::new(base)).unwrap();
                     let got = cell2.current().unwrap();
                     assert!(
                         got == (7, 700) || got == (8, 1024),
                         "{at}: torn root {got:?}"
                     );
-                    seen[usize::from(got == (8, 1024))] = true;
-                    // Kept lines that were never durable are read as
-                    // ghosts (the emulator's generosity, not an order
-                    // violation); no order violation either way.
-                    let violations: Vec<_> = p2
-                        .psan_violations()
-                        .into_iter()
-                        .filter(|v| prob == 0.0 || v.kind != PsanViolationKind::GhostRead)
-                        .collect();
-                    assert!(violations.is_empty(), "{at}: {violations:?}");
-                }
+                    let choice = survivors.iter().position(|&s| s == cut.survivors);
+                    seen[choice.unwrap()][usize::from(got == (8, 1024))] = true;
+                    cut.assert_psan_clean(p2.psan_violations());
+                },
+            );
+            assert!(
+                events[0] >= 3,
+                "base {base}: slot writes + selector write + its line"
+            );
+            for (survivors, seen) in survivors.iter().zip(seen) {
                 assert!(
                     seen[0],
-                    "base {base}, survivors {prob}: no cut kept the old root"
+                    "base {base}, survivors {survivors:?}: no cut kept the old root"
                 );
-                if prob == 1.0 {
+                if *survivors == Survivors::All {
                     assert!(
                         seen[1],
                         "base {base}: a kept flip never showed the new root"

@@ -274,7 +274,7 @@ impl RecoverableCas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, PMemBuilder};
     use pstack_verify::{check_serializability, CasHistory, CasOp};
 
     fn fixture(n: usize, init: i64, variant: CasVariant) -> (PMem, PHeap, RecoverableCas) {
@@ -360,29 +360,23 @@ mod tests {
         // truth: true iff the operation's effect is in the history.
         // With a single process and distinct values, the register tells
         // us directly whether the op applied.
-        let probe = || fixture(1, 0, CasVariant::Nsrl);
-        let (pmem, _, cas) = probe();
-        let e0 = pmem.events();
-        assert!(cas.cas(0, 0, 5, 1).unwrap());
-        let total = pmem.events() - e0;
-        assert!(total >= 1);
-
-        for k in 0..total {
-            let (pmem, _, cas) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = cas.cas(0, 0, 5, 1).unwrap_err();
-            assert!(err.is_crash());
-            let pmem2 = pmem.reopen().unwrap();
-            let heap2 = PHeap::open(pmem2.clone(), POffset::new(0)).unwrap();
-            let cas2 = RecoverableCas::open(pmem2, cas.base(), 1, CasVariant::Nsrl);
-            let _ = heap2;
-            let result = cas2.recover(0, 0, 5, 1).unwrap();
-            assert!(
-                result,
-                "recovery must complete the op (re-executing if needed)"
-            );
-            assert_eq!(cas2.read().unwrap(), 5, "crash at event {k}");
-        }
+        let events = sweep(
+            || {
+                let (pmem, _, cas) = fixture(1, 0, CasVariant::Nsrl);
+                (pmem, cas)
+            },
+            |(_, cas)| cas.cas(0, 0, 5, 1),
+            |(pmem, cas), cut| {
+                let cas2 = RecoverableCas::open(pmem, cas.base(), 1, CasVariant::Nsrl);
+                let result = cas2.recover(0, 0, 5, 1).unwrap();
+                assert!(
+                    result,
+                    "{cut}: recovery must complete the op (re-executing if needed)"
+                );
+                assert_eq!(cas2.read().unwrap(), 5, "{cut}");
+            },
+        );
+        assert!(events[0] >= 1);
     }
 
     #[test]

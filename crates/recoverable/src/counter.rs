@@ -143,7 +143,7 @@ impl RecoverableCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, PMemBuilder};
 
     fn fixture(n: usize) -> (PMem, RecoverableCounter) {
         let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
@@ -173,22 +173,15 @@ mod tests {
 
     #[test]
     fn crash_point_enumeration_increment_recovers_exactly_once() {
-        let probe = || fixture(1);
-        let (pmem, c) = probe();
-        let e0 = pmem.events();
-        c.increment(0, 1).unwrap();
-        let total = pmem.events() - e0;
-
-        for k in 0..total {
-            let (pmem, c) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = c.increment(0, 1).unwrap_err();
-            assert!(err.is_crash());
-            let pmem2 = pmem.reopen().unwrap();
-            let c2 = RecoverableCounter::open(pmem2, c.base(), 1);
-            c2.recover_increment(0, 1).unwrap();
-            assert_eq!(c2.read().unwrap(), 1, "crash at event {k}");
-        }
+        sweep(
+            || fixture(1),
+            |(_, c)| c.increment(0, 1),
+            |(pmem, c), cut| {
+                let c2 = RecoverableCounter::open(pmem, c.base(), 1);
+                c2.recover_increment(0, 1).unwrap();
+                assert_eq!(c2.read().unwrap(), 1, "{cut}");
+            },
+        );
     }
 
     #[test]

@@ -485,7 +485,7 @@ impl RecoverableQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, PMemBuilder};
 
     fn fixture(capacity: u64, variant: QueueVariant) -> (PMem, PHeap, RecoverableQueue) {
         let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
@@ -609,52 +609,42 @@ mod tests {
     fn crash_point_enumeration_enqueue_recovery_is_exact() {
         // For every crash point inside an enqueue, recovery must
         // complete the operation exactly once.
-        let probe = || fixture(4, QueueVariant::Nsrl);
-        let (pmem, _, q) = probe();
-        let e0 = pmem.events();
-        assert!(q.enqueue(0, 1, 11).unwrap());
-        let total = pmem.events() - e0;
-        assert!(total >= 1);
-
-        for k in 0..total {
-            let (pmem, _, q) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = q.enqueue(0, 1, 11).unwrap_err();
-            assert!(err.is_crash());
-            let pmem2 = pmem.reopen().unwrap();
-            let q2 = RecoverableQueue::open(pmem2, q.base(), QueueVariant::Nsrl).unwrap();
-            assert!(q2.recover_enqueue(0, 1, 11).unwrap(), "crash at event {k}");
-            let snap = q2.snapshot().unwrap();
-            assert_eq!(snap.len(), 1, "crash at event {k}: exactly one slot");
-            assert_eq!(snap[0].value, 11);
-        }
+        let events = sweep(
+            || {
+                let (pmem, _, q) = fixture(4, QueueVariant::Nsrl);
+                (pmem, q)
+            },
+            |(_, q)| q.enqueue(0, 1, 11),
+            |(pmem, q), cut| {
+                let q2 = RecoverableQueue::open(pmem, q.base(), QueueVariant::Nsrl).unwrap();
+                assert!(q2.recover_enqueue(0, 1, 11).unwrap(), "{cut}");
+                let snap = q2.snapshot().unwrap();
+                assert_eq!(snap.len(), 1, "{cut}: exactly one slot");
+                assert_eq!(snap[0].value, 11);
+            },
+        );
+        assert!(events[0] >= 1);
     }
 
     #[test]
     fn crash_point_enumeration_dequeue_recovery_is_exact() {
         let probe = || {
-            let (pmem, heap, q) = fixture(4, QueueVariant::Nsrl);
+            let (pmem, _, q) = fixture(4, QueueVariant::Nsrl);
             q.enqueue(0, 1, 21).unwrap();
             q.enqueue(0, 2, 22).unwrap();
-            (pmem, heap, q)
+            (pmem, q)
         };
-        let (pmem, _, q) = probe();
-        let e0 = pmem.events();
-        assert_eq!(q.dequeue(1, 5).unwrap(), Some(21));
-        let total = pmem.events() - e0;
-
-        for k in 0..total {
-            let (pmem, _, q) = probe();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = q.dequeue(1, 5).unwrap_err();
-            assert!(err.is_crash());
-            let pmem2 = pmem.reopen().unwrap();
-            let q2 = RecoverableQueue::open(pmem2, q.base(), QueueVariant::Nsrl).unwrap();
-            let v = q2.recover_dequeue(1, 5).unwrap();
-            assert_eq!(v, Some(21), "crash at event {k}: FIFO answer");
-            // The second item is untouched and dequeues next.
-            assert_eq!(q2.dequeue(1, 6).unwrap(), Some(22), "crash at event {k}");
-        }
+        sweep(
+            probe,
+            |(_, q)| q.dequeue(1, 5),
+            |(pmem, q), cut| {
+                let q2 = RecoverableQueue::open(pmem, q.base(), QueueVariant::Nsrl).unwrap();
+                let v = q2.recover_dequeue(1, 5).unwrap();
+                assert_eq!(v, Some(21), "{cut}: FIFO answer");
+                // The second item is untouched and dequeues next.
+                assert_eq!(q2.dequeue(1, 6).unwrap(), Some(22), "{cut}");
+            },
+        );
     }
 
     #[test]

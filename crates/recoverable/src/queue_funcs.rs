@@ -77,7 +77,7 @@ mod tests {
     use crate::tasks::TaskAnswer;
     use pstack_core::{recover_stack, FixedStack, FunctionRegistry};
     use pstack_heap::PHeap;
-    use pstack_nvram::{FailPlan, PMem, PMemBuilder, POffset};
+    use pstack_nvram::{sweep, PMem, PMemBuilder, POffset};
 
     fn fixture(capacity: u64, ops: &[TaskOp]) -> (PMem, PHeap, RecoverableQueue, TaskTable) {
         let pmem = PMemBuilder::new().len(1 << 18).build_in_memory();
@@ -180,43 +180,39 @@ mod tests {
         // The critical §5.2-style window: the queue CAS landed but the
         // answer never persisted. Recovery must find the evidence and
         // not double-apply.
-        // One enqueue task, cut after `crash_at` events if given (the
-        // stack format happens before the countdown starts); returns its
-        // region, objects, outcome and events.
-        let enqueue = |crash_at: Option<u64>| {
+        // One enqueue task; the stack format happens before the sweep
+        // counts.
+        let setup = || {
             let (pmem, heap, q, table) = fixture(4, &[TaskOp::Enqueue(42)]);
-            let f = QueueTaskFunction::new(q.clone(), table.clone());
-            let mut stack = FixedStack::format(pmem.clone(), POffset::new(0), 4096).unwrap();
-            let e0 = pmem.events();
-            if let Some(k) = crash_at {
-                pmem.arm_failpoint(FailPlan::after_events(k));
-            }
-            let out = with_ctx((&pmem, &heap), f, &mut stack, |ctx| {
-                ctx.call(QUEUE_TASK_FUNC_ID, &0u64.to_le_bytes())
-            });
-            let events = pmem.events() - e0;
-            (pmem, q, table, out, events)
+            let stack = FixedStack::format(pmem.clone(), POffset::new(0), 4096).unwrap();
+            (pmem, (heap, q, table, stack))
         };
-        let total = enqueue(None).4;
-        for k in 0..total {
-            let (pmem, q, table, out, _) = enqueue(Some(k));
-            assert!(out.unwrap_err().is_crash(), "crash at event {k}");
-            let pmem2 = pmem.reopen().unwrap();
-            let heap2 = PHeap::open(pmem2.clone(), POffset::new(8192)).unwrap();
-            let q2 = RecoverableQueue::open(pmem2.clone(), q.base(), QueueVariant::Nsrl).unwrap();
-            let t2 = TaskTable::open(pmem2.clone(), table.base()).unwrap();
-            let f = QueueTaskFunction::new(q2.clone(), t2.clone());
-            let mut stack2 = FixedStack::open(pmem2.clone(), POffset::new(0), 4096).unwrap();
-            with_ctx((&pmem2, &heap2), f, &mut stack2, recover_stack).unwrap();
-            // Whether or not the frame linearized before the crash, the
-            // final state must hold the value at most once; if the
-            // descriptor is marked done, it must be exactly once.
-            let snap = q2.snapshot().unwrap();
-            assert!(snap.len() <= 1, "crash at event {k}: duplicate slot");
-            if let Some(ans) = t2.result(0).unwrap() {
-                assert_eq!(ans.result, TaskResult::Accepted(true));
-                assert_eq!(snap.len(), 1, "crash at event {k}: answer without slot");
-            }
-        }
+        sweep(
+            setup,
+            |(pmem, (heap, q, table, stack))| {
+                let f = QueueTaskFunction::new(q.clone(), table.clone());
+                with_ctx((pmem, heap), f, stack, |ctx| {
+                    ctx.call(QUEUE_TASK_FUNC_ID, &0u64.to_le_bytes())
+                })
+            },
+            |(pmem2, (_, q, table, _)), cut| {
+                let heap2 = PHeap::open(pmem2.clone(), POffset::new(8192)).unwrap();
+                let q2 =
+                    RecoverableQueue::open(pmem2.clone(), q.base(), QueueVariant::Nsrl).unwrap();
+                let t2 = TaskTable::open(pmem2.clone(), table.base()).unwrap();
+                let f = QueueTaskFunction::new(q2.clone(), t2.clone());
+                let mut stack2 = FixedStack::open(pmem2.clone(), POffset::new(0), 4096).unwrap();
+                with_ctx((&pmem2, &heap2), f, &mut stack2, recover_stack).unwrap();
+                // Whether or not the frame linearized before the crash,
+                // the final state must hold the value at most once; if the
+                // descriptor is marked done, it must be exactly once.
+                let snap = q2.snapshot().unwrap();
+                assert!(snap.len() <= 1, "{cut}: duplicate slot");
+                if let Some(ans) = t2.result(0).unwrap() {
+                    assert_eq!(ans.result, TaskResult::Accepted(true));
+                    assert_eq!(snap.len(), 1, "{cut}: answer without slot");
+                }
+            },
+        );
     }
 }

@@ -145,7 +145,7 @@ impl RecoverableTas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_nvram::{FailPlan, PMemBuilder};
+    use pstack_nvram::{sweep, PMemBuilder};
 
     fn fixture() -> (PMem, PHeap, RecoverableTas) {
         let pmem = PMemBuilder::new().len(1 << 14).build_in_memory();
@@ -184,21 +184,19 @@ mod tests {
 
     #[test]
     fn crash_point_enumeration_recovery_is_exact() {
-        let (pmem, _, tas) = fixture();
-        let e0 = pmem.events();
-        assert!(tas.test_and_set(1).unwrap());
-        let total = pmem.events() - e0;
-        assert!(total >= 1);
-        for k in 0..total {
-            let (pmem, _, tas) = fixture();
-            pmem.arm_failpoint(FailPlan::after_events(k));
-            let err = tas.test_and_set(1).unwrap_err();
-            assert!(err.is_crash());
-            let pmem2 = pmem.reopen().unwrap();
-            let tas2 = RecoverableTas::open(pmem2, tas.base());
-            assert!(tas2.recover(1).unwrap(), "crash at event {k}");
-            assert_eq!(tas2.winner().unwrap(), Some(1));
-        }
+        let events = sweep(
+            || {
+                let (pmem, _, tas) = fixture();
+                (pmem, tas)
+            },
+            |(_, tas)| tas.test_and_set(1),
+            |(pmem, tas), cut| {
+                let tas2 = RecoverableTas::open(pmem, tas.base());
+                assert!(tas2.recover(1).unwrap(), "{cut}");
+                assert_eq!(tas2.winner().unwrap(), Some(1));
+            },
+        );
+        assert!(events[0] >= 1);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! commits begun under it, the window awaiting its frame and every
 //! shard's descriptors before the heads, the commits moved level by
 //! level together, answer persists, acks — in each shard region and in
-//! the control region, every dirty line lost (survival 0).
+//! the control region, under every survivor choice of the crash sweep
+//! (`pstack_nvram::sweep`: none, all, four seeded halves).
 //!
 //! After each kill the system restarts, the persistent stacks replay,
 //! and the clients retry under the contract. Checked every time:
@@ -27,26 +28,25 @@
 //! * **one frame** — the round is one window, so a power cycle replays
 //!   at most one frame.
 //!
-//! A second sweep keeps what the first loses: the `CALL` cut in flight
-//! over records and tail a shard kept, with the frame's line lost and
-//! kept — nothing of the round is reachable, and each retry is
-//! answered exactly once.
+//! A second sweep cuts the `CALL` in flight over records and tail a
+//! shard kept, with the frame's line lost and kept (sixteen seeded
+//! halves reach both) — nothing of the round is reachable, and each
+//! retry is answered exactly once.
 //!
 //! A completed round's window leaves its `RET` retired into the next
 //! round's `CALL`, so a power failure anywhere between the two replays
 //! the completed window — after the round in between has acked its
 //! request, recycled its slot and admitted a new request into it. The
-//! third sweep fails at every event of such a round up to its `CALL`
-//! (and the retire after its window), with every dirty line lost, with
-//! every one kept, and with the stack's lost but the shards' kept: each
-//! request still has exactly one effect and one durable answer.
+//! third sweep fails at every event of such a round, in the control
+//! region and the shard's, under every survivor choice: each request
+//! still has exactly one effect and one durable answer.
 //!
 //! An ack's `AckOk` waits for nothing: the ack writes the slot's mark,
 //! and issues it as a flight that nothing awaits. The
 //! ack-round sweep fails at every event of an ack round — two shards'
 //! acks, with and without another client's put admitted into the slot
-//! one of them freed — and once past its end, with every dirty line
-//! lost, kept and drawn by lottery. Each slot reopens as its old
+//! one of them freed — and once past its end, under every survivor
+//! choice. Each slot reopens as its old
 //! occupant, acked or pinned (its mark cut in flight — never where a
 //! confirmed ack's line was kept), free, or the new put's; no slot stays
 //! pinned past its client's next request; each request has one effect,
@@ -60,7 +60,7 @@ mod common;
 use common::{Shape, Stack};
 use pstack_core::PError;
 use pstack_kv::{KvTaskOp, KvTaskResult};
-use pstack_nvram::{FailPlan, MemError};
+use pstack_nvram::{sweep, FailPlan, Image, MemError, Survivors, Sweep};
 use pstack_server::proto::{req_id_for, Request, RequestBody, Response};
 use pstack_server::{serve_round, Submission};
 
@@ -102,54 +102,42 @@ fn primed() -> Stack {
 /// `region`: 0 = control, 1 + shard otherwise (the order of
 /// [`Stack::events`]).
 fn arm(s: &Stack, region: usize, countdown: u64) {
-    let plan = FailPlan::after_events(countdown);
-    match region {
-        0 => s.rt.control().arm_failpoint(plan),
-        r => s.region(r - 1).arm_failpoint(plan),
-    }
+    s.regions()[region].arm_failpoint(FailPlan::after_events(countdown));
 }
 
 #[test]
 fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
-    // How many events the round spends in each region, unarmed.
-    let s = primed();
-    let before = s.events();
-    s.serve(&new_round(&s)).expect("no failure armed");
-    let spent: Vec<u64> = s
-        .events()
-        .iter()
-        .zip(&before)
-        .map(|(now, then)| now - then)
-        .collect();
-    assert!(spent.iter().all(|&n| n > 0), "every region takes part");
-
     // Per shard, the crash points in its region that leave the window's
     // frame durable over a cut descriptor flight: the drain does not
     // await the flights, the window does, after its frame.
     let mut frame_over_cut_flight = [0usize; SHAPE.shards];
-    for (region, &total) in spent.iter().enumerate() {
-        for k in 0..total {
-            let s = primed();
-            let (old, new) = ([old_round(&s).0, 0, 0, 0], new_round(&s));
-            arm(&s, region, k);
-            assert!(
-                s.serve(&new).is_none(),
-                "region {region} event {k}: the failure must show in the round it hits"
-            );
-
+    let probe = primed();
+    let (old, new) = ([old_round(&probe).0, 0, 0, 0], new_round(&probe));
+    let events = sweep(
+        primed,
+        |s| s.serve(&new).ok_or("the power failed"),
+        |s, cut| {
             let s = s.power_cycle();
             assert!(
                 s.replayed <= 1,
-                "region {region} event {k}: {} frames replayed for one round",
+                "{cut}: {} frames replayed for one round",
                 s.replayed
             );
             assert!(
                 s.records_of(0).is_empty(),
-                "region {region} event {k}: a window ran over a never-used slot"
+                "{cut}: a window ran over a never-used slot"
             );
+            if cut.returned() {
+                // Every request answered once; its acks' marks may be
+                // cut in flight (the ack-round sweep follows those).
+                for &(new_id, _) in &new {
+                    assert_eq!(s.records_of(new_id).len(), 1, "{cut}: exactly one effect");
+                }
+                return;
+            }
             for (shard, (&old_id, &(new_id, _))) in old.iter().zip(&new).enumerate() {
                 let table = s.table(shard);
-                let at = format!("region {region} event {k} shard {shard}");
+                let at = format!("{cut} shard {shard}");
                 match table.req_id(0).unwrap() {
                     id if id == old_id => {
                         // The staged descriptor never became durable:
@@ -166,7 +154,7 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
                             s.records_of(new_id).is_empty(),
                             "{at}: effect without descriptor"
                         );
-                        if region == 1 + shard && s.replayed > 0 {
+                        if cut.region == 1 + shard && s.replayed > 0 {
                             frame_over_cut_flight[shard] += 1;
                         }
                     }
@@ -179,6 +167,16 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
                             assert_eq!(s.records_of(new_id).len(), 1, "{at}");
                         }
                     },
+                    // The recycle's first store kept alone: a free slot,
+                    // nothing promised to the new request.
+                    0 => {
+                        assert_ne!(cut.survivors, Survivors::None, "{at}");
+                        assert_eq!(table.live(), 0, "{at}");
+                        assert!(
+                            s.records_of(new_id).is_empty(),
+                            "{at}: effect without descriptor"
+                        );
+                    }
                     other => panic!("{at}: torn identity {other:#x}"),
                 }
             }
@@ -186,7 +184,7 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
             // The clients retry the round (same ids) until it is done.
             let answers = s.serve(&new).expect("no failure armed after the restart");
             for (shard, (&(new_id, op), answer)) in new.iter().zip(&answers).enumerate() {
-                let at = format!("region {region} event {k} shard {shard}");
+                let at = format!("{cut} shard {shard}");
                 assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
                 assert_eq!(s.records_of(new_id).len(), 1, "{at}: exactly one effect");
                 let KvTaskOp::Put { key, value } = op else {
@@ -205,9 +203,10 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
                 .serve(&[(req_id_for(3, 1), KvTaskOp::Get { key })])
                 .unwrap();
             assert_eq!(read[0].result, KvTaskResult::Got(Some(value)));
-            s.assert_psan_clean();
-        }
-    }
+            s.assert_psan_clean_after(cut);
+        },
+    );
+    assert!(events.iter().all(|&n| n > 0), "every region takes part");
     assert!(
         frame_over_cut_flight.iter().all(|&n| n > 0),
         "each shard region must be cut between its window's CALL and its descriptors' \
@@ -219,66 +218,71 @@ fn a_power_failure_at_every_event_of_a_round_keeps_exactly_once() {
 fn a_call_cut_in_flight_over_durable_records_leaves_them_unreachable() {
     // A window begins its group commits under its own CALL's flight and
     // awaits the frame only right before the heads. Cut the power at
-    // every event of shard 0's region in the round with all of shard
-    // 0's dirty lines kept — its records and tail durable as far as
-    // they were written — and the control region's, where the CALL's
-    // line is, lost or kept. Wherever the CALL was still in flight no
-    // record of the round is reachable on the reopened store, with the
-    // frame or without it; the replay (frame kept) or the retry (frame
-    // lost) answers each request exactly once, and the staged records
-    // stay orphans.
-    let s = primed();
-    let before = s.events()[1];
-    s.serve(&new_round(&s)).expect("no failure armed");
-    let total = s.events()[1] - before;
+    // every event of shard 0's region in the round, under every
+    // survivor choice — shard 0's records and tail durable as far as
+    // they were written when its lines are kept, and the control
+    // region's CALL line lost or kept. Wherever the CALL was still in
+    // flight no record of the round is reachable on the reopened store,
+    // with the frame or without it; the replay (frame kept) or the
+    // retry (frame lost) answers each request exactly once, and the
+    // staged records stay orphans.
+    let probe = primed();
+    let new = new_round(&probe);
+    let reserved = probe.store().log_reserved_per_shard().unwrap()[0];
+    // The round's window, as its frame names it.
+    for &(req_id, op) in &new {
+        probe.core.submit(req_id, op).unwrap();
+    }
+    let window = probe.core.drain_tasks().0.remove(0).args;
 
     // [frame lost, frame kept]: cuts of a CALL in flight over shard
     // 0's durable records and tail.
     let mut over_durable_records = [0usize; 2];
-    for k in 0..total {
-        for (kept, control) in [0.0, 1.0].into_iter().enumerate() {
-            let at = format!("shard 0 event {k}, control survivors {control}");
-            let mut s = primed();
-            let new = new_round(&s);
-            let reserved = s.store().log_reserved_per_shard().unwrap()[0];
-            // The shard that fails keeps every line; the others and the
-            // control region take `control`.
-            s.rt = s.rt.clone().crash_seed(k).crash_survival(control);
-            let plan = FailPlan::after_events(k).with_survivors(k, 1.0);
-            s.region(0).arm_failpoint(plan);
-            assert!(s.serve(&new).is_none(), "{at}");
+    // Sixteen halves: a frame lost over durable records needs shard 0's
+    // header line kept and the control region's CALL line lost, which
+    // four halves at the few events of a CALL in flight may all miss.
+    let survivors = Survivors::halves(16);
+    Sweep::new().survivors(&survivors).regions(&[1]).run(
+        primed,
+        |s| s.serve(&new).ok_or("the power failed"),
+        |s, cut| {
             let call_cut = s.rt.control().stats().snapshot().flights_cut > 0;
-
-            let mut staged_durable = false;
-            let s = s.power_cycle_with(|exec| {
+            let (mut staged_durable, mut frame_kept) = (false, false);
+            let s = s.power_cycle_with(|rt, exec| {
+                let stack = rt.runtime().open_stack(0).unwrap();
+                let top = stack.frame_record(stack.depth()).unwrap();
+                frame_kept = stack.depth() > 0 && top.args == window;
                 let store = exec.store();
                 staged_durable = store.log_reserved_per_shard().unwrap()[0] > reserved;
                 if call_cut {
                     for &(req_id, _) in &new {
                         let reached = common::records_in(store, req_id);
-                        assert!(reached.is_empty(), "{at}: {req_id:#x} published");
+                        assert!(reached.is_empty(), "{cut}: {req_id:#x} published");
                     }
                 }
             });
             if call_cut && staged_durable {
-                over_durable_records[kept] += 1;
+                over_durable_records[usize::from(frame_kept)] += 1;
+            }
+            if cut.returned() {
+                return;
             }
 
             let answers = s.serve(&new).expect("no failure armed after the restart");
             for (&(req_id, _), answer) in new.iter().zip(&answers) {
-                assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
+                assert_eq!(answer.result, KvTaskResult::Stored(true), "{cut}");
                 assert_eq!(
                     s.records_of(req_id).len(),
                     1,
-                    "{at}: {req_id:#x} one effect"
+                    "{cut}: {req_id:#x} one effect"
                 );
             }
             if call_cut && staged_durable {
                 let now = s.store().log_reserved_per_shard().unwrap()[0];
-                assert!(now >= reserved + 2, "{at}: the orphan and the effect");
+                assert!(now >= reserved + 2, "{cut}: the orphan and the effect");
             }
-        }
-    }
+        },
+    );
     assert!(
         over_durable_records.iter().all(|&n| n > 0),
         "a CALL cut in flight over durable records, its line lost and kept: \
@@ -386,90 +390,57 @@ fn a_power_failure_between_a_completed_window_and_the_next_call_keeps_exactly_on
         let key = s.key_on(0, 6);
         (req_id_for(2, 1), KvTaskOp::Put { key, value: 26 })
     };
-    // Round 2's events: shard 0's before its window (ack, staged
-    // descriptor, drain flight), the control region's in its run (CALL,
-    // then the retire after the window).
-    let (twin, old) = completed_unacked();
-    let before = twin.events();
-    assert!(twin.core.ack(old.0).unwrap());
-    twin.core.submit(new(&twin).0, new(&twin).1).unwrap();
-    let (tasks, _) = twin.core.drain_tasks();
-    let admission = twin.events()[1] - before[1];
-    assert_eq!(
-        twin.events()[0],
-        before[0],
-        "admission leaves the stack alone"
-    );
-    assert!(!twin.rt.run_tasks(tasks).crashed);
-    let run = twin.events()[0] - before[0];
-
-    // (survivors in the control region, survivors in the shards)
-    let survivors = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)];
+    // Round 2's events: shard 0's (ack, staged descriptor, drain
+    // flight, then its window's), the control region's in its run
+    // (CALL, then the retire after the window).
+    let (probe, old) = completed_unacked();
+    let new = new(&probe);
     let mut replayed_over_the_new_put = 0;
-    for (region, total) in [(0, run), (1, admission)] {
-        for k in 0..total {
-            for (control, shards) in survivors {
-                let at = format!("region {region} event {k}, survivors {control} / {shards}");
-                let (mut s, old) = completed_unacked();
-                let new = new(&s);
-                s.rt = s.rt.clone().crash_seed(k).crash_survival(shards);
-                let plan = FailPlan::after_events(k);
-                match region {
-                    0 => {
-                        s.rt.control()
-                            .arm_failpoint(plan.with_survivors(k, control))
-                    }
-                    _ => s.region(0).arm_failpoint(plan.with_survivors(k, shards)),
-                }
-                let err = recycle_and_run(&s, old.0, new).unwrap_err();
-                assert!(err.is_crash(), "{at}: {err}");
-                s.rt.control().crash_now(k, control);
-                s.rt.stripe().crash_all(k, shards);
-
-                let s = s.power_cycle();
-                assert!(s.replayed <= 1, "{at}: {} frames replayed", s.replayed);
-                let table = s.table(0);
-                if region == 1 && s.replayed == 1 && table.req_id(0).unwrap() == new.0 {
-                    // The completed window, replayed over its recycled
-                    // slot: the new put ran through its recovery dual.
-                    assert!(table.result(0).unwrap().is_some(), "{at}");
-                    replayed_over_the_new_put += 1;
-                }
-                // The §5.2 re-enqueue: whatever is still pending never
-                // started.
-                let pending = s.core.exec().pending_tasks(SHAPE.batch).unwrap();
-                let report = s.rt.run_tasks(pending);
-                assert!(!report.crashed && report.task_errors == 0, "{at}");
-                // Round 1's client retransmits its unconfirmed ack (acks
-                // are idempotent), the new put's client its request.
-                s.core.ack(old.0).unwrap();
-                let answers = s.serve(&[new]).expect("no failure armed after the restart");
-                assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
-                for (req_id, op) in [old, new] {
-                    assert_eq!(
-                        s.records_of(req_id).len(),
-                        1,
-                        "{at}: {req_id:#x} one effect"
-                    );
-                    let KvTaskOp::Put { key, .. } = op else {
-                        unreachable!()
-                    };
-                    assert!(s.store().get(key).unwrap().is_some(), "{at}");
-                }
-                let table = s.table(0);
-                assert_eq!(table.req_id(0).unwrap(), new.0, "{at}");
-                assert_eq!(
-                    table.result(0).unwrap().map(|a| a.result),
-                    Some(KvTaskResult::Stored(true)),
-                    "{at}: one durable answer"
-                );
-                if (control, shards) == (0.0, 0.0) {
-                    // Kept lines are read back as ghosts otherwise.
-                    s.assert_psan_clean();
-                }
+    let events = sweep(
+        || completed_unacked().0,
+        |s| recycle_and_run(s, old.0, new),
+        |s, cut| {
+            let s = s.power_cycle();
+            assert!(s.replayed <= 1, "{cut}: {} frames replayed", s.replayed);
+            let table = s.table(0);
+            if cut.region == 1 && s.replayed == 1 && table.req_id(0).unwrap() == new.0 {
+                // The completed window, replayed over its recycled
+                // slot: the new put ran through its recovery dual.
+                assert!(table.result(0).unwrap().is_some(), "{cut}");
+                replayed_over_the_new_put += 1;
             }
-        }
-    }
+            // The §5.2 re-enqueue: whatever is still pending never
+            // started.
+            let pending = s.core.exec().pending_tasks(SHAPE.batch).unwrap();
+            let report = s.rt.run_tasks(pending);
+            assert!(!report.crashed && report.task_errors == 0, "{cut}");
+            // Round 1's client retransmits its unconfirmed ack (acks
+            // are idempotent), the new put's client its request.
+            s.core.ack(old.0).unwrap();
+            let answers = s.serve(&[new]).expect("no failure armed after the restart");
+            assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{cut}");
+            for (req_id, op) in [old, new] {
+                assert_eq!(
+                    s.records_of(req_id).len(),
+                    1,
+                    "{cut}: {req_id:#x} one effect"
+                );
+                let KvTaskOp::Put { key, .. } = op else {
+                    unreachable!()
+                };
+                assert!(s.store().get(key).unwrap().is_some(), "{cut}");
+            }
+            let table = s.table(0);
+            assert_eq!(table.req_id(0).unwrap(), new.0, "{cut}");
+            assert_eq!(
+                table.result(0).unwrap().map(|a| a.result),
+                Some(KvTaskResult::Stored(true)),
+                "{cut}: one durable answer"
+            );
+            s.assert_psan_clean_after(cut);
+        },
+    );
+    assert!(events[0] > 0 && events[1] > 0);
     assert!(
         replayed_over_the_new_put > 0,
         "a completed window must be replayed over a recycled slot whose new \
@@ -542,131 +513,104 @@ fn an_ack_round_cut_anywhere_keeps_one_effect_and_no_lasting_pin() {
     // [pinned, acked, recycle's first store, new occupant]: what shard
     // 0's slot showed after a power failure inside the round.
     let mut seen = [[0usize; 4]; 2];
+    let (probe, acked) = two_unacked();
+    let new = new(&probe);
     for (shape, admit) in [true, false].into_iter().enumerate() {
-        let (twin, acked) = two_unacked();
-        let before = twin.events();
-        round(&twin, acked, admit).unwrap();
-        let spent: Vec<u64> = twin.events()[..3]
-            .iter()
-            .zip(&before)
-            .map(|(now, then)| now - then)
-            .collect();
+        let events = Sweep::new().regions(&[0, 1, 2]).run(
+            || two_unacked().0,
+            |s| {
+                let responses = round(s, acked, admit)?;
+                for req_id in acked {
+                    assert!(responses.contains(&Response::AckOk { req_id }));
+                }
+                Ok::<_, PError>(())
+            },
+            |s, cut| {
+                let confirmed = cut.returned();
+                let s = s.power_cycle();
+                for (shard, &old_id) in acked.iter().enumerate() {
+                    let table = s.table(shard);
+                    let at = format!("admit {admit}, {cut} shard {shard}");
+                    match table.req_id(0).unwrap() {
+                        id if id == old_id => {
+                            // Never the old id over a cleared state:
+                            // the slot is done, acked by its mark or
+                            // pinned — never for a confirmed ack
+                            // whose line was kept, and never under a
+                            // recycle that ran.
+                            let answer = table.result(0).unwrap().map(|a| a.result);
+                            assert_eq!(answer, Some(KvTaskResult::Stored(true)), "{at}");
+                            let acked = table.acked(0).unwrap();
+                            assert_eq!(table.live(), u64::from(!acked), "{at}");
+                            let kept = confirmed && cut.survivors == Survivors::All;
+                            assert!(acked || !kept, "{at}: a kept mark lost");
+                            let recycled = shard == 0 && admit && confirmed;
+                            assert!(!recycled, "{at}: the recycle's put lost");
+                            if shard == 0 {
+                                seen[shape][usize::from(acked)] += 1;
+                            }
+                        }
+                        // The recycle's first store: a free slot.
+                        0 if shard == 0 && admit => seen[shape][2] += 1,
+                        id if shard == 0 && admit && id == new.0 => {
+                            // The new occupant, with its own answer
+                            // or none — never the old one's.
+                            if let Some(answer) = table.result(0).unwrap() {
+                                assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
+                                assert_eq!(s.records_of(new.0).len(), 1, "{at}");
+                            }
+                            seen[shape][3] += 1;
+                        }
+                        other => panic!("{at}: torn identity {other:#x}"),
+                    }
+                }
+
+                // The clients retransmit what was not confirmed: the
+                // acks free the slots they pinned, and the new put's
+                // client retries it (answered from the table if it
+                // ran) and acks it. Then client 1 sends its next put
+                // into each shard: admitted, whatever the failure
+                // kept — a confirmed ack pins no slot past it.
+                let at = format!("admit {admit}, {cut}");
+                if !confirmed {
+                    serve_round(&s.core, &s.rt, &acks(acked)).expect("no failure armed");
+                }
+                if admit {
+                    let answers = s.serve(&[new]).expect("no failure armed");
+                    assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
+                }
+                for (shard, seq) in [(0, 3), (1, 4)] {
+                    let answers = s.serve(&[next(&s, shard, seq)]).expect("no failure armed");
+                    assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
+                }
+                for shard in 0..SHAPE.shards {
+                    assert_eq!(s.table(shard).live(), 0, "{at} shard {shard}: a slot leaks");
+                }
+                // A buggy retransmission of an acked id is shed, its
+                // slot gone to a later put.
+                for (shard, req_id) in acked.into_iter().enumerate() {
+                    let key = s.key_on(shard, 5);
+                    let op = KvTaskOp::Put { key, value: 99 };
+                    let shed = s.core.submit(req_id, op).unwrap();
+                    assert_eq!(shed, Submission::Stale, "{at}");
+                }
+                let nexts = [3, 4].map(|seq| req_id_for(1, seq));
+                let effects = acked.into_iter().chain(nexts).chain(admit.then_some(new.0));
+                for req_id in effects {
+                    assert_eq!(
+                        s.records_of(req_id).len(),
+                        1,
+                        "{at}: {req_id:#x} one effect"
+                    );
+                }
+                s.assert_psan_clean_after(cut);
+            },
+        );
         assert_eq!(
-            spent[0] > 0,
+            events[0] > 0,
             admit,
             "only a round with a window runs a frame"
         );
-
-        for (region, &total) in spent.iter().enumerate() {
-            for k in 0..=total {
-                for survivors in [0.0, 1.0, 0.5] {
-                    let at =
-                        format!("admit {admit}, region {region} event {k}, survivors {survivors}");
-                    let (mut s, acked) = two_unacked();
-                    let new = new(&s);
-                    s.rt = s.rt.clone().crash_seed(k).crash_survival(survivors);
-                    match region {
-                        0 => s.rt.control(),
-                        r => s.region(r - 1),
-                    }
-                    .arm_failpoint(FailPlan::after_events(k).with_survivors(k, survivors));
-                    let confirmed = match round(&s, acked, admit) {
-                        Ok(responses) => {
-                            assert_eq!(k, total, "{at}: only a round left unarmed completes");
-                            for req_id in acked {
-                                assert!(responses.contains(&Response::AckOk { req_id }), "{at}");
-                            }
-                            true
-                        }
-                        Err(e) => {
-                            assert!(e.is_crash(), "{at}: {e}");
-                            false
-                        }
-                    };
-                    s.rt.control().crash_now(k, survivors);
-                    s.rt.stripe().crash_all(k, survivors);
-
-                    let s = s.power_cycle();
-                    for (shard, &old_id) in acked.iter().enumerate() {
-                        let table = s.table(shard);
-                        let at = format!("{at} shard {shard}");
-                        match table.req_id(0).unwrap() {
-                            id if id == old_id => {
-                                // Never the old id over a cleared state:
-                                // the slot is done, acked by its mark or
-                                // pinned — never for a confirmed ack
-                                // whose line was kept, and never under a
-                                // recycle that ran.
-                                let answer = table.result(0).unwrap().map(|a| a.result);
-                                assert_eq!(answer, Some(KvTaskResult::Stored(true)), "{at}");
-                                let acked = table.acked(0).unwrap();
-                                assert_eq!(table.live(), u64::from(!acked), "{at}");
-                                let kept = confirmed && survivors == 1.0;
-                                assert!(acked || !kept, "{at}: a kept mark lost");
-                                let recycled = shard == 0 && admit && confirmed;
-                                assert!(!recycled, "{at}: the recycle's put lost");
-                                if shard == 0 {
-                                    seen[shape][usize::from(acked)] += 1;
-                                }
-                            }
-                            // The recycle's first store: a free slot.
-                            0 if shard == 0 && admit => seen[shape][2] += 1,
-                            id if shard == 0 && admit && id == new.0 => {
-                                // The new occupant, with its own answer
-                                // or none — never the old one's.
-                                if let Some(answer) = table.result(0).unwrap() {
-                                    assert_eq!(answer.result, KvTaskResult::Stored(true), "{at}");
-                                    assert_eq!(s.records_of(new.0).len(), 1, "{at}");
-                                }
-                                seen[shape][3] += 1;
-                            }
-                            other => panic!("{at}: torn identity {other:#x}"),
-                        }
-                    }
-
-                    // The clients retransmit what was not confirmed: the
-                    // acks free the slots they pinned, and the new put's
-                    // client retries it (answered from the table if it
-                    // ran) and acks it. Then client 1 sends its next put
-                    // into each shard: admitted, whatever the failure
-                    // kept — a confirmed ack pins no slot past it.
-                    if !confirmed {
-                        serve_round(&s.core, &s.rt, &acks(acked)).expect("no failure armed");
-                    }
-                    if admit {
-                        let answers = s.serve(&[new]).expect("no failure armed");
-                        assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
-                    }
-                    for (shard, seq) in [(0, 3), (1, 4)] {
-                        let answers = s.serve(&[next(&s, shard, seq)]).expect("no failure armed");
-                        assert_eq!(answers[0].result, KvTaskResult::Stored(true), "{at}");
-                    }
-                    for shard in 0..SHAPE.shards {
-                        assert_eq!(s.table(shard).live(), 0, "{at} shard {shard}: a slot leaks");
-                    }
-                    // A buggy retransmission of an acked id is shed, its
-                    // slot gone to a later put.
-                    for (shard, req_id) in acked.into_iter().enumerate() {
-                        let key = s.key_on(shard, 5);
-                        let op = KvTaskOp::Put { key, value: 99 };
-                        let shed = s.core.submit(req_id, op).unwrap();
-                        assert_eq!(shed, Submission::Stale, "{at}");
-                    }
-                    let nexts = [3, 4].map(|seq| req_id_for(1, seq));
-                    let effects = acked.into_iter().chain(nexts).chain(admit.then_some(new.0));
-                    for req_id in effects {
-                        assert_eq!(
-                            s.records_of(req_id).len(),
-                            1,
-                            "{at}: {req_id:#x} one effect"
-                        );
-                    }
-                    if survivors == 0.0 {
-                        s.assert_psan_clean();
-                    }
-                }
-            }
-        }
     }
     let [recycled, ack_only] = seen;
     assert!(

@@ -11,7 +11,7 @@ use pstack_core::{RecoveryMode, RuntimeConfig, StripedRuntime};
 use pstack_kv::{
     shard_of, KvRequestTable, KvTaskAnswer, KvTaskOp, KvVariant, ShardedKvStore, VersionRecord,
 };
-use pstack_nvram::{PMem, PMemBuilder, StatsSnapshot};
+use pstack_nvram::{Cut, FailPlan, Image, PMem, PMemBuilder, StatsSnapshot};
 use pstack_server::proto::{Request, RequestBody, Response};
 use pstack_server::{serve_round, KvServeFunction, ServerCore};
 
@@ -83,11 +83,10 @@ impl Stack {
         )
     }
 
-    /// Persistence events so far, control region first, then shards.
+    /// Persistence events so far, control region first, then shards
+    /// (the order of [`Image::regions`]).
     pub fn events(&self) -> Vec<u64> {
-        let mut v = vec![self.rt.control().events()];
-        v.extend(self.rt.stripe().events_per_region());
-        v
+        self.regions().iter().map(PMem::events).collect()
     }
 
     /// A key whose home is `shard`, the `nth` such key.
@@ -142,12 +141,15 @@ impl Stack {
     /// stacks replay their interrupted frames, a fresh front end takes
     /// over.
     pub fn power_cycle(self) -> Stack {
-        self.power_cycle_with(|_| {})
+        self.power_cycle_with(|_, _| {})
     }
 
     /// [`Stack::power_cycle`], with `inspect` shown the re-attached
-    /// store and tables before the stacks replay anything.
-    pub fn power_cycle_with(self, inspect: impl FnOnce(&KvServeFunction)) -> Stack {
+    /// runtime, store and tables before the stacks replay anything.
+    pub fn power_cycle_with(
+        self,
+        inspect: impl FnOnce(&StripedRuntime, &KvServeFunction),
+    ) -> Stack {
         self.rt.crash_all(0, 0.0);
         let mut attached = None;
         let rt = self
@@ -158,7 +160,7 @@ impl Stack {
                 exec.registry()
             })
             .unwrap();
-        inspect(attached.as_ref().unwrap());
+        inspect(&rt, attached.as_ref().unwrap());
         let report = rt
             .recover_with(RecoveryMode::Serial, |_, _| Ok(()))
             .unwrap();
@@ -181,6 +183,39 @@ impl Stack {
         let mut v = self.rt.stripe().psan_violations();
         v.extend(self.rt.control().psan_violations());
         assert!(v.is_empty(), "sanitizer findings: {v:?}");
+    }
+
+    /// [`Stack::assert_psan_clean`] after `cut`, whose kept lines read
+    /// as ghosts.
+    pub fn assert_psan_clean_after(&self, cut: &Cut) {
+        let mut v = self.rt.stripe().psan_violations();
+        v.extend(self.rt.control().psan_violations());
+        cut.assert_psan_clean(v);
+    }
+}
+
+/// A crash sweep cuts the served stack in one region — the control
+/// region is 0, shard `i`'s is `1 + i` — and the runtime takes the
+/// others down with the cut's survivors.
+/// The stack comes back crashed: its check reboots it with
+/// [`Stack::power_cycle`], and may look at the image first.
+impl Image for Stack {
+    type Reopened = Stack;
+
+    fn regions(&self) -> Vec<PMem> {
+        let mut regions = vec![self.rt.control().clone()];
+        regions.extend_from_slice(self.rt.stripe().regions());
+        regions
+    }
+
+    fn arm(&mut self, region: usize, plan: FailPlan) {
+        let rt = self.rt.clone().crash_seed(plan.survivor_seed);
+        self.rt = rt.crash_survival(plan.survival_prob);
+        self.regions()[region].arm_failpoint(plan);
+    }
+
+    fn reopen(self) -> Stack {
+        self
     }
 }
 

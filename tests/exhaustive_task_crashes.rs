@@ -6,11 +6,10 @@
 //! an enqueue, a dequeue that returns a value or a dequeue of an empty
 //! queue, each on every stack layout, all on the one descriptor table.
 
-use pstack::chaos::{enumerate_crash_points, CrashScenario};
 use pstack::core::{
     FunctionRegistry, PError, RecoveryMode, Runtime, RuntimeConfig, StackKind, Task,
 };
-use pstack::nvram::{PMem, PMemBuilder, POffset};
+use pstack::nvram::{sweep, PMem, PMemBuilder, POffset};
 use pstack::recoverable::{
     CasTaskFunction, CasVariant, QueueSlot, QueueTaskFunction, QueueVariant, RecoverableCas,
     RecoverableQueue, TaskOp, TaskResult, TaskTable, CAS_TASK_FUNC_ID, QUEUE_TASK_FUNC_ID,
@@ -78,16 +77,7 @@ impl Objects {
     }
 }
 
-struct FullTaskScenario {
-    kind: StackKind,
-    case: &'static Case,
-    /// The state before and after the last task, from a clean run.
-    before: State,
-    after: State,
-}
-
 struct System {
-    pmem: PMem,
     runtime: Runtime,
     objects: Objects,
 }
@@ -107,129 +97,100 @@ fn attach(pmem: &PMem) -> Result<(FunctionRegistry, Objects), PError> {
     Ok((registry, Objects { cas, queue, table }))
 }
 
-impl FullTaskScenario {
-    fn new(kind: StackKind, case: &'static Case) -> Self {
-        let mut scenario = FullTaskScenario {
-            kind,
-            case,
-            before: (0, Vec::new()),
-            after: (0, Vec::new()),
-        };
-        let (_, mut sys) = scenario.setup().unwrap();
-        scenario.before = sys.objects.state().unwrap();
-        scenario.run(&mut sys).unwrap();
-        scenario.after = sys.objects.state().unwrap();
-        let last = sys.objects.last();
-        let answer = sys.objects.table.result(last).unwrap();
-        assert_eq!(answer.map(|a| a.result), Some(case.answer), "clean run");
-        scenario
+/// Formats the region, the objects and their table, and runs every
+/// descriptor but the last.
+fn setup(kind: StackKind, case: &Case) -> Result<(PMem, System), PError> {
+    let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
+    let stub = FunctionRegistry::new();
+    let rt = Runtime::format(
+        pmem.clone(),
+        RuntimeConfig::new(1).stack_kind(kind).stack_capacity(4096),
+        &stub,
+    )?;
+    let cas = RecoverableCas::format(pmem.clone(), rt.heap(), 1, INIT, CasVariant::Nsrl)?;
+    let queue = RecoverableQueue::format(pmem.clone(), rt.heap(), 2, QueueVariant::Nsrl)?;
+    let table = TaskTable::format(pmem.clone(), rt.heap(), case.ops)?;
+    let bases = [cas.base(), queue.base(), table.base()];
+    for (i, base) in bases.into_iter().enumerate() {
+        pmem.write_u64(POffset::new(64 + 8 * i as u64), base.get())?;
+    }
+    pmem.flush(POffset::new(64), 24)?;
+    let (registry, objects) = attach(&pmem)?;
+    let runtime = Runtime::open(pmem.clone(), &registry)?;
+    let earlier = (0..objects.last()).map(|i| objects.task(i));
+    let report = runtime.run_tasks(earlier.collect::<Result<Vec<_>, _>>()?);
+    assert_eq!(report.completed, objects.last(), "setup's descriptors");
+    Ok((pmem, System { runtime, objects }))
+}
+
+/// Runs the last descriptor's task.
+fn run((pmem, sys): &mut (PMem, System)) -> Result<(), PError> {
+    let task = sys.objects.task(sys.objects.last())?;
+    let report = sys.runtime.run_tasks(vec![task]);
+    if report.crashed || pmem.is_crashed() {
+        Err(PError::Mem(pstack::nvram::MemError::Crashed))
+    } else {
+        Ok(())
     }
 }
 
-impl CrashScenario for FullTaskScenario {
-    type System = System;
+/// Recovers the reopened region and checks that the last descriptor
+/// never started or completed exactly once, resubmitting it if pending.
+fn verify(pmem: &PMem, case: &Case, (before, after): (&State, &State), at: &str) {
+    let (registry, objects) = attach(pmem).unwrap();
+    let rt = Runtime::open(pmem.clone(), &registry).unwrap();
+    rt.recover(RecoveryMode::Parallel).unwrap();
 
-    fn setup(&self) -> Result<(PMem, System), PError> {
-        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
-        let stub = FunctionRegistry::new();
-        let rt = Runtime::format(
-            pmem.clone(),
-            RuntimeConfig::new(1)
-                .stack_kind(self.kind)
-                .stack_capacity(4096),
-            &stub,
-        )?;
-        let cas = RecoverableCas::format(pmem.clone(), rt.heap(), 1, INIT, CasVariant::Nsrl)?;
-        let queue = RecoverableQueue::format(pmem.clone(), rt.heap(), 2, QueueVariant::Nsrl)?;
-        let table = TaskTable::format(pmem.clone(), rt.heap(), self.case.ops)?;
-        let bases = [cas.base(), queue.base(), table.base()];
-        for (i, base) in bases.into_iter().enumerate() {
-            pmem.write_u64(POffset::new(64 + 8 * i as u64), base.get())?;
-        }
-        pmem.flush(POffset::new(64), 24)?;
-        let (registry, objects) = attach(&pmem)?;
-        let runtime = Runtime::open(pmem.clone(), &registry)?;
-        let earlier = (0..objects.last()).map(|i| objects.task(i));
-        let report = runtime.run_tasks(earlier.collect::<Result<Vec<_>, _>>()?);
-        assert_eq!(report.completed, objects.last(), "setup's descriptors");
-        Ok((
-            pmem.clone(),
-            System {
-                pmem,
-                runtime,
-                objects,
-            },
-        ))
+    // The stack is balanced after recovery.
+    let stack = rt.open_stack(0).unwrap();
+    assert_eq!(stack.depth(), 0, "{at}: stack depth after recovery");
+    stack.check_consistency().unwrap();
+
+    // The descriptor either never started (crash before the frame
+    // linearized) or completed exactly once with the right answer —
+    // and the objects agree with the recorded answer.
+    let last = objects.last();
+    let answered = || objects.table.result(last).unwrap().map(|a| a.result);
+    let state = objects.state().unwrap();
+    if let Some(answer) = answered() {
+        assert_eq!(answer, case.answer, "{at}: answer");
+        assert_eq!(state, *after, "{at}: answered, but state");
+        return;
     }
-
-    fn run(&self, sys: &mut System) -> Result<(), PError> {
-        let task = sys.objects.task(sys.objects.last())?;
-        let report = sys.runtime.run_tasks(vec![task]);
-        if report.crashed || sys.pmem.is_crashed() {
-            Err(PError::Mem(pstack::nvram::MemError::Crashed))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn verify(&self, pmem: PMem, crash_event: u64) -> Result<(), PError> {
-        let fail = |msg: String| -> Result<(), PError> {
-            Err(PError::CorruptStack(format!("event {crash_event}: {msg}")))
-        };
-        let (registry, objects) = attach(&pmem)?;
-        let rt = Runtime::open(pmem.clone(), &registry)?;
-        rt.recover(RecoveryMode::Parallel)?;
-
-        // The stack is balanced after recovery.
-        let stack = rt.open_stack(0)?;
-        if stack.depth() != 0 {
-            return fail(format!("stack depth {} after recovery", stack.depth()));
-        }
-        stack.check_consistency()?;
-
-        // The descriptor either never started (crash before the frame
-        // linearized) or completed exactly once with the right answer —
-        // and the objects agree with the recorded answer.
-        let last = objects.last();
-        let answered = |objects: &Objects| -> Result<Option<TaskResult>, PError> {
-            Ok(objects.table.result(last)?.map(|a| a.result))
-        };
-        match answered(&objects)? {
-            Some(answer) if answer != self.case.answer => fail(format!("answer {answer:?}")),
-            Some(_) if objects.state()? != self.after => {
-                fail(format!("answered, but state {:?}", objects.state()?))
-            }
-            Some(_) => Ok(()),
-            None if objects.state()? != self.before => {
-                fail(format!("pending, but state {:?}", objects.state()?))
-            }
-            None => {
-                // Resubmitting the task must complete it.
-                let report = rt.run_tasks(vec![objects.task(last)?]);
-                if report.completed != 1 {
-                    return fail("resubmission did not complete".into());
-                }
-                if answered(&objects)? != Some(self.case.answer) || objects.state()? != self.after {
-                    return fail("resubmitted task has wrong outcome".into());
-                }
-                Ok(())
-            }
-        }
-    }
+    assert_eq!(state, *before, "{at}: pending, but state");
+    // Resubmitting the task must complete it.
+    let report = rt.run_tasks(vec![objects.task(last).unwrap()]);
+    assert_eq!(report.completed, 1, "{at}: resubmission did not complete");
+    assert_eq!(answered(), Some(case.answer), "{at}: resubmitted answer");
+    assert_eq!(objects.state().unwrap(), *after, "{at}: resubmitted state");
 }
 
 #[test]
 fn every_crash_point_of_a_full_task_recovers_exactly_once() {
     for kind in [StackKind::Fixed, StackKind::Vec, StackKind::List] {
         for case in &CASES {
-            let scenario = FullTaskScenario::new(kind, case);
-            let report = enumerate_crash_points(&scenario, &[0.0])
-                .unwrap_or_else(|e| panic!("{kind} {:?}: {e}", case.ops));
+            // The state before and after the last task, from a clean run.
+            let mut clean = setup(kind, case).unwrap();
+            let objects = &clean.1.objects;
+            let before = objects.state().unwrap();
+            run(&mut clean).unwrap();
+            let objects = &clean.1.objects;
+            let after = objects.state().unwrap();
+            let answer = objects.table.result(objects.last()).unwrap();
+            assert_eq!(answer.map(|a| a.result), Some(case.answer), "clean run");
+
+            let events = sweep(
+                || setup(kind, case).unwrap(),
+                run,
+                |(pmem, _), cut| {
+                    let at = format!("{kind} {:?} {cut}", case.ops);
+                    verify(&pmem, case, (&before, &after), &at);
+                },
+            );
+            let at = format!("{kind} {:?}", case.ops);
             assert!(
-                report.total_events >= 8,
-                "{kind} {:?}: a full task should persist through many events, saw {}",
-                case.ops,
-                report.total_events
+                events[0] >= 8,
+                "{at}: a full task persists through many events"
             );
         }
     }

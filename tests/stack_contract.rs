@@ -15,7 +15,7 @@ use pstack::core::{
     FixedStack, FrameRecord, ListStack, PError, PersistentStack, ReturnSlot, VecStack,
 };
 use pstack::heap::PHeap;
-use pstack::nvram::{FailPlan, PMem, PMemBuilder, POffset};
+use pstack::nvram::{sweep, PMem, PMemBuilder, POffset};
 
 const HEAP_BASE: u64 = 64 * 1024;
 
@@ -286,37 +286,59 @@ impl Fixture {
     /// the state a `CALL` starts from. For a `RET` the child is pushed
     /// too.
     fn before(v: &Variant, g: &Geometry, step: Step) -> Fixture {
+        (0..LINE as usize)
+            .find_map(|pad| Fixture::padded(v, g, step, pad))
+            .unwrap_or_else(|| {
+                panic!(
+                    "{}: no padding puts the caller's tail at {}",
+                    v.name, g.child_at
+                )
+            })
+    }
+
+    /// [`Fixture::before`] with `pad` bytes of caller arguments: `None`
+    /// unless they put the caller's tail at `g.child_at`.
+    fn padded(v: &Variant, g: &Geometry, step: Step, pad: usize) -> Option<Fixture> {
         let child = FrameRecord {
             func_id: CHILD,
             args: vec![0xC4; g.child_args],
         };
-        for pad in 0..LINE as usize {
-            let (pmem, heap) = fresh();
-            let mut stack = (v.make)(pmem.clone(), heap);
-            let caller = FrameRecord {
-                func_id: CALLER,
-                args: vec![0xCA; pad],
-            };
-            stack.push(caller.func_id, &caller.args).unwrap();
-            stack.push(7, b"an earlier child").unwrap();
-            stack.pop_with(Some(STALE)).unwrap();
-            if stack.frame_meta(1).unwrap().end().get() % LINE != g.child_at {
-                continue;
-            }
-            if let Step::Ret(_) = step {
-                stack.push(child.func_id, &child.args).unwrap();
-            }
-            return Fixture {
-                pmem,
-                stack,
-                caller,
-                child,
-            };
+        let (pmem, heap) = fresh();
+        let mut stack = (v.make)(pmem.clone(), heap);
+        let caller = FrameRecord {
+            func_id: CALLER,
+            args: vec![0xCA; pad],
+        };
+        stack.push(caller.func_id, &caller.args).unwrap();
+        stack.push(7, b"an earlier child").unwrap();
+        stack.pop_with(Some(STALE)).unwrap();
+        if stack.frame_meta(1).unwrap().end().get() % LINE != g.child_at {
+            return None;
         }
-        panic!(
-            "{}: no padding puts the caller's tail at {}",
-            v.name, g.child_at
-        );
+        if let Step::Ret(_) = step {
+            stack.push(child.func_id, &child.args).unwrap();
+        }
+        Some(Fixture {
+            pmem,
+            stack,
+            caller,
+            child,
+        })
+    }
+
+    /// A fresh copy of this fixture, as a sweep cuts it: its region
+    /// beside it.
+    fn image(&self, v: &Variant, g: &Geometry, step: Step) -> (PMem, Fixture) {
+        let f = Fixture::padded(v, g, step, self.caller.args.len()).unwrap();
+        (f.pmem.clone(), f)
+    }
+
+    /// Re-attaches the stack to the region `pmem` reopened after a cut.
+    fn reopen(&mut self, v: &Variant, pmem: PMem, ctx: &str) {
+        let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
+        self.stack =
+            (v.reopen)(pmem.clone(), heap).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+        self.pmem = pmem;
     }
 
     fn run(&mut self, step: Step) -> Result<(), PError> {
@@ -389,32 +411,19 @@ fn call_and_ret_are_atomic_at_every_crash_point_in_every_geometry() {
             for step in STEPS {
                 let mut probe = Fixture::before(&v, g, step);
                 let used = probe.stack.used_bytes();
-                let e0 = probe.pmem.events();
                 probe.run(step).unwrap();
-                let events = probe.pmem.events() - e0;
                 probe.assert_after(step, "uncrashed");
                 if g.budget.is_none() && v.name == "list" && matches!(step, Step::Call) {
                     let grown = probe.stack.used_bytes() - used;
                     assert_eq!(grown, 23 + 600 + 10, "the push chained a pointer frame");
                 }
 
-                for k in 0..events {
-                    for (prob, seed) in [(0.0, 0), (0.5, k), (0.5, k + 0x51ED), (1.0, 0)] {
-                        let ctx = format!(
-                            "{} / {} / {step:?}: power failure at event {k} of {events}, \
-                             survivors {prob} (seed {seed})",
-                            v.name, g.name
-                        );
-                        let mut f = Fixture::before(&v, g, step);
-                        f.pmem
-                            .arm_failpoint(FailPlan::after_events(k).with_survivors(seed, prob));
-                        assert!(f.run(step).unwrap_err().is_crash(), "{ctx}");
-
-                        let pmem = f.pmem.reopen().unwrap();
-                        let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
-                        f.stack = (v.reopen)(pmem.clone(), heap)
-                            .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-                        f.pmem = pmem;
+                sweep(
+                    || probe.image(&v, g, step),
+                    |(_, f)| f.run(step),
+                    |(pmem, mut f), cut| {
+                        let ctx = format!("{} / {} / {step:?}: {cut}", v.name, g.name);
+                        f.reopen(&v, pmem, &ctx);
                         let done = match step {
                             Step::Call => f.stack.depth() == 2,
                             Step::Ret(_) => f.stack.depth() == 1,
@@ -425,8 +434,8 @@ fn call_and_ret_are_atomic_at_every_crash_point_in_every_geometry() {
                             f.run(step).unwrap();
                         }
                         f.assert_after(step, &ctx);
-                    }
-                }
+                    },
+                );
             }
         }
     }
@@ -516,6 +525,42 @@ fn retire_then_push(stack: &mut dyn PersistentStack, next: &FrameRecord) -> Resu
     stack.push(next.func_id, &next.args)
 }
 
+/// What a cut of a retire and the push after it left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AfterRetire {
+    /// The retired frame live and byte-identical, its slot as given.
+    Retired(ReturnSlot),
+    Popped,
+    /// The next frame over a cleared slot.
+    Pushed,
+}
+
+/// Reopens `pmem`'s stack and names its state after a retire and the
+/// next push were cut: never the retired frame with the next frame's
+/// bytes in it, nor a frame over an uncleared slot.
+fn after_retire(v: &Variant, pmem: PMem, next: &FrameRecord, ctx: &str) -> AfterRetire {
+    let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
+    let s = (v.reopen)(pmem, heap).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+    s.check_consistency().unwrap();
+    let slot = s.ret(0).unwrap();
+    match s.depth() {
+        0 => AfterRetire::Popped,
+        1 if s.frame_record(1).unwrap() == retired_root() => {
+            assert!(
+                matches!(slot, ReturnSlot::Empty | ReturnSlot::Unit),
+                "{ctx}: retired frame live over {slot:?}"
+            );
+            AfterRetire::Retired(slot)
+        }
+        1 => {
+            assert_eq!(s.frame_record(1).unwrap(), *next, "{ctx}: torn top frame");
+            assert_eq!(slot, ReturnSlot::Empty, "{ctx}: pushed over {slot:?}");
+            AfterRetire::Pushed
+        }
+        depth => panic!("{ctx}: depth {depth}"),
+    }
+}
+
 #[test]
 fn a_retired_root_pop_then_the_next_push_is_atomic_at_every_crash_point() {
     // At every persistence event of the retire and the push after it,
@@ -531,53 +576,26 @@ fn a_retired_root_pop_then_the_next_push_is_atomic_at_every_crash_point() {
                 func_id: NEXT,
                 args: vec![0x4E; next_args],
             };
-            let (probe_pmem, mut probe) = retiring(&v);
-            let e0 = probe_pmem.events();
+            let (_, mut probe) = retiring(&v);
             retire_then_push(probe.as_mut(), &next).unwrap();
-            let events = probe_pmem.events() - e0;
             assert_eq!(probe.frame_record(1).unwrap(), next, "{}", v.name);
 
-            let (mut retired, mut popped, mut pushed) = (0, 0, 0);
-            for k in 0..events {
-                for (prob, seed) in [(0.0, 0), (0.5, k), (0.5, k + 0x51ED), (1.0, 0)] {
-                    let ctx = format!(
-                        "{} / {geometry}: power failure at event {k} of {events}, \
-                         survivors {prob} (seed {seed})",
-                        v.name
-                    );
-                    let (pmem, mut stack) = retiring(&v);
-                    pmem.arm_failpoint(FailPlan::after_events(k).with_survivors(seed, prob));
-                    let err = retire_then_push(stack.as_mut(), &next).unwrap_err();
-                    assert!(err.is_crash(), "{ctx}");
-
-                    let pmem = pmem.reopen().unwrap();
-                    let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
-                    let s = (v.reopen)(pmem, heap)
-                        .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-                    s.check_consistency().unwrap();
-                    let slot = s.ret(0).unwrap();
-                    match s.depth() {
-                        0 => popped += 1,
-                        1 if s.frame_record(1).unwrap() == retired_root() => {
-                            assert!(
-                                matches!(slot, ReturnSlot::Empty | ReturnSlot::Unit),
-                                "{ctx}: retired frame live over {slot:?}"
-                            );
-                            retired += 1;
-                        }
-                        1 => {
-                            assert_eq!(s.frame_record(1).unwrap(), next, "{ctx}: torn top frame");
-                            assert_eq!(slot, ReturnSlot::Empty, "{ctx}: pushed over {slot:?}");
-                            pushed += 1;
-                        }
-                        depth => panic!("{ctx}: depth {depth}"),
-                    }
-                }
-            }
+            let mut seen = Vec::new();
+            sweep(
+                || retiring(&v),
+                |(_, stack)| retire_then_push(stack.as_mut(), &next),
+                |(pmem, _), cut| {
+                    let ctx = format!("{} / {geometry}: {cut}", v.name);
+                    seen.push(after_retire(&v, pmem, &next, &ctx));
+                },
+            );
+            let retired = seen.iter().any(|o| matches!(o, AfterRetire::Retired(_)));
+            let popped = seen.contains(&AfterRetire::Popped);
+            let pushed = seen.contains(&AfterRetire::Pushed);
             assert!(
-                retired > 0 && popped > 0 && pushed > 0,
-                "{} / {geometry}: every outcome reached ({retired} live, {popped} popped, \
-                 {pushed} pushed)",
+                retired && popped && pushed,
+                "{} / {geometry}: every outcome reached (live {retired}, popped {popped}, \
+                 pushed {pushed})",
                 v.name
             );
         }
@@ -628,44 +646,38 @@ fn a_retire_costs_no_persist_and_the_next_push_carries_it() {
 
 // ---- An issued CALL, cut before its await ----------------------------
 
-/// Survivor settings of a cut with the flip's one line in flight: lost,
-/// kept, and the lottery under a few seeds.
-const CUT_SURVIVORS: [(f64, u64); 5] = [(0.0, 0), (1.0, 0), (0.5, 1), (0.5, 2), (0.5, 3)];
-
 #[test]
 fn an_issued_call_cut_before_its_await_is_before_the_push_or_pushed() {
     // `push_issued` makes every stage before the flip durable and
-    // leaves the flip's line in flight: the one line a cut between
-    // issue and await decides, so losing it, keeping it or either by
-    // lottery covers every subset. The reopened stack is as before the
-    // push — no frame over a stale completion — or pushed.
+    // leaves the flip's line in flight: the one line a cut after it
+    // returns decides, so losing it, keeping it or either by lottery
+    // covers every subset. At that cut and at every event before it
+    // the reopened stack is as before the push — no frame over a stale
+    // completion — or pushed.
     for v in variants_sized(512, false) {
         for g in &GEOMETRIES {
             let (mut before, mut pushed) = (0, 0);
-            for (prob, seed) in CUT_SURVIVORS {
-                let ctx = format!(
-                    "{} / {}: CALL cut in flight, survivors {prob} (seed {seed})",
-                    v.name, g.name
-                );
-                let mut f = Fixture::before(&v, g, Step::Call);
-                let ticket = f.stack.push_issued(f.child.func_id, &f.child.args);
-                assert!(ticket.unwrap().is_some(), "{ctx}");
-                assert_eq!(f.pmem.inflight_tickets(), 1, "{ctx}: the flip's flight");
-                f.pmem.crash_now(seed, prob);
-
-                let pmem = f.pmem.reopen().unwrap();
-                let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
-                f.stack = (v.reopen)(pmem.clone(), heap)
-                    .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-                f.pmem = pmem;
-                if f.stack.depth() == 2 {
-                    f.assert_after(Step::Call, &ctx);
-                    pushed += 1;
-                } else {
-                    f.assert_before(Step::Call, &ctx);
-                    before += 1;
-                }
-            }
+            let probe = Fixture::before(&v, g, Step::Call);
+            sweep(
+                || probe.image(&v, g, Step::Call),
+                |(pmem, f)| {
+                    let ticket = f.stack.push_issued(f.child.func_id, &f.child.args)?;
+                    assert!(ticket.is_some(), "the flip's ticket");
+                    assert_eq!(pmem.inflight_tickets(), 1, "the flip's flight");
+                    Ok::<_, PError>(())
+                },
+                |(pmem, mut f), cut| {
+                    let ctx = format!("{} / {}: {cut}", v.name, g.name);
+                    f.reopen(&v, pmem, &ctx);
+                    if f.stack.depth() == 2 {
+                        f.assert_after(Step::Call, &ctx);
+                        pushed += 1;
+                    } else {
+                        f.assert_before(Step::Call, &ctx);
+                        before += 1;
+                    }
+                },
+            );
             assert!(
                 before > 0 && pushed > 0,
                 "{} / {}: both outcomes ({before} before, {pushed} pushed)",
@@ -680,10 +692,12 @@ fn an_issued_call_cut_before_its_await_is_before_the_push_or_pushed() {
 fn an_issued_call_after_a_retire_cut_before_its_await_keeps_a_pop_flushed_ahead() {
     // After a retire the push's first stage is the pending pop. Flushed
     // ahead of a frame that does not ride the dummy frame's line, it is
-    // durable however the cut goes: popped, or the next frame pushed.
-    // Riding the flip's line, it shares the flight's fate: lost with
-    // it, the retired frame is live and intact again — the state a
-    // crash between a body and its RET leaves — never torn.
+    // durable however a cut after `push_issued` returns goes: popped,
+    // or the next frame pushed. Riding the flip's line, it shares the
+    // flight's fate: lost with it, the retired frame is live and intact
+    // again — the state a crash between a body and its RET leaves —
+    // never torn. Cuts at the events before are the retire-then-push
+    // states above.
     for v in variants_sized(512, false) {
         for (geometry, next_args, _, rides) in NEXT_FRAMES {
             let next = FrameRecord {
@@ -691,37 +705,28 @@ fn an_issued_call_after_a_retire_cut_before_its_await_keeps_a_pop_flushed_ahead(
                 args: vec![0x4E; next_args],
             };
             let (mut kept_back, mut pushed) = (0, 0);
-            for (prob, seed) in CUT_SURVIVORS {
-                let ctx = format!(
-                    "{} / {geometry}: CALL cut in flight, survivors {prob} (seed {seed})",
-                    v.name
-                );
-                let (pmem, mut stack) = retiring(&v);
-                stack.retire(ReturnSlot::Unit).unwrap();
-                let ticket = stack.push_issued(next.func_id, &next.args).unwrap();
-                assert!(ticket.is_some(), "{ctx}");
-                pmem.crash_now(seed, prob);
-
-                let pmem = pmem.reopen().unwrap();
-                let heap = PHeap::open(pmem.clone(), POffset::new(HEAP_BASE)).unwrap();
-                let s =
-                    (v.reopen)(pmem, heap).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-                s.check_consistency().unwrap();
-                let slot = s.ret(0).unwrap();
-                match s.depth() {
-                    1 if s.frame_record(1).unwrap() == next => {
-                        assert_eq!(slot, ReturnSlot::Empty, "{ctx}: pushed over {slot:?}");
-                        pushed += 1;
+            sweep(
+                || retiring(&v),
+                |(_, stack)| {
+                    stack.retire(ReturnSlot::Unit)?;
+                    let ticket = stack.push_issued(next.func_id, &next.args)?;
+                    assert!(ticket.is_some(), "the flip's ticket");
+                    Ok::<_, PError>(())
+                },
+                |(pmem, _), cut| {
+                    let ctx = format!("{} / {geometry}: {cut}", v.name);
+                    let outcome = after_retire(&v, pmem, &next, &ctx);
+                    if !cut.returned() {
+                        return;
                     }
-                    0 if !rides => kept_back += 1,
-                    1 if rides => {
-                        assert_eq!(s.frame_record(1).unwrap(), retired_root(), "{ctx}: torn");
-                        assert_eq!(slot, ReturnSlot::Empty, "{ctx}: live over {slot:?}");
-                        kept_back += 1;
+                    match outcome {
+                        AfterRetire::Pushed => pushed += 1,
+                        AfterRetire::Popped if !rides => kept_back += 1,
+                        AfterRetire::Retired(ReturnSlot::Empty) if rides => kept_back += 1,
+                        other => panic!("{ctx}: {other:?}, the pop riding: {rides}"),
                     }
-                    depth => panic!("{ctx}: depth {depth}, the pop riding: {rides}"),
-                }
-            }
+                },
+            );
             assert!(
                 kept_back > 0 && pushed > 0,
                 "{} / {geometry}: both outcomes ({kept_back} before, {pushed} pushed)",
