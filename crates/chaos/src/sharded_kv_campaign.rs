@@ -424,12 +424,17 @@ mod tests {
                     (control, stripe, rt)
                 },
                 |(_, _, rt)| {
-                    let rep = rt.recover(RecoveryMode::Parallel)?;
+                    // A crash during recovery trips the whole system too.
+                    let tripped = |e: &PError| {
+                        assert!(e.is_crash(), "{e}");
+                        assert!(rt.all_crashed(), "recovery crash must trip all regions");
+                    };
+                    let rep = rt.recover(RecoveryMode::Parallel).inspect_err(tripped)?;
                     // No re-run frames: a completed recovery pass leaves
                     // nothing for a second one.
                     assert!(rep.total_frames() <= 1, "one worker, one frame");
-                    let again = rt.recover(RecoveryMode::Serial)?.total_frames();
-                    assert_eq!(again, 0, "recovered frames must not re-run");
+                    let again = rt.recover(RecoveryMode::Serial).inspect_err(tripped)?;
+                    assert_eq!(again.total_frames(), 0, "recovered frames must not re-run");
                     Ok::<_, PError>(())
                 },
                 |(control, stripe, _), step| {

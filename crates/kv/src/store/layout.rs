@@ -487,34 +487,32 @@ impl PKvStore {
     /// [`PError::CorruptStack`], never a cycle.
     pub(super) fn gens(&self) -> impl Iterator<Item = Result<Gen, PError>> + '_ {
         // The base and number of the generation yielded last: `None`
-        // before the first, base 0 once the walk has ended.
+        // before the first, base 0 once an error has ended the walk.
         let mut last: Option<(u64, u64)> = None;
         std::iter::from_fn(move || {
             let gen = match last {
                 None => self.active_gen(),
                 Some((0, _)) => return None,
-                Some((base, number)) => {
-                    match self.pmem.read_u64(POffset::new(base + GEN_OFF_PREV)) {
-                        Ok(0) => {
-                            last = Some((0, 0));
-                            return None;
-                        }
-                        Ok(prev) => self.load_gen(prev).and_then(|gen| {
-                            if gen.number < number {
-                                return Ok(gen);
-                            }
-                            Err(PError::CorruptStack(format!(
-                                "KV generation {number}'s prev is generation {}",
-                                gen.number
-                            )))
-                        }),
-                        Err(e) => Err(e.into()),
-                    }
-                }
+                Some((base, number)) => self.prev_gen(base, number).transpose()?,
             };
             last = Some(gen.as_ref().map_or((0, 0), |gen| (gen.base, gen.number)));
             Some(gen)
         })
+    }
+
+    /// The generation before generation `number` at `base`, `None` past
+    /// the oldest.
+    fn prev_gen(&self, base: u64, number: u64) -> Result<Option<Gen>, PError> {
+        let prev = self.pmem.read_u64(POffset::new(base + GEN_OFF_PREV))?;
+        if prev == 0 {
+            return Ok(None);
+        }
+        let gen = self.load_gen(prev)?;
+        if gen.number >= number {
+            let msg = format!("KV generation {number}'s prev is generation {}", gen.number);
+            return Err(PError::CorruptStack(msg));
+        }
+        Ok(Some(gen))
     }
 
     /// Every generation of the store, oldest first.

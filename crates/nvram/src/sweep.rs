@@ -40,10 +40,9 @@ impl Survivors {
     /// whose failure needs one line of a flight kept and another lost.
     #[must_use]
     pub fn halves(n: u64) -> Vec<Survivors> {
-        let ends = [Survivors::None, Survivors::All];
-        ends.into_iter()
-            .chain((1..=n).map(Survivors::Half))
-            .collect()
+        let mut set = vec![Survivors::None, Survivors::All];
+        set.extend((1..=n).map(Survivors::Half));
+        set
     }
 
     /// The probability that one dirty line survives.
@@ -85,12 +84,6 @@ impl Cut {
         self.event == self.events
     }
 
-    /// The fail-point this cut arms on its region.
-    fn plan(&self) -> FailPlan {
-        let seed = self.survivors.seed(self.event);
-        FailPlan::after_events(self.event).with_survivors(seed, self.survivors.prob())
-    }
-
     /// Runs this cut on a fresh system: `setup` builds it, `op` runs
     /// under the armed fail-point, every region crashes with the cut's
     /// survivors, and the system comes back reopened.
@@ -105,8 +98,10 @@ impl Cut {
         setup: impl Fn() -> I,
         op: impl Fn(&mut I) -> Result<T, E>,
     ) -> I::Reopened {
+        let (seed, prob) = (self.survivors.seed(self.event), self.survivors.prob());
         let mut image = setup();
-        image.arm(self.region, self.plan());
+        let plan = FailPlan::after_events(self.event).with_survivors(seed, prob);
+        image.arm(self.region, plan);
         let outcome = op(&mut image);
         let regions = image.regions();
         let crashed = regions[self.region].is_crashed();
@@ -121,9 +116,8 @@ impl Cut {
                 "{self}: the operation failed, the power did not: {e:?}"
             ),
         }
-        let seed = self.survivors.seed(self.event);
         for (i, region) in regions.iter().enumerate() {
-            region.crash_now(seed ^ i as u64, self.survivors.prob());
+            region.crash_now(seed ^ i as u64, prob);
         }
         image.reopen()
     }
@@ -171,10 +165,6 @@ pub trait Image {
     fn reopen(self) -> Self::Reopened;
 }
 
-fn reopened(region: &PMem) -> PMem {
-    region.reopen().expect("a crashed region reopens")
-}
-
 /// One region, and the volatile handles a check may still want.
 impl<T> Image for (PMem, T) {
     type Reopened = (PMem, T);
@@ -184,7 +174,7 @@ impl<T> Image for (PMem, T) {
     }
 
     fn reopen(self) -> (PMem, T) {
-        (reopened(&self.0), self.1)
+        (self.0.reopen().expect("a crashed region reopens"), self.1)
     }
 }
 
@@ -214,7 +204,8 @@ impl<T> Image for (PMem, PMemStripe, T) {
 
     fn reopen(self) -> (PMem, PMemStripe, T) {
         let stripe = self.1.reopen_all().expect("a crashed stripe reopens");
-        (reopened(&self.0), stripe, self.2)
+        let control = self.0.reopen().expect("a crashed region reopens");
+        (control, stripe, self.2)
     }
 }
 
@@ -250,7 +241,8 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Arms only these regions (indices into [`Image::regions`]).
+    /// Arms only these regions (indices into [`Image::regions`]), each of
+    /// which must see events if any region does.
     #[must_use]
     pub fn regions(mut self, armed: &'a [usize]) -> Self {
         self.regions = Some(armed);
@@ -265,8 +257,9 @@ impl<'a> Sweep<'a> {
     ///
     /// # Panics
     ///
-    /// If the uncut operation fails, if a cut does not land
-    /// ([`Cut::replay`]), or if `check` panics.
+    /// If the uncut operation fails, if a region named by
+    /// [`Sweep::regions`] sees no events while another does, if a cut
+    /// does not land ([`Cut::replay`]), or if `check` panics.
     pub fn run<I: Image, T, E: fmt::Debug>(
         self,
         setup: impl Fn() -> I,
@@ -286,6 +279,16 @@ impl<'a> Sweep<'a> {
                 .map(|(r, e0)| r.events() - e0)
                 .collect()
         };
+        // A region named to be armed must see events, or its sweep cuts
+        // nothing: unless no region sees any (a recovery with nothing to
+        // redo), the wrong region was named.
+        let eventless = events.iter().all(|&e| e == 0);
+        for &r in self.regions.unwrap_or_default() {
+            assert!(
+                eventless || events[r] > 0,
+                "armed region {r} saw no events: {events:?}"
+            );
+        }
         let every: Vec<usize> = (0..events.len()).collect();
         let requested = self.regions.unwrap_or(&every);
         let armed: Vec<usize> = requested
@@ -422,6 +425,14 @@ mod tests {
         let events = sweep(region, |_| Ok::<_, MemError>(()), |_, cut| seen.push(*cut));
         assert_eq!((events, seen.len()), (vec![0], 6));
         assert!(seen.iter().all(Cut::returned));
+    }
+
+    #[test]
+    #[should_panic(expected = "armed region 1 saw no events")]
+    fn a_named_region_without_events_is_refused() {
+        let stripe = || (PMemBuilder::new().len(1024).build_striped(2), ());
+        let op = |(stripe, ()): &mut (PMemStripe, ())| two_words(stripe.region(0), 9);
+        Sweep::new().regions(&[1]).run(stripe, op, |_, _| {});
     }
 
     #[test]
