@@ -510,7 +510,7 @@ mod tests {
         let (_, _, mut s) = probe();
         s.push(3, &[0u8; 24]).unwrap();
         assert!(s.block_count() > 1, "third push should chain");
-        sweep(
+        let events = sweep(
             || {
                 let (pmem, _, s) = probe();
                 (pmem, s)
@@ -529,6 +529,7 @@ mod tests {
                 s2.check_consistency().unwrap();
             },
         );
+        assert_eq!(events, [14], "a chaining push's events");
     }
 
     #[test]
@@ -541,7 +542,7 @@ mod tests {
             assert!(s.block_count() > 1);
             (pmem, s)
         };
-        sweep(
+        let events = sweep(
             probe,
             |(_, s)| s.pop(),
             |(pmem, _), cut| {
@@ -554,6 +555,7 @@ mod tests {
                 s2.check_consistency().unwrap();
             },
         );
+        assert_eq!(events, [6], "a cross-block pop's events");
     }
 
     /// The stack and its heap, reopened after `cut`.

@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn an_answer_is_whole_or_absent_at_every_crash_point() {
         let mut answered = 0;
-        sweep(
+        let events = sweep(
             || {
                 let (pmem, _, t) = table(2);
                 (pmem, t)
@@ -447,6 +447,7 @@ mod tests {
                 }
             },
         );
+        assert_eq!(events, [6], "two answers' events");
         assert!(
             answered > 0,
             "surviving lines must reach the answered state"

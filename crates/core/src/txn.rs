@@ -573,7 +573,7 @@ mod tests {
         // recovery the array is either fully updated (commit happened)
         // or fully restored. Both unbounded stack layouts.
         let count = 6u64;
-        for kind in [StackKind::Vec, StackKind::List] {
+        for (kind, pinned) in [(StackKind::Vec, 127), (StackKind::List, 91)] {
             let (_, _, step, ..) = setup(kind, count);
             let before = step.read_all().unwrap();
             let after: Vec<u64> = before.iter().map(|v| v * 2 + 1).collect();
@@ -582,7 +582,7 @@ mod tests {
                 step.begin().unwrap();
                 (pmem, (rt, step, txn))
             };
-            sweep(
+            let events = sweep(
                 probe,
                 |(pmem, (rt, _, txn))| run_txn(pmem, rt, txn, count),
                 |(pmem, (_, step, _)), cut| {
@@ -599,6 +599,7 @@ mod tests {
                     );
                 },
             );
+            assert_eq!(events, [pinned], "{kind}: a transaction's events");
         }
     }
 
@@ -662,7 +663,7 @@ mod tests {
         let after2: Vec<u64> = committed.iter().map(|v| v * 2 + 1).collect();
         // Every event of transaction 2, its frame push the first of
         // them: the frame-pushed-but-no-undo point among them.
-        sweep(
+        let events = sweep(
             probe,
             |(pmem, (rt, _, txn))| run_txn(pmem, rt, txn, 4),
             |(pmem, (_, step, _)), cut| {
@@ -677,6 +678,7 @@ mod tests {
                 );
             },
         );
+        assert_eq!(events, [62], "transaction 2's events");
     }
 
     #[test]

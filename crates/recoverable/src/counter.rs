@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn crash_point_enumeration_increment_recovers_exactly_once() {
-        sweep(
+        let events = sweep(
             || fixture(1),
             |(_, c)| c.increment(0, 1),
             |(pmem, c), cut| {
@@ -182,6 +182,7 @@ mod tests {
                 assert_eq!(c2.read().unwrap(), 1, "{cut}");
             },
         );
+        assert_eq!(events, [2], "an increment's events");
     }
 
     #[test]

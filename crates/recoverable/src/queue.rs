@@ -634,7 +634,7 @@ mod tests {
             q.enqueue(0, 2, 22).unwrap();
             (pmem, q)
         };
-        sweep(
+        let events = sweep(
             probe,
             |(_, q)| q.dequeue(1, 5),
             |(pmem, q), cut| {
@@ -645,6 +645,7 @@ mod tests {
                 assert_eq!(q2.dequeue(1, 6).unwrap(), Some(22), "{cut}");
             },
         );
+        assert_eq!(events, [4], "a dequeue's events");
     }
 
     #[test]
