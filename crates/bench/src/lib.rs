@@ -4,10 +4,7 @@
 //! build their systems through the helpers here so the configurations
 //! stay comparable.
 
-use pstack_core::{
-    FixedStack, FunctionRegistry, ListStack, PContext, PersistentStack, Runtime, RuntimeConfig,
-    StackKind, VecStack,
-};
+use pstack_core::{FunctionRegistry, PContext, PersistentStack, Runtime, RuntimeConfig, StackKind};
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, PMemBuilder, POffset, StatsSnapshot};
 
@@ -103,17 +100,8 @@ pub fn make_stack(
     heap: &PHeap,
     capacity: u64,
 ) -> Box<dyn PersistentStack> {
-    match kind {
-        StackKind::Fixed => {
-            Box::new(FixedStack::format(pmem.clone(), POffset::new(0), capacity).unwrap())
-        }
-        StackKind::Vec => Box::new(
-            VecStack::format(pmem.clone(), heap.clone(), POffset::new(0), capacity).unwrap(),
-        ),
-        StackKind::List => Box::new(
-            ListStack::format(pmem.clone(), heap.clone(), POffset::new(0), capacity).unwrap(),
-        ),
-    }
+    kind.format(pmem, heap, POffset::new(0), capacity)
+        .expect("stack formats")
 }
 
 /// Builds a crashed system with `workers` stacks each holding `depth`

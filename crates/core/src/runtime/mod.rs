@@ -35,7 +35,7 @@ use pstack_heap::PHeap;
 use pstack_nvram::{PMem, POffset};
 
 use crate::registry::FunctionRegistry;
-use crate::stack::{FixedStack, ListStack, PersistentStack, StackKind, VecStack};
+use crate::stack::{PersistentStack, StackKind};
 use crate::PError;
 
 const SB_MAGIC: u64 = 0x5053_5441_434B_5254; // "PSTACKRT"
@@ -149,10 +149,6 @@ impl std::fmt::Debug for WorkerStacks {
     }
 }
 
-fn round64(v: u64) -> u64 {
-    (v + 63) & !63
-}
-
 impl Runtime {
     /// Formats a fresh system over `pmem`: writes the superblock,
     /// formats the heap and every worker stack. This is the standard-
@@ -177,12 +173,12 @@ impl Runtime {
                 "stack capacity must be positive".into(),
             ));
         }
-        let stacks_base = round64(SUPERBLOCK_LEN + USER_SCRATCH_LEN);
-        let stack_area = match cfg.kind {
-            StackKind::Fixed => round64(cfg.capacity),
-            StackKind::Vec | StackKind::List => 64,
-        };
-        let heap_base = round64(stacks_base + cfg.workers as u64 * stack_area);
+        // Line-aligned: 17 lines, then whole-line stack areas.
+        let stacks_base = SUPERBLOCK_LEN + USER_SCRATCH_LEN;
+        let stack_area = cfg.kind.area(cfg.capacity).ok_or_else(|| {
+            PError::InvalidConfig(format!("stack capacity {} overflows", cfg.capacity))
+        })?;
+        let heap_base = stacks_base + cfg.workers as u64 * stack_area;
         let heap_len = (pmem.len() as u64).saturating_sub(heap_base);
         if heap_len < 256 {
             return Err(PError::InvalidConfig(format!(
@@ -215,7 +211,8 @@ impl Runtime {
             stacks: WorkerStacks::new(cfg.workers),
         };
         for pid in 0..rt.workers {
-            rt.format_stack(pid)?;
+            rt.kind
+                .format(&rt.pmem, &rt.heap, rt.stack_base(pid), rt.capacity)?;
         }
         Ok(rt)
     }
@@ -226,8 +223,9 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`PError::CorruptStack`] for a bad superblock, or propagated
-    /// heap/NVRAM errors.
+    /// [`PError::CorruptStack`] for a bad superblock — one whose stacks
+    /// and heap do not lie in order inside the region among them — or
+    /// propagated heap/NVRAM errors.
     pub fn open(pmem: PMem, registry: &FunctionRegistry) -> Result<Self, PError> {
         let magic = pmem.read_u64(POffset::new(OFF_MAGIC))?;
         if magic != SB_MAGIC {
@@ -246,10 +244,20 @@ impl Runtime {
         let capacity = pmem.read_u64(POffset::new(OFF_STACK_CAP))?;
         let stacks_base = pmem.read_u64(POffset::new(OFF_STACKS_BASE))?;
         let heap_base = pmem.read_u64(POffset::new(OFF_HEAP_BASE))?;
-        let stack_area = match kind {
-            StackKind::Fixed => round64(capacity),
-            StackKind::Vec | StackKind::List => 64,
-        };
+        let stack_area = kind.area(capacity).unwrap_or(u64::MAX);
+        let stacks_end = stack_area
+            .checked_mul(workers as u64)
+            .and_then(|len| len.checked_add(stacks_base));
+        if workers == 0
+            || !stacks_end.is_some_and(|end| end <= heap_base)
+            || heap_base > pmem.len() as u64
+        {
+            return Err(PError::CorruptStack(format!(
+                "superblock lays {workers} {kind} stacks of {capacity} bytes from {stacks_base} \
+                 below a heap at {heap_base}, in a region of {} bytes",
+                pmem.len()
+            )));
+        }
         let heap = PHeap::open(pmem.clone(), POffset::new(heap_base))?;
         Ok(Runtime {
             pmem,
@@ -267,22 +275,6 @@ impl Runtime {
 
     fn stack_base(&self, pid: usize) -> POffset {
         POffset::new(self.stacks_base + pid as u64 * self.stack_area)
-    }
-
-    fn format_stack(&self, pid: usize) -> Result<(), PError> {
-        let base = self.stack_base(pid);
-        match self.kind {
-            StackKind::Fixed => {
-                FixedStack::format(self.pmem.clone(), base, self.capacity)?;
-            }
-            StackKind::Vec => {
-                VecStack::format(self.pmem.clone(), self.heap.clone(), base, self.capacity)?;
-            }
-            StackKind::List => {
-                ListStack::format(self.pmem.clone(), self.heap.clone(), base, self.capacity)?;
-            }
-        }
-        Ok(())
     }
 
     fn check_pid(&self, pid: usize) -> Result<(), PError> {
@@ -307,14 +299,8 @@ impl Runtime {
     /// corruption/NVRAM errors.
     pub fn open_stack(&self, pid: usize) -> Result<Box<dyn PersistentStack>, PError> {
         self.check_pid(pid)?;
-        let base = self.stack_base(pid);
-        Ok(match self.kind {
-            StackKind::Fixed => Box::new(FixedStack::open(self.pmem.clone(), base, self.capacity)?),
-            StackKind::Vec => Box::new(VecStack::open(self.pmem.clone(), self.heap.clone(), base)?),
-            StackKind::List => {
-                Box::new(ListStack::open(self.pmem.clone(), self.heap.clone(), base)?)
-            }
-        })
+        self.kind
+            .open(&self.pmem, &self.heap, self.stack_base(pid), self.capacity)
     }
 
     /// Runs `body` on worker `pid`'s kept stack handle, opening it on
@@ -489,6 +475,20 @@ mod tests {
             Runtime::open(pmem, &registry()),
             Err(PError::CorruptStack(_))
         ));
+    }
+
+    #[test]
+    fn open_refuses_a_superblock_that_overruns_the_region() {
+        let pmem = PMemBuilder::new().len(64 * 1024).build_in_memory();
+        let cfg = RuntimeConfig::new(1).stack_capacity(1024);
+        Runtime::format(pmem.clone(), cfg, &registry()).unwrap();
+        for workers in [0, 1000] {
+            pmem.write_u32(POffset::new(OFF_WORKERS), workers).unwrap();
+            assert!(matches!(
+                Runtime::open(pmem.clone(), &registry()),
+                Err(PError::CorruptStack(_))
+            ));
+        }
     }
 
     #[test]

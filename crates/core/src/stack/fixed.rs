@@ -3,10 +3,7 @@
 use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
-use crate::registry::DUMMY_FUNC_ID;
-use crate::stack::{
-    persist_call, persist_ret, retire_ret, walk_contiguous, PersistentStack, ReturnSlot, StackKind,
-};
+use crate::stack::{walk_contiguous, FrameIndex, PersistentStack, ReturnSlot, StackKind};
 use crate::PError;
 
 /// A persistent stack in a contiguous NVRAM region of constant size.
@@ -33,12 +30,7 @@ pub struct FixedStack {
     pmem: PMem,
     base: POffset,
     capacity: u64,
-    /// Volatile frame index, including the dummy frame at position 0.
-    /// Rebuilt from NVRAM by [`FixedStack::open`].
-    frames: Vec<FrameMeta>,
-    /// A retired root pop is written and not yet durable; the next
-    /// push makes it so.
-    retired: bool,
+    index: FrameIndex,
 }
 
 impl FixedStack {
@@ -55,20 +47,12 @@ impl FixedStack {
                 "stack capacity {capacity} cannot hold the dummy frame"
             )));
         }
-        let dummy = encode_ordinary(DUMMY_FUNC_ID, &[], MARKER_STACK_END)?;
-        pmem.write(base, &dummy)?;
-        pmem.flush(base, dummy.len())?;
-        let frames = vec![FrameMeta {
-            start: base,
-            func_id: DUMMY_FUNC_ID,
-            args_len: 0,
-        }];
+        let index = FrameIndex::format(&pmem, base)?;
         Ok(FixedStack {
             pmem,
             base,
             capacity,
-            frames,
-            retired: false,
+            index,
         })
     }
 
@@ -82,20 +66,12 @@ impl FixedStack {
     /// frame followed by well-formed frames ending in a stack-end
     /// marker within `capacity`.
     pub fn open(pmem: PMem, base: POffset, capacity: u64) -> Result<Self, PError> {
-        let frames = walk_contiguous(&pmem, base, base + capacity)?;
-        let first = frames.first().expect("walk returns at least one frame");
-        if first.func_id != DUMMY_FUNC_ID {
-            return Err(PError::CorruptStack(format!(
-                "bottom frame at {base} is not the dummy frame (func_id {:#x})",
-                first.func_id
-            )));
-        }
+        let index = FrameIndex::open(walk_contiguous(&pmem, base, base + capacity)?)?;
         Ok(FixedStack {
             pmem,
             base,
             capacity,
-            frames,
-            retired: false,
+            index,
         })
     }
 
@@ -111,8 +87,12 @@ impl FixedStack {
         self.capacity
     }
 
-    fn top(&self) -> &FrameMeta {
-        self.frames.last().expect("dummy frame always present")
+    /// Moves the stack to `[base, base + capacity)`, which holds a
+    /// durable copy of its frames: a resizable stack's relocation.
+    pub(super) fn rebase(&mut self, base: POffset, capacity: u64) {
+        self.index.rebase(self.base, base);
+        self.base = base;
+        self.capacity = capacity;
     }
 }
 
@@ -122,58 +102,30 @@ impl PersistentStack for FixedStack {
     }
 
     fn push_issued(&mut self, func_id: u64, args: &[u8]) -> Result<Option<FlushTicket>, PError> {
-        let caller = *self.top();
-        let new_start = caller.end();
-        let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        let limit = self.base + self.capacity;
-        if new_start.get() + buf.len() as u64 > limit.get() {
-            return Err(PError::StackOverflow {
-                needed: buf.len() as u64,
-                available: limit.get().saturating_sub(new_start.get()),
-            });
+        let frame = encode_ordinary(func_id, args, MARKER_STACK_END)?;
+        let (needed, available) = (
+            frame.len() as u64,
+            (self.base + self.capacity).distance_from(self.index.top().end()),
+        );
+        if needed > available {
+            return Err(PError::StackOverflow { needed, available });
         }
-        // Step 1 (Fig. 3b): write the frame after the stack-end marker.
-        // It is invisible until the marker flip, so a crash here (even
-        // one that persists the frame partially) leaves the stack
-        // logically unchanged.
-        // Step 2 (Fig. 3c): move the stack end forward — flip the old
-        // top's marker 0x1 → 0x0. One byte, one line: crash-atomic, and
-        // the clearing of that frame's return slot rides the same line.
-        let ticket = persist_call(&self.pmem, &caller, self.retired, None, (new_start, &buf))?;
-        self.retired = false;
-        self.frames.push(FrameMeta {
-            start: new_start,
-            func_id,
-            args_len: args.len() as u32,
-        });
-        Ok(ticket)
+        self.index.call(&self.pmem, func_id, &frame, None)
     }
 
     fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {
-        if self.frames.len() < 2 {
-            return Err(PError::StackEmpty);
-        }
-        // Move the stack end backward (Fig. 4): flip the penultimate
-        // frame's marker 0x0 → 0x1. The popped frame becomes invalid
-        // data past the stack end.
-        let penult = self.frames[self.frames.len() - 2];
-        persist_ret(&self.pmem, &penult, completion)?;
-        self.frames.pop();
-        Ok(())
+        self.index.ret(&self.pmem, completion)
     }
 
     fn retire(&mut self, completion: ReturnSlot) -> Result<(), PError> {
-        if self.frames.len() != 2 {
-            return self.pop_with(Some(completion));
+        if !self.index.retire(&self.pmem, completion)? {
+            self.pop_with(Some(completion))?;
         }
-        retire_ret(&self.pmem, &self.frames[0], completion)?;
-        self.retired = true;
-        self.frames.pop();
         Ok(())
     }
 
     fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.index.frames().len()
     }
 
     fn pmem(&self) -> &PMem {
@@ -181,28 +133,19 @@ impl PersistentStack for FixedStack {
     }
 
     fn frame_meta(&self, index: usize) -> Result<FrameMeta, PError> {
-        self.frames.get(index).copied().ok_or_else(|| {
-            PError::CorruptStack(format!(
-                "frame index {index} out of range (frame count {})",
-                self.frames.len()
-            ))
-        })
+        self.index.get(index)
     }
 
     fn check_consistency(&self) -> Result<(), PError> {
-        let walked = walk_contiguous(&self.pmem, self.base, self.base + self.capacity)?;
-        if walked != self.frames {
-            return Err(PError::CorruptStack(format!(
-                "persistent walk found {} frames, volatile index has {}",
-                walked.len(),
-                self.frames.len()
-            )));
-        }
-        Ok(())
+        self.index.check(&walk_contiguous(
+            &self.pmem,
+            self.base,
+            self.base + self.capacity,
+        )?)
     }
 
     fn used_bytes(&self) -> u64 {
-        self.top().end().get() - self.base.get()
+        self.index.top().end().distance_from(self.base)
     }
 }
 

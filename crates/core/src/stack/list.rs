@@ -20,11 +20,10 @@ use pstack_heap::PHeap;
 use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::frame::{
-    encode_ordinary, encode_pointer, parse_frame, FrameMeta, ParsedFrame, MARKER_FRAME_END,
-    MARKER_STACK_END, ORDINARY_OVERHEAD, POINTER_FRAME_LEN,
+    encode_ordinary, encode_pointer, FrameMeta, MARKER_FRAME_END, MARKER_STACK_END,
+    ORDINARY_OVERHEAD, POINTER_FRAME_LEN,
 };
-use crate::registry::DUMMY_FUNC_ID;
-use crate::stack::{persist_call, persist_ret, retire_ret, PersistentStack, ReturnSlot, StackKind};
+use crate::stack::{walk_frames, FrameIndex, PersistentStack, ReturnSlot, StackKind};
 use crate::PError;
 
 const LIST_MAGIC: u64 = 0x5053_4C49_5354_534B; // "PSLISTSK"
@@ -37,14 +36,14 @@ const BLOCK_HDR: u64 = 16;
 pub const MIN_LIST_BLOCK: u64 = BLOCK_HDR + ORDINARY_OVERHEAD + POINTER_FRAME_LEN;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockInfo {
+struct Block {
     /// Heap payload offset of the block (its header starts here).
     payload: POffset,
     /// First offset past the block's usable bytes.
     limit: POffset,
-    /// Offset of the pointer frame chaining to the next block, if this
-    /// is not the last block.
-    pointer_frame: Option<POffset>,
+    /// Index of the block's first frame; every block but the top one
+    /// ends in a pointer frame to the next.
+    first: usize,
 }
 
 /// A persistent stack spread over a linked list of heap blocks.
@@ -77,16 +76,11 @@ pub struct ListStack {
     hdr: POffset,
     default_block: u64,
     /// Volatile block chain, bottom block first.
-    blocks: Vec<BlockInfo>,
-    /// Volatile frame index: (block index, frame metadata), including
-    /// the dummy frame at position 0.
-    frames: Vec<(usize, FrameMeta)>,
+    blocks: Vec<Block>,
+    index: FrameIndex,
     /// Blocks allocated (grown) and freed (shrunk) by this handle.
     blocks_chained: u64,
     blocks_released: u64,
-    /// A retired root pop is written and not yet durable; the next
-    /// push makes it so.
-    retired: bool,
 }
 
 impl ListStack {
@@ -105,9 +99,7 @@ impl ListStack {
         let default_block = default_block.max(MIN_LIST_BLOCK);
         let payload = heap.alloc(default_block as usize)?;
         write_block_header(&pmem, payload, POffset::NULL)?;
-        let dummy = encode_ordinary(DUMMY_FUNC_ID, &[], MARKER_STACK_END)?;
-        pmem.write(payload + BLOCK_HDR, &dummy)?;
-        pmem.flush(payload + BLOCK_HDR, dummy.len())?;
+        let index = FrameIndex::format(&pmem, payload + BLOCK_HDR)?;
         pmem.write_u64(hdr, LIST_MAGIC)?;
         pmem.write_u64(hdr + 8u64, payload.get())?;
         pmem.flush(hdr, 16)?;
@@ -117,22 +109,14 @@ impl ListStack {
             heap,
             hdr,
             default_block,
-            blocks: vec![BlockInfo {
+            blocks: vec![Block {
                 payload,
                 limit,
-                pointer_frame: None,
+                first: 0,
             }],
-            frames: vec![(
-                0,
-                FrameMeta {
-                    start: payload + BLOCK_HDR,
-                    func_id: DUMMY_FUNC_ID,
-                    args_len: 0,
-                },
-            )],
+            index,
             blocks_chained: 0,
             blocks_released: 0,
-            retired: false,
         })
     }
 
@@ -152,23 +136,17 @@ impl ListStack {
         }
         let first = POffset::new(pmem.read_u64(hdr + 8u64)?);
         let (blocks, frames) = walk_chain(&pmem, &heap, first)?;
-        if frames[0].1.func_id != DUMMY_FUNC_ID {
-            return Err(PError::CorruptStack(format!(
-                "bottom frame of list stack at {first} is not the dummy frame"
-            )));
-        }
         // Infer the default block size from the first block.
-        let default_block = blocks[0].limit.get() - blocks[0].payload.get();
+        let default_block = blocks[0].limit.distance_from(blocks[0].payload);
         Ok(ListStack {
+            index: FrameIndex::open(frames)?,
             pmem,
             heap,
             hdr,
             default_block,
             blocks,
-            frames,
             blocks_chained: 0,
             blocks_released: 0,
-            retired: false,
         })
     }
 
@@ -190,8 +168,8 @@ impl ListStack {
         self.blocks_released
     }
 
-    fn top(&self) -> &(usize, FrameMeta) {
-        self.frames.last().expect("dummy frame always present")
+    fn top_block(&self) -> Block {
+        *self.blocks.last().expect("chain keeps its first block")
     }
 }
 
@@ -202,70 +180,56 @@ fn write_block_header(pmem: &PMem, payload: POffset, prev: POffset) -> Result<()
     Ok(())
 }
 
-#[allow(clippy::type_complexity)]
+/// The block at `payload`, checked to be a live heap allocation (before
+/// any arithmetic on the offset: a pointer frame may name the null
+/// one) whose header names `prev` as the block before it.
+fn read_block(
+    pmem: &PMem,
+    heap: &PHeap,
+    payload: POffset,
+    prev: POffset,
+    first: usize,
+) -> Result<Block, PError> {
+    let len = heap.payload_len(payload).map_err(|e| {
+        PError::CorruptStack(format!(
+            "list-stack block {payload} is not a live heap allocation: {e}"
+        ))
+    })?;
+    let magic = pmem.read_u64(payload + 8u64)?;
+    if magic != LIST_BLOCK_MAGIC {
+        return Err(PError::CorruptStack(format!(
+            "bad block magic {magic:#x} at {payload}"
+        )));
+    }
+    let recorded = POffset::new(pmem.read_u64(payload)?);
+    if recorded != prev {
+        return Err(PError::CorruptStack(format!(
+            "block at {payload} records prev {recorded}, expected {prev}"
+        )));
+    }
+    Ok(Block {
+        payload,
+        limit: payload + len,
+        first,
+    })
+}
+
 fn walk_chain(
     pmem: &PMem,
     heap: &PHeap,
     first: POffset,
-) -> Result<(Vec<BlockInfo>, Vec<(usize, FrameMeta)>), PError> {
-    let mut blocks = Vec::new();
+) -> Result<(Vec<Block>, Vec<FrameMeta>), PError> {
+    let mut blocks = vec![read_block(pmem, heap, first, POffset::NULL, 0)?];
     let mut frames = Vec::new();
-
-    let block_info = |payload: POffset, expect_prev: POffset| -> Result<BlockInfo, PError> {
-        let magic = pmem.read_u64(payload + 8u64)?;
-        if magic != LIST_BLOCK_MAGIC {
-            return Err(PError::CorruptStack(format!(
-                "bad block magic {magic:#x} at {payload}"
-            )));
-        }
-        let prev = POffset::new(pmem.read_u64(payload)?);
-        if prev != expect_prev {
-            return Err(PError::CorruptStack(format!(
-                "block at {payload} records prev {prev}, expected {expect_prev}"
-            )));
-        }
-        let len = heap.payload_len(payload).map_err(|e| {
-            PError::CorruptStack(format!(
-                "list-stack block {payload} is not a live heap allocation: {e}"
-            ))
-        })?;
-        Ok(BlockInfo {
-            payload,
-            limit: payload + len,
-            pointer_frame: None,
-        })
-    };
-
-    blocks.push(block_info(first, POffset::NULL)?);
     let mut pos = first + BLOCK_HDR;
     loop {
-        let bidx = blocks.len() - 1;
-        match parse_frame(pmem, pos, blocks[bidx].limit)? {
-            ParsedFrame::Ordinary { meta, marker } => {
-                pos = meta.end();
-                frames.push((bidx, meta));
-                if marker == MARKER_STACK_END {
-                    break;
-                }
-            }
-            ParsedFrame::Pointer {
-                start,
-                next_block,
-                marker,
-            } => {
-                if marker == MARKER_STACK_END {
-                    return Err(PError::CorruptStack(format!(
-                        "pointer frame at {start} carries a stack-end marker"
-                    )));
-                }
-                let cur_payload = blocks[bidx].payload;
-                blocks[bidx].pointer_frame = Some(start);
-                blocks.push(block_info(next_block, cur_payload)?);
-                pos = next_block + BLOCK_HDR;
-            }
-        }
+        let block = blocks[blocks.len() - 1];
+        let Some((_, next)) = walk_frames(pmem, pos, block.limit, &mut frames)? else {
+            return Ok((blocks, frames));
+        };
+        blocks.push(read_block(pmem, heap, next, block.payload, frames.len())?);
+        pos = next + BLOCK_HDR;
     }
-    Ok((blocks, frames))
 }
 
 impl PersistentStack for ListStack {
@@ -274,107 +238,59 @@ impl PersistentStack for ListStack {
     }
 
     fn push_issued(&mut self, func_id: u64, args: &[u8]) -> Result<Option<FlushTicket>, PError> {
-        let need = ORDINARY_OVERHEAD + args.len() as u64;
-        let (top_bidx, top_meta) = *self.top();
-        debug_assert_eq!(top_bidx, self.blocks.len() - 1, "top frame in last block");
-        let tail = top_meta.end();
-        let limit = self.blocks[top_bidx].limit;
-
-        if tail.get() + need + POINTER_FRAME_LEN <= limit.get() {
+        let frame = encode_ordinary(func_id, args, MARKER_STACK_END)?;
+        let need = frame.len() as u64;
+        let block = self.top_block();
+        if self.index.top().end().get() + need + POINTER_FRAME_LEN <= block.limit.get() {
             // Fits in the current block: §3.4 protocol verbatim.
-            let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-            let ticket = persist_call(&self.pmem, &top_meta, self.retired, None, (tail, &buf))?;
-            self.retired = false;
-            self.frames.push((
-                top_bidx,
-                FrameMeta {
-                    start: tail,
-                    func_id,
-                    args_len: args.len() as u32,
-                },
-            ));
-            return Ok(ticket);
+            return self.index.call(&self.pmem, func_id, &frame, None);
         }
-
         // Chain a new block (Appendix A.3): everything below is
         // invisible until the old top's marker flips.
         let block_len = self.default_block.max(BLOCK_HDR + need + POINTER_FRAME_LEN);
-        let new_payload = self.heap.alloc(block_len as usize)?;
-        write_block_header(&self.pmem, new_payload, self.blocks[top_bidx].payload)?;
-        let frame_start = new_payload + BLOCK_HDR;
-        let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        let ptr = encode_pointer(new_payload, MARKER_FRAME_END);
+        let payload = self.heap.alloc(block_len as usize)?;
+        write_block_header(&self.pmem, payload, block.payload)?;
         // Linearization: the old top's marker flip, once the frame in
         // the new block and the pointer frame that leads to it are
         // durable (the pointer frame usually shares the flip's line).
-        let ticket = persist_call(
-            &self.pmem,
-            &top_meta,
-            self.retired,
-            Some((frame_start, &buf)),
-            (tail, &ptr),
-        )?;
-        self.retired = false;
-
-        let new_limit = new_payload + self.heap.payload_len(new_payload)?;
-        self.blocks[top_bidx].pointer_frame = Some(tail);
-        self.blocks.push(BlockInfo {
-            payload: new_payload,
-            limit: new_limit,
-            pointer_frame: None,
+        let pointer = encode_pointer(payload, MARKER_FRAME_END);
+        let chained = Some((payload + BLOCK_HDR, pointer.as_slice()));
+        let ticket = self.index.call(&self.pmem, func_id, &frame, chained)?;
+        self.blocks.push(Block {
+            payload,
+            limit: payload + self.heap.payload_len(payload)?,
+            first: self.index.frames().len() - 1,
         });
-        self.frames.push((
-            self.blocks.len() - 1,
-            FrameMeta {
-                start: frame_start,
-                func_id,
-                args_len: args.len() as u32,
-            },
-        ));
         self.blocks_chained += 1;
         Ok(ticket)
     }
 
     fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {
-        if self.frames.len() < 2 {
-            return Err(PError::StackEmpty);
-        }
-        let (top_bidx, _) = *self.top();
-        let (penult_bidx, penult) = self.frames[self.frames.len() - 2];
         // Flip the penultimate frame's marker: if the top frame was the
         // only one in its block, this single byte atomically invalidates
         // the pointer frame *and* the whole top block (Fig. 8).
-        persist_ret(&self.pmem, &penult, completion)?;
-        self.frames.pop();
-        if top_bidx != penult_bidx {
+        self.index.ret(&self.pmem, completion)?;
+        let dead = self.top_block();
+        if dead.first == self.index.frames().len() {
             // Crash here leaks the unreachable block; same window as
             // the paper's deallocation step.
-            let dead = self.blocks.pop().expect("top block exists");
+            self.blocks.pop();
             self.heap.free(dead.payload)?;
-            self.blocks
-                .last_mut()
-                .expect("chain keeps its first block")
-                .pointer_frame = None;
             self.blocks_released += 1;
         }
         Ok(())
     }
 
     fn retire(&mut self, completion: ReturnSlot) -> Result<(), PError> {
-        let (top_bidx, _) = *self.top();
-        let (dummy_bidx, dummy) = self.frames[0];
         // A pop that empties a block frees it: that pop is persisted.
-        if self.frames.len() != 2 || top_bidx != dummy_bidx {
+        if self.blocks.len() > 1 || !self.index.retire(&self.pmem, completion)? {
             return self.pop_with(Some(completion));
         }
-        retire_ret(&self.pmem, &dummy, completion)?;
-        self.retired = true;
-        self.frames.pop();
         Ok(())
     }
 
     fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.index.frames().len()
     }
 
     fn pmem(&self) -> &PMem {
@@ -382,12 +298,7 @@ impl PersistentStack for ListStack {
     }
 
     fn frame_meta(&self, index: usize) -> Result<FrameMeta, PError> {
-        self.frames.get(index).map(|&(_, m)| m).ok_or_else(|| {
-            PError::CorruptStack(format!(
-                "frame index {index} out of range (frame count {})",
-                self.frames.len()
-            ))
-        })
+        self.index.get(index)
     }
 
     fn check_consistency(&self) -> Result<(), PError> {
@@ -400,25 +311,12 @@ impl PersistentStack for ListStack {
                 self.blocks.len()
             )));
         }
-        if frames != self.frames {
-            return Err(PError::CorruptStack(format!(
-                "persistent walk found {} frames, volatile index has {}",
-                frames.len(),
-                self.frames.len()
-            )));
-        }
-        Ok(())
+        self.index.check(&frames)
     }
 
     fn used_bytes(&self) -> u64 {
-        let frame_bytes: u64 = self.frames.iter().map(|(_, m)| m.total_len()).sum();
-        let pointer_bytes: u64 = self
-            .blocks
-            .iter()
-            .filter(|b| b.pointer_frame.is_some())
-            .count() as u64
-            * POINTER_FRAME_LEN;
-        frame_bytes + pointer_bytes
+        let frame_bytes: u64 = self.index.frames().iter().map(FrameMeta::total_len).sum();
+        frame_bytes + (self.blocks.len() as u64 - 1) * POINTER_FRAME_LEN
     }
 }
 
@@ -568,6 +466,24 @@ mod tests {
     fn open_rejects_bad_magic() {
         let pmem = PMemBuilder::new().len(1 << 16).build_in_memory();
         let heap = PHeap::format(pmem.clone(), POffset::new(64), (1 << 16) - 64).unwrap();
+        assert!(matches!(
+            ListStack::open(pmem, heap, POffset::new(0)),
+            Err(PError::CorruptStack(_))
+        ));
+    }
+
+    #[test]
+    fn open_refuses_a_pointer_frame_into_no_block() {
+        // Bit 0 of the dummy's preamble reads it as a pointer frame whose
+        // target is the dummy's function id, the null offset.
+        let (pmem, heap, mut s) = setup(96);
+        for i in 0..12u64 {
+            s.push(i, &[0u8; 24]).unwrap();
+        }
+        assert!(s.block_count() > 3);
+        let dummy = s.frame_meta(0).unwrap().start;
+        pmem.write_u8(dummy, crate::frame::PREAMBLE_ORDINARY ^ 1)
+            .unwrap();
         assert!(matches!(
             ListStack::open(pmem, heap, POffset::new(0)),
             Err(PError::CorruptStack(_))

@@ -4,11 +4,19 @@
 //!
 //! * [`FixedStack`] — a contiguous NVRAM region of constant capacity
 //!   (§3.3), the layout the paper's body describes;
-//! * [`VecStack`] — a dynamically resizable array (Appendix A.2): one
-//!   persistent pointer to a heap block, relocated with a copy and an
-//!   atomic 8-byte pointer swing when capacity changes;
+//! * [`VecStack`] — a dynamically resizable array (Appendix A.2): a
+//!   fixed stack over one heap block, relocated with a copy and an
+//!   atomic 8-byte swing of one persistent pointer when capacity
+//!   changes;
 //! * [`ListStack`] — a linked list of heap blocks (Appendix A.3) where
 //!   pointer frames (`0xB`) chain blocks together.
+//!
+//! The layouts share one volatile frame index (`FrameIndex`): the
+//! frames, dummy first, a pending retired pop, and the bookkeeping of
+//! `CALL`, `RET` and retire over the persist steps below. They differ
+//! only in where a frame's bytes go — a fixed region checks overflow,
+//! a resizable array relocates, a list chains and frees blocks — and
+//! [`StackKind`] is the one place that builds a layout by name.
 //!
 //! All variants linearize a push at the `0x1 → 0x0` end-marker flip of
 //! the previous top frame, and a pop at the `0x0 → 0x1` flip of the
@@ -51,12 +59,14 @@ pub use fixed::FixedStack;
 pub use list::ListStack;
 pub use vec::VecStack;
 
+use pstack_heap::PHeap;
 use pstack_nvram::{Durable, FlushTicket, PMem, POffset};
 
 use crate::frame::{
-    FrameMeta, MARKER_FRAME_END, MARKER_STACK_END, RET_COMPLETED_UNIT, RET_COMPLETED_VALUE,
-    RET_EMPTY,
+    encode_ordinary, parse_frame, FrameMeta, ParsedFrame, MARKER_FRAME_END, MARKER_STACK_END,
+    ORDINARY_OVERHEAD, RET_COMPLETED_UNIT, RET_COMPLETED_VALUE, RET_EMPTY,
 };
+use crate::registry::DUMMY_FUNC_ID;
 use crate::PError;
 
 /// Identifies a stack layout; persisted in the runtime superblock so a
@@ -97,6 +107,62 @@ impl StackKind {
                 "unknown stack kind encoding {other}"
             ))),
         }
+    }
+
+    /// Bytes of one stack's area in the runtime's layout: a fixed
+    /// region of `capacity` rounded up to a line, or the 64 bytes that
+    /// hold an unbounded layout's header (its blocks are in the heap).
+    /// `None` if the rounding overflows.
+    #[must_use]
+    pub fn area(self, capacity: u64) -> Option<u64> {
+        match self {
+            StackKind::Fixed => capacity.checked_next_multiple_of(64),
+            StackKind::Vec | StackKind::List => Some(64),
+        }
+    }
+
+    /// Formats a stack of this layout at `base`: a fixed region of
+    /// `capacity` bytes, or a header whose first block of `capacity`
+    /// bytes (an array's initial one, a list's default one) `heap`
+    /// allocates.
+    ///
+    /// # Errors
+    ///
+    /// As the layout's `format`.
+    pub fn format(
+        self,
+        pmem: &PMem,
+        heap: &PHeap,
+        base: POffset,
+        capacity: u64,
+    ) -> Result<Box<dyn PersistentStack>, PError> {
+        let (pmem, heap) = (pmem.clone(), heap.clone());
+        Ok(match self {
+            StackKind::Fixed => Box::new(FixedStack::format(pmem, base, capacity)?),
+            StackKind::Vec => Box::new(VecStack::format(pmem, heap, base, capacity)?),
+            StackKind::List => Box::new(ListStack::format(pmem, heap, base, capacity)?),
+        })
+    }
+
+    /// Opens the stack [`StackKind::format`] formatted at `base`, with
+    /// the same `capacity` (which only a fixed region reads back).
+    ///
+    /// # Errors
+    ///
+    /// As the layout's `open`.
+    pub fn open(
+        self,
+        pmem: &PMem,
+        heap: &PHeap,
+        base: POffset,
+        capacity: u64,
+    ) -> Result<Box<dyn PersistentStack>, PError> {
+        let (pmem, heap) = (pmem.clone(), heap.clone());
+        Ok(match self {
+            StackKind::Fixed => Box::new(FixedStack::open(pmem, base, capacity)?),
+            StackKind::Vec => Box::new(VecStack::open(pmem, heap, base)?),
+            StackKind::List => Box::new(ListStack::open(pmem, heap, base)?),
+        })
     }
 }
 
@@ -618,31 +684,195 @@ fn read_ret_slot(pmem: &PMem, meta: &FrameMeta) -> Result<ReturnSlot, PError> {
     }
 }
 
-/// Walks a contiguous run of ordinary frames starting at `start` until
-/// a stack-end marker, bounds-checked by `limit`. Used by the fixed and
-/// resizable-array layouts, and per block by the linked-list layout.
+/// The volatile frame index the three layouts share: every live frame,
+/// the dummy frame at index 0, and whether a retired root pop is
+/// pending. It keeps `CALL`, `RET` and retire's bookkeeping over
+/// [`persist_call`], [`persist_ret`] and [`retire_ret`]; a layout only
+/// places frames. Rebuilt from NVRAM when a stack opens.
+#[derive(Debug)]
+pub(crate) struct FrameIndex {
+    frames: Vec<FrameMeta>,
+    /// A retired root pop is written and not yet durable; the next
+    /// push makes it so.
+    retired: bool,
+}
+
+impl FrameIndex {
+    /// Writes and flushes, at `start`, the dummy frame the paper
+    /// requires at the bottom of a stack: a fresh stack's index.
+    pub(crate) fn format(pmem: &PMem, start: POffset) -> Result<Self, PError> {
+        let dummy = encode_ordinary(DUMMY_FUNC_ID, &[], MARKER_STACK_END)?;
+        pmem.write(start, &dummy)?;
+        pmem.flush(start, dummy.len())?;
+        Self::open(vec![FrameMeta {
+            start,
+            func_id: DUMMY_FUNC_ID,
+            args_len: 0,
+        }])
+    }
+
+    /// The index of the frames a walk found, bottom first; refused
+    /// unless the bottom one is the dummy frame.
+    pub(crate) fn open(walked: Vec<FrameMeta>) -> Result<Self, PError> {
+        let bottom = *walked.first().expect("a walk stops at a frame");
+        if bottom.func_id != DUMMY_FUNC_ID {
+            return Err(PError::CorruptStack(format!(
+                "bottom frame at {} is not the dummy frame (func_id {:#x})",
+                bottom.start, bottom.func_id
+            )));
+        }
+        Ok(FrameIndex {
+            frames: walked,
+            retired: false,
+        })
+    }
+
+    pub(crate) fn frames(&self) -> &[FrameMeta] {
+        &self.frames
+    }
+
+    pub(crate) fn top(&self) -> FrameMeta {
+        *self.frames.last().expect("dummy frame always present")
+    }
+
+    /// Frame `index`, bounds-checked.
+    pub(crate) fn get(&self, index: usize) -> Result<FrameMeta, PError> {
+        self.frames.get(index).copied().ok_or_else(|| {
+            PError::CorruptStack(format!(
+                "frame index {index} out of range (frame count {})",
+                self.frames.len()
+            ))
+        })
+    }
+
+    /// `CALL` over the top frame (Fig. 3): `frame`, `func_id`'s frame as
+    /// [`encode_ordinary`] writes it, goes where it is invisible, past
+    /// the stack-end marker, and then the top frame's marker flips. It
+    /// goes right after the top frame, or, when `chained` is a new
+    /// block's first frame offset and the pointer frame that leads
+    /// there, at that offset with the pointer frame after the top frame.
+    pub(crate) fn call(
+        &mut self,
+        pmem: &PMem,
+        func_id: u64,
+        frame: &[u8],
+        chained: Option<(POffset, &[u8])>,
+    ) -> Result<Option<FlushTicket>, PError> {
+        let caller = self.top();
+        let (start, detached, appended) = match chained {
+            None => (caller.end(), None, (caller.end(), frame)),
+            Some((start, pointer)) => (start, Some((start, frame)), (caller.end(), pointer)),
+        };
+        let ticket = persist_call(pmem, &caller, self.retired, detached, appended)?;
+        self.retired = false;
+        self.frames.push(FrameMeta {
+            start,
+            func_id,
+            args_len: (frame.len() as u64 - ORDINARY_OVERHEAD) as u32,
+        });
+        Ok(ticket)
+    }
+
+    /// `RET` (Fig. 4): pops the top frame by flipping its caller's
+    /// marker back to stack-end; the popped frame is then invalid data
+    /// past the stack end.
+    pub(crate) fn ret(
+        &mut self,
+        pmem: &PMem,
+        completion: Option<ReturnSlot>,
+    ) -> Result<(), PError> {
+        let [.., caller, _] = self.frames[..] else {
+            return Err(PError::StackEmpty);
+        };
+        persist_ret(pmem, &caller, completion)?;
+        self.frames.pop();
+        Ok(())
+    }
+
+    /// Retires the root frame's `RET`; `false`, with nothing done, when
+    /// the top frame is not the root.
+    pub(crate) fn retire(&mut self, pmem: &PMem, completion: ReturnSlot) -> Result<bool, PError> {
+        if self.frames.len() != 2 {
+            return Ok(false);
+        }
+        retire_ret(pmem, &self.frames[0], completion)?;
+        self.retired = true;
+        self.frames.pop();
+        Ok(true)
+    }
+
+    /// Moves every frame from a block at `from` to its durable copy at
+    /// `to`, which holds any retired pop too.
+    pub(crate) fn rebase(&mut self, from: POffset, to: POffset) {
+        for meta in &mut self.frames {
+            meta.start = to + meta.start.distance_from(from);
+        }
+        self.retired = false;
+    }
+
+    /// Refuses a walk of the persistent bytes that found other frames
+    /// than the index holds.
+    pub(crate) fn check(&self, walked: &[FrameMeta]) -> Result<(), PError> {
+        if walked != self.frames {
+            return Err(PError::CorruptStack(format!(
+                "persistent walk found {} frames, volatile index has {}",
+                walked.len(),
+                self.frames.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Walks the ordinary frames from `start` onto `frames`, bounds-checked
+/// by `limit`, until a stack-end marker (`None`) or a pointer frame:
+/// its offset and the block it leads to. A list walks each of its
+/// blocks this way.
+pub(crate) fn walk_frames(
+    pmem: &PMem,
+    start: POffset,
+    limit: POffset,
+    frames: &mut Vec<FrameMeta>,
+) -> Result<Option<(POffset, POffset)>, PError> {
+    let mut pos = start;
+    loop {
+        match parse_frame(pmem, pos, limit)? {
+            ParsedFrame::Ordinary { meta, marker } => {
+                pos = meta.end();
+                frames.push(meta);
+                if marker == MARKER_STACK_END {
+                    return Ok(None);
+                }
+            }
+            ParsedFrame::Pointer {
+                start,
+                marker: MARKER_STACK_END,
+                ..
+            } => {
+                return Err(PError::CorruptStack(format!(
+                    "pointer frame at {start} carries a stack-end marker"
+                )));
+            }
+            ParsedFrame::Pointer {
+                start, next_block, ..
+            } => return Ok(Some((start, next_block))),
+        }
+    }
+}
+
+/// Walks a contiguous run of ordinary frames from `start`: the fixed
+/// and resizable-array layouts.
 pub(crate) fn walk_contiguous(
     pmem: &PMem,
     start: POffset,
     limit: POffset,
 ) -> Result<Vec<FrameMeta>, PError> {
     let mut frames = Vec::new();
-    let mut pos = start;
-    loop {
-        match crate::frame::parse_frame(pmem, pos, limit)? {
-            crate::frame::ParsedFrame::Ordinary { meta, marker } => {
-                pos = meta.end();
-                frames.push(meta);
-                if marker == crate::frame::MARKER_STACK_END {
-                    return Ok(frames);
-                }
-            }
-            crate::frame::ParsedFrame::Pointer { start, .. } => {
-                return Err(PError::CorruptStack(format!(
-                    "unexpected pointer frame at {start} in a contiguous stack"
-                )));
-            }
-        }
+    match walk_frames(pmem, start, limit, &mut frames)? {
+        None => Ok(frames),
+        Some((pointer, _)) => Err(PError::CorruptStack(format!(
+            "unexpected pointer frame at {pointer} in a contiguous stack"
+        ))),
     }
 }
 

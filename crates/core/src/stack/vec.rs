@@ -1,9 +1,9 @@
 //! Dynamically resizable persistent stack (Appendix A.2 of the paper).
 //!
-//! Along with the frame area we keep a single persistent pointer (an
-//! offset, per §4.1) to the heap block holding the stack data. Growing
-//! or shrinking allocates a new block, copies the live frames, flushes
-//! the copy, and then *swings the pointer* with one 8-byte persist —
+//! A [`FixedStack`] over one heap block, plus a single persistent
+//! pointer (an offset, per §4.1) to that block. Growing or shrinking
+//! allocates a new block, copies the live frames, flushes the copy,
+//! and then *swings the pointer* with one 8-byte persist —
 //! crash-atomic, because an 8-aligned word never crosses a cache line.
 //! A crash before the swing leaves the old block authoritative; a crash
 //! between the swing and the old block's deallocation leaks the old
@@ -12,11 +12,8 @@
 use pstack_heap::PHeap;
 use pstack_nvram::{FlushTicket, PMem, POffset};
 
-use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
-use crate::registry::DUMMY_FUNC_ID;
-use crate::stack::{
-    persist_call, persist_ret, retire_ret, walk_contiguous, PersistentStack, ReturnSlot, StackKind,
-};
+use crate::frame::{FrameMeta, ORDINARY_OVERHEAD};
+use crate::stack::{FixedStack, PersistentStack, ReturnSlot, StackKind};
 use crate::PError;
 
 const VEC_MAGIC: u64 = 0x5053_5645_4353_544B; // "PSVECSTK"
@@ -52,19 +49,12 @@ const SHRINK_RATIO: u64 = 4;
 /// ```
 #[derive(Debug)]
 pub struct VecStack {
-    pmem: PMem,
+    /// The stack over the current block.
+    stack: FixedStack,
     heap: PHeap,
     hdr: POffset,
-    block: POffset,
-    capacity: u64,
-    /// Volatile frame index (absolute offsets into the current block),
-    /// including the dummy frame; rebased on relocation.
-    frames: Vec<FrameMeta>,
     shrink: bool,
     relocations: u64,
-    /// A retired root pop is written and not yet durable; the next
-    /// push makes it so.
-    retired: bool,
 }
 
 impl VecStack {
@@ -85,29 +75,17 @@ impl VecStack {
                 "vec-stack header at {hdr} must be 8-aligned for the atomic pointer swing"
             )));
         }
-        let capacity = initial_capacity.max(MIN_VEC_CAPACITY);
-        let block = heap.alloc(capacity as usize)?;
-        let dummy = encode_ordinary(DUMMY_FUNC_ID, &[], MARKER_STACK_END)?;
-        pmem.write(block, &dummy)?;
-        pmem.flush(block, dummy.len())?;
+        let block = heap.alloc(initial_capacity.max(MIN_VEC_CAPACITY) as usize)?;
+        let stack = FixedStack::format(pmem.clone(), block, heap.payload_len(block)?)?;
         pmem.write_u64(hdr, VEC_MAGIC)?;
         pmem.write_u64(hdr + 8u64, block.get())?;
         pmem.flush(hdr, 16)?;
-        let capacity = heap.payload_len(block)?;
         Ok(VecStack {
-            pmem,
+            stack,
             heap,
             hdr,
-            block,
-            capacity,
-            frames: vec![FrameMeta {
-                start: block,
-                func_id: DUMMY_FUNC_ID,
-                args_len: 0,
-            }],
             shrink: true,
             relocations: 0,
-            retired: false,
         })
     }
 
@@ -130,22 +108,12 @@ impl VecStack {
                 "vec-stack block {block} is not a live heap allocation: {e}"
             ))
         })?;
-        let frames = walk_contiguous(&pmem, block, block + capacity)?;
-        if frames[0].func_id != DUMMY_FUNC_ID {
-            return Err(PError::CorruptStack(format!(
-                "bottom frame of vec-stack at {block} is not the dummy frame"
-            )));
-        }
         Ok(VecStack {
-            pmem,
+            stack: FixedStack::open(pmem, block, capacity)?,
             heap,
             hdr,
-            block,
-            capacity,
-            frames,
             shrink: true,
             relocations: 0,
-            retired: false,
         })
     }
 
@@ -157,7 +125,7 @@ impl VecStack {
     /// Current block capacity in bytes.
     #[must_use]
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.stack.capacity()
     }
 
     /// Number of block relocations (grows and shrinks) this handle has
@@ -167,42 +135,34 @@ impl VecStack {
         self.relocations
     }
 
-    fn top(&self) -> &FrameMeta {
-        self.frames.last().expect("dummy frame always present")
-    }
-
     /// The capacity a pop leaving `used` bytes live shrinks the block
     /// to, if it shrinks it at all.
     fn shrink_to(&self, used: u64) -> Option<u64> {
-        (self.shrink
-            && self.capacity > SHRINK_RATIO * used
-            && self.capacity / 2 >= MIN_VEC_CAPACITY)
-            .then(|| (self.capacity / 2).max(used))
+        let capacity = self.capacity();
+        (self.shrink && capacity > SHRINK_RATIO * used && capacity / 2 >= MIN_VEC_CAPACITY)
+            .then(|| (capacity / 2).max(used))
     }
 
     /// Moves the stack to a new block of at least `new_capacity` bytes:
     /// copy, flush, swing the header pointer (atomic), free the old
-    /// block, rebase the volatile index.
+    /// block, rebase the stack.
     fn relocate(&mut self, new_capacity: u64) -> Result<(), PError> {
-        let used = self.used_bytes();
+        let (pmem, old_block) = (self.stack.pmem(), self.stack.base());
+        let used = self.stack.used_bytes();
         debug_assert!(new_capacity >= used);
         let new_block = self.heap.alloc(new_capacity as usize)?;
-        let data = self.pmem.read_vec(self.block, used as usize)?;
-        self.pmem.write(new_block, &data)?;
-        self.pmem.flush(new_block, used as usize)?;
+        let data = pmem.read_vec(old_block, used as usize)?;
+        pmem.write(new_block, &data)?;
+        pmem.flush(new_block, used as usize)?;
         // The atomic pointer swing: after this single 8-byte persist the
         // new block is authoritative; before it, the old one is.
-        self.pmem.write_u64(self.hdr + 8u64, new_block.get())?;
-        self.pmem.flush(self.hdr + 8u64, 8)?;
+        pmem.write_u64(self.hdr + 8u64, new_block.get())?;
+        pmem.flush(self.hdr + 8u64, 8)?;
         // Crash exactly here leaks the old block — same window as the
         // paper's "after that, we deallocate the old block".
-        self.heap.free(self.block)?;
-        let delta_base = self.block;
-        for meta in &mut self.frames {
-            meta.start = new_block + meta.start.distance_from(delta_base);
-        }
-        self.block = new_block;
-        self.capacity = self.heap.payload_len(new_block)?;
+        self.heap.free(old_block)?;
+        let capacity = self.heap.payload_len(new_block)?;
+        self.stack.rebase(new_block, capacity);
         self.relocations += 1;
         Ok(())
     }
@@ -214,36 +174,19 @@ impl PersistentStack for VecStack {
     }
 
     fn push_issued(&mut self, func_id: u64, args: &[u8]) -> Result<Option<FlushTicket>, PError> {
+        let (used, capacity) = (self.used_bytes(), self.capacity());
         let need = ORDINARY_OVERHEAD + args.len() as u64;
-        let used = self.used_bytes();
-        if used + need > self.capacity {
-            let new_cap = (self.capacity * 2).max(used + need).max(MIN_VEC_CAPACITY);
+        if used + need > capacity {
             // The copy is of the popped frames, and the pointer swing
             // makes it durable: a retired pop is durable with it, and
             // nothing of it is left in the old block to flush.
-            self.relocate(new_cap)?;
-            self.retired = false;
+            self.relocate((capacity * 2).max(used + need).max(MIN_VEC_CAPACITY))?;
         }
-        let caller = *self.top();
-        let new_start = caller.end();
-        let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        let ticket = persist_call(&self.pmem, &caller, self.retired, None, (new_start, &buf))?;
-        self.retired = false;
-        self.frames.push(FrameMeta {
-            start: new_start,
-            func_id,
-            args_len: args.len() as u32,
-        });
-        Ok(ticket)
+        self.stack.push_issued(func_id, args)
     }
 
     fn pop_with(&mut self, completion: Option<ReturnSlot>) -> Result<(), PError> {
-        if self.frames.len() < 2 {
-            return Err(PError::StackEmpty);
-        }
-        let penult = self.frames[self.frames.len() - 2];
-        persist_ret(&self.pmem, &penult, completion)?;
-        self.frames.pop();
+        self.stack.pop_with(completion)?;
         if let Some(capacity) = self.shrink_to(self.used_bytes()) {
             self.relocate(capacity)?;
         }
@@ -251,56 +194,38 @@ impl PersistentStack for VecStack {
     }
 
     fn retire(&mut self, completion: ReturnSlot) -> Result<(), PError> {
-        let dummy = self.frames[0];
         // A pop that shrinks the block copies it: that pop is persisted.
-        let used = dummy.end().distance_from(self.block);
-        if self.frames.len() != 2 || self.shrink_to(used).is_some() {
+        if self.depth() != 1 || self.shrink_to(ORDINARY_OVERHEAD).is_some() {
             return self.pop_with(Some(completion));
         }
-        retire_ret(&self.pmem, &dummy, completion)?;
-        self.retired = true;
-        self.frames.pop();
-        Ok(())
+        self.stack.retire(completion)
     }
 
     fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.stack.frame_count()
     }
 
     fn pmem(&self) -> &PMem {
-        &self.pmem
+        self.stack.pmem()
     }
 
     fn frame_meta(&self, index: usize) -> Result<FrameMeta, PError> {
-        self.frames.get(index).copied().ok_or_else(|| {
-            PError::CorruptStack(format!(
-                "frame index {index} out of range (frame count {})",
-                self.frames.len()
-            ))
-        })
+        self.stack.frame_meta(index)
     }
 
     fn check_consistency(&self) -> Result<(), PError> {
-        let block = POffset::new(self.pmem.read_u64(self.hdr + 8u64)?);
-        if block != self.block {
+        let block = POffset::new(self.pmem().read_u64(self.hdr + 8u64)?);
+        if block != self.stack.base() {
             return Err(PError::CorruptStack(format!(
                 "persistent block pointer {block} disagrees with handle {}",
-                self.block
+                self.stack.base()
             )));
         }
-        let walked = walk_contiguous(&self.pmem, self.block, self.block + self.capacity)?;
-        if walked != self.frames {
-            return Err(PError::CorruptStack(format!(
-                "persistent walk found {} frames, volatile index has {}",
-                walked.len(),
-                self.frames.len()
-            )));
-        }
-        Ok(())
+        self.stack.check_consistency()
     }
 
     fn used_bytes(&self) -> u64 {
-        self.top().end().get() - self.block.get()
+        self.stack.used_bytes()
     }
 }
 

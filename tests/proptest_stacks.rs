@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use pstack::core::{FixedStack, ListStack, PError, PersistentStack, StackKind, VecStack};
+use pstack::core::{PError, PersistentStack, StackKind};
 use pstack::heap::PHeap;
 use pstack::nvram::{FailPlan, PMem, PMemBuilder, POffset};
 
@@ -30,30 +30,23 @@ fn kind_strategy() -> impl Strategy<Value = StackKind> {
     ]
 }
 
-fn build(kind: StackKind, pmem: &PMem, heap: &PHeap) -> Box<dyn PersistentStack> {
+/// Each layout's capacity: a fixed region of 48 KiB, small first
+/// blocks for the unbounded layouts so that they grow.
+fn capacity(kind: StackKind) -> u64 {
     match kind {
-        StackKind::Fixed => {
-            Box::new(FixedStack::format(pmem.clone(), POffset::new(0), 48 * 1024).unwrap())
-        }
-        StackKind::Vec => {
-            Box::new(VecStack::format(pmem.clone(), heap.clone(), POffset::new(0), 128).unwrap())
-        }
-        StackKind::List => {
-            Box::new(ListStack::format(pmem.clone(), heap.clone(), POffset::new(0), 160).unwrap())
-        }
+        StackKind::Fixed => 48 * 1024,
+        StackKind::Vec => 128,
+        StackKind::List => 160,
     }
 }
 
+fn build(kind: StackKind, pmem: &PMem, heap: &PHeap) -> Box<dyn PersistentStack> {
+    kind.format(pmem, heap, POffset::new(0), capacity(kind))
+        .unwrap()
+}
+
 fn reopen(kind: StackKind, pmem: &PMem, heap: &PHeap) -> Result<Box<dyn PersistentStack>, PError> {
-    Ok(match kind {
-        StackKind::Fixed => Box::new(FixedStack::open(pmem.clone(), POffset::new(0), 48 * 1024)?),
-        StackKind::Vec => Box::new(VecStack::open(pmem.clone(), heap.clone(), POffset::new(0))?),
-        StackKind::List => Box::new(ListStack::open(
-            pmem.clone(),
-            heap.clone(),
-            POffset::new(0),
-        )?),
-    })
+    kind.open(pmem, heap, POffset::new(0), capacity(kind))
 }
 
 fn fresh() -> (PMem, PHeap) {
