@@ -88,7 +88,7 @@ fn drive_runtime() -> Drive {
 
 /// Runs `drive` on `image` with each byte of `used` flipped by each
 /// mask, each case on a thread of its own.
-fn flip_every_byte(name: &str, image: &[u8], used: std::ops::Range<usize>, drive: &Drive) -> Tally {
+fn flip_every_byte(name: &str, image: &[u8], used: std::ops::Range<usize>, drive: &Drive) {
     assert!(drive(image).is_ok(), "{name}: the uncorrupted image drives");
     let mut tally = Tally::default();
     for at in used {
@@ -134,7 +134,6 @@ fn flip_every_byte(name: &str, image: &[u8], used: std::ops::Range<usize>, drive
         tally.panics
     );
     assert!(tally.ok > 0 && tally.typed > 0, "{name}: {tally:?}");
-    tally
 }
 
 /// The bytes `[0, end)` of `pmem` up to its last non-zero byte below
