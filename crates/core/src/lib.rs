@@ -25,7 +25,8 @@
 //!   root `RET` is left for its worker's next `CALL` to persist.
 //! * [`runtime`] — the system of §4.3: a main thread in standard or
 //!   recovery mode, N worker threads with per-thread persistent stacks
-//!   fed from a producer-consumer queue, and parallel recovery that
+//!   fed from the task queue — the list a run hands its workers, every
+//!   task on it before the first worker starts — and parallel recovery that
 //!   walks each stack top-to-bottom calling recover duals. The
 //!   [`StripedRuntime`] variant spans a control region plus a stripe of
 //!   data regions under whole-system crash semantics: a crash in any
@@ -41,7 +42,6 @@
 //!
 //! See the `pstack` facade crate for a complete quickstart.
 
-pub mod admission;
 pub mod frame;
 pub mod invoke;
 pub mod registry;
@@ -53,14 +53,13 @@ pub mod txn;
 mod error;
 mod macros;
 
-pub use admission::{Admission, AdmissionQueue};
 pub use error::PError;
 pub use frame::{FrameMeta, ParsedFrame, MARKER_FRAME_END, MARKER_STACK_END};
 pub use invoke::{recover_stack, ChildStatus, PContext, RetBytes, StackRecovery};
 pub use registry::{FnPair, FunctionRegistry, RecoverableFunction, DUMMY_FUNC_ID};
 pub use runtime::{
     CrashRegion, CrashSite, RecoveryMode, RecoveryReport, RunReport, Runtime, RuntimeConfig,
-    StripedRuntime, Task, TaskQueue,
+    StripedRuntime, Task,
 };
 pub use stack::{
     FixedStack, FrameRecord, ListStack, PersistentStack, ReturnSlot, StackKind, VecStack,

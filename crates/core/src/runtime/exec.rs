@@ -1,4 +1,4 @@
-//! Standard-mode execution: workers draining the task queue (§4.3,
+//! Standard-mode execution: workers taking a run's tasks in order (§4.3,
 //! steps 3–4), worker 0 on the calling thread.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 use crate::invoke::PContext;
-use crate::runtime::queue::{Task, TaskQueue};
+use crate::runtime::queue::{Task, TaskList};
 use crate::runtime::Runtime;
 
 /// Which NVRAM region of a (possibly multi-region) runtime a crash was
@@ -74,31 +74,22 @@ pub struct RunReport {
 
 impl Runtime {
     /// Runs `tasks` to completion (or until a crash) on up to the
-    /// configured number of workers — one per task at most: the queue
-    /// is closed, so a worker beyond the task count would only take its
-    /// stack to find nothing to do. Worker 0 is the calling thread and
-    /// the others are spawned, so a one-task run starts no thread
-    /// (unless [`Runtime::host_stack_size`] is set, which spawns every
-    /// worker). Each worker takes its own
+    /// configured number of workers — one per task at most: every task
+    /// is on the list before the first worker starts, so a worker beyond
+    /// the task count would only take its stack to find nothing to do.
+    /// Worker 0 is the calling thread and the others are spawned, so a
+    /// one-task run starts no thread (unless [`Runtime::host_stack_size`]
+    /// is set, which spawns every worker). Each worker takes its own
     /// persistent stack (the handle the runtime keeps across runs), then
-    /// repeatedly pops a task from the shared queue and executes it as a
-    /// root persistent call, whose `RET` the worker's next `CALL`
+    /// repeatedly takes the next task from the run's list and executes
+    /// it as a root persistent call, whose `RET` the worker's next `CALL`
     /// makes durable ([`RunReport::completed`]).
     ///
     /// On a crash every worker unwinds at its next NVRAM access — the
     /// whole-system crash model of §2.2 — leaving all in-flight frames
     /// on the per-worker stacks for [`Runtime::recover`].
     pub fn run_tasks(&self, tasks: impl IntoIterator<Item = Task>) -> RunReport {
-        let (queue, width) = self.closed_queue(tasks);
-        self.run_queue_sited(&queue, width, &|| self.runtime_site())
-    }
-
-    /// Like [`Runtime::run_tasks`] but draining a caller-managed queue,
-    /// so a driving thread can keep producing tasks while workers run
-    /// (the paper's main thread does exactly this). The caller must
-    /// eventually [`TaskQueue::close`] the queue.
-    pub fn run_queue(&self, queue: &TaskQueue) -> RunReport {
-        self.run_queue_sited(queue, self.workers(), &|| self.runtime_site())
+        self.run_sited(tasks, &|| self.runtime_site())
     }
 
     fn runtime_site(&self) -> CrashSite {
@@ -108,34 +99,23 @@ impl Runtime {
         }
     }
 
-    /// `tasks` on a closed queue, with the workers worth running for
-    /// them: one per task, at most [`Runtime::workers`].
-    pub(crate) fn closed_queue(&self, tasks: impl IntoIterator<Item = Task>) -> (TaskQueue, usize) {
-        let queue = TaskQueue::new();
-        let mut count = 0;
-        for t in tasks {
-            queue.push(t);
-            count += 1;
-        }
-        queue.close();
-        (queue, count.min(self.workers()))
-    }
-
-    /// The engine behind [`Runtime::run_queue`], on workers `0..width`
-    /// (worker 0 the calling thread), with a pluggable crash locator.
-    /// The first worker to observe a crash invokes `locate` exactly
-    /// once — a
-    /// [`StripedRuntime`](crate::runtime::StripedRuntime) uses the hook
+    /// The engine behind [`Runtime::run_tasks`] and
+    /// [`StripedRuntime::run_tasks`](crate::runtime::StripedRuntime::run_tasks),
+    /// on one worker per task up to [`Runtime::workers`] (worker 0 the
+    /// calling thread), with a pluggable crash locator. The first worker
+    /// to observe a crash invokes `locate` exactly once — a striped
+    /// runtime uses the hook
     /// to attribute the crash to the region that tripped it *and* to
     /// propagate the failure to every other region, so all workers
     /// unwind at their next NVRAM access (the whole-system crash model
     /// of §2.2).
-    pub(crate) fn run_queue_sited(
+    pub(crate) fn run_sited(
         &self,
-        queue: &TaskQueue,
-        width: usize,
+        tasks: impl IntoIterator<Item = Task>,
         locate: &(dyn Fn() -> CrashSite + Sync),
     ) -> RunReport {
+        let tasks = TaskList::new(tasks);
+        let width = tasks.len().min(self.workers());
         let completed = AtomicUsize::new(0);
         let task_errors = AtomicUsize::new(0);
         let crashed = AtomicBool::new(false);
@@ -162,7 +142,7 @@ impl Runtime {
 
         self.fan_out(width, "pstack-worker", |pid| {
             let run = self.with_worker_stack(pid, |stack| {
-                while let Some(task) = queue.pop() {
+                while let Some(task) = tasks.next() {
                     let mut ctx = PContext::new(
                         self.pmem().clone(),
                         self.heap().clone(),
@@ -207,8 +187,9 @@ mod tests {
     use crate::PError;
     use pstack_nvram::{FailPlan, PMemBuilder};
     use std::panic::AssertUnwindSafe;
-    use std::sync::{Arc, Barrier};
+    use std::sync::{Arc, Condvar};
     use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     /// Function 1: atomically (write+flush) adds its argument into the
     /// u64 accumulator cell at `user_root + 8 * pid_slot`, guarded by a
@@ -257,8 +238,8 @@ mod tests {
 
     #[test]
     fn a_one_task_run_is_executed_by_pid_0_every_time() {
-        // The queue is closed, so a second worker could only open its
-        // stack and find nothing: none is started, and the one task
+        // Every task is on the list at the start, so a second worker
+        // could only open its stack and find nothing: none is started, and the one task
         // never races to another worker.
         let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
         let mut reg = FunctionRegistry::new();
@@ -280,11 +261,43 @@ mod tests {
         }
     }
 
+    /// Where two tasks meet: both must arrive within ten seconds of the
+    /// meeting's setup, or each fails the test rather than hang it.
+    struct Meet {
+        arrived: std::sync::Mutex<usize>,
+        both: Condvar,
+        deadline: Instant,
+    }
+
+    impl Meet {
+        fn new() -> Option<Arc<Meet>> {
+            Some(Arc::new(Meet {
+                arrived: std::sync::Mutex::new(0),
+                both: Condvar::new(),
+                deadline: Instant::now() + Duration::from_secs(10),
+            }))
+        }
+
+        fn wait(&self) {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.both.notify_all();
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            let (arrived, wait) = self
+                .both
+                .wait_timeout_while(arrived, left, |n| *n < 2)
+                .unwrap();
+            drop(arrived);
+            let met = !left.is_zero() && !wait.timed_out();
+            assert!(met, "the other worker never took its task");
+        }
+    }
+
     /// Function 1 waits at `meet` (when given), then records the thread
     /// it ran on; a task run on `panic_on`'s thread panics instead.
     fn thread_registry(
         seen: &Arc<Mutex<Vec<ThreadId>>>,
-        meet: Option<Arc<Barrier>>,
+        meet: Option<Arc<Meet>>,
         panic_on: Option<ThreadId>,
     ) -> FunctionRegistry {
         let seen = Arc::clone(seen);
@@ -320,9 +333,9 @@ mod tests {
 
     #[test]
     fn a_two_task_run_on_two_workers_runs_exactly_one_task_on_the_caller() {
-        // Both tasks meet at a barrier, so each worker holds one.
+        // Both tasks meet, so each worker holds one.
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let meet = Some(Arc::new(Barrier::new(2)));
+        let meet = Meet::new();
         let rt = runtime(2, &thread_registry(&seen, meet, None));
         let report = rt.run_tasks(vec![Task::new(1, vec![]), Task::new(1, vec![])]);
         assert_eq!(report.completed, 2);
@@ -352,7 +365,7 @@ mod tests {
         // The caller's task panics once both tasks have met; the other
         // worker's task is recorded only after that, and still is.
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let meet = Some(Arc::new(Barrier::new(2)));
+        let meet = Meet::new();
         let caller = std::thread::current().id();
         let rt = runtime(2, &thread_registry(&seen, meet, Some(caller)));
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -417,28 +430,6 @@ mod tests {
         assert_eq!(site.region, CrashRegion::Runtime);
         assert_eq!(site.events, pmem.events());
         assert!(site.events > 0);
-    }
-
-    #[test]
-    fn run_queue_supports_external_producer() {
-        let pmem = PMemBuilder::new().len(1 << 20).build_in_memory();
-        let reg = slot_registry();
-        let rt = Runtime::format(pmem, RuntimeConfig::new(2), &reg).unwrap();
-        let queue = TaskQueue::new();
-        let report = std::thread::scope(|s| {
-            let producer = s.spawn(|| {
-                for i in 0..16u64 {
-                    let mut args = i.to_le_bytes().to_vec();
-                    args.extend_from_slice(&1u64.to_le_bytes());
-                    queue.push(Task::new(1, args));
-                }
-                queue.close();
-            });
-            let report = rt.run_queue(&queue);
-            producer.join().unwrap();
-            report
-        });
-        assert_eq!(report.completed, 16);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The system architecture of §4.3: one main thread (standard mode or
 //! recovery mode), N worker threads with per-thread persistent stacks,
-//! a producer-consumer task queue, and parallel recovery.
+//! the task queue — the list of tasks a run hands its workers, taken in
+//! order under one lock — and parallel recovery.
 //!
 //! # Persistent layout
 //!
@@ -24,7 +25,7 @@ mod recovery;
 mod striped;
 
 pub use exec::{CrashRegion, CrashSite, RunReport};
-pub use queue::{Task, TaskQueue};
+pub use queue::Task;
 pub use recovery::{RecoveryMode, RecoveryReport};
 pub use striped::StripedRuntime;
 

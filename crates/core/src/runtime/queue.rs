@@ -1,12 +1,10 @@
-//! The producer-consumer task queue of §4.3.
+//! The task queue of §4.3, as the list a run hands its workers.
 //!
-//! The queue itself is *volatile* (as in the paper: the main thread
-//! refills it after every restart from its persistent record of
-//! outstanding work); only task *effects* are persistent.
+//! The list is *volatile* (as in the paper: the main thread refills it
+//! after every restart from its persistent record of outstanding work);
+//! only task *effects* are persistent. Every task is on it before the
+//! first worker starts, so it needs no close and no blocking pop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 /// One unit of work: a registered function id plus serialized
@@ -28,86 +26,30 @@ impl Task {
     }
 }
 
-/// Multi-producer multi-consumer queue feeding worker threads.
-///
-/// # Example
-///
-/// ```
-/// use pstack_core::{Task, TaskQueue};
-///
-/// let q = TaskQueue::new();
-/// q.push(Task::new(1, vec![]));
-/// q.close();
-/// assert_eq!(q.pop().unwrap().func_id, 1);
-/// assert!(q.pop().is_none());
-/// ```
+/// A run's tasks, taken in order by its workers under one lock.
 #[derive(Debug)]
-pub struct TaskQueue {
-    tx: Mutex<Option<Sender<Task>>>,
-    rx: Receiver<Task>,
-    pushed: AtomicU64,
-    popped: AtomicU64,
+pub(crate) struct TaskList {
+    tasks: Mutex<std::vec::IntoIter<Task>>,
 }
 
-impl Default for TaskQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TaskQueue {
-    /// Creates an empty open queue.
-    #[must_use]
-    pub fn new() -> Self {
-        let (tx, rx) = unbounded();
-        TaskQueue {
-            tx: Mutex::new(Some(tx)),
-            rx,
-            pushed: AtomicU64::new(0),
-            popped: AtomicU64::new(0),
+impl TaskList {
+    pub(crate) fn new(tasks: impl IntoIterator<Item = Task>) -> Self {
+        let tasks: Vec<Task> = tasks.into_iter().collect();
+        TaskList {
+            tasks: Mutex::new(tasks.into_iter()),
         }
     }
 
-    /// Enqueues a task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue has been closed.
-    pub fn push(&self, task: Task) {
-        let guard = self.tx.lock();
-        let tx = guard.as_ref().expect("queue is closed");
-        tx.send(task).expect("receiver lives as long as the queue");
-        self.pushed.fetch_add(1, Ordering::Relaxed);
+    /// Tasks not yet taken.
+    pub(crate) fn len(&self) -> usize {
+        self.tasks.lock().len()
     }
 
-    /// Closes the queue: consumers drain the remaining tasks, then
-    /// [`TaskQueue::pop`] returns `None` forever.
-    pub fn close(&self) {
-        self.tx.lock().take();
-    }
-
-    /// Blocks for the next task; `None` once the queue is closed and
-    /// drained.
-    pub fn pop(&self) -> Option<Task> {
-        match self.rx.recv() {
-            Ok(t) => {
-                self.popped.fetch_add(1, Ordering::Relaxed);
-                Some(t)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Total tasks ever enqueued.
-    #[must_use]
-    pub fn pushed(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
-    }
-
-    /// Total tasks ever dequeued.
-    #[must_use]
-    pub fn popped(&self) -> u64 {
-        self.popped.load(Ordering::Relaxed)
+    /// The next task, `None` once all are taken. The lock is released
+    /// when this returns, before the task runs: a worker that kept it
+    /// across its task would starve every other worker.
+    pub(crate) fn next(&self) -> Option<Task> {
+        self.tasks.lock().next()
     }
 }
 
@@ -117,29 +59,22 @@ mod tests {
 
     #[test]
     fn fifo_within_single_consumer() {
-        let q = TaskQueue::new();
-        q.push(Task::new(1, vec![1]));
-        q.push(Task::new(2, vec![2]));
-        q.close();
-        assert_eq!(q.pop().unwrap().func_id, 1);
-        assert_eq!(q.pop().unwrap().func_id, 2);
-        assert!(q.pop().is_none());
-        assert_eq!(q.pushed(), 2);
-        assert_eq!(q.popped(), 2);
+        let list = TaskList::new([Task::new(1, vec![1]), Task::new(2, vec![2])]);
+        assert_eq!(list.len(), 2);
+        assert_eq!(list.next().unwrap().func_id, 1);
+        assert_eq!(list.next().unwrap().func_id, 2);
+        assert!(list.next().is_none());
+        assert_eq!(list.len(), 0);
     }
 
     #[test]
     fn concurrent_consumers_drain_everything() {
-        let q = TaskQueue::new();
-        for i in 0..100 {
-            q.push(Task::new(i, vec![]));
-        }
-        q.close();
+        let list = TaskList::new((0..100).map(|i| Task::new(i, vec![])));
         let seen = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    while let Some(t) = q.pop() {
+                    while let Some(t) = list.next() {
                         seen.lock().unwrap().push(t.func_id);
                     }
                 });
@@ -148,13 +83,5 @@ mod tests {
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "queue is closed")]
-    fn push_after_close_panics() {
-        let q = TaskQueue::new();
-        q.close();
-        q.push(Task::new(1, vec![]));
     }
 }

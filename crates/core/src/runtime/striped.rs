@@ -302,9 +302,7 @@ impl StripedRuntime {
     /// run, [`StripedRuntime::reopen_all`] + [`StripedRuntime::recover`]
     /// is the restart path.
     pub fn run_tasks(&self, tasks: impl IntoIterator<Item = Task>) -> RunReport {
-        let (queue, width) = self.runtime.closed_queue(tasks);
-        self.runtime
-            .run_queue_sited(&queue, width, &|| self.trip_system_crash())
+        self.runtime.run_sited(tasks, &|| self.trip_system_crash())
     }
 
     /// Recovers the whole system: replays every interrupted frame on

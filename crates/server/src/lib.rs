@@ -14,9 +14,10 @@
 //!   see [`ServerCore`]: effects at-most-once, acks at-least-once,
 //!   and only the persists that takes (reads answered at admission
 //!   persist nothing; descriptors persist once per drain);
-//! * per-shard [`AdmissionQueue`]s, with explicit `Overloaded`
-//!   shedding (never a silent drop), drained each round into one batch
-//!   window over every shard's group commit;
+//! * admission — one bounded volatile queue per shard, its state under
+//!   one lock, with explicit and counted `Overloaded` shedding (never a
+//!   silent drop), drained each round into one batch window over every
+//!   shard's group commit;
 //! * [`serve_round`] — the program's one serving round: admit, drain,
 //!   run the window **on the persistent stack**, answer. Campaign,
 //!   fixtures and socket listener all run it; a power failure anywhere
@@ -37,8 +38,8 @@
 //! `Retry`/`Done` — never a lost ack, never a duplicated effect.
 //!
 //! [`KvRequestTable`]: pstack_kv::KvRequestTable
-//! [`AdmissionQueue`]: pstack_core::AdmissionQueue
 
+mod admission;
 mod client;
 mod clock;
 pub mod proto;

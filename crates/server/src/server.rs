@@ -106,11 +106,14 @@
 //!
 //! # Admission control
 //!
-//! Volatile [`AdmissionQueue`]s (one per shard) sit between the
-//! transports and the batch windows. A request is answered
-//! [`Submission::Overloaded`] — never silently dropped — when its
-//! shard's queue is at capacity **or** its shard's request table has no
-//! recyclable slot. A queue-full shed happens **before** any slot is
+//! One volatile bounded queue per shard sits between the transports and
+//! the batch windows, all its state under one lock held across a whole
+//! [`ServerCore::submit`]. A request is answered
+//! [`Submission::Overloaded`] — never silently dropped, which would look
+//! like a crash to the client and hide the saturation — when its shard's
+//! queue is at capacity **or** its shard's request table has no
+//! recyclable slot; both sheds are counted ([`ServerCore::shed`]).
+//! A queue-full shed happens **before** any slot is
 //! claimed (after the volatile dedup lookup, so a known id still gets
 //! its answer): it writes nothing and pins nothing. Queues are volatile
 //! on purpose: a power failure empties them, and the clients' retry
@@ -123,15 +126,15 @@
 //! [`PKvStore::recover_batch`]: pstack_kv::PKvStore::recover_batch
 //! [`ShardedKvStore::get_durable`]: pstack_kv::ShardedKvStore::get_durable
 
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use pstack_core::{Admission, AdmissionQueue, PError, StripedRuntime, Task};
+use pstack_core::{PError, StripedRuntime, Task};
 use pstack_kv::{
     KvServeFunction, KvTaskAnswer, KvTaskOp, KvTaskResult, ReqSubmit, ShardWindow, KV_SERVE_FUNC_ID,
 };
 use pstack_nvram::{op_label, MemError};
 
+use crate::admission::{ShardQueue, WindowEntry};
 use crate::proto::{kind_of, Request, RequestBody, Response};
 
 /// The `executor` reported for a read answered at admission: no runtime
@@ -156,28 +159,6 @@ pub enum Submission {
     /// client broke the retry contract. Respond `Stale`; re-admitting
     /// would re-execute an effect that already ran exactly once.
     Stale,
-}
-
-/// One queued request, with the execution mode it must use.
-#[derive(Debug, Clone, Copy)]
-struct WindowEntry {
-    req_id: u64,
-    /// The op's wire kind, echoed in the `Done` its window produces.
-    kind: u8,
-    slot: u32,
-    /// `true` if this entry *might* have executed before (a retry of a
-    /// pending slot) — it and its whole window must run through the
-    /// evidence-scanning recovery dual
-    /// ([`pstack_kv::PKvStore::recover_batch`]).
-    recovery: bool,
-}
-
-#[derive(Debug)]
-struct ShardQueue {
-    queue: AdmissionQueue<WindowEntry>,
-    /// Request ids currently sitting in `queue` — dedupes retry
-    /// re-enqueues so one request never occupies two queue slots.
-    queued: Mutex<HashSet<u64>>,
 }
 
 /// What a drain hands out: the round's window as a task (none when
@@ -206,10 +187,7 @@ impl ServerCore {
     pub fn new(exec: KvServeFunction, queue_capacity: usize, batch: usize) -> Self {
         assert!(batch > 0, "batch windows need at least one slot");
         let shards = (0..exec.store().nshards())
-            .map(|_| ShardQueue {
-                queue: AdmissionQueue::new(queue_capacity),
-                queued: Mutex::new(HashSet::new()),
-            })
+            .map(|_| ShardQueue::new(queue_capacity))
             .collect();
         ServerCore {
             exec,
@@ -227,13 +205,13 @@ impl ServerCore {
     /// Total requests shed across all shards (queue-full + table-full).
     #[must_use]
     pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue.shed()).sum()
+        self.shards.iter().map(|s| s.lock().shed).sum()
     }
 
     /// Total requests admitted into queues across all shards.
     #[must_use]
     pub fn admitted(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue.admitted()).sum()
+        self.shards.iter().map(|s| s.lock().admitted).sum()
     }
 
     /// Admits one operation request.
@@ -264,12 +242,11 @@ impl ServerCore {
         }
         let shard = self.exec.store().shard_of(op.key());
         let table = &self.exec.tables()[shard];
-        let sq = &self.shards[shard];
-        // Held across the whole admission: the full-queue check, the
-        // slot claim and the offer are one step per shard (a drain only
+        // One lock across the whole admission: the full-queue check, the
+        // slot claim and the enqueue are one step per shard (a drain only
         // ever frees queue room, so the check cannot go stale).
-        let mut queued = sq.queued.lock().expect("queued set poisoned");
-        if !table.contains(req_id) && sq.queue.shed_if_full() {
+        let mut sq = self.shards[shard].lock();
+        if !table.contains(req_id) && sq.shed_if_full() {
             return Ok(Submission::Overloaded); // shed before claim
         }
         let (slot, recovery) = match table.submit(req_id, op)? {
@@ -281,27 +258,26 @@ impl ServerCore {
             // execution may be in flight or already published.
             ReqSubmit::Known { slot, answer: None } => (slot, true),
             ReqSubmit::Fresh(slot) => (slot, false),
-            ReqSubmit::Full => return Ok(Submission::Overloaded),
+            ReqSubmit::Full => {
+                sq.shed += 1;
+                return Ok(Submission::Overloaded);
+            }
             ReqSubmit::Stale => return Ok(Submission::Stale),
         };
-        if queued.contains(&req_id) {
-            return Ok(Submission::Queued); // already awaiting a window
-        }
-        match sq.queue.offer(WindowEntry {
+        // Only a retry of a pending slot can be shed here (a fresh id was
+        // shed above, before its claim): the slot stays pending and the
+        // next retry re-offers it once the queue has drained.
+        let entry = WindowEntry {
             req_id,
             kind: kind_of(op),
             slot,
             recovery,
-        }) {
-            Admission::Admitted { .. } => {
-                queued.insert(req_id);
-                Ok(Submission::Queued)
-            }
-            // Only a retry of a pending slot gets here (a fresh id was
-            // shed above, before its claim): the slot stays pending and
-            // the next retry re-offers it once the queue has drained.
-            Admission::Shed => Ok(Submission::Overloaded),
-        }
+        };
+        Ok(if sq.offer(entry) {
+            Submission::Queued
+        } else {
+            Submission::Overloaded
+        })
     }
 
     /// Records a client ack, searching every shard's table (the
@@ -330,7 +306,7 @@ impl ServerCore {
 
     /// Admitted requests still waiting for a window.
     pub(crate) fn backlog(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.depth()).sum()
+        self.shards.iter().map(|s| s.lock().depth()).sum()
     }
 
     /// Drains each shard's queue — at most `batch` entries a shard —
@@ -367,13 +343,9 @@ impl ServerCore {
         let mut window = Vec::new();
         let (mut req_ids, mut kinds) = (Vec::new(), Vec::new());
         for (shard, sq) in self.shards.iter().enumerate() {
-            let entries = sq.queue.drain_window(self.batch);
+            let entries = sq.lock().drain_window(self.batch);
             if entries.is_empty() {
                 continue;
-            }
-            let mut queued = sq.queued.lock().expect("queued set poisoned");
-            for e in &entries {
-                queued.remove(&e.req_id);
             }
             req_ids.extend(entries.iter().map(|e| e.req_id));
             kinds.extend(entries.iter().map(|e| e.kind));
@@ -528,6 +500,7 @@ mod tests {
     use pstack_core::RuntimeConfig;
     use pstack_kv::{KvVariant, ShardedKvStore};
     use pstack_nvram::PMemBuilder;
+    use std::collections::HashSet;
 
     use crate::proto::req_id_for;
 
@@ -750,11 +723,70 @@ mod tests {
         let req_id = req_id_for(4, 3);
         assert_eq!(responses[0], Response::Overloaded { req_id });
         assert_eq!(responses.len(), 3);
+        assert_eq!(core.shed(), 1, "a table-full shed is counted");
         // Answer + ack one → a slot recycles → admission reopens.
         assert!(core.ack(req_id_for(4, 1)).unwrap());
         assert_eq!(
             served(&core, &rt, &[put(3)]),
             [(req_id, KvTaskResult::Stored(true))]
+        );
+    }
+
+    #[test]
+    fn admission_under_contention_sheds_before_claim_and_seats_each_id_once() {
+        // Four clients submit while a fifth thread drains: each shard's
+        // one lock keeps the check, the claim and the enqueue together.
+        let (_rt, exec) = fixture(1, 256);
+        let core = ServerCore::new(exec, 4, 4);
+        let submitting = std::sync::atomic::AtomicUsize::new(4);
+        let (outcomes, drained) = std::thread::scope(|s| {
+            let clients: Vec<_> = (1..=4u32)
+                .map(|client| {
+                    let (core, submitting) = (&core, &submitting);
+                    s.spawn(move || {
+                        let outcomes: Vec<Submission> = (1..=64u32)
+                            .map(|seq| {
+                                let key = u64::from(client * 64 + seq);
+                                let put = KvTaskOp::Put { key, value: 1 };
+                                core.submit(req_id_for(client, seq), put).unwrap()
+                            })
+                            .collect();
+                        submitting.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                        outcomes
+                    })
+                })
+                .collect();
+            let drainer = s.spawn(|| {
+                let mut drained = Vec::new();
+                while submitting.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                    drained.extend(core.drain_tasks().1);
+                }
+                drained
+            });
+            let outcomes: Vec<Submission> = clients
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect();
+            (outcomes, drainer.join().unwrap())
+        });
+        let shed = outcomes
+            .iter()
+            .filter(|&&o| o == Submission::Overloaded)
+            .count();
+        let queued = outcomes
+            .iter()
+            .filter(|&&o| o == Submission::Queued)
+            .count();
+        assert_eq!(shed + queued, 256, "every put is queued or shed");
+        let unique: HashSet<u64> = drained.iter().copied().collect();
+        assert_eq!(unique.len(), drained.len(), "an id in two windows");
+        assert_eq!(core.admitted(), (drained.len() + core.backlog()) as u64);
+        assert_eq!(core.admitted(), queued as u64);
+        assert_eq!(core.shed(), shed as u64);
+        assert_eq!(
+            core.exec().tables()[0].live(),
+            core.admitted(),
+            "shed before claim"
         );
     }
 
