@@ -33,7 +33,7 @@ use pstack_verify::{
 };
 
 use crate::cycle::{self, Cx, Harness, Machine, Policy, Striped, Tally, CONTROL_REGION_LEN};
-use crate::kv_campaign::{self, KvWorkload, ShardLogUsage, ANSWER_REPLAY_FUSE};
+use crate::kv_campaign::{self, KvWorkload, ShardLogUsage, ANSWER_REPLAY_FUSE, SERVED_REPLAY_FUSE};
 use crate::server_campaign::{self, ServedStats};
 
 /// One row of the campaign table. Every row runs under the
@@ -212,6 +212,7 @@ impl CampaignConfig {
     fn policy(&self) -> Policy {
         let recovery_fuse = match &self.workload {
             Workload::Kv(kv) => kv.recovery_fuse(),
+            Workload::Served { .. } => SERVED_REPLAY_FUSE,
             _ => ANSWER_REPLAY_FUSE,
         };
         Policy {

@@ -57,6 +57,12 @@ const VALUE_RANGE: (i64, i64) = (-100, 100);
 /// answer persist — a dozen events, not a group commit's forty — and a
 /// longer fuse outlives the pass, so the kill never lands.
 pub(crate) const ANSWER_REPLAY_FUSE: (u64, u64) = (1, 12);
+/// Countdown of a kill inside a served row's recovery pass. A served
+/// window's one level lands whole or not at all under these rows'
+/// kills, and its frame with it, so a pass replays completed windows:
+/// each re-collects its answers, reading only, and pops its frame — a
+/// few events of the control region.
+pub(crate) const SERVED_REPLAY_FUSE: (u64, u64) = (1, 3);
 /// The same where recovery replays whole group-commit windows.
 const WINDOW_REPLAY_FUSE: (u64, u64) = (2, 40);
 /// The same where a row compacts, so a pass may replay a compaction.

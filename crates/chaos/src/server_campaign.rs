@@ -456,10 +456,9 @@ mod tests {
         // The acceptance gate: ≥ 200 live-load crash/recover cycles
         // across seeds — zero lost acks, zero duplicate effects, zero
         // PSan violations, SLO percentiles present in every campaign.
-        // Reads are answered at admission and descriptors persist at
-        // the drain, so kills land on staged descriptors, on the
-        // drain's flights and on a window's record and log-tail
-        // flights too.
+        // Reads are answered at admission and descriptors persist with
+        // their answers, so kills land on staged descriptors and on a
+        // window's slot, record and header flights too.
         let g = gate(|seed| CampaignConfig::served(4, 16, 4000 + seed));
         assert!(
             g.recovery_kills > 0,

@@ -21,7 +21,23 @@ mod tests {
 
     #[test]
     fn sharded_campaign_is_linearizable_and_crashes_in_batch_windows() {
-        let report = run_campaign(&sharded(80, 21)).unwrap();
+        // Three seeds: a window's frame is durable only with its level,
+        // so a kill inside a window leaves none to replay, and one
+        // seed's kills, under the scheduler's interleaving of four
+        // workers, may all land there.
+        let mut frames = 0;
+        for seed in [21, 22, 23] {
+            frames += sharded_row(seed);
+        }
+        // The batch windows ran as persistent-stack tasks: frames were
+        // replayed.
+        assert!(frames > 0, "stack-driven recovery should replay frames");
+    }
+
+    /// One seed of the sharded row, every per-report check; the frames
+    /// its recoveries replayed.
+    fn sharded_row(seed: u64) -> usize {
+        let report = run_campaign(&sharded(80, seed)).unwrap();
         assert!(report.is_consistent(), "{:?}", report.execution);
         assert!(report.crashes > 0, "campaign should experience crashes");
         let shard_kills = report.crash_sites.len() - report.kills_in(CrashRegion::Runtime);
@@ -43,12 +59,6 @@ mod tests {
             report.psan_violations.is_empty(),
             "sanitizer findings: {:?}",
             report.psan_violations
-        );
-        // The batch windows ran as persistent-stack tasks: interrupted
-        // frames were replayed.
-        assert!(
-            report.recovered_frames > 0,
-            "stack-driven recovery should replay interrupted frames"
         );
         // Every cycle is attributed to the region that tripped it.
         assert!(!report.crash_sites.is_empty());
@@ -83,6 +93,7 @@ mod tests {
             telemetry.ops
         );
         println!("{}", telemetry.render());
+        report.recovered_frames
     }
 
     #[test]
@@ -360,13 +371,10 @@ mod tests {
         // The multi-region enumeration: for a 2-shard stripe, crash
         // shard 0's region at *every* event boundary of its batch
         // window, then crash the recovery pass at *every* event
-        // boundary of the same region — and from each (crash-moment ×
+        // boundary of every region — and from each (crash-moment ×
         // recovery-step) state, recovery must converge with per-bucket
-        // all-or-nothing effects and no re-run frames. (Ten puts: a
-        // window answers with one persist, not two, so eight would walk
-        // fewer boundaries than this sweep used to. Since a batch writes
-        // its log tail once instead of a CAS per record: 62 crash moments
-        // and 1404 recovery steps, 68 and 1548 before.)
+        // all-or-nothing effects and no re-run frames. (Ten puts: eight
+        // would walk fewer boundaries than this sweep is meant to.)
         let ops: Vec<KvTaskOp> = (0..10u64)
             .map(|key| KvTaskOp::Put {
                 key,
@@ -404,6 +412,7 @@ mod tests {
         // longer.
         let armed = [1 + target];
         let lost = Sweep::new().survivors(&[Survivors::None]).regions(&armed);
+        let recovering = Sweep::new().survivors(&[Survivors::None]);
         let events = lost.run(setup, run, |(_, stripe, _), cut| {
             // Per-bucket all-or-nothing after the crash: every published
             // record carries an untorn tag and value from the workload.
@@ -416,8 +425,10 @@ mod tests {
             }
 
             // From this state, crash the recovery pass at every event
-            // of the same region: the system converges from each.
-            lost.run(
+            // of every region: the system converges from each. (A frame
+            // whose window's level was awaited replays without touching
+            // a shard: only its pop is left, in the control region.)
+            recovering.run(
                 || {
                     let (control, stripe, _) = cut.replay(setup, run);
                     let (_, rt) = attach_enum_system(&control, &stripe);

@@ -114,19 +114,18 @@
 //!
 //! **(b) `pending_tasks`' premise still holds**: a request pending after
 //! stack recovery has published nothing — it may have begun, in a
-//! window whose frame never became durable (next section), but no
-//! head reaches a record of it. A pop becomes durable — by the next
-//! push's persist or by surviving a crash unflushed — only after its
-//! stores are written, and they are written when the body has
-//! returned: for a window, after its heads and answers are durable. So
-//! no popped frame ever names a slot its window left unanswered, or
-//! answered over a lost head. (That is why the `RET` may not overlap
-//! the heads ‖ answers level: a frame popped over a
-//! pending slot whose effect is published would send the request
-//! through `apply_batch` a second time.) And a window publishes only
-//! once its frame is durable, so a request whose frame was lost is
-//! pending and unpublished, and `apply_batch` — no evidence scan — is
-//! its one execution.
+//! window whose level was cut, but no head reaches a record of it. A
+//! served window's records name the claim its execution took, which
+//! lands only in the slot's answer line, and a reboot publishes the
+//! newest batch only if every slot it names holds that claim or a later
+//! one: so a published record's request is answered (or its slot
+//! recycled after an answer that was shown), preloaded descriptor or
+//! not, and `apply_batch` — no evidence scan — is a pending request's
+//! one execution. A pop becomes durable — by the next push's persist or
+//! by surviving a crash unflushed — only after its stores are written,
+//! and they are written when the body has returned: for a window, after
+//! its level is durable. So no popped frame ever names a slot its window
+//! left unanswered.
 //!
 //! **(c) Two frames may name one pending slot** (or one whose answer a
 //! replay voids): an idle worker's retired frame whose slot was
@@ -158,20 +157,17 @@
 //! (a) covers.
 //!
 //! `KvServeFunction` is the function that declares it. Its window reads
-//! its slots and begins every shard's group commit — records ‖ header in
-//! flight, after the evidence scan on a recovery window — and only then
-//! awaits the frame and the descriptors, right before the heads are
-//! published. The records are unpublished log slots that nothing reads
-//! until a head points at them — the header that lands with them moves
-//! the log's replay point past them — so a crash before the
-//! heads leaves orphan slots — at most one staged batch per shard per
-//! failure — and its requests pending and unpublished: a retry or
-//! `pending_tasks` executes each exactly once, (b). A crash after a
-//! head finds the frame durable, and its replay's evidence scan finds
-//! the effect. A served round blocks on two round-trips: `CALL` ‖
-//! descriptors ‖ records ‖ header → heads ‖ answers. An answer that
-//! reached NVRAM over a lost head finds the frame durable too, and its
-//! replay voids it and re-executes it through the evidence scan.
+//! its slots and stages every shard's group commit — after the evidence
+//! scan on a recovery window — then issues one level beside its `CALL`:
+//! every shard's slots (descriptor and answer), records, header and the
+//! heads its previous commit flipped; it awaits the frame and the level,
+//! and flips the heads on the receipt. A served round blocks on one
+//! round-trip. A crash before the level lands leaves each shard's batch
+//! unpublished — a reboot publishes a batch only with its slots' claims,
+//! and counts an answer only over its published batch — so its requests
+//! are pending and unpublished: a retry or `pending_tasks` executes each
+//! exactly once, (b). The frame may be lost under a level that landed:
+//! the answers are durable then, and a retry finds them.
 //!
 //! [`awaits_own_frame`]: crate::RecoverableFunction::awaits_own_frame
 //!

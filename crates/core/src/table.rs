@@ -224,6 +224,20 @@ impl DescriptorTable {
         Ok(level.issue(&self.pmem, lo, len)?)
     }
 
+    /// Takes slot `slot`'s answer back: clears its done flag and
+    /// persists its line, awaited — for an answer its reader found was
+    /// never shown, so that no later crash can make it count again.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range slot or NVRAM errors.
+    pub fn unanswer(&self, slot: u32) -> Result<(), PError> {
+        let e = self.slot(slot)?;
+        self.pmem.write_u8(e + F_DONE, 0)?;
+        self.pmem.flush(e, SLOT_LEN)?;
+        Ok(())
+    }
+
     /// Whether slot `slot` is answered.
     ///
     /// # Errors

@@ -195,7 +195,9 @@ pub struct KvServeFunction {
 }
 
 impl KvServeFunction {
-    /// Bundles a sharded store with one request table per shard.
+    /// Bundles a sharded store with one request table per shard, and
+    /// gives each table its shard's store, which checks the answers the
+    /// table found at its `open` when they are first read.
     ///
     /// # Panics
     ///
@@ -203,6 +205,9 @@ impl KvServeFunction {
     #[must_use]
     pub fn new(store: ShardedKvStore, tables: Vec<KvRequestTable>) -> Self {
         assert_eq!(store.nshards(), tables.len(), "one request table per shard");
+        for (shard, table) in tables.iter().enumerate() {
+            table.attach(store.shard(shard));
+        }
         KvServeFunction { store, tables }
     }
 

@@ -79,11 +79,12 @@ fn run_window((main, _, (heap, exec, args)): &mut Sharded) -> Result<impl std::f
 }
 
 /// Checked on an [`attach_sharded`] boot before anything replays:
-/// a durable head reaching a record of the window `args` implies
-/// the window's frame and its descriptors are durable — the window
-/// awaits both before it publishes. Returns whether the frame
+/// a durable head reaching a record of the window `args` implies the
+/// record's descriptor is durable — a reboot publishes a batch only if
+/// its slots hold their claims. The frame may be lost under a published
+/// batch: it shares the batch's level. Returns whether the frame
 /// survived the cut.
-fn published_only_over_a_durable_frame(
+fn published_only_over_a_durable_descriptor(
     main: &PMem,
     exec: &KvServeFunction,
     args: &[u8],
@@ -107,10 +108,6 @@ fn published_only_over_a_durable_frame(
             // client `s + 1`.
             let req_id = ((shard as u64 + 1) << 32) | (u64::from(slot) + 1);
             if chains[shard].iter().flatten().any(|r| r.seq == req_id) {
-                assert!(
-                    frame,
-                    "{at}: shard {shard} slot {slot} published, frame lost"
-                );
                 assert_eq!(table.req_id(slot).unwrap(), req_id, "{at}: descriptor lost");
             }
         }
@@ -200,14 +197,12 @@ fn on_stack_at<R>(
     body(&mut ctx)
 }
 
-/// Answers one slot as a window does: a flight of its last level,
-/// then the level awaited. Nothing is committed first, so the
-/// records receipt is empty and there is no span.
+/// Answers one slot as a window does: a flight of its level, then the
+/// level awaited. Nothing is committed with it, so it records no batch.
 fn answer(table: &KvRequestTable, slot: u32, executor: u32, result: KvTaskResult) {
-    let records = Level::default().await_all().unwrap();
     let mut level = Level::default();
     table
-        .answer(&[(slot, executor, result)], None, &records, &mut level)
+        .answer(&[(slot, executor, result)], None, &mut level)
         .unwrap();
     level.await_all().unwrap();
 }
@@ -543,10 +538,10 @@ fn batch_window_group_commits_and_answers_in_one_pass() {
         }
         assert_eq!(exec.store().contents().unwrap().len(), 16);
         assert_eq!(exec.store().get_durable(3).unwrap(), Some(4));
-        // Exactly one group commit per shard — records ‖ header →
-        // heads, then the answers: four flights a shard — the
+        // Exactly one group commit per shard, in the window's one
+        // level — slots ‖ records ‖ header: three flights a shard — the
         // batches rode the one persistent-stack task.
-        assert_eq!([flights(0) - before[0], flights(1) - before[1]], [4, 4]);
+        assert_eq!([flights(0) - before[0], flights(1) - before[1]], [3, 3]);
         // A replayed window is a no-op: answers are durable.
         let before = exec.store().log_reserved_per_shard().unwrap();
         ctx.call(KV_SERVE_FUNC_ID, &whole_table(&exec, 0)).unwrap();
@@ -577,7 +572,9 @@ fn sweep_window_crash_points(
             let (heap, exec) = attach_sharded(&main, &stripe);
             // (A returned window popped its frame.)
             let at = cut.to_string();
-            if !cut.returned() && !published_only_over_a_durable_frame(&main, &exec, &args, &at) {
+            if !cut.returned()
+                && !published_only_over_a_durable_descriptor(&main, &exec, &args, &at)
+            {
                 begun_over_a_lost_frame += 1;
             }
             let registry = FunctionRegistry::new();
@@ -647,16 +644,16 @@ fn keys_on_shard_0(n: usize) -> Vec<u64> {
 
 #[test]
 fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() {
-    // The window's last level: heads ‖ answers, in every shard the
-    // window names. Cut the power at every event of the window in a
-    // region, with none, some or all of the dirty lines kept: an
-    // answer line may land without its heads — that state is
-    // reachable by design, and was never shown — and the replay
-    // must void it. After the replay every slot is answered exactly
-    // once over its effect; an answer that reached NVRAM over a lost
-    // head is answered afresh; an acked answer, or one a settled
-    // window gave, is left alone.
-    // Only a lottery keeps an answer line and loses a head line, and
+    // The window's one level: slots ‖ records ‖ header, in every shard
+    // the window names. Cut the power at every event of the window in
+    // a region, with none, some or all of the dirty lines kept: an
+    // answer line may land without its batch — that state is reachable
+    // by design, and was never shown — and the reboot must void it; a
+    // batch may land without its answers only to be voided too, so a
+    // slot left pending has published nothing. After the replay every
+    // slot is answered exactly once over its effect; an acked answer,
+    // or one a settled window gave, is left alone.
+    // Only a lottery keeps an answer line and loses a record line, and
     // only by chance: eight halves on the shapes that must show it.
     let eight_halves = Survivors::halves(8);
     let keys = keys_on_shard_0(3);
@@ -738,12 +735,9 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             survivors: &eight_halves,
         },
     ];
-    // Cuts that reopened a slot pending over its durable record
-    // (heads kept, the answer's line lost).
-    let mut pending_over_its_record = 0usize;
     for shape in &shapes {
-        // Cuts that left an answer line durable over a lost head.
-        let mut answered_over_a_lost_head = 0usize;
+        // Cuts that left an answer line durable over a lost record.
+        let mut answered_over_a_lost_record = 0usize;
         let setup = || {
             let (stripe, main, heap, exec) = sharded_fixture(&shape.ops, 2);
             for &(slots, acked) in shape.before {
@@ -768,7 +762,7 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             (shape.before.iter().flat_map(|&(slots, _)| slots))
                 .map(|&slot| {
                     let answer = table.result(slot).unwrap();
-                    (slot, answer, table.answer_span(slot).unwrap())
+                    (slot, answer, table.recorded_batch(slot).unwrap())
                 })
                 .collect()
         };
@@ -778,9 +772,9 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             let at = format!("window {:?} over {:?}, {cut}", shape.shards, shape.ops[0]);
             let (heap2, exec2) = attach_sharded(&main, &stripe);
             if shape.before.is_empty() && !cut.returned() {
-                // (An earlier window published without a frame, and a
-                // returned one popped its own.)
-                published_only_over_a_durable_frame(&main, &exec2, &args, &at);
+                // (An earlier window left no frame, and a returned one
+                // popped its own.)
+                published_only_over_a_durable_descriptor(&main, &exec2, &args, &at);
             }
             let store = exec2.store();
             let records = |shard: usize, req_id: u64| {
@@ -789,30 +783,28 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
             };
             let fresh =
                 |shard: usize, slot: u32| settled.iter().all(|&(s, ..)| shard != 0 || s != slot);
-            // Per shard, the window's answers before the replay,
-            // with their spans, when a put of its batch has no
-            // record: an answer line reached NVRAM, so the
-            // records did and the heads were flipped — some of
-            // them were lost.
-            let mut voidable = Vec::new();
+            // Whether an answer line of the window reached NVRAM while a
+            // put of its batch has no record: the batch was not
+            // published, and the replay must void that answer.
+            let mut voidable = false;
             for &shard in shape.shards {
                 let table = &exec2.tables()[shard];
-                let mut answered = Vec::new();
-                let mut lost_head = false;
+                let (mut answered, mut lost) = (false, false);
                 for slot in (0..table.capacity()).filter(|&slot| fresh(shard, slot)) {
                     let n = records(shard, table.req_id(slot).unwrap());
                     assert!(n <= 1, "{at}");
-                    lost_head |= matches!(table.op(slot).unwrap(), KvTaskOp::Put { .. }) && n == 0;
-                    match table.result(slot).unwrap() {
-                        None => pending_over_its_record += usize::from(n == 1),
-                        Some(_) => answered.push((shard, slot, table.answer_span(slot).unwrap())),
+                    lost |= matches!(table.op(slot).unwrap(), KvTaskOp::Put { .. }) && n == 0;
+                    match table.recorded_batch(slot).unwrap() {
+                        // A record publishes only with the answer its
+                        // execution's claim rides, even over a preloaded
+                        // descriptor: a pending slot published nothing.
+                        None => assert_eq!(n, 0, "{at}: pending over its own record"),
+                        Some(_) => answered = true,
                     }
                 }
-                if lost_head {
-                    voidable.extend(answered);
-                }
+                voidable |= answered && lost;
             }
-            answered_over_a_lost_head += usize::from(!voidable.is_empty());
+            answered_over_a_lost_record += usize::from(voidable);
 
             let registry2 = FunctionRegistry::new();
             on_stack(&main, &heap2, &registry2, false, |ctx| {
@@ -838,24 +830,13 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
                     }
                 }
             }
-            // A voided answer is answered afresh: its span was
-            // the lost batch's, and the replay's batch staged
-            // elsewhere, or nothing.
-            for (shard, slot, span) in voidable {
-                let table = &exec2.tables()[shard];
-                assert_ne!(
-                    table.answer_span(slot).unwrap(),
-                    span,
-                    "{at}: slot {slot} not voided"
-                );
-            }
             // A settled answer, acked or not, is neither voided
             // nor re-run: slot 0's delete would now find its key.
             for &(slot, answer, span) in &settled {
                 let table = &exec2.tables()[0];
                 let now = (
                     table.result(slot).unwrap(),
-                    table.answer_span(slot).unwrap(),
+                    table.recorded_batch(slot).unwrap(),
                 );
                 assert_eq!(now, (answer, span), "{at}: settled slot {slot} re-run");
                 let n = records(0, table.req_id(slot).unwrap());
@@ -866,56 +847,66 @@ fn window_crash_points_with_answers_in_flight_never_answer_without_the_effect() 
         // shape drawn under eight halves must reach that state.
         if shape.survivors.len() > Survivors::EVERY.len() {
             assert!(
-                answered_over_a_lost_head > 0,
-                "window over {:?}: no cut kept an answer line over a lost head",
+                answered_over_a_lost_record > 0,
+                "window over {:?}: no cut kept an answer line over a lost record",
                 shape.ops[0]
             );
         }
     }
-    assert!(
-        pending_over_its_record > 0,
-        "no cut fell between the heads' flight and the answers'"
-    );
 }
 
 #[test]
 fn a_replay_refuses_a_malformed_answer_span() {
-    // An answer's span is read back from NVRAM, so a hostile image can
-    // hold any two words there. A replay must refuse each shape that is
-    // not an ordered run of one generation's log slots with a typed
-    // error, never trust the answer: a reversed span names no record,
-    // so it would read as reachable.
-    let (pmem, _, exec, _) = fixture(&puts(0..2, |key| key as i64));
-    let window = exec.parse_args(&whole_table(&exec, 0)).unwrap();
-    exec.execute_window(&window, 0, None).unwrap();
-    let mut part = exec.parse_args(&on_shard(0, &[0])).unwrap();
-    part[0].recovery = true;
-    let replay = || exec.execute_window(&part, 0, None);
-    let table = &exec.tables()[0];
-    let (first, last) = table.answer_span(0).unwrap().unwrap();
-    assert_eq!(last, first + 64, "two puts, one batch");
-    // Slot 0's span words: the first place the table holds them.
-    let words = |(a, b): (u64, u64)| [a.to_le_bytes(), b.to_le_bytes()].concat();
-    let mut image = [0u8; 3 * 64];
-    pmem.read(table.base(), &mut image).unwrap();
-    let at = image.windows(16).position(|w| w == words((first, last)));
-    let span_off = table.base() + at.unwrap() as u64;
-    let log_end = first + 64 * 64; // past the shard's 64-slot log
-    for (shape, span) in [
-        ("reversed", (last, first)),
-        ("past its generation's log", (first, log_end)),
-        ("off the slot grid", (first + 8, last + 8)),
-    ] {
-        pmem.write(span_off, &words(span)).unwrap();
-        assert_eq!(table.answer_span(0).unwrap(), Some(span), "{shape}");
-        match replay() {
-            Err(PError::CorruptStack(_)) => {}
-            other => panic!("{shape} span {span:x?}: {other:?}"),
-        }
+    // What an answer records of its batch — its first log slot and that
+    // record's stamp word — is read back from NVRAM after a reboot, so a
+    // hostile image can hold any words there. A first slot past every
+    // generation's log is a typed error; a stamp that no record carries
+    // voids the answer, and the replay answers it afresh from the
+    // evidence, without a second effect.
+    let words = |(first, stamp): (u32, u64)| {
+        [
+            (first + 1).to_le_bytes().to_vec(),
+            stamp.to_le_bytes().to_vec(),
+        ]
+        .concat()
+    };
+    let replay_over = |forge: &dyn Fn(u32, u64) -> (u32, u64)| {
+        let (pmem, _, exec, _) = fixture(&puts(0..2, |key| key as i64));
+        let window = exec.parse_args(&whole_table(&exec, 0)).unwrap();
+        exec.execute_window(&window, 0, None).unwrap();
+        let table = &exec.tables()[0];
+        let (first, stamp) = table.recorded_batch(0).unwrap().unwrap().unwrap();
+        assert_eq!(table.recorded_batch(1).unwrap(), Some(Some((first, stamp))));
+        // Slot 0's batch words: the first place the table holds them.
+        let mut image = [0u8; 3 * 64];
+        pmem.read(table.base(), &mut image).unwrap();
+        let at = image.windows(12).position(|w| w == words((first, stamp)));
+        let off = table.base() + at.unwrap() as u64;
+        pmem.write(off, &words(forge(first, stamp))).unwrap();
+        pmem.flush(off, 12).unwrap();
+        pmem.crash_now(0, 0.0);
+        let exec = KvServeFunction::open(&[pmem.reopen().unwrap()], KvVariant::Nsrl).unwrap();
+        let mut part = exec.parse_args(&on_shard(0, &[0])).unwrap();
+        part[0].recovery = true;
+        let replay = exec.execute_window(&part, 0, None);
+        (exec, replay)
+    };
+    match replay_over(&|first, stamp| (first + 64, stamp)).1 {
+        Err(PError::CorruptStack(_)) => {}
+        other => panic!("a first slot past the log: {other:?}"),
     }
-    // The well-formed span is settled: the replay re-collects it.
-    pmem.write(span_off, &words((first, last))).unwrap();
-    assert_eq!(replay().unwrap().len(), 1);
+    let (exec, replay) = replay_over(&|first, stamp| (first, stamp ^ 1));
+    assert_eq!(
+        replay.unwrap().len(),
+        1,
+        "voided, then answered from the evidence"
+    );
+    let records = exec.store().snapshot_sharded().unwrap().concat().concat();
+    assert_eq!(
+        records.iter().filter(|r| r.key == 0).count(),
+        1,
+        "no second effect"
+    );
 }
 
 /// A buffered two-shard stripe whose shard 0 holds some live keys —
@@ -1147,4 +1138,49 @@ fn crash_between_store_op_and_mark_done_recovers_exactly_once() {
             }
         },
     );
+}
+
+#[test]
+fn an_answer_from_before_a_compaction_still_counts_after_a_reboot() {
+    // An answer records its batch's first log slot in the generation
+    // that was active then. A compaction retires that generation, and a
+    // reboot's check looks for the batch there, below that generation's
+    // tail: the shown answers — a put's and a failed cas's — still
+    // count, and nothing runs again.
+    let ops = [
+        KvTaskOp::Put { key: 1, value: 10 },
+        KvTaskOp::Cas {
+            key: 1,
+            expected: 7,
+            new: 11,
+        },
+    ];
+    let (pmem, _, exec, _) = fixture(&ops);
+    let window = exec.parse_args(&whole_table(&exec, 0)).unwrap();
+    exec.execute_window(&window, 0, None).unwrap();
+    exec.store().compact_shard(0).unwrap();
+    assert_eq!(exec.store().shard(0).generation().unwrap(), 1);
+    pmem.crash_now(0, 0.0);
+    let exec = KvServeFunction::open(&[pmem.reopen().unwrap()], KvVariant::Nsrl).unwrap();
+    let events = pmem_events(&exec);
+    assert_eq!(
+        results_of(&exec.tables()[0]),
+        [
+            Some(KvTaskResult::Stored(true)),
+            Some(KvTaskResult::Swapped(false))
+        ]
+    );
+    assert_eq!(
+        pmem_events(&exec),
+        events,
+        "both counted: nothing taken back"
+    );
+    let replay = exec.execute_window(&window, 0, None).unwrap();
+    assert_eq!(replay.len(), 2, "re-collected, not run again");
+    assert_eq!(exec.store().get(1).unwrap(), Some(10));
+}
+
+/// Persistence events of the one shard's region so far.
+fn pmem_events(exec: &KvServeFunction) -> u64 {
+    exec.store().heap(0).pmem().events()
 }

@@ -27,9 +27,9 @@
 //! * [`KvServeFunction`] — the one recoverable function that executes
 //!   descriptors: a batch window naming any number of shards' slots as
 //!   one persistent-stack task (a group commit per shard, or the
-//!   evidence-scanning dual on replay, all shards moved one dependence
-//!   level per round-trip, one line-atomic answer persist per shard
-//!   riding the heads' level — a window's commit point), so KV
+//!   evidence-scanning dual on replay, every shard's slots — each
+//!   descriptor with its answer — records and header in the window's
+//!   one level, one round-trip), so KV
 //!   traffic runs through `run_tasks` and survives crashes via the
 //!   persistent stack. Reads are never descriptors —
 //!   [`ShardedKvStore::get_durable`] is the one read path;
@@ -48,10 +48,9 @@
 //! the generation header become durable in one level, beside the heads
 //! the shard's previous commit flipped; then the batch's touched heads
 //! are published once each and left dirty for the next commit, or a
-//! reopen's replay of the stamped log, to persist. A bare batch waits
-//! one round-trip however many shards commit together; a served
-//! window, whose heads are the commit point it shows answers on, waits
-//! for them in its next level. A crash at any point leaves each shard's
+//! reopen's replay of the stamped log, to persist. A batch waits one
+//! round-trip however many shards commit together, a served window's
+//! too. A crash at any point leaves each shard's
 //! batch whole or absent — never a torn head — so the evidence-scan
 //! recovery argument is unchanged, and the per-mutation persist count
 //! drops by the batch factor.

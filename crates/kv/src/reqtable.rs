@@ -24,32 +24,35 @@
 //! A slot moves `Free → Pending → Done → Done+Acked → Free`:
 //!
 //! * [`KvRequestTable::submit`] claims a free slot and **stages** the
-//!   descriptor in it — written, not flushed — and returns
-//!   [`ReqSubmit::Full`] — the admission-control signal — when no slot
-//!   is recyclable. [`KvRequestTable::persist_slots`] (or its
-//!   issue/await halves) makes a set of staged descriptors durable with
-//!   **one coalesced persist**. The invariant the caller owes: *nothing
-//!   is published on behalf of a descriptor that is not durable*, so
-//!   an effect found in the store always has a durable descriptor
-//!   naming it. The server's drain only *issues* that persist; the
-//!   window that executes the slots awaits it with its frame, right
-//!   before it publishes their effects, with
-//!   [`KvRequestTable::persist_slots_if_dirty`] — the durable-read rule,
-//!   which rides the issued flight and costs nothing on lines already
-//!   durable. Records the window staged before a crash cut that await
-//!   are unreachable orphans. Nothing is promised to a client
-//!   while a descriptor is only staged, so a crash in between loses
-//!   nothing: the slot reverts to its old, recyclable occupant and the
-//!   client's retry is `Fresh`.
+//!   descriptor in it — written, not flushed, under the table's next
+//!   **claim**, its admission count — and returns [`ReqSubmit::Full`] —
+//!   the admission-control signal — when no slot is recyclable. The
+//!   window that executes the slot persists the descriptor with its
+//!   answer, one line in the window's one level beside the group
+//!   commit's records ([`KvRequestTable::answer`]); each record names
+//!   its slot and a fresh claim its execution took, which the answer
+//!   line records, and a reboot publishes the newest batch only if its
+//!   slots hold their claims, answered, or later ones
+//!   (`store/recovery.rs`).
+//!   So no record is published without its descriptor, and nothing is
+//!   promised to a client while a descriptor is only staged: a crash in
+//!   between loses nothing — the slot reverts to its old, recyclable
+//!   occupant and the client's retry is `Fresh`. A preloaded table
+//!   persists its descriptors up front ([`KvRequestTable::persist_slots`]).
 //! * [`KvRequestTable::answer`] is the core's answer rule — each
 //!   payload, then its done flag, the slots one flight — issued into the
-//!   window's last level, heads ‖ answers, awaited before any answer is
-//!   shown. An answer records its commit's record span, so a replay can
-//!   tell whether the heads it reports reached NVRAM with it; one whose
-//!   heads did not was never shown, and the replay voids and re-executes
-//!   it ([`KvServeFunction::execute_window`](crate::KvServeFunction::execute_window)).
-//!   A slot a crash left pending is recomputed through the store's
-//!   evidence-scanning dual ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
+//!   window's level, awaited before any answer is shown. An answer
+//!   records its batch's first slot and that record's stamp word, so an
+//!   answer a reboot finds can be told from one whose batch never
+//!   published: the first time it is read after a reboot — by a retry's
+//!   dedup, a replayed window, [`KvRequestTable::pending_slots`] or an
+//!   ack — it counts only if that slot is below the tail the reboot
+//!   found and still carries that stamp (`PKvStore::answer_published`);
+//!   otherwise it was never shown, and it is taken back, durably, before
+//!   anything re-executes the slot. One record read per answer checked,
+//!   none at `open`. A slot a crash left pending is recomputed through
+//!   the store's evidence-scanning dual
+//!   ([`PKvStore::recover_batch`](crate::PKvStore::recover_batch)).
 //! * [`KvRequestTable::ack`] records that the client received the
 //!   answer: the slot is **recyclable** in volatile state at once, and
 //!   its acked byte — the **mark** — is written and issued as a flight
@@ -97,7 +100,7 @@
 //! slots.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use pstack_core::table::{line_done, Codec, DescriptorTable, F_EXEC, F_FLAG, F_KIND, SLOT_LEN};
 use pstack_core::PError;
@@ -105,7 +108,7 @@ use pstack_heap::PHeap;
 use pstack_nvram::{Durable, FlushTicket, Level, MemError, PMem, POffset};
 
 use crate::funcs::{KvTaskAnswer, KvTaskOp, KvTaskResult};
-use crate::store::span_extent;
+use crate::store::{PKvStore, MAX_SERVED_SLOTS};
 
 const KIND_PUT: u8 = 0;
 const KIND_GET: u8 = 1;
@@ -121,9 +124,14 @@ const F_VALUE: u64 = 16;
 const F_EXPECTED: u64 = 24;
 const F_GOT: u64 = 32;
 const F_REQ_ID: u64 = 40;
-/// The answering batch's record span `[first, last]`, two offsets (0
-/// and 0 when it staged no record).
-const F_SPAN: u64 = 48;
+/// The descriptor's claim: the table's admission count when it was
+/// staged (`u32`, never 0).
+const F_CLAIM: u64 = 48;
+/// The answering batch's first log slot + 1 (`u32`; 0 when the batch
+/// staged no record) ...
+const F_FIRST: u64 = 52;
+/// ... and that record's stamp word (`u64`).
+const F_STAMP: u64 = 56;
 
 /// Outcome of a [`KvRequestTable::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +204,14 @@ struct ReqIndex {
     recycled: u64,
     /// High-water mark of live (non-recyclable) slots.
     live_high_water: u64,
+    /// Per slot: holds an answer recorded before this boot that no
+    /// reader has checked yet.
+    unchecked: Vec<bool>,
+    /// The claim the next admission or execution takes.
+    next_claim: u32,
+    /// Per slot: the claim its execution took, for its answer to record
+    /// (0: none since the last answer).
+    executing: Vec<u32>,
     /// Per-client high-water of **acked** sequence numbers — the
     /// server-side guard behind the client's never-retransmit-after-ack
     /// promise. A submit whose `(client, seq)` is at or below this line
@@ -212,8 +228,19 @@ impl ReqIndex {
     fn new(capacity: u32) -> Self {
         ReqIndex {
             occupant: vec![Occupant::Free; capacity as usize],
+            unchecked: vec![false; capacity as usize],
+            executing: vec![0; capacity as usize],
+            next_claim: 1,
             ..ReqIndex::default()
         }
+    }
+
+    /// The next claim: admissions and executions share one count, so an
+    /// admission's claim is later than any execution's before it.
+    fn take_claim(&mut self) -> u32 {
+        let claim = self.next_claim;
+        self.next_claim = claim.wrapping_add(1).max(1);
+        claim
     }
 
     /// Frees retired slot `slot` of `req_id`, standing `now`, and
@@ -245,11 +272,10 @@ impl ReqIndex {
 /// let ReqSubmit::Fresh(slot) = table.submit(0x1_0001, KvTaskOp::Put { key: 9, value: 4 })? else {
 ///     panic!("fresh request");
 /// };
-/// // The answer rides its commit's last level, on the receipt of the
-/// // commit's records ‖ header (here, a commit that staged no record).
-/// let records = Level::default().await_all()?;
+/// // The answer rides its window's one level, its descriptor in the
+/// // same line (here, a commit that staged no record: no batch).
 /// let mut level = Level::default();
-/// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], None, &records, &mut level)?;
+/// table.answer(&[(slot, 1, KvTaskResult::Stored(true))], None, &mut level)?;
 /// level.await_all()?;
 ///
 /// // A retry dedupes against the durable answer instead of re-executing.
@@ -270,6 +296,10 @@ impl ReqIndex {
 pub struct KvRequestTable {
     table: DescriptorTable,
     idx: Arc<Mutex<ReqIndex>>,
+    /// The shard's store, which checks an answer recorded before this
+    /// boot (attached by [`KvServeFunction::new`](crate::KvServeFunction::new);
+    /// a table alone trusts its answers).
+    store: Arc<OnceLock<PKvStore>>,
 }
 
 impl KvRequestTable {
@@ -284,19 +314,38 @@ impl KvRequestTable {
     /// # Errors
     ///
     /// Heap or NVRAM errors, or [`PError::InvalidConfig`] for zero
-    /// capacity or a line shorter than a slot.
+    /// capacity, one a log record cannot name (2²⁴ slots or more), or a
+    /// line shorter than a slot.
     pub fn format(pmem: PMem, heap: &PHeap, capacity: u32) -> Result<Self, PError> {
+        if capacity > MAX_SERVED_SLOTS {
+            let msg = format!("a request table of {capacity} slots: at most {MAX_SERVED_SLOTS}");
+            return Err(PError::InvalidConfig(msg));
+        }
         let table = DescriptorTable::format(pmem, heap, Codec::Request, capacity, |_, _| Ok(()))?;
         let mut idx = ReqIndex::new(capacity);
         idx.free = (0..capacity).collect();
-        Ok(KvRequestTable {
+        Ok(Self::with_index(table, idx))
+    }
+
+    fn with_index(table: DescriptorTable, idx: ReqIndex) -> Self {
+        KvRequestTable {
             table,
             idx: Arc::new(Mutex::new(idx)),
-        })
+            store: Arc::new(OnceLock::new()),
+        }
+    }
+
+    /// Gives the table its shard's store, which checks the answers it
+    /// found at `open` (every clone of the table shares it; the first
+    /// store attached stays).
+    pub(crate) fn attach(&self, store: &PKvStore) {
+        let _ = self.store.set(store.clone());
     }
 
     /// Re-attaches to a table created at `base`, rebuilding the
-    /// volatile request-id index and free list from the durable slots.
+    /// volatile request-id index, the free list and the claim count
+    /// from the durable slots, in one read each. Their answers are
+    /// checked later, one at a time, when first read.
     /// An answered slot is retired when it shows its mark, or when a
     /// later request of its client sits in the table (the retry
     /// contract: that request was sent after the `AckOk`) — then this
@@ -312,10 +361,11 @@ impl KvRequestTable {
     pub fn open(pmem: PMem, base: POffset) -> Result<Self, PError> {
         let table = DescriptorTable::open(pmem, base, Codec::Request)?;
         let capacity = table.slots();
-        let table = KvRequestTable {
-            table,
-            idx: Arc::new(Mutex::new(ReqIndex::new(capacity))),
-        };
+        if capacity > MAX_SERVED_SLOTS {
+            let msg = format!("a request table of {capacity} slots: at most {MAX_SERVED_SLOTS}");
+            return Err(PError::CorruptStack(msg));
+        }
+        let table = Self::with_index(table, ReqIndex::new(capacity));
         let mut idx = table.idx.lock().expect("request-table index poisoned");
         // One pass over the slots, one read each, then the inference: a
         // client's latest request in the table acks every earlier one.
@@ -324,6 +374,9 @@ impl KvRequestTable {
             let line = table.table.read_slot(slot)?;
             let id = &line[F_REQ_ID as usize..][..8];
             let req_id = u64::from_le_bytes(id.try_into().expect("slice length"));
+            let claim = &line[F_CLAIM as usize..][..4];
+            let claim = u32::from_le_bytes(claim.try_into().expect("slice length"));
+            idx.next_claim = idx.next_claim.max(claim.wrapping_add(1)).max(1);
             if req_id == 0 {
                 idx.free.push_back(slot);
                 continue;
@@ -336,7 +389,10 @@ impl KvRequestTable {
             *hw = (*hw).max(seq.saturating_sub(1));
             if !line_done(&line) {
                 idx.occupant[slot as usize] = Occupant::Live;
-            } else if line[F_ACKED as usize] != 0 {
+                continue;
+            }
+            idx.unchecked[slot as usize] = true;
+            if line[F_ACKED as usize] != 0 {
                 idx.free_retired(req_id, slot, Occupant::Free);
             } else {
                 unmarked.push((slot, req_id));
@@ -452,7 +508,7 @@ impl KvRequestTable {
         if let Some(&slot) = idx.by_id.get(&req_id) {
             return Ok(ReqSubmit::Known {
                 slot,
-                answer: self.result(slot)?,
+                answer: self.checked(&mut idx, slot)?,
             });
         }
         // Stale-retransmission guard: the id is gone from the table but
@@ -499,17 +555,20 @@ impl KvRequestTable {
             KvTaskOp::Delete { key } => (KIND_DEL, key, 0, 0),
             KvTaskOp::Cas { key, expected, new } => (KIND_CAS, key, new, expected),
         };
-        // done, flag, acked, executor, got and the request id: cleared
-        let mut body = [0u8; F_REQ_ID as usize + 8];
+        // done, flag, acked, executor, got, the request id and the
+        // answer's batch: cleared
+        let claim = idx.take_claim();
+        idx.unchecked[slot as usize] = false;
+        let mut body = [0u8; SLOT_LEN];
         body[F_KIND as usize] = kind;
         body[F_KEY as usize..][..8].copy_from_slice(&key.to_le_bytes());
         body[F_VALUE as usize..][..8].copy_from_slice(&value.to_le_bytes());
         body[F_EXPECTED as usize..][..8].copy_from_slice(&expected.to_le_bytes());
+        body[F_CLAIM as usize..][..4].copy_from_slice(&claim.to_le_bytes());
         self.pmem().write(e, &body)?;
         // The identity publishes the slot, and is not persisted here: it
-        // rides its descriptor's line, which the drain's flight makes
-        // durable whole (persist_slots_issue in ServerCore::drain), and
-        // the window awaits before reading the slot.
+        // rides its descriptor's line, which the window that executes
+        // the slot persists whole, with its answer.
         let descriptor = Durable::same_line(self.pmem(), (e, F_REQ_ID as usize), (e + F_REQ_ID, 8));
         debug_assert!(descriptor.is_some(), "a request slot spans lines");
         self.pmem().write_u64(e + F_REQ_ID, req_id)?;
@@ -519,50 +578,37 @@ impl KvRequestTable {
         Ok(ReqSubmit::Fresh(slot))
     }
 
-    /// Issues **one coalesced asynchronous persist** over `slots`'
-    /// lines — the descriptors [`KvRequestTable::submit`] staged — and
-    /// returns its ticket. The round-trip is in flight when this
-    /// returns: a caller with several tables issues them all back to
-    /// back and pays about one round-trip for the lot, awaited by
-    /// whoever reads the slots next
-    /// ([`KvRequestTable::persist_slots_if_dirty`]).
+    /// Makes the staged descriptors in `slots` durable with one
+    /// coalesced persist — how a preloaded table persists its
+    /// descriptors before any window runs.
     ///
     /// # Errors
     ///
     /// Out-of-range slot or NVRAM errors (a crash leaves the
     /// descriptors staged or lost, never torn).
-    pub fn persist_slots_issue(&self, slots: &[u32]) -> Result<FlushTicket, PError> {
-        let (lo, len) = self.table.span(slots.iter().copied())?;
-        Ok(self.pmem().flush_async(lo, len)?)
-    }
-
-    /// Makes the staged descriptors in `slots` durable with one
-    /// coalesced persist (issue + await).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range slot or NVRAM errors.
     pub fn persist_slots(&self, slots: &[u32]) -> Result<(), PError> {
-        let ticket = self.persist_slots_issue(slots)?;
-        Ok(self.pmem().await_ticket(&ticket)?)
+        let (lo, len) = self.table.span(slots.iter().copied())?;
+        self.pmem().flush(lo, len)?;
+        Ok(())
     }
 
-    /// The reader's side of the descriptor invariant: makes `slots`'
-    /// lines durable before their descriptors are read, by the durable-
-    /// read rule ([`PMem::persist_if_dirty`] over their span). Lines a
-    /// [`KvRequestTable::persist_slots_issue`] flight already carries
-    /// ride that flight — awaited here, 0 persists of its own — and
-    /// clean lines cost nothing at all, so a window calls this
-    /// unconditionally.
+    /// A fresh claim for executing slot `slot`: the window's records
+    /// name it, and the slot's answer line records it in place of the
+    /// admission's ([`KvRequestTable::answer`]). So a reboot publishes a
+    /// record only if the answer beside it landed too — or a later
+    /// occupant's line, over an answer already shown — and a slot still
+    /// pending after a reboot has published nothing, preloaded or not.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Out-of-range slot or NVRAM errors (`Crashed` if the region died
-    /// with the flight still queued).
-    pub fn persist_slots_if_dirty(&self, slots: &[u32]) -> Result<(), PError> {
-        let (lo, len) = self.table.span(slots.iter().copied())?;
-        self.pmem().persist_if_dirty(lo, len)?;
-        Ok(())
+    /// Panics if the volatile index lock is poisoned.
+    pub(crate) fn execution_claim(&self, slot: u32) -> u32 {
+        let mut idx = self.idx.lock().expect("request-table index poisoned");
+        let claim = idx.take_claim();
+        if let Some(executing) = idx.executing.get_mut(slot as usize) {
+            *executing = claim;
+        }
+        claim
     }
 
     /// `true` if `req_id` is in the table (pending, or answered and not
@@ -588,9 +634,9 @@ impl KvRequestTable {
     ///
     /// Panics if the volatile index lock is poisoned.
     pub fn lookup(&self, req_id: u64) -> Result<Option<(u32, Option<KvTaskAnswer>)>, PError> {
-        let idx = self.idx.lock().expect("request-table index poisoned");
+        let mut idx = self.idx.lock().expect("request-table index poisoned");
         match idx.by_id.get(&req_id) {
-            Some(&slot) => Ok(Some((slot, self.result(slot)?))),
+            Some(&slot) => Ok(Some((slot, self.checked(&mut idx, slot)?))),
             None => Ok(None),
         }
     }
@@ -632,13 +678,86 @@ impl KvRequestTable {
         }
     }
 
-    /// Reads slot `slot`'s answer, if its execution completed.
+    /// Reads slot `slot`'s answer, if its execution completed — and,
+    /// for an answer recorded before this boot, if its batch was
+    /// published (see the module docs; one that was not is taken back
+    /// here).
     ///
     /// # Errors
     ///
     /// Out-of-range slot, an unknown kind byte (corruption), or NVRAM
     /// errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the volatile index lock is poisoned.
     pub fn result(&self, slot: u32) -> Result<Option<KvTaskAnswer>, PError> {
+        let mut idx = self.idx.lock().expect("request-table index poisoned");
+        self.checked(&mut idx, slot)
+    }
+
+    /// Slot `slot`'s answer if it counts: an answer recorded before
+    /// this boot is checked once, against the store, and one whose
+    /// batch was never published is taken back durably
+    /// ([`DescriptorTable::unanswer`]) — its slot pending again — before
+    /// anything can re-execute the slot, so no later crash can make it
+    /// count. A table with no store attached trusts its answers.
+    fn checked(&self, idx: &mut ReqIndex, slot: u32) -> Result<Option<KvTaskAnswer>, PError> {
+        let answer = self.read_result(slot)?;
+        if answer.is_some() && idx.unchecked[slot as usize] && !self.check(idx, slot)? {
+            return Ok(None);
+        }
+        Ok(answer)
+    }
+
+    /// Whether slot `slot` holds an answer that counts, reading only its
+    /// done flag unless the answer is one this boot has not checked.
+    fn answer_counts(&self, idx: &mut ReqIndex, slot: u32) -> Result<bool, PError> {
+        if !self.table.is_done(slot)? {
+            return Ok(false);
+        }
+        if !idx.unchecked[slot as usize] {
+            return Ok(true);
+        }
+        self.check(idx, slot)
+    }
+
+    /// Checks slot `slot`'s answer, recorded before this boot, against
+    /// its batch; one whose batch never published is taken back.
+    fn check(&self, idx: &mut ReqIndex, slot: u32) -> Result<bool, PError> {
+        let e = self.table.slot(slot)?;
+        let first = self.pmem().read_u32(e + F_FIRST)?;
+        let published = match (first.checked_sub(1), self.store.get()) {
+            (Some(first), Some(store)) => {
+                store.answer_published(first, self.pmem().read_u64(e + F_STAMP)?)?
+            }
+            _ => true,
+        };
+        if !published {
+            self.table.unanswer(slot)?;
+            idx.occupant[slot as usize] = Occupant::Live;
+            idx.free.retain(|&s| s != slot);
+        }
+        idx.unchecked[slot as usize] = false;
+        Ok(published)
+    }
+
+    /// What slot `slot`'s line, checked or not, records of its answer's
+    /// batch: `None` while it holds no answer, `Some(None)` for a batch
+    /// that staged no record.
+    #[cfg(test)]
+    pub(crate) fn recorded_batch(&self, slot: u32) -> Result<Option<Option<(u32, u64)>>, PError> {
+        if !self.table.is_done(slot)? {
+            return Ok(None);
+        }
+        let e = self.table.slot(slot)?;
+        let first = self.pmem().read_u32(e + F_FIRST)?;
+        let stamp = self.pmem().read_u64(e + F_STAMP)?;
+        Ok(Some(first.checked_sub(1).map(|first| (first, stamp))))
+    }
+
+    /// Slot `slot`'s answer as its line holds it, unchecked.
+    fn read_result(&self, slot: u32) -> Result<Option<KvTaskAnswer>, PError> {
         let Some(a) = self.table.answered(slot)? else {
             return Ok(None);
         };
@@ -671,15 +790,14 @@ impl KvRequestTable {
     }
 
     /// Writes the answer payload of the slot at `e` — flag, executor
-    /// and the answering batch's record span (and a got value) — in as
-    /// many stores as the answer had before it carried a span: flag and
+    /// and what it records of its batch (and a got value): flag and
     /// executor are one store, with the acked byte between them
-    /// rewritten as the 0 its staging left.
+    /// rewritten as the 0 its staging left, and the batch another.
     fn write_answer(
         &self,
         e: POffset,
-        (executor, result): (u32, KvTaskResult),
-        span: Option<(u64, u64)>,
+        (executor, result, claim): (u32, KvTaskResult, u32),
+        batch: Option<(u32, u64)>,
     ) -> Result<(), MemError> {
         let pmem = self.pmem();
         let flag = match result {
@@ -694,27 +812,30 @@ impl KvRequestTable {
         head[0] = u8::from(flag);
         head[(F_EXEC - F_FLAG) as usize..].copy_from_slice(&executor.to_le_bytes());
         pmem.write(e + F_FLAG, &head)?;
-        let (first, last) = span.unwrap_or((0, 0));
+        let (first, stamp) = batch.map_or((0, 0), |(first, stamp)| (first + 1, stamp));
         let mut tail = [0u8; 16];
-        tail[..8].copy_from_slice(&first.to_le_bytes());
-        tail[8..].copy_from_slice(&last.to_le_bytes());
-        pmem.write(e + F_SPAN, &tail)
+        tail[..4].copy_from_slice(&claim.to_le_bytes());
+        tail[4..8].copy_from_slice(&first.to_le_bytes());
+        tail[8..].copy_from_slice(&stamp.to_le_bytes());
+        match claim {
+            0 => pmem.write(e + F_FIRST, &tail[4..]),
+            _ => pmem.write(e + F_CLAIM, &tail),
+        }
     }
 
-    /// Writes a batch of answers and issues them as **one** flight of
-    /// `level`, the window's last level — its heads' and answers' —
-    /// awaited before any answer is shown. Every answer records `span`,
-    /// the record span `[first, last]` of the group commit that answered
-    /// it (`None` when it staged no record), and is written on that
-    /// commit's records ‖ header receipt, `records`, which must cover the
-    /// span. That the answer may reach NVRAM before its heads is the
-    /// replay's to handle: a replayed window re-executes an answer
-    /// whose span the durable heads do not wholly reach
-    /// (`KvServeFunction::execute_window` argues it). The core's answer
-    /// rule orders each slot's payload before its done flag in one
-    /// line-atomic persist: a crash leaves each slot either answered or
-    /// still pending (recovery recomputes a pending answer through the
-    /// evidence scan), never a flag over a missing payload.
+    /// Writes a batch of answers and issues their slots' lines as
+    /// **one** flight of `level` — the window's one level, beside its
+    /// `CALL` and its group commits' records and headers — each line
+    /// carrying its descriptor and its answer, and the claim its
+    /// execution took ([`KvRequestTable::execution_claim`]), which its
+    /// records name. Every answer records `batch`, the first slot and
+    /// stamp word of the group commit that answered it ([`KvPendingBatch::answer_ref`](crate::KvPendingBatch);
+    /// `None` when it staged no record): an answer may land while its
+    /// batch does not, and a reboot then finds it void (see the module
+    /// docs). Nothing may show an answer before `level` is awaited. The
+    /// core's answer rule orders each slot's payload before its done
+    /// flag in one line-atomic persist: a crash leaves each slot either
+    /// answered or still pending, never a flag over a missing payload.
     ///
     /// # Errors
     ///
@@ -722,40 +843,33 @@ impl KvRequestTable {
     ///
     /// # Panics
     ///
-    /// In a debug build, if `records` does not cover `span`.
+    /// Panics if the volatile index lock is poisoned.
     pub fn answer(
         &self,
         entries: &[(u32, u32, KvTaskResult)],
-        span: Option<(u64, u64)>,
-        records: &Durable,
+        batch: Option<(u32, u64)>,
         level: &mut Level,
     ) -> Result<(), PError> {
-        if let Some(span) = span {
-            let (off, len) = span_extent(span);
-            records.check(self.pmem(), off, len);
+        let mut idx = self.idx.lock().expect("request-table index poisoned");
+        let mut claims = Vec::with_capacity(entries.len());
+        for &(slot, _, _) in entries {
+            if let Some(unchecked) = idx.unchecked.get_mut(slot as usize) {
+                *unchecked = false;
+            }
+            claims.push(
+                idx.executing
+                    .get_mut(slot as usize)
+                    .map_or(0, std::mem::take),
+            );
         }
+        drop(idx);
         let entries = entries
             .iter()
-            .map(|&(slot, exec, result)| (slot, (exec, result)));
+            .zip(claims)
+            .map(|(&(slot, exec, result), claim)| (slot, (exec, result, claim)));
         self.table.answer(entries, level, |e, answer| {
-            self.write_answer(e, answer, span)
+            self.write_answer(e, answer, batch)
         })
-    }
-
-    /// The record span stored with slot `slot`'s answer: the `[first,
-    /// last]` of the group commit that answered it, `None` when that
-    /// commit staged no record. Meaningful only while the slot holds an
-    /// answer ([`KvRequestTable::result`]).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range slot or NVRAM errors.
-    pub fn answer_span(&self, slot: u32) -> Result<Option<(u64, u64)>, PError> {
-        let mut b = [0u8; 16];
-        self.pmem().read(self.table.slot(slot)? + F_SPAN, &mut b)?;
-        let first = u64::from_le_bytes(b[..8].try_into().expect("slice length"));
-        let last = u64::from_le_bytes(b[8..].try_into().expect("slice length"));
-        Ok((first != 0).then_some((first, last)))
     }
 
     /// Records the client's acknowledgement of `req_id`'s answer: the
@@ -781,25 +895,70 @@ impl KvRequestTable {
         let Some(&slot) = idx.by_id.get(&req_id) else {
             return Ok(false);
         };
-        if !self.table.is_done(slot)? {
+        if !self.answer_counts(&mut idx, slot)? {
             return Ok(false);
         }
         self.retire(&mut idx, req_id, slot)?;
         Ok(true)
     }
 
-    /// Slots holding a request whose execution has not completed, in
-    /// slot order — what a reboot re-drives through the recovery dual
-    /// when the client retries.
+    /// Slots holding a request whose execution has not completed — or
+    /// whose answer, recorded before this boot, reports a batch that
+    /// never published — in slot order: what a reboot re-drives through
+    /// the recovery dual when the client retries.
     ///
     /// # Errors
     ///
     /// Propagated NVRAM errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the volatile index lock is poisoned.
     pub fn pending_slots(&self) -> Result<Vec<u32>, PError> {
+        let mut idx = self.idx.lock().expect("request-table index poisoned");
+        for slot in 0..self.capacity() {
+            if idx.unchecked[slot as usize] {
+                self.check(&mut idx, slot)?;
+            }
+        }
         let pmem = self.pmem();
         self.table
             .pending(|e| Ok(pmem.read_u64(e + F_REQ_ID)? != 0))
     }
+}
+
+/// Whether every `(slot, claim)` of `served` holds that claim, answered,
+/// or a later one in the request table at `base` of `pmem` — the check
+/// a reboot's replay makes of the newest batch's served records
+/// (`store/recovery.rs`). Reads the table's header and the span of the
+/// named slots, one access each; a slot out of range fails. Claims
+/// compare as wrapping admission counts.
+///
+/// # Errors
+///
+/// A table header that does not check, NVRAM errors.
+pub(crate) fn claims_hold(
+    pmem: &PMem,
+    base: POffset,
+    served: &[(u32, u32)],
+) -> Result<bool, PError> {
+    let table = DescriptorTable::open(pmem.clone(), base, Codec::Request)?;
+    if served.iter().any(|&(slot, _)| slot >= table.slots()) {
+        return Ok(false);
+    }
+    let (lo, len) = table.span(served.iter().map(|&(slot, _)| slot))?;
+    let mut lines = vec![0u8; len];
+    pmem.read(lo, &mut lines)?;
+    Ok(served.iter().all(|&(slot, claim)| {
+        let at = (table.slot(slot).expect("in range").get() - lo.get()) as usize;
+        let line: &[u8; SLOT_LEN] = lines[at..at + SLOT_LEN].try_into().expect("a line");
+        let held = &line[F_CLAIM as usize..][..4];
+        let held = u32::from_le_bytes(held.try_into().expect("4 bytes"));
+        // The execution's own claim counts only with the answer it rides
+        // (a cut can land the claim's store and not the done flag's); a
+        // later one is a later admission or execution.
+        (held == claim && line_done(line)) || held.wrapping_sub(claim) as i32 > 0
+    }))
 }
 
 #[cfg(test)]
@@ -807,13 +966,12 @@ mod tests {
     use super::*;
     use pstack_nvram::{sweep, PMemBuilder, Survivors};
 
-    /// Answers `entries` as a window does: one flight of its last
-    /// level, then the level awaited. Nothing is committed first, so
-    /// the records receipt is empty and there is no span.
+    /// Answers `entries` as a window does: one flight of its level,
+    /// then the level awaited. Nothing is committed with them, so they
+    /// record no batch.
     fn answer(table: &KvRequestTable, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
-        let records = Level::default().await_all()?;
         let mut level = Level::default();
-        table.answer(entries, None, &records, &mut level)?;
+        table.answer(entries, None, &mut level)?;
         level.await_all()?;
         Ok(())
     }
@@ -1126,32 +1284,20 @@ mod tests {
         assert!(answer(&table, &[]).is_ok());
     }
 
-    /// A table with one fresh put, and a receipt for the one record
-    /// line at `RECORD`, as a commit's records ‖ header level gives it.
-    fn one_put_and_a_record_receipt() -> (KvRequestTable, u32, Durable) {
-        let (pmem, table) = fixture(2);
+    #[test]
+    fn an_answer_records_the_span_of_its_commit() {
+        // What an answer records of its commit: the batch's first log
+        // slot and that record's stamp word, in the slot's own line.
+        let (_, table) = fixture(2);
         let ReqSubmit::Fresh(slot) = table.submit(1, KvTaskOp::Put { key: 1, value: 1 }).unwrap()
         else {
             panic!("fresh")
         };
-        pmem.write(POffset::new(RECORD), &[7; 48]).unwrap();
-        let mut records = Level::default();
-        records.issue(&pmem, POffset::new(RECORD), 64).unwrap();
-        (table, slot, records.await_all().unwrap())
-    }
-
-    const RECORD: u64 = 1 << 15;
-
-    #[test]
-    fn an_answer_records_the_span_of_its_commit() {
-        let (table, slot, records) = one_put_and_a_record_receipt();
         let mut level = Level::default();
         let entry = [(slot, 3, KvTaskResult::Stored(true))];
-        table
-            .answer(&entry, Some((RECORD, RECORD)), &records, &mut level)
-            .unwrap();
+        table.answer(&entry, Some((5, 0xABCD)), &mut level).unwrap();
         level.await_all().unwrap();
-        assert_eq!(table.answer_span(slot).unwrap(), Some((RECORD, RECORD)));
+        assert_eq!(table.recorded_batch(slot).unwrap(), Some(Some((5, 0xABCD))));
         assert_eq!(
             table.result(slot).unwrap(),
             Some(KvTaskAnswer {
@@ -1159,20 +1305,9 @@ mod tests {
                 result: KvTaskResult::Stored(true)
             })
         );
-        // A commit that staged nothing records no span.
+        // A commit that staged nothing records no batch.
         answer(&table, &entry).unwrap();
-        assert_eq!(table.answer_span(slot).unwrap(), None);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "does not cover")]
-    fn an_answer_on_a_receipt_that_does_not_cover_its_span_panics() {
-        // The receipt holds one record line; the answer claims two.
-        let (table, slot, records) = one_put_and_a_record_receipt();
-        let span = Some((RECORD, RECORD + 64));
-        let entry = [(slot, 0, KvTaskResult::Stored(true))];
-        let _ = table.answer(&entry, span, &records, &mut Level::default());
+        assert_eq!(table.recorded_batch(slot).unwrap(), Some(None));
     }
 
     #[test]

@@ -29,9 +29,10 @@ use std::collections::BTreeMap;
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{op_label, Level, PMem, POffset};
+use pstack_nvram::{PMem, POffset};
 use pstack_verify::{check_kv_sharded_gen, KvOp, KvShardedHistory, KvVerdict, KvWitnessRecord};
 
+use crate::reqtable::claims_hold;
 use crate::store::{
     mix, CompactionStats, KvApplied, KvBatchOp, KvVariant, PKvStore, VersionRecord,
 };
@@ -160,7 +161,22 @@ impl ShardedKvStore {
             }
             let store_base = POffset::new(pmem.read_u64(POffset::new(ROOT_OFF_STORE))?);
             heaps.push(PHeap::open(pmem.clone(), POffset::new(SHARD_ROOT_LEN))?);
-            shards.push(PKvStore::open(pmem.clone(), store_base, variant)?);
+            // The newest batch's served records are checked against the
+            // request table this shard's root names, read only if asked.
+            let claims = |served: &[(u32, u32)]| -> Result<bool, PError> {
+                match pmem.read_u64(POffset::new(ROOT_OFF_TABLE))? {
+                    0 => Err(PError::CorruptStack(format!(
+                        "shard {i}'s newest batch is served, but its root names no request table"
+                    ))),
+                    table => claims_hold(pmem, POffset::new(table), served),
+                }
+            };
+            shards.push(PKvStore::open_with(
+                pmem.clone(),
+                store_base,
+                variant,
+                Some(&claims),
+            )?);
         }
         Ok(ShardedKvStore { shards, heaps })
     }
@@ -489,8 +505,7 @@ impl KvBatch<'_> {
     /// ride each shard's next commit, and a reopen rebuilds them from
     /// the stamped log, so a power failure after it returns loses
     /// nothing, and one before shows each shard's part whole or not at
-    /// all. (The heads [`Level`] it awaits stays empty: a served window
-    /// issues its heads there.)
+    /// all.
     ///
     /// # Errors
     ///
@@ -509,15 +524,9 @@ impl KvBatch<'_> {
         for (shard, (_, ops)) in &per_shard {
             pending.push(self.store.shard(*shard).apply_batch_begin(ops)?);
         }
-        let _label = op_label("kv.apply_batch");
-        let mut heads = Level::default();
-        for batch in &mut pending {
-            batch.publish(&mut heads)?;
-        }
-        let heads = heads.await_all()?;
         let mut outcomes = vec![KvApplied::PrecondFailed; self.ops.len()];
-        for ((indexes, _), batch) in per_shard.values().zip(&mut pending) {
-            for (&i, outcome) in indexes.iter().zip(batch.committed(&heads)) {
+        for ((indexes, _), batch) in per_shard.values().zip(pending) {
+            for (&i, outcome) in indexes.iter().zip(batch.commit()?) {
                 outcomes[i] = outcome;
             }
         }

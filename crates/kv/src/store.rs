@@ -14,9 +14,9 @@
 //! - `commit` — the group commit, the one way to write
 //!   ([`PKvStore::apply_batch`], [`KvPendingBatch`]), and its persist
 //!   order;
-//! - `recovery` — the log replay [`PKvStore::open`] runs, and the
-//!   evidence scans ([`PKvStore::recover_batch`] and a served replay's
-//!   span check);
+//! - `recovery` — the log replay [`PKvStore::open`] runs, the evidence
+//!   scan ([`PKvStore::recover_batch`]) and the check that a served
+//!   answer's batch was published;
 //! - `compact` — the generational swap ([`PKvStore::compact`],
 //!   [`PKvStore::recover_compact`]).
 //!
@@ -31,13 +31,14 @@ mod compact;
 mod layout;
 mod recovery;
 
-pub(crate) use commit::Heads;
 pub use commit::KvPendingBatch;
 use layout::{
     checked_block_len, gen_block_len, gen_prefix_len, write_header, LogHeader, KV_MAGIC,
     KV_MAGIC_V2, OFF_GEN_CELL, OFF_MAGIC, OFF_NBUCKETS, ROOT_LEN,
 };
-pub(crate) use layout::{mix, span_extent};
+pub(crate) use layout::{mix, MAX_SERVED_SLOTS};
+use recovery::Boot;
+pub(crate) use recovery::ClaimCheck;
 
 /// Which recovery procedure the store runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,9 +49,9 @@ pub enum KvVariant {
     Nsrl,
     /// Injected bug mirroring §5.2's matrix removal, in `test` and
     /// `fault-seeds` builds only: recovery skips the evidence scans and
-    /// always re-executes — a replayed window cannot tell a settled
-    /// answer from one whose heads were lost, so it re-runs every
-    /// un-acked one, and operations that already linearized are
+    /// always re-executes — a reboot cannot tell a published answer
+    /// from one whose batch was lost, so it re-runs every answer
+    /// recorded before it, and operations that already linearized are
     /// applied twice, which the KV verifier flags.
     #[cfg(any(test, feature = "fault-seeds"))]
     NoScan,
@@ -284,6 +285,9 @@ pub struct PKvStore {
     cell: RootCell,
     nbuckets: u64,
     variant: KvVariant,
+    /// What the reboot that opened this handle found (`None` after
+    /// `format`).
+    boot: Option<Boot>,
 }
 
 impl PKvStore {
@@ -336,8 +340,7 @@ impl PKvStore {
         pmem.write_u64(base + OFF_NBUCKETS, nbuckets)?;
         pmem.write_u64(base + OFF_MAGIC, KV_MAGIC)?;
         let gen0 = Self::format_generation(&pmem, heap, &mut level, nbuckets, log_cap, 0, 0)?;
-        // A fresh store is ready for bare commits: its bare bit is set.
-        write_header(&pmem, gen0, &LogHeader::settled(0, 0, true))?;
+        write_header(&pmem, gen0, &LogHeader::settled(0, 0))?;
         level.issue(&pmem, base, ROOT_LEN as usize)?;
         level.issue(&pmem, POffset::new(gen0), gen_prefix_len(nbuckets) as usize)?;
         level.await_all()?;
@@ -349,23 +352,38 @@ impl PKvStore {
             cell,
             nbuckets,
             variant,
+            boot: None,
         })
     }
 
     /// Re-attaches to a store previously created at `base` (recovery
-    /// boot). A shard that ran bare commits gets the heads they left
-    /// dirty back: the log is replayed from the header's `C`, the tail
-    /// set where the whole batches end, and the epoch advanced — the
-    /// header and the rebuilt heads persisted in one level
-    /// (`store/recovery.rs` argues it). A shard a served window left
-    /// settled persists nothing.
+    /// boot). The heads the last commits left dirty come back: the log
+    /// is replayed from the header's `C`, and the rebuilt heads ride
+    /// the next commit. The epoch advances, in one persist, only when a
+    /// cut batch can have left records of it past the tail
+    /// (`store/recovery.rs` argues it); a boot with nothing there
+    /// persists nothing. A served window's batch at the header's `L` is
+    /// checked against the shard's request table, which only
+    /// [`ShardedKvStore::open`](crate::ShardedKvStore::open) can ask.
     ///
     /// # Errors
     ///
-    /// [`PError::CorruptStack`] on a bad magic word (root or active
+    /// [`PError::InvalidConfig`] when the newest batch is a served
+    /// window's; [`PError::CorruptStack`] on a bad magic word (root or active
     /// generation), an image of the version-2 format (no stamped log),
     /// or a propagated crash.
     pub fn open(pmem: PMem, base: POffset, variant: KvVariant) -> Result<Self, PError> {
+        Self::open_with(pmem, base, variant, None)
+    }
+
+    /// [`PKvStore::open`], the newest batch's served records checked
+    /// against `claims`.
+    pub(crate) fn open_with(
+        pmem: PMem,
+        base: POffset,
+        variant: KvVariant,
+        claims: Option<ClaimCheck<'_>>,
+    ) -> Result<Self, PError> {
         let magic = pmem.read_u64(base + OFF_MAGIC)?;
         if magic == KV_MAGIC_V2 {
             return Err(PError::CorruptStack(format!(
@@ -383,12 +401,13 @@ impl PKvStore {
             MemError::Crashed => PError::Mem(e),
             e => PError::CorruptStack(format!("KV store root cell at {base}: {e}")),
         })?;
-        let store = PKvStore {
+        let mut store = PKvStore {
             pmem,
             base,
             cell,
             nbuckets,
             variant,
+            boot: None,
         };
         let gen = store.active_gen()?; // validates the active generation's magic
 
@@ -404,7 +423,7 @@ impl PKvStore {
             )));
         }
         Self::register_publish_range(&store.pmem, gen.base, nbuckets);
-        store.replay_log()?;
+        store.boot = Some(store.replay_log(gen, claims)?);
         Ok(store)
     }
 
@@ -531,34 +550,19 @@ impl PKvStore {
 
     /// [`PKvStore::get`] whose answer is **durably linearizable**: the
     /// value returned survives a power failure right after the call,
-    /// so it may be handed to a client. A reader persists only what no
-    /// one else makes durable (FliT's rule): the bucket-head line is
-    /// persisted **iff** it is dirty or staged in an un-awaited flight
-    /// ([`PMem::persist_if_dirty`]) and the log does not cover it. While
-    /// the header's bare bit is set, every head that is not durable was
-    /// flipped by a bare commit, whose records and header were durable
-    /// first, and `open` replays that batch: such a head costs the
-    /// reader nothing. A window clears the bit before its head CAS, so
-    /// a racing window's head is persisted here. On a quiescent shard
-    /// the read persists nothing and costs no round-trip, and it reads
-    /// the header only when the head's line is dirty.
-    ///
-    /// Only the destination needs ordering (NVTraverse): every commit
-    /// path makes a record durable *before* the head CAS that can
-    /// reach it, so persisting a head early is always safe, and a head
-    /// installed after ours was read only extends the chain ours heads.
+    /// so it may be handed to a client. It persists nothing: every head
+    /// a reader can see was flipped on the receipt of an awaited level
+    /// that made its batch's records and header durable, and a reboot
+    /// replays that batch from the stamped log into the heads, whether
+    /// they persisted or not (`store/recovery.rs`). Only the
+    /// destination needs to be durable (NVTraverse), and the log makes
+    /// it so.
     ///
     /// # Errors
     ///
     /// Propagated NVRAM errors.
     pub fn get_durable(&self, key: u64) -> Result<Option<i64>, PError> {
-        let gen = self.active_gen()?;
-        let bucket = self.bucket_off(&gen, key);
-        let head = self.pmem.read_u64(bucket)?;
-        if self.pmem.is_dirty(bucket, 8)? && !self.read_header(&gen)?.bare {
-            self.pmem.persist_if_dirty(bucket, 8)?;
-        }
-        self.lookup_from(head, key, gen.number)
+        self.get(key)
     }
 }
 

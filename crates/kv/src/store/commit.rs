@@ -11,32 +11,28 @@
 //! (the section makes them its own: no per-record reserve) — writes the
 //! records, each stamped, and the generation header once, and issues
 //! one level ([`PKvStore::apply_batch_begin`]): records ‖ header ‖ the
-//! checkpoint of the heads the shard's previous bare commit flipped.
+//! checkpoint of the heads the shard's previous commit flipped.
 //! [`KvPendingBatch::commit`] awaits that level once — across every
 //! shard of a [`KvBatch`](crate::KvBatch) — flips each touched bucket's
 //! head on its receipt, and returns: **one round-trip**. The new heads
-//! stay dirty; the header names them, and the shard's next commit, a
-//! compaction or a window persists them. Until then the log is the
-//! truth: a crash loses at most heads, and `PKvStore::open` rebuilds
-//! them by replaying the stamped batches from the header's `C`
-//! (`store/recovery.rs`). Records are durable strictly before any head
-//! that can reach them, so a crash at *any* point leaves each shard's
-//! batch whole or absent — never a torn head — and recovery detects a
-//! completed-but-unacked operation purely from the `(pid, seq)`
-//! evidence in the log.
+//! stay dirty; the header names them, and the shard's next commit or a
+//! compaction persists them. Until then the log is the truth: a crash
+//! loses at most heads, and `PKvStore::open` rebuilds them by replaying
+//! the stamped batches from the header's `C` (`store/recovery.rs`).
+//! Records are durable strictly before any head that can reach them, so
+//! a crash at *any* point leaves each shard's batch whole or absent —
+//! never a torn head — and recovery detects a completed-but-unacked
+//! operation purely from the `(pid, seq)` evidence in the log.
 //!
-//! A served window runs the same routine, and differs only in where
-//! its heads persist ([`Heads`]): its client is shown an answer, so its
-//! heads are its commit point, issued into the window's next level
-//! beside its answers — `CALL` ‖ descriptors ‖ records ‖ header → heads
-//! ‖ answers. Its records carry no stamp and are never replayed (its
-//! descriptor may be lost): the header it persists in its first level
-//! moves `C` past them and clears the bare bit, and a shard whose heads
-//! bare commits left dirty checkpoints them first, in one awaited
-//! level. Each answer records the batch's record span
-//! (`KvPendingBatch::published`), and a replay tells an answer that
-//! landed without its heads by that span
-//! (`PKvStore::span_published`).
+//! A served window's group commit has the same shape. Its records also
+//! name the request-table slot each executed and that slot's claim
+//! ([`PKvStore::begin_served`]), and the window issues the level
+//! itself, beside its `CALL` and its slots' lines — each descriptor
+//! with its answer — so a window waits one round-trip too: `CALL` ‖
+//! slots ‖ records ‖ header ‖ the previous commit's heads. A reboot
+//! publishes the newest batch only if its slots hold their claims, and
+//! an answer counts only if its batch was published
+//! ([`KvPendingBatch::answer_ref`], `PKvStore::answer_published`).
 //!
 //! There is one mutation API: a write is a [`KvBatchOp`] in a group
 //! commit (a lone write a batch of one), and its recovery dual is
@@ -50,8 +46,8 @@ use pstack_core::PError;
 use pstack_nvram::{op_label, Durable, Level, POffset, QuiesceGuard};
 
 use super::layout::{
-    decode_record, encode_record, header_range, heads_range, stamp, write_header, Gen, LogHeader,
-    RecordBytes, KIND_DEL, KIND_PUT, RECORD_STRIDE,
+    decode_record, encode_record, header_range, heads_range, serve, stamp, stamp_word,
+    write_header, Gen, LogHeader, RecordBytes, KIND_DEL, KIND_PUT, LONG_BATCH, RECORD_STRIDE,
 };
 #[cfg(any(test, feature = "fault-seeds"))]
 use super::KvVariant;
@@ -90,19 +86,6 @@ impl KvBatchOp {
     }
 }
 
-/// Where a group commit's heads persist: the one thing a bare commit
-/// and a served window do differently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Heads {
-    /// A bare commit shows nothing to a client, so its heads ride the
-    /// shard's next commit; until then `PKvStore::open` rebuilds them
-    /// from the stamped log.
-    NextCommit,
-    /// A served window's heads go into the caller's next level, beside
-    /// the answers they let it show: its commit point.
-    CallerLevel,
-}
-
 /// What staging a group commit produced: the records (volatile, slot by
 /// slot from `first`), per touched bucket (by index) the pre-batch head
 /// and the staged head to publish, and the `[lo, hi]` slot span by
@@ -123,32 +106,25 @@ impl StagedBatch {
     }
 }
 
-/// A group commit staged by [`PKvStore::apply_batch_begin`] whose
-/// records and generation header are in flight as one dependence level.
-/// Holds the region quiesced until committed or dropped; nothing is
-/// visible until [`KvPendingBatch::commit`] awaits that level and flips
-/// the heads on its receipt ([`KvPendingBatch::publish`]). A bare
-/// commit returns there: its heads persist with the shard's next
-/// commit. A served window issues them into its next level instead, and
-/// shows its answers once that is awaited ([`KvPendingBatch::committed`]).
-/// Dropped before its publish, a bare batch voids its slots.
+/// A group commit staged by [`PKvStore::apply_batch_begin`] (or
+/// `PKvStore::begin_served`), whose records, generation header and
+/// checkpoint form one dependence level. Holds the region quiesced until
+/// committed or dropped; nothing is visible until the level is awaited
+/// and the heads flip on its receipt ([`KvPendingBatch::commit`], or a
+/// window's `KvPendingBatch::publish`). Its heads then persist with the
+/// shard's next commit. Dropped before its publish, a batch voids its
+/// slots.
 #[must_use = "a pending batch publishes nothing until committed"]
 pub struct KvPendingBatch<'a> {
     store: &'a PKvStore,
     _quiesce: QuiesceGuard<'a>,
     gen: Gen,
-    heads: Heads,
     pub(super) staged: StagedBatch,
-    /// Records ‖ header: the level the heads depend on.
-    records: Level,
-    /// A bare commit's checkpoint of the heads earlier commits left
-    /// dirty, in the same round-trip; its receipt licenses nothing.
-    checkpoint: Level,
-    /// The records level's receipt, once [`KvPendingBatch::publish`]
-    /// awaited it.
-    durable: Option<Durable>,
-    /// A bare batch not yet published: the header it found, which a
-    /// drop restores past the voided slots.
+    /// Records ‖ header ‖ checkpoint, for a bare commit: the level its
+    /// heads depend on. A window issues them into its own level.
+    level: Level,
+    /// A batch not yet published: the header it found, which a drop
+    /// restores past the voided slots.
     restore: Option<LogHeader>,
 }
 
@@ -161,10 +137,9 @@ impl KvPendingBatch<'_> {
     }
 
     /// Awaits the batch's level and publishes it. Outcomes are reported
-    /// in submission order. A bare commit's heads stay dirty: they
-    /// persist with the shard's next commit, and a crash before then
-    /// loses nothing — `PKvStore::open` replays the batch's stamped
-    /// records.
+    /// in submission order. The heads stay dirty: they persist with the
+    /// shard's next commit, and a crash before then loses nothing —
+    /// `PKvStore::open` replays the batch's stamped records.
     ///
     /// # Errors
     ///
@@ -172,56 +147,77 @@ impl KvPendingBatch<'_> {
     /// [`PKvStore::recover_batch`] after restart).
     pub fn commit(mut self) -> Result<Vec<KvApplied>, PError> {
         let _label = op_label("kv.apply_batch");
-        let mut heads = Level::default();
-        self.publish(&mut heads)?;
-        let heads = heads.await_all()?;
-        Ok(self.committed(&heads))
+        let durable = std::mem::take(&mut self.level).await_all()?;
+        self.publish(&durable)?;
+        Ok(std::mem::take(&mut self.staged.outcomes))
     }
 
-    /// Awaits the records ‖ header level, publishes the heads on its
-    /// receipt ([`KvPendingBatch::flip_heads`]), and — for a window —
-    /// issues the heads' flight into `heads`, one level for every
-    /// region's.
-    pub(crate) fn publish(&mut self, heads: &mut Level) -> Result<(), PError> {
-        let records = std::mem::take(&mut self.records).await_all()?;
-        std::mem::take(&mut self.checkpoint).await_all()?;
-        // The level landed: a reopen would replay the batch, so a drop
-        // from here on must not void it.
-        self.restore = None;
-        self.flip_heads(&records)?;
-        self.durable = Some(records);
-        if self.heads == Heads::CallerLevel {
-            if let Some((off, len)) = self.heads_span() {
-                heads.issue(&self.store.pmem, off, len)?;
-            }
+    /// Issues the batch's flights into its own level, which
+    /// [`KvPendingBatch::commit`] awaits.
+    pub(super) fn issue_own(&mut self) -> Result<(), PError> {
+        let mut level = std::mem::take(&mut self.level);
+        self.issue(&mut level)?;
+        self.level = level;
+        Ok(())
+    }
+
+    /// Every op's outcome, in submission order.
+    pub(crate) fn outcomes(&self) -> &[KvApplied] {
+        &self.staged.outcomes
+    }
+
+    /// What each answer of a served batch records: its first slot and
+    /// that record's stamp word (`None` when it staged no record). A
+    /// reboot counts the answer only if that slot is below the tail and
+    /// still carries that stamp (`PKvStore::answer_published`).
+    pub(crate) fn answer_ref(&self) -> Option<(u32, u64)> {
+        let rec = self.staged.records.first()?;
+        Some((self.staged.first as u32, stamp_word(rec)))
+    }
+
+    /// Issues the batch's flights into `level`: records ‖ header ‖ the
+    /// heads the shard's previous commit left dirty. Their round-trips
+    /// overlap in the device queue. `KvVariant::EarlyPublish` forges the
+    /// record flight's receipt instead — PSan's negative control: the
+    /// head CAS then publishes still-volatile records, which the
+    /// sanitizer flags.
+    pub(crate) fn issue(&mut self, level: &mut Level) -> Result<(), PError> {
+        let Some((lo, hi)) = self.staged.slots else {
+            return Ok(());
+        };
+        let pmem = &self.store.pmem;
+        let span = (hi - lo + RECORD_STRIDE) as usize;
+        #[cfg(any(test, feature = "fault-seeds"))]
+        let forged = self.store.forges(KvVariant::EarlyPublish, level, lo, span);
+        #[cfg(not(any(test, feature = "fault-seeds")))]
+        let forged = false;
+        if !forged {
+            level.issue(pmem, POffset::new(lo), span)?;
+        }
+        let (off, len) = header_range(self.gen.base);
+        level.issue(pmem, off, len)?;
+        if let Some(dirty) = self.restore.and_then(|found| found.dirty) {
+            let (off, len) = heads_range(self.gen.base, dirty);
+            level.issue(pmem, off, len)?;
         }
         Ok(())
     }
 
-    /// What a served window's answers rest on once
-    /// [`KvPendingBatch::publish`] has run: the batch's record span
-    /// `[first, last]` by offset (`None` when it staged no record), the
-    /// records ‖ header receipt its heads were published on, and every
-    /// op's outcome in submission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch was not published.
-    pub(crate) fn published(&self) -> (Option<(u64, u64)>, &Durable, &[KvApplied]) {
-        let records = self.durable.as_ref().expect("a published batch");
-        (self.staged.slots, records, &self.staged.outcomes)
-    }
-
-    /// The publish: flips each touched bucket's head once, to the newest
-    /// staged record (intermediate staged heads are never published, so
-    /// per bucket the batch is all-or-nothing), on `records`, the
-    /// receipt for the record span and the header.
-    fn flip_heads(&self, records: &Durable) -> Result<(), PError> {
+    /// The publish, on `durable`, the receipt of the awaited level that
+    /// carried the batch: flips each touched bucket's head once, to the
+    /// newest staged record (intermediate staged heads are never
+    /// published, so per bucket the batch is all-or-nothing). Under
+    /// PSan the receipt's ranges on this region must be durable now.
+    pub(crate) fn publish(&mut self, durable: &Durable) -> Result<(), PError> {
+        // The level landed: a reopen would replay the batch, so a drop
+        // from here on must not void it.
+        self.restore = None;
         let pmem = &self.store.pmem;
         if let Some((lo, hi)) = self.staged.slots {
-            records.check(pmem, POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
+            durable.check(pmem, POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
             let (off, len) = header_range(self.gen.base);
-            records.check(pmem, off, len);
+            durable.check(pmem, off, len);
+            durable.psan_check(pmem);
         }
         for (&bucket, &new_head) in &self.staged.staged_heads {
             let expected = self.staged.pre_heads[&bucket];
@@ -240,38 +236,17 @@ impl KvPendingBatch<'_> {
         Ok(())
     }
 
-    /// Once the caller's level is awaited into `heads`: a bare commit
-    /// returns and a window shows its answers, so under PSan the ranges
-    /// of both receipts on this region — records ‖ header and, for a
-    /// window, the heads — must be durable *now*. Takes the outcomes
-    /// (submission order); the exclusive section lasts until drop.
-    pub(crate) fn committed(&mut self, heads: &Durable) -> Vec<KvApplied> {
-        if let Some(records) = self.durable.take() {
-            let pmem = &self.store.pmem;
-            records.psan_check(pmem);
-            heads.psan_check(pmem);
-        }
-        std::mem::take(&mut self.staged.outcomes)
-    }
-
-    /// The touched buckets' heads, if any: one flight over them
-    /// coalesces the touched lines (clean lines in between stage
-    /// nothing).
-    fn heads_span(&self) -> Option<(POffset, usize)> {
-        Some(heads_range(self.gen.base, self.touched()?))
-    }
-
     /// The first and last bucket the batch touched.
     fn touched(&self) -> Option<(u64, u64)> {
         let heads = &self.staged.staged_heads;
         Some((*heads.keys().next()?, *heads.keys().next_back()?))
     }
 
-    /// A bare batch dropped before its publish: its records are
-    /// rewritten as stamped voids (kind 0), which replay skips whole,
-    /// and the header goes back to what the batch found, with the
-    /// tail past the voided slots. Both are issued as a flight that
-    /// nothing awaits: any later commit's await completes it first.
+    /// A batch dropped before its publish: its records are rewritten as
+    /// stamped voids (kind 0), which replay skips whole, and the header
+    /// goes back to what the batch found, with the tail past the voided
+    /// slots. Both are issued as a flight that nothing awaits: any later
+    /// commit's await completes it first.
     fn void(&mut self) -> Result<(), PError> {
         let Some(mut header) = self.restore.take() else {
             return Ok(());
@@ -354,7 +329,14 @@ impl PKvStore {
     /// volatile memory, in slots from `tail` on. Reserving is counting:
     /// the caller holds the region quiesced, so the slots are its own,
     /// and the tail is written once, in the header the level persists.
-    fn stage_batch(&self, gen: &Gen, ops: &[KvBatchOp], tail: u64) -> Result<StagedBatch, PError> {
+    /// A served batch marks each op's record with its `(slot, claim)`.
+    fn stage_batch(
+        &self,
+        gen: &Gen,
+        ops: &[KvBatchOp],
+        served: Option<&[(u32, u32)]>,
+        tail: u64,
+    ) -> Result<StagedBatch, PError> {
         let mut staged = StagedBatch {
             outcomes: vec![KvApplied::PrecondFailed; ops.len()],
             pre_heads: BTreeMap::new(),
@@ -382,9 +364,11 @@ impl PKvStore {
                 staged.outcomes[i] = KvApplied::LogFull;
                 continue;
             }
-            staged
-                .records
-                .push(encode_record(kind, key, value, (pid, seq), head));
+            let mut rec = encode_record(kind, key, value, (pid, seq), head);
+            if let Some(&(slot, claim)) = served.and_then(|served| served.get(i)) {
+                serve(&mut rec, slot, claim);
+            }
+            staged.records.push(rec);
             staged
                 .staged_heads
                 .insert(bucket, self.record_off(gen, idx));
@@ -400,9 +384,9 @@ impl PKvStore {
     }
 
     /// Stages a bare group commit and **issues** its level — records ‖
-    /// generation header ‖ the checkpoint of the heads earlier bare
-    /// commits left dirty — without publishing. The flights ride the
-    /// device queue concurrently, so draining them costs about one
+    /// generation header ‖ the checkpoint of the heads the shard's
+    /// previous commit left dirty — without publishing. The flights ride
+    /// the device queue concurrently, so draining them costs about one
     /// round-trip — and while they are in flight the caller is free to
     /// build other work (another shard's batch) before making this one
     /// visible with [`KvPendingBatch::commit`].
@@ -422,117 +406,93 @@ impl PKvStore {
     /// A propagated crash (complete the batch with
     /// [`PKvStore::recover_batch`] after restart).
     pub fn apply_batch_begin(&self, ops: &[KvBatchOp]) -> Result<KvPendingBatch<'_>, PError> {
-        self.begin(ops, Heads::NextCommit)
+        let _label = op_label("kv.apply_batch");
+        let mut pending = self.begin_quiesced(self.pmem.quiesce(), ops, None)?;
+        pending.issue_own()?;
+        Ok(pending)
     }
 
-    /// [`PKvStore::apply_batch_begin`], its heads persisting as `heads`
-    /// says.
-    pub(crate) fn begin(
+    /// A served window's group commit, staged and written but not
+    /// issued: op `i` executes request-table slot `served[i].0` under
+    /// claim `served[i].1`, which its record names. The window issues
+    /// the level ([`KvPendingBatch::issue`]) beside its slots' lines,
+    /// awaits it and publishes ([`KvPendingBatch::publish`]). With
+    /// `recovery`, the ops run through [`PKvStore::recover_batch`]'s
+    /// evidence scans first.
+    pub(crate) fn begin_served(
         &self,
         ops: &[KvBatchOp],
-        heads: Heads,
+        served: &[(u32, u32)],
+        recovery: bool,
     ) -> Result<KvPendingBatch<'_>, PError> {
+        if recovery {
+            return self.recover_batch_begin(ops, Some(served));
+        }
         let _label = op_label("kv.apply_batch");
-        self.begin_quiesced(self.pmem.quiesce(), ops, heads)
+        self.begin_quiesced(self.pmem.quiesce(), ops, Some(served))
     }
 
-    /// [`PKvStore::begin`] with the region already quiesced by
-    /// `quiesce` — which the pending batch keeps until it commits.
+    /// Stages and writes a group commit, with the region already
+    /// quiesced by `quiesce` — which the pending batch keeps until it
+    /// commits — and issues nothing.
     ///
-    /// The header is read once and written once. A window moves `C`
-    /// past its records, so a shard whose heads bare commits left dirty
-    /// checkpoints them first, in one awaited level; a bare commit on a
-    /// shard a window left settled sets the bare bit first, in one
-    /// persist, so that `open` advances the epoch before any slot is
-    /// reused.
+    /// The header is read once and written once. A batch of more than
+    /// [`LONG_BATCH`] records sets the header's long bit first, in one
+    /// persist, unless a durable header already has it, so that `open`
+    /// advances the epoch before any slot it may have reached is reused.
     pub(super) fn begin_quiesced<'a>(
         &'a self,
         quiesce: QuiesceGuard<'a>,
         ops: &[KvBatchOp],
-        heads: Heads,
+        served: Option<&[(u32, u32)]>,
     ) -> Result<KvPendingBatch<'a>, PError> {
         let gen = self.active_gen()?;
         let mut header = self.read_header(&gen)?;
-        let staged = self.stage_batch(&gen, ops, header.tail)?;
+        let staged = self.stage_batch(&gen, ops, served, header.tail)?;
         let mut pending = KvPendingBatch {
             store: self,
             _quiesce: quiesce,
             gen,
-            heads,
             staged,
-            records: Level::default(),
-            checkpoint: Level::default(),
-            durable: None,
+            level: Level::default(),
             restore: None,
         };
-        let Some((lo, hi)) = pending.staged.slots else {
+        let Some((lo, _)) = pending.staged.slots else {
             return Ok(pending);
         };
-        match heads {
-            Heads::CallerLevel => self.checkpoint(&gen, &header)?,
-            Heads::NextCommit if !header.bare => {
-                header.bare = true;
-                write_header(&self.pmem, gen.base, &header)?;
-                let (off, len) = header_range(gen.base);
-                self.pmem.flush(off, len)?;
-            }
-            Heads::NextCommit => {}
+        let long = pending.staged.records.len() as u64 > LONG_BATCH;
+        if long && !header.long {
+            header.long = true;
+            write_header(&self.pmem, gen.base, &header)?;
+            let (off, len) = header_range(gen.base);
+            self.pmem.flush(off, len)?;
         }
         let (first, last) = (pending.staged.first, pending.staged.last());
         for (i, rec) in pending.staged.records.iter_mut().enumerate() {
             let off = lo + i as u64 * RECORD_STRIDE;
-            if heads == Heads::NextCommit {
-                stamp(rec, off, gen.number, (first, last), header.epoch);
-            }
+            stamp(rec, off, gen.number, (first, last), header.epoch);
             self.write_slot(off, rec)?;
         }
-        let next = match heads {
-            Heads::CallerLevel => LogHeader::settled(last + 1, header.epoch, false),
-            Heads::NextCommit => LogHeader {
-                tail: last + 1,
-                replay_from: if header.dirty.is_some() {
-                    header.last_batch
-                } else {
-                    first
-                },
-                last_batch: first,
-                dirty: pending.touched(),
-                ..header
-            },
+        // C moves to the previous batch's L, whose heads this level
+        // persists — unless a reboot rebuilt heads below it (the keep
+        // bit), which this level persists too: then C stays.
+        let replay_from = match header.dirty {
+            Some(_) if header.keep => header.replay_from,
+            Some(_) => header.last_batch,
+            None => first,
+        };
+        let next = LogHeader {
+            tail: last + 1,
+            replay_from,
+            last_batch: first,
+            keep: false,
+            long,
+            dirty: pending.touched(),
+            ..header
         };
         write_header(&self.pmem, gen.base, &next)?;
-        // The record span, the header and a bare commit's checkpoint,
-        // issued back to back: their round-trips overlap in the device
-        // queue. KvVariant::EarlyPublish forges the record flight's
-        // receipt instead — PSan's negative control: the head CAS then
-        // publishes still-volatile records, which the sanitizer flags.
-        let span = (hi - lo + RECORD_STRIDE) as usize;
-        #[cfg(any(test, feature = "fault-seeds"))]
-        let forged = self.forges(KvVariant::EarlyPublish, &mut pending.records, lo, span);
-        #[cfg(not(any(test, feature = "fault-seeds")))]
-        let forged = false;
-        if !forged {
-            pending.records.issue(&self.pmem, POffset::new(lo), span)?;
-        }
-        let (off, len) = header_range(gen.base);
-        pending.records.issue(&self.pmem, off, len)?;
-        if heads == Heads::NextCommit {
-            if let Some(dirty) = header.dirty {
-                let (off, len) = heads_range(gen.base, dirty);
-                pending.checkpoint.issue(&self.pmem, off, len)?;
-            }
-            pending.restore = Some(header);
-        }
+        pending.restore = Some(header);
         Ok(pending)
-    }
-
-    /// Persists the heads `header` names dirty, in one awaited flight.
-    fn checkpoint(&self, gen: &Gen, header: &LogHeader) -> Result<(), PError> {
-        if let Some(dirty) = header.dirty {
-            let (off, len) = heads_range(gen.base, dirty);
-            self.pmem.flush(off, len)?;
-        }
-        Ok(())
     }
 
     /// The persist-order seeds' one move: when this store is `seed`, puts

@@ -10,14 +10,14 @@
 //! preserved), persists the block with one coalesced flight, and then
 //! commits with a single [`RootCell::swap`]. The persists form three
 //! dependence levels, one round-trip each: the heap's interior headers;
-//! the allocation's switch word ‖ the block ‖ the heads bare commits
-//! left dirty in the retired generation; the root cell (slot and
+//! the allocation's switch word ‖ the block ‖ the heads commits left
+//! dirty in the retired generation; the root cell (slot and
 //! selector in one line). Five persists in all, six with dirty heads:
 //! once the swap lands nothing replays the retired generation's log,
 //! and its chains are the evidence [`PKvStore::recover_batch`] walks,
 //! so its heads must be durable first. The new generation starts
 //! settled — every head durable, its replay point at its tail — with
-//! the retired one's epoch and bare bit. The selector flip is
+//! the retired one's epoch. The selector flip is
 //! the *only* commit point: a crash anywhere before it recovers into
 //! the old generation; a crash anywhere after it recovers into the new
 //! one. A crash before the flip leaves the new block free (its switch
@@ -178,7 +178,7 @@ impl PKvStore {
         // carries written slot by slot, all volatile until the single
         // coalesced flight below, issued into the level that holds the
         // allocation's switch. Its header is settled past the carries,
-        // with the retired generation's epoch and bare bit.
+        // with the retired generation's epoch.
         let mut level = Level::default();
         let nb = Self::format_generation(
             &self.pmem,
@@ -192,7 +192,7 @@ impl PKvStore {
         write_header(
             &self.pmem,
             nb,
-            &LogHeader::settled(live_total, header.epoch, header.bare),
+            &LogHeader::settled(live_total, header.epoch),
         )?;
         let new_gen = Gen {
             base: nb,
@@ -237,7 +237,7 @@ impl PKvStore {
         if !forged {
             level.issue(&self.pmem, POffset::new(nb), new_block_len)?;
         }
-        // The heads bare commits left dirty ride the same round-trip:
+        // The heads commits left dirty ride the same round-trip:
         // the retired generation's heads are what `find_tag` walks for
         // evidence once the swap lands, and nothing replays its log.
         if let Some(dirty) = header.dirty {

@@ -13,8 +13,9 @@
 //!   header (64 B): magic, number, log capacity, prev-generation base,
 //!                  carried count, then the three commit words:
 //!     40  log word:   tail (bits 0..32) | replay-from C (bits 32..64)
-//!     48  bare word:  last bare batch's first slot L (bits 0..32) |
-//!                     epoch (bits 32..63) | bare bit (bit 63)
+//!     48  batch word: newest batch's first slot L (bits 0..32) |
+//!                     epoch (bits 32..62) | keep bit (bit 62) |
+//!                     long bit (bit 63)
 //!     56  dirty word: first dirty bucket (bits 0..32) | one past the
 //!                     last (bits 32..64, never 0); 0 = every head
 //!                     durable
@@ -25,35 +26,42 @@
 //!
 //! The three commit words are one line, read and written as one access
 //! ([`PKvStore::read_header`], [`write_header`]), and persisted by the
-//! level of the commit that writes them. A bare group commit leaves its
-//! heads dirty: they persist with the shard's next commit, and until
-//! then the log from `C` is what recovery trusts. So the words say:
+//! level of the commit that writes them. Every group commit — bare or
+//! a served window's — leaves its heads dirty: they persist with the
+//! shard's next commit, and until then the log from `C` is what
+//! recovery trusts. So the words say:
 //!
 //! - **tail** — the next free slot; a batch reserves its slots in
 //!   volatile memory and writes the tail once;
 //! - **C** — every head that a record below `C` needs is durable, so
 //!   `PKvStore::open` replays `[C, tail)`;
-//! - **L** — the first slot of the newest bare batch, which carries the
+//! - **L** — the first slot of the newest batch, which carries the
 //!   header's epoch, or the tail while the epoch has no batch yet.
 //!   Every head that a record below `L` needs is durable once the dirty
-//!   span is: the next bare commit checkpoints that span in its level
-//!   and moves `C` to `L`;
-//! - **epoch** — what a bare batch stamps its records with. `open`
-//!   advances it whenever the bare bit is set, in the one level that
-//!   also persists the heads it rebuilt, and holds the batch at `L` to
-//!   it, so a record of a batch a crash cut never validates inside a
+//!   span is: the next commit checkpoints that span in its level and
+//!   moves `C` to `L`;
+//! - **epoch** — what a batch stamps its records with. `open` advances
+//!   it, in one persist, when a cut batch can have left records of it
+//!   past the tail (`store/recovery.rs`), and holds the batch at `L`
+//!   to it, so a record of a batch a crash cut never validates inside a
 //!   later batch that reuses its slot;
-//! - **bare bit** — set (durably, before any stamped record is written)
-//!   while bare commits may run; a served window clears it, so a reboot
-//!   of a served shard reads the words and persists nothing;
-//! - **dirty span** — the buckets whose heads bare commits flipped and
-//!   no level has persisted yet.
+//! - **keep bit** — the dirty span holds heads a reboot rebuilt from
+//!   batches below `L`, so the next commit, whose level persists them,
+//!   keeps `C` where it is instead of moving it to `L`;
+//! - **long bit** — set (durably, before its records are written) by a
+//!   batch of more than [`LONG_BATCH`] records: `open` then advances
+//!   the epoch without looking past the tail. A shorter batch's header
+//!   clears it;
+//! - **dirty span** — the buckets whose heads commits flipped and no
+//!   level has persisted yet.
 //!
 //! A record fills its 64-byte slot:
 //!
 //! ```text
 //! 0      kind   (0 = unpublished or void, 1 = PUT, 2 = DELETE,
 //!                3 = carried PUT — a compaction copy of a live record)
+//! 1..4   served slot + 1 (0 for a bare batch's record)
+//! 4..8   served claim: the one its execution took
 //! 8..16  key
 //! 16..24 value  (the stored value; for DELETE, the value removed)
 //! 24..32 pid    (writer's process id)
@@ -64,14 +72,22 @@
 //! ```
 //!
 //! The stamp's check is a hash of the record's fields, its slot, its
-//! generation, its batch word and its epoch, never 0. A bare batch
-//! stamps every record; a window's records and a compaction's carries
-//! leave batch and stamp 0, so they never validate — they are never
-//! replayed. A batch in `[C, tail)` replays only if every slot from its
-//! first to its last holds a record stamped with that batch word and
-//! one epoch (`PKvStore::logged_batch`), the header's own for the batch
-//! at `L`; a dropped bare batch is rewritten as stamped voids (kind 0),
-//! which replay skips whole.
+//! generation, its batch word and its epoch, never 0. Every group
+//! commit stamps its records; a compaction's carries leave batch and
+//! stamp 0, so they never validate — they are never replayed. A batch
+//! in `[C, tail)` replays only if every slot from its first to its last
+//! holds a record stamped with that batch word and one epoch
+//! (`PKvStore::logged_batch`), the header's own for the batch at `L`,
+//! whose served records must also find their request-table slots
+//! claimed (`store/recovery.rs`); a dropped batch is rewritten as
+//! stamped voids (kind 0), which replay skips whole.
+//!
+//! A served record names the request-table slot it executed and the
+//! claim that execution took, and the stamp covers both: a reboot
+//! publishes the newest batch only if its slots' answer lines landed
+//! with it. The batch's
+//! first record's stamp word is what each of its answers records
+//! ([`KvPendingBatch::answer_ref`](super::KvPendingBatch::answer_ref)).
 //!
 //! Records become visible only through a bucket-head publish, after
 //! every field is durable, so no crash moment can expose a torn
@@ -79,7 +95,6 @@
 //! lookups, scans and the verifier alike.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
@@ -113,11 +128,18 @@ const GEN_OFF_NUMBER: u64 = 8;
 pub(super) const GEN_OFF_LOG_CAP: u64 = 16;
 pub(super) const GEN_OFF_PREV: u64 = 24;
 pub(super) const GEN_OFF_CARRIED: u64 = 32;
-/// The commit words: log word, bare word, dirty word.
+/// The commit words: log word, batch word, dirty word.
 const GEN_OFF_WORDS: u64 = 40;
 pub(super) const WORDS_LEN: usize = 24;
-const BARE_BIT: u64 = 1 << 63;
-const EPOCH_MASK: u32 = (1 << 31) - 1;
+const LONG_BIT: u64 = 1 << 63;
+const KEEP_BIT: u64 = 1 << 62;
+const EPOCH_MASK: u32 = (1 << 30) - 1;
+/// The most records a batch writes without setting the long bit, and
+/// so the most slots `open` reads past the tail.
+pub(super) const LONG_BATCH: u64 = 64;
+/// Bytes 1..4 of a served record hold its slot + 1: at most this many
+/// slots.
+pub(crate) const MAX_SERVED_SLOTS: u32 = (1 << 24) - 1;
 
 pub(super) const KIND_PUT: u8 = 1;
 pub(super) const KIND_DEL: u8 = 2;
@@ -133,43 +155,48 @@ pub(super) struct LogHeader {
     pub(super) tail: u64,
     /// `C`: where `open` starts its replay.
     pub(super) replay_from: u64,
-    /// `L`: the first slot of the last bare batch whose heads are
-    /// dirty.
+    /// `L`: the first slot of the newest batch.
     pub(super) last_batch: u64,
-    /// What bare batches stamp their records with (31 bits).
+    /// What batches stamp their records with (30 bits).
     pub(super) epoch: u32,
-    /// Bare commits may run: `open` advances the epoch.
-    pub(super) bare: bool,
-    /// `[lo, hi]`: buckets whose heads bare commits left dirty.
+    /// The dirty span holds heads rebuilt from batches below `L`: the
+    /// next commit keeps `C`.
+    pub(super) keep: bool,
+    /// A batch longer than [`LONG_BATCH`] may have been cut past the
+    /// tail: `open` advances the epoch.
+    pub(super) long: bool,
+    /// `[lo, hi]`: buckets whose heads commits left dirty.
     pub(super) dirty: Option<(u64, u64)>,
 }
 
 impl LogHeader {
     /// A generation with `tail` slots in use and every head durable.
-    pub(super) fn settled(tail: u64, epoch: u32, bare: bool) -> Self {
+    pub(super) fn settled(tail: u64, epoch: u32) -> Self {
         LogHeader {
             tail,
             replay_from: tail,
             last_batch: tail,
             epoch,
-            bare,
+            keep: false,
+            long: false,
             dirty: None,
         }
     }
 
-    /// The next epoch, wrapping within its 31 bits.
+    /// The next epoch, wrapping within its 30 bits.
     pub(super) fn next_epoch(&self) -> u32 {
         self.epoch.wrapping_add(1) & EPOCH_MASK
     }
 
     fn encode(&self) -> [u8; WORDS_LEN] {
         let log = self.tail | self.replay_from << 32;
-        let bare = self.last_batch
+        let batch = self.last_batch
             | u64::from(self.epoch & EPOCH_MASK) << 32
-            | if self.bare { BARE_BIT } else { 0 };
+            | if self.keep { KEEP_BIT } else { 0 }
+            | if self.long { LONG_BIT } else { 0 };
         let dirty = self.dirty.map_or(0, |(lo, hi)| lo | (hi + 1) << 32);
         let mut b = [0u8; WORDS_LEN];
-        for (chunk, word) in b.chunks_exact_mut(8).zip([log, bare, dirty]) {
+        for (chunk, word) in b.chunks_exact_mut(8).zip([log, batch, dirty]) {
             chunk.copy_from_slice(&word.to_le_bytes());
         }
         b
@@ -179,7 +206,7 @@ impl LogHeader {
     /// names no span (its high half 0): an image no commit wrote.
     pub(super) fn decode(b: &[u8; WORDS_LEN]) -> Option<Self> {
         let word = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-        let (log, bare, dirty) = (word(0), word(1), word(2));
+        let (log, batch, dirty) = (word(0), word(1), word(2));
         let low = |w: u64| w & u64::from(u32::MAX);
         let dirty = match dirty {
             0 => None,
@@ -188,9 +215,10 @@ impl LogHeader {
         Some(LogHeader {
             tail: low(log),
             replay_from: log >> 32,
-            last_batch: low(bare),
-            epoch: (bare >> 32) as u32 & EPOCH_MASK,
-            bare: bare & BARE_BIT != 0,
+            last_batch: low(batch),
+            epoch: (batch >> 32) as u32 & EPOCH_MASK,
+            keep: batch & KEEP_BIT != 0,
+            long: batch & LONG_BIT != 0,
             dirty,
         })
     }
@@ -217,8 +245,9 @@ pub(super) fn heads_range(gen_base: u64, (lo, hi): (u64, u64)) -> (POffset, usiz
 }
 
 /// A record slot's bytes: fields, then batch word and stamp 0 (a
-/// record that never validates — what a window or a compaction
-/// writes; [`stamp`] fills the last two words for a bare batch).
+/// record that never validates — what a compaction writes; [`stamp`]
+/// fills the last two words for a batch, after [`serve`] for a served
+/// one).
 pub(super) fn encode_record(
     kind: u8,
     key: u64,
@@ -234,6 +263,28 @@ pub(super) fn encode_record(
     b[32..40].copy_from_slice(&seq.to_le_bytes());
     b[40..48].copy_from_slice(&next.to_le_bytes());
     b
+}
+
+/// Marks `rec` as executed for request-table slot `slot` under claim
+/// `claim` (bytes 1..8, which [`stamp`] then covers).
+pub(super) fn serve(rec: &mut RecordBytes, slot: u32, claim: u32) {
+    rec[1..4].copy_from_slice(&(slot + 1).to_le_bytes()[..3]);
+    rec[4..8].copy_from_slice(&claim.to_le_bytes());
+}
+
+/// The `(slot, claim)` a served record names, `None` for a bare one.
+pub(super) fn served(rec: &RecordBytes) -> Option<(u32, u32)> {
+    let slot = u32::from_le_bytes([rec[1], rec[2], rec[3], 0]).checked_sub(1)?;
+    Some((
+        slot,
+        u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes")),
+    ))
+}
+
+/// A record's stamp word (check | epoch): what an answer records of
+/// its batch's first record.
+pub(super) fn stamp_word(rec: &RecordBytes) -> u64 {
+    field(rec, 56)
 }
 
 fn field(b: &[u8], at: usize) -> u64 {
@@ -297,13 +348,6 @@ pub(super) struct Gen {
     pub(super) log_cap: u64,
 }
 
-/// The bytes of a record span `[first, last]` (slot offsets, as
-/// [`KvPendingBatch::published`](super::KvPendingBatch::published)
-/// reports them): what the records ‖ header level persisted for it.
-pub(crate) fn span_extent((first, last): (u64, u64)) -> (POffset, usize) {
-    (POffset::new(first), (last - first + RECORD_STRIDE) as usize)
-}
-
 pub(super) fn round64(v: u64) -> u64 {
     (v + 63) & !63
 }
@@ -336,9 +380,11 @@ pub(super) fn checked_block_len(nbuckets: u64, log_cap: u64) -> Option<u64> {
 }
 
 /// A cursor down one chain of one generation, newest record first: each
-/// hop reads one record and yields it with its offset. A record links
-/// only downward (see [`Records::reaches`]), so a `next` at or above
-/// its own record is [`PError::CorruptStack`], never a cycle.
+/// hop reads one record and yields it with its offset. Within one
+/// generation a chain runs from higher log offsets to lower (a record
+/// links to the head it replaced, which was reserved before it), so a
+/// `next` at or above its own record is [`PError::CorruptStack`], never
+/// a cycle.
 pub(super) struct Records<'a> {
     store: &'a PKvStore,
     gen_number: u64,
@@ -367,20 +413,6 @@ impl Iterator for Records<'_> {
                     Ok((off, rec))
                 }),
         )
-    }
-}
-
-impl Records<'_> {
-    /// `true` when the chain reaches the record at `off`, reading every
-    /// record above it once and no other. Within one generation a chain
-    /// runs from higher log offsets to lower (a record links to the head
-    /// it replaced, which was reserved before it), so the walk stops at
-    /// `off`'s height.
-    pub(super) fn reaches(mut self, off: u64) -> Result<bool, PError> {
-        while self.at > off {
-            self.next().transpose()?;
-        }
-        Ok(self.at == off)
     }
 }
 
@@ -502,7 +534,7 @@ impl PKvStore {
 
     /// The generation before generation `number` at `base`, `None` past
     /// the oldest.
-    fn prev_gen(&self, base: u64, number: u64) -> Result<Option<Gen>, PError> {
+    pub(super) fn prev_gen(&self, base: u64, number: u64) -> Result<Option<Gen>, PError> {
         let prev = self.pmem.read_u64(POffset::new(base + GEN_OFF_PREV))?;
         if prev == 0 {
             return Ok(None);
@@ -549,11 +581,6 @@ impl PKvStore {
         gen.base + gen_prefix_len(self.nbuckets) + idx * RECORD_STRIDE
     }
 
-    /// The offsets of `gen`'s log slots.
-    pub(super) fn log_range(&self, gen: &Gen) -> Range<u64> {
-        self.record_off(gen, 0)..self.record_off(gen, gen.log_cap)
-    }
-
     pub(super) fn read_record(
         &self,
         off: u64,
@@ -584,6 +611,22 @@ impl PKvStore {
         let mut b = [0u8; RECORD_STRIDE as usize];
         self.pmem.read(POffset::new(off), &mut b)?;
         Ok(b)
+    }
+
+    /// Reads `n` whole record slots of `gen` from slot index `from`, in
+    /// one access.
+    pub(super) fn read_slots(
+        &self,
+        gen: &Gen,
+        from: u64,
+        n: u64,
+    ) -> Result<Vec<RecordBytes>, PError> {
+        let mut b = vec![0u8; (n * RECORD_STRIDE) as usize];
+        self.pmem
+            .read(POffset::new(self.record_off(gen, from)), &mut b)?;
+        Ok(b.chunks_exact(RECORD_STRIDE as usize)
+            .map(|rec| rec.try_into().expect("a whole slot"))
+            .collect())
     }
 
     /// Writes a whole record slot (volatile until flushed).

@@ -5,7 +5,6 @@ use super::layout::{
     RECORD_STRIDE, WORDS_LEN,
 };
 use super::*;
-use pstack_nvram::Level;
 use pstack_nvram::{sweep, Cut, PMemBuilder, PsanViolationKind, Survivors, Sweep};
 
 fn fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
@@ -15,6 +14,22 @@ fn fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
     let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
     let kv = PKvStore::format(pmem.clone(), &heap, nbuckets, log_cap, KvVariant::Nsrl).unwrap();
     (pmem, heap, kv)
+}
+
+/// Opens the store at `base` as a served shard whose descriptors all
+/// landed: every claim check of the newest batch passes.
+fn open_served(pmem: PMem, base: POffset) -> PKvStore {
+    let claims = |_: &[(u32, u32)]| Ok(true);
+    PKvStore::open_with(pmem, base, KvVariant::Nsrl, Some(&claims)).unwrap()
+}
+
+/// A served window's group commit alone: op `i` executes slot `i`
+/// under claim 1.
+fn commit_served(kv: &PKvStore, ops: &[KvBatchOp]) -> Result<Vec<KvApplied>, PError> {
+    let served: Vec<(u32, u32)> = (0..ops.len() as u32).map(|slot| (slot, 1)).collect();
+    let mut pending = kv.begin_served(ops, &served, false)?;
+    pending.issue_own()?;
+    pending.commit()
 }
 
 const fn put(pid: u64, seq: u64, key: u64, value: i64) -> KvBatchOp {
@@ -606,7 +621,8 @@ fn two_concurrent_replays_of_one_op_take_one_effect() {
         }];
     for (input, second) in seconds.into_iter().enumerate() {
         let (_, _, kv) = fixture(4, 64);
-        let first = kv.recover_batch_begin(&[op], Heads::NextCommit).unwrap();
+        let mut first = kv.recover_batch_begin(&[op], None).unwrap();
+        first.issue_own().unwrap();
         std::thread::scope(|s| {
             let second = s.spawn(|| second(&kv));
             // Time for the second replay to reach the gate. Its
@@ -635,62 +651,27 @@ fn recover_batch_noscan_double_applies() {
 }
 
 #[test]
-fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
-    // The read rule and its negative control. A reader races a served
-    // window stopped between its head CAS and its heads' await; the
-    // power fails right after it answers. `get_durable` persisted the
-    // dirty head first, so its answer survives; a plain `get` handed
-    // out a value the crash takes back (a window's records are never
-    // replayed: its heads are its commit point).
-    for durable in [true, false] {
-        let (pmem, _heap, kv) = fixture(16, 64);
-        apply(&kv, put(1, 1, 7, 10)).unwrap();
-        let mut pending = kv.begin(&[put(1, 2, 7, 20)], Heads::CallerLevel).unwrap();
-        let mut heads = Level::default();
-        pending.publish(&mut heads).unwrap();
-
-        let before = pmem.stats().snapshot();
-        let answered = if durable {
-            kv.get_durable(7).unwrap()
-        } else {
-            kv.get(7).unwrap()
-        };
-        assert_eq!(answered, Some(20), "both readers see the published head");
-        let d = pmem.stats().snapshot() - before;
-        assert_eq!(d.persists, u64::from(durable), "only the durable read pays");
-        drop(pending);
-
-        pmem.crash_now(3, 0.0);
-        let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
-        let survived = kv2.get(7).unwrap();
-        if durable {
-            assert_eq!(survived, answered, "a durable read's answer survives");
-        } else {
-            assert_eq!(survived, Some(10), "negative control: the answer is lost");
-        }
-        assert!(pmem.psan_violations().is_empty());
-    }
-
-    // A bare commit leaves its heads dirty, and the log covers them: a
-    // durable read of any of them persists nothing — no persist, no
-    // line, no event, not even a redundant-persist count — and its
-    // answer survives a power failure that keeps no dirty line, since
-    // the reopen replays the batch.
+fn a_get_of_heads_a_window_left_dirty_persists_nothing_and_survives_a_power_failure() {
+    // The read rule, as an equality. Every commit — a served window's,
+    // and a bare one — leaves its heads dirty, and the stamped log
+    // covers them: a durable read of any of them persists nothing — no
+    // persist, no line, no flush call, no event, not even a
+    // redundant-persist count — and its answer survives a power failure
+    // that keeps no dirty line, since the reopen replays the batches.
     let (pmem, _heap, kv) = fixture(64, 64);
-    let keys = 0..16u64;
-    let puts: Vec<_> = keys
-        .clone()
+    let window: Vec<_> = (0..8u64).map(|k| put(1, k + 1, k, 10 + k as i64)).collect();
+    let bare: Vec<_> = (8..16u64)
         .map(|k| put(1, k + 1, k, 10 + k as i64))
         .collect();
-    kv.apply_batch(&puts).unwrap();
+    commit_served(&kv, &window).unwrap();
+    kv.apply_batch(&bare).unwrap();
     let gen = kv.active_gen().unwrap();
     assert!(
-        keys.clone()
-            .all(|k| pmem.is_dirty(kv.bucket_off(&gen, k), 8).unwrap()),
-        "every head the commit flipped is dirty"
+        (8..16u64).all(|k| pmem.is_dirty(kv.bucket_off(&gen, k), 8).unwrap()),
+        "every head the last commit flipped is dirty"
     );
     let (e0, before) = (pmem.events(), pmem.stats().snapshot());
-    for k in keys.clone() {
+    for k in 0..16u64 {
         assert_eq!(kv.get_durable(k).unwrap(), Some(10 + k as i64));
     }
     assert_eq!(kv.get_durable(99).unwrap(), None);
@@ -706,10 +687,25 @@ fn durable_get_survives_a_power_failure_a_plain_get_does_not() {
     );
     assert_eq!(pmem.events(), e0);
     pmem.crash_now(0, 0.0);
-    let kv2 = PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
-    for k in keys {
+    let kv2 = open_served(pmem.reopen().unwrap(), kv.base());
+    for k in 0..16u64 {
         assert_eq!(kv2.get(k).unwrap(), Some(10 + k as i64), "key {k} survives");
     }
+    assert!(pmem.psan_violations().is_empty());
+}
+
+#[test]
+fn a_store_whose_newest_batch_is_served_opens_only_with_its_claims() {
+    // A served batch at `L` is published only against its request
+    // table's claims: the store alone refuses it rather than guess, and
+    // one that can ask replays it.
+    let (pmem, _, kv) = fixture(8, 32);
+    commit_served(&kv, &[put(1, 1, 42, -7)]).unwrap();
+    assert!(matches!(
+        PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl),
+        Err(PError::InvalidConfig(_))
+    ));
+    assert_eq!(open_served(pmem, kv.base()).get(42).unwrap(), Some(-7));
 }
 
 #[test]
@@ -1713,9 +1709,9 @@ mod stamped_log {
         // not. The reopen reuses those slots for a batch of the same size —
         // the same first and last slot — cut at every event. None of the
         // lost batch's records may ever show, as part of the new batch or
-        // otherwise. The lost batch is a bare commit (stamped records: the
-        // new batch differs from it only in its epoch) or a window's first
-        // level (records that carry no stamp).
+        // otherwise: the reopen finds them past the tail and advances the
+        // epoch, so the new batch differs from them in its epoch. The lost
+        // batch is a bare commit or a served window's.
         let base = [put(1, 1, 0, 0), put(1, 2, 1, 1)];
         let lost: Vec<KvBatchOp> = (0..4).map(|k| put(7, k + 1, 10 + k, 70)).collect();
         let reuse: Vec<KvBatchOp> = (0..4).map(|k| put(8, k + 1, 20 + k, 80)).collect();
@@ -1726,9 +1722,11 @@ mod stamped_log {
             let tail = kv.log_reserved().unwrap();
             (pmem, (kv, tail))
         };
-        for heads in [Heads::NextCommit, Heads::CallerLevel] {
-            let commit_lost =
-                |(_, (kv, _)): &mut Based| kv.begin(&lost, heads).and_then(KvPendingBatch::commit);
+        for heads in ["bare", "served"] {
+            let commit_lost = |(_, (kv, _)): &mut Based| match heads {
+                "bare" => kv.apply_batch(&lost),
+                _ => commit_served(kv, &lost),
+            };
             // The cut: the last event at which, every line kept, the header
             // still shows the pre-batch tail.
             let mut header_unwritten = Vec::new();
@@ -1736,7 +1734,7 @@ mod stamped_log {
                 based,
                 commit_lost,
                 |(pmem, (kv, tail)), cut| {
-                    let kv2 = PKvStore::open(pmem, kv.base(), KvVariant::Nsrl).unwrap();
+                    let kv2 = open_served(pmem, kv.base());
                     if kv2.log_reserved().unwrap() == tail {
                         header_unwritten.push(*cut);
                     }
@@ -1751,12 +1749,12 @@ mod stamped_log {
                 .0;
             let reopened = || {
                 let (pmem, (kv, tail)) = lost_cut.replay(based, commit_lost);
-                let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                let kv = open_served(pmem.clone(), kv.base());
                 // Every record of the lost batch landed past the tail.
                 for i in 0..lost.len() as u64 {
                     let gen = kv.active_gen().unwrap();
                     let rec = kv.read_slot(kv.record_off(&gen, tail + i)).unwrap();
-                    assert_eq!(decode_record(&rec).3 .0, 7, "{heads:?}: slot {i} landed");
+                    assert_eq!(decode_record(&rec).3 .0, 7, "{heads}: slot {i} landed");
                 }
                 (pmem, kv)
             };
@@ -1764,8 +1762,8 @@ mod stamped_log {
                 reopened,
                 |(_, kv)| kv.apply_batch(&reuse),
                 |(pmem, kv), cut| {
-                    let at = format!("{heads:?} lost, {cut}");
-                    let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                    let at = format!("{heads} lost, {cut}");
+                    let kv2 = open_served(pmem.clone(), kv.base());
                     let tags = tags_once(&kv2, &at);
                     assert_eq!(pid_count(&tags, 7), 0, "{at}: a lost record shows");
                     assert_eq!(pid_count(&tags, 1), base.len(), "{at}");
@@ -1813,29 +1811,85 @@ mod stamped_log {
                     continue;
                 }
                 landed += 1;
-                let at = format!("{heads:?} lost, seed {seed}: header kept, records lost");
-                let kv2 = PKvStore::open(image, kv.base(), KvVariant::Nsrl).unwrap();
+                let at = format!("{heads} lost, seed {seed}: header kept, records lost");
+                let kv2 = open_served(image, kv.base());
                 let tags = tags_once(&kv2, &at);
                 assert_eq!(pid_count(&tags, 7), 0, "{at}: a lost record shows");
                 assert_eq!(pid_count(&tags, 8), 0, "{at}: a batch shows in part");
                 assert_eq!(pid_count(&tags, 1), base.len(), "{at}");
                 assert_eq!(kv2.log_reserved().unwrap(), tail, "{at}: the tail");
             }
-            assert!(landed > 0, "{heads:?}: no seed kept the header alone");
+            assert!(landed > 0, "{heads}: no seed kept the header alone");
         }
     }
 
     #[test]
+    fn a_boot_cut_inside_its_epoch_advance_still_parts_a_lost_batch_from_the_next() {
+        // A batch cut with its header lost and some of its records kept:
+        // the boot finds them past the tail and advances the epoch, in
+        // one awaited level. Cut that boot at every event × `Survivors::
+        // EVERY`: the next boot still shows the earlier commit whole and
+        // none of the lost records, and its epoch is not the lost
+        // batch's, so a batch that reuses those slots can never take
+        // one of them for its own.
+        let base = [put(1, 1, 0, 0), put(1, 2, 1, 1)];
+        let lost: Vec<KvBatchOp> = (0..4).map(|k| put(7, k + 1, 10 + k, 70)).collect();
+        // The lottery seed that keeps some of the lost records and loses
+        // the header: the first that does.
+        let cut_lost = |seed: u64| {
+            let (pmem, _, kv) = fixture(4, 32);
+            kv.apply_batch(&base).unwrap();
+            let gen = kv.active_gen().unwrap();
+            let (tail, epoch) = {
+                let header = kv.read_header(&gen).unwrap();
+                (header.tail, header.epoch)
+            };
+            let pending = kv.apply_batch_begin(&lost).unwrap();
+            pmem.crash_now(seed, 0.5);
+            drop(pending);
+            let pmem = pmem.reopen().unwrap();
+            let mut words = [0u8; WORDS_LEN];
+            pmem.read(header_range(gen.base).0, &mut words).unwrap();
+            let header_lost = LogHeader::decode(&words).unwrap().tail == tail;
+            let kept = (0..lost.len() as u64).any(|i| {
+                let mut rec = [0u8; RECORD_STRIDE as usize];
+                let off = POffset::new(kv.record_off(&gen, tail + i));
+                pmem.read(off, &mut rec).unwrap();
+                decode_record(&rec).3 .0 == 7
+            });
+            (pmem, (kv, epoch, header_lost && kept))
+        };
+        let seed = (0..256)
+            .find(|&seed| cut_lost(seed).1 .2)
+            .expect("a seed that keeps a lost record past the tail");
+        let events = sweep(
+            || {
+                let (pmem, (kv, epoch, _)) = cut_lost(seed);
+                (pmem, (kv, epoch))
+            },
+            |(pmem, (kv, _))| PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl),
+            |(pmem, (kv, epoch)), cut| {
+                let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                let tags = tags_once(&kv2, cut);
+                assert_eq!(pid_count(&tags, 1), base.len(), "{cut}: the earlier commit");
+                assert_eq!(pid_count(&tags, 7), 0, "{cut}: a lost record shows");
+                let header = kv2.read_header(&kv2.active_gen().unwrap()).unwrap();
+                assert_ne!(header.epoch, epoch, "{cut}: the lost batch's epoch reused");
+            },
+        );
+        assert!(events[0] > 0, "the boot persists its epoch");
+    }
+
+    #[test]
     fn a_window_after_bare_commits_cut_at_every_event_keeps_every_returned_effect() {
-        // Two bare commits leave heads dirty; a served window checkpoints
-        // them, moves `C` past its own records and clears the bare bit; a
-        // bare commit after it sets the bit again. Cut anywhere in the
-        // window or that commit: the bare commits before it show whole, the
-        // window's buckets whole or not at all (its heads are its commit
-        // point), the commit after it whole or absent — and only if the
-        // window's commit returned. Then the store goes on: a further
-        // commit and a reopen keep all of that, so no replay ever ran into
-        // the window's unstamped records and gave their slots away.
+        // Two bare commits leave heads dirty; a served window's commit
+        // checkpoints them in its one level and leaves its own dirty; a
+        // bare commit after it checkpoints those. Cut anywhere in the
+        // window or that commit (every descriptor landed: the claim checks
+        // pass): the bare commits before it show whole, the window's
+        // buckets whole or not at all, the commit after it whole or absent
+        // — and only if the window's commit returned. Then the store goes
+        // on: a further commit and a reopen keep all of that.
         let bare = [
             vec![put(1, 1, 0, 0), put(1, 2, 1, 1), put(1, 3, 2, 2)],
             vec![put(1, 4, 3, 3), put(1, 5, 0, 10)],
@@ -1856,22 +1910,19 @@ mod stamped_log {
         };
         let (pmem, kv) = probe();
         let e0 = pmem.events();
-        kv.begin(&window, Heads::CallerLevel)
-            .unwrap()
-            .commit()
-            .unwrap();
+        commit_served(&kv, &window).unwrap();
         let window_events = pmem.events() - e0;
         let bucket = |key: u64| mix(key) % 4;
 
         sweep(
             probe,
             |(_, kv)| -> Result<(), PError> {
-                kv.begin(&window, Heads::CallerLevel)?.commit()?;
+                commit_served(kv, &window)?;
                 kv.apply_batch(&after)?;
                 Ok(())
             },
             |(pmem, kv), cut| {
-                let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+                let kv2 = open_served(pmem.clone(), kv.base());
                 let tags = tags_once(&kv2, cut);
                 assert_eq!(pid_count(&tags, 1), 5, "{cut}: the bare commits");
                 let shown: Vec<_> = window
@@ -1907,8 +1958,8 @@ mod stamped_log {
                 assert!(apply(&kv2, put(9, 1, 8, 90)).unwrap(), "{cut}");
                 want.insert(8, 90);
                 pmem.crash_now(0, 0.0);
-                let kv3 =
-                    PKvStore::open(pmem.reopen().unwrap(), kv.base(), KvVariant::Nsrl).unwrap();
+                let kv3 = open_served(pmem.reopen().unwrap(), kv.base());
+
                 assert_eq!(
                     kv3.contents().unwrap(),
                     want,
@@ -1980,19 +2031,19 @@ mod stamped_log {
         // replay point past the tail, a last batch outside `[C, tail]`
         // or a dirty bucket past the array is refused, not replayed.
         let bad = [
-            LogHeader::settled(33, 0, true),
+            LogHeader::settled(33, 0),
             LogHeader {
                 replay_from: 5,
-                ..LogHeader::settled(4, 0, true)
+                ..LogHeader::settled(4, 0)
             },
             LogHeader {
                 replay_from: 2,
                 last_batch: 1,
-                ..LogHeader::settled(4, 0, true)
+                ..LogHeader::settled(4, 0)
             },
             LogHeader {
                 dirty: Some((0, 8)),
-                ..LogHeader::settled(4, 0, false)
+                ..LogHeader::settled(4, 0)
             },
         ];
         for header in bad {

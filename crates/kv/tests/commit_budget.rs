@@ -347,16 +347,18 @@ fn a_compaction_is_five_persists_in_three_round_trips() {
 }
 
 #[test]
-fn a_preloaded_window_is_six_persists_and_its_replay_none_on_the_shard() {
+fn a_preloaded_window_is_one_level_of_five_persists_and_its_replay_none_on_the_shard() {
     // A static workload is a preloaded request table run as
     // persistent-stack tasks: the served window minus the served
-    // path's per-drain descriptor persist and per-op ack
-    // (`pstack-server`'s `persist_budget.rs`: a lone put is 1 + 1 + 3 +
-    // 1 + 1). The frame is its CALL — its RET is retired into the next
-    // CALL. Thirty-two slots make a 34-byte argument block — a byte per
-    // slot, two for the shard's header and count — which cannot share
-    // the dummy frame's line and is flushed ahead of the flip: 2.
-    // Sixteen, 18 bytes, still share it: 1.
+    // path's per-op ack (`pstack-server`'s `persist_budget.rs`: a lone
+    // put is 1 + 1 + 3 + 1). The frame is its CALL — its RET is retired
+    // into the next CALL. On the shard, one level: the slots' lines
+    // (descriptor and answer), the records, the header, and — after an
+    // earlier window — the heads that window flipped: 3, then 4.
+    // Thirty-two slots make a 34-byte argument block — a byte per slot,
+    // two for the shard's header and count — which cannot share the
+    // dummy frame's line and is flushed ahead of the flip: 2. Sixteen,
+    // 18 bytes, still share it: 1.
     let ops: Vec<KvTaskOp> = (0..32).map(|key| KvTaskOp::Put { key, value: 1 }).collect();
     for (batch, frame, replayed_frame) in [(32, 2, 3), (16, 1, 1)] {
         let stripe = PMemBuilder::new().len(LEN).build_striped(1);
@@ -399,13 +401,13 @@ fn a_preloaded_window_is_six_persists_and_its_replay_none_on_the_shard() {
         let tasks = exec.pending_tasks(batch).unwrap();
         assert_eq!(tasks.len(), 32 / batch, "windows of {batch}");
         let replay = tasks[0].clone();
-        for task in tasks {
+        for (i, task) in tasks.into_iter().enumerate() {
             assert_eq!(
                 run(task),
-                (frame, 4),
+                (frame, if i == 0 { 3 } else { 4 }),
                 "windows of {batch}: the frame (frame; slot clear + marker flip; the unit \
-                 return + pop flip retired); the group commit (records, tail, heads) \
-                 + one answer persist"
+                 return + pop flip retired); the slots, the records, the header and the \
+                 previous window's heads"
             );
         }
         assert!(exec.pending_tasks(batch).unwrap().is_empty());

@@ -13,7 +13,8 @@
 //! * [`KvRequestTable`]-backed dedup + the store's evidence scan —
 //!   see [`ServerCore`]: effects at-most-once, acks at-least-once,
 //!   and only the persists that takes (reads answered at admission
-//!   persist nothing; descriptors persist once per drain);
+//!   persist nothing; descriptors persist with their answers, once per
+//!   shard per window);
 //! * admission — one bounded volatile queue per shard, its state under
 //!   one lock, with explicit and counted `Overloaded` shedding (never a
 //!   silent drop), drained each round into one batch window over every

@@ -9,12 +9,12 @@
 //! that:
 //!
 //! 1. **The request table** ([`KvRequestTable`], one per shard): a
-//!    mutation's descriptor is durable *before the window that names
-//!    its slot publishes anything* — the drain issues its flight, the
-//!    window awaits it with its frame, right before the heads — so a
-//!    retry of an answered request replays the durable answer and a
-//!    retry of a pending request re-enters execution without a second
-//!    slot.
+//!    mutation's descriptor persists with its answer, in the one level
+//!    of the window that executes it, beside that window's records —
+//!    and a reboot publishes a batch only if the descriptors its
+//!    records name landed with it — so a retry of an answered request
+//!    replays the durable answer and a retry of a pending request
+//!    re-enters execution without a second slot.
 //! 2. **The store's evidence scan**: version records are tagged
 //!    `(pid = client_id, seq = req_id)` — a tag stable across retries
 //!    and across executing workers. Any execution that *might* be a
@@ -42,53 +42,51 @@
 //!
 //! | request | persist | where | round-trips | blocking (lone put) |
 //! |---|---|---|---|---|
-//! | `get` | — | answered at admission from the shard's head | **0** on a quiescent shard | 0 |
-//! | mutation | descriptor | issued by the drain ([`serve_round`]; [`ServerCore::drain_tasks`] is the step on its own), one coalesced flight per drained shard, all shards overlapped; awaited by the window with its frame, before the heads | 1 per shard per **drain** | 0 |
-//! | | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits before its heads — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
-//! | | group commit | records ‖ header (beside the `CALL`), then heads — the commit point; the window's levels, every shard's flights in each | 3 per shard per round | 1 more |
-//! | | answer | [`KvRequestTable::answer`], payload + flag + its commit's record span in one line-atomic persist, issued into the heads' level on the commit's records ‖ header receipt; a replay voids an answer whose heads did not land | 1 per shard per round | 0 more: it rides the heads' level |
+//! | `get` | — | answered at admission from the shard's head | **0** | 0 |
+//! | mutation | window frame | the persistent stack: one window per round naming every drained shard's slots; `CALL` (frame + slot clear + marker flip) is one line-atomic persist — a flight the window begins under and awaits with its level — which also carries the previous round's `RET` (unit return + pop flip, written and retired when that window returned) | 1 per **round** (3 past the dummy line: args over 18 bytes — the retired pop, the frame, the flip) | 1 |
+//! | | slot | [`KvRequestTable::answer`]: the descriptor staged at admission and its answer — payload, flag and its batch's first slot and stamp — in one line-atomic persist, one flight per shard | 1 per shard per round | 0 more: it rides the level |
+//! | | group commit | records ‖ header ‖ the heads the shard's previous commit flipped (when it left any), in the same level; this commit's heads flip on the level's receipt and ride the shard's next commit | 2–3 per shard per round | 0 more |
 //! | | ack | mark (acked byte): written by [`ServerCore::ack`] and issued at once as a flight that nothing awaits; the slot's next occupant awaits it before overwriting the slot | 1 per ack | **0** |
 //!
-//! A lone put therefore costs 7 persists end to end and blocks on 2
-//! round-trips before its answer (`CALL` (+ the previous round's `RET`)
-//! ‖ descriptor ‖ records ‖ header → heads ‖ answer), and on none for its
-//! ack; a round that touches several shards blocks on the same 2 and
-//! pays the frame's 1 once, and a full window divides all but the ack by
-//! its occupancy. The window's own pop stays pending until
-//! the next round's `CALL`: a power failure before it replays the completed
-//! window, which re-collects its answers (`pstack_core::invoke` says why
-//! that is safe).
+//! A lone put therefore costs 6 persists end to end — `CALL`, slot,
+//! records, header, the previous commit's heads and the ack's mark —
+//! and blocks on **1** round-trip before its answer (`CALL` (+ the
+//! previous round's `RET`) ‖ slot ‖ records ‖ header ‖ heads), and on
+//! none for its ack; a round that touches several shards blocks on the
+//! same 1 and pays the frame's 1 once, and a full window divides all
+//! but the ack by its occupancy. The window's own pop stays pending
+//! until the next round's `CALL`: a power failure before it replays the
+//! completed window, which re-collects its answers (`pstack_core::invoke`
+//! says why that is safe).
 //!
 //! **Reads are idempotent, so their exactly-once identity buys
 //! nothing.** [`ServerCore::submit`] of a `Get` claims no slot, enters
 //! no window and no stack frame: it answers
 //! [`Submission::Answered`] on the spot from
 //! [`ShardedKvStore::get_durable`]. The answer must be *durably*
-//! linearizable — it must not be taken back by a power failure — so
-//! the read persists the bucket-head line **iff** a racing mutation has
-//! left it dirty or staged in an un-awaited flight (FliT's rule; only
-//! the traversal's destination needs ordering, NVTraverse's). Records
-//! are durable before any head CAS on every commit path, so persisting
-//! a head early is always safe. The later `Ack` of a get finds no slot
-//! and is confirmed, like any unknown-id ack.
+//! linearizable — it must not be taken back by a power failure — and
+//! it is without a persist: every head it can read was flipped on the
+//! receipt of an awaited level that made its batch's records and
+//! header durable, and a reboot replays that batch from the stamped
+//! log (only the traversal's destination needs to be durable,
+//! NVTraverse's rule). The later `Ack` of a get finds no slot and is
+//! confirmed, like any unknown-id ack.
 //!
-//! **Descriptors are staged at `submit`, issued at the drain, awaited
-//! by their window.** Nothing is promised to a client at
-//! [`Submission::Queued`], so nothing is lost by a crash before the
-//! descriptor is durable: the staged slot reverts to its old,
-//! recyclable occupant and the client's retry is `Fresh`. What must
-//! never happen is a window publishing over a non-durable descriptor
-//! (its effect could outlive the descriptor, and the retry would then
-//! execute as fresh — a second effect), so a window awaits its own
-//! descriptors, with its frame, before it publishes
-//! ([`KvServeFunction::execute_window`], the durable-read rule) — the
-//! drain's one round-trip hides under the frame's, and both under the
-//! records'. A frame made
-//! durable over a cut descriptor flight is replayed harmlessly: the
-//! replay skips a slot holding request id 0 and only re-collects a
-//! recycled slot's old, answered occupant. A flight that fails at its
-//! issue is its region's power failure: that window's first access
-//! trips the whole system, in the run that follows the drain.
+//! **Descriptors are staged at `submit` and persist with their
+//! answers.** Nothing is promised to a client at [`Submission::Queued`],
+//! so nothing is lost by a crash before the descriptor is durable: the
+//! staged slot reverts to its old, recyclable occupant and the client's
+//! retry is `Fresh`. What must never happen is a record published over
+//! a lost descriptor (its effect would outlive the descriptor, and the
+//! retry would then execute as fresh — a second effect): each record
+//! names its slot and the slot's claim, and a reboot publishes the
+//! newest batch only if its slots hold those claims or later ones
+//! ([`KvServeFunction::execute_window`] argues it). A frame made durable
+//! over a lost descriptor is replayed harmlessly: the replay skips a
+//! slot holding request id 0 and only re-collects a recycled slot's
+//! old, answered occupant. And an answer a reboot finds counts only if
+//! its batch was published: the dedup here, a replayed window and the
+//! re-enqueue read it through [`KvRequestTable::result`]'s check.
 //!
 //! # Acks
 //!
@@ -121,6 +119,7 @@
 //!
 //! [`KvRequestTable`]: pstack_kv::KvRequestTable
 //! [`KvRequestTable::answer`]: pstack_kv::KvRequestTable::answer
+//! [`KvRequestTable::result`]: pstack_kv::KvRequestTable::result
 //! [`KvRequestTable::open`]: pstack_kv::KvRequestTable::open
 //! [`PKvStore::apply_batch`]: pstack_kv::PKvStore::apply_batch
 //! [`PKvStore::recover_batch`]: pstack_kv::PKvStore::recover_batch
@@ -217,13 +216,15 @@ impl ServerCore {
     /// Admits one operation request.
     ///
     /// A `Get` is answered here and now ([`Submission::Answered`]) from
-    /// the shard's head: no slot, no window, no stack frame, and no
-    /// persist unless a racing mutation left the head line un-persisted
-    /// ([`pstack_kv::ShardedKvStore::get_durable`]). A mutation's descriptor is
-    /// **staged** in its shard's table when this returns
-    /// [`Submission::Queued`]; the drain that hands its window out
-    /// persists it first. A full queue sheds an unknown id before any
-    /// slot is claimed — a shed writes nothing.
+    /// the shard's head: no slot, no window, no stack frame and no
+    /// persist ([`pstack_kv::ShardedKvStore::get_durable`]). A
+    /// mutation's descriptor is **staged** in its shard's table when
+    /// this returns [`Submission::Queued`]; the window that executes it
+    /// persists it with its answer. A retry of an answered request gets
+    /// the durable answer if it counts — one a reboot found is checked
+    /// once against its batch ([`KvRequestTable::result`]) — and
+    /// re-enters execution otherwise. A full queue sheds an unknown id
+    /// before any slot is claimed — a shed writes nothing.
     ///
     /// # Errors
     ///
@@ -310,30 +311,14 @@ impl ServerCore {
     }
 
     /// Drains each shard's queue — at most `batch` entries a shard —
-    /// into **one** batch window naming every drained shard's slots, and
-    /// **issues the drained descriptors' persists**: one coalesced
-    /// asynchronous flight per shard over its slot lines, back to back,
-    /// none awaited here — the window awaits them with its frame, before
-    /// it publishes ([`KvServeFunction::execute_window`], by the
-    /// durable-read rule), so the descriptor round-trip hides under the
-    /// frame's.
+    /// into **one** batch window naming every drained shard's slots.
     /// Returns the window as one persistent-stack task (none when every
     /// queue was empty) plus the request id and the kind of every entry
     /// it will answer. One frame, one `CALL` and one `RET` per round,
     /// however many shards it touches: the shards' group commits then
-    /// share the window's levels inside it.
-    ///
-    /// The invariant: *nothing is published on behalf of a descriptor
-    /// that is not durable*. A flight cut by a power failure — or one that
-    /// fails at its issue — leaves the window's frame durable over
-    /// descriptors that are not (the window is handed out all the same:
-    /// its first access to the dead region trips the whole system, so
-    /// the failure surfaces no later than the run that follows the
-    /// drain), and recovery replays the frame: `execute_window` skips a
-    /// slot that holds no request, and a recycled slot shows its old
-    /// occupant's answer and is only re-collected — a replay never
-    /// executes on behalf of a descriptor that was lost. The clients'
-    /// retries then find no descriptor and are `Fresh`.
+    /// share the window's one level inside it, and each slot's
+    /// descriptor persists there, with its answer. The drain persists
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -354,15 +339,6 @@ impl ServerCore {
                 recovery: entries.iter().any(|e| e.recovery),
                 slots: entries.iter().map(|e| e.slot).collect(),
             });
-        }
-        // Every slot the window names, retried entries' too: a line that
-        // is already durable costs nothing, and the invariant then needs
-        // no argument about who persisted what before. Issued, not
-        // awaited: the window awaits them (`execute_window`).
-        let tables = self.exec.tables();
-        for part in &window {
-            // A failure shows in the run that follows (see above).
-            let _ = tables[part.shard as usize].persist_slots_issue(&part.slots);
         }
         if window.is_empty() {
             return (Vec::new(), req_ids, kinds);

@@ -2,31 +2,30 @@
 //!
 //! One device round-trip per ordered persist is the whole cost model,
 //! so every persist a served request pays is written down here and
-//! counted: a read pays none, a mutation pays its descriptor once per
-//! shard per *drain* (not per request), a round's one window pays 1 for
-//! its stack frame (3 once the frame outgrows the dummy frame's line)
-//! however many shards it names, and per shard 3 for its group commit
-//! and 1 for its answers; an ack pays 1 for its mark, a shed pays
-//! nothing. The
-//! frame's 1 is its `CALL`: the window's `RET` is retired into the next
-//! round's `CALL`, whose persist carries the pop in the same line. A
-//! change that adds a round-trip to the exactly-once path fails this
-//! file before it reaches the benchmark.
+//! counted: a read pays none, a round's one window pays 1 for its stack
+//! frame (3 once the frame outgrows the dummy frame's line) however
+//! many shards it names, and per shard 1 for its slots' lines — each
+//! descriptor persisting with its answer, once per shard per window,
+//! not per request — 2 for its group commit's records and header, and
+//! 1 more for the heads the shard's previous commit flipped (when it
+//! left any); an ack pays 1 for its mark, a shed and a drain pay
+//! nothing. The frame's 1 is its `CALL`: the window's `RET` is retired
+//! into the next round's `CALL`, whose persist carries the pop in the
+//! same line. A change that adds a round-trip to the exactly-once path
+//! fails this file before it reaches the benchmark.
 //!
-//! *When* each persist is awaited is written down too: the drain only
-//! issues the descriptors' flight, the window's `CALL` is a flight too,
-//! issued as the window starts, and the window begins its group commit
-//! under both, awaiting the frame and the descriptors right before the
-//! heads; the group commit's flights are awaited where something
-//! depends on them, and the answers ride the heads' level. So a lone
-//! put **blocks** on 2 of its 7 round-trips (`CALL` ‖ descriptor ‖
-//! records ‖ header → heads ‖ answer), and so does a round over four
-//! shards. A round's acks are one level of marks that nothing awaits:
-//! an ack round blocks on nothing, and a round that also runs a window
-//! on nothing more. Every persist on the
-//! path is a flight, so the blocking is the waits the
-//! regions plan (`async_latency_waited_ns`, control and shards summed),
-//! which no host load can inflate: a sleep never undershoots.
+//! *When* each persist is awaited is written down too: the window's
+//! `CALL` is a flight, issued as the window starts, and every shard's
+//! slots, records, header and previous heads are issued into the
+//! window's one level beside it; the window awaits the frame and the
+//! level once, flips its heads on the receipt and returns its answers.
+//! So a lone put **blocks** on 1 round-trip (`CALL` ‖ slot ‖ records ‖
+//! header ‖ heads), and so does a round over four shards. A round's
+//! acks are one level of marks that nothing awaits: an ack round blocks
+//! on nothing, and a round that also runs a window on nothing more.
+//! Every persist on the path is a flight, so the blocking is the waits
+//! the regions plan (`async_latency_waited_ns`, control and shards
+//! summed), which no host load can inflate: a sleep never undershoots.
 
 mod common;
 
@@ -108,27 +107,28 @@ fn fresh_puts_to_one_shard_drained_together_persist_one_descriptor_line_set() {
     let (tasks, ids) = s.core.drain_tasks();
     assert_eq!((tasks.len(), ids.len()), (1, 6));
     let (control, stripe) = delta(&s, before);
-    assert_eq!(control.persists, 0);
     assert_eq!(
-        (stripe.persists, stripe.async_flushes),
-        (0, 1),
-        "six descriptors, one coalesced flight — issued, awaited by the window"
+        (control.persists, stripe.persists, stripe.async_flushes),
+        (0, 0, 0),
+        "the drain persists nothing"
     );
-    assert_eq!(s.region(0).inflight_tickets(), 1);
 
     let mid = s.stats();
     assert!(!s.rt.run_tasks(tasks).crashed);
     let (_, stripe) = delta(&s, mid);
     assert_eq!(
-        (stripe.persists, stripe.async_flushes, stripe.elided_lines),
-        (1 + 3 + 1, 4, 6),
-        "the drain's flight (its six lines ridden by the window's reader rule, \
-         no persist of its own), the group commit, one answer persist"
+        (
+            stripe.persists,
+            stripe.async_flushes,
+            stripe.lines_persisted
+        ),
+        (1 + 2, 3, 6 + 6 + 1),
+        "six descriptors with their answers, one coalesced flight; the group commit's \
+         records and header"
     );
 
-    // Two shards drained together: one flight each, issued back to
-    // back — still one persist per shard for the whole drain — and one
-    // window naming both.
+    // Two shards drained together: one window naming both, and one slot
+    // flight a shard.
     for (i, shard) in [(10u32, 0usize), (11, 1), (12, 0), (13, 1)] {
         let key = s.key_on(shard, i as usize);
         s.core
@@ -138,20 +138,18 @@ fn fresh_puts_to_one_shard_drained_together_persist_one_descriptor_line_set() {
     let mid = s.stats();
     let (tasks, _) = s.core.drain_tasks();
     assert_eq!(tasks.len(), 1);
-    let (_, stripe) = delta(&s, mid);
-    assert_eq!((stripe.persists, stripe.async_flushes), (0, 2));
     assert!(!s.rt.run_tasks(tasks).crashed);
     let (_, stripe) = delta(&s, mid);
     assert_eq!(
-        (stripe.persists, stripe.elided_lines),
-        (2 * (1 + 1), 4),
-        "per shard: its descriptor flight and one answer persist (the deletes \
-         find nothing to delete, so nothing to commit)"
+        (stripe.persists, stripe.lines_persisted),
+        (2, 4),
+        "per shard its slots' flight (the deletes find nothing to delete, so \
+         nothing to commit)"
     );
 }
 
 #[test]
-fn a_lone_put_costs_seven_persists_end_to_end() {
+fn a_lone_put_costs_five_persists_end_to_end() {
     // Every region charged one round-trip per persist, so the blocking
     // bound below is in real units.
     const LATENCY: Duration = Duration::from_millis(1);
@@ -167,8 +165,8 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
     let (control, stripe) = delta(&s, t0);
     assert_eq!(
         (control.persists, stripe.persists, stripe.async_flushes),
-        (0, 0, 1),
-        "the descriptor, issued at the drain and awaited by its window"
+        (0, 0, 0),
+        "the descriptor is staged; the drain persists nothing"
     );
 
     let t1 = s.stats();
@@ -185,15 +183,14 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
     );
     assert_eq!(
         (stripe.persists, stripe.async_flushes),
-        (5, 4),
-        "the drain's descriptor flight + group commit (records, tail, head) + \
-         one answer persist — every stripe persist a flight"
+        (3, 3),
+        "the slot (descriptor and answer), the records and the header — every stripe \
+         persist a flight; the shard had no earlier heads to persist"
     );
 
     // Blocking: every persist a flight — the CALL too, issued as the
-    // window starts and awaited beside the descriptor, records and tail
-    // — so at most one latency per awaited level: CALL ‖ descriptor ‖
-    // records ‖ header → heads ‖ answer.
+    // window starts — and the window awaits them once: CALL ‖ slot ‖
+    // records ‖ header, one latency summed over every region.
     let (control, stripe) = delta(&s, t0);
     assert_eq!(
         (control.persists, control.async_flushes),
@@ -201,8 +198,8 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
         "the one control persist is a flight: 0 synchronous"
     );
     assert!(
-        waited_ns(&control, &stripe) <= 2 * LATENCY.as_nanos() as u64,
-        "a lone put blocked on more than 2 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe) <= LATENCY.as_nanos() as u64,
+        "a lone put blocked on more than 1 round-trip: {} ns waited on flights",
         waited_ns(&control, &stripe)
     );
 
@@ -232,17 +229,17 @@ fn a_lone_put_costs_seven_persists_end_to_end() {
     assert_eq!((control.persists, stripe.persists), (0, 1), "the mark");
 
     let (control, stripe) = delta(&s, t0);
-    assert_eq!(control.persists + stripe.persists, 7);
+    assert_eq!(control.persists + stripe.persists, 5);
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
     s.assert_psan_clean();
 }
 
 #[test]
-fn a_four_shard_round_is_one_frame_and_two_round_trips() {
+fn a_four_shard_round_is_one_frame_and_one_round_trip() {
     // A round that touches every shard is one window: one frame, and
-    // the four shards' group commits moved through their levels
-    // together — the lone put's 2 blocking round-trips, not 2 per
-    // shard, and 1 control persist per round, not per shard.
+    // the four shards' group commits in its one level — the lone put's
+    // 1 blocking round-trip, not 1 per shard, and 1 control persist per
+    // round, not per shard.
     const LATENCY: Duration = Duration::from_millis(1);
     let shape = Shape { shards: 4, ..SHAPE };
     let s = Stack::format_with(shape, PMemBuilder::new().flush_latency(LATENCY));
@@ -280,12 +277,12 @@ fn a_four_shard_round_is_one_frame_and_two_round_trips() {
     );
     assert_eq!(
         (stripe.persists, stripe.async_flushes),
-        (4 + 12 + 4, 20),
-        "4 descriptor flights + 4 × 3 commit flights + 4 answer flights"
+        (4 * 3, 12),
+        "4 slot flights + 4 × 2 commit flights (records, header)"
     );
     assert!(
-        waited_ns(&control, &stripe) <= 2 * LATENCY.as_nanos() as u64,
-        "a four-shard round blocked on more than 2 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe) <= LATENCY.as_nanos() as u64,
+        "a four-shard round blocked on more than 1 round-trip: {} ns waited on flights",
         waited_ns(&control, &stripe)
     );
 
@@ -313,7 +310,11 @@ fn a_four_shard_round_is_one_frame_and_two_round_trips() {
             frame,
             "{per_shard} slots a shard"
         );
-        assert_eq!(stripe.persists, 4 + 12 + 4, "{per_shard} slots a shard");
+        assert_eq!(
+            stripe.persists,
+            4 * 4,
+            "{per_shard} slots a shard: slots, records, header, the round before's heads"
+        );
     }
     s.assert_psan_clean();
 }
@@ -390,8 +391,8 @@ fn a_round_of_acks_is_one_level() {
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
 
     // The same acks in a round that also runs a window: they ride
-    // beside it, and its awaits land them at no cost of their own — its
-    // 2 round-trips and none more.
+    // beside it, and its await lands them at no cost of their own — its
+    // 1 round-trip and none more.
     let acked = submit_puts(&six);
     run_window();
     let t = s.stats();
@@ -403,13 +404,14 @@ fn a_round_of_acks_is_one_level() {
     let (control, stripe) = delta(&s, t);
     assert_eq!(
         stripe.persists,
-        6 + 4 + 12 + 4,
-        "the acks, then the four-shard round's descriptors, commits and answers"
+        6 + 4 * 4,
+        "the acks, then the four-shard round's slots, records, headers and the \
+         round before's heads"
     );
     assert_eq!(control.redundant_persists + stripe.redundant_persists, 0);
     assert!(
-        waited_ns(&control, &stripe) <= 2 * LATENCY.as_nanos() as u64,
-        "acks beside a window blocked it past 2 round-trips: {} ns waited on flights",
+        waited_ns(&control, &stripe) <= LATENCY.as_nanos() as u64,
+        "acks beside a window blocked it past 1 round-trip: {} ns waited on flights",
         waited_ns(&control, &stripe)
     );
     s.assert_psan_clean();

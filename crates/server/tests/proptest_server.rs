@@ -559,11 +559,10 @@ proptest! {
                             executed.insert((client, seq)),
                             "({client}, {seq}) executed twice"
                         );
-                        // A get commits nothing: no records, no span.
-                        let records = Level::default().await_all().unwrap();
+                        // A get commits nothing: no records, no batch.
                         let mut level = Level::default();
                         let entry = [(slot, 0, KvTaskResult::Got(None))];
-                        table.answer(&entry, None, &records, &mut level).unwrap();
+                        table.answer(&entry, None, &mut level).unwrap();
                         level.await_all().unwrap();
                         unacked[c].push_back(seq);
                         next_seq[c] += 1;

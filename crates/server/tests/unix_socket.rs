@@ -78,9 +78,9 @@ fn unix_socket_round_trip_exactly_once() {
     );
     assert_eq!(
         persists(),
-        (1, 5, 0),
+        (1, 3, 0),
         "the frame's CALL in the control region (its RET retired into the next CALL); \
-         descriptor, group commit (3), answer"
+         the slot (descriptor and answer), the records and the header"
     );
 
     // A retransmission of the same request id returns the durable
@@ -96,10 +96,10 @@ fn unix_socket_round_trip_exactly_once() {
         result_of(round_trip(&mut stream2, &get)),
         KvTaskResult::Got(Some(7))
     );
-    assert_eq!(persists(), (1, 5, 0));
+    assert_eq!(persists(), (1, 3, 0));
 
     // Acks flow over the same wire and are idempotent. The first writes
-    // the slot's mark and issues it, and nothing awaits it: the seventh
+    // the slot's mark and issues it, and nothing awaits it: the fifth
     // persist, once, when the region next awaits.
     let ack = Request {
         req_id: put.req_id,
@@ -110,11 +110,11 @@ fn unix_socket_round_trip_exactly_once() {
             round_trip(&mut stream, &ack),
             Response::AckOk { req_id: put.req_id }
         );
-        assert_eq!(persists(), (1, 5, 0));
+        assert_eq!(persists(), (1, 3, 0));
         assert_eq!(s.region(1).inflight_tickets(), 1, "the mark's flight");
     }
     s.region(1).fence();
-    assert_eq!(persists(), (1, 6, 0));
+    assert_eq!(persists(), (1, 4, 0));
 
     assert_eq!(s.records_of(put.req_id).len(), 1, "no second effect");
     handle.stop().expect("no power failure");
@@ -128,10 +128,9 @@ fn a_power_failure_closes_the_connections_and_the_retransmission_finds_the_answe
         let key = s.key_on(0, 0);
         KvTaskOp::Put { key, value }
     };
-    // How many shard-0 events the round spends (stage, drain persist,
-    // then the window), on a twin: the failure is to land on the
-    // window's last — its answer's flight, after the heads, so after
-    // its frame was awaited.
+    // How many shard-0 events the round spends (stage, then the window),
+    // on a twin: the failure is to land on the window's last — its head
+    // flip, after its one level and its frame were awaited.
     let last_event = {
         let twin = Stack::format(SHAPE);
         let before = twin.events()[1];
