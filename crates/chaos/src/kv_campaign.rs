@@ -63,8 +63,15 @@ pub(crate) const ANSWER_REPLAY_FUSE: (u64, u64) = (1, 12);
 /// each re-collects its answers, reading only, and pops its frame — a
 /// few events of the control region.
 pub(crate) const SERVED_REPLAY_FUSE: (u64, u64) = (1, 3);
-/// The same where recovery replays whole group-commit windows.
-const WINDOW_REPLAY_FUSE: (u64, u64) = (2, 40);
+/// Countdown of a kill inside a recovery pass of a row whose windows
+/// group-commit several mutations (the sharded rows). As on the served
+/// rows, a window's frame is durable only with its level, and these
+/// rows' kills keep no un-awaited line, so a window a kill cut left no
+/// frame: a pass replays completed windows — each re-collects its
+/// answers, reading only, and pops its frame — and re-drives little,
+/// a few events of the control region and of a shard. A longer fuse
+/// outlives the pass and the kill never lands.
+const WINDOW_REPLAY_FUSE: (u64, u64) = (0, 2);
 /// The same where a row compacts, so a pass may replay a compaction.
 const COMPACTION_RECOVERY_FUSE: (u64, u64) = (0, 20);
 /// Countdown of a kill inside a compaction task: 0..=30 sweeps the whole

@@ -57,6 +57,24 @@
 //! Sharding multiplies this by core count: different shards are
 //! different regions, so their critical sections never serialize.
 //!
+//! # Reads: the volatile index
+//!
+//! The same rule keeps reads off NVRAM: traversal state that recovery
+//! can rebuild need not be read back from persistent memory. Each store
+//! region keeps, in DRAM, the active generation's descriptor and one
+//! head per bucket — shared by every handle on the region, like its
+//! exclusive section, and gone when the region reboots. `format` and
+//! [`PKvStore::open`] build it, `open` after its replay of the stamped
+//! log, with one read of the bucket array; a group commit stores each
+//! head it publishes there beside the head's NVRAM CAS, on the same
+//! receipt; a compaction replaces it right after its root swap. So a
+//! get reads NVRAM only for the records of its chain (none for an empty
+//! bucket), and a crashed region answers nothing. What is durable is
+//! unchanged: records and headers, the heads a later commit persists
+//! — which `open` replays into and which a retired generation keeps as
+//! evidence — and the root cell. Retired generations and the replay
+//! read the image.
+//!
 //! # Design: a hash index over an append-only version log
 //!
 //! Updating a value *in place* destroys the evidence recovery needs —

@@ -4,13 +4,18 @@
 //! See the crate-level documentation for the design rationale. The
 //! store is rooted at a small fixed block whose generation pointer (a
 //! [`RootCell`]) names the active generation; each generation is a
-//! self-contained bucket-array + version-log block. The store is split
-//! by concern:
+//! self-contained bucket-array + version-log block. The active
+//! generation and its bucket heads are also kept in DRAM, in the
+//! region's volatile index, which every reader of it uses. The store is
+//! split by concern:
 //!
 //! - `layout` — the root and generation blocks, the record codec and
 //!   its stamp, the generation header's commit words, and the two walks
 //!   every reader shares: the generations newest first and one chain's
 //!   records newest first;
+//! - `index` — the volatile index every reader of the active
+//!   generation takes it and its heads from, shared by the region's
+//!   handles and rebuilt by `open`;
 //! - `commit` — the group commit, the one way to write
 //!   ([`PKvStore::apply_batch`], [`KvPendingBatch`]), and its persist
 //!   order;
@@ -22,18 +27,22 @@
 //!
 //! [`RootCell`]: pstack_nvram::RootCell
 
+use std::sync::Arc;
+
 use pstack_core::PError;
 use pstack_heap::PHeap;
 use pstack_nvram::{Level, MemError, PMem, POffset, RootCell};
 
 mod commit;
 mod compact;
+mod index;
 mod layout;
 mod recovery;
 
 pub use commit::KvPendingBatch;
+use index::KvIndex;
 use layout::{
-    checked_block_len, gen_block_len, gen_prefix_len, write_header, LogHeader, KV_MAGIC,
+    checked_block_len, gen_block_len, gen_prefix_len, write_header, Gen, LogHeader, KV_MAGIC,
     KV_MAGIC_V2, OFF_GEN_CELL, OFF_MAGIC, OFF_NBUCKETS, ROOT_LEN,
 };
 pub(crate) use layout::{mix, MAX_SERVED_SLOTS};
@@ -250,9 +259,10 @@ impl KvBatchOp {
 }
 
 /// A crash-recoverable hash-indexed map from `u64` keys to `i64`
-/// values. Cheap to clone; all clones share the same store. See
-/// `store/layout.rs` for the persistent layout and the crate docs for
-/// the recovery argument.
+/// values. Cheap to clone; all clones share the same store, and every
+/// handle on the region's boot — clones and independent opens — the
+/// same volatile index (`store/index.rs`). See `store/layout.rs` for
+/// the persistent layout and the crate docs for the recovery argument.
 ///
 /// # Example
 ///
@@ -285,6 +295,9 @@ pub struct PKvStore {
     cell: RootCell,
     nbuckets: u64,
     variant: KvVariant,
+    /// The region's index of this store: the active generation and its
+    /// heads.
+    index: Arc<KvIndex>,
     /// What the reboot that opened this handle found (`None` after
     /// `format`).
     boot: Option<Boot>,
@@ -346,12 +359,20 @@ impl PKvStore {
         level.await_all()?;
         let cell = RootCell::format(pmem.clone(), base + OFF_GEN_CELL, 0, gen0)?;
         Self::register_publish_range(&pmem, gen0, nbuckets);
+        let gen = Gen {
+            base: gen0,
+            number: 0,
+            log_cap,
+        };
+        let index = pmem.volatile(base.get(), KvIndex::empty);
+        index.replace(Self::read_active(&pmem, gen, nbuckets)?);
         Ok(PKvStore {
             pmem,
             base,
             cell,
             nbuckets,
             variant,
+            index,
             boot: None,
         })
     }
@@ -359,8 +380,12 @@ impl PKvStore {
     /// Re-attaches to a store previously created at `base` (recovery
     /// boot). The heads the last commits left dirty come back: the log
     /// is replayed from the header's `C`, and the rebuilt heads ride
-    /// the next commit. The epoch advances, in one persist, only when a
-    /// cut batch can have left records of it past the tail
+    /// the next commit. Then the region's volatile index is built from
+    /// the replayed image — the root cell's generation and one read of
+    /// its bucket array — in the same exclusive section, and every
+    /// handle on the region reads from it. The epoch advances, in one
+    /// persist, only when a cut batch can have left records of it past
+    /// the tail
     /// (`store/recovery.rs` argues it); a boot with nothing there
     /// persists nothing. A served window's batch at the header's `L` is
     /// checked against the shard's request table, which only
@@ -401,7 +426,13 @@ impl PKvStore {
             MemError::Crashed => PError::Mem(e),
             e => PError::CorruptStack(format!("KV store root cell at {base}: {e}")),
         })?;
+        // The root cell, the replay and the index build share one
+        // exclusive section: no compaction or commit of another handle
+        // on the region can land between them.
+        let gate = pmem.clone();
+        let _quiesce = gate.quiesce();
         let mut store = PKvStore {
+            index: pmem.volatile(base.get(), KvIndex::empty),
             pmem,
             base,
             cell,
@@ -409,7 +440,7 @@ impl PKvStore {
             variant,
             boot: None,
         };
-        let gen = store.active_gen()?; // validates the active generation's magic
+        let gen = store.root_gen()?; // validates the active generation's magic
 
         // The counts come back from NVRAM: bound them before any
         // arithmetic on them.
@@ -424,6 +455,9 @@ impl PKvStore {
         }
         Self::register_publish_range(&store.pmem, gen.base, nbuckets);
         store.boot = Some(store.replay_log(gen, claims)?);
+        store
+            .index
+            .replace(Self::read_active(&store.pmem, gen, nbuckets)?);
         Ok(store)
     }
 
@@ -537,30 +571,37 @@ impl PKvStore {
         self.apply_batch_begin(ops)?.commit()
     }
 
-    /// Reads the current value of `key`.
+    /// Reads the current value of `key`: its bucket's head from the
+    /// region's volatile index, then the chain's records from NVRAM,
+    /// newest first, until one is `key`'s — no other NVRAM read.
     ///
     /// # Errors
     ///
-    /// Propagated NVRAM errors.
+    /// Propagated NVRAM errors; [`MemError::Crashed`] on a crashed
+    /// region, also for a key whose bucket is empty.
     pub fn get(&self, key: u64) -> Result<Option<i64>, PError> {
-        let gen = self.active_gen()?;
-        let head = self.pmem.read_u64(self.bucket_off(&gen, key))?;
-        self.lookup_from(head, key, gen.number)
+        let active = self.active()?;
+        self.lookup_from(active.head(self.bucket_of(key)), key, active.gen.number)
     }
 
     /// [`PKvStore::get`] whose answer is **durably linearizable**: the
     /// value returned survives a power failure right after the call,
-    /// so it may be handed to a client. It persists nothing: every head
-    /// a reader can see was flipped on the receipt of an awaited level
-    /// that made its batch's records and header durable, and a reboot
-    /// replays that batch from the stamped log into the heads, whether
-    /// they persisted or not (`store/recovery.rs`). Only the
-    /// destination needs to be durable (NVTraverse), and the log makes
-    /// it so.
+    /// so it may be handed to a client. It persists nothing, and reads
+    /// the head from DRAM: the index holds a head only once a group
+    /// commit's publish stored it there, on the receipt of the awaited
+    /// level that made its batch's records and header durable, and a
+    /// reboot replays that batch from the stamped log into the image's
+    /// heads — whether they persisted or not (`store/recovery.rs`) —
+    /// before `open` builds the next boot's index from them. So every
+    /// head the index shows, a reboot shows too. Only the destination —
+    /// the records — needs to be durable (NVTraverse), and the log makes
+    /// it so. A crashed region answers nothing: the index is read only
+    /// while the region is alive.
     ///
     /// # Errors
     ///
-    /// Propagated NVRAM errors.
+    /// Propagated NVRAM errors; [`MemError::Crashed`] on a crashed
+    /// region.
     pub fn get_durable(&self, key: u64) -> Result<Option<i64>, PError> {
         self.get(key)
     }

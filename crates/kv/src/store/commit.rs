@@ -14,9 +14,10 @@
 //! checkpoint of the heads the shard's previous commit flipped.
 //! [`KvPendingBatch::commit`] awaits that level once — across every
 //! shard of a [`KvBatch`](crate::KvBatch) — flips each touched bucket's
-//! head on its receipt, and returns: **one round-trip**. The new heads
-//! stay dirty; the header names them, and the shard's next commit or a
-//! compaction persists them. Until then the log is the truth: a crash
+//! head on its receipt (the image's by CAS, then the region's volatile
+//! index's, which readers take it from), and returns: **one
+//! round-trip**. The new heads stay dirty; the header names them, and
+//! the shard's next commit or a compaction persists them. Until then the log is the truth: a crash
 //! loses at most heads, and `PKvStore::open` rebuilds them by replaying
 //! the stamped batches from the header's `C` (`store/recovery.rs`).
 //! Records are durable strictly before any head that can reach them, so
@@ -41,10 +42,12 @@
 //! [`ShardedKvStore`](crate::ShardedKvStore).)
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pstack_core::PError;
 use pstack_nvram::{op_label, Durable, Level, POffset, QuiesceGuard};
 
+use super::index::Active;
 use super::layout::{
     decode_record, encode_record, header_range, heads_range, serve, stamp, stamp_word,
     write_header, Gen, LogHeader, RecordBytes, KIND_DEL, KIND_PUT, LONG_BATCH, RECORD_STRIDE,
@@ -118,7 +121,9 @@ impl StagedBatch {
 pub struct KvPendingBatch<'a> {
     store: &'a PKvStore,
     _quiesce: QuiesceGuard<'a>,
-    gen: Gen,
+    /// The active generation, which the exclusive section keeps active
+    /// until the batch drops.
+    active: Arc<Active>,
     pub(super) staged: StagedBatch,
     /// Records ‖ header ‖ checkpoint, for a bare commit: the level its
     /// heads depend on. A window issues them into its own level.
@@ -194,10 +199,11 @@ impl KvPendingBatch<'_> {
         if !forged {
             level.issue(pmem, POffset::new(lo), span)?;
         }
-        let (off, len) = header_range(self.gen.base);
+        let base = self.active.gen.base;
+        let (off, len) = header_range(base);
         level.issue(pmem, off, len)?;
         if let Some(dirty) = self.restore.and_then(|found| found.dirty) {
-            let (off, len) = heads_range(self.gen.base, dirty);
+            let (off, len) = heads_range(base, dirty);
             level.issue(pmem, off, len)?;
         }
         Ok(())
@@ -206,8 +212,9 @@ impl KvPendingBatch<'_> {
     /// The publish, on `durable`, the receipt of the awaited level that
     /// carried the batch: flips each touched bucket's head once, to the
     /// newest staged record (intermediate staged heads are never
-    /// published, so per bucket the batch is all-or-nothing). Under
-    /// PSan the receipt's ranges on this region must be durable now.
+    /// published, so per bucket the batch is all-or-nothing) — the
+    /// image's by CAS, then the index's, which readers see. Under PSan
+    /// the receipt's ranges on this region must be durable now.
     pub(crate) fn publish(&mut self, durable: &Durable) -> Result<(), PError> {
         // The level landed: a reopen would replay the batch, so a drop
         // from here on must not void it.
@@ -215,14 +222,14 @@ impl KvPendingBatch<'_> {
         let pmem = &self.store.pmem;
         if let Some((lo, hi)) = self.staged.slots {
             durable.check(pmem, POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
-            let (off, len) = header_range(self.gen.base);
+            let (off, len) = header_range(self.active.gen.base);
             durable.check(pmem, off, len);
             durable.psan_check(pmem);
         }
         for (&bucket, &new_head) in &self.staged.staged_heads {
             let expected = self.staged.pre_heads[&bucket];
             if !pmem.compare_exchange(
-                self.store.bucket_off_at(&self.gen, bucket),
+                self.store.bucket_off_at(&self.active.gen, bucket),
                 &expected.to_le_bytes(),
                 &new_head.to_le_bytes(),
             )? {
@@ -232,6 +239,7 @@ impl KvPendingBatch<'_> {
                         .into(),
                 ));
             }
+            self.active.set_head(bucket, new_head);
         }
         Ok(())
     }
@@ -251,21 +259,21 @@ impl KvPendingBatch<'_> {
         let Some(mut header) = self.restore.take() else {
             return Ok(());
         };
-        let store = self.store;
+        let (store, gen) = (self.store, self.active.gen);
         let (first, last) = (self.staged.first, self.staged.last());
         for (i, rec) in self.staged.records.iter_mut().enumerate() {
-            let off = store.record_off(&self.gen, first + i as u64);
+            let off = store.record_off(&gen, first + i as u64);
             rec[0] = 0;
-            stamp(rec, off, self.gen.number, (first, last), header.epoch);
+            stamp(rec, off, gen.number, (first, last), header.epoch);
             store.write_slot(off, rec)?;
         }
         header.tail = last + 1;
-        write_header(&store.pmem, self.gen.base, &header)?;
+        write_header(&store.pmem, gen.base, &header)?;
         let (lo, hi) = self.staged.slots.expect("a staged batch");
         store
             .pmem
             .flush_async(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize)?;
-        let (off, len) = header_range(self.gen.base);
+        let (off, len) = header_range(gen.base);
         store.pmem.flush_async(off, len)?;
         Ok(())
     }
@@ -329,14 +337,16 @@ impl PKvStore {
     /// volatile memory, in slots from `tail` on. Reserving is counting:
     /// the caller holds the region quiesced, so the slots are its own,
     /// and the tail is written once, in the header the level persists.
-    /// A served batch marks each op's record with its `(slot, claim)`.
+    /// The pre-batch heads are `active`'s. A served batch marks each
+    /// op's record with its `(slot, claim)`.
     fn stage_batch(
         &self,
-        gen: &Gen,
+        active: &Active,
         ops: &[KvBatchOp],
         served: Option<&[(u32, u32)]>,
         tail: u64,
     ) -> Result<StagedBatch, PError> {
+        let gen = &active.gen;
         let mut staged = StagedBatch {
             outcomes: vec![KvApplied::PrecondFailed; ops.len()],
             pre_heads: BTreeMap::new(),
@@ -351,7 +361,7 @@ impl PKvStore {
             let head = match staged.staged_heads.get(&bucket) {
                 Some(&h) => h,
                 None => {
-                    let h = self.pmem.read_u64(self.bucket_off_at(gen, bucket))?;
+                    let h = active.head(bucket);
                     staged.pre_heads.insert(bucket, h);
                     h
                 }
@@ -446,13 +456,14 @@ impl PKvStore {
         ops: &[KvBatchOp],
         served: Option<&[(u32, u32)]>,
     ) -> Result<KvPendingBatch<'a>, PError> {
-        let gen = self.active_gen()?;
+        let active = self.active()?;
+        let gen = active.gen;
         let mut header = self.read_header(&gen)?;
-        let staged = self.stage_batch(&gen, ops, served, header.tail)?;
+        let staged = self.stage_batch(&active, ops, served, header.tail)?;
         let mut pending = KvPendingBatch {
             store: self,
             _quiesce: quiesce,
-            gen,
+            active,
             staged,
             level: Level::default(),
             restore: None,

@@ -20,7 +20,10 @@
 //! the retired one's epoch. The selector flip is
 //! the *only* commit point: a crash anywhere before it recovers into
 //! the old generation; a crash anywhere after it recovers into the new
-//! one. A crash before the flip leaves the new block free (its switch
+//! one. Right after the flip, still in the exclusive section, the
+//! region's volatile index (`store/index.rs`) is replaced by the new
+//! generation and its carries' heads, so every handle's next read is of
+//! the new generation. A crash before the flip leaves the new block free (its switch
 //! lost) or an allocated, unreachable orphan (its switch landed, with
 //! or without the block) — the heap leaks it, the same pre-swap trade
 //! as a block whose owner crashed before publishing it (`pstack-heap`'s
@@ -59,6 +62,7 @@ use pstack_core::PError;
 use pstack_heap::PHeap;
 use pstack_nvram::{op_label, Level, POffset};
 
+use super::index::Active;
 use super::layout::{
     encode_record, gen_block_len, gen_prefix_len, heads_range, write_header, Gen, LogHeader,
     GEN_OFF_CARRIED, KIND_CARRY, RECORD_STRIDE,
@@ -200,6 +204,7 @@ impl PKvStore {
             log_cap: new_cap,
         };
         let mut slot = 0u64;
+        let mut heads = Vec::with_capacity(live.len());
         for (b, keep) in live.iter().enumerate() {
             let mut head = 0u64;
             for rec in keep {
@@ -215,6 +220,7 @@ impl PKvStore {
                 self.pmem
                     .write_u64(self.bucket_off_at(&new_gen, b as u64), head)?;
             }
+            heads.push(head);
         }
         self.pmem
             .write_u64(POffset::new(nb + GEN_OFF_CARRIED), live_total)?;
@@ -248,12 +254,14 @@ impl PKvStore {
 
         // Step 3 — the commit point, on the receipt for the whole new
         // block: PSan checks every line of it at the selector flip. The
-        // old block is then retained recovery evidence: a `free` on it
-        // must fail typed, not corrupt silently.
+        // index follows the cell at once, still in the exclusive
+        // section. The old block is then retained recovery evidence: a
+        // `free` on it must fail typed, not corrupt silently.
         Self::register_publish_range(&self.pmem, nb, self.nbuckets);
         self.cell
             .swap(new_gen.number, nb, new_block_len, &block)
             .map_err(PError::from)?;
+        self.index.replace(Active::new(new_gen, heads));
         heap.register_retired_extent(
             POffset::new(gen.base),
             gen_block_len(self.nbuckets, gen.log_cap),

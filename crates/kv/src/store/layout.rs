@@ -339,13 +339,23 @@ pub(super) fn stamped(rec: &RecordBytes, off: u64, gen: u64) -> Option<((u64, u6
     Some(((batch & u64::from(u32::MAX), batch >> 32), epoch))
 }
 
-/// A loaded generation descriptor (volatile; re-read from the root
-/// cell on every operation so handles never go stale across swaps).
+/// A loaded generation descriptor. The active generation's lives in
+/// the region's index (`store/index.rs`), read from the root cell once
+/// per boot and replaced by the compaction that swaps the cell, so no
+/// handle goes stale across a swap; a retired one's is read from its
+/// block by the walks that reach it.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Gen {
     pub(super) base: u64,
     pub(super) number: u64,
     pub(super) log_cap: u64,
+}
+
+impl Gen {
+    /// Where the generation's bucket array starts.
+    pub(super) fn heads_off(&self) -> POffset {
+        POffset::new(self.base + GEN_HEADER_LEN)
+    }
 }
 
 pub(super) fn round64(v: u64) -> u64 {
@@ -468,11 +478,10 @@ impl PKvStore {
         })
     }
 
-    /// Loads the active generation from the root cell. Re-read on every
-    /// operation (reads are free of persistence events), so clones and
-    /// independently opened handles observe a compaction swap
-    /// immediately.
-    pub(super) fn active_gen(&self) -> Result<Gen, PError> {
+    /// Loads the generation the root cell names: what `format` and
+    /// `open` put in the region's index (`store/index.rs`), whose
+    /// readers never read the cell again.
+    pub(super) fn root_gen(&self) -> Result<Gen, PError> {
         // A mid-read power failure is a crash, not corruption — it
         // must keep its classification so callers route it to
         // recovery instead of aborting on a phantom corruption.
@@ -512,10 +521,10 @@ impl PKvStore {
         })
     }
 
-    /// The generations, newest first: the active one, then each `prev`
-    /// in turn. Lazy — a generation's header is read only when the walk
-    /// reaches it, so a scan that stops in the active generation reads
-    /// no older one. A `prev` whose number does not go down is
+    /// The generations, newest first: the active one, from the index,
+    /// then each `prev` in turn. Lazy — a retired generation's header is
+    /// read only when the walk reaches it, so a scan that stops in the
+    /// active generation reads no older one. A `prev` whose number does not go down is
     /// [`PError::CorruptStack`], never a cycle.
     pub(super) fn gens(&self) -> impl Iterator<Item = Result<Gen, PError>> + '_ {
         // The base and number of the generation yielded last: `None`
@@ -564,17 +573,13 @@ impl PKvStore {
         }
     }
 
-    pub(super) fn bucket_off(&self, gen: &Gen, key: u64) -> POffset {
-        self.bucket_off_at(gen, self.bucket_of(key))
-    }
-
     /// The bucket `key` hashes to.
     pub(super) fn bucket_of(&self, key: u64) -> u64 {
         mix(key) % self.nbuckets
     }
 
     pub(super) fn bucket_off_at(&self, gen: &Gen, bucket: u64) -> POffset {
-        POffset::new(gen.base + GEN_HEADER_LEN + bucket * 8)
+        gen.heads_off() + bucket * 8
     }
 
     pub(super) fn record_off(&self, gen: &Gen, idx: u64) -> u64 {
@@ -641,9 +646,8 @@ impl PKvStore {
         gen: &Gen,
         bucket: u64,
     ) -> Result<Vec<VersionRecord>, PError> {
-        let head = self.pmem.read_u64(self.bucket_off_at(gen, bucket))?;
         let mut out = self
-            .records_from(head, gen.number)
+            .records_from(self.head_in(gen, bucket)?, gen.number)
             .map(|hop| hop.map(|(_, rec)| rec))
             .collect::<Result<Vec<_>, _>>()?;
         out.reverse();
@@ -683,7 +687,8 @@ impl PKvStore {
     /// Every bucket's published chain (oldest first, spanning every
     /// generation), in bucket order — the linearization witness the KV
     /// verifier checks answers against. The generation list is walked
-    /// once, then each bucket's head is read once per generation.
+    /// once, then each bucket's head is read once per retired
+    /// generation; the active generation's heads are the index's.
     ///
     /// # Errors
     ///

@@ -116,14 +116,14 @@ impl PKvStore {
     /// advances, in one awaited level, only when a cut batch can have
     /// left records of it past the tail. `claims` checks the newest
     /// batch's served records against their request table; without it
-    /// a served batch at `L` is refused, never guessed at. Runs in the
-    /// region's exclusive section.
+    /// a served batch at `L` is refused, never guessed at. The caller
+    /// holds the region's exclusive section. The replay reads and writes
+    /// the image's heads: the index is built from them after it.
     pub(super) fn replay_log(
         &self,
         gen: Gen,
         claims: Option<ClaimCheck<'_>>,
     ) -> Result<Boot, PError> {
-        let _quiesce = self.pmem.quiesce();
         let header = self.read_header(&gen)?;
         let dirty_fits = header
             .dirty
@@ -361,10 +361,10 @@ impl PKvStore {
     /// sequence would re-execute it — a double application the
     /// verifier flags.
     fn find_tag(&self, key: u64, pid: u64, seq: u64) -> Result<Option<VersionRecord>, PError> {
+        let bucket = self.bucket_of(key);
         for gen in self.gens() {
             let gen = gen?;
-            let head = self.pmem.read_u64(self.bucket_off(&gen, key))?;
-            for hop in self.records_from(head, gen.number) {
+            for hop in self.records_from(self.head_in(&gen, bucket)?, gen.number) {
                 let (_, rec) = hop?;
                 if rec.pid == pid && rec.seq == seq {
                     return Ok(Some(rec));

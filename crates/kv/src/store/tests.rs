@@ -208,9 +208,9 @@ fn a_snapshot_walks_the_generation_list_once() {
     assert_eq!(kv.gens_oldest_first().unwrap().len(), 2);
     assert_eq!(
         reads() - r0,
-        10,
-        "the walk: root cell 3, the active generation's magic and capacity 2, \
-         its prev 1, the retired generation's header 3 and its prev 1"
+        5,
+        "the walk: the active generation from the index 0, its prev 1, \
+         the retired generation's header 3 and its prev 1"
     );
     let r0 = reads();
     let snapshot = kv.snapshot().unwrap();
@@ -222,8 +222,9 @@ fn a_snapshot_walks_the_generation_list_once() {
     );
     assert_eq!(
         reads() - r0,
-        10 + 2 * BUCKETS + records,
-        "one walk, a head per bucket per generation, a read per record"
+        5 + BUCKETS + records,
+        "one walk, a head per bucket of the retired generation (the active \
+         one's are the index's), a read per record"
     );
 }
 
@@ -667,7 +668,9 @@ fn a_get_of_heads_a_window_left_dirty_persists_nothing_and_survives_a_power_fail
     kv.apply_batch(&bare).unwrap();
     let gen = kv.active_gen().unwrap();
     assert!(
-        (8..16u64).all(|k| pmem.is_dirty(kv.bucket_off(&gen, k), 8).unwrap()),
+        (8..16u64).all(|k| pmem
+            .is_dirty(kv.bucket_off_at(&gen, kv.bucket_of(k)), 8)
+            .unwrap()),
         "every head the last commit flipped is dirty"
     );
     let (e0, before) = (pmem.events(), pmem.stats().snapshot());
@@ -2068,6 +2071,163 @@ mod stamped_log {
         assert!(matches!(
             PKvStore::open(pmem, kv.base(), KvVariant::Nsrl),
             Err(PError::CorruptStack(_))
+        ));
+    }
+}
+
+/// The volatile index against the image and against other handles: the
+/// coherence cases and the dead machine. CI runs them 20 times at 8
+/// test threads.
+mod volatile_index {
+    use std::sync::atomic::{AtomicI64, Ordering};
+
+    use super::*;
+
+    /// Asserts that `kv`'s index names the generation the root cell does,
+    /// and holds every head the image does.
+    fn assert_index_is_the_image(kv: &PKvStore) {
+        let active = kv.active().unwrap();
+        let gen = kv.root_gen().unwrap();
+        assert_eq!((active.gen.base, active.gen.number), (gen.base, gen.number));
+        for b in 0..kv.nbuckets() {
+            let image = kv.pmem.read_u64(kv.bucket_off_at(&gen, b)).unwrap();
+            assert_eq!(active.head(b), image, "bucket {b}");
+        }
+    }
+
+    #[test]
+    fn a_second_handle_sees_a_compaction_swap_made_by_the_first() {
+        // The index is the region's, not the handle's: a handle opened on
+        // its own reads the generation the first handle's compaction
+        // swapped in, and its writes land there, where the first sees them.
+        let (pmem, heap, kv) = fixture(4, 64);
+        for key in 0..6u64 {
+            assert!(apply(&kv, put(0, key + 1, key, key as i64)).unwrap());
+        }
+        let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+        assert_eq!(kv2.generation().unwrap(), 0);
+        kv.compact(&heap).unwrap();
+        assert_eq!(kv2.generation().unwrap(), 1);
+        assert_eq!(kv2.log_reserved().unwrap(), 6, "the carries");
+        for key in 0..6u64 {
+            assert_eq!(kv2.get(key).unwrap(), Some(key as i64));
+        }
+        assert!(apply(&kv2, put(1, 1, 2, 20)).unwrap());
+        assert!(apply(&kv2, del(1, 2, 3)).unwrap());
+        assert_eq!(kv.get(2).unwrap(), Some(20));
+        assert_eq!(kv.get(3).unwrap(), None);
+        assert_eq!(kv.log_reserved().unwrap(), 8);
+        assert_index_is_the_image(&kv);
+        assert!(pmem.psan_violations().is_empty());
+    }
+
+    #[test]
+    fn a_boot_that_voids_the_newest_batch_leaves_the_index_at_the_voided_state() {
+        // A served batch at `L` whose slots do not hold their claims is
+        // voided by the boot (the boot rules): the index the boot builds
+        // shows the store without it, and the next commit on its buckets
+        // publishes over the heads the index holds.
+        let (pmem, _, kv) = fixture(8, 32);
+        assert!(apply(&kv, put(1, 1, 5, 50)).unwrap());
+        commit_served(&kv, &[put(1, 2, 5, 51), put(1, 3, 6, 60)]).unwrap();
+        pmem.crash_now(0, 0.0);
+        let pmem = pmem.reopen().unwrap();
+        let lost = |_: &[(u32, u32)]| Ok(false);
+        let kv =
+            PKvStore::open_with(pmem.clone(), kv.base(), KvVariant::Nsrl, Some(&lost)).unwrap();
+        assert_eq!((kv.get(5).unwrap(), kv.get(6).unwrap()), (Some(50), None));
+        assert_eq!(kv.log_reserved().unwrap(), 1, "the tail back at L");
+        assert_index_is_the_image(&kv);
+        assert!(apply(&kv, put(1, 4, 5, 52)).unwrap());
+        assert!(apply(&kv, put(1, 5, 6, 61)).unwrap());
+        assert_eq!(
+            (kv.get(5).unwrap(), kv.get(6).unwrap()),
+            (Some(52), Some(61))
+        );
+        assert_index_is_the_image(&kv);
+        assert!(pmem.psan_violations().is_empty());
+    }
+
+    #[test]
+    fn a_get_racing_a_commit_on_its_bucket_sees_the_old_head_or_the_new_one() {
+        // A get reads the index's head, which a commit flips only on its
+        // level's receipt: while a batch is staged and its level in flight,
+        // a get sees the old value; once the batch returns, the new one.
+        // Then a reader races a writer on one key of one bucket: every value
+        // it reads was committed by the time the read ended and was not yet
+        // replaced when it began — the old head or the new one, in order.
+        let (_, _, kv) = fixture(1, 1024);
+        assert!(apply(&kv, put(0, 1, 7, 0)).unwrap());
+        let pending = kv.apply_batch_begin(&[put(0, 2, 7, 1)]).unwrap();
+        let kv2 = kv.clone();
+        let during = std::thread::spawn(move || kv2.get(7).unwrap());
+        assert_eq!(during.join().unwrap(), Some(0), "the level is in flight");
+        assert_eq!(pending.commit().unwrap(), vec![KvApplied::Applied]);
+        assert_eq!(kv.get(7).unwrap(), Some(1));
+
+        const WRITES: i64 = 300;
+        let (begun, done) = (AtomicI64::new(1), AtomicI64::new(1));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut last = 0;
+                while done.load(Ordering::SeqCst) < WRITES {
+                    let lo = done.load(Ordering::SeqCst);
+                    let got = kv.get(7).unwrap().expect("the key is never deleted");
+                    let hi = begun.load(Ordering::SeqCst);
+                    assert!((lo..=hi).contains(&got), "{got} outside [{lo}, {hi}]");
+                    assert!(got >= last, "{got} after {last}");
+                    last = got;
+                }
+            });
+            for v in 2..=WRITES {
+                begun.store(v, Ordering::SeqCst);
+                assert!(apply(&kv, put(0, v as u64 + 1, 7, v)).unwrap());
+                done.store(v, Ordering::SeqCst);
+            }
+        });
+    }
+
+    #[test]
+    fn a_dead_machine_never_answers_a_get() {
+        // The index is DRAM, which a power failure does not clear in the
+        // emulator: a read of it on a crashed region fails with the crash,
+        // as a read of the image does — for an empty bucket, a populated
+        // one, and a generation a compaction put in the index. Every
+        // handle on the region, clone or independent open, fails alike.
+        let (pmem, _, kv) = fixture(64, 64);
+        assert!(apply(&kv, put(0, 1, 7, 70)).unwrap());
+        let active = kv.active().unwrap();
+        let empty = (0..).find(|&k| active.head(kv.bucket_of(k)) == 0).unwrap();
+        let crashed = |kv: &PKvStore, key: u64| {
+            for get in [PKvStore::get, PKvStore::get_durable] {
+                assert!(
+                    matches!(get(kv, key), Err(PError::Mem(MemError::Crashed))),
+                    "key {key}: {:?}",
+                    get(kv, key)
+                );
+            }
+        };
+        let kv2 = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+        pmem.crash_now(0, 1.0);
+        for handle in [&kv, &kv.clone(), &kv2] {
+            crashed(handle, empty);
+            crashed(handle, 7);
+        }
+
+        let pmem = pmem.reopen().unwrap();
+        let heap = PHeap::open(pmem.clone(), POffset::new(0)).unwrap();
+        let kv = PKvStore::open(pmem.clone(), kv.base(), KvVariant::Nsrl).unwrap();
+        kv.compact(&heap).unwrap();
+        assert_eq!(
+            (kv.generation().unwrap(), kv.get(7).unwrap()),
+            (1, Some(70))
+        );
+        pmem.crash_now(0, 1.0);
+        crashed(&kv, empty);
+        crashed(&kv, 7);
+        assert!(matches!(
+            kv.generation(),
+            Err(PError::Mem(MemError::Crashed))
         ));
     }
 }

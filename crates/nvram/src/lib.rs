@@ -61,6 +61,7 @@ mod stats;
 mod stripe;
 mod sweep;
 mod typed;
+mod volatile;
 
 pub use builder::{PMemBuilder, DEFAULT_CACHE_LINE, DEFAULT_REGION_LEN};
 pub use durable::{Durable, FlushTicket};

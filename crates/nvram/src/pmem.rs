@@ -77,6 +77,8 @@ struct Inner {
     /// The region's gate: held by its one exclusive section
     /// ([`PMem::quiesce`]); never taken by `PMem` itself.
     gate: StdMutex<()>,
+    /// What programs keep in DRAM beside this boot ([`PMem::volatile`]).
+    volatile: StdMutex<crate::volatile::Slots>,
 }
 
 /// Process-wide monotonic clock of crash observations: every region
@@ -137,6 +139,7 @@ impl PMem {
                     completed: 0,
                 }),
                 gate: StdMutex::new(()),
+                volatile: StdMutex::default(),
             }),
         }
     }
@@ -184,6 +187,10 @@ impl PMem {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         QuiesceGuard { _held: held }
+    }
+
+    pub(crate) fn volatile_slots(&self) -> &StdMutex<crate::volatile::Slots> {
+        &self.inner.volatile
     }
 
     /// `true` once a crash has been injected and until [`PMem::reopen`].

@@ -6,7 +6,8 @@
 //! the header, the replay of `[C, tail)` in one read, one read of each
 //! replayed record's bucket head, the newest batch's claim check — the
 //! shard root's table word, the table's header and the span of the
-//! slots its records name — and one read of the slots past the tail),
+//! slots its records name — one read of the slots past the tail, and
+//! one of the bucket array, which builds the volatile index),
 //! `KvRequestTable::open` (the header, then one read per slot),
 //! `KvServeFunction::new` and `ServerCore::new`; then the clients'
 //! retries, whose answers are checked once each against their batch
@@ -168,9 +169,10 @@ fn a_boot_mid_level_reads_its_steps_and_persists_nothing() {
             // its store; of the replay, 1 for [C, tail) — round 1's
             // one-record batch — 1 for its head, 4 for its claim check
             // (the table word, the table's magic and slot count, the
-            // slots' span) and 1 past the tail.
+            // slots' span) and 1 past the tail; then 1 for the bucket
+            // array the index is built from.
             store_open: Cost {
-                reads: 2 * (31 + 1 + 1 + 4 + 1),
+                reads: 2 * (31 + 1 + 1 + 4 + 1 + 1),
                 persists: 0
             },
             // Per shard: the table's magic and slot count, and its 8
@@ -213,7 +215,7 @@ fn a_boot_after_the_level_reads_its_steps_and_persists_nothing() {
             // Per shard: as mid-level, with round 2's batch at L and
             // round 1's before it replayed: one head more.
             store_open: Cost {
-                reads: 2 * (31 + 1 + 2 + 4 + 1),
+                reads: 2 * (31 + 1 + 2 + 4 + 1 + 1),
                 persists: 0
             },
             table_open: Cost {
